@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: test bench lint analyze selftest check metrics proptest chaos fleet-bench fleet-smoke push-bench push-smoke overload-bench overload-smoke sim sim-smoke determinism
+.PHONY: test bench lint analyze loc selftest check metrics proptest chaos fleet-bench fleet-smoke push-bench push-smoke overload-bench overload-smoke sim sim-smoke determinism
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -43,7 +43,7 @@ sim-smoke:
 determinism:
 	bash scripts/check_determinism.sh
 
-check: lint analyze test chaos sim-smoke determinism fleet-smoke push-smoke overload-smoke
+check: lint analyze loc test chaos sim-smoke determinism fleet-smoke push-smoke overload-smoke
 
 bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
@@ -94,6 +94,12 @@ lint:
 # entries.  See docs/analysis.md.
 analyze:
 	PYTHONPATH=src $(PYTHON) -m repro.analysis
+
+# The two size numbers ROADMAP.md tracks — physical lines under src/
+# and inline `# repro: allow[` suppressions — as a ratchet: fails when
+# either is above the value recorded in scripts/loc.sh.
+loc:
+	bash scripts/loc.sh
 
 selftest:
 	PYTHONPATH=src $(PYTHON) -m repro selftest

@@ -72,12 +72,9 @@ def main() -> None:
         builder.pow.difficulty_bits, {spec.name: spec},
     )
     client = SuperlightClient(measurement, ias.public_key)
-    tip = issuer.certified[-1]
-    client.validate_chain(tip.block.header, tip.certificate)
-    client.validate_index_certificate(
-        "balances", tip.block.header,
-        tip.index_roots["balances"], tip.index_certificates["balances"],
-    )
+    # One call verifies the block certificate and the index certificate
+    # together, then adopts both.
+    client.adopt(issuer.certified[-1])
 
     # Analytics through the typed API: alice's balance statistics over
     # the whole year.

@@ -89,18 +89,11 @@ def main() -> None:
     ci_node.on("blocks", ci_handles_block)
     sp_node.on("blocks", lambda message: provider.ingest_block(message.block))
 
-    def make_client_handler(client: SuperlightClient):
-        def handle(message: CertificateAnnouncement) -> None:
-            client.validate_chain(message.header, message.certificate)
-            for name, cert in message.index_certificates.items():
-                client.validate_index_certificate(
-                    name, message.header, message.index_roots[name], cert
-                )
-
-        return handle
-
+    # A CertificateAnnouncement is a tip bundle (header, certificate,
+    # index roots + certificates): adopt() verifies all of it, then
+    # moves the client.
     for node, client in clients:
-        node.on("certificates", make_client_handler(client))
+        node.on("certificates", client.adopt)
         bus.subscribe(node.name, "certificates")
     bus.subscribe("ci", "blocks")
     bus.subscribe("sp", "blocks")

@@ -76,12 +76,7 @@ def main() -> None:
         builder.pow.difficulty_bits, {spec.name: spec},
     )
     client = SuperlightClient(measurement, ias.public_key)
-    tip = issuer.certified[-1]
-    client.validate_chain(tip.block.header, tip.certificate)
-    client.validate_index_certificate(
-        "history", tip.block.header,
-        tip.index_roots["history"], tip.index_certificates["history"],
-    )
+    client.adopt(issuer.certified[-1])
     print("Superlight client validated the chain and the index certificate.")
 
     # Query through the typed API: history of acct2 between blocks 10

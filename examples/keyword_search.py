@@ -73,12 +73,9 @@ def main() -> None:
         builder.pow.difficulty_bits, {spec.name: spec},
     )
     client = SuperlightClient(measurement, ias.public_key)
-    tip = issuer.certified[-1]
-    client.validate_chain(tip.block.header, tip.certificate)
-    client.validate_index_certificate(
-        "keyword", tip.block.header,
-        tip.index_roots["keyword"], tip.index_certificates["keyword"],
-    )
+    # One call verifies the block certificate and the index certificate
+    # together, then adopts both.
+    client.adopt(issuer.certified[-1])
 
     request = KeywordQuery(index="keyword", keywords=("stock", "bank"))
     answer = issuer.indexes["keyword"].query_conjunctive(["stock", "bank"])

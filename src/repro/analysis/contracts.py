@@ -1,16 +1,20 @@
 """VER01/ERR01/BND01 — the trust, taxonomy, and bounded-state contracts.
 
-* **VER01** — *no unverified adoption*.  In the trust-critical modules
-  (the superlight client and the gateway's replica-switch path), any
-  write to a trusted-state attribute (``latest_header``, certified
-  roots, the gateway's current replica) and any verified-answer-cache
-  admit must be **dominated by a verification call** in the same
-  function body.  The dominance check is the cheap approximation —
-  "some ``verify*``/``validate*``/``_check_certificate`` call appears
-  earlier in this function" — which catches the realistic failure
-  (a new code path that adopts first and verifies never) while staying
-  a pure AST pass.  The rare verified-elsewhere site carries a
-  justified inline suppression, which doubles as documentation.
+* **VER01** — *no unverified adoption*.  The superlight client's
+  tip/index-root state has exactly one producer: the pure core
+  ``adopt_bundle``, which verifies every certificate before building a
+  ``ClientState``.  Any other write to that state — anything but
+  ``self.state = adopt_bundle(...)`` or the empty declaration in
+  ``__init__`` — and any ``ClientState(...)`` built outside the core is
+  a finding, verified or not.  The remaining trusted writes (the
+  gateway's current replica) and every verified-answer-cache admit must
+  be **dominated by a verification call** in the same function body.
+  The dominance check is the cheap approximation — "some ``verify*``/
+  ``validate*``/``_ensure_verified`` call appears earlier in this
+  function" — which catches the realistic failure (a new code path that
+  adopts first and verifies never) while staying a pure AST pass.  The
+  rare verified-elsewhere site carries a justified inline suppression,
+  which doubles as documentation.
 
 * **ERR01** — *typed error taxonomy*.  Every class in ``errors.py``
   under :class:`~repro.errors.ReproError` must declare its **own**
@@ -47,19 +51,21 @@ from repro.analysis.findings import Finding
 # -- VER01 --------------------------------------------------------------------
 
 #: module -> trusted-state attribute names whose writes need a
-#: dominating verification call.
+#: dominating verification call (cache admits are checked everywhere
+#: in these modules).
 TRUST_SCOPES: dict[str, frozenset[str]] = {
-    "repro.core.superlight": frozenset(
-        {"latest_header", "latest_certificate", "_tip",
-         "_index_roots", "_index_certs"}
-    ),
+    "repro.core.superlight": frozenset(),
     "repro.net.gateway": frozenset({"current", "_tip"}),
 }
 
+#: In the superlight client module, the one function that may build a
+#: ``ClientState`` or produce the value written to a ``.state``: the
+#: pure core, which verifies the whole bundle first.
+CLIENT_MODULE = "repro.core.superlight"
+ADOPTION_CORE = "adopt_bundle"
+
 #: Call names (last dotted segment) that count as verification.
-_VERIFIER_EXACT = frozenset(
-    {"_check_certificate", "_adopt_announcement", "_ensure_verified"}
-)
+_VERIFIER_EXACT = frozenset({"_ensure_verified"})
 
 
 def _is_verifier(name: str) -> bool:
@@ -87,6 +93,8 @@ class AdoptionChecker(Checker):
         if trusted is None:
             return
         owner = enclosing_functions(ctx.tree)
+        if ctx.module == CLIENT_MODULE:
+            yield from self._outside_core(ctx, owner)
         verifier_lines = self._verifier_lines_by_function(ctx.tree, owner)
         for node, description in self._trusted_writes(ctx.tree, trusted):
             function = owner.get(node)
@@ -106,10 +114,47 @@ class AdoptionChecker(Checker):
                         "verification call in this function"
                     ),
                     hint=(
-                        "call verify_*/validate_*/_check_certificate on "
+                        "call verify_*/validate_*/_ensure_verified on "
                         "the material before adopting it, or add a "
                         "justified allow[VER01] if verification "
                         "provably happened on every path here"
+                    ),
+                )
+
+    def _outside_core(self, ctx: ModuleContext, owner) -> Iterable[Finding]:
+        """``.state`` writes and ``ClientState(...)`` constructions
+        anywhere but the adoption core."""
+        for node in ast.walk(ctx.tree):
+            function = getattr(owner.get(node), "name", None)
+            if function == ADOPTION_CORE:
+                continue
+            if isinstance(node, ast.Call):
+                breach = _callee(node) == "ClientState" and (
+                    node.args or node.keywords
+                )
+            else:
+                # Declaring the empty state in __init__ is not adoption.
+                breach = (
+                    function != "__init__"
+                    and any(
+                        _trusted_attr(target, frozenset({"state"}))
+                        for target in _write_targets(node)
+                    )
+                    and _callee(node.value) != ADOPTION_CORE
+                )
+            if breach:
+                yield Finding(
+                    rule=self.rule,
+                    path=ctx.relpath,
+                    line=node.lineno,
+                    message=(
+                        "client state built or written outside the "
+                        f"adoption core {ADOPTION_CORE}()"
+                    ),
+                    hint=(
+                        "client tip/index-root state only ever comes from "
+                        f"self.state = {ADOPTION_CORE}(...), which verifies "
+                        "every certificate first"
                     ),
                 )
 
@@ -128,27 +173,31 @@ class AdoptionChecker(Checker):
         """(node, description) for every write to a trusted attribute
         and every cache admit."""
         for node in ast.walk(tree):
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (
-                    node.targets
-                    if isinstance(node, ast.Assign)
-                    else [node.target]
-                )
-                value = getattr(node, "value", None)
-                if isinstance(value, ast.Constant) and value.value is None:
-                    continue  # clearing trust is always safe
-                for target in targets:
-                    attr = _trusted_attr(target, trusted)
-                    if attr is not None:
-                        yield node, f"write to trusted state .{attr}"
-            elif isinstance(node, ast.Call):
+            for target in _write_targets(node):
+                attr = _trusted_attr(target, trusted)
+                if attr is not None:
+                    yield node, f"write to trusted state .{attr}"
+            if isinstance(node, ast.Call):
                 name = dotted_name(node.func)
                 if _is_cache_admit(name):
                     yield node, f"verified-answer cache admit {name}(...)"
 
-    @staticmethod
-    def _find_attr(target, trusted):  # pragma: no cover - alias
-        return _trusted_attr(target, trusted)
+
+def _callee(node: ast.AST) -> str | None:
+    """Last dotted segment of what ``node`` calls (None if not a call)."""
+    if isinstance(node, ast.Call):
+        return dotted_name(node.func).rsplit(".", 1)[-1]
+    return None
+
+
+def _write_targets(node: ast.AST) -> list[ast.expr]:
+    """The targets of an assignment that installs a value (clearing to
+    ``None`` is always safe, so it has none)."""
+    if not isinstance(node, (ast.Assign, ast.AugAssign)):
+        return []
+    if isinstance(node.value, ast.Constant) and node.value.value is None:
+        return []
+    return node.targets if isinstance(node, ast.Assign) else [node.target]
 
 
 def _trusted_attr(target: ast.AST, trusted: frozenset[str]) -> str | None:

@@ -20,8 +20,7 @@ from repro.bench.params import BenchParams
 from repro.bench.workloadgen import WorkloadGenerator
 from repro.chain.builder import ChainBuilder
 from repro.chain.genesis import make_genesis
-from repro.chain.vm import VM
-from repro.contracts import BLOCKBENCH
+from repro.contracts import fresh_vm
 from repro.core.issuer import CertificateIssuer
 from repro.obs.wallclock import elapsed_s, now_s
 from repro.query.indexes import AuthenticatedIndexSpec
@@ -38,13 +37,6 @@ class CertTimings:
     enclave_overhead_s: float
     update_proof_bytes: int
     ecalls: int
-
-
-def fresh_vm() -> VM:
-    vm = VM()
-    for factory in BLOCKBENCH.values():
-        vm.deploy(factory())
-    return vm
 
 
 class CertifiedChainHarness:

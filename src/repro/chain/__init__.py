@@ -13,7 +13,7 @@ Ethereum).  This package is that underlying system, built from scratch:
   for DCert's update proofs (:mod:`executor`),
 * proof-of-work consensus and the longest-chain selection rule
   (:mod:`consensus`),
-* miner / full node / mempool roles (:mod:`miner`, :mod:`node`), and
+* miner / full node roles (:mod:`miner`, :mod:`node`), and
 * the *traditional light client*, kept as the baseline DCert is measured
   against in Fig. 7 (:mod:`lightclient`).
 """

@@ -40,35 +40,12 @@ from repro import __version__
 from repro.obs import wallclock
 
 
-def _fresh_vm():
-    from repro.chain.vm import VM
-    from repro.contracts import BLOCKBENCH
-
-    vm = VM()
-    for factory in BLOCKBENCH.values():
-        vm.deploy(factory())
-    return vm
-
-
-def _build_world(
-    blocks: int = 10,
-    block_size: int = 3,
-    batch_size: int = 1,
-    hold_back: int = 0,
-):
+def _mine_chain(blocks: int, block_size: int = 3):
+    """The demo chain: ``blocks`` blocks of kvstore puts by one user."""
     from repro.chain import ChainBuilder
-    from repro.chain.genesis import make_genesis
     from repro.chain.transaction import sign_transaction
-    from repro.chain.vm import VM
-    from repro.contracts import BLOCKBENCH
-    from repro.core import CertificateIssuer, CertificationPipeline
     from repro.crypto import generate_keypair
-    from repro.query.indexes import AccountHistoryIndexSpec
-    from repro.sgx.attestation import AttestationService
 
-    vm = VM()
-    for factory in BLOCKBENCH.values():
-        vm.deploy(factory())
     user = generate_keypair(b"cli-user")
     builder = ChainBuilder(difficulty_bits=4, network="cli")
     nonce = 0
@@ -83,11 +60,50 @@ def _build_world(
             )
             nonce += 1
         builder.add_block(txs)
+    return builder
+
+
+def _measurement(builder, ias, spec):
+    """What an honest enclave measures as, from public inputs only."""
+    from repro.chain.genesis import make_genesis
+    from repro.contracts import fresh_vm
+    from repro.core import compute_expected_measurement
+
+    genesis, _ = make_genesis(network="cli")
+    return compute_expected_measurement(
+        genesis.header.header_hash(), ias.public_key, fresh_vm(),
+        builder.pow.difficulty_bits, {spec.name: spec},
+    )
+
+
+def _provider(builder, spec, blocks):
+    """A Service Provider that has ingested ``blocks``."""
+    from repro.chain.genesis import make_genesis
+    from repro.contracts import fresh_vm
+    from repro.query import QueryServiceProvider
+
+    genesis, state = make_genesis(network="cli")
+    provider = QueryServiceProvider(
+        genesis, state, fresh_vm(), builder.pow, [spec]
+    )
+    for block in blocks:
+        provider.ingest_block(block)
+    return provider
+
+
+def _build_world(blocks: int = 10, batch_size: int = 1, hold_back: int = 0):
+    from repro.chain.genesis import make_genesis
+    from repro.contracts import fresh_vm
+    from repro.core import CertificateIssuer, CertificationPipeline
+    from repro.query.indexes import AccountHistoryIndexSpec
+    from repro.sgx.attestation import AttestationService
+
+    builder = _mine_chain(blocks)
     genesis, state = make_genesis(network="cli")
     ias = AttestationService(seed=b"cli-ias")
     spec = AccountHistoryIndexSpec(name="history")
     issuer = CertificateIssuer(
-        genesis, state, vm, builder.pow,
+        genesis, state, fresh_vm(), builder.pow,
         index_specs=[spec], ias=ias, key_seed=b"cli-enclave",
         proof_cache_entries=256 if batch_size > 1 else 0,
     )
@@ -102,7 +118,24 @@ def _build_world(
     else:
         for block in to_certify:
             issuer.process_block(block)
-    return builder, issuer, ias, spec, genesis, vm
+    return builder, issuer, ias, spec
+
+
+def _served_world(blocks: int):
+    """What every networked demo starts from: a certified chain with the
+    newest mined block held back uncertified (so a command can show
+    push propagation: ``world.issuer.process_block(world.held_back)``),
+    a Service Provider that ingested the certified blocks, and the
+    measurement a client derives from public inputs."""
+    from types import SimpleNamespace
+
+    builder, issuer, ias, spec = _build_world(blocks=blocks, hold_back=1)
+    return SimpleNamespace(
+        builder=builder, issuer=issuer, ias=ias,
+        provider=_provider(builder, spec, builder.blocks[1:-1]),
+        measurement=_measurement(builder, ias, spec),
+        held_back=builder.blocks[-1],
+    )
 
 
 def cmd_info(_: argparse.Namespace) -> int:
@@ -128,13 +161,13 @@ def cmd_info(_: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    from repro.core import SuperlightClient, compute_expected_measurement
+    from repro.core import SuperlightClient
 
     batch = getattr(args, "batch_size", 1)
     mode = f" in batches of {batch}" if batch > 1 else ""
     print(f"Mining and certifying {args.blocks} blocks{mode}...")
     started = wallclock.now_s()
-    builder, issuer, ias, spec, genesis, vm = _build_world(
+    builder, issuer, ias, spec = _build_world(
         blocks=args.blocks, batch_size=batch
     )
     print(f"  done in {wallclock.elapsed_s(started):.1f}s "
@@ -146,22 +179,14 @@ def cmd_demo(args: argparse.Namespace) -> int:
               f"({stats['hit_rate']:.0%} hit rate), "
               f"{saved} enclave transitions saved")
 
-    measurement = compute_expected_measurement(
-        genesis.header.header_hash(), ias.public_key, vm,
-        builder.pow.difficulty_bits, {spec.name: spec},
-    )
-    client = SuperlightClient(measurement, ias.public_key)
+    client = SuperlightClient(_measurement(builder, ias, spec), ias.public_key)
     tip = issuer.certified[-1]
     started = wallclock.now_s()
-    client.validate_chain(tip.block.header, tip.certificate)
+    client.adopt(tip)
     print(f"Superlight client validated a {builder.height}-block chain in "
           f"{wallclock.elapsed_ms(started):.1f} ms, "
           f"storing {client.storage_bytes()} bytes.")
 
-    client.validate_index_certificate(
-        "history", tip.block.header,
-        tip.index_roots["history"], tip.index_certificates["history"],
-    )
     from repro.query.api import HistoryQuery, QueryAnswer
 
     request = HistoryQuery(
@@ -177,19 +202,8 @@ def cmd_demo(args: argparse.Namespace) -> int:
 def _network_world(blocks: int, drop: float, seed: int):
     """The Fig. 2 deployment on the simulated network: a CI and two SPs
     (with a lossy link to sp1) serving one remote superlight client,
-    with a subscription hub mounted on the CI endpoint.  The newest
-    mined block is held back uncertified so commands can demonstrate
-    push propagation (``world.issuer.process_block(world.held_back)``).
-    """
-    from types import SimpleNamespace
-
-    from repro.chain.genesis import make_genesis
-    from repro.core import (
-        ClientConfig,
-        IssuerService,
-        compute_expected_measurement,
-        connect,
-    )
+    with a subscription hub mounted on the CI endpoint."""
+    from repro.core import ClientConfig, IssuerService, connect
     from repro.net import (
         FaultInjector,
         LinkFaults,
@@ -197,45 +211,25 @@ def _network_world(blocks: int, drop: float, seed: int):
         RetryPolicy,
         SubscriptionHub,
     )
-    from repro.query import QueryService, QueryServiceProvider
+    from repro.query import QueryService
 
-    builder, issuer, ias, spec, genesis, vm = _build_world(
-        blocks=blocks, hold_back=1
-    )
-
-    sp_genesis, sp_state = make_genesis(network="cli")
-    provider = QueryServiceProvider(
-        sp_genesis, sp_state, _fresh_vm(), builder.pow, [spec]
-    )
-    for block in builder.blocks[1:-1]:
-        provider.ingest_block(block)
-
-    bus = MessageBus(default_latency_ms=20.0)
-    injector = FaultInjector(seed=seed)
-    injector.set_link("client", "sp1", LinkFaults(drop_rate=drop))
-    injector.set_link("sp1", "client", LinkFaults(drop_rate=drop))
-    bus.install_faults(injector)
-    service = IssuerService(bus, "ci", issuer)
-    hub = SubscriptionHub.embedded(service)
-    hub.attach(issuer)
-    QueryService(bus, "sp1", provider)
-    QueryService(bus, "sp2", provider)
-
-    measurement = compute_expected_measurement(
-        genesis.header.header_hash(), ias.public_key, _fresh_vm(),
-        builder.pow.difficulty_bits, {spec.name: spec},
-    )
-    client = connect(ClientConfig(
-        measurement=measurement, ias_public_key=ias.public_key,
+    world = _served_world(blocks)
+    world.bus = bus = MessageBus(default_latency_ms=20.0)
+    world.injector = FaultInjector(seed=seed)
+    world.injector.set_link("client", "sp1", LinkFaults(drop_rate=drop))
+    world.injector.set_link("sp1", "client", LinkFaults(drop_rate=drop))
+    bus.install_faults(world.injector)
+    world.hub = SubscriptionHub.embedded(IssuerService(bus, "ci", world.issuer))
+    world.hub.attach(world.issuer)
+    QueryService(bus, "sp1", world.provider)
+    QueryService(bus, "sp2", world.provider)
+    world.client = connect(ClientConfig(
+        measurement=world.measurement, ias_public_key=world.ias.public_key,
         bus=bus, name="client",
         issuers=("ci",), providers=("sp1", "sp2"), hub="ci",
         policy=RetryPolicy(timeout_ms=200.0, max_attempts=3),
     ))
-    return SimpleNamespace(
-        builder=builder, bus=bus, injector=injector, client=client,
-        hub=hub, issuer=issuer, provider=provider,
-        held_back=builder.blocks[-1],
-    )
+    return world
 
 
 def cmd_demo_network(args: argparse.Namespace) -> int:
@@ -281,15 +275,7 @@ def _fleet_world(blocks: int, replicas: int, service_ms: float,
     """A load-balanced SP fleet behind a QueryGateway: one CI, N
     busy-worker QueryService replicas, one remote superlight client
     with a verified-answer cache, and a subscription hub on the CI."""
-    from types import SimpleNamespace
-
-    from repro.chain.genesis import make_genesis
-    from repro.core import (
-        ClientConfig,
-        IssuerService,
-        compute_expected_measurement,
-        connect,
-    )
+    from repro.core import ClientConfig, IssuerService, connect
     from repro.net import (
         HealthPolicy,
         MessageBus,
@@ -297,48 +283,30 @@ def _fleet_world(blocks: int, replicas: int, service_ms: float,
         RetryPolicy,
         SubscriptionHub,
     )
-    from repro.query import QueryService, QueryServiceProvider
+    from repro.query import QueryService
 
-    builder, issuer, ias, spec, genesis, vm = _build_world(
-        blocks=blocks, hold_back=1
-    )
-    sp_genesis, sp_state = make_genesis(network="cli")
-    provider = QueryServiceProvider(
-        sp_genesis, sp_state, _fresh_vm(), builder.pow, [spec]
-    )
-    for block in builder.blocks[1:-1]:
-        provider.ingest_block(block)
-
-    bus = MessageBus(default_latency_ms=10.0)
-    service = IssuerService(bus, "ci", issuer)
-    hub = SubscriptionHub.embedded(service)
-    hub.attach(issuer)
+    world = _served_world(blocks)
+    world.bus = bus = MessageBus(default_latency_ms=10.0)
+    world.hub = SubscriptionHub.embedded(IssuerService(bus, "ci", world.issuer))
+    world.hub.attach(world.issuer)
     names = [f"sp{i + 1}" for i in range(replicas)]
-    services = {
-        name: QueryService(bus, name, provider, service_time_ms=service_ms)
+    world.services = {
+        name: QueryService(bus, name, world.provider, service_time_ms=service_ms)
         for name in names
     }
-    gateway = QueryGateway(
+    world.gateway = QueryGateway(
         bus, "gw", names,
         balancer=balancer, seed=seed,
         policy=RetryPolicy(timeout_ms=service_ms * 40 + 1_000.0,
                            max_attempts=1),
         health=HealthPolicy(failure_threshold=1, probe_base_ms=200.0),
     )
-    measurement = compute_expected_measurement(
-        genesis.header.header_hash(), ias.public_key, _fresh_vm(),
-        builder.pow.difficulty_bits, {spec.name: spec},
-    )
-    client = connect(ClientConfig(
-        measurement=measurement, ias_public_key=ias.public_key,
+    world.client = connect(ClientConfig(
+        measurement=world.measurement, ias_public_key=world.ias.public_key,
         bus=bus, name="client",
-        issuers=("ci",), gateway=gateway, hub="ci",
+        issuers=("ci",), gateway=world.gateway, hub="ci",
     ))
-    return SimpleNamespace(
-        builder=builder, bus=bus, services=services, gateway=gateway,
-        client=client, hub=hub, issuer=issuer, provider=provider,
-        held_back=builder.blocks[-1],
-    )
+    return world
 
 
 def cmd_demo_fleet(args: argparse.Namespace) -> int:
@@ -408,15 +376,7 @@ def _overload_world(blocks: int, replicas: int, service_ms: float, seed: int):
     armed: admission control on every busy-worker replica, per-replica
     circuit breakers and hedging on the gateway, and a client that
     degrades to verified-stale answers when the whole tier sheds."""
-    from types import SimpleNamespace
-
-    from repro.chain.genesis import make_genesis
-    from repro.core import (
-        ClientConfig,
-        IssuerService,
-        compute_expected_measurement,
-        connect,
-    )
+    from repro.core import ClientConfig, IssuerService, connect
     from repro.net import (
         AdmissionPolicy,
         CircuitBreakerPolicy,
@@ -427,30 +387,21 @@ def _overload_world(blocks: int, replicas: int, service_ms: float, seed: int):
         RetryPolicy,
     )
     from repro.net.rpc import RpcClient
-    from repro.query import QueryService, QueryServiceProvider
+    from repro.query import QueryService
 
-    builder, issuer, ias, spec, genesis, vm = _build_world(
-        blocks=blocks, hold_back=1
-    )
-    sp_genesis, sp_state = make_genesis(network="cli")
-    provider = QueryServiceProvider(
-        sp_genesis, sp_state, _fresh_vm(), builder.pow, [spec]
-    )
-    for block in builder.blocks[1:-1]:
-        provider.ingest_block(block)
-
-    bus = MessageBus(default_latency_ms=5.0)
-    IssuerService(bus, "ci", issuer)
+    world = _served_world(blocks)
+    world.bus = bus = MessageBus(default_latency_ms=5.0)
+    IssuerService(bus, "ci", world.issuer)
     names = [f"sp{i + 1}" for i in range(replicas)]
     admission = AdmissionPolicy(shed_delay_ms=40.0, queue_limit=32)
-    services = {
+    world.services = {
         name: QueryService(
-            bus, name, provider,
+            bus, name, world.provider,
             service_time_ms=service_ms, admission=admission,
         )
         for name in names
     }
-    gateway = QueryGateway(
+    world.gateway = QueryGateway(
         bus, "gw", names,
         balancer="round-robin", seed=seed,
         policy=RetryPolicy(timeout_ms=2_000.0, max_attempts=2),
@@ -458,24 +409,16 @@ def _overload_world(blocks: int, replicas: int, service_ms: float, seed: int):
         breaker=CircuitBreakerPolicy(),
         hedge=HedgePolicy(),
     )
-    measurement = compute_expected_measurement(
-        genesis.header.header_hash(), ias.public_key, _fresh_vm(),
-        builder.pow.difficulty_bits, {spec.name: spec},
-    )
-    client = connect(ClientConfig(
-        measurement=measurement, ias_public_key=ias.public_key,
+    world.client = connect(ClientConfig(
+        measurement=world.measurement, ias_public_key=world.ias.public_key,
         bus=bus, name="client",
-        issuers=("ci",), gateway=gateway,
+        issuers=("ci",), gateway=world.gateway,
         degrade_to_stale=True,
     ))
-    flood = RpcClient(
+    world.flood = RpcClient(
         bus, "flood", policy=RetryPolicy(timeout_ms=5_000.0, max_attempts=1)
     )
-    return SimpleNamespace(
-        builder=builder, bus=bus, services=services, gateway=gateway,
-        client=client, issuer=issuer, provider=provider, flood=flood,
-        held_back=builder.blocks[-1],
-    )
+    return world
 
 
 def cmd_demo_overload(args: argparse.Namespace) -> int:
@@ -601,21 +544,14 @@ def cmd_demo_crash(args: argparse.Namespace) -> int:
     import tempfile
     from pathlib import Path
 
-    from repro.chain import ChainBuilder
     from repro.chain.genesis import make_genesis
-    from repro.chain.transaction import sign_transaction
-    from repro.core import (
-        ClientConfig,
-        IssuerService,
-        compute_expected_measurement,
-        connect,
-    )
+    from repro.contracts import fresh_vm
+    from repro.core import ClientConfig, IssuerService, connect
     from repro.core.recovery import DurableIssuer, recover_issuer
-    from repro.crypto import generate_keypair
     from repro.fault.crashpoints import CATALOG, crash_armed
     from repro.net import IssuerSupervisor, MessageBus, RestartPolicy, RetryPolicy
     from repro.net.rpc import RpcClient
-    from repro.query import HistoryQuery, QueryService, QueryServiceProvider
+    from repro.query import HistoryQuery, QueryService
     from repro.query.indexes import AccountHistoryIndexSpec
     from repro.sgx.attestation import AttestationService
     from repro.sgx.platform import SGXPlatform
@@ -627,21 +563,7 @@ def cmd_demo_crash(args: argparse.Namespace) -> int:
             print(f"  {name}", file=sys.stderr)
         return 2
 
-    user = generate_keypair(b"cli-user")
-    builder = ChainBuilder(difficulty_bits=4, network="cli")
-    nonce = 0
-    for _ in range(args.blocks):
-        txs = []
-        for _ in range(3):
-            txs.append(
-                sign_transaction(
-                    user.private, nonce, "kvstore", "put",
-                    (f"acct{nonce % 4}", f"value-{nonce}"),
-                )
-            )
-            nonce += 1
-        builder.add_block(txs)
-
+    builder = _mine_chain(args.blocks)
     spec = AccountHistoryIndexSpec(name="history")
     ias = AttestationService(seed=b"cli-ias")
     platform = SGXPlatform(seed=b"cli-platform")
@@ -651,7 +573,7 @@ def cmd_demo_crash(args: argparse.Namespace) -> int:
         archive = ChainArchive(Path(tmp) / "issuer.wal")
         genesis, state = make_genesis(network="cli")
         durable = DurableIssuer.create(
-            archive, genesis, state, _fresh_vm(), builder.pow,
+            archive, genesis, state, fresh_vm(), builder.pow,
             index_specs=[spec], platform=platform, ias=ias,
             key_seed=b"cli-enclave", checkpoint_interval=3,
         )
@@ -660,17 +582,12 @@ def cmd_demo_crash(args: argparse.Namespace) -> int:
         for block in builder.blocks[1 : 1 + half]:
             durable.process_block(block)
 
-        sp_genesis, sp_state = make_genesis(network="cli")
-        provider = QueryServiceProvider(
-            sp_genesis, sp_state, _fresh_vm(), builder.pow, [spec]
-        )
-        for block in builder.blocks[1:]:
-            provider.ingest_block(block)
+        provider = _provider(builder, spec, builder.blocks[1:])
 
         def restore():
             genesis2, state2 = make_genesis(network="cli")
             return recover_issuer(
-                archive, genesis2, state2, _fresh_vm(), builder.pow,
+                archive, genesis2, state2, fresh_vm(), builder.pow,
                 index_specs=[spec], platform=platform, ias=ias,
                 checkpoint_interval=3,
             )
@@ -682,12 +599,9 @@ def cmd_demo_crash(args: argparse.Namespace) -> int:
             policy=RestartPolicy(max_attempts=3, backoff_base_ms=40.0),
         )
         QueryService(bus, "sp", provider)
-        measurement = compute_expected_measurement(
-            genesis.header.header_hash(), ias.public_key, _fresh_vm(),
-            builder.pow.difficulty_bits, {spec.name: spec},
-        )
         client = connect(ClientConfig(
-            measurement=measurement, ias_public_key=ias.public_key,
+            measurement=_measurement(builder, ias, spec),
+            ias_public_key=ias.public_key,
             bus=bus, name="client",
             issuers=("ci",), providers=("sp",),
             policy=RetryPolicy(timeout_ms=150.0, max_attempts=4,
@@ -805,18 +719,14 @@ def cmd_demo_sim(args: argparse.Namespace) -> int:
 def cmd_selftest(_: argparse.Namespace) -> int:
     from dataclasses import replace
 
-    from repro.core import SuperlightClient, compute_expected_measurement
+    from repro.core import SuperlightClient
     from repro.errors import CertificateError
 
-    builder, issuer, ias, spec, genesis, vm = _build_world(blocks=4)
-    measurement = compute_expected_measurement(
-        genesis.header.header_hash(), ias.public_key, vm,
-        builder.pow.difficulty_bits, {spec.name: spec},
-    )
-    client = SuperlightClient(measurement, ias.public_key)
+    builder, issuer, ias, spec = _build_world(blocks=4)
+    client = SuperlightClient(_measurement(builder, ias, spec), ias.public_key)
     tip = issuer.certified[-1]
     checks = 0
-    assert client.validate_chain(tip.block.header, tip.certificate)
+    assert client.adopt(tip)
     checks += 1
     try:
         client.validate_chain(
@@ -826,10 +736,6 @@ def cmd_selftest(_: argparse.Namespace) -> int:
         return 1
     except CertificateError:
         checks += 1
-    client.validate_index_certificate(
-        "history", tip.block.header,
-        tip.index_roots["history"], tip.index_certificates["history"],
-    )
     from repro.query.api import HistoryQuery, QueryAnswer
 
     request = HistoryQuery(index="history", account="acct1", t_from=1, t_to=4)

@@ -8,6 +8,7 @@ paper's Fig. 8: DN touches no state, CPU burns compute with few state
 cells, IO touches many cells, and KV/SB look like real applications.
 """
 
+from repro.chain.vm import VM
 from repro.contracts.cpuheavy import CPUHeavy
 from repro.contracts.donothing import DoNothing
 from repro.contracts.ioheavy import IOHeavy
@@ -23,4 +24,19 @@ BLOCKBENCH = {
     "SB": SmallBank,
 }
 
-__all__ = ["BLOCKBENCH", "CPUHeavy", "DoNothing", "IOHeavy", "KVStore", "SmallBank"]
+
+
+def fresh_vm() -> VM:
+    """A VM with all five Blockbench contracts deployed.  Issuer,
+    provider and measurement each need their own: sharing one VM
+    across them corrupts state."""
+    vm = VM()
+    for factory in BLOCKBENCH.values():
+        vm.deploy(factory())
+    return vm
+
+
+__all__ = [
+    "BLOCKBENCH", "CPUHeavy", "DoNothing", "IOHeavy", "KVStore", "SmallBank",
+    "fresh_vm",
+]

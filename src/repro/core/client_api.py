@@ -27,15 +27,14 @@ Construction goes through one factory::
 
 :func:`connect` builds every client shape uniformly — local
 (``bus=None``), remote single-provider, remote gateway-fronted, and
-subscribing — replacing the constructor sprawl the clients had accreted
-(transport vs gateway mode, retry knobs, cache wiring).  The old
-constructors keep working for one release behind a
-``DeprecationWarning``.
+subscribing — and is the only way to build a remote one:
+:class:`~repro.core.superlight.RemoteSuperlightClient` takes a
+:class:`ClientConfig` and nothing else.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Protocol, runtime_checkable
 
 from repro.chain.block import BlockHeader
@@ -139,8 +138,6 @@ class ClientConfig:
     # -- post-construction steps --
     bootstrap: bool = False
     subscribe: bool = False
-    # -- push stream knobs (remote subscribing clients) --
-    heartbeat_ms: float = field(default=5_000.0)
 
     def validate(self) -> None:
         if self.bus is not None and not self.issuers:
@@ -181,7 +178,7 @@ def connect(config: ClientConfig) -> LightClient:
         if config.subscribe:
             local.subscribe(config.issuer)
         return local
-    client = RemoteSuperlightClient(_config=config)
+    client = RemoteSuperlightClient(config)
     if config.bootstrap:
         client.bootstrap()
     if config.subscribe:

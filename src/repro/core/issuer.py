@@ -83,6 +83,11 @@ class CertifiedBlock:
     # persist it and recovery can rebuild indexes without re-execution.
     write_set: dict[bytes, bytes | None] = field(default_factory=dict)
 
+    @property
+    def header(self) -> BlockHeader:
+        """So a client can adopt a certified block like any tip bundle."""
+        return self.block.header
+
 
 @dataclass(frozen=True, slots=True)
 class CertifiedTip:
@@ -90,11 +95,13 @@ class CertifiedTip:
 
     Unlike :class:`CertifiedBlock` it omits the block body — a
     superlight client only ever stores the header — so this is the
-    constant-size object :class:`IssuerService` serves over RPC.
+    constant-size object :class:`IssuerService` serves over RPC, and the
+    bundle shape ``SuperlightClient.adopt`` takes (``certificate=None``
+    for a bundle of index certificates only; never sent on the wire).
     """
 
     header: BlockHeader
-    certificate: Certificate
+    certificate: Certificate | None
     index_certificates: dict[str, Certificate]
     index_roots: dict[str, Digest]
 

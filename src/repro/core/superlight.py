@@ -9,29 +9,188 @@ one header plus one certificate (the paper's 2.97 KB).
 The same client verifies query results: it tracks the latest certified
 root of each authenticated index (via index certificates) and checks
 the SP's proofs against those roots.
+
+The module is a pure core plus two shells.  The core is
+:class:`ClientState` (what a client holds) and :func:`adopt_bundle`
+(the only function that builds a new one): it verifies *every*
+certificate in a tip bundle and only then returns the next state — no
+I/O, no clock, no metrics.  :class:`SuperlightClient` is the local
+shell around it (report memo, ``on_tip`` callbacks, metrics, the wallet
+file); :class:`RemoteSuperlightClient` is the network shell (polling,
+the push stream, verified queries).  Every way a tip can reach a client
+— ``validate_chain``, ``validate_index_certificate``, a local issuer
+subscription, ``sync``, a pushed announcement, ``resync``, a restored
+wallet — is one :meth:`SuperlightClient.adopt` call on that core.
 """
 
 from __future__ import annotations
 
+import json
 from collections import OrderedDict
+from contextlib import nullcontext
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 from repro import obs
 from repro.chain.block import BlockHeader
 from repro.core.certificate import CERT_SIG_DOMAIN, Certificate
 from repro.core.digest import block_digest, index_digest
+from repro.core.issuer import CertifiedTip
 from repro.crypto import PublicKey, verify
 from repro.crypto.hashing import Digest
-from repro.errors import CertificateError
+from repro.errors import (
+    CertificateError,
+    DeadlineExceededError,
+    NetworkError,
+    OverloadedError,
+    ReproError,
+    ResponseIntegrityError,
+    ServiceUnavailableError,
+)
+
+# -- the pure verification core ------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class ClientState:
+    """Everything a superlight client holds (and persists): the adopted
+    tip, and per index the ``(height, root, certificate)`` it was last
+    certified at.  Immutable; :func:`adopt_bundle` builds the next one.
+    """
+
+    header: BlockHeader | None = None
+    certificate: Certificate | None = None
+    indexes: Mapping[str, tuple[int, Digest, Certificate]] = field(
+        default_factory=dict
+    )
+
+
+def verify_certificate(
+    measurement: Digest,
+    ias_public_key: PublicKey,
+    cert: Certificate,
+    expected_dig: Digest,
+    verified_reports: OrderedDict[tuple[bytes, ...], None],
+) -> None:
+    """Alg. 3 lines 3–7 for one certificate; raises
+    :class:`CertificateError` unless every check passes.
+
+    ``verified_reports`` is the caller's LRU memo of attestation
+    reports that already checked out ("a superlight client needs to
+    check an attestation report only once for the same enclave", §4.3);
+    the caller owns it and bounds it.
+    The memo key binds every field the skipped checks would have
+    validated (measurement, report_data, IAS key, signature) — a
+    signature-only key would let a report with a tampered measurement
+    but a replayed signature ride the memo.
+    """
+    report = cert.report
+    report_id = (
+        report.measurement,
+        report.report_data,
+        report.ias_key.to_bytes(),
+        report.signature.to_bytes(),
+    )
+    if report_id in verified_reports:
+        verified_reports.move_to_end(report_id)
+    else:
+        if not report.verify(ias_public_key):
+            raise CertificateError("attestation report not signed by the IAS")
+        if report.measurement != measurement:
+            raise CertificateError("certificate from an unexpected enclave program")
+        verified_reports[report_id] = None
+    if cert.pk_enc.to_bytes() != report.report_data:
+        raise CertificateError("pk_enc does not match the attestation report")
+    if not verify(cert.pk_enc, cert.dig, cert.sig, CERT_SIG_DOMAIN):
+        raise CertificateError("certificate signature invalid")
+    if cert.dig != expected_dig:
+        raise CertificateError("certificate digest does not match")
+
+
+def wins_chain_selection(held: BlockHeader | None, header: BlockHeader) -> bool:
+    """Longest-chain rule with a deterministic hash tie-break."""
+    if held is None:
+        return True
+    if header.height != held.height:
+        return header.height > held.height
+    return header.header_hash() < held.header_hash()
+
+
+def adopt_bundle(
+    measurement: Digest,
+    ias_public_key: PublicKey,
+    state: ClientState,
+    bundle,
+    verified_reports: OrderedDict[tuple[bytes, ...], None],
+) -> ClientState:
+    """Verify a tip bundle in full against the trust anchors (the
+    enclave program's measurement, re-derived from published source, and
+    the IAS signing key), then return the state that adopts it.
+
+    ``bundle`` is anything carrying ``header``, ``certificate``,
+    ``index_roots`` and ``index_certificates`` — a
+    :class:`~repro.core.issuer.CertifiedBlock`, a
+    :class:`~repro.core.issuer.CertifiedTip` or a
+    :class:`~repro.net.pubsub.TipAnnouncement`; ``certificate=None``
+    means it carries index certificates only.
+
+    The one place a client's tip/index-root state is built.  Every
+    certificate in the bundle is verified exactly once — the block
+    certificate against ``block_digest(header)``, each index certificate
+    against ``index_digest(header, root)`` — *before* anything is
+    adopted, so a single forgery anywhere raises
+    :class:`CertificateError` and leaves the caller holding ``state``
+    untouched.  A verified bundle then advances each element by its own
+    rule: the tip if it wins chain selection, an index entry if its
+    block is newer than the one held.  Returns ``state`` itself when
+    nothing advanced (a replayed or older bundle).
+    """
+    header = bundle.header
+    to_verify = []
+    if bundle.certificate is not None:
+        to_verify.append((bundle.certificate, block_digest(header)))
+    for name, cert in bundle.index_certificates.items():
+        if name not in bundle.index_roots:
+            raise CertificateError(f"bundle omits the root for index {name!r}")
+        to_verify.append((cert, index_digest(header, bundle.index_roots[name])))
+    for cert, expected_dig in to_verify:
+        verify_certificate(
+            measurement, ias_public_key, cert, expected_dig, verified_reports
+        )
+    tip_wins = bundle.certificate is not None and wins_chain_selection(
+        state.header, header
+    )
+    newer = {
+        name: (header.height, bundle.index_roots[name], cert)
+        for name, cert in bundle.index_certificates.items()
+        if name not in state.indexes or state.indexes[name][0] < header.height
+    }
+    if not tip_wins and not newer:
+        return state
+    return ClientState(
+        header=header if tip_wins else state.header,
+        certificate=bundle.certificate if tip_wins else state.certificate,
+        indexes=MappingProxyType({**state.indexes, **newer}),
+    )
+
+
+# -- the local shell -----------------------------------------------------------
 
 
 class SuperlightClient:
-    """Constant-cost blockchain (and index) integrity validation."""
+    """Constant-cost blockchain (and index) integrity validation.
 
-    #: Cap on cached verified attestation reports.  One entry per
+    A thin shell over :func:`adopt_bundle`: it holds the current
+    :class:`ClientState` and adds what the pure core must not have — the
+    verified-report memo, ``on_tip`` callbacks, metrics, the wallet file.
+    """
+
+    #: Cap on memoised verified attestation reports.  One entry per
     #: distinct enclave identity suffices in steady state (§4.3: "check
     #: an attestation report only once for the same enclave"), so the
     #: cap only matters under an adversarial stream of fresh-looking
-    #: reports — exactly when an unbounded set would be a memory hole.
+    #: reports — exactly when an unbounded memo would be a memory hole.
     VERIFIED_REPORTS_LIMIT = 64
 
     def __init__(
@@ -41,33 +200,74 @@ class SuperlightClient:
     ) -> None:
         self.expected_measurement = expected_measurement
         self.ias_public_key = ias_public_key
-        self.latest_header: BlockHeader | None = None
-        self.latest_certificate: Certificate | None = None
-        # "A superlight client needs to check an attestation report only
-        # once for the same enclave" (§4.3): cache verified reports.  The
-        # cache key must bind every field the skipped checks would have
-        # validated (measurement, report_data, IAS key, signature) — a
-        # signature-only key would let a report with a tampered
-        # measurement but a replayed signature ride the cache.
+        self.state = ClientState()
         # LRU-bounded: see VERIFIED_REPORTS_LIMIT.
         self._verified_reports: OrderedDict[tuple[bytes, ...], None] = (
             OrderedDict()
         )
-        # Latest certified root per authenticated index, plus the
-        # certificate vouching for it — the client must *hold* the
-        # index certificates (they are part of its durable state and
-        # its storage bill).
-        # repro: allow[BND01] one entry per configured index; billed in storage_bytes()
-        self._index_roots: dict[str, tuple[int, Digest]] = {}
-        # repro: allow[BND01] one entry per configured index; billed in storage_bytes()
-        self._index_certs: dict[str, Certificate] = {}
         # Streaming surface: tip-adoption callbacks and the issuer
         # hooks a direct subscription installed (see subscribe()).
         # repro: allow[BND01] one entry per application on_tip registration
         self._tip_callbacks: list = []
         self._subscriptions: list[tuple[object, object]] = []
 
+    @property
+    def latest_header(self) -> BlockHeader | None:
+        return self.state.header
+
+    @property
+    def latest_certificate(self) -> Certificate | None:
+        return self.state.certificate
+
     # -- Alg. 3 ---------------------------------------------------------------
+
+    def adopt(self, bundle) -> bool:
+        """Verify a tip bundle and adopt whatever of it advances this
+        client — the single way a tip or index root gets in.
+
+        ``bundle`` is a ``CertifiedBlock``, ``CertifiedTip`` or
+        ``TipAnnouncement`` (see :func:`adopt_bundle`).
+        Returns True when the tip advanced, False when the bundle
+        verified but its tip lost chain selection; raises
+        :class:`CertificateError` — with no state moved — when any
+        certificate in it is invalid.
+        """
+        before = self.state
+        # The chain-validation span times Alg. 3 proper; an index-only
+        # bundle (validate_index_certificate) is not a chain validation.
+        span = (
+            obs.trace_span("client.validate_chain")
+            if bundle.certificate is not None
+            else nullcontext()
+        )
+        try:
+            with span:
+                self.state = adopt_bundle(
+                    self.expected_measurement,
+                    self.ias_public_key,
+                    before,
+                    bundle,
+                    self._verified_reports,
+                )
+        finally:
+            while len(self._verified_reports) > self.VERIFIED_REPORTS_LIMIT:
+                self._verified_reports.popitem(last=False)
+        after = self.state
+        # adopt_bundle installs the bundle's header only when it wins.
+        tip_advanced = after.header is not before.header
+        if bundle.certificate is not None and not tip_advanced:
+            obs.inc("client.chain_validations_rejected")
+        if after is not before and obs.enabled():
+            if tip_advanced:
+                obs.inc("client.chain_validations")
+            for name, entry in after.indexes.items():
+                if entry is not before.indexes.get(name):
+                    obs.inc("client.index_certs_adopted")
+            obs.set_gauge("client.storage_bytes", self.storage_bytes())
+        if tip_advanced:
+            for callback in list(self._tip_callbacks):
+                callback(after.header, after.certificate)
+        return tip_advanced
 
     def validate_chain(self, header: BlockHeader, cert: Certificate) -> bool:
         """Validate a candidate tip; adopt it if it wins chain selection.
@@ -76,19 +276,15 @@ class SuperlightClient:
         chain selection; raises :class:`CertificateError` when the
         certificate itself is invalid.
         """
-        with obs.trace_span("client.validate_chain"):
-            self._check_certificate(cert, block_digest(header))
-            if not self._follows_chain_selection(header):
-                obs.inc("client.chain_validations_rejected")
-                return False
-            self.latest_header = header
-            self.latest_certificate = cert
-        if obs.enabled():
-            obs.inc("client.chain_validations")
-            obs.set_gauge("client.storage_bytes", self.storage_bytes())
-        for callback in list(self._tip_callbacks):
-            callback(header, cert)
-        return True
+        return self.adopt(CertifiedTip(header, cert, {}, {}))
+
+    def validate_index_certificate(
+        self, name: str, header: BlockHeader, index_root: Digest, cert: Certificate
+    ) -> bool:
+        """Adopt a certified index root if its block is the newest seen."""
+        before = self.state
+        self.adopt(CertifiedTip(header, None, {name: cert}, {name: index_root}))
+        return self.state is not before
 
     # -- the streaming surface (LightClient protocol) -------------------------
 
@@ -116,7 +312,7 @@ class SuperlightClient:
             raise CertificateError(
                 f"{type(source).__name__} has no on_certified hook"
             )
-        hook = self._ingest_certified
+        hook = self.adopt  # a CertifiedBlock is a tip bundle
         hooks.append(hook)
         self._subscriptions.append((source, hook))
 
@@ -128,41 +324,13 @@ class SuperlightClient:
                 hooks.remove(hook)
         self._subscriptions.clear()
 
-    def _ingest_certified(self, certified) -> bool:
-        """Adopt one issuer-certified block (tip + index certificates)."""
-        if certified.certificate is None:
-            return False  # augmented-only block: no hierarchical tip cert
-        header = getattr(certified, "header", None)
-        if header is None:
-            header = certified.block.header
-        adopted = self.validate_chain(header, certified.certificate)
-        for name, cert in certified.index_certificates.items():
-            self.validate_index_certificate(
-                name, header, certified.index_roots[name], cert
-            )
-        return adopted
-
-    def validate_index_certificate(
-        self, name: str, header: BlockHeader, index_root: Digest, cert: Certificate
-    ) -> bool:
-        """Adopt a certified index root if its block is the newest seen."""
-        self._check_certificate(cert, index_digest(header, index_root))
-        current = self._index_roots.get(name)
-        if current is not None and current[0] >= header.height:
-            return False
-        self._index_roots[name] = (header.height, index_root)
-        self._index_certs[name] = cert
-        if obs.enabled():
-            obs.inc("client.index_certs_adopted")
-            obs.set_gauge("client.storage_bytes", self.storage_bytes())
-        return True
-
     # -- query verification ------------------------------------------------------
 
     def certified_index_root(self, name: str) -> Digest:
-        if name not in self._index_roots:
+        held = self.state.indexes.get(name)
+        if held is None:
             raise CertificateError(f"no certified root for index {name!r}")
-        return self._index_roots[name][1]
+        return held[1]
 
     def verify_answer(self, request, answer) -> bool:
         """Unified check of a typed :class:`repro.query.api.QueryAnswer`
@@ -175,11 +343,6 @@ class SuperlightClient:
         obs.inc("client.verify_ok" if ok else "client.verify_failed")
         return ok
 
-    # The per-type ``verify_history``/``verify_keyword``/``verify_aggregate``
-    # /``verify_value_range`` wrappers that predated the typed query API
-    # were removed in PR 5; ``verify_answer`` is the only verification
-    # entry point.  Accessing the old names raises ``AttributeError``.
-
     # -- persistence ---------------------------------------------------------------
 
     def to_json(self) -> str:
@@ -189,29 +352,28 @@ class SuperlightClient:
         plus the certified index roots and the index certificates
         vouching for them — all constant-size per index.
         """
-        import json
-
+        state = self.state
         return json.dumps(
             {
                 "measurement": self.expected_measurement.hex(),
                 "ias_key": self.ias_public_key.to_bytes().hex(),
                 "header": (
-                    self.latest_header.encode().decode("utf-8")
-                    if self.latest_header is not None
+                    state.header.encode().decode("utf-8")
+                    if state.header is not None
                     else None
                 ),
                 "certificate": (
-                    self.latest_certificate.encode().decode("utf-8")
-                    if self.latest_certificate is not None
+                    state.certificate.encode().decode("utf-8")
+                    if state.certificate is not None
                     else None
                 ),
                 "index_roots": {
                     name: [height, root.hex()]
-                    for name, (height, root) in self._index_roots.items()
+                    for name, (height, root, _cert) in state.indexes.items()
                 },
                 "index_certificates": {
                     name: cert.encode().decode("utf-8")
-                    for name, cert in self._index_certs.items()
+                    for name, (_height, _root, cert) in state.indexes.items()
                 },
             },
             sort_keys=True,
@@ -219,43 +381,41 @@ class SuperlightClient:
 
     @classmethod
     def from_json(cls, data: str) -> "SuperlightClient":
-        """Restore a client; stored certificates are *re-verified*, so a
-        tampered wallet file cannot smuggle in a bad tip or index cert."""
-        import json
+        """Restore a client by re-adopting the stored bundle, so a
+        tampered wallet file cannot smuggle in a bad tip or index root.
 
-        from repro.crypto import PublicKey
-
+        Only what verifies *in full* comes back: the tip, and every
+        index entry bound to the stored tip header (its certificate
+        signs ``index_digest(header, root)``, which needs that header).
+        An entry adopted at an earlier height — or stored without its
+        certificate — cannot be re-checked against anything the wallet
+        holds, so it is dropped and re-fetched on the next sync.
+        """
         raw = json.loads(data)
         client = cls(
             bytes.fromhex(raw["measurement"]),
             PublicKey.from_bytes(bytes.fromhex(raw["ias_key"])),
         )
-        if raw["header"] is not None and raw["certificate"] is not None:
-            header = BlockHeader.decode(raw["header"].encode("utf-8"))
-            certificate = Certificate.decode(raw["certificate"].encode("utf-8"))
-            client.validate_chain(header, certificate)
-        index_certs = raw.get("index_certificates", {})
-        for name, (height, root_hex) in raw.get("index_roots", {}).items():
-            height, root = int(height), bytes.fromhex(root_hex)
-            encoded_cert = index_certs.get(name)
-            if encoded_cert is not None:
-                cert = Certificate.decode(encoded_cert.encode("utf-8"))
-                if (
-                    client.latest_header is not None
-                    and client.latest_header.height == height
-                ):
-                    # The common case — index cert bound to the stored
-                    # tip: re-verify the full (header, root) binding.
-                    client._check_certificate(
-                        cert, index_digest(client.latest_header, root)
-                    )
-                else:
-                    # Adopted at an earlier height whose header is no
-                    # longer stored: re-verify report + signature (the
-                    # cert is genuinely enclave-issued for *its* digest).
-                    client._check_certificate(cert, cert.dig)
-                client._index_certs[name] = cert
-            client._index_roots[name] = (height, root)
+        if raw["header"] is None or raw["certificate"] is None:
+            return client
+        header = BlockHeader.decode(raw["header"].encode("utf-8"))
+        stored_certs = raw.get("index_certificates", {})
+        bound = {
+            name: bytes.fromhex(root_hex)
+            for name, (height, root_hex) in raw.get("index_roots", {}).items()
+            if int(height) == header.height and name in stored_certs
+        }
+        client.adopt(
+            CertifiedTip(
+                header,
+                Certificate.decode(raw["certificate"].encode("utf-8")),
+                {
+                    name: Certificate.decode(stored_certs[name].encode("utf-8"))
+                    for name in bound
+                },
+                bound,
+            )
+        )
         return client
 
     # -- bookkeeping ---------------------------------------------------------------
@@ -263,50 +423,18 @@ class SuperlightClient:
     def storage_bytes(self) -> int:
         """Bytes the client persists: one header + one certificate, plus
         each held index certificate and its (height, root) bookkeeping."""
+        state = self.state
         total = 0
-        if self.latest_header is not None:
-            total += self.latest_header.size_bytes()
-        if self.latest_certificate is not None:
-            total += self.latest_certificate.size_bytes()
-        for cert in self._index_certs.values():
-            total += cert.size_bytes()
-        for _height, root in self._index_roots.values():
-            total += len(root) + 8  # the certified root + its height
+        if state.header is not None:
+            total += state.header.size_bytes()
+        if state.certificate is not None:
+            total += state.certificate.size_bytes()
+        for _height, root, cert in state.indexes.values():
+            total += cert.size_bytes() + len(root) + 8  # root + its height
         return total
 
-    # -- internals -------------------------------------------------------------------
 
-    def _check_certificate(self, cert: Certificate, expected_dig: Digest) -> None:
-        report_id = (
-            cert.report.measurement,
-            cert.report.report_data,
-            cert.report.ias_key.to_bytes(),
-            cert.report.signature.to_bytes(),
-        )
-        if report_id in self._verified_reports:
-            self._verified_reports.move_to_end(report_id)
-        else:
-            if not cert.report.verify(self.ias_public_key):
-                raise CertificateError("attestation report not signed by the IAS")
-            if cert.report.measurement != self.expected_measurement:
-                raise CertificateError("certificate from an unexpected enclave program")
-            self._verified_reports[report_id] = None
-            while len(self._verified_reports) > self.VERIFIED_REPORTS_LIMIT:
-                self._verified_reports.popitem(last=False)
-        if cert.pk_enc.to_bytes() != cert.report.report_data:
-            raise CertificateError("pk_enc does not match the attestation report")
-        if not verify(cert.pk_enc, cert.dig, cert.sig, CERT_SIG_DOMAIN):
-            raise CertificateError("certificate signature invalid")
-        if cert.dig != expected_dig:
-            raise CertificateError("certificate digest does not match")
-
-    def _follows_chain_selection(self, header: BlockHeader) -> bool:
-        """Longest-chain rule with a deterministic hash tie-break."""
-        if self.latest_header is None:
-            return True
-        if header.height != self.latest_header.height:
-            return header.height > self.latest_header.height
-        return header.header_hash() < self.latest_header.header_hash()
+# -- the network shell ---------------------------------------------------------
 
 
 class RemoteSuperlightClient:
@@ -328,65 +456,22 @@ class RemoteSuperlightClient:
       :class:`~repro.errors.ServiceUnavailableError` only once every
       endpoint is exhausted (bounded work, no hanging).
 
-    Queries can be served two ways: a plain ``providers`` list (tried
-    in order, as in PR 3) or a :class:`repro.net.gateway.QueryGateway`
-    fronting a replica fleet — pass exactly one of them.  With a
-    gateway the client wires its root re-verification in as the
+    Built from a :class:`~repro.core.client_api.ClientConfig` (normally
+    via :func:`~repro.core.client_api.connect`).  Queries can be served
+    two ways: a plain ``providers`` list tried in order, or a
+    :class:`repro.net.gateway.QueryGateway` fronting a replica fleet.
+    With a gateway the client wires its root re-verification in as the
     gateway's ``verify_switch`` hook, gets the pipelined
     :meth:`query_many` path, and keeps a :class:`repro.query
     .answercache.VerifiedAnswerCache` of answers that already verified
     at the current certified roots (a warm hit costs zero round trips).
     """
 
-    def __init__(
-        self,
-        bus=None,
-        name: str | None = None,
-        expected_measurement: Digest | None = None,
-        ias_public_key: PublicKey | None = None,
-        *,
-        issuers: list[str] | None = None,
-        providers: list[str] | None = None,
-        gateway=None,
-        policy=None,
-        integrity_retries: int = 2,
-        cache_capacity: int = 128,
-        _config=None,
-    ) -> None:
-        from repro.core.client_api import ClientConfig
+    def __init__(self, config) -> None:
+        from repro.net.resilience import CircuitBreaker
         from repro.net.rpc import RetryPolicy, RpcClient
         from repro.query.answercache import VerifiedAnswerCache
 
-        if _config is None:
-            # Legacy direct construction: one release of grace behind
-            # connect(); it keeps the old "exactly one transport" rule.
-            import warnings
-
-            warnings.warn(
-                "constructing RemoteSuperlightClient directly is "
-                "deprecated; use repro.core.client_api.connect("
-                "ClientConfig(...))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if (gateway is None) == (not providers):
-                raise CertificateError(
-                    "a remote client needs either a provider list or a "
-                    "query gateway (exactly one)"
-                )
-            _config = ClientConfig(
-                measurement=expected_measurement,
-                ias_public_key=ias_public_key,
-                bus=bus,
-                name=name,
-                issuers=tuple(issuers or ()),
-                providers=tuple(providers or ()),
-                gateway=gateway,
-                policy=policy,
-                integrity_retries=integrity_retries,
-                cache_capacity=cache_capacity,
-            )
-        config = _config
         config.validate()
         self.config = config
         self.client = SuperlightClient(config.measurement, config.ias_public_key)
@@ -395,21 +480,20 @@ class RemoteSuperlightClient:
         self.providers = list(config.providers)
         self.gateway = config.gateway
         # -- overload resilience: stale degradation + endpoint breakers --
-        self.degrade_to_stale = getattr(config, "degrade_to_stale", False)
+        self.degrade_to_stale = config.degrade_to_stale
         self.stale_served = 0
-        breaker_policy = getattr(config, "endpoint_breaker", None)
-        if breaker_policy is not None:
-            from repro.net.resilience import CircuitBreaker
-
-            self._breakers = {
+        # One breaker per issuer/provider endpoint when a policy is
+        # configured; keyed by that fixed endpoint set, never grows.
+        self._breakers = (
+            {
                 endpoint: CircuitBreaker(
-                    breaker_policy, seed=f"{config.name}:{endpoint}"
+                    config.endpoint_breaker, seed=f"{config.name}:{endpoint}"
                 )
                 for endpoint in (*self.issuers, *self.providers)
             }
-        else:
-            # repro: allow[BND01] keyed by the fixed endpoint set above; never grows after __init__
-            self._breakers = {}
+            if config.endpoint_breaker is not None
+            else {}
+        )
         if self.gateway is not None and self.gateway.verify_switch is None:
             self.gateway.verify_switch = self._verify_replica_roots
         self.cache = (
@@ -431,6 +515,66 @@ class RemoteSuperlightClient:
         self.push_gaps = 0
         self.push_resyncs = 0
 
+    # -- endpoint failover ----------------------------------------------------
+
+    def _call_with_failover(
+        self, endpoints, method, argument, accept, *, deadline_ms: float = 0.0
+    ):
+        """Call ``method`` on each endpoint in order until one returns a
+        reply that ``accept(endpoint, reply)`` takes.
+
+        Per endpoint, an unacceptable reply is retried up to
+        ``integrity_retries`` times (the fault may be transient line
+        corruption) before failing over; a shed, timeout or outage
+        fails over at once and strikes the endpoint's breaker, and an
+        endpoint whose breaker is open is skipped.  ``accept`` counts
+        its own integrity failures and raises
+        :class:`~repro.errors.ResponseIntegrityError`.  Raises
+        :class:`~repro.errors.ServiceUnavailableError` once every
+        endpoint is exhausted (bounded work, no hanging).
+        """
+        bus = self.rpc.bus
+        last_error: Exception | None = None
+        for endpoint in endpoints:
+            breaker = self._breakers.get(endpoint)
+            if breaker is not None and not breaker.permits(bus.clock_ms):
+                continue  # open: don't hammer a struggling endpoint
+            for _attempt in range(self.integrity_retries):
+                if breaker is not None:
+                    breaker.on_dispatch(bus.clock_ms)
+                try:
+                    reply = self.rpc.call(
+                        endpoint, method, argument, deadline_ms=deadline_ms
+                    )
+                except ResponseIntegrityError as exc:
+                    self.integrity_failures += 1
+                    last_error = exc
+                    continue
+                except NetworkError as exc:
+                    if deadline_ms and isinstance(exc, DeadlineExceededError):
+                        raise  # our budget is gone everywhere at once
+                    if breaker is not None:
+                        # The breaker clamps the (untrusted) hint itself.
+                        breaker.record_failure(
+                            bus.clock_ms,
+                            overload=isinstance(exc, OverloadedError),
+                            retry_after_ms=getattr(exc, "retry_after_ms", 0.0),
+                        )
+                    last_error = exc
+                    break  # shed, down or unreachable: fail over
+                try:
+                    accept(endpoint, reply)
+                except ResponseIntegrityError as exc:
+                    last_error = exc
+                    continue
+                if breaker is not None:
+                    breaker.record_success()
+                return reply
+            self.failovers += 1
+        raise ServiceUnavailableError(
+            f"no endpoint returned a verifiable reply to {method!r}"
+        ) from last_error
+
     # -- certificate sync ---------------------------------------------------
 
     def bootstrap(self) -> None:
@@ -445,94 +589,24 @@ class RemoteSuperlightClient:
         integrity failure (tampered in flight, or a lying CI) and
         triggers failover, exactly like a timeout.
         """
-        from repro.core.issuer import CertifiedTip
-        from repro.errors import (
-            NetworkError,
-            OverloadedError,
-            ResponseIntegrityError,
-            ServiceUnavailableError,
+        tip = self._call_with_failover(
+            self.issuers, "latest_tip", None, self._adopt_polled
         )
+        self._roots_advanced()
+        return tip
 
-        last_error: Exception | None = None
-        for issuer_name in self.issuers:
-            if not self._endpoint_permits(issuer_name):
-                continue  # breaker open: don't hammer a struggling CI
-            for _attempt in range(self.integrity_retries):
-                self._endpoint_dispatch(issuer_name)
-                try:
-                    tip = self.rpc.call(issuer_name, "latest_tip")
-                except OverloadedError as exc:
-                    self._endpoint_failure(issuer_name, overload=exc)
-                    last_error = exc
-                    break  # asked to back off: fail over
-                except ResponseIntegrityError as exc:
-                    self.integrity_failures += 1
-                    last_error = exc
-                    continue
-                except NetworkError as exc:
-                    self._endpoint_failure(issuer_name)
-                    last_error = exc
-                    break  # endpoint down/unreachable: fail over
-                try:
-                    if not isinstance(tip, CertifiedTip):
-                        raise CertificateError(
-                            f"issuer returned {type(tip).__name__}, "
-                            "not a certified tip"
-                        )
-                    self.client.validate_chain(tip.header, tip.certificate)
-                    for index_name, cert in tip.index_certificates.items():
-                        self.client.validate_index_certificate(
-                            index_name,
-                            tip.header,
-                            tip.index_roots[index_name],
-                            cert,
-                        )
-                except (CertificateError, KeyError) as exc:
-                    self.integrity_failures += 1
-                    last_error = ResponseIntegrityError(
-                        f"certified tip from {issuer_name!r} failed "
-                        f"verification: {exc}"
-                    )
-                    continue
-                self._endpoint_success(issuer_name)
-                self._roots_advanced()
-                return tip
-            self.failovers += 1
-        raise ServiceUnavailableError(
-            "no issuer returned a verifiable certified tip"
-        ) from last_error
-
-    # -- client-side endpoint breakers ---------------------------------------
-
-    def _endpoint_permits(self, endpoint: str) -> bool:
-        breaker = self._breakers.get(endpoint)
-        return breaker is None or breaker.permits(self.rpc.bus.clock_ms)
-
-    def _endpoint_dispatch(self, endpoint: str) -> None:
-        breaker = self._breakers.get(endpoint)
-        if breaker is not None:
-            breaker.on_dispatch(self.rpc.bus.clock_ms)
-
-    def _endpoint_success(self, endpoint: str) -> None:
-        breaker = self._breakers.get(endpoint)
-        if breaker is not None:
-            breaker.record_success()
-
-    def _endpoint_failure(self, endpoint: str, *, overload=None) -> None:
-        breaker = self._breakers.get(endpoint)
-        if breaker is None:
-            return
-        from repro.net.resilience import clamp_retry_after
-
-        breaker.record_failure(
-            self.rpc.bus.clock_ms,
-            overload=overload is not None,
-            retry_after_ms=(
-                clamp_retry_after(overload.retry_after_ms)
-                if overload is not None
-                else 0.0
-            ),
-        )
+    def _adopt_polled(self, issuer_name: str, tip) -> None:
+        try:
+            if not isinstance(tip, CertifiedTip):
+                raise CertificateError(
+                    f"issuer returned {type(tip).__name__}, not a certified tip"
+                )
+            self.client.adopt(tip)
+        except CertificateError as exc:
+            self.integrity_failures += 1
+            raise ResponseIntegrityError(
+                f"certified tip from {issuer_name!r} failed verification: {exc}"
+            ) from exc
 
     def _roots_advanced(self) -> None:
         """Housekeeping after adopting a certified tip: sweep cache
@@ -540,7 +614,7 @@ class RemoteSuperlightClient:
         re-verify replicas against the new roots on the next switch."""
         if self.cache is not None:
             self.cache.retain_roots(
-                root for _height, root in self.client._index_roots.values()
+                root for _height, root, _cert in self.client.state.indexes.values()
             )
         if self.gateway is not None:
             self.gateway.reset_verified()
@@ -567,7 +641,6 @@ class RemoteSuperlightClient:
         the stream for :meth:`resync`, which runs on the next
         :meth:`heartbeat` (push handlers never issue blocking RPC).
         """
-        from repro.errors import ServiceUnavailableError
         from repro.net.pubsub import SubscriptionHub, push_topic
 
         hub = source if isinstance(source, str) else self.hub
@@ -603,7 +676,6 @@ class RemoteSuperlightClient:
         arrives (every in-window push lost), the hub retransmits the
         unacked window in response to our acked sequence number.
         """
-        from repro.errors import ServiceUnavailableError
         from repro.net.pubsub import SubscriptionHub
 
         if not self.subscribed:
@@ -640,7 +712,7 @@ class RemoteSuperlightClient:
         )
         adopted = 0
         for announcement in reply.announcements:
-            if self._adopt_announcement(announcement):
+            if self._adopt_pushed(announcement):
                 adopted += 1
         self._sub_seq = max(self._sub_seq, reply.latest_seq)
         self._needs_resync = False
@@ -650,7 +722,6 @@ class RemoteSuperlightClient:
 
     def _on_push(self, message) -> None:
         """Bus handler for hub pushes — local verification only."""
-        from repro.errors import ReproError
         from repro.net import wire
         from repro.net.messages import LagNotice, PushEnvelope
         from repro.net.pubsub import TipAnnouncement
@@ -666,7 +737,7 @@ class RemoteSuperlightClient:
             announcement = wire.decode(message.payload)
             if not isinstance(announcement, TipAnnouncement):
                 raise CertificateError("push payload is not a tip announcement")
-        except (ReproError, CertificateError):
+        except ReproError:
             # Corrupted or forged in flight.  Don't ack — the hub
             # retransmits the genuine announcement on our next
             # heartbeat.
@@ -686,7 +757,7 @@ class RemoteSuperlightClient:
             obs.inc("client.push_gaps")
             return
         try:
-            self._adopt_announcement(announcement)
+            self._adopt_pushed(announcement)
         except CertificateError:
             self.push_rejected += 1
             self.integrity_failures += 1
@@ -706,32 +777,20 @@ class RemoteSuperlightClient:
             StreamAck(subscriber=self.rpc.name, seq=self._sub_seq),
         )
 
-    def _adopt_announcement(self, announcement) -> bool:
-        """Verify one announcement exactly as a polled tip; adopt it if
-        it wins chain selection.  Raises CertificateError on a forgery.
-
-        Verification is atomic: *every* certificate in the announcement
-        is checked before any client state moves, so a forged index
-        certificate cannot leave a half-adopted tip behind (the report
-        cache makes the re-check during adoption nearly free)."""
-        from repro.core.digest import index_digest
-
-        header = announcement.header
-        for index_name, cert in announcement.index_certificates.items():
-            root = announcement.index_roots.get(index_name)
-            if root is None:
-                raise CertificateError(
-                    f"announcement omits the root for index {index_name!r}"
-                )
-            self.client._check_certificate(cert, index_digest(header, root))
-        adopted = self.client.validate_chain(header, announcement.certificate)
-        if not adopted:
-            return False  # replayed/older tip: verified but not adopted
-        for index_name, cert in announcement.index_certificates.items():
-            self.client.validate_index_certificate(
-                index_name, header, announcement.index_roots[index_name], cert
-            )
-        self._roots_advanced()
+    def _adopt_pushed(self, announcement) -> bool:
+        """Adopt one stream announcement exactly as a polled tip (the
+        same :meth:`SuperlightClient.adopt`: everything verified before
+        anything moves), plus the push-side housekeeping.  Returns
+        False for a replayed/older tip — verified but not adopted;
+        raises CertificateError on a forgery."""
+        before = self.client.state
+        tip_advanced = self.client.adopt(announcement)
+        if self.client.state is not before:
+            # Index roots can move even when the tip did not (a
+            # same-height replay carrying certificates we lacked).
+            self._roots_advanced()
+        if not tip_advanced:
+            return False
         self.push_adopted += 1
         if obs.enabled():
             obs.inc("client.push_adopted")
@@ -759,25 +818,26 @@ class RemoteSuperlightClient:
         transport, shrinking hop by hop, so replicas refuse work this
         call can no longer use.  When the whole tier sheds — every
         endpoint overloaded, unavailable, or out of budget — a client
-        constructed with ``degrade_to_stale=True`` serves the last
+        configured with ``degrade_to_stale=True`` serves the last
         *verified* answer for this request as an explicitly-flagged
         :class:`~repro.query.answercache.StaleAnswer` instead of
         raising; correctness is never sacrificed, only freshness.
         """
-        from repro.errors import (
-            DeadlineExceededError,
-            OverloadedError,
-            ServiceUnavailableError,
-        )
-
         cached = self._cache_get(request)
         if cached is not None:
             return cached
         try:
             if self.gateway is not None:
-                answer = self._query_gateway(request, deadline_ms)
-            else:
-                answer = self._query_providers(request, deadline_ms)
+                return self._query_gateway(request, deadline_ms)
+            return self._call_with_failover(
+                self.providers,
+                "execute",
+                request,
+                lambda provider, answer: self._admit(
+                    request, answer, repr(provider)
+                ),
+                deadline_ms=deadline_ms,
+            )
         except (
             OverloadedError,
             ServiceUnavailableError,
@@ -787,8 +847,6 @@ class RemoteSuperlightClient:
             if stale is None:
                 raise
             return stale
-        self._cache_put(request, answer)
-        return answer
 
     def _stale_answer(self, request):
         """The graceful-degradation fallback (None when not enabled or
@@ -812,20 +870,13 @@ class RemoteSuperlightClient:
         before it is returned or cached; an unverifiable answer raises
         :class:`~repro.errors.ResponseIntegrityError`.
         """
-        from repro.errors import ResponseIntegrityError
-        from repro.query.api import QueryAnswer
-
         if self.gateway is None:
             return [self.query(request) for request in requests]
         requests = list(requests)
-        results: list[object] = [None] * len(requests)
-        misses: list[int] = []
-        for position, request in enumerate(requests):
-            cached = self._cache_get(request)
-            if cached is not None:
-                results[position] = cached
-            else:
-                misses.append(position)
+        results = [self._cache_get(request) for request in requests]
+        misses = [
+            position for position, hit in enumerate(results) if hit is None
+        ]
         if misses:
             answers = self.gateway.call_many(
                 "execute",
@@ -833,123 +884,56 @@ class RemoteSuperlightClient:
                 deadline_ms=deadline_ms,
             )
             for position, answer in zip(misses, answers):
-                request = requests[position]
-                if not (
-                    isinstance(answer, QueryAnswer)
-                    and self.client.verify_answer(request, answer)
-                ):
-                    self.integrity_failures += 1
-                    raise ResponseIntegrityError(
-                        f"fleet answer to {type(request).__name__} failed "
-                        "verification against the certified index roots"
-                    )
-                self._cache_put(request, answer)
-                results[position] = answer
+                results[position] = self._admit(
+                    requests[position], answer, "the fleet"
+                )
         return results
 
     def _query_gateway(self, request, deadline_ms: float = 0.0):
         """One query via the gateway, re-verifying until it checks out."""
-        from repro.errors import ResponseIntegrityError, ServiceUnavailableError
-        from repro.query.api import QueryAnswer
-
         last_error: Exception | None = None
         for _attempt in range(max(1, self.integrity_retries)):
             answer = self.gateway.call(
                 "execute", request, deadline_ms=deadline_ms
             )
-            if isinstance(answer, QueryAnswer) and self.client.verify_answer(
-                request, answer
-            ):
-                return answer
-            self.integrity_failures += 1
-            last_error = ResponseIntegrityError(
-                f"fleet answer to {type(request).__name__} failed "
-                "verification against the certified index roots"
-            )
+            try:
+                return self._admit(request, answer, "the fleet")
+            except ResponseIntegrityError as exc:
+                last_error = exc
         raise ServiceUnavailableError(
             f"no replica returned a verifiable answer to "
             f"{type(request).__name__}"
         ) from last_error
 
-    def _query_providers(self, request, deadline_ms: float = 0.0):
-        from repro.errors import (
-            DeadlineExceededError,
-            NetworkError,
-            OverloadedError,
-            ResponseIntegrityError,
-            ServiceUnavailableError,
-        )
-        from repro.query.api import QueryAnswer
-
-        last_error: Exception | None = None
-        for provider_name in self.providers:
-            if not self._endpoint_permits(provider_name):
-                continue  # breaker open: spare a struggling provider
-            for _attempt in range(self.integrity_retries):
-                self._endpoint_dispatch(provider_name)
-                try:
-                    answer = self.rpc.call(
-                        provider_name,
-                        "execute",
-                        request,
-                        deadline_ms=deadline_ms,
-                    )
-                except OverloadedError as exc:
-                    self._endpoint_failure(provider_name, overload=exc)
-                    last_error = exc
-                    break  # asked to back off: fail over
-                except DeadlineExceededError:
-                    raise  # the budget is gone everywhere at once
-                except ResponseIntegrityError as exc:
-                    self.integrity_failures += 1
-                    last_error = exc
-                    continue
-                except NetworkError as exc:
-                    self._endpoint_failure(provider_name)
-                    last_error = exc
-                    break  # endpoint down/unreachable: fail over
-                if isinstance(answer, QueryAnswer) and self.client.verify_answer(
-                    request, answer
-                ):
-                    self._endpoint_success(provider_name)
-                    return answer
-                self.integrity_failures += 1
-                last_error = ResponseIntegrityError(
-                    f"answer from {provider_name!r} failed verification "
-                    "against the certified index roots"
-                )
-            self.failovers += 1
-        raise ServiceUnavailableError(
-            f"no provider returned a verifiable answer to "
-            f"{type(request).__name__}"
-        ) from last_error
-
     # -- the verified-answer cache ------------------------------------------
 
-    def _certified_root_or_none(self, request) -> Digest | None:
-        try:
-            return self.client.certified_index_root(request.index)
-        except (AttributeError, CertificateError):
-            return None
+    def _admit(self, request, answer, source: str):
+        """The one gate between the wire and the caller: ``answer`` is
+        returned (and cached) only if it verifies against the certified
+        index roots; otherwise it is counted and raised as a
+        :class:`~repro.errors.ResponseIntegrityError`."""
+        from repro.query.api import QueryAnswer
+
+        if not (
+            isinstance(answer, QueryAnswer)
+            and self.client.verify_answer(request, answer)
+        ):
+            self.integrity_failures += 1
+            raise ResponseIntegrityError(
+                f"answer from {source} to {type(request).__name__} failed "
+                "verification against the certified index roots"
+            )
+        if self.cache is not None:
+            # Verification passed, so the index's certified entry exists.
+            height, root, _cert = self.client.state.indexes[request.index]
+            self.cache.put(request, root, answer, height=height)
+        return answer
 
     def _cache_get(self, request):
-        if self.cache is None:
+        held = self.client.state.indexes.get(getattr(request, "index", None))
+        if self.cache is None or held is None:
             return None
-        root = self._certified_root_or_none(request)
-        if root is None:
-            return None
-        return self.cache.get(request, root)
-
-    def _cache_put(self, request, answer) -> None:
-        if self.cache is None:
-            return
-        root = self._certified_root_or_none(request)
-        if root is None:
-            return
-        entry = self.client._index_roots.get(getattr(request, "index", None))
-        height = entry[0] if entry else -1
-        # repro: allow[VER01] both callers admit only answers that just passed verify_answer()
-        self.cache.put(request, root, answer, height=height)
+        return self.cache.get(request, held[1])
 
     # -- replica switch verification ----------------------------------------
 
@@ -959,9 +943,7 @@ class RemoteSuperlightClient:
         client's certified ones.  (Answers are verified individually
         anyway; this catches a stale or lying replica *before* queries
         are routed at it.)"""
-        from repro.errors import ResponseIntegrityError
-
-        for name, (_height, certified) in self.client._index_roots.items():
+        for name, (_height, certified, _cert) in self.client.state.indexes.items():
             served = self.gateway.call_on(replica, "index_root", name)
             if served != certified:
                 raise ResponseIntegrityError(

@@ -30,7 +30,7 @@ from repro.chain.block import Block
 from repro.chain.genesis import make_genesis
 from repro.chain.transaction import sign_transaction
 from repro.chain.vm import VM
-from repro.contracts import BLOCKBENCH
+from repro.contracts import fresh_vm
 from repro.core.pipeline import CertificationPipeline
 from repro.core.recovery import DurableIssuer, recover_issuer
 from repro.core.superlight import SuperlightClient, compute_expected_measurement
@@ -74,9 +74,6 @@ class ChaosOutcome:
 def build_world(num_blocks: int = 10, block_size: int = 2) -> ChaosWorld:
     """Mine the deterministic chaos chain (PoW search is deterministic
     for fixed transactions, so every case sees identical blocks)."""
-    vm = VM()
-    for factory in BLOCKBENCH.values():
-        vm.deploy(factory())
     user = generate_keypair(b"chaos-user")
     builder = ChainBuilder(difficulty_bits=4, network=_NETWORK)
     nonce = 0
@@ -93,47 +90,39 @@ def build_world(num_blocks: int = 10, block_size: int = 2) -> ChaosWorld:
         builder.add_block(txs)
     return ChaosWorld(
         blocks=list(builder.blocks[1:]),
-        vm=vm,
+        vm=fresh_vm(),
         pow_engine=builder.pow,
         ias=AttestationService(seed=b"chaos-ias"),
         spec=AccountHistoryIndexSpec(name="history"),
     )
 
 
-def _fresh_durable(world: ChaosWorld, archive_path: Path) -> DurableIssuer:
+def _durable(
+    world: ChaosWorld, archive_path: Path, *, recover: bool = False
+) -> DurableIssuer:
+    """Provision a fresh durable issuer on ``archive_path`` — or recover
+    the one archived there — under the one deterministic identity every
+    case and the baseline share."""
     from repro.storage import ChainArchive
 
     genesis, state = make_genesis(network=_NETWORK)
-    return DurableIssuer.create(
-        ChainArchive(archive_path),
-        genesis,
-        state,
-        world.vm,
-        world.pow_engine,
+    identity = dict(
         index_specs=[world.spec],
         platform=SGXPlatform(seed=b"chaos-platform"),
         ias=world.ias,
-        key_seed=b"chaos-enclave",
         proof_cache_entries=64,
         checkpoint_interval=_CHECKPOINT_INTERVAL,
     )
-
-
-def _recover(world: ChaosWorld, archive_path: Path) -> DurableIssuer:
-    from repro.storage import ChainArchive
-
-    genesis, state = make_genesis(network=_NETWORK)
-    return recover_issuer(
+    if not recover:
+        # Recovery unseals the archived key instead of deriving one.
+        identity["key_seed"] = b"chaos-enclave"
+    return (recover_issuer if recover else DurableIssuer.create)(
         ChainArchive(archive_path),
         genesis,
         state,
         world.vm,
         world.pow_engine,
-        index_specs=[world.spec],
-        platform=SGXPlatform(seed=b"chaos-platform"),
-        ias=world.ias,
-        proof_cache_entries=64,
-        checkpoint_interval=_CHECKPOINT_INTERVAL,
+        **identity,
     )
 
 
@@ -177,7 +166,7 @@ def certificate_bytes(issuer) -> dict[int, tuple[bytes, tuple[bytes, ...]]]:
 
 def run_baseline(world: ChaosWorld, tmp_path: Path):
     """The no-crash run: same workload, same identity, no schedule."""
-    durable = _fresh_durable(world, tmp_path / "baseline.wal")
+    durable = _durable(world, tmp_path / "baseline.wal")
     _run_workload(durable, world.blocks)
     return durable
 
@@ -192,14 +181,7 @@ def _verify_with_superlight(world: ChaosWorld, issuer) -> None:
         {world.spec.name: world.spec},
     )
     client = SuperlightClient(measurement, world.ias.public_key)
-    tip = issuer.certified[-1]
-    client.validate_chain(tip.block.header, tip.certificate)
-    client.validate_index_certificate(
-        world.spec.name,
-        tip.block.header,
-        tip.index_roots[world.spec.name],
-        tip.index_certificates[world.spec.name],
-    )
+    client.adopt(issuer.certified[-1])
 
 
 def run_case(
@@ -217,7 +199,7 @@ def run_case(
     archive_path = tmp_path / f"case-{point.replace('.', '_')}-{hit}-{seed}.wal"
     # Provision before arming: crash-during-provisioning has no archive
     # head yet, so there is nothing to recover — out of scope.
-    durable = _fresh_durable(world, archive_path)
+    durable = _durable(world, archive_path)
     crashed = False
     with crash_armed(point, hit=hit, seed=seed) as schedule:
         try:
@@ -227,7 +209,7 @@ def run_case(
     assert crashed == schedule.fired
 
     # The 'process' is gone; recover from disk alone.
-    recovered = _recover(world, archive_path)
+    recovered = _durable(world, archive_path, recover=True)
     report = recovered.last_recovery
     recovered_height = recovered.issuer.node.height
 

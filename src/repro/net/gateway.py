@@ -60,7 +60,6 @@ from repro.net.resilience import (
     CircuitBreaker,
     CircuitBreakerPolicy,
     HedgePolicy,
-    clamp_retry_after,
     sanitize_deadline,
     shrink_deadline,
 )
@@ -128,12 +127,23 @@ class ReplicaState:
     def settle(self, request_id: int) -> None:
         self.inflight.pop(request_id, None)
 
+    def eligible_at_ms(self) -> float | None:
+        """Earliest virtual time this replica may take a dispatch: in
+        rotation (or its probe due) *and* not breaker-blocked.  ``None``
+        when waiting cannot help (see ``CircuitBreaker.permits_at_ms``).
+        The one rule both :meth:`eligible` and the gateway's wait for
+        the next probe window use, so they can never disagree."""
+        at_ms = 0.0 if self.healthy else self.next_probe_ms
+        if self.breaker is not None:
+            breaker_at_ms = self.breaker.permits_at_ms()
+            if breaker_at_ms is None:
+                return None
+            at_ms = max(at_ms, breaker_at_ms)
+        return at_ms
+
     def eligible(self, now_ms: float) -> bool:
-        """In rotation (or probing), and not breaker-blocked."""
-        in_rotation = self.healthy or now_ms >= self.next_probe_ms
-        if not in_rotation:
-            return False
-        return self.breaker is None or self.breaker.permits(now_ms)
+        at_ms = self.eligible_at_ms()
+        return at_ms is not None and now_ms >= at_ms
 
 
 # -- balancing policies -------------------------------------------------------
@@ -303,14 +313,11 @@ class QueryGateway:
         state.failures += 1
         if state.breaker is not None:
             was_open = state.breaker.state == CircuitBreaker.OPEN
+            # The breaker clamps the (untrusted) hint itself.
             state.breaker.record_failure(
                 self.bus.clock_ms,
                 overload=overload is not None,
-                retry_after_ms=(
-                    clamp_retry_after(overload.retry_after_ms)
-                    if overload is not None
-                    else 0.0
-                ),
+                retry_after_ms=overload.retry_after_ms if overload else 0.0,
             )
             if not was_open and state.breaker.state == CircuitBreaker.OPEN:
                 obs.inc("resilience.breaker.trips")
@@ -339,6 +346,51 @@ class QueryGateway:
             obs.inc("gateway.probe_failures")
         obs.set_gauge("gateway.replicas_healthy", len(self.healthy_replicas()))
 
+    def _strike(self, state: ReplicaState, exc: ReproError) -> bool:
+        """The one verdict on a failed dispatch to ``state``.
+
+        A retryable failure (shed, timeout, integrity, transport) marks
+        the replica — sheds as backpressure, the rest as liveness
+        strikes — and returns True: another replica may still answer.
+        A terminal one (bad query, spent deadline) is the same on every
+        replica, so nothing is marked and the caller re-raises.
+        """
+        if not exc.retryable:
+            return False
+        self._mark_failure(
+            state, overload=exc if isinstance(exc, OverloadedError) else None
+        )
+        return True
+
+    def _count_failover(self) -> None:
+        self.failovers += 1
+        obs.inc("gateway.failovers")
+
+    def _abandon(self, state: ReplicaState, request_id: int) -> None:
+        """Give up on an in-flight request without a verdict (a hedge
+        loser, or a batch that raised with requests outstanding): no
+        health or breaker strike, but the books are settled — the
+        in-flight slot is freed and a half-open probe nobody will
+        answer for goes back to open instead of wedging the breaker."""
+        state.settle(request_id)
+        self.rpc.abandon(request_id)
+        if state.breaker is not None:
+            state.breaker.abandon_probe()
+
+    def _begin(
+        self, state: ReplicaState, method: str, argument: object, downstream: float
+    ) -> int:
+        """Send one request to ``state`` without waiting, on the books:
+        a half-open probe spent, the in-flight slot tracked."""
+        now = self.bus.clock_ms
+        if state.breaker is not None:
+            state.breaker.on_dispatch(now)
+        request_id = self.rpc.begin(
+            state.name, method, argument, deadline_ms=downstream
+        )
+        state.track(request_id, now)
+        return request_id
+
     def _candidates(self) -> list[ReplicaState]:
         now = self.bus.clock_ms
         return [s for s in self.replicas.values() if s.eligible(now)]
@@ -346,16 +398,13 @@ class QueryGateway:
     def _wait_for_probe_window(self) -> bool:
         """No replica is eligible: advance time to the earliest probe.
 
-        Returns False if there is nothing to wait for (cannot happen
-        with a non-empty fleet, defensively handled anyway).
+        Returns False if there is nothing to wait for: every replica
+        is behind a half-open breaker whose probe is still outstanding.
         """
-        pending = [s.next_probe_ms for s in self.replicas.values() if not s.healthy]
-        pending += [
-            s.breaker.reopen_at_ms
+        pending = [
+            at_ms
             for s in self.replicas.values()
-            if s.healthy
-            and s.breaker is not None
-            and s.breaker.reopen_at_ms is not None
+            if (at_ms := s.eligible_at_ms()) is not None
         ]
         if not pending:
             return False
@@ -446,28 +495,13 @@ class QueryGateway:
                 obs.inc("gateway.probes")
             try:
                 return self._dispatch(state, method, argument, deadline)
-            except OverloadedError as exc:
-                last_error = exc
-                self.failovers += 1
-                obs.inc("gateway.failovers")
-                continue
-            except (RpcTimeoutError, ResponseIntegrityError) as exc:
-                last_error = exc
-                self.failovers += 1
-                obs.inc("gateway.failovers")
-                continue
-            except DeadlineExceededError:
-                # The budget is a property of the call: no other
-                # replica can answer faster than time allows.
-                raise
             except ReproError as exc:
-                if exc.retryable:
-                    last_error = exc
-                    self.failovers += 1
-                    obs.inc("gateway.failovers")
-                    continue
-                # Terminal: retrying elsewhere cannot change the outcome.
-                raise
+                if not exc.retryable:
+                    # Terminal (a bad query, or the call's own spent
+                    # deadline): no other replica changes the outcome.
+                    raise
+                last_error = exc  # _dispatch already struck the replica
+                self._count_failover()
         raise ServiceUnavailableError(
             f"no replica answered {method!r} within {budget} dispatches"
             + (f" (last: {last_error})" if last_error else "")
@@ -501,15 +535,8 @@ class QueryGateway:
             result = self.rpc.call(
                 state.name, method, argument, deadline_ms=downstream
             )
-        except OverloadedError as exc:
-            self._mark_failure(state, overload=exc)
-            raise
-        except (RpcTimeoutError, ResponseIntegrityError):
-            self._mark_failure(state)
-            raise
         except ReproError as exc:
-            if exc.retryable:
-                self._mark_failure(state)
+            self._strike(state, exc)
             raise
         self.rpc._track_latency(state.name, self.bus.clock_ms - started)
         self._mark_success(state)
@@ -541,14 +568,9 @@ class QueryGateway:
         if deadline:
             timeout_at = min(timeout_at, deadline)
         hedge_at = started + hedge_delay_ms
-        if primary.breaker is not None:
-            primary.breaker.on_dispatch(started)
-        owners: dict[int, ReplicaState] = {}
-        rid = self.rpc.begin(
-            primary.name, method, argument, deadline_ms=downstream
-        )
-        primary.track(rid, started)
-        owners[rid] = primary
+        owners: dict[int, ReplicaState] = {
+            self._begin(primary, method, argument, downstream): primary
+        }
         hedged = False
         winner_rid: int | None = None
         while True:
@@ -564,13 +586,9 @@ class QueryGateway:
                 if other is not None:
                     self.hedges += 1
                     obs.inc("resilience.hedges")
-                    if other.breaker is not None:
-                        other.breaker.on_dispatch(self.bus.clock_ms)
-                    hedge_rid = self.rpc.begin(
-                        other.name, method, argument, deadline_ms=downstream
-                    )
-                    other.track(hedge_rid, self.bus.clock_ms)
-                    owners[hedge_rid] = other
+                    owners[
+                        self._begin(other, method, argument, downstream)
+                    ] = other
             horizon = timeout_at if hedged else min(timeout_at, hedge_at)
             if not self.bus.step(horizon):
                 self.bus.wait_until(horizon)
@@ -588,8 +606,7 @@ class QueryGateway:
         winner = owners.pop(winner_rid)
         winner.settle(winner_rid)
         for rid, state in owners.items():  # abandon the slow loser(s)
-            state.settle(rid)
-            self.rpc.abandon(rid)
+            self._abandon(state, rid)
         response = self.rpc.take(winner_rid)
         self.rpc._track_latency(winner.name, self.bus.clock_ms - started)
         if winner is not primary:
@@ -599,15 +616,8 @@ class QueryGateway:
             result = self.rpc.resolve(
                 response, target=winner.name, method=method
             )
-        except OverloadedError as exc:
-            self._mark_failure(winner, overload=exc)
-            raise
-        except (RpcTimeoutError, ResponseIntegrityError):
-            self._mark_failure(winner)
-            raise
         except ReproError as exc:
-            if exc.retryable:
-                self._mark_failure(winner)
+            self._strike(winner, exc)
             raise
         self._mark_success(winner)
         # repro: allow[VER01] call() verified every hedge candidate before dispatching here
@@ -654,109 +664,99 @@ class QueryGateway:
         # request_id -> (item index, dispatch count, replica, deadline)
         pending: dict[int, tuple[int, int, ReplicaState, float]] = {}
         done = 0
-        while done < len(arguments):
-            # Keep the pipes full: dispatch everything dispatchable.
-            still_waiting: list[tuple[int, int]] = []
-            for item, dispatches in todo:
-                if dispatches >= max_dispatches_per_item:
-                    raise ServiceUnavailableError(
-                        f"item {item} of {method!r} failed "
-                        f"{max_dispatches_per_item} dispatches"
+        try:
+            while done < len(arguments):
+                # Keep the pipes full: dispatch everything dispatchable.
+                still_waiting: list[tuple[int, int]] = []
+                for item, dispatches in todo:
+                    if dispatches >= max_dispatches_per_item:
+                        raise ServiceUnavailableError(
+                            f"item {item} of {method!r} failed "
+                            f"{max_dispatches_per_item} dispatches"
+                        )
+                    candidates = self._candidates()
+                    if not candidates:
+                        still_waiting.append((item, dispatches))
+                        continue
+                    state = self.balancer.pick(candidates)
+                    if not self._ensure_verified(state):
+                        still_waiting.append((item, dispatches + 1))
+                        continue
+                    if not state.healthy:
+                        obs.inc("gateway.probes")
+                    request_id = self._begin(
+                        state, method, arguments[item], downstream
                     )
-                candidates = self._candidates()
-                if not candidates:
-                    still_waiting.append((item, dispatches))
-                    continue
-                state = self.balancer.pick(candidates)
-                if not self._ensure_verified(state):
-                    still_waiting.append((item, dispatches + 1))
-                    continue
-                if not state.healthy:
-                    obs.inc("gateway.probes")
-                if state.breaker is not None:
-                    state.breaker.on_dispatch(self.bus.clock_ms)
-                request_id = self.rpc.begin(
-                    state.name, method, arguments[item], deadline_ms=downstream
-                )
-                state.track(request_id, self.bus.clock_ms)
-                item_deadline = self.bus.clock_ms + timeout
-                if deadline:
-                    item_deadline = min(item_deadline, deadline)
-                pending[request_id] = (
-                    item,
-                    dispatches + 1,
-                    state,
-                    item_deadline,
-                )
-            todo = still_waiting
-            if not pending:
-                if todo and not self._wait_for_probe_window():
-                    raise ServiceUnavailableError(
-                        f"no replica available for {method!r}"
+                    item_deadline = self.bus.clock_ms + timeout
+                    if deadline:
+                        item_deadline = min(item_deadline, deadline)
+                    pending[request_id] = (
+                        item,
+                        dispatches + 1,
+                        state,
+                        item_deadline,
                     )
-                continue
-            # Drive the bus toward the earliest in-flight deadline, then
-            # settle whatever arrived and expire whatever did not.
-            horizon = min(entry[3] for entry in pending.values())
-            progressed = False
-            while self.bus.step(horizon):
-                progressed = True
-                if any(self.rpc.has_response(rid) for rid in pending):
-                    break
-            arrived = [
-                rid for rid in pending if self.rpc.has_response(rid)
-            ]
-            for rid in arrived:
-                item, dispatches, state, _ = pending.pop(rid)
-                state.settle(rid)
-                response = self.rpc.take(rid)
-                try:
-                    result = self.rpc.resolve(
-                        response, target=state.name, method=method
-                    )
-                except OverloadedError as exc:
-                    self._mark_failure(state, overload=exc)
-                    self.failovers += 1
-                    obs.inc("gateway.failovers")
-                    todo.append((item, dispatches))
+                todo = still_waiting
+                if not pending:
+                    if not self._wait_for_probe_window():
+                        raise ServiceUnavailableError(
+                            f"no replica available for {method!r}"
+                        )
                     continue
-                except (RpcTimeoutError, ResponseIntegrityError):
-                    self._mark_failure(state)
-                    self.failovers += 1
-                    obs.inc("gateway.failovers")
-                    todo.append((item, dispatches))
-                    continue
-                except ReproError as exc:
-                    if exc.retryable:
-                        self._mark_failure(state)
-                        self.failovers += 1
-                        obs.inc("gateway.failovers")
+                # Drive the bus toward the earliest in-flight deadline,
+                # then settle whatever arrived and expire whatever did
+                # not.  (With requests in flight every pass either
+                # delivers bus traffic or reaches that deadline, so this
+                # branch always makes progress.)
+                horizon = min(entry[3] for entry in pending.values())
+                progressed = False
+                while self.bus.step(horizon):
+                    progressed = True
+                    if any(self.rpc.has_response(rid) for rid in pending):
+                        break
+                arrived = [
+                    rid for rid in pending if self.rpc.has_response(rid)
+                ]
+                for rid in arrived:
+                    item, dispatches, state, _ = pending.pop(rid)
+                    state.settle(rid)
+                    response = self.rpc.take(rid)
+                    try:
+                        result = self.rpc.resolve(
+                            response, target=state.name, method=method
+                        )
+                    except ReproError as exc:
+                        if not self._strike(state, exc):
+                            raise
+                        self._count_failover()
                         todo.append((item, dispatches))
                         continue
-                    for other in pending:
-                        self.rpc.abandon(other)
-                    raise
-                self._mark_success(state)
-                self.current = state.name
-                results[item] = result
-                done += 1
-            if arrived:
-                continue
-            if not progressed:
-                self.bus.wait_until(horizon)
-            expired = [
-                rid
-                for rid, entry in pending.items()
-                if self.bus.clock_ms >= entry[3]
-            ]
-            for rid in expired:
-                item, dispatches, state, _ = pending.pop(rid)
-                state.settle(rid)
-                self.rpc.abandon(rid)
-                self.rpc.timeouts += 1
-                obs.inc("rpc.client.timeouts")
-                self._mark_failure(state)
-                self.failovers += 1
-                obs.inc("gateway.failovers")
-                todo.append((item, dispatches))
+                    self._mark_success(state)
+                    self.current = state.name
+                    results[item] = result
+                    done += 1
+                if arrived:
+                    continue
+                if not progressed:
+                    self.bus.wait_until(horizon)
+                expired = [
+                    rid
+                    for rid, entry in pending.items()
+                    if self.bus.clock_ms >= entry[3]
+                ]
+                for rid in expired:
+                    item, dispatches, state, _ = pending.pop(rid)
+                    state.settle(rid)
+                    self.rpc.abandon(rid)
+                    self.rpc.timeouts += 1
+                    obs.inc("rpc.client.timeouts")
+                    self._mark_failure(state)
+                    self._count_failover()
+                    todo.append((item, dispatches))
+        finally:
+            # Non-empty only when raising mid-flight (dispatch budget
+            # spent, terminal error): settle the books for everything
+            # still outstanding.
+            for rid, (_, _, state, _) in pending.items():
+                self._abandon(state, rid)
         return results

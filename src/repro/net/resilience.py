@@ -199,13 +199,23 @@ class CircuitBreaker:
         """When an open breaker next admits a probe (None unless open)."""
         return self._reopen_at_ms if self.state == self.OPEN else None
 
+    def permits_at_ms(self) -> float | None:
+        """Earliest virtual time a dispatch may be routed here (pure).
+
+        ``None`` means no amount of waiting helps: the breaker is
+        half-open with every probe outstanding, and only a probe's
+        verdict (or :meth:`abandon_probe`) moves it.
+        """
+        if self.state == self.OPEN:
+            return self._reopen_at_ms
+        if self.state == self.HALF_OPEN and self._probes_left <= 0:
+            return None
+        return 0.0
+
     def permits(self, now_ms: float) -> bool:
         """Whether a dispatch may be routed here right now (pure)."""
-        if self.state == self.OPEN:
-            return now_ms >= self._reopen_at_ms
-        if self.state == self.HALF_OPEN:
-            return self._probes_left > 0
-        return True
+        at_ms = self.permits_at_ms()
+        return at_ms is not None and now_ms >= at_ms
 
     def on_dispatch(self, now_ms: float) -> None:
         """Account for one routed request (spends a half-open probe)."""
@@ -214,6 +224,15 @@ class CircuitBreaker:
             self._probes_left = self.policy.half_open_probes
         if self.state == self.HALF_OPEN:
             self._probes_left -= 1
+
+    def abandon_probe(self) -> None:
+        """A half-open probe was given up without a verdict (a hedge
+        loser, a batch that raised mid-flight): back to open with the
+        reopen time already reached, so the next dispatch probes again
+        instead of the breaker waiting forever on an answer nobody
+        is listening for."""
+        if self.state == self.HALF_OPEN:
+            self.state = self.OPEN
 
     def record_success(self) -> None:
         if self.state != self.CLOSED:
@@ -252,8 +271,8 @@ class CircuitBreaker:
         )
         if self.policy.jitter:
             interval *= 1.0 + self.policy.jitter * self._rng.random()
-        # An explicit retry-after hint from the endpoint (clamped by the
-        # caller) can only *extend* the quiet period, never shorten it.
+        # An explicit retry-after hint from the endpoint (untrusted,
+        # so clamped) can only *extend* the quiet period, never shorten it.
         interval = max(interval, clamp_retry_after(retry_after_ms))
         self.state = self.OPEN
         self._reopen_at_ms = now_ms + interval

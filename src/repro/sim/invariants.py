@@ -40,12 +40,13 @@ from __future__ import annotations
 
 from repro import obs
 from repro.chain.genesis import make_genesis
+from repro.contracts import fresh_vm
 from repro.core.recovery import recover_issuer
 from repro.core.superlight import SuperlightClient
 from repro.fault.chaos import certificate_bytes
 from repro.net.wire import encode
 
-from .world import KIND_GATEWAY, SimWorld, _fresh_vm
+from .world import KIND_GATEWAY, SimWorld
 
 #: The paper's client state budget (Table 4): ~2.97 KB.
 PAPER_STORAGE_BUDGET_BYTES = int(2.97 * 1024)
@@ -110,7 +111,7 @@ class InvariantSuite:
         config = world.config
         genesis, state = make_genesis(network=config.network)
         recovered = recover_issuer(
-            world.archive, genesis, state, _fresh_vm(), world.builder.pow,
+            world.archive, genesis, state, fresh_vm(), world.builder.pow,
             index_specs=world.specs, platform=world.platform, ias=world.ias,
             checkpoint_interval=config.checkpoint_interval,
         )

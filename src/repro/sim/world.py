@@ -27,8 +27,7 @@ from pathlib import Path
 from repro.chain import ChainBuilder
 from repro.chain.genesis import make_genesis
 from repro.chain.transaction import sign_transaction
-from repro.chain.vm import VM
-from repro.contracts import BLOCKBENCH
+from repro.contracts import fresh_vm
 from repro.core import (
     ClientConfig,
     IssuerService,
@@ -62,13 +61,6 @@ from repro.storage import ChainArchive
 KIND_POLL = "poll"      # sync + query straight at the replicas
 KIND_GATEWAY = "gw"     # query through an owned QueryGateway + answer cache
 KIND_PUSH = "push"      # subscribed to the hub, heartbeat-driven
-
-
-def _fresh_vm() -> VM:
-    vm = VM()
-    for factory in BLOCKBENCH.values():
-        vm.deploy(factory())
-    return vm
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,7 +151,7 @@ class SimWorld:
         archive = ChainArchive(Path(root) / "ci.wal")
         genesis, state = make_genesis(network=config.network)
         durable = DurableIssuer.create(
-            archive, genesis, state, _fresh_vm(), builder.pow,
+            archive, genesis, state, fresh_vm(), builder.pow,
             index_specs=specs, platform=platform, ias=ias,
             key_seed=b"sim-enclave",
             checkpoint_interval=config.checkpoint_interval,
@@ -174,11 +166,11 @@ class SimWorld:
 
         sp_genesis, sp_state = make_genesis(network=config.network)
         provider = QueryServiceProvider(
-            sp_genesis, sp_state, _fresh_vm(), builder.pow, specs
+            sp_genesis, sp_state, fresh_vm(), builder.pow, specs
         )
         or_genesis, or_state = make_genesis(network=config.network)
         oracle = QueryServiceProvider(
-            or_genesis, or_state, _fresh_vm(), builder.pow, specs
+            or_genesis, or_state, fresh_vm(), builder.pow, specs
         )
         replica_names = [f"sp{i + 1}" for i in range(config.replicas)]
         admission = AdmissionPolicy(
@@ -195,7 +187,7 @@ class SimWorld:
         }
 
         measurement = compute_expected_measurement(
-            genesis.header.header_hash(), ias.public_key, _fresh_vm(),
+            genesis.header.header_hash(), ias.public_key, fresh_vm(),
             builder.pow.difficulty_bits, {spec.name: spec for spec in specs},
         )
         miner = RpcClient(
@@ -224,7 +216,7 @@ class SimWorld:
         def restore():
             genesis2, state2 = make_genesis(network=config.network)
             restored = recover_issuer(
-                archive, genesis2, state2, _fresh_vm(), builder.pow,
+                archive, genesis2, state2, fresh_vm(), builder.pow,
                 index_specs=specs, platform=platform, ias=ias,
                 checkpoint_interval=config.checkpoint_interval,
             )

@@ -3,7 +3,7 @@
 
 class SuperlightClient:
     def __init__(self) -> None:
-        self.latest_header = None
+        self.state = None
 
     def adopt(self, header) -> None:
-        self.latest_header = header
+        self.state = header

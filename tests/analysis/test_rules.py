@@ -73,6 +73,22 @@ def test_ver01_verified_adoption_is_clean(analyze_files):
     assert hits(findings, "VER01") == []
 
 
+def test_ver01_client_state_has_one_producer(analyze_files):
+    """Verified-then-assigned is enough for the gateway's ``current``;
+    the superlight client's state may only come from adopt_bundle()."""
+    findings = analyze_files(
+        {"src/repro/net/gateway.py": "ver01_dominated.py"}
+    )
+    assert hits(findings, "VER01") == []
+    findings = analyze_files(
+        {"src/repro/core/superlight.py": "ver01_dominated.py"}
+    )
+    assert hits(findings, "VER01") == [
+        ("src/repro/core/superlight.py", 18),  # .state write
+        ("src/repro/core/superlight.py", 18),  # ClientState(...) built
+    ]
+
+
 def test_ver01_only_fires_in_trust_scopes(analyze_files):
     findings = analyze_files(
         {"src/repro/net/example.py": "ver01_violation.py"}

@@ -5,7 +5,6 @@ import pytest
 from repro.chain.block import Block, BlockHeader
 from repro.chain.builder import ChainBuilder
 from repro.chain.genesis import make_genesis
-from repro.chain.mempool import Mempool
 from repro.chain.node import FullNode
 from repro.chain.transaction import sign_transaction
 from repro.chain.vm import VM
@@ -145,16 +144,3 @@ def test_empty_block_keeps_state_root(keypair):
     node = fresh_node(builder.pow)
     for blk in builder.blocks[1:]:
         node.append_block(blk)
-
-
-def test_mempool_fifo():
-    pool = Mempool()
-    keypair = generate_keypair(b"mempool")
-    txs = [kv_tx(keypair, n) for n in range(5)]
-    pool.add_many(txs[:3])
-    pool.add(txs[3])
-    pool.add(txs[4])
-    assert len(pool) == 5
-    assert pool.take(2) == txs[:2]
-    assert pool.take(10) == txs[2:]
-    assert pool.take(1) == []

@@ -8,6 +8,7 @@ from repro.chain.genesis import make_genesis
 from repro.chain.transaction import sign_transaction
 from repro.core.client_api import ClientConfig, LightClient, connect
 from repro.core.superlight import (
+    ClientState,
     RemoteSuperlightClient,
     SuperlightClient,
     compute_expected_measurement,
@@ -86,10 +87,12 @@ def four_family_world():
 
     ias = AttestationService(seed=b"client-api-ias")
     client = SuperlightClient(b"\x11" * 32, ias.public_key)
-    for spec in specs:
-        client._index_roots[spec.name] = (
-            builder.height, provider.index_root(spec.name)
-        )
+    # Plant the provider's roots as certified (no issuer in this world;
+    # these tests exercise answer verification, not adoption).
+    client.state = ClientState(indexes={
+        spec.name: (builder.height, provider.index_root(spec.name), None)
+        for spec in specs
+    })
     return provider, client, builder.height
 
 
@@ -264,52 +267,6 @@ def test_connect_rejects_issuer_with_remote_transport(certified_setup):
             bus=MessageBus(), issuers=("ci",),
             issuer=certified_setup["issuer"],
         ))
-
-
-def test_legacy_constructor_warns(certified_setup):
-    """Direct construction keeps working one release, loudly."""
-    bus = MessageBus()
-    with pytest.warns(DeprecationWarning, match="connect"):
-        legacy = RemoteSuperlightClient(
-            bus, "legacy",
-            certified_setup["issuer"].measurement,
-            certified_setup["ias"].public_key,
-            issuers=["ci"], providers=["sp"],
-        )
-    assert isinstance(legacy, LightClient)
-
-
-def test_legacy_constructor_warning_names_connect(certified_setup):
-    """The deprecation text must tell the caller exactly where to go:
-    the connect(ClientConfig(...)) factory."""
-    with pytest.warns(DeprecationWarning) as records:
-        RemoteSuperlightClient(
-            MessageBus(), "legacy",
-            certified_setup["issuer"].measurement,
-            certified_setup["ias"].public_key,
-            issuers=["ci"], providers=["sp"],
-        )
-    messages = [
-        str(r.message) for r in records
-        if r.category is DeprecationWarning
-    ]
-    assert any(
-        "connect(" in m and "ClientConfig" in m for m in messages
-    ), f"deprecation text does not name connect(): {messages}"
-
-
-def test_legacy_constructor_keeps_old_transport_rule(certified_setup):
-    """The deprecated path still enforces 'exactly one of providers or
-    gateway' — only connect() supports tip-only clients."""
-    from repro.errors import CertificateError
-
-    with pytest.warns(DeprecationWarning), pytest.raises(CertificateError):
-        RemoteSuperlightClient(
-            MessageBus(), "legacy",
-            certified_setup["issuer"].measurement,
-            certified_setup["ias"].public_key,
-            issuers=["ci"],
-        )
 
 
 # -- local push subscription (direct issuer callback) ------------------------

@@ -169,14 +169,44 @@ def test_wallet_roundtrip(client, certified_setup):
 def test_wallet_tamper_rejected(client, certified_setup):
     import json
 
-    tip = certified_setup["issuer"].certified[-1]
-    client.validate_chain(tip.block.header, tip.certificate)
-    wallet = json.loads(client.to_json())
-    header = json.loads(wallet["header"])
-    header["height"] += 100
-    wallet["header"] = json.dumps(header, sort_keys=True)
-    with pytest.raises(CertificateError):
-        SuperlightClient.from_json(json.dumps(wallet))
+    client.adopt(certified_setup["issuer"].certified[-1])
+    height = client.latest_header.height
+
+    def bump_header(wallet):
+        header = json.loads(wallet["header"])
+        header["height"] += 100
+        wallet["header"] = json.dumps(header, sort_keys=True)
+
+    def forge_root_at_tip(wallet):
+        wallet["index_roots"]["history"] = [height, "ee" * 32]
+
+    def forge_root_below_tip(wallet):
+        # No stored header to bind it to: must not ride in on the
+        # certificate's own digest.
+        wallet["index_roots"]["history"] = [height - 1, "ee" * 32]
+
+    def forge_root_and_drop_its_certificate(wallet):
+        wallet["index_roots"]["history"] = [height, "ee" * 32]
+        del wallet["index_certificates"]["history"]
+
+    def restore(tamper):
+        wallet = json.loads(client.to_json())
+        tamper(wallet)
+        return SuperlightClient.from_json(json.dumps(wallet))
+
+    # A forged tip header, or a forged root bound to the stored tip:
+    # the restore itself is refused.
+    for tamper in (bump_header, forge_root_at_tip):
+        with pytest.raises(CertificateError):
+            restore(tamper)
+    # An entry the wallet holds nothing to re-check against: the restore
+    # keeps the genuine tip and drops the entry (re-fetched on the next
+    # sync) — never served.
+    for tamper in (forge_root_below_tip, forge_root_and_drop_its_certificate):
+        restored = restore(tamper)
+        assert restored.latest_header == client.latest_header
+        with pytest.raises(CertificateError):
+            restored.certified_index_root("history")
 
 
 def test_empty_wallet_roundtrip(certified_setup):

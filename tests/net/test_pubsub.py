@@ -99,6 +99,25 @@ def test_push_delivers_and_client_adopts(chain):
     assert state.acked_seq == 3 and not state.inflight and not state.outbox
 
 
+def test_replayed_tip_carrying_new_index_roots_runs_root_housekeeping(chain):
+    """A pushed bundle whose tip the client already holds (adopted
+    tip-only via validate_chain) still installs its index roots — so
+    the cache sweep / gateway re-verification must run even though the
+    tip did not advance."""
+    w = world(chain)
+    client = w.clients["c1"]
+    w.certify(1, start=1)
+    tip = w.issuer.certified[-1]
+    assert client.validate_chain(tip.block.header, tip.certificate)
+    swept = []
+    advanced = client._roots_advanced
+    client._roots_advanced = lambda: (swept.append(True), advanced())
+    w.bus.run_until_idle()  # the push for the same block lands now
+    assert client.push_adopted == 0  # verified, but the tip did not move
+    assert client.certified_index_root("history") == tip.index_roots["history"]
+    assert swept == [True]
+
+
 def test_subscribe_positions_a_new_subscriber_at_the_tip(chain):
     w = world(chain, clients=(), subscribe=False)
     w.certify(4, start=1)

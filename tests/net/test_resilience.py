@@ -523,3 +523,69 @@ def test_hedged_dispatch_races_a_slow_primary(bus):
     assert result == "sp2:done"  # the fast hedge won
     assert gateway.hedges == 1 and gateway.hedge_wins == 1
     assert elapsed < 100.0  # nowhere near the 500 ms primary
+
+
+# -- gateway: eligibility, abandoned requests, and stalls ---------------------
+
+
+def _trip(breaker, now_ms):
+    for _ in range(breaker.policy.failure_trip):
+        breaker.record_failure(now_ms)
+    assert breaker.state == CircuitBreaker.OPEN
+
+
+def test_wait_for_probe_window_honours_health_and_breaker_together(bus):
+    """Every replica ejected with its probe *due* but its breaker still
+    open: the wait must run to the breaker's reopen time (the same
+    rule ``eligible`` applies), not return at once and spin."""
+    gateway, _ = _gateway_fleet(
+        bus, breaker=CircuitBreakerPolicy(jitter=0.0)
+    )
+    for state in gateway.replicas.values():
+        state.healthy = False
+        state.next_probe_ms = 0.0
+        _trip(state.breaker, bus.clock_ms)
+        assert state.eligible_at_ms() == state.breaker.reopen_at_ms
+        assert not state.eligible(bus.clock_ms)
+    reopen_at = min(s.breaker.reopen_at_ms for s in gateway.replicas.values())
+    assert sorted(gateway.call_many("work", [1, 2])) == ["sp1:done", "sp2:done"]
+    assert bus.clock_ms >= reopen_at
+    assert gateway.healthy_replicas() == ["sp1", "sp2"]
+
+
+def test_batch_raising_mid_flight_settles_what_it_abandons(bus):
+    """A terminal error for one item raises out of call_many while
+    another item is still in flight as a half-open probe: the in-flight
+    slot is freed and the breaker goes back to open (probe again later),
+    not half-open-with-no-probes forever."""
+    from repro.errors import QueryError
+
+    gateway, providers = _gateway_fleet(
+        bus, breaker=CircuitBreakerPolicy(jitter=0.0)
+    )
+
+    def refuse(_argument):
+        raise QueryError("malformed query")
+
+    providers["sp1"].register("work", refuse)
+    providers["sp2"]._service_times["work"] = 500.0
+    slow = gateway.replicas["sp2"]
+    _trip(slow.breaker, bus.clock_ms)
+    bus.run_for(slow.breaker.reopen_at_ms - bus.clock_ms)  # probe now due
+    with pytest.raises(QueryError):
+        gateway.call_many("work", ["a", "b"])  # a -> sp1, b -> sp2 (probe)
+    assert slow.outstanding == 0
+    assert slow.breaker.state == CircuitBreaker.OPEN
+    assert slow.eligible(bus.clock_ms)
+    providers["sp1"].register("work", lambda _argument: "sp1:done")
+    assert gateway.call_many("work", ["c", "d"]) == ["sp1:done", "sp2:done"]
+
+
+def test_half_open_breaker_with_its_probe_out_is_not_waited_on(bus):
+    breaker = CircuitBreaker(CircuitBreakerPolicy(jitter=0.0))
+    _trip(breaker, 0.0)
+    breaker.on_dispatch(breaker.reopen_at_ms)  # spends the one probe
+    assert breaker.state == CircuitBreaker.HALF_OPEN
+    assert breaker.permits_at_ms() is None  # only a verdict moves it
+    breaker.abandon_probe()
+    assert breaker.permits(breaker.reopen_at_ms)

@@ -17,6 +17,12 @@ assert the client never ends up in a state the forger controls:
   in ``push_rejected``, not acked, and the client state is
   byte-identical to before.
 
+The same forged bundles are then served over the polled path (a lying
+issuer's ``latest_tip``) and handed to a local issuer subscription:
+every path adopts through the one ``SuperlightClient.adopt``, so a
+forgery anywhere in the bundle leaves ``to_json()`` byte-identical on
+all of them — never a header at N with index roots at N-1.
+
 Seeds and replay: see tests/proptest/framework.py.
 """
 
@@ -24,10 +30,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import ClientConfig, IssuerService, connect
+from types import SimpleNamespace
+
+from repro.core import CertifiedTip, ClientConfig, IssuerService, connect
+from repro.errors import CertificateError, ServiceUnavailableError
 from repro.net.bus import MessageBus
 from repro.net.messages import PushEnvelope
 from repro.net.pubsub import SubscriptionHub, TipAnnouncement
+from repro.net.rpc import RpcServer
 from repro.net import wire
 from tests.proptest.framework import mutate_one_byte, run_cases
 
@@ -40,6 +50,9 @@ def world(certified_setup):
     bus = MessageBus()
     service = IssuerService(bus, "ci", issuer)
     hub = SubscriptionHub.embedded(service)
+    # A lying issuer endpoint: serves whatever tip the case planted.
+    liar_tip = []
+    RpcServer(bus, "liar").register("latest_tip", lambda _arg: liar_tip[-1])
     # The probe sits at the second-to-last certified block (seq N-1);
     # the genuine announcement under test carries the last one (seq N).
     seq = len(issuer.certified)
@@ -60,6 +73,7 @@ def world(certified_setup):
     return {
         "bus": bus,
         "hub": hub,
+        "liar_tip": liar_tip,
         "issuer": issuer,
         "setup": certified_setup,
         "seq": seq,
@@ -69,7 +83,7 @@ def world(certified_setup):
     }
 
 
-def _make_probe(world, rng, prefix):
+def _make_probe(world, rng, prefix, issuers=("ci",)):
     """A fresh subscribed-at-seq-N-1 client (never reused across cases:
     a rejected forgery must not poison later cases' state)."""
     setup = world["setup"]
@@ -79,15 +93,10 @@ def _make_probe(world, rng, prefix):
         ias_public_key=setup["ias"].public_key,
         bus=world["bus"],
         name=f"{prefix}-{rng.randrange(1 << 48):012x}",
-        issuers=("ci",),
+        issuers=issuers,
         hub="ci",
     ))
-    prev = issuer.certified[-2]
-    probe.client.validate_chain(prev.block.header, prev.certificate)
-    for name, cert in prev.index_certificates.items():
-        probe.client.validate_index_certificate(
-            name, prev.block.header, prev.index_roots[name], cert
-        )
+    probe.client.adopt(issuer.certified[-2])
     probe.subscribed = True
     probe._sub_seq = world["seq"] - 1
     return probe
@@ -135,7 +144,7 @@ def test_mutated_announcements_never_move_a_tip_unverified(world):
         if probe.latest_header == genuine.header:
             assert probe.client.latest_certificate == genuine.certificate
         # Index roots are always enclave-certified ones.
-        for _height, root in probe.client._index_roots.values():
+        for _height, root, _cert in probe.client.state.indexes.values():
             assert root in world["certified_roots"], (
                 "a mutated announcement installed an uncertified index root"
             )
@@ -184,5 +193,70 @@ def test_mutations_of_certified_material_are_rejected_and_counted(world):
         # No ack went out: the hub will retransmit the genuine one.
         probe.rpc.bus.run_until_idle()
         assert hub_node.delivered_count == acks_before
+
+    run_cases(prop)
+
+
+def test_forged_bundles_are_rejected_atomically_on_polled_and_local_paths(world):
+    """The same forged bundles, arriving by poll and by local issuer
+    subscription: rejected as a whole, nothing half-adopted.  (Before
+    adoption went through one verify-everything-then-adopt core, these
+    two paths moved the tip and only then checked index certificates.)
+    """
+    genuine = world["announcement"]
+    payload = world["payload"]
+    prev = world["issuer"].certified[-2]
+
+    def forged_announcement(rng):
+        # Most single-byte flips no longer decode; draw until one does
+        # *and* tampers with enclave-signed material.
+        for _ in range(256):
+            try:
+                candidate = wire.decode(mutate_one_byte(payload, rng))
+                if isinstance(
+                    candidate, TipAnnouncement
+                ) and _forges_certified_material(candidate, genuine):
+                    return candidate
+            except Exception:
+                continue  # undecodable, or decoded into unusable fields
+        raise AssertionError("no decodable forgery in 256 draws")
+
+    def prop(rng):
+        candidate = forged_announcement(rng)
+        forged = CertifiedTip(
+            header=candidate.header,
+            certificate=candidate.certificate,
+            index_certificates=dict(candidate.index_certificates),
+            index_roots=dict(candidate.index_roots),
+        )
+
+        # Polled: a lying issuer serves the forged tip on every retry.
+        poller = _make_probe(world, rng, "pollprobe", issuers=("liar",))
+        world["liar_tip"].append(forged)
+        before = poller.client.to_json()
+        with pytest.raises(ServiceUnavailableError):
+            poller.sync()
+        world["liar_tip"].clear()
+        assert poller.client.to_json() == before, (
+            "a rejected polled tip left client state behind"
+        )
+        assert poller.integrity_failures == poller.integrity_retries
+
+        # Local: the issuer hook a subscribed in-process client installs.
+        source = SimpleNamespace(on_certified=[])
+        local = connect(ClientConfig(
+            measurement=world["issuer"].measurement,
+            ias_public_key=world["setup"]["ias"].public_key,
+            issuer=source, subscribe=True,
+        ))
+        local.adopt(prev)
+        before = local.to_json()
+        (hook,) = source.on_certified
+        with pytest.raises(CertificateError):
+            hook(forged)
+        assert local.to_json() == before, (
+            "a rejected local bundle left client state behind"
+        )
+        assert local.latest_header == prev.block.header
 
     run_cases(prop)

@@ -6,6 +6,8 @@ right name — trips.  The world is module-scoped (building one is the
 expensive part); every mutation is reverted.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro import obs
@@ -68,12 +70,12 @@ def test_unverified_adoption_rejected(world, suite):
     entry = world.fleet[0]
     inner = entry.client.client
     original = suite._tips.pop(entry.name)  # force re-verification
-    saved_header = inner.latest_header
-    inner.latest_header = world.builder.blocks[1].header
+    saved_state = inner.state
+    inner.state = replace(saved_state, header=world.builder.blocks[1].header)
     try:
         assert _violation(suite).name == "no-unverified-adoption"
     finally:
-        inner.latest_header = saved_header
+        inner.state = saved_state
         suite._tips[entry.name] = original
 
 
