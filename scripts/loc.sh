@@ -9,11 +9,12 @@
 # Prints both and fails when either is above the value recorded below
 # (`make loc`, part of `make check`).  The recorded values only ever go
 # *down*: a change that shrinks src/ or drops a suppression lowers them
-# in the same diff; nothing raises them.
+# in the same diff; nothing raises them.  (One authorised exception:
+# ISSUE 13 allowed src lines up to +200 for the secp256k1 engine, 20769 -> 20967.)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-MAX_SRC_LINES=20769
+MAX_SRC_LINES=20967
 MAX_SUPPRESSIONS=10
 
 src_lines=$(find src -name '*.py' -print0 | xargs -0 cat | wc -l)

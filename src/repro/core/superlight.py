@@ -37,7 +37,7 @@ from repro.chain.block import BlockHeader
 from repro.core.certificate import CERT_SIG_DOMAIN, Certificate
 from repro.core.digest import block_digest, index_digest
 from repro.core.issuer import CertifiedTip
-from repro.crypto import PublicKey, verify
+from repro.crypto import PublicKey, pin_verification_key, verify
 from repro.crypto.hashing import Digest
 from repro.errors import (
     CertificateError,
@@ -79,7 +79,8 @@ def verify_certificate(
     ``verified_reports`` is the caller's LRU memo of attestation
     reports that already checked out ("a superlight client needs to
     check an attestation report only once for the same enclave", §4.3);
-    the caller owns it and bounds it.
+    the caller owns it and bounds it.  A report is admitted once ``pk_enc``
+    also matches it; then, never earlier, ``pk_enc``'s table is pinned.
     The memo key binds every field the skipped checks would have
     validated (measurement, report_data, IAS key, signature) — a
     signature-only key would let a report with a tampered measurement
@@ -92,16 +93,20 @@ def verify_certificate(
         report.ias_key.to_bytes(),
         report.signature.to_bytes(),
     )
-    if report_id in verified_reports:
+    admitted = report_id in verified_reports
+    if admitted:
         verified_reports.move_to_end(report_id)
     else:
         if not report.verify(ias_public_key):
             raise CertificateError("attestation report not signed by the IAS")
         if report.measurement != measurement:
             raise CertificateError("certificate from an unexpected enclave program")
-        verified_reports[report_id] = None
     if cert.pk_enc.to_bytes() != report.report_data:
         raise CertificateError("pk_enc does not match the attestation report")
+    if not admitted:
+        # pk_enc is authenticated only now; every later tip is signed by it.
+        verified_reports[report_id] = None
+        pin_verification_key(cert.pk_enc)
     if not verify(cert.pk_enc, cert.dig, cert.sig, CERT_SIG_DOMAIN):
         raise CertificateError("certificate signature invalid")
     if cert.dig != expected_dig:

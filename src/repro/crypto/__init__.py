@@ -19,7 +19,7 @@ from repro.crypto.hashing import (
     tagged_hash,
 )
 from repro.crypto.keys import KeyPair, PrivateKey, PublicKey, generate_keypair
-from repro.crypto.signature import Signature, sign, verify
+from repro.crypto.signature import Signature, pin_verification_key, sign, verify
 
 __all__ = [
     "HASH_SIZE",
@@ -32,6 +32,7 @@ __all__ = [
     "hash_concat",
     "hash_leaf",
     "hash_node",
+    "pin_verification_key",
     "sha256",
     "sign",
     "tagged_hash",

@@ -2,23 +2,36 @@
 
 This is the signature scheme the (simulated) SGX enclave uses to sign
 block digests, and the scheme blockchain accounts use to authorize
-transactions.  It is written from scratch on top of the standard library:
+transactions.  Signature checks are the constant in DCert's
+"constant-cost client", so the scalar multiplications are built for
+speed, on the standard library alone:
 
-* secp256k1 group arithmetic in Jacobian coordinates,
-* scalar multiplication with a fixed 4-bit window,
-* RFC-6979 nonce derivation (HMAC-SHA256) so signatures are deterministic
-  and the test suite is reproducible,
-* low-s normalization (BIP-62) so signatures are non-malleable.
+* ``k·G`` (signing, key derivation): a fixed-base comb table for ``G``,
+  one mixed addition per 4-bit window and no doublings;
+* ``u1·G + u2·Q`` (verification): one interleaved Straus pass, two wNAF
+  expansions on one doubling chain, over a wide static table of odd
+  multiples of ``G`` and a width-5 table for ``Q``;
+* a key the caller has *authenticated* (a client's ``pk_enc`` once its
+  attestation report checked out) can be pinned: a comb table of its own
+  in a small LRU, so verifying against it needs no doublings either.
+  Tables are derived state, never serialized or counted as storage;
+* RFC-6979 nonces keep signatures deterministic, low-s normalization
+  (BIP-62) keeps them non-malleable.
 
-The implementation favours clarity over raw speed; the benchmark harness
-accounts for the constant-factor slowdown relative to the paper's Rust
-crates (see EXPERIMENTS.md).
+Signatures and verdicts are bit-identical to the double-and-add engine
+this replaced (the oracle in ``tests/crypto/test_ecdsa_engine.py``).
+Like it, the code is **variable-time**: table indices and wNAF digits
+depend on secret scalars.  That is acceptable only because the enclave
+is simulated in one process with no co-resident attacker to time it;
+this module must never become a real signer.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
+from collections import OrderedDict
+from functools import cache
 
 from repro.errors import CryptoError, SignatureError
 
@@ -36,90 +49,186 @@ Point = tuple[int, int] | None
 _JPoint = tuple[int, int, int]  # Jacobian (X, Y, Z); Z == 0 is infinity.
 _J_INFINITY: _JPoint = (1, 1, 0)
 
-
-def _to_jacobian(point: Point) -> _JPoint:
-    if point is None:
-        return _J_INFINITY
-    return (point[0], point[1], 1)
+#: Comb tables: 64 windows of 4 bits, 960 affine points, ~170 KB, ~7 ms.
+_COMB_WINDOW = 4
+_COMB_ROWS = 64
+_COMB_ROW = (1 << _COMB_WINDOW) - 1  # entries per window, and its bit mask
+#: wNAF widths: ``G``'s table is built once, ``Q``'s per verification.
+_G_WNAF_WIDTH = 8
+_Q_WNAF_WIDTH = 5
+#: Pinned per-key comb tables kept at once (least recently used goes).
+_PINNED_LIMIT = 8
 
 
 def _from_jacobian(point: _JPoint) -> Point:
-    x, y, z = point
-    if z == 0:
-        return None
-    z_inv = pow(z, P - 2, P)
-    z_inv2 = (z_inv * z_inv) % P
-    return ((x * z_inv2) % P, (y * z_inv2 * z_inv) % P)
+    return None if point[2] == 0 else _normalise([point])[0]
 
 
-def _j_double(point: _JPoint) -> _JPoint:
+def _normalise(points: list[_JPoint]) -> list[tuple[int, int]]:
+    """Affine forms of finite Jacobian points, one inversion for all."""
+    partial = [1]
+    for _x, _y, z in points:
+        partial.append(partial[-1] * z % P)
+    inverse = pow(partial[-1], -1, P)
+    affine = []
+    for index in range(len(points) - 1, -1, -1):
+        x, y, z = points[index]
+        z_inv = inverse * partial[index] % P
+        inverse = inverse * z % P
+        z_inv2 = z_inv * z_inv % P
+        affine.append((x * z_inv2 % P, y * z_inv2 * z_inv % P))
+    affine.reverse()
+    return affine
+
+
+def _j_double(point: _JPoint, times: int = 1) -> _JPoint:
+    """``2**times · point``."""
     x, y, z = point
     if z == 0 or y == 0:
         return _J_INFINITY
-    y2 = (y * y) % P
-    s = (4 * x * y2) % P
-    m = (3 * x * x) % P  # a == 0 for secp256k1
-    nx = (m * m - 2 * s) % P
-    ny = (m * (s - nx) - 8 * y2 * y2) % P
-    nz = (2 * y * z) % P
-    return (nx, ny, nz)
+    for _ in range(times):
+        y2 = (y * y) % P
+        s = (4 * x * y2) % P
+        m = (3 * x * x) % P  # a == 0 for secp256k1
+        x = (m * m - 2 * s) % P
+        z = (2 * y * z) % P
+        y = (m * (s - x) - 8 * y2 * y2) % P
+    return (x, y, z)
 
 
-def _j_add(p1: _JPoint, p2: _JPoint) -> _JPoint:
+def _j_add_affine(p1: _JPoint, p2: tuple[int, int]) -> _JPoint:
+    """Mixed addition: ``p2`` is affine (Z == 1) and finite, which takes
+    eleven multiplications where two Jacobian points take sixteen."""
     x1, y1, z1 = p1
-    x2, y2, z2 = p2
+    x2, y2 = p2
     if z1 == 0:
-        return p2
-    if z2 == 0:
-        return p1
+        return (x2, y2, 1)
     z12 = (z1 * z1) % P
-    z22 = (z2 * z2) % P
-    u1 = (x1 * z22) % P
-    u2 = (x2 * z12) % P
-    s1 = (y1 * z22 * z2) % P
-    s2 = (y2 * z12 * z1) % P
-    if u1 == u2:
-        if s1 != s2:
-            return _J_INFINITY
-        return _j_double(p1)
-    h = (u2 - u1) % P
-    r = (s2 - s1) % P
+    h = (x2 * z12 - x1) % P
+    r = (y2 * z12 * z1 - y1) % P
+    if h == 0:
+        return _j_double(p1) if r == 0 else _J_INFINITY
     h2 = (h * h) % P
     h3 = (h2 * h) % P
-    u1h2 = (u1 * h2) % P
-    nx = (r * r - h3 - 2 * u1h2) % P
-    ny = (r * (u1h2 - nx) - s1 * h3) % P
-    nz = (h * z1 * z2) % P
-    return (nx, ny, nz)
+    x1h2 = (x1 * h2) % P
+    nx = (r * r - h3 - 2 * x1h2) % P
+    ny = (r * (x1h2 - nx) - y1 * h3) % P
+    return (nx, ny, (h * z1) % P)
 
 
-def _j_mul(point: _JPoint, scalar: int) -> _JPoint:
-    """Scalar multiplication with a fixed 4-bit window."""
-    scalar %= N
-    if scalar == 0:
-        return _J_INFINITY
-    # Precompute 1P..15P.
-    table = [_J_INFINITY, point]
-    for _ in range(14):
-        table.append(_j_add(table[-1], point))
-    result = _J_INFINITY
-    for nibble_index in range((scalar.bit_length() + 3) // 4 - 1, -1, -1):
-        for _ in range(4):
-            result = _j_double(result)
-        nibble = (scalar >> (4 * nibble_index)) & 0xF
-        if nibble:
-            result = _j_add(result, table[nibble])
+def _comb_table(point: tuple[int, int]) -> list[tuple[int, int]]:
+    """Entry ``15*i + j - 1`` is the affine ``j · 16**i · point``, for
+    ``j`` in 1..15 and ``i`` in 0..63."""
+    bases = [(*point, 1)]
+    for _ in range(_COMB_ROWS - 1):
+        bases.append(_j_double(bases[-1], _COMB_WINDOW))
+    multiples = []
+    for base in _normalise(bases):
+        multiples.append((*base, 1))
+        for _ in range(_COMB_ROW - 1):
+            multiples.append(_j_add_affine(multiples[-1], base))
+    return _normalise(multiples)
+
+
+def _comb_mul(
+    table: list[tuple[int, int]], scalar: int, start: _JPoint = _J_INFINITY
+) -> _JPoint:
+    """``start + scalar · B`` for the table's base ``B`` and a scalar in
+    [0, n): one mixed addition per non-zero window, no doublings."""
+    result = start
+    for row in range(0, len(table), _COMB_ROW):
+        window = scalar & _COMB_ROW
+        if window:
+            result = _j_add_affine(result, table[row + window - 1])
+        scalar >>= _COMB_WINDOW
     return result
+
+
+def _odd_multiples(point: tuple[int, int], width: int) -> dict[int, tuple[int, int]]:
+    """The wNAF table of ``point``: affine ``d · point`` for every odd
+    ``|d| < 2**(width-1)``, negatives included (a sign flip of y)."""
+    multiples = [(*point, 1)]
+    twice = _from_jacobian(_j_double(multiples[0]))
+    for _ in range((1 << (width - 2)) - 1):
+        multiples.append(_j_add_affine(multiples[-1], twice))
+    table = {}
+    for index, (x, y) in enumerate(_normalise(multiples)):
+        table[2 * index + 1] = (x, y)
+        table[-2 * index - 1] = (x, P - y)
+    return table
+
+
+def _wnaf(scalar: int, width: int) -> list[tuple[int, int]]:
+    """Width-``width`` non-adjacent form of ``scalar`` as its non-zero
+    ``(bit position, digit)`` terms, lowest first: digits are odd with
+    ``|d| < 2**(width-1)`` and positions at least ``width`` apart."""
+    terms = []
+    position = 0
+    full = 1 << width
+    while scalar:
+        zeros = (scalar & -scalar).bit_length() - 1
+        scalar >>= zeros
+        position += zeros
+        digit = scalar & (full - 1)
+        if digit >= full >> 1:
+            digit -= full
+        scalar -= digit
+        terms.append((position, digit))
+    return terms
+
+
+@cache
+def _generator_tables() -> tuple[list[tuple[int, int]], dict[int, tuple[int, int]]]:
+    """``G``'s comb table and wNAF table, built on first use."""
+    return _comb_table((GX, GY)), _odd_multiples((GX, GY), _G_WNAF_WIDTH)
+
+
+def _straus(u1: int, u2: int, point: tuple[int, int]) -> _JPoint:
+    """``u1·G + u2·point`` for scalars in [0, n) in one interleaved pass:
+    both wNAF expansions share a single doubling chain."""
+    g_table = _generator_tables()[1]
+    q_table = _odd_multiples(point, _Q_WNAF_WIDTH)
+    terms = [(at, g_table[digit]) for at, digit in _wnaf(u1, _G_WNAF_WIDTH)]
+    terms += [(at, q_table[digit]) for at, digit in _wnaf(u2, _Q_WNAF_WIDTH)]
+    terms.sort(reverse=True)  # highest bit position first
+    result = _J_INFINITY
+    position = 0  # of the last term added; doubling infinity is a no-op
+    for at, multiple in terms:
+        result = _j_add_affine(_j_double(result, position - at), multiple)
+        position = at
+    return _j_double(result, position)
+
+
+#: Comb tables of pinned keys, least recently used first.
+_pinned: OrderedDict[tuple[int, int], list[tuple[int, int]]] = OrderedDict()
+
+
+def pin_public_point(public: Point) -> None:
+    """Give ``public`` a comb table: verifying against it then costs half,
+    building it costs six verifications.  Only for keys the caller has
+    *authenticated* and will meet again: pinning whatever a message names
+    would sell 7 ms of CPU per forgery and evict the tables that matter."""
+    if public is None or not is_on_curve(public):
+        raise SignatureError("invalid public key point")
+    if public not in _pinned:
+        _pinned[public] = _comb_table(public)
+    _pinned.move_to_end(public)
+    if len(_pinned) > _PINNED_LIMIT:
+        _pinned.popitem(last=False)
 
 
 def point_mul(point: Point, scalar: int) -> Point:
     """Multiply an affine ``point`` by ``scalar`` on secp256k1."""
-    return _from_jacobian(_j_mul(_to_jacobian(point), scalar))
+    if point is None:
+        return None
+    return _from_jacobian(_straus(0, scalar % N, point))
 
 
 def point_add(p1: Point, p2: Point) -> Point:
     """Add two affine points on secp256k1."""
-    return _from_jacobian(_j_add(_to_jacobian(p1), _to_jacobian(p2)))
+    if p1 is None or p2 is None:
+        return p1 or p2
+    return _from_jacobian(_j_add_affine((*p1, 1), p2))
 
 
 def generator() -> Point:
@@ -139,7 +248,7 @@ def derive_public_point(secret: int) -> Point:
     """Return the public point ``secret * G``; ``secret`` must be in [1, n)."""
     if not 1 <= secret < N:
         raise CryptoError("secret scalar out of range")
-    return point_mul(generator(), secret)
+    return _from_jacobian(_comb_mul(_generator_tables()[0], secret))
 
 
 def _bits2int(data: bytes) -> int:
@@ -182,13 +291,13 @@ def sign_digest(secret: int, msg_hash: bytes) -> tuple[int, int]:
     while True:
         extra = attempt.to_bytes(4, "big") if attempt else b""
         k = rfc6979_nonce(secret, msg_hash, extra)
-        point = point_mul(generator(), k)
+        point = _from_jacobian(_comb_mul(_generator_tables()[0], k))
         assert point is not None
         r = point[0] % N
         if r == 0:
             attempt += 1
             continue
-        k_inv = pow(k, N - 2, N)
+        k_inv = pow(k, -1, N)
         s = (k_inv * (z + r * secret)) % N
         if s == 0:
             attempt += 1
@@ -208,12 +317,14 @@ def verify_digest(public: Point, msg_hash: bytes, signature: tuple[int, int]) ->
     if not (1 <= r < N and 1 <= s < N):
         return False
     z = _bits2int(msg_hash) % N
-    s_inv = pow(s, N - 2, N)
+    s_inv = pow(s, -1, N)
     u1 = (z * s_inv) % N
     u2 = (r * s_inv) % N
-    point = _from_jacobian(
-        _j_add(_j_mul(_to_jacobian(generator()), u1), _j_mul(_to_jacobian(public), u2))
-    )
-    if point is None:
-        return False
-    return point[0] % N == r
+    table = _pinned.get(public)
+    if table is not None:
+        _pinned.move_to_end(public)
+        total = _comb_mul(table, u2, _comb_mul(_generator_tables()[0], u1))
+    else:
+        total = _straus(u1, u2, public)
+    point = _from_jacobian(total)
+    return point is not None and point[0] % N == r

@@ -47,3 +47,9 @@ def verify(
         return ecdsa.verify_digest(public.point, digest, (signature.r, signature.s))
     except CryptoError:
         return False
+
+
+def pin_verification_key(public: PublicKey) -> None:
+    """Precompute ``public``'s verification table: only for a key just
+    authenticated (see :func:`repro.crypto.ecdsa.pin_public_point`)."""
+    ecdsa.pin_public_point(public.point)

@@ -3,8 +3,8 @@
 The state of the chain (Fig. 1's ``H_state``) is a mapping from 32-byte
 keys to byte-string values.  We commit to it with a fixed-depth sparse
 Merkle tree: every possible key prefix addresses a node, absent subtrees
-hash to a per-level *default digest*, and only non-default nodes are
-stored.  This gives
+hash to a per-level *default digest*, and of the non-default nodes only
+branches and one entry per leaf are stored.  This gives
 
 * O(depth) inserts/updates/deletes,
 * membership **and non-membership** proofs of the same shape, and
@@ -22,6 +22,7 @@ silently corrupting state.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from repro.crypto.hashing import Digest, hash_leaf, hash_node
@@ -84,7 +85,15 @@ class SMTProof:
 
 
 class SparseMerkleTree:
-    """Mutable sparse Merkle tree with compressed (non-)membership proofs."""
+    """Mutable sparse Merkle tree with compressed (non-)membership proofs.
+
+    Of the ``depth`` non-default nodes above a leaf, storage keeps two
+    kinds: a *branch* (both subtrees occupied), and each leaf once, at
+    its *lone top* — the highest node whose subtree holds nothing else —
+    as the leaf digest folded up through default siblings.  Chains below
+    a lone top and nodes with one empty child are recomputed on demand:
+    ``2n - 1`` entries for ``n`` leaves, whatever the depth.
+    """
 
     def __init__(self, depth: int = DEFAULT_DEPTH) -> None:
         if not 1 <= depth <= 256:
@@ -93,10 +102,11 @@ class SparseMerkleTree:
         self._defaults = default_digests(depth)
         self._values: dict[bytes, bytes] = {}
         self._path_to_key: dict[int, bytes] = {}
-        # Non-default node digests keyed by (level, prefix); level 0 is the
-        # leaf level, level == depth is the root.  ``prefix`` is the path
-        # truncated to ``depth - level`` bits.
+        self._paths: list[int] = []  # occupied paths, ascending
+        # Branch and lone-top digests keyed by (level, prefix): level 0 is
+        # the leaves, ``prefix`` the path's top ``depth - level`` bits.
         self._nodes: dict[tuple[int, int], Digest] = {}
+        self._root = self._defaults[depth]
 
     def __len__(self) -> int:
         return len(self._values)
@@ -106,7 +116,7 @@ class SparseMerkleTree:
 
     @property
     def root(self) -> Digest:
-        return self._nodes.get((self.depth, 0), self._defaults[self.depth])
+        return self._root
 
     def get(self, key: bytes) -> bytes | None:
         """Return the value stored at ``key`` or None."""
@@ -118,71 +128,130 @@ class SparseMerkleTree:
 
     def update(self, key: bytes, value: bytes | None) -> None:
         """Set ``key`` to ``value`` (None deletes), updating path digests."""
-        self._set_leaf(key, value)
         path = key_path(key, self.depth)
-        self._recompute_path(path)
+        holder = self._path_to_key.get(path)
+        if holder is not None and holder != key:
+            raise StateError("SMT path collision between distinct keys; increase depth")
+        if value is None and holder is None:
+            return
+        paths = self._paths
+        if value is None or holder is None:
+            # The leaf set changes, and with it how far up the sorted
+            # neighbours of ``path`` are alone.
+            index = bisect_left(paths, path)
+            around = [n for n in paths[max(index - 1, 0) : index + 2] if n != path]
+            tops = [self._lone_top(n) for n in around]
+            if value is None:
+                top = self._lone_top(path)
+                del self._nodes[(top, path >> top)]
+                # The node above was a branch; one child is empty now.
+                self._nodes.pop((top + 1, path >> (top + 1)), None)
+                del paths[index], self._path_to_key[path], self._values[key]
+            else:
+                paths.insert(index, path)
+                self._path_to_key[path] = key
+            for neighbour, top in zip(around, tops):
+                if self._lone_top(neighbour) != top:
+                    del self._nodes[(top, neighbour >> top)]
+                    self._place(neighbour)
+        if value is not None:
+            self._values[key] = value
+            self._place(path)
+        elif not paths:
+            self._root = self._defaults[self.depth]
+            return
+        else:
+            # Every node above the removed leaf is also above its
+            # closest neighbour.
+            path = min(around, key=lambda n: n ^ path)
+        self._rehash_above(path)
 
     def update_batch(self, items: dict[bytes, bytes | None]) -> None:
-        """Apply many writes, recomputing shared internal nodes only once."""
-        dirty = set()
+        """Apply many writes."""
         for key, value in items.items():
-            self._set_leaf(key, value)
-            dirty.add(key_path(key, self.depth))
-        for level in range(1, self.depth + 1):
-            parents = {path >> 1 for path in dirty}
-            for prefix in parents:
-                self._recompute_node(level, prefix)
-            dirty = parents
+            self.update(key, value)
 
     def prove(self, key: bytes) -> SMTProof:
         """Build a compressed (non-)membership proof for ``key``."""
         path = key_path(key, self.depth)
+        # Below the level where the key is (or would be) alone, every
+        # sibling is empty.
+        lowest = self._lone_top(path)
+        mask = (1 << lowest) - 1
         siblings: list[Digest] = []
-        mask = 0
-        prefix = path
-        for level in range(self.depth):
-            sibling = self._nodes.get((level, prefix ^ 1))
+        for level in range(lowest, self.depth):
+            sibling = self._subtree_digest(level, (path >> level) ^ 1)
             if sibling is None:
                 mask |= 1 << level
             else:
                 siblings.append(sibling)
-            prefix >>= 1
         return SMTProof(
             key=key, depth=self.depth, default_mask=mask, siblings=tuple(siblings)
         )
 
     # -- internals -------------------------------------------------------
 
-    def _set_leaf(self, key: bytes, value: bytes | None) -> None:
-        path = key_path(key, self.depth)
-        holder = self._path_to_key.get(path)
-        if holder is not None and holder != key:
-            raise StateError(
-                "SMT path collision between distinct keys; increase depth"
-            )
-        if value is None:
-            self._values.pop(key, None)
-            self._path_to_key.pop(path, None)
-            self._nodes.pop((0, path), None)
-        else:
-            self._values[key] = value
-            self._path_to_key[path] = key
-            self._nodes[(0, path)] = leaf_digest(key, value)
+    def _lone_top(self, path: int) -> int:
+        """The highest level at which a leaf at ``path`` is (or would be)
+        alone in its subtree: one below where it first shares a node with
+        the nearer of its sorted neighbours, ``depth`` when it has none."""
+        index = bisect_left(self._paths, path)
+        near = self._paths[max(index - 1, 0) : index + 2]
+        return min(
+            ((n ^ path).bit_length() - 1 for n in near if n != path), default=self.depth
+        )
 
-    def _recompute_path(self, path: int) -> None:
-        prefix = path
-        for level in range(1, self.depth + 1):
-            prefix >>= 1
-            self._recompute_node(level, prefix)
+    def _fold(self, digest: Digest, path: int, low: int, high: int) -> Digest:
+        """Digest of ``path``'s ancestor at level ``high``, given the one at
+        ``low`` and nothing else below ``high``."""
+        defaults = self._defaults
+        for level in range(low, high):
+            if path >> level & 1:
+                digest = hash_node(defaults[level], digest)
+            else:
+                digest = hash_node(digest, defaults[level])
+        return digest
 
-    def _recompute_node(self, level: int, prefix: int) -> None:
-        child_default = self._defaults[level - 1]
-        left = self._nodes.get((level - 1, prefix << 1), child_default)
-        right = self._nodes.get((level - 1, (prefix << 1) | 1), child_default)
-        if left == child_default and right == child_default:
-            self._nodes.pop((level, prefix), None)
-        else:
-            self._nodes[(level, prefix)] = hash_node(left, right)
+    def _leaf_fold(self, path: int, level: int) -> Digest:
+        key = self._path_to_key[path]
+        return self._fold(leaf_digest(key, self._values[key]), path, 0, level)
+
+    def _place(self, path: int) -> None:
+        """Store the leaf at ``path`` at its lone top."""
+        top = self._lone_top(path)
+        self._nodes[(top, path >> top)] = self._leaf_fold(path, top)
+
+    def _subtree_digest(self, level: int, prefix: int) -> Digest | None:
+        """Digest of any node, stored or not; None for an empty subtree."""
+        stored = self._nodes.get((level, prefix))
+        if stored is not None:
+            return stored
+        paths = self._paths
+        low = bisect_left(paths, prefix << level)
+        high = bisect_left(paths, (prefix + 1) << level, low)
+        if low == high:
+            return None
+        first, last = paths[low], paths[high - 1]
+        if first == last:
+            # A lone leaf below its top: the sibling of a non-member's path.
+            return self._leaf_fold(first, level)
+        branch = (first ^ last).bit_length()
+        return self._fold(self._nodes[(branch, first >> branch)], first, branch, level)
+
+    def _rehash_above(self, path: int) -> None:
+        """Recompute every ancestor of the lone top of the leaf at
+        ``path``, storing those that are branches."""
+        top = self._lone_top(path)
+        digest = self._nodes[(top, path >> top)]
+        for level in range(top, self.depth):
+            prefix = path >> level
+            sibling = self._subtree_digest(level, prefix ^ 1)
+            if sibling is None:
+                digest = self._fold(digest, path, level, level + 1)
+            else:
+                pair = (sibling, digest) if prefix & 1 else (digest, sibling)
+                digest = self._nodes[(level + 1, prefix >> 1)] = hash_node(*pair)
+        self._root = digest
 
 
 def verify_proof(

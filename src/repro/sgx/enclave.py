@@ -20,6 +20,7 @@ program can expose data (e.g. its public key) by returning it.
 from __future__ import annotations
 
 import inspect
+from functools import lru_cache
 from typing import Any
 
 from repro import obs
@@ -30,6 +31,11 @@ from repro.obs.wallclock import elapsed_s, now_s
 from repro.sgx.attestation import AttestationReport, AttestationService, sign_quote
 from repro.sgx.costs import CostLedger, SGXCostModel, model_enabled, spend
 from repro.sgx.platform import SGXPlatform
+
+
+#: ``inspect.getsource`` tokenises and parses the whole module on every
+#: call, and a class's source cannot change within a process.
+_class_source = lru_cache(maxsize=32)(inspect.getsource)
 
 
 def measure_program(program_class: type, config: bytes = b"") -> Digest:
@@ -47,7 +53,7 @@ def measure_program(program_class: type, config: bytes = b"") -> Digest:
         if klass in (object, EnclaveProgram):
             continue
         try:
-            chunks.append(inspect.getsource(klass))
+            chunks.append(_class_source(klass))
         except (OSError, TypeError) as exc:  # dynamically built classes
             raise EnclaveError(
                 f"cannot measure {klass.__qualname__}: source unavailable"

@@ -23,6 +23,11 @@ every path adopts through the one ``SuperlightClient.adopt``, so a
 forgery anywhere in the bundle leaves ``to_json()`` byte-identical on
 all of them — never a header at N with index roots at N-1.
 
+Nor does a forgery buy precomputation: a ``pk_enc`` gets a pinned
+verification table only once an IAS-signed report for the expected
+program vouches for it, so the table cache holds the same keys after
+any forged bundle as before.
+
 Seeds and replay: see tests/proptest/framework.py.
 """
 
@@ -30,9 +35,12 @@ from __future__ import annotations
 
 import pytest
 
+from dataclasses import replace
 from types import SimpleNamespace
 
-from repro.core import CertifiedTip, ClientConfig, IssuerService, connect
+from repro.core import Certificate, CertifiedTip, ClientConfig, IssuerService, connect
+from repro.core.certificate import CERT_SIG_DOMAIN
+from repro.crypto import ecdsa, generate_keypair, sign
 from repro.errors import CertificateError, ServiceUnavailableError
 from repro.net.bus import MessageBus
 from repro.net.messages import PushEnvelope
@@ -135,8 +143,14 @@ def test_mutated_announcements_never_move_a_tip_unverified(world):
         mutated = mutate_one_byte(payload, rng)
         probe = _make_probe(world, rng, "tipprobe")
         before_state = probe.client.to_json()
+        pinned_before = set(ecdsa._pinned)
         probe._on_push(PushEnvelope(payload=mutated))
 
+        # Only the genuine pk_enc (pinned when the probe adopted N-1)
+        # ever has a table: a flip inside pk_enc fails the report binding.
+        assert set(ecdsa._pinned) == pinned_before, (
+            "a mutated announcement got a key pinned"
+        )
         # The tip is only ever where it was, or at the genuine header.
         assert probe.latest_header in (prev_header, genuine.header), (
             "a mutated announcement installed a forged tip"
@@ -260,3 +274,48 @@ def test_forged_bundles_are_rejected_atomically_on_polled_and_local_paths(world)
         assert local.latest_header == prev.block.header
 
     run_cases(prop)
+
+
+def test_a_pk_enc_without_a_verified_report_is_never_pinned(world):
+    """A forger who signs with a key of their own can present it under
+    the genuine report (binding fails) or under a report of their own
+    making (IAS check fails); neither earns a table, and tables never
+    reach the wallet encoding or the storage count."""
+    setup = world["setup"]
+    issuer = world["issuer"]
+    tip = issuer.certified[-1]
+    genuine = tip.certificate
+    forger = generate_keypair(b"forger")
+    fake_ias = generate_keypair(b"forger-ias")
+    unsigned = replace(
+        genuine.report,
+        report_data=forger.public.to_bytes(),
+        ias_key=fake_ias.public,
+    )
+    own_report = replace(
+        unsigned,
+        signature=sign(fake_ias.private, unsigned.signed_payload(), "ias-report"),
+    )
+    client = connect(ClientConfig(
+        measurement=issuer.measurement, ias_public_key=setup["ias"].public_key,
+    ))
+    client.adopt(issuer.certified[-2])
+    assert genuine.pk_enc.point in ecdsa._pinned
+    pinned_before = list(ecdsa._pinned)
+    state_before, bytes_before = client.to_json(), client.storage_bytes()
+    for report in (genuine.report, own_report):
+        forged = Certificate(
+            pk_enc=forger.public,
+            report=report,
+            dig=genuine.dig,
+            sig=sign(forger.private, genuine.dig, CERT_SIG_DOMAIN),
+        )
+        with pytest.raises(CertificateError):
+            client.adopt(CertifiedTip(
+                header=tip.block.header, certificate=forged,
+                index_certificates={}, index_roots={},
+            ))
+        assert list(ecdsa._pinned) == pinned_before
+        assert forger.public.point not in ecdsa._pinned
+    assert client.to_json() == state_before
+    assert client.storage_bytes() == bytes_before

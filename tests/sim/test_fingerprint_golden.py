@@ -24,9 +24,9 @@ GOLDEN = {
     "overload": "d1f29acf0381d258a30cd9837c8b36d59c64166aceebf4733b680b5dadc4b86a",
 }
 
-#: Generous: the slowest of these takes ~15 s; the old livelock never
+#: Generous: the slowest of these takes ~6 s; the old livelock never
 #: returned at all.
-TERMINATION_BOUND_S = 180
+TERMINATION_BOUND_S = 60
 
 
 @pytest.mark.parametrize("profile", sorted(GOLDEN))

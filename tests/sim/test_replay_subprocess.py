@@ -41,7 +41,7 @@ def test_printed_replay_command_reproduces_the_failure():
     # The command carries its own env assignments; run it verbatim.
     proc = subprocess.run(
         ["bash", "-c", command.replace("python ", f"{sys.executable} ", 1)],
-        cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=570,
+        cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     output = proc.stdout + proc.stderr
     assert proc.returncode != 0, (
