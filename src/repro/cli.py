@@ -144,7 +144,7 @@ def cmd_info(_: argparse.Namespace) -> int:
     inventory = [
         ("repro.crypto", "secp256k1 ECDSA (RFC-6979), SHA-256 hashing"),
         ("repro.merkle", "MHT, sparse Merkle tree + partial trees, MPT, "
-                         "MB-tree, aggregate MB-tree, skip list, MMR, inverted index"),
+                         "B+-tree engine (MB-tree, aggregate tree), skip list, MMR"),
         ("repro.chain", "transactions, PoW blocks, contract VM, miner, "
                         "full/fork-aware nodes, light client"),
         ("repro.contracts", "Blockbench: DoNothing, CPUHeavy, IOHeavy, KVStore, SmallBank"),

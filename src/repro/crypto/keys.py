@@ -24,6 +24,10 @@ class PublicKey:
     y: int
 
     def __post_init__(self) -> None:
+        # Exact ints only: float arithmetic can satisfy the curve check.
+        for coordinate in (self.x, self.y):
+            if type(coordinate) is not int or not 0 <= coordinate < ecdsa.P:
+                raise CryptoError("public key coordinate is not a field element")
         if not ecdsa.is_on_curve((self.x, self.y)):
             raise CryptoError("public key point is not on secp256k1")
 

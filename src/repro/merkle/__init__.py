@@ -15,15 +15,22 @@ Merkle structures, each reproduced here from scratch:
   holding the state (Alg. 2, lines 17/22-23).
 * :mod:`repro.merkle.mpt` — a Merkle Patricia Trie, the upper level of
   the two-level historical-query index (§5.4, Fig. 5).
+* :mod:`repro.merkle.bptree` — the one authenticated B+-tree engine
+  (nodes, insert + split, insert proofs and their enclave-side replay),
+  parameterised by a *scheme*; it has exactly two:
 * :mod:`repro.merkle.mbtree` — a Merkle B-tree (Li et al., SIGMOD'06),
-  the lower level of the two-level index; supports authenticated range
+  the lower level of the two-level index and the posting lists of the
+  keyword index (§5.4, both sides of Fig. 5); adds authenticated range
   queries with completeness proofs.
+* :mod:`repro.merkle.aggtree` — the same tree with a (count, sum, min,
+  max) aggregate per node, for verifiable aggregations (§5.1).
 * :mod:`repro.merkle.skiplist` — an authenticated deterministic skip
   list, the LineageChain baseline index.
 * :mod:`repro.merkle.mmr` — a Merkle Mountain Range, used by the
   FlyClient-style baseline client (related-work extension).
-* :mod:`repro.merkle.inverted` — a Merkle inverted index for conjunctive
-  keyword queries over transactions (§5.4, right side of Fig. 5).
+
+The conjunctive-keyword index (a dictionary MPT over posting MB-trees)
+is :class:`repro.query.indexes.MaintainedKeywordIndex`.
 """
 
 from repro.merkle.aggtree import (
@@ -31,11 +38,6 @@ from repro.merkle.aggtree import (
     AggregateMBTree,
     AggRangeProof,
     verify_aggregate,
-)
-from repro.merkle.inverted import (
-    ConjunctiveProof,
-    MerkleInvertedIndex,
-    verify_conjunctive,
 )
 from repro.merkle.mbtree import MBRangeProof, MerkleBTree, verify_range
 from repro.merkle.mht import MembershipProof, MerkleTree, verify_membership
@@ -55,13 +57,11 @@ __all__ = [
     "Aggregate",
     "AggregateMBTree",
     "AuthenticatedSkipList",
-    "ConjunctiveProof",
     "MBRangeProof",
     "MMRProof",
     "MPTProof",
     "MembershipProof",
     "MerkleBTree",
-    "MerkleInvertedIndex",
     "MerkleMountainRange",
     "MerklePatriciaTrie",
     "MerkleTree",
@@ -71,7 +71,6 @@ __all__ = [
     "SkipRangeProof",
     "SparseMerkleTree",
     "verify_aggregate",
-    "verify_conjunctive",
     "verify_membership",
     "verify_mmr",
     "verify_mpt",

@@ -7,25 +7,31 @@ additionally authenticates the (count, sum, min, max) aggregate of its
 subtree, folded into the node digest.  A ``SUM/COUNT/MIN/MAX/AVG`` over
 a key window then needs to *open* only the two boundary paths — fully
 covered subtrees contribute their authenticated aggregate directly —
-so the proof is O(fanout * depth) no matter how wide the window is.
+so the proof is O(fanout * depth) no matter how wide the window is, and
+so is the work: every node caches its aggregate with its digest.
 
 Keys are unsigned integers (timestamps); values are signed integers
-(balances, amounts).  The structural layout, split rules, and insert
-machinery deliberately mirror :mod:`repro.merkle.mbtree` so the same
-proof-based-insert pattern certifies this index inside the enclave.
+(balances, amounts).  The tree itself — nodes, insert + split, insert
+proofs and their replay — is :mod:`repro.merkle.bptree` run on
+:data:`SCHEME`, the same engine as :mod:`repro.merkle.mbtree`; this
+module adds the aggregate-query side and the proof types.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import attrgetter
 
-from repro.crypto.hashing import Digest, hash_concat, sha256
+from repro.crypto.hashing import Digest, sha256
 from repro.errors import ProofError
-
-DEFAULT_FANOUT = 16
+from repro.merkle import bptree
 
 #: Root committed by an empty tree.
 EMPTY_ROOT: Digest = sha256(b"repro-aggtree-empty")
+
+_COUNT_LIMIT = 1 << 64
+_VALUE_LIMIT = 1 << 127  # values, sums and extrema are signed 128-bit
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,114 +56,31 @@ class Aggregate:
         )
 
     def encode(self) -> bytes:
+        """The 56 bytes a parent commits to; :class:`ProofError` when a
+        field is not an integer inside its width or the count is not
+        positive (no subtree is empty)."""
+        count = bptree.check_int(self.count, 1, _COUNT_LIMIT, "count")
         return (
-            self.count.to_bytes(8, "big")
-            + self.total.to_bytes(16, "big", signed=True)
-            + self.minimum.to_bytes(16, "big", signed=True)
-            + self.maximum.to_bytes(16, "big", signed=True)
+            count.to_bytes(8, "big")
+            + _value_bytes(self.total)
+            + _value_bytes(self.minimum)
+            + _value_bytes(self.maximum)
         )
 
 
-#: Identity for merging (encodes distinctly from any real aggregate).
+def _value_bytes(value: object) -> bytes:
+    checked = bptree.check_int(value, -_VALUE_LIMIT, _VALUE_LIMIT, "value")
+    return checked.to_bytes(16, "big", signed=True)
+
+
+def _encode_aggregate(aggregate: object) -> bytes:
+    if not isinstance(aggregate, Aggregate):
+        raise ProofError("subtree annotation is not an aggregate")
+    return aggregate.encode()
+
+
 def _merge_many(aggregates: list[Aggregate]) -> Aggregate | None:
-    result: Aggregate | None = None
-    for aggregate in aggregates:
-        result = aggregate if result is None else result.merge(aggregate)
-    return result
-
-
-def _key_bytes(key: int) -> bytes:
-    return key.to_bytes(8, "big")
-
-
-def _value_bytes(value: int) -> bytes:
-    return value.to_bytes(16, "big", signed=True)
-
-
-def _leaf_digest(entries: list[tuple[int, int]]) -> Digest:
-    parts = [b"agg-leaf"]
-    for key, value in entries:
-        parts.append(_key_bytes(key) + _value_bytes(value))
-    return hash_concat(*parts)
-
-
-def _internal_digest(children: list[tuple[int, int, Aggregate, Digest]]) -> Digest:
-    parts = [b"agg-int"]
-    for min_key, max_key, aggregate, digest in children:
-        parts.append(
-            _key_bytes(min_key) + _key_bytes(max_key) + aggregate.encode() + digest
-        )
-    return hash_concat(*parts)
-
-
-def _leaf_aggregate(entries: list[tuple[int, int]]) -> Aggregate:
-    merged = _merge_many([Aggregate.of_value(value) for _, value in entries])
-    assert merged is not None
-    return merged
-
-
-class _LeafNode:
-    __slots__ = ("entries", "_digest")
-
-    def __init__(self, entries: list[tuple[int, int]]) -> None:
-        self.entries = entries
-        self._digest: Digest | None = None
-
-    @property
-    def min_key(self) -> int:
-        return self.entries[0][0]
-
-    @property
-    def max_key(self) -> int:
-        return self.entries[-1][0]
-
-    def aggregate(self) -> Aggregate:
-        return _leaf_aggregate(self.entries)
-
-    def invalidate(self) -> None:
-        self._digest = None
-
-    def digest(self) -> Digest:
-        if self._digest is None:
-            self._digest = _leaf_digest(self.entries)
-        return self._digest
-
-
-class _InternalNode:
-    __slots__ = ("children", "_digest")
-
-    def __init__(self, children: list["_LeafNode | _InternalNode"]) -> None:
-        self.children = children
-        self._digest: Digest | None = None
-
-    @property
-    def min_key(self) -> int:
-        return self.children[0].min_key
-
-    @property
-    def max_key(self) -> int:
-        return self.children[-1].max_key
-
-    def aggregate(self) -> Aggregate:
-        merged = _merge_many([child.aggregate() for child in self.children])
-        assert merged is not None
-        return merged
-
-    def invalidate(self) -> None:
-        self._digest = None
-
-    def digest(self) -> Digest:
-        if self._digest is None:
-            self._digest = _internal_digest(
-                [
-                    (child.min_key, child.max_key, child.aggregate(), child.digest())
-                    for child in self.children
-                ]
-            )
-        return self._digest
-
-
-_ANode = _LeafNode | _InternalNode
+    return reduce(Aggregate.merge, aggregates) if aggregates else None
 
 
 # -- aggregate query proofs ---------------------------------------------------
@@ -212,206 +135,7 @@ def _agg_node_size(node: _AggProofNode | None) -> int:
     return sum(_agg_node_size(child) for child in node.children)
 
 
-class AggregateMBTree:
-    """MB-tree with authenticated per-node aggregates."""
-
-    def __init__(self, fanout: int = DEFAULT_FANOUT) -> None:
-        if fanout < 4:
-            raise ValueError("fanout must be at least 4")
-        self.fanout = fanout
-        self._root: _ANode | None = None
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    @property
-    def root(self) -> Digest:
-        return self._root.digest() if self._root is not None else EMPTY_ROOT
-
-    def get(self, key: int) -> int | None:
-        node = self._root
-        while node is not None:
-            if isinstance(node, _LeafNode):
-                for entry_key, value in node.entries:
-                    if entry_key == key:
-                        return value
-                return None
-            chosen = node.children[0]
-            for child in node.children:
-                if child.min_key <= key:
-                    chosen = child
-                else:
-                    break
-            node = chosen
-        return None
-
-    def insert(self, key: int, value: int) -> None:
-        """Insert ``key -> value`` (overwrites an equal key)."""
-        if self._root is None:
-            self._root = _LeafNode([(key, value)])
-            self._size = 1
-            return
-        split = self._insert(self._root, key, value)
-        if split is not None:
-            self._root = _InternalNode([self._root, split])
-
-    def aggregate_query(self, lo: int, hi: int) -> tuple[Aggregate | None, AggRangeProof]:
-        """The aggregate of all keys in ``[lo, hi]``, plus its proof.
-
-        Returns ``None`` as the aggregate when the window is empty.
-        """
-        if lo > hi:
-            raise ProofError("empty range: lo > hi")
-        if self._root is None:
-            return None, AggRangeProof(lo=lo, hi=hi, root_opening=None)
-        collected: list[Aggregate] = []
-        opening = self._open(self._root, lo, hi, collected)
-        return _merge_many(collected), AggRangeProof(lo=lo, hi=hi, root_opening=opening)
-
-    # -- internals -----------------------------------------------------------
-
-    def _insert(self, node: _ANode, key: int, value: int) -> _ANode | None:
-        node.invalidate()
-        if isinstance(node, _LeafNode):
-            return self._insert_leaf(node, key, value)
-        chosen = 0
-        for index, child in enumerate(node.children):
-            if index == 0 or child.min_key <= key:
-                chosen = index
-            else:
-                break
-        split = self._insert(node.children[chosen], key, value)
-        if split is not None:
-            node.children.insert(chosen + 1, split)
-            if len(node.children) > self.fanout:
-                half = len(node.children) // 2
-                sibling = _InternalNode(node.children[half:])
-                node.children = node.children[:half]
-                return sibling
-        return None
-
-    def _insert_leaf(self, node: _LeafNode, key: int, value: int) -> _LeafNode | None:
-        position = len(node.entries)
-        for index, (entry_key, _) in enumerate(node.entries):
-            if entry_key == key:
-                node.entries[index] = (key, value)
-                return None
-            if entry_key > key:
-                position = index
-                break
-        node.entries.insert(position, (key, value))
-        self._size += 1
-        if len(node.entries) > self.fanout:
-            half = len(node.entries) // 2
-            sibling = _LeafNode(node.entries[half:])
-            node.entries = node.entries[:half]
-            return sibling
-        return None
-
-    def _open(
-        self, node: _ANode, lo: int, hi: int, collected: list[Aggregate]
-    ) -> _AggProofNode:
-        if isinstance(node, _LeafNode):
-            in_range = [
-                Aggregate.of_value(value)
-                for key, value in node.entries
-                if lo <= key <= hi
-            ]
-            merged = _merge_many(in_range)
-            if merged is not None:
-                collected.append(merged)
-            return AggLeafOpening(entries=tuple(node.entries))
-        children: list[_AggProofNode] = []
-        for child in node.children:
-            if child.max_key < lo or child.min_key > hi:
-                # Disjoint: stub, contributes nothing.
-                children.append(
-                    AggStub(child.min_key, child.max_key, child.aggregate(), child.digest())
-                )
-            elif lo <= child.min_key and child.max_key <= hi:
-                # Fully covered: stub whose aggregate is the contribution.
-                aggregate = child.aggregate()
-                collected.append(aggregate)
-                children.append(
-                    AggStub(child.min_key, child.max_key, aggregate, child.digest())
-                )
-            else:
-                children.append(self._open(child, lo, hi, collected))
-        return AggInternalOpening(children=tuple(children))
-
-
-def _verify_node(
-    node: _AggProofNode, lo: int, hi: int, collected: list[Aggregate]
-) -> tuple[Digest, int, int, Aggregate]:
-    """Returns (digest, min_key, max_key, aggregate), collecting in-range
-    contributions and raising on inconsistency."""
-    if isinstance(node, AggStub):
-        if node.min_key > node.max_key:
-            raise ProofError("stub with inverted key range")
-        if node.aggregate.count <= 0:
-            raise ProofError("stub with non-positive count")
-        if lo <= node.min_key and node.max_key <= hi:
-            collected.append(node.aggregate)
-        elif not (node.max_key < lo or node.min_key > hi):
-            raise ProofError("partially overlapping subtree left unopened")
-        return node.digest, node.min_key, node.max_key, node.aggregate
-    if isinstance(node, AggLeafOpening):
-        if not node.entries:
-            raise ProofError("opened leaf with no entries")
-        previous: int | None = None
-        for key, _ in node.entries:
-            if previous is not None and key <= previous:
-                raise ProofError("leaf entries out of order")
-            previous = key
-        in_range = _merge_many(
-            [Aggregate.of_value(v) for k, v in node.entries if lo <= k <= hi]
-        )
-        if in_range is not None:
-            collected.append(in_range)
-        return (
-            _leaf_digest(list(node.entries)),
-            node.entries[0][0],
-            node.entries[-1][0],
-            _leaf_aggregate(list(node.entries)),
-        )
-    if not node.children:
-        raise ProofError("opened internal node with no children")
-    quads: list[tuple[int, int, Aggregate, Digest]] = []
-    previous_max: int | None = None
-    merged: Aggregate | None = None
-    for child in node.children:
-        digest, min_key, max_key, aggregate = _verify_node(child, lo, hi, collected)
-        if previous_max is not None and min_key <= previous_max:
-            raise ProofError("children key ranges out of order")
-        previous_max = max_key
-        quads.append((min_key, max_key, aggregate, digest))
-        merged = aggregate if merged is None else merged.merge(aggregate)
-    assert merged is not None
-    return _internal_digest(quads), quads[0][0], quads[-1][1], merged
-
-
-def verify_aggregate(
-    root: Digest, result: Aggregate | None, proof: AggRangeProof
-) -> bool:
-    """Verify that ``result`` is the exact aggregate of ``[lo, hi]``."""
-    if proof.root_opening is None:
-        return root == EMPTY_ROOT and result is None
-    collected: list[Aggregate] = []
-    try:
-        digest, _, _, _ = _verify_node(proof.root_opening, proof.lo, proof.hi, collected)
-    except ProofError:
-        return False
-    if digest != root:
-        return False
-    return _merge_many(collected) == result
-
-
-# -- proof-based inserts (used inside the enclave) ---------------------------
-#
-# Same pattern as repro.merkle.mbtree: the insert descent path is opened
-# with aggregate-carrying stubs for off-path children, and applying the
-# insert (splits included) is a pure function of (old root, proof).
+# -- insert proofs (opened by the engine, replayed inside the enclave) -------
 
 
 @dataclass(frozen=True, slots=True)
@@ -447,158 +171,107 @@ class AggInsertProof:
         return total
 
 
-def _descend_choice(mins: list[int], key: int) -> int:
-    chosen = 0
-    for index, min_key in enumerate(mins):
-        if index == 0 or min_key <= key:
-            chosen = index
-        else:
-            break
-    return chosen
+#: The aggregate tree: a leaf entry commits to the integer value itself,
+#: a child record additionally to the subtree's :class:`Aggregate`.
+SCHEME = bptree.Scheme(
+    leaf_tag=b"agg-leaf",
+    internal_tag=b"agg-int",
+    empty_root=EMPTY_ROOT,
+    commit=lambda value: value,
+    encode_entry=_value_bytes,
+    annotate_leaf=lambda values: _merge_many([Aggregate.of_value(v) for v in values]),
+    merge=_merge_many,
+    encode_annotation=_encode_aggregate,
+    stub=AggStub,
+    to_stub=lambda s: AggStub(s.min_key, s.max_key, s.annotation, s.digest),
+    stub_annotation=attrgetter("aggregate"),
+    opened_leaf=AggOpenedLeaf,
+    opened_internal=AggOpenedInternal,
+    insert_proof=AggInsertProof,
+)
 
 
-def _prove_insert(self: AggregateMBTree, key: int) -> AggInsertProof:
-    """Open the descent path ``insert(key)`` would take."""
-    path: list[AggOpenedInternal | AggOpenedLeaf] = []
-    node = self._root
-    while node is not None:
-        if isinstance(node, _LeafNode):
-            path.append(AggOpenedLeaf(entries=tuple(node.entries)))
-            break
-        stubs = tuple(
-            AggStub(child.min_key, child.max_key, child.aggregate(), child.digest())
-            for child in node.children
-        )
-        taken = _descend_choice([child.min_key for child in node.children], key)
-        path.append(AggOpenedInternal(children=stubs, taken=taken))
-        node = node.children[taken]
-    return AggInsertProof(key=key, fanout=self.fanout, path=tuple(path))
+class AggregateMBTree(bptree.BPlusTree):
+    """MB-tree with authenticated per-node aggregates."""
+
+    scheme = SCHEME
+
+    def aggregate_query(self, lo: int, hi: int) -> tuple[Aggregate | None, AggRangeProof]:
+        """The aggregate of all keys in ``[lo, hi]``, plus its proof.
+
+        Returns ``None`` as the aggregate when the window is empty.
+        """
+        if lo > hi:
+            raise ProofError("empty range: lo > hi")
+        if self._root is None:
+            return None, AggRangeProof(lo=lo, hi=hi, root_opening=None)
+        collected: list[Aggregate] = []
+        opening = self._open(self._root, lo, hi, collected)
+        return _merge_many(collected), AggRangeProof(lo=lo, hi=hi, root_opening=opening)
+
+    def _open(
+        self, node: bptree._Node, lo: int, hi: int, collected: list[Aggregate]
+    ) -> _AggProofNode:
+        if node.leaf:
+            in_range = [value for key, value in node.items if lo <= key <= hi]
+            if in_range:
+                collected.append(SCHEME.annotate_leaf(in_range))
+            return AggLeafOpening(entries=tuple(node.items))
+        children: list[_AggProofNode] = []
+        for child in node.items:
+            summary = self.summary(child)
+            covered = lo <= summary.min_key and summary.max_key <= hi
+            if covered or summary.max_key < lo or summary.min_key > hi:
+                if covered:  # the stub's aggregate is the whole contribution
+                    collected.append(summary.annotation)
+                children.append(SCHEME.to_stub(summary))
+            else:
+                children.append(self._open(child, lo, hi, collected))
+        return AggInternalOpening(children=tuple(children))
 
 
-AggregateMBTree.prove_insert = _prove_insert
+def _verify_node(
+    node: _AggProofNode, lo: int, hi: int, collected: list[Aggregate]
+) -> bptree.Summary:
+    """Recompute a proof node's summary, collecting in-range
+    contributions and raising on inconsistency."""
+    if isinstance(node, AggStub):
+        summary = bptree.stub_summary(SCHEME, node)
+        if lo <= summary.min_key and summary.max_key <= hi:
+            collected.append(summary.annotation)
+        elif not (summary.max_key < lo or summary.min_key > hi):
+            raise ProofError("partially overlapping subtree left unopened")
+        return summary
+    if isinstance(node, AggLeafOpening):
+        summary = bptree.leaf_summary(SCHEME, node.entries)
+        in_range = [value for key, value in node.entries if lo <= key <= hi]
+        if in_range:
+            collected.append(SCHEME.annotate_leaf(in_range))
+        return summary
+    if not isinstance(node, AggInternalOpening):
+        raise ProofError("unknown aggregate-proof node")
+    return bptree.internal_summary(
+        SCHEME, [_verify_node(child, lo, hi, collected) for child in node.children]
+    )
+
+
+def verify_aggregate(
+    root: Digest, result: Aggregate | None, proof: AggRangeProof
+) -> bool:
+    """Verify that ``result`` is the exact aggregate of ``[lo, hi]``."""
+    if proof.root_opening is None:
+        return root == EMPTY_ROOT and result is None
+    if isinstance(proof.root_opening, AggStub):
+        return False  # nothing above the root vouches for a claimed summary
+    collected: list[Aggregate] = []
+    try:
+        summary = _verify_node(proof.root_opening, proof.lo, proof.hi, collected)
+    except ProofError:
+        return False
+    return summary.digest == root and _merge_many(collected) == result
 
 
 def apply_insert(old_root: Digest, key: int, value: int, proof: AggInsertProof) -> Digest:
-    """Pure function: the tree root after ``insert(key, value)``.
-
-    Verifies the opened path against ``old_root``; mirrors the exact
-    split behaviour of :class:`AggregateMBTree`.
-    """
-    if not proof.path:
-        if old_root != EMPTY_ROOT:
-            raise ProofError("non-empty tree needs an opened insert path")
-        return _leaf_digest([(key, value)])
-    if not isinstance(proof.path[-1], AggOpenedLeaf):
-        raise ProofError("insert path must end at a leaf")
-
-    # Verify the opening bottom-up against the old root.
-    verified_up: list[tuple[Digest, int, int, Aggregate]] = []
-    for position in range(len(proof.path) - 1, -1, -1):
-        node = proof.path[position]
-        if isinstance(node, AggOpenedLeaf):
-            if position != len(proof.path) - 1:
-                raise ProofError("leaf opening must terminate the path")
-            if not node.entries:
-                raise ProofError("opened leaf with no entries")
-            keys = [entry_key for entry_key, _ in node.entries]
-            if keys != sorted(set(keys)):
-                raise ProofError("leaf entries out of order")
-            verified_up.append(
-                (
-                    _leaf_digest(list(node.entries)),
-                    keys[0],
-                    keys[-1],
-                    _leaf_aggregate(list(node.entries)),
-                )
-            )
-        else:
-            if not node.children:
-                raise ProofError("opened internal with no children")
-            if not 0 <= node.taken < len(node.children):
-                raise ProofError("taken child out of range")
-            below_digest, below_min, below_max, below_agg = verified_up[-1]
-            taken_stub = node.children[node.taken]
-            if (
-                taken_stub.min_key,
-                taken_stub.max_key,
-                taken_stub.aggregate,
-                taken_stub.digest,
-            ) != (below_min, below_max, below_agg, below_digest):
-                raise ProofError("taken child does not match next opening")
-            mins = [stub.min_key for stub in node.children]
-            if node.taken != _descend_choice(mins, proof.key):
-                raise ProofError("opened path is not the insert descent path")
-            if mins != sorted(mins):
-                raise ProofError("children out of order")
-            quads = [
-                (stub.min_key, stub.max_key, stub.aggregate, stub.digest)
-                for stub in node.children
-            ]
-            merged = _merge_many([stub.aggregate for stub in node.children])
-            assert merged is not None
-            verified_up.append(
-                (_internal_digest(quads), quads[0][0], quads[-1][1], merged)
-            )
-    if verified_up[-1][0] != old_root:
-        raise ProofError("insert proof does not verify against the root")
-
-    # Replay the insert bottom-up; each level carries 1-2 child quads.
-    leaf = proof.path[-1]
-    entries = list(leaf.entries)
-    replaced = False
-    for index, (entry_key, _) in enumerate(entries):
-        if entry_key == key:
-            entries[index] = (key, value)
-            replaced = True
-            break
-    if not replaced:
-        position = len(entries)
-        for index, (entry_key, _) in enumerate(entries):
-            if entry_key > key:
-                position = index
-                break
-        entries.insert(position, (key, value))
-
-    def leaf_quad(leaf_entries):
-        return (
-            _leaf_digest(leaf_entries),
-            leaf_entries[0][0],
-            leaf_entries[-1][0],
-            _leaf_aggregate(leaf_entries),
-        )
-
-    if len(entries) > proof.fanout:
-        half = len(entries) // 2
-        carry = [leaf_quad(entries[:half]), leaf_quad(entries[half:])]
-    else:
-        carry = [leaf_quad(entries)]
-
-    for node in reversed(proof.path[:-1]):
-        assert isinstance(node, AggOpenedInternal)
-        quads = [
-            (stub.min_key, stub.max_key, stub.aggregate, stub.digest)
-            for stub in node.children
-        ]
-        carry_quads = [
-            (min_key, max_key, aggregate, digest)
-            for digest, min_key, max_key, aggregate in carry
-        ]
-        quads[node.taken : node.taken + 1] = carry_quads
-
-        def internal_quad(sub):
-            merged = _merge_many([aggregate for _, _, aggregate, _ in sub])
-            assert merged is not None
-            return (_internal_digest(sub), sub[0][0], sub[-1][1], merged)
-
-        if len(quads) > proof.fanout:
-            half = len(quads) // 2
-            carry = [internal_quad(quads[:half]), internal_quad(quads[half:])]
-        else:
-            carry = [internal_quad(quads)]
-    if len(carry) == 2:
-        quads = [
-            (min_key, max_key, aggregate, digest)
-            for digest, min_key, max_key, aggregate in carry
-        ]
-        return _internal_digest(quads)
-    return carry[0][0]
+    """Pure function: the tree root after ``insert(key, value)``; see
+    :func:`repro.merkle.bptree.apply_insert`."""
+    return bptree.apply_insert(SCHEME, old_root, key, value, proof)

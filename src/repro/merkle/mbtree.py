@@ -12,95 +12,22 @@ Keys are unsigned integers (timestamps / block heights / tx numbers);
 values are byte strings.  Leaf digests fold in ``H(value)`` rather than
 the value so that out-of-range boundary entries can be proven without
 shipping their payloads.
+
+The tree itself — nodes, insert + split, insert proofs and their replay
+— is :mod:`repro.merkle.bptree` run on :data:`SCHEME`; this module adds
+the range-query side and the proof types.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.hashing import Digest, hash_concat, sha256
+from repro.crypto.hashing import Digest, sha256
 from repro.errors import ProofError
-
-DEFAULT_FANOUT = 16
+from repro.merkle import bptree
 
 #: Root committed by an empty MB-tree.
 EMPTY_ROOT: Digest = sha256(b"repro-mbtree-empty")
-
-
-def _key_bytes(key: int) -> bytes:
-    return key.to_bytes(8, "big")
-
-
-def _leaf_digest(entries: list[tuple[int, Digest]]) -> Digest:
-    parts = [b"mb-leaf"]
-    for key, value_digest in entries:
-        parts.append(_key_bytes(key) + value_digest)
-    return hash_concat(*parts)
-
-
-def _internal_digest(children: list[tuple[int, int, Digest]]) -> Digest:
-    parts = [b"mb-int"]
-    for min_key, max_key, digest in children:
-        parts.append(_key_bytes(min_key) + _key_bytes(max_key) + digest)
-    return hash_concat(*parts)
-
-
-class _LeafNode:
-    __slots__ = ("entries", "_digest")
-
-    def __init__(self, entries: list[tuple[int, bytes]]) -> None:
-        self.entries = entries  # sorted (key, value)
-        self._digest: Digest | None = None
-
-    @property
-    def min_key(self) -> int:
-        return self.entries[0][0]
-
-    @property
-    def max_key(self) -> int:
-        return self.entries[-1][0]
-
-    def invalidate(self) -> None:
-        self._digest = None
-
-    def digest(self) -> Digest:
-        if self._digest is None:
-            self._digest = _leaf_digest(
-                [(key, sha256(value)) for key, value in self.entries]
-            )
-        return self._digest
-
-
-class _InternalNode:
-    __slots__ = ("children", "_digest")
-
-    def __init__(self, children: list["_LeafNode | _InternalNode"]) -> None:
-        self.children = children
-        self._digest: Digest | None = None
-
-    @property
-    def min_key(self) -> int:
-        return self.children[0].min_key
-
-    @property
-    def max_key(self) -> int:
-        return self.children[-1].max_key
-
-    def invalidate(self) -> None:
-        self._digest = None
-
-    def digest(self) -> Digest:
-        if self._digest is None:
-            self._digest = _internal_digest(
-                [
-                    (child.min_key, child.max_key, child.digest())
-                    for child in self.children
-                ]
-            )
-        return self._digest
-
-
-_BNode = _LeafNode | _InternalNode
 
 
 # -- proof structure -------------------------------------------------------
@@ -159,195 +86,7 @@ def _proof_node_size(node: _ProofNode | None) -> int:
     return sum(_proof_node_size(child) for child in node.children)
 
 
-class MerkleBTree:
-    """Mutable MB-tree over integer keys with verifiable range queries."""
-
-    def __init__(self, fanout: int = DEFAULT_FANOUT) -> None:
-        if fanout < 4:
-            raise ValueError("fanout must be at least 4")
-        self.fanout = fanout
-        self._root: _BNode | None = None
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    @property
-    def root(self) -> Digest:
-        return self._root.digest() if self._root is not None else EMPTY_ROOT
-
-    def insert(self, key: int, value: bytes) -> None:
-        """Insert ``key -> value`` (overwrites an equal key)."""
-        if self._root is None:
-            self._root = _LeafNode([(key, value)])
-            self._size = 1
-            return
-        split = self._insert(self._root, key, value)
-        if split is not None:
-            self._root = _InternalNode([self._root, split])
-
-    def get(self, key: int) -> bytes | None:
-        node = self._root
-        while node is not None:
-            if isinstance(node, _LeafNode):
-                for entry_key, value in node.entries:
-                    if entry_key == key:
-                        return value
-                return None
-            next_node = node.children[0]
-            for child in node.children:
-                if child.min_key <= key:
-                    next_node = child
-                else:
-                    break
-            node = next_node
-        return None
-
-    def range_query(self, lo: int, hi: int) -> tuple[list[tuple[int, bytes]], MBRangeProof]:
-        """Return all ``(key, value)`` with lo <= key <= hi, plus a proof."""
-        if lo > hi:
-            raise ProofError("empty range: lo > hi")
-        if self._root is None:
-            return [], MBRangeProof(lo=lo, hi=hi, root_opening=None)
-        results: list[tuple[int, bytes]] = []
-        opening = self._open(self._root, lo, hi, results)
-        return results, MBRangeProof(lo=lo, hi=hi, root_opening=opening)
-
-    # -- internals ---------------------------------------------------------
-
-    def _insert(self, node: _BNode, key: int, value: bytes) -> _BNode | None:
-        """Insert under ``node``; returns the new right sibling on split."""
-        node.invalidate()
-        if isinstance(node, _LeafNode):
-            return self._insert_leaf(node, key, value)
-        chosen = 0
-        for index, child in enumerate(node.children):
-            if index == 0 or child.min_key <= key:
-                chosen = index
-            else:
-                break
-        split = self._insert(node.children[chosen], key, value)
-        if split is not None:
-            node.children.insert(chosen + 1, split)
-            if len(node.children) > self.fanout:
-                half = len(node.children) // 2
-                sibling = _InternalNode(node.children[half:])
-                node.children = node.children[:half]
-                return sibling
-        return None
-
-    def _insert_leaf(self, node: _LeafNode, key: int, value: bytes) -> _LeafNode | None:
-        position = len(node.entries)
-        for index, (entry_key, _) in enumerate(node.entries):
-            if entry_key == key:
-                node.entries[index] = (key, value)
-                return None
-            if entry_key > key:
-                position = index
-                break
-        node.entries.insert(position, (key, value))
-        self._size += 1
-        if len(node.entries) > self.fanout:
-            half = len(node.entries) // 2
-            sibling = _LeafNode(node.entries[half:])
-            node.entries = node.entries[:half]
-            return sibling
-        return None
-
-    def _open(
-        self, node: _BNode, lo: int, hi: int, results: list[tuple[int, bytes]]
-    ) -> _ProofNode:
-        if isinstance(node, _LeafNode):
-            entries: list[tuple[int, bytes | None, Digest | None]] = []
-            for key, value in node.entries:
-                if lo <= key <= hi:
-                    results.append((key, value))
-                    entries.append((key, value, None))
-                else:
-                    entries.append((key, None, sha256(value)))
-            return LeafOpening(entries=tuple(entries))
-        children: list[_ProofNode] = []
-        for child in node.children:
-            if child.max_key < lo or child.min_key > hi:
-                children.append(
-                    SubtreeStub(child.min_key, child.max_key, child.digest())
-                )
-            else:
-                children.append(self._open(child, lo, hi, results))
-        return InternalOpening(children=tuple(children))
-
-
-def _verify_node(
-    node: _ProofNode, lo: int, hi: int, collected: list[tuple[int, bytes]]
-) -> tuple[Digest, int, int]:
-    """Recompute (digest, min_key, max_key) for a proof node, collecting
-    in-range results and raising on any completeness violation."""
-    if isinstance(node, SubtreeStub):
-        if node.min_key > node.max_key:
-            raise ProofError("stub with inverted key range")
-        if not (node.max_key < lo or node.min_key > hi):
-            raise ProofError("pruned subtree overlaps the query range")
-        return node.digest, node.min_key, node.max_key
-    if isinstance(node, LeafOpening):
-        if not node.entries:
-            raise ProofError("opened leaf with no entries")
-        hashed: list[tuple[int, Digest]] = []
-        previous: int | None = None
-        for key, value, value_digest in node.entries:
-            if previous is not None and key <= previous:
-                raise ProofError("leaf entries out of order")
-            previous = key
-            if lo <= key <= hi:
-                if value is None:
-                    raise ProofError("in-range entry withheld from results")
-                collected.append((key, value))
-                hashed.append((key, sha256(value)))
-            else:
-                if value_digest is None:
-                    raise ProofError("out-of-range entry missing its digest")
-                hashed.append((key, value_digest))
-        return _leaf_digest(hashed), node.entries[0][0], node.entries[-1][0]
-    if not node.children:
-        raise ProofError("opened internal node with no children")
-    triples: list[tuple[int, int, Digest]] = []
-    previous_max: int | None = None
-    for child in node.children:
-        digest, min_key, max_key = _verify_node(child, lo, hi, collected)
-        if previous_max is not None and min_key <= previous_max:
-            raise ProofError("children key ranges out of order")
-        previous_max = max_key
-        triples.append((min_key, max_key, digest))
-    return (
-        _internal_digest(triples),
-        triples[0][0],
-        triples[-1][1],
-    )
-
-
-def verify_range(
-    root: Digest, results: list[tuple[int, bytes]], proof: MBRangeProof
-) -> bool:
-    """Verify that ``results`` is the *complete, correct* answer for the
-    proof's range under ``root``."""
-    if proof.root_opening is None:
-        return root == EMPTY_ROOT and not results
-    collected: list[tuple[int, bytes]] = []
-    try:
-        digest, _, _ = _verify_node(proof.root_opening, proof.lo, proof.hi, collected)
-    except ProofError:
-        return False
-    return digest == root and collected == sorted(results)
-
-
-# -- proof-based inserts (used inside the enclave) --------------------------
-#
-# DCert's enclave must verify that an authenticated index was updated
-# correctly *without holding the index* (Alg. 4 line 9-10 / Alg. 5 line
-# 12-13).  An insert proof opens the exact root-to-leaf path the insert
-# descends, with every off-path child as an authenticated stub; applying
-# the insert (including any cascading node splits, which only ever touch
-# the opened path) is then a pure function from (old root, proof) to the
-# new root.
+# -- insert proofs (opened by the engine, replayed inside the enclave) ------
 
 
 @dataclass(frozen=True, slots=True)
@@ -383,166 +122,119 @@ class MBInsertProof:
         return total
 
 
-def _descend_choice(mins: list[int], key: int) -> int:
-    """The child index the insert descends into (mirrors ``_insert``)."""
-    chosen = 0
-    for index, min_key in enumerate(mins):
-        if index == 0 or min_key <= key:
-            chosen = index
-        else:
-            break
-    return chosen
+def _commit(value: object) -> Digest:
+    if not isinstance(value, bytes):
+        raise ProofError("MB-tree values are byte strings")
+    return sha256(value)
 
 
-def _prove_insert(self: MerkleBTree, key: int) -> MBInsertProof:
-    """Open the descent path ``insert(key)`` would take."""
-    path: list[OpenedInternal | OpenedLeaf] = []
-    node = self._root
-    while node is not None:
-        if isinstance(node, _LeafNode):
-            path.append(
-                OpenedLeaf(
-                    entries=tuple(
-                        (entry_key, sha256(value))
-                        for entry_key, value in node.entries
-                    )
-                )
-            )
-            break
-        stubs = tuple(
-            SubtreeStub(child.min_key, child.max_key, child.digest())
-            for child in node.children
-        )
-        taken = _descend_choice([child.min_key for child in node.children], key)
-        path.append(OpenedInternal(children=stubs, taken=taken))
-        node = node.children[taken]
-    return MBInsertProof(key=key, fanout=self.fanout, path=tuple(path))
+#: The MB-tree: a leaf entry commits to ``H(value)``, a child record to
+#: nothing beyond its key range and digest.
+SCHEME = bptree.Scheme(
+    leaf_tag=b"mb-leaf",
+    internal_tag=b"mb-int",
+    empty_root=EMPTY_ROOT,
+    commit=_commit,
+    encode_entry=bptree.check_digest,
+    annotate_leaf=lambda committed: None,
+    merge=lambda annotations: None,
+    encode_annotation=lambda annotation: b"",
+    stub=SubtreeStub,
+    to_stub=lambda s: SubtreeStub(s.min_key, s.max_key, s.digest),
+    stub_annotation=lambda stub: None,
+    opened_leaf=OpenedLeaf,
+    opened_internal=OpenedInternal,
+    insert_proof=MBInsertProof,
+)
+
+
+class MerkleBTree(bptree.BPlusTree):
+    """Mutable MB-tree over integer keys with verifiable range queries."""
+
+    scheme = SCHEME
+
+    def range_query(self, lo: int, hi: int) -> tuple[list[tuple[int, bytes]], MBRangeProof]:
+        """Return all ``(key, value)`` with lo <= key <= hi, plus a proof."""
+        if lo > hi:
+            raise ProofError("empty range: lo > hi")
+        if self._root is None:
+            return [], MBRangeProof(lo=lo, hi=hi, root_opening=None)
+        results: list[tuple[int, bytes]] = []
+        opening = self._open(self._root, lo, hi, results)
+        return results, MBRangeProof(lo=lo, hi=hi, root_opening=opening)
+
+    def _open(
+        self, node: bptree._Node, lo: int, hi: int, results: list[tuple[int, bytes]]
+    ) -> _ProofNode:
+        if node.leaf:
+            entries: list[tuple[int, bytes | None, Digest | None]] = []
+            for key, value in node.items:
+                if lo <= key <= hi:
+                    results.append((key, value))
+                    entries.append((key, value, None))
+                else:
+                    entries.append((key, None, sha256(value)))
+            return LeafOpening(entries=tuple(entries))
+        children: list[_ProofNode] = []
+        for child in node.items:
+            summary = self.summary(child)
+            if summary.max_key < lo or summary.min_key > hi:
+                children.append(SCHEME.to_stub(summary))
+            else:
+                children.append(self._open(child, lo, hi, results))
+        return InternalOpening(children=tuple(children))
+
+
+def _verify_node(
+    node: _ProofNode, lo: int, hi: int, collected: list[tuple[int, bytes]]
+) -> bptree.Summary:
+    """Recompute a proof node's summary, collecting in-range results and
+    raising on any completeness violation."""
+    if isinstance(node, SubtreeStub):
+        summary = bptree.stub_summary(SCHEME, node)
+        if not (summary.max_key < lo or summary.min_key > hi):
+            raise ProofError("pruned subtree overlaps the query range")
+        return summary
+    if isinstance(node, LeafOpening):
+        committed: list[tuple[int, Digest | None]] = []
+        for key, value, value_digest in node.entries:
+            if type(key) is not int:  # its range and order: leaf_summary
+                raise ProofError("leaf key is not an integer")
+            if lo <= key <= hi:
+                if value is None:
+                    raise ProofError("in-range entry withheld from results")
+                collected.append((key, value))
+                committed.append((key, _commit(value)))
+            else:
+                committed.append((key, value_digest))
+        return bptree.leaf_summary(SCHEME, committed)
+    if not isinstance(node, InternalOpening):
+        raise ProofError("unknown range-proof node")
+    return bptree.internal_summary(
+        SCHEME, [_verify_node(child, lo, hi, collected) for child in node.children]
+    )
+
+
+def verify_range(
+    root: Digest, results: list[tuple[int, bytes]], proof: MBRangeProof
+) -> bool:
+    """Verify that ``results`` is the *complete, correct* answer for the
+    proof's range under ``root``."""
+    if proof.root_opening is None:
+        return root == EMPTY_ROOT and not results
+    if isinstance(proof.root_opening, SubtreeStub):
+        return False  # nothing above the root vouches for a claimed key range
+    collected: list[tuple[int, bytes]] = []
+    try:
+        summary = _verify_node(proof.root_opening, proof.lo, proof.hi, collected)
+    except ProofError:
+        return False
+    return summary.digest == root and collected == sorted(results)
 
 
 def apply_insert(
     old_root: Digest, key: int, value: bytes, proof: MBInsertProof
 ) -> Digest:
-    """Pure function: the MB-tree root after ``insert(key, value)``.
-
-    Verifies the opened path against ``old_root`` first; raises
-    :class:`ProofError` on any inconsistency.  Mirrors the exact split
-    behaviour of :class:`MerkleBTree`.
-    """
-    value_digest = sha256(value)
-    if not proof.path:
-        if old_root != EMPTY_ROOT:
-            raise ProofError("non-empty tree needs an opened insert path")
-        return _leaf_digest([(key, value_digest)])
-
-    if not isinstance(proof.path[-1], OpenedLeaf):
-        raise ProofError("insert path must end at a leaf")
-
-    # Verify the opening bottom-up against the old root, and that each
-    # opened internal's taken child matches the next opened node.
-    digests_up: list[tuple[Digest, int, int]] = []  # (digest, min, max) per node
-    for position in range(len(proof.path) - 1, -1, -1):
-        node = proof.path[position]
-        if isinstance(node, OpenedLeaf):
-            if position != len(proof.path) - 1:
-                raise ProofError("leaf opening must terminate the path")
-            if not node.entries:
-                raise ProofError("opened leaf with no entries")
-            keys = [entry_key for entry_key, _ in node.entries]
-            if keys != sorted(set(keys)):
-                raise ProofError("leaf entries out of order")
-            digests_up.append(
-                (_leaf_digest(list(node.entries)), keys[0], keys[-1])
-            )
-        else:
-            if not node.children:
-                raise ProofError("opened internal with no children")
-            if not 0 <= node.taken < len(node.children):
-                raise ProofError("taken child out of range")
-            below, below_min, below_max = digests_up[-1]
-            triples = []
-            for index, stub in enumerate(node.children):
-                if index == node.taken:
-                    if (stub.min_key, stub.max_key, stub.digest) != (
-                        below_min,
-                        below_max,
-                        below,
-                    ):
-                        raise ProofError("taken child does not match next opening")
-                triples.append((stub.min_key, stub.max_key, stub.digest))
-            mins = [stub.min_key for stub in node.children]
-            if node.taken != _descend_choice(mins, proof.key):
-                raise ProofError("opened path is not the insert descent path")
-            if mins != sorted(mins):
-                raise ProofError("children out of order")
-            digests_up.append(
-                (_internal_digest(triples), triples[0][0], triples[-1][1])
-            )
-    if digests_up[-1][0] != old_root:
-        raise ProofError("insert proof does not verify against the root")
-
-    # Replay the insert bottom-up.  Each level yields one or two
-    # (digest, min, max) nodes (two after a split).
-    leaf = proof.path[-1]
-    entries = list(leaf.entries)
-    replaced = False
-    for index, (entry_key, _) in enumerate(entries):
-        if entry_key == key:
-            entries[index] = (key, value_digest)
-            replaced = True
-            break
-    if not replaced:
-        position = len(entries)
-        for index, (entry_key, _) in enumerate(entries):
-            if entry_key > key:
-                position = index
-                break
-        entries.insert(position, (key, value_digest))
-    if len(entries) > proof.fanout:
-        half = len(entries) // 2
-        left, right = entries[:half], entries[half:]
-        carry = [
-            (_leaf_digest(left), left[0][0], left[-1][0]),
-            (_leaf_digest(right), right[0][0], right[-1][0]),
-        ]
-    else:
-        carry = [(_leaf_digest(entries), entries[0][0], entries[-1][0])]
-
-    for node in reversed(proof.path[:-1]):
-        assert isinstance(node, OpenedInternal)
-        triples = [
-            (stub.min_key, stub.max_key, stub.digest) for stub in node.children
-        ]
-        triples[node.taken : node.taken + 1] = [
-            (min_key, max_key, digest) for digest, min_key, max_key in carry
-        ]
-        if len(triples) > proof.fanout:
-            half = len(triples) // 2
-            left_triples, right_triples = triples[:half], triples[half:]
-            carry = [
-                (
-                    _internal_digest(left_triples),
-                    left_triples[0][0],
-                    left_triples[-1][1],
-                ),
-                (
-                    _internal_digest(right_triples),
-                    right_triples[0][0],
-                    right_triples[-1][1],
-                ),
-            ]
-        else:
-            carry = [
-                (_internal_digest(triples), triples[0][0], triples[-1][1])
-            ]
-    if len(carry) == 2:
-        # Root split: a fresh root adopts both halves.
-        triples = [
-            (min_key, max_key, digest) for digest, min_key, max_key in carry
-        ]
-        return _internal_digest(triples)
-    return carry[0][0]
-
-
-# Attach the insert-proof method (defined after the proof dataclasses it
-# returns; behaviourally identical to an in-class definition).
-MerkleBTree.prove_insert = _prove_insert
+    """Pure function: the MB-tree root after ``insert(key, value)``; see
+    :func:`repro.merkle.bptree.apply_insert`."""
+    return bptree.apply_insert(SCHEME, old_root, key, value, proof)

@@ -166,13 +166,18 @@ class AccountHistoryIndexSpec(AuthenticatedIndexSpec):
         return root
 
 
-class TwoLevelHistoryIndex:
-    """SP-side materialized two-level index for one history spec."""
+class _PerAccountTrees:
+    """SP-side "MPT over per-account B+-trees" (Fig. 5, left): the one
+    ingest/lookup body of the two-level indexes.  Subclasses name the
+    lower-level tree and the update-proof type their spec replays."""
 
-    def __init__(self, spec: AccountHistoryIndexSpec) -> None:
+    tree_class: type
+    update_proof_class: type
+
+    def __init__(self, spec) -> None:
         self.spec = spec
         self._upper = MerklePatriciaTrie()
-        self._lower: dict[str, MerkleBTree] = {}
+        self._lower: dict[str, object] = {}
 
     @property
     def root(self) -> Digest:
@@ -180,51 +185,52 @@ class TwoLevelHistoryIndex:
 
     def ingest_block(
         self, block: Block, write_set: dict[bytes, bytes | None]
-    ) -> tuple[tuple[HistoryWrite, ...], TwoLevelUpdateProof]:
+    ) -> tuple[tuple, "TwoLevelUpdateProof | AggregateUpdateProof"]:
         """Apply the block's writes; return them plus the update proof.
 
         Proof steps are generated sequentially against the evolving
         structures, matching how the enclave replays them.
         """
         writes = self.spec.write_data(block, write_set)
-        steps: list[tuple[MBInsertProof, MPTProof]] = []
+        steps = []
         for write in writes:
             trie_key = _account_trie_key(write.account)
             lower = self._lower.get(write.account)
             if lower is None:
-                lower = MerkleBTree(fanout=self.spec.fanout)
+                lower = self.tree_class(fanout=self.spec.fanout)
                 self._lower[write.account] = lower
-            mb_proof = lower.prove_insert(write.timestamp)
+            insert_proof = lower.prove_insert(write.timestamp)
             mpt_proof = self._upper.prove(trie_key)
             lower.insert(write.timestamp, write.value)
             self._upper.insert(trie_key, lower.root)
-            steps.append((mb_proof, mpt_proof))
-        return writes, TwoLevelUpdateProof(steps=tuple(steps))
+            steps.append((insert_proof, mpt_proof))
+        return writes, self.update_proof_class(steps=tuple(steps))
+
+    def _lookup(self, account: str):
+        """``(upper-level proof, the account's tree or None)``."""
+        return self._upper.prove(_account_trie_key(account)), self._lower.get(account)
+
+
+class TwoLevelHistoryIndex(_PerAccountTrees):
+    """SP-side materialized two-level index for one history spec."""
+
+    tree_class = MerkleBTree
+    update_proof_class = TwoLevelUpdateProof
 
     def query_history(
         self, account: str, t_from: int, t_to: int
     ) -> "HistoryAnswer":
         """Versions of ``account`` in the window, with proofs."""
-        trie_key = _account_trie_key(account)
-        upper_proof = self._upper.prove(trie_key)
-        lower = self._lower.get(account)
-        if lower is None:
-            return HistoryAnswer(
-                account=account,
-                t_from=t_from,
-                t_to=t_to,
-                versions=(),
-                lower_root=None,
-                upper_proof=upper_proof,
-                range_proof=None,
-            )
-        versions, range_proof = lower.range_query(t_from, t_to)
+        upper_proof, lower = self._lookup(account)
+        versions, range_proof = (
+            lower.range_query(t_from, t_to) if lower is not None else ((), None)
+        )
         return HistoryAnswer(
             account=account,
             t_from=t_from,
             t_to=t_to,
             versions=tuple(versions),
-            lower_root=lower.root,
+            lower_root=lower.root if lower is not None else None,
             upper_proof=upper_proof,
             range_proof=range_proof,
         )
@@ -341,12 +347,14 @@ class KeywordIndexSpec(AuthenticatedIndexSpec):
 
 
 class MaintainedKeywordIndex:
-    """SP-side materialized keyword index for one keyword spec.
+    """SP-side materialized keyword index for one keyword spec — the
+    one conjunctive-keyword implementation (Fig. 5, right).
 
-    Query processing itself reuses :class:`repro.merkle.inverted`'s
-    conjunctive scheme; this class keeps the two structures (dictionary
-    MPT + per-keyword posting MB-trees) in the certified shape and
-    produces enclave update proofs.
+    Keeps the two structures (dictionary MPT + per-keyword posting
+    MB-trees) in the certified shape, produces enclave update proofs,
+    and answers conjunctions by scanning the shortest posting list and
+    point-proving each candidate against the others;
+    :func:`verify_keyword_results` is the client half.
     """
 
     def __init__(self, spec: KeywordIndexSpec) -> None:
@@ -622,53 +630,24 @@ class BalanceAggregateIndexSpec(AuthenticatedIndexSpec):
         return root
 
 
-class AggregateHistoryIndex:
+class AggregateHistoryIndex(_PerAccountTrees):
     """SP-side materialized aggregate index for one aggregate spec."""
 
-    def __init__(self, spec: BalanceAggregateIndexSpec) -> None:
-        self.spec = spec
-        self._upper = MerklePatriciaTrie()
-        self._lower: dict[str, "aggtree.AggregateMBTree"] = {}
-
-    @property
-    def root(self) -> Digest:
-        return self._upper.root
-
-    def ingest_block(
-        self, block: Block, write_set: dict[bytes, bytes | None]
-    ) -> tuple[tuple[AggregateWrite, ...], AggregateUpdateProof]:
-        writes = self.spec.write_data(block, write_set)
-        steps = []
-        for write in writes:
-            trie_key = _account_trie_key(write.account)
-            lower = self._lower.get(write.account)
-            if lower is None:
-                lower = aggtree.AggregateMBTree(fanout=self.spec.fanout)
-                self._lower[write.account] = lower
-            agg_proof = lower.prove_insert(write.timestamp)
-            mpt_proof = self._upper.prove(trie_key)
-            lower.insert(write.timestamp, write.value)
-            self._upper.insert(trie_key, lower.root)
-            steps.append((agg_proof, mpt_proof))
-        return writes, AggregateUpdateProof(steps=tuple(steps))
+    tree_class = aggtree.AggregateMBTree
+    update_proof_class = AggregateUpdateProof
 
     def query_aggregate(
         self, account: str, t_from: int, t_to: int
     ) -> "AggregateAnswer":
         """The (count, sum, min, max) of an account's values in a window."""
-        trie_key = _account_trie_key(account)
-        upper_proof = self._upper.prove(trie_key)
-        lower = self._lower.get(account)
-        if lower is None:
-            return AggregateAnswer(
-                account=account, t_from=t_from, t_to=t_to,
-                aggregate=None, lower_root=None,
-                upper_proof=upper_proof, range_proof=None,
-            )
-        aggregate, range_proof = lower.aggregate_query(t_from, t_to)
+        upper_proof, lower = self._lookup(account)
+        aggregate, range_proof = (
+            lower.aggregate_query(t_from, t_to) if lower is not None else (None, None)
+        )
         return AggregateAnswer(
             account=account, t_from=t_from, t_to=t_to,
-            aggregate=aggregate, lower_root=lower.root,
+            aggregate=aggregate,
+            lower_root=lower.root if lower is not None else None,
             upper_proof=upper_proof, range_proof=range_proof,
         )
 

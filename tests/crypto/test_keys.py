@@ -41,6 +41,23 @@ def test_public_key_rejects_off_curve_point():
         PublicKey(1, 1)
 
 
+def test_public_key_rejects_non_integer_and_out_of_field_coordinates():
+    from repro.crypto import ecdsa
+
+    public = generate_keypair(b"coordinates").public
+    bad_points = [
+        (public.x, float(public.y)),  # float arithmetic passes the curve check
+        (float(public.x), public.y),
+        (public.x, public.y + ecdsa.P),  # on the curve mod P, outside the field
+        (public.x, public.y - ecdsa.P),
+        (public.x, str(public.y)),
+        (public.x, None),
+    ]
+    for x, y in bad_points:
+        with pytest.raises(CryptoError):
+            PublicKey(x, y)
+
+
 def test_private_key_range_enforced():
     with pytest.raises(CryptoError):
         PrivateKey(0)

@@ -116,3 +116,32 @@ def test_single_entry_tree():
     result, proof = tree.aggregate_query(0, 100)
     assert result == Aggregate(count=1, total=-5, minimum=-5, maximum=-5)
     assert verify_aggregate(tree.root, result, proof)
+
+
+def test_query_and_insert_work_is_bounded_by_fanout_times_depth(monkeypatch):
+    """Every node caches its aggregate with its digest, so a query, an
+    insert proof and a root refresh do O(fanout * depth) merges — a
+    count, not a timing (a recursive recompute does ~4,096)."""
+    tree = AggregateMBTree(fanout=16)
+    for key in range(4096):
+        tree.insert(key, key % 101 - 50)
+    assert tree.root != EMPTY_ROOT  # summarised once, before counting
+
+    merges = []
+    merge = Aggregate.merge
+    monkeypatch.setattr(
+        Aggregate, "merge", lambda self, other: merges.append(1) or merge(self, other)
+    )
+
+    def merges_during(operation):
+        merges.clear()
+        operation()
+        return len(merges)
+
+    assert merges_during(lambda: tree.aggregate_query(100, 4000)) <= 200
+    assert merges_during(lambda: tree.prove_insert(5000)) <= 200
+    tree.insert(5000, 7)
+    # Only the touched path: one leaf and one node per level above it.
+    assert merges_during(lambda: tree.root) <= 16 * 4
+    result, proof = tree.aggregate_query(100, 5000)
+    assert result.count == 3997 and verify_aggregate(tree.root, result, proof)

@@ -121,6 +121,23 @@ def test_tampered_field_values_fail_validation_on_decode():
         wire.decode(tampered)
 
 
+@pytest.mark.parametrize("byte", [b".", b"e"])
+def test_non_integer_public_key_coordinate_never_decodes(certified_setup, byte):
+    """A digit of ``pk_enc.y`` mutated into ``.`` or ``e`` makes the JSON
+    number a float, and float arithmetic can satisfy the curve check —
+    the certificate must still fail to decode, not come back as an
+    object whose ``to_bytes()`` raises ``TypeError`` later."""
+    certificate = certified_setup["issuer"].certified[-1].certificate
+    encoded = wire.encode(certificate)
+    digits = str(certificate.pk_enc.y).encode()
+    start = encoded.index(digits)
+    for offset in range(1, len(digits) - 1):
+        position = start + offset
+        tampered = encoded[:position] + byte + encoded[position + 1 :]
+        with pytest.raises(WireError):
+            wire.decode(tampered)
+
+
 def test_unknown_structural_field_rejected():
     request = HistoryQuery(index="i", account="a", t_from=1, t_to=2)
     encoded = wire.encode(request)

@@ -1,0 +1,278 @@
+"""Malformed B+-tree proofs fail *typed*.
+
+A prover chooses every integer inside a range / aggregate / insert proof.
+Whatever it puts there — negative, too wide for its encoding, a float, a
+string, ``None``, a bool — verification must answer ``False`` (and the
+enclave-side replay must raise ``ProofError``), never leak an
+``OverflowError`` or ``TypeError``: an escaping exception aborts a client
+``query()`` that should have failed over to an honest replica.
+"""
+
+import dataclasses
+
+import pytest
+
+from repro.chain import ChainBuilder
+from repro.chain.genesis import make_genesis
+from repro.chain.transaction import sign_transaction
+from repro.core import (
+    CertificateIssuer,
+    ClientConfig,
+    IssuerService,
+    compute_expected_measurement,
+    connect,
+)
+from repro.crypto import generate_keypair
+from repro.errors import ProofError
+from repro.merkle import aggtree, mbtree
+from repro.net import MessageBus
+from repro.query import (
+    AggregateQuery,
+    HistoryQuery,
+    KeywordQuery,
+    QueryService,
+    ValueRangeQuery,
+)
+from repro.query.indexes import (
+    AccountHistoryIndexSpec,
+    BalanceAggregateIndexSpec,
+    KeywordIndexSpec,
+    ValueRangeIndexSpec,
+)
+from repro.query.provider import QueryServiceProvider
+from repro.sgx.attestation import AttestationService
+from tests.conftest import fresh_vm
+
+BAD_INTEGERS = [-1, 2**64, 2**127, 1.5, "7", None, True]
+BAD_IDS = ["-1", "2^64", "2^127", "1.5", "'7'", "None", "True"]
+
+_TREE_MODULES = {mbtree.__name__, aggtree.__name__}
+#: Bound to the client's own request before the tree is consulted.
+_REQUEST_BOUND = {"lo", "hi"}
+
+
+def _integer_sites(obj, in_tree=False, label=""):
+    """``(label, path)`` of every integer a B+-tree proof node carries
+    under ``obj``; the label names the kind of field, not the instance."""
+    if dataclasses.is_dataclass(obj):
+        # An answer's claimed result is an Aggregate too; only the ones a
+        # proof node carries are proof fields.
+        in_tree = in_tree or (
+            type(obj).__module__ in _TREE_MODULES
+            and not isinstance(obj, aggtree.Aggregate)
+        )
+        for field in dataclasses.fields(obj):
+            if in_tree and field.name in _REQUEST_BOUND:
+                continue
+            name = f"{type(obj).__name__}.{field.name}"
+            for found, path in _integer_sites(getattr(obj, field.name), in_tree, name):
+                yield found, (field.name, *path)
+    elif isinstance(obj, tuple):
+        for index, item in enumerate(obj):
+            direct = f"{label}[{index}]" if type(item) is int else label
+            for found, path in _integer_sites(item, in_tree, direct):
+                yield found, (index, *path)
+    elif in_tree and type(obj) is int:
+        yield label, ()
+
+
+def _replace_at(obj, path, value):
+    if not path:
+        return value
+    head, *rest = path
+    if isinstance(obj, tuple):
+        return obj[:head] + (_replace_at(obj[head], rest, value),) + obj[head + 1 :]
+    return dataclasses.replace(obj, **{head: _replace_at(getattr(obj, head), rest, value)})
+
+
+def mutants(obj, bad):
+    """``obj`` with the first integer of each kind replaced by ``bad``."""
+    first = {}
+    for label, path in _integer_sites(obj):
+        first.setdefault(label, path)
+    return {label: _replace_at(obj, path, bad) for label, path in first.items()}
+
+
+# -- a certified world whose trees are deep enough to have stubs -------------
+
+ROUNDS = 14
+FANOUT = 4
+
+
+@pytest.fixture(scope="module")
+def world():
+    user = generate_keypair(b"malformed-user")
+    builder = ChainBuilder(difficulty_bits=4, network="malformed")
+    nonce = [0]
+
+    def tx(contract, method, *args):
+        signed = sign_transaction(user.private, nonce[0], contract, method, tuple(args))
+        nonce[0] += 1
+        return signed
+
+    builder.add_block(
+        [tx("smallbank", "create", f"a{n}", str(100 * n + 7), "5") for n in range(1, 7)]
+    )
+    for round_ in range(ROUNDS):
+        builder.add_block([
+            tx("smallbank", "deposit_checking", "a1", "50"),
+            tx("kvstore", "put", "acct1", f"v{round_}"),
+        ])
+
+    specs = [
+        AccountHistoryIndexSpec(name="history", fanout=FANOUT),
+        KeywordIndexSpec(name="keyword", fanout=FANOUT),
+        BalanceAggregateIndexSpec(name="aggregate", fanout=FANOUT),
+        ValueRangeIndexSpec(name="range", fanout=FANOUT),
+    ]
+    genesis, state = make_genesis(network="malformed")
+    ias = AttestationService(seed=b"malformed-ias")
+    issuer = CertificateIssuer(
+        genesis, state, fresh_vm(), builder.pow,
+        index_specs=specs, ias=ias, key_seed=b"malformed-enclave",
+    )
+    sp_genesis, sp_state = make_genesis(network="malformed")
+    provider = QueryServiceProvider(sp_genesis, sp_state, fresh_vm(), builder.pow, specs)
+    for block in builder.blocks[1:]:
+        issuer.process_block(block)
+        provider.ingest_block(block)
+    measurement = compute_expected_measurement(
+        genesis.header.header_hash(), ias.public_key, fresh_vm(),
+        builder.pow.difficulty_bits, {spec.name: spec for spec in specs},
+    )
+    height = builder.height
+    requests = {
+        "history": HistoryQuery(index="history", account="acct1", t_from=6, t_to=7),
+        "keyword": KeywordQuery(index="keyword", keywords=("acct1", "v3")),
+        "aggregate": AggregateQuery(index="aggregate", account="a1", t_from=3, t_to=height - 2),
+        "range": ValueRangeQuery(index="range", lo=200, hi=320),
+    }
+    return {
+        "issuer": issuer, "provider": provider, "ias": ias,
+        "measurement": measurement, "requests": requests,
+    }
+
+
+def make_client(world, providers):
+    """A bootstrapped remote client over a clean bus; ``providers`` maps
+    service names to the provider each replica serves from."""
+    bus = MessageBus(default_latency_ms=20.0)
+    IssuerService(bus, "ci", world["issuer"])
+    for name, provider in providers.items():
+        QueryService(bus, name, provider)
+    client = connect(ClientConfig(
+        measurement=world["measurement"], ias_public_key=world["ias"].public_key,
+        bus=bus, name="client", issuers=("ci",), providers=tuple(providers),
+        integrity_retries=1,
+    ))
+    client.bootstrap()
+    return client
+
+
+@pytest.fixture(scope="module")
+def client(world):
+    return make_client(world, {"sp": world["provider"]})
+
+
+_MB_SITES = {"SubtreeStub.min_key", "SubtreeStub.max_key", "LeafOpening.entries[0]"}
+#: The integer fields each answer family's tree proofs carry.
+EXPECTED_SITES = {
+    "history": _MB_SITES,
+    "keyword": _MB_SITES,
+    "range": _MB_SITES,
+    "aggregate": {
+        "AggStub.min_key", "AggStub.max_key",
+        "Aggregate.count", "Aggregate.total", "Aggregate.minimum", "Aggregate.maximum",
+        "AggLeafOpening.entries[0]", "AggLeafOpening.entries[1]",
+    },
+}
+
+
+@pytest.mark.parametrize("bad", BAD_INTEGERS, ids=BAD_IDS)
+@pytest.mark.parametrize("family", sorted(EXPECTED_SITES))
+def test_verify_answer_rejects_malformed_integers(world, client, family, bad):
+    request = world["requests"][family]
+    answer = world["provider"].execute(request)
+    assert client.verify_answer(request, answer)
+    forged = mutants(answer, bad)
+    assert set(forged) == EXPECTED_SITES[family]
+    for label, mutant in forged.items():
+        assert client.verify_answer(request, mutant) is False, label
+
+
+def _grown(tree, value_of):
+    for key in range(0, 400, 10):
+        tree.insert(key, value_of(key))
+    return tree
+
+
+@pytest.mark.parametrize("bad", BAD_INTEGERS, ids=BAD_IDS)
+@pytest.mark.parametrize(
+    "module, tree, value, expected",
+    [
+        (
+            mbtree, _grown(mbtree.MerkleBTree(fanout=FANOUT), lambda k: b"v%d" % k), b"new",
+            {"MBInsertProof.key", "MBInsertProof.fanout", "OpenedInternal.taken",
+             "SubtreeStub.min_key", "SubtreeStub.max_key", "OpenedLeaf.entries[0]"},
+        ),
+        (
+            aggtree, _grown(aggtree.AggregateMBTree(fanout=FANOUT), lambda k: k + 3), 12,
+            {"AggInsertProof.key", "AggInsertProof.fanout", "AggOpenedInternal.taken",
+             "AggStub.min_key", "AggStub.max_key",
+             "Aggregate.count", "Aggregate.total", "Aggregate.minimum", "Aggregate.maximum",
+             "AggOpenedLeaf.entries[0]", "AggOpenedLeaf.entries[1]"},
+        ),
+    ],
+    ids=["mbtree", "aggtree"],
+)
+def test_apply_insert_rejects_malformed_integers(module, tree, value, expected, bad):
+    key = 205
+    proof = tree.prove_insert(key)
+    assert module.apply_insert(tree.root, key, value, proof) != tree.root
+    forged = mutants(proof, bad)
+    assert set(forged) == expected
+    for label, mutant in forged.items():
+        with pytest.raises(ProofError):
+            module.apply_insert(tree.root, key, value, mutant)
+            pytest.fail(f"{label}={bad!r} was replayed")
+
+
+@pytest.mark.parametrize(
+    "family, label, bad",
+    [("history", "SubtreeStub.min_key", -1), ("aggregate", "Aggregate.count", 2**70)],
+    ids=["stub-key", "aggregate-count"],
+)
+def test_query_fails_over_past_a_replica_serving_a_malformed_proof(
+    world, family, label, bad
+):
+    """One lying replica, one honest: the lie costs one integrity
+    failure and the query still returns the verified answer."""
+
+    class LyingProvider:
+        def execute(self, request):
+            return mutants(world["provider"].execute(request), bad)[label]
+
+        def index_root(self, name):
+            return world["provider"].index_root(name)
+
+    client = make_client(world, {"liar": LyingProvider(), "honest": world["provider"]})
+    request = world["requests"][family]
+    assert client.query(request) == world["provider"].execute(request)
+    assert client.integrity_failures == 1
+    assert client.failovers == 1
+
+
+def test_root_stub_cannot_vouch_for_its_own_summary():
+    """Nothing above the root authenticates a key range or an aggregate:
+    a proof that prunes the *whole tree* into one stub proves nothing."""
+    plain = _grown(mbtree.MerkleBTree(fanout=FANOUT), lambda k: b"v%d" % k)
+    hidden = mbtree.MBRangeProof(
+        lo=100, hi=200, root_opening=mbtree.SubtreeStub(0, 0, plain.root)
+    )
+    assert not mbtree.verify_range(plain.root, [], hidden)
+    series = _grown(aggtree.AggregateMBTree(fanout=FANOUT), lambda k: k + 3)
+    invented = aggtree.Aggregate(count=1, total=10**9, minimum=10**9, maximum=10**9)
+    claimed = aggtree.AggRangeProof(
+        lo=100, hi=200, root_opening=aggtree.AggStub(100, 200, invented, series.root)
+    )
+    assert not aggtree.verify_aggregate(series.root, invented, claimed)
