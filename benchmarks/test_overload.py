@@ -259,7 +259,7 @@ def _run_slow_replica_pass(hedge: HedgePolicy | None) -> tuple:
 
 def test_hedged_requests_cut_the_slow_replica_tail():
     with cost_model_disabled():
-        unhedged, _ = _run_slow_replica_pass(HedgePolicy(enabled=False))
+        unhedged, _ = _run_slow_replica_pass(None)
         hedged, gateway = _run_slow_replica_pass(HedgePolicy())
 
     rows = [

@@ -529,8 +529,7 @@ def cmd_demo_overload(args: argparse.Namespace) -> int:
           f"{sum(s.server.deadline_refused for s in services.values())}, "
           f"breaker trips: {gateway.breaker_trips()}, "
           f"hedge wins: {gateway.hedge_wins}, "
-          f"stale served: {client.stale_served}, "
-          f"retry_after waits honored: {gateway.rpc.retry_after_waits}")
+          f"stale served: {client.stale_served}")
     ok = (
         shed > 0
         and client.stale_served > 0

@@ -128,11 +128,6 @@ class ClientConfig:
     #: instead of raising.  Off by default: staleness is an explicit
     #: opt-in (see docs/overload.md for the contract).
     degrade_to_stale: bool = False
-    #: A :class:`repro.net.resilience.CircuitBreakerPolicy` arming one
-    #: breaker per issuer/provider endpoint (None = no client-side
-    #: breakers).  Gateway-fronted clients configure breakers on the
-    #: gateway instead.
-    endpoint_breaker: object | None = None
     # -- local mode --
     issuer: object | None = None
     # -- post-construction steps --

@@ -473,7 +473,6 @@ class RemoteSuperlightClient:
     """
 
     def __init__(self, config) -> None:
-        from repro.net.resilience import CircuitBreaker
         from repro.net.rpc import RetryPolicy, RpcClient
         from repro.query.answercache import VerifiedAnswerCache
 
@@ -484,21 +483,9 @@ class RemoteSuperlightClient:
         self.issuers = list(config.issuers)
         self.providers = list(config.providers)
         self.gateway = config.gateway
-        # -- overload resilience: stale degradation + endpoint breakers --
+        # -- overload resilience: stale degradation --
         self.degrade_to_stale = config.degrade_to_stale
         self.stale_served = 0
-        # One breaker per issuer/provider endpoint when a policy is
-        # configured; keyed by that fixed endpoint set, never grows.
-        self._breakers = (
-            {
-                endpoint: CircuitBreaker(
-                    config.endpoint_breaker, seed=f"{config.name}:{endpoint}"
-                )
-                for endpoint in (*self.issuers, *self.providers)
-            }
-            if config.endpoint_breaker is not None
-            else {}
-        )
         if self.gateway is not None and self.gateway.verify_switch is None:
             self.gateway.verify_switch = self._verify_replica_roots
         self.cache = (
@@ -531,22 +518,15 @@ class RemoteSuperlightClient:
         Per endpoint, an unacceptable reply is retried up to
         ``integrity_retries`` times (the fault may be transient line
         corruption) before failing over; a shed, timeout or outage
-        fails over at once and strikes the endpoint's breaker, and an
-        endpoint whose breaker is open is skipped.  ``accept`` counts
+        fails over at once.  ``accept`` counts
         its own integrity failures and raises
         :class:`~repro.errors.ResponseIntegrityError`.  Raises
         :class:`~repro.errors.ServiceUnavailableError` once every
         endpoint is exhausted (bounded work, no hanging).
         """
-        bus = self.rpc.bus
         last_error: Exception | None = None
         for endpoint in endpoints:
-            breaker = self._breakers.get(endpoint)
-            if breaker is not None and not breaker.permits(bus.clock_ms):
-                continue  # open: don't hammer a struggling endpoint
             for _attempt in range(self.integrity_retries):
-                if breaker is not None:
-                    breaker.on_dispatch(bus.clock_ms)
                 try:
                     reply = self.rpc.call(
                         endpoint, method, argument, deadline_ms=deadline_ms
@@ -558,13 +538,6 @@ class RemoteSuperlightClient:
                 except NetworkError as exc:
                     if deadline_ms and isinstance(exc, DeadlineExceededError):
                         raise  # our budget is gone everywhere at once
-                    if breaker is not None:
-                        # The breaker clamps the (untrusted) hint itself.
-                        breaker.record_failure(
-                            bus.clock_ms,
-                            overload=isinstance(exc, OverloadedError),
-                            retry_after_ms=getattr(exc, "retry_after_ms", 0.0),
-                        )
                     last_error = exc
                     break  # shed, down or unreachable: fail over
                 try:
@@ -572,8 +545,6 @@ class RemoteSuperlightClient:
                 except ResponseIntegrityError as exc:
                     last_error = exc
                     continue
-                if breaker is not None:
-                    breaker.record_success()
                 return reply
             self.failovers += 1
         raise ServiceUnavailableError(
@@ -812,12 +783,14 @@ class RemoteSuperlightClient:
 
         A warm answer-cache hit (same canonical request, same certified
         root) returns immediately with zero RPC round trips.  Otherwise
-        the request goes to the gateway (health-aware failover across
-        the fleet) or down the provider list; per endpoint, an
-        unverifiable answer is retried ``integrity_retries`` times (the
-        fault may be transient line corruption) before failing over.
-        Raises :class:`~repro.errors.ServiceUnavailableError` when no
-        endpoint yields a verifiable answer.
+        the request goes to the gateway (a :meth:`query_many` of one:
+        health-aware failover across the fleet, an unverifiable answer
+        striking the replica that gave it) or down the provider list,
+        where per endpoint an unverifiable answer is retried
+        ``integrity_retries`` times (the fault may be transient line
+        corruption) before failing over.  Raises
+        :class:`~repro.errors.ServiceUnavailableError` when no endpoint
+        yields a verifiable answer.
 
         ``deadline_ms`` (absolute virtual-clock) is propagated down the
         transport, shrinking hop by hop, so replicas refuse work this
@@ -828,12 +801,12 @@ class RemoteSuperlightClient:
         :class:`~repro.query.answercache.StaleAnswer` instead of
         raising; correctness is never sacrificed, only freshness.
         """
-        cached = self._cache_get(request)
-        if cached is not None:
-            return cached
         try:
             if self.gateway is not None:
-                return self._query_gateway(request, deadline_ms)
+                return self.query_many([request], deadline_ms=deadline_ms)[0]
+            cached = self._cache_get(request)
+            if cached is not None:
+                return cached
             return self._call_with_failover(
                 self.providers,
                 "execute",
@@ -872,8 +845,9 @@ class RemoteSuperlightClient:
         pipelined path).  Cache hits are answered locally; the misses
         are dispatched concurrently, so a fleet of N busy replicas
         drains them ~N× faster than one.  Every answer is verified
-        before it is returned or cached; an unverifiable answer raises
-        :class:`~repro.errors.ResponseIntegrityError`.
+        before it is returned or cached; an unverifiable one strikes
+        the replica that gave it and the request is re-dispatched
+        inside the gateway's per-item budget.
         """
         if self.gateway is None:
             return [self.query(request) for request in requests]
@@ -887,28 +861,13 @@ class RemoteSuperlightClient:
                 "execute",
                 [requests[position] for position in misses],
                 deadline_ms=deadline_ms,
+                accept=lambda miss, answer: self._admit(
+                    requests[misses[miss]], answer, "the fleet"
+                ),
             )
             for position, answer in zip(misses, answers):
-                results[position] = self._admit(
-                    requests[position], answer, "the fleet"
-                )
+                results[position] = answer
         return results
-
-    def _query_gateway(self, request, deadline_ms: float = 0.0):
-        """One query via the gateway, re-verifying until it checks out."""
-        last_error: Exception | None = None
-        for _attempt in range(max(1, self.integrity_retries)):
-            answer = self.gateway.call(
-                "execute", request, deadline_ms=deadline_ms
-            )
-            try:
-                return self._admit(request, answer, "the fleet")
-            except ResponseIntegrityError as exc:
-                last_error = exc
-        raise ServiceUnavailableError(
-            f"no replica returned a verifiable answer to "
-            f"{type(request).__name__}"
-        ) from last_error
 
     # -- the verified-answer cache ------------------------------------------
 

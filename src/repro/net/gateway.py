@@ -26,20 +26,22 @@ module supplies both on the deterministic virtual-clock bus:
   unhealthy and routed around.
 
 Per-replica bookkeeping is bounded: the in-flight map is capped at
-``outstanding_limit`` entries (oldest evicted), the same discipline as
-``NetworkNode.received``, so week-long chaos runs cannot grow memory.
+:data:`OUTSTANDING_LIMIT` entries (oldest evicted), the same discipline
+as ``NetworkNode.received``, and the latency window is a fixed-size
+deque, so week-long chaos runs cannot grow memory.
 
-:meth:`QueryGateway.call` is the sequential path (one request, bounded
-failover).  :meth:`QueryGateway.call_many` is the pipelined path: it
-keeps every eligible replica's pipe full and lets the fleet drain a
-burst concurrently — with the :class:`~repro.net.rpc.RpcServer`
-busy-worker model, M queries over N replicas complete in ~M/N service
-times, which is the scaling curve ``benchmarks/test_fleet_scaling.py``
-measures.
+There is one way to have a request in the air:
+:meth:`QueryGateway.call_many`, which owns every in-flight request of a
+batch, keeps every eligible replica's pipe full and applies one rule
+set per dispatch (:meth:`QueryGateway.call` is a batch of one).  With
+the :class:`~repro.net.rpc.RpcServer` busy-worker model, M queries over
+N replicas complete in ~M/N service times, which is the scaling curve
+``benchmarks/test_fleet_scaling.py`` measures.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -60,10 +62,17 @@ from repro.net.resilience import (
     CircuitBreaker,
     CircuitBreakerPolicy,
     HedgePolicy,
+    LatencyTracker,
     sanitize_deadline,
     shrink_deadline,
 )
 from repro.net.rpc import RetryPolicy, RpcClient
+
+#: Cap on a replica's in-flight map (oldest evicted).
+OUTSTANDING_LIMIT = 256
+#: Budget surrendered per hop when propagating a deadline, so the
+#: replica's reply can still travel back before *our* caller's deadline.
+HOP_MARGIN_MS = 10.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,7 +101,7 @@ class ReplicaState:
         self,
         name: str,
         *,
-        outstanding_limit: int = 256,
+        outstanding_limit: int = OUTSTANDING_LIMIT,
         breaker: CircuitBreaker | None = None,
     ) -> None:
         self.name = name
@@ -109,6 +118,9 @@ class ReplicaState:
         #: ``NetworkNode.received`` so chaos runs cannot grow memory.
         self.inflight: OrderedDict[int, float] = OrderedDict()
         self.outstanding_limit = outstanding_limit
+        #: Virtual ms from send to answer, one sample per successful
+        #: dispatch; the hedge delay is a quantile of this window.
+        self.latency = LatencyTracker()
         self.dispatched = 0
         self.answered = 0
         self.failures = 0
@@ -132,7 +144,7 @@ class ReplicaState:
         rotation (or its probe due) *and* not breaker-blocked.  ``None``
         when waiting cannot help (see ``CircuitBreaker.permits_at_ms``).
         The one rule both :meth:`eligible` and the gateway's wait for
-        the next probe window use, so they can never disagree."""
+        the next dispatch window use, so they can never disagree."""
         at_ms = 0.0 if self.healthy else self.next_probe_ms
         if self.breaker is not None:
             breaker_at_ms = self.breaker.permits_at_ms()
@@ -144,6 +156,20 @@ class ReplicaState:
     def eligible(self, now_ms: float) -> bool:
         at_ms = self.eligible_at_ms()
         return at_ms is not None and now_ms >= at_ms
+
+
+@dataclass(slots=True)
+class _Flight:
+    """One request in the air: the batch item it answers, where and
+    when it was sent, when it times out, and when to hedge it (``inf``
+    = never: it is a hedge itself, or has been hedged)."""
+
+    item: int
+    state: ReplicaState
+    sent_ms: float
+    expires_ms: float
+    hedge_ms: float
+    is_hedge: bool
 
 
 # -- balancing policies -------------------------------------------------------
@@ -228,10 +254,8 @@ class QueryGateway:
         policy: RetryPolicy | None = None,
         health: HealthPolicy | None = None,
         verify_switch: Callable[[str], None] | None = None,
-        outstanding_limit: int = 256,
         breaker: CircuitBreakerPolicy | None = None,
         hedge: HedgePolicy | None = None,
-        hop_margin_ms: float = 10.0,
     ) -> None:
         if not replicas:
             raise ValueError("a gateway needs at least one replica")
@@ -247,19 +271,13 @@ class QueryGateway:
         )
         self.health = health or HealthPolicy()
         self.verify_switch = verify_switch
-        #: None disables per-replica breakers (the pre-resilience
-        #: behaviour); a policy arms one breaker per replica, each with
-        #: its own seeded jitter stream.
-        self.breaker_policy = breaker
-        self.hedge = hedge or HedgePolicy(enabled=False)
-        #: Budget surrendered per hop when propagating a deadline, so
-        #: the replica's reply can still travel back before *our*
-        #: caller's deadline.
-        self.hop_margin_ms = hop_margin_ms
+        #: None disables hedging.
+        self.hedge = hedge
+        # A breaker policy arms one breaker per replica, each with its
+        # own seeded jitter stream; None disables them.
         self.replicas: dict[str, ReplicaState] = {
             replica: ReplicaState(
                 replica,
-                outstanding_limit=outstanding_limit,
                 breaker=(
                     CircuitBreaker(breaker, seed=f"{name}:{replica}")
                     if breaker is not None
@@ -296,8 +314,9 @@ class QueryGateway:
             s.breaker.trips for s in self.replicas.values() if s.breaker
         )
 
-    def _mark_success(self, state: ReplicaState) -> None:
+    def _mark_success(self, state: ReplicaState, latency_ms: float) -> None:
         state.answered += 1
+        state.latency.observe(latency_ms)
         state.consecutive_failures = 0
         if state.breaker is not None:
             state.breaker.record_success()
@@ -362,55 +381,21 @@ class QueryGateway:
         )
         return True
 
-    def _count_failover(self) -> None:
-        self.failovers += 1
-        obs.inc("gateway.failovers")
-
     def _abandon(self, state: ReplicaState, request_id: int) -> None:
         """Give up on an in-flight request without a verdict (a hedge
-        loser, or a batch that raised with requests outstanding): no
-        health or breaker strike, but the books are settled — the
-        in-flight slot is freed and a half-open probe nobody will
-        answer for goes back to open instead of wedging the breaker."""
+        loser, a request the caller's deadline cut short, or a batch
+        that raised with requests outstanding): no health or breaker
+        strike, but the books are settled — the in-flight slot is freed
+        and a half-open probe nobody will answer for goes back to open
+        instead of wedging the breaker."""
         state.settle(request_id)
         self.rpc.abandon(request_id)
         if state.breaker is not None:
             state.breaker.abandon_probe()
 
-    def _begin(
-        self, state: ReplicaState, method: str, argument: object, downstream: float
-    ) -> int:
-        """Send one request to ``state`` without waiting, on the books:
-        a half-open probe spent, the in-flight slot tracked."""
-        now = self.bus.clock_ms
-        if state.breaker is not None:
-            state.breaker.on_dispatch(now)
-        request_id = self.rpc.begin(
-            state.name, method, argument, deadline_ms=downstream
-        )
-        state.track(request_id, now)
-        return request_id
-
     def _candidates(self) -> list[ReplicaState]:
         now = self.bus.clock_ms
         return [s for s in self.replicas.values() if s.eligible(now)]
-
-    def _wait_for_probe_window(self) -> bool:
-        """No replica is eligible: advance time to the earliest probe.
-
-        Returns False if there is nothing to wait for: every replica
-        is behind a half-open breaker whose probe is still outstanding.
-        """
-        pending = [
-            at_ms
-            for s in self.replicas.values()
-            if (at_ms := s.eligible_at_ms()) is not None
-        ]
-        if not pending:
-            return False
-        # Deliver any in-flight traffic on the way to the probe window.
-        self.bus.run_for(max(0.0, min(pending) - self.bus.clock_ms))
-        return True
 
     # -- switch verification -------------------------------------------------
 
@@ -440,7 +425,7 @@ class QueryGateway:
         obs.inc("gateway.switches_verified")
         return True
 
-    # -- the sequential path -------------------------------------------------
+    # -- dispatch ------------------------------------------------------------
 
     def call_on(self, replica: str, method: str, argument: object = None):
         """One direct call to a named replica — no failover, no switch
@@ -452,311 +437,193 @@ class QueryGateway:
         method: str,
         argument: object = None,
         *,
-        max_dispatches: int | None = None,
         deadline_ms: float = NO_DEADLINE,
     ) -> object:
-        """Call ``method`` on the fleet; fail over until a replica
-        answers or the dispatch budget is spent.
-
-        ``deadline_ms`` is the caller's absolute virtual-clock budget:
-        it is propagated (shrunk by :attr:`hop_margin_ms`) to every
-        replica dispatch, and once spent the call raises
-        :class:`~repro.errors.DeadlineExceededError` instead of burning
-        further dispatches.
-
-        Raises the remote error unchanged when it is terminal (not
-        retryable — a bad query is bad on every replica), and
-        :class:`ServiceUnavailableError` when every candidate failed
-        within the budget.
-        """
-        budget = max_dispatches or max(3, 2 * len(self.replicas))
-        deadline = sanitize_deadline(deadline_ms)
-        last_error: ReproError | None = None
-        for _ in range(budget):
-            if deadline and self.bus.clock_ms >= deadline:
-                raise DeadlineExceededError(
-                    f"deadline for {method!r} expired during failover"
-                ) from last_error
-            candidates = self._candidates()
-            if not candidates:
-                if not self._wait_for_probe_window():
-                    break
-                candidates = self._candidates()
-                if not candidates:
-                    continue
-            state = self.balancer.pick(candidates)
-            if not self._ensure_verified(state):
-                last_error = ResponseIntegrityError(
-                    f"replica {state.name!r} failed switch verification"
-                )
-                continue
-            probing = not state.healthy
-            if probing:
-                obs.inc("gateway.probes")
-            try:
-                return self._dispatch(state, method, argument, deadline)
-            except ReproError as exc:
-                if not exc.retryable:
-                    # Terminal (a bad query, or the call's own spent
-                    # deadline): no other replica changes the outcome.
-                    raise
-                last_error = exc  # _dispatch already struck the replica
-                self._count_failover()
-        raise ServiceUnavailableError(
-            f"no replica answered {method!r} within {budget} dispatches"
-            + (f" (last: {last_error})" if last_error else "")
-        )
-
-    def _dispatch(
-        self,
-        state: ReplicaState,
-        method: str,
-        argument: object,
-        deadline: float,
-    ) -> object:
-        """One (possibly hedged) dispatch to ``state``.
-
-        Owns all health/breaker marking for the dispatch — including
-        the hedge case, where the answering replica may not be the one
-        originally picked — and sets :attr:`current` on success.
-        """
-        hedge_delay = self.hedge.delay_ms(
-            self.rpc.latency.get(state.name)
-        )
-        if hedge_delay is not None and len(self.replicas) > 1:
-            return self._hedged_dispatch(
-                state, method, argument, deadline, hedge_delay
-            )
-        if state.breaker is not None:
-            state.breaker.on_dispatch(self.bus.clock_ms)
-        started = self.bus.clock_ms
-        downstream = shrink_deadline(deadline, self.hop_margin_ms)
-        try:
-            result = self.rpc.call(
-                state.name, method, argument, deadline_ms=downstream
-            )
-        except ReproError as exc:
-            self._strike(state, exc)
-            raise
-        self.rpc._track_latency(state.name, self.bus.clock_ms - started)
-        self._mark_success(state)
-        # repro: allow[VER01] call() ran _ensure_verified(state) before dispatching here
-        self.current = state.name
-        return result
-
-    def _hedged_dispatch(
-        self,
-        primary: ReplicaState,
-        method: str,
-        argument: object,
-        deadline: float,
-        hedge_delay_ms: float,
-    ) -> object:
-        """Primary dispatch plus one hedged attempt at the observed
-        tail: if the primary has not answered within ``hedge_delay_ms``
-        (its own p90), send the same request to a *different* replica
-        and take whichever response lands first, abandoning the loser.
-
-        The loser is merely slow, not failed — it is abandoned without
-        a health or breaker strike, so hedging never poisons the
-        rotation.  Both timing out marks both and raises
-        :class:`~repro.errors.RpcTimeoutError` for the failover loop.
-        """
-        started = self.bus.clock_ms
-        downstream = shrink_deadline(deadline, self.hop_margin_ms)
-        timeout_at = started + self.rpc.policy.timeout_ms
-        if deadline:
-            timeout_at = min(timeout_at, deadline)
-        hedge_at = started + hedge_delay_ms
-        owners: dict[int, ReplicaState] = {
-            self._begin(primary, method, argument, downstream): primary
-        }
-        hedged = False
-        winner_rid: int | None = None
-        while True:
-            for rid in owners:
-                if self.rpc.has_response(rid):
-                    winner_rid = rid
-                    break
-            if winner_rid is not None or self.bus.clock_ms >= timeout_at:
-                break
-            if not hedged and self.bus.clock_ms >= hedge_at:
-                hedged = True
-                other = self._hedge_candidate(primary)
-                if other is not None:
-                    self.hedges += 1
-                    obs.inc("resilience.hedges")
-                    owners[
-                        self._begin(other, method, argument, downstream)
-                    ] = other
-            horizon = timeout_at if hedged else min(timeout_at, hedge_at)
-            if not self.bus.step(horizon):
-                self.bus.wait_until(horizon)
-        if winner_rid is None:
-            for rid, state in owners.items():
-                state.settle(rid)
-                self.rpc.abandon(rid)
-                self._mark_failure(state)
-            self.rpc.timeouts += 1
-            obs.inc("rpc.client.timeouts")
-            raise RpcTimeoutError(
-                f"no replica answered hedged {method!r} within "
-                f"{timeout_at - started:.0f} ms"
-            )
-        winner = owners.pop(winner_rid)
-        winner.settle(winner_rid)
-        for rid, state in owners.items():  # abandon the slow loser(s)
-            self._abandon(state, rid)
-        response = self.rpc.take(winner_rid)
-        self.rpc._track_latency(winner.name, self.bus.clock_ms - started)
-        if winner is not primary:
-            self.hedge_wins += 1
-            obs.inc("resilience.hedge_wins")
-        try:
-            result = self.rpc.resolve(
-                response, target=winner.name, method=method
-            )
-        except ReproError as exc:
-            self._strike(winner, exc)
-            raise
-        self._mark_success(winner)
-        # repro: allow[VER01] call() verified every hedge candidate before dispatching here
-        self.current = winner.name
-        return result
-
-    def _hedge_candidate(self, primary: ReplicaState) -> ReplicaState | None:
-        """An eligible, verified replica other than ``primary``."""
-        now = self.bus.clock_ms
-        for state in self.replicas.values():
-            if state is primary or not state.eligible(now):
-                continue
-            if not state.healthy:
-                continue  # don't spend a probe on a hedge
-            if self._ensure_verified(state):
-                return state
-        return None
-
-    # -- the pipelined path --------------------------------------------------
+        """:meth:`call_many` for a batch of one."""
+        return self.call_many(method, [argument], deadline_ms=deadline_ms)[0]
 
     def call_many(
         self,
         method: str,
         arguments: Sequence[object],
         *,
-        timeout_ms: float | None = None,
-        max_dispatches_per_item: int = 4,
         deadline_ms: float = NO_DEADLINE,
+        accept: Callable[[int, object], object] | None = None,
     ) -> list[object]:
-        """Dispatch every argument concurrently across the fleet.
+        """Call ``method`` once per argument, concurrently across the
+        fleet; results come back in argument order.
 
-        Results come back in argument order.  Each item gets a bounded
-        number of dispatches (failing over between replicas); a
-        terminal remote error for any item is raised immediately.  With
-        busy-worker replicas this is the path that turns N replicas
-        into ~N× throughput.  ``deadline_ms`` (absolute) is propagated,
-        shrunk one hop, to every dispatch.
+        Each item is dispatched — one send, to the balancer's pick among
+        the eligible replicas, timed out at ``policy.timeout_ms`` — until
+        a replica answers it or its ``max(3, 2 × replicas)`` dispatches
+        are spent (:class:`ServiceUnavailableError`).  A dispatch that
+        outlives the replica's observed latency quantile is hedged once
+        (:class:`HedgePolicy`), to a healthy, verified replica not
+        already carrying the item; the loser is abandoned, not struck.
+
+        ``deadline_ms`` is the caller's absolute virtual-clock budget.
+        It rides, shrunk by :data:`HOP_MARGIN_MS`, in every send; once
+        spent, :class:`DeadlineExceededError` — nothing more is sent,
+        and what is still in the air is abandoned, not struck.
+
+        ``accept(position, result)`` may reject an answer by raising
+        (typically :class:`ResponseIntegrityError`): like a timeout or a
+        retryable remote error, that strikes the replica and the item is
+        re-dispatched inside its budget.  A terminal error (a bad query
+        is bad on every replica) is raised unchanged at once.
         """
-        timeout = timeout_ms or self.rpc.policy.timeout_ms
-        deadline = sanitize_deadline(deadline_ms)
-        downstream = shrink_deadline(deadline, self.hop_margin_ms)
+        deadline = sanitize_deadline(deadline_ms) or math.inf
+        downstream = shrink_deadline(deadline, HOP_MARGIN_MS)
+        budget = max(3, 2 * len(self.replicas))
         results: list[object] = [None] * len(arguments)
-        todo: list[tuple[int, int]] = [(i, 0) for i in range(len(arguments))]
-        # request_id -> (item index, dispatch count, replica, deadline)
-        pending: dict[int, tuple[int, int, ReplicaState, float]] = {}
-        done = 0
+        dispatches = [0] * len(arguments)
+        todo = list(range(len(arguments)))
+        flights: dict[int, _Flight] = {}
+        unanswered = len(arguments)
+        last_error: ReproError | None = None
+
+        def check_deadline() -> None:
+            if self.bus.clock_ms >= deadline:
+                raise DeadlineExceededError(
+                    f"deadline for {method!r} spent with {unanswered} of "
+                    f"{len(arguments)} unanswered"
+                ) from last_error
+
+        def send(item: int, state: ReplicaState, *, is_hedge: bool) -> None:
+            check_deadline()  # switch verification may have spent it
+            now = self.bus.clock_ms
+            if state.breaker is not None:
+                state.breaker.on_dispatch(now)  # spends a half-open probe
+            request_id = self.rpc.begin(
+                state.name, method, arguments[item], deadline_ms=downstream
+            )
+            state.track(request_id, now)
+            delay = None if is_hedge or self.hedge is None else (
+                self.hedge.delay_ms(state.latency)
+            )
+            flights[request_id] = _Flight(
+                item=item,
+                state=state,
+                sent_ms=now,
+                expires_ms=min(now + self.rpc.policy.timeout_ms, deadline),
+                hedge_ms=math.inf if delay is None else now + delay,
+                is_hedge=is_hedge,
+            )
+
         try:
-            while done < len(arguments):
+            while unanswered:
+                check_deadline()
                 # Keep the pipes full: dispatch everything dispatchable.
-                still_waiting: list[tuple[int, int]] = []
-                for item, dispatches in todo:
-                    if dispatches >= max_dispatches_per_item:
+                waiting: list[int] = []
+                for item in todo:
+                    if dispatches[item] >= budget:
                         raise ServiceUnavailableError(
-                            f"item {item} of {method!r} failed "
-                            f"{max_dispatches_per_item} dispatches"
+                            f"no replica answered item {item} of {method!r} "
+                            f"within {budget} dispatches"
+                            + (f" (last: {last_error})" if last_error else "")
                         )
                     candidates = self._candidates()
                     if not candidates:
-                        still_waiting.append((item, dispatches))
+                        waiting.append(item)
                         continue
+                    dispatches[item] += 1
                     state = self.balancer.pick(candidates)
                     if not self._ensure_verified(state):
-                        still_waiting.append((item, dispatches + 1))
+                        last_error = ResponseIntegrityError(
+                            f"replica {state.name!r} failed switch verification"
+                        )
+                        waiting.append(item)
                         continue
                     if not state.healthy:
                         obs.inc("gateway.probes")
-                    request_id = self._begin(
-                        state, method, arguments[item], downstream
-                    )
-                    item_deadline = self.bus.clock_ms + timeout
-                    if deadline:
-                        item_deadline = min(item_deadline, deadline)
-                    pending[request_id] = (
-                        item,
-                        dispatches + 1,
-                        state,
-                        item_deadline,
-                    )
-                todo = still_waiting
-                if not pending:
-                    if not self._wait_for_probe_window():
-                        raise ServiceUnavailableError(
-                            f"no replica available for {method!r}"
-                        )
-                    continue
-                # Drive the bus toward the earliest in-flight deadline,
-                # then settle whatever arrived and expire whatever did
-                # not.  (With requests in flight every pass either
-                # delivers bus traffic or reaches that deadline, so this
-                # branch always makes progress.)
-                horizon = min(entry[3] for entry in pending.values())
-                progressed = False
-                while self.bus.step(horizon):
-                    progressed = True
-                    if any(self.rpc.has_response(rid) for rid in pending):
-                        break
-                arrived = [
-                    rid for rid in pending if self.rpc.has_response(rid)
-                ]
-                for rid in arrived:
-                    item, dispatches, state, _ = pending.pop(rid)
-                    state.settle(rid)
-                    response = self.rpc.take(rid)
-                    try:
-                        result = self.rpc.resolve(
-                            response, target=state.name, method=method
-                        )
-                    except ReproError as exc:
-                        if not self._strike(state, exc):
-                            raise
-                        self._count_failover()
-                        todo.append((item, dispatches))
+                    send(item, state, is_hedge=False)
+                todo = waiting
+                # Hedge, once and never with a probe, every dispatch that
+                # has outlived its delay.
+                for flight in list(flights.values()):
+                    if self.bus.clock_ms < flight.hedge_ms:
                         continue
-                    self._mark_success(state)
-                    self.current = state.name
-                    results[item] = result
-                    done += 1
-                if arrived:
-                    continue
-                if not progressed:
-                    self.bus.wait_until(horizon)
-                expired = [
-                    rid
-                    for rid, entry in pending.items()
-                    if self.bus.clock_ms >= entry[3]
-                ]
-                for rid in expired:
-                    item, dispatches, state, _ = pending.pop(rid)
-                    state.settle(rid)
-                    self.rpc.abandon(rid)
-                    self.rpc.timeouts += 1
-                    obs.inc("rpc.client.timeouts")
-                    self._mark_failure(state)
-                    self._count_failover()
-                    todo.append((item, dispatches))
+                    flight.hedge_ms = math.inf
+                    carrying = {
+                        f.state for f in flights.values() if f.item == flight.item
+                    }
+                    for other in self._candidates():
+                        if (
+                            other.healthy
+                            and other not in carrying
+                            and self._ensure_verified(other)
+                        ):
+                            self.hedges += 1
+                            obs.inc("resilience.hedges")
+                            send(flight.item, other, is_hedge=True)
+                            break
+                # Drive the bus to whatever can happen next: an answer,
+                # a timeout, a hedge coming due or, with items waiting, a
+                # replica becoming eligible.
+                due = [min(f.expires_ms, f.hedge_ms) for f in flights.values()]
+                if todo:
+                    due += [
+                        at_ms
+                        for s in self.replicas.values()
+                        if (at_ms := s.eligible_at_ms()) is not None
+                    ]
+                if not due:
+                    raise ServiceUnavailableError(
+                        f"no replica available for {method!r}"
+                    )
+                self.rpc.wait(flights, min(*due, deadline))
+                # One verdict per flight that answered or timed out; one
+                # the caller's deadline cut short gets none.
+                now = self.bus.clock_ms
+                for request_id, flight in list(flights.items()):
+                    if request_id not in flights:
+                        continue  # a hedge loser, abandoned just above
+                    response = self.rpc.take(request_id)
+                    if response is None and (
+                        now < flight.expires_ms or now >= deadline
+                    ):
+                        continue
+                    del flights[request_id]
+                    flight.state.settle(request_id)
+                    rest = [
+                        (rid, f)
+                        for rid, f in flights.items()
+                        if f.item == flight.item
+                    ]
+                    try:
+                        if response is None:
+                            self.rpc.expire(request_id)
+                            raise RpcTimeoutError(
+                                f"{flight.state.name!r} did not answer "
+                                f"{method!r} in {now - flight.sent_ms:.0f} ms"
+                            )
+                        result = self.rpc.resolve(
+                            response, target=flight.state.name, method=method
+                        )
+                        if accept is not None:
+                            accept(flight.item, result)
+                    except ReproError as exc:
+                        if not self._strike(flight.state, exc):
+                            raise
+                        last_error = exc
+                        self.failovers += 1
+                        obs.inc("gateway.failovers")
+                        if not rest:
+                            todo.append(flight.item)
+                        continue
+                    self._mark_success(flight.state, now - flight.sent_ms)
+                    self.current = flight.state.name
+                    if flight.is_hedge:
+                        self.hedge_wins += 1
+                        obs.inc("resilience.hedge_wins")
+                    for rid, loser in rest:
+                        del flights[rid]
+                        self._abandon(loser.state, rid)
+                    results[flight.item] = result
+                    unanswered -= 1
         finally:
-            # Non-empty only when raising mid-flight (dispatch budget
-            # spent, terminal error): settle the books for everything
-            # still outstanding.
-            for rid, (_, _, state, _) in pending.items():
-                self._abandon(state, rid)
+            # Non-empty only when raising: settle the books for
+            # everything still in the air.
+            for request_id, flight in flights.items():
+                self._abandon(flight.state, request_id)
         return results

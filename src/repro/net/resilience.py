@@ -26,12 +26,11 @@ RPC/gateway/client stacks compose into an end-to-end protection layer:
   half-open per endpoint with a seeded-jitter reopen schedule and a
   bounded probe trickle, so a saturated or dead endpoint stops
   receiving traffic *before* failure-threshold ejection kicks in.
-* **Latency tracking** (:class:`LatencyTracker`) — per-endpoint EWMA
-  plus a bounded sample window for quantiles; drives adaptive timeouts
-  and the gateway's hedging delay.
-* **Hedging policy** (:class:`HedgePolicy`) — when a primary dispatch
-  is slower than the observed p90, the gateway issues one hedged
-  attempt at a *different* replica and abandons the loser.
+* **Latency tracking** (:class:`LatencyTracker`) — a bounded sample
+  window per replica with quantiles; drives the gateway's hedge delay.
+* **Hedging policy** (:class:`HedgePolicy`) — when a dispatch is slower
+  than the observed p90, the gateway issues one hedged attempt at a
+  *different* replica and abandons the loser.
 
 Everything here is wall-clock-free and seeded: the same virtual-time
 schedule produces byte-identical shed/trip/hedge decisions, which is
@@ -212,11 +211,6 @@ class CircuitBreaker:
             return None
         return 0.0
 
-    def permits(self, now_ms: float) -> bool:
-        """Whether a dispatch may be routed here right now (pure)."""
-        at_ms = self.permits_at_ms()
-        return at_ms is not None and now_ms >= at_ms
-
     def on_dispatch(self, now_ms: float) -> None:
         """Account for one routed request (spends a half-open probe)."""
         if self.state == self.OPEN and now_ms >= self._reopen_at_ms:
@@ -286,56 +280,30 @@ class CircuitBreaker:
 
 
 class LatencyTracker:
-    """Per-endpoint latency: EWMA plus a bounded window for quantiles.
+    """A bounded window of one endpoint's recent latencies.
 
-    Purely virtual-time (callers feed it ``bus.clock_ms`` deltas), so
-    adaptive timeouts and hedge delays derived from it are
-    deterministic.
+    Purely virtual-time (the gateway feeds it ``bus.clock_ms`` deltas,
+    one per successful dispatch), so the hedge delay derived from it is
+    deterministic.  This is control-path state — routing depends on it
+    with observability off — which is why it is not an
+    ``obs.Histogram``.
     """
 
-    def __init__(self, *, alpha: float = 0.2, window: int = 64) -> None:
-        self.alpha = alpha
+    def __init__(self, window: int = 64) -> None:
         self._samples: deque[float] = deque(maxlen=window)
-        self.ewma_ms: float | None = None
-        self.count = 0
+
+    def __len__(self) -> int:
+        return len(self._samples)
 
     def observe(self, sample_ms: float) -> None:
-        sample_ms = max(0.0, float(sample_ms))
-        self.count += 1
-        if self.ewma_ms is None:
-            self.ewma_ms = sample_ms
-        else:
-            self.ewma_ms += self.alpha * (sample_ms - self.ewma_ms)
-        self._samples.append(sample_ms)
+        self._samples.append(max(0.0, float(sample_ms)))
 
     def quantile(self, q: float) -> float | None:
-        """The ``q``-quantile of the recent window (None when empty)."""
+        """The ``q``-quantile of the window (None when empty)."""
         if not self._samples:
             return None
         ordered = sorted(self._samples)
-        index = min(len(ordered) - 1, int(q * len(ordered)))
-        return ordered[index]
-
-    def p90(self) -> float | None:
-        return self.quantile(0.9)
-
-    def timeout_ms(
-        self,
-        ceiling_ms: float,
-        *,
-        multiplier: float = 3.0,
-        floor_ms: float = 10.0,
-        min_samples: int = 8,
-    ) -> float:
-        """An adaptive per-attempt timeout: p90 × multiplier, floored,
-        and never above the static policy ceiling (the ceiling is the
-        correctness bound; adaptation only tightens it)."""
-        if self.count < min_samples:
-            return ceiling_ms
-        p90 = self.p90()
-        if p90 is None:
-            return ceiling_ms
-        return min(max(p90 * multiplier, floor_ms), ceiling_ms)
+        return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
 
 
 # -- hedging -------------------------------------------------------------------
@@ -345,25 +313,22 @@ class LatencyTracker:
 class HedgePolicy:
     """When the gateway issues a second, hedged dispatch.
 
-    The hedge fires once the primary has been outstanding longer than
+    The hedge fires once a dispatch has been outstanding longer than
     the observed ``quantile`` of that endpoint's latency — i.e. only
     for the slow tail — and goes to a *different* replica.  The first
-    response wins; the loser is abandoned.  Until ``min_samples``
+    answer wins; the loser is abandoned.  Until ``min_samples``
     observations exist the gateway does not hedge (no basis for a
-    delay), so cold starts behave exactly like the unhedged path.
+    delay), so cold starts behave exactly like an unhedged gateway.
     """
 
-    enabled: bool = True
     quantile: float = 0.9
     min_samples: int = 8
     delay_floor_ms: float = 5.0
     delay_cap_ms: float = 500.0
 
-    def delay_ms(self, tracker: LatencyTracker | None) -> float | None:
+    def delay_ms(self, tracker: LatencyTracker) -> float | None:
         """Virtual ms to wait before hedging, or None (don't hedge)."""
-        if not self.enabled or tracker is None:
-            return None
-        if tracker.count < self.min_samples:
+        if len(tracker) < self.min_samples:
             return None
         observed = tracker.quantile(self.quantile)
         if observed is None:

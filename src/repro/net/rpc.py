@@ -38,6 +38,7 @@ from repro.errors import (
     ReproError,
     ResponseIntegrityError,
     RpcTimeoutError,
+    error_for_code,
 )
 from repro.net import wire
 from repro.net.bus import MessageBus, NetworkNode
@@ -46,7 +47,6 @@ from repro.obs.wallclock import elapsed_ms, now_s
 from repro.net.resilience import (
     NO_DEADLINE,
     AdmissionPolicy,
-    LatencyTracker,
     clamp_retry_after,
     sanitize_deadline,
 )
@@ -118,11 +118,6 @@ class RetryPolicy:
     becomes a standing one; jitter desynchronizes the waves.  The
     default is 0 for bit-compatibility with existing schedules; fleet
     construction paths opt in.
-
-    ``adaptive_timeout`` lets the client tighten the per-attempt
-    timeout below ``timeout_ms`` using its observed per-endpoint
-    latency (p90 × 3, floored) once enough samples exist; the static
-    ``timeout_ms`` stays the ceiling.
     """
 
     timeout_ms: float = 500.0
@@ -131,7 +126,6 @@ class RetryPolicy:
     backoff_factor: float = 2.0
     backoff_max_ms: float = 1_000.0
     jitter: float = 0.0
-    adaptive_timeout: bool = False
 
     def backoff_ms(self, attempt: int, rng: random.Random | None = None) -> float:
         """Backoff to wait after the ``attempt``-th failure (0-based)."""
@@ -407,8 +401,6 @@ class RpcClient:
     * **retry-after honoring** — an ``OVERLOADED`` refusal's (clamped)
       ``retry_after_ms`` hint extends the backoff before the next
       attempt;
-    * **per-endpoint latency tracking** (:attr:`latency`) feeding
-      adaptive timeouts when the policy opts in;
     * **bounded response bookkeeping** — ``_responses`` is swept on
       abandon and capped, so late replies to abandoned requests can
       never grow memory (asserted as a sim invariant).
@@ -417,10 +409,6 @@ class RpcClient:
     #: Caps on retained responses and remembered abandoned ids.
     RESPONSES_LIMIT = 256
     ABANDONED_LIMIT = 1024
-    #: Cap on per-endpoint latency trackers.  A client talks to a
-    #: handful of endpoints; the cap only bites when endpoint names
-    #: churn without bound, and recently-used trackers survive.
-    LATENCY_TRACKERS_LIMIT = 64
 
     def __init__(
         self,
@@ -445,9 +433,6 @@ class RpcClient:
         #: by name, so each client walks its own schedule and the same
         #: run replays bit-identically.
         self._rng = random.Random(f"rpc-client:{name}:{seed}")
-        #: Observed per-endpoint latency (virtual ms, successful
-        #: calls).  LRU-bounded: see LATENCY_TRACKERS_LIMIT.
-        self.latency: "OrderedDict[str, LatencyTracker]" = OrderedDict()
         #: Logical calls made (one per :meth:`call`, however many
         #: attempts it took) plus one per :meth:`begin`.  The verified
         #: answer cache's "zero round trips on a warm hit" claim is
@@ -474,25 +459,7 @@ class RpcClient:
         while len(self._responses) > self.RESPONSES_LIMIT:
             self._responses.popitem(last=False)
 
-    def _track_latency(self, target: str, sample_ms: float) -> None:
-        tracker = self.latency.get(target)
-        if tracker is None:
-            tracker = self.latency[target] = LatencyTracker()
-            while len(self.latency) > self.LATENCY_TRACKERS_LIMIT:
-                self.latency.popitem(last=False)
-        else:
-            self.latency.move_to_end(target)
-        tracker.observe(sample_ms)
-
-    def _attempt_timeout_ms(self, target: str, policy: RetryPolicy) -> float:
-        if not policy.adaptive_timeout:
-            return policy.timeout_ms
-        tracker = self.latency.get(target)
-        if tracker is None:
-            return policy.timeout_ms
-        return tracker.timeout_ms(policy.timeout_ms)
-
-    # -- non-blocking primitives (the gateway's pipelined dispatch) ----------
+    # -- non-blocking primitives (what call() and the gateway are built on) --
 
     def begin(
         self,
@@ -504,9 +471,11 @@ class RpcClient:
     ) -> int:
         """Send one request without waiting; returns its request id.
 
-        Pair with :meth:`take` (poll for the raw response while driving
-        the bus yourself) and :meth:`resolve` (decode it or raise the
-        mapped error).  The caller owns timeout and retry policy.
+        Pair with :meth:`wait` (drive the bus until it answers),
+        :meth:`take` (pop the raw response, or :meth:`expire` the
+        request if there is none) and :meth:`resolve` (decode it or
+        raise the mapped error).  The caller owns timeout and retry
+        policy.
         """
         self.calls += 1
         obs.inc("rpc.client.calls")
@@ -543,6 +512,16 @@ class RpcClient:
     def has_response(self, request_id: int) -> bool:
         return request_id in self._responses
 
+    def wait(self, request_ids, horizon_ms: float) -> None:
+        """Drive the bus (delivering everyone's traffic along the way)
+        until any of ``request_ids`` has answered or the virtual clock
+        reaches ``horizon_ms``, whichever comes first."""
+        answered = self._responses.keys()
+        while answered.isdisjoint(request_ids):
+            if not self.bus.step(horizon_ms):
+                self.bus.wait_until(horizon_ms)
+                return
+
     def take(self, request_id: int) -> RpcResponse | None:
         """Pop the response to ``request_id`` if it has arrived."""
         return self._responses.pop(request_id, None)
@@ -562,20 +541,38 @@ class RpcClient:
                 self._abandoned.popitem(last=False)
         self._responses.pop(request_id, None)
 
+    def expire(self, request_id: int) -> None:
+        """:meth:`abandon` a request that ran out its timeout, counted."""
+        self.abandon(request_id)
+        self.timeouts += 1
+        obs.inc("rpc.client.timeouts")
+
     def resolve(
         self, response: RpcResponse, *, target: str, method: str
     ) -> object:
-        """Decode a response into its result, or raise the mapped error."""
+        """Decode a response into its result, or raise the mapped error.
+
+        A failure report's ``code`` selects the exception class from the
+        local taxonomy (an unknown code degrades to
+        :class:`RemoteCallError`); its payload carries only the
+        human-readable message.
+        """
         obs.inc("rpc.client.bytes_received", len(response.payload))
-        if not response.ok:
-            raise self._remote_error(response)
         try:
-            return wire.decode(response.payload)
+            decoded = wire.decode(response.payload)
         except ReproError as exc:
             raise ResponseIntegrityError(
                 f"response to {method!r} from {target!r} corrupted in "
                 f"flight: {exc}"
             ) from exc
+        if response.ok:
+            return decoded
+        error = error_for_code(response.code)(f"{response.sender}: {decoded}")
+        if isinstance(error, OverloadedError):
+            # The hint is untrusted wire data: clamp before anything
+            # downstream (backoff, breakers) can honor it.
+            error.retry_after_ms = clamp_retry_after(response.retry_after_ms)
+        raise error
 
     def call(
         self,
@@ -609,81 +606,60 @@ class RpcClient:
         payload = wire.encode(argument)
         self.calls += 1
         obs.inc("rpc.client.calls")
-        virtual_started = self.bus.clock_ms
+        started = self.bus.clock_ms
         last_remote: ReproError | None = None
         for attempt in range(policy.max_attempts):
             if call_deadline and self.bus.clock_ms >= call_deadline:
-                self.deadline_gaveups += 1
-                obs.inc("resilience.client.deadline_gaveups")
-                raise DeadlineExceededError(
-                    f"deadline for {method!r} on {target!r} expired after "
-                    f"{attempt} attempts"
-                ) from last_remote
+                break
             if attempt:
                 obs.inc("rpc.client.retries")
-            attempt_started = self.bus.clock_ms
             request_id = self._send(
                 target, method, payload, deadline_ms=call_deadline
             )
-            deadline = attempt_started + self._attempt_timeout_ms(
-                target, policy
-            )
+            horizon = self.bus.clock_ms + policy.timeout_ms
             if call_deadline:
-                deadline = min(deadline, call_deadline)
-            while request_id not in self._responses and self.bus.step(deadline):
-                pass
-            response = self._responses.pop(request_id, None)
+                horizon = min(horizon, call_deadline)
+            self.wait((request_id,), horizon)
+            response = self.take(request_id)
+            final = attempt + 1 == policy.max_attempts
             if response is None:
-                self.abandon(request_id)
-                self.bus.wait_until(deadline)
-                self.timeouts += 1
-                obs.inc("rpc.client.timeouts")
-                if attempt + 1 < policy.max_attempts:
+                self.expire(request_id)
+                if not final:
                     self.bus.run_for(policy.backoff_ms(attempt, self._rng))
                 continue
-            self._track_latency(target, self.bus.clock_ms - attempt_started)
             if obs.enabled():
-                obs.inc("rpc.client.bytes_received", len(response.payload))
                 obs.observe(
-                    f"rpc.client.call_ms.{method}",
-                    self.bus.clock_ms - virtual_started,
+                    f"rpc.client.call_ms.{method}", self.bus.clock_ms - started
                 )
-            if not response.ok:
-                error = self._remote_error(response)
-                # The code tells us whether another attempt can help: a
-                # transient transport-class failure (service restarting,
-                # overloaded) is worth the backoff; a semantic failure
-                # (bad query, failed verification) never is.
-                if error.retryable and attempt + 1 < policy.max_attempts:
-                    last_remote = error
-                    obs.inc("rpc.client.remote_retries")
-                    wait_ms = policy.backoff_ms(attempt, self._rng)
-                    if isinstance(error, OverloadedError):
-                        # Honor (clamped) server backpressure: never
-                        # retry an overloaded endpoint sooner than it
-                        # asked us to.
-                        hint = clamp_retry_after(error.retry_after_ms)
-                        if hint > wait_ms:
-                            wait_ms = hint
-                        if hint > 0.0:
-                            self.retry_after_waits += 1
-                            obs.inc("resilience.client.retry_after_waits")
-                    self.bus.run_for(wait_ms)
-                    continue
-                raise error
             try:
-                return wire.decode(response.payload)
-            except ReproError as exc:
-                raise ResponseIntegrityError(
-                    f"response to {method!r} from {target!r} corrupted in "
-                    f"flight: {exc}"
-                ) from exc
+                return self.resolve(response, target=target, method=method)
+            except ReproError as error:
+                # The code tells us whether another attempt can help: a
+                # transient transport-class report (service restarting,
+                # overloaded) is worth the backoff; a semantic failure
+                # (bad query, failed verification) or a reply corrupted
+                # in flight never is.
+                if response.ok or not error.retryable or final:
+                    raise
+                last_remote = error
+            obs.inc("rpc.client.remote_retries")
+            wait_ms = policy.backoff_ms(attempt, self._rng)
+            if (
+                isinstance(last_remote, OverloadedError)
+                and last_remote.retry_after_ms > 0.0
+            ):
+                # Honor server backpressure (clamped by resolve()):
+                # never retry an overloaded endpoint sooner than it
+                # asked us to.
+                self.retry_after_waits += 1
+                obs.inc("resilience.client.retry_after_waits")
+                wait_ms = max(wait_ms, last_remote.retry_after_ms)
+            self.bus.run_for(wait_ms)
         if call_deadline and self.bus.clock_ms >= call_deadline:
             self.deadline_gaveups += 1
             obs.inc("resilience.client.deadline_gaveups")
             raise DeadlineExceededError(
-                f"deadline for {method!r} on {target!r} expired after "
-                f"{policy.max_attempts} attempts"
+                f"deadline for {method!r} on {target!r} expired"
             ) from last_remote
         if last_remote is not None:
             raise last_remote
@@ -691,26 +667,3 @@ class RpcClient:
             f"no response from {target!r} to {method!r} after "
             f"{policy.max_attempts} attempts ({policy.timeout_ms:.0f} ms each)"
         )
-
-    def _remote_error(self, response: RpcResponse) -> ReproError:
-        """Map a remote failure report back onto the local taxonomy.
-
-        The response's ``code`` field selects the exception class (an
-        unknown code degrades to :class:`RemoteCallError`); the payload
-        carries only the human-readable message.
-        """
-        from repro.errors import error_for_code
-
-        try:
-            message = wire.decode(response.payload)
-        except ReproError as exc:
-            return ResponseIntegrityError(
-                f"undecodable error report from {response.sender!r}: {exc}"
-            )
-        exc_type = error_for_code(response.code)
-        error = exc_type(f"{response.sender}: {message}")
-        if isinstance(error, OverloadedError):
-            # The hint is untrusted wire data: clamp before anything
-            # downstream (backoff, breakers) can honor it.
-            error.retry_after_ms = clamp_retry_after(response.retry_after_ms)
-        return error

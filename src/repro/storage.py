@@ -479,41 +479,3 @@ class ChainArchive:
             index_roots=index_roots,
             write_set=_decode_write_set(record.get("write_set", {})),
         )
-
-
-def restore_issuer(
-    archive: ChainArchive,
-    genesis: Block,
-    genesis_state,
-    vm,
-    pow_engine,
-    *,
-    index_specs=None,
-    platform=None,
-    ias=None,
-):
-    """Rebuild a :class:`~repro.core.issuer.CertificateIssuer` from an
-    archive (compatibility entry point).
-
-    The enclave unseals the archived signing key (same platform + same
-    program required); with a checkpoint present, recovery is
-    checkpoint-unseal plus O(gap) WAL-tail replay, otherwise every
-    archived block is re-validated and re-certified and each archived
-    certificate checked against the replay — a certificate that does
-    not match means the archive was tampered with, and loading fails.
-    See :func:`repro.core.recovery.recover_issuer` for the durable
-    (journaling) form this wraps.
-    """
-    from repro.core.recovery import recover_issuer
-
-    durable = recover_issuer(
-        archive,
-        genesis,
-        genesis_state,
-        vm,
-        pow_engine,
-        index_specs=index_specs,
-        platform=platform,
-        ias=ias,
-    )
-    return durable.issuer

@@ -8,7 +8,7 @@ from repro.errors import ArchiveCorruptionError, CertificateError, EnclaveError
 from repro.query.indexes import AccountHistoryIndexSpec
 from repro.sgx.attestation import AttestationService
 from repro.sgx.platform import SGXPlatform
-from repro.storage import ChainArchive, restore_issuer
+from repro.storage import ChainArchive
 from tests.conftest import fresh_vm
 
 SPEC = AccountHistoryIndexSpec(name="history")
@@ -173,11 +173,11 @@ def test_restore_on_wrong_platform_fails_cleanly(kv_chain, tmp_path):
 def test_restore_with_modified_measurement_fails_cleanly(kv_chain, tmp_path):
     """A different enclave program (different index specs -> different
     measurement) cannot unseal the archived key, even on the right
-    platform — and the failure flows through restore_issuer cleanly."""
+    platform — and the failure flows through recover_issuer cleanly."""
     durable, platform, ias = make_durable(kv_chain, tmp_path, blocks=3)
     genesis, state = make_genesis()
     with pytest.raises(EnclaveError):
-        restore_issuer(
+        recover_issuer(
             durable.archive, genesis, state, fresh_vm(), kv_chain.pow,
             index_specs=None,  # measurement no longer covers SPEC
             platform=platform, ias=ias,

@@ -1,4 +1,5 @@
-"""The query gateway: balancing, health, failover, pipelining.
+"""The query gateway: balancing, health, failover, and the one flight
+engine behind ``call`` and ``call_many``.
 
 These tests exercise the gateway against plain RpcServers (any method
 registry works — the gateway is method-agnostic); the full
@@ -9,10 +10,13 @@ tests/fault/test_fleet_chaos.py.
 import pytest
 
 from repro.errors import (
+    DeadlineExceededError,
     QueryError,
+    ResponseIntegrityError,
     ServiceUnavailableError,
 )
 from repro.net.bus import MessageBus
+from repro.net.faults import FaultInjector, LinkFaults
 from repro.net.gateway import (
     HealthPolicy,
     LeastOutstanding,
@@ -22,7 +26,12 @@ from repro.net.gateway import (
     SeededRandom,
     make_balancer,
 )
-from repro.net.rpc import RetryPolicy, RpcServer
+from repro.net.resilience import (
+    AdmissionPolicy,
+    CircuitBreakerPolicy,
+    HedgePolicy,
+)
+from repro.net.rpc import RetryPolicy, RpcClient, RpcServer
 
 
 @pytest.fixture()
@@ -30,12 +39,14 @@ def bus():
     return MessageBus(default_latency_ms=5.0)
 
 
-def make_fleet(bus, count, *, service_time_ms=0.0):
+def make_fleet(bus, count, *, service_time_ms=0.0, admission=None):
     """Replicas whose echo answers carry the serving replica's name."""
     servers = {}
     for i in range(count):
         name = f"sp{i + 1}"
-        server = RpcServer(bus, name, service_time_ms=service_time_ms)
+        server = RpcServer(
+            bus, name, service_time_ms=service_time_ms, admission=admission
+        )
 
         def echo(argument, name=name):
             return {"replica": name, "arg": argument}
@@ -286,3 +297,195 @@ def test_call_many_raises_terminal_error(bus):
     gateway = make_gateway(bus, ["sp1", "sp2"])
     with pytest.raises(QueryError, match="bad request"):
         gateway.call_many("fail", [1, 2, 3])
+
+
+# -- one rule set per dispatch -----------------------------------------------
+
+
+def test_call_is_a_batch_of_one(bus):
+    make_fleet(bus, 2)
+    gateway = make_gateway(bus, ["sp1", "sp2"])
+    assert gateway.call("echo", "x") == {"replica": "sp1", "arg": "x"}
+    assert gateway.call_many("echo", ["y"]) == [{"replica": "sp2", "arg": "y"}]
+
+
+def test_spent_deadline_sends_nothing_and_strikes_nobody(bus):
+    servers = make_fleet(bus, 3)
+    gateway = make_gateway(bus, list(servers))
+    bus.run_for(100.0)
+    for dispatch in (
+        lambda: gateway.call("echo", "a", deadline_ms=50.0),
+        lambda: gateway.call_many("echo", ["a", "b"], deadline_ms=50.0),
+    ):
+        with pytest.raises(DeadlineExceededError):
+            dispatch()
+    assert gateway.rpc.calls == 0
+    assert bus.clock_ms == 100.0
+    for state in gateway.replicas.values():
+        assert state.healthy and state.failures == 0
+
+
+def test_deadline_expiring_in_flight_abandons_without_a_strike(bus):
+    servers = make_fleet(bus, 2)
+    for server in servers.values():
+        server.paused = True  # requests vanish: nothing ever answers
+    gateway = make_gateway(
+        bus, list(servers), breaker=CircuitBreakerPolicy(failure_trip=1)
+    )
+    deadline = bus.clock_ms + 40.0  # well inside the 100 ms timeout
+    with pytest.raises(DeadlineExceededError):
+        gateway.call_many("echo", ["a", "b"], deadline_ms=deadline)
+    assert bus.clock_ms == deadline
+    assert gateway.rpc.calls == 2 and gateway.rpc.timeouts == 0
+    for state in gateway.replicas.values():
+        assert state.healthy and state.failures == 0
+        assert state.outstanding == 0
+        assert state.breaker.trips == 0
+
+
+def test_latency_window_takes_one_sample_per_successful_dispatch(bus):
+    admission = AdmissionPolicy(shed_delay_ms=5.0, queue_limit=1)
+    make_fleet(bus, 2, service_time_ms=20.0, admission=admission)
+    gateway = make_gateway(bus, ["sp1", "sp2"])
+    for i in range(8):
+        gateway.call("echo", i)
+    windows = {name: len(s.latency) for name, s in gateway.replicas.items()}
+    assert windows == {"sp1": 4, "sp2": 4}
+    assert [s.answered for s in gateway.replicas.values()] == [4, 4]
+    # A deadline refusal (terminal) and a shed (failed over) are not
+    # latency samples of the replica that refused.
+    with pytest.raises(DeadlineExceededError):
+        gateway.call("echo", "doomed", deadline_ms=bus.clock_ms + 15.0)
+    flood = RpcClient(bus, "flood", RetryPolicy(max_attempts=1))
+    for i in range(4):
+        flood.begin("sp2", "echo", i)
+    assert gateway.call("echo", "shed-by-sp2")["replica"] == "sp1"
+    assert gateway.replicas["sp2"].failures == 1
+    assert len(gateway.replicas["sp1"].latency) == windows["sp1"] + 1
+    assert len(gateway.replicas["sp2"].latency) == windows["sp2"]
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_a_dispatch_is_one_send_warm_or_cold(bus, warm):
+    """The gateway's own ``max_attempts`` is not a per-dispatch resend
+    count: a replica that times out was sent to exactly once, whether
+    its latency window can already drive a hedge or not."""
+    servers = make_fleet(bus, 2)
+    gateway = make_gateway(
+        bus, ["sp1", "sp2"],
+        policy=RetryPolicy(timeout_ms=100.0, max_attempts=3),
+        hedge=HedgePolicy(min_samples=2),
+    )
+    if warm:
+        for i in range(4):
+            gateway.call("echo", i)
+    servers["sp1"].paused = True
+    assert gateway.call("echo", "x")["replica"] == "sp2"
+    assert servers["sp1"].requests_dropped == 1
+    assert gateway.hedges == (1 if warm else 0)
+
+
+def test_batches_hedge_too(bus):
+    servers = make_fleet(bus, 2, service_time_ms=10.0)
+    gateway = make_gateway(
+        bus, ["sp1", "sp2"],
+        policy=RetryPolicy(timeout_ms=1_000.0, max_attempts=1),
+        hedge=HedgePolicy(min_samples=2),
+    )
+    gateway.call_many("echo", list(range(4)))  # warms both windows
+    servers["sp1"]._service_times["echo"] = 500.0
+    started = bus.clock_ms
+    results = gateway.call_many("echo", ["a", "b"])
+    assert {r["replica"] for r in results} == {"sp2"}
+    assert gateway.hedges == 1 and gateway.hedge_wins == 1
+    assert bus.clock_ms - started < 100.0
+    assert gateway.replicas["sp1"].failures == 0  # the loser is not struck
+
+
+def test_rejected_answer_strikes_the_replica_and_is_redispatched(bus):
+    make_fleet(bus, 3)
+    gateway = make_gateway(bus, ["sp1", "sp2", "sp3"])
+    rejected = []
+
+    def accept(position, result):
+        if result["replica"] != "sp3":
+            rejected.append((position, result["replica"]))
+            raise ResponseIntegrityError("forged")
+
+    results = gateway.call_many("echo", ["a", "b"], accept=accept)
+    assert [r["replica"] for r in results] == ["sp3", "sp3"]
+    # Every rejection is one strike on the replica that answered, and
+    # one failover of the item it answered for.
+    assert {position for position, _replica in rejected} == {0, 1}
+    assert {name: s.failures for name, s in gateway.replicas.items()} == {
+        "sp1": sum(replica == "sp1" for _position, replica in rejected),
+        "sp2": sum(replica == "sp2" for _position, replica in rejected),
+        "sp3": 0,
+    }
+    assert gateway.failovers == len(rejected)
+    # Nobody honest left: the budget, not the caller, bounds the retries.
+    with pytest.raises(ServiceUnavailableError, match="dispatches"):
+        gateway.call_many(
+            "echo", ["c"],
+            accept=lambda position, result: accept(position, {"replica": ""}),
+        )
+
+
+def _faulty_world(seed):
+    """A 3-replica fleet behind drops, jitter, one slow and one shedding
+    replica — everything keyed off ``seed`` so two builds are twins."""
+    bus = MessageBus(default_latency_ms=5.0)
+    bus.install_faults(
+        FaultInjector(
+            seed=seed, default=LinkFaults(drop_rate=0.15, jitter_ms=20.0)
+        )
+    )
+    servers = make_fleet(
+        bus, 3, service_time_ms=10.0,
+        admission=AdmissionPolicy(shed_delay_ms=15.0, queue_limit=2),
+    )
+    servers["sp3"]._service_times["echo"] = 90.0
+    gateway = make_gateway(
+        bus, list(servers), balancer="seeded-random", seed=seed,
+        breaker=CircuitBreakerPolicy(failure_trip=2),
+        hedge=HedgePolicy(min_samples=3),
+    )
+    return bus, gateway
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_call_and_one_item_call_many_are_the_same_path(seed):
+    def drive(dispatch):
+        bus, gateway = _faulty_world(seed)
+        results = []
+        for i in range(40):
+            deadline = bus.clock_ms + 150.0 if i % 3 == 0 else 0.0
+            try:
+                results.append(dispatch(gateway, i, deadline))
+            except (DeadlineExceededError, ServiceUnavailableError) as exc:
+                results.append(type(exc).__name__)
+        books = {
+            name: (
+                s.dispatched, s.answered, s.failures, s.overloads,
+                s.healthy, s.breaker.state, s.breaker.trips, len(s.latency),
+            )
+            for name, s in gateway.replicas.items()
+        }
+        counters = (gateway.failovers, gateway.hedges, gateway.hedge_wins)
+        return results, bus.clock_ms, books, counters
+
+    single = drive(
+        lambda gateway, i, deadline: gateway.call(
+            "echo", i, deadline_ms=deadline
+        )
+    )
+    batch = drive(
+        lambda gateway, i, deadline: gateway.call_many(
+            "echo", [i], deadline_ms=deadline
+        )[0]
+    )
+    assert single == batch
+    results, _clock, books, counters = single
+    # The worlds are genuinely faulty, so the equality is not vacuous.
+    assert any(isinstance(result, dict) for result in results)
+    assert sum(failures for _d, _a, failures, *_rest in books.values()) > 0

@@ -2,8 +2,8 @@
 
 Unit coverage for :mod:`repro.net.resilience` — deadline sanitizing and
 per-hop shrinking, retry-after clamping, the CoDel-style admission
-hint, the circuit-breaker state machine, latency tracking with adaptive
-timeouts, and the hedge policy — plus the end-to-end behaviours the
+hint, the circuit-breaker state machine, the latency window, and the
+hedge policy — plus the end-to-end behaviours the
 stacks compose them into: servers refusing doomed or excess work with
 zero provider effort, clients honoring (clamped) backpressure and
 desynchronizing their retries, and the bounded response bookkeeping
@@ -121,11 +121,10 @@ def test_breaker_trips_after_failure_streak_and_recloses():
     assert breaker.state == CircuitBreaker.OPEN
     assert breaker.trips == 1
     # Blocked until the reopen time, then a half-open probe is allowed.
-    assert not breaker.permits(50.0)
-    assert breaker.permits(100.0)
+    assert breaker.permits_at_ms() == 100.0
     breaker.on_dispatch(100.0)
     assert breaker.state == CircuitBreaker.HALF_OPEN
-    assert not breaker.permits(100.0)  # probe budget spent
+    assert breaker.permits_at_ms() is None  # probe budget spent
     breaker.record_success()
     assert breaker.state == CircuitBreaker.CLOSED
     assert breaker.closes == 1
@@ -195,39 +194,26 @@ def test_breaker_reopen_jitter_is_seeded_and_desynchronized():
     assert first.reopen_at_ms != other.reopen_at_ms
 
 
-# -- latency tracking and adaptive timeouts -----------------------------------
+# -- the latency window and the hedge delay -----------------------------------
 
 
-def test_latency_tracker_ewma_and_quantiles():
-    tracker = LatencyTracker(alpha=0.5, window=8)
+def test_latency_tracker_window_and_quantiles():
+    tracker = LatencyTracker(window=4)
     for sample in [10.0, 20.0, 30.0, 40.0]:
         tracker.observe(sample)
-    assert tracker.count == 4
-    assert tracker.ewma_ms == pytest.approx(31.25)
+    assert len(tracker) == 4
     assert tracker.quantile(0.0) == 10.0
-    assert tracker.p90() == 40.0
+    assert tracker.quantile(0.9) == 40.0
+    tracker.observe(50.0)  # the window is bounded: the oldest falls out
+    assert len(tracker) == 4
+    assert tracker.quantile(0.0) == 20.0
     assert LatencyTracker().quantile(0.5) is None
-
-
-def test_adaptive_timeout_tightens_only_after_enough_samples():
-    tracker = LatencyTracker()
-    for _ in range(7):
-        tracker.observe(10.0)
-    assert tracker.timeout_ms(500.0, min_samples=8) == 500.0
-    tracker.observe(10.0)
-    # p90 (10 ms) x 3 = 30 ms, floored at 10, under the 500 ms ceiling.
-    assert tracker.timeout_ms(500.0, min_samples=8) == 30.0
-    # The static ceiling is a correctness bound: adaptation never
-    # raises it.
-    tracker.observe(10_000.0)
-    assert tracker.timeout_ms(500.0, min_samples=8) == 500.0
 
 
 def test_hedge_policy_delay_is_gated_and_clamped():
     policy = HedgePolicy(min_samples=4, delay_floor_ms=5.0, delay_cap_ms=50.0)
-    assert policy.delay_ms(None) is None
-    assert HedgePolicy(enabled=False).delay_ms(LatencyTracker()) is None
     tracker = LatencyTracker()
+    assert policy.delay_ms(tracker) is None  # nothing observed yet
     for _ in range(3):
         tracker.observe(20.0)
     assert policy.delay_ms(tracker) is None  # too few samples
@@ -588,4 +574,4 @@ def test_half_open_breaker_with_its_probe_out_is_not_waited_on(bus):
     assert breaker.state == CircuitBreaker.HALF_OPEN
     assert breaker.permits_at_ms() is None  # only a verdict moves it
     breaker.abandon_probe()
-    assert breaker.permits(breaker.reopen_at_ms)
+    assert breaker.permits_at_ms() == breaker.reopen_at_ms

@@ -244,18 +244,3 @@ def test_per_call_policy_override(bus, echo_server, client):
             "server", "echo", 1,
             policy=RetryPolicy(timeout_ms=50.0, max_attempts=1),
         )
-
-
-def test_latency_trackers_are_bounded(bus, echo_server, client):
-    client.LATENCY_TRACKERS_LIMIT = 3
-    for i in range(8):
-        client._track_latency(f"endpoint-{i}", 10.0)
-    assert len(client.latency) == 3
-    # LRU: most recently observed endpoints survive.
-    assert set(client.latency) == {
-        "endpoint-5", "endpoint-6", "endpoint-7",
-    }
-    client._track_latency("endpoint-6", 12.0)
-    client._track_latency("endpoint-8", 11.0)
-    assert "endpoint-6" in client.latency
-    assert "endpoint-5" not in client.latency

@@ -25,7 +25,7 @@ from repro.core import (
 from repro.crypto import generate_keypair
 from repro.errors import ProofError
 from repro.merkle import aggtree, mbtree
-from repro.net import MessageBus
+from repro.net import HealthPolicy, MessageBus, QueryGateway
 from repro.query import (
     AggregateQuery,
     HistoryQuery,
@@ -153,17 +153,24 @@ def world():
     }
 
 
-def make_client(world, providers):
+def make_client(world, providers, *, gateway=False):
     """A bootstrapped remote client over a clean bus; ``providers`` maps
-    service names to the provider each replica serves from."""
+    service names to the provider each replica serves from, tried in
+    order or (``gateway=True``) fronted by a gateway that prefers the
+    first idle replica and ejects one on its first strike."""
     bus = MessageBus(default_latency_ms=20.0)
     IssuerService(bus, "ci", world["issuer"])
     for name, provider in providers.items():
         QueryService(bus, name, provider)
+    transport = {"providers": tuple(providers)}
+    if gateway:
+        transport = {"gateway": QueryGateway(
+            bus, "gw", list(providers), balancer="least-outstanding",
+            health=HealthPolicy(failure_threshold=1, probe_base_ms=5_000.0),
+        )}
     client = connect(ClientConfig(
         measurement=world["measurement"], ias_public_key=world["ias"].public_key,
-        bus=bus, name="client", issuers=("ci",), providers=tuple(providers),
-        integrity_retries=1,
+        bus=bus, name="client", issuers=("ci",), integrity_retries=1, **transport,
     ))
     client.bootstrap()
     return client
@@ -245,8 +252,10 @@ def test_apply_insert_rejects_malformed_integers(module, tree, value, expected, 
 def test_query_fails_over_past_a_replica_serving_a_malformed_proof(
     world, family, label, bad
 ):
-    """One lying replica, one honest: the lie costs one integrity
-    failure and the query still returns the verified answer."""
+    """Liars ahead of the one honest replica: each lie costs one
+    integrity failure and the query still returns the verified answer —
+    down a provider list, and through a gateway, where every forged
+    answer is also a strike that ejects the replica that gave it."""
 
     class LyingProvider:
         def execute(self, request):
@@ -255,11 +264,22 @@ def test_query_fails_over_past_a_replica_serving_a_malformed_proof(
         def index_root(self, name):
             return world["provider"].index_root(name)
 
-    client = make_client(world, {"liar": LyingProvider(), "honest": world["provider"]})
     request = world["requests"][family]
+    client = make_client(world, {"liar": LyingProvider(), "honest": world["provider"]})
     assert client.query(request) == world["provider"].execute(request)
     assert client.integrity_failures == 1
     assert client.failovers == 1
+
+    fronted = make_client(
+        world,
+        {"liar1": LyingProvider(), "liar2": LyingProvider(), "honest": world["provider"]},
+        gateway=True,
+    )
+    assert fronted.query(request) == world["provider"].execute(request)
+    assert fronted.integrity_failures == 2
+    assert fronted.gateway.healthy_replicas() == ["honest"]
+    assert [s.failures for s in fronted.gateway.replicas.values()] == [1, 1, 0]
+    assert fronted.gateway.failovers == 2
 
 
 def test_root_stub_cannot_vouch_for_its_own_summary():

@@ -20,8 +20,8 @@ from repro.sim import run_sim
 pytestmark = pytest.mark.sim
 
 GOLDEN = {
-    "mixed": "219c6923f9b53725231955634bb64c3b63847168540c3f1de49435b2c9879bd7",
-    "overload": "d1f29acf0381d258a30cd9837c8b36d59c64166aceebf4733b680b5dadc4b86a",
+    "mixed": "dedb163eacf9bf7cd810b089d64ad5142829f56a99d1f9fea055dc4cfe0d8975",
+    "overload": "0eb84da81dae2687c674a760e4be358dd4b26d575c5e7a414b3af929be4929e1",
 }
 
 #: Generous: the slowest of these takes ~6 s; the old livelock never

@@ -15,7 +15,8 @@ from repro.errors import (
 )
 from repro.sgx.attestation import AttestationService
 from repro.sgx.platform import SGXPlatform
-from repro.storage import ChainArchive, WriteAheadLog, _frame, restore_issuer
+from repro.core.recovery import recover_issuer
+from repro.storage import ChainArchive, WriteAheadLog, _frame
 from tests.conftest import fresh_vm
 
 
@@ -78,10 +79,10 @@ def archived_world(kv_chain, tmp_path):
 
 def test_restore_reproduces_issuer(archived_world, kv_chain):
     genesis, state = make_genesis()
-    restored = restore_issuer(
+    restored = recover_issuer(
         archived_world["archive"], genesis, state, fresh_vm(), kv_chain.pow,
         platform=archived_world["platform"], ias=archived_world["ias"],
-    )
+    ).issuer
     original = archived_world["issuer"]
     assert restored.pk_enc == original.pk_enc
     assert restored.node.height == original.node.height
@@ -94,10 +95,10 @@ def test_restore_reproduces_issuer(archived_world, kv_chain):
 
 def test_restored_issuer_continues_certifying(archived_world, kv_chain):
     genesis, state = make_genesis()
-    restored = restore_issuer(
+    restored = recover_issuer(
         archived_world["archive"], genesis, state, fresh_vm(), kv_chain.pow,
         platform=archived_world["platform"], ias=archived_world["ias"],
-    )
+    ).issuer
     certified = restored.process_block(kv_chain.blocks[6])
     assert certified.certificate is not None
 
@@ -111,7 +112,7 @@ def test_tampered_certificate_rejected_on_restore(archived_world, kv_chain):
     edit_record(archived_world["archive"].path, -1, tamper)
     genesis, state = make_genesis()
     with pytest.raises(ArchiveCorruptionError):
-        restore_issuer(
+        recover_issuer(
             archived_world["archive"], genesis, state, fresh_vm(), kv_chain.pow,
             platform=archived_world["platform"], ias=archived_world["ias"],
         )
@@ -128,7 +129,7 @@ def test_tampered_block_rejected_on_restore(archived_world, kv_chain):
     edit_record(archived_world["archive"].path, 2, tamper)
     genesis, state = make_genesis()
     with pytest.raises(BlockValidationError):
-        restore_issuer(
+        recover_issuer(
             archived_world["archive"], genesis, state, fresh_vm(), kv_chain.pow,
             platform=archived_world["platform"], ias=archived_world["ias"],
         )
@@ -139,7 +140,7 @@ def test_restore_on_wrong_platform_fails(archived_world, kv_chain):
 
     genesis, state = make_genesis()
     with pytest.raises(EnclaveError):
-        restore_issuer(
+        recover_issuer(
             archived_world["archive"], genesis, state, fresh_vm(), kv_chain.pow,
             platform=SGXPlatform(seed=b"thief"), ias=archived_world["ias"],
         )
@@ -171,10 +172,10 @@ def test_restore_with_index_specs(kv_chain, tmp_path):
         )
 
     genesis2, state2 = make_genesis()
-    restored = restore_issuer(
+    restored = recover_issuer(
         archive, genesis2, state2, fresh_vm(), kv_chain.pow,
         index_specs=specs, platform=platform, ias=ias,
-    )
+    ).issuer
     for name in ("history", "keyword"):
         assert restored.index_root(name) == issuer.index_root(name)
         assert (
