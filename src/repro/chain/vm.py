@@ -53,6 +53,9 @@ class Contract(ABC):
 
     #: Registry name; transactions address contracts by this string.
     name: str = ""
+    #: Declared code identity, folded into the enclave measurement in
+    #: place of the source text; a behaviour change bumps it.
+    CODE_ID: str = ""
 
     @abstractmethod
     def call(

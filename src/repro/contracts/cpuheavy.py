@@ -29,6 +29,7 @@ class CPUHeavy(Contract):
     """``sort(n, seed)``: quicksort n pseudo-random ints, store a checksum."""
 
     name = "cpuheavy"
+    CODE_ID = "blockbench.cpuheavy/1"
 
     def call(
         self, ctx: ContractContext, method: str, args: tuple[str, ...], sender: str

@@ -10,6 +10,7 @@ class DoNothing(Contract):
     """Accepts ``invoke`` and does nothing — isolates per-tx fixed costs."""
 
     name = "donothing"
+    CODE_ID = "blockbench.donothing/1"
 
     def call(
         self, ctx: ContractContext, method: str, args: tuple[str, ...], sender: str

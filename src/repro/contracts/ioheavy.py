@@ -16,6 +16,7 @@ class IOHeavy(Contract):
     """``write(n, seed)`` / ``scan(n, seed)`` / ``mixed(n, seed)``."""
 
     name = "ioheavy"
+    CODE_ID = "blockbench.ioheavy/1"
 
     #: Number of distinct keys the workload cycles through.
     KEY_SPACE = 10_000

@@ -10,6 +10,7 @@ class KVStore(Contract):
     """``put(key, value)`` / ``get(key)`` / ``delete(key)``."""
 
     name = "kvstore"
+    CODE_ID = "blockbench.kvstore/1"
 
     def call(
         self, ctx: ContractContext, method: str, args: tuple[str, ...], sender: str

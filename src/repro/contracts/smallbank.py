@@ -16,6 +16,7 @@ class SmallBank(Contract):
     write_check / amalgamate."""
 
     name = "smallbank"
+    CODE_ID = "blockbench.smallbank/1"
 
     def call(
         self, ctx: ContractContext, method: str, args: tuple[str, ...], sender: str

@@ -4,14 +4,17 @@ One object serves both roles — block certificate (``dig = H(hdr)``) and
 index certificate (``dig = H(hdr || H_idx)``).  The serialization is a
 stable byte encoding so that the superlight client's storage (the
 paper's 2.97 KB constant) is measured honestly.
+:func:`verify_certificate` is the only check of one, shared by the
+superlight client and the enclave program.
 """
 
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.crypto import PublicKey, Signature
+from repro.crypto import PublicKey, Signature, pin_verification_key, verify
 from repro.crypto.hashing import Digest
 from repro.errors import CertificateError
 from repro.sgx.attestation import AttestationReport
@@ -67,3 +70,51 @@ class Certificate:
 
     def size_bytes(self) -> int:
         return len(self.encode())
+
+
+def verify_certificate(
+    measurement: Digest,
+    ias_public_key: PublicKey,
+    cert: Certificate,
+    expected_dig: Digest,
+    verified_reports: OrderedDict[tuple[bytes, ...], None],
+) -> None:
+    """The one certificate check (Alg. 3 lines 3–7 for a client, Alg. 2
+    lines 25–32 as the enclave's ``cert_verify_t``); raises
+    :class:`CertificateError` unless every check passes.
+
+    ``verified_reports`` is the caller's LRU memo of attestation
+    reports that already checked out (a report is checked "only once
+    for the same enclave", §3.3/§4.3); the caller owns it and bounds
+    it.  A report is admitted once ``pk_enc`` also matches it; then,
+    never earlier, ``pk_enc``'s table is pinned.
+    The memo key binds every field the skipped checks would have
+    validated (measurement, report_data, IAS key, signature) — a
+    signature-only key would let a report with a tampered measurement
+    but a replayed signature ride the memo.
+    """
+    report = cert.report
+    report_id = (
+        report.measurement,
+        report.report_data,
+        report.ias_key.to_bytes(),
+        report.signature.to_bytes(),
+    )
+    admitted = report_id in verified_reports
+    if admitted:
+        verified_reports.move_to_end(report_id)
+    else:
+        if not report.verify(ias_public_key):
+            raise CertificateError("attestation report not signed by the IAS")
+        if report.measurement != measurement:
+            raise CertificateError("certificate from an unexpected enclave program")
+    if cert.pk_enc.to_bytes() != report.report_data:
+        raise CertificateError("pk_enc does not match the attestation report")
+    if not admitted:
+        # pk_enc is authenticated only now; every later tip is signed by it.
+        verified_reports[report_id] = None
+        pin_verification_key(cert.pk_enc)
+    if not verify(cert.pk_enc, cert.dig, cert.sig, CERT_SIG_DOMAIN):
+        raise CertificateError("certificate signature invalid")
+    if cert.dig != expected_dig:
+        raise CertificateError("certificate digest does not match")

@@ -1,10 +1,12 @@
 """The DCert enclave program (Alg. 2, 4, 5 — the trusted side).
 
-Everything in this module runs "inside the enclave": its source code,
-together with its build-time configuration (genesis digest, IAS public
-key, the contract VM's code identity, the authenticated index specs),
-is folded into the enclave measurement, so clients that check the
-measurement are checking exactly this logic.
+Everything in this module runs "inside the enclave": its declared
+identity (``PROGRAM_ID`` / ``PROGRAM_VERSION``), together with its
+build-time configuration (genesis digest, IAS public key, the code id
+of every contract and authenticated index spec), is folded into the
+enclave measurement, so clients that check the measurement are checking
+exactly this logic.  ``tests/core/test_program_identity.py`` pins the
+source each identity stands for: a behaviour change bumps the version.
 
 Entry points (ecalls):
 
@@ -25,21 +27,24 @@ attestation report's user data.
 
 from __future__ import annotations
 
-import inspect
+from collections import OrderedDict
 
 from repro.chain.block import Block, BlockHeader
 from repro.chain.consensus import ProofOfWork
 from repro.chain.executor import TransactionExecutor
 from repro.chain.vm import VM
 from repro.core.batch import BatchItem
-from repro.core.certificate import CERT_SIG_DOMAIN, Certificate
+from repro.core.certificate import CERT_SIG_DOMAIN, Certificate, verify_certificate
 from repro.core.digest import block_digest, index_digest
 from repro.core.updateproof import UpdateProof
-from repro.crypto import PublicKey, Signature, generate_keypair, sign, verify
+from repro.crypto import PublicKey, Signature, generate_keypair, sign
 from repro.crypto.hashing import Digest
-from repro.errors import CertificateError, EnclaveError
+from repro.crypto.keys import KeyPair, PrivateKey
+from repro.errors import CertificateError, EnclaveError, ProofError
+from repro.merkle.partial import PartialSMT
 from repro.query.indexes import AuthenticatedIndexSpec
-from repro.sgx.enclave import EnclaveProgram
+from repro.sgx.enclave import EnclaveProgram, code_id
+from repro.sgx.sealing import seal, unseal
 
 #: How many recently certified blocks' write sets the enclave caches for
 #: the hierarchical scheme's follow-up index ecalls.
@@ -51,6 +56,11 @@ _WRITE_SET_CACHE = 4
 #: the cap the enclave drops the whole slice — a pure performance
 #: penalty, never a soundness issue.
 _CARRIED_SLICE_CAP = 4096
+
+#: Attestation reports the enclave remembers having verified.  Every
+#: certificate it is handed comes from an enclave of its own measurement
+#: (its own, or another CI's it chains on), so a few entries suffice.
+_VERIFIED_REPORTS_LIMIT = 4
 
 #: Domain prefixes inside sealed plaintexts.  Sealing authenticates
 #: *who* sealed (platform + measurement) but not *what for*; without a
@@ -65,8 +75,6 @@ class _NoState:
     means the proof is incomplete, so reads fail loudly."""
 
     def get_raw(self, key: bytes) -> bytes | None:
-        from repro.errors import ProofError
-
         raise ProofError("state access in a block with no update proof")
 
 
@@ -75,6 +83,9 @@ _NO_STATE = _NoState()
 
 class DCertEnclaveProgram(EnclaveProgram):
     """Trusted certificate-signing program."""
+
+    PROGRAM_ID = "dcert.enclave"
+    PROGRAM_VERSION = 2
 
     ECALLS = (
         "sig_gen",
@@ -113,6 +124,12 @@ class DCertEnclaveProgram(EnclaveProgram):
         # valid against.  See sig_gen_batch.
         self._carried_slice = None
         self._carried_root: Digest = b""
+        # Reports cert_verify_t already checked (§3.3: "only once for the
+        # same enclave").  Enclave memory only: never sealed, so a
+        # launched or recovered enclave verifies its first one in full.
+        self._verified_reports: OrderedDict[tuple[bytes, ...], None] = (
+            OrderedDict()
+        )
 
     # -- enclave lifecycle ---------------------------------------------------
 
@@ -120,8 +137,8 @@ class DCertEnclaveProgram(EnclaveProgram):
         """Build-time identity folded into the measurement.
 
         Covers the genesis digest, the trusted IAS key, the consensus
-        difficulty, the source of every deployed contract, and the
-        source + parameters of every index spec — so an enclave with
+        difficulty, the code id of every deployed contract, and the
+        code id + parameters of every index spec — so an enclave with
         different trusted logic measures differently.
         """
         parts = [
@@ -132,11 +149,11 @@ class DCertEnclaveProgram(EnclaveProgram):
         for name in self._vm.deployed():
             contract = self._vm._contracts[name]
             parts.append(name.encode("utf-8"))
-            parts.append(inspect.getsource(type(contract)).encode("utf-8"))
+            parts.append(code_id(type(contract)).encode("utf-8"))
         for name in sorted(self._index_specs):
             spec = self._index_specs[name]
             parts.append(name.encode("utf-8"))
-            parts.append(inspect.getsource(type(spec)).encode("utf-8"))
+            parts.append(code_id(type(spec)).encode("utf-8"))
             parts.append(repr(sorted(vars(spec).items())).encode("utf-8"))
         return b"\x00".join(parts)
 
@@ -149,17 +166,9 @@ class DCertEnclaveProgram(EnclaveProgram):
         need not re-check a new attestation report.
         """
         if self._sealed_key is not None:
-            from repro.crypto.keys import KeyPair, PrivateKey
-            from repro.sgx.sealing import unseal
-
-            plaintext = unseal(
-                self._platform, self.self_measurement, self._sealed_key
+            secret_bytes = self._unseal(
+                self._sealed_key, _SEAL_KEY_DOMAIN, "signing key"
             )
-            if not plaintext.startswith(_SEAL_KEY_DOMAIN):
-                raise EnclaveError(
-                    "sealed blob is not a signing key (wrong seal domain)"
-                )
-            secret_bytes = plaintext[len(_SEAL_KEY_DOMAIN) :]
             private = PrivateKey(int.from_bytes(secret_bytes, "big"))
             self._keypair = KeyPair(private, private.public_key())
         else:
@@ -168,8 +177,6 @@ class DCertEnclaveProgram(EnclaveProgram):
 
     def seal_signing_key(self) -> bytes:
         """Export ``sk_enc`` sealed to this enclave's identity."""
-        from repro.sgx.sealing import seal
-
         return seal(
             self._platform,
             self.self_measurement,
@@ -185,8 +192,6 @@ class DCertEnclaveProgram(EnclaveProgram):
         can produce or reopen the blob, so a checkpoint modified on disk
         fails the MAC instead of being replayed.
         """
-        from repro.sgx.sealing import seal
-
         if not isinstance(payload, bytes):
             raise EnclaveError("seal_checkpoint takes a bytes payload")
         return seal(
@@ -195,14 +200,13 @@ class DCertEnclaveProgram(EnclaveProgram):
 
     def unseal_checkpoint(self, sealed: bytes) -> bytes:
         """Reopen a checkpoint sealed by :meth:`seal_checkpoint`."""
-        from repro.sgx.sealing import unseal
+        return self._unseal(sealed, _SEAL_CKPT_DOMAIN, "checkpoint")
 
+    def _unseal(self, sealed: bytes, domain: bytes, what: str) -> bytes:
         plaintext = unseal(self._platform, self.self_measurement, sealed)
-        if not plaintext.startswith(_SEAL_CKPT_DOMAIN):
-            raise EnclaveError(
-                "sealed blob is not a checkpoint (wrong seal domain)"
-            )
-        return plaintext[len(_SEAL_CKPT_DOMAIN) :]
+        if not plaintext.startswith(domain):
+            raise EnclaveError(f"sealed blob is not a {what} (wrong seal domain)")
+        return plaintext[len(domain) :]
 
     # -- ecall: block certificate (Alg. 2) ------------------------------------
 
@@ -214,18 +218,10 @@ class DCertEnclaveProgram(EnclaveProgram):
         update_proof: UpdateProof,
     ) -> Signature:
         """``ecall_sig_gen``: returns the signature for ``H(hdr_new)``."""
-        if blk_prev.header.height == 0:
-            if blk_prev.header.header_hash() != self._genesis_digest:
-                raise CertificateError("previous block is not the genesis block")
-        else:
-            if cert_prev is None:
-                raise CertificateError("non-genesis previous block needs a certificate")
-            self.cert_verify_t(block_digest(blk_prev.header), cert_prev)
+        self._verify_anchor(blk_prev, cert_prev)
         write_set = self.blk_verify_t(blk_prev, blk_new, update_proof)
         self._remember(blk_new, write_set)
-        return sign(
-            self._keypair.private, block_digest(blk_new.header), CERT_SIG_DOMAIN
-        )
+        return self._sign(block_digest(blk_new.header))
 
     # -- ecall: batched block + index certificates ------------------------------
 
@@ -258,30 +254,19 @@ class DCertEnclaveProgram(EnclaveProgram):
         """
         if not items:
             raise CertificateError("empty certification batch")
-        if blk_prev.header.height == 0:
-            if blk_prev.header.header_hash() != self._genesis_digest:
-                raise CertificateError("previous block is not the genesis block")
-        else:
-            if cert_prev is None:
-                raise CertificateError("non-genesis previous block needs a certificate")
-            self.cert_verify_t(block_digest(blk_prev.header), cert_prev)
+        self._verify_anchor(blk_prev, cert_prev)
 
         # Anchor each index chain at the first item's previous root.
         index_names = set(items[0].index_updates)
         index_roots: dict[str, Digest] = {}
         for name in sorted(index_names):
-            spec = self._spec(name)
             prev_root = items[0].index_updates[name].prev_root
-            if blk_prev.header.height == 0:
-                if prev_root != spec.genesis_root():
-                    raise CertificateError(
-                        "previous index root is not the genesis root"
-                    )
-            else:
-                anchor = index_anchor_certs.get(name)
-                if anchor is None:
-                    raise CertificateError("previous index certificate missing")
-                self.cert_verify_t(index_digest(blk_prev.header, prev_root), anchor)
+            self._verify_index_anchor(
+                self._spec(name),
+                blk_prev.header,
+                prev_root,
+                index_anchor_certs.get(name),
+            )
             index_roots[name] = prev_root
 
         # Resume the carried proof slice only if it still matches the
@@ -301,9 +286,7 @@ class DCertEnclaveProgram(EnclaveProgram):
                 prev, block, item.update_proof, slice_
             )
             self._remember(block, write_set)
-            sig = sign(
-                self._keypair.private, block_digest(block.header), CERT_SIG_DOMAIN
-            )
+            sig = self._sign(block_digest(block.header))
             if set(item.index_updates) != index_names:
                 raise CertificateError("index set changed mid-batch")
             index_sigs: dict[str, Signature] = {}
@@ -322,10 +305,8 @@ class DCertEnclaveProgram(EnclaveProgram):
                     update.proof,
                 )
                 index_roots[name] = update.new_root
-                index_sigs[name] = sign(
-                    self._keypair.private,
-                    index_digest(block.header, update.new_root),
-                    CERT_SIG_DOMAIN,
+                index_sigs[name] = self._sign(
+                    index_digest(block.header, update.new_root)
                 )
             signatures.append((sig, index_sigs))
             prev = block
@@ -345,34 +326,32 @@ class DCertEnclaveProgram(EnclaveProgram):
     ):
         """``blk_verify_t`` against the carried slice; returns
         ``(write set, slice)`` with the slice advanced to the new root."""
-        prev_header, header = blk_prev.header, blk_new.header
-        if header.prev_hash != prev_header.header_hash():
-            raise CertificateError("H_{i-1} does not match the previous header")
-        if header.height != prev_header.height + 1:
-            raise CertificateError("block height is not prev + 1")
-        if not self._pow.check(header):
-            raise CertificateError("consensus proof invalid")
-        if not blk_new.check_tx_root():
-            raise CertificateError("H_tx does not commit to the transactions")
-        from repro.merkle.partial import PartialSMT
-
-        # Merge the shipped proofs (cache misses) into the slice; every
-        # proof verifies against the previous state root, and any
-        # disagreement with already-verified nodes raises.
+        prev_header = blk_prev.header
+        self._check_header(prev_header, blk_new)
+        # Verify the read set and merge it into the proven state slice
+        # (verify_mht of Alg. 2 line 17): every proof verifies against
+        # the previous state root, and any disagreement with
+        # already-verified nodes raises ProofError.  Blocks that touch no
+        # state (e.g. all-DoNothing blocks) come with an empty proof; any
+        # read or write then fails below.
         for key, value, proof in update_proof.entries:
             if slice_ is None:
                 slice_ = PartialSMT(proof.depth)
             slice_.merge_entry(prev_header.state_root, key, value, proof)
-        backing = slice_ if slice_ is not None else _NO_STATE
+        # Replay every transaction (lines 18-21); signature checks are
+        # line 19's verify(tx).  Reads outside the proven slice raise.
         result = self._executor.execute(
-            backing, list(blk_new.transactions), strict=True
+            slice_ if slice_ is not None else _NO_STATE,
+            list(blk_new.transactions),
+            strict=True,
         )
+        # Commit the write set and check the new root (lines 22-23).
         if result.write_set:
             if slice_ is None:
                 raise CertificateError("write set has no covering update proof")
             slice_.update_batch(result.write_set)
         new_root = slice_.root if slice_ is not None else prev_header.state_root
-        if new_root != header.state_root:
+        if new_root != blk_new.header.state_root:
             raise CertificateError("state root mismatch after replay")
         return result.write_set, slice_
 
@@ -392,27 +371,9 @@ class DCertEnclaveProgram(EnclaveProgram):
         transitions per touched cell — which the Ecall-batching ablation
         benchmark measures against the eager design.
         """
-        if blk_prev.header.height == 0:
-            if blk_prev.header.header_hash() != self._genesis_digest:
-                raise CertificateError("previous block is not the genesis block")
-        else:
-            if cert_prev is None:
-                raise CertificateError("non-genesis previous block needs a certificate")
-            self.cert_verify_t(block_digest(blk_prev.header), cert_prev)
-
-        prev_header, header = blk_prev.header, blk_new.header
-        if header.prev_hash != prev_header.header_hash():
-            raise CertificateError("H_{i-1} does not match the previous header")
-        if header.height != prev_header.height + 1:
-            raise CertificateError("block height is not prev + 1")
-        if not self._pow.check(header):
-            raise CertificateError("consensus proof invalid")
-        if not blk_new.check_tx_root():
-            raise CertificateError("H_tx does not commit to the transactions")
-
-        from repro.merkle.partial import PartialSMT
-
-        state_root = prev_header.state_root
+        self._verify_anchor(blk_prev, cert_prev)
+        self._check_header(blk_prev.header, blk_new)
+        state_root = blk_prev.header.state_root
         partial: PartialSMT | None = None
         program = self
 
@@ -438,12 +399,10 @@ class DCertEnclaveProgram(EnclaveProgram):
             assert partial is not None
             partial.update_batch(result.write_set)
         new_root = partial.root if partial is not None else state_root
-        if new_root != header.state_root:
+        if new_root != blk_new.header.state_root:
             raise CertificateError("state root mismatch after replay")
         self._remember(blk_new, result.write_set)
-        return sign(
-            self._keypair.private, block_digest(blk_new.header), CERT_SIG_DOMAIN
-        )
+        return self._sign(block_digest(blk_new.header))
 
     # -- ecall: augmented certificate (Alg. 4) --------------------------------
 
@@ -460,29 +419,14 @@ class DCertEnclaveProgram(EnclaveProgram):
     ) -> Signature:
         """One ecall certifying the block *and* one index update."""
         spec = self._spec(spec_name)
-        if blk_prev.header.height == 0:
-            # Alg. 4 only asserts the genesis index root; we also pin the
-            # genesis block digest (as Alg. 5 does) — without it a forged
-            # "genesis" would bootstrap a parallel certified chain.
-            if blk_prev.header.header_hash() != self._genesis_digest:
-                raise CertificateError("previous block is not the genesis block")
-            if prev_index_root != spec.genesis_root():
-                raise CertificateError("previous index root is not the genesis root")
-        else:
-            if cert_prev_idx is None:
-                raise CertificateError("previous index certificate missing")
-            self.cert_verify_t(
-                index_digest(blk_prev.header, prev_index_root), cert_prev_idx
-            )
+        self._verify_index_anchor(
+            spec, blk_prev.header, prev_index_root, cert_prev_idx
+        )
         write_set = self.blk_verify_t(blk_prev, blk_new, update_proof)
         self._verify_index_update(
             spec, blk_new, write_set, prev_index_root, new_index_root, index_proof
         )
-        return sign(
-            self._keypair.private,
-            index_digest(blk_new.header, new_index_root),
-            CERT_SIG_DOMAIN,
-        )
+        return self._sign(index_digest(blk_new.header, new_index_root))
 
     # -- ecall: hierarchical index certificate (Alg. 5 loop body) -------------
 
@@ -504,17 +448,9 @@ class DCertEnclaveProgram(EnclaveProgram):
         cache of its own recent ``sig_gen`` replays.
         """
         spec = self._spec(spec_name)
-        if blk_prev_header.height == 0:
-            if blk_prev_header.header_hash() != self._genesis_digest:
-                raise CertificateError("previous block is not the genesis block")
-            if prev_index_root != spec.genesis_root():
-                raise CertificateError("previous index root is not the genesis root")
-        else:
-            if cert_prev_idx is None:
-                raise CertificateError("previous index certificate missing")
-            self.cert_verify_t(
-                index_digest(blk_prev_header, prev_index_root), cert_prev_idx
-            )
+        self._verify_index_anchor(
+            spec, blk_prev_header, prev_index_root, cert_prev_idx
+        )
         self.cert_verify_t(block_digest(blk_new_header), cert_new_block)
         cached = self._recent.get(blk_new_header.header_hash())
         if cached is None:
@@ -526,11 +462,7 @@ class DCertEnclaveProgram(EnclaveProgram):
         self._verify_index_update(
             spec, block, write_set, prev_index_root, new_index_root, index_proof
         )
-        return sign(
-            self._keypair.private,
-            index_digest(blk_new_header, new_index_root),
-            CERT_SIG_DOMAIN,
-        )
+        return self._sign(index_digest(blk_new_header, new_index_root))
 
     # -- trusted helpers (Alg. 2 lines 10-32) ----------------------------------
 
@@ -538,7 +470,11 @@ class DCertEnclaveProgram(EnclaveProgram):
         self, blk_prev: Block, blk_new: Block, update_proof: UpdateProof
     ) -> dict[bytes, bytes | None]:
         """Verify ``blk_new``'s full validity; returns its write set."""
-        prev_header, header = blk_prev.header, blk_new.header
+        return self._batch_blk_verify(blk_prev, blk_new, update_proof, None)[0]
+
+    def _check_header(self, prev_header: BlockHeader, blk_new: Block) -> None:
+        """Alg. 2 lines 11-16: linkage, height, consensus proof, H_tx."""
+        header = blk_new.header
         if header.prev_hash != prev_header.header_hash():
             raise CertificateError("H_{i-1} does not match the previous header")
         if header.height != prev_header.height + 1:
@@ -547,46 +483,59 @@ class DCertEnclaveProgram(EnclaveProgram):
             raise CertificateError("consensus proof invalid")
         if not blk_new.check_tx_root():
             raise CertificateError("H_tx does not commit to the transactions")
-        # Verify the read set and rebuild the proven state slice
-        # (verify_mht of Alg. 2 line 17; raises ProofError on forgery).
-        # Blocks that touch no state (e.g. all-DoNothing blocks) come
-        # with an empty proof; any read or write then fails below.
-        partial = (
-            update_proof.open(prev_header.state_root)
-            if update_proof.entries
-            else None
-        )
-        # Replay every transaction (lines 18-21); signature checks are
-        # line 19's verify(tx).  Reads outside the proven slice raise.
-        result = self._executor.execute(
-            partial if partial is not None else _NO_STATE,
-            list(blk_new.transactions),
-            strict=True,
-        )
-        # Commit the write set and check the new root (lines 22-23).
-        if result.write_set:
-            if partial is None:
-                raise CertificateError("write set has no covering update proof")
-            partial.update_batch(result.write_set)
-        new_root = partial.root if partial is not None else prev_header.state_root
-        if new_root != header.state_root:
-            raise CertificateError("state root mismatch after replay")
-        return result.write_set
+
+    def _verify_anchor(self, blk_prev: Block, cert_prev: Certificate | None) -> None:
+        """Alg. 2 lines 3-6: the previous block is the hard-coded genesis
+        or carries a valid certificate."""
+        if blk_prev.header.height == 0:
+            if blk_prev.header.header_hash() != self._genesis_digest:
+                raise CertificateError("previous block is not the genesis block")
+        elif cert_prev is None:
+            raise CertificateError("non-genesis previous block needs a certificate")
+        else:
+            self.cert_verify_t(block_digest(blk_prev.header), cert_prev)
 
     def cert_verify_t(self, expected_dig: Digest, cert: Certificate) -> None:
         """Verify a certificate (Alg. 2 lines 25-32); raises on failure."""
-        if not cert.report.verify(self._ias_public_key):
-            raise CertificateError("attestation report is not signed by the IAS")
-        if cert.report.measurement != self.self_measurement:
-            raise CertificateError("certificate from a different enclave program")
-        if cert.pk_enc.to_bytes() != cert.report.report_data:
-            raise CertificateError("pk_enc does not match the attestation report")
-        if not verify(cert.pk_enc, cert.dig, cert.sig, CERT_SIG_DOMAIN):
-            raise CertificateError("certificate signature invalid")
-        if cert.dig != expected_dig:
-            raise CertificateError("certificate digest does not match the block")
+        try:
+            verify_certificate(
+                self.self_measurement,
+                self._ias_public_key,
+                cert,
+                expected_dig,
+                self._verified_reports,
+            )
+        finally:
+            while len(self._verified_reports) > _VERIFIED_REPORTS_LIMIT:
+                self._verified_reports.popitem(last=False)
+
+    def _verify_index_anchor(
+        self,
+        spec: AuthenticatedIndexSpec,
+        prev_header: BlockHeader,
+        prev_index_root: Digest,
+        cert_prev_idx: Certificate | None,
+    ) -> None:
+        """The previous index root is the genesis one or certified."""
+        if prev_header.height == 0:
+            # Alg. 4 only asserts the genesis index root; we also pin the
+            # genesis block digest (as Alg. 5 does) — without it a forged
+            # "genesis" would bootstrap a parallel certified chain.
+            if prev_header.header_hash() != self._genesis_digest:
+                raise CertificateError("previous block is not the genesis block")
+            if prev_index_root != spec.genesis_root():
+                raise CertificateError("previous index root is not the genesis root")
+        elif cert_prev_idx is None:
+            raise CertificateError("previous index certificate missing")
+        else:
+            self.cert_verify_t(
+                index_digest(prev_header, prev_index_root), cert_prev_idx
+            )
 
     # -- internals -------------------------------------------------------------
+
+    def _sign(self, dig: Digest) -> Signature:
+        return sign(self._keypair.private, dig, CERT_SIG_DOMAIN)
 
     def _spec(self, name: str) -> AuthenticatedIndexSpec:
         spec = self._index_specs.get(name)

@@ -34,10 +34,11 @@ from typing import Mapping
 
 from repro import obs
 from repro.chain.block import BlockHeader
-from repro.core.certificate import CERT_SIG_DOMAIN, Certificate
+from repro.core.certificate import Certificate, verify_certificate
 from repro.core.digest import block_digest, index_digest
+from repro.core.enclave_program import DCertEnclaveProgram
 from repro.core.issuer import CertifiedTip
-from repro.crypto import PublicKey, pin_verification_key, verify
+from repro.crypto import PublicKey
 from repro.crypto.hashing import Digest
 from repro.errors import (
     CertificateError,
@@ -48,6 +49,7 @@ from repro.errors import (
     ResponseIntegrityError,
     ServiceUnavailableError,
 )
+from repro.sgx.enclave import measure_program
 
 # -- the pure verification core ------------------------------------------------
 
@@ -64,53 +66,6 @@ class ClientState:
     indexes: Mapping[str, tuple[int, Digest, Certificate]] = field(
         default_factory=dict
     )
-
-
-def verify_certificate(
-    measurement: Digest,
-    ias_public_key: PublicKey,
-    cert: Certificate,
-    expected_dig: Digest,
-    verified_reports: OrderedDict[tuple[bytes, ...], None],
-) -> None:
-    """Alg. 3 lines 3–7 for one certificate; raises
-    :class:`CertificateError` unless every check passes.
-
-    ``verified_reports`` is the caller's LRU memo of attestation
-    reports that already checked out ("a superlight client needs to
-    check an attestation report only once for the same enclave", §4.3);
-    the caller owns it and bounds it.  A report is admitted once ``pk_enc``
-    also matches it; then, never earlier, ``pk_enc``'s table is pinned.
-    The memo key binds every field the skipped checks would have
-    validated (measurement, report_data, IAS key, signature) — a
-    signature-only key would let a report with a tampered measurement
-    but a replayed signature ride the memo.
-    """
-    report = cert.report
-    report_id = (
-        report.measurement,
-        report.report_data,
-        report.ias_key.to_bytes(),
-        report.signature.to_bytes(),
-    )
-    admitted = report_id in verified_reports
-    if admitted:
-        verified_reports.move_to_end(report_id)
-    else:
-        if not report.verify(ias_public_key):
-            raise CertificateError("attestation report not signed by the IAS")
-        if report.measurement != measurement:
-            raise CertificateError("certificate from an unexpected enclave program")
-    if cert.pk_enc.to_bytes() != report.report_data:
-        raise CertificateError("pk_enc does not match the attestation report")
-    if not admitted:
-        # pk_enc is authenticated only now; every later tip is signed by it.
-        verified_reports[report_id] = None
-        pin_verification_key(cert.pk_enc)
-    if not verify(cert.pk_enc, cert.dig, cert.sig, CERT_SIG_DOMAIN):
-        raise CertificateError("certificate signature invalid")
-    if cert.dig != expected_dig:
-        raise CertificateError("certificate digest does not match")
 
 
 def wins_chain_selection(held: BlockHeader | None, header: BlockHeader) -> bool:
@@ -947,9 +902,6 @@ def compute_expected_measurement(
     configuration — the same way real SGX users reproduce MRENCLAVE
     from a reproducible build.
     """
-    from repro.core.enclave_program import DCertEnclaveProgram
-    from repro.sgx.enclave import measure_program
-
     reference = DCertEnclaveProgram(
         genesis_digest=genesis_digest,
         ias_public_key=ias_public_key,

@@ -21,6 +21,13 @@ class Signature:
     r: int
     s: int
 
+    def __post_init__(self) -> None:
+        # Exact ints only: a float or str decodes off the wire, and
+        # fails far from here, as TypeError, inside to_bytes or verify.
+        for scalar in (self.r, self.s):
+            if type(scalar) is not int or not 0 <= scalar < 1 << 256:
+                raise CryptoError("signature scalar is not a 256-bit integer")
+
     def to_bytes(self) -> bytes:
         return self.r.to_bytes(32, "big") + self.s.to_bytes(32, "big")
 

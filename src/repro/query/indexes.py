@@ -69,6 +69,9 @@ class AuthenticatedIndexSpec(ABC):
 
     #: Registry name; certificates are tracked per spec name.
     name: str = ""
+    #: Declared code identity, folded into the enclave measurement in
+    #: place of the source text; a behaviour change bumps it.
+    CODE_ID: str = ""
 
     @abstractmethod
     def genesis_root(self) -> Digest:
@@ -97,6 +100,8 @@ class AccountHistoryIndexSpec(AuthenticatedIndexSpec):
     which state cells count as account values; the block height is the
     version timestamp.
     """
+
+    CODE_ID = "dcert.index.account-history/1"
 
     def __init__(
         self,
@@ -278,6 +283,8 @@ class KeywordUpdateProof:
 
 class KeywordIndexSpec(AuthenticatedIndexSpec):
     """Inverted keyword index over transactions (Fig. 5, right)."""
+
+    CODE_ID = "dcert.index.keyword/1"
 
     def __init__(self, name: str = "keyword", fanout: int = 16) -> None:
         self.name = name
@@ -559,6 +566,8 @@ class BalanceAggregateIndexSpec(AuthenticatedIndexSpec):
     window of any account (e.g. SmallBank checking balances).
     """
 
+    CODE_ID = "dcert.index.balance-aggregate/1"
+
     def __init__(
         self,
         name: str = "aggregate",
@@ -775,6 +784,8 @@ class ValueRangeUpdateProof:
 
 class ValueRangeIndexSpec(AuthenticatedIndexSpec):
     """Certified current-value range index over a numeric state field."""
+
+    CODE_ID = "dcert.index.value-range/1"
 
     def __init__(
         self,

@@ -7,8 +7,8 @@ its measured effects depend on:
 
 * **Isolation & code identity** — :class:`EnclaveHost` instantiates an
   enclave program behind an Ecall boundary; the program's *measurement*
-  is the hash of its source code, so a modified program yields a
-  different measurement and fails attestation, exactly like MRENCLAVE.
+  is the hash of its declared identity and configuration, so a different
+  release measures differently and fails attestation, like MRENCLAVE.
 * **Hardware-protected keys** — key material generated inside the
   enclave never crosses the boundary; the host only sees public keys.
 * **Remote attestation** — a per-platform hardware key signs quotes;

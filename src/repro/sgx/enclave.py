@@ -1,9 +1,9 @@
 """The enclave runtime: measured programs behind an Ecall boundary.
 
 :class:`EnclaveHost` loads an :class:`EnclaveProgram` the way SGX loads
-an enclave image: the program's *measurement* is a hash of its source
-code, fixed at load time, and every interaction goes through
-:meth:`EnclaveHost.ecall`, which
+an enclave image: the program's *measurement* is a hash of its declared
+identity and configuration, fixed at load time, and every interaction
+goes through :meth:`EnclaveHost.ecall`, which
 
 * charges the transition cost,
 * tracks the call's EPC footprint (callers pass the payload size of
@@ -19,8 +19,6 @@ program can expose data (e.g. its public key) by returning it.
 
 from __future__ import annotations
 
-import inspect
-from functools import lru_cache
 from typing import Any
 
 from repro import obs
@@ -33,42 +31,46 @@ from repro.sgx.costs import CostLedger, SGXCostModel, model_enabled, spend
 from repro.sgx.platform import SGXPlatform
 
 
-#: ``inspect.getsource`` tokenises and parses the whole module on every
-#: call, and a class's source cannot change within a process.
-_class_source = lru_cache(maxsize=32)(inspect.getsource)
+def _declared(klass: type, attribute: str) -> str:
+    """The identity ``klass`` declares under ``attribute``, else its
+    qualified name.  Read from the class's own namespace, never
+    inherited: a subclass is different code and must not measure as its
+    parent."""
+    return vars(klass).get(attribute) or f"{klass.__module__}.{klass.__qualname__}"
+
+
+def code_id(klass: type) -> str:
+    """The ``CODE_ID`` of a class whose logic a program's config commits
+    to (DCert: each contract, each index spec)."""
+    return _declared(klass, "CODE_ID")
 
 
 def measure_program(program_class: type, config: bytes = b"") -> Digest:
-    """MRENCLAVE analogue: hash of the program's source code and config.
+    """MRENCLAVE analogue: hash of the program's declared identity
+    (``PROGRAM_ID``, ``PROGRAM_VERSION``) and config.
 
-    Any edit to the program class (or its subclass chain) changes the
-    measurement, so a tampered program cannot attest as the original.
+    The identity stands for the published source the way a reproducible
+    build stands for its binary: a change of trusted behaviour bumps the
+    version, so a different program cannot attest as the original, while
+    a refactor that keeps behaviour keeps the measurement.
     Build-time configuration (DCert hard-codes the genesis digest, the
     IAS key, and the contract/index code identities into its enclave)
     is folded in via ``config`` so a reconfigured program is a
     *different* enclave.
     """
-    chunks = []
-    for klass in program_class.__mro__:
-        if klass in (object, EnclaveProgram):
-            continue
-        try:
-            chunks.append(_class_source(klass))
-        except (OSError, TypeError) as exc:  # dynamically built classes
-            raise EnclaveError(
-                f"cannot measure {klass.__qualname__}: source unavailable"
-            ) from exc
-    return tagged_hash(
-        "enclave-measurement", "".join(chunks).encode("utf-8") + b"\x00" + config
-    )
+    version = vars(program_class).get("PROGRAM_VERSION", 0)
+    identity = f"{_declared(program_class, 'PROGRAM_ID')}/{version}".encode("utf-8")
+    return tagged_hash("enclave-measurement", identity + b"\x00" + config)
 
 
 class EnclaveProgram:
     """Base class for code intended to run inside an enclave.
 
     Subclasses define ``ECALLS``, a tuple of method names the host may
-    invoke, and may implement ``on_init`` to generate keys/state at
-    load time (before any untrusted input arrives).
+    invoke, declare ``PROGRAM_ID`` / ``PROGRAM_VERSION`` (what
+    :func:`measure_program` hashes; undeclared, the qualified class name
+    at version 0), and may implement ``on_init`` to generate keys/state
+    at load time (before any untrusted input arrives).
     """
 
     ECALLS: tuple[str, ...] = ()

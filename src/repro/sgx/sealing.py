@@ -32,24 +32,23 @@ def _sealing_key(platform: SGXPlatform, measurement: Digest) -> bytes:
     return hmac.new(secret, b"seal" + measurement, hashlib.sha256).digest()
 
 
-def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    blocks = []
-    counter = 0
-    while sum(len(block) for block in blocks) < length:
-        blocks.append(
-            hmac.new(key, nonce + counter.to_bytes(8, "big"), hashlib.sha256).digest()
-        )
-        counter += 1
-    return b"".join(blocks)[:length]
+def _xor_keystream(key: bytes, nonce: bytes, data: bytes) -> bytes:
+    """``data`` XOR the HMAC-SHA256 counter keystream of (key, nonce):
+    one HMAC per 32 bytes, joined once, XORed as one big integer."""
+    blocks = -(-len(data) // _MAC_SIZE)
+    stream = b"".join(
+        hmac.new(key, nonce + counter.to_bytes(8, "big"), hashlib.sha256).digest()
+        for counter in range(blocks)
+    )[: len(data)]
+    mixed = int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
+    return mixed.to_bytes(len(data), "big")
 
 
 def seal(platform: SGXPlatform, measurement: Digest, plaintext: bytes) -> bytes:
     """Seal ``plaintext`` to (platform, measurement)."""
     key = _sealing_key(platform, measurement)
     nonce = hashlib.sha256(b"nonce" + key + plaintext).digest()[:16]
-    ciphertext = bytes(
-        a ^ b for a, b in zip(plaintext, _keystream(key, nonce, len(plaintext)))
-    )
+    ciphertext = _xor_keystream(key, nonce, plaintext)
     mac = hmac.new(key, nonce + ciphertext, hashlib.sha256).digest()
     return nonce + ciphertext + mac
 
@@ -64,4 +63,4 @@ def unseal(platform: SGXPlatform, measurement: Digest, sealed: bytes) -> bytes:
     expected = hmac.new(key, nonce + body, hashlib.sha256).digest()
     if not hmac.compare_digest(mac, expected):
         raise EnclaveError("sealed data does not belong to this enclave identity")
-    return bytes(a ^ b for a, b in zip(body, _keystream(key, nonce, len(body))))
+    return _xor_keystream(key, nonce, body)

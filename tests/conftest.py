@@ -16,7 +16,7 @@ from repro.chain.genesis import make_genesis
 from repro.chain.transaction import Transaction, sign_transaction
 from repro.chain.vm import VM
 from repro.contracts import BLOCKBENCH
-from repro.crypto import KeyPair, generate_keypair
+from repro.crypto import KeyPair, ecdsa, generate_keypair
 from repro.sgx.attestation import AttestationService
 from repro.sgx.costs import cost_model_disabled
 
@@ -26,6 +26,15 @@ def _no_sgx_charges():
     """Unit tests run with the enclave cost model off."""
     with cost_model_disabled():
         yield
+
+
+@pytest.fixture()
+def pinned_cache():
+    """The process-wide table cache, put back as it was afterwards."""
+    saved = list(ecdsa._pinned.items())
+    yield ecdsa._pinned
+    ecdsa._pinned.clear()
+    ecdsa._pinned.update(saved)
 
 
 @pytest.fixture(scope="session")

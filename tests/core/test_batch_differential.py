@@ -16,6 +16,7 @@ certificate against the sequential run's.
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -29,11 +30,13 @@ from repro.core import (
     compute_expected_measurement,
 )
 from repro.core.issuer import CertificateIssuer
+from repro.core.recovery import DurableIssuer, recover_issuer
 from repro.crypto import generate_keypair
 from repro.query.api import HistoryQuery, QueryAnswer
 from repro.query.indexes import AccountHistoryIndexSpec
 from repro.sgx.attestation import AttestationService
 from repro.sgx.platform import SGXPlatform
+from repro.storage import ChainArchive
 from tests.conftest import fresh_vm
 
 _USER = generate_keypair(b"batch-diff-user")
@@ -207,3 +210,71 @@ def test_200_seeded_random_blocks_byte_identical():
         assert bat.proof_cache.hits > 0, "hot keys never hit the cache"
         total += len(bat.certified)
     assert total == 200
+
+
+# -- the PR 16 measurement bump -------------------------------------------------
+
+#: Recorded at PR 15 (measurement = hash of source text) over the 50-block
+#: seed-7 chain below: sha256 over ``pk_enc || dig || sig`` of all 100
+#: certificates, and that tree's measurement for this configuration.
+PR15_PK_DIG_SIG_SHA256 = (
+    "fd1ccba53dbef2960424efe3b05bec74d6a2aa6085af073530d33fabbc52784a"
+)
+PR15_MEASUREMENT = "f263ae27a01f7ec2af7f24e06f6563f9de191ada1f7305ab01dc962c3e7eedd6"
+#: The certificate golden at ``dcert.enclave/2``: sha256 over every
+#: ``Certificate.encode()``.  Moves only with a declared identity (see
+#: tests/core/test_program_identity.py), never with a refactor.
+ENCODED_SHA256 = "27c563f82cd00e2af10b5a5f3d0538074da88332a68bcba3e9496fe8dbeff0ac"
+
+
+def _all_certificates(issuer):
+    for certified in issuer.certified:
+        yield certified.certificate
+        yield certified.index_certificates["history"]
+
+
+def test_certificates_differ_from_pr15_only_through_the_measurement(tmp_path):
+    """Signing is deterministic RFC 6979 under a seeded ``sk_enc``, so
+    everything the enclave itself produces (``dig``, ``sig``, under the
+    same ``pk_enc``) is what the source-hashing tree produced; only the
+    attestation report, which carries the measurement, is new.  And at
+    the new measurement sequential == batched == recovered."""
+    builder = random_chain(7, blocks=50, difficulty_bits=1)
+    seq = make_issuer(builder, 7)
+    for block in builder.blocks[1:]:
+        seq.process_block(block)
+    certificates = list(_all_certificates(seq))
+    assert len(certificates) == 100
+
+    enclave_made = hashlib.sha256()
+    for cert in certificates:
+        enclave_made.update(cert.pk_enc.to_bytes() + cert.dig + cert.sig.to_bytes())
+    assert enclave_made.hexdigest() == PR15_PK_DIG_SIG_SHA256
+    assert {cert.report.measurement for cert in certificates} == {seq.measurement}
+    assert seq.measurement.hex() != PR15_MEASUREMENT
+    encoded = hashlib.sha256(b"".join(cert.encode() for cert in certificates))
+    assert encoded.hexdigest() == ENCODED_SHA256
+
+    assert_identical(seq, run_batched(builder, 7, 8, cache=64))
+
+    genesis, state = make_genesis(network="batch-diff-7")
+    identity = dict(
+        index_specs=[AccountHistoryIndexSpec(name="history")],
+        ias=AttestationService(seed=b"batch-diff-ias"),
+        platform=SGXPlatform(seed=b"batch-diff-platform"),
+    )
+    durable = DurableIssuer.create(
+        ChainArchive(tmp_path / "ci.wal"), genesis, state, fresh_vm(), builder.pow,
+        key_seed=b"batch-diff-enclave", checkpoint_interval=16, **identity,
+    )
+    for block in builder.blocks[1:]:
+        durable.process_block(block)
+    genesis, state = make_genesis(network="batch-diff-7")
+    recovered = recover_issuer(
+        durable.archive, genesis, state, fresh_vm(), builder.pow, **identity
+    )
+    assert recovered.last_recovery.checkpoint_used
+    for issuer in (durable.issuer, recovered.issuer):
+        assert [c.encode() for c in _all_certificates(issuer)] == [
+            c.encode() for c in certificates
+        ]

@@ -1,0 +1,240 @@
+"""The declared program identity, and the tripwire that keeps it honest.
+
+The enclave measurement hashes a *declared* identity (``PROGRAM_ID`` /
+``PROGRAM_VERSION`` on the program, ``CODE_ID`` on every contract and
+index spec) instead of source text, so the runtime no longer notices an
+edit to trusted code.  This file does, at test time: it pins the sha256
+of the source each identity stands for.  When a pin fails, exactly one
+of two things is true, and the failure message says which to do:
+
+* the edit changed trusted **behaviour** -> bump the identity (the
+  measurement moves, old sealed archives stop unsealing, and the
+  certificate goldens are re-pinned once — see DESIGN.md);
+* the edit is a pure **refactor** -> re-record the pin below, nothing
+  else moves.
+"""
+
+import hashlib
+import inspect
+
+import pytest
+
+from repro.chain.consensus import ProofOfWork
+from repro.chain.genesis import make_genesis
+from repro.chain.vm import VM, Contract
+from repro.contracts import BLOCKBENCH, KVStore, SmallBank, fresh_vm
+from repro.core import CertificateIssuer, compute_expected_measurement
+from repro.core.certificate import verify_certificate
+from repro.core.enclave_program import DCertEnclaveProgram
+from repro.query.indexes import (
+    AccountHistoryIndexSpec,
+    AuthenticatedIndexSpec,
+    BalanceAggregateIndexSpec,
+    KeywordIndexSpec,
+    ValueRangeIndexSpec,
+)
+from repro.sgx.attestation import AttestationService
+from repro.sgx.enclave import code_id, measure_program
+
+#: ``PROGRAM_VERSION`` -> qualified name -> (declared identity, sha256 of
+#: ``inspect.getsource``).  Older versions stay as history.
+PINS = {
+    2: {
+        "repro.core.enclave_program.DCertEnclaveProgram": (
+            "dcert.enclave/2",
+            "8deb72215e27e67244fd4046077c6d1a93767551fb42f618350d161789af9bfc",
+        ),
+        "repro.core.certificate.verify_certificate": (
+            "dcert.enclave/2",
+            "05ca6df91f446c4141c8b1dc3da26d5bc17101c06e4b71b3173f021ffebb6ae5",
+        ),
+        "repro.contracts.cpuheavy.CPUHeavy": (
+            "blockbench.cpuheavy/1",
+            "0b40c2ab2cb0661fd75720135a375ff4f493d1bc2e79c8056ffbe3892dd2ecbd",
+        ),
+        "repro.contracts.donothing.DoNothing": (
+            "blockbench.donothing/1",
+            "ed97ea3c30d62607622f360f7b3993518f8cece3588595faf2b76832e8b630a2",
+        ),
+        "repro.contracts.ioheavy.IOHeavy": (
+            "blockbench.ioheavy/1",
+            "d18bda54816dda585ce5d5c6fe360bc50e3c4e04d56971f6676759228724ebfe",
+        ),
+        "repro.contracts.kvstore.KVStore": (
+            "blockbench.kvstore/1",
+            "7edf9f68e9e6dc886924a2451c247159266e13f5716f2503c2e0c6783ad98011",
+        ),
+        "repro.contracts.smallbank.SmallBank": (
+            "blockbench.smallbank/1",
+            "45b3aff9cafbe0e39d2b2bab42660dce04cfbfe07697e64a9b40bc6e56a488df",
+        ),
+        "repro.query.indexes.AccountHistoryIndexSpec": (
+            "dcert.index.account-history/1",
+            "ef32395c5f8bd185b5b6f59eb1c241dd41885d35838840c35d4cef20297c441f",
+        ),
+        "repro.query.indexes.KeywordIndexSpec": (
+            "dcert.index.keyword/1",
+            "535f2fc6aa86410ff9de2a398bbbc6f7ce7092c93223aaa0c104f132dffd3b0d",
+        ),
+        "repro.query.indexes.BalanceAggregateIndexSpec": (
+            "dcert.index.balance-aggregate/1",
+            "62e4537b2b853aaa5b8cdf3b3c929b3aa517cb7a4fcfd63931bf4385f0f7836a",
+        ),
+        "repro.query.indexes.ValueRangeIndexSpec": (
+            "dcert.index.value-range/1",
+            "cab4f4e985528236ecfbb5047ffb4dafe30832e603607fbe31dc1b252097b557",
+        ),
+    },
+}
+
+PROGRAM_IDENTITY = (
+    f"{DCertEnclaveProgram.PROGRAM_ID}/{DCertEnclaveProgram.PROGRAM_VERSION}"
+)
+
+
+def _subclasses(base):
+    for klass in base.__subclasses__():
+        yield klass
+        yield from _subclasses(klass)
+
+
+def trusted_code():
+    """Every piece of source a measurement vouches for, with the
+    identity it currently declares."""
+    found = {
+        DCertEnclaveProgram: PROGRAM_IDENTITY,
+        # cert_verify_t's body: trusted, though it lives beside Certificate.
+        verify_certificate: PROGRAM_IDENTITY,
+    }
+    for base in (Contract, AuthenticatedIndexSpec):
+        for klass in _subclasses(base):
+            if klass.__module__.startswith("repro."):
+                found[klass] = vars(klass).get("CODE_ID")
+    return {f"{obj.__module__}.{obj.__qualname__}": (obj, identity)
+            for obj, identity in found.items()}
+
+
+def test_every_trusted_class_is_pinned_and_nothing_else():
+    version = DCertEnclaveProgram.PROGRAM_VERSION
+    assert version in PINS, (
+        f"PROGRAM_VERSION is {version}: record a PINS[{version}] table "
+        "(and re-pin the certificate goldens listed in DESIGN.md)"
+    )
+    assert set(trusted_code()) == set(PINS[version])
+    assert set(BLOCKBENCH.values()) <= {obj for obj, _ in trusted_code().values()}
+
+
+@pytest.mark.parametrize("name", sorted(PINS[max(PINS)]))
+def test_trusted_source_matches_its_declared_identity(name):
+    version = DCertEnclaveProgram.PROGRAM_VERSION
+    obj, identity = trusted_code()[name]
+    assert identity, f"{name} declares no CODE_ID of its own"
+    pinned_identity, pinned_sha = PINS[version][name]
+    sha = hashlib.sha256(inspect.getsource(obj).encode("utf-8")).hexdigest()
+    if identity != pinned_identity:
+        pytest.fail(
+            f"{name} now declares {identity!r} (pinned: {pinned_identity!r}): "
+            f"the measurement moved on purpose — record ({identity!r}, {sha!r}) "
+            "in PINS and re-pin the certificate goldens once"
+        )
+    assert sha == pinned_sha, (
+        f"the source of {name} changed under the identity {identity!r}.\n"
+        "  * behaviour changed -> bump its identity (CODE_ID, or "
+        "PROGRAM_VERSION for the program) so the measurement moves;\n"
+        f"  * pure refactor -> re-record the pin: {sha!r}"
+    )
+
+
+# -- what the measurement commits to ------------------------------------------
+
+IAS = AttestationService(seed=b"identity-ias")
+GENESIS = make_genesis()[0].header.header_hash()
+
+
+def measurement(*, genesis=GENESIS, ias_key=IAS.public_key, vm=None,
+                difficulty_bits=4, specs=()):
+    return compute_expected_measurement(
+        genesis, ias_key, vm if vm is not None else fresh_vm(), difficulty_bits,
+        {spec.name: spec for spec in specs},
+    )
+
+
+def test_measurement_is_a_function_of_the_public_inputs():
+    assert measurement() == measurement()
+    assert measurement(specs=[KeywordIndexSpec()]) == measurement(
+        specs=[KeywordIndexSpec()]
+    )
+
+
+def test_measurement_commits_to_every_public_input():
+    kv_only = VM()
+    kv_only.deploy(KVStore())
+    kv_and_bank = VM()
+    kv_and_bank.deploy(KVStore())
+    kv_and_bank.deploy(SmallBank())
+    variants = [
+        measurement(),
+        measurement(genesis=make_genesis(network="other")[0].header.header_hash()),
+        measurement(ias_key=AttestationService(seed=b"other-ias").public_key),
+        measurement(difficulty_bits=5),
+        measurement(vm=kv_only),
+        measurement(vm=kv_and_bank),
+        measurement(specs=[KeywordIndexSpec()]),
+        measurement(specs=[KeywordIndexSpec(fanout=8)]),
+        measurement(specs=[KeywordIndexSpec(name="kw2")]),
+        measurement(specs=[AccountHistoryIndexSpec()]),
+        measurement(specs=[AccountHistoryIndexSpec(contract="smallbank")]),
+        measurement(specs=[AccountHistoryIndexSpec(), KeywordIndexSpec()]),
+    ]
+    assert len(set(variants)) == len(variants)
+
+
+def test_a_code_id_or_version_bump_moves_the_measurement(monkeypatch):
+    before = measurement(specs=[KeywordIndexSpec()])
+    monkeypatch.setattr(KeywordIndexSpec, "CODE_ID", "dcert.index.keyword/2")
+    spec_bumped = measurement(specs=[KeywordIndexSpec()])
+    monkeypatch.setattr(KVStore, "CODE_ID", "blockbench.kvstore/2")
+    contract_bumped = measurement(specs=[KeywordIndexSpec()])
+    monkeypatch.setattr(DCertEnclaveProgram, "PROGRAM_VERSION", 3)
+    program_bumped = measurement(specs=[KeywordIndexSpec()])
+    assert len({before, spec_bumped, contract_bumped, program_bumped}) == 4
+
+
+def test_identity_is_never_inherited():
+    """A subclass is different code: it must not measure as its parent."""
+
+    class Patched(DCertEnclaveProgram):
+        pass
+
+    class PatchedStore(KVStore):
+        pass
+
+    assert measure_program(Patched) != measure_program(DCertEnclaveProgram)
+    assert code_id(PatchedStore) != code_id(KVStore) == "blockbench.kvstore/1"
+
+
+@pytest.mark.parametrize(
+    "spec_classes",
+    [
+        (),
+        (AccountHistoryIndexSpec, KeywordIndexSpec),  # certify-stream, tip-follow, sim
+        (AccountHistoryIndexSpec, KeywordIndexSpec,
+         BalanceAggregateIndexSpec, ValueRangeIndexSpec),  # query-cold / query-hot
+    ],
+    ids=["no-index", "history+keyword", "all-four"],
+)
+def test_clients_derive_the_launched_enclaves_measurement(spec_classes):
+    genesis, state = make_genesis()
+    names = {
+        AccountHistoryIndexSpec: "history", KeywordIndexSpec: "keyword",
+        BalanceAggregateIndexSpec: "aggregate", ValueRangeIndexSpec: "range",
+    }
+    issuer = CertificateIssuer(
+        genesis, state, fresh_vm(), ProofOfWork(4),
+        index_specs=[klass(name=names[klass]) for klass in spec_classes],
+        ias=IAS, key_seed=b"identity-enclave",
+    )
+    assert issuer.measurement == measurement(
+        specs=[klass(name=names[klass]) for klass in spec_classes]
+    )
+    assert issuer.report.measurement == issuer.measurement

@@ -121,15 +121,6 @@ def pinned_double_mul(u1, u2, point):
     return ecdsa._from_jacobian(ecdsa._comb_mul(ecdsa._pinned[point], u2, start))
 
 
-@pytest.fixture()
-def pinned_cache():
-    """The process-wide table cache, put back as it was afterwards."""
-    saved = list(ecdsa._pinned.items())
-    yield ecdsa._pinned
-    ecdsa._pinned.clear()
-    ecdsa._pinned.update(saved)
-
-
 @contextmanager
 def unpinned(public):
     table = ecdsa._pinned.pop(public, None)

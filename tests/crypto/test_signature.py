@@ -45,3 +45,23 @@ def test_signature_serialization_roundtrip(keypair):
 def test_signature_rejects_bad_length():
     with pytest.raises(CryptoError):
         Signature.from_bytes(bytes(63))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [1.0, 2.5e70, "7", True, None, -1, 1 << 256],
+    ids=["float", "big-float", "str", "bool", "none", "negative", "2**256"],
+)
+def test_signature_scalars_must_be_256_bit_ints(keypair, bad):
+    """``Signature`` is decoded from untrusted JSON: a non-int or an
+    out-of-range scalar has to fail here, typed, not later as
+    ``AttributeError`` / ``TypeError`` in ``to_bytes`` or ``verify``."""
+    good = sign(keypair.private, b"payload")
+    with pytest.raises(CryptoError):
+        Signature(bad, good.s)
+    with pytest.raises(CryptoError):
+        Signature(good.r, bad)
+
+
+def test_signature_scalar_bounds_are_inclusive_of_every_encodable_value():
+    assert Signature(0, (1 << 256) - 1).to_bytes() == bytes(32) + b"\xff" * 32

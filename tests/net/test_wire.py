@@ -138,6 +138,56 @@ def test_non_integer_public_key_coordinate_never_decodes(certified_setup, byte):
             wire.decode(tampered)
 
 
+def _signature_scalars(certificate):
+    return {
+        "cert.sig.r": certificate.sig.r,
+        "cert.sig.s": certificate.sig.s,
+        "report.signature.r": certificate.report.signature.r,
+        "report.signature.s": certificate.report.signature.s,
+    }
+
+
+@pytest.mark.parametrize(
+    "where",
+    ["cert.sig.r", "cert.sig.s", "report.signature.r", "report.signature.s"],
+)
+@pytest.mark.parametrize(
+    "replacement",
+    [b"1.5", b"2.5e70", b'"7"', b"true", b"null", b"-1", str(1 << 256).encode()],
+    ids=["float", "big-float", "str", "bool", "null", "negative", "2**256"],
+)
+def test_non_integer_signature_scalar_never_decodes(
+    certified_setup, where, replacement
+):
+    """``r`` / ``s`` of ``cert.sig`` and of the report signature arrive as
+    JSON numbers; anything but an int in [0, 2**256) must fail decoding
+    (``WireError``), not come back as a ``Signature`` whose ``to_bytes()``
+    raises ``AttributeError`` while a client builds its report-memo key
+    or whose float reaches ``pow()`` inside ``verify_digest``."""
+    certificate = certified_setup["issuer"].certified[-1].certificate
+    encoded = wire.encode(certificate)
+    digits = str(_signature_scalars(certificate)[where]).encode()
+    assert encoded.count(digits) == 1
+    with pytest.raises(WireError):
+        wire.decode(encoded.replace(digits, replacement))
+
+
+@pytest.mark.parametrize("byte", [b".", b"e"])
+def test_one_byte_flip_in_a_signature_scalar_never_decodes(certified_setup, byte):
+    """The wire-reachable form: one digit flipped to ``.`` / ``e`` turns
+    the JSON int into a float."""
+    certificate = certified_setup["issuer"].certified[-1].certificate
+    encoded = wire.encode(certificate)
+    for scalar in _signature_scalars(certificate).values():
+        digits = str(scalar).encode()
+        start = encoded.index(digits)
+        for offset in range(1, len(digits) - 1):
+            position = start + offset
+            tampered = encoded[:position] + byte + encoded[position + 1 :]
+            with pytest.raises(WireError):
+                wire.decode(tampered)
+
+
 def test_unknown_structural_field_rejected():
     request = HistoryQuery(index="i", account="a", t_from=1, t_to=2)
     encoded = wire.encode(request)

@@ -55,6 +55,26 @@ def test_measurement_changes_with_config():
     assert measure_program(EchoProgram, b"a") != measure_program(EchoProgram, b"b")
 
 
+class DeclaredProgram(EnclaveProgram):
+    PROGRAM_ID = "tests.declared"
+    PROGRAM_VERSION = 1
+
+
+def test_measurement_is_the_declared_identity_not_the_source(monkeypatch):
+    before = measure_program(DeclaredProgram)
+    monkeypatch.setattr(DeclaredProgram, "PROGRAM_VERSION", 2)
+    bumped = measure_program(DeclaredProgram)
+    monkeypatch.setattr(DeclaredProgram, "PROGRAM_ID", "tests.renamed")
+    assert len({before, bumped, measure_program(DeclaredProgram)}) == 3
+
+
+def test_a_subclass_does_not_inherit_its_parents_identity():
+    class Patched(DeclaredProgram):
+        pass
+
+    assert measure_program(Patched) != measure_program(DeclaredProgram)
+
+
 def test_host_folds_program_config(host):
     other = EnclaveHost(EchoProgram(tag=b"x"), SGXPlatform(seed=b"enclave-tests"))
     assert other.measurement != host.measurement
