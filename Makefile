@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: test bench lint analyze loc selftest check metrics proptest chaos fleet-bench fleet-smoke push-bench push-smoke overload-bench overload-smoke sim sim-smoke determinism
+.PHONY: test bench lint analyze loc selftest check metrics proptest chaos fleet-bench fleet-smoke push-bench push-smoke overload-bench overload-smoke sim sim-smoke determinism perf-smoke
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -43,7 +43,16 @@ sim-smoke:
 determinism:
 	bash scripts/check_determinism.sh
 
-check: lint analyze loc test chaos sim-smoke determinism fleet-smoke push-smoke overload-smoke
+check: lint analyze loc test chaos sim-smoke determinism fleet-smoke push-smoke overload-smoke perf-smoke
+
+# The repo benchmark (BENCHMARK.json, benchmarks/perf) at a tenth of its
+# fixed round counts: every workload end to end in ~11 s.  Exits
+# non-zero when a workload's built-in check fails — recovered tip
+# byte-equal, oracle-equal answers, sim invariants — so a change cannot
+# break what the benchmark runs and stay green.  Timings are printed,
+# not gated here; gate them with benchmarks/perf/compare.py.
+perf-smoke:
+	$(PYTHON) benchmarks/perf/run.py --all --smoke
 
 bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only

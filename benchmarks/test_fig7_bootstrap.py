@@ -78,11 +78,23 @@ def _measure_superlight(harness, length):
     started = time.perf_counter()
     assert client.validate_chain(certified.block.header, certified.certificate)
     first_ms = (time.perf_counter() - started) * 1000
-    # Steady state (report already checked once per enclave, §4.3).
+    # Steady state (report already checked once per enclave, §4.3): a
+    # client that knows the enclave from the previous block meets this
+    # tip for the first time.  Re-validating a tip it already holds
+    # would time three memo lookups, not a validation.
+    warm = _client_knowing_the_enclave(harness, length - 2)
     started = time.perf_counter()
-    client.validate_chain(certified.block.header, certified.certificate)
+    assert warm.validate_chain(certified.block.header, certified.certificate)
     steady_ms = (time.perf_counter() - started) * 1000
     return client.storage_bytes(), first_ms, steady_ms
+
+
+def _client_knowing_the_enclave(harness, position):
+    """A client whose only validation so far is block ``position``'s."""
+    seen = harness.issuer.certified[position]
+    client = SuperlightClient(harness.issuer.measurement, harness.ias.public_key)
+    assert client.validate_chain(seen.block.header, seen.certificate)
+    return client
 
 
 def test_fig7_bootstrap_costs(params, benchmark):
@@ -157,8 +169,13 @@ def test_fig7_bootstrap_costs(params, benchmark):
     growth = measured[last][0] / measured[first][0]
     assert growth > 0.8 * (last / first)
 
-    # pytest-benchmark target: steady-state superlight validation.
+    # pytest-benchmark target: steady-state superlight validation — each
+    # round a client that knows the enclave validates a tip new to it.
     certified = harness.issuer.certified[-1]
-    client = SuperlightClient(harness.issuer.measurement, harness.ias.public_key)
-    client.validate_chain(certified.block.header, certified.certificate)
-    benchmark(client.validate_chain, certified.block.header, certified.certificate)
+    benchmark.pedantic(
+        lambda client: client.validate_chain(
+            certified.block.header, certified.certificate
+        ),
+        setup=lambda: ((_client_knowing_the_enclave(harness, -2),), {}),
+        rounds=20,
+    )

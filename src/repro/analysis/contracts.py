@@ -380,6 +380,7 @@ BOUNDED_SCOPES = frozenset(
         "repro.net.gateway",
         "repro.net.resilience",
         "repro.query.answercache",
+        "repro.core.certificate",
         "repro.core.superlight",
     }
 )

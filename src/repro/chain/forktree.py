@@ -21,11 +21,11 @@ from dataclasses import dataclass, field
 from repro.chain.block import Block
 from repro.chain.consensus import ProofOfWork
 from repro.chain.executor import ExecutionResult, TransactionExecutor
+from repro.chain.node import predict_root
 from repro.chain.state import StateStore
 from repro.chain.vm import VM
 from repro.crypto.hashing import Digest
 from repro.errors import BlockValidationError
-from repro.merkle.partial import PartialSMT
 
 
 @dataclass(slots=True)
@@ -131,19 +131,10 @@ class ForkAwareNode:
 
     def _execute_active(self, block: Block) -> ExecutionResult:
         result = self.executor.execute(self.state, list(block.transactions), strict=True)
-        predicted = self._predict_root(result)
+        predicted = predict_root(self.state, result)
         if predicted != block.header.state_root:
             raise BlockValidationError("state root mismatch after re-execution")
         return result
-
-    def _predict_root(self, result: ExecutionResult) -> Digest:
-        touched = result.touched_keys()
-        if not touched:
-            return self.state.root
-        entries = self.state.prove_many(touched)
-        partial = PartialSMT.from_proofs(self.state.root, entries)
-        partial.update_batch(result.write_set)
-        return partial.root
 
     def _extend_active(self, block_hash: Digest) -> None:
         block = self._blocks[block_hash].block

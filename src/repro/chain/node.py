@@ -68,7 +68,7 @@ class FullNode:
         )
         # Predict the post-state root without committing: replay the
         # writes on proofs (cheap) rather than copying the whole state.
-        predicted = self._predict_root(result)
+        predicted = predict_root(self.state, result)
         if predicted != header.state_root:
             raise BlockValidationError("state root mismatch after re-execution")
         return result
@@ -80,15 +80,15 @@ class FullNode:
         self.blocks.append(block)
         return result
 
-    # -- internals ---------------------------------------------------------
 
-    def _predict_root(self, result: ExecutionResult) -> bytes:
-        from repro.merkle.partial import PartialSMT
+def predict_root(state: StateStore, result: ExecutionResult) -> bytes:
+    """The state root after ``result``'s writes, without committing them."""
+    from repro.merkle.partial import PartialSMT
 
-        touched = result.touched_keys()
-        if not touched:
-            return self.state.root
-        entries = self.state.prove_many(touched)
-        partial = PartialSMT.from_proofs(self.state.root, entries)
-        partial.update_batch(result.write_set)
-        return partial.root
+    touched = result.touched_keys()
+    if not touched:
+        return state.root
+    entries = state.prove_many(touched)
+    partial = PartialSMT.from_proofs(state.root, entries)
+    partial.update_batch(result.write_set)
+    return partial.root

@@ -27,14 +27,17 @@ attestation report's user data.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 from repro.chain.block import Block, BlockHeader
 from repro.chain.consensus import ProofOfWork
 from repro.chain.executor import TransactionExecutor
 from repro.chain.vm import VM
 from repro.core.batch import BatchItem
-from repro.core.certificate import CERT_SIG_DOMAIN, Certificate, verify_certificate
+from repro.core.certificate import (
+    CERT_SIG_DOMAIN,
+    Certificate,
+    VerifiedMemo,
+    verify_certificate,
+)
 from repro.core.digest import block_digest, index_digest
 from repro.core.updateproof import UpdateProof
 from repro.crypto import PublicKey, Signature, generate_keypair, sign
@@ -125,11 +128,10 @@ class DCertEnclaveProgram(EnclaveProgram):
         self._carried_slice = None
         self._carried_root: Digest = b""
         # Reports cert_verify_t already checked (§3.3: "only once for the
-        # same enclave").  Enclave memory only: never sealed, so a
+        # same enclave") and certificate signatures it checked or this
+        # enclave produced.  Enclave memory only: never sealed, so a
         # launched or recovered enclave verifies its first one in full.
-        self._verified_reports: OrderedDict[tuple[bytes, ...], None] = (
-            OrderedDict()
-        )
+        self._verified_reports = VerifiedMemo(_VERIFIED_REPORTS_LIMIT)
 
     # -- enclave lifecycle ---------------------------------------------------
 
@@ -218,7 +220,7 @@ class DCertEnclaveProgram(EnclaveProgram):
         update_proof: UpdateProof,
     ) -> Signature:
         """``ecall_sig_gen``: returns the signature for ``H(hdr_new)``."""
-        self._verify_anchor(blk_prev, cert_prev)
+        self._verify_anchor(blk_prev.header, cert_prev)
         write_set = self.blk_verify_t(blk_prev, blk_new, update_proof)
         self._remember(blk_new, write_set)
         return self._sign(block_digest(blk_new.header))
@@ -254,19 +256,15 @@ class DCertEnclaveProgram(EnclaveProgram):
         """
         if not items:
             raise CertificateError("empty certification batch")
-        self._verify_anchor(blk_prev, cert_prev)
+        self._verify_anchor(blk_prev.header, cert_prev)
 
         # Anchor each index chain at the first item's previous root.
         index_names = set(items[0].index_updates)
         index_roots: dict[str, Digest] = {}
         for name in sorted(index_names):
             prev_root = items[0].index_updates[name].prev_root
-            self._verify_index_anchor(
-                self._spec(name),
-                blk_prev.header,
-                prev_root,
-                index_anchor_certs.get(name),
-            )
+            anchor = index_anchor_certs.get(name)
+            self._verify_anchor(blk_prev.header, anchor, self._spec(name), prev_root)
             index_roots[name] = prev_root
 
         # Resume the carried proof slice only if it still matches the
@@ -371,7 +369,7 @@ class DCertEnclaveProgram(EnclaveProgram):
         transitions per touched cell — which the Ecall-batching ablation
         benchmark measures against the eager design.
         """
-        self._verify_anchor(blk_prev, cert_prev)
+        self._verify_anchor(blk_prev.header, cert_prev)
         self._check_header(blk_prev.header, blk_new)
         state_root = blk_prev.header.state_root
         partial: PartialSMT | None = None
@@ -419,9 +417,7 @@ class DCertEnclaveProgram(EnclaveProgram):
     ) -> Signature:
         """One ecall certifying the block *and* one index update."""
         spec = self._spec(spec_name)
-        self._verify_index_anchor(
-            spec, blk_prev.header, prev_index_root, cert_prev_idx
-        )
+        self._verify_anchor(blk_prev.header, cert_prev_idx, spec, prev_index_root)
         write_set = self.blk_verify_t(blk_prev, blk_new, update_proof)
         self._verify_index_update(
             spec, blk_new, write_set, prev_index_root, new_index_root, index_proof
@@ -448,9 +444,7 @@ class DCertEnclaveProgram(EnclaveProgram):
         cache of its own recent ``sig_gen`` replays.
         """
         spec = self._spec(spec_name)
-        self._verify_index_anchor(
-            spec, blk_prev_header, prev_index_root, cert_prev_idx
-        )
+        self._verify_anchor(blk_prev_header, cert_prev_idx, spec, prev_index_root)
         self.cert_verify_t(block_digest(blk_new_header), cert_new_block)
         cached = self._recent.get(blk_new_header.header_hash())
         if cached is None:
@@ -484,58 +478,51 @@ class DCertEnclaveProgram(EnclaveProgram):
         if not blk_new.check_tx_root():
             raise CertificateError("H_tx does not commit to the transactions")
 
-    def _verify_anchor(self, blk_prev: Block, cert_prev: Certificate | None) -> None:
-        """Alg. 2 lines 3-6: the previous block is the hard-coded genesis
-        or carries a valid certificate."""
-        if blk_prev.header.height == 0:
-            if blk_prev.header.header_hash() != self._genesis_digest:
-                raise CertificateError("previous block is not the genesis block")
-        elif cert_prev is None:
-            raise CertificateError("non-genesis previous block needs a certificate")
-        else:
-            self.cert_verify_t(block_digest(blk_prev.header), cert_prev)
-
-    def cert_verify_t(self, expected_dig: Digest, cert: Certificate) -> None:
-        """Verify a certificate (Alg. 2 lines 25-32); raises on failure."""
-        try:
-            verify_certificate(
-                self.self_measurement,
-                self._ias_public_key,
-                cert,
-                expected_dig,
-                self._verified_reports,
-            )
-        finally:
-            while len(self._verified_reports) > _VERIFIED_REPORTS_LIMIT:
-                self._verified_reports.popitem(last=False)
-
-    def _verify_index_anchor(
+    def _verify_anchor(
         self,
-        spec: AuthenticatedIndexSpec,
         prev_header: BlockHeader,
-        prev_index_root: Digest,
-        cert_prev_idx: Certificate | None,
+        cert_prev: Certificate | None,
+        spec: AuthenticatedIndexSpec | None = None,
+        prev_index_root: Digest = b"",
     ) -> None:
-        """The previous index root is the genesis one or certified."""
+        """What a call chains on — the previous block (Alg. 2 lines 3-6)
+        or, given ``spec``, the previous root of that index — is the
+        hard-coded genesis or carries a valid certificate."""
         if prev_header.height == 0:
             # Alg. 4 only asserts the genesis index root; we also pin the
             # genesis block digest (as Alg. 5 does) — without it a forged
             # "genesis" would bootstrap a parallel certified chain.
             if prev_header.header_hash() != self._genesis_digest:
                 raise CertificateError("previous block is not the genesis block")
-            if prev_index_root != spec.genesis_root():
+            if spec is not None and prev_index_root != spec.genesis_root():
                 raise CertificateError("previous index root is not the genesis root")
-        elif cert_prev_idx is None:
-            raise CertificateError("previous index certificate missing")
+        elif cert_prev is None:
+            raise CertificateError("a non-genesis anchor needs its certificate")
+        elif spec is None:
+            self.cert_verify_t(block_digest(prev_header), cert_prev)
         else:
-            self.cert_verify_t(
-                index_digest(prev_header, prev_index_root), cert_prev_idx
-            )
+            self.cert_verify_t(index_digest(prev_header, prev_index_root), cert_prev)
+
+    def cert_verify_t(self, expected_dig: Digest, cert: Certificate) -> None:
+        """Verify a certificate (Alg. 2 lines 25-32); raises on failure."""
+        verify_certificate(
+            self.self_measurement,
+            self._ias_public_key,
+            cert,
+            expected_dig,
+            self._verified_reports,
+        )
 
     # -- internals -------------------------------------------------------------
 
     def _sign(self, dig: Digest) -> Signature:
-        return sign(self._keypair.private, dig, CERT_SIG_DOMAIN)
+        sig = sign(self._keypair.private, dig, CERT_SIG_DOMAIN)
+        # The next ecalls hand this signature back inside a certificate
+        # (Alg. 2 line 5, Alg. 5 line 10): it verifies, having just been made.
+        self._verified_reports.admit_signature(
+            (self._keypair.public.to_bytes(), dig, sig.to_bytes())
+        )
+        return sig
 
     def _spec(self, name: str) -> AuthenticatedIndexSpec:
         spec = self._index_specs.get(name)

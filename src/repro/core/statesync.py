@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.chain.block import Block, BlockHeader
+from repro.chain.block import Block
 from repro.chain.consensus import ProofOfWork
 from repro.chain.node import FullNode
 from repro.chain.state import StateStore
@@ -85,12 +85,3 @@ def bootstrap_full_node(
     node.executor = TransactionExecutor(vm)
     node.pow = pow_engine
     return node
-
-
-def continue_chain(node: FullNode, header: BlockHeader) -> bool:
-    """Convenience: can ``node`` (bootstrapped mid-chain) extend to
-    ``header``?  True iff the header links to the node's tip."""
-    return (
-        header.prev_hash == node.tip.header.header_hash()
-        and header.height == node.height + 1
-    )

@@ -26,7 +26,6 @@ wallet — is one :meth:`SuperlightClient.adopt` call on that core.
 from __future__ import annotations
 
 import json
-from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -34,7 +33,7 @@ from typing import Mapping
 
 from repro import obs
 from repro.chain.block import BlockHeader
-from repro.core.certificate import Certificate, verify_certificate
+from repro.core.certificate import Certificate, VerifiedMemo, verify_certificate
 from repro.core.digest import block_digest, index_digest
 from repro.core.enclave_program import DCertEnclaveProgram
 from repro.core.issuer import CertifiedTip
@@ -82,7 +81,7 @@ def adopt_bundle(
     ias_public_key: PublicKey,
     state: ClientState,
     bundle,
-    verified_reports: OrderedDict[tuple[bytes, ...], None],
+    verified: VerifiedMemo,
 ) -> ClientState:
     """Verify a tip bundle in full against the trust anchors (the
     enclave program's measurement, re-derived from published source, and
@@ -115,9 +114,7 @@ def adopt_bundle(
             raise CertificateError(f"bundle omits the root for index {name!r}")
         to_verify.append((cert, index_digest(header, bundle.index_roots[name])))
     for cert, expected_dig in to_verify:
-        verify_certificate(
-            measurement, ias_public_key, cert, expected_dig, verified_reports
-        )
+        verify_certificate(measurement, ias_public_key, cert, expected_dig, verified)
     tip_wins = bundle.certificate is not None and wins_chain_selection(
         state.header, header
     )
@@ -161,10 +158,8 @@ class SuperlightClient:
         self.expected_measurement = expected_measurement
         self.ias_public_key = ias_public_key
         self.state = ClientState()
-        # LRU-bounded: see VERIFIED_REPORTS_LIMIT.
-        self._verified_reports: OrderedDict[tuple[bytes, ...], None] = (
-            OrderedDict()
-        )
+        # Bounds itself: see VERIFIED_REPORTS_LIMIT.
+        self._verified_reports = VerifiedMemo(self.VERIFIED_REPORTS_LIMIT)
         # Streaming surface: tip-adoption callbacks and the issuer
         # hooks a direct subscription installed (see subscribe()).
         # repro: allow[BND01] one entry per application on_tip registration
@@ -200,18 +195,14 @@ class SuperlightClient:
             if bundle.certificate is not None
             else nullcontext()
         )
-        try:
-            with span:
-                self.state = adopt_bundle(
-                    self.expected_measurement,
-                    self.ias_public_key,
-                    before,
-                    bundle,
-                    self._verified_reports,
-                )
-        finally:
-            while len(self._verified_reports) > self.VERIFIED_REPORTS_LIMIT:
-                self._verified_reports.popitem(last=False)
+        with span:
+            self.state = adopt_bundle(
+                self.expected_measurement,
+                self.ias_public_key,
+                before,
+                bundle,
+                self._verified_reports,
+            )
         after = self.state
         # adopt_bundle installs the bundle's header only when it wins.
         tip_advanced = after.header is not before.header

@@ -66,10 +66,6 @@ class PartialSMT:
         """True when ``key`` was proven and can be read or written."""
         return key in self._values
 
-    def covered_keys(self) -> set[bytes]:
-        """The keys currently proven (readable/writable) in this slice."""
-        return set(self._values)
-
     def forget(self, keys) -> None:
         """Evict entries from the slice and prune unneeded node digests.
 

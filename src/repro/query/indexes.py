@@ -464,9 +464,7 @@ class KeywordAnswer:
         return total
 
 
-def verify_history_versions(
-    index_root: Digest, answer: HistoryAnswer, expected_fanout: int = 16
-) -> bool:
+def verify_history_versions(index_root: Digest, answer: HistoryAnswer) -> bool:
     """Client check of a :class:`HistoryAnswer` against a certified root."""
     trie_key = _account_trie_key(answer.account)
     if not mpt.verify_mpt(index_root, trie_key, answer.lower_root, answer.upper_proof):
@@ -486,6 +484,8 @@ def verify_keyword_results(index_root: Digest, answer: KeywordAnswer) -> bool:
     """Client check of a :class:`KeywordAnswer` against a certified root."""
     roots: dict[str, Digest | None] = {}
     for keyword, posting_root, proof in answer.dictionary_proofs:
+        if keyword in roots:
+            return False
         if not mpt.verify_mpt(index_root, keyword.encode("utf-8"), posting_root, proof):
             return False
         roots[keyword] = posting_root
@@ -914,10 +914,6 @@ class ValueRangeIndex:
     @property
     def root(self) -> Digest:
         return combined_range_root(self._directory.root, self._tree.root)
-
-    @property
-    def component_roots(self) -> tuple[Digest, Digest]:
-        return self._directory.root, self._tree.root
 
     def ingest_block(
         self, block: Block, write_set: dict[bytes, bytes | None]

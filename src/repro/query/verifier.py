@@ -12,9 +12,10 @@ actually issued and the certified index roots — the mirror image of
 so a response corrupted in flight (or forged by an untrusted SP) can
 never be accepted, only detected.
 
-The per-family ``verify_*_answer`` helpers remain as thin, documented
-aliases over the structure-specific verifiers.  The roots these
-functions take must come from validated DCert index certificates — see
+The per-family ``verify_*_answer`` names are the structure-specific
+verifiers themselves: no request binding, and a malformed structure
+raises instead of answering False.  The roots these functions take must
+come from validated DCert index certificates — see
 :meth:`repro.core.superlight.SuperlightClient.certified_index_root`.
 """
 
@@ -37,12 +38,12 @@ from repro.query.indexes import (
     HistoryAnswer,
     KeywordAnswer,
     ValueRangeAnswer,
-    verify_aggregate_answer as _verify_aggregate_answer,
+    verify_aggregate_answer,
     verify_history_versions,
     verify_keyword_results,
     verify_value_range_answer,
 )
-from repro.query.lineagechain import LineageAnswer, verify_lineage_answer
+from repro.query.lineagechain import verify_lineage_answer
 
 #: How certified roots are supplied: a name->root mapping or a lookup
 #: callable (e.g. ``SuperlightClient.certified_index_root``).
@@ -71,57 +72,45 @@ def verify(
         return False
     root = _certified_root(certified_roots, request.index)
     payload = answer.payload
-    if isinstance(request, HistoryQuery):
-        return (
-            isinstance(payload, HistoryAnswer)
-            and (payload.account, payload.t_from, payload.t_to)
-            == (request.account, request.t_from, request.t_to)
-            and verify_history_versions(root, payload)
-        )
-    if isinstance(request, AggregateQuery):
-        return (
-            isinstance(payload, AggregateAnswer)
-            and (payload.account, payload.t_from, payload.t_to)
-            == (request.account, request.t_from, request.t_to)
-            and _verify_aggregate_answer(root, payload)
-        )
-    if isinstance(request, ValueRangeQuery):
-        return (
-            isinstance(payload, ValueRangeAnswer)
-            and (payload.lo, payload.hi) == (request.lo, request.hi)
-            and verify_value_range_answer(root, payload)
-        )
-    if isinstance(request, KeywordQuery):
-        # The SP canonicalizes keywords to sorted-unique; compare the
-        # request's keywords under the same canonical form.
-        return (
-            isinstance(payload, KeywordAnswer)
-            and payload.keywords == tuple(sorted(set(request.keywords)))
-            and verify_keyword_results(root, payload)
-        )
+    try:
+        if isinstance(request, HistoryQuery):
+            return (
+                isinstance(payload, HistoryAnswer)
+                and (payload.account, payload.t_from, payload.t_to)
+                == (request.account, request.t_from, request.t_to)
+                and verify_history_versions(root, payload)
+            )
+        if isinstance(request, AggregateQuery):
+            return (
+                isinstance(payload, AggregateAnswer)
+                and (payload.account, payload.t_from, payload.t_to)
+                == (request.account, request.t_from, request.t_to)
+                and verify_aggregate_answer(root, payload)
+            )
+        if isinstance(request, ValueRangeQuery):
+            return (
+                isinstance(payload, ValueRangeAnswer)
+                and (payload.lo, payload.hi) == (request.lo, request.hi)
+                and verify_value_range_answer(root, payload)
+            )
+        if isinstance(request, KeywordQuery):
+            # The SP canonicalizes keywords to sorted-unique; compare the
+            # request's keywords under the same canonical form.
+            return (
+                isinstance(payload, KeywordAnswer)
+                and payload.keywords == tuple(sorted(set(request.keywords)))
+                and verify_keyword_results(root, payload)
+            )
+    except (TypeError, ValueError, AttributeError, LookupError, ArithmeticError):
+        # The prover chose the payload's *structure* too: a tuple of the
+        # wrong arity, an int where a proof node belongs, unsortable
+        # entries.  Tripping over it is a proof failure, not a crash.
+        pass
     return False
 
 
 # -- per-family aliases -----------------------------------------------------
 
-
-def verify_history_answer(certified_root: Digest, answer: HistoryAnswer) -> bool:
-    """Verify a historical account query answer (DCert two-level index)."""
-    return verify_history_versions(certified_root, answer)
-
-
-def verify_keyword_answer(certified_root: Digest, answer: KeywordAnswer) -> bool:
-    """Verify a conjunctive keyword query answer."""
-    return verify_keyword_results(certified_root, answer)
-
-
-def verify_aggregate_answer(certified_root: Digest, answer: AggregateAnswer) -> bool:
-    """Verify a SUM/COUNT/MIN/MAX aggregate answer (aggregate MB-tree)."""
-    return _verify_aggregate_answer(certified_root, answer)
-
-
-def verify_baseline_history_answer(
-    index_root: Digest, answer: LineageAnswer
-) -> bool:
-    """Verify a LineageChain-baseline historical query answer."""
-    return verify_lineage_answer(index_root, answer)
+verify_history_answer = verify_history_versions
+verify_keyword_answer = verify_keyword_results
+verify_baseline_history_answer = verify_lineage_answer

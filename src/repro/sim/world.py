@@ -84,9 +84,6 @@ class SimConfig:
     shed_delay_ms: float = 25.0
     admission_queue_limit: int = 32
 
-    def fleet_size(self) -> int:
-        return self.pollers + self.gateway_clients + self.subscribers
-
 
 @dataclass
 class SimClient:

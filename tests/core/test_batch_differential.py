@@ -29,6 +29,7 @@ from repro.core import (
     SuperlightClient,
     compute_expected_measurement,
 )
+from repro.core import enclave_program
 from repro.core.issuer import CertificateIssuer
 from repro.core.recovery import DurableIssuer, recover_issuer
 from repro.crypto import generate_keypair
@@ -147,22 +148,33 @@ def test_batch_spanning_index_certification_boundary(chain12, sequential12):
     assert_identical(sequential12, issuer)
 
 
-def test_ledger_totals_differ_only_by_modeled_savings(chain12):
+def test_ledger_totals_differ_only_by_modeled_savings(chain12, monkeypatch):
     """Bookkeeping (always recorded): the sequential path pays one ecall
     per block certificate plus one per index update; the batched path
     pays one per batch.  Nothing else about the work differs."""
+    checked = []
+    verify_certificate = enclave_program.verify_certificate
+    monkeypatch.setattr(
+        enclave_program, "verify_certificate",
+        lambda *args: checked.append(args) or verify_certificate(*args),
+    )
     seq = make_issuer(chain12, 1201)
     for block in chain12.blocks[1:]:
         seq.process_block(block)
+    sequential_checks = len(checked)
     bat = run_batched(chain12, 1201, 4)
+    batched_checks = len(checked) - sequential_checks
     blocks = len(chain12.blocks) - 1
     indexes = 1
     assert seq.enclave.ledger.ecalls == blocks * (1 + indexes)
     assert bat.enclave.ledger.ecalls == blocks / 4
     assert seq.enclave.ledger.ocalls == bat.enclave.ledger.ocalls == 0
-    # The batched enclave skips the per-block anchor re-verification, so
-    # it must do strictly less in-enclave work, not more.
-    assert bat.enclave.ledger.in_enclave_s < seq.enclave.ledger.in_enclave_s
+    # The batched enclave skips the per-block anchor re-verification: it
+    # checks certificates at batch boundaries only.  (Counted, not timed:
+    # the sequential path's checks are memo lookups, so in-enclave time
+    # no longer tells the two paths apart beyond run-to-run noise.)
+    assert sequential_checks == (blocks - 1) * (1 + 2 * indexes) + indexes
+    assert batched_checks == (blocks / 4 - 1) * (1 + indexes)
 
 
 def test_client_visible_state_matches(chain12, sequential12):

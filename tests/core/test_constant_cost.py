@@ -44,15 +44,19 @@ def test_first_validation_costs_two_verifies(certified_setup, counter):
 
 
 def test_steady_state_costs_one_verify(certified_setup, counter):
-    """With the report cached (§4.3), only the certificate signature."""
-    tip = certified_setup["issuer"].certified[-1]
+    """With the report cached (§4.3), only the certificate signature —
+    and nothing at all for a tip the client has already validated."""
+    previous, tip = certified_setup["issuer"].certified[-2:]
     client = SuperlightClient(
         certified_setup["issuer"].measurement, certified_setup["ias"].public_key
     )
-    client.validate_chain(tip.block.header, tip.certificate)
+    client.validate_chain(previous.block.header, previous.certificate)
     counter.reset()
     client.validate_chain(tip.block.header, tip.certificate)
     assert counter.verifies == 1
+    counter.reset()
+    client.validate_chain(tip.block.header, tip.certificate)
+    assert counter.verifies == 0
 
 
 def test_cost_independent_of_chain_position(certified_setup, counter):

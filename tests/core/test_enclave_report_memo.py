@@ -1,11 +1,13 @@
 """The enclave's side of the one certificate check.
 
 ``DCertEnclaveProgram.cert_verify_t`` is ``verify_certificate`` with an
-enclave-resident report memo, so the rules PR 13 set for the client
-hold inside the enclave too: the memo key is the full attested tuple, a
-report is admitted (and ``pk_enc`` pinned) only after the
-``pk_enc == report_data`` binding passed, the memo is bounded, and it is
-never part of sealed state.
+enclave-resident memo, so the rules PR 13 set for the client hold inside
+the enclave too: the report key is the full attested tuple, a report is
+admitted (and ``pk_enc`` pinned) only after the ``pk_enc == report_data``
+binding passed, the memo is bounded, and it is never part of sealed
+state.  The same memo remembers certificate signatures that verified —
+keyed on ``(pk_enc, dig, sig)`` — and the ones this enclave has just
+produced, so the hierarchical path re-checks none of its own.
 """
 
 from dataclasses import replace
@@ -16,12 +18,13 @@ from repro.chain.builder import ChainBuilder
 from repro.chain.genesis import make_genesis
 from repro.core import enclave_program
 from repro.core.batch import BatchItem, IndexUpdate
-from repro.core.certificate import CERT_SIG_DOMAIN, Certificate
+from repro.core.certificate import CERT_SIG_DOMAIN, Certificate, VerifiedMemo
 from repro.core.digest import block_digest, index_digest
 from repro.core.issuer import CertificateIssuer
-from repro.core.recovery import DurableIssuer, recover_issuer
+from repro.core.recovery import DurableIssuer, IssuerCheckpoint, recover_issuer
+from repro.core.superlight import SuperlightClient
 from repro.core.updateproof import UpdateProof
-from repro.crypto import ecdsa, generate_keypair, sign
+from repro.crypto import Signature, ecdsa, generate_keypair, sign
 from repro.errors import CertificateError
 from repro.query.indexes import AccountHistoryIndexSpec, KeywordIndexSpec
 from repro.sgx.attestation import AttestationReport, AttestationService
@@ -30,10 +33,18 @@ from repro.storage import ChainArchive
 from tests.conftest import fresh_vm, make_kv_tx
 
 
+class _Calls(dict):
+    """The two counters, and the key of every ``verify_digest`` call."""
+
+    def __init__(self):
+        super().__init__(report=0, digest=0)
+        self.keys_verified = []
+
+
 @pytest.fixture()
 def counts(monkeypatch):
     """Calls of ``AttestationReport.verify`` and ``ecdsa.verify_digest``."""
-    calls = {"report": 0, "digest": 0}
+    calls = _Calls()
     report_verify, verify_digest = AttestationReport.verify, ecdsa.verify_digest
 
     def counting_report_verify(self, expected_ias_key):
@@ -42,6 +53,7 @@ def counts(monkeypatch):
 
     def counting_verify_digest(*args):
         calls["digest"] += 1
+        calls.keys_verified.append(args[0])
         return verify_digest(*args)
 
     monkeypatch.setattr(AttestationReport, "verify", counting_report_verify)
@@ -53,11 +65,11 @@ def specs():
     return [AccountHistoryIndexSpec(name="history"), KeywordIndexSpec(name="keyword")]
 
 
-def launch_issuer(ias, **kwargs):
+def launch_issuer(ias, index_specs=None, **kwargs):
     genesis, state = make_genesis()
     return CertificateIssuer(
         genesis, state, fresh_vm(), ChainBuilder(difficulty_bits=4).pow,
-        index_specs=specs(), ias=ias, **kwargs,
+        index_specs=index_specs or specs(), ias=ias, **kwargs,
     )
 
 
@@ -116,10 +128,151 @@ def test_a_tampered_report_with_a_replayed_signature_never_rides_the_memo(
     assert list(pinned_cache) == pinned_before
 
 
-def test_the_genuine_report_rides_the_memo(warm, counts):
+def test_the_genuine_report_rides_the_memo(warm, counts, certified_setup):
+    program, _tip = warm
+    other = certified_setup["issuer"].certified[-2]  # same enclave, new signature
+    program.cert_verify_t(block_digest(other.block.header), other.certificate)
+    assert counts == {"report": 0, "digest": 1}
+
+
+def test_a_certificate_met_again_costs_two_lookups(warm, counts):
     program, tip = warm
     program.cert_verify_t(block_digest(tip.block.header), tip.certificate)
-    assert counts == {"report": 0, "digest": 1}
+    assert counts == {"report": 0, "digest": 0}
+    # The comparisons the memo does not cover still run.
+    with pytest.raises(CertificateError, match="digest does not match"):
+        program.cert_verify_t(bytes(32), tip.certificate)
+    assert counts == {"report": 0, "digest": 0}
+
+
+# -- the signature key is every input of the skipped check ---------------------
+
+
+def flip(value: bytes, bit: int = 0) -> bytes:
+    return value[:-1] + bytes([value[-1] ^ (1 << bit)])
+
+
+def tampered_in_one_field(certificate, peer):
+    """``certificate`` changed in one field at a time, with the error the
+    full check raises for it (the same as before the memo existed)."""
+    sig = certificate.sig
+    peer_cert = peer.certified[-1].certificate
+    return {
+        "dig": (replace(certificate, dig=flip(certificate.dig)),
+                "certificate signature invalid"),
+        "sig.r": (replace(certificate, sig=Signature(sig.r ^ 1, sig.s)),
+                  "certificate signature invalid"),
+        "sig.s": (replace(certificate, sig=Signature(sig.r, sig.s ^ 1)),
+                  "certificate signature invalid"),
+        # Another enclave of the same program, under its own genuine report.
+        "pk_enc": (replace(certificate, pk_enc=peer_cert.pk_enc, report=peer_cert.report),
+                   "certificate signature invalid"),
+        "report": (replace(certificate, report=replace(certificate.report,
+                                                       measurement=bytes(32))),
+                   "attestation report not signed by the IAS"),
+    }
+
+
+@pytest.fixture(scope="module")
+def peer(user_keypair):
+    """Another CI running the same program under its own key."""
+    chain = four_tx_chain(user_keypair, 1)
+    issuer = launch_issuer(AttestationService(seed=b"test-ias"), key_seed=b"memo-peer")
+    issuer.process_block(chain.blocks[1])
+    return issuer
+
+
+FIELDS = ["dig", "sig.r", "sig.s", "pk_enc", "report"]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_one_changed_field_misses_the_memo_in_every_ecall(
+    certified_setup, peer, counts, pinned_cache, field
+):
+    """Each certificate-taking ecall, handed a certificate that differs
+    from one it has memoised in a single field, verifies it from scratch
+    and refuses it; a refused signature is never admitted."""
+    victim = certified_setup["issuer"]
+    assert peer.measurement == victim.measurement
+    prev, tip = victim.certified[-2], victim.certified[-1]
+    prev_header, header = prev.block.header, tip.block.header
+    root, new_root = prev.index_roots["history"], tip.index_roots["history"]
+    prev_index = prev.index_certificates["history"]
+    no_proof = UpdateProof(entries=())
+    item = BatchItem(tip.block, no_proof, {})
+    indexed_item = BatchItem(tip.block, no_proof, {"history": IndexUpdate(root, new_root, None)})
+
+    def forge(certificate):
+        return tampered_in_one_field(certificate, peer)[field]
+
+    (bad_prev, message), (bad_index, _), (bad_tip, _) = (
+        forge(prev.certificate), forge(prev_index), forge(tip.certificate)
+    )
+    calls = [
+        ("sig_gen", (prev.block, bad_prev, tip.block, no_proof)),
+        ("sig_gen_lazy", (prev.block, bad_prev, tip.block)),
+        ("sig_gen_batch", (prev.block, bad_prev, {}, (item,))),
+        ("augmented_sig_gen", (prev.block, bad_index, root, tip.block, new_root,
+                               no_proof, None, "history")),
+        ("index_sig_gen", (prev_header, root, bad_index, header, tip.certificate,
+                           new_root, None, "history")),
+        ("index_sig_gen", (prev_header, root, prev_index, header, bad_tip,
+                           new_root, None, "history")),
+        ("sig_gen_batch", (prev.block, prev.certificate, {"history": bad_index},
+                           (indexed_item,))),
+    ]
+    enclave = launch_issuer(certified_setup["ias"], key_seed=b"memo-tests").enclave
+    program = enclave.program
+    for genuine, dig in (
+        (prev.certificate, block_digest(prev_header)),
+        (prev_index, index_digest(prev_header, root)),
+        (tip.certificate, block_digest(header)),
+    ):
+        program.cert_verify_t(dig, genuine)
+    memo_before = set(program._verified_reports.signatures)
+    assert len(memo_before) == 3
+    for name, arguments in calls:
+        counts.update(report=0, digest=0)
+        with pytest.raises(CertificateError, match=message):
+            enclave.ecall(name, *arguments)
+        if field == "report":
+            assert counts == {"report": 1, "digest": 1}  # the IAS signature
+        else:
+            # The peer's genuine report is checked once, then memoised.
+            assert counts["report"] == (field == "pk_enc" and name == "sig_gen")
+            assert counts["digest"] == 1 + counts["report"]
+        assert set(program._verified_reports.signatures) == memo_before
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_one_changed_field_misses_the_memo_in_adopt(
+    certified_setup, peer, counts, pinned_cache, field
+):
+    issuer = certified_setup["issuer"]
+    tip = issuer.certified[-1]
+    client = SuperlightClient(issuer.measurement, certified_setup["ias"].public_key)
+    assert client.adopt(tip)
+    assert len(client._verified_reports.signatures) == 1 + len(tip.index_certificates)
+    state, wallet = client.state, client.to_json()
+    memo_before = set(client._verified_reports.signatures)
+    for forged_bundle in (
+        replace(tip, certificate=tampered_in_one_field(tip.certificate, peer)[field][0]),
+        replace(tip, index_certificates={
+            **tip.index_certificates,
+            "keyword": tampered_in_one_field(
+                tip.index_certificates["keyword"], peer)[field][0],
+        }),
+    ):
+        counts.update(report=0, digest=0)
+        message = tampered_in_one_field(tip.certificate, peer)[field][1]
+        with pytest.raises(CertificateError, match=message):
+            client.adopt(forged_bundle)
+        assert counts["digest"] >= 1  # the forged certificate was really checked
+        assert client.state is state and client.to_json() == wallet
+        assert set(client._verified_reports.signatures) == memo_before
+    counts.update(report=0, digest=0)
+    assert not client.adopt(tip)  # the genuine bundle, again: three lookups
+    assert counts == {"report": 0, "digest": 0} and client.state is state
 
 
 # -- pin only after the binding check ------------------------------------------
@@ -198,8 +351,13 @@ def test_the_memo_stays_within_its_bound_under_many_genuine_reports(
         )
         program.cert_verify_t(dig, certificate)
         assert len(program._verified_reports) <= enclave_program._VERIFIED_REPORTS_LIMIT
+        assert len(program._verified_reports.signatures) <= VerifiedMemo.SIGNATURES_LIMIT
     # Least recently used goes first: the last one admitted is still there.
     assert next(reversed(program._verified_reports))[1] == other.pk_enc.to_bytes()
+    assert len(program._verified_reports.signatures) == VerifiedMemo.SIGNATURES_LIMIT
+    assert next(reversed(program._verified_reports.signatures)) == (
+        other.pk_enc.to_bytes(), dig, certificate.sig.to_bytes()
+    )
 
 
 def four_tx_chain(user_keypair, blocks):
@@ -222,27 +380,62 @@ def test_a_launched_enclave_starts_empty_and_verifies_its_first_certificate_in_f
     issuer = launch_issuer(AttestationService(seed=b"memo-ias"), key_seed=b"memo-tests")
     program = issuer.enclave.program
     assert len(program._verified_reports) == 0
+    assert len(program._verified_reports.signatures) == 0
+    counts.update(report=0, digest=0)  # launching verified the quote
     # Block 1 anchors on genesis; the first certificate the enclave sees
-    # is block 1's own, handed to the first index_sig_gen.
+    # is block 1's own, handed to the first index_sig_gen: its report is
+    # new to the enclave, its signature the enclave made a moment ago.
     issuer.process_block(chain.blocks[1])
     assert counts["report"] == 1 and len(program._verified_reports) == 1
+    assert counts["digest"] == 8 + 1  # transactions + the IAS signature
     issuer.process_block(chain.blocks[2])
     assert counts["report"] == 1
 
 
-def test_one_warm_block_costs_no_report_check_and_thirteen_signature_checks(
+def test_the_first_certificate_of_another_enclave_is_verified_in_full(
+    certified_setup, counts
+):
+    issuer = launch_issuer(certified_setup["ias"], key_seed=b"memo-tests")
+    tip = certified_setup["issuer"].certified[-1]
+    counts.update(report=0, digest=0)  # launching verified the quote
+    issuer.enclave.program.cert_verify_t(block_digest(tip.block.header), tip.certificate)
+    # One report check (an ECDSA verification itself) and one signature check.
+    assert counts == {"report": 1, "digest": 2}
+
+
+def test_one_warm_block_costs_no_report_and_eight_signature_checks(
     user_keypair, counts
 ):
-    """4 transactions x (full node + enclave replay) + 5 certificates
-    (previous block; per index: previous index + new block).  Was 5
-    report verifications and 18 signature checks."""
+    """4 transactions x (full node + enclave replay).  The 5 certificates
+    the enclave is handed (previous block; per index: previous index +
+    new block) it signed itself one step earlier.  Was 13 with them, and
+    5 report verifications + 18 signature checks before PR 16."""
     chain = four_tx_chain(user_keypair, 4)
     issuer = launch_issuer(AttestationService(seed=b"memo-ias"), key_seed=b"memo-tests")
     for block in chain.blocks[1:4]:
         issuer.process_block(block)
     counts.update(report=0, digest=0)
+    counts.keys_verified.clear()
     issuer.process_block(chain.blocks[4])
-    assert counts == {"report": 0, "digest": 13}
+    assert counts == {"report": 0, "digest": 8}
+    assert set(counts.keys_verified) == {user_keypair.public.point}
+
+
+def test_seven_indexes_still_cost_no_certificate_signature_check(user_keypair, counts):
+    """The live window is about (indexes + 2) signatures; the bound is
+    a constant that covers more indexes than any workload here has."""
+    chain = four_tx_chain(user_keypair, 4)
+    seven = [AccountHistoryIndexSpec(name=f"history-{n}") for n in range(4)]
+    seven += [KeywordIndexSpec(name=f"keyword-{n}") for n in range(3)]
+    issuer = launch_issuer(
+        AttestationService(seed=b"memo-ias"), index_specs=seven, key_seed=b"memo-tests"
+    )
+    for block in chain.blocks[1:4]:
+        issuer.process_block(block)
+    counts.update(report=0, digest=0)
+    issuer.process_block(chain.blocks[4])
+    assert counts == {"report": 0, "digest": 8}
+    assert len(issuer.enclave.program._verified_reports.signatures) <= 16
 
 
 def test_a_recovered_enclave_starts_empty_and_the_memo_is_not_in_the_checkpoint(
@@ -258,7 +451,16 @@ def test_a_recovered_enclave_starts_empty_and_the_memo_is_not_in_the_checkpoint(
     )
     for block in chain.blocks[1:4]:
         durable.process_block(block)
-    assert len(durable.enclave.program._verified_reports) == 1
+    memo = durable.enclave.program._verified_reports
+    assert len(memo) == 1 and len(memo.signatures) > 0
+    # Neither what is checkpointed nor what is sealed depends on the memo.
+    captured = IssuerCheckpoint.capture(durable.issuer)
+    sealed_key = durable.enclave.ecall("seal_signing_key")
+    kept = list(memo.signatures)
+    memo.signatures.clear()
+    assert IssuerCheckpoint.capture(durable.issuer) == captured
+    assert durable.enclave.ecall("seal_signing_key") == sealed_key
+    memo.signatures.update(dict.fromkeys(kept))
     durable.checkpoint()
 
     genesis, state = make_genesis()
@@ -270,9 +472,13 @@ def test_a_recovered_enclave_starts_empty_and_the_memo_is_not_in_the_checkpoint(
     assert recovered.last_recovery.replayed_blocks == 0
     program = recovered.enclave.program
     assert len(program._verified_reports) == 0
+    assert len(program._verified_reports.signatures) == 0
     counts.update(report=0, digest=0)
     recovered.process_block(chain.blocks[4])
     assert counts["report"] == 1 and len(program._verified_reports) == 1
+    # Transactions, the IAS signature, and the three certificates the
+    # enclave's previous life signed: block 3's and its two index ones.
+    assert counts["digest"] == 8 + 1 + 3
     counts.update(report=0, digest=0)
     recovered.process_block(chain.blocks[5])
-    assert counts == {"report": 0, "digest": 13}
+    assert counts == {"report": 0, "digest": 8}

@@ -42,11 +42,11 @@ PINS = {
     2: {
         "repro.core.enclave_program.DCertEnclaveProgram": (
             "dcert.enclave/2",
-            "8deb72215e27e67244fd4046077c6d1a93767551fb42f618350d161789af9bfc",
+            "a48757240729ee796725db4835f4e75b7fe3d3ae3f4e08c853bed562e510e716",
         ),
         "repro.core.certificate.verify_certificate": (
             "dcert.enclave/2",
-            "05ca6df91f446c4141c8b1dc3da26d5bc17101c06e4b71b3173f021ffebb6ae5",
+            "9a7c87b0bfefd8485e5b86e679707268c5788a46925bac072d751ad1d7fcc6bd",
         ),
         "repro.contracts.cpuheavy.CPUHeavy": (
             "blockbench.cpuheavy/1",

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.core import ClientConfig, IssuerService, connect
 from repro.core.superlight import SuperlightClient, compute_expected_measurement
+from repro.crypto import ecdsa
 from repro.errors import CertificateError
+from repro.net import MessageBus
 from tests.conftest import fresh_vm
 
 
@@ -221,7 +224,7 @@ def test_empty_wallet_roundtrip(certified_setup):
 def test_verified_report_cache_is_bounded(client, certified_setup):
     # Pretend earlier sessions verified other enclaves, and shrink the
     # cap so the next genuine verification must evict the oldest.
-    client.VERIFIED_REPORTS_LIMIT = 2
+    client._verified_reports.reports_limit = 2
     client._verified_reports[(b"old-a", b"r", b"k", b"s")] = None
     client._verified_reports[(b"old-b", b"r", b"k", b"s")] = None
     certified = certified_setup["issuer"].certified[0]
@@ -233,3 +236,44 @@ def test_verified_report_cache_is_bounded(client, certified_setup):
     # The freshly verified identity survived; revalidation stays cached.
     client.validate_chain(certified.block.header, certified.certificate)
     assert len(client._verified_reports) == 2
+
+
+# -- the verified-signature memo is derived state -------------------------------
+
+
+def test_wallet_and_storage_do_not_depend_on_the_memo(client, certified_setup):
+    client.adopt(certified_setup["issuer"].certified[-1])
+    memo = client._verified_reports
+    assert len(memo) == 1 and len(memo.signatures) == 3  # tip + two indexes
+    wallet, stored = client.to_json(), client.storage_bytes()
+    memo.clear()
+    memo.signatures.clear()
+    assert client.to_json() == wallet
+    assert client.storage_bytes() == stored
+    restored = SuperlightClient.from_json(wallet)
+    assert restored.to_json() == wallet and restored.storage_bytes() == stored
+
+
+def test_polling_an_unchanged_tip_verifies_nothing(certified_setup, monkeypatch):
+    """A light client polls more often than blocks arrive: the tip it
+    already holds costs three lookups, and nothing moves."""
+    bus = MessageBus()
+    IssuerService(bus, "ci", certified_setup["issuer"])
+    remote = connect(ClientConfig(
+        measurement=certified_setup["issuer"].measurement,
+        ias_public_key=certified_setup["ias"].public_key,
+        bus=bus, name="poller", issuers=("ci",),
+    ))
+    verified = []
+    verify_digest = ecdsa.verify_digest
+    monkeypatch.setattr(
+        ecdsa, "verify_digest",
+        lambda *args: verified.append(args) or verify_digest(*args),
+    )
+    first = remote.sync()
+    assert len(verified) == 1 + 3  # the report, then tip + two index certificates
+    state, wallet = remote.client.state, remote.client.to_json()
+    del verified[:]
+    assert remote.sync() == first
+    assert verified == []
+    assert remote.client.state is state and remote.client.to_json() == wallet

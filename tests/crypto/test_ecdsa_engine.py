@@ -214,10 +214,16 @@ def test_signatures_and_public_points_are_those_of_the_old_engine():
 # -- edge cases mixed addition must survive ------------------------------------
 
 
+LAMBDA_G = (ecdsa._BETA * GX % P, GY)
+
+
 @pytest.mark.parametrize(
     "q",
-    [G, (GX, P - GY), ref_from_jacobian(ref_double((GX, GY, 1)))],
-    ids=["Q=G", "Q=-G", "Q=2G"],
+    [
+        G, (GX, P - GY), ref_from_jacobian(ref_double((GX, GY, 1))),
+        LAMBDA_G, (LAMBDA_G[0], P - GY), (ecdsa._BETA * LAMBDA_G[0] % P, GY),
+    ],
+    ids=["Q=G", "Q=-G", "Q=2G", "Q=lambda*G", "Q=-lambda*G", "Q=lambda^2*G"],
 )
 def test_straus_when_the_key_is_a_small_multiple_of_g(q, pinned_cache):
     """The accumulator meets a table entry equal or opposite to itself:
@@ -230,6 +236,83 @@ def test_straus_when_the_key_is_a_small_multiple_of_g(q, pinned_cache):
         expected = ref_double_mul(u1, u2, q)
         assert straus(u1, u2, q) == expected
         assert pinned_double_mul(u1, u2, q) == expected
+
+
+# -- GLV: the endomorphism, the split, and streams that collide ----------------
+
+BASIS = (ecdsa._GLV_A1, -ecdsa._GLV_B1, ecdsa._GLV_A2, ecdsa._GLV_B2)
+
+
+def test_glv_constants():
+    beta, lam = ecdsa._BETA, ecdsa._LAMBDA
+    assert beta != 1 and pow(beta, 3, P) == 1
+    assert lam != 1 and pow(lam, 3, N) == 1
+    assert ref_from_jacobian(ref_mul(G, lam)) == LAMBDA_G
+    # Both basis vectors lie in the lattice {(a, b): a + b*lambda = 0 mod n}.
+    assert (ecdsa._GLV_A1 + ecdsa._GLV_B1 * lam) % N == 0
+    assert (ecdsa._GLV_A2 + ecdsa._GLV_B2 * lam) % N == 0
+
+
+def test_split_recomposes_into_two_128_bit_halves_of_either_sign():
+    rng = random.Random(0x61F)
+    lam = ecdsa._LAMBDA
+    scalars = [0, 1, N - 1, lam, N - lam, 2**128 - 1, 2**128 + 1, *BASIS]
+    scalars += [N - value for value in BASIS]
+    scalars += [rng.randrange(N) for _ in range(10_000)]
+    signs = set()
+    for scalar in scalars:
+        k1, k2 = ecdsa._split(scalar)
+        assert (k1 + k2 * lam - scalar) % N == 0
+        assert abs(k1) < 2**128 and abs(k2) < 2**128
+        signs.add((k1 < 0, k2 < 0))
+    assert len(signs) == 4
+    assert ecdsa._split(lam) == (0, 1) and ecdsa._split(N - lam) == (0, -1)
+
+
+@pytest.fixture()
+def collisions(monkeypatch):
+    """Counts the additions whose accumulator is the addend itself
+    ("equal": mixed addition must double) or its negative ("opposite":
+    the running sum becomes the point at infinity)."""
+    seen = {"equal": 0, "opposite": 0}
+    add = ecdsa._j_add_affine
+
+    def spying_add(p1, p2):
+        x1, y1, z1 = p1
+        if z1 and (p2[0] * z1 * z1 - x1) % P == 0:
+            seen["equal" if (p2[1] * z1**3 - y1) % P == 0 else "opposite"] += 1
+        return add(p1, p2)
+
+    monkeypatch.setattr(ecdsa, "_j_add_affine", spying_add)
+    return seen
+
+
+def test_straus_when_two_streams_meet_at_one_position(collisions):
+    """With ``Q = G`` the ``G`` and ``Q`` streams draw on the same points,
+    with ``Q = lambda*G`` the ``Q`` stream and ``G``'s endomorphism stream
+    do: equal scalars put the same point twice at the top position,
+    opposite ones cancel there (infinity mid-chain) or everywhere
+    (infinity at the end)."""
+    lam, top = ecdsa._LAMBDA, 1 << 100
+    cases = [
+        # (Q, u1, u2, equal additions, opposite additions)
+        (G, 1, 1, 1, 0),
+        (G, top + 5, top + 5, 1, 0),
+        (G, 1, N - 1, 0, 1),
+        (G, top + 5, N - top + 9, 0, 1),  # cancels at bit 100, ends at 14*G
+        (G, top + 5, N - top - 5, 0, 2),  # cancels at both positions
+        (LAMBDA_G, lam, 1, 1, 0),
+        (LAMBDA_G, lam * (top + 5) % N, top + 5, 1, 0),
+        (LAMBDA_G, lam, N - 1, 0, 1),
+        (LAMBDA_G, lam * (top + 5) % N, N - top + 9, 0, 1),
+        (LAMBDA_G, lam * (top + 5) % N, N - top - 5, 0, 2),
+    ]
+    for q, u1, u2, equal, opposite in cases:
+        collisions.update(equal=0, opposite=0)
+        assert straus(u1, u2, q) == ref_double_mul(u1, u2, q), (u1, u2)
+        assert collisions == {"equal": equal, "opposite": opposite}, (u1, u2)
+    assert straus(top + 5, N - top + 9, G) == ref_from_jacobian(ref_mul(G, 14))
+    assert straus(top + 5, N - top - 5, G) is None
 
 
 def test_scalar_edges():

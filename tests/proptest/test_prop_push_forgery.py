@@ -40,6 +40,7 @@ from types import SimpleNamespace
 
 from repro.core import Certificate, CertifiedTip, ClientConfig, IssuerService, connect
 from repro.core.certificate import CERT_SIG_DOMAIN
+from repro.core.superlight import ClientState, adopt_bundle
 from repro.crypto import ecdsa, generate_keypair, sign
 from repro.errors import CertificateError, ServiceUnavailableError
 from repro.net.bus import MessageBus
@@ -207,6 +208,42 @@ def test_mutations_of_certified_material_are_rejected_and_counted(world):
         # No ack went out: the hub will retransmit the genuine one.
         probe.rpc.bus.run_until_idle()
         assert hub_node.delivered_count == acks_before
+
+    run_cases(prop)
+
+
+def test_a_memo_holding_the_genuine_signatures_admits_no_mutation_of_them(world):
+    """The client has already verified every certificate of the genuine
+    announcement (a poll got there first), so each is one memo lookup
+    away.  The memo key is every input of the signature check: a flip
+    in ``pk_enc``, ``dig``, ``sig`` or the report misses it, is verified
+    in full and rejected; the memo holds the same entries afterwards."""
+    genuine = world["announcement"]
+    payload = world["payload"]
+
+    def prop(rng):
+        mutated = mutate_one_byte(payload, rng)
+        try:
+            candidate = wire.decode(mutated)
+        except Exception:
+            candidate = None
+        probe = _make_probe(world, rng, "memoprobe")
+        memo = probe.client._verified_reports
+        adopt_bundle(
+            probe.client.expected_measurement, probe.client.ias_public_key,
+            ClientState(), genuine, memo,
+        )
+        reports, signatures = set(memo), set(memo.signatures)
+        assert len(signatures) >= 1 + len(genuine.index_certificates)
+        probe._on_push(PushEnvelope(payload=mutated))
+        assert set(memo) == reports and set(memo.signatures) == signatures
+        if (
+            isinstance(candidate, TipAnnouncement)
+            and candidate.seq == genuine.seq
+            and _forges_certified_material(candidate, genuine)
+        ):
+            assert probe.push_rejected == 1, "forged material rode the memo"
+            assert probe.latest_header.height == genuine.header.height - 1
 
     run_cases(prop)
 

@@ -6,9 +6,16 @@ string, ``None``, a bool — verification must answer ``False`` (and the
 enclave-side replay must raise ``ProofError``), never leak an
 ``OverflowError`` or ``TypeError``: an escaping exception aborts a client
 ``query()`` that should have failed over to an honest replica.
+
+It chooses the answer's *structure* as well — how many elements each
+tuple has and what sits where a tuple or a proof node belongs — so the
+same holds for every one-edit structural mutant, built through the wire
+codec and by editing the decoded objects.
 """
 
+import copy
 import dataclasses
+import json
 
 import pytest
 
@@ -23,9 +30,10 @@ from repro.core import (
     connect,
 )
 from repro.crypto import generate_keypair
-from repro.errors import ProofError
+from repro.errors import CertificateError, ProofError, QueryError, WireError
 from repro.merkle import aggtree, mbtree
-from repro.net import HealthPolicy, MessageBus, QueryGateway
+from repro.net import HealthPolicy, MessageBus, QueryGateway, wire
+from repro.query import verifier
 from repro.query import (
     AggregateQuery,
     HistoryQuery,
@@ -38,6 +46,10 @@ from repro.query.indexes import (
     BalanceAggregateIndexSpec,
     KeywordIndexSpec,
     ValueRangeIndexSpec,
+    verify_aggregate_answer,
+    verify_history_versions,
+    verify_keyword_results,
+    verify_value_range_answer,
 )
 from repro.query.provider import QueryServiceProvider
 from repro.sgx.attestation import AttestationService
@@ -280,6 +292,151 @@ def test_query_fails_over_past_a_replica_serving_a_malformed_proof(
     assert fronted.gateway.healthy_replicas() == ["honest"]
     assert [s.failures for s in fronted.gateway.replicas.values()] == [1, 1, 0]
     assert fronted.gateway.failovers == 2
+
+
+# -- structure: arity and shape are the prover's choice too --------------------
+
+
+def _json_lists(node, path=()):
+    """The path of every JSON array inside an encoded wire object."""
+    if isinstance(node, list):
+        yield path
+        for index, item in enumerate(node):
+            yield from _json_lists(item, (*path, index))
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            yield from _json_lists(value, (*path, key))
+
+
+def wire_mutants(answer):
+    """``answer`` as a peer could re-encode it: each JSON array in turn
+    one element shorter, and one element longer.  Only mutants the codec
+    itself accepts are returned — they are what reaches ``verify``."""
+    raw = json.loads(wire.encode(answer))
+    found = {}
+    for path in _json_lists(raw):
+        for edit in ("shorter", "longer"):
+            mutated = copy.deepcopy(raw)
+            array = mutated
+            for step in path:
+                array = array[step]
+            if edit == "longer":
+                array.append(copy.deepcopy(array[-1]) if array else 0)
+            elif array:
+                array.pop()
+            else:
+                continue
+            try:
+                found[(edit, *path)] = wire.decode(json.dumps(mutated).encode())
+            except WireError:
+                pass
+    return found
+
+
+def _tuple_sites(obj, path=()):
+    """The path of every tuple under a (nested) dataclass or tuple."""
+    if dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            yield from _tuple_sites(getattr(obj, field.name), (*path, field.name))
+    elif isinstance(obj, tuple):
+        yield path
+        for index, item in enumerate(obj):
+            yield from _tuple_sites(item, (*path, index))
+
+
+def object_mutants(answer):
+    """``answer`` with each tuple in turn replaced by an int, by
+    ``None``, by itself one element shorter / longer, and by tuples whose
+    items do not sort or unpack."""
+    found = {}
+    for path in _tuple_sites(answer):
+        original = answer
+        for step in path:
+            original = original[step] if isinstance(step, int) else getattr(original, step)
+        shapes = {
+            "int": 7, "none": None, "shorter": original[:-1],
+            "longer": original + (original[-1:] or (0,)),
+            "unsortable": original + (None,), "mixed": (None, "x"),
+        }
+        for shape, value in shapes.items():
+            try:
+                found[(shape, *path)] = _replace_at(answer, path, value)
+            except (TypeError, ValueError):
+                pass  # the class refuses it: on the wire that is a WireError
+    return found
+
+
+@pytest.mark.parametrize("build", [wire_mutants, object_mutants])
+@pytest.mark.parametrize("family", sorted(EXPECTED_SITES))
+def test_verify_answer_rejects_every_one_edit_structural_mutant(
+    world, client, family, build
+):
+    """No mutant verifies, and none escapes as an exception: before the
+    boundary in ``query.verifier.verify`` a third of the wire-reachable
+    ones left ``verify_answer`` as ValueError / TypeError / AttributeError."""
+    request = world["requests"][family]
+    answer = world["provider"].execute(request)
+    assert client.verify_answer(request, answer)
+    forged = {label: m for label, m in build(answer).items() if m != answer}
+    assert len(forged) >= 20
+    for label, mutant in forged.items():
+        assert client.verify_answer(request, mutant) is False, label
+
+
+def test_a_missing_certified_root_still_raises(world, client):
+    """The boundary starts after the root is resolved: not knowing a
+    root is the client's problem, never a verdict on the answer."""
+    request = dataclasses.replace(world["requests"]["history"], index="no-such-index")
+    answer = dataclasses.replace(
+        world["provider"].execute(world["requests"]["history"]), request=request
+    )
+    with pytest.raises(QueryError):
+        verifier.verify(request, answer, {})
+    with pytest.raises(CertificateError):
+        client.verify_answer(request, answer)
+
+
+@pytest.mark.parametrize("family", sorted(EXPECTED_SITES))
+def test_query_fails_over_past_a_replica_serving_a_malformed_structure(world, family):
+    """A structural lie is a strike like any other forgery, not an
+    exception out of ``query()``."""
+    request = world["requests"][family]
+    honest = world["provider"].execute(request)
+    root = world["provider"].index_root(request.index)
+    structure_check = {  # what verify() runs inside its boundary
+        "history": verify_history_versions, "keyword": verify_keyword_results,
+        "aggregate": verify_aggregate_answer, "range": verify_value_range_answer,
+    }[family]
+
+    def trips(mutant):
+        try:
+            structure_check(root, mutant.payload)
+        except (TypeError, ValueError, AttributeError):
+            return True
+        return False
+
+    label, lie = next(
+        (label, mutant) for label, mutant in wire_mutants(honest).items()
+        if trips(mutant)
+    )
+
+    class LyingProvider:
+        def execute(self, request):
+            return lie
+
+        def index_root(self, name):
+            return world["provider"].index_root(name)
+
+    client = make_client(world, {"liar": LyingProvider(), "honest": world["provider"]})
+    assert client.query(request) == honest, label
+    assert client.integrity_failures == 1
+
+    fronted = make_client(
+        world, {"liar": LyingProvider(), "honest": world["provider"]}, gateway=True
+    )
+    assert fronted.query(request) == honest, label
+    assert fronted.integrity_failures == 1
+    assert fronted.gateway.healthy_replicas() == ["honest"]
 
 
 def test_root_stub_cannot_vouch_for_its_own_summary():
