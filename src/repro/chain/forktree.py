@@ -77,9 +77,6 @@ class ForkAwareNode:
     def height(self) -> int:
         return self.tip.header.height
 
-    def active_chain(self) -> list[Block]:
-        return [self._blocks[block_hash].block for block_hash in self._active]
-
     def knows(self, block_hash: Digest) -> bool:
         return block_hash in self._blocks
 

@@ -43,15 +43,6 @@ class LightClient:
         for header in headers:
             self.sync_header(header)
 
-    def validate_stored_chain(self) -> bool:
-        """Re-validate everything already stored (cold-start check)."""
-        for prev, header in zip(self.headers, self.headers[1:]):
-            if header.prev_hash != prev.header_hash():
-                return False
-            if not self.pow.check(header):
-                return False
-        return True
-
     def storage_bytes(self) -> int:
         """Total bytes of stored headers (the Fig. 7a measurement)."""
         return sum(header.size_bytes() for header in self.headers)

@@ -103,33 +103,39 @@ def adopt_bundle(
     untouched.  A verified bundle then advances each element by its own
     rule: the tip if it wins chain selection, an index entry if its
     block is newer than the one held.  Returns ``state`` itself when
-    nothing advanced (a replayed or older bundle).
+    nothing advanced (a replayed or older bundle).  A bundle whose
+    fields are not of the types the checks read (the codec cannot know
+    them: an int where the digest hashes bytes, a list as a memo key) is
+    a forgery too: same error, same untouched ``state``.
     """
-    header = bundle.header
-    to_verify = []
-    if bundle.certificate is not None:
-        to_verify.append((bundle.certificate, block_digest(header)))
-    for name, cert in bundle.index_certificates.items():
-        if name not in bundle.index_roots:
-            raise CertificateError(f"bundle omits the root for index {name!r}")
-        to_verify.append((cert, index_digest(header, bundle.index_roots[name])))
-    for cert, expected_dig in to_verify:
-        verify_certificate(measurement, ias_public_key, cert, expected_dig, verified)
-    tip_wins = bundle.certificate is not None and wins_chain_selection(
-        state.header, header
-    )
-    newer = {
-        name: (header.height, bundle.index_roots[name], cert)
-        for name, cert in bundle.index_certificates.items()
-        if name not in state.indexes or state.indexes[name][0] < header.height
-    }
-    if not tip_wins and not newer:
-        return state
-    return ClientState(
-        header=header if tip_wins else state.header,
-        certificate=bundle.certificate if tip_wins else state.certificate,
-        indexes=MappingProxyType({**state.indexes, **newer}),
-    )
+    try:
+        header = bundle.header
+        to_verify = []
+        if bundle.certificate is not None:
+            to_verify.append((bundle.certificate, block_digest(header)))
+        for name, cert in bundle.index_certificates.items():
+            if name not in bundle.index_roots:
+                raise CertificateError(f"bundle omits the root for index {name!r}")
+            to_verify.append((cert, index_digest(header, bundle.index_roots[name])))
+        for cert, dig in to_verify:
+            verify_certificate(measurement, ias_public_key, cert, dig, verified)
+        tip_wins = bundle.certificate is not None and wins_chain_selection(
+            state.header, header
+        )
+        newer = {
+            name: (header.height, bundle.index_roots[name], cert)
+            for name, cert in bundle.index_certificates.items()
+            if name not in state.indexes or state.indexes[name][0] < header.height
+        }
+        if not tip_wins and not newer:
+            return state
+        return ClientState(
+            header=header if tip_wins else state.header,
+            certificate=bundle.certificate if tip_wins else state.certificate,
+            indexes=MappingProxyType({**state.indexes, **newer}),
+        )
+    except (TypeError, ValueError, AttributeError, LookupError, ArithmeticError) as exc:
+        raise CertificateError("malformed tip bundle") from exc
 
 
 # -- the local shell -----------------------------------------------------------

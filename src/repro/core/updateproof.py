@@ -13,9 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.chain.state import StateStore
-from repro.crypto.hashing import Digest
-from repro.errors import ProofError
-from repro.merkle.partial import PartialSMT
 from repro.merkle.smt import SMTProof
 
 
@@ -29,16 +26,6 @@ class UpdateProof:
     def build(cls, state: StateStore, touched_keys: list[bytes]) -> "UpdateProof":
         """CI side: prove every touched key against the *pre*-state."""
         return cls(entries=tuple(state.prove_many(touched_keys)))
-
-    def open(self, state_root: Digest) -> PartialSMT:
-        """Enclave side: verify all proofs and build the partial tree."""
-        if not self.entries:
-            raise ProofError("update proof covers no keys")
-        return PartialSMT.from_proofs(state_root, list(self.entries))
-
-    def read_values(self) -> dict[bytes, bytes | None]:
-        """The proven pre-state values ``{r}_i`` keyed by state cell."""
-        return {key: value for key, value, _ in self.entries}
 
     def size_bytes(self) -> int:
         """Marshalled size (drives the enclave's EPC accounting)."""

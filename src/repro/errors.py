@@ -261,8 +261,3 @@ def error_for_code(code: object) -> type[ReproError]:
         if known is not None:
             return known
     return RemoteCallError
-
-
-def is_retryable_code(code: object) -> bool:
-    """Whether a remote failure with this wire code is worth retrying."""
-    return error_for_code(code).retryable

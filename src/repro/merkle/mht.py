@@ -93,8 +93,3 @@ def verify_membership(root: Digest, leaf: bytes, proof: MembershipProof) -> bool
             digest = hash_node(sibling, digest)
         position //= 2
     return digest == root
-
-
-def compute_root(leaves: list[bytes]) -> Digest:
-    """Convenience helper: the root of a tree over ``leaves``."""
-    return MerkleTree(leaves).root

@@ -46,7 +46,7 @@ from repro import obs
 from repro.chain.block import BlockHeader
 from repro.core.certificate import Certificate
 from repro.crypto.hashing import Digest
-from repro.errors import ConfigError, ReproError, ServiceUnavailableError
+from repro.errors import ConfigError, ReproError, ServiceUnavailableError, WireError
 from repro.fault.crashpoints import crashpoint
 from repro.net import wire
 from repro.net.bus import MessageBus
@@ -81,6 +81,11 @@ class TipAnnouncement:
     certificate: Certificate
     index_certificates: dict[str, Certificate] = field(default_factory=dict)
     index_roots: dict[str, Digest] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # No certificate covers these two, and the subscriber does sums on them.
+        if type(self.seq) is not int or type(self.published_at_ms) not in (int, float):
+            raise WireError("tip announcement seq / timestamp is not a number")
 
 
 @dataclass(frozen=True, slots=True)
@@ -187,6 +192,8 @@ class SubscriptionHub:
         self.lease_ms = lease_ms
         self.seq = 0
         self._history: OrderedDict[int, TipAnnouncement] = OrderedDict()
+        #: ``(seq, wire bytes)`` last pushed: a publish sends all the same bytes.
+        self._encoded: tuple[int, bytes] = (0, b"")
         self.subscribers: dict[str, SubscriberState] = {}
         self._attached: list[tuple[object, object]] = []
         self.published = 0
@@ -348,9 +355,9 @@ class SubscriptionHub:
                 state.dropped_oldest += 1
                 continue
             crashpoint("pubsub.deliver.pre")
-            if not self._send(
-                state.name, PushEnvelope(payload=wire.encode(announcement))
-            ):
+            if self._encoded[0] != seq:
+                self._encoded = (seq, wire.encode(announcement))
+            if not self._send(state.name, PushEnvelope(payload=self._encoded[1])):
                 return
             state.inflight.add(seq)
             state.delivered += 1

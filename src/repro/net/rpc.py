@@ -509,9 +509,6 @@ class RpcClient:
         )
         return request_id
 
-    def has_response(self, request_id: int) -> bool:
-        return request_id in self._responses
-
     def wait(self, request_ids, horizon_ms: float) -> None:
         """Drive the bus (delivering everyone's traffic along the way)
         until any of ``request_ids`` has answered or the virtual clock

@@ -373,9 +373,6 @@ class MaintainedKeywordIndex:
     def root(self) -> Digest:
         return self._dictionary.root
 
-    def posting_sizes(self) -> dict[str, int]:
-        return {keyword: len(tree) for keyword, tree in self._postings.items()}
-
     def ingest_block(
         self, block: Block, write_set: dict[bytes, bytes | None]
     ) -> tuple[tuple[KeywordWrite, ...], KeywordUpdateProof]:

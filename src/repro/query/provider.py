@@ -139,17 +139,6 @@ class QueryServiceProvider:
             )
         return QueryAnswer(request=request, payload=payload)
 
-    # -- baseline (not part of the typed API) ------------------------------
-
-    def query_history_baseline(
-        self, name: str, account: str, t_from: int, t_to: int
-    ):
-        """The same query over the LineageChain skip-list baseline."""
-        baseline = self.baselines.get(name)
-        if baseline is None:
-            raise QueryError(f"no LineageChain baseline for index {name!r}")
-        return baseline.query_history(account, t_from, t_to)
-
     # -- internals -----------------------------------------------------------
 
     def _index(self, name: str):

@@ -94,7 +94,7 @@ def test_reorg_to_longer_branch(node):
     assert node.height == branch_b.height
     assert node.state.root == branch_b.state.root
     assert node.reorg_count >= 1
-    assert [b.block_hash() for b in node.active_chain()] == [
+    assert list(node._active) == [
         b.block_hash() for b in branch_b.blocks
     ]
 

@@ -59,13 +59,6 @@ def test_rejects_invalid_pow(client, kv_chain):
         client.sync_header(bad)
 
 
-def test_validate_stored_chain(client, kv_chain):
-    client.bootstrap(kv_chain.headers()[1:])
-    assert client.validate_stored_chain()
-    client.headers[3] = kv_chain.headers()[5]  # corrupt storage
-    assert not client.validate_stored_chain()
-
-
 def test_genesis_height_enforced(kv_chain):
     with pytest.raises(BlockValidationError):
         LightClient(kv_chain.headers()[1], kv_chain.pow)

@@ -1,10 +1,12 @@
-"""Update proofs: building, opening, failure modes."""
+"""Update proofs: building, opening (``PartialSMT.from_proofs`` over the
+entries, as the enclave program does), failure modes."""
 
 import pytest
 
 from repro.chain.state import StateStore, state_key
 from repro.core.updateproof import UpdateProof
 from repro.errors import ProofError
+from repro.merkle.partial import PartialSMT
 
 
 @pytest.fixture()
@@ -18,7 +20,7 @@ def store():
 def test_build_and_open(store):
     keys = [state_key("c", "f1"), state_key("c", "f2"), state_key("c", "missing")]
     proof = UpdateProof.build(store, keys)
-    partial = proof.open(store.root)
+    partial = PartialSMT.from_proofs(store.root, list(proof.entries))
     assert partial.get(keys[0]) == b"v1"
     assert partial.get(keys[2]) is None
 
@@ -26,19 +28,14 @@ def test_build_and_open(store):
 def test_read_values(store):
     keys = [state_key("c", "f1"), state_key("c", "missing")]
     proof = UpdateProof.build(store, keys)
-    assert proof.read_values() == {keys[0]: b"v1", keys[1]: None}
+    assert [entry[:2] for entry in proof.entries] == [(keys[0], b"v1"), (keys[1], None)]
 
 
 def test_open_against_wrong_root_fails(store):
     proof = UpdateProof.build(store, [state_key("c", "f1")])
     store.put_raw(state_key("c", "f1"), b"changed")
     with pytest.raises(ProofError):
-        proof.open(store.root)
-
-
-def test_empty_proof_cannot_open(store):
-    with pytest.raises(ProofError):
-        UpdateProof(entries=()).open(store.root)
+        PartialSMT.from_proofs(store.root, list(proof.entries))
 
 
 def test_size_bytes_counts_entries(store):

@@ -446,3 +446,214 @@ def test_pinned_tables_are_a_bounded_lru(pinned_cache):
     # An evicted key still verifies (through Straus), without coming back.
     assert ecdsa.verify_digest(points[2], digest, ecdsa.sign_digest(1002, digest))
     assert points[2] not in pinned_cache
+
+
+# -- the signed-digit comb ------------------------------------------------------
+
+COMB_SHAPES = [(ecdsa._G_COMB_WIDTH, 33, 128), (ecdsa._PINNED_COMB_WIDTH, 43, 32)]
+
+
+def comb_edge_scalars(width, rows):
+    radix, half = 1 << width, 1 << (width - 1)
+    edges = {0, 1, 2, N - 1, N - 2, 2**255, 2**256 - 2**32}
+    for i in range(1, rows):
+        edges.update((radix**i - 1, radix**i))
+    for i in (0, 1, rows // 2, rows - 2):
+        edges.update((half + delta) * radix**i for delta in (-1, 0, 1))
+    return sorted(scalar for scalar in edges if scalar < 2**256)
+
+
+def test_table_shapes_are_pinned(pinned_cache):
+    """33 x 128 points for ``G``, 43 x 32 per pinned key: the widths are
+    constants chosen by measurement, and a change to one shows up here."""
+    q = ecdsa.derive_public_point(0x5EED)
+    ecdsa.pin_public_point(q)
+    tables = (ecdsa._generator_tables()[0], pinned_cache[q])
+    for table, (width, rows, row_points) in zip(tables, COMB_SHAPES):
+        assert rows == -(-257 // width) and row_points == 1 << (width - 1)
+        assert len(table) == rows and {len(row) for row in table} == {row_points}
+    assert [sum(map(len, table)) for table in tables] == [4224, 1376]
+    assert tables[0][0][0] == G and tables[1][0][0] == q
+    assert ecdsa._PINNED_LIMIT == 8
+
+
+@pytest.mark.parametrize("width, rows, _row_points", COMB_SHAPES)
+def test_signed_digits_recompose_within_half_the_radix(width, rows, _row_points):
+    rng = random.Random(0xC0B + width)
+    half = 1 << (width - 1)
+    negative = 0
+    scalars = comb_edge_scalars(width, rows) + [rng.randrange(N) for _ in range(10_000)]
+    for scalar in scalars:
+        digits = ecdsa._signed_digits(scalar, width, rows)
+        assert len(digits) == rows
+        assert sum(digit << (width * row) for row, digit in enumerate(digits)) == scalar
+        assert all(-half <= digit < half for digit in digits)
+        negative += any(digit < 0 for digit in digits)
+    assert negative > 10_000
+    # The carry out of bit 255 has a row of its own to land in.
+    top = ecdsa._signed_digits(2**256 - 2**32, width, rows)
+    assert top[-1] == (1 if width == 8 else 16) and top[-2] in (0, -1)
+    assert ecdsa._signed_digits(half - 1, width, rows)[:2] == [half - 1, 0]
+    assert ecdsa._signed_digits(half, width, rows)[:2] == [-half, 1]
+
+
+def spy_on_special_additions(monkeypatch):
+    """Counts the additions the comb loop hands to ``_j_add_affine``
+    instead of doing inline: onto the point at infinity, onto the addend
+    itself (doubling), onto its negative (the sum becomes infinity).
+    Install it once the tables exist: building them adds the usual way."""
+    seen = {"infinity": 0, "equal": 0, "opposite": 0}
+    add = ecdsa._j_add_affine
+
+    def spying_add(p1, p2):
+        x1, y1, z1 = p1
+        if z1 == 0:
+            seen["infinity"] += 1
+        elif (p2[0] * z1 * z1 - x1) % P == 0:
+            seen["equal" if (p2[1] * z1**3 - y1) % P == 0 else "opposite"] += 1
+        else:
+            raise AssertionError("an ordinary addition left the inlined path")
+        return add(p1, p2)
+
+    monkeypatch.setattr(ecdsa, "_j_add_affine", spying_add)
+    return seen
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["G", "pinned-key"])
+def test_comb_matches_the_reference_from_every_kind_of_start(
+    pinned, pinned_cache, monkeypatch
+):
+    """``start + k·B`` against the oracle for the edge scalars and 64
+    random ones (10 000 random ones walk through the differential above),
+    with ``start`` at infinity, at an unrelated point, and at plus and
+    minus the first table point the loop adds — the ``h == 0`` cases of
+    the addition written out inside the loop."""
+    width, rows, _ = COMB_SHAPES[pinned]
+    base = G
+    if pinned:
+        base = ref_from_jacobian(ref_mul(G, 0x5EED))
+        ecdsa.pin_public_point(base)
+    table = pinned_cache[base] if pinned else ecdsa._generator_tables()[0]
+    special_additions = spy_on_special_additions(monkeypatch)
+    rng = random.Random(0xC0B)
+    elsewhere = (*ref_from_jacobian(ref_mul(G, 0xE15E)), 1)
+    scalars = comb_edge_scalars(width, rows) + [rng.randrange(N) for _ in range(64)]
+    for scalar in scalars:
+        expected = ref_mul(base, scalar)
+        digits = ecdsa._signed_digits(scalar, width, rows)
+        row = next((row for row, digit in enumerate(digits) if digit), None)
+        starts = [(REF_INFINITY, "infinity"), (elsewhere, None)]
+        if row is not None:
+            x, y = ref_from_jacobian(ref_mul(base, digits[row] << (width * row)))
+            starts += [((x, y, 1), "equal"), ((x, P - y, 1), "opposite")]
+        for start, branch in starts:
+            before = dict(special_additions)
+            got = ecdsa._from_jacobian(ecdsa._comb_mul(table, scalar, start))
+            assert ref_equals(ref_add(start, expected), got), (scalar, branch)
+            taken = {k: v - before[k] for k, v in special_additions.items() if v != before[k]}
+            # (A sum that became infinity takes the next point as it is, and
+            # -half·B doubled meets the carry it sent into the next row.)
+            assert taken == {} if None in (branch, row) else taken[branch] >= 1
+    assert all(special_additions.values())
+
+
+def on_curve_with_x(candidates):
+    """The first ``(x, y)`` on the curve with ``x`` among ``candidates``."""
+    for x in candidates:
+        y = pow(x**3 + 7, (P + 1) // 4, P)
+        if y * y % P == (x**3 + 7) % P:
+            return (x, y)
+    raise AssertionError("no curve point among the candidates")
+
+
+def key_for(r, s, z, big_r):
+    """The public key under which ``(r, s)`` signs ``z`` with nonce point
+    ``big_r``: ``Q = r^-1 (s·R - z·G)``, by the oracle."""
+    s_r = ref_mul(big_r, s)
+    minus_z_g = ref_mul(G, N - z)
+    return ref_from_jacobian(ref_mul(ref_from_jacobian(ref_add(s_r, minus_z_g)), pow(r, -1, N)))
+
+
+def test_both_clauses_of_the_inversion_free_comparison(pinned_cache):
+    """``x(R) mod n == r`` is checked as ``r·z² ≡ X`` or (``r + n < p``
+    and ``(r + n)·z² ≡ X``).  Random signatures reach the second clause
+    with probability 2**-128, so build both cases: a valid signature
+    whose ``x(R)`` lies in [n, p) (needs the clause), and an invalid one
+    with ``r + n ≡ x(R) (mod p)`` but ``r + n >= p`` (needs its guard)."""
+    s, z = 0x1234567, 0x89ABCDE
+    digest = z.to_bytes(32, "big")
+
+    wrapped = on_curve_with_x(range(N + 1, N + 64))
+    r = wrapped[0] - N
+    q = key_for(r, s, z, wrapped)
+    assert ref_double_mul(z * pow(s, -1, N) % N, r * pow(s, -1, N) % N, q) == wrapped
+    assert ref_verify(q, digest, (r, s))
+    assert verify_both_ways(q, digest, (r, s)) is True
+    assert verify_both_ways(q, digest, (r + N, s)) is False  # out of range
+    assert verify_both_ways(q, digest, (r + 1, s)) is False
+
+    small = on_curve_with_x(range(1, 64))
+    assert small[0] < 2 * N - P
+    r = small[0] + P - N  # r + n = x + p: equal to x mod p, but not below p
+    assert r < N and r + N >= P
+    q = key_for(r, s, z, small)
+    assert ref_double_mul(z * pow(s, -1, N) % N, r * pow(s, -1, N) % N, q) == small
+    assert ref_verify(q, digest, (r, s)) is False
+    assert verify_both_ways(q, digest, (r, s)) is False
+    # The same nonce point does verify under the r it really has.
+    assert verify_both_ways(key_for(small[0], s, z, small), digest, (small[0], s)) is True
+
+
+class CountingRow(list):
+    reads = 0
+
+    def __getitem__(self, index):
+        CountingRow.reads += 1
+        return list.__getitem__(self, index)
+
+
+def test_operation_counts_of_a_pinned_verify_and_a_sign(pinned_cache, monkeypatch):
+    """A verification under a pinned key: at most 33 + 43 table points
+    read, each added once inside the loop (``_j_add_affine`` sees only
+    the first, onto infinity), no doubling, no inversion mod p — it was
+    at most 128 additions and one inversion.  A signature: at most 33 and
+    the one inversion that makes ``R`` affine (was 64 and one)."""
+    secret = 0xFACADE
+    public = ecdsa.derive_public_point(secret)
+    ecdsa.pin_public_point(public)
+    comb, wnaf = ecdsa._generator_tables()
+    monkeypatch.setattr(
+        ecdsa, "_generator_tables", lambda: ([CountingRow(row) for row in comb], wnaf)
+    )
+    pinned_cache[public] = [CountingRow(row) for row in pinned_cache[public]]
+    calls = {"add": 0, "double": 0, "inverse mod p": 0, "inverse mod n": 0}
+
+    def counting(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    def counting_pow(base, exponent, modulus):
+        calls["inverse mod p" if modulus == P else "inverse mod n"] += exponent == -1
+        return pow(base, exponent, modulus)
+
+    monkeypatch.setattr(ecdsa, "_j_add_affine", counting("add", ecdsa._j_add_affine))
+    monkeypatch.setattr(ecdsa, "_j_double", counting("double", ecdsa._j_double))
+    monkeypatch.setattr(ecdsa, "pow", counting_pow, raising=False)
+    rng = random.Random(76)
+    most = {"verify": 0, "sign": 0}
+    for _ in range(50):
+        digest = rng.randbytes(32)
+        CountingRow.reads = 0
+        calls.update(dict.fromkeys(calls, 0))
+        signature = ecdsa.sign_digest(secret, digest)
+        assert calls == {"add": 1, "double": 0, "inverse mod p": 1, "inverse mod n": 1}
+        most["sign"] = max(most["sign"], CountingRow.reads)
+        CountingRow.reads = 0
+        calls.update(dict.fromkeys(calls, 0))
+        assert ecdsa.verify_digest(public, digest, signature)
+        assert calls == {"add": 1, "double": 0, "inverse mod p": 0, "inverse mod n": 1}
+        most["verify"] = max(most["verify"], CountingRow.reads)
+    assert 60 <= most["verify"] <= 33 + 43
+    assert 25 <= most["sign"] <= 33

@@ -7,7 +7,6 @@ from repro.merkle.mht import (
     EMPTY_ROOT,
     MembershipProof,
     MerkleTree,
-    compute_root,
     verify_membership,
 )
 
@@ -51,11 +50,11 @@ def test_proof_rejects_wrong_root():
 
 def test_distinct_leaf_lists_have_distinct_roots():
     # Promotion (not duplication) of odd nodes: [a, b, b] != [a, b].
-    assert compute_root([b"a", b"b", b"b"]) != compute_root([b"a", b"b"])
+    assert MerkleTree([b"a", b"b", b"b"]).root != MerkleTree([b"a", b"b"]).root
 
 
 def test_order_matters():
-    assert compute_root([b"a", b"b"]) != compute_root([b"b", b"a"])
+    assert MerkleTree([b"a", b"b"]).root != MerkleTree([b"b", b"a"]).root
 
 
 def test_prove_out_of_range_raises():

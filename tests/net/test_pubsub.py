@@ -21,7 +21,8 @@ from repro.crypto import generate_keypair
 from repro.errors import ReproError
 from repro.net import FaultInjector, LinkFaults, MessageBus
 from repro.net.gateway import QueryGateway
-from repro.net.pubsub import SubscriptionHub
+from repro.net import pubsub
+from repro.net.pubsub import SubscriptionHub, TipAnnouncement
 from repro.query.indexes import AccountHistoryIndexSpec
 from repro.sgx.attestation import AttestationService
 from tests.conftest import fresh_vm, make_kv_tx
@@ -143,6 +144,47 @@ def test_every_subscriber_of_a_fanout_converges(chain):
         assert client.latest_header.height == 5
         assert client.push_adopted == 5
     assert w.hub.published == 5
+
+
+def test_a_publish_encodes_the_announcement_once_for_all_subscribers(chain, monkeypatch):
+    """Eight subscribers, one ``wire.encode`` of the announcement per
+    publish (it was one per subscriber), the same bytes to each; a
+    retransmit of an older announcement re-encodes it and still lands."""
+    names = tuple(f"c{i}" for i in range(8))
+    w = world(chain, clients=names)
+    encoded, pushed = [], {name: [] for name in names}
+    encode = pubsub.wire.encode
+
+    def counting_encode(obj):
+        if isinstance(obj, TipAnnouncement):
+            encoded.append(obj.seq)
+        return encode(obj)
+
+    monkeypatch.setattr(pubsub.wire, "encode", counting_encode)
+    for name, client in w.clients.items():
+        client.rpc.node.on(
+            pubsub.push_topic(name),
+            lambda message, on_push=client._on_push, got=pushed[name]: (
+                got.append(message.payload), on_push(message)
+            ),
+        )
+    w.certify(1, start=1)
+    assert encoded == [1]
+    w.bus.run_until_idle()
+    w.injector.set_link("ci", "c0", LinkFaults(drop_rate=1.0))
+    w.certify(2)
+    w.bus.run_until_idle()
+    assert encoded == [1, 2, 3]
+    assert all(len(got) == 3 for name, got in pushed.items() if name != "c0")
+    assert len({tuple(got) for name, got in pushed.items() if name != "c0"}) == 1
+    assert pushed["c1"][2] == encode(w.hub._history[3])
+    # c0 lost seq 2 and 3; the heartbeat has the hub send both again.
+    w.injector.set_link("ci", "c0", LinkFaults())
+    w.clients["c0"].heartbeat()
+    w.bus.run_until_idle()
+    assert w.hub.subscribers["c0"].retransmits == 2
+    assert pushed["c0"] == pushed["c1"]
+    assert all(c.latest_header.height == 3 for c in w.clients.values())
 
 
 # -- windowing and backpressure ----------------------------------------------

@@ -23,7 +23,6 @@ from repro.errors import (
     RemoteCallError,
     code_for,
     error_for_code,
-    is_retryable_code,
 )
 from repro.net import wire
 from repro.net.bus import MessageBus, NetworkNode
@@ -416,7 +415,7 @@ def test_overloaded_round_trips_through_the_code_registry():
     assert code_for(OverloadedError) == "net.overloaded"
     assert code_for(OverloadedError("shed", retry_after_ms=5.0)) == "net.overloaded"
     assert error_for_code("net.overloaded") is OverloadedError
-    assert is_retryable_code("net.overloaded") is True
+    assert error_for_code("net.overloaded").retryable is True
 
 
 def test_deadline_exceeded_round_trips_and_is_terminal():
@@ -424,7 +423,7 @@ def test_deadline_exceeded_round_trips_and_is_terminal():
     assert error_for_code("net.deadline") is DeadlineExceededError
     # Re-sending an expired budget deterministically fails again: the
     # retry loop must not spin on it.
-    assert is_retryable_code("net.deadline") is False
+    assert error_for_code("net.deadline").retryable is False
 
 
 def test_unregistered_resilience_subclasses_degrade_to_ancestors():
@@ -441,7 +440,7 @@ def test_unregistered_resilience_subclasses_degrade_to_ancestors():
     assert code_for(FutureDeadline) == "net.deadline"
     assert error_for_code(code_for(FutureDeadline)) is DeadlineExceededError
     assert error_for_code("net.made-up-later") is RemoteCallError
-    assert is_retryable_code("net.made-up-later") is False
+    assert RemoteCallError.retryable is False
     assert error_for_code(None) is RemoteCallError
 
 

@@ -33,16 +33,19 @@ Seeds and replay: see tests/proptest/framework.py.
 
 from __future__ import annotations
 
+import json
+import random
+
 import pytest
 
 from dataclasses import replace
 from types import SimpleNamespace
 
 from repro.core import Certificate, CertifiedTip, ClientConfig, IssuerService, connect
-from repro.core.certificate import CERT_SIG_DOMAIN
+from repro.core.certificate import CERT_SIG_DOMAIN, VerifiedMemo
 from repro.core.superlight import ClientState, adopt_bundle
 from repro.crypto import ecdsa, generate_keypair, sign
-from repro.errors import CertificateError, ServiceUnavailableError
+from repro.errors import CertificateError, ServiceUnavailableError, WireError
 from repro.net.bus import MessageBus
 from repro.net.messages import PushEnvelope
 from repro.net.pubsub import SubscriptionHub, TipAnnouncement
@@ -356,3 +359,175 @@ def test_a_pk_enc_without_a_verified_report_is_never_pinned(world):
         assert forger.public.point not in ecdsa._pinned
     assert client.to_json() == state_before
     assert client.storage_bytes() == bytes_before
+
+
+# -- fields of the wrong type ---------------------------------------------------
+
+#: One value per JSON shape the codec produces for a leaf.
+_WRONG_TYPES = (7, "x", None, {"!l": [1]}, {"!b": "00"}, 1.5)
+#: Stream bookkeeping the enclave never signed: a mutant there is still
+#: the genuine certified tip, or no announcement at all.
+_UNSIGNED_FIELDS = ("seq", "published_at_ms")
+
+
+def _leaf_paths(node, path=()):
+    """Where the ``bytes`` and number leaves of a wire JSON tree are."""
+    if isinstance(node, dict):
+        if "!b" in node:
+            yield path
+        else:
+            for key, child in node.items():
+                yield from _leaf_paths(child, (*path, key))
+    elif isinstance(node, list):
+        for position, child in enumerate(node):
+            yield from _leaf_paths(child, (*path, position))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+def _same_wire_type(a, b):
+    """Whether two JSON leaves decode to values of one Python type."""
+    if isinstance(a, dict) or isinstance(b, dict):
+        return isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys()
+    return type(a) is type(b)
+
+
+def _wrong_type_mutants(payload):
+    """``(field, payload)`` for every one-leaf edit of ``payload`` that
+    puts a value of another type where ``bytes`` or a number was."""
+    for path in _leaf_paths(json.loads(payload)):
+        for wrong in _WRONG_TYPES:
+            tree = json.loads(payload)
+            parent = tree
+            for step in path[:-1]:
+                parent = parent[step]
+            if _same_wire_type(parent[path[-1]], wrong):
+                continue
+            parent[path[-1]] = wrong
+            field = next(step for step in path if step not in ("!f", "!d", "!t"))
+            yield field, json.dumps(tree, sort_keys=True, separators=(",", ":")).encode()
+
+
+def _genuine_signatures(world):
+    return {
+        (cert.pk_enc.to_bytes(), cert.dig, cert.sig.to_bytes())
+        for certified in world["issuer"].certified
+        for cert in (certified.certificate, *certified.index_certificates.values())
+    }
+
+
+def test_a_pushed_field_of_the_wrong_type_is_a_rejected_forgery(world):
+    """A header, report, digest or index-root field that decodes into an
+    ``int`` / ``str`` / ``None`` / ``list`` / short ``bytes`` / ``float``
+    where the certificate check hashes bytes or compares numbers: the
+    codec cannot know the field types, so the push handler has to answer
+    exactly as for a forged value of the right type — counted, not
+    acked, nothing moved — instead of raising ``TypeError`` into the bus
+    loop every node on that bus shares."""
+    genuine = world["announcement"]
+    rng = random.Random(18)
+    hub_node = world["hub"].server.node
+    reached_the_check = 0
+    for field, payload in _wrong_type_mutants(world["payload"]):
+        try:
+            wire.decode(payload)
+            decodes = True
+        except WireError:
+            decodes = False
+        probe = _make_probe(world, rng, "typeprobe")
+        probe.rpc.bus.run_until_idle()
+        memo = probe.client._verified_reports
+        before, reports, acks = probe.client.to_json(), set(memo), hub_node.delivered_count
+        probe._on_push(PushEnvelope(payload=payload))  # never raises
+        probe.rpc.bus.run_until_idle()
+        assert set(memo) == reports
+        assert set(memo.signatures) <= _genuine_signatures(world)
+        if decodes and field in _UNSIGNED_FIELDS:
+            # e.g. an integer timestamp: the certified tip is intact.
+            assert probe.push_rejected + probe.push_adopted + probe.push_gaps == 1
+        else:
+            reached_the_check += decodes
+            assert probe.push_rejected == probe.integrity_failures == 1, field
+            assert probe.client.to_json() == before, field
+            assert probe._sub_seq == world["seq"] - 1
+            assert hub_node.delivered_count == acks, "a malformed push was acked"
+        # The genuine announcement, retransmitted, is still adopted.
+        probe._on_push(PushEnvelope(payload=world["payload"]))
+        assert probe.latest_header == genuine.header, field
+        assert probe._sub_seq == world["seq"]
+    assert reached_the_check >= 90  # the codec does not do this test's work
+
+
+def test_a_polled_field_of_the_wrong_type_fails_over_like_a_forgery(world):
+    """The same malformed bundles as a lying issuer's ``latest_tip``:
+    ``sync`` fails over to the honest issuer, a ``bootstrap`` with
+    nowhere else to go ends in the taxonomy, nothing is half-adopted."""
+    genuine = world["announcement"]
+    rng = random.Random(18)
+    anchors = {
+        "measurement": world["issuer"].measurement,
+        "ias_public_key": world["setup"]["ias"].public_key,
+    }
+    empty_wallet = connect(ClientConfig(**anchors)).to_json()
+    served = 0
+    for field, payload in _wrong_type_mutants(world["payload"]):
+        if field in _UNSIGNED_FIELDS:
+            continue  # a polled tip has neither
+        try:
+            candidate = wire.decode(payload)
+        except WireError:
+            continue
+        served += 1
+        world["liar_tip"].append(CertifiedTip(
+            header=candidate.header,
+            certificate=candidate.certificate,
+            index_certificates=candidate.index_certificates,
+            index_roots=candidate.index_roots,
+        ))
+        poller = _make_probe(world, rng, "typepoll", issuers=("liar", "ci"))
+        tip = poller.sync()
+        assert tip.header == poller.latest_header == genuine.header, field
+        assert poller.failovers == 1
+        assert poller.integrity_failures == poller.integrity_retries
+        fresh = connect(ClientConfig(
+            **anchors, bus=world["bus"], name=f"typeboot-{served}", issuers=("liar",)
+        ))
+        with pytest.raises(ServiceUnavailableError):
+            fresh.bootstrap()
+        assert fresh.latest_header is None
+        assert fresh.client.to_json() == empty_wallet
+        world["liar_tip"].clear()
+    assert served >= 90
+
+
+def test_adopt_bundle_reports_a_malformed_bundle_as_a_certificate_error(world):
+    """The boundary itself, on decoded objects: the error is the typed
+    one with the fixed message, and the caller's state object and memo
+    are what a forged digest leaves behind."""
+    genuine = world["announcement"]
+    issuer = world["issuer"]
+    anchors = (issuer.measurement, world["setup"]["ias"].public_key)
+    held = adopt_bundle(*anchors, ClientState(), issuer.certified[-2], VerifiedMemo(4))
+    after_forgery = VerifiedMemo(4)
+    with pytest.raises(CertificateError, match="does not match"):
+        wrong_roots = {name: bytes(32) for name in genuine.index_roots}
+        adopt_bundle(
+            *anchors, held, replace(genuine, index_roots=wrong_roots), after_forgery
+        )
+    for bundle in (
+        replace(genuine, header=replace(genuine.header, height="7")),
+        replace(genuine, header=replace(genuine.header, prev_hash=7)),
+        replace(genuine, certificate=replace(genuine.certificate, dig=None)),
+        replace(genuine, certificate=replace(
+            genuine.certificate,
+            report=replace(genuine.certificate.report, measurement=[1]),
+        )),
+        replace(genuine, index_roots={"history": 1.5, "keyword": b"\0"}),
+        replace(genuine, index_certificates={"history": 7}),
+        replace(genuine, index_roots=None),
+    ):
+        memo = VerifiedMemo(4)
+        with pytest.raises(CertificateError, match="^malformed tip bundle$"):
+            adopt_bundle(*anchors, held, bundle, memo)
+        assert set(memo) <= set(after_forgery)
+        assert set(memo.signatures) <= set(after_forgery.signatures)

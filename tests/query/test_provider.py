@@ -63,14 +63,14 @@ def test_baseline_answers_same_versions(provider):
     dcert = provider.execute(
         HistoryQuery(index="history", account="k2", t_from=1, t_to=10)
     ).payload
-    baseline = provider.query_history_baseline("history", "k2", 1, 10)
+    baseline = provider.baselines["history"].query_history("k2", 1, 10)
     assert dcert.versions == baseline.versions
 
 
 def test_baseline_answer_verifies(provider):
     from repro.query.verifier import verify_baseline_history_answer
 
-    baseline = provider.query_history_baseline("history", "k2", 1, 10)
+    baseline = provider.baselines["history"].query_history("k2", 1, 10)
     root = provider.baselines["history"].root
     assert verify_baseline_history_answer(root, baseline)
 
@@ -88,5 +88,3 @@ def test_unknown_index_rejected(provider):
         provider.execute(
             HistoryQuery(index="keyword", account="k1", t_from=1, t_to=2)
         )
-    with pytest.raises(QueryError):
-        provider.query_history_baseline("keyword", "k1", 1, 2)

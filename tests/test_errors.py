@@ -14,7 +14,6 @@ from repro.errors import (
     ReproError,
     code_for,
     error_for_code,
-    is_retryable_code,
 )
 
 
@@ -37,7 +36,7 @@ def taxonomy_classes():
 def test_every_class_round_trips_through_its_code(cls):
     assert "code" in cls.__dict__, f"{cls.__name__} has no code of its own"
     assert error_for_code(code_for(cls)) is cls
-    assert is_retryable_code(cls.code) == cls.retryable
+    assert error_for_code(cls.code).retryable == cls.retryable
 
 
 def test_codes_are_unique_across_the_taxonomy():
