@@ -49,10 +49,13 @@ check: lint analyze loc test chaos sim-smoke determinism fleet-smoke push-smoke 
 # fixed round counts: every workload end to end in ~11 s.  Exits
 # non-zero when a workload's built-in check fails — recovered tip
 # byte-equal, oracle-equal answers, sim invariants — so a change cannot
-# break what the benchmark runs and stay green.  Timings are printed,
-# not gated here; gate them with benchmarks/perf/compare.py.
+# break what the benchmark runs and stay green.  The seven values that
+# say "same behaviour" -- certificate_sha256, sim_fingerprint and the
+# five client_storage_bytes -- must equal the ones recorded in
+# scripts/perf_fingerprints.sh.  Timings are printed, not gated here;
+# gate them with benchmarks/perf/compare.py.
 perf-smoke:
-	$(PYTHON) benchmarks/perf/run.py --all --smoke
+	PYTHON=$(PYTHON) bash scripts/perf_fingerprints.sh
 
 bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only

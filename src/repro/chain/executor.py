@@ -34,6 +34,9 @@ class ExecutionResult:
     write_set: dict[bytes, bytes | None] = field(default_factory=dict)
     executed: list[Transaction] = field(default_factory=list)
     rejected: list[tuple[Transaction, str]] = field(default_factory=list)
+    #: ``(key, pre-state value, SMT proof)`` per touched key, in key order
+    #: (:func:`repro.chain.node.predict_root` proves them, once).
+    pre_state: tuple = ()
 
     def touched_keys(self) -> list[bytes]:
         """Keys whose SMT paths an update proof must cover."""

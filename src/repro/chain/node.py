@@ -82,13 +82,15 @@ class FullNode:
 
 
 def predict_root(state: StateStore, result: ExecutionResult) -> bytes:
-    """The state root after ``result``'s writes, without committing them."""
+    """The state root after ``result``'s writes, without committing them.
+    The touched cells are proven once, here, and the entries kept on
+    ``result.pre_state``: they are the update proof a CI ships."""
     from repro.merkle.partial import PartialSMT
 
     touched = result.touched_keys()
     if not touched:
         return state.root
-    entries = state.prove_many(touched)
-    partial = PartialSMT.from_proofs(state.root, entries)
+    result.pre_state = tuple(state.prove_many(touched))
+    partial = PartialSMT.from_proofs(state.root, result.pre_state)
     partial.update_batch(result.write_set)
     return partial.root

@@ -198,8 +198,8 @@ class CertificateIssuer:
         time it apart from the enclave work.
         """
         result = self.node.validate_block(block)  # comp_data_set
-        update_proof = UpdateProof.build(self.node.state, result.touched_keys())
-        return result, update_proof
+        # get_update_proof: the proofs validation replayed the writes on.
+        return result, UpdateProof(entries=result.pre_state)
 
     def gen_cert(
         self, block: Block, *, precomputed=None
@@ -411,12 +411,13 @@ class CertificateIssuer:
         with obs.trace_span("issuer.stage_block"):
             result, update_proof = self.preprocess(block)
             prev = self.node.tip
-            touched = sorted(result.touched_keys())
-            misses = [key for key in touched if not self.proof_cache.lookup(key)]
-            if len(misses) != len(touched):
-                # Reprove only the cache misses; hits ride the enclave's
-                # carried slice.
-                update_proof = UpdateProof.build(self.node.state, misses)
+            # Ship only the cache misses, a filter of validation's own
+            # proofs; hits ride the enclave's carried slice.
+            lookup = self.proof_cache.lookup
+            update_proof = UpdateProof(
+                entries=tuple(e for e in update_proof.entries if not lookup(e[0]))
+            )
+            misses = [key for key, _, _ in update_proof.entries]
             for key in misses:
                 self.proof_cache.admit(key)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.chain.state import StateStore
 from repro.merkle.smt import SMTProof
 
 
@@ -21,11 +20,6 @@ class UpdateProof:
     """Pre-state values + SMT proofs for every touched state cell."""
 
     entries: tuple[tuple[bytes, bytes | None, SMTProof], ...]
-
-    @classmethod
-    def build(cls, state: StateStore, touched_keys: list[bytes]) -> "UpdateProof":
-        """CI side: prove every touched key against the *pre*-state."""
-        return cls(entries=tuple(state.prove_many(touched_keys)))
 
     def size_bytes(self) -> int:
         """Marshalled size (drives the enclave's EPC accounting)."""

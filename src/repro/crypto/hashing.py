@@ -49,6 +49,37 @@ def hash_node(left: Digest, right: Digest) -> Digest:
     return sha256(_NODE_TAG + left + right)
 
 
+def fold_path(digest, index, row, defaults) -> list[Digest]:
+    """Fold ``digest`` up a binary Merkle path: the one bottom-up walk.
+
+    ``index`` is the start node's heap index below the node the walk ends
+    at (that node is 1, the children of ``i`` are ``2i`` and ``2i + 1``);
+    ``row[k]`` is the sibling ``k`` levels above the start, one per level
+    climbed; ``defaults[k]`` is the digest of an empty subtree of that
+    height.  Returns the digest of every node on the path, the start
+    node's first and the end node's last.
+
+    An empty subtree beside an empty sibling is the next default by
+    definition (``defaults[k + 1] == hash_node(defaults[k], defaults[k])``),
+    so those levels cost no hash.
+    """
+    skip = 0
+    if digest == defaults[0]:
+        while skip < len(row) and row[skip] == defaults[skip]:
+            skip += 1
+        digest = defaults[skip]
+    path, sha = [*defaults[:skip], digest], hashlib.sha256
+    # ``bin`` spells the turns from the end node down; reversed, from the
+    # start node up (``zip`` stops before the leading 1).
+    for sibling, turn in zip(row[skip:], reversed(bin(index >> skip))):
+        if turn == "1":
+            digest = sha(_NODE_TAG + sibling + digest).digest()
+        else:
+            digest = sha(_NODE_TAG + digest + sibling).digest()
+        path.append(digest)
+    return path
+
+
 def hash_concat(*parts: bytes) -> Digest:
     """Hash the length-prefixed concatenation of ``parts``.
 

@@ -19,31 +19,28 @@ malicious CI to supply complete, consistent proofs.
 
 from __future__ import annotations
 
-from repro.crypto.hashing import Digest, hash_node
+from repro.crypto.hashing import Digest, fold_path
 from repro.errors import ProofError
-from repro.merkle.smt import (
-    SMTProof,
-    default_digests,
-    key_path,
-    leaf_digest,
-)
+from repro.merkle.smt import SMTProof, default_digests, key_path, leaf_digest
 
 
 class PartialSMT:
     """A verified slice of a sparse Merkle tree, mutable on proven keys."""
 
     def __init__(self, depth: int) -> None:
+        if type(depth) is not int or not 1 <= depth <= 256:
+            raise ProofError("SMT depth must be an integer in [1, 256]")
         self.depth = depth
         self._defaults = default_digests(depth)
-        # Known node digests keyed by (level, prefix); level 0 = leaves.
-        self._nodes: dict[tuple[int, int], Digest] = {}
+        # Known node digests keyed by heap index: the root is 1, the
+        # children of ``i`` are ``2i`` and ``2i + 1``, and the leaf at
+        # ``path`` is ``1 << depth | path``.
+        self._nodes: dict[int, Digest] = {}
         self._values: dict[bytes, bytes | None] = {}
 
     @classmethod
     def from_proofs(
-        cls,
-        root: Digest,
-        entries: list[tuple[bytes, bytes | None, SMTProof]],
+        cls, root: Digest, entries: list[tuple[bytes, bytes | None, SMTProof]]
     ) -> "PartialSMT":
         """Verify ``entries`` against ``root`` and merge them into a slice.
 
@@ -53,10 +50,9 @@ class PartialSMT:
         """
         if not entries:
             raise ProofError("cannot build a partial SMT from zero proofs")
-        depth = entries[0][2].depth
-        partial = cls(depth)
+        partial = cls(entries[0][2].depth)
         for key, value, proof in entries:
-            partial._merge_entry(root, key, value, proof)
+            partial.merge_entry(root, key, value, proof)
         return partial
 
     def __len__(self) -> int:
@@ -86,18 +82,14 @@ class PartialSMT:
         if not self._values:
             self._nodes.clear()
             return
-        keep: set[tuple[int, int]] = {(self.depth, 0)}
+        keep = {1}
         for key in self._values:
-            prefix = key_path(key, self.depth)
-            for level in range(self.depth):
-                keep.add((level, prefix))
-                keep.add((level, prefix ^ 1))
-                prefix >>= 1
-                keep.add((level + 1, prefix))
+            index = 1 << self.depth | key_path(key, self.depth)
+            while index > 1:
+                keep.update((index, index ^ 1))
+                index >>= 1
         self._nodes = {
-            position: digest
-            for position, digest in self._nodes.items()
-            if position in keep
+            index: digest for index, digest in self._nodes.items() if index in keep
         }
 
     def merge_entry(
@@ -107,9 +99,16 @@ class PartialSMT:
 
         Only valid before any :meth:`update` — proofs verify against the
         original root.  Lazy (Ocall-fetching) enclave designs use this
-        to grow the slice on demand.
+        to grow the slice on demand.  The path's nodes and siblings are
+        learned and cross-checked against what earlier proofs taught.
         """
-        self._merge_entry(root, key, value, proof)
+        if proof.depth != self.depth:
+            raise ProofError("mixed-depth SMT proofs")
+        if proof.key != key:
+            raise ProofError("SMT proof bound to a different key")
+        if proof.fold(value, self._nodes) != root:
+            raise ProofError("SMT proof does not verify against the state root")
+        self._values[key] = value
 
     def get(self, key: bytes) -> bytes | None:
         """Value at a proven key (None = proven absent)."""
@@ -117,26 +116,26 @@ class PartialSMT:
             raise ProofError("read of a key outside the proven slice")
         return self._values[key]
 
-    def get_raw(self, key: bytes) -> bytes | None:
-        """BackingState-protocol alias, so the executor can replay
-        transactions directly against the proven slice."""
-        return self.get(key)
+    #: BackingState-protocol alias, so the executor can replay
+    #: transactions directly against the proven slice.
+    get_raw = get
 
     def update(self, key: bytes, value: bytes | None) -> None:
         """Write a proven key and recompute digests up to the root."""
         if key not in self._values:
             raise ProofError("write to a key outside the proven slice")
         self._values[key] = value
-        path = key_path(key, self.depth)
-        self._nodes[(0, path)] = (
-            self._defaults[0] if value is None else leaf_digest(key, value)
-        )
-        prefix = path
-        for level in range(1, self.depth + 1):
-            prefix >>= 1
-            left = self._known_child(level - 1, prefix << 1)
-            right = self._known_child(level - 1, (prefix << 1) | 1)
-            self._nodes[(level, prefix)] = hash_node(left, right)
+        index = 1 << self.depth | key_path(key, self.depth)
+        heap = [index >> level for level in range(self.depth + 1)]
+        try:
+            siblings = [self._nodes[node ^ 1] for node in heap[:-1]]
+        except KeyError:
+            # A proven key's merge learned every sibling of its path (an
+            # elided one as an explicit default): the slice was tampered with.
+            raise ProofError("internal SMT node outside the proven slice") from None
+        digest = self._defaults[0] if value is None else leaf_digest(key, value)
+        path = fold_path(digest, index, siblings, self._defaults)
+        self._nodes.update(zip(heap, path))
 
     def update_batch(self, items: dict[bytes, bytes | None]) -> None:
         """Apply many writes (all keys must be proven)."""
@@ -146,53 +145,4 @@ class PartialSMT:
     @property
     def root(self) -> Digest:
         """Current root of the (partially known, possibly updated) tree."""
-        return self._nodes.get((self.depth, 0), self._defaults[self.depth])
-
-    # -- internals -------------------------------------------------------
-
-    def _known_child(self, level: int, prefix: int) -> Digest:
-        digest = self._nodes.get((level, prefix))
-        if digest is not None:
-            return digest
-        # A child never named by any proof and never written: it can only
-        # be default if some verified proof elided it, which _merge_entry
-        # records as an explicit default entry — so absence here is a bug
-        # in the supplied proofs, not in us.
-        raise ProofError("internal SMT node outside the proven slice")
-
-    def _merge_entry(
-        self, root: Digest, key: bytes, value: bytes | None, proof: SMTProof
-    ) -> None:
-        if proof.depth != self.depth:
-            raise ProofError("mixed-depth SMT proofs")
-        if proof.key != key:
-            raise ProofError("SMT proof bound to a different key")
-        path = key_path(key, self.depth)
-        digest = self._defaults[0] if value is None else leaf_digest(key, value)
-        # Walk to the root, recording every node we learn along the way
-        # and cross-checking against nodes learned from earlier proofs.
-        self._learn((0, path), digest)
-        cursor = 0
-        prefix = path
-        for level in range(self.depth):
-            sibling, cursor = proof.sibling_at(level, cursor)
-            if sibling is None:
-                sibling = self._defaults[level]
-            self._learn((level, prefix ^ 1), sibling)
-            if prefix & 1:
-                digest = hash_node(sibling, digest)
-            else:
-                digest = hash_node(digest, sibling)
-            prefix >>= 1
-            self._learn((level + 1, prefix), digest)
-        if cursor != len(proof.siblings):
-            raise ProofError("SMT proof has trailing sibling digests")
-        if digest != root:
-            raise ProofError("SMT proof does not verify against the state root")
-        self._values[key] = value
-
-    def _learn(self, position: tuple[int, int], digest: Digest) -> None:
-        existing = self._nodes.get(position)
-        if existing is not None and existing != digest:
-            raise ProofError("inconsistent SMT proofs for the same node")
-        self._nodes[position] = digest
+        return self._nodes.get(1, self._defaults[self.depth])

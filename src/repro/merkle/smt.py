@@ -24,8 +24,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
 
-from repro.crypto.hashing import Digest, hash_leaf, hash_node
+from repro.crypto.hashing import Digest, fold_path, hash_leaf, hash_node
 from repro.errors import ProofError, StateError
 
 DEFAULT_DEPTH = 64
@@ -35,12 +36,14 @@ DEFAULT_DEPTH = 64
 _EMPTY_LEAF: Digest = hash_leaf(b"repro-smt-empty")
 
 
-def default_digests(depth: int) -> list[Digest]:
-    """Return ``defaults[0..depth]`` for an SMT of the given depth."""
+@cache
+def default_digests(depth: int) -> tuple[Digest, ...]:
+    """``defaults[0..depth]`` for an SMT of the given depth, hashed once
+    per depth and process (callers bound ``depth`` to [1, 256] first)."""
     defaults = [_EMPTY_LEAF]
     for _ in range(depth):
         defaults.append(hash_node(defaults[-1], defaults[-1]))
-    return defaults
+    return tuple(defaults)
 
 
 def leaf_digest(key: bytes, value: bytes) -> Digest:
@@ -73,11 +76,43 @@ class SMTProof:
     default_mask: int
     siblings: tuple[Digest, ...]
 
-    def sibling_at(self, level: int, cursor: int) -> tuple[Digest | None, int]:
-        """Internal: sibling digest at ``level`` plus the advanced cursor."""
-        if self.default_mask >> level & 1:
-            return None, cursor
-        return self.siblings[cursor], cursor + 1
+    def fold(self, value: bytes | None, learn: dict | None = None) -> Digest:
+        """The root this proof implies for ``key -> value`` (None: absent).
+
+        Everything the prover chose is checked here, once, so the walk is
+        check-free and one proof has one encoding.  With ``learn``, every
+        node on the path and every sibling is recorded under its heap
+        index (the root is 1, the children of ``i`` are ``2i`` and
+        ``2i + 1``); a different digest already there is a ProofError.
+        """
+        depth, mask, siblings = self.depth, self.default_mask, self.siblings
+        if (
+            type(depth) is not int
+            or not 1 <= depth <= 256
+            or type(mask) is not int
+            or not 0 <= mask < 1 << depth
+            or not isinstance(siblings, (tuple, list))
+            or len(siblings) != depth - mask.bit_count()
+            or any(type(s) is not bytes or len(s) != 32 for s in siblings)
+            or type(self.key) is not bytes
+            or len(self.key) != 32
+            or not (value is None or type(value) is bytes)
+        ):
+            raise ProofError("malformed SMT proof")
+        defaults, rest = default_digests(depth), iter(siblings)
+        row = [defaults[k] if mask >> k & 1 else next(rest) for k in range(depth)]
+        digest = defaults[0] if value is None else leaf_digest(self.key, value)
+        index = 1 << depth | key_path(self.key, depth)
+        path = fold_path(digest, index, row, defaults)
+        if learn is not None:
+            known = learn.setdefault
+            for node, sibling in zip(path, row):
+                if known(index, node) != node or known(index ^ 1, sibling) != sibling:
+                    raise ProofError("inconsistent SMT proofs for the same node")
+                index >>= 1
+            if known(1, path[-1]) != path[-1]:
+                raise ProofError("inconsistent SMT proofs for the same node")
+        return path[-1]
 
     def size_bytes(self) -> int:
         """Serialized size: key + depth byte + mask bitmap + digests."""
@@ -204,13 +239,9 @@ class SparseMerkleTree:
     def _fold(self, digest: Digest, path: int, low: int, high: int) -> Digest:
         """Digest of ``path``'s ancestor at level ``high``, given the one at
         ``low`` and nothing else below ``high``."""
-        defaults = self._defaults
-        for level in range(low, high):
-            if path >> level & 1:
-                digest = hash_node(defaults[level], digest)
-            else:
-                digest = hash_node(digest, defaults[level])
-        return digest
+        span, defaults = high - low, self._defaults[low:]
+        index = 1 << span | path >> low & (1 << span) - 1
+        return fold_path(digest, index, defaults[:span], defaults)[-1]
 
     def _leaf_fold(self, path: int, level: int) -> Digest:
         key = self._path_to_key[path]
@@ -246,11 +277,11 @@ class SparseMerkleTree:
         for level in range(top, self.depth):
             prefix = path >> level
             sibling = self._subtree_digest(level, prefix ^ 1)
-            if sibling is None:
-                digest = self._fold(digest, path, level, level + 1)
-            else:
-                pair = (sibling, digest) if prefix & 1 else (digest, sibling)
-                digest = self._nodes[(level + 1, prefix >> 1)] = hash_node(*pair)
+            other = self._defaults[level] if sibling is None else sibling
+            pair = (other, digest) if prefix & 1 else (digest, other)
+            digest = hash_node(*pair)
+            if sibling is not None:
+                self._nodes[(level + 1, prefix >> 1)] = digest
         self._root = digest
 
 
@@ -259,22 +290,10 @@ def verify_proof(
 ) -> bool:
     """Check an :class:`SMTProof` asserting ``key -> value`` under ``root``.
 
-    ``value is None`` verifies *non-membership* (the leaf is empty).
+    ``value is None`` verifies *non-membership* (the leaf is empty).  A
+    malformed proof is a False verdict, like any other that fails.
     """
-    if proof.key != key:
+    try:
+        return proof.key == key and proof.fold(value) == root
+    except ProofError:
         return False
-    defaults = default_digests(proof.depth)
-    digest = defaults[0] if value is None else leaf_digest(key, value)
-    path = key_path(key, proof.depth)
-    cursor = 0
-    for level in range(proof.depth):
-        sibling, cursor = proof.sibling_at(level, cursor)
-        if sibling is None:
-            sibling = defaults[level]
-        if path >> level & 1:
-            digest = hash_node(sibling, digest)
-        else:
-            digest = hash_node(digest, sibling)
-    if cursor != len(proof.siblings):
-        raise ProofError("SMT proof has trailing sibling digests")
-    return digest == root

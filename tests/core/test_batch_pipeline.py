@@ -127,8 +127,8 @@ def test_tampered_staged_proof_aborts_and_recovers(world):
 
     from repro.core.updateproof import UpdateProof
 
-    stale = UpdateProof.build(
-        issuer.node.state, sorted(staged.write_set)
+    stale = UpdateProof(
+        entries=tuple(issuer.node.state.prove_many(sorted(staged.write_set)))
     )
     issuer._staged[0] = replace(staged, item=replace(staged.item, update_proof=stale))
     with pytest.raises(ProofError):

@@ -35,8 +35,7 @@ def rebuild_proof(certified_setup, block):
         if earlier.header.height >= block.header.height:
             break
         node.append_block(earlier)
-    result = node.validate_block(block)
-    return UpdateProof.build(node.state, result.touched_keys())
+    return UpdateProof(entries=node.validate_block(block).pre_state)
 
 
 def test_sig_gen_accepts_valid_successor(certified_setup, program, last_two):
@@ -137,6 +136,37 @@ def test_blk_verify_rejects_forged_read_values(certified_setup, program, last_tw
     forged = UpdateProof(entries=((key, forged_value, smt_proof),) + proof.entries[1:])
     with pytest.raises(ProofError):
         program.blk_verify_t(prev_certified.block, tip_certified.block, forged)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda p: {"siblings": p.siblings[:-1]},  # parent commit: IndexError
+        lambda p: {"default_mask": float(p.default_mask)},  # TypeError
+        lambda p: {"default_mask": p.default_mask | 1 << 200},  # verified
+        lambda p: {"depth": 300},  # ValueError: negative shift count
+    ],
+)
+def test_sig_gen_fails_typed_on_a_malformed_state_proof(
+    certified_setup, program, last_two, edit
+):
+    """A prover-chosen proof field of the wrong count, type or range
+    leaves the ecall as ProofError, never as an untyped exception, and a
+    second encoding of a valid proof is not accepted."""
+    from dataclasses import replace
+
+    prev_certified, tip_certified = last_two
+    proof = rebuild_proof(certified_setup, tip_certified.block)
+    key, value, smt_proof = next(e for e in proof.entries if e[2].siblings)
+    bad = (key, value, replace(smt_proof, **edit(smt_proof)))
+    malformed = UpdateProof(entries=(bad,) + tuple(e for e in proof.entries if e[0] != key))
+    with pytest.raises(ProofError):
+        program.sig_gen(
+            prev_certified.block,
+            prev_certified.certificate,
+            tip_certified.block,
+            malformed,
+        )
 
 
 def test_blk_verify_rejects_incomplete_proof(certified_setup, program, last_two):
