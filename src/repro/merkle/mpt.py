@@ -16,6 +16,14 @@ Proofs are a top-down list of *steps*; two step kinds are terminal
 may only appear last.  Non-membership is proven by exhibiting where the
 search fails: an empty branch slot, a diverging extension, or a leaf for
 a different key.
+
+One engine serves the live trie and proof replay.  A proof is *opened*
+once (:func:`_open`): every prover-chosen field is validated there and
+the path it describes is rebuilt as ordinary nodes whose unopened
+children are bare 32-byte digests.  From then on the proven path is
+searched and updated by the functions the live trie uses
+(:func:`_search`, :func:`_insert`), so what a proof *claims* and what it
+*hashes to* are read from the same value.
 """
 
 from __future__ import annotations
@@ -23,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.crypto.hashing import Digest, hash_concat, sha256
+from repro.errors import ProofError
+from repro.merkle.bptree import check_digest, check_int
 
 #: Digest standing in for an absent child / empty trie.
 EMPTY_DIGEST: Digest = sha256(b"repro-mpt-empty")
@@ -38,31 +48,17 @@ def _to_nibbles(key: bytes) -> _Nibbles:
     return tuple(nibbles)
 
 
-def _nibbles_bytes(path: _Nibbles) -> bytes:
-    return bytes(path)
-
-
 def _common_prefix(a: _Nibbles, b: _Nibbles) -> int:
-    length = 0
-    for x, y in zip(a, b):
+    for length, (x, y) in enumerate(zip(a, b)):
         if x != y:
-            break
-        length += 1
-    return length
+            return length
+    return min(len(a), len(b))
 
 
-def _leaf_digest(path: _Nibbles, value: bytes) -> Digest:
-    return hash_concat(b"mpt-leaf", _nibbles_bytes(path), value)
-
-
-def _ext_digest(path: _Nibbles, child: Digest) -> Digest:
-    return hash_concat(b"mpt-ext", _nibbles_bytes(path), child)
-
-
-def _branch_digest(children: list[Digest], value: bytes | None) -> Digest:
-    return hash_concat(
-        b"mpt-branch", *children, value if value is not None else b""
-    )
+def _digest_of(child: "_Child") -> Digest:
+    if child is None:
+        return EMPTY_DIGEST
+    return child if type(child) is bytes else child.digest()
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,16 +67,16 @@ class _Leaf:
     value: bytes
 
     def digest(self) -> Digest:
-        return _leaf_digest(self.path, self.value)
+        return hash_concat(b"mpt-leaf", bytes(self.path), self.value)
 
 
 @dataclass(frozen=True, slots=True)
 class _Extension:
     path: _Nibbles
-    child: "_Branch"
+    child: "_Branch | Digest"  # a digest: the unopened child of a diverged step
 
     def digest(self) -> Digest:
-        return _ext_digest(self.path, self.child.digest())
+        return hash_concat(b"mpt-ext", bytes(self.path), _digest_of(self.child))
 
 
 class _Branch:
@@ -88,24 +84,95 @@ class _Branch:
 
     __slots__ = ("children", "value", "_digest")
 
-    def __init__(self, children: list["_Node | None"], value: bytes | None) -> None:
+    def __init__(self, children: list["_Child"], value: bytes | None) -> None:
         self.children = children
         self.value = value
         self._digest: Digest | None = None
 
     def child_digests(self) -> list[Digest]:
-        return [
-            child.digest() if child is not None else EMPTY_DIGEST
-            for child in self.children
-        ]
+        return [_digest_of(child) for child in self.children]
 
     def digest(self) -> Digest:
         if self._digest is None:
-            self._digest = _branch_digest(self.child_digests(), self.value)
+            self._digest = hash_concat(
+                b"mpt-branch", *self.child_digests(), self.value or b""
+            )
         return self._digest
 
 
 _Node = _Leaf | _Extension | _Branch
+#: What a branch slot (or the trie root) holds: a node, nothing, or — on
+#: a path rebuilt from a proof — the bare digest of a subtree not opened.
+_Child = _Node | Digest | None
+
+
+# -- the engine: one search, one insert ---------------------------------------
+
+
+def _search(node: _Child, path: _Nibbles) -> tuple[bytes | None, int]:
+    """``(value stored under path or None, slots looked into)``.
+
+    The count includes the root slot and an empty slot the search falls
+    off; :func:`_open` uses it to hold a proof to exactly the search
+    path.  Stepping into an unopened subtree raises :class:`ProofError`.
+    """
+    depth = 1
+    while node is not None:
+        kind = type(node)
+        if kind is _Leaf:
+            return (node.value if node.path == path else None), depth
+        if kind is _Extension:
+            if path[: len(node.path)] != node.path:
+                return None, depth
+            node, path = node.child, path[len(node.path) :]
+        elif kind is _Branch:
+            if not path:
+                return node.value, depth
+            node, path = node.children[path[0]], path[1:]
+        else:
+            raise ProofError("MPT proof does not open the searched path")
+        depth += 1
+    return None, depth
+
+
+def _insert(node: _Child, path: _Nibbles, value: bytes) -> _Node:
+    """The node replacing ``node`` once ``path`` maps to ``value``."""
+    if not value:
+        raise ValueError("an MPT value is non-empty (empty hashes as absent)")
+    if node is None:
+        return _Leaf(path, value)
+    kind = type(node)
+    if kind is _Branch:
+        children = list(node.children)
+        if not path:
+            return _Branch(children, value)
+        children[path[0]] = _insert(children[path[0]], path[1:], value)
+        return _Branch(children, node.value)
+    if kind is not _Leaf and kind is not _Extension:
+        raise ProofError("MPT proof does not open the insert path")
+    shared = _common_prefix(node.path, path)
+    rest = node.path[shared:]  # what the old node keeps below the fork
+    children = [None] * 16
+    branch_value: bytes | None = None
+    if kind is _Leaf:
+        if node.path == path:
+            return _Leaf(path, value)
+        if rest:
+            children[rest[0]] = _Leaf(rest[1:], node.value)
+        else:
+            branch_value = node.value
+    elif not rest:
+        return _Extension(node.path, _insert(node.child, path[shared:], value))
+    else:
+        children[rest[0]] = (
+            _Extension(rest[1:], node.child) if rest[1:] else node.child
+        )
+    if shared == len(path):
+        branch_value = value
+    else:
+        children[path[shared]] = _Leaf(path[shared + 1 :], value)
+    branch = _Branch(children, branch_value)
+    return _Extension(path[:shared], branch) if shared else branch
 
 
 # -- proof steps -----------------------------------------------------------
@@ -171,7 +238,7 @@ class MPTProof:
 
 
 class MerklePatriciaTrie:
-    """Mutable MPT mapping byte keys to byte values."""
+    """Mutable MPT mapping byte keys to non-empty byte values."""
 
     def __init__(self) -> None:
         self._root: _Node | None = None
@@ -182,30 +249,17 @@ class MerklePatriciaTrie:
 
     @property
     def root(self) -> Digest:
-        return self._root.digest() if self._root is not None else EMPTY_DIGEST
+        return _digest_of(self._root)
 
     def get(self, key: bytes) -> bytes | None:
-        node = self._root
-        path = _to_nibbles(key)
-        while node is not None:
-            if isinstance(node, _Leaf):
-                return node.value if node.path == path else None
-            if isinstance(node, _Extension):
-                if path[: len(node.path)] != node.path:
-                    return None
-                path = path[len(node.path) :]
-                node = node.child
-                continue
-            if not path:
-                return node.value
-            node, path = node.children[path[0]], path[1:]
-        return None
+        return _search(self._root, _to_nibbles(key))[0]
 
     def insert(self, key: bytes, value: bytes) -> None:
         """Insert or overwrite ``key``."""
+        root = _insert(self._root, _to_nibbles(key), value)
         if self.get(key) is None:
             self._size += 1
-        self._root = self._insert(self._root, _to_nibbles(key), value)
+        self._root = root
 
     def prove(self, key: bytes) -> MPTProof:
         """Build a (non-)membership proof for ``key``."""
@@ -232,278 +286,136 @@ class MerklePatriciaTrie:
                     TerminalBranchStep(tuple(node.child_digests()), node.value)
                 )
                 break
-            taken = path[0]
-            siblings = tuple(
-                digest
-                for index, digest in enumerate(node.child_digests())
-                if index != taken
-            )
+            taken, digests = path[0], node.child_digests()
+            siblings = tuple(digests[:taken] + digests[taken + 1 :])
             steps.append(BranchStep(taken, siblings, node.value))
             node, path = node.children[taken], path[1:]
         return MPTProof(key=key, steps=tuple(steps), terminal_leaf=terminal)
 
-    # -- internals ---------------------------------------------------------
 
-    def _insert(self, node: _Node | None, path: _Nibbles, value: bytes) -> _Node:
-        if node is None:
-            return _Leaf(path, value)
-        if isinstance(node, _Leaf):
-            return self._split_leaf(node, path, value)
-        if isinstance(node, _Extension):
-            return self._split_extension(node, path, value)
-        return self._insert_branch(node, path, value)
+# -- proofs: opened once, then searched and updated like the live trie --------
+#
+# The enclave recomputes the *new* upper-level root from a (non-)membership
+# proof alone: every case of an insert only touches nodes the proof opens.
 
-    def _split_leaf(self, node: _Leaf, path: _Nibbles, value: bytes) -> _Node:
-        if node.path == path:
-            return _Leaf(path, value)
-        shared = _common_prefix(node.path, path)
-        branch = self._new_branch(
-            [(node.path[shared:], node.value), (path[shared:], value)]
-        )
-        if shared:
-            return _Extension(path[:shared], branch)
-        return branch
+_MALFORMED = "malformed MPT proof"
 
-    def _split_extension(self, node: _Extension, path: _Nibbles, value: bytes) -> _Node:
-        shared = _common_prefix(node.path, path)
-        if shared == len(node.path):
-            child = self._insert_branch(node.child, path[shared:], value)
-            return _Extension(node.path, child)
-        children: list[_Node | None] = [None] * 16
-        remainder = node.path[shared + 1 :]
-        inner: _Node = (
-            node.child if not remainder else _Extension(remainder, node.child)
-        )
-        children[node.path[shared]] = inner
-        branch_value: bytes | None = None
-        if shared == len(path):
-            branch_value = value
+
+def _nibble_path(path: object, least: int) -> _Nibbles:
+    if type(path) is not tuple or len(path) < least:
+        raise ProofError(_MALFORMED)
+    for nibble in path:
+        check_int(nibble, 0, 16, "nibble")
+    return path
+
+
+def _digests(digests: object, count: int) -> list[Digest]:
+    if type(digests) is not tuple or len(digests) != count:
+        raise ProofError(_MALFORMED)
+    return [check_digest(digest) for digest in digests]
+
+
+def _value(value: object) -> bytes | None:
+    """``None`` or non-empty ``bytes``: ``b""`` would be a second spelling
+    of "absent" on a branch (it hashes as ``None`` does)."""
+    if value is not None and (type(value) is not bytes or not value):
+        raise ProofError(_MALFORMED)
+    return value
+
+
+def _open(key: bytes, proof: MPTProof) -> tuple[_Child, bytes | None]:
+    """``(the search path ``proof`` opens for ``key``, the value it claims)``.
+
+    The one place a proof is read: every prover-chosen field is checked
+    by exact type, the steps are rebuilt bottom-up as ordinary nodes
+    (siblings stay bare digests), and the rebuilt path must be exactly
+    what :func:`_search` walks for ``key`` — every step, then the leaf or
+    the empty slot — so each (trie, key) fact has one accepted proof, the
+    one :meth:`MerklePatriciaTrie.prove` emits.  Raises
+    :class:`ProofError` otherwise.  Nothing here knows a root: callers
+    compare ``_digest_of(node)`` with the one they trust.
+    """
+    if (
+        type(proof) is not MPTProof
+        or type(key) is not bytes
+        or type(proof.key) is not bytes
+        or proof.key != key
+        or type(proof.steps) is not tuple
+    ):
+        raise ProofError(_MALFORMED)
+    node: _Child = None
+    leaf = proof.terminal_leaf
+    if leaf is not None:
+        if type(leaf) is not tuple or len(leaf) != 2 or leaf[1] is None:
+            raise ProofError(_MALFORMED)
+        node = _Leaf(_nibble_path(leaf[0], 0), _value(leaf[1]))
+    # A terminal step ends the search; any other is followed by one more
+    # slot, holding the leaf or nothing.
+    slots = len(proof.steps) + 1
+    for step in reversed(proof.steps):
+        kind = type(step)
+        if kind is BranchStep:
+            children: list[_Child] = _digests(step.sibling_digests, 15)
+            children.insert(check_int(step.taken, 0, 16, "taken child"), node)
+            node = _Branch(children, _value(step.value))
+        elif kind is ExtensionStep and type(node) is _Branch:
+            node = _Extension(_nibble_path(step.path, 1), node)
+        elif kind is TerminalBranchStep and node is None:
+            # ``node is None`` only before the first step read, and only
+            # without a leaf: terminal kinds come last and alone.
+            node = _Branch(_digests(step.child_digests, 16), _value(step.value))
+            slots -= 1
+        elif kind is DivergedExtensionStep and node is None:
+            child = check_digest(step.child_digest)
+            node = _Extension(_nibble_path(step.path, 1), child)
+            slots -= 1
         else:
-            children[path[shared]] = _Leaf(path[shared + 1 :], value)
-        branch = _Branch(children, branch_value)
-        if shared:
-            return _Extension(path[:shared], branch)
-        return branch
-
-    def _insert_branch(self, node: _Branch, path: _Nibbles, value: bytes) -> _Branch:
-        children = list(node.children)
-        if not path:
-            return _Branch(children, value)
-        children[path[0]] = self._insert(children[path[0]], path[1:], value)
-        return _Branch(children, node.value)
-
-    def _new_branch(self, leaves: list[tuple[_Nibbles, bytes]]) -> _Branch:
-        children: list[_Node | None] = [None] * 16
-        value: bytes | None = None
-        for path, leaf_value in leaves:
-            if not path:
-                value = leaf_value
-            else:
-                children[path[0]] = self._insert(
-                    children[path[0]], path[1:], leaf_value
-                )
-        return _Branch(children, value)
+            raise ProofError(_MALFORMED)
+    claimed, visited = _search(node, _to_nibbles(key))
+    if visited != slots:
+        raise ProofError("MPT proof is not the search path of its key")
+    return node, claimed
 
 
 def verify_mpt(root: Digest, key: bytes, value: bytes | None, proof: MPTProof) -> bool:
     """Verify an :class:`MPTProof` for ``key -> value`` (``None`` = absent)."""
-    if proof.key != key:
+    try:
+        node, claimed = _open(key, proof)
+    except ProofError:
         return False
-    path = _to_nibbles(key)
-
-    # Top-down pass: replay the navigation, determine the claimed value,
-    # and enforce that terminal steps only appear last.
-    cursor = 0
-    claimed: bytes | None = None
-    ended = False
-    for step in proof.steps:
-        if ended:
-            return False
-        if isinstance(step, ExtensionStep):
-            if path[cursor : cursor + len(step.path)] != step.path:
-                return False
-            cursor += len(step.path)
-        elif isinstance(step, DivergedExtensionStep):
-            if path[cursor : cursor + len(step.path)] == step.path:
-                return False  # it does not actually diverge
-            ended = True
-        elif isinstance(step, BranchStep):
-            if len(step.sibling_digests) != 15:
-                return False
-            if cursor >= len(path) or path[cursor] != step.taken:
-                return False
-            cursor += 1
-        else:  # TerminalBranchStep
-            if len(step.child_digests) != 16 or cursor != len(path):
-                return False
-            claimed = step.value
-            ended = True
-
-    if proof.terminal_leaf is not None:
-        if ended:
-            return False
-        leaf_path, leaf_value = proof.terminal_leaf
-        if leaf_path == path[cursor:]:
-            claimed = leaf_value
-
-    if claimed != value:
-        return False
-
-    # Bottom-up pass: recompute the root digest.
-    if proof.terminal_leaf is not None:
-        digest = _leaf_digest(*proof.terminal_leaf)
-    else:
-        digest = EMPTY_DIGEST  # fell off an empty branch slot / empty trie
-    for step in reversed(proof.steps):
-        if isinstance(step, ExtensionStep):
-            digest = _ext_digest(step.path, digest)
-        elif isinstance(step, DivergedExtensionStep):
-            digest = _ext_digest(step.path, step.child_digest)
-        elif isinstance(step, BranchStep):
-            children = list(step.sibling_digests)
-            children.insert(step.taken, digest)
-            digest = _branch_digest(children, step.value)
-        else:
-            digest = _branch_digest(list(step.child_digests), step.value)
-    return digest == root
-
-
-# -- proof-based updates (used inside the enclave) ---------------------------
-#
-# The upper level of DCert's two-level index is an MPT; when a block
-# changes an account's lower-tree root, the enclave must recompute the
-# *new* MPT root from a (non-)membership proof alone.  Every structural
-# case of an MPT insert (value overwrite, leaf split, extension split,
-# empty branch slot, branch value, empty trie) only touches nodes the
-# proof already opens, so the update is a pure function.
-
-
-def apply_update(
-    root: Digest, key: bytes, value: bytes, proof: MPTProof
-) -> Digest:
-    """Pure function: the MPT root after ``insert(key, value)``.
-
-    ``proof`` must be a valid (non-)membership proof for ``key`` against
-    ``root`` (any claimed old value is accepted); raises
-    :class:`ProofError` otherwise.  Mirrors the exact restructuring of
-    :meth:`MerklePatriciaTrie.insert`.
-    """
-    from repro.errors import ProofError
-
-    # The proof must verify for *some* claimed value; recover it.
-    old_value = _claimed_value(key, proof)
-    if not verify_mpt(root, key, old_value, proof):
-        raise ProofError("MPT update proof does not verify")
-
-    path = _to_nibbles(key)
-    cursor = 0
-    for step in proof.steps:
-        if isinstance(step, ExtensionStep):
-            cursor += len(step.path)
-        elif isinstance(step, BranchStep):
-            cursor += 1
-    remaining = path[cursor:]
-
-    # Compute the digest of the rebuilt bottom structure.
-    last = proof.steps[-1] if proof.steps else None
-    if isinstance(last, TerminalBranchStep):
-        digest = _branch_digest(list(last.child_digests), value)
-        steps_above = proof.steps[:-1]
-    elif isinstance(last, DivergedExtensionStep):
-        digest = _split_extension_digest(last, remaining, value)
-        steps_above = proof.steps[:-1]
-    elif proof.terminal_leaf is not None:
-        leaf_path, leaf_value = proof.terminal_leaf
-        if leaf_path == remaining:
-            digest = _leaf_digest(remaining, value)
-        else:
-            digest = _split_leaf_digest(leaf_path, leaf_value, remaining, value)
-        steps_above = proof.steps
-    else:
-        # Fell off an empty branch slot, or the trie was empty.
-        digest = _leaf_digest(remaining, value)
-        steps_above = proof.steps
-
-    for step in reversed(steps_above):
-        if isinstance(step, ExtensionStep):
-            digest = _ext_digest(step.path, digest)
-        elif isinstance(step, BranchStep):
-            children = list(step.sibling_digests)
-            children.insert(step.taken, digest)
-            digest = _branch_digest(children, step.value)
-        else:
-            raise ProofError("terminal step not in terminal position")
-    return digest
-
-
-def _claimed_value(key: bytes, proof: MPTProof) -> bytes | None:
-    """The value the proof claims for ``key`` (None = absent)."""
-    path = _to_nibbles(key)
-    cursor = 0
-    for step in proof.steps:
-        if isinstance(step, ExtensionStep):
-            cursor += len(step.path)
-        elif isinstance(step, BranchStep):
-            cursor += 1
-        elif isinstance(step, TerminalBranchStep):
-            return step.value
-        else:
-            return None  # diverged extension: absent
-    if proof.terminal_leaf is not None:
-        leaf_path, leaf_value = proof.terminal_leaf
-        if leaf_path == path[cursor:]:
-            return leaf_value
-    return None
-
-
-def _split_leaf_digest(
-    leaf_path: _Nibbles, leaf_value: bytes, new_path: _Nibbles, new_value: bytes
-) -> Digest:
-    """Digest after splitting an existing leaf to admit a new key
-    (mirrors ``MerklePatriciaTrie._split_leaf``)."""
-    shared = _common_prefix(leaf_path, new_path)
-    children = [EMPTY_DIGEST] * 16
-    branch_value: bytes | None = None
-    for sub_path, sub_value in ((leaf_path[shared:], leaf_value), (new_path[shared:], new_value)):
-        if not sub_path:
-            branch_value = sub_value
-        else:
-            children[sub_path[0]] = _leaf_digest(sub_path[1:], sub_value)
-    digest = _branch_digest(children, branch_value)
-    if shared:
-        digest = _ext_digest(new_path[:shared], digest)
-    return digest
-
-
-def _split_extension_digest(
-    step: DivergedExtensionStep, new_path: _Nibbles, new_value: bytes
-) -> Digest:
-    """Digest after splitting a diverging extension
-    (mirrors ``MerklePatriciaTrie._split_extension``)."""
-    shared = _common_prefix(step.path, new_path)
-    children = [EMPTY_DIGEST] * 16
-    remainder = step.path[shared + 1 :]
-    inner = (
-        step.child_digest
-        if not remainder
-        else _ext_digest(remainder, step.child_digest)
-    )
-    children[step.path[shared]] = inner
-    branch_value: bytes | None = None
-    if shared == len(new_path):
-        branch_value = new_value
-    else:
-        children[new_path[shared]] = _leaf_digest(new_path[shared + 1 :], new_value)
-    digest = _branch_digest(children, branch_value)
-    if shared:
-        digest = _ext_digest(new_path[:shared], digest)
-    return digest
+    return claimed == value and _digest_of(node) == root
 
 
 def claimed_value(key: bytes, proof: MPTProof) -> bytes | None:
-    """Public alias: the value a (verified) proof claims for ``key``.
+    """The value a well-formed proof claims for ``key`` (None = absent);
+    :class:`ProofError` on a malformed one.  Only meaningful once the
+    proof is checked against a trusted root (:class:`ProvenPath`)."""
+    return _open(key, proof)[1]
 
-    Only meaningful after ``verify_mpt``/``apply_update`` has checked the
-    proof against a trusted root.
+
+class ProvenPath:
+    """The search path of one key, opened from a proof that verified
+    against ``root`` (:class:`ProofError` otherwise): ``value`` is what
+    the trie under ``root`` holds for ``key`` (``None`` = absent)."""
+
+    __slots__ = ("_node", "_path", "value")
+
+    def __init__(self, root: Digest, key: bytes, proof: MPTProof) -> None:
+        self._node, self.value = _open(key, proof)
+        if _digest_of(self._node) != root:
+            raise ProofError("MPT proof does not verify against the root")
+        self._path = _to_nibbles(key)
+
+    def updated(self, value: bytes) -> Digest:
+        """The trie's root after ``insert(key, value)``."""
+        return _insert(self._node, self._path, value).digest()
+
+
+def apply_update(root: Digest, key: bytes, value: bytes, proof: MPTProof) -> Digest:
+    """Pure function: the MPT root after ``insert(key, value)``.
+
+    ``proof`` must be the (non-)membership proof for ``key`` against
+    ``root`` (whatever old value it proves); raises :class:`ProofError`
+    otherwise.  Open, check the digest, then the live trie's insert.
     """
-    return _claimed_value(key, proof)
+    return ProvenPath(root, key, proof).updated(value)

@@ -42,6 +42,47 @@ def _account_trie_key(account: str) -> bytes:
     return tagged_hash("idx-account", account.encode("utf-8"))[:8]
 
 
+def _numeric_field_writes(
+    spec, block: Block, write_set: dict[bytes, bytes | None]
+) -> list[tuple[str, int]]:
+    """``(account, value)`` for each account a ``spec.contract``
+    transaction names, first mention first, whose ``spec.field_prefix``
+    cell (a signed big-endian integer) this block wrote."""
+    found: list[tuple[str, int]] = []
+    seen = set()
+    for tx in block.transactions:
+        if tx.contract != spec.contract:
+            continue
+        for account in tx.args:
+            if account in seen:
+                continue
+            seen.add(account)
+            cell = state_key(spec.contract, f"{spec.field_prefix}{account}")
+            raw = write_set.get(cell)
+            if raw is not None:
+                found.append((account, int.from_bytes(raw, "big", signed=True)))
+    return found
+
+
+def _replay_two_level(
+    tree, fanout: int, root: Digest, trie_key: bytes,
+    lower_key: int, lower_value, lower_proof, upper_proof: MPTProof,
+) -> Digest:
+    """One write of an "MPT over per-key B+-trees" index, replayed from
+    its two proofs; ``tree`` is the lower level's module (``mbtree`` or
+    ``aggtree``).  Verify, then read: the upper proof is opened against
+    the running ``root`` — bound to ``trie_key`` and well-formed, or
+    :class:`ProofError` — and the lower root is taken from that opening,
+    never from an unverified proof.  Returns the new upper root."""
+    opened = mpt.ProvenPath(root, trie_key, upper_proof)
+    lower_root = opened.value if opened.value is not None else tree.EMPTY_ROOT
+    if lower_proof.fanout != fanout:
+        raise ProofError("lower-tree proof uses the wrong fanout")
+    return opened.updated(
+        tree.apply_insert(lower_root, lower_key, lower_value, lower_proof)
+    )
+
+
 @dataclass(frozen=True, slots=True)
 class HistoryWrite:
     """One versioned value: ``account`` had ``value`` as of ``timestamp``."""
@@ -87,7 +128,9 @@ class AuthenticatedIndexSpec(ABC):
     def apply_writes(self, old_root: Digest, writes: tuple, proof) -> Digest:
         """Pure function: the index root after applying ``writes``.
 
-        Verifies ``proof`` against ``old_root`` along the way; raises
+        Verify, then read: each opening in ``proof`` is checked against
+        the running root (``old_root`` first) *before* anything it claims
+        — an old value, a lower-tree root — is used.  Raises
         :class:`ProofError` on any inconsistency.
         """
 
@@ -101,7 +144,7 @@ class AccountHistoryIndexSpec(AuthenticatedIndexSpec):
     version timestamp.
     """
 
-    CODE_ID = "dcert.index.account-history/1"
+    CODE_ID = "dcert.index.account-history/2"
 
     def __init__(
         self,
@@ -155,19 +198,10 @@ class AccountHistoryIndexSpec(AuthenticatedIndexSpec):
             raise ProofError("index update proof does not cover every write")
         root = old_root
         for write, (mb_proof, mpt_proof) in zip(writes, proof.steps):
-            trie_key = _account_trie_key(write.account)
-            if mpt_proof.key != trie_key:
-                raise ProofError("index proof bound to the wrong account")
-            claimed = mpt.claimed_value(trie_key, mpt_proof)
-            lower_root = claimed if claimed is not None else mbtree.EMPTY_ROOT
-            if mb_proof.fanout != self.fanout:
-                raise ProofError("lower-tree proof uses the wrong fanout")
-            new_lower = mbtree.apply_insert(
-                lower_root, write.timestamp, write.value, mb_proof
+            root = _replay_two_level(
+                mbtree, self.fanout, root, _account_trie_key(write.account),
+                write.timestamp, write.value, mb_proof, mpt_proof,
             )
-            # apply_update re-verifies mpt_proof (and thus ``claimed``)
-            # against the current root before producing the new one.
-            root = mpt.apply_update(root, trie_key, new_lower, mpt_proof)
         return root
 
 
@@ -284,7 +318,7 @@ class KeywordUpdateProof:
 class KeywordIndexSpec(AuthenticatedIndexSpec):
     """Inverted keyword index over transactions (Fig. 5, right)."""
 
-    CODE_ID = "dcert.index.keyword/1"
+    CODE_ID = "dcert.index.keyword/2"
 
     def __init__(self, name: str = "keyword", fanout: int = 16) -> None:
         self.name = name
@@ -339,17 +373,10 @@ class KeywordIndexSpec(AuthenticatedIndexSpec):
         ):
             if proof_keyword != keyword:
                 raise ProofError("keyword proof out of order")
-            dict_key = keyword.encode("utf-8")
-            if mpt_proof.key != dict_key:
-                raise ProofError("dictionary proof bound to the wrong keyword")
-            claimed = mpt.claimed_value(dict_key, mpt_proof)
-            posting_root = claimed if claimed is not None else mbtree.EMPTY_ROOT
-            if mb_proof.fanout != self.fanout:
-                raise ProofError("posting-tree proof uses the wrong fanout")
-            new_posting = mbtree.apply_insert(
-                posting_root, seq, seq.to_bytes(8, "big"), mb_proof
+            root = _replay_two_level(
+                mbtree, self.fanout, root, keyword.encode("utf-8"),
+                seq, seq.to_bytes(8, "big"), mb_proof, mpt_proof,
             )
-            root = mpt.apply_update(root, dict_key, new_posting, mpt_proof)
         return root
 
 
@@ -461,19 +488,30 @@ class KeywordAnswer:
         return total
 
 
-def verify_history_versions(index_root: Digest, answer: HistoryAnswer) -> bool:
-    """Client check of a :class:`HistoryAnswer` against a certified root."""
+def _verify_per_account(
+    index_root: Digest, answer, window_proof, claims_nothing: bool, verify_lower, claimed
+) -> bool:
+    """The upper-level check every per-account answer shares: the MPT
+    proof binds ``lower_root`` (``None``: no such account, which must
+    then claim nothing) to the account under ``index_root``, and the
+    lower proof speaks for exactly the requested window."""
     trie_key = _account_trie_key(answer.account)
     if not mpt.verify_mpt(index_root, trie_key, answer.lower_root, answer.upper_proof):
         return False
     if answer.lower_root is None:
-        return not answer.versions and answer.range_proof is None
-    if answer.range_proof is None:
+        return claims_nothing and window_proof is None
+    if window_proof is None:
         return False
-    if (answer.range_proof.lo, answer.range_proof.hi) != (answer.t_from, answer.t_to):
+    if (window_proof.lo, window_proof.hi) != (answer.t_from, answer.t_to):
         return False
-    return mbtree.verify_range(
-        answer.lower_root, list(answer.versions), answer.range_proof
+    return verify_lower(answer.lower_root, claimed, window_proof)
+
+
+def verify_history_versions(index_root: Digest, answer: HistoryAnswer) -> bool:
+    """Client check of a :class:`HistoryAnswer` against a certified root."""
+    return _verify_per_account(
+        index_root, answer, answer.range_proof, not answer.versions,
+        mbtree.verify_range, list(answer.versions),
     )
 
 
@@ -563,7 +601,7 @@ class BalanceAggregateIndexSpec(AuthenticatedIndexSpec):
     window of any account (e.g. SmallBank checking balances).
     """
 
-    CODE_ID = "dcert.index.balance-aggregate/1"
+    CODE_ID = "dcert.index.balance-aggregate/2"
 
     def __init__(
         self,
@@ -580,37 +618,13 @@ class BalanceAggregateIndexSpec(AuthenticatedIndexSpec):
     def genesis_root(self) -> Digest:
         return mpt.EMPTY_DIGEST
 
-    def _decode_value(self, raw: bytes) -> int:
-        return int.from_bytes(raw, "big", signed=True)
-
-    def accounts_touched(self, block: Block) -> list[str]:
-        accounts: list[str] = []
-        seen = set()
-        for tx in block.transactions:
-            if tx.contract != self.contract:
-                continue
-            for arg in tx.args:
-                if arg not in seen:
-                    seen.add(arg)
-                    accounts.append(arg)
-        return accounts
-
     def write_data(
         self, block: Block, write_set: dict[bytes, bytes | None]
     ) -> tuple[AggregateWrite, ...]:
-        writes: list[AggregateWrite] = []
-        for account in self.accounts_touched(block):
-            cell = state_key(self.contract, f"{self.field_prefix}{account}")
-            raw = write_set.get(cell)
-            if raw is not None:
-                writes.append(
-                    AggregateWrite(
-                        account=account,
-                        timestamp=block.header.height,
-                        value=self._decode_value(raw),
-                    )
-                )
-        return tuple(writes)
+        return tuple(
+            AggregateWrite(account=account, timestamp=block.header.height, value=value)
+            for account, value in _numeric_field_writes(self, block, write_set)
+        )
 
     def apply_writes(
         self,
@@ -622,17 +636,10 @@ class BalanceAggregateIndexSpec(AuthenticatedIndexSpec):
             raise ProofError("aggregate update proof does not cover every write")
         root = old_root
         for write, (agg_proof, mpt_proof) in zip(writes, proof.steps):
-            trie_key = _account_trie_key(write.account)
-            if mpt_proof.key != trie_key:
-                raise ProofError("aggregate proof bound to the wrong account")
-            claimed = mpt.claimed_value(trie_key, mpt_proof)
-            lower_root = claimed if claimed is not None else aggtree.EMPTY_ROOT
-            if agg_proof.fanout != self.fanout:
-                raise ProofError("aggregate-tree proof uses the wrong fanout")
-            new_lower = aggtree.apply_insert(
-                lower_root, write.timestamp, write.value, agg_proof
+            root = _replay_two_level(
+                aggtree, self.fanout, root, _account_trie_key(write.account),
+                write.timestamp, write.value, agg_proof, mpt_proof,
             )
-            root = mpt.apply_update(root, trie_key, new_lower, mpt_proof)
         return root
 
 
@@ -685,17 +692,9 @@ class AggregateAnswer:
 
 def verify_aggregate_answer(index_root: Digest, answer: AggregateAnswer) -> bool:
     """Client check of an :class:`AggregateAnswer` against a certified root."""
-    trie_key = _account_trie_key(answer.account)
-    if not mpt.verify_mpt(index_root, trie_key, answer.lower_root, answer.upper_proof):
-        return False
-    if answer.lower_root is None:
-        return answer.aggregate is None and answer.range_proof is None
-    if answer.range_proof is None:
-        return False
-    if (answer.range_proof.lo, answer.range_proof.hi) != (answer.t_from, answer.t_to):
-        return False
-    return aggtree.verify_aggregate(
-        answer.lower_root, answer.aggregate, answer.range_proof
+    return _verify_per_account(
+        index_root, answer, answer.range_proof, answer.aggregate is None,
+        aggtree.verify_aggregate, answer.aggregate,
     )
 
 
@@ -782,7 +781,7 @@ class ValueRangeUpdateProof:
 class ValueRangeIndexSpec(AuthenticatedIndexSpec):
     """Certified current-value range index over a numeric state field."""
 
-    CODE_ID = "dcert.index.value-range/1"
+    CODE_ID = "dcert.index.value-range/2"
 
     def __init__(
         self,
@@ -799,30 +798,13 @@ class ValueRangeIndexSpec(AuthenticatedIndexSpec):
     def genesis_root(self) -> Digest:
         return combined_range_root(mpt.EMPTY_DIGEST, mbtree.EMPTY_ROOT)
 
-    def _decode_value(self, raw: bytes) -> int:
-        return int.from_bytes(raw, "big", signed=True)
-
     def write_data(
         self, block: Block, write_set: dict[bytes, bytes | None]
     ) -> tuple[ValueRangeWrite, ...]:
-        accounts: list[str] = []
-        seen = set()
-        for tx in block.transactions:
-            if tx.contract != self.contract:
-                continue
-            for arg in tx.args:
-                if arg not in seen:
-                    seen.add(arg)
-                    accounts.append(arg)
-        writes = []
-        for account in accounts:
-            cell = state_key(self.contract, f"{self.field_prefix}{account}")
-            raw = write_set.get(cell)
-            if raw is not None:
-                writes.append(
-                    ValueRangeWrite(account=account, value=self._decode_value(raw))
-                )
-        return tuple(writes)
+        return tuple(
+            ValueRangeWrite(account=account, value=value)
+            for account, value in _numeric_field_writes(self, block, write_set)
+        )
 
     def apply_writes(
         self,
@@ -840,38 +822,28 @@ class ValueRangeIndexSpec(AuthenticatedIndexSpec):
             writes, proof.steps
         ):
             account_key = write.account.encode("utf-8")
-            if dir_proof.key != account_key:
-                raise ProofError("directory proof bound to the wrong account")
-            if counter_proof.key != _SLOT_COUNTER_KEY:
-                raise ProofError("slot counter proof bound to the wrong key")
             if live_proof.fanout != self.fanout or (
                 tomb_proof is not None and tomb_proof.fanout != self.fanout
             ):
                 raise ProofError("range-tree proof uses the wrong fanout")
-            counter_raw = mpt.claimed_value(_SLOT_COUNTER_KEY, counter_proof)
+            # The counter is verified against the running directory root
+            # before it is read.
+            counter = mpt.ProvenPath(directory_root, _SLOT_COUNTER_KEY, counter_proof)
             slot_count = (
-                int.from_bytes(counter_raw, "big") if counter_raw is not None else 0
+                int.from_bytes(counter.value, "big") if counter.value is not None else 0
             )
-            # Unverified peek to pick the branch; each branch's proof
-            # verification then holds the SP to that claim.
+            # The directory proof is made *after* any counter update, so
+            # it cannot be verified yet: a peek at what it claims (well-
+            # formed and bound to the account, or ProofError) picks the
+            # branch, and apply_update below holds the SP to that claim.
             existing = mpt.claimed_value(account_key, dir_proof)
             if existing is None:
-                # New account: mint the next slot (counter proof is
-                # verified by apply_update against the current root).
+                # New account: mint the next slot.
                 slot = slot_count
-                directory_root = mpt.apply_update(
-                    directory_root,
-                    _SLOT_COUNTER_KEY,
-                    (slot_count + 1).to_bytes(8, "big"),
-                    counter_proof,
-                )
+                directory_root = counter.updated((slot_count + 1).to_bytes(8, "big"))
                 if tomb_proof is not None:
                     raise ProofError("new account cannot have a tombstone step")
             else:
-                if not mpt.verify_mpt(
-                    directory_root, _SLOT_COUNTER_KEY, counter_raw, counter_proof
-                ):
-                    raise ProofError("slot counter proof invalid")
                 slot, old_live_key = _parse_directory_entry(existing)
                 if slot >= slot_count:
                     raise ProofError("directory slot exceeds the minted range")

@@ -15,15 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.chain.block import Block
-from repro.crypto.hashing import Digest, tagged_hash
-from repro.merkle import mpt, skiplist
+from repro.crypto.hashing import Digest
+from repro.merkle import skiplist
 from repro.merkle.mpt import MerklePatriciaTrie, MPTProof
 from repro.merkle.skiplist import AuthenticatedSkipList, SkipRangeProof
-from repro.query.indexes import AccountHistoryIndexSpec
-
-
-def _account_trie_key(account: str) -> bytes:
-    return tagged_hash("idx-account", account.encode("utf-8"))[:8]
+from repro.query.indexes import (
+    AccountHistoryIndexSpec,
+    _account_trie_key,
+    _verify_per_account,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,15 +94,7 @@ class LineageChainIndex:
 
 def verify_lineage_answer(index_root: Digest, answer: LineageAnswer) -> bool:
     """Client check of a baseline answer against the index root."""
-    trie_key = _account_trie_key(answer.account)
-    if not mpt.verify_mpt(index_root, trie_key, answer.lower_root, answer.upper_proof):
-        return False
-    if answer.lower_root is None:
-        return not answer.versions and answer.window_proof is None
-    if answer.window_proof is None:
-        return False
-    if (answer.window_proof.lo, answer.window_proof.hi) != (answer.t_from, answer.t_to):
-        return False
-    return skiplist.verify_window(
-        answer.lower_root, list(answer.versions), answer.window_proof
+    return _verify_per_account(
+        index_root, answer, answer.window_proof, not answer.versions,
+        skiplist.verify_window, list(answer.versions),
     )

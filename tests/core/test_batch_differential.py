@@ -236,7 +236,11 @@ PR15_MEASUREMENT = "f263ae27a01f7ec2af7f24e06f6563f9de191ada1f7305ab01dc962c3e7e
 #: The certificate golden at ``dcert.enclave/2``: sha256 over every
 #: ``Certificate.encode()``.  Moves only with a declared identity (see
 #: tests/core/test_program_identity.py), never with a refactor.
-ENCODED_SHA256 = "27c563f82cd00e2af10b5a5f3d0538074da88332a68bcba3e9496fe8dbeff0ac"
+#: Re-pinned once at PR 20 (was 27c563f8…eff0ac): the history and keyword
+#: specs went ``/1`` -> ``/2`` because ``/1`` signs a false index root for
+#: a list-typed MPT proof; only the report's measurement bytes differ
+#: (``PR15_PK_DIG_SIG_SHA256`` above is unmoved).
+ENCODED_SHA256 = "39b8fe2854e190cbacfd0b9b58d21faca074ddbdc4b32300ee59be6b840124ee"
 
 
 def _all_certificates(issuer):

@@ -246,3 +246,215 @@ def test_unknown_index_spec_rejected(program, last_two):
             tip_certified.block.header, tip_certified.certificate,
             b"", None, "no-such-index",
         )
+
+
+# -- malformed upper-level (MPT) proofs at the three index-certifying ecalls ----
+#
+# An index update proof is host-supplied.  Its upper-level openings are
+# read by one validated open (merkle/mpt.py); before PR 20 four separate
+# walks read them and disagreed on a list-typed nibble path.
+
+
+@pytest.fixture(scope="module")
+def pending(kv_chain):
+    """An issuer with both index kinds, one block behind ``kv_chain``,
+    and everything the index-certifying ecalls take for that block — the
+    honest update proofs come from copies of the maintained indexes, so
+    nothing here commits the block."""
+    import copy
+    from types import SimpleNamespace
+
+    from repro.chain.genesis import make_genesis
+    from repro.core.batch import IndexUpdate
+    from repro.core.issuer import CertificateIssuer
+    from repro.query.indexes import AccountHistoryIndexSpec, KeywordIndexSpec
+    from repro.sgx.attestation import AttestationService
+    from repro.sgx.costs import cost_model_disabled
+    from tests.conftest import fresh_vm
+
+    with cost_model_disabled():
+        genesis, state = make_genesis()
+        issuer = CertificateIssuer(
+            genesis, state, fresh_vm(), kv_chain.pow,
+            index_specs=[AccountHistoryIndexSpec(name="history"),
+                         KeywordIndexSpec(name="keyword")],
+            ias=AttestationService(seed=b"pending-ias"), key_seed=b"pending-enclave",
+        )
+        *earlier, block = kv_chain.blocks[1:]
+        for earlier_block in earlier:
+            issuer.process_block(earlier_block, schemes=("hierarchical", "augmented"))
+        result, update_proof = issuer.preprocess(block)
+        # sig_gen: the enclave now holds this block's write set.
+        certificate, _, write_set = issuer.gen_cert(
+            block, precomputed=(result, update_proof)
+        )
+    indexes = {name: copy.deepcopy(index) for name, index in issuer.indexes.items()}
+    updates = {}
+    for name, index in indexes.items():
+        prev_root = index.root
+        _writes, proof = index.ingest_block(block, write_set)
+        updates[name] = IndexUpdate(prev_root, index.root, proof)
+    return SimpleNamespace(
+        issuer=issuer, program=issuer.enclave.program, prev=issuer.node.tip,
+        block=block, update_proof=update_proof, certificate=certificate,
+        write_set=write_set, updates=updates,
+    )
+
+
+ECALLS = ("index_sig_gen", "augmented_sig_gen", "sig_gen_batch")
+
+
+def certify_index(pending, ecall, name, proof, new_root):
+    """Ask the enclave to certify ``name``'s update of the pending block
+    with ``proof`` and the claimed ``new_root``."""
+    from repro.core.batch import BatchItem, IndexUpdate
+
+    p, prev_root = pending, pending.updates[name].prev_root
+    if ecall == "index_sig_gen":
+        return p.program.index_sig_gen(
+            p.prev.header, prev_root, p.issuer._index_certs[name],
+            p.block.header, p.certificate, new_root, proof, name,
+        )
+    if ecall == "augmented_sig_gen":
+        return p.program.augmented_sig_gen(
+            p.prev, p.issuer._aug_certs[name], prev_root, p.block, new_root,
+            p.update_proof, proof, name,
+        )
+    updates = {**p.updates, name: IndexUpdate(prev_root, new_root, proof)}
+    item = BatchItem(p.block, p.update_proof, updates)
+    return p.program.sig_gen_batch(
+        p.prev, p.issuer.latest_certificate, dict(p.issuer._index_certs), (item,)
+    )
+
+
+def enclave_memory(program):
+    return list(program._recent), program._carried_slice, program._carried_root
+
+
+def _malformed_upper_proofs(honest):
+    """``label -> proof`` for one honest upper proof that runs branch,
+    extension, branch, leaf; what the parent commit did with each (in
+    ``mpt.apply_update`` / ``verify_mpt``) is the comment."""
+    from dataclasses import replace
+
+    from repro.merkle.mpt import DivergedExtensionStep, ExtensionStep, MPTProof
+    from tests.merkle.test_mpt_engine import _below, says_absent
+
+    through = next(
+        i for i, step in enumerate(honest.steps) if isinstance(step, ExtensionStep)
+    )
+    top = honest.steps[0]
+
+    def with_top(**edit):
+        return replace(honest, steps=(replace(top, **edit),) + honest.steps[1:])
+
+    return {
+        # verified for "absent": a list equals no tuple, hashes the same
+        "list-path-leaf": says_absent(honest),
+        # verified for "absent", then IndexError splitting the extension
+        "list-path-diverged-extension": MPTProof(
+            honest.key,
+            honest.steps[:through] + (DivergedExtensionStep(
+                list(honest.steps[through].path), _below(honest, through)),),
+            None,
+        ),
+        # ProofError already (the digest moves); still typed
+        "31-byte-sibling": with_top(
+            sibling_digests=(top.sibling_digests[0][:31],) + top.sibling_digests[1:]
+        ),
+        "float-taken": with_top(taken=float(top.taken)),  # TypeError
+        "step-is-none": replace(honest, steps=(None,) + honest.steps[1:]),  # AttributeError
+    }
+
+
+MALFORMED = (
+    "list-path-leaf", "list-path-diverged-extension", "31-byte-sibling",
+    "float-taken", "step-is-none",
+)
+
+
+def test_index_ecalls_accept_the_honest_update(pending):
+    from repro.crypto import Signature
+
+    for name, update in pending.updates.items():
+        honest = (name, update.proof, update.new_root)
+        assert isinstance(certify_index(pending, "index_sig_gen", *honest), Signature)
+        assert isinstance(certify_index(pending, "augmented_sig_gen", *honest), Signature)
+        ((block_sig, index_sigs),) = certify_index(pending, "sig_gen_batch", *honest)
+        assert block_sig == pending.certificate.sig and set(index_sigs) == set(pending.updates)
+
+
+@pytest.mark.parametrize("label", MALFORMED)
+@pytest.mark.parametrize("ecall", ECALLS)
+def test_index_ecalls_fail_typed_on_a_malformed_upper_proof(pending, ecall, label):
+    """ProofError, no signature, and the enclave's memory is what any
+    failed call leaves (here: the same call with a wrong claimed root)."""
+    from dataclasses import replace
+
+    from repro.merkle.mbtree import MerkleBTree
+
+    honest, new_root = pending.updates["keyword"].proof, pending.updates["keyword"].new_root
+    keyword, lower, upper = honest.steps[0]
+    assert len(pending.issuer.indexes["keyword"]._postings[keyword]) >= 3
+    table = _malformed_upper_proofs(upper)
+    assert set(table) == set(MALFORMED)
+    bad = table[label]
+    if label.startswith("list-path"):  # "no such keyword": pair it with an empty tree
+        lower = MerkleBTree(fanout=lower.fanout).prove_insert(lower.key)
+    malformed = replace(honest, steps=((keyword, lower, bad),) + honest.steps[1:])
+
+    with pytest.raises(CertificateError):
+        certify_index(pending, ecall, "keyword", honest, bytes(32))
+    after_a_failed_call = enclave_memory(pending.program)
+    with pytest.raises(ProofError):
+        certify_index(pending, ecall, "keyword", malformed, new_root)
+    assert enclave_memory(pending.program) == after_a_failed_call
+    if ecall == "sig_gen_batch":
+        assert pending.program._carried_slice is None
+
+
+#: What the *parent's* ``apply_writes`` returned for the forged history
+#: update below — and so what its enclave signed.  Recorded at a5519c6 by
+#: copying this file, tests/merkle/test_mpt_engine.py and
+#: test_mpt_golden.py into a clone of it and running
+#:     PYTHONPATH=src python -m pytest tests/core/test_enclave_program.py -k erase
+#: which fails there with "apply_writes returned <this value>" (and, with
+#: the value filled in, with "DID NOT RAISE" at each of the three ecalls).
+PARENT_RETURNED_FOR_ERASED_HISTORY = (
+    "3fc2d51319e739e2240f0f7579c76ea826ff19de327bb3c13bddf6a17af7c5c5"
+)
+
+
+@pytest.mark.parametrize("ecall", ECALLS)
+def test_a_forged_absence_cannot_erase_an_accounts_history(pending, ecall):
+    """The Motivation's forgery, end to end.  For the block's last
+    history write the host retells the upper proof of an account *with*
+    versions as "absent" (its leaf path as a list) and pairs it with an
+    insert proof against an empty lower tree.  The parent's
+    ``apply_writes`` read the claim before verifying it and returned a
+    root in which the account's earlier versions are gone; given that
+    root as the claimed new one, each ecall signed it."""
+    from dataclasses import replace
+
+    from repro.merkle.mbtree import MerkleBTree
+    from tests.merkle.test_mpt_engine import says_absent
+
+    update = pending.updates["history"]
+    index = pending.issuer.indexes["history"]
+    writes = index.spec.write_data(pending.block, pending.write_set)
+    assert len(index._lower[writes[-1].account]) >= 3
+    _lower, upper = update.proof.steps[-1]
+    forged = replace(update.proof, steps=update.proof.steps[:-1] + ((
+        MerkleBTree(fanout=index.spec.fanout).prove_insert(writes[-1].timestamp),
+        says_absent(upper),
+    ),))
+
+    with pytest.raises(ProofError):
+        returned = index.spec.apply_writes(update.prev_root, writes, forged)
+        pytest.fail(f"apply_writes returned {returned.hex()}")
+    assert update.new_root.hex() != PARENT_RETURNED_FOR_ERASED_HISTORY
+    with pytest.raises(ProofError):
+        certify_index(
+            pending, ecall, "history", forged,
+            bytes.fromhex(PARENT_RETURNED_FOR_ERASED_HISTORY),
+        )

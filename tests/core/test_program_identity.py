@@ -23,9 +23,12 @@ from repro.chain.consensus import ProofOfWork
 from repro.chain.genesis import make_genesis
 from repro.chain.vm import VM, Contract
 from repro.contracts import BLOCKBENCH, KVStore, SmallBank, fresh_vm
-from repro.core import CertificateIssuer, compute_expected_measurement
+from repro.core import CertificateIssuer, SuperlightClient, compute_expected_measurement
 from repro.core.certificate import verify_certificate
 from repro.core.enclave_program import DCertEnclaveProgram
+from repro.errors import CertificateError
+from repro.merkle import mpt
+from repro.query import indexes
 from repro.query.indexes import (
     AccountHistoryIndexSpec,
     AuthenticatedIndexSpec,
@@ -48,6 +51,27 @@ PINS = {
             "dcert.enclave/2",
             "9a7c87b0bfefd8485e5b86e679707268c5788a46925bac072d751ad1d7fcc6bd",
         ),
+        "repro.query.indexes._replay_two_level": (
+            (
+                "dcert.index.account-history/2 + "
+                "dcert.index.keyword/2 + "
+                "dcert.index.balance-aggregate/2"
+            ),
+            "05d66aa7c7659765207bfc2d58cf06e29ec76589f9c7c42f71ef1171220ac4db",
+        ),
+        "repro.query.indexes._numeric_field_writes": (
+            "dcert.index.balance-aggregate/2 + dcert.index.value-range/2",
+            "802b497d35207e16f0e4fa4b56961b08930fc2c2a01fc843d0c9bb9d3616e836",
+        ),
+        "repro.merkle.mpt": (
+            (
+                "dcert.index.account-history/2 + "
+                "dcert.index.keyword/2 + "
+                "dcert.index.balance-aggregate/2 + "
+                "dcert.index.value-range/2"
+            ),
+            "d71ca840627e4eb1fb3588c21c8bb74b6fafcf4189d07a7c6415c75435fb0ae4",
+        ),
         "repro.contracts.cpuheavy.CPUHeavy": (
             "blockbench.cpuheavy/1",
             "0b40c2ab2cb0661fd75720135a375ff4f493d1bc2e79c8056ffbe3892dd2ecbd",
@@ -69,20 +93,20 @@ PINS = {
             "45b3aff9cafbe0e39d2b2bab42660dce04cfbfe07697e64a9b40bc6e56a488df",
         ),
         "repro.query.indexes.AccountHistoryIndexSpec": (
-            "dcert.index.account-history/1",
-            "ef32395c5f8bd185b5b6f59eb1c241dd41885d35838840c35d4cef20297c441f",
+            "dcert.index.account-history/2",
+            "c7b12b1cb7a3aa90bf561f7d61bc82341f1d7d84750211328b04fdd108a8e246",
         ),
         "repro.query.indexes.KeywordIndexSpec": (
-            "dcert.index.keyword/1",
-            "535f2fc6aa86410ff9de2a398bbbc6f7ce7092c93223aaa0c104f132dffd3b0d",
+            "dcert.index.keyword/2",
+            "c3aae3028210d1aa3ade28b5dee688bf00dc6913356167f962b6000410053821",
         ),
         "repro.query.indexes.BalanceAggregateIndexSpec": (
-            "dcert.index.balance-aggregate/1",
-            "62e4537b2b853aaa5b8cdf3b3c929b3aa517cb7a4fcfd63931bf4385f0f7836a",
+            "dcert.index.balance-aggregate/2",
+            "4490cc694e761a3156ca021644c15e9e5fcb2c1cc9deca44e6011eb43f8ff296",
         ),
         "repro.query.indexes.ValueRangeIndexSpec": (
-            "dcert.index.value-range/1",
-            "cab4f4e985528236ecfbb5047ffb4dafe30832e603607fbe31dc1b252097b557",
+            "dcert.index.value-range/2",
+            "b4db4c6000350b801b9e57d341b0567e2eda517109c4b2ba42ea54615fe0d1fe",
         ),
     },
 }
@@ -98,6 +122,12 @@ def _subclasses(base):
         yield from _subclasses(klass)
 
 
+def _shared_by(*spec_classes):
+    """The identity of code several specs run: all of theirs, so a bump
+    of any one asks for this pin to be looked at again."""
+    return " + ".join(vars(klass)["CODE_ID"] for klass in spec_classes)
+
+
 def trusted_code():
     """Every piece of source a measurement vouches for, with the
     identity it currently declares."""
@@ -105,13 +135,31 @@ def trusted_code():
         DCertEnclaveProgram: PROGRAM_IDENTITY,
         # cert_verify_t's body: trusted, though it lives beside Certificate.
         verify_certificate: PROGRAM_IDENTITY,
+        # What the spec classes' apply_writes / write_data run outside
+        # their own source: the one two-level replay step, the numeric
+        # field scan, and the whole MPT module (the open-once engine
+        # decides which upper-level proofs the enclave accepts).
+        indexes._replay_two_level: _shared_by(
+            AccountHistoryIndexSpec, KeywordIndexSpec, BalanceAggregateIndexSpec
+        ),
+        indexes._numeric_field_writes: _shared_by(
+            BalanceAggregateIndexSpec, ValueRangeIndexSpec
+        ),
+        mpt: _shared_by(
+            AccountHistoryIndexSpec, KeywordIndexSpec,
+            BalanceAggregateIndexSpec, ValueRangeIndexSpec,
+        ),
     }
     for base in (Contract, AuthenticatedIndexSpec):
         for klass in _subclasses(base):
             if klass.__module__.startswith("repro."):
                 found[klass] = vars(klass).get("CODE_ID")
-    return {f"{obj.__module__}.{obj.__qualname__}": (obj, identity)
-            for obj, identity in found.items()}
+    def name(obj):
+        if inspect.ismodule(obj):
+            return obj.__name__
+        return f"{obj.__module__}.{obj.__qualname__}"
+
+    return {name(obj): (obj, identity) for obj, identity in found.items()}
 
 
 def test_every_trusted_class_is_pinned_and_nothing_else():
@@ -121,7 +169,9 @@ def test_every_trusted_class_is_pinned_and_nothing_else():
         "(and re-pin the certificate goldens listed in DESIGN.md)"
     )
     assert set(trusted_code()) == set(PINS[version])
-    assert set(BLOCKBENCH.values()) <= {obj for obj, _ in trusted_code().values()}
+    assert set(BLOCKBENCH.values()) <= {
+        obj for obj, _ in trusted_code().values() if inspect.isclass(obj)
+    }
 
 
 @pytest.mark.parametrize("name", sorted(PINS[max(PINS)]))
@@ -191,7 +241,7 @@ def test_measurement_commits_to_every_public_input():
 
 def test_a_code_id_or_version_bump_moves_the_measurement(monkeypatch):
     before = measurement(specs=[KeywordIndexSpec()])
-    monkeypatch.setattr(KeywordIndexSpec, "CODE_ID", "dcert.index.keyword/2")
+    monkeypatch.setattr(KeywordIndexSpec, "CODE_ID", "dcert.index.keyword/3")
     spec_bumped = measurement(specs=[KeywordIndexSpec()])
     monkeypatch.setattr(KVStore, "CODE_ID", "blockbench.kvstore/2")
     contract_bumped = measurement(specs=[KeywordIndexSpec()])
@@ -238,3 +288,50 @@ def test_clients_derive_the_launched_enclaves_measurement(spec_classes):
         specs=[klass(name=names[klass]) for klass in spec_classes]
     )
     assert issuer.report.measurement == issuer.measurement
+
+
+# -- the PR 20 bump: index identities /1 -> /2, the program untouched ----------
+
+#: ``measurement()`` at the parent commit a5519c6 (``PYTHONPATH=src:. python -c
+#: "from tests.core.test_program_identity import *; print(measurement().hex(),
+#: measurement(specs=[AccountHistoryIndexSpec(), KeywordIndexSpec()]).hex())"``).
+PARENT_NO_INDEX = "4a2612da4e9e90c5d5d47951dd3112f08461955882fd6f52e8fb48f0381387dc"
+PARENT_HISTORY_KEYWORD = (
+    "8dd7e1dacb2d5d62166358249ea293f11f35d7d31df67fec37af6a9173c1bb40"
+)
+
+
+def test_the_index_bump_moves_only_index_carrying_measurements(monkeypatch):
+    """The /1 specs signed a false root for a list-typed MPT proof, so
+    their identities moved; the block-certificate path never touches an
+    MPT, so ``PROGRAM_VERSION`` and a no-index issuer did not."""
+    specs = [AccountHistoryIndexSpec(), KeywordIndexSpec()]
+    assert DCertEnclaveProgram.PROGRAM_VERSION == 2
+    assert measurement().hex() == PARENT_NO_INDEX
+    assert measurement(specs=specs).hex() != PARENT_HISTORY_KEYWORD
+    monkeypatch.setattr(AccountHistoryIndexSpec, "CODE_ID", "dcert.index.account-history/1")
+    monkeypatch.setattr(KeywordIndexSpec, "CODE_ID", "dcert.index.keyword/1")
+    assert measurement(specs=specs).hex() == PARENT_HISTORY_KEYWORD
+
+
+def test_a_client_built_for_the_old_index_identities_refuses_the_new_enclave(
+    certified_setup, monkeypatch
+):
+    issuer, tip = certified_setup["issuer"], certified_setup["issuer"].certified[-1]
+    ias_key = certified_setup["ias"].public_key
+
+    def expected():
+        return compute_expected_measurement(
+            certified_setup["genesis"].header.header_hash(), ias_key, fresh_vm(),
+            certified_setup["chain"].pow.difficulty_bits, certified_setup["specs"],
+        )
+
+    assert expected() == issuer.measurement
+    current = SuperlightClient(issuer.measurement, ias_key)
+    assert current.validate_chain(tip.block.header, tip.certificate)
+    monkeypatch.setattr(AccountHistoryIndexSpec, "CODE_ID", "dcert.index.account-history/1")
+    monkeypatch.setattr(KeywordIndexSpec, "CODE_ID", "dcert.index.keyword/1")
+    stale = SuperlightClient(expected(), ias_key)
+    assert stale.expected_measurement != issuer.measurement
+    with pytest.raises(CertificateError):
+        stale.validate_chain(tip.block.header, tip.certificate)

@@ -54,6 +54,7 @@ from repro.query.indexes import (
 from repro.query.provider import QueryServiceProvider
 from repro.sgx.attestation import AttestationService
 from tests.conftest import fresh_vm
+from tests.merkle.test_mpt_engine import says_absent
 
 BAD_INTEGERS = [-1, 2**64, 2**127, 1.5, "7", None, True]
 BAD_IDS = ["-1", "2^64", "2^127", "1.5", "'7'", "None", "True"]
@@ -453,3 +454,134 @@ def test_root_stub_cannot_vouch_for_its_own_summary():
         lo=100, hi=200, root_opening=aggtree.AggStub(100, 200, invented, series.root)
     )
     assert not aggtree.verify_aggregate(series.root, invented, claimed)
+
+
+# -- forged absence: the upper level (an MPT) of every per-key index -----------
+#
+# Before PR 20 ``verify_mpt`` compared prover-chosen nibble paths with
+# ``==`` against tuples but hashed them through ``bytes(...)``: a *list*
+# equals no tuple and hashes the same, so the leaf of a key that is in the
+# trie, its path retagged ``!l`` on the wire, proved that key absent.  Two
+# edits — retag the path *and* claim nothing — which the one-edit mutants
+# above could not reach.
+
+
+def claims(payload):
+    """What an answer asserts about the chain, proofs aside, with every
+    sequence frozen to a tuple (a retagged claim is the same claim)."""
+    def freeze(value):
+        return tuple(map(freeze, value)) if isinstance(value, (list, tuple)) else value
+
+    fields = {
+        "HistoryAnswer": ("versions",), "LineageAnswer": ("versions",),
+        "KeywordAnswer": ("results",), "AggregateAnswer": ("aggregate",),
+        "ValueRangeAnswer": ("matches",),
+    }[type(payload).__name__]
+    return tuple(freeze(getattr(payload, name)) for name in fields)
+
+
+def retag_mutants(answer):
+    """``answer`` as a peer could re-encode it: each tagged JSON array in
+    turn with its ``!t`` turned ``!l`` (or back)."""
+    raw = json.loads(wire.encode(answer))
+    found = {}
+    for path in _json_lists(raw):
+        *parents, tag = path
+        other = {"!t": "!l", "!l": "!t"}.get(tag)
+        if other is None:
+            continue
+        mutated = copy.deepcopy(raw)
+        holder = mutated
+        for step in parents:
+            holder = holder[step]
+        holder[other] = holder.pop(tag)
+        found[path] = wire.decode(json.dumps(mutated).encode())
+    return found
+
+
+@pytest.mark.parametrize("family", sorted(EXPECTED_SITES))
+def test_a_retagged_answer_verifies_only_with_the_honest_claims(world, client, family):
+    request = world["requests"][family]
+    honest = world["provider"].execute(request)
+    mutants_ = retag_mutants(honest)
+    assert len(mutants_) >= 10
+    for path, mutant in mutants_.items():
+        verdict = client.verify_answer(request, mutant)  # never an exception
+        assert verdict is False or claims(mutant.payload) == claims(honest.payload), path
+
+
+def forged_absences(world):
+    """``family -> (request, forged answer)``: each claims there is
+    nothing to report about a key that has entries."""
+    replace = dataclasses.replace
+    forged = {}
+    for family in ("history", "aggregate"):
+        request = world["requests"][family]
+        honest = world["provider"].execute(request)
+        assert honest.payload.lower_root is not None
+        nothing = {"history": {"versions": ()}, "aggregate": {"aggregate": None}}[family]
+        forged[family] = request, replace(honest, payload=replace(
+            honest.payload, lower_root=None, range_proof=None,
+            upper_proof=says_absent(honest.payload.upper_proof), **nothing,
+        ))
+    request = KeywordQuery(index="keyword", keywords=("acct1",))
+    honest = world["provider"].execute(request)
+    assert honest.payload.results
+    ((keyword, _root, proof),) = honest.payload.dictionary_proofs
+    forged["keyword"] = request, replace(honest, payload=replace(
+        honest.payload, results=(), pivot_proof=None, point_proofs=(),
+        dictionary_proofs=((keyword, None, says_absent(proof)),),
+    ))
+    return forged
+
+
+@pytest.mark.parametrize("family", ["history", "aggregate", "keyword"])
+def test_a_forged_absence_does_not_verify(world, client, family):
+    """Parent commit: all three verified, decoded or through the wire."""
+    request, forged = forged_absences(world)[family]
+    assert client.verify_answer(request, world["provider"].execute(request))
+    assert client.verify_answer(request, forged) is False
+    assert client.verify_answer(request, wire.decode(wire.encode(forged))) is False
+
+
+def test_a_forged_absence_does_not_verify_against_the_lineagechain_baseline(world):
+    """``verify_lineage_answer`` reads the same upper proof."""
+    from repro.query.lineagechain import LineageChainIndex, verify_lineage_answer
+
+    index = LineageChainIndex(AccountHistoryIndexSpec(name="history", fanout=FANOUT))
+    for certified in world["issuer"].certified:
+        index.ingest_block(certified.block, certified.write_set)
+    honest = index.query_history("acct1", 6, 7)
+    assert honest.versions and verify_lineage_answer(index.root, honest)
+    forged = dataclasses.replace(
+        honest, versions=(), lower_root=None, window_proof=None,
+        upper_proof=says_absent(honest.upper_proof),
+    )
+    assert not verify_lineage_answer(index.root, forged)
+    assert not verify_lineage_answer(index.root, wire.decode(wire.encode(forged)))
+
+
+@pytest.mark.parametrize("family", ["history", "aggregate", "keyword"])
+def test_query_fails_over_past_a_replica_serving_a_forged_absence(world, family):
+    """The liar is struck and the client is answered by the honest
+    replica — the forged answer is never admitted to the cache."""
+    request, lie = forged_absences(world)[family]
+    honest = world["provider"].execute(request)
+
+    class LyingProvider:
+        def execute(self, request):
+            return lie
+
+        def index_root(self, name):
+            return world["provider"].index_root(name)
+
+    fronted = make_client(
+        world, {"liar": LyingProvider(), "honest": world["provider"]}, gateway=True
+    )
+    assert fronted.query(request) == honest
+    assert fronted.integrity_failures == 1
+    assert fronted.gateway.healthy_replicas() == ["honest"]
+    assert [s.failures for s in fronted.gateway.replicas.values()] == [1, 0]
+    assert len(fronted.cache) == 1
+    assert fronted.query(request) == honest  # a hit on the honest answer
+    assert (fronted.cache.hits, fronted.integrity_failures) == (1, 1)

@@ -22,6 +22,7 @@ from repro.query.indexes import (
     TwoLevelUpdateProof,
     ValueRangeIndexSpec,
 )
+from tests.merkle.test_mpt_engine import says_absent
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +44,7 @@ def chain():
         tx("smallbank", "deposit_checking", ("alice", "10")),
         tx("kvstore", "put", ("doc2", "alpha gamma")),
     ])
+    builder.add_block([tx("kvstore", "put", ("doc3", "gamma alpha"))])
     return builder
 
 
@@ -137,3 +139,73 @@ def test_value_range_fanout_checked(chain):
     index, (writes1, proof1), *_ = ingest_two(spec, chain)
     with pytest.raises(ProofError):
         other.apply_writes(other.genesis_root(), writes1, proof1)
+
+
+# -- a forged "absent" in the upper level (PR 20) --------------------------------
+#
+# A list-typed nibble path equals no tuple but hashes the same, so before
+# the MPT engine read a proof once, the leaf of a key that *is* in the
+# trie could be retold as "no such key".  Every spec read that claim
+# before verifying it; each forgery below returned a root at the parent.
+
+
+def test_aggregate_forged_absence_cannot_restart_a_series(chain):
+    from repro.merkle.aggtree import AggregateMBTree
+
+    spec = BalanceAggregateIndexSpec(name="a")
+    index, _, mid_root, (writes2, proof2) = ingest_two(spec, chain)
+    (_series, upper), = proof2.steps  # alice, who already has a version
+    from_nothing = AggregateMBTree(fanout=spec.fanout).prove_insert(writes2[0].timestamp)
+    forged = replace(proof2, steps=((from_nothing, says_absent(upper)),))
+    assert spec.apply_writes(mid_root, writes2, proof2) == index.root
+    with pytest.raises(ProofError):
+        spec.apply_writes(mid_root, writes2, forged)
+
+
+def test_keyword_forged_absence_cannot_drop_earlier_postings(chain):
+    from repro.merkle.mbtree import MerkleBTree
+
+    spec = KeywordIndexSpec(name="k")
+    index, *_ = ingest_two(spec, chain)
+    prev_root = index.root
+    writes3, proof3 = index.ingest_block(chain.blocks[3], chain.results[3].write_set)
+    keyword, posting, upper = proof3.steps[-1]
+    assert keyword == "alpha" and len(index._postings["alpha"]) == 3
+    from_nothing = MerkleBTree(fanout=spec.fanout).prove_insert(posting.key)
+    forged = replace(
+        proof3, steps=proof3.steps[:-1] + ((keyword, from_nothing, says_absent(upper)),)
+    )
+    assert spec.apply_writes(prev_root, writes3, proof3) == index.root
+    with pytest.raises(ProofError):
+        spec.apply_writes(prev_root, writes3, forged)
+
+
+def test_value_range_forged_absence_cannot_mint_a_second_slot(chain):
+    """Retold as a new account, alice got a second slot and her old
+    entry was never tombstoned: two live balances for one account."""
+    from repro.query.indexes import (
+        _SLOT_COUNTER_KEY,
+        ValueRangeUpdateProof,
+        _range_key,
+    )
+
+    spec = ValueRangeIndexSpec(name="v")
+    index = make_maintained_index(spec)
+    index.ingest_block(chain.blocks[1], chain.results[1].write_set)
+    mid_root = index.root
+    (write,) = spec.write_data(chain.blocks[2], chain.results[2].write_set)
+    directory, tree = index._directory, index._tree
+    account_key = write.account.encode("utf-8")
+    assert directory.get(account_key) is not None
+    pre_roots = directory.root, tree.root
+    # What the SP would send had alice been new: the counter update first,
+    # then a directory proof made against the result.
+    counter_proof = directory.prove(_SLOT_COUNTER_KEY)
+    slots = int.from_bytes(directory.get(_SLOT_COUNTER_KEY), "big")
+    directory.insert(_SLOT_COUNTER_KEY, (slots + 1).to_bytes(8, "big"))
+    live_proof = tree.prove_insert(_range_key(write.value, slots))
+    forged = ValueRangeUpdateProof(*pre_roots, steps=((
+        counter_proof, None, live_proof, says_absent(directory.prove(account_key)),
+    ),))
+    with pytest.raises(ProofError):
+        spec.apply_writes(mid_root, (write,), forged)
