@@ -136,71 +136,3 @@ def test_ablation_ecall_batching(params, benchmark):
     assert rows[-1][3] > params.block_sizes[-1] * 0.5
 
     benchmark(batched)
-
-
-def test_ablation_lazy_vs_eager_proofs(params, benchmark):
-    """Eager (one Ecall with the full update proof) vs lazy (Ocall per
-    touched cell) — both real code paths, same security checks.
-
-    Expected: lazy pays 2 transitions per cell and loses by a margin
-    that grows with the block's state footprint, vindicating the §2.2
-    design rule the paper follows.
-    """
-    import time
-
-    from repro.bench.harness import CertifiedChainHarness
-    from repro.core.issuer import attach_lazy_proof_service, gen_cert_lazy
-
-    rows = []
-    for block_size in params.block_sizes[:3]:
-        harness = CertifiedChainHarness(
-            params, network=f"ablation-lazy-{block_size}"
-        )
-        attach_lazy_proof_service(harness.issuer)
-        eager_s, lazy_s, ocalls = [], [], []
-        for _ in range(3):
-            block, _ = harness.builder.add_block(
-                harness.generator.block_txs("KV", block_size)
-            )
-            started = time.perf_counter()
-            lazy_cert = gen_cert_lazy(harness.issuer, block)
-            lazy_s.append(time.perf_counter() - started)
-            ocalls.append(harness.issuer.enclave.ledger.ocalls)
-            started = time.perf_counter()
-            eager_cert, _, _ = harness.issuer.gen_cert(block)
-            eager_s.append(time.perf_counter() - started)
-            assert lazy_cert.sig == eager_cert.sig
-            harness.issuer.process_block(block)
-        per_block_ocalls = (
-            (ocalls[-1] - (ocalls[0] - ocalls[0])) / len(ocalls)
-            if len(ocalls) == 1
-            else (ocalls[-1] - ocalls[0]) / (len(ocalls) - 1)
-        )
-        rows.append(
-            [
-                block_size,
-                round(sum(eager_s) / len(eager_s) * 1000, 1),
-                round(sum(lazy_s) / len(lazy_s) * 1000, 1),
-                int(per_block_ocalls),
-            ]
-        )
-    print_table(
-        "Ablation 3 — eager update proof (1 Ecall) vs lazy fetching "
-        "(Ocall per cell)",
-        ["txs/block", "eager ms", "lazy ms", "ocalls/block"],
-        rows,
-    )
-    # Lazy must pay transitions proportional to touched cells.
-    assert rows[-1][3] > rows[0][3]
-
-    harness = CertifiedChainHarness(params, network="ablation-lazy-bench")
-    attach_lazy_proof_service(harness.issuer)
-
-    def lazy_block():
-        block, _ = harness.builder.add_block(
-            harness.generator.block_txs("KV", params.block_sizes[0])
-        )
-        gen_cert_lazy(harness.issuer, block)
-        harness.issuer.process_block(block)
-
-    benchmark.pedantic(lazy_block, rounds=3, iterations=1)

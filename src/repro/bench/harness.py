@@ -49,7 +49,6 @@ class CertifiedChainHarness:
         index_specs: list[AuthenticatedIndexSpec] | None = None,
         seed: int = 42,
         network: str = "bench-net",
-        proof_cache_entries: int = 0,
     ) -> None:
         self.params = params
         self.generator = WorkloadGenerator(params, seed=seed)
@@ -70,10 +69,8 @@ class CertifiedChainHarness:
             index_specs=index_specs or [],
             ias=self.ias,
             key_seed=b"bench-enclave",
-            proof_cache_entries=proof_cache_entries,
         )
         self.timings: list[CertTimings] = []
-        self.pipeline = None
 
     def setup_smallbank(self) -> None:
         """Open all SmallBank accounts (one setup block)."""
@@ -92,30 +89,6 @@ class CertifiedChainHarness:
             self.add_and_certify(
                 self.generator.block_txs(workload, block_size), schemes=schemes
             )
-
-    def grow_workload_batched(
-        self,
-        workload: str,
-        num_blocks: int,
-        block_size: int,
-        *,
-        batch_size: int = 8,
-    ) -> None:
-        """Mine ``num_blocks`` blocks and certify them through the
-        batched pipeline (``batch_size`` blocks per ecall); timing lives
-        in ``self.pipeline.stats`` rather than per-block splits."""
-        from repro.core.pipeline import CertificationPipeline
-
-        if self.pipeline is None or self.pipeline.batch_size != batch_size:
-            self.pipeline = CertificationPipeline(
-                self.issuer, batch_size=batch_size
-            )
-        for _ in range(num_blocks):
-            block, _ = self.builder.add_block(
-                self.generator.block_txs(workload, block_size)
-            )
-            self.pipeline.submit(block)
-        self.pipeline.flush()
 
     def add_and_certify(
         self,

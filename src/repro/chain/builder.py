@@ -18,7 +18,10 @@ from repro.chain.miner import Miner
 from repro.chain.state import StateStore
 from repro.chain.transaction import Transaction
 from repro.chain.vm import VM, Contract
-from repro.contracts import BLOCKBENCH
+
+# The module, not its names: the contracts subclass repro.chain.vm, so
+# either package may be the one still importing when this line runs.
+import repro.contracts
 
 
 class ChainBuilder:
@@ -36,7 +39,7 @@ class ChainBuilder:
         deployed = (
             list(contracts)
             if contracts is not None
-            else [factory() for factory in BLOCKBENCH.values()]
+            else [factory() for factory in repro.contracts.BLOCKBENCH.values()]
         )
         for contract in deployed:
             self.vm.deploy(contract)

@@ -91,10 +91,10 @@ def _provider(builder, spec, blocks):
     return provider
 
 
-def _build_world(blocks: int = 10, batch_size: int = 1, hold_back: int = 0):
+def _build_world(blocks: int = 10, hold_back: int = 0):
     from repro.chain.genesis import make_genesis
     from repro.contracts import fresh_vm
-    from repro.core import CertificateIssuer, CertificationPipeline
+    from repro.core import CertificateIssuer
     from repro.query.indexes import AccountHistoryIndexSpec
     from repro.sgx.attestation import AttestationService
 
@@ -105,19 +105,11 @@ def _build_world(blocks: int = 10, batch_size: int = 1, hold_back: int = 0):
     issuer = CertificateIssuer(
         genesis, state, fresh_vm(), builder.pow,
         index_specs=[spec], ias=ias, key_seed=b"cli-enclave",
-        proof_cache_entries=256 if batch_size > 1 else 0,
     )
     # ``hold_back`` keeps the newest blocks mined-but-uncertified so a
     # command can certify them later (the push-stream demonstrations).
-    to_certify = builder.blocks[1 : len(builder.blocks) - hold_back]
-    if batch_size > 1:
-        pipeline = CertificationPipeline(issuer, batch_size=batch_size)
-        for block in to_certify:
-            pipeline.submit(block)
-        pipeline.close()
-    else:
-        for block in to_certify:
-            issuer.process_block(block)
+    for block in builder.blocks[1 : len(builder.blocks) - hold_back]:
+        issuer.process_block(block)
     return builder, issuer, ias, spec
 
 
@@ -163,21 +155,11 @@ def cmd_info(_: argparse.Namespace) -> int:
 def cmd_demo(args: argparse.Namespace) -> int:
     from repro.core import SuperlightClient
 
-    batch = getattr(args, "batch_size", 1)
-    mode = f" in batches of {batch}" if batch > 1 else ""
-    print(f"Mining and certifying {args.blocks} blocks{mode}...")
+    print(f"Mining and certifying {args.blocks} blocks...")
     started = wallclock.now_s()
-    builder, issuer, ias, spec = _build_world(
-        blocks=args.blocks, batch_size=batch
-    )
+    builder, issuer, ias, spec = _build_world(blocks=args.blocks)
     print(f"  done in {wallclock.elapsed_s(started):.1f}s "
           f"({issuer.enclave.ledger.ecalls} ecalls)")
-    if batch > 1:
-        stats = issuer.proof_cache.stats()
-        saved = args.blocks * 2 - issuer.enclave.ledger.ecalls
-        print(f"  proof cache: {stats['hits']} hits / {stats['misses']} misses "
-              f"({stats['hit_rate']:.0%} hit rate), "
-              f"{saved} enclave transitions saved")
 
     client = SuperlightClient(_measurement(builder, ias, spec), ias.public_key)
     tip = issuer.certified[-1]
@@ -630,8 +612,7 @@ def cmd_demo_crash(args: argparse.Namespace) -> int:
         if report is not None:
             print(f"  recovery: checkpoint_used={report.checkpoint_used} "
                   f"(height {report.checkpoint_height}), "
-                  f"replayed {report.replayed_blocks} WAL-tail blocks, "
-                  f"resumed {report.staged_resumed} staged")
+                  f"replayed {report.replayed_blocks} WAL-tail blocks")
         print(f"  miner's retried call returned certified tips "
               f"{[tip.header.height for tip in tips]}")
         same_key = service.issuer.pk_enc.to_bytes() == pk_before
@@ -901,11 +882,6 @@ def main(argv: list[str] | None = None) -> int:
     subparsers.add_parser("info", help="print the library inventory")
     demo = subparsers.add_parser("demo", help="end-to-end demonstration")
     demo.add_argument("--blocks", type=int, default=10)
-    demo.add_argument(
-        "--batch-size", type=int, default=1, dest="batch_size",
-        help="certify in batches of this many blocks per ecall "
-             "(1 = sequential; >1 enables the proof cache)",
-    )
     network = subparsers.add_parser(
         "demo-network",
         help="remote client over RPC with fault injection and SP failover",
@@ -922,7 +898,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     crash.add_argument("--blocks", type=int, default=8)
     crash.add_argument(
-        "--point", default="issuer.certify_staged.post",
+        "--point", default="durable.append.pre_wal",
         help="crashpoint to arm (see repro.fault.crashpoints.CATALOG)",
     )
     crash.add_argument(

@@ -21,13 +21,11 @@
   factory — the canonical way to build any client shape.
 """
 
-from repro.core.batch import BatchItem, IndexUpdate
 from repro.core.certificate import Certificate
 from repro.core.client_api import ClientConfig, LightClient, connect
 from repro.core.digest import block_digest, index_digest
 from repro.core.enclave_program import DCertEnclaveProgram
 from repro.core.issuer import CertificateIssuer, CertifiedTip, IssuerService
-from repro.core.pipeline import CertificationPipeline, PipelineStats
 from repro.core.recovery import (
     DurableIssuer,
     IssuerCheckpoint,
@@ -43,18 +41,14 @@ from repro.core.superlight import (
 from repro.core.updateproof import UpdateProof
 
 __all__ = [
-    "BatchItem",
     "Certificate",
     "CertificateIssuer",
-    "CertificationPipeline",
     "CertifiedTip",
     "ClientConfig",
     "DCertEnclaveProgram",
     "DurableIssuer",
-    "IndexUpdate",
     "IssuerCheckpoint",
     "IssuerService",
-    "PipelineStats",
     "LightClient",
     "RecoveryReport",
     "RemoteSuperlightClient",

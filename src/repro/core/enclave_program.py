@@ -31,7 +31,6 @@ from repro.chain.block import Block, BlockHeader
 from repro.chain.consensus import ProofOfWork
 from repro.chain.executor import TransactionExecutor
 from repro.chain.vm import VM
-from repro.core.batch import BatchItem
 from repro.core.certificate import (
     CERT_SIG_DOMAIN,
     Certificate,
@@ -52,13 +51,6 @@ from repro.sgx.sealing import seal, unseal
 #: How many recently certified blocks' write sets the enclave caches for
 #: the hierarchical scheme's follow-up index ecalls.
 _WRITE_SET_CACHE = 4
-
-#: Hard cap on the carried proof slice (entries).  Cache policy is
-#: untrusted (the CI sends eviction hints), so a CI that never evicts
-#: could otherwise grow the enclave's working set without bound; past
-#: the cap the enclave drops the whole slice — a pure performance
-#: penalty, never a soundness issue.
-_CARRIED_SLICE_CAP = 4096
 
 #: Attestation reports the enclave remembers having verified.  Every
 #: certificate it is handed comes from an enclave of its own measurement
@@ -92,8 +84,6 @@ class DCertEnclaveProgram(EnclaveProgram):
 
     ECALLS = (
         "sig_gen",
-        "sig_gen_batch",
-        "sig_gen_lazy",
         "augmented_sig_gen",
         "index_sig_gen",
         "seal_signing_key",
@@ -122,11 +112,6 @@ class DCertEnclaveProgram(EnclaveProgram):
         self._sealed_key = sealed_key
         # Hierarchical-scheme cache: block hash -> (block, write set).
         self._recent: dict[Digest, tuple[Block, dict[bytes, bytes | None]]] = {}
-        # Batched-scheme proof cache: the verified partial-SMT slice
-        # carried across consecutive batches, and the state root it is
-        # valid against.  See sig_gen_batch.
-        self._carried_slice = None
-        self._carried_root: Digest = b""
         # Reports cert_verify_t already checked (§3.3: "only once for the
         # same enclave") and certificate signatures it checked or this
         # enclave produced.  Enclave memory only: never sealed, so a
@@ -225,183 +210,6 @@ class DCertEnclaveProgram(EnclaveProgram):
         self._remember(blk_new, write_set)
         return self._sign(block_digest(blk_new.header))
 
-    # -- ecall: batched block + index certificates ------------------------------
-
-    def sig_gen_batch(
-        self,
-        blk_prev: Block,
-        cert_prev: Certificate | None,
-        index_anchor_certs: dict[str, Certificate | None],
-        items: tuple[BatchItem, ...],
-        evict_keys: tuple[bytes, ...] = (),
-    ) -> tuple[tuple[Signature, dict[str, Signature]], ...]:
-        """Certify a run of K blocks (and their index updates) in ONE ecall.
-
-        Trust anchors exactly like the sequential path: the previous
-        block's certificate (or the hard-coded genesis) and, per index,
-        the previous index certificate (or the genesis index root).
-        *Inside* the batch no certificate is verified — the enclave just
-        verified block ``i`` itself, so block ``i+1`` chains on that
-        in-enclave fact instead of a signature, and each index update
-        must chain root-to-root.  Every block is verified by the same
-        full replay as ``sig_gen`` (``blk_verify_t``'s checks), so the
-        signatures — and hence the certificates — are byte-identical to
-        the sequential path's (deterministic RFC-6979 signing).
-
-        Update proofs may omit keys covered by the *carried slice*: the
-        verified partial-SMT state the enclave keeps from the previous
-        batch (valid only if its state root still matches).  ``evict_keys``
-        is the CI's untrusted cache-eviction hint, applied after the
-        batch; a wrong hint can only cause a missing-proof abort later.
-        """
-        if not items:
-            raise CertificateError("empty certification batch")
-        self._verify_anchor(blk_prev.header, cert_prev)
-
-        # Anchor each index chain at the first item's previous root.
-        index_names = set(items[0].index_updates)
-        index_roots: dict[str, Digest] = {}
-        for name in sorted(index_names):
-            prev_root = items[0].index_updates[name].prev_root
-            anchor = index_anchor_certs.get(name)
-            self._verify_anchor(blk_prev.header, anchor, self._spec(name), prev_root)
-            index_roots[name] = prev_root
-
-        # Resume the carried proof slice only if it still matches the
-        # chain tip we are anchored on; otherwise start fresh.
-        slice_ = self._carried_slice
-        if slice_ is not None and self._carried_root != blk_prev.header.state_root:
-            slice_ = None
-        # A failed batch can leave the local slice partially updated;
-        # never let that survive into a later call.
-        self._carried_slice = None
-
-        signatures: list[tuple[Signature, dict[str, Signature]]] = []
-        prev = blk_prev
-        for item in items:
-            block = item.block
-            write_set, slice_ = self._batch_blk_verify(
-                prev, block, item.update_proof, slice_
-            )
-            self._remember(block, write_set)
-            sig = self._sign(block_digest(block.header))
-            if set(item.index_updates) != index_names:
-                raise CertificateError("index set changed mid-batch")
-            index_sigs: dict[str, Signature] = {}
-            for name in sorted(index_names):
-                update = item.index_updates[name]
-                if update.prev_root != index_roots[name]:
-                    raise CertificateError(
-                        "index update does not chain on the previous root"
-                    )
-                self._verify_index_update(
-                    self._spec(name),
-                    block,
-                    write_set,
-                    update.prev_root,
-                    update.new_root,
-                    update.proof,
-                )
-                index_roots[name] = update.new_root
-                index_sigs[name] = self._sign(
-                    index_digest(block.header, update.new_root)
-                )
-            signatures.append((sig, index_sigs))
-            prev = block
-
-        # Apply the (untrusted) eviction hints and carry the slice into
-        # the next batch.
-        if slice_ is not None:
-            slice_.forget(evict_keys)
-            if len(slice_) == 0 or len(slice_) > _CARRIED_SLICE_CAP:
-                slice_ = None
-        self._carried_slice = slice_
-        self._carried_root = prev.header.state_root
-        return tuple(signatures)
-
-    def _batch_blk_verify(
-        self, blk_prev: Block, blk_new: Block, update_proof: UpdateProof, slice_
-    ):
-        """``blk_verify_t`` against the carried slice; returns
-        ``(write set, slice)`` with the slice advanced to the new root."""
-        prev_header = blk_prev.header
-        self._check_header(prev_header, blk_new)
-        # Verify the read set and merge it into the proven state slice
-        # (verify_mht of Alg. 2 line 17): every proof verifies against
-        # the previous state root, and any disagreement with
-        # already-verified nodes raises ProofError.  Blocks that touch no
-        # state (e.g. all-DoNothing blocks) come with an empty proof; any
-        # read or write then fails below.
-        for key, value, proof in update_proof.entries:
-            if slice_ is None:
-                slice_ = PartialSMT(proof.depth)
-            slice_.merge_entry(prev_header.state_root, key, value, proof)
-        # Replay every transaction (lines 18-21); signature checks are
-        # line 19's verify(tx).  Reads outside the proven slice raise.
-        result = self._executor.execute(
-            slice_ if slice_ is not None else _NO_STATE,
-            list(blk_new.transactions),
-            strict=True,
-        )
-        # Commit the write set and check the new root (lines 22-23).
-        if result.write_set:
-            if slice_ is None:
-                raise CertificateError("write set has no covering update proof")
-            slice_.update_batch(result.write_set)
-        new_root = slice_.root if slice_ is not None else prev_header.state_root
-        if new_root != blk_new.header.state_root:
-            raise CertificateError("state root mismatch after replay")
-        return result.write_set, slice_
-
-    def sig_gen_lazy(
-        self,
-        blk_prev: Block,
-        cert_prev: Certificate | None,
-        blk_new: Block,
-    ) -> Signature:
-        """Alternative to :meth:`sig_gen`: fetch state proofs on demand.
-
-        Instead of one Ecall carrying the whole update proof, the
-        enclave *Ocalls* the untrusted host for each touched cell's
-        (value, proof) pair, verifying every response against the
-        previous state root.  Security is identical (every fetched proof
-        is checked); the cost profile is the §2.2 trade-off — 2 extra
-        transitions per touched cell — which the Ecall-batching ablation
-        benchmark measures against the eager design.
-        """
-        self._verify_anchor(blk_prev.header, cert_prev)
-        self._check_header(blk_prev.header, blk_new)
-        state_root = blk_prev.header.state_root
-        partial: PartialSMT | None = None
-        program = self
-
-        class _LazyBacking:
-            def get_raw(self, key: bytes) -> bytes | None:
-                nonlocal partial
-                if partial is not None and partial.covers(key):
-                    return partial.get(key)
-                value, proof = program.ocall("fetch_state_proof", key)
-                if partial is None:
-                    partial = PartialSMT(proof.depth)
-                partial.merge_entry(state_root, key, value, proof)
-                return value
-
-        backing = _LazyBacking()
-        result = self._executor.execute(
-            backing, list(blk_new.transactions), strict=True
-        )
-        # Cover write-only keys, then commit and check the new root.
-        for key in result.write_set:
-            backing.get_raw(key)
-        if result.write_set:
-            assert partial is not None
-            partial.update_batch(result.write_set)
-        new_root = partial.root if partial is not None else state_root
-        if new_root != blk_new.header.state_root:
-            raise CertificateError("state root mismatch after replay")
-        self._remember(blk_new, result.write_set)
-        return self._sign(block_digest(blk_new.header))
-
     # -- ecall: augmented certificate (Alg. 4) --------------------------------
 
     def augmented_sig_gen(
@@ -464,11 +272,8 @@ class DCertEnclaveProgram(EnclaveProgram):
         self, blk_prev: Block, blk_new: Block, update_proof: UpdateProof
     ) -> dict[bytes, bytes | None]:
         """Verify ``blk_new``'s full validity; returns its write set."""
-        return self._batch_blk_verify(blk_prev, blk_new, update_proof, None)[0]
-
-    def _check_header(self, prev_header: BlockHeader, blk_new: Block) -> None:
-        """Alg. 2 lines 11-16: linkage, height, consensus proof, H_tx."""
-        header = blk_new.header
+        prev_header, header = blk_prev.header, blk_new.header
+        # Linkage, height, consensus proof, H_tx (lines 11-16).
         if header.prev_hash != prev_header.header_hash():
             raise CertificateError("H_{i-1} does not match the previous header")
         if header.height != prev_header.height + 1:
@@ -477,6 +282,32 @@ class DCertEnclaveProgram(EnclaveProgram):
             raise CertificateError("consensus proof invalid")
         if not blk_new.check_tx_root():
             raise CertificateError("H_tx does not commit to the transactions")
+        # Verify the read set and merge it into the proven state slice
+        # (verify_mht of line 17): every proof verifies against the
+        # previous state root, and any disagreement with already-verified
+        # nodes raises ProofError.  Blocks that touch no state (e.g.
+        # all-DoNothing blocks) come with an empty proof; any read or
+        # write then fails below.
+        entries = update_proof.entries
+        slice_ = (
+            PartialSMT.from_proofs(prev_header.state_root, entries) if entries else None
+        )
+        # Replay every transaction (lines 18-21); signature checks are
+        # line 19's verify(tx).  Reads outside the proven slice raise.
+        result = self._executor.execute(
+            slice_ if slice_ is not None else _NO_STATE,
+            list(blk_new.transactions),
+            strict=True,
+        )
+        # Commit the write set and check the new root (lines 22-23).
+        if result.write_set:
+            if slice_ is None:
+                raise CertificateError("write set has no covering update proof")
+            slice_.update_batch(result.write_set)
+        new_root = slice_.root if slice_ is not None else prev_header.state_root
+        if new_root != header.state_root:
+            raise CertificateError("state root mismatch after replay")
+        return result.write_set
 
     def _verify_anchor(
         self,

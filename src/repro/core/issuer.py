@@ -30,7 +30,6 @@ from repro.chain.consensus import ProofOfWork
 from repro.chain.node import FullNode
 from repro.chain.state import StateStore
 from repro.chain.vm import VM
-from repro.core.batch import BatchItem, IndexUpdate
 from repro.core.certificate import Certificate
 from repro.core.digest import block_digest, index_digest
 from repro.core.enclave_program import DCertEnclaveProgram
@@ -39,7 +38,6 @@ from repro.crypto import PublicKey
 from repro.crypto.hashing import Digest
 from repro.errors import CertificateError, ServiceUnavailableError
 from repro.fault.crashpoints import crashpoint
-from repro.merkle.proofcache import ProofCache
 from repro.query.indexes import (
     AccountHistoryIndexSpec,
     AggregateHistoryIndex,
@@ -106,18 +104,6 @@ class CertifiedTip:
     index_roots: dict[str, Digest]
 
 
-@dataclass(slots=True)
-class StagedBlock:
-    """A validated, proof-built block queued for batch certification."""
-
-    block: Block
-    prev_block: Block
-    item: BatchItem
-    write_set: dict[bytes, bytes | None]
-    new_index_roots: dict[str, Digest]
-    shipped_keys: frozenset[bytes]
-
-
 @dataclass(frozen=True, slots=True)
 class AttestationEvidence:
     """The CI's identity material, served to bootstrapping clients.
@@ -148,7 +134,6 @@ class CertificateIssuer:
         cost_model: SGXCostModel | None = None,
         key_seed: bytes | None = None,
         sealed_key: bytes | None = None,
-        proof_cache_entries: int = 0,
     ) -> None:
         self.node = FullNode(genesis, genesis_state, vm, pow_engine)
         self.ias = ias
@@ -181,13 +166,6 @@ class CertificateIssuer:
         #: The subscription hub (repro.net.pubsub) attaches here; the
         #: hook also fires through DurableIssuer's delegation.
         self.on_certified: list[Callable[[CertifiedBlock], object]] = []
-        # Batched-path state: the CI-side LRU mirror of the enclave's
-        # carried proof slice, the key set the enclave is known to
-        # cover (reconciled at every batch boundary), and the staging
-        # queue of validated-but-uncertified blocks.
-        self.proof_cache = ProofCache(proof_cache_entries)
-        self._enclave_keys: set[bytes] = set()
-        self._staged: list[StagedBlock] = []
 
     # -- Alg. 1: gen_cert ------------------------------------------------------
 
@@ -262,18 +240,6 @@ class CertificateIssuer:
         for scheme in schemes:
             if scheme not in ("hierarchical", "augmented"):
                 raise CertificateError(f"unknown certification scheme {scheme!r}")
-        if self._staged:
-            raise CertificateError(
-                "staged blocks pending batch certification; call "
-                "certify_staged() before certifying sequentially"
-            )
-        # A sequential certification advances the chain without the
-        # enclave's carried slice following along, so the slice (and our
-        # mirror of it) is stale from here on.  The enclave discards it
-        # on the next batch's root check; drop the mirror now so we ship
-        # full proofs again rather than assume coverage that is gone.
-        self.proof_cache.clear()
-        self._enclave_keys.clear()
         crashpoint("issuer.process_block.pre")
         with obs.trace_span("issuer.process_block"):
             certified = self._process_block(
@@ -374,12 +340,9 @@ class CertificateIssuer:
         if certificate is not None:
             self.latest_certificate = certificate
         self.certified.append(certified)
-        self._fire_certified(certified)
-        return certified
-
-    def _fire_certified(self, certified: CertifiedBlock) -> None:
         for hook in list(self.on_certified):
             hook(certified)
+        return certified
 
     def _record_index_cert_metrics(self, index_proof) -> None:
         if obs.enabled():
@@ -389,185 +352,6 @@ class CertificateIssuer:
                 index_proof.size_bytes(),
                 boundaries=obs.SIZE_BYTES_BUCKETS,
             )
-
-    # -- batched issuance ------------------------------------------------------
-
-    @property
-    def staged_count(self) -> int:
-        """Blocks staged and awaiting :meth:`certify_staged`."""
-        return len(self._staged)
-
-    def stage_block(self, block: Block) -> None:
-        """Untrusted preprocessing for the batched path (Alg. 1 lines
-        2-3, pipelined).
-
-        Validates ``block``, builds an update proof *pruned* to the
-        proof-cache misses (the enclave's carried slice already proves
-        the hits), ingests the index updates, and commits the block to
-        the untrusted node state — so the next block can stage against
-        it while the enclave is still certifying the previous batch.
-        Certificates are only issued by :meth:`certify_staged`.
-        """
-        with obs.trace_span("issuer.stage_block"):
-            result, update_proof = self.preprocess(block)
-            prev = self.node.tip
-            # Ship only the cache misses, a filter of validation's own
-            # proofs; hits ride the enclave's carried slice.
-            lookup = self.proof_cache.lookup
-            update_proof = UpdateProof(
-                entries=tuple(e for e in update_proof.entries if not lookup(e[0]))
-            )
-            misses = [key for key, _, _ in update_proof.entries]
-            for key in misses:
-                self.proof_cache.admit(key)
-
-            index_updates: dict[str, IndexUpdate] = {}
-            new_roots: dict[str, Digest] = {}
-            for name, index in self.indexes.items():
-                prev_root = self._index_roots[name]
-                _writes, index_proof = index.ingest_block(block, result.write_set)
-                index_updates[name] = IndexUpdate(
-                    prev_root=prev_root, new_root=index.root, proof=index_proof
-                )
-                new_roots[name] = index.root
-                self._index_roots[name] = index.root
-
-            self._staged.append(
-                StagedBlock(
-                    block=block,
-                    prev_block=prev,
-                    item=BatchItem(
-                        block=block,
-                        update_proof=update_proof,
-                        index_updates=index_updates,
-                    ),
-                    write_set=result.write_set,
-                    new_index_roots=new_roots,
-                    shipped_keys=frozenset(misses),
-                )
-            )
-            self.node.state.apply_writes(result.write_set)
-            self.node.blocks.append(block)
-        crashpoint("issuer.stage_block.post")
-        if obs.enabled():
-            obs.inc("issuer.blocks_staged")
-            obs.observe(
-                "issuer.update_proof_bytes",
-                update_proof.size_bytes(),
-                boundaries=obs.SIZE_BYTES_BUCKETS,
-            )
-
-    def certify_staged(self) -> list[CertifiedBlock]:
-        """Certify every staged block in ONE ecall (the tentpole batch).
-
-        Compared with K sequential ``process_block`` calls this pays a
-        single enclave transition instead of ``K * (1 + #indexes)``,
-        verifies the anchor certificates once instead of per block, and
-        one paging charge over the batch's *peak* per-block working set
-        instead of one per ecall.  The certificates produced are
-        byte-identical to the sequential path's (RFC-6979 signing over
-        the same digests by the same key).
-        """
-        if not self._staged:
-            return []
-        staged = self._staged
-        self._staged = []
-        anchor = staged[0].prev_block
-        anchor_index_certs = dict(self._index_certs)
-        items = tuple(entry.item for entry in staged)
-        # Reconcile the enclave's slice with the LRU mirror: everything
-        # the enclave covers (or will after merging this batch's shipped
-        # proofs) that the mirror has since evicted must be forgotten.
-        merged = set().union(*(entry.shipped_keys for entry in staged))
-        mirror = self.proof_cache.keys()
-        evict = tuple(sorted((self._enclave_keys | merged) - mirror))
-        peak_payload = max(item.payload_bytes() for item in items)
-        crashpoint("issuer.certify_staged.pre")
-        try:
-            with obs.trace_span("issuer.certify_staged"):
-                signatures = self.enclave.ecall(
-                    "sig_gen_batch",
-                    anchor,
-                    self.latest_certificate,
-                    anchor_index_certs,
-                    items,
-                    evict,
-                    payload_bytes=peak_payload,
-                )
-        except Exception:
-            # The enclave discarded its carried slice; drop the mirror
-            # so the next batch ships full proofs again.
-            self.proof_cache.clear()
-            self._enclave_keys.clear()
-            raise
-        crashpoint("issuer.certify_staged.post")
-        self._enclave_keys = mirror
-
-        results: list[CertifiedBlock] = []
-        for entry, (sig, index_sigs) in zip(staged, signatures):
-            block = entry.block
-            certificate = Certificate(
-                pk_enc=self.pk_enc,
-                report=self.report,
-                dig=block_digest(block.header),
-                sig=sig,
-            )
-            certified = CertifiedBlock(
-                block=block,
-                certificate=certificate,
-                write_set=dict(entry.write_set),
-            )
-            for name, index_sig in index_sigs.items():
-                new_root = entry.new_index_roots[name]
-                cert = Certificate(
-                    pk_enc=self.pk_enc,
-                    report=self.report,
-                    dig=index_digest(block.header, new_root),
-                    sig=index_sig,
-                )
-                self._index_certs[name] = cert
-                certified.index_certificates[name] = cert
-                certified.index_roots[name] = new_root
-                self._record_index_cert_metrics(entry.item.index_updates[name].proof)
-            self.latest_certificate = certificate
-            self.certified.append(certified)
-            self._fire_certified(certified)
-            results.append(certified)
-
-        if obs.enabled():
-            batch = len(staged)
-            saved = batch * (1 + len(self.indexes)) - 1
-            obs.inc("issuer.certs_issued", batch)
-            obs.inc("issuer.batches")
-            obs.inc("issuer.batch_blocks", batch)
-            obs.inc("issuer.batch_transitions_saved", saved)
-            stats = self.proof_cache.stats()
-            obs.set_gauge("issuer.proof_cache_hits", stats["hits"])
-            obs.set_gauge("issuer.proof_cache_misses", stats["misses"])
-            obs.set_gauge("issuer.proof_cache_hit_rate", stats["hit_rate"])
-            obs.set_gauge("issuer.proof_cache_entries", stats["entries"])
-            obs.observe("issuer.batch_size_blocks", batch)
-            obs.observe(
-                "issuer.batch_peak_payload_bytes",
-                peak_payload,
-                boundaries=obs.SIZE_BYTES_BUCKETS,
-            )
-        return results
-
-    def issue_batch(self, blocks: list[Block]) -> list[CertifiedBlock]:
-        """Stage ``blocks`` then certify them in one batch ecall.
-
-        If a block fails validation partway through, the already-staged
-        (valid, committed) prefix is still certified before the error
-        propagates, so the issuer is never left with a pending queue.
-        """
-        try:
-            for block in blocks:
-                self.stage_block(block)
-        except Exception:
-            self.certify_staged()
-            raise
-        return self.certify_staged()
 
     # -- conveniences ----------------------------------------------------------
 
@@ -598,9 +382,10 @@ class IssuerService:
     * ``tip_at`` — the certified tip at a given height, for clients
       catching up or auditing;
     * ``evidence`` — the CI's :class:`AttestationEvidence`;
-    * ``certify_range`` — submit a run of consecutive blocks for
-      batched certification (one enclave ecall for the whole run);
-      returns the resulting :class:`CertifiedTip` per block.
+    * ``certify_range`` — submit a run of consecutive blocks; each is
+      certified by ``process_block`` (already-certified heights are
+      answered from the archive); returns one :class:`CertifiedTip` per
+      block.
 
     Raises :class:`~repro.errors.ServiceUnavailableError` (propagated
     to the caller through the RPC error channel) while the CI has not
@@ -635,11 +420,20 @@ class IssuerService:
             raise ServiceUnavailableError("issuer has not certified any block")
         return self._certified_tip(self.issuer.certified[-1])
 
+    def _certified_at(self, height: object) -> CertifiedBlock | None:
+        """The certified block at a wire-supplied ``height``, if any.
+        Heights are consecutive from 1 on every construction path, so it
+        is a list read — once ``height`` is known to be an in-range int."""
+        certified = self.issuer.certified
+        if type(height) is int and 1 <= height <= len(certified):
+            return certified[height - 1]
+        return None
+
     def _tip_at(self, height: object) -> CertifiedTip:
-        for certified in self.issuer.certified:
-            if certified.block.header.height == height:
-                return self._certified_tip(certified)
-        raise ServiceUnavailableError(f"no certified block at height {height!r}")
+        certified = self._certified_at(height)
+        if certified is None:
+            raise ServiceUnavailableError(f"no certified block at height {height!r}")
+        return self._certified_tip(certified)
 
     def _certify_range(self, blocks: object) -> tuple[CertifiedTip, ...]:
         """Certify a run of consecutive blocks, idempotently.
@@ -649,53 +443,25 @@ class IssuerService:
         durable but the response was lost).  Heights at or below the
         tip whose header hash matches the certified block are answered
         from the archive — re-certifying them would produce the exact
-        same bytes anyway (deterministic signatures) — and only the
-        genuinely new suffix goes through the enclave.
+        same bytes anyway (deterministic signatures) — and each
+        genuinely new block goes through ``process_block``, durable
+        before the next one starts.  A validation failure propagates
+        after the valid prefix is certified.
         """
         if not isinstance(blocks, (list, tuple)) or not blocks:
             raise CertificateError("certify_range takes a non-empty block list")
         if not all(isinstance(block, Block) for block in blocks):
             raise CertificateError("certify_range takes Block objects")
-        replayed: list[CertifiedTip] = []
-        fresh: list[Block] = []
-        certified_at = {
-            entry.block.header.height: entry for entry in self.issuer.certified
-        }
+        tips: list[CertifiedTip] = []
         for block in blocks:
-            if fresh:
-                fresh.append(block)
-                continue
-            existing = certified_at.get(block.header.height)
+            certified = self._certified_at(block.header.height)
             if (
-                existing is not None
-                and existing.block.header.header_hash()
-                == block.header.header_hash()
+                certified is None
+                or certified.block.header.header_hash() != block.header.header_hash()
             ):
-                replayed.append(self._certified_tip(existing))
-            else:
-                fresh.append(block)
-        if fresh and self.issuer.staged_count:
-            # Recovery resumed a staged batch the crash interrupted; if
-            # the retry re-sends exactly those blocks, finish the batch
-            # instead of staging duplicates.
-            staged_hashes = [
-                staged.block.header.header_hash()
-                for staged in self.issuer._staged
-            ]
-            fresh_hashes = [
-                block.header.header_hash()
-                for block in fresh[: len(staged_hashes)]
-            ]
-            if staged_hashes == fresh_hashes:
-                certified = self.issuer.certify_staged()
-                replayed.extend(
-                    self._certified_tip(entry) for entry in certified
-                )
-                fresh = fresh[len(staged_hashes) :]
-        if fresh:
-            certified = self.issuer.issue_batch(fresh)
-            replayed.extend(self._certified_tip(entry) for entry in certified)
-        return tuple(replayed)
+                certified = self.issuer.process_block(block)
+            tips.append(self._certified_tip(certified))
+        return tuple(tips)
 
     def _evidence(self, _argument: object) -> AttestationEvidence:
         return AttestationEvidence(
@@ -704,37 +470,3 @@ class IssuerService:
             report=self.issuer.report,
         )
 
-
-def attach_lazy_proof_service(issuer: CertificateIssuer) -> None:
-    """Register the Ocall the lazy certification path depends on.
-
-    The handler serves (pre-state value, SMT proof) for any cell from
-    the CI's untrusted state — the enclave verifies each response, so a
-    lying handler only aborts certification.
-    """
-
-    def fetch_state_proof(key: bytes):
-        return issuer.node.state.get_raw(key), issuer.node.state.prove(key)
-
-    issuer.enclave.register_ocall("fetch_state_proof", fetch_state_proof)
-
-
-def gen_cert_lazy(issuer: CertificateIssuer, block: Block) -> Certificate:
-    """Alg. 1 with the lazy (Ocall-per-cell) enclave path.
-
-    Requires :func:`attach_lazy_proof_service`.  Does not commit the
-    block; exists for the Ecall/Ocall design-space ablation.
-    """
-    issuer.node.validate_block(block)
-    sig = issuer.enclave.ecall(
-        "sig_gen_lazy",
-        issuer.node.tip,
-        issuer.latest_certificate,
-        block,
-    )
-    return Certificate(
-        pk_enc=issuer.pk_enc,
-        report=issuer.report,
-        dig=block_digest(block.header),
-        sig=sig,
-    )

@@ -8,9 +8,7 @@ the point of a long-lived service.  This module adds:
   state (state SMT cells + root, index roots and latest index/augmented
   certificates, the latest block certificate, ``pk_enc``), sealed by
   the enclave (``seal_checkpoint``) so on-disk tampering fails the MAC
-  instead of being replayed.  The batched path's staging journal lives
-  in the WAL itself (``staged`` records), so a checkpoint is only taken
-  at a batch boundary (staging queue empty) and need not include it.
+  instead of being replayed.
 * :class:`DurableIssuer` — wraps a :class:`CertificateIssuer` so every
   certification lands in the :class:`~repro.storage.ChainArchive` WAL
   before the call returns, and a checkpoint is re-sealed every
@@ -33,7 +31,8 @@ rather than serving it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro import obs
 from repro.chain.block import Block
@@ -44,13 +43,15 @@ from repro.core.certificate import CERT_SIG_DOMAIN, Certificate
 from repro.core.digest import block_digest
 from repro.core.issuer import CertificateIssuer, CertifiedBlock
 from repro.crypto import verify
-from repro.errors import ArchiveCorruptionError, CertificateError
+from repro.errors import ArchiveCorruptionError
 from repro.fault.crashpoints import crashpoint
 from repro.query.indexes import AuthenticatedIndexSpec
 from repro.sgx.attestation import AttestationService, WELL_KNOWN_IAS
 from repro.sgx.costs import SGXCostModel
 from repro.sgx.platform import SGXPlatform
-from repro.storage import ArchiveEntry, ChainArchive
+
+if TYPE_CHECKING:  # annotations only: repro.storage itself imports repro.core
+    from repro.storage import ArchiveEntry, ChainArchive
 
 
 def _encode_cert(cert: Certificate | None) -> str | None:
@@ -77,10 +78,6 @@ class IssuerCheckpoint:
 
     @classmethod
     def capture(cls, issuer: CertificateIssuer) -> "IssuerCheckpoint":
-        if issuer.staged_count:
-            raise CertificateError(
-                "cannot checkpoint with staged blocks pending certification"
-            )
         return cls(
             height=issuer.node.height,
             tip_hash=issuer.node.tip.header.header_hash().hex(),
@@ -150,8 +147,6 @@ class RecoveryReport:
     checkpoint_used: bool = False
     replayed_blocks: int = 0
     verified_blocks: int = 0
-    staged_resumed: int = 0
-    staged_discarded: int = 0
     torn_bytes_dropped: int = 0
 
 
@@ -159,12 +154,10 @@ class DurableIssuer:
     """A :class:`CertificateIssuer` whose certifications are durable.
 
     Every certified block is appended to the archive WAL before the
-    call returns; every ``checkpoint_interval`` certified blocks (at a
-    batch boundary) the issuer state is sealed into the checkpoint
-    sidecar.  Non-durable attributes and methods delegate to the
-    wrapped issuer, so this drops into :class:`IssuerService`,
-    :class:`~repro.core.pipeline.CertificationPipeline`, and the query
-    provider unchanged.
+    call returns; every ``checkpoint_interval`` certified blocks the
+    issuer state is sealed into the checkpoint sidecar.  Non-durable
+    attributes and methods delegate to the wrapped issuer, so this drops
+    into :class:`IssuerService` and the query provider unchanged.
 
     Durability covers the hierarchical scheme (the library default);
     augmented-only certification is not journaled.
@@ -197,7 +190,6 @@ class DurableIssuer:
         ias: AttestationService | None = None,
         cost_model: SGXCostModel | None = None,
         key_seed: bytes | None = None,
-        proof_cache_entries: int = 0,
         checkpoint_interval: int = 0,
     ) -> "DurableIssuer":
         """Provision a fresh issuer and initialize its archive: the
@@ -213,7 +205,6 @@ class DurableIssuer:
             ias=ias if ias is not None else WELL_KNOWN_IAS,
             cost_model=cost_model,
             key_seed=key_seed,
-            proof_cache_entries=proof_cache_entries,
         )
         archive.initialize(issuer.seal_signing_key())
         return cls(issuer, archive, checkpoint_interval=checkpoint_interval)
@@ -221,41 +212,11 @@ class DurableIssuer:
     # -- durable certification ----------------------------------------------
 
     def process_block(self, block: Block, **kwargs) -> CertifiedBlock:
-        """Sequentially certify + commit ``block``, then journal it."""
+        """Certify + commit ``block``, then journal it."""
         certified = self.issuer.process_block(block, **kwargs)
-        self._journal(certified)
-        self._maybe_checkpoint()
-        return certified
-
-    def stage_block(self, block: Block) -> None:
-        """Stage ``block`` and journal the staging record, so a crash
-        between staging and batch certification can finish the batch."""
-        self.issuer.stage_block(block)
-        staged = self.issuer._staged[-1]
-        self.archive.append_staged(staged.block, staged.write_set)
-
-    def certify_staged(self) -> list[CertifiedBlock]:
-        """Certify the staged batch, then journal every block in it."""
-        results = self.issuer.certify_staged()
-        for certified in results:
-            self._journal(certified)
-        self._maybe_checkpoint()
-        return results
-
-    def issue_batch(self, blocks: list[Block]) -> list[CertifiedBlock]:
-        """Durable form of :meth:`CertificateIssuer.issue_batch`."""
-        try:
-            for block in blocks:
-                self.stage_block(block)
-        except Exception:
-            self.certify_staged()
-            raise
-        return self.certify_staged()
-
-    def _journal(self, certified: CertifiedBlock) -> None:
         # The enclave has signed (in-memory state advanced) but the
-        # record is not yet durable — the classic crash window.  On
-        # recovery the staged/previous records re-certify the block to
+        # record is not yet durable — the classic crash window.  The
+        # block is re-submitted after recovery and re-certifies to
         # byte-identical certificates, so nothing is ever lost or forked.
         crashpoint("durable.append.pre_wal")
         self.archive.append_record(
@@ -265,6 +226,13 @@ class DurableIssuer:
             index_roots=certified.index_roots,
             write_set=certified.write_set,
         )
+        if (
+            self.checkpoint_interval > 0
+            and self.issuer.node.height - self._last_checkpoint_height
+            >= self.checkpoint_interval
+        ):
+            self.checkpoint()
+        return certified
 
     # -- checkpointing -------------------------------------------------------
 
@@ -281,15 +249,6 @@ class DurableIssuer:
         if obs.enabled():
             obs.inc("recovery.checkpoints_taken")
             obs.set_gauge("recovery.checkpoint_height", snapshot.height)
-
-    def _maybe_checkpoint(self) -> None:
-        if self.checkpoint_interval <= 0 or self.issuer.staged_count:
-            return
-        if (
-            self.issuer.node.height - self._last_checkpoint_height
-            >= self.checkpoint_interval
-        ):
-            self.checkpoint()
 
     # -- delegation ----------------------------------------------------------
 
@@ -362,7 +321,6 @@ def recover_issuer(
     platform: SGXPlatform | None = None,
     ias: AttestationService | None = None,
     cost_model: SGXCostModel | None = None,
-    proof_cache_entries: int = 0,
     checkpoint_interval: int = 0,
 ) -> DurableIssuer:
     """Restore a :class:`DurableIssuer` from its archive.
@@ -373,9 +331,7 @@ def recover_issuer(
     present, enclave work is O(gap): only WAL records past the
     checkpoint height are re-certified; the prefix is verified in
     untrusted code against the checkpoint's sealed roots.  Every
-    replayed certificate must match the archived bytes exactly, and
-    pending ``staged`` records (a batch the crash interrupted) are
-    re-staged so the next ``certify_staged`` finishes the batch.
+    replayed certificate must match the archived bytes exactly.
     """
     contents = archive.load()
     issuer = CertificateIssuer(
@@ -388,7 +344,6 @@ def recover_issuer(
         ias=ias if ias is not None else WELL_KNOWN_IAS,
         cost_model=cost_model,
         sealed_key=contents.sealed_key,
-        proof_cache_entries=proof_cache_entries,
     )
     report = RecoveryReport(torn_bytes_dropped=contents.torn_bytes_dropped)
 
@@ -419,19 +374,6 @@ def recover_issuer(
         _compare_replayed(certified, entry)
         report.replayed_blocks += 1
 
-    # Resume the staged batch the crash interrupted (records already
-    # durable — stage through the inner issuer, no re-journaling).
-    pending = contents.pending_staged()
-    for staged in pending:
-        issuer.stage_block(staged.block)
-    report.staged_resumed = len(pending)
-    staged_heights = {
-        staged.block.header.height
-        for staged in contents.staged
-        if staged.block.header.height > len(contents.entries)
-    }
-    report.staged_discarded = len(staged_heights) - len(pending)
-
     if obs.enabled():
         obs.inc("recovery.restarts")
         obs.inc("recovery.replayed_blocks", report.replayed_blocks)
@@ -439,8 +381,6 @@ def recover_issuer(
             "recovery.checkpoint_age_blocks",
             len(contents.entries) - report.checkpoint_height,
         )
-        obs.set_gauge("recovery.last_staged_resumed", report.staged_resumed)
-        obs.set_gauge("recovery.last_staged_discarded", report.staged_discarded)
 
     durable = DurableIssuer(
         issuer, archive, checkpoint_interval=checkpoint_interval

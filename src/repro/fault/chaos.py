@@ -1,9 +1,8 @@
 """The chaos harness: sweep every crashpoint, assert recovery invariants.
 
-For each cataloged crashpoint the harness runs a fixed mixed workload
-(sequential certification, then pipelined batches) against a
-:class:`~repro.core.recovery.DurableIssuer`, crashes it at the armed
-point, recovers from the archive, finishes the workload, and checks —
+For each cataloged crashpoint the harness certifies a fixed chain
+through a :class:`~repro.core.recovery.DurableIssuer`, crashes it at the
+armed point, recovers from the archive, finishes the workload, and checks —
 against a no-crash baseline run under the same deterministic identity
 (same platform seed, same enclave key seed, same IAS) — that:
 
@@ -31,7 +30,6 @@ from repro.chain.genesis import make_genesis
 from repro.chain.transaction import sign_transaction
 from repro.chain.vm import VM
 from repro.contracts import fresh_vm
-from repro.core.pipeline import CertificationPipeline
 from repro.core.recovery import DurableIssuer, recover_issuer
 from repro.core.superlight import SuperlightClient, compute_expected_measurement
 from repro.crypto import generate_keypair
@@ -40,10 +38,6 @@ from repro.query.indexes import AccountHistoryIndexSpec
 from repro.sgx.attestation import AttestationService
 from repro.sgx.platform import SGXPlatform
 
-#: Workload shape: this many blocks certified sequentially, the rest
-#: through the pipeline in batches of _BATCH.
-_SEQUENTIAL_PREFIX = 3
-_BATCH = 3
 _NETWORK = "chaos"
 _CHECKPOINT_INTERVAL = 4
 
@@ -68,7 +62,6 @@ class ChaosOutcome:
     recovered_height: int
     replayed_blocks: int
     checkpoint_used: bool
-    staged_resumed: int
 
 
 def build_world(num_blocks: int = 10, block_size: int = 2) -> ChaosWorld:
@@ -110,7 +103,6 @@ def _durable(
         index_specs=[world.spec],
         platform=SGXPlatform(seed=b"chaos-platform"),
         ias=world.ias,
-        proof_cache_entries=64,
         checkpoint_interval=_CHECKPOINT_INTERVAL,
     )
     if not recover:
@@ -127,24 +119,10 @@ def _durable(
 
 
 def _run_workload(durable: DurableIssuer, blocks: list[Block]) -> None:
-    """Sequential prefix, then pipelined batches — exercises every
-    durable path (process_block, stage/certify, pipeline flush)."""
-    remaining = [
-        block
-        for block in blocks
-        if block.header.height > durable.issuer.node.height
-    ]
-    for block in remaining[:]:
-        if block.header.height > _SEQUENTIAL_PREFIX:
-            break
-        durable.process_block(block)
-        remaining.remove(block)
-    if durable.issuer.staged_count:
-        durable.certify_staged()
-    pipeline = CertificationPipeline(durable, batch_size=_BATCH)
-    for block in remaining:
-        pipeline.submit(block)
-    pipeline.close()
+    """Certify every block past the issuer's tip, durably."""
+    for block in blocks:
+        if block.header.height > durable.issuer.node.height:
+            durable.process_block(block)
 
 
 def certificate_bytes(issuer) -> dict[int, tuple[bytes, tuple[bytes, ...]]]:
@@ -213,10 +191,7 @@ def run_case(
     report = recovered.last_recovery
     recovered_height = recovered.issuer.node.height
 
-    # Finish the workload: certify any resumed staged batch, then feed
-    # every block the recovered tip does not cover yet.
-    if recovered.issuer.staged_count:
-        recovered.certify_staged()
+    # Finish the workload from the recovered tip.
     _run_workload(recovered, world.blocks)
 
     # Invariant: same pk_enc across the crash (sealed key survived).
@@ -247,5 +222,4 @@ def run_case(
         recovered_height=recovered_height,
         replayed_blocks=report.replayed_blocks if report else 0,
         checkpoint_used=report.checkpoint_used if report else False,
-        staged_resumed=report.staged_resumed if report else 0,
     )

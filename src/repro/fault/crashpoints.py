@@ -64,13 +64,8 @@ CATALOG: tuple[str, ...] = (
     "enclave.ecall.pre",         # about to enter the enclave
     "enclave.ecall.post",        # enclave returned; host lost the result
     # issuer (repro.core.issuer).
-    "issuer.process_block.pre",  # sequential certification about to start
+    "issuer.process_block.pre",  # certification about to start
     "issuer.process_block.post", # certified + committed in memory only
-    "issuer.stage_block.post",   # staged + committed in memory only
-    "issuer.certify_staged.pre", # batch assembled, ecall not yet entered
-    "issuer.certify_staged.post",# batch ecall returned, results unrecorded
-    # pipeline (repro.core.pipeline).
-    "pipeline.flush.pre",        # auto-flush boundary
     # durable issuer (repro.core.recovery).
     "durable.append.pre_wal",    # certificate issued, WAL record not yet written
     "durable.checkpoint.pre_seal",  # checkpoint capture about to start

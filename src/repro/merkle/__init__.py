@@ -44,7 +44,6 @@ from repro.merkle.mht import MembershipProof, MerkleTree, verify_membership
 from repro.merkle.mmr import MerkleMountainRange, MMRProof, verify_mmr
 from repro.merkle.mpt import MerklePatriciaTrie, MPTProof, verify_mpt
 from repro.merkle.partial import PartialSMT
-from repro.merkle.proofcache import ProofCache
 from repro.merkle.skiplist import (
     AuthenticatedSkipList,
     SkipRangeProof,
@@ -66,7 +65,6 @@ __all__ = [
     "MerklePatriciaTrie",
     "MerkleTree",
     "PartialSMT",
-    "ProofCache",
     "SMTProof",
     "SkipRangeProof",
     "SparseMerkleTree",

@@ -62,45 +62,14 @@ class PartialSMT:
         """True when ``key`` was proven and can be read or written."""
         return key in self._values
 
-    def forget(self, keys) -> None:
-        """Evict entries from the slice and prune unneeded node digests.
-
-        This is how a bounded proof cache stays bounded: evicted keys
-        must be re-proven before they can be read or written again, and
-        every internal digest that no remaining entry's path (or path
-        sibling) touches is dropped.  Forgetting a key the slice does
-        not hold is a no-op, so untrusted eviction hints are safe to
-        apply verbatim.
-        """
-        dropped = False
-        for key in keys:
-            if key in self._values:
-                del self._values[key]
-                dropped = True
-        if not dropped:
-            return
-        if not self._values:
-            self._nodes.clear()
-            return
-        keep = {1}
-        for key in self._values:
-            index = 1 << self.depth | key_path(key, self.depth)
-            while index > 1:
-                keep.update((index, index ^ 1))
-                index >>= 1
-        self._nodes = {
-            index: digest for index, digest in self._nodes.items() if index in keep
-        }
-
     def merge_entry(
         self, root: Digest, key: bytes, value: bytes | None, proof: "SMTProof"
     ) -> None:
         """Verify and merge one more proof into the slice.
 
         Only valid before any :meth:`update` — proofs verify against the
-        original root.  Lazy (Ocall-fetching) enclave designs use this
-        to grow the slice on demand.  The path's nodes and siblings are
-        learned and cross-checked against what earlier proofs taught.
+        original root.  The path's nodes and siblings are learned and
+        cross-checked against what earlier proofs taught.
         """
         if proof.depth != self.depth:
             raise ProofError("mixed-depth SMT proofs")

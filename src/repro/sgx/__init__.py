@@ -14,7 +14,7 @@ its measured effects depend on:
 * **Remote attestation** — a per-platform hardware key signs quotes;
   the simulated Intel Attestation Service verifies them and issues
   IAS-signed reports that clients check against the well-known IAS key.
-* **Performance model** — Ecall/Ocall transitions carry a fixed cost,
+* **Performance model** — Ecall transitions carry a fixed cost,
   in-enclave execution pays a calibrated slowdown factor, and exceeding
   the 93 MB usable EPC triggers per-MB paging charges.  The defaults
   reproduce the paper's observation that the enclave costs at most

@@ -3,7 +3,7 @@
 Numbers are calibrated from the literature the paper cites ([20, 25,
 26, 28, 29]) and from the paper's own observations:
 
-* an Ecall/Ocall transition costs ~8 microseconds (HotCalls measure
+* an Ecall transition costs ~8 microseconds (HotCalls measure
   8,000-14,000 cycles);
 * in-enclave execution of the DCert workload is at most ~1.8x the
   plain-CPU time (Fig. 8), so the default slowdown factor is 0.8
@@ -31,7 +31,6 @@ class SGXCostModel:
     """Tunable cost parameters for the simulated enclave."""
 
     ecall_transition_s: float = 8e-6
-    ocall_transition_s: float = 8e-6
     enclave_slowdown_extra: float = 0.8  # extra seconds per second of work
     epc_usable_bytes: int = 93 * 1024 * 1024
     paging_s_per_mb: float = 3e-3
@@ -50,7 +49,6 @@ class CostLedger:
     """Accumulated modeled costs, for benchmark breakdowns."""
 
     ecalls: int = 0
-    ocalls: int = 0
     transition_s: float = 0.0
     slowdown_s: float = 0.0
     paging_s: float = 0.0
@@ -62,7 +60,6 @@ class CostLedger:
 
     def reset(self) -> None:
         self.ecalls = 0
-        self.ocalls = 0
         self.transition_s = 0.0
         self.slowdown_s = 0.0
         self.paging_s = 0.0
@@ -72,7 +69,6 @@ class CostLedger:
     def snapshot(self) -> "CostLedger":
         return CostLedger(
             ecalls=self.ecalls,
-            ocalls=self.ocalls,
             transition_s=self.transition_s,
             slowdown_s=self.slowdown_s,
             paging_s=self.paging_s,
@@ -88,7 +84,6 @@ class CostLedger:
         """
         return CostLedger(
             ecalls=self.ecalls - before.ecalls,
-            ocalls=self.ocalls - before.ocalls,
             transition_s=self.transition_s - before.transition_s,
             slowdown_s=self.slowdown_s - before.slowdown_s,
             paging_s=self.paging_s - before.paging_s,

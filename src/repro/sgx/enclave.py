@@ -88,18 +88,6 @@ class EnclaveProgram:
     self_measurement: Digest = b""
     # Set by the host before on_init (EGETKEY analogue for sealing).
     _platform: "SGXPlatform | None" = None
-    # Installed by EnclaveHost.register_ocall.
-    _ocall_dispatch: Any = None
-
-    def ocall(self, name: str, *args: Any, **kwargs: Any) -> Any:
-        """Exit the enclave to call an untrusted host function.
-
-        Anything returned is *untrusted input* — the program must verify
-        it (e.g. check Merkle proofs) exactly like ecall arguments.
-        """
-        if self._ocall_dispatch is None:
-            raise EnclaveError("no ocalls registered for this enclave")
-        return self._ocall_dispatch(name, *args, **kwargs)
 
 
 class EnclaveHost:
@@ -132,33 +120,6 @@ class EnclaveHost:
         """Run remote attestation against an IAS; one-time per enclave."""
         quote = sign_quote(self.platform, self.measurement, self._report_data)
         return service.attest(quote)
-
-    def register_ocall(self, name: str, handler: Any) -> None:
-        """Expose an untrusted host function to the enclave program.
-
-        The program invokes it via :meth:`EnclaveProgram.ocall`; every
-        invocation pays the Ocall transition cost.  DCert's main design
-        avoids Ocalls entirely (§2.2), but the interface exists so the
-        lazy-proof-fetching alternative can be measured against it.
-        """
-        self._ocalls = getattr(self, "_ocalls", {})
-        self._ocalls[name] = handler
-        program = self.program
-
-        def dispatch(ocall_name: str, *args: Any, **kwargs: Any) -> Any:
-            target = self._ocalls.get(ocall_name)
-            if target is None:
-                raise EnclaveError(f"undefined ocall {ocall_name!r}")
-            self.ledger.ocalls += 1
-            obs.inc("sgx.ocalls")
-            if model_enabled():
-                self.ledger.transition_s += self.cost_model.ocall_transition_s
-                obs.inc("sgx.transition_s", self.cost_model.ocall_transition_s)
-                if self.cost_model.spend_time:
-                    spend(self.cost_model.ocall_transition_s)
-            return target(*args, **kwargs)
-
-        program._ocall_dispatch = dispatch
 
     def ecall(self, name: str, *args: Any, payload_bytes: int = 0, **kwargs: Any) -> Any:
         """Enter the enclave: dispatch ``name(*args, **kwargs)``.

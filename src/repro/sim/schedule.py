@@ -29,8 +29,8 @@ from .world import KIND_GATEWAY, KIND_PUSH, SimWorld
 
 #: Crashpoints reachable from the miner's ``certify_range`` call — the
 #: certification path end to end (WAL framing, torn tails, checkpoint
-#: renames, ecall dispatch, staging, batch certification, durable
-#: journaling) plus the hub's fan-out points.
+#: renames, ecall dispatch, ``process_block``, durable journaling) plus
+#: the hub's fan-out points.
 SIM_CRASH_POINTS = (
     "wal.append.pre_write",
     "wal.append.torn_write",
@@ -39,9 +39,8 @@ SIM_CRASH_POINTS = (
     "archive.checkpoint.post_rename",
     "enclave.ecall.pre",
     "enclave.ecall.post",
-    "issuer.stage_block.post",
-    "issuer.certify_staged.pre",
-    "issuer.certify_staged.post",
+    "issuer.process_block.pre",
+    "issuer.process_block.post",
     "durable.append.pre_wal",
     "durable.checkpoint.pre_seal",
     "pubsub.publish.pre",

@@ -20,12 +20,11 @@ from two pieces:
   :mod:`repro.core.recovery`).
 
 Record stream layout: one ``head`` record first (exactly once, carrying
-the sealed signing key), then ``block`` records (block, certificates,
-index roots, write set) interleaved with ``staged`` records — the
-staging journal of the batched path, letting recovery finish a batch
-the crash interrupted.  Certificates are stored as issued (they cannot
-be re-derived without the enclave) and are re-verified on restore, so a
-tampered archive is rejected rather than trusted.
+the sealed signing key), then one ``block`` record per certified block
+(block, certificates, index roots, write set).  Certificates are stored
+as issued (they cannot be re-derived without the enclave) and are
+re-verified on restore, so a tampered archive is rejected rather than
+trusted.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from pathlib import Path
 from repro import obs
 from repro.chain.block import Block, decode_block, encode_block
 from repro.core.certificate import Certificate
-from repro.errors import ArchiveCorruptionError, ArchiveFormatError
+from repro.errors import ArchiveCorruptionError, ArchiveFormatError, ReproError
 from repro.fault.crashpoints import crash_now, crashpoint, torn_prefix
 
 _FRAME_HEADER_BYTES = 8  # 4-byte big-endian length + 4-byte CRC32
@@ -183,62 +182,12 @@ class ArchiveEntry:
 
 
 @dataclass(slots=True)
-class StagedEntry:
-    """One staging-journal record: validated + committed, not certified."""
-
-    block: Block
-    write_set: dict[bytes, bytes | None] = field(default_factory=dict)
-
-
-@dataclass(slots=True)
 class ArchiveContents:
     """Everything :meth:`ChainArchive.load` recovered from disk."""
 
     sealed_key: bytes
     entries: list[ArchiveEntry]
-    staged: list[StagedEntry]
     torn_bytes_dropped: int = 0
-
-    def pending_staged(self) -> list[StagedEntry]:
-        """Staged blocks the crash left uncertified, in replayable order.
-
-        A staged height is consumed once a ``block`` record exists for
-        it.  The survivors must chain contiguously on the certified
-        tip; anything past a gap (its predecessor's staged record was
-        lost to a torn tail) cannot be replayed and is dropped — the
-        workload source re-submits it.
-        """
-        certified = {entry.block.header.height for entry in self.entries}
-        tip = len(self.entries)
-        by_height: dict[int, StagedEntry] = {}
-        for staged in self.staged:  # last occurrence wins (re-staged on recovery)
-            if staged.block.header.height not in certified:
-                by_height[staged.block.header.height] = staged
-        pending: list[StagedEntry] = []
-        expect = tip + 1
-        for height in sorted(by_height):
-            if height != expect:
-                break
-            pending.append(by_height[height])
-            expect += 1
-        return pending
-
-
-def _encode_write_set(write_set: dict[bytes, bytes | None]) -> dict[str, str | None]:
-    return {
-        key.hex(): (value.hex() if value is not None else None)
-        for key, value in write_set.items()
-    }
-
-
-def _decode_write_set(raw: dict) -> dict[bytes, bytes | None]:
-    try:
-        return {
-            bytes.fromhex(key): (bytes.fromhex(value) if value is not None else None)
-            for key, value in raw.items()
-        }
-    except (ValueError, AttributeError) as exc:
-        raise ArchiveCorruptionError(f"malformed write set in archive: {exc}") from exc
 
 
 class ChainArchive:
@@ -305,18 +254,10 @@ class ChainArchive:
             "index_roots": {
                 name: root.hex() for name, root in index_roots.items()
             },
-            "write_set": _encode_write_set(write_set),
-        }
-        self.wal.append(self._dump(record))
-
-    def append_staged(
-        self, block: Block, write_set: dict[bytes, bytes | None]
-    ) -> None:
-        """Journal one staged (validated, uncertified) block."""
-        record = {
-            "kind": "staged",
-            "block": encode_block(block).decode("utf-8"),
-            "write_set": _encode_write_set(write_set),
+            "write_set": {
+                key.hex(): (value.hex() if value is not None else None)
+                for key, value in write_set.items()
+            },
         }
         self.wal.append(self._dump(record))
 
@@ -379,7 +320,6 @@ class ChainArchive:
             raise ArchiveFormatError("archive has no head record")
         sealed_key: bytes | None = None
         entries: list[ArchiveEntry] = []
-        staged: list[StagedEntry] = []
         for position, payload in enumerate(payloads):
             record = self._parse(payload)
             kind = record.get("kind")
@@ -392,7 +332,7 @@ class ChainArchive:
                     )
                 try:
                     sealed_key = bytes.fromhex(record["sealed_key"])
-                except (KeyError, ValueError) as exc:
+                except (KeyError, TypeError, ValueError) as exc:
                     raise ArchiveCorruptionError(
                         f"head record malformed: {exc}"
                     ) from exc
@@ -409,17 +349,6 @@ class ChainArchive:
                         f"where {expected} was expected"
                     )
                 entries.append(entry)
-            elif kind == "staged":
-                if sealed_key is None:
-                    raise ArchiveFormatError(
-                        "archive does not start with its head record"
-                    )
-                staged.append(
-                    StagedEntry(
-                        block=decode_block(record["block"].encode("utf-8")),
-                        write_set=_decode_write_set(record.get("write_set", {})),
-                    )
-                )
             else:
                 raise ArchiveFormatError(
                     f"unknown archive record kind {kind!r}"
@@ -429,7 +358,6 @@ class ChainArchive:
         return ArchiveContents(
             sealed_key=sealed_key,
             entries=entries,
-            staged=staged,
             torn_bytes_dropped=torn_bytes,
         )
 
@@ -453,29 +381,33 @@ class ChainArchive:
 
     @staticmethod
     def _decode_block_record(record: dict) -> ArchiveEntry:
+        # A CRC-valid record is still untrusted bytes: whatever a
+        # mistyped field makes the decoders raise -- their own taxonomy
+        # errors included -- is archive corruption.
         try:
-            block = decode_block(record["block"].encode("utf-8"))
-            certificate = (
-                Certificate.decode(record["certificate"].encode("utf-8"))
-                if record.get("certificate") is not None
-                else None
+            return ArchiveEntry(
+                block=decode_block(record["block"].encode("utf-8")),
+                certificate=(
+                    Certificate.decode(record["certificate"].encode("utf-8"))
+                    if record.get("certificate") is not None
+                    else None
+                ),
+                index_certificates={
+                    name: Certificate.decode(cert.encode("utf-8"))
+                    for name, cert in record.get("index_certificates", {}).items()
+                },
+                index_roots={
+                    name: bytes.fromhex(root)
+                    for name, root in record.get("index_roots", {}).items()
+                },
+                write_set={
+                    bytes.fromhex(key): (
+                        bytes.fromhex(value) if value is not None else None
+                    )
+                    for key, value in record.get("write_set", {}).items()
+                },
             )
-            index_certificates = {
-                name: Certificate.decode(cert.encode("utf-8"))
-                for name, cert in record.get("index_certificates", {}).items()
-            }
-            index_roots = {
-                name: bytes.fromhex(root)
-                for name, root in record.get("index_roots", {}).items()
-            }
-        except (KeyError, AttributeError, ValueError) as exc:
+        except (KeyError, AttributeError, TypeError, ValueError, ReproError) as exc:
             raise ArchiveCorruptionError(
                 f"block record malformed: {exc}"
             ) from exc
-        return ArchiveEntry(
-            block=block,
-            certificate=certificate,
-            index_certificates=index_certificates,
-            index_roots=index_roots,
-            write_set=_decode_write_set(record.get("write_set", {})),
-        )

@@ -38,6 +38,25 @@ def rebuild_proof(certified_setup, block):
     return UpdateProof(entries=node.validate_block(block).pre_state)
 
 
+def test_the_trusted_surface_is_three_certification_ecalls(certified_setup, last_two):
+    """Every exported ecall is surface whose caller is the adversary:
+    Alg. 2, Alg. 4, Alg. 5 and the three sealing calls, nothing else.
+    The batch and lazy extensions were measured and removed (PR 21)."""
+    from repro.core.enclave_program import DCertEnclaveProgram
+
+    assert set(DCertEnclaveProgram.ECALLS) == {
+        "sig_gen", "augmented_sig_gen", "index_sig_gen",
+        "seal_signing_key", "seal_checkpoint", "unseal_checkpoint",
+    }
+    assert len(DCertEnclaveProgram.ECALLS) == 6
+    enclave = certified_setup["issuer"].enclave
+    prev, tip = last_two
+    for removed in ("sig_gen_batch", "sig_gen_lazy"):
+        assert not hasattr(enclave.program, removed)
+        with pytest.raises(EnclaveError, match="undefined ecall"):
+            enclave.ecall(removed, prev.block, prev.certificate, tip.block)
+
+
 def test_sig_gen_accepts_valid_successor(certified_setup, program, last_two):
     prev_certified, tip_certified = last_two
     proof = rebuild_proof(certified_setup, tip_certified.block)
@@ -248,7 +267,7 @@ def test_unknown_index_spec_rejected(program, last_two):
         )
 
 
-# -- malformed upper-level (MPT) proofs at the three index-certifying ecalls ----
+# -- malformed upper-level (MPT) proofs at the two index-certifying ecalls ------
 #
 # An index update proof is host-supplied.  Its upper-level openings are
 # read by one validated open (merkle/mpt.py); before PR 20 four separate
@@ -265,7 +284,6 @@ def pending(kv_chain):
     from types import SimpleNamespace
 
     from repro.chain.genesis import make_genesis
-    from repro.core.batch import IndexUpdate
     from repro.core.issuer import CertificateIssuer
     from repro.query.indexes import AccountHistoryIndexSpec, KeywordIndexSpec
     from repro.sgx.attestation import AttestationService
@@ -293,7 +311,9 @@ def pending(kv_chain):
     for name, index in indexes.items():
         prev_root = index.root
         _writes, proof = index.ingest_block(block, write_set)
-        updates[name] = IndexUpdate(prev_root, index.root, proof)
+        updates[name] = SimpleNamespace(
+            prev_root=prev_root, new_root=index.root, proof=proof
+        )
     return SimpleNamespace(
         issuer=issuer, program=issuer.enclave.program, prev=issuer.node.tip,
         block=block, update_proof=update_proof, certificate=certificate,
@@ -301,34 +321,26 @@ def pending(kv_chain):
     )
 
 
-ECALLS = ("index_sig_gen", "augmented_sig_gen", "sig_gen_batch")
+ECALLS = ("index_sig_gen", "augmented_sig_gen")
 
 
 def certify_index(pending, ecall, name, proof, new_root):
     """Ask the enclave to certify ``name``'s update of the pending block
     with ``proof`` and the claimed ``new_root``."""
-    from repro.core.batch import BatchItem, IndexUpdate
-
     p, prev_root = pending, pending.updates[name].prev_root
     if ecall == "index_sig_gen":
         return p.program.index_sig_gen(
             p.prev.header, prev_root, p.issuer._index_certs[name],
             p.block.header, p.certificate, new_root, proof, name,
         )
-    if ecall == "augmented_sig_gen":
-        return p.program.augmented_sig_gen(
-            p.prev, p.issuer._aug_certs[name], prev_root, p.block, new_root,
-            p.update_proof, proof, name,
-        )
-    updates = {**p.updates, name: IndexUpdate(prev_root, new_root, proof)}
-    item = BatchItem(p.block, p.update_proof, updates)
-    return p.program.sig_gen_batch(
-        p.prev, p.issuer.latest_certificate, dict(p.issuer._index_certs), (item,)
+    return p.program.augmented_sig_gen(
+        p.prev, p.issuer._aug_certs[name], prev_root, p.block, new_root,
+        p.update_proof, proof, name,
     )
 
 
 def enclave_memory(program):
-    return list(program._recent), program._carried_slice, program._carried_root
+    return list(program._recent)
 
 
 def _malformed_upper_proofs(honest):
@@ -380,8 +392,6 @@ def test_index_ecalls_accept_the_honest_update(pending):
         honest = (name, update.proof, update.new_root)
         assert isinstance(certify_index(pending, "index_sig_gen", *honest), Signature)
         assert isinstance(certify_index(pending, "augmented_sig_gen", *honest), Signature)
-        ((block_sig, index_sigs),) = certify_index(pending, "sig_gen_batch", *honest)
-        assert block_sig == pending.certificate.sig and set(index_sigs) == set(pending.updates)
 
 
 @pytest.mark.parametrize("label", MALFORMED)
@@ -409,8 +419,6 @@ def test_index_ecalls_fail_typed_on_a_malformed_upper_proof(pending, ecall, labe
     with pytest.raises(ProofError):
         certify_index(pending, ecall, "keyword", malformed, new_root)
     assert enclave_memory(pending.program) == after_a_failed_call
-    if ecall == "sig_gen_batch":
-        assert pending.program._carried_slice is None
 
 
 #: What the *parent's* ``apply_writes`` returned for the forged history

@@ -17,7 +17,6 @@ import pytest
 from repro.chain.builder import ChainBuilder
 from repro.chain.genesis import make_genesis
 from repro.core import enclave_program
-from repro.core.batch import BatchItem, IndexUpdate
 from repro.core.certificate import CERT_SIG_DOMAIN, Certificate, VerifiedMemo
 from repro.core.digest import block_digest, index_digest
 from repro.core.issuer import CertificateIssuer
@@ -199,8 +198,6 @@ def test_one_changed_field_misses_the_memo_in_every_ecall(
     root, new_root = prev.index_roots["history"], tip.index_roots["history"]
     prev_index = prev.index_certificates["history"]
     no_proof = UpdateProof(entries=())
-    item = BatchItem(tip.block, no_proof, {})
-    indexed_item = BatchItem(tip.block, no_proof, {"history": IndexUpdate(root, new_root, None)})
 
     def forge(certificate):
         return tampered_in_one_field(certificate, peer)[field]
@@ -210,16 +207,12 @@ def test_one_changed_field_misses_the_memo_in_every_ecall(
     )
     calls = [
         ("sig_gen", (prev.block, bad_prev, tip.block, no_proof)),
-        ("sig_gen_lazy", (prev.block, bad_prev, tip.block)),
-        ("sig_gen_batch", (prev.block, bad_prev, {}, (item,))),
         ("augmented_sig_gen", (prev.block, bad_index, root, tip.block, new_root,
                                no_proof, None, "history")),
         ("index_sig_gen", (prev_header, root, bad_index, header, tip.certificate,
                            new_root, None, "history")),
         ("index_sig_gen", (prev_header, root, prev_index, header, bad_tip,
                            new_root, None, "history")),
-        ("sig_gen_batch", (prev.block, prev.certificate, {"history": bad_index},
-                           (indexed_item,))),
     ]
     enclave = launch_issuer(certified_setup["ias"], key_seed=b"memo-tests").enclave
     program = enclave.program
@@ -294,15 +287,8 @@ def test_every_certificate_taking_ecall_rejects_a_mismatched_pk_enc(
     forged_index = forged_by(rogue, report, index_digest(prev_header, root))
     forged_new = forged_by(rogue, report, block_digest(header))
     no_proof = UpdateProof(entries=())
-    item = BatchItem(tip.block, no_proof, {})
-    indexed_item = BatchItem(
-        tip.block, no_proof,
-        {"history": IndexUpdate(root, tip.index_roots["history"], None)},
-    )
     calls = [
         ("sig_gen", (prev.block, forged_block, tip.block, no_proof)),
-        ("sig_gen_lazy", (prev.block, forged_block, tip.block)),
-        ("sig_gen_batch", (prev.block, forged_block, {}, (item,))),
         ("augmented_sig_gen", (prev.block, forged_index, root, tip.block,
                                tip.index_roots["history"], no_proof, None, "history")),
         ("index_sig_gen", (prev_header, root, forged_index, header,
@@ -310,8 +296,6 @@ def test_every_certificate_taking_ecall_rejects_a_mismatched_pk_enc(
         ("index_sig_gen", (prev_header, root, prev.index_certificates["history"],
                            header, forged_new, tip.index_roots["history"], None,
                            "history")),
-        ("sig_gen_batch", (prev.block, prev.certificate, {"history": forged_index},
-                           (indexed_item,))),
     ]
     for memo_state in ("cold", "warm"):
         for name, arguments in calls:
@@ -324,9 +308,9 @@ def test_every_certificate_taking_ecall_rejects_a_mismatched_pk_enc(
             with pytest.raises(CertificateError, match="pk_enc does not match"):
                 enclave.ecall(name, *arguments)
             assert rogue.public.point not in pinned_cache
-            # The last two calls check a genuine certificate first, which
+            # The last call checks a genuine certificate first, which
             # admits the genuine report and pins the genuine key.
-            genuine_first = (name, arguments) in calls[-2:]
+            genuine_first = (name, arguments) == calls[-1]
             if memo_state == "cold" and not genuine_first:
                 assert len(enclave.program._verified_reports) == 0
                 assert set(pinned_cache) == pinned_before

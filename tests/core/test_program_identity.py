@@ -45,7 +45,7 @@ PINS = {
     2: {
         "repro.core.enclave_program.DCertEnclaveProgram": (
             "dcert.enclave/2",
-            "a48757240729ee796725db4835f4e75b7fe3d3ae3f4e08c853bed562e510e716",
+            "27b371ec223c51d5e9007ce8248fd9d1de2d5ebd889ded4754835e6b71cf686b",
         ),
         "repro.core.certificate.verify_certificate": (
             "dcert.enclave/2",

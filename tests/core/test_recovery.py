@@ -4,7 +4,7 @@ import pytest
 
 from repro.chain.genesis import make_genesis
 from repro.core.recovery import DurableIssuer, IssuerCheckpoint, recover_issuer
-from repro.errors import ArchiveCorruptionError, CertificateError, EnclaveError
+from repro.errors import ArchiveCorruptionError, EnclaveError
 from repro.query.indexes import AccountHistoryIndexSpec
 from repro.sgx.attestation import AttestationService
 from repro.sgx.platform import SGXPlatform
@@ -45,16 +45,6 @@ def test_checkpoint_payload_roundtrip(kv_chain, tmp_path):
     assert again == snapshot
     assert again.height == 3
     assert again.pk_enc == durable.pk_enc.to_bytes().hex()
-
-
-def test_checkpoint_refused_with_staged_blocks(kv_chain, tmp_path):
-    durable, _, _ = make_durable(kv_chain, tmp_path, blocks=2)
-    durable.stage_block(kv_chain.blocks[3])
-    with pytest.raises(CertificateError):
-        durable.checkpoint()
-    durable.certify_staged()
-    durable.checkpoint()  # fine at a batch boundary
-    assert durable.archive.read_checkpoint()[0] == 3
 
 
 def test_interval_checkpointing(kv_chain, tmp_path):
@@ -124,39 +114,6 @@ def test_checkpointed_recovery_enclave_work_is_o_gap(kv_chain, tmp_path):
         recovered = recover(kv_chain, durable, platform, ias)
         full[blocks] = recovered.enclave.ledger.ecalls
     assert full[8] > full[4]
-
-
-def test_staged_batch_resumes_after_recovery(kv_chain, tmp_path):
-    durable, platform, ias = make_durable(kv_chain, tmp_path, blocks=3)
-    durable.stage_block(kv_chain.blocks[4])
-    durable.stage_block(kv_chain.blocks[5])
-    # 'Crash': abandon the in-memory issuer; records are on disk.
-    recovered = recover(kv_chain, durable, platform, ias)
-    assert recovered.last_recovery.staged_resumed == 2
-    assert recovered.staged_count == 2
-    assert recovered.node.height == 5  # staged blocks are committed
-    certified = recovered.certify_staged()
-    assert [c.block.header.height for c in certified] == [4, 5]
-    # And the batch landed in the archive.
-    heights = [
-        e.block.header.height for e in recovered.archive.load().entries
-    ]
-    assert heights == [1, 2, 3, 4, 5]
-
-
-def test_noncontiguous_staged_leftovers_discarded(kv_chain, tmp_path):
-    durable, platform, ias = make_durable(kv_chain, tmp_path, blocks=3)
-    # Journal a staged record with a gap (as if height 4's record was
-    # lost to a torn tail but height 5's survived — only possible with
-    # out-of-order tampering, but recovery must stay sane).
-    durable.issuer.stage_block(kv_chain.blocks[4])
-    durable.issuer.stage_block(kv_chain.blocks[5])
-    staged5 = durable.issuer._staged[1]
-    durable.archive.append_staged(staged5.block, staged5.write_set)
-    recovered = recover(kv_chain, durable, platform, ias)
-    assert recovered.last_recovery.staged_resumed == 0
-    assert recovered.last_recovery.staged_discarded == 1
-    assert recovered.node.height == 3
 
 
 # -- sealed negative paths ----------------------------------------------------

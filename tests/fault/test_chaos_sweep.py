@@ -97,7 +97,7 @@ def test_sweep_every_crashpoint(world, tmp_path, baseline):
 
 def test_randomized_extra_cases(world, tmp_path, baseline):
     """Seeded random (point, hit, seed) cases reach later arrivals —
-    crashes past checkpoints, mid-pipeline, on re-staged batches."""
+    crashes past checkpoints, on any block of the chain."""
     if os.environ.get("REPRO_CHAOS_REPLAY") is not None:
         pytest.skip("replaying a single chaos case")
     rng = random.Random(_base_seed())
@@ -117,7 +117,8 @@ def test_late_crash_recovers_through_checkpoint(world, tmp_path, baseline):
     with only the WAL tail replayed through the enclave."""
     if os.environ.get("REPRO_CHAOS_REPLAY") is not None:
         pytest.skip("replaying a single chaos case")
-    outcome = _run(world, tmp_path, baseline, "wal.append.pre_write", 12, 0)
+    # The tenth WAL append is the last block's (one record per block).
+    outcome = _run(world, tmp_path, baseline, "wal.append.pre_write", 10, 0)
     assert outcome.crashed
     assert outcome.checkpoint_used
     assert outcome.replayed_blocks <= chaos._CHECKPOINT_INTERVAL

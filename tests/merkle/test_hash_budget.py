@@ -170,32 +170,3 @@ def test_process_block_proves_the_touched_keys_once(bench_params, prove_many_cal
     block, _ = harness.builder.add_block(harness.generator.block_txs("KV", 4))
     harness.issuer.process_block(block)
     assert len(prove_many_calls) == 1
-
-
-def test_stage_block_proves_once_and_filters_the_cache_hits(
-    bench_params, prove_many_calls
-):
-    """Parent: two or three times (a third for the cache misses); the
-    pruned proof is a filter of validation's entries, byte-identical to
-    re-proving the misses."""
-    harness = CertifiedChainHarness(bench_params, seed=7, proof_cache_entries=64)
-    issuer = harness.issuer
-    harness.setup_smallbank()
-    pruned = 0
-    for _ in range(6):
-        block, _ = harness.builder.add_block(harness.generator.block_txs("SB", 4))
-        prove_many_calls.clear()
-        state = issuer.node.state
-        cached = set(issuer.proof_cache.keys())
-        touched = issuer.node.validate_block(block).touched_keys()
-        expected = state.prove_many([key for key in touched if key not in cached])
-        prove_many_calls.clear()
-        issuer.stage_block(block)
-        assert len(prove_many_calls) == 1
-        staged = issuer._staged[-1]
-        assert list(staged.item.update_proof.entries) == expected
-        assert staged.shipped_keys == {key for key, _, _ in expected}
-        pruned += len(expected) < len(touched)
-        if issuer.staged_count == 2:
-            issuer.certify_staged()
-    assert pruned  # SmallBank accounts repeat: some proofs rode the cache

@@ -5,8 +5,7 @@ Until PR 19 a path was walked bottom-up in three places: ``verify_proof``,
 They are kept here *verbatim* (``Ref*`` below, keyed the way they were:
 ``(level, prefix)`` tuples) as the reference the engine
 (``repro.crypto.hashing.fold_path`` behind ``SMTProof.fold``) is compared
-with: roots, verdicts, learned nodes, ``forget`` survivors and
-``ProofError`` messages.  The only differences allowed are the malformed
+with: roots, verdicts, learned nodes and ``ProofError`` messages.  The only differences allowed are the malformed
 proofs listed in ``test_malformed_proofs_fail_typed``: the reference lets
 an untyped exception escape on them (or, for an over-wide mask, verifies
 a second encoding of the same proof).
@@ -86,31 +85,6 @@ class RefPartialSMT:
         self._defaults = ref_default_digests(depth)
         self._nodes = {}
         self._values = {}
-
-    def forget(self, keys):
-        dropped = False
-        for key in keys:
-            if key in self._values:
-                del self._values[key]
-                dropped = True
-        if not dropped:
-            return
-        if not self._values:
-            self._nodes.clear()
-            return
-        keep = {(self.depth, 0)}
-        for key in self._values:
-            prefix = key_path(key, self.depth)
-            for level in range(self.depth):
-                keep.add((level, prefix))
-                keep.add((level, prefix ^ 1))
-                prefix >>= 1
-                keep.add((level + 1, prefix))
-        self._nodes = {
-            position: digest
-            for position, digest in self._nodes.items()
-            if position in keep
-        }
 
     def update(self, key, value):
         if key not in self._values:
@@ -278,14 +252,7 @@ def test_members_and_non_members_agree_with_the_reference(depth):
     tree.update_batch(dict(writes))
     assert new.root == ref.root == tree.root
     assert new._nodes == heap_keyed(ref)
-
-    evicted = members[:4] + absent[:4] + [rng.randbytes(32)]
-    new.forget(evicted)
-    ref.forget(evicted)
-    assert new._nodes == heap_keyed(ref)
     assert new._values == ref._values
-    new.forget(list(new._values))
-    assert new._nodes == {} and len(new) == 0
 
 
 @pytest.mark.parametrize("depth", DEPTHS)
@@ -543,7 +510,7 @@ def malformed_cases(proof: SMTProof, value: bytes):
 def test_malformed_proofs_fail_typed():
     """A prover-chosen field of the wrong type, range or count is a False
     verdict from ``verify_proof`` and a ProofError from the merge -- i.e.
-    from the ``sig_gen`` / ``sig_gen_batch`` / ``sig_gen_lazy`` ecalls.
+    from every ecall that runs ``blk_verify_t``.
     The last column is what the parent commit's loops did instead."""
     rng = random.Random(2500)
     tree = random_tree(64, 64, rng)

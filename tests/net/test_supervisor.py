@@ -1,7 +1,8 @@
 """Supervised issuer restart, observable end-to-end over the bus.
 
 The acceptance scenario: an issuer dies mid-``certify_range`` (crash
-injected at the batch-certification boundary), the supervisor restores
+injected at each crashpoint of the one certification path), the
+supervisor restores
 it from the durable archive with bounded backoff, and the same remote
 client — which never saw anything but timeouts — completes its calls
 against the restarted issuer *without re-attestation* (sealed key keeps
@@ -51,17 +52,25 @@ def chain():
     return builder
 
 
-@pytest.fixture()
-def world(chain, tmp_path):
+def create_durable(chain, path):
+    """A fresh durable issuer under the one identity this file uses."""
     spec = AccountHistoryIndexSpec(name="history")
     ias = AttestationService(seed=b"supervised-ias")
     platform = SGXPlatform(seed=b"supervised-platform")
-    archive = ChainArchive(tmp_path / "ci.wal")
+    archive = ChainArchive(path)
     genesis, state = make_genesis(network=NETWORK)
     durable = DurableIssuer.create(
         archive, genesis, state, fresh_vm(), chain.pow,
         index_specs=[spec], platform=platform, ias=ias,
         key_seed=b"supervised-enclave", checkpoint_interval=3,
+    )
+    return durable, archive, genesis, spec, ias, platform
+
+
+@pytest.fixture()
+def world(chain, tmp_path):
+    durable, archive, genesis, spec, ias, platform = create_durable(
+        chain, tmp_path / "ci.wal"
     )
     # Certify half the chain before the network comes up.
     for block in chain.blocks[1:5]:
@@ -117,36 +126,68 @@ def make_network(world):
     return bus, service, supervisor, client
 
 
+@pytest.fixture(scope="module")
+def no_crash_certificates(chain, tmp_path_factory):
+    """``height -> encoded block certificate`` from an issuer of the same
+    identity that never crashed."""
+    durable = create_durable(
+        chain, tmp_path_factory.mktemp("no-crash") / "ci.wal"
+    )[0]
+    return {
+        block.header.height: durable.process_block(block).certificate.encode()
+        for block in chain.blocks[1:]
+    }
+
+
+#: Blocks 6..8 on a world certified to height 5 with a checkpoint every
+#: 3: the second checkpoint of the range would be at height 9.
+UNREACHED = {("archive.checkpoint.pre_rename", 2)}
+
+
 @pytest.mark.parametrize(
-    "point", ["issuer.certify_staged.post", "issuer.stage_block.post",
-              "durable.append.pre_wal"]
+    "point,hit",
+    [
+        pytest.param(point, hit, id=point if hit == 1 else f"{point}@{hit}")
+        for point in ("issuer.process_block.pre", "issuer.process_block.post",
+                      "durable.append.pre_wal", "wal.append.torn_write",
+                      "archive.checkpoint.pre_rename")
+        for hit in (1, 2)
+    ],
 )
-def test_crash_mid_certify_range_supervised_restart(world, point):
+def test_crash_mid_certify_range_supervised_restart(
+    world, no_crash_certificates, point, hit
+):
+    world["durable"].process_block(world["chain"].blocks[5])
     bus, service, supervisor, client = make_network(world)
     client.bootstrap()
-    assert client.latest_header.height == 4
+    assert client.latest_header.height == 5
     assert len(client.client._verified_reports) == 1
     pk_before = service.issuer.pk_enc.to_bytes()
 
-    # A miner submits the rest of the chain; the issuer dies mid-call.
+    # A miner submits the last three blocks; the issuer dies mid-call.
     miner = RpcClient(
         bus, "miner",
         policy=RetryPolicy(timeout_ms=200.0, max_attempts=5,
                            backoff_base_ms=30.0),
     )
-    blocks = world["chain"].blocks[5:]
-    with crash_armed(point) as schedule:
+    blocks = world["chain"].blocks[6:]
+    with crash_armed(point, hit=hit) as schedule:
         tips = miner.call("ci", "certify_range", tuple(blocks))
-    assert schedule.fired
-    assert supervisor.crashes == 1
-    assert supervisor.restarts == 1
+    assert schedule.fired == ((point, hit) not in UNREACHED)
+    assert supervisor.crashes == supervisor.restarts == int(schedule.fired)
     assert supervisor.gave_up is False
-    # The retried call completed against the *restored* issuer.
-    assert [tip.header.height for tip in tips] == [5, 6, 7, 8]
-    assert service.issuer is not world["durable"]  # swapped by restore
+    # The retried call completed against the *restored* issuer, with the
+    # certificates an issuer that never crashed produces.
+    assert [tip.header.height for tip in tips] == [6, 7, 8]
+    assert (service.issuer is not world["durable"]) == schedule.fired
+    for tip in tips:
+        assert tip.certificate.encode() == no_crash_certificates[tip.header.height]
 
     # Same pk_enc across the restart: the sealed key survived.
     assert service.issuer.pk_enc.to_bytes() == pk_before
+    # One WAL record per height: nothing was certified twice.
+    entries = world["archive"].load().entries
+    assert [entry.block.header.height for entry in entries] == list(range(1, 9))
 
     # The client completes a query against the restarted issuer without
     # re-attestation: the cached report verification still matches.
@@ -206,7 +247,7 @@ def test_supervisor_gives_up_after_bounded_attempts(world, tmp_path):
     )
     from repro.errors import RpcTimeoutError
 
-    with crash_armed("issuer.certify_staged.pre"):
+    with crash_armed("issuer.process_block.pre"):
         with pytest.raises(RpcTimeoutError):
             miner.call("ci", "certify_range", tuple(world["chain"].blocks[5:]))
     bus.run_for(5_000.0)  # let every scheduled restart attempt fire

@@ -11,9 +11,6 @@ failures replay *exactly* from a printed seed:
 * ``REPRO_PROPTEST_REPLAY=<case-seed>`` replays exactly that one case
   — deterministic shrink-by-replay: rerun the printed command, drop
   into a debugger, bisect the property body, all on one fixed input.
-* :func:`run_sized_cases` adds size-directed shrinking for properties
-  parameterized by a size: when a case fails, it replays the same case
-  seed at every smaller size and reports the *minimal* failing size.
 * :func:`mutate_one_byte` is the shared single-byte-mutation generator
   the forgery properties build on.
 
@@ -84,46 +81,6 @@ def run_cases(
                 f"(seed {case_seed}): {exc}\n"
                 f"replay just this case with:\n  {_replay_command(case_seed)}"
             ) from exc
-
-
-def run_sized_cases(
-    prop: Callable[[random.Random, int], None],
-    *,
-    max_size: int,
-    min_size: int = 1,
-    cases: int | None = None,
-    seed: int | None = None,
-) -> None:
-    """Like :func:`run_cases` for ``prop(rng, size)``: each case draws a
-    size in ``[min_size, max_size]``; on failure the same case seed is
-    replayed at every smaller size (fresh RNG each time, so the input
-    derivation is identical) and the minimal failing size is reported."""
-    replay = os.environ.get("REPRO_PROPTEST_REPLAY")
-    if replay is not None:
-        case_seed = int(replay)
-        size = random.Random(case_seed).randint(min_size, max_size)
-        prop(random.Random(case_seed), size)
-        return
-    base = seed if seed is not None else base_seed()
-    for index in range(cases if cases is not None else case_count()):
-        case_seed = _case_seed(base, index)
-        size = random.Random(case_seed).randint(min_size, max_size)
-        try:
-            prop(random.Random(case_seed), size)
-        except Exception as exc:
-            shrunk_size, shrunk_exc = size, exc
-            for smaller in range(min_size, size):
-                try:
-                    prop(random.Random(case_seed), smaller)
-                except Exception as smaller_exc:
-                    shrunk_size, shrunk_exc = smaller, smaller_exc
-                    break
-            raise AssertionError(
-                f"property {prop.__name__!r} failed on case {index} "
-                f"(seed {case_seed}), minimal failing size "
-                f"{shrunk_size}: {shrunk_exc}\n"
-                f"replay just this case with:\n  {_replay_command(case_seed)}"
-            ) from shrunk_exc
 
 
 def mutate_one_byte(data: bytes, rng: random.Random) -> bytes:

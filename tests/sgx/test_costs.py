@@ -114,16 +114,15 @@ def test_reset_inside_disabled_context(host):
 
 def test_delta_subtracts_every_charge_field():
     before = CostLedger(
-        ecalls=2, ocalls=1, transition_s=1.0, slowdown_s=2.0,
+        ecalls=2, transition_s=1.0, slowdown_s=2.0,
         paging_s=0.5, in_enclave_s=3.0, peak_epc_bytes=100,
     )
     after = CostLedger(
-        ecalls=5, ocalls=4, transition_s=1.5, slowdown_s=2.25,
+        ecalls=5, transition_s=1.5, slowdown_s=2.25,
         paging_s=0.75, in_enclave_s=4.0, peak_epc_bytes=200,
     )
     delta = after.delta(before)
     assert delta.ecalls == 3
-    assert delta.ocalls == 3
     assert delta.transition_s == pytest.approx(0.5)
     assert delta.slowdown_s == pytest.approx(0.25)
     assert delta.paging_s == pytest.approx(0.25)

@@ -150,49 +150,3 @@ def test_ledger_snapshot_and_reset():
     ledger.reset()
     assert ledger.ecalls == 0 and snap.ecalls == 3
     assert snap.total_overhead_s() == 1.0
-
-
-class OcallProgram(EnclaveProgram):
-    ECALLS = ("fetch_twice",)
-
-    def fetch_twice(self, key):
-        first = self.ocall("lookup", key)
-        second = self.ocall("lookup", key + 1)
-        return (first, second)
-
-
-def test_ocall_roundtrip():
-    host = EnclaveHost(OcallProgram(), SGXPlatform(seed=b"ocall"))
-    host.register_ocall("lookup", lambda key: key * 10)
-    assert host.ecall("fetch_twice", 4) == (40, 50)
-
-
-def test_ocall_unregistered_raises():
-    host = EnclaveHost(OcallProgram(), SGXPlatform(seed=b"ocall2"))
-    with pytest.raises(EnclaveError):
-        host.ecall("fetch_twice", 1)
-
-
-def test_unknown_ocall_name_raises():
-    host = EnclaveHost(OcallProgram(), SGXPlatform(seed=b"ocall3"))
-    host.register_ocall("other", lambda key: key)
-    with pytest.raises(EnclaveError):
-        host.ecall("fetch_twice", 1)
-
-
-def test_ocall_costs_counted():
-    import repro.sgx.costs as costs
-
-    model = SGXCostModel(spend_time=False)
-    host = EnclaveHost(OcallProgram(), SGXPlatform(seed=b"ocall4"), cost_model=model)
-    host.register_ocall("lookup", lambda key: key)
-    previous = costs._DISABLED_DEPTH
-    costs._DISABLED_DEPTH = 0
-    try:
-        host.ecall("fetch_twice", 1)
-    finally:
-        costs._DISABLED_DEPTH = previous
-    assert host.ledger.ocalls == 2
-    assert host.ledger.transition_s == pytest.approx(
-        model.ecall_transition_s + 2 * model.ocall_transition_s
-    )

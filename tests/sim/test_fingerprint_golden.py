@@ -19,8 +19,11 @@ from repro.sim import run_sim
 
 pytestmark = pytest.mark.sim
 
+#: ``mixed`` re-pinned once at PR 21 (was dedb163e…e0d8975): the crash
+#: list names the surviving path's crashpoints; a certified block is one
+#: WAL record.  ``overload`` draws no crash event and did not move.
 GOLDEN = {
-    "mixed": "dedb163eacf9bf7cd810b089d64ad5142829f56a99d1f9fea055dc4cfe0d8975",
+    "mixed": "777aada1031bb90754ffcb9c749f4d928ba743feb9cad5cef18e427026318ed7",
     "overload": "0eb84da81dae2687c674a760e4be358dd4b26d575c5e7a414b3af929be4929e1",
 }
 

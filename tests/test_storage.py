@@ -146,9 +146,10 @@ def test_restore_on_wrong_platform_fails(archived_world, kv_chain):
         )
 
 
-def test_restore_with_index_specs(kv_chain, tmp_path):
-    """Index certificates are re-derived during replay; the restored CI
-    reaches the same certified index roots."""
+@pytest.fixture()
+def indexed_world(kv_chain, tmp_path):
+    """An archive whose block records carry every field: two index
+    certificates, two index roots and a write set."""
     from repro.query.indexes import AccountHistoryIndexSpec, KeywordIndexSpec
 
     specs = [AccountHistoryIndexSpec(name="history"), KeywordIndexSpec(name="keyword")]
@@ -170,11 +171,21 @@ def test_restore_with_index_specs(kv_chain, tmp_path):
             index_roots=certified.index_roots,
             write_set=certified.write_set,
         )
+    return {
+        "issuer": issuer, "archive": archive, "specs": specs,
+        "ias": ias, "platform": platform,
+    }
 
+
+def test_restore_with_index_specs(indexed_world, kv_chain):
+    """Index certificates are re-derived during replay; the restored CI
+    reaches the same certified index roots."""
+    issuer = indexed_world["issuer"]
     genesis2, state2 = make_genesis()
     restored = recover_issuer(
-        archive, genesis2, state2, fresh_vm(), kv_chain.pow,
-        index_specs=specs, platform=platform, ias=ias,
+        indexed_world["archive"], genesis2, state2, fresh_vm(), kv_chain.pow,
+        index_specs=indexed_world["specs"], platform=indexed_world["platform"],
+        ias=indexed_world["ias"],
     ).issuer
     for name in ("history", "keyword"):
         assert restored.index_root(name) == issuer.index_root(name)
@@ -211,7 +222,7 @@ def test_torn_tail_regression_byte_level(archived_world, cut):
     even shorter than the 8-byte header — is a torn tail, not an error."""
     path = archived_world["archive"].path
     whole = path.read_bytes()
-    path.write_bytes(whole + _frame(b'{"kind":"staged"}')[:cut])
+    path.write_bytes(whole + _frame(b'{"kind":"block"}')[:cut])
     contents = archived_world["archive"].load()
     assert contents.torn_bytes_dropped == cut
     assert path.read_bytes() == whole
@@ -304,6 +315,63 @@ def test_unknown_record_kind_rejected(archived_world):
     write_payloads(path, payloads)
     with pytest.raises(ArchiveFormatError, match="mystery"):
         archived_world["archive"].load()
+
+
+def test_staged_records_of_the_removed_batch_path_are_refused(archived_world):
+    """PRs 3-20 wrote a ``staged`` journal record before every batched
+    ``block`` record; an archive that holds one is refused as an unknown
+    kind.  (Parent: ``{"kind": "staged"}`` escaped ``load`` as a bare
+    ``KeyError``, ``{"kind": "staged", "block": 5}`` as ``AttributeError``.)"""
+    path = archived_world["archive"].path
+    payloads = read_payloads(path)
+    for staged in ({"kind": "staged"}, {"kind": "staged", "block": 5},
+                   {"kind": "staged", "block": json.loads(payloads[1])["block"],
+                    "write_set": {}}):
+        write_payloads(path, payloads + [json.dumps(staged).encode("utf-8")])
+        with pytest.raises(ArchiveFormatError, match="unknown archive record kind"):
+            archived_world["archive"].load()
+
+
+#: What a CRC-valid record's field is replaced by, one at a time.
+MISTYPED = (None, 5, 1.5, True, [], [1], {}, "zz", {"a": 5}, {"a": "zz"}, {"zz": "00"})
+
+
+def test_every_mistyped_record_field_loads_or_fails_typed(indexed_world):
+    """``load`` promises typed ``StorageError`` subclasses: a real head
+    and a real block record (certificate, two index certificates, two
+    index roots, a write set) with every field in turn deleted or
+    replaced by each of ``MISTYPED`` either loads or raises a
+    ``StorageError`` -- nothing else.
+
+    Parent (e1e4d42), same enumeration: of the 72 block-record mutants 1
+    escaped bare (``index_roots`` = ``{"a": 5}``: ``TypeError`` from
+    ``bytes.fromhex``) and 4 raised a taxonomy error outside the storage
+    family, which ``recover_issuer``'s callers that catch ``StorageError``
+    miss (``block`` = ``"zz"``: ``BlockValidationError``; ``certificate``
+    = ``"zz"`` and ``index_certificates`` = ``{"a": "zz"}`` /
+    ``{"zz": "00"}``: ``CertificateError``); of the 36 head-record
+    mutants 10 escaped bare (``sealed_key`` = anything but a string:
+    ``TypeError``).  Now 63 refused + 9 loaded, and 24 + 12.
+    """
+    archive = indexed_world["archive"]
+    pristine = read_payloads(archive.path)
+    outcomes = {"loaded": 0, "typed": 0}
+    for position in (0, len(pristine) - 1):
+        record = json.loads(pristine[position])
+        for name in sorted(record):
+            mutants = [{k: v for k, v in record.items() if k != name}]
+            mutants += [{**record, name: value} for value in MISTYPED]
+            for mutant in mutants:
+                payloads = list(pristine)
+                payloads[position] = json.dumps(mutant, sort_keys=True).encode("utf-8")
+                write_payloads(archive.path, payloads)
+                try:
+                    archive.load()
+                except StorageError:
+                    outcomes["typed"] += 1
+                else:
+                    outcomes["loaded"] += 1
+    assert outcomes == {"loaded": 9 + 12, "typed": 63 + 24}
 
 
 # -- checkpoint sidecar -------------------------------------------------------
