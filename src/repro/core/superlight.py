@@ -425,6 +425,7 @@ class RemoteSuperlightClient:
     """
 
     def __init__(self, config) -> None:
+        from repro.net import wire
         from repro.net.rpc import RetryPolicy, RpcClient
         from repro.query.answercache import VerifiedAnswerCache
 
@@ -432,6 +433,7 @@ class RemoteSuperlightClient:
         self.config = config
         self.client = SuperlightClient(config.measurement, config.ias_public_key)
         self.rpc = RpcClient(config.bus, config.name, config.policy or RetryPolicy())
+        self._wire = wire  # repro.net imports this package: bound late
         self.issuers = list(config.issuers)
         self.providers = list(config.providers)
         self.gateway = config.gateway
@@ -462,10 +464,10 @@ class RemoteSuperlightClient:
     # -- endpoint failover ----------------------------------------------------
 
     def _call_with_failover(
-        self, endpoints, method, argument, accept, *, deadline_ms: float = 0.0
+        self, endpoints, method, payload, accept, *, deadline_ms: float = 0.0
     ):
-        """Call ``method`` on each endpoint in order until one returns a
-        reply that ``accept(endpoint, reply)`` takes.
+        """Call ``method`` (argument already encoded: ``payload``) on each
+        endpoint until one returns a reply ``accept(endpoint, reply)`` takes.
 
         Per endpoint, an unacceptable reply is retried up to
         ``integrity_retries`` times (the fault may be transient line
@@ -481,7 +483,7 @@ class RemoteSuperlightClient:
             for _attempt in range(self.integrity_retries):
                 try:
                     reply = self.rpc.call(
-                        endpoint, method, argument, deadline_ms=deadline_ms
+                        endpoint, method, payload=payload, deadline_ms=deadline_ms
                     )
                 except ResponseIntegrityError as exc:
                     self.integrity_failures += 1
@@ -518,7 +520,7 @@ class RemoteSuperlightClient:
         triggers failover, exactly like a timeout.
         """
         tip = self._call_with_failover(
-            self.issuers, "latest_tip", None, self._adopt_polled
+            self.issuers, "latest_tip", self._wire.encode(None), self._adopt_polled
         )
         self._roots_advanced()
         return tip
@@ -650,7 +652,6 @@ class RemoteSuperlightClient:
 
     def _on_push(self, message) -> None:
         """Bus handler for hub pushes — local verification only."""
-        from repro.net import wire
         from repro.net.messages import LagNotice, PushEnvelope
         from repro.net.pubsub import TipAnnouncement
 
@@ -662,9 +663,11 @@ class RemoteSuperlightClient:
         if not isinstance(message, PushEnvelope):
             return
         try:
-            announcement = wire.decode(message.payload)
+            announcement = self._wire.decode(message.payload)
             if not isinstance(announcement, TipAnnouncement):
                 raise CertificateError("push payload is not a tip announcement")
+            if self._sub_seq < announcement.seq <= self._sub_seq + 1:
+                self._adopt_pushed(announcement)
         except ReproError:
             # Corrupted or forged in flight.  Don't ack — the hub
             # retransmits the genuine announcement on our next
@@ -673,25 +676,17 @@ class RemoteSuperlightClient:
             self.integrity_failures += 1
             obs.inc("client.push_rejected")
             return
-        if announcement.seq <= self._sub_seq:
-            self.push_duplicates += 1
-            obs.inc("client.push_duplicates")
-            self._ack()
-            return
         if announcement.seq > self._sub_seq + 1:
             # Gap: something between was lost or dropped-oldest.
             self.push_gaps += 1
             self._needs_resync = True
             obs.inc("client.push_gaps")
             return
-        try:
-            self._adopt_pushed(announcement)
-        except CertificateError:
-            self.push_rejected += 1
-            self.integrity_failures += 1
-            obs.inc("client.push_rejected")
-            return
-        self._sub_seq = announcement.seq
+        if announcement.seq <= self._sub_seq:
+            self.push_duplicates += 1
+            obs.inc("client.push_duplicates")
+        else:
+            self._sub_seq = announcement.seq
         self._ack()
 
     def _ack(self) -> None:
@@ -756,15 +751,16 @@ class RemoteSuperlightClient:
         try:
             if self.gateway is not None:
                 return self.query_many([request], deadline_ms=deadline_ms)[0]
-            cached = self._cache_get(request)
+            payload = self._wire.encode(request)
+            cached = self._cache_get(request, payload)
             if cached is not None:
                 return cached
             return self._call_with_failover(
                 self.providers,
                 "execute",
-                request,
+                payload,
                 lambda provider, answer: self._admit(
-                    request, answer, repr(provider)
+                    request, payload, answer, repr(provider)
                 ),
                 deadline_ms=deadline_ms,
             )
@@ -804,7 +800,8 @@ class RemoteSuperlightClient:
         if self.gateway is None:
             return [self.query(request) for request in requests]
         requests = list(requests)
-        results = [self._cache_get(request) for request in requests]
+        payloads = [self._wire.encode(request) for request in requests]
+        results = [self._cache_get(r, p) for r, p in zip(requests, payloads)]
         misses = [
             position for position, hit in enumerate(results) if hit is None
         ]
@@ -814,8 +811,9 @@ class RemoteSuperlightClient:
                 [requests[position] for position in misses],
                 deadline_ms=deadline_ms,
                 accept=lambda miss, answer: self._admit(
-                    requests[misses[miss]], answer, "the fleet"
+                    requests[misses[miss]], payloads[misses[miss]], answer, "the fleet"
                 ),
+                payloads=[payloads[position] for position in misses],
             )
             for position, answer in zip(misses, answers):
                 results[position] = answer
@@ -823,7 +821,7 @@ class RemoteSuperlightClient:
 
     # -- the verified-answer cache ------------------------------------------
 
-    def _admit(self, request, answer, source: str):
+    def _admit(self, request, payload: bytes, answer, source: str):
         """The one gate between the wire and the caller: ``answer`` is
         returned (and cached) only if it verifies against the certified
         index roots; otherwise it is counted and raised as a
@@ -842,14 +840,14 @@ class RemoteSuperlightClient:
         if self.cache is not None:
             # Verification passed, so the index's certified entry exists.
             height, root, _cert = self.client.state.indexes[request.index]
-            self.cache.put(request, root, answer, height=height)
+            self.cache.put(payload, root, answer, height=height)
         return answer
 
-    def _cache_get(self, request):
+    def _cache_get(self, request, payload: bytes):
         held = self.client.state.indexes.get(getattr(request, "index", None))
         if self.cache is None or held is None:
             return None
-        return self.cache.get(request, held[1])
+        return self.cache.get(payload, held[1])
 
     # -- replica switch verification ----------------------------------------
 

@@ -56,6 +56,7 @@ from repro.errors import (
     RpcTimeoutError,
     ServiceUnavailableError,
 )
+from repro.net import wire
 from repro.net.bus import MessageBus
 from repro.net.resilience import (
     NO_DEADLINE,
@@ -449,6 +450,7 @@ class QueryGateway:
         *,
         deadline_ms: float = NO_DEADLINE,
         accept: Callable[[int, object], object] | None = None,
+        payloads: Sequence[bytes] | None = None,
     ) -> list[object]:
         """Call ``method`` once per argument, concurrently across the
         fleet; results come back in argument order.
@@ -460,6 +462,8 @@ class QueryGateway:
         outlives the replica's observed latency quantile is hedged once
         (:class:`HedgePolicy`), to a healthy, verified replica not
         already carrying the item; the loser is abandoned, not struck.
+        An item is encoded once (``payloads``: by the caller, already),
+        and a hedge or re-dispatch re-sends those bytes.
 
         ``deadline_ms`` is the caller's absolute virtual-clock budget.
         It rides, shrunk by :data:`HOP_MARGIN_MS`, in every send; once
@@ -475,6 +479,7 @@ class QueryGateway:
         deadline = sanitize_deadline(deadline_ms) or math.inf
         downstream = shrink_deadline(deadline, HOP_MARGIN_MS)
         budget = max(3, 2 * len(self.replicas))
+        payloads = payloads or [wire.encode(argument) for argument in arguments]
         results: list[object] = [None] * len(arguments)
         dispatches = [0] * len(arguments)
         todo = list(range(len(arguments)))
@@ -495,7 +500,7 @@ class QueryGateway:
             if state.breaker is not None:
                 state.breaker.on_dispatch(now)  # spends a half-open probe
             request_id = self.rpc.begin(
-                state.name, method, arguments[item], deadline_ms=downstream
+                state.name, method, payload=payloads[item], deadline_ms=downstream
             )
             state.track(request_id, now)
             delay = None if is_hedge or self.hedge is None else (

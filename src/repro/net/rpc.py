@@ -38,6 +38,7 @@ from repro.errors import (
     ReproError,
     ResponseIntegrityError,
     RpcTimeoutError,
+    code_for,
     error_for_code,
 )
 from repro.net import wire
@@ -226,11 +227,7 @@ class RpcServer:
             self._service_times[method] = service_time_ms
 
     def _handle(self, message: object) -> None:
-        if self.paused:
-            self.requests_dropped += 1
-            obs.inc("rpc.server.dropped")
-            return
-        if not isinstance(message, RpcRequest):
+        if self.paused or not isinstance(message, RpcRequest):
             self.requests_dropped += 1
             obs.inc("rpc.server.dropped")
             return
@@ -341,8 +338,6 @@ class RpcServer:
         immediate: bool = False,
         retry_after_ms: float = 0.0,
     ) -> None:
-        from repro.errors import code_for
-
         ok = error is None
         payload = wire.encode(result if ok else str(error))
         obs.inc("rpc.server.bytes_sent", len(payload))
@@ -355,17 +350,15 @@ class RpcServer:
             retry_after_ms=retry_after_ms,
         )
 
+        route = (self.name, request.sender, rpc_topic(request.sender), response)
+
         def send() -> None:
             self.queued -= 1
-            self.bus.send(
-                self.name, request.sender, rpc_topic(request.sender), response
-            )
+            self.bus.send(*route)
 
         service_ms = self._service_ms(request.method)
         if immediate or service_ms <= 0.0:
-            self.bus.send(
-                self.name, request.sender, rpc_topic(request.sender), response
-            )
+            self.bus.send(*route)
             return
         # Single-threaded worker: this request starts when the previous
         # one finishes, and the reply leaves at completion time.
@@ -467,6 +460,7 @@ class RpcClient:
         method: str,
         argument: object = None,
         *,
+        payload: bytes | None = None,
         deadline_ms: float = NO_DEADLINE,
     ) -> int:
         """Send one request without waiting; returns its request id.
@@ -475,13 +469,13 @@ class RpcClient:
         :meth:`take` (pop the raw response, or :meth:`expire` the
         request if there is none) and :meth:`resolve` (decode it or
         raise the mapped error).  The caller owns timeout and retry
-        policy.
+        policy, and passes the ``payload`` it holds in place of an
+        ``argument`` it already encoded.
         """
         self.calls += 1
         obs.inc("rpc.client.calls")
-        return self._send(
-            target, method, wire.encode(argument), deadline_ms=deadline_ms
-        )
+        payload = payload or wire.encode(argument)
+        return self._send(target, method, payload, deadline_ms=deadline_ms)
 
     def _send(
         self,
@@ -578,6 +572,7 @@ class RpcClient:
         argument: object = None,
         *,
         policy: RetryPolicy | None = None,
+        payload: bytes | None = None,
         deadline_ms: float = NO_DEADLINE,
     ) -> object:
         """Call ``method`` on ``target``; returns the decoded result.
@@ -600,7 +595,7 @@ class RpcClient:
         """
         policy = policy or self.policy
         call_deadline = sanitize_deadline(deadline_ms)
-        payload = wire.encode(argument)
+        payload = payload or wire.encode(argument)
         self.calls += 1
         obs.inc("rpc.client.calls")
         started = self.bus.clock_ms

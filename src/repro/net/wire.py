@@ -19,9 +19,9 @@ dataclasses, so one recursive codec covers them all:
   decoding is not an arbitrary-code gadget and structurally invalid
   field values (a tampered public key off the curve, say) fail here.
 
-Any decode failure raises :class:`repro.errors.WireError`; callers
-treat that as a corrupted response (see
-:class:`repro.errors.ResponseIntegrityError`).
+Decoding accepts exactly these shapes (table in docs/network.md); any
+other object, like every decode failure, is a :class:`repro.errors
+.WireError` — to callers a corrupted response (``ResponseIntegrityError``).
 """
 
 from __future__ import annotations
@@ -39,7 +39,11 @@ _DICT = "!d"
 _DATACLASS = "!dc"
 _FIELDS = "!f"
 
-_TAGS = {_BYTES, _TUPLE, _LIST, _DICT, _DATACLASS}
+_NESTED = (dict, list)
+#: ``module:qualname`` -> class, written only by :func:`_resolve` after
+#: every check passed: one entry per library dataclass at most, however
+#: many paths a peer invents (a refused path, or an alias, is not kept).
+_CLASSES: dict[str, type] = {}
 
 
 def encode(obj: object) -> bytes:
@@ -52,14 +56,15 @@ def encode(obj: object) -> bytes:
 def decode(data: bytes) -> object:
     """Reconstruct the object encoded in ``data``.
 
-    Raises :class:`WireError` on malformed JSON, unknown structure, an
-    unregisterable class, or a value the class itself rejects.
+    Raises :class:`WireError` on malformed JSON, a shape ``encode`` does
+    not write, an unregisterable class, or a value the class rejects.
     """
     try:
-        raw = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        return _unpack(json.loads(data.decode("utf-8")))
+    except WireError:
+        raise
+    except Exception as exc:  # tampered values fail loudly, not quietly
         raise WireError(f"undecodable wire bytes: {exc}") from exc
-    return _unpack(raw)
 
 
 def _pack(obj: object) -> object:
@@ -88,39 +93,32 @@ def _pack(obj: object) -> object:
 
 
 def _unpack(raw: object) -> object:
-    if raw is None or isinstance(raw, (bool, int, float, str)):
-        return raw
-    if isinstance(raw, list):
-        raise WireError("bare JSON arrays are not produced by this codec")
-    if not isinstance(raw, dict):
-        raise WireError(f"unexpected wire value {raw!r}")
-    tags = _TAGS.intersection(raw)
-    if len(tags) != 1:
-        raise WireError(f"ambiguous or untagged wire object: {sorted(raw)}")
-    tag = tags.pop()
-    body = raw[tag]
-    try:
-        if tag == _BYTES:
+    if type(raw) is not dict:
+        if type(raw) is list:
+            raise WireError("bare JSON arrays are not produced by this codec")
+        return raw  # str / int / float / bool / None: all json.loads has left
+    if len(raw) == 1:
+        ((tag, body),) = raw.items()
+        if tag == _BYTES and type(body) is str:
             return bytes.fromhex(body)
-        if tag == _TUPLE:
-            return tuple(_unpack(item) for item in body)
-        if tag == _LIST:
-            return [_unpack(item) for item in body]
-        if tag == _DICT:
-            return {_unpack(k): _unpack(v) for k, v in body}
-        cls = _resolve(body)
-        fields = raw.get(_FIELDS)
-        if not isinstance(fields, dict):
-            raise WireError(f"dataclass {body!r} missing field map")
-        return cls(**{name: _unpack(value) for name, value in fields.items()})
-    except WireError:
-        raise
-    except Exception as exc:  # tampered values fail loudly, not quietly
-        raise WireError(f"cannot reconstruct wire object: {exc}") from exc
+        if type(body) is list:
+            if tag == _TUPLE:
+                return tuple([_unpack(v) if type(v) in _NESTED else v for v in body])
+            if tag == _LIST:
+                return [_unpack(v) if type(v) in _NESTED else v for v in body]
+            if tag == _DICT and all(type(pair) is list for pair in body):
+                return {_unpack(k): _unpack(v) for k, v in body}
+    elif len(raw) == 2 and _DATACLASS in raw and type(raw.get(_FIELDS)) is dict:
+        path = raw[_DATACLASS]
+        fields = raw[_FIELDS].items()
+        return (_CLASSES.get(path) or _resolve(path))(
+            **{name: _unpack(v) if type(v) in _NESTED else v for name, v in fields}
+        )
+    raise WireError(f"not a shape this codec writes: {sorted(raw)}")
 
 
 def _resolve(path: object) -> type:
-    """Import the dataclass named by ``module:qualname`` (repro.* only)."""
+    """Import and remember the ``module:qualname`` dataclass (repro.* only)."""
     if not isinstance(path, str) or ":" not in path:
         raise WireError(f"malformed dataclass reference {path!r}")
     module_name, _, qualname = path.partition(":")
@@ -134,4 +132,7 @@ def _resolve(path: object) -> type:
         raise WireError(f"unknown wire type {path!r}: {exc}") from exc
     if not (isinstance(target, type) and dataclasses.is_dataclass(target)):
         raise WireError(f"wire type {path!r} is not a dataclass")
+    if path != f"{target.__module__}:{target.__qualname__}":
+        raise WireError(f"wire type {path!r} is an alias, not the path encode writes")
+    _CLASSES[path] = target
     return target

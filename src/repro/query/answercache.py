@@ -28,8 +28,10 @@ from repro import obs
 from repro.net import wire
 from repro.query.api import QueryAnswer, QueryRequest
 
-#: (canonical request bytes, certified root) -> verified answer.
-CacheKey = tuple[bytes, bytes]
+
+def _canonical(request: QueryRequest | bytes) -> bytes:
+    """The request's wire encoding, given as is by a caller that holds it."""
+    return request if isinstance(request, bytes) else wire.encode(request)
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,7 +60,8 @@ class VerifiedAnswerCache:
         if capacity < 1:
             raise ValueError("cache capacity must be positive")
         self.capacity = capacity
-        self._entries: OrderedDict[CacheKey, QueryAnswer] = OrderedDict()
+        #: (canonical request bytes, certified root) -> verified answer.
+        self._entries: OrderedDict[tuple[bytes, bytes], QueryAnswer] = OrderedDict()
         #: Sidecar for graceful degradation, keyed by request bytes
         #: alone: the most recent verified answer for each request,
         #: *kept* when roots advance (that is its whole point) and
@@ -73,29 +76,25 @@ class VerifiedAnswerCache:
         self.stale_hits = 0
         self.stale_misses = 0
 
-    @staticmethod
-    def key(request: QueryRequest, root: bytes) -> CacheKey:
-        """Canonical cache key: wire-encoded request + certified root."""
-        return (wire.encode(request), bytes(root))
-
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, request: QueryRequest, root: bytes) -> QueryAnswer | None:
+    def get(self, request: QueryRequest | bytes, root: bytes) -> QueryAnswer | None:
         """The cached verified answer for ``request`` at ``root``, if any."""
-        entry = self._entries.get(self.key(request, root))
+        key = (_canonical(request), bytes(root))
+        entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
             obs.inc("cache.answer.misses")
             return None
-        self._entries.move_to_end(self.key(request, root))
+        self._entries.move_to_end(key)
         self.hits += 1
         obs.inc("cache.answer.hits")
         return entry
 
     def put(
         self,
-        request: QueryRequest,
+        request: QueryRequest | bytes,
         root: bytes,
         answer: QueryAnswer,
         *,
@@ -105,7 +104,7 @@ class VerifiedAnswerCache:
         that passed ``verify_answer`` against exactly ``root``;
         ``height`` records what chain height that root was certified
         at, so a degraded (stale) serve can report its age."""
-        key = self.key(request, root)
+        key = (_canonical(request), bytes(root))
         self._entries[key] = answer
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
@@ -121,19 +120,20 @@ class VerifiedAnswerCache:
             self._stale.popitem(last=False)
         obs.set_gauge("cache.answer.entries", len(self._entries))
 
-    def get_stale(self, request: QueryRequest) -> StaleAnswer | None:
+    def get_stale(self, request: QueryRequest | bytes) -> StaleAnswer | None:
         """The last verified answer for ``request`` under *any* root.
 
         The degraded path: only consulted when the serving tier is
         shedding and the caller opted into stale answers.  Never
         consulted by :meth:`get`, which remains root-exact.
         """
-        entry = self._stale.get(wire.encode(request))
+        key = _canonical(request)
+        entry = self._stale.get(key)
         if entry is None:
             self.stale_misses += 1
             obs.inc("cache.answer.stale_misses")
             return None
-        self._stale.move_to_end(wire.encode(request))
+        self._stale.move_to_end(key)
         self.stale_hits += 1
         obs.inc("cache.answer.stale_hits")
         return entry

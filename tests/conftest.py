@@ -37,6 +37,17 @@ def pinned_cache():
     ecdsa._pinned.update(saved)
 
 
+@pytest.fixture()
+def encoded(monkeypatch):
+    """Every object ``wire.encode`` is called on from here on, in order."""
+    from repro.net import wire
+
+    calls = []
+    encode = wire.encode
+    monkeypatch.setattr(wire, "encode", lambda obj: calls.append(obj) or encode(obj))
+    return calls
+
+
 @pytest.fixture(scope="session")
 def user_keypair() -> KeyPair:
     return generate_keypair(b"test-user")

@@ -31,7 +31,8 @@ from repro.net.resilience import (
     CircuitBreakerPolicy,
     HedgePolicy,
 )
-from repro.net.rpc import RetryPolicy, RpcClient, RpcServer
+from repro.net import wire
+from repro.net.rpc import RetryPolicy, RpcClient, RpcRequest, RpcServer
 
 
 @pytest.fixture()
@@ -429,6 +430,57 @@ def test_rejected_answer_strikes_the_replica_and_is_redispatched(bus):
             "echo", ["c"],
             accept=lambda position, result: accept(position, {"replica": ""}),
         )
+
+
+def test_every_flight_of_an_item_carries_the_one_encoding(bus, monkeypatch, encoded):
+    """A hedge and a re-dispatch re-send the bytes the first flight
+    carried -- the same object -- and a caller that already holds an
+    item's encoding hands it in: ``call_many`` then encodes nothing."""
+    servers = make_fleet(bus, 2, service_time_ms=10.0)
+    gateway = make_gateway(
+        bus, ["sp1", "sp2"],
+        policy=RetryPolicy(timeout_ms=1_000.0, max_attempts=1),
+        hedge=HedgePolicy(min_samples=2),
+    )
+    gateway.call_many("echo", list(range(4)))  # warms both windows
+    sent, send = [], bus.send
+    monkeypatch.setattr(
+        bus, "send", lambda *route: sent.append(route[-1]) or send(*route)
+    )
+
+    def flights(argument):
+        return [
+            message.payload for message in sent
+            if isinstance(message, RpcRequest)
+            and wire.decode(message.payload) == argument
+        ]
+
+    servers["sp1"]._service_times["echo"] = 500.0
+    gateway.call_many("echo", ["hedged"])
+    assert gateway.hedges == 1
+    first, second = flights("hedged")
+    assert second is first
+    assert encoded.count("hedged") == 1
+
+    def accept(position, result):
+        if result["replica"] == "sp1":
+            raise ResponseIntegrityError("forged")
+
+    servers["sp1"]._service_times["echo"] = 10.0
+    for _ in range(4):  # until the balancer picks sp1 first
+        del sent[:], encoded[:]
+        gateway.call_many("echo", ["again"], accept=accept)
+        if len(flights("again")) == 2:
+            break
+    first, second = flights("again")  # refused by accept, re-dispatched
+    assert second is first
+    assert encoded.count("again") == 1
+
+    held = wire.encode("held")
+    del encoded[:]
+    assert gateway.call_many("echo", ["held"], payloads=[held])[0]["arg"] == "held"
+    assert flights("held")[0] is held
+    assert "held" not in encoded
 
 
 def _faulty_world(seed):

@@ -110,6 +110,63 @@ def test_undecodable_bytes_raise_wire_error(data):
         wire.decode(data)
 
 
+_HISTORY = (
+    b'"!dc":"repro.query.api:HistoryQuery",'
+    b'"!f":{"account":"a","index":"i","t_from":1,"t_to":2}'
+)
+
+
+@pytest.mark.parametrize(
+    ("data", "parent_decoded"),
+    [
+        # A second encoding of b"\x00": surplus keys beside the tag.
+        (b'{"!b":"00","x":1}', b"\x00"),
+        # Unvalidated freight: a subtree no walk ever reads.
+        (
+            b'{' + _HISTORY + b',"junk":{"any":[1,2]}}',
+            HistoryQuery(index="i", account="a", t_from=1, t_to=2),
+        ),
+        # A string or an object iterated as if it were the array.
+        (b'{"!t":"ab"}', ("a", "b")),
+        (b'{"!t":{"k":1}}', ("k",)),
+        (b'{"!l":"ab"}', ["a", "b"]),
+        (b'{"!d":["ab"]}', {"a": "b"}),
+        (b'{"!d":[{"x":1,"y":2}]}', {"x": "y"}),
+        # An alias: not the path ``encode`` writes for the class.
+        (
+            b'{' + _HISTORY.replace(b"repro.query.api:", b"repro.query:") + b'}',
+            HistoryQuery(index="i", account="a", t_from=1, t_to=2),
+        ),
+    ],
+)
+def test_shapes_encode_never_writes_are_refused(data, parent_decoded):
+    """Each row decoded at the parent (``wire_reference`` is its walk,
+    verbatim) to an object whose own encoding is *other* bytes."""
+    from tests.net import wire_reference
+
+    assert wire_reference.decode(data) == parent_decoded
+    assert wire.encode(parent_decoded) != data
+    with pytest.raises(WireError):
+        wire.decode(data)
+
+
+def test_an_invented_alias_path_cannot_grow_the_class_map(monkeypatch):
+    """``repro.chain.builder`` binds ``repro``, so every class has
+    unboundedly many resolvable paths; none of them is remembered."""
+    monkeypatch.setattr(wire, "_CLASSES", {})
+    path = "repro.query.api.HistoryQuery"
+    for _ in range(3):
+        path = "repro.chain.builder." + path
+        data = b'{' + _HISTORY.replace(
+            b"repro.query.api:HistoryQuery", b"repro.chain.builder:" + path.encode()
+        ) + b'}'
+        with pytest.raises(WireError, match="alias"):
+            wire.decode(data)
+    assert wire._CLASSES == {}
+    wire.decode(b'{' + _HISTORY + b'}')
+    assert list(wire._CLASSES) == ["repro.query.api:HistoryQuery"]
+
+
 def test_tampered_field_values_fail_validation_on_decode():
     """An off-curve public key is rejected by its own __post_init__."""
     keypair = generate_keypair(b"wire-tamper")

@@ -194,6 +194,52 @@ def test_warm_hits_do_zero_rpc_round_trips(fleet):
     assert client.rpc.calls + fleet["gateway"].rpc.calls == calls_before
 
 
+# -- a request is encoded once ------------------------------------------------
+
+
+def test_each_cache_method_builds_its_key_once(encoded):
+    cache = VerifiedAnswerCache(capacity=4)
+    cache.put(req(0), ROOT, ans(0))
+    assert encoded == [req(0)]
+    assert cache.get(req(0), ROOT) == ans(0)  # a hit: parent 2
+    assert cache.get(req(1), ROOT) is None
+    assert cache.get_stale(req(0)).answer == ans(0)  # parent 2
+    assert cache.get_stale(req(1)) is None
+    assert encoded == [req(0), req(0), req(1), req(0), req(1)]
+    # A caller that holds the bytes hands them over: no encode at all.
+    key = wire.encode(req(0))
+    del encoded[:]
+    assert cache.get(key, ROOT) == ans(0)
+    assert cache.get_stale(key).answer == ans(0)
+    cache.put(key, OTHER, ans(0))
+    assert cache.get(req(0), OTHER) == ans(0)
+    assert encoded == [req(0)]
+
+
+@pytest.mark.parametrize("transport", ["gateway", "providers"])
+def test_one_query_encodes_its_request_once(fleet, certified_setup, encoded, transport):
+    """A miss is one encode on the client (the bytes that key the cache
+    lookup, ride in the RPC and key the admission) and one on the server
+    (the answer); a warm hit is the one lookup key.  Parent: 3 + 1 and 2."""
+    client = fleet["client"]
+    if transport == "providers":
+        client = connect(ClientConfig(
+            measurement=client.config.measurement,
+            ias_public_key=certified_setup["ias"].public_key,
+            bus=client.rpc.bus, name="direct",
+            issuers=("ci",), providers=("sp1", "sp2"),
+        ))
+        client.bootstrap()
+        del encoded[:]
+    request = HistoryQuery(
+        index="history", account=f"once-{transport}", t_from=1, t_to=10
+    )
+    cold = client.query(request)
+    assert encoded == [request, cold]
+    assert client.query(request) == cold
+    assert encoded == [request, cold, request]
+
+
 # -- graceful degradation through the client ---------------------------------
 
 
