@@ -11,8 +11,7 @@ Ethereum).  This package is that underlying system, built from scratch:
   (:mod:`vm` and :mod:`repro.contracts`),
 * a transaction executor that tracks read/write sets — the raw material
   for DCert's update proofs (:mod:`executor`),
-* proof-of-work consensus and the longest-chain selection rule
-  (:mod:`consensus`),
+* proof-of-work consensus (:mod:`consensus`),
 * miner / full node roles (:mod:`miner`, :mod:`node`), and
 * the *traditional light client*, kept as the baseline DCert is measured
   against in Fig. 7 (:mod:`lightclient`).
@@ -22,7 +21,6 @@ from repro.chain.block import Block, BlockHeader
 from repro.chain.builder import ChainBuilder
 from repro.chain.consensus import ProofOfWork
 from repro.chain.executor import ExecutionResult, TransactionExecutor
-from repro.chain.forktree import ForkAwareNode
 from repro.chain.genesis import make_genesis
 from repro.chain.lightclient import LightClient
 from repro.chain.miner import Miner
@@ -35,7 +33,6 @@ __all__ = [
     "BlockHeader",
     "ChainBuilder",
     "ExecutionResult",
-    "ForkAwareNode",
     "FullNode",
     "LightClient",
     "Miner",

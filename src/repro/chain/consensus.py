@@ -1,4 +1,4 @@
-"""Proof-of-work consensus and the longest-chain selection rule.
+"""Proof-of-work consensus.
 
 The consensus proof ``pi_cons`` in a header is a nonce whose inclusion
 drives the header hash below a difficulty target.  Difficulty here is
@@ -6,9 +6,8 @@ expressed in leading zero *bits* and deliberately kept low in the
 simulations — DCert is consensus-agnostic (it only re-checks the proof,
 Alg. 2 line 15), so puzzle hardness is not load-bearing for any result.
 
-Chain selection (Alg. 3 line 8) is Bitcoin's longest-chain rule: among
-certified tips, a client follows the greatest height, with the smaller
-header hash as a deterministic tie-break.
+Chain selection (Alg. 3 line 8) is the client's, not a node's: its one
+spelling is :func:`repro.core.superlight.wins_chain_selection`.
 """
 
 from __future__ import annotations
@@ -52,9 +51,3 @@ class ProofOfWork:
                 return candidate
             nonce += 1
 
-
-def select_chain(tips: list[BlockHeader]) -> BlockHeader:
-    """Longest-chain rule over candidate tips (greatest height wins)."""
-    if not tips:
-        raise ConsensusError("no candidate tips to select from")
-    return min(tips, key=lambda hdr: (-hdr.height, hdr.header_hash()))

@@ -42,9 +42,6 @@ class FullNode:
     def height(self) -> int:
         return self.tip.header.height
 
-    def headers(self) -> list:
-        return [block.header for block in self.blocks]
-
     def validate_block(self, block: Block) -> ExecutionResult:
         """Validate ``block`` against the current tip without committing.
 
@@ -73,11 +70,16 @@ class FullNode:
             raise BlockValidationError("state root mismatch after re-execution")
         return result
 
+    def commit(self, block: Block, write_set: dict) -> None:
+        """Commit a block :meth:`validate_block` accepted.  Nodes never
+        reorg: a competing branch is only ever refused (DESIGN.md §8)."""
+        self.state.apply_writes(write_set)
+        self.blocks.append(block)
+
     def append_block(self, block: Block) -> ExecutionResult:
         """Validate then commit ``block``."""
         result = self.validate_block(block)
-        self.state.apply_writes(result.write_set)
-        self.blocks.append(block)
+        self.commit(block, result.write_set)
         return result
 
 

@@ -138,7 +138,7 @@ def cmd_info(_: argparse.Namespace) -> int:
         ("repro.merkle", "MHT, sparse Merkle tree + partial trees, MPT, "
                          "B+-tree engine (MB-tree, aggregate tree), skip list, MMR"),
         ("repro.chain", "transactions, PoW blocks, contract VM, miner, "
-                        "full/fork-aware nodes, light client"),
+                        "full node, light client"),
         ("repro.contracts", "Blockbench: DoNothing, CPUHeavy, IOHeavy, KVStore, SmallBank"),
         ("repro.sgx", "simulated enclaves, attestation, sealing, cost model"),
         ("repro.core", "DCert: gen_cert, ecall_sig_gen, superlight client, "

@@ -38,17 +38,8 @@ from repro.crypto import PublicKey
 from repro.crypto.hashing import Digest
 from repro.errors import CertificateError, ServiceUnavailableError
 from repro.fault.crashpoints import crashpoint
-from repro.query.indexes import (
-    AccountHistoryIndexSpec,
-    AggregateHistoryIndex,
-    AuthenticatedIndexSpec,
-    BalanceAggregateIndexSpec,
-    KeywordIndexSpec,
-    MaintainedKeywordIndex,
-    TwoLevelHistoryIndex,
-    ValueRangeIndex,
-    ValueRangeIndexSpec,
-)
+from repro.query.api import FAMILY_OF_SPEC
+from repro.query.indexes import AuthenticatedIndexSpec
 from repro.sgx.attestation import AttestationReport, AttestationService, WELL_KNOWN_IAS
 from repro.sgx.costs import SGXCostModel
 from repro.sgx.enclave import EnclaveHost
@@ -57,15 +48,10 @@ from repro.sgx.platform import SGXPlatform
 
 def make_maintained_index(spec: AuthenticatedIndexSpec):
     """Instantiate the SP-side structure matching an index spec."""
-    if isinstance(spec, AccountHistoryIndexSpec):
-        return TwoLevelHistoryIndex(spec)
-    if isinstance(spec, KeywordIndexSpec):
-        return MaintainedKeywordIndex(spec)
-    if isinstance(spec, BalanceAggregateIndexSpec):
-        return AggregateHistoryIndex(spec)
-    if isinstance(spec, ValueRangeIndexSpec):
-        return ValueRangeIndex(spec)
-    raise CertificateError(f"no maintained index for spec {type(spec).__name__}")
+    family = FAMILY_OF_SPEC.get(type(spec))
+    if family is None:
+        raise CertificateError(f"no maintained index for spec {type(spec).__name__}")
+    return family.index(spec)
 
 
 @dataclass(slots=True)
@@ -335,8 +321,7 @@ class CertificateIssuer:
             certified.index_roots[name] = new_root
 
         # Commit (the block was already fully validated in preprocess).
-        self.node.state.apply_writes(write_set)
-        self.node.blocks.append(block)
+        self.node.commit(block, write_set)
         if certificate is not None:
             self.latest_certificate = certificate
         self.certified.append(certified)

@@ -23,21 +23,8 @@ from repro.chain.node import FullNode
 from repro.chain.state import StateStore
 from repro.chain.vm import VM
 from repro.errors import QueryError
-from repro.query.api import (
-    AggregateQuery,
-    HistoryQuery,
-    KeywordQuery,
-    QueryAnswer,
-    QueryRequest,
-    ValueRangeQuery,
-)
-from repro.query.indexes import (
-    AggregateHistoryIndex,
-    ValueRangeIndex,
-    AuthenticatedIndexSpec,
-    MaintainedKeywordIndex,
-    TwoLevelHistoryIndex,
-)
+from repro.query.api import FAMILY_OF_REQUEST, QueryAnswer, QueryRequest
+from repro.query.indexes import AuthenticatedIndexSpec, TwoLevelHistoryIndex
 from repro.query.lineagechain import LineageChainIndex
 
 
@@ -77,8 +64,7 @@ class QueryServiceProvider:
             index.ingest_block(block, result.write_set)
         for baseline in self.baselines.values():
             baseline.ingest_block(block, result.write_set)
-        self.node.state.apply_writes(result.write_set)
-        self.node.blocks.append(block)
+        self.node.commit(block, result.write_set)
 
     def index_root(self, name: str) -> bytes:
         return self._index(name).root
@@ -105,38 +91,16 @@ class QueryServiceProvider:
 
     def _execute(self, request: QueryRequest) -> QueryAnswer:
         index = self._index(request.index)
-        if isinstance(request, HistoryQuery):
-            if not isinstance(index, TwoLevelHistoryIndex):
-                raise QueryError(
-                    f"index {request.index!r} does not support history queries"
-                )
-            payload = index.query_history(
-                request.account, request.t_from, request.t_to
-            )
-        elif isinstance(request, AggregateQuery):
-            if not isinstance(index, AggregateHistoryIndex):
-                raise QueryError(
-                    f"index {request.index!r} does not support aggregate queries"
-                )
-            payload = index.query_aggregate(
-                request.account, request.t_from, request.t_to
-            )
-        elif isinstance(request, ValueRangeQuery):
-            if not isinstance(index, ValueRangeIndex):
-                raise QueryError(
-                    f"index {request.index!r} does not support value-range queries"
-                )
-            payload = index.query_range(request.lo, request.hi)
-        elif isinstance(request, KeywordQuery):
-            if not isinstance(index, MaintainedKeywordIndex):
-                raise QueryError(
-                    f"index {request.index!r} does not support keyword queries"
-                )
-            payload = index.query_conjunctive(list(request.keywords))
-        else:
+        family = FAMILY_OF_REQUEST.get(type(request))
+        if family is None:
             raise QueryError(
                 f"unrecognized query request type {type(request).__name__}"
             )
+        if type(index) is not family.index:
+            raise QueryError(
+                f"index {request.index!r} does not support {family.name} queries"
+            )
+        payload = family.run(index, request)
         return QueryAnswer(request=request, payload=payload)
 
     # -- internals -----------------------------------------------------------

@@ -25,19 +25,8 @@ from typing import Callable, Mapping
 
 from repro.crypto.hashing import Digest
 from repro.errors import QueryError
-from repro.query.api import (
-    AggregateQuery,
-    HistoryQuery,
-    KeywordQuery,
-    QueryAnswer,
-    QueryRequest,
-    ValueRangeQuery,
-)
+from repro.query.api import FAMILY_OF_REQUEST, QueryAnswer, QueryRequest
 from repro.query.indexes import (
-    AggregateAnswer,
-    HistoryAnswer,
-    KeywordAnswer,
-    ValueRangeAnswer,
     verify_aggregate_answer,
     verify_history_versions,
     verify_keyword_results,
@@ -71,42 +60,20 @@ def verify(
     if not isinstance(answer, QueryAnswer) or answer.request != request:
         return False
     root = _certified_root(certified_roots, request.index)
+    family = FAMILY_OF_REQUEST.get(type(request))
     payload = answer.payload
     try:
-        if isinstance(request, HistoryQuery):
-            return (
-                isinstance(payload, HistoryAnswer)
-                and (payload.account, payload.t_from, payload.t_to)
-                == (request.account, request.t_from, request.t_to)
-                and verify_history_versions(root, payload)
-            )
-        if isinstance(request, AggregateQuery):
-            return (
-                isinstance(payload, AggregateAnswer)
-                and (payload.account, payload.t_from, payload.t_to)
-                == (request.account, request.t_from, request.t_to)
-                and verify_aggregate_answer(root, payload)
-            )
-        if isinstance(request, ValueRangeQuery):
-            return (
-                isinstance(payload, ValueRangeAnswer)
-                and (payload.lo, payload.hi) == (request.lo, request.hi)
-                and verify_value_range_answer(root, payload)
-            )
-        if isinstance(request, KeywordQuery):
-            # The SP canonicalizes keywords to sorted-unique; compare the
-            # request's keywords under the same canonical form.
-            return (
-                isinstance(payload, KeywordAnswer)
-                and payload.keywords == tuple(sorted(set(request.keywords)))
-                and verify_keyword_results(root, payload)
-            )
+        return (
+            family is not None
+            and type(payload) is family.answer
+            and family.claimed(payload) == family.asked(request)
+            and family.verify(root, payload)
+        )
     except (TypeError, ValueError, AttributeError, LookupError, ArithmeticError):
         # The prover chose the payload's *structure* too: a tuple of the
         # wrong arity, an int where a proof node belongs, unsortable
         # entries.  Tripping over it is a proof failure, not a crash.
-        pass
-    return False
+        return False
 
 
 # -- per-family aliases -----------------------------------------------------

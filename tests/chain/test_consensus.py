@@ -1,9 +1,9 @@
-"""PoW consensus and the longest-chain rule."""
+"""PoW consensus."""
 
 import pytest
 
 from repro.chain.block import BlockHeader, ZERO_HASH
-from repro.chain.consensus import ProofOfWork, select_chain
+from repro.chain.consensus import ProofOfWork
 from repro.errors import ConsensusError
 
 
@@ -49,24 +49,6 @@ def test_difficulty_bounds():
         ProofOfWork(-1)
     with pytest.raises(ConsensusError):
         ProofOfWork(65)
-
-
-def test_select_chain_prefers_height():
-    low, high = template(height=3), template(height=9)
-    assert select_chain([low, high]) == high
-    assert select_chain([high, low]) == high
-
-
-def test_select_chain_ties_break_on_hash():
-    a = template(height=5)
-    b = BlockHeader(5, ZERO_HASH, 1, 8, bytes(32), bytes(32), 1_650_000_000)
-    winner = select_chain([a, b])
-    assert winner == min((a, b), key=lambda h: h.header_hash())
-
-
-def test_select_chain_empty_raises():
-    with pytest.raises(ConsensusError):
-        select_chain([])
 
 
 def test_zero_difficulty_accepts_anything():

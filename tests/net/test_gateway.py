@@ -7,6 +7,9 @@ QueryService + supervisor composition lives in
 tests/fault/test_fleet_chaos.py.
 """
 
+import json
+import random
+
 import pytest
 
 from repro.errors import (
@@ -16,7 +19,7 @@ from repro.errors import (
     ServiceUnavailableError,
 )
 from repro.net.bus import MessageBus
-from repro.net.faults import FaultInjector, LinkFaults
+from repro.net.faults import FaultInjector, LinkFaults, flip_hex_digit
 from repro.net.gateway import (
     HealthPolicy,
     LeastOutstanding,
@@ -33,6 +36,7 @@ from repro.net.resilience import (
 )
 from repro.net import wire
 from repro.net.rpc import RetryPolicy, RpcClient, RpcRequest, RpcServer
+from repro.query import ValueRangeQuery
 
 
 @pytest.fixture()
@@ -481,6 +485,36 @@ def test_every_flight_of_an_item_carries_the_one_encoding(bus, monkeypatch, enco
     assert gateway.call_many("echo", ["held"], payloads=[held])[0]["arg"] == "held"
     assert flights("held")[0] is held
     assert "held" not in encoded
+
+
+def test_a_request_corrupted_into_a_float_bound_is_a_drop_and_a_retry(bus, monkeypatch):
+    """The defect PR 22's corpus found: ``flip_hex_digit`` can turn a
+    digit of ``hi`` into ``e``.  The request's own class refuses it at
+    the replica's decode, so it costs what a lost packet costs -- one
+    timeout, one strike -- and the re-dispatch (same bytes) is answered."""
+    servers = make_fleet(bus, 2)
+    gateway = make_gateway(bus, ["sp1", "sp2"])
+    request = ValueRangeQuery(index="range", lo=0, hi=2000)
+    payload = wire.encode(request)
+    flipped = payload.replace(b'"hi":2000', b'"hi":2e00')
+    seed = next(s for s in range(10**6) if flip_hex_digit(payload, random.Random(s)) == flipped)
+    assert isinstance(json.loads(flipped)["!f"]["hi"], float)
+    injector = FaultInjector(seed=0)
+    injector.set_link("gw", "sp1", LinkFaults(
+        corrupt_rate=1.0, corrupter=lambda m, _rng: m.corrupted(random.Random(seed)),
+    ))
+    bus.install_faults(injector)
+    sent, send = [], bus.send
+    monkeypatch.setattr(bus, "send", lambda *route: sent.append(route) or send(*route))
+
+    (result,) = gateway.call_many("echo", [request], payloads=[payload])
+
+    assert result == {"replica": "sp2", "arg": request}
+    assert servers["sp1"].requests_dropped == 1 and servers["sp1"].invocations == {}
+    assert gateway.replicas["sp1"].failures == 1 and gateway.failovers == 1
+    flights = [route[-1] for route in sent if isinstance(route[-1], RpcRequest)]
+    assert [route[1] for route in sent if isinstance(route[-1], RpcRequest)] == ["sp1", "sp2"]
+    assert flights[0].payload is payload and flights[1].payload is payload
 
 
 def _faulty_world(seed):

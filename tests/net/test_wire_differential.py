@@ -86,12 +86,16 @@ ALIAS = "a class path other than the one encode writes"
 #: Old walk accepts / new walk refuses, per class, over the whole run.
 #: Regression constants: they move only when the corpus or the mutator
 #: does, and a new class of disagreement fails before they are compared.
+#: Re-recorded once in PR 23 (was 872 / 205 / 1506 / 519 / 205): with the
+#: request links corrupted too, a replica answers a keyword query for a
+#: word nobody indexed ("wora11") -- two new message types, both proofs
+#: of absence, each bringing its own mutants.  No new class.
 PINNED_REFUSALS = {
-    SURPLUS_KEY: 872,
-    FREIGHT: 205,
-    STRING_BODY: 1506,
-    OBJECT_BODY: 519,
-    ALIAS: 205,
+    SURPLUS_KEY: 1135,
+    FREIGHT: 235,
+    STRING_BODY: 1991,
+    OBJECT_BODY: 606,
+    ALIAS: 235,
 }
 
 
@@ -177,12 +181,12 @@ def _run_query_world() -> None:
     rng, height = world.rng, world.builder.height
     for round_ in range(QUERY_ROUNDS + CORRUPTED_ROUNDS):
         if round_ == QUERY_ROUNDS:
-            # Replies only: a request whose digit becomes ``e`` reaches
-            # the provider as a float bound and escapes it as TypeError
-            # (ROADMAP item 3 has it; not this boundary's to fix).
+            # Both directions since PR 23: a request whose digit becomes
+            # ``e`` (a float bound) is refused by its own class at decode.
             injector = FaultInjector(seed=7)
             for replica in ("sp1", "sp2"):
                 injector.set_link(replica, "gateway", LinkFaults(corrupt_rate=0.25))
+                injector.set_link("gateway", replica, LinkFaults(corrupt_rate=0.25))
             world.bus.install_faults(injector)
         t_from = rng.randrange(1, height + 1)
         t_to = rng.randrange(t_from, height + 1)

@@ -30,7 +30,7 @@ from repro.core import (
     connect,
 )
 from repro.crypto import generate_keypair
-from repro.errors import CertificateError, ProofError, QueryError, WireError
+from repro.errors import CertificateError, ProofError, QueryError, ReproError, WireError
 from repro.merkle import aggtree, mbtree
 from repro.net import HealthPolicy, MessageBus, QueryGateway, wire
 from repro.query import verifier
@@ -362,7 +362,7 @@ def object_mutants(answer):
         for shape, value in shapes.items():
             try:
                 found[(shape, *path)] = _replace_at(answer, path, value)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, ReproError):
                 pass  # the class refuses it: on the wire that is a WireError
     return found
 
