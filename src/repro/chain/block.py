@@ -21,8 +21,23 @@ from repro.merkle.mht import MerkleTree
 ZERO_HASH: Digest = bytes(32)
 
 
+class EncodedSize:
+    """``size_bytes()`` of a frozen object with an ``encode()``: encoded
+    once, the length kept in a slot that is not a dataclass field (so it
+    is not on the wire and not in ``==``, ``hash`` or ``replace``)."""
+
+    __slots__ = ("_size_bytes",)
+
+    def size_bytes(self) -> int:
+        try:
+            return self._size_bytes
+        except AttributeError:
+            object.__setattr__(self, "_size_bytes", len(self.encode()))
+            return self._size_bytes
+
+
 @dataclass(frozen=True, slots=True)
-class BlockHeader:
+class BlockHeader(EncodedSize):
     """Immutable block header."""
 
     height: int
@@ -76,9 +91,6 @@ class BlockHeader:
             )
         except (KeyError, ValueError, TypeError) as exc:
             raise BlockValidationError(f"malformed header encoding: {exc}") from exc
-
-    def size_bytes(self) -> int:
-        return len(self.encode())
 
 
 @dataclass(frozen=True, slots=True)

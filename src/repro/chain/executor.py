@@ -5,7 +5,8 @@ The executor is shared by three parties with different trust stances:
 * the **miner**, which executes candidate transactions to build a block
   (invalid ones are filtered out),
 * the **full node / CI**, which re-executes a received block strictly
-  (any invalid transaction rejects the whole block), and
+  (any invalid transaction rejects the whole block; the CI host leaves
+  the signatures of a block to the enclave that is about to check them), and
 * the **enclave program**, which replays the block against a *partial*
   state reconstructed from Merkle proofs (Alg. 2, lines 18-21) — reads
   outside the proven slice raise, which is how incomplete update proofs

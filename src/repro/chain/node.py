@@ -3,8 +3,10 @@
 On each incoming block a full node re-checks everything §2.1 lists:
 header linkage, the consensus proof, the transaction root, every
 transaction's signature, and — by re-executing the block — the state
-root.  The CI in :mod:`repro.core.issuer` builds on this class, adding
-certificate construction on top of validation.
+root.  A node without an enclave (the miner's peers, the SP) checks all
+of it.  The CI in :mod:`repro.core.issuer` builds on this class and
+delegates one item: the signatures of a block its enclave is about to
+verify (Alg. 2 line 19) are checked there, once, not here as well.
 """
 
 from __future__ import annotations
@@ -42,11 +44,15 @@ class FullNode:
     def height(self) -> int:
         return self.tip.header.height
 
-    def validate_block(self, block: Block) -> ExecutionResult:
+    def validate_block(
+        self, block: Block, *, verify_signatures: bool = True
+    ) -> ExecutionResult:
         """Validate ``block`` against the current tip without committing.
 
         Returns the execution result (read/write sets) on success so a
         CI can reuse it; raises :class:`BlockValidationError` otherwise.
+        ``verify_signatures=False`` is for the CI alone, whose enclave
+        checks them before anything is committed.
         """
         header = block.header
         prev = self.tip.header
@@ -61,7 +67,7 @@ class FullNode:
         if not block.check_tx_root():
             raise BlockValidationError("transaction root mismatch")
         result = self.executor.execute(
-            self.state, list(block.transactions), strict=True
+            self.state, list(block.transactions), verify_signatures=verify_signatures
         )
         # Predict the post-state root without committing: replay the
         # writes on proofs (cheap) rather than copying the whole state.

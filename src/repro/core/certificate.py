@@ -14,6 +14,7 @@ import json
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from repro.chain.block import EncodedSize
 from repro.crypto import PublicKey, Signature, pin_verification_key, verify
 from repro.crypto.hashing import Digest
 from repro.errors import CertificateError
@@ -24,7 +25,7 @@ CERT_SIG_DOMAIN = "dcert-cert"
 
 
 @dataclass(frozen=True, slots=True)
-class Certificate:
+class Certificate(EncodedSize):
     """A certificate issued by a CI's enclave."""
 
     pk_enc: PublicKey
@@ -67,9 +68,6 @@ class Certificate:
             )
         except (KeyError, ValueError, TypeError) as exc:
             raise CertificateError(f"malformed certificate encoding: {exc}") from exc
-
-    def size_bytes(self) -> int:
-        return len(self.encode())
 
 
 class VerifiedMemo(OrderedDict):

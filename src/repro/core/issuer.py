@@ -36,7 +36,11 @@ from repro.core.enclave_program import DCertEnclaveProgram
 from repro.core.updateproof import UpdateProof
 from repro.crypto import PublicKey
 from repro.crypto.hashing import Digest
-from repro.errors import CertificateError, ServiceUnavailableError
+from repro.errors import (
+    BlockValidationError,
+    CertificateError,
+    ServiceUnavailableError,
+)
 from repro.fault.crashpoints import crashpoint
 from repro.query.api import FAMILY_OF_SPEC
 from repro.query.indexes import AuthenticatedIndexSpec
@@ -159,9 +163,12 @@ class CertificateIssuer:
         """Alg. 1 lines 2-3: re-execute and build the update proof.
 
         Untrusted pre-processing, exposed separately so benchmarks can
-        time it apart from the enclave work.
+        time it apart from the enclave work.  Transaction signatures are
+        not checked here: ``blk_verify_t`` (Alg. 2 line 19) checks them
+        in the enclave, before :meth:`process_block` moves anything.
         """
-        result = self.node.validate_block(block)  # comp_data_set
+        # comp_data_set
+        result = self.node.validate_block(block, verify_signatures=False)
         # get_update_proof: the proofs validation replayed the writes on.
         return result, UpdateProof(entries=result.pre_state)
 
@@ -176,9 +183,7 @@ class CertificateIssuer:
         :meth:`preprocess`) skips re-running the untrusted side.
         """
         with obs.trace_span("issuer.gen_cert"):
-            result, update_proof = (
-                precomputed if precomputed is not None else self.preprocess(block)
-            )
+            result, update_proof = precomputed or self.preprocess(block)
             prev = self.node.tip
             sig = self.enclave.ecall(
                 "sig_gen",
@@ -188,12 +193,7 @@ class CertificateIssuer:
                 update_proof,
                 payload_bytes=update_proof.size_bytes(),
             )
-            certificate = Certificate(
-                pk_enc=self.pk_enc,
-                report=self.report,
-                dig=block_digest(block.header),
-                sig=sig,
-            )
+            certificate = self._certificate(block_digest(block.header), sig)
         if obs.enabled():
             obs.inc("issuer.certs_issued")
             obs.observe(
@@ -241,86 +241,57 @@ class CertificateIssuer:
         schemes: tuple[str, ...],
         precomputed,
     ) -> CertifiedBlock:
-        if precomputed is not None:
-            result, update_proof = precomputed
-        else:
-            result, update_proof = self.preprocess(block)
+        result, update_proof = precomputed or self.preprocess(block)
         write_set = result.write_set
         prev = self.node.tip
 
         certificate: Certificate | None = None
         if "hierarchical" in schemes or not self.indexes:
-            certificate, update_proof, write_set = self.gen_cert(
-                block, precomputed=(result, update_proof)
+            certificate = self.gen_cert(block, precomputed=(result, update_proof))[0]
+        elif not all(tx.verify_signature() for tx in block.transactions):
+            # Augmented-only: no ecall has run blk_verify_t yet, and
+            # ingest_block below advances the indexes before one does —
+            # the one place the host checks what preprocess left out.
+            raise BlockValidationError(
+                "invalid transaction in block: invalid signature"
             )
         certified = CertifiedBlock(
             block=block, certificate=certificate, write_set=dict(write_set)
         )
 
         # Ingest index updates once; reuse proofs across both schemes.
-        ingests: dict[str, tuple[Digest, tuple, object, Digest]] = {}
+        ingests: dict[str, tuple[Digest, object, Digest]] = {}
         for name, index in self.indexes.items():
             prev_root = self._index_roots[name]
-            writes, index_proof = index.ingest_block(block, write_set)
-            ingests[name] = (prev_root, writes, index_proof, index.root)
+            _writes, index_proof = index.ingest_block(block, write_set)
+            ingests[name] = (prev_root, index_proof, index.root)
 
         if "augmented" in schemes:
-            for name, (prev_root, writes, index_proof, new_root) in ingests.items():
-                with obs.trace_span("issuer.index_certification"):
-                    sig = self.enclave.ecall(
-                        "augmented_sig_gen",
-                        prev,
-                        self._aug_certs[name],
-                        prev_root,
-                        block,
-                        new_root,
-                        update_proof,
-                        index_proof,
-                        name,
-                        payload_bytes=update_proof.size_bytes()
-                        + index_proof.size_bytes(),
-                    )
-                    cert = Certificate(
-                        pk_enc=self.pk_enc,
-                        report=self.report,
-                        dig=index_digest(block.header, new_root),
-                        sig=sig,
-                    )
-                self._record_index_cert_metrics(index_proof)
-                self._aug_certs[name] = cert
-                certified.augmented_certificates[name] = cert
+            for name, (prev_root, index_proof, new_root) in ingests.items():
+                cert = self._index_certificate(
+                    block.header, new_root, index_proof, "augmented_sig_gen",
+                    prev, self._aug_certs[name], prev_root, block, new_root,
+                    update_proof, index_proof, name,
+                    payload_bytes=update_proof.size_bytes() + index_proof.size_bytes(),
+                )
+                self._aug_certs[name] = certified.augmented_certificates[name] = cert
 
         if "hierarchical" in schemes:
             assert certificate is not None  # issued above for this scheme
-            for name, (prev_root, writes, index_proof, new_root) in ingests.items():
-                with obs.trace_span("issuer.index_certification"):
-                    sig = self.enclave.ecall(
-                        "index_sig_gen",
-                        prev.header,
-                        prev_root,
-                        self._index_certs[name],
-                        block.header,
-                        certificate,
-                        new_root,
-                        index_proof,
-                        name,
-                        payload_bytes=index_proof.size_bytes(),
-                    )
-                    cert = Certificate(
-                        pk_enc=self.pk_enc,
-                        report=self.report,
-                        dig=index_digest(block.header, new_root),
-                        sig=sig,
-                    )
-                self._record_index_cert_metrics(index_proof)
-                self._index_certs[name] = cert
-                certified.index_certificates[name] = cert
+            for name, (prev_root, index_proof, new_root) in ingests.items():
+                cert = self._index_certificate(
+                    block.header, new_root, index_proof, "index_sig_gen",
+                    prev.header, prev_root, self._index_certs[name], block.header,
+                    certificate, new_root, index_proof, name,
+                    payload_bytes=index_proof.size_bytes(),
+                )
+                self._index_certs[name] = certified.index_certificates[name] = cert
 
-        for name, (_, _, _, new_root) in ingests.items():
+        for name, (_, _, new_root) in ingests.items():
             self._index_roots[name] = new_root
             certified.index_roots[name] = new_root
 
-        # Commit (the block was already fully validated in preprocess).
+        # Commit: preprocess re-executed the block, the enclave verified it.
         self.node.commit(block, write_set)
         if certificate is not None:
             self.latest_certificate = certificate
@@ -329,7 +300,13 @@ class CertificateIssuer:
             hook(certified)
         return certified
 
-    def _record_index_cert_metrics(self, index_proof) -> None:
+    def _index_certificate(
+        self, header, new_root, index_proof, ecall: str, *args, payload_bytes: int
+    ) -> Certificate:
+        """One index-certification ecall and the certificate it signed."""
+        with obs.trace_span("issuer.index_certification"):
+            sig = self.enclave.ecall(ecall, *args, payload_bytes=payload_bytes)
+            cert = self._certificate(index_digest(header, new_root), sig)
         if obs.enabled():
             obs.inc("issuer.index_certs_issued")
             obs.observe(
@@ -337,6 +314,10 @@ class CertificateIssuer:
                 index_proof.size_bytes(),
                 boundaries=obs.SIZE_BYTES_BUCKETS,
             )
+        return cert
+
+    def _certificate(self, dig: Digest, sig) -> Certificate:
+        return Certificate(pk_enc=self.pk_enc, report=self.report, dig=dig, sig=sig)
 
     # -- conveniences ----------------------------------------------------------
 

@@ -38,6 +38,26 @@ def pinned_cache():
 
 
 @pytest.fixture()
+def ecalls_in_flight(monkeypatch):
+    """The enclave hosts with an ecall on the stack right now: empty
+    means the code running is on the untrusted side of the boundary."""
+    from repro.sgx.enclave import EnclaveHost
+
+    in_flight = []
+    ecall = EnclaveHost.ecall
+
+    def tracked_ecall(self, *args, **kwargs):
+        in_flight.append(self)
+        try:
+            return ecall(self, *args, **kwargs)
+        finally:
+            in_flight.pop()
+
+    monkeypatch.setattr(EnclaveHost, "ecall", tracked_ecall)
+    return in_flight
+
+
+@pytest.fixture()
 def encoded(monkeypatch):
     """Every object ``wire.encode`` is called on from here on, in order."""
     from repro.net import wire

@@ -371,7 +371,7 @@ def test_a_launched_enclave_starts_empty_and_verifies_its_first_certificate_in_f
     # new to the enclave, its signature the enclave made a moment ago.
     issuer.process_block(chain.blocks[1])
     assert counts["report"] == 1 and len(program._verified_reports) == 1
-    assert counts["digest"] == 8 + 1  # transactions + the IAS signature
+    assert counts["digest"] == 4 + 1  # transactions + the IAS signature
     issuer.process_block(chain.blocks[2])
     assert counts["report"] == 1
 
@@ -387,13 +387,15 @@ def test_the_first_certificate_of_another_enclave_is_verified_in_full(
     assert counts == {"report": 1, "digest": 2}
 
 
-def test_one_warm_block_costs_no_report_and_eight_signature_checks(
+def test_one_warm_block_costs_no_report_and_four_signature_checks(
     user_keypair, counts
 ):
-    """4 transactions x (full node + enclave replay).  The 5 certificates
-    the enclave is handed (previous block; per index: previous index +
-    new block) it signed itself one step earlier.  Was 13 with them, and
-    5 report verifications + 18 signature checks before PR 16."""
+    """4 transactions x the enclave replay (Alg. 2 line 19); the CI host
+    checks none.  The 5 certificates the enclave is handed (previous
+    block; per index: previous index + new block) it signed itself one
+    step earlier.  Was 8 while the host checked them too (before PR 24),
+    13 with the certificates, and 5 report verifications + 18 signature
+    checks before PR 16."""
     chain = four_tx_chain(user_keypair, 4)
     issuer = launch_issuer(AttestationService(seed=b"memo-ias"), key_seed=b"memo-tests")
     for block in chain.blocks[1:4]:
@@ -401,25 +403,72 @@ def test_one_warm_block_costs_no_report_and_eight_signature_checks(
     counts.update(report=0, digest=0)
     counts.keys_verified.clear()
     issuer.process_block(chain.blocks[4])
-    assert counts == {"report": 0, "digest": 8}
+    assert counts == {"report": 0, "digest": 4}
     assert set(counts.keys_verified) == {user_keypair.public.point}
+
+
+def seven_specs():
+    seven = [AccountHistoryIndexSpec(name=f"history-{n}") for n in range(4)]
+    return seven + [KeywordIndexSpec(name=f"keyword-{n}") for n in range(3)]
 
 
 def test_seven_indexes_still_cost_no_certificate_signature_check(user_keypair, counts):
     """The live window is about (indexes + 2) signatures; the bound is
     a constant that covers more indexes than any workload here has."""
     chain = four_tx_chain(user_keypair, 4)
-    seven = [AccountHistoryIndexSpec(name=f"history-{n}") for n in range(4)]
-    seven += [KeywordIndexSpec(name=f"keyword-{n}") for n in range(3)]
     issuer = launch_issuer(
-        AttestationService(seed=b"memo-ias"), index_specs=seven, key_seed=b"memo-tests"
+        AttestationService(seed=b"memo-ias"), index_specs=seven_specs(),
+        key_seed=b"memo-tests",
     )
     for block in chain.blocks[1:4]:
         issuer.process_block(block)
     counts.update(report=0, digest=0)
     issuer.process_block(chain.blocks[4])
-    assert counts == {"report": 0, "digest": 8}
+    assert counts == {"report": 0, "digest": 4}
     assert len(issuer.enclave.program._verified_reports.signatures) <= 16
+
+
+@pytest.mark.parametrize(
+    "schemes, index_specs, host, enclave",
+    [
+        (("hierarchical",), specs, 0, 4),
+        (("hierarchical",), seven_specs, 0, 4),
+        (("augmented",), lambda: specs()[:1], 4, 4),
+    ],
+    ids=["hierarchical-2", "hierarchical-7", "augmented-only"],
+)
+def test_transaction_signatures_are_checked_once_and_inside(
+    user_keypair, counts, ecalls_in_flight, monkeypatch, schemes, index_specs, host,
+    enclave,
+):
+    """The gate that fails if the duplicate check returns: per certified
+    block, which side of the boundary verified how many signatures."""
+    chain = four_tx_chain(user_keypair, 3)
+    issuer = launch_issuer(
+        AttestationService(seed=b"memo-ias"), index_specs=index_specs(),
+        key_seed=b"memo-tests",
+    )
+    inside = []  # one bool per verify_digest call: was an ecall in flight?
+    counted = ecdsa.verify_digest
+    monkeypatch.setattr(
+        ecdsa,
+        "verify_digest",
+        lambda *args: inside.append(bool(ecalls_in_flight)) or counted(*args),
+    )
+    for block in chain.blocks[1:3]:
+        issuer.process_block(block, schemes=schemes)
+    counts.keys_verified.clear()
+    inside.clear()
+    issuer.process_block(chain.blocks[3], schemes=schemes)
+    assert len(chain.blocks[3].transactions) == 4
+    assert set(counts.keys_verified) == {user_keypair.public.point}
+    assert sum(inside) == enclave, "Alg. 2 line 19: once per certified block"
+    assert len(inside) - sum(inside) == host, (
+        "the CI host verifies a block's signatures only where no ecall "
+        "running blk_verify_t stands before its first mutation: under "
+        "augmented-only with indexes, ingest_block advances them before "
+        "augmented_sig_gen — and nowhere else"
+    )
 
 
 def test_a_recovered_enclave_starts_empty_and_the_memo_is_not_in_the_checkpoint(
@@ -462,7 +511,7 @@ def test_a_recovered_enclave_starts_empty_and_the_memo_is_not_in_the_checkpoint(
     assert counts["report"] == 1 and len(program._verified_reports) == 1
     # Transactions, the IAS signature, and the three certificates the
     # enclave's previous life signed: block 3's and its two index ones.
-    assert counts["digest"] == 8 + 1 + 3
+    assert counts["digest"] == 4 + 1 + 3
     counts.update(report=0, digest=0)
     recovered.process_block(chain.blocks[5])
-    assert counts == {"report": 0, "digest": 8}
+    assert counts == {"report": 0, "digest": 4}

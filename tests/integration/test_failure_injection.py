@@ -103,7 +103,10 @@ def test_ci_feeding_stale_proofs_is_caught_in_enclave(world):
 
 
 def test_unsigned_transaction_in_block_rejected(world):
-    """A block smuggling an unsigned transaction fails Alg. 2 line 19."""
+    """A block smuggling an unsigned transaction under the honest block's
+    state root is refused by the host's state-root prediction: the header
+    does not commit to the unsigned write.  (It never reaches Alg. 2
+    line 19; the next test's block does.)"""
     issuer = world["issuer"]
     keypair = world["keypair"]
     unsigned = Transaction(
@@ -120,9 +123,37 @@ def test_unsigned_transaction_in_block_rejected(world):
         )
     )
     smuggled = Block(header=smuggled_header, transactions=(good, unsigned))
-    with pytest.raises(BlockValidationError):
+    ecalls = issuer.enclave.ledger.ecalls
+    with pytest.raises(BlockValidationError, match="state root mismatch"):
         issuer.gen_cert(smuggled)
+    assert issuer.enclave.ledger.ecalls == ecalls
     issuer.process_block(block)
+
+
+def test_unsigned_transaction_with_committed_effects_fails_alg_2_line_19(world):
+    """Mined without signature checks, the header commits to the unsigned
+    write: the host's re-execution agrees with it, and the enclave's
+    verify(tx) — the only signature check a CI makes — refuses it."""
+    issuer = world["issuer"]
+    unsigned = Transaction(
+        sender=world["keypair"].public, nonce=12345, contract="kvstore",
+        method="put", args=("x", "y"),
+    )
+    fork = ChainBuilder(difficulty_bits=4, network="inject")
+    for block in world["builder"].blocks[1:]:
+        fork.add_block(list(block.transactions))
+    smuggled, _ = fork.add_block(
+        [world["next_tx"](), unsigned], verify_signatures=False
+    )
+    assert unsigned in smuggled.transactions
+    ecalls, height = issuer.enclave.ledger.ecalls, issuer.node.height
+    with pytest.raises(BlockValidationError, match="invalid signature"):
+        issuer.gen_cert(smuggled)
+    assert issuer.enclave.ledger.ecalls == ecalls + 1
+    with pytest.raises(BlockValidationError, match="invalid signature"):
+        issuer.process_block(smuggled)
+    assert issuer.enclave.ledger.ecalls == ecalls + 2
+    assert issuer.node.height == height
 
 
 def test_enclave_restart_loses_key_but_new_certs_still_verify(world):
