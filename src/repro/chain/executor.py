@@ -6,7 +6,8 @@ The executor is shared by three parties with different trust stances:
   (invalid ones are filtered out),
 * the **full node / CI**, which re-executes a received block strictly
   (any invalid transaction rejects the whole block; the CI host leaves
-  the signatures of a block to the enclave that is about to check them), and
+  the signatures and the post-state root of a block to the enclave that
+  is about to check them), and
 * the **enclave program**, which replays the block against a *partial*
   state reconstructed from Merkle proofs (Alg. 2, lines 18-21) — reads
   outside the proven slice raise, which is how incomplete update proofs
@@ -35,9 +36,6 @@ class ExecutionResult:
     write_set: dict[bytes, bytes | None] = field(default_factory=dict)
     executed: list[Transaction] = field(default_factory=list)
     rejected: list[tuple[Transaction, str]] = field(default_factory=list)
-    #: ``(key, pre-state value, SMT proof)`` per touched key, in key order
-    #: (:func:`repro.chain.node.predict_root` proves them, once).
-    pre_state: tuple = ()
 
     def touched_keys(self) -> list[bytes]:
         """Keys whose SMT paths an update proof must cover."""

@@ -5,8 +5,9 @@ header linkage, the consensus proof, the transaction root, every
 transaction's signature, and — by re-executing the block — the state
 root.  A node without an enclave (the miner's peers, the SP) checks all
 of it.  The CI in :mod:`repro.core.issuer` builds on this class and
-delegates one item: the signatures of a block its enclave is about to
-verify (Alg. 2 line 19) are checked there, once, not here as well.
+delegates two items to the enclave that is about to verify the block:
+its signatures (Alg. 2 line 19) and its post-state root (lines 22-23)
+are checked there, once, not here as well.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from repro.chain.executor import ExecutionResult, TransactionExecutor
 from repro.chain.state import StateStore
 from repro.chain.vm import VM
 from repro.errors import BlockValidationError
+from repro.merkle.partial import PartialSMT
 
 
 class FullNode:
@@ -44,16 +46,8 @@ class FullNode:
     def height(self) -> int:
         return self.tip.header.height
 
-    def validate_block(
-        self, block: Block, *, verify_signatures: bool = True
-    ) -> ExecutionResult:
-        """Validate ``block`` against the current tip without committing.
-
-        Returns the execution result (read/write sets) on success so a
-        CI can reuse it; raises :class:`BlockValidationError` otherwise.
-        ``verify_signatures=False`` is for the CI alone, whose enclave
-        checks them before anything is committed.
-        """
+    def check_header(self, block: Block) -> None:
+        """The O(1) checks: linkage, height, consensus proof, ``H_tx``."""
         header = block.header
         prev = self.tip.header
         if header.height != prev.height + 1:
@@ -66,15 +60,31 @@ class FullNode:
             raise BlockValidationError("consensus proof (PoW) invalid")
         if not block.check_tx_root():
             raise BlockValidationError("transaction root mismatch")
-        result = self.executor.execute(
-            self.state, list(block.transactions), verify_signatures=verify_signatures
-        )
-        # Predict the post-state root without committing: replay the
-        # writes on proofs (cheap) rather than copying the whole state.
-        predicted = predict_root(self.state, result)
-        if predicted != header.state_root:
-            raise BlockValidationError("state root mismatch after re-execution")
+
+    def validate_block(self, block: Block) -> ExecutionResult:
+        """Validate ``block`` against the current tip without committing.
+
+        Returns the execution result (read/write sets) on success;
+        raises :class:`BlockValidationError` otherwise.
+        """
+        self.check_header(block)
+        result = self.executor.execute(self.state, list(block.transactions))
+        proven = self.state.prove_many(result.touched_keys())
+        self.check_state_root(block, result, proven)
         return result
+
+    def check_state_root(self, block: Block, result: ExecutionResult, proven) -> None:
+        """Raise unless ``result``'s writes, replayed on ``proven`` — the
+        touched cells' ``(key, pre-state value, proof)`` against the tip's
+        state root — reach ``block``'s.  Proofs, not a copy of the whole
+        state, so nothing is committed."""
+        root = self.state.root
+        if proven:
+            partial = PartialSMT.from_proofs(root, proven)
+            partial.update_batch(result.write_set)
+            root = partial.root
+        if root != block.header.state_root:
+            raise BlockValidationError("state root mismatch after re-execution")
 
     def commit(self, block: Block, write_set: dict) -> None:
         """Commit a block :meth:`validate_block` accepted.  Nodes never
@@ -87,18 +97,3 @@ class FullNode:
         result = self.validate_block(block)
         self.commit(block, result.write_set)
         return result
-
-
-def predict_root(state: StateStore, result: ExecutionResult) -> bytes:
-    """The state root after ``result``'s writes, without committing them.
-    The touched cells are proven once, here, and the entries kept on
-    ``result.pre_state``: they are the update proof a CI ships."""
-    from repro.merkle.partial import PartialSMT
-
-    touched = result.touched_keys()
-    if not touched:
-        return state.root
-    result.pre_state = tuple(state.prove_many(touched))
-    partial = PartialSMT.from_proofs(state.root, result.pre_state)
-    partial.update_batch(result.write_set)
-    return partial.root

@@ -163,14 +163,20 @@ class CertificateIssuer:
         """Alg. 1 lines 2-3: re-execute and build the update proof.
 
         Untrusted pre-processing, exposed separately so benchmarks can
-        time it apart from the enclave work.  Transaction signatures are
-        not checked here: ``blk_verify_t`` (Alg. 2 line 19) checks them
-        in the enclave, before :meth:`process_block` moves anything.
+        time it apart from the enclave work.  Only the O(1) header checks
+        run here besides; transaction signatures and the post-state root
+        are ``blk_verify_t``'s (Alg. 2 lines 19 and 22-23), checked in the
+        enclave before :meth:`process_block` moves anything.
         """
+        node = self.node
+        node.check_header(block)
         # comp_data_set
-        result = self.node.validate_block(block, verify_signatures=False)
-        # get_update_proof: the proofs validation replayed the writes on.
-        return result, UpdateProof(entries=result.pre_state)
+        result = node.executor.execute(
+            node.state, list(block.transactions), verify_signatures=False
+        )
+        # get_update_proof
+        proven = tuple(node.state.prove_many(result.touched_keys()))
+        return result, UpdateProof(entries=proven)
 
     def gen_cert(
         self, block: Block, *, precomputed=None
@@ -248,13 +254,13 @@ class CertificateIssuer:
         certificate: Certificate | None = None
         if "hierarchical" in schemes or not self.indexes:
             certificate = self.gen_cert(block, precomputed=(result, update_proof))[0]
-        elif not all(tx.verify_signature() for tx in block.transactions):
+        else:
             # Augmented-only: no ecall has run blk_verify_t yet, and
             # ingest_block below advances the indexes before one does —
             # the one place the host checks what preprocess left out.
-            raise BlockValidationError(
-                "invalid transaction in block: invalid signature"
-            )
+            if not all(tx.verify_signature() for tx in block.transactions):
+                raise BlockValidationError("invalid transaction in block: invalid signature")
+            self.node.check_state_root(block, result, update_proof.entries)
         certified = CertifiedBlock(
             block=block, certificate=certificate, write_set=dict(write_set)
         )

@@ -35,7 +35,8 @@ def rebuild_proof(certified_setup, block):
         if earlier.header.height >= block.header.height:
             break
         node.append_block(earlier)
-    return UpdateProof(entries=node.validate_block(block).pre_state)
+    touched = node.validate_block(block).touched_keys()
+    return UpdateProof(entries=tuple(node.state.prove_many(touched)))
 
 
 def test_the_trusted_surface_is_three_certification_ecalls(certified_setup, last_two):

@@ -1,15 +1,17 @@
-"""Refused, nothing moved: a block carrying a forged transaction.
+"""Refused, nothing moved: a block carrying a forged transaction, or a
+header claiming a state root the block does not produce.
 
-Since PR 24 the CI host no longer verifies transaction signatures for a
-block its enclave is about to verify: ``blk_verify_t`` (Alg. 2 line 19)
-is the one check per certified block.  This table is the proof that the
-check is reached, and reached *before anything moves*, on every way a
+The CI host verifies neither the transaction signatures (since 884b84a)
+nor the post-state root of a block its enclave is about to verify:
+``blk_verify_t`` (Alg. 2 line 19, lines 22-23) makes the one check of
+each per certified block.  These tables are the proof that the
+checks are reached, and reached *before anything moves*, on every way a
 block gets certified.
 
-Every forged block here is mined with ``verify_signatures=False``, so
-its header **commits to the forged transaction's effects**: the host's
-re-execution and state-root prediction agree with the header, and only a
-signature check can refuse it.
+Every forged-transaction block here is mined with
+``verify_signatures=False``, so its header **commits to the forged
+transaction's effects**: re-execution and the post-state root agree with
+the header, and only a signature check can refuse it.
 
     forgery   args swapped under the victim's old signature | signed by
               another key | one bit of ``s`` flipped | unsigned
@@ -38,22 +40,43 @@ Two mutants keep the table honest (docs/testing.md):
   maintained index already advanced — ``ingest_block`` runs before
   ``augmented_sig_gen``; that is why ``_process_block`` keeps a host
   check there, and only there.
+
+The forged-root axis replaces the second block by the honest one under
+a re-solved header whose state root is the equivocating miner's
+self-credit (the root the block would have if it also credited the
+miner), the honest root with one bit flipped, or the parent's root —
+every transaction validly signed, so only a state-root check can refuse
+it.  Same schemes, entries and "nothing moved"; the refusal is the
+enclave's ``CertificateError("state root mismatch after replay")``
+after one ecall, except under augmented-only, where the host refuses
+with ``BlockValidationError("state root mismatch after re-execution")``
+before any.  Its two mutants remove, in memory, the enclave's root
+comparison (every enclave-refused cell must fail: at 884b84a nothing but
+the source pin noticed, the host's prediction always fired first) and
+the host's augmented-only one (exactly the augmented-only cells fail,
+with a maintained index advanced: the naive prototype, which dropped
+the host's root prediction everywhere).
 """
 
 from __future__ import annotations
 
+import inspect
+import textwrap
 from dataclasses import replace
 
 import pytest
 
+from repro.chain.block import Block
 from repro.chain.builder import ChainBuilder
 from repro.chain.genesis import make_genesis
+from repro.chain.node import FullNode
 from repro.chain.transaction import Transaction
 from repro.core import recovery
+from repro.core.enclave_program import DCertEnclaveProgram
 from repro.core.issuer import CertificateIssuer, IssuerService
 from repro.core.recovery import DurableIssuer, recover_issuer
 from repro.crypto import Signature, generate_keypair, sign
-from repro.errors import BlockValidationError
+from repro.errors import BlockValidationError, CertificateError
 from repro.net import MessageBus, RpcClient, wire
 from repro.net.pubsub import SubscriptionHub
 from repro.query.indexes import AccountHistoryIndexSpec, KeywordIndexSpec
@@ -68,6 +91,7 @@ MALLORY = generate_keypair(b"forged-block-mallory")
 
 FORGERIES = ("swapped-args", "other-key", "flipped-s", "unsigned")
 POSITIONS = {"first": 0, "middle": 2, "last": 3}
+ROOT_FORGERIES = ("self-credit", "flipped-bit", "parent-root")
 
 #: name -> (``schemes=`` of every process_block call, issuer has indexes)
 SCHEMES = {
@@ -158,6 +182,30 @@ def chains():
     return honest, forged
 
 
+def forge_root(honest: ChainBuilder, forgery: str) -> Block:
+    """The honest second block under a re-solved header claiming a state
+    root its transactions do not produce."""
+    block = honest.blocks[2]
+    if forgery == "self-credit":
+        credit = make_kv_tx(MALLORY, 0, "mallory", "credited")
+        root = chain_with(honest_txs(4) + [credit]).blocks[2].header.state_root
+    elif forgery == "flipped-bit":
+        honest_root = block.header.state_root
+        root = honest_root[:-1] + bytes([honest_root[-1] ^ 1])
+    else:
+        assert forgery == "parent-root"
+        root = honest.blocks[1].header.state_root
+    assert root != block.header.state_root
+    header = honest.pow.solve(replace(block.header, state_root=root, nonce=0))
+    return Block(header, block.transactions)
+
+
+@pytest.fixture(scope="module")
+def forged_roots(chains):
+    honest, _forged = chains
+    return {forgery: forge_root(honest, forgery) for forgery in ROOT_FORGERIES}
+
+
 # -- the worlds ----------------------------------------------------------------
 
 
@@ -202,6 +250,19 @@ class World:
         self.front.process_block(honest.blocks[1], schemes=self.schemes)
         if entry == "recover":
             self.wal_bytes = self.archive.path.read_bytes()
+        self._recovery_ecalls = None
+
+    def untampered_recovery_ecalls(self) -> int:
+        """The refused replay starts from an empty issuer: its ecalls are
+        counted from those of a recovery over the WAL nobody tampered
+        with (deterministic, so made once per world)."""
+        if self._recovery_ecalls is None:
+            self.archive.path.write_bytes(self.wal_bytes)
+            genesis, state = make_genesis(network=NETWORK)
+            self._recovery_ecalls = recover_issuer(
+                self.archive, genesis, state, fresh_vm(), self.pow, **self.identity
+            ).enclave.ledger.ecalls
+        return self._recovery_ecalls
 
     def submit(self, block) -> None:
         entry = self.entry
@@ -271,24 +332,34 @@ class World:
 
 
 REFUSAL = "invalid transaction in block: invalid signature"
+#: Refusal per side for a forged root: (class, message).
+ROOT_REFUSALS = {
+    "host": (BlockValidationError, "state root mismatch after re-execution"),
+    "enclave": (CertificateError, "state root mismatch after replay"),
+}
 
 
-def run_cell(world: World, scheme: str, forged_block, cell: str) -> None:
-    """One cell of the table, on a world whose issuer is at height 1."""
+def root_refusal(scheme: str, entry: str) -> tuple[type, str]:
+    return ROOT_REFUSALS["enclave" if ecalls_before_refusal(scheme, entry) else "host"]
+
+
+def run_cell(
+    world: World, scheme: str, forged_block, cell: str,
+    refusal: tuple[type, str] = (BlockValidationError, REFUSAL),
+) -> None:
+    """One cell of a table, on a world whose issuer is at height 1."""
     before, ecalls = world.snapshot(), world.issuer.enclave.ledger.ecalls
     if world.entry == "recover":
-        # The refused replay starts from an empty issuer: count its ecalls
-        # from those of a recovery over the WAL nobody tampered with.
-        world.archive.path.write_bytes(world.wal_bytes)
-        genesis, state = make_genesis(network=NETWORK)
-        ecalls = recover_issuer(
-            world.archive, genesis, state, fresh_vm(), world.pow, **world.identity
-        ).enclave.ledger.ecalls
-    with pytest.raises(BlockValidationError, match=REFUSAL):
+        ecalls = world.untampered_recovery_ecalls()
+    with pytest.raises((BlockValidationError, CertificateError)) as refused:
         world.submit(forged_block)
     after = world.snapshot()
     for what, value in before.items():
         assert after[what] == value, f"{cell}: {what} moved"
+    kind, message = refusal
+    assert type(refused.value) is kind and message in str(refused.value), (
+        f"{cell}: refused with {refused.value!r}"
+    )
     if world.entry == "recover":
         size = world.archive.path.stat().st_size
         assert size == world.tampered_wal_size, f"{cell}: recovery rewrote the WAL"
@@ -335,8 +406,27 @@ def test_a_forged_block_is_refused_and_nothing_moves(
     assert world.issuer.node.height == 2
 
 
+@pytest.mark.parametrize("scheme, entry", COMBOS)
+def test_a_forged_root_is_refused_and_nothing_moves(
+    chains, forged_roots, twins, tmp_path, scheme, entry
+):
+    """Three cells a test, on one issuer, as above."""
+    honest, _forged = chains
+    world = World(honest, scheme, entry, tmp_path)
+    for forgery, block in forged_roots.items():
+        run_cell(
+            world, scheme, block, f"{forgery} / {scheme} / {entry}",
+            root_refusal(scheme, entry),
+        )
+    if entry == "recover":
+        world.archive.path.write_bytes(world.wal_bytes)
+    assert wire.encode(world.certify_honestly(honest.blocks[2])) == twins[scheme]
+    assert world.issuer.node.height == 2
+
+
 def test_the_table_is_the_whole_cross_product():
     assert len(COMBOS) * len(FORGERIES) * len(POSITIONS) == 19 * 12
+    assert len(COMBOS) * len(ROOT_FORGERIES) == 19 * 3
     refused_on_the_host = {s for s, e in COMBOS if not ecalls_before_refusal(s, e)}
     assert refused_on_the_host == set(SCHEMES_THE_PROTOTYPE_LEFT_ADVANCED)
 
@@ -361,21 +451,47 @@ def trusting(monkeypatch, ecalls_in_flight):
     return install
 
 
-def failures(chains, tmp_path, scheme, entry) -> dict[str, str]:
-    """Every cell of one (scheme, entry): cell -> how it failed, for the
-    cells that did.  A failed cell may have moved its world: the next
-    one gets a new world."""
+@pytest.fixture()
+def without(monkeypatch):
+    """``without(cls, name, condition)``: from here on ``cls.name`` runs
+    its own source with the line ``if <condition>:`` made ``if False:``."""
+
+    def install(cls, name: str, condition: str) -> None:
+        function = vars(cls)[name]
+        source = textwrap.dedent(inspect.getsource(function))
+        mutant = source.replace(f"if {condition}:", "if False:")
+        assert mutant.count("if False:") == source.count("if False:") + 1
+        namespace = dict(vars(inspect.getmodule(function)))
+        exec(compile(mutant, inspect.getsourcefile(function), "exec"), namespace)
+        monkeypatch.setattr(cls, name, namespace[name])
+
+    return install
+
+
+def failures(chains, tmp_path, scheme, entry, forged_roots=None) -> dict[str, str]:
+    """Every cell of one (scheme, entry) — of the forged-root axis when
+    ``forged_roots`` is given: cell -> how it failed, for the cells that
+    did.  A failed cell may have moved its world: the next one gets a
+    new world."""
     honest, forged = chains
+    if forged_roots is None:
+        cells = {
+            f"{forgery} {position}": (block, (BlockValidationError, REFUSAL))
+            for (forgery, position), block in forged.items()
+        }
+    else:
+        refusal = root_refusal(scheme, entry)
+        cells = {forgery: (block, refusal) for forgery, block in forged_roots.items()}
     failed, world = {}, None
-    for number, ((forgery, position), block) in enumerate(forged.items()):
+    for number, (cell, (block, refusal)) in enumerate(cells.items()):
         if world is None:
             path = tmp_path / str(number)
             path.mkdir()
             world = World(honest, scheme, entry, path)
         try:
-            run_cell(world, scheme, block, "mutant")
+            run_cell(world, scheme, block, "mutant", refusal)
         except (Exception, pytest.fail.Exception) as failure:
-            failed[f"{forgery} {position}"] = str(failure)
+            failed[cell] = str(failure)
             world = None
     return failed
 
@@ -408,3 +524,34 @@ def test_without_the_host_check_exactly_the_augmented_only_cells_fail(
         assert scheme in SCHEMES_THE_PROTOTYPE_LEFT_ADVANCED
         assert len(failed) == len(FORGERIES) * len(POSITIONS)
         assert all("maintained index roots moved" in why for why in failed.values())
+
+
+@pytest.mark.parametrize(
+    "scheme, entry", [c for c in COMBOS if ecalls_before_refusal(*c)]
+)
+def test_without_alg_2_lines_22_23_every_root_cell_the_enclave_guards_fails(
+    chains, forged_roots, tmp_path, without, scheme, entry
+):
+    without(DCertEnclaveProgram, "blk_verify_t", "new_root != header.state_root")
+    failed = failures(chains, tmp_path, scheme, entry, forged_roots)
+    assert len(failed) == len(ROOT_FORGERIES), sorted(failed)
+    certified = "does not match its replay" if entry == "recover" else "DID NOT RAISE"
+    assert all(certified in why for why in failed.values()), set(failed.values())
+
+
+@pytest.mark.parametrize(
+    "scheme, entry", [c for c in COMBOS if not ecalls_before_refusal(*c)]
+)
+def test_without_the_host_root_check_the_augmented_only_cells_fail(
+    chains, forged_roots, tmp_path, without, scheme, entry
+):
+    """The naive prototype dropped the host's root check everywhere:
+    under augmented-only it certifies nothing false — the enclave still
+    refuses — but only after ``ingest_block`` advanced an index.  (No
+    other cell reaches ``FullNode.check_state_root``: the table above
+    runs them without it.)"""
+    without(FullNode, "check_state_root", "root != block.header.state_root")
+    failed = failures(chains, tmp_path, scheme, entry, forged_roots)
+    assert scheme in SCHEMES_THE_PROTOTYPE_LEFT_ADVANCED
+    assert len(failed) == len(ROOT_FORGERIES)
+    assert all("maintained index roots moved" in why for why in failed.values())

@@ -20,6 +20,7 @@ import inspect
 import pytest
 
 from repro.chain.consensus import ProofOfWork
+from repro.chain.executor import TransactionExecutor
 from repro.chain.genesis import make_genesis
 from repro.chain.vm import VM, Contract
 from repro.contracts import BLOCKBENCH, KVStore, SmallBank, fresh_vm
@@ -28,6 +29,7 @@ from repro.core.certificate import verify_certificate
 from repro.core.enclave_program import DCertEnclaveProgram
 from repro.errors import CertificateError
 from repro.merkle import mpt
+from repro.merkle.partial import PartialSMT
 from repro.query import indexes
 from repro.query.indexes import (
     AccountHistoryIndexSpec,
@@ -50,6 +52,14 @@ PINS = {
         "repro.core.certificate.verify_certificate": (
             "dcert.enclave/2",
             "9a7c87b0bfefd8485e5b86e679707268c5788a46925bac072d751ad1d7fcc6bd",
+        ),
+        "repro.chain.executor.TransactionExecutor": (
+            "dcert.enclave/2",
+            "70f3a40756f488f90bdc7340ef450d8ebc79fddc73f02e0b63fd2b97e2195da3",
+        ),
+        "repro.merkle.partial.PartialSMT": (
+            "dcert.enclave/2",
+            "ce9e0faca83658d7745ff83a141ffb9c7775c8b539c4ad79546a7cb708fd77ea",
         ),
         "repro.query.indexes._replay_two_level": (
             (
@@ -135,6 +145,14 @@ def trusted_code():
         DCertEnclaveProgram: PROGRAM_IDENTITY,
         # cert_verify_t's body: trusted, though it lives beside Certificate.
         verify_certificate: PROGRAM_IDENTITY,
+        # blk_verify_t's replay and root check (Alg. 2 lines 17-23) run in
+        # these two, and outside augmented-only certification the CI host
+        # repeats neither: they make the one signature check and the one
+        # state-root check a certified block gets.  merkle/smt.py (the
+        # proof and its fold) and crypto/ stay out: they are primitives
+        # under ROADMAP "Settled", not program logic.
+        TransactionExecutor: PROGRAM_IDENTITY,
+        PartialSMT: PROGRAM_IDENTITY,
         # What the spec classes' apply_writes / write_data run outside
         # their own source: the one two-level replay step, the numeric
         # field scan, and the whole MPT module (the open-once engine

@@ -1,5 +1,5 @@
 """Update proofs: building (the entries ``StateStore.prove_many`` makes,
-which is what ``predict_root`` leaves on ``ExecutionResult.pre_state``),
+which is what ``CertificateIssuer.preprocess`` ships),
 opening (``PartialSMT.from_proofs`` over the entries, as the enclave
 program does), failure modes."""
 

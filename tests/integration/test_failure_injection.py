@@ -56,13 +56,16 @@ def mine_block(world, transactions):
 
 def test_equivocating_miner_rejected_at_ci(world):
     """A miner publishing a block with a self-serving state root (double
-    crediting itself) is stopped by the CI's re-execution."""
+    crediting itself) is stopped by the enclave's replay: the root its
+    proven slice reaches is not the header's (Alg. 2 lines 22-23)."""
     block = mine_block(world, [world["next_tx"]("honest", "1")])
     forged_header = world["builder"].pow.solve(
         replace(block.header, state_root=bytes(32), nonce=0)
     )
-    with pytest.raises(BlockValidationError):
+    ecalls = world["issuer"].enclave.ledger.ecalls
+    with pytest.raises(CertificateError, match="state root mismatch after replay"):
         world["issuer"].gen_cert(Block(forged_header, block.transactions))
+    assert world["issuer"].enclave.ledger.ecalls == ecalls + 1
     # The honest block still certifies fine afterwards.
     world["issuer"].process_block(block)
 
@@ -104,9 +107,9 @@ def test_ci_feeding_stale_proofs_is_caught_in_enclave(world):
 
 def test_unsigned_transaction_in_block_rejected(world):
     """A block smuggling an unsigned transaction under the honest block's
-    state root is refused by the host's state-root prediction: the header
-    does not commit to the unsigned write.  (It never reaches Alg. 2
-    line 19; the next test's block does.)"""
+    state root reaches the enclave — the CI host checks neither the
+    signature nor the root — and is refused at Alg. 2 line 19, the
+    replay's verify(tx), before the root comparison is reached."""
     issuer = world["issuer"]
     keypair = world["keypair"]
     unsigned = Transaction(
@@ -124,9 +127,9 @@ def test_unsigned_transaction_in_block_rejected(world):
     )
     smuggled = Block(header=smuggled_header, transactions=(good, unsigned))
     ecalls = issuer.enclave.ledger.ecalls
-    with pytest.raises(BlockValidationError, match="state root mismatch"):
+    with pytest.raises(BlockValidationError, match="invalid signature"):
         issuer.gen_cert(smuggled)
-    assert issuer.enclave.ledger.ecalls == ecalls
+    assert issuer.enclave.ledger.ecalls == ecalls + 1
     issuer.process_block(block)
 
 

@@ -17,9 +17,13 @@ from contextlib import contextmanager
 import pytest
 
 from repro.bench.harness import CertifiedChainHarness
+from repro.chain.genesis import make_genesis
+from repro.chain.node import FullNode
 from repro.chain.state import StateStore
+from repro.contracts import fresh_vm
 from repro.merkle.partial import PartialSMT
 from repro.merkle.smt import SparseMerkleTree, default_digests, verify_proof
+from repro.query.indexes import AccountHistoryIndexSpec
 
 DEPTH = 64
 
@@ -139,6 +143,26 @@ def test_io_heavy_block_stays_under_its_hash_budget(bench_params):
     assert calls <= 0.65 * PARENT_IO_BLOCK_SHA256_CALLS, calls
 
 
+#: The same block at 884b84a, where the CI host also predicted the
+#: post-state root — a second ``from_proofs`` + ``update_batch`` of what
+#: ``blk_verify_t`` replays a moment later (Alg. 2 lines 22-23).
+PARENT_884B84A_IO_BLOCK_SHA256_CALLS = 7_901
+PARENT_884B84A_IO_BLOCK_PREPROCESS_SHA256_CALLS = 3_493
+
+
+def test_io_heavy_block_hashes_its_post_state_root_once(bench_params):
+    """Exact counts, so the host's duplicate prediction cannot return
+    unnoticed: its 2,029 calls (599 merging, 1,430 updating) are gone
+    from ``preprocess`` and from the block, and nothing else moved."""
+    harness, block = io_world(bench_params)
+    calls = sha256_calls(harness.issuer.preprocess, block)  # commits nothing
+    assert calls == 1_464, (
+        f"{calls} (884b84a: {PARENT_884B84A_IO_BLOCK_PREPROCESS_SHA256_CALLS})"
+    )
+    calls = sha256_calls(harness.issuer.process_block, block)
+    assert calls == 5_872, f"{calls} (884b84a: {PARENT_884B84A_IO_BLOCK_SHA256_CALLS})"
+
+
 @pytest.fixture()
 def prove_many_calls(monkeypatch):
     calls = []
@@ -158,8 +182,6 @@ def test_process_block_proves_the_touched_keys_once(bench_params, prove_many_cal
     prove_many_calls.clear()
     result, update_proof = harness.issuer.preprocess(block)
     assert len(prove_many_calls) == 1
-    # The proofs validation replayed the writes on ARE the update proof.
-    assert update_proof.entries is result.pre_state
     assert [key for key, _, _ in update_proof.entries] == result.touched_keys()
     assert prove_many_calls[0] == result.touched_keys()
     state = harness.issuer.node.state
@@ -170,3 +192,50 @@ def test_process_block_proves_the_touched_keys_once(bench_params, prove_many_cal
     block, _ = harness.builder.add_block(harness.generator.block_txs("KV", 4))
     harness.issuer.process_block(block)
     assert len(prove_many_calls) == 1
+
+
+@pytest.fixture()
+def from_proofs_sides(monkeypatch, ecalls_in_flight):
+    """One bool per ``PartialSMT.from_proofs`` call: inside an ecall?"""
+    sides = []
+    real = PartialSMT.from_proofs.__func__
+
+    def counted(cls, root, entries):
+        sides.append(bool(ecalls_in_flight))
+        return real(cls, root, entries)
+
+    monkeypatch.setattr(PartialSMT, "from_proofs", classmethod(counted))
+    return sides
+
+
+@pytest.mark.parametrize(
+    "schemes, host, enclave",
+    [(("hierarchical",), 0, 1), (("augmented",), 1, 1)],
+    ids=["hierarchical", "augmented-only"],
+)
+def test_a_certified_block_folds_its_state_slice_once_per_side_that_checks_it(
+    bench_params, from_proofs_sides, schemes, host, enclave
+):
+    """``blk_verify_t`` folds the update proof to replay the block and
+    check its root (Alg. 2 lines 17-23); the CI host folds it only where
+    ``ingest_block`` moves an index before any ecall has: augmented-only.
+    A full node without an enclave folds it once, for its prediction."""
+    harness = CertifiedChainHarness(
+        bench_params, index_specs=[AccountHistoryIndexSpec(name="history")], seed=7
+    )
+    harness.grow_workload("IO", 2, 4, schemes=schemes)
+    block, _ = harness.builder.add_block(harness.generator.block_txs("IO", 4))
+    from_proofs_sides.clear()
+    harness.issuer.process_block(block, schemes=schemes)
+    assert from_proofs_sides.count(False) == host
+    assert from_proofs_sides.count(True) == enclave
+
+    genesis, state = make_genesis(
+        network="bench-net", state_depth=bench_params.state_depth
+    )
+    node = FullNode(genesis, state, fresh_vm(), harness.builder.pow)
+    for earlier in harness.builder.blocks[1:-1]:
+        node.append_block(earlier)
+    from_proofs_sides.clear()
+    node.append_block(block)
+    assert from_proofs_sides == [False]
