@@ -103,5 +103,11 @@ for entry in spec["end_to_end"]:
           f"  = {100 * (b2 - a2) / a2 if a2 else 0.0:+.1f} % of the parent's")
     print(f"  change wins {wins}, loses {losses} of {len(a)} pairs;"
           f" claimable gain: {'yes' if gain else 'no'}; bound: {verdict}")
+# The run is time-bounded: read peak_rss_mb against the work each run did.
+print("operations attempted per run")
+for side, records in runs.items():
+    counts = [r["attempted"] for r in records]
+    print(f"  {side} " + " ".join(str(n) for n in counts)
+          + f"  (median {statistics.median(counts):g})")
 sys.exit(status)
 EOF

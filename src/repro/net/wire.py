@@ -1,27 +1,12 @@
 """Wire codec: library dataclasses ⇄ canonical JSON bytes.
 
-The RPC layer (:mod:`repro.net.rpc`) must move query requests, query
-answers (proofs included), headers, and certificates between nodes as
-*bytes*, so that fault injection can corrupt them the way a real
-network would and so no Python object is ever shared across the
-simulated trust boundary.
-
-Every payload type in this library is a plain (frozen, slotted)
-dataclass of primitives, ``bytes``, tuples, dicts, and other such
-dataclasses, so one recursive codec covers them all:
-
-* primitives pass through JSON;
-* ``bytes`` become ``{"!b": "<hex>"}``;
-* tuples/lists/dicts are tagged to round-trip their exact type;
-* a dataclass becomes ``{"!dc": "<module>:<qualname>", "!f": {...}}``
-  and is reconstructed by importing that class — restricted to
-  ``repro.*`` modules, and re-running ``__post_init__`` validation, so
-  decoding is not an arbitrary-code gadget and structurally invalid
-  field values (a tampered public key off the curve, say) fail here.
-
-Decoding accepts exactly these shapes (table in docs/network.md); any
-other object, like every decode failure, is a :class:`repro.errors
-.WireError` — to callers a corrupted response (``ResponseIntegrityError``).
+Requests, answers (proofs included), headers and certificates cross
+the simulated trust boundary as *bytes*, so faults corrupt them as a
+real network would and no object is shared.  ``encode`` writes each
+value's one tagged JSON shape, one emitter per exact type; ``decode``
+accepts exactly those shapes (any other is a :class:`WireError`) and
+re-runs each ``repro.*`` dataclass's ``__post_init__``.  The shapes and
+the bound on both per-class tables: docs/network.md, "The wire codec".
 """
 
 from __future__ import annotations
@@ -29,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import json
+from json.encoder import encode_basestring_ascii as _text
 
 from repro.errors import WireError
 
@@ -47,10 +33,53 @@ _CLASSES: dict[str, type] = {}
 
 
 def encode(obj: object) -> bytes:
-    """Serialize ``obj`` to canonical JSON bytes."""
-    return json.dumps(_pack(obj), sort_keys=True, separators=(",", ":")).encode(
-        "utf-8"
-    )
+    """Serialize ``obj`` to canonical JSON bytes (sorted keys, no spaces)."""
+    return _EMITTERS[type(obj)](obj).encode()
+
+
+class _Emitters(dict):
+    """Exact type -> its emitter (docs/network.md, "The wire codec")."""
+
+    def __missing__(self, cls: type):
+        for base in (str, int, float, bytes, tuple, list, dict):  # json's order
+            if issubclass(cls, base):
+                return self[base]  # a subclass is answered, not kept
+        if not dataclasses.is_dataclass(cls):
+            raise WireError(f"unserializable value of type {cls.__name__}")
+        if not cls.__module__.startswith("repro."):
+            raise WireError(f"refusing to encode non-library type {cls!r}")
+        path = _text(f"{cls.__module__}:{cls.__qualname__}")
+        head = f'{{"{_DATACLASS}":{path},"{_FIELDS}":{{'
+        names = sorted(field.name for field in dataclasses.fields(cls))
+        keys = [(_text(name) + ":", name) for name in names]
+
+        def emit(obj) -> str:
+            parts = [key + _EMITTERS[type(v := getattr(obj, n))](v) for key, n in keys]
+            return head + ",".join(parts) + "}}"
+
+        self[cls] = emit  # the one row this library dataclass gets
+        return emit
+
+
+def _items(tag: str):
+    return lambda obj: f'{{"{tag}":[' + ",".join(
+        [_EMITTERS[type(v)](v) for v in obj]
+    ) + "]}"
+
+
+_EMITTERS = _Emitters({
+    type(None): lambda obj: "null",
+    bool: lambda obj: "true" if obj else "false",
+    int: int.__repr__,
+    float: json.dumps,  # NaN / Infinity as json writes them
+    str: _text,
+    bytes: lambda obj: f'{{"{_BYTES}":"{obj.hex()}"}}',
+    tuple: _items(_TUPLE),
+    list: _items(_LIST),
+    dict: lambda obj: f'{{"{_DICT}":[' + ",".join(
+        [f"[{_EMITTERS[type(k)](k)},{_EMITTERS[type(v)](v)}]" for k, v in obj.items()]
+    ) + "]}",
+})
 
 
 def decode(data: bytes) -> object:
@@ -65,31 +94,6 @@ def decode(data: bytes) -> object:
         raise
     except Exception as exc:  # tampered values fail loudly, not quietly
         raise WireError(f"undecodable wire bytes: {exc}") from exc
-
-
-def _pack(obj: object) -> object:
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    if isinstance(obj, bytes):
-        return {_BYTES: obj.hex()}
-    if isinstance(obj, tuple):
-        return {_TUPLE: [_pack(item) for item in obj]}
-    if isinstance(obj, list):
-        return {_LIST: [_pack(item) for item in obj]}
-    if isinstance(obj, dict):
-        return {_DICT: [[_pack(k), _pack(v)] for k, v in obj.items()]}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        cls = type(obj)
-        if not cls.__module__.startswith("repro."):
-            raise WireError(f"refusing to encode non-library type {cls!r}")
-        return {
-            _DATACLASS: f"{cls.__module__}:{cls.__qualname__}",
-            _FIELDS: {
-                field.name: _pack(getattr(obj, field.name))
-                for field in dataclasses.fields(obj)
-            },
-        }
-    raise WireError(f"unserializable value of type {type(obj).__name__}")
 
 
 def _unpack(raw: object) -> object:

@@ -202,12 +202,8 @@ class InvariantSuite:
             cache = getattr(entry.client, "cache", None)
             if cache is None:
                 continue
-            inner = entry.client.client
-            roots = {
-                inner.certified_index_root(spec.name)
-                for spec in self.world.specs
-            }
-            roots.discard(None)
+            held = entry.client.client.state.indexes.values()
+            roots = {root for _height, root, _cert in held}
             for (_request_bytes, root) in cache._entries:
                 assert root in roots, (
                     f"{entry.name} caches an answer under a root it no "

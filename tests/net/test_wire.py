@@ -1,6 +1,9 @@
 """The wire codec: library dataclasses ⇄ canonical JSON bytes."""
 
+import collections
 import dataclasses
+import enum
+import typing
 
 import pytest
 
@@ -20,6 +23,8 @@ from repro.query.api import (
     KeywordQuery,
     ValueRangeQuery,
 )
+
+from tests.net import wire_reference
 
 
 @pytest.mark.parametrize(
@@ -73,8 +78,20 @@ def test_nested_library_dataclass_round_trips():
 
 
 def test_encoding_is_canonical():
-    request = HistoryQuery(index="i", account="a", t_from=1, t_to=2)
-    assert wire.encode(request) == wire.encode(request)
+    """Equal objects built independently encode to the same bytes."""
+    first = HistoryQuery(index="history", account="acct1", t_from=1, t_to=2**40)
+    second = HistoryQuery(
+        index="".join(["hist", "ory"]), account="acct" + str(1),
+        t_from=int("1"), t_to=1 << 40,
+    )
+    assert first == second and first is not second
+    assert wire.encode(first) == wire.encode(second)
+    one, other = generate_keypair(b"canon"), generate_keypair(b"canon")
+    assert one.public is not other.public
+    assert wire.encode(one.public) == wire.encode(other.public)
+    assert wire.encode(wire.decode(wire.encode(one.public))) == wire.encode(
+        one.public
+    )
 
 
 def test_non_library_dataclass_refused():
@@ -89,6 +106,132 @@ def test_non_library_dataclass_refused():
 def test_unserializable_value_refused():
     with pytest.raises(WireError):
         wire.encode(object())
+
+
+# -- the emitters against the encoder they replaced ---------------------------
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Label(str):
+    def __str__(self) -> str:
+        return "not what the wire writes"
+
+
+class _Ratio(float):
+    def __repr__(self) -> str:
+        return "not what the wire writes"
+
+
+class _Pair(typing.NamedTuple):
+    left: int
+    right: str
+
+
+_HISTORY_QUERY = HistoryQuery(index="history", account="acct1", t_from=1, t_to=9)
+
+EDGE_VALUES = {
+    "nan": float("nan"),
+    "inf": float("inf"),
+    "-inf": float("-inf"),
+    "-0.0": -0.0,
+    "tiny": 5e-324,
+    "huge-float": 1e300,
+    "tenth": 0.1,
+    "2**300": 2**300,
+    "-2**300": -(2**300),
+    "true-vs-1": [True, 1, 1.0, False, 0],
+    "non-ascii": "é日本😀",
+    "controls": "\x00\x07\x1f\x7f\u2028",
+    "quotes-and-backslashes": '"quoted" \\ back\\slash \'single\'',
+    "lone-surrogate": "\ud800",
+    "empty-str": "",
+    "empty-bytes": b"",
+    "empty-tuple": (),
+    "empty-list": [],
+    "empty-dict": {},
+    "non-str-keys": {1: "a", (2, 3): "b", None: 0, b"k": 1, 1.5: True},
+    "insertion-order": {"b": 1, "a": 2},
+    "reverse-insertion-order": {"a": 2, "b": 1},
+    "named-tuple": _Pair(7, "x"),
+    "int-enum": _Level.HIGH,
+    "str-subclass": _Label("label"),
+    "float-subclass": _Ratio(2.5),
+    "bytes-subclass": type("_Blob", (bytes,), {})(b"\x01\x02"),
+    "dict-subclass": collections.OrderedDict([("z", 1), ("a", 2)]),
+    "list-subclass": type("_Items", (list,), {})([1, "2"]),
+    "unsorted-dataclass-fields": _HISTORY_QUERY,
+    "nested": [_HISTORY_QUERY, {"k": (KeywordQuery(index="k", keywords=("a",)),)}],
+}
+
+
+@pytest.mark.parametrize("value", EDGE_VALUES.values(), ids=EDGE_VALUES)
+def test_edge_values_encode_to_the_reference_bytes(value):
+    assert wire.encode(value) == wire_reference.encode(value)
+
+
+def test_dataclass_fields_are_written_in_sorted_order():
+    """``HistoryQuery`` declares ``index`` before ``account``."""
+    names = [field.name for field in dataclasses.fields(HistoryQuery)]
+    assert names != sorted(names)
+    assert wire.encode(_HISTORY_QUERY) == (
+        b'{"!dc":"repro.query.api:HistoryQuery","!f":'
+        b'{"account":"acct1","index":"history","t_from":1,"t_to":9}}'
+    )
+
+
+@dataclasses.dataclass
+class _Foreign:
+    x: int
+
+
+REFUSED = {
+    "non-library-dataclass": _Foreign(1),
+    "dataclass-class": HistoryQuery,
+    "set": {1, 2},
+    "bytearray": bytearray(b"ab"),
+    "object": object(),
+    "nested-refusal": [1, (2, {3: object()})],
+}
+
+
+@pytest.mark.parametrize("value", REFUSED.values(), ids=REFUSED)
+def test_refusals_match_the_reference_and_leave_the_table_alone(value):
+    with pytest.raises(WireError):
+        wire_reference.encode(value)
+    rows = dict(wire._EMITTERS)
+    with pytest.raises(WireError):
+        wire.encode(value)
+    assert wire._EMITTERS == rows
+
+
+def _announcement(certified, seq):
+    return TipAnnouncement(
+        seq=seq,
+        published_at_ms=25.0 * seq,
+        header=certified.block.header,
+        certificate=certified.certificate,
+        index_certificates=certified.index_certificates,
+        index_roots=certified.index_roots,
+    )
+
+
+def test_a_warm_class_is_encoded_without_planning(fresh_emitters, certified_setup):
+    """The first tip announcement reads ``dataclasses.fields`` once per
+    class it holds; the next reads it 0 times and adds 0 rows, and a
+    subclass of a fixed type never gets a row."""
+    older, newer = certified_setup["issuer"].certified[-2:]
+    wire.encode([_announcement(older, 1), _Pair(1, "a"), _Level.LOW, _Label("x")])
+    planned = list(fresh_emitters.planned)
+    assert len(planned) == len(set(planned)) >= 5
+    rows = set(wire._EMITTERS)
+    assert rows - fresh_emitters.fixed == set(planned)
+    wire.encode([_announcement(newer, 2), _Pair(2, "b"), _Level.HIGH, _Label("y")])
+    assert fresh_emitters.planned == planned
+    assert set(wire._EMITTERS) == rows
 
 
 @pytest.mark.parametrize(
@@ -142,8 +285,6 @@ _HISTORY = (
 def test_shapes_encode_never_writes_are_refused(data, parent_decoded):
     """Each row decoded at the parent (``wire_reference`` is its walk,
     verbatim) to an object whose own encoding is *other* bytes."""
-    from tests.net import wire_reference
-
     assert wire_reference.decode(data) == parent_decoded
     assert wire.encode(parent_decoded) != data
     with pytest.raises(WireError):
@@ -275,14 +416,7 @@ def test_push_stream_messages_round_trip(message):
 
 def test_sync_reply_with_announcement_round_trips(certified_setup):
     certified = certified_setup["issuer"].certified[-1]
-    announcement = TipAnnouncement(
-        seq=5,
-        published_at_ms=125.0,
-        header=certified.block.header,
-        certificate=certified.certificate,
-        index_certificates=certified.index_certificates,
-        index_roots=certified.index_roots,
-    )
+    announcement = _announcement(certified, 5)
     reply = SyncReply(
         announcements=(announcement,), latest_seq=5, oldest_retained=2
     )

@@ -14,6 +14,10 @@ bytes when it is encoded again) or ``WireError`` from both.  The only
 disagreements allowed are inputs the old walk accepted although
 ``encode`` never writes them; they are classified from the raw JSON,
 all refused by the new walk, and their counts are pinned.
+
+The same file keeps the tagged-tree encoder (``_pack`` + ``json.dumps``)
+that the per-type emitters replaced: every object decoded here, honest
+or an accepted mutant, must encode to the same bytes under both.
 """
 
 from __future__ import annotations
@@ -462,7 +466,7 @@ def _compare(data: bytes, refusals: Counter) -> None:
         return
     assert not classes, f"accepted although {sorted(classes)}: {data[:200]!r}"
     assert type(new) is type(old) and new == old
-    assert wire.encode(new) == wire.encode(old)
+    assert wire.encode(new) == wire.encode(old) == wire_reference.encode(new)
 
 
 def test_the_corpus_is_what_the_issue_asked_for(corpus):
@@ -474,7 +478,25 @@ def test_the_corpus_is_what_the_issue_asked_for(corpus):
 
 def test_honest_payloads_round_trip_to_the_same_bytes(corpus):
     for data in corpus.honest:
+        obj = wire.decode(data)
+        assert wire.encode(obj) == wire_reference.encode(obj) == data
+
+
+def test_the_emitter_table_holds_one_row_per_library_dataclass(
+    corpus, fresh_emitters
+):
+    """Encoding the whole corpus from the fixed rows plans each class
+    once: the table gains one row per ``repro.*`` dataclass the corpus
+    holds, and ``dataclasses.fields`` ran once per row."""
+    paths: set[str] = set()
+    for data in corpus.honest:
         assert wire.encode(wire.decode(data)) == data
+        paths |= _class_paths(json.loads(data))
+    added = set(wire._EMITTERS) - fresh_emitters.fixed
+    assert {f"{cls.__module__}:{cls.__qualname__}" for cls in added} == paths
+    assert sorted(fresh_emitters.planned, key=id) == sorted(added, key=id)
+    for cls in added:
+        assert dataclasses.is_dataclass(cls) and cls.__module__.startswith("repro.")
 
 
 def test_new_walk_agrees_with_the_old_one_on_corpus_and_mutants(corpus, monkeypatch):

@@ -8,6 +8,12 @@ to be, and resolves every dataclass path with ``importlib`` afresh.
 ``repro.net.wire.decode`` must agree with it on every input both
 accept; the inputs only this walk accepts are the non-canonical classes
 that test enumerates.  Test code: nothing under ``src/`` imports it.
+
+Beside it, verbatim, the encoder that preceded the per-type emitters:
+``_pack`` rebuilds the value as a tree of tagged dicts and
+``json.dumps(sort_keys=True)`` writes that tree.  ``repro.net.wire
+.encode`` must write the same bytes for every value and refuse with
+``WireError`` every value this one refuses.
 """
 
 from __future__ import annotations
@@ -26,6 +32,38 @@ _DATACLASS = "!dc"
 _FIELDS = "!f"
 
 _TAGS = {_BYTES, _TUPLE, _LIST, _DICT, _DATACLASS}
+
+
+def encode(obj: object) -> bytes:
+    """Serialize ``obj`` to canonical JSON bytes."""
+    return json.dumps(_pack(obj), sort_keys=True, separators=(",", ":")).encode(
+        "utf-8"
+    )
+
+
+def _pack(obj: object) -> object:
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    if isinstance(obj, bytes):
+        return {_BYTES: obj.hex()}
+    if isinstance(obj, tuple):
+        return {_TUPLE: [_pack(item) for item in obj]}
+    if isinstance(obj, list):
+        return {_LIST: [_pack(item) for item in obj]}
+    if isinstance(obj, dict):
+        return {_DICT: [[_pack(k), _pack(v)] for k, v in obj.items()]}
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        cls = type(obj)
+        if not cls.__module__.startswith("repro."):
+            raise WireError(f"refusing to encode non-library type {cls!r}")
+        return {
+            _DATACLASS: f"{cls.__module__}:{cls.__qualname__}",
+            _FIELDS: {
+                field.name: _pack(getattr(obj, field.name))
+                for field in dataclasses.fields(obj)
+            },
+        }
+    raise WireError(f"unserializable value of type {type(obj).__name__}")
 
 
 def decode(data: bytes) -> object:

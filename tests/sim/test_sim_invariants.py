@@ -112,6 +112,23 @@ def test_cache_coherence_rejects_stale_roots(world, suite):
         del cache._entries[(b"bogus-request", b"stale-root")]
 
 
+def test_cache_coherence_passes_a_gateway_client_that_holds_no_root(world, suite):
+    """A gateway client that joined while the issuer was unreachable
+    holds no certified root and an empty cache: nothing to check, not a
+    ``CertificateError`` escaping ``check``."""
+    world.service.server.paused = True
+    try:
+        entry = world.spawn_client(KIND_GATEWAY)
+    finally:
+        world.service.server.paused = False
+    try:
+        assert entry.client.cache is not None
+        assert not entry.client.client.state.indexes
+        suite.check(1)
+    finally:
+        world.fleet.remove(entry)
+
+
 def test_wal_consistency_rejects_reissued_bytes(world, suite):
     suite._cert_fps[1] = (b"different-cert-bytes", ())
     suite._issuer_seen = None  # force a full recompute
