@@ -12,13 +12,11 @@ test:
 proptest:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/proptest -q
 
-# Crash-injection sweep (tests/fault): crash the certification workload
-# at every cataloged crashpoint, recover from the WAL + sealed
-# checkpoint, and require byte-identical certificates.  Deterministic by
-# default; REPRO_CHAOS_CASES=n adds randomized (point, hit, seed) cases,
-# REPRO_CHAOS_SEED=n explores a different stream, and
-# REPRO_CHAOS_REPLAY=point:hit:seed reruns exactly one case (failures
-# print the replay command).
+# Crash-injection sweep (tests/fault): one scripted repro.sim crash
+# event per certification-path crashpoint, recovered from the WAL +
+# sealed checkpoint, every sim invariant checked, certificates
+# byte-identical to a no-crash twin.  One case: pytest -k <point>;
+# random crash interleavings are `make sim` (REPRO_SIM_SEED).
 chaos:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/fault -q
 

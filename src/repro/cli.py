@@ -19,11 +19,12 @@ Commands:
   saturating flood with ``retry_after`` hints, circuit breakers trip,
   the client degrades to a verified-stale answer, and hedged requests
   collapse a slow replica's tail.
-* ``demo-crash`` — crash-safety demonstration: a durable issuer is
-  killed at a chosen crashpoint mid-``certify_range``, its supervisor
-  restores it from the write-ahead archive (sealed checkpoint + WAL
-  tail replay), and the remote client finishes its verified query
-  against the restarted issuer without re-attesting.
+* ``demo-crash`` — crash-safety demonstration: one scripted ``crash``
+  event of a small :mod:`repro.sim` world kills the durable issuer at
+  a chosen crashpoint mid-``certify_range``, its supervisor restores it
+  from the write-ahead archive (sealed checkpoint + WAL tail replay),
+  every sim invariant is checked, and the remote client finishes its
+  verified query against the restarted issuer without re-attesting.
 * ``selftest`` — a fast certification round trip with tamper checks;
   exits non-zero on any failure (useful as a deployment smoke test).
 * ``metrics`` — run the networked demo with observability enabled and
@@ -522,105 +523,76 @@ def cmd_demo_overload(args: argparse.Namespace) -> int:
 
 
 def cmd_demo_crash(args: argparse.Namespace) -> int:
+    """Narrate one scripted ``crash`` event of a small sim world."""
     import tempfile
     from pathlib import Path
 
-    from repro.chain.genesis import make_genesis
-    from repro.contracts import fresh_vm
-    from repro.core import ClientConfig, IssuerService, connect
-    from repro.core.recovery import DurableIssuer, recover_issuer
-    from repro.fault.crashpoints import CATALOG, crash_armed
-    from repro.net import IssuerSupervisor, MessageBus, RestartPolicy, RetryPolicy
-    from repro.net.rpc import RpcClient
-    from repro.query import HistoryQuery, QueryService
-    from repro.query.indexes import AccountHistoryIndexSpec
-    from repro.sgx.attestation import AttestationService
-    from repro.sgx.platform import SGXPlatform
-    from repro.storage import ChainArchive
+    from repro.query import HistoryQuery
+    from repro.sim import (
+        SIM_CRASH_POINTS,
+        InvariantSuite,
+        SimConfig,
+        SimEvent,
+        SimWorld,
+        apply_event,
+    )
 
-    if args.point not in CATALOG:
+    if args.point not in SIM_CRASH_POINTS:
         print(f"unknown crashpoint {args.point!r}; one of:", file=sys.stderr)
-        for name in CATALOG:
+        for name in SIM_CRASH_POINTS:
             print(f"  {name}", file=sys.stderr)
         return 2
 
-    builder = _mine_chain(args.blocks)
-    spec = AccountHistoryIndexSpec(name="history")
-    ias = AttestationService(seed=b"cli-ias")
-    platform = SGXPlatform(seed=b"cli-platform")
     half = args.blocks // 2
-
+    config = SimConfig(
+        premine=half, checkpoint_interval=3, replicas=1, pollers=1,
+        gateway_clients=0, subscribers=1,
+    )
+    print(f"Mining {args.blocks} blocks; durably certifying the first "
+          f"{half} (WAL + sealed checkpoint every 3)...")
     with tempfile.TemporaryDirectory(prefix="repro-demo-crash-") as tmp:
-        archive = ChainArchive(Path(tmp) / "issuer.wal")
-        genesis, state = make_genesis(network="cli")
-        durable = DurableIssuer.create(
-            archive, genesis, state, fresh_vm(), builder.pow,
-            index_specs=[spec], platform=platform, ias=ias,
-            key_seed=b"cli-enclave", checkpoint_interval=3,
-        )
-        print(f"Mining {args.blocks} blocks; durably certifying the first "
-              f"{half} (WAL + sealed checkpoint every 3)...")
-        for block in builder.blocks[1 : 1 + half]:
-            durable.process_block(block)
-
-        provider = _provider(builder, spec, builder.blocks[1:])
-
-        def restore():
-            genesis2, state2 = make_genesis(network="cli")
-            return recover_issuer(
-                archive, genesis2, state2, fresh_vm(), builder.pow,
-                index_specs=[spec], platform=platform, ias=ias,
-                checkpoint_interval=3,
-            )
-
-        bus = MessageBus(default_latency_ms=10.0)
-        service = IssuerService(bus, "ci", durable)
-        supervisor = IssuerSupervisor(
-            service, restore,
-            policy=RestartPolicy(max_attempts=3, backoff_base_ms=40.0),
-        )
-        QueryService(bus, "sp", provider)
-        client = connect(ClientConfig(
-            measurement=_measurement(builder, ias, spec),
-            ias_public_key=ias.public_key,
-            bus=bus, name="client",
-            issuers=("ci",), providers=("sp",),
-            policy=RetryPolicy(timeout_ms=150.0, max_attempts=4,
-                               backoff_base_ms=20.0),
-        ))
-        client.bootstrap()
-        pk_before = service.issuer.pk_enc.to_bytes()
-        print(f"Remote client attested and adopted the certified tip at "
-              f"height {client.latest_header.height}.")
+        world = SimWorld.build(config, Path(tmp))
+        suite = InvariantSuite(world)
+        client = world.fleet[0].client
+        pk_before = world.issuer.pk_enc.to_bytes()
+        print(f"A polling client and a subscriber attested; the poller "
+              f"adopted the certified tip at height "
+              f"{client.latest_header.height}.")
 
         print(f"\nMiner submits blocks {half + 1}..{args.blocks}; the issuer "
               f"is armed to die at {args.point!r} (hit {args.hit}).")
-        miner = RpcClient(
-            bus, "miner",
-            policy=RetryPolicy(timeout_ms=200.0, max_attempts=5,
-                               backoff_base_ms=30.0),
-        )
-        with crash_armed(args.point, hit=args.hit) as schedule:
-            tips = miner.call(
-                "ci", "certify_range", tuple(builder.blocks[1 + half :])
-            )
-        if not schedule.fired:
-            print("  (the crashpoint was never reached by this workload)")
-        report = service.issuer.last_recovery
-        print(f"  crash fired: {schedule.fired}; supervisor restarts: "
+        crash = SimEvent("crash", {
+            "point": args.point, "hit": args.hit, "cseed": 0,
+            "upto": args.blocks - half,
+        })
+        events = [SimEvent("mine", {"txs": 3})] * (args.blocks - half) + [
+            crash, SimEvent("heartbeat", {"slot": 0}),
+            SimEvent("sync", {"slot": 0}),
+        ]
+        outcomes = []
+        for index, event in enumerate(events):
+            outcomes.append(apply_event(world, event))
+            suite.check(index)
+        suite.finish(len(events))
+        outcome = outcomes[events.index(crash)]
+        print(f"  {crash.describe()} -> {outcome}")
+        fired = outcome.split()[1] == "fired"
+        supervisor = world.supervisor
+        report = world.issuer.last_recovery
+        print(f"  crash fired: {fired}; supervisor restarts: "
               f"{supervisor.restarts} (of {supervisor.crashes} crashes)")
         if report is not None:
             print(f"  recovery: checkpoint_used={report.checkpoint_used} "
                   f"(height {report.checkpoint_height}), "
                   f"replayed {report.replayed_blocks} WAL-tail blocks")
-        print(f"  miner's retried call returned certified tips "
-              f"{[tip.header.height for tip in tips]}")
-        same_key = service.issuer.pk_enc.to_bytes() == pk_before
+        same_key = world.issuer.pk_enc.to_bytes() == pk_before
         print(f"  pk_enc stable across restart (sealed key): {same_key}")
+        print("  every sim invariant held after every event; a cold "
+              "recovery from the WAL re-issued identical bytes")
 
-        client.sync()
         request = HistoryQuery(
-            index="history", account="acct1", t_from=1, t_to=builder.height
+            index="history", account="acct1", t_from=1,
+            t_to=client.latest_header.height,
         )
         answer = client.query(request)
         ok = client.client.verify_answer(request, answer)
@@ -629,7 +601,7 @@ def cmd_demo_crash(args: argparse.Namespace) -> int:
               f"versions of acct1): {ok}")
         print(f"  attestation reports verified in total: "
               f"{len(client.client._verified_reports)} (no re-attestation)")
-        return 0 if (ok and same_key and not supervisor.gave_up) else 1
+        return 0 if (fired and ok and same_key and not supervisor.gave_up) else 1
 
 
 def cmd_sim(args: argparse.Namespace) -> int:
@@ -899,7 +871,7 @@ def main(argv: list[str] | None = None) -> int:
     crash.add_argument("--blocks", type=int, default=8)
     crash.add_argument(
         "--point", default="durable.append.pre_wal",
-        help="crashpoint to arm (see repro.fault.crashpoints.CATALOG)",
+        help="crashpoint to arm (one of repro.sim.SIM_CRASH_POINTS)",
     )
     crash.add_argument(
         "--hit", type=int, default=1,

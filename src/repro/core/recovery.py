@@ -20,7 +20,8 @@ the point of a long-lived service.  This module adds:
   enclave.  Per-restart enclave work is O(gap), independent of chain
   length.
 
-Recovery invariants (enforced here, swept by :mod:`repro.fault.chaos`):
+Recovery invariants (enforced here; the sim's ``wal-consistent``
+invariant checks them across every ``crash`` event):
 the recovered tip is byte-identical to the no-crash run (RFC-6979
 deterministic signatures make re-issuing idempotent), ``pk_enc`` is
 unchanged (sealed key), and an archived certificate that differs from

@@ -1,10 +1,11 @@
 """Deterministic fault injection for crash-safety testing.
 
 :mod:`repro.fault.crashpoints` plants named crashpoints at the durable
-boundaries of the library; :mod:`repro.fault.chaos` sweeps them and
-checks the recovery invariants; :mod:`repro.sim` draws from the same
-catalog to interleave crashes with live traffic in whole-system
-simulation runs.  See ``docs/recovery.md`` and ``docs/testing.md``.
+boundaries of the library; :mod:`repro.sim` arms them from its
+``crash`` event, interleaved with live traffic in whole-system
+simulation runs, and its invariants check the recovery (the crash
+sweep, ``tests/fault/test_chaos_sweep.py``, scripts one such event per
+point).  See ``docs/recovery.md`` and ``docs/testing.md``.
 """
 
 from repro.fault.crashpoints import (
@@ -18,22 +19,11 @@ from repro.fault.crashpoints import (
     torn_prefix,
 )
 
-def __getattr__(name: str):
-    # Lazy: chaos pulls in the whole certification stack, and the
-    # crashpoints it sweeps are themselves imported by that stack.
-    if name == "certificate_bytes":
-        from repro.fault.chaos import certificate_bytes
-
-        return certificate_bytes
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "CATALOG",
     "CrashSchedule",
     "SimulatedCrash",
     "active_schedule",
-    "certificate_bytes",
     "crash_armed",
     "crash_now",
     "crashpoint",

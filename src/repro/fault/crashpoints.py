@@ -13,9 +13,10 @@ boundary.
 
 Determinism: a schedule is ``(point, hit, seed)`` — crash on the
 ``hit``-th arrival at ``point``; ``seed`` drives any byte-level choices
-(e.g. where a torn write cuts).  The chaos harness
-(:mod:`repro.fault.chaos`) sweeps every cataloged point and replays any
-failure from its printed ``(point, hit, seed)`` triple.
+(e.g. where a torn write cuts).  The sim's ``crash`` event
+(:mod:`repro.sim.schedule`) carries that triple as its parameters; the
+crash sweep (``tests/fault/test_chaos_sweep.py``) scripts one event per
+point of :data:`repro.sim.SIM_CRASH_POINTS`.
 
 :class:`SimulatedCrash` deliberately subclasses :class:`BaseException`:
 library code that catches ``Exception`` (or :class:`repro.errors

@@ -62,11 +62,7 @@ from repro.net.resilience import (
     shrink_deadline,
 )
 from repro.net.rpc import RetryPolicy, RpcClient, RpcRequest, RpcResponse, RpcServer
-from repro.net.supervisor import (
-    IssuerSupervisor,
-    RestartPolicy,
-    ServiceSupervisor,
-)
+from repro.net.supervisor import RestartPolicy, ServiceSupervisor
 
 __all__ = [
     "AdmissionPolicy",
@@ -78,7 +74,6 @@ __all__ = [
     "HealthPolicy",
     "HedgePolicy",
     "LatencyTracker",
-    "IssuerSupervisor",
     "LagNotice",
     "LeastOutstanding",
     "LinkFaults",

@@ -25,8 +25,7 @@ virtual-clock bus for any RPC-fronted service:
 
 The bus does not allow a name to be re-joined, which is exactly the
 semantics we want anyway: the *endpoint* (address) survives, the
-process behind it is replaced.  :class:`IssuerSupervisor` remains as
-the issuer-specific name from PR 4.
+process behind it is replaced.
 """
 
 from __future__ import annotations
@@ -60,11 +59,10 @@ class ServiceSupervisor:
     """Watches an RPC-fronted service; restores its crashed backing
     object (issuer, provider, ...) and brings the endpoint back.
 
-    ``target_attr`` names the attribute on the service that holds the
-    process-like object the ``restore`` callable rebuilds.  When
-    omitted it is auto-detected: an ``issuer`` attribute wins (the
-    :class:`~repro.core.issuer.IssuerService` shape), else ``provider``
-    (the :class:`~repro.query.provider.QueryService` shape).
+    The ``restore`` callable rebuilds the service's ``issuer`` (the
+    :class:`~repro.core.issuer.IssuerService` shape) or, failing that,
+    its ``provider`` (the :class:`~repro.query.provider.QueryService`
+    shape).
     """
 
     def __init__(
@@ -73,19 +71,18 @@ class ServiceSupervisor:
         restore: Callable[[], object],
         *,
         policy: RestartPolicy | None = None,
-        target_attr: str | None = None,
     ) -> None:
         self.service = service
         self.restore = restore
         self.policy = policy or RestartPolicy()
-        if target_attr is None:
-            target_attr = "issuer" if hasattr(service, "issuer") else "provider"
-        if not hasattr(service, target_attr):
+        self.target_attr = (
+            "issuer" if hasattr(service, "issuer") else "provider"
+        )
+        if not hasattr(service, self.target_attr):
             raise TypeError(
                 f"service {type(service).__name__} has no attribute "
-                f"{target_attr!r} to supervise"
+                f"{self.target_attr!r} to supervise"
             )
-        self.target_attr = target_attr
         self.crashes = 0
         self.restarts = 0
         self.failed_attempts = 0
@@ -145,19 +142,3 @@ class ServiceSupervisor:
             obs.inc("supervisor.restarts")
             obs.set_gauge("supervisor.endpoint_up", 1)
             obs.set_gauge("supervisor.restart_attempts_last", attempt + 1)
-
-
-class IssuerSupervisor(ServiceSupervisor):
-    """The issuer-specific supervisor from PR 4; now a thin alias over
-    :class:`ServiceSupervisor` with ``target_attr="issuer"``."""
-
-    def __init__(
-        self,
-        service,
-        restore: Callable[[], object],
-        *,
-        policy: RestartPolicy | None = None,
-    ) -> None:
-        super().__init__(
-            service, restore, policy=policy, target_attr="issuer"
-        )

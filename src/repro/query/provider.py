@@ -122,8 +122,9 @@ class QueryService:
     ``execute`` path through the :class:`~repro.net.rpc.RpcServer`
     busy-worker model so replica count shows up in fleet throughput
     (root lookups stay free); the ``query.execute.*``
-    crashpoints let the chaos harness kill a replica mid-query (a
-    :class:`~repro.net.supervisor.ServiceSupervisor` restarts it).
+    crashpoints let ``tests/fault/test_fleet_chaos.py`` kill a replica
+    mid-query (a :class:`~repro.net.supervisor.ServiceSupervisor`
+    restarts it).
     """
 
     def __init__(

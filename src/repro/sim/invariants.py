@@ -15,9 +15,10 @@ faults, not just inside one subsystem:
   root the client *currently* holds certified (tip advances strand
   nothing stale);
 * **wal-consistent** — certificate bytes per height never change once
-  observed, across any number of crash/recovery cycles, and at the end
-  of the run a cold :func:`~repro.core.recovery.recover_issuer` from
-  the WAL rebuilds the exact same certificates;
+  observed, across any number of crash/recovery cycles, every restarted
+  issuer signs under the same sealed ``pk_enc``, and at the end of the
+  run a cold :func:`~repro.core.recovery.recover_issuer` from the WAL
+  rebuilds the exact same certificates;
 * **metrics-monotonic** — counters never decrease;
 * **hub-stream-bounded** — the hub never announces beyond what the
   issuer certified;
@@ -43,13 +44,29 @@ from repro.chain.genesis import make_genesis
 from repro.contracts import fresh_vm
 from repro.core.recovery import recover_issuer
 from repro.core.superlight import SuperlightClient
-from repro.fault.chaos import certificate_bytes
 from repro.net.wire import encode
 
 from .world import KIND_GATEWAY, SimWorld
 
 #: The paper's client state budget (Table 4): ~2.97 KB.
 PAPER_STORAGE_BUDGET_BYTES = int(2.97 * 1024)
+
+
+def certificate_bytes(issuer) -> dict[int, tuple[bytes, tuple[bytes, ...]]]:
+    """Per-height (block cert bytes, sorted index cert bytes) — the
+    byte-identity fingerprint ``wal-consistent`` compares."""
+    return {
+        certified.block.header.height: (
+            certified.certificate.encode()
+            if certified.certificate is not None
+            else b"",
+            tuple(
+                certified.index_certificates[name].encode()
+                for name in sorted(certified.index_certificates)
+            ),
+        )
+        for certified in issuer.certified
+    }
 
 
 class InvariantViolation(AssertionError):
@@ -73,6 +90,7 @@ class InvariantSuite:
         self._cert_fps: dict[int, tuple[bytes, tuple[bytes, ...]]] = {}
         self._counters: dict[str, float] = {}
         self._issuer_seen: int | None = None
+        self._pk_enc: bytes | None = None
         self._certified_seen = -1
         self._pending_adoptions: list[tuple[str, object, object]] = []
         self.checkers = [
@@ -211,12 +229,20 @@ class InvariantSuite:
                 )
 
     def _check_certificates(self) -> None:
-        """Certificate bytes per height are write-once, across crashes."""
+        """Certificate bytes per height are write-once, and the sealed
+        signing key is one key, across crashes."""
         world = self.world
         issuer_id = id(world.issuer)
         count = len(world.issuer.certified)
         if issuer_id == self._issuer_seen and count == self._certified_seen:
             return  # nothing issued or recovered since the last check
+        if issuer_id != self._issuer_seen:
+            pk_enc = world.issuer.pk_enc.to_bytes()
+            if self._pk_enc is None:
+                self._pk_enc = pk_enc
+            assert pk_enc == self._pk_enc, (
+                "pk_enc changed across a restart (the sealed key was lost)"
+            )
         current = certificate_bytes(world.issuer)
         for height, fingerprint in current.items():
             seen = self._cert_fps.get(height)

@@ -43,11 +43,11 @@ from repro.net import (
     FaultInjector,
     HealthPolicy,
     HedgePolicy,
-    IssuerSupervisor,
     MessageBus,
     QueryGateway,
     RestartPolicy,
     RetryPolicy,
+    ServiceSupervisor,
     SubscriptionHub,
 )
 from repro.net.rpc import RpcClient
@@ -106,7 +106,7 @@ class SimWorld:
     injector: FaultInjector
     archive: ChainArchive
     service: IssuerService
-    supervisor: IssuerSupervisor
+    supervisor: ServiceSupervisor
     hub: SubscriptionHub
     provider: QueryServiceProvider
     oracle: QueryServiceProvider
@@ -223,7 +223,7 @@ class SimWorld:
             world.recoveries += 1
             return restored
 
-        world.supervisor = IssuerSupervisor(
+        world.supervisor = ServiceSupervisor(
             service, restore,
             policy=RestartPolicy(max_attempts=5, backoff_base_ms=40.0),
         )

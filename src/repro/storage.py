@@ -219,16 +219,6 @@ class ChainArchive:
         head = {"kind": "head", "format": 2, "sealed_key": sealed_key.hex()}
         self.wal.create((self._dump(head),))
 
-    def append(self, block: Block, certificate: Certificate | None) -> None:
-        """Append one certified block (compatibility form: no indexes)."""
-        self.append_record(
-            block,
-            certificate,
-            index_certificates={},
-            index_roots={},
-            write_set={},
-        )
-
     def append_record(
         self,
         block: Block,

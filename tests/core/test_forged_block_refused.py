@@ -284,7 +284,9 @@ class World:
         the issuer ``recover_issuer`` builds becomes ``self.issuer`` —
         before the refused replay it was where the old one still is."""
         self.archive.path.write_bytes(self.wal_bytes)
-        self.archive.append(block, None)
+        self.archive.append_record(
+            block, None, index_certificates={}, index_roots={}, write_set={}
+        )
         self.tampered_wal_size = self.archive.path.stat().st_size
         launched = []
 

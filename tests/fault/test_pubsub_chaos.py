@@ -1,12 +1,9 @@
-"""Chaos for the push tier: hub crashes mid-fanout, lossy links, lag.
+"""Chaos for the push tier: lossy links and lag.
 
-The main chaos sweep (tests/fault/test_chaos_sweep.py) skips the
-``pubsub.*`` crashpoints — they live in the fan-out path, not the
-certification workload — and this file sweeps them instead: the hub
-"dies" at each point, a replacement hub is remounted on the same
-endpoint (stream position recovered from the issuer's certified count,
-catch-up history re-announced), and every subscriber must converge to
-the certified tip through the heartbeat/resync path.
+Hub crashes at the ``pubsub.*`` crashpoints, the partial fan-out
+included, are cases of the crash sweep (tests/fault/test_chaos_sweep.py):
+the supervisor restarts the issuer, remounts a hub on the same
+endpoint, and every subscriber converges through heartbeat + resync.
 
 The invariant throughout: chaos may delay tips, it must never forge
 them — a client only ever adopts announcements that pass the standard
@@ -23,7 +20,6 @@ from repro.core import (
     compute_expected_measurement,
     connect,
 )
-from repro.fault.crashpoints import SimulatedCrash, crash_armed
 from repro.net import FaultInjector, LinkFaults, MessageBus
 from repro.net.pubsub import SubscriptionHub
 from repro.query.indexes import AccountHistoryIndexSpec
@@ -32,12 +28,6 @@ from repro.chain.genesis import make_genesis
 from tests.conftest import fresh_vm, make_kv_tx
 
 pytestmark = pytest.mark.chaos
-
-PUBSUB_POINTS = (
-    "pubsub.publish.pre",
-    "pubsub.deliver.pre",
-    "pubsub.publish.post",
-)
 
 CLIENTS = ("c1", "c2", "c3")
 
@@ -82,75 +72,12 @@ def build_world(chain, **hub_kwargs):
     return bus, injector, issuer, service, hub, clients
 
 
-def remount_hub(service, issuer, old_hub):
-    """A fresh hub process on the same endpoint, as a supervisor would
-    restart it: the stream position comes from the issuer's certified
-    count and the catch-up history is re-announced from it."""
-    old_hub.detach()
-    hub = SubscriptionHub(server=service.server)
-    hub.attach(issuer, announce_existing=True)
-    return hub
-
-
 def converge(bus, clients):
     """Drain the bus, then run one heartbeat round and drain again."""
     bus.run_until_idle()
     for client in clients:
         client.heartbeat()
     bus.run_until_idle()
-
-
-@pytest.mark.parametrize("point", PUBSUB_POINTS)
-def test_hub_crash_at_every_fanout_point_recovers(chain, point):
-    """Crash the hub at each pubsub crashpoint mid-publish; after a
-    remount every subscriber converges to the full certified tip."""
-    bus, injector, issuer, service, hub, clients = build_world(chain)
-    for block in chain.blocks[1:3]:
-        issuer.process_block(block)
-    bus.run_until_idle()
-    assert all(c.latest_header.height == 2 for c in clients)
-
-    with crash_armed(point, hit=1) as schedule:
-        with pytest.raises(SimulatedCrash):
-            issuer.process_block(chain.blocks[3])
-    assert schedule.fired, f"{point!r} never fired during fan-out"
-    # The block *was* certified — the crash hit the announcement path.
-    assert issuer.certified[-1].block.header.height == 3
-
-    hub = remount_hub(service, issuer, hub)
-    assert hub.seq == len(issuer.certified)
-    converge(bus, clients)
-    for client in clients:
-        assert client.latest_header.height == 3
-        assert client.client.certified_index_root("history") is not None
-    # Survivors keep streaming after the restart.
-    issuer.process_block(chain.blocks[4])
-    bus.run_until_idle()
-    assert all(c.latest_header.height == 4 for c in clients)
-
-
-def test_crash_mid_fanout_leaves_no_partial_delivery_visible(chain):
-    """``pubsub.deliver.pre`` on a later hit kills the hub after some
-    subscribers were already sent to — the classic partial fan-out.
-    Nobody may end up on a forged or half-announced tip."""
-    bus, injector, issuer, service, hub, clients = build_world(chain)
-    issuer.process_block(chain.blocks[1])
-    bus.run_until_idle()
-
-    with crash_armed("pubsub.deliver.pre", hit=2) as schedule:
-        with pytest.raises(SimulatedCrash):
-            issuer.process_block(chain.blocks[2])
-    assert schedule.fired
-    bus.run_until_idle()
-    # At most one subscriber got the push before the crash; whatever
-    # was delivered verified fine, nothing else moved.
-    heights = sorted(c.latest_header.height for c in clients)
-    assert heights[0] == 1 and heights[-1] <= 2
-
-    hub = remount_hub(service, issuer, hub)
-    converge(bus, clients)
-    assert all(c.latest_header.height == 2 for c in clients)
-    assert all(c.push_rejected == 0 for c in clients)
 
 
 def test_lossy_links_never_forge_only_delay(chain):

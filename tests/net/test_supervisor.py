@@ -23,7 +23,7 @@ from repro.core import (
 from repro.core.recovery import DurableIssuer, recover_issuer
 from repro.crypto import generate_keypair
 from repro.fault.crashpoints import crash_armed
-from repro.net import IssuerSupervisor, MessageBus, RestartPolicy, RetryPolicy
+from repro.net import MessageBus, RestartPolicy, RetryPolicy, ServiceSupervisor
 from repro.net.rpc import RpcClient
 from repro.query import HistoryQuery, QueryService
 from repro.query.indexes import AccountHistoryIndexSpec
@@ -109,7 +109,7 @@ def world(chain, tmp_path):
 def make_network(world):
     bus = MessageBus(default_latency_ms=10.0)
     service = IssuerService(bus, "ci", world["durable"])
-    supervisor = IssuerSupervisor(
+    supervisor = ServiceSupervisor(
         service, world["restore"],
         policy=RestartPolicy(max_attempts=3, backoff_base_ms=40.0),
     )

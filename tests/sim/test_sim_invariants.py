@@ -135,6 +135,16 @@ def test_wal_consistency_rejects_reissued_bytes(world, suite):
     assert _violation(suite).name == "wal-consistent"
 
 
+def test_wal_consistency_rejects_a_new_signing_key(world, suite):
+    """A restarted issuer that signs under a different ``pk_enc`` (its
+    sealed key was not the one recovered) violates wal-consistent."""
+    suite._pk_enc = b"another-enclave-key"
+    suite._issuer_seen = None  # as after a restart
+    violation = _violation(suite)
+    assert violation.name == "wal-consistent"
+    assert "pk_enc" in violation.detail
+
+
 def test_metrics_monotonic_rejects_decreasing_counter(world, suite):
     registry = obs.registry()
     saved = registry.counters.get("sim.test.counter")

@@ -62,6 +62,25 @@ def test_demo_crash_rejects_unknown_point(capsys):
     assert "unknown crashpoint" in capsys.readouterr().err
 
 
+def test_demo_crash_at_a_hub_point(capsys):
+    assert main(["demo-crash", "--point", "pubsub.publish.pre"]) == 0
+    out = capsys.readouterr().out
+    assert "crash fired: True" in out
+    assert "pk_enc stable across restart (sealed key): True" in out
+    assert "(no re-attestation)" in out
+
+
+def test_demo_crash_rejects_a_point_certification_never_reaches(capsys):
+    assert main(["demo-crash", "--point", "query.execute.pre"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown crashpoint" in err and "pubsub.publish.pre" in err
+
+
+def test_demo_crash_fails_when_the_point_never_fires(capsys):
+    assert main(["demo-crash", "--hit", "99"]) == 1
+    assert "crash fired: False" in capsys.readouterr().out
+
+
 def test_metrics_text(capsys):
     assert main(["metrics", "--blocks", "3"]) == 0
     out = capsys.readouterr().out

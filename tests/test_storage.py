@@ -67,7 +67,10 @@ def archived_world(kv_chain, tmp_path):
     archive.initialize(issuer.seal_signing_key())
     for block in kv_chain.blocks[1:6]:
         certified = issuer.process_block(block)
-        archive.append(block, certified.certificate)
+        archive.append_record(
+            block, certified.certificate,
+            index_certificates={}, index_roots={}, write_set={},
+        )
     return {
         "issuer": issuer,
         "archive": archive,
