@@ -1,542 +1,432 @@
 """Command-line interface: ``python -m repro <command>``.
 
+Every command that needs a deployment gets it from one builder,
+:meth:`repro.sim.SimWorld.build`, through :func:`_narrate`: a small
+sim world (chain, durable issuer, query replicas, hub, remote clients
+on the virtual-clock bus) that the command narrates as scripted sim
+events, with the sim's invariant suite checked after every step and
+its end-of-run WAL recovery at the close.  A violation prints its
+message and exits 1.
+
 Commands:
 
-* ``info`` — print the library inventory and version.
-* ``demo`` — a one-minute end-to-end demonstration: mine, certify,
-  bootstrap a superlight client, run a verifiable query.
-* ``demo-network`` — the same flow over the simulated network: a
-  remote superlight client bootstraps and queries two Service
-  Providers over RPC while a fault injector drops messages to the
-  first one.
-* ``demo-fleet`` — scaling demonstration: a remote client serves a
-  query batch through a load-balanced fleet of Service Provider
-  replicas behind a :class:`repro.net.gateway.QueryGateway`, repeats
-  it warm from the verified-answer cache, then survives a replica
-  kill and watches the probe path readmit it.
-* ``demo-overload`` — overload-resilience demonstration: deadline
-  propagation refuses doomed work up front, admission control sheds a
-  saturating flood with ``retry_after`` hints, circuit breakers trip,
-  the client degrades to a verified-stale answer, and hedged requests
-  collapse a slow replica's tail.
-* ``demo-crash`` — crash-safety demonstration: one scripted ``crash``
-  event of a small :mod:`repro.sim` world kills the durable issuer at
-  a chosen crashpoint mid-``certify_range``, its supervisor restores it
-  from the write-ahead archive (sealed checkpoint + WAL tail replay),
-  every sim invariant is checked, and the remote client finishes its
-  verified query against the restarted issuer without re-attesting.
-* ``selftest`` — a fast certification round trip with tamper checks;
-  exits non-zero on any failure (useful as a deployment smoke test).
-* ``metrics`` — run the networked demo with observability enabled and
-  report the collected counters, gauges, and latency/size histograms
-  (``--json`` for machine-readable output).
+* ``info`` — the version and each ``repro.*`` subpackage's summary.
+* ``demo`` — mine and certify a chain (the premine), then a local
+  superlight client adopts the certified tip and verifies a query
+  answered from the issuer's own index.
+* ``demo-network`` — a push-subscribed remote client over two replicas:
+  a ``lossy_link`` event on its link to sp1, a verified query with
+  retries, then ``mine`` + ``certify`` events whose tip arrives pushed.
+* ``demo-fleet`` — a gateway client over N replicas: a ``query_many``
+  batch, its warm repeat from the verified-answer cache, a
+  ``pause_replica`` event with failover, and ``resume_replicas`` with
+  the probe path readmitting the replica.
+* ``demo-overload`` — the same shape: a doomed deadline refused up
+  front, a flood from the sim's load generator shed at admission with
+  a verified-stale answer served, then a ``slow_replica`` event
+  (factor 10) that the gateway hedges around.
+* ``demo-crash`` — ``mine`` events, then one ``crash`` event kills the
+  durable issuer at a chosen crashpoint mid-``certify_range``; the
+  supervisor restores it from the write-ahead archive and the polling
+  client finishes a verified query without re-attesting.
+* ``selftest`` — the ``demo`` world at 4 blocks plus tamper checks;
+  exits non-zero on any failure (a deployment smoke test).
+* ``metrics`` — one world with a push-subscribed client (``--drop``
+  becomes a ``lossy_link`` event) and a gateway client over
+  ``--replicas`` replicas, run with observability on; reports the
+  collected counters, gauges, and histograms (``--json`` for the raw
+  snapshot, ``--all`` for per-component state too).
+* ``sim`` / ``demo-sim`` — a whole seeded simulation run.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
-from repro import __version__
+from repro import __version__, obs
+from repro.core import SuperlightClient
+from repro.errors import CertificateError, DeadlineExceededError
 from repro.obs import wallclock
+from repro.query import HistoryQuery, QueryAnswer, StaleAnswer
+from repro.sim import (
+    SIM_CRASH_POINTS,
+    InvariantSuite,
+    InvariantViolation,
+    SimConfig,
+    SimEvent,
+    SimWorld,
+    apply_event,
+)
 
 
-def _mine_chain(blocks: int, block_size: int = 3):
-    """The demo chain: ``blocks`` blocks of kvstore puts by one user."""
-    from repro.chain import ChainBuilder
-    from repro.chain.transaction import sign_transaction
-    from repro.crypto import generate_keypair
+class _Narration:
+    """One command's sim world: each scripted event, and each direct
+    step the narration takes, is followed by the invariant suite."""
 
-    user = generate_keypair(b"cli-user")
-    builder = ChainBuilder(difficulty_bits=4, network="cli")
-    nonce = 0
-    for _ in range(blocks):
-        txs = []
-        for _ in range(block_size):
-            txs.append(
-                sign_transaction(
-                    user.private, nonce, "kvstore", "put",
-                    (f"acct{nonce % 4}", f"value-{nonce}"),
-                )
-            )
-            nonce += 1
-        builder.add_block(txs)
-    return builder
+    def __init__(self, world: SimWorld) -> None:
+        self.world = world
+        self.suite = InvariantSuite(world)
+        self.steps = 0
+
+    def check(self) -> None:
+        # The checkers' fresh verifiers and oracle executions are not the
+        # deployment's work: keep them out of the metrics registry.
+        with obs.observability(False):
+            self.suite.check(self.steps)
+        self.steps += 1
+
+    def event(self, kind: str, **params) -> str:
+        outcome = apply_event(self.world, SimEvent(kind, params))
+        self.check()
+        return outcome
+
+    def query(self, slot: int, request, **kwargs):
+        """Fleet client ``slot`` asks directly; a fresh answer joins the
+        oracle-identity check like a ``query`` event's."""
+        answer = self.world.fleet[slot].client.query(request, **kwargs)
+        if not isinstance(answer, StaleAnswer):
+            self.world.record_answer(request, answer)
+        self.check()
+        return answer
 
 
-def _measurement(builder, ias, spec):
-    """What an honest enclave measures as, from public inputs only."""
-    from repro.chain.genesis import make_genesis
-    from repro.contracts import fresh_vm
-    from repro.core import compute_expected_measurement
+def _narrate(config: SimConfig, story) -> int:
+    """Build the world, run ``story(narration)`` for its exit status,
+    then the suite's end-of-run check; a violation exits 1."""
+    with tempfile.TemporaryDirectory(prefix="repro-cli-") as tmp:
+        narration = _Narration(SimWorld.build(config, Path(tmp)))
+        try:
+            narration.check()
+            status = story(narration)
+            with obs.observability(False):
+                narration.suite.finish(narration.steps)
+        except InvariantViolation as exc:
+            print(f"INVARIANT VIOLATION: {exc}", file=sys.stderr)
+            return 1
+        return status
 
-    genesis, _ = make_genesis(network="cli")
-    return compute_expected_measurement(
-        genesis.header.header_hash(), ias.public_key, fresh_vm(),
-        builder.pow.difficulty_bits, {spec.name: spec},
+
+def _local(blocks: int) -> SimConfig:
+    """A certified chain and nothing on the network: ``demo``/``selftest``."""
+    return SimConfig(
+        premine=blocks, replicas=0, pollers=0, gateway_clients=0,
+        subscribers=0,
     )
 
 
-def _provider(builder, spec, blocks):
-    """A Service Provider that has ingested ``blocks``."""
-    from repro.chain.genesis import make_genesis
-    from repro.contracts import fresh_vm
-    from repro.query import QueryServiceProvider
-
-    genesis, state = make_genesis(network="cli")
-    provider = QueryServiceProvider(
-        genesis, state, fresh_vm(), builder.pow, [spec]
-    )
-    for block in blocks:
-        provider.ingest_block(block)
-    return provider
-
-
-def _build_world(blocks: int = 10, hold_back: int = 0):
-    from repro.chain.genesis import make_genesis
-    from repro.contracts import fresh_vm
-    from repro.core import CertificateIssuer
-    from repro.query.indexes import AccountHistoryIndexSpec
-    from repro.sgx.attestation import AttestationService
-
-    builder = _mine_chain(blocks)
-    genesis, state = make_genesis(network="cli")
-    ias = AttestationService(seed=b"cli-ias")
-    spec = AccountHistoryIndexSpec(name="history")
-    issuer = CertificateIssuer(
-        genesis, state, fresh_vm(), builder.pow,
-        index_specs=[spec], ias=ias, key_seed=b"cli-enclave",
-    )
-    # ``hold_back`` keeps the newest blocks mined-but-uncertified so a
-    # command can certify them later (the push-stream demonstrations).
-    for block in builder.blocks[1 : len(builder.blocks) - hold_back]:
-        issuer.process_block(block)
-    return builder, issuer, ias, spec
-
-
-def _served_world(blocks: int):
-    """What every networked demo starts from: a certified chain with the
-    newest mined block held back uncertified (so a command can show
-    push propagation: ``world.issuer.process_block(world.held_back)``),
-    a Service Provider that ingested the certified blocks, and the
-    measurement a client derives from public inputs."""
-    from types import SimpleNamespace
-
-    builder, issuer, ias, spec = _build_world(blocks=blocks, hold_back=1)
-    return SimpleNamespace(
-        builder=builder, issuer=issuer, ias=ias,
-        provider=_provider(builder, spec, builder.blocks[1:-1]),
-        measurement=_measurement(builder, ias, spec),
-        held_back=builder.blocks[-1],
-    )
+def _history(client) -> HistoryQuery:
+    """acct1's whole certified history: the query each demo verifies."""
+    return HistoryQuery(index="history", account="acct1", t_from=1,
+                        t_to=client.latest_header.height)
 
 
 def cmd_info(_: argparse.Namespace) -> int:
+    import importlib
+    import pkgutil
+
+    import repro
+
     print(f"repro {__version__} — DCert reproduction (Middleware '22)")
     print()
-    inventory = [
-        ("repro.crypto", "secp256k1 ECDSA (RFC-6979), SHA-256 hashing"),
-        ("repro.merkle", "MHT, sparse Merkle tree + partial trees, MPT, "
-                         "B+-tree engine (MB-tree, aggregate tree), skip list, MMR"),
-        ("repro.chain", "transactions, PoW blocks, contract VM, miner, "
-                        "full node, light client"),
-        ("repro.contracts", "Blockbench: DoNothing, CPUHeavy, IOHeavy, KVStore, SmallBank"),
-        ("repro.sgx", "simulated enclaves, attestation, sealing, cost model"),
-        ("repro.core", "DCert: gen_cert, ecall_sig_gen, superlight client, "
-                       "augmented + hierarchical certificates"),
-        ("repro.query", "SP, two-level history index, keyword index, "
-                        "aggregate index, LineageChain baseline"),
-        ("repro.baselines", "FlyClient-style MMR sampling client"),
-    ]
-    for package, description in inventory:
-        print(f"  {package:18} {description}")
+    for module in pkgutil.iter_modules(repro.__path__):
+        if not module.ispkg:
+            continue
+        name = f"repro.{module.name}"
+        doc = (importlib.import_module(name).__doc__ or "").strip()
+        summary = doc.splitlines()[0] if doc else ""
+        print(f"  {name:18} {summary.removeprefix(f'{name} — ')}")
     return 0
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    from repro.core import SuperlightClient
-
     print(f"Mining and certifying {args.blocks} blocks...")
     started = wallclock.now_s()
-    builder, issuer, ias, spec = _build_world(blocks=args.blocks)
-    print(f"  done in {wallclock.elapsed_s(started):.1f}s "
-          f"({issuer.enclave.ledger.ecalls} ecalls)")
 
-    client = SuperlightClient(_measurement(builder, ias, spec), ias.public_key)
-    tip = issuer.certified[-1]
-    started = wallclock.now_s()
-    client.adopt(tip)
-    print(f"Superlight client validated a {builder.height}-block chain in "
-          f"{wallclock.elapsed_ms(started):.1f} ms, "
-          f"storing {client.storage_bytes()} bytes.")
+    def story(run: _Narration) -> int:
+        world = run.world
+        print(f"  done in {wallclock.elapsed_s(started):.1f}s "
+              f"({world.issuer.enclave.ledger.ecalls} ecalls)")
+        client = SuperlightClient(world.measurement, world.ias.public_key)
+        clock = wallclock.now_s()
+        client.adopt(world.issuer.certified[-1])
+        print(f"Superlight client validated a {world.builder.height}-block "
+              f"chain in {wallclock.elapsed_ms(clock):.1f} ms, "
+              f"storing {client.storage_bytes()} bytes.")
+        request = _history(client)
+        answer = world.issuer.indexes["history"].query_history(
+            "acct1", 1, request.t_to
+        )
+        ok = client.verify_answer(
+            request, QueryAnswer(request=request, payload=answer)
+        )
+        print(f"Verifiable query: {len(answer.versions)} versions of acct1, "
+              f"proof {answer.proof_size_bytes()} bytes, verified={ok}.")
+        return 0 if ok else 1
 
-    from repro.query.api import HistoryQuery, QueryAnswer
-
-    request = HistoryQuery(
-        index="history", account="acct1", t_from=1, t_to=builder.height
-    )
-    answer = issuer.indexes["history"].query_history("acct1", 1, builder.height)
-    ok = client.verify_answer(request, QueryAnswer(request=request, payload=answer))
-    print(f"Verifiable query: {len(answer.versions)} versions of acct1, "
-          f"proof {answer.proof_size_bytes()} bytes, verified={ok}.")
-    return 0
+    return _narrate(_local(args.blocks), story)
 
 
-def _network_world(blocks: int, drop: float, seed: int):
-    """The Fig. 2 deployment on the simulated network: a CI and two SPs
-    (with a lossy link to sp1) serving one remote superlight client,
-    with a subscription hub mounted on the CI endpoint."""
-    from repro.core import ClientConfig, IssuerService, connect
-    from repro.net import (
-        FaultInjector,
-        LinkFaults,
-        MessageBus,
-        RetryPolicy,
-        SubscriptionHub,
-    )
-    from repro.query import QueryService
+def cmd_selftest(_: argparse.Namespace) -> int:
+    def story(run: _Narration) -> int:
+        world = run.world
+        client = SuperlightClient(world.measurement, world.ias.public_key)
+        tip = world.issuer.certified[-1]
+        checks = 0
+        assert client.adopt(tip)
+        checks += 1
+        try:
+            client.validate_chain(
+                tip.block.header, replace(tip.certificate, dig=bytes(32))
+            )
+            print("FAIL: forged certificate accepted", file=sys.stderr)
+            return 1
+        except CertificateError:
+            checks += 1
+        request = _history(client)
+        answer = world.issuer.indexes["history"].query_history(
+            "acct1", 1, request.t_to
+        )
+        assert client.verify_answer(
+            request, QueryAnswer(request=request, payload=answer)
+        )
+        checks += 1
+        if answer.versions:
+            tampered = replace(answer, versions=answer.versions[:-1])
+            assert not client.verify_answer(
+                request, QueryAnswer(request=request, payload=tampered)
+            )
+            checks += 1
+        print(f"selftest ok ({checks} checks)")
+        return 0
 
-    world = _served_world(blocks)
-    world.bus = bus = MessageBus(default_latency_ms=20.0)
-    world.injector = FaultInjector(seed=seed)
-    world.injector.set_link("client", "sp1", LinkFaults(drop_rate=drop))
-    world.injector.set_link("sp1", "client", LinkFaults(drop_rate=drop))
-    bus.install_faults(world.injector)
-    world.hub = SubscriptionHub.embedded(IssuerService(bus, "ci", world.issuer))
-    world.hub.attach(world.issuer)
-    QueryService(bus, "sp1", world.provider)
-    QueryService(bus, "sp2", world.provider)
-    world.client = connect(ClientConfig(
-        measurement=world.measurement, ias_public_key=world.ias.public_key,
-        bus=bus, name="client",
-        issuers=("ci",), providers=("sp1", "sp2"), hub="ci",
-        policy=RetryPolicy(timeout_ms=200.0, max_attempts=3),
-    ))
-    return world
+    return _narrate(_local(4), story)
 
 
 def cmd_demo_network(args: argparse.Namespace) -> int:
-    from repro.query import HistoryQuery
+    def story(run: _Narration) -> int:
+        world = run.world
+        client = world.fleet[0].client
+        print(f"A push-subscribed remote client bootstrapped over RPC: "
+              f"adopted certified tip at height {client.latest_header.height}, "
+              f"storing {client.storage_bytes():,} bytes")
+        print(f"Dropping {args.drop:.0%} of messages to/from sp1: "
+              f"{run.event('lossy_link', slot=0, drop=args.drop, peer=1)}")
+        answer = run.query(0, _history(client))
+        print(f"Verified query over RPC: {len(answer.payload.versions)} "
+              f"versions of acct1, proof {answer.proof_size_bytes():,} bytes.")
+        print(f"  retries/timeouts: {client.rpc.timeouts}, "
+              f"failovers: {client.failovers}, "
+              f"integrity failures: {client.integrity_failures}")
+
+        print("The miner mines one more block and the CI certifies it...")
+        calls_before = client.rpc.calls
+        run.event("mine", txs=3)
+        run.event("certify", upto=1)
+        print(f"  pushed tip at height {client.latest_header.height} adopted "
+              f"with {client.rpc.calls - calls_before} client RPC round trips "
+              f"({client.push_adopted} push adoptions)")
+        print(f"  virtual network time: {world.bus.clock_ms:.0f} ms")
+        for link, counts in world.injector.summary().items():
+            print(f"  {link}: {counts}")
+        return 0 if client.push_adopted else 1
 
     print(f"Mining {args.blocks} blocks, certifying all but the newest...")
-    world = _network_world(args.blocks, args.drop, args.seed)
-    builder, bus, client = world.builder, world.bus, world.client
-    print(f"Remote client bootstrapping over RPC "
-          f"(dropping {args.drop:.0%} of messages to/from sp1)...")
-    client.bootstrap()
-    print(f"  adopted certified tip at height {client.latest_header.height}, "
-          f"storing {client.storage_bytes():,} bytes")
-
-    request = HistoryQuery(
-        index="history", account="acct1", t_from=1,
-        t_to=client.latest_header.height,
-    )
-    answer = client.query(request)
-    print(f"Verified query over RPC: {len(answer.payload.versions)} versions "
-          f"of acct1, proof {answer.proof_size_bytes():,} bytes.")
-    print(f"  retries/timeouts: {client.rpc.timeouts}, "
-          f"failovers: {client.failovers}, "
-          f"integrity failures: {client.integrity_failures}")
-
-    print("Subscribing to the push stream; the CI certifies one more block...")
-    client.subscribe()
-    calls_before = client.rpc.calls
-    world.issuer.process_block(world.held_back)
-    world.provider.ingest_block(world.held_back)
-    bus.run_until_idle()
-    print(f"  pushed tip at height {client.latest_header.height} adopted "
-          f"with {client.rpc.calls - calls_before} client RPC round trips "
-          f"({client.push_adopted} push adoptions)")
-    print(f"  virtual network time: {bus.clock_ms:.0f} ms")
-    for link, counts in world.injector.summary().items():
-        print(f"  {link}: {counts}")
-    return 0 if client.push_adopted else 1
-
-
-def _fleet_world(blocks: int, replicas: int, service_ms: float,
-                 balancer: str, seed: int):
-    """A load-balanced SP fleet behind a QueryGateway: one CI, N
-    busy-worker QueryService replicas, one remote superlight client
-    with a verified-answer cache, and a subscription hub on the CI."""
-    from repro.core import ClientConfig, IssuerService, connect
-    from repro.net import (
-        HealthPolicy,
-        MessageBus,
-        QueryGateway,
-        RetryPolicy,
-        SubscriptionHub,
-    )
-    from repro.query import QueryService
-
-    world = _served_world(blocks)
-    world.bus = bus = MessageBus(default_latency_ms=10.0)
-    world.hub = SubscriptionHub.embedded(IssuerService(bus, "ci", world.issuer))
-    world.hub.attach(world.issuer)
-    names = [f"sp{i + 1}" for i in range(replicas)]
-    world.services = {
-        name: QueryService(bus, name, world.provider, service_time_ms=service_ms)
-        for name in names
-    }
-    world.gateway = QueryGateway(
-        bus, "gw", names,
-        balancer=balancer, seed=seed,
-        policy=RetryPolicy(timeout_ms=service_ms * 40 + 1_000.0,
-                           max_attempts=1),
-        health=HealthPolicy(failure_threshold=1, probe_base_ms=200.0),
-    )
-    world.client = connect(ClientConfig(
-        measurement=world.measurement, ias_public_key=world.ias.public_key,
-        bus=bus, name="client",
-        issuers=("ci",), gateway=world.gateway, hub="ci",
-    ))
-    return world
+    return _narrate(SimConfig(
+        premine=args.blocks - 1, replicas=2, pollers=0, gateway_clients=0,
+        subscribers=1, latency_ms=20.0,
+    ), story)
 
 
 def cmd_demo_fleet(args: argparse.Namespace) -> int:
-    from repro.query import HistoryQuery
+    def story(run: _Narration) -> int:
+        world = run.world
+        entry = world.fleet[0]
+        client, gateway, bus = entry.client, entry.gateway, world.bus
+        height = client.latest_header.height
+        print(f"Remote client adopted the certified tip at height {height}; "
+              f"gateway fronts {args.replicas} replicas (round-robin, "
+              f"{args.service_ms:.0f} ms modeled service time).")
+
+        started = bus.clock_ms
+        batch = run.event("query_many", slot=0, count=args.queries, account=0)
+        elapsed = bus.clock_ms - started
+        served = {
+            name: replica.server.requests_served
+            for name, replica in world.replicas.items()
+        }
+        print(f"\nServed {args.queries} verified queries in {elapsed:.0f} "
+              f"virtual ms ({args.queries / (elapsed / 1000.0):.1f} modeled "
+              f"q/s): {batch}")
+        print(f"  per-replica load: {served}")
+        if "fail:" in batch:
+            return 1
+
+        hits_before, dispatches_before = client.cache.hits, gateway.rpc.calls
+        run.event("query_many", slot=0, count=args.queries, account=0)
+        print(f"Repeated the batch warm: {client.cache.hits - hits_before} "
+              f"cache hits, {gateway.rpc.calls - dispatches_before} replica "
+              f"dispatches.")
+
+        victim = run.event("pause_replica", idx=0)
+        timeouts_before = gateway.rpc.timeouts
+        for i in range(args.replicas * 2):
+            run.query(0, HistoryQuery(
+                index="history", account=f"acct{i % 4}",
+                t_from=2, t_to=max(2, 1 + i % height),
+            ))
+        print(f"\nPaused {victim}: {gateway.rpc.timeouts - timeouts_before} "
+              f"dispatches to it timed out; healthy replicas now "
+              f"{gateway.healthy_replicas()}")
+        run.event("resume_replicas")
+        for i in range(args.replicas * 3):
+            run.query(0, HistoryQuery(
+                index="history", account=f"acct{i % 4}",
+                t_from=3, t_to=max(3, 1 + i % height),
+            ))
+        back = victim in gateway.healthy_replicas()
+        print(f"Resumed {victim}: probe readmitted it: {back}")
+        print(f"  totals — dispatches: {gateway.rpc.calls}, "
+              f"timeouts: {gateway.rpc.timeouts}, "
+              f"replica switches verified: {gateway.switches}, "
+              f"cache hits/misses: {client.cache.hits}/{client.cache.misses}")
+        return 0 if back else 1
 
     print(f"Mining {args.blocks} blocks, certifying all but the newest...")
-    world = _fleet_world(
-        args.blocks, args.replicas, args.service_ms, args.balancer, args.seed
+    # The batch queues whole on the replicas; only demo-overload sheds.
+    return _narrate(_gateway_fleet(
+        args, shed_delay_ms=args.service_ms * args.queries,
+        admission_queue_limit=args.queries,
+    ), story)
+
+
+def _gateway_fleet(args: argparse.Namespace, **admission) -> SimConfig:
+    """One gateway client (breakers, hedging, stale fallback) over
+    ``--replicas`` admission-controlled replicas."""
+    return SimConfig(
+        premine=args.blocks - 1, replicas=args.replicas, pollers=0,
+        gateway_clients=1, subscribers=0, service_time_ms=args.service_ms,
+        **admission,
     )
-    builder, bus, services, gateway, client = (
-        world.builder, world.bus, world.services, world.gateway, world.client
-    )
-    client.bootstrap()
-    print(f"Remote client adopted the certified tip at height "
-          f"{client.latest_header.height}; gateway fronts "
-          f"{args.replicas} replicas ({args.balancer}, "
-          f"{args.service_ms:.0f} ms modeled service time).")
-
-    requests = [
-        HistoryQuery(index="history", account=f"acct{i % 4}",
-                     t_from=1, t_to=1 + i % builder.height)
-        for i in range(args.queries)
-    ]
-    started = bus.clock_ms
-    client.query_many(requests)
-    elapsed = bus.clock_ms - started
-    served = {name: s.server.requests_served for name, s in services.items()}
-    print(f"\nServed {args.queries} verified queries in {elapsed:.0f} virtual "
-          f"ms ({args.queries / (elapsed / 1000.0):.1f} modeled q/s)")
-    print(f"  per-replica load: {served}")
-
-    calls_before = client.rpc.calls + gateway.rpc.calls
-    client.query_many(requests)
-    print(f"Repeated the batch warm: {client.cache.hits} cache hits, "
-          f"{client.rpc.calls + gateway.rpc.calls - calls_before} new RPC "
-          f"round trips.")
-
-    victim = next(iter(services))
-    services[victim].server.paused = True
-    fresh = [
-        HistoryQuery(index="history", account=f"acct{i % 4}",
-                     t_from=2, t_to=max(2, 1 + i % builder.height))
-        for i in range(args.replicas * 2)
-    ]
-    for request in fresh:
-        client.query(request)
-    print(f"\nKilled {victim}: fleet failed over "
-          f"({gateway.failovers} failovers), healthy replicas now "
-          f"{gateway.healthy_replicas()}")
-    services[victim].server.paused = False
-    bus.run_for(500.0)
-    for i in range(args.replicas * 3):
-        client.query(HistoryQuery(index="history", account=f"acct{i % 4}",
-                                  t_from=3,
-                                  t_to=max(3, 1 + i % builder.height)))
-    back = victim in gateway.healthy_replicas()
-    print(f"Restarted {victim}: probe readmitted it: {back}")
-    print(f"  totals — dispatches: {gateway.rpc.calls}, "
-          f"timeouts: {gateway.rpc.timeouts}, "
-          f"replica switches verified: {gateway.switches}, "
-          f"cache hits/misses: {client.cache.hits}/{client.cache.misses}")
-    return 0 if back else 1
-
-
-def _overload_world(blocks: int, replicas: int, service_ms: float, seed: int):
-    """The fleet deployment with the full overload-protection stack
-    armed: admission control on every busy-worker replica, per-replica
-    circuit breakers and hedging on the gateway, and a client that
-    degrades to verified-stale answers when the whole tier sheds."""
-    from repro.core import ClientConfig, IssuerService, connect
-    from repro.net import (
-        AdmissionPolicy,
-        CircuitBreakerPolicy,
-        HealthPolicy,
-        HedgePolicy,
-        MessageBus,
-        QueryGateway,
-        RetryPolicy,
-    )
-    from repro.net.rpc import RpcClient
-    from repro.query import QueryService
-
-    world = _served_world(blocks)
-    world.bus = bus = MessageBus(default_latency_ms=5.0)
-    IssuerService(bus, "ci", world.issuer)
-    names = [f"sp{i + 1}" for i in range(replicas)]
-    admission = AdmissionPolicy(shed_delay_ms=40.0, queue_limit=32)
-    world.services = {
-        name: QueryService(
-            bus, name, world.provider,
-            service_time_ms=service_ms, admission=admission,
-        )
-        for name in names
-    }
-    world.gateway = QueryGateway(
-        bus, "gw", names,
-        balancer="round-robin", seed=seed,
-        policy=RetryPolicy(timeout_ms=2_000.0, max_attempts=2),
-        health=HealthPolicy(failure_threshold=3, probe_base_ms=200.0),
-        breaker=CircuitBreakerPolicy(),
-        hedge=HedgePolicy(),
-    )
-    world.client = connect(ClientConfig(
-        measurement=world.measurement, ias_public_key=world.ias.public_key,
-        bus=bus, name="client",
-        issuers=("ci",), gateway=world.gateway,
-        degrade_to_stale=True,
-    ))
-    world.flood = RpcClient(
-        bus, "flood", policy=RetryPolicy(timeout_ms=5_000.0, max_attempts=1)
-    )
-    return world
 
 
 def cmd_demo_overload(args: argparse.Namespace) -> int:
     """Narrated overload resilience: deadline propagation, admission
     shedding + retry_after, circuit breakers, graceful stale
     degradation, and hedged requests, one segment each."""
-    from repro.errors import DeadlineExceededError
-    from repro.query import HistoryQuery, StaleAnswer
+    def story(run: _Narration) -> int:
+        world = run.world
+        entry = world.fleet[0]
+        client, gateway, bus = entry.client, entry.gateway, world.bus
+        replicas = world.replicas.values()
+        print(f"Fleet of {args.replicas} replicas "
+              f"({args.service_ms:.0f} ms service time) behind a gateway "
+              f"with admission control, circuit breakers, and hedging; "
+              f"client adopted the certified tip at height "
+              f"{client.latest_header.height}.")
+        request = _history(client)
 
-    world = _overload_world(
-        args.blocks, args.replicas, args.service_ms, args.seed
-    )
-    bus, gateway, client, services = (
-        world.bus, world.gateway, world.client, world.services
-    )
-    client.bootstrap()
-    print(f"Fleet of {args.replicas} replicas "
-          f"({args.service_ms:.0f} ms service time) behind a gateway with "
-          f"admission control, circuit breakers, and hedging; client "
-          f"adopted the certified tip at height "
-          f"{client.latest_header.height}.")
+        tight_ms = args.service_ms * 1.6
+        print(f"\n[1] Deadline propagation — a query with a "
+              f"{tight_ms:.0f} ms budget (after per-hop shrinking, less "
+              f"than one service time):")
+        executes_before = world.provider.executes
+        try:
+            client.query(request, deadline_ms=bus.clock_ms + tight_ms)
+            print("  unexpectedly served!")
+            return 1
+        except DeadlineExceededError:
+            refused = sum(r.server.deadline_refused for r in replicas)
+            print("  refused up front (DEADLINE_EXCEEDED): the per-hop "
+                  "budget shrinks in flight and cannot cover one service "
+                  "time, so the replica refuses at admission")
+            print(f"  provider executions: "
+                  f"{world.provider.executes - executes_before} "
+                  f"(doomed work costs zero), deadline refusals: {refused}")
+        run.check()
 
-    height = client.latest_header.height
-    request = HistoryQuery(index="history", account="acct1",
-                           t_from=1, t_to=height)
+        print("\n[2] Normal operation — the same query with headroom:")
+        answer = run.query(0, request)
+        print(f"  verified answer: {len(answer.payload.versions)} versions "
+              f"of acct1, cached under the certified root")
+        # Advance the tip so the *fresh* cache entry is swept (it is
+        # keyed by root) while the stale sidecar keeps the last answer.
+        run.event("mine", txs=3)
+        run.event("certify", upto=1)
+        run.event("sync", slot=0)
+        print(f"  tip advanced to height {client.latest_header.height}; the "
+              f"root-keyed cache entry is swept, the stale sidecar remembers")
 
-    tight_ms = args.service_ms * 1.6
-    print(f"\n[1] Deadline propagation — a query with a "
-          f"{tight_ms:.0f} ms budget (after per-hop shrinking, less "
-          f"than one service time):")
-    executes_before = world.provider.executes
-    try:
-        client.query(request, deadline_ms=bus.clock_ms + tight_ms)
-        print("  unexpectedly served!")
-        return 1
-    except DeadlineExceededError:
-        refused = sum(s.server.deadline_refused for s in services.values())
-        print(f"  refused up front (DEADLINE_EXCEEDED): the per-hop "
-              f"budget shrinks in flight and cannot cover one service "
-              f"time, so the replica refuses at admission")
-        print(f"  provider executions: "
-              f"{world.provider.executes - executes_before} "
-              f"(doomed work costs zero), deadline refusals: {refused}")
+        saturation_ms = args.service_ms * 2.5
+        print(f"\n[3] Saturation — flooding every replica with "
+              f"{args.flood} fire-and-forget queries each, then asking again "
+              f"with a {saturation_ms:.0f} ms budget:")
+        flood_ids = [
+            world.load.begin(name, "execute", request)
+            for name in world.replicas for _ in range(args.flood)
+        ]
+        shed_before = sum(r.server.requests_shed for r in replicas)
+        result = run.query(0, request, deadline_ms=bus.clock_ms + saturation_ms)
+        shed = sum(r.server.requests_shed for r in replicas) - shed_before
+        hint = next(
+            (r.retry_after_ms for i in flood_ids
+             if (r := world.load.take(i)) is not None
+             and r.code == "net.overloaded"),
+            0.0,
+        )
+        print(f"  replicas shed {shed} requests at admission "
+              f"(OVERLOADED, retry_after ~{hint:.0f} ms)")
+        if isinstance(result, StaleAnswer):
+            print(f"  client degraded gracefully: served the last verified "
+                  f"answer flagged stale=True (root height {result.height}) "
+                  f"instead of failing")
+        else:
+            print("  tier recovered inside the budget; served fresh")
+        bus.run_until_idle()
+        for request_id in flood_ids:
+            world.load.abandon(request_id)
+        run.check()
 
-    print("\n[2] Normal operation — the same query with headroom:")
-    answer = client.query(request)
-    print(f"  verified answer: {len(answer.payload.versions)} versions of "
-          f"acct1, cached under the certified root")
+        print("\n[4] Hedging — one replica turns 10x slow mid-run:")
+        height = client.latest_header.height
+        for i in range(16):  # warm the per-endpoint latency trackers
+            lo, hi = sorted((1 + i // 8, 1 + i % height))
+            run.query(0, HistoryQuery(index="history", account=f"acct{i % 4}",
+                                      t_from=lo, t_to=hi))
+        slow = world.replica_names[-1]
+        run.event("slow_replica", idx=args.replicas - 1, factor=10)
+        hedges_before = gateway.hedges
+        for i in range(6):
+            run.query(0, HistoryQuery(index="history", account=f"acct{i % 4}",
+                                      t_from=3, t_to=max(3, 1 + i % height)))
+        print(f"  {slow} degraded; gateway hedged "
+              f"{gateway.hedges - hedges_before} dispatches at the observed "
+              f"p90, {gateway.hedge_wins} won by the fast replica")
 
-    # Advance the tip so the *fresh* cache entry is swept (it is keyed
-    # by root) while the stale sidecar keeps the last verified answer.
-    world.issuer.process_block(world.held_back)
-    world.provider.ingest_block(world.held_back)
-    bus.run_until_idle()
-    client.sync()
-    print(f"  tip advanced to height {client.latest_header.height}; the "
-          f"root-keyed cache entry is swept, the stale sidecar remembers")
+        print(f"\nTotals — shed: "
+              f"{sum(r.server.requests_shed for r in replicas)}, "
+              f"deadline refusals: "
+              f"{sum(r.server.deadline_refused for r in replicas)}, "
+              f"breaker trips: {gateway.breaker_trips()}, "
+              f"hedge wins: {gateway.hedge_wins}, "
+              f"stale served: {client.stale_served}")
+        ok = (
+            shed > 0
+            and client.stale_served > 0
+            and gateway.hedge_wins > 0
+            and world.provider.executes > 0
+        )
+        return 0 if ok else 1
 
-    saturation_ms = args.service_ms * 2.5
-    print(f"\n[3] Saturation — flooding both replicas with "
-          f"{args.flood} fire-and-forget queries each, then asking again "
-          f"with a {saturation_ms:.0f} ms budget:")
-    flood_ids = []
-    for name in services:
-        for _ in range(args.flood):
-            flood_ids.append(world.flood.begin(name, "execute", request))
-    shed_before = sum(s.server.requests_shed for s in services.values())
-    result = client.query(
-        request, deadline_ms=bus.clock_ms + saturation_ms
-    )
-    shed = sum(s.server.requests_shed for s in services.values()) - shed_before
-    hint = next(
-        (r.retry_after_ms for i in flood_ids
-         if (r := world.flood.take(i)) is not None and r.code == "net.overloaded"),
-        0.0,
-    )
-    print(f"  replicas shed {shed} requests at admission "
-          f"(OVERLOADED, retry_after ~{hint:.0f} ms)")
-    if isinstance(result, StaleAnswer):
-        print(f"  client degraded gracefully: served the last verified "
-              f"answer flagged stale=True (root height {result.height}) "
-              f"instead of failing")
-    else:
-        print("  tier recovered inside the budget; served fresh")
-    bus.run_until_idle()
-    for request_id in flood_ids:
-        world.flood.abandon(request_id)
-
-    print("\n[4] Hedging — one replica turns 10x slow mid-run:")
-    height = client.latest_header.height
-    for i in range(16):  # warm the per-endpoint latency trackers
-        lo, hi = sorted((1 + i // 8, 1 + i % height))
-        client.query(HistoryQuery(index="history", account=f"acct{i % 4}",
-                                  t_from=lo, t_to=hi))
-    slow = list(services)[-1]
-    services[slow].server._service_times["execute"] = args.service_ms * 10
-    hedges_before = gateway.hedges
-    for i in range(6):
-        client.query(HistoryQuery(index="history", account=f"acct{i % 4}",
-                                  t_from=3, t_to=max(3, 1 + i % height)))
-    print(f"  {slow} degraded; gateway hedged "
-          f"{gateway.hedges - hedges_before} dispatches at the observed "
-          f"p90, {gateway.hedge_wins} won by the fast replica")
-
-    print(f"\nTotals — shed: "
-          f"{sum(s.server.requests_shed for s in services.values())}, "
-          f"deadline refusals: "
-          f"{sum(s.server.deadline_refused for s in services.values())}, "
-          f"breaker trips: {gateway.breaker_trips()}, "
-          f"hedge wins: {gateway.hedge_wins}, "
-          f"stale served: {client.stale_served}")
-    ok = (
-        shed > 0
-        and client.stale_served > 0
-        and gateway.hedge_wins > 0
-        and world.provider.executes > 0
-    )
-    return 0 if ok else 1
+    return _narrate(_gateway_fleet(args), story)
 
 
 def cmd_demo_crash(args: argparse.Namespace) -> int:
     """Narrate one scripted ``crash`` event of a small sim world."""
-    import tempfile
-    from pathlib import Path
-
-    from repro.query import HistoryQuery
-    from repro.sim import (
-        SIM_CRASH_POINTS,
-        InvariantSuite,
-        SimConfig,
-        SimEvent,
-        SimWorld,
-        apply_event,
-    )
-
     if args.point not in SIM_CRASH_POINTS:
         print(f"unknown crashpoint {args.point!r}; one of:", file=sys.stderr)
         for name in SIM_CRASH_POINTS:
@@ -544,15 +434,9 @@ def cmd_demo_crash(args: argparse.Namespace) -> int:
         return 2
 
     half = args.blocks // 2
-    config = SimConfig(
-        premine=half, checkpoint_interval=3, replicas=1, pollers=1,
-        gateway_clients=0, subscribers=1,
-    )
-    print(f"Mining {args.blocks} blocks; durably certifying the first "
-          f"{half} (WAL + sealed checkpoint every 3)...")
-    with tempfile.TemporaryDirectory(prefix="repro-demo-crash-") as tmp:
-        world = SimWorld.build(config, Path(tmp))
-        suite = InvariantSuite(world)
+
+    def story(run: _Narration) -> int:
+        world = run.world
         client = world.fleet[0].client
         pk_before = world.issuer.pk_enc.to_bytes()
         print(f"A polling client and a subscriber attested; the poller "
@@ -561,21 +445,13 @@ def cmd_demo_crash(args: argparse.Namespace) -> int:
 
         print(f"\nMiner submits blocks {half + 1}..{args.blocks}; the issuer "
               f"is armed to die at {args.point!r} (hit {args.hit}).")
-        crash = SimEvent("crash", {
-            "point": args.point, "hit": args.hit, "cseed": 0,
-            "upto": args.blocks - half,
-        })
-        events = [SimEvent("mine", {"txs": 3})] * (args.blocks - half) + [
-            crash, SimEvent("heartbeat", {"slot": 0}),
-            SimEvent("sync", {"slot": 0}),
-        ]
-        outcomes = []
-        for index, event in enumerate(events):
-            outcomes.append(apply_event(world, event))
-            suite.check(index)
-        suite.finish(len(events))
-        outcome = outcomes[events.index(crash)]
-        print(f"  {crash.describe()} -> {outcome}")
+        for _ in range(args.blocks - half):
+            run.event("mine", txs=3)
+        outcome = run.event("crash", point=args.point, hit=args.hit,
+                            cseed=0, upto=args.blocks - half)
+        run.event("heartbeat", slot=0)
+        run.event("sync", slot=0)
+        print(f"  crash event -> {outcome}")
         fired = outcome.split()[1] == "fired"
         supervisor = world.supervisor
         report = world.issuer.last_recovery
@@ -587,14 +463,12 @@ def cmd_demo_crash(args: argparse.Namespace) -> int:
                   f"replayed {report.replayed_blocks} WAL-tail blocks")
         same_key = world.issuer.pk_enc.to_bytes() == pk_before
         print(f"  pk_enc stable across restart (sealed key): {same_key}")
-        print("  every sim invariant held after every event; a cold "
-              "recovery from the WAL re-issued identical bytes")
+        print("  every sim invariant held after every event (the run "
+              "closes with a cold WAL recovery that must re-issue "
+              "identical bytes)")
 
-        request = HistoryQuery(
-            index="history", account="acct1", t_from=1,
-            t_to=client.latest_header.height,
-        )
-        answer = client.query(request)
+        request = _history(client)
+        answer = run.query(0, request)
         ok = client.client.verify_answer(request, answer)
         print(f"\nClient synced to height {client.latest_header.height} and "
               f"verified a history query ({len(answer.payload.versions)} "
@@ -602,6 +476,13 @@ def cmd_demo_crash(args: argparse.Namespace) -> int:
         print(f"  attestation reports verified in total: "
               f"{len(client.client._verified_reports)} (no re-attestation)")
         return 0 if (fired and ok and same_key and not supervisor.gave_up) else 1
+
+    print(f"Mining {args.blocks} blocks; durably certifying the first "
+          f"{half} (WAL + sealed checkpoint every 3)...")
+    return _narrate(SimConfig(
+        premine=half, checkpoint_interval=3, replicas=1, pollers=1,
+        gateway_clients=0, subscribers=1,
+    ), story)
 
 
 def cmd_sim(args: argparse.Namespace) -> int:
@@ -668,61 +549,11 @@ def cmd_demo_sim(args: argparse.Namespace) -> int:
     return 0 if identical else 1
 
 
-def cmd_selftest(_: argparse.Namespace) -> int:
-    from dataclasses import replace
-
-    from repro.core import SuperlightClient
-    from repro.errors import CertificateError
-
-    builder, issuer, ias, spec = _build_world(blocks=4)
-    client = SuperlightClient(_measurement(builder, ias, spec), ias.public_key)
-    tip = issuer.certified[-1]
-    checks = 0
-    assert client.adopt(tip)
-    checks += 1
-    try:
-        client.validate_chain(
-            tip.block.header, replace(tip.certificate, dig=bytes(32))
-        )
-        print("FAIL: forged certificate accepted", file=sys.stderr)
-        return 1
-    except CertificateError:
-        checks += 1
-    from repro.query.api import HistoryQuery, QueryAnswer
-
-    request = HistoryQuery(index="history", account="acct1", t_from=1, t_to=4)
-    answer = issuer.indexes["history"].query_history("acct1", 1, 4)
-    assert client.verify_answer(
-        request, QueryAnswer(request=request, payload=answer)
-    )
-    checks += 1
-    if answer.versions:
-        tampered = replace(answer, versions=answer.versions[:-1])
-        assert not client.verify_answer(
-            request, QueryAnswer(request=request, payload=tampered)
-        )
-        checks += 1
-    print(f"selftest ok ({checks} checks)")
-    return 0
-
-
-def _components(world) -> dict:
-    """One JSON document covering every registered component of a demo
-    world — client, hub, gateway, replicas — for ``metrics --all``."""
-    client = world.client
+def _components(world: SimWorld) -> dict:
+    """One JSON document covering every registered component of the
+    metrics world — each fleet client, the hub, the replicas — for
+    ``metrics --all``."""
     components: dict = {
-        "client": {
-            "rpc_calls": client.rpc.calls,
-            "rpc_timeouts": client.rpc.timeouts,
-            "failovers": client.failovers,
-            "integrity_failures": client.integrity_failures,
-            "push_adopted": client.push_adopted,
-            "push_rejected": client.push_rejected,
-            "push_duplicates": client.push_duplicates,
-            "push_gaps": client.push_gaps,
-            "push_resyncs": client.push_resyncs,
-            "storage_bytes": client.storage_bytes(),
-        },
         "hub": {
             "published": world.hub.published,
             "subscribers": len(world.hub.subscribers),
@@ -730,29 +561,37 @@ def _components(world) -> dict:
             "resyncs": world.hub.resyncs,
             "latest_seq": world.hub.seq,
         },
-    }
-    if client.cache is not None:
-        components["client"]["cache_hits"] = client.cache.hits
-        components["client"]["cache_misses"] = client.cache.misses
-        components["client"]["cache_entries"] = len(client.cache)
-    gateway = getattr(world, "gateway", None)
-    if gateway is not None:
-        components["gateway"] = {
-            "dispatches": gateway.rpc.calls,
-            "timeouts": gateway.rpc.timeouts,
-            "failovers": gateway.failovers,
-            "switches_verified": gateway.switches,
-            "healthy_replicas": sorted(gateway.healthy_replicas()),
-        }
-    services = getattr(world, "services", None)
-    if services is not None:
-        components["replicas"] = {
+        "replicas": {
             name: {
-                "requests_served": service.server.requests_served,
-                "requests_dropped": service.server.requests_dropped,
+                "requests_served": replica.server.requests_served,
+                "requests_dropped": replica.server.requests_dropped,
             }
-            for name, service in services.items()
+            for name, replica in world.replicas.items()
+        },
+    }
+    for entry in world.fleet:
+        client = entry.client
+        stats = components[entry.name] = {
+            name: getattr(client, name)
+            for name in ("failovers", "integrity_failures", "push_adopted",
+                         "push_rejected", "push_duplicates", "push_gaps",
+                         "push_resyncs")
         }
+        stats["rpc_calls"] = client.rpc.calls
+        stats["rpc_timeouts"] = client.rpc.timeouts
+        stats["storage_bytes"] = client.storage_bytes()
+        if client.cache is not None:
+            stats["cache_hits"] = client.cache.hits
+            stats["cache_misses"] = client.cache.misses
+            stats["cache_entries"] = len(client.cache)
+        if entry.gateway is not None:
+            stats["gateway"] = {
+                "dispatches": entry.gateway.rpc.calls,
+                "timeouts": entry.gateway.rpc.timeouts,
+                "failovers": entry.gateway.failovers,
+                "switches_verified": entry.gateway.switches,
+                "healthy_replicas": sorted(entry.gateway.healthy_replicas()),
+            }
     return components
 
 
@@ -770,72 +609,83 @@ def _flatten(tree: dict, prefix: str = "") -> dict:
 def cmd_metrics(args: argparse.Namespace) -> int:
     import json
 
-    from repro import obs
     from repro.bench.reporting import print_table
-    from repro.query import HistoryQuery
 
+    def story(run: _Narration) -> int:
+        world = run.world
+        obs.set_virtual_clock(lambda: world.bus.clock_ms)
+        run.event("lossy_link", slot=1, drop=args.drop, peer=1)
+        request = _history(world.fleet[0].client)
+        run.query(0, request)
+        run.query(0, request)  # the warm path: a cache hit
+        run.query(1, request)  # the push client asks the replicas itself
+        if args.all:
+            # Exercise the push tier too, so its metrics are live.
+            run.event("mine", txs=3)
+            run.event("certify", upto=1)
+            run.event("heartbeat", slot=0)
+        snapshot = obs.registry().snapshot()
+        if args.all:
+            snapshot = {"registry": snapshot, "components": _components(world)}
+        if args.json:
+            print(json.dumps(snapshot, indent=2, sort_keys=True))
+            return 0
+        if args.all:
+            print_table(
+                "Components", ["component.metric", "value"],
+                sorted(_flatten(snapshot["components"]).items()),
+            )
+            snapshot = snapshot["registry"]
+        print_table(
+            "Counters", ["counter", "value"],
+            sorted(snapshot["counters"].items()),
+        )
+        print_table(
+            "Gauges", ["gauge", "value"],
+            sorted(snapshot["gauges"].items()),
+        )
+        print_table(
+            "Histograms",
+            ["histogram", "count", "min", "mean", "max"],
+            [
+                [
+                    name,
+                    h["count"],
+                    h["min"],
+                    (h["sum"] / h["count"]) if h["count"] else 0.0,
+                    h["max"],
+                ]
+                for name, h in sorted(snapshot["histograms"].items())
+            ],
+        )
+        return 0
+
+    # The gateway client is spawned first: fleet slot 0, push client 1.
+    config = SimConfig(
+        premine=args.blocks - 1, replicas=args.replicas, pollers=0,
+        gateway_clients=1, subscribers=1,
+    )
     with obs.observability():
         obs.registry().reset()
-        if args.replicas > 0:
-            world = _fleet_world(
-                args.blocks, args.replicas, 25.0, "round-robin", args.seed
-            )
-        else:
-            world = _network_world(args.blocks, args.drop, args.seed)
-        bus, client = world.bus, world.client
-        obs.set_virtual_clock(lambda: bus.clock_ms)
         try:
-            client.bootstrap()
-            request = HistoryQuery(
-                index="history", account="acct1", t_from=1,
-                t_to=client.latest_header.height,
-            )
-            client.query(request)
-            client.query(request)  # the warm path: a cache hit
-            if args.all:
-                # Exercise the push tier too, so its metrics are live.
-                client.subscribe()
-                world.issuer.process_block(world.held_back)
-                world.provider.ingest_block(world.held_back)
-                bus.run_until_idle()
-                client.heartbeat()
-            snapshot = obs.registry().snapshot()
+            return _narrate(config, story)
         finally:
             obs.set_virtual_clock(None)
-    if args.all:
-        snapshot = {"registry": snapshot, "components": _components(world)}
-    if args.json:
-        print(json.dumps(snapshot, indent=2, sort_keys=True))
-        return 0
-    if args.all:
-        print_table(
-            "Components", ["component.metric", "value"],
-            sorted(_flatten(snapshot["components"]).items()),
-        )
-        snapshot = snapshot["registry"]
-    print_table(
-        "Counters", ["counter", "value"],
-        sorted(snapshot["counters"].items()),
-    )
-    print_table(
-        "Gauges", ["gauge", "value"],
-        sorted(snapshot["gauges"].items()),
-    )
-    print_table(
-        "Histograms",
-        ["histogram", "count", "min", "mean", "max"],
-        [
-            [
-                name,
-                h["count"],
-                h["min"],
-                (h["sum"] / h["count"]) if h["count"] else 0.0,
-                h["max"],
-            ]
-            for name, h in sorted(snapshot["histograms"].items())
-        ],
-    )
-    return 0
+
+
+def _ranged(kind, low, high=math.inf):
+    """An argparse ``type=``: ``kind(text)`` within ``[low, high]``; any
+    other input is a usage error (exit 2) that names the range."""
+    def parse(text: str):
+        value = kind(text)
+        if not low <= value <= high:
+            raise ValueError(text)
+        return value
+
+    # argparse reports a ValueError as "invalid <__name__> value: ...".
+    parse.__name__ = (f"{kind.__name__} >= {low}" if high == math.inf
+                      else f"{kind.__name__} in [{low}, {high}]")
+    return parse
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -851,30 +701,33 @@ def main(argv: list[str] | None = None) -> int:
         prog="repro", description="DCert reproduction CLI"
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    subparsers.add_parser("info", help="print the library inventory")
+    subparsers.add_parser(
+        "info", help="print the version and the subpackage inventory"
+    )
+    # A networked world certifies all but its newest block: at least 2.
+    blocks = _ranged(int, 2)
+    drop = _ranged(float, 0.0, 1.0)
+    drop_help = "drop rate on the client<->sp1 links (default 0.3)"
+    service_help = "modeled per-query service time per replica (default 25)"
     demo = subparsers.add_parser("demo", help="end-to-end demonstration")
-    demo.add_argument("--blocks", type=int, default=10)
+    demo.add_argument("--blocks", type=_ranged(int, 1), default=10)
     network = subparsers.add_parser(
         "demo-network",
-        help="remote client over RPC with fault injection and SP failover",
+        help="push-subscribed remote client over RPC with a lossy link",
     )
-    network.add_argument("--blocks", type=int, default=8)
-    network.add_argument(
-        "--drop", type=float, default=0.3,
-        help="drop rate on the client<->sp1 links (default 0.3)",
-    )
-    network.add_argument("--seed", type=int, default=7)
+    network.add_argument("--blocks", type=blocks, default=8)
+    network.add_argument("--drop", type=drop, default=0.3, help=drop_help)
     crash = subparsers.add_parser(
         "demo-crash",
         help="kill the issuer at a crashpoint; supervised recovery demo",
     )
-    crash.add_argument("--blocks", type=int, default=8)
+    crash.add_argument("--blocks", type=blocks, default=8)
     crash.add_argument(
         "--point", default="durable.append.pre_wal",
         help="crashpoint to arm (one of repro.sim.SIM_CRASH_POINTS)",
     )
     crash.add_argument(
-        "--hit", type=int, default=1,
+        "--hit", type=_ranged(int, 1), default=1,
         help="fire on the n-th arrival at the crashpoint (default 1)",
     )
     fleet = subparsers.add_parser(
@@ -882,35 +735,27 @@ def main(argv: list[str] | None = None) -> int:
         help="load-balanced SP fleet behind the query gateway: scaling, "
              "cached hits, failover, probe recovery",
     )
-    fleet.add_argument("--blocks", type=int, default=8)
-    fleet.add_argument("--replicas", type=int, default=3)
-    fleet.add_argument("--queries", type=int, default=12)
-    fleet.add_argument(
-        "--service-ms", type=float, default=25.0, dest="service_ms",
-        help="modeled per-query service time per replica (default 25)",
-    )
-    fleet.add_argument(
-        "--balancer", default="round-robin",
-        choices=["round-robin", "least-outstanding", "seeded-random"],
-    )
-    fleet.add_argument("--seed", type=int, default=7)
     overload = subparsers.add_parser(
         "demo-overload",
         help="overload resilience: deadline propagation, admission "
              "shedding, circuit breakers, stale degradation, hedging",
     )
-    overload.add_argument("--blocks", type=int, default=8)
-    overload.add_argument("--replicas", type=int, default=2)
+    # Both pause or slow one replica while another serves: at least 2.
+    for command, replicas in ((fleet, 3), (overload, 2)):
+        command.add_argument("--blocks", type=blocks, default=8)
+        command.add_argument(
+            "--replicas", type=_ranged(int, 2), default=replicas
+        )
+        command.add_argument(
+            "--service-ms", type=_ranged(float, 1.0), default=25.0,
+            dest="service_ms", help=service_help,
+        )
+    fleet.add_argument("--queries", type=_ranged(int, 1), default=12)
     overload.add_argument(
-        "--service-ms", type=float, default=25.0, dest="service_ms",
-        help="modeled per-query service time per replica (default 25)",
-    )
-    overload.add_argument(
-        "--flood", type=int, default=30,
+        "--flood", type=_ranged(int, 1), default=30,
         help="fire-and-forget queries per replica in the saturation "
              "segment (default 30)",
     )
-    overload.add_argument("--seed", type=int, default=7)
     sim = subparsers.add_parser(
         "sim",
         help="deterministic whole-system simulation with global "
@@ -946,18 +791,14 @@ def main(argv: list[str] | None = None) -> int:
     subparsers.add_parser("selftest", help="fast certification round trip")
     metrics = subparsers.add_parser(
         "metrics",
-        help="run the networked demo with observability on; report metrics",
+        help="a push client and a gateway client with observability on; "
+             "report metrics",
     )
-    metrics.add_argument("--blocks", type=int, default=6)
+    metrics.add_argument("--blocks", type=blocks, default=6)
+    metrics.add_argument("--drop", type=drop, default=0.3, help=drop_help)
     metrics.add_argument(
-        "--drop", type=float, default=0.3,
-        help="drop rate on the client<->sp1 links (default 0.3)",
-    )
-    metrics.add_argument("--seed", type=int, default=7)
-    metrics.add_argument(
-        "--replicas", type=int, default=0,
-        help="run the workload against a gateway-fronted fleet of this "
-             "many replicas instead of the two-SP demo (default 0 = off)",
+        "--replicas", type=_ranged(int, 2), default=2,
+        help="query replicas behind both clients (default 2)",
     )
     metrics.add_argument(
         "--json", action="store_true",
@@ -965,9 +806,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     metrics.add_argument(
         "--all", action="store_true",
-        help="snapshot every registered component (client, hub, gateway, "
-             "replicas) together with the metrics registry in one document, "
-             "exercising the push stream along the way",
+        help="snapshot every registered component (each client with its "
+             "cache and gateway, the hub, the replicas) together with the "
+             "metrics registry in one document, exercising the push stream "
+             "along the way",
     )
     subparsers.add_parser(
         "analyze",

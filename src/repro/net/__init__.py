@@ -1,4 +1,4 @@
-"""In-process network simulation, now with a request/response layer.
+"""In-process network simulation: bus, RPC, gateway, pub/sub hub, faults.
 
 DCert's certification workflow (Fig. 2, step 3) has the CI *broadcast*
 certificates to the blockchain network, where superlight clients pick

@@ -1,6 +1,7 @@
 """The CLI: info, selftest, demos (incl. demo-overload), sim, metrics."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -192,3 +193,101 @@ def test_analyze_subcommand_delegates_to_the_linter(tmp_path, capsys):
     assert main(["analyze", "--root", str(tmp_path), "--json", "src"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["new"][0]["rule"] == "DET01"
+
+
+# Each of these raised a traceback, exited 1, or was silently accepted
+# before the flags were range-checked; now argparse refuses it (exit 2).
+OUT_OF_RANGE = [
+    ["demo-fleet", "--queries", "0"],
+    ["demo-fleet", "--replicas", "0"],
+    ["demo-fleet", "--replicas", "1"],
+    ["demo", "--blocks", "0"],
+    ["demo-crash", "--blocks", "1"],
+    ["demo-crash", "--hit", "0"],
+    ["demo-network", "--blocks", "1"],
+    ["metrics", "--blocks", "1"],
+    ["demo-overload", "--replicas", "1"],
+    ["demo-network", "--drop", "1.5"],
+    ["demo-network", "--drop", "-1"],
+]
+
+
+@pytest.mark.parametrize("argv", OUT_OF_RANGE, ids=" ".join)
+def test_out_of_range_arguments_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_info_lists_every_subpackage(capsys):
+    import repro
+
+    assert main(["info"]) == 0
+    out = capsys.readouterr().out
+    for init in sorted(Path(repro.__file__).parent.glob("*/__init__.py")):
+        assert f"  repro.{init.parent.name} " in out
+
+
+# Every demo at its defaults, and each invocation README.md quotes.
+DOCUMENTED = [
+    ["demo"],
+    ["demo-network"],
+    ["demo-fleet"],
+    ["demo-overload"],
+    ["demo-crash"],
+    ["selftest"],
+    ["metrics"],
+    ["demo-fleet", "--replicas", "4"],
+    ["metrics", "--replicas", "3"],
+    ["metrics", "--all"],
+    ["demo-network", "--drop", "0.3"],
+    ["demo-crash", "--point", "wal.append.torn_write", "--hit", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", DOCUMENTED, ids=" ".join)
+def test_documented_invocations_run(argv):
+    assert main(argv) == 0
+
+
+# Every command that builds a deployment runs under the sim's invariant
+# suite: a violation, after any step or at the end-of-run recovery,
+# exits 1 with the invariant's message instead of a traceback.
+NARRATED = [
+    ["demo", "--blocks", "3"],
+    ["selftest"],
+    ["demo-network", "--blocks", "3"],
+    ["demo-fleet", "--blocks", "3"],
+    ["demo-overload", "--blocks", "3"],
+    ["demo-crash", "--blocks", "4"],
+    ["metrics", "--blocks", "3", "--json"],
+]
+
+
+@pytest.mark.parametrize("argv", NARRATED, ids=" ".join)
+def test_a_violated_invariant_exits_1_with_its_message(argv, monkeypatch,
+                                                       capsys):
+    from repro.sim import InvariantSuite
+
+    def ahead(self):
+        raise AssertionError("hub announced past the certified tip")
+
+    monkeypatch.setattr(InvariantSuite, "_check_hub", ahead)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "INVARIANT VIOLATION" in err
+    assert "'hub-stream-bounded'" in err and "past the certified tip" in err
+
+
+@pytest.mark.parametrize("argv", NARRATED, ids=" ".join)
+def test_every_narrated_command_ends_with_the_wal_recovery_check(
+        argv, monkeypatch, capsys):
+    from repro.sim import InvariantSuite, InvariantViolation
+
+    def diverged(self, event_count):
+        raise InvariantViolation("wal-consistent", event_count, "diverged")
+
+    monkeypatch.setattr(InvariantSuite, "finish", diverged)
+    assert main(argv) == 1
+    assert "'wal-consistent'" in capsys.readouterr().err
