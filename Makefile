@@ -5,10 +5,12 @@ PYTHON ?= python
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 
-# Dependency-free property tests (tests/proptest): deterministic by
-# default (fixed seed); REPRO_PROPTEST_CASES=n deepens the run and
-# REPRO_PROPTEST_SEED=n explores a different stream.  Failures print a
-# one-case replay command.
+# The one property layer (tests/proptest, dependency-free): seeded
+# properties over every structure, codec and forgery path, plus the
+# shared structural mutator (tests/proptest/mutate.py) run over every
+# certification-ecall argument.  Deterministic by default (fixed seed);
+# REPRO_PROPTEST_CASES=n deepens the run and REPRO_PROPTEST_SEED=n
+# explores a different stream.  Failures print a one-case replay command.
 proptest:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/proptest -q
 

@@ -76,6 +76,17 @@ class _NoState:
 _NO_STATE = _NoState()
 
 
+def _refuse_malformed(ecall):
+    """The host chooses every argument's type too: tripping over one is a
+    refusal like any failed check (no signature, nothing remembered)."""
+    def entry(*args, **kwargs):
+        try:
+            return ecall(*args, **kwargs)
+        except (TypeError, ValueError, AttributeError, LookupError, ArithmeticError) as exc:
+            raise CertificateError(f"malformed {ecall.__name__} arguments") from exc
+    return entry
+
+
 class DCertEnclaveProgram(EnclaveProgram):
     """Trusted certificate-signing program."""
 
@@ -197,6 +208,7 @@ class DCertEnclaveProgram(EnclaveProgram):
 
     # -- ecall: block certificate (Alg. 2) ------------------------------------
 
+    @_refuse_malformed
     def sig_gen(
         self,
         blk_prev: Block,
@@ -212,6 +224,7 @@ class DCertEnclaveProgram(EnclaveProgram):
 
     # -- ecall: augmented certificate (Alg. 4) --------------------------------
 
+    @_refuse_malformed
     def augmented_sig_gen(
         self,
         blk_prev: Block,
@@ -234,6 +247,7 @@ class DCertEnclaveProgram(EnclaveProgram):
 
     # -- ecall: hierarchical index certificate (Alg. 5 loop body) -------------
 
+    @_refuse_malformed
     def index_sig_gen(
         self,
         blk_prev_header: BlockHeader,

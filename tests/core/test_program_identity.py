@@ -26,6 +26,7 @@ from repro.chain.vm import VM, Contract
 from repro.contracts import BLOCKBENCH, KVStore, SmallBank, fresh_vm
 from repro.core import CertificateIssuer, SuperlightClient, compute_expected_measurement
 from repro.core.certificate import verify_certificate
+from repro.core import enclave_program
 from repro.core.enclave_program import DCertEnclaveProgram
 from repro.errors import CertificateError
 from repro.merkle import mpt
@@ -47,7 +48,11 @@ PINS = {
     2: {
         "repro.core.enclave_program.DCertEnclaveProgram": (
             "dcert.enclave/2",
-            "27b371ec223c51d5e9007ce8248fd9d1de2d5ebd889ded4754835e6b71cf686b",
+            "166bb21e2e68e3d5c9727402a04a1514240e1b34d2b5fb093f48c0b234558419",
+        ),
+        "repro.core.enclave_program._refuse_malformed": (
+            "dcert.enclave/2",
+            "ef9a270dc4e1c022b38ffa70036ff21a30ede7f9bcf999b0051a25eef041e232",
         ),
         "repro.core.certificate.verify_certificate": (
             "dcert.enclave/2",
@@ -143,6 +148,8 @@ def trusted_code():
     identity it currently declares."""
     found = {
         DCertEnclaveProgram: PROGRAM_IDENTITY,
+        # The certification ecalls' entry clause, outside the class body.
+        enclave_program._refuse_malformed: PROGRAM_IDENTITY,
         # cert_verify_t's body: trusted, though it lives beside Certificate.
         verify_certificate: PROGRAM_IDENTITY,
         # blk_verify_t's replay and root check (Alg. 2 lines 17-23) run in

@@ -12,12 +12,12 @@ import random
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.crypto import ecdsa
 from repro.crypto.ecdsa import GX, GY, N, P
 from repro.crypto.hashing import sha256
 from repro.errors import SignatureError
+from tests.proptest.framework import case_count, run_cases
 
 G = (GX, GY)
 REF_INFINITY = (1, 1, 0)
@@ -395,34 +395,34 @@ _KEYS = [int.from_bytes(sha256(b"engine-key-%d" % i), "big") % (N - 1) + 1 for i
 _MUTATIONS = ("none", "r+1", "s+1", "flip-r", "flip-s", "swap", "high-s", "other-message")
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    key=st.sampled_from(_KEYS),
-    message=st.binary(max_size=64),
-    mutation=st.sampled_from(_MUTATIONS),
-    bit=st.integers(min_value=0, max_value=255),
-)
-def test_pinned_and_unpinned_verdicts_agree(key, message, mutation, bit):
-    public = ecdsa.derive_public_point(key)
-    digest = sha256(message)
-    r, s = ecdsa.sign_digest(key, digest)
-    if mutation == "r+1":
-        r += 1
-    elif mutation == "s+1":
-        s += 1
-    elif mutation == "flip-r":
-        r ^= 1 << bit
-    elif mutation == "flip-s":
-        s ^= 1 << bit
-    elif mutation == "swap":
-        r, s = s, r
-    elif mutation == "high-s":
-        s = N - s
-    elif mutation == "other-message":
-        digest = sha256(message + b"!")
-    verdict = verify_both_ways(public, digest, (r, s))
-    assert verdict == ref_verify(public, digest, (r, s))
-    assert verdict == (mutation in ("none", "high-s"))
+def test_pinned_and_unpinned_verdicts_agree():
+    def prop(rng):
+        key = rng.choice(_KEYS)
+        message = rng.randbytes(rng.randint(0, 64))
+        mutation = rng.choice(_MUTATIONS)
+        bit = rng.randrange(256)
+        public = ecdsa.derive_public_point(key)
+        digest = sha256(message)
+        r, s = ecdsa.sign_digest(key, digest)
+        if mutation == "r+1":
+            r += 1
+        elif mutation == "s+1":
+            s += 1
+        elif mutation == "flip-r":
+            r ^= 1 << bit
+        elif mutation == "flip-s":
+            s ^= 1 << bit
+        elif mutation == "swap":
+            r, s = s, r
+        elif mutation == "high-s":
+            s = N - s
+        elif mutation == "other-message":
+            digest = sha256(message + b"!")
+        verdict = verify_both_ways(public, digest, (r, s))
+        assert verdict == ref_verify(public, digest, (r, s))
+        assert verdict == (mutation in ("none", "high-s"))
+
+    run_cases(prop, cases=case_count(60))
 
 
 # -- the table cache -----------------------------------------------------------

@@ -53,6 +53,7 @@ from repro.merkle.mpt import (
     verify_mpt,
 )
 from tests.merkle.test_mpt_golden import KEY_SETS, insertion_order
+from tests.proptest import mutate
 
 NEW_VALUE = b"\x5a" * 32
 
@@ -131,67 +132,6 @@ def _below(proof, index):
     return digest
 
 
-def _sequence_edits(seq, extra):
-    """A tuple as a list, ``None``, one shorter (either end), one longer."""
-    yield "list", list(seq)
-    yield "none", None
-    if seq:
-        yield "drop-last", seq[:-1]
-        yield "drop-first", seq[1:]
-    yield "longer", seq + (extra,)
-
-
-def _bytes_edits(value):
-    yield "bytearray", bytearray(value)
-    yield "hex", value.hex()
-    yield "none", None
-    yield "shorter", value[:-1]
-    yield "longer", value + b"\x00"
-    yield "flipped", bytes([value[0] ^ 1]) + value[1:] if value else b"\x01"
-
-
-def _int_edits(value):
-    yield "float", float(value)
-    yield "str", str(value)
-    yield "none", None
-    yield "plus16", value + 16
-    yield "minus16", value - 16
-    yield "other", (value + 1) % 16
-    if value in (0, 1):
-        yield "bool", bool(value)
-
-
-def _path_edits(path):
-    yield from _sequence_edits(path, 0)
-    yield "empty", ()
-    for position in {0, len(path) - 1} if path else ():
-        for label, nibble in _int_edits(path[position]):
-            yield f"[{position}].{label}", path[:position] + (nibble,) + path[position + 1 :]
-
-
-def _digest_tuple_edits(digests):
-    yield from _sequence_edits(digests, digests[-1])
-    for position in (0, len(digests) - 1):
-        for label, digest in _bytes_edits(digests[position]):
-            yield f"[{position}].{label}", digests[:position] + (digest,) + digests[position + 1 :]
-
-
-def _value_edits(value):
-    if value is None:
-        yield "empty", b""
-        yield "invented", b"invented"
-    else:
-        yield from _bytes_edits(value)
-        yield "empty", b""
-
-
-_FIELD_EDITS = {
-    "taken": _int_edits, "value": _value_edits, "path": _path_edits,
-    "sibling_digests": _digest_tuple_edits, "child_digests": _digest_tuple_edits,
-    "child_digest": _bytes_edits,
-}
-
-
 def _twins(proof, index):
     """``steps[index]`` spelled as the other kind for the same node."""
     step = proof.steps[index]
@@ -210,44 +150,62 @@ def _twins(proof, index):
         yield "as-terminal", TerminalBranchStep(tuple(children), step.value)
 
 
-def mutants_of(proof):
-    """``(label, mutant)`` for every one-field edit of ``proof``."""
-    replace = dataclasses.replace
-    for label, key in _bytes_edits(proof.key):
-        yield f"key.{label}", replace(proof, key=key)
-    extras = (
-        ExtensionStep((0,)), DivergedExtensionStep((0,), EMPTY_DIGEST),
-        BranchStep(0, (EMPTY_DIGEST,) * 15, None),
-        TerminalBranchStep((EMPTY_DIGEST,) * 16, None),
-    )
-    for extra in extras:
-        for label, steps in _sequence_edits(proof.steps, extra):
-            yield f"steps.{label}+{type(extra).__name__}", replace(proof, steps=steps)
-    for index, step in enumerate(proof.steps):
-        def with_step(new, index=index):
-            return replace(proof, steps=proof.steps[:index] + (new,) + proof.steps[index + 1 :])
+_BYTES = ("bytes", "none", "resize", "digest")
+_EXTRAS = (
+    ExtensionStep((0,)), DivergedExtensionStep((0,), EMPTY_DIGEST),
+    BranchStep(0, (EMPTY_DIGEST,) * 15, None),
+    TerminalBranchStep((EMPTY_DIGEST,) * 16, None),
+)
 
-        yield f"steps[{index}].none", with_step(None)
-        for label, twin in _twins(proof, index):
-            yield f"steps[{index}].{label}", with_step(twin)
-        for field in dataclasses.fields(step):
-            for label, value in _FIELD_EDITS[field.name](getattr(step, field.name)):
-                yield (
-                    f"steps[{index}].{field.name}.{label}",
-                    with_step(replace(step, **{field.name: value})),
-                )
-    leaf = proof.terminal_leaf
-    if leaf is None:
-        yield "leaf.invented", replace(proof, terminal_leaf=((1, 2), b"invented"))
-        return
-    path, value = leaf
-    for label, edited in _sequence_edits(leaf, b"x"):
-        yield f"leaf.{label}", replace(proof, terminal_leaf=edited)
-    for label, edited in _path_edits(path):
-        yield f"leaf.path.{label}", replace(proof, terminal_leaf=(edited, value))
-    for label, edited in _bytes_edits(value):
-        yield f"leaf.value.{label}", replace(proof, terminal_leaf=(path, edited))
-    yield "leaf.value.empty", replace(proof, terminal_leaf=(path, b""))
+
+def _sequence(extra):
+    """A tuple as a list, ``None``, one shorter (either end), one longer."""
+    return ("list", "none", "shorter", ("longer", {"extra": extra}))
+
+
+def _nibble(value):
+    """``int`` -> ``float`` / ``str`` / ``bool``, ``None``, ± 16, another nibble."""
+    return ("retype", "none", ("edge", {"by": 16}), ("palette", {"values": [(value + 1) % 16]}))
+
+
+def _plan(proof):
+    """Which rules of the shared table each site of ``proof`` gets."""
+    def plan(path, node):
+        *where, last = path or (None,)
+        if path == ("key",) or last == "child_digest":
+            return _BYTES
+        if path == ("steps",):
+            return [spec for extra in _EXTRAS for spec in _sequence(extra)]
+        if where == ["steps"]:
+            return ("none", ("retag", {"twins": _twins(proof, last)}))
+        if path == ("terminal_leaf",):
+            if node is None:
+                return [("palette", {"values": [((1, 2), b"invented")]})]
+            return _sequence(b"x")
+        if last == "value" or path == ("terminal_leaf", 1):
+            if node is None:
+                return [("palette", {"values": [b"", b"invented"]})]
+            return (*_BYTES, ("palette", {"values": [b""]}))
+        if last == "path" or path == ("terminal_leaf", 0):
+            return (*_sequence(0), ("palette", {"values": [()]}))
+        if last in ("sibling_digests", "child_digests"):
+            return _sequence(node[-1])
+        if last == "taken":
+            return _nibble(node)
+        ends = (0, len(mutate.get(proof, where)) - 1) if isinstance(last, int) else ()
+        if last in ends and (where[-1:] == ["path"] or where == ["terminal_leaf", 0]):
+            return _nibble(node)
+        if last in ends and where[-1] in ("sibling_digests", "child_digests"):
+            return _BYTES
+        return ()
+
+    return plan
+
+
+def mutants_of(proof):
+    """``(label, mutant)`` for every one-field edit of ``proof`` that changes it."""
+    for path, label, mutant in mutate.mutants(proof, _plan(proof), checked=True):
+        yield f"{'.'.join(map(str, path))}.{label}", mutant
 
 
 def _claims(held, mutant):
@@ -286,8 +244,6 @@ def tally():
             held, honest = trie.get(key), trie.prove(key)
             expected = _after_insert(trie, key, NEW_VALUE)
             for label, mutant in mutants_of(honest):
-                if repr(mutant) == repr(honest):
-                    continue  # the edit was a no-op (an already-empty path, say)
                 label = f"{name}:{key.hex()}:{label}"
                 counts["mutants"] += 1
                 for claim in _claims(held, mutant):

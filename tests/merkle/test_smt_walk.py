@@ -30,6 +30,7 @@ from repro.merkle.smt import (
     leaf_digest,
     verify_proof,
 )
+from tests.proptest import mutate
 
 DEPTHS = (8, 64, 256)
 
@@ -407,27 +408,23 @@ def test_forgeries_raise_the_reference_messages(depth):
 
 
 def one_field_edits(proof: SMTProof, rng: random.Random):
-    """(label, edited proof) for each single-field mutation."""
-    siblings = proof.siblings
-    for i, sibling in enumerate(siblings):
-        flipped = bytes([sibling[0] ^ 1]) + sibling[1:]
-        yield f"sibling {i} flipped", replace(
-            proof, siblings=siblings[:i] + (flipped,) + siblings[i + 1 :]
-        )
-        yield f"sibling {i} dropped", replace(
-            proof, siblings=siblings[:i] + siblings[i + 1 :]
-        )
-        yield f"sibling {i} duplicated", replace(
-            proof, siblings=siblings[: i + 1] + siblings[i:]
-        )
-    for bit in range(proof.depth):
-        yield f"mask bit {bit} toggled", replace(
-            proof, default_mask=proof.default_mask ^ 1 << bit
-        )
-    yield "key edited", replace(proof, key=rng.randbytes(32))
-    for depth in (proof.depth - 1, proof.depth + 1):
-        if 1 <= depth <= 256:
-            yield f"depth {depth}", replace(proof, depth=depth)
+    """(label, edited proof) for each single-field mutation: each sibling
+    flipped, dropped and duplicated, each mask bit toggled, the key, the
+    depth one either side (within 1..256)."""
+    count = range(len(proof.siblings))
+    plan = {
+        ("siblings",): (("shorter", {"at": count}), ("longer", {"at": count})),
+        ("default_mask",): (("bits", {"width": proof.depth}),),
+        ("key",): (("palette", {"values": [rng.randbytes(32)]}),),
+        ("depth",): ("edge",),
+    }
+
+    def rules(path, node):
+        return ("digest",) if path[:1] == ("siblings",) and path[1:] else plan.get(path, ())
+
+    for path, label, edited in mutate.mutants(proof, rules):
+        if 1 <= edited.depth <= 256:
+            yield f"{'.'.join(map(str, path))} {label}", edited
 
 
 @pytest.mark.parametrize("depth", DEPTHS)
@@ -478,32 +475,34 @@ def malformed_cases(proof: SMTProof, value: bytes):
     """(label, proof, value, what the parent commit did with it)."""
     depth, mask, siblings = proof.depth, proof.default_mask, proof.siblings
     assert len(siblings) >= 2
+
+    def edit(path, spec):
+        return mutate.first(proof, path, spec)
+
+    def swap(path, new):
+        return edit(path, ("palette", {"values": [new]}))
+
     return [
-        ("one sibling short", replace(proof, siblings=siblings[:-1]), value,
+        ("one sibling short", edit(("siblings",), ("shorter", {"at": (-1,)})), value,
          "IndexError"),
-        ("one sibling too many", replace(proof, siblings=siblings + siblings[:1]),
+        ("one sibling too many", edit(("siblings",), ("longer", {"extra": siblings[0]})),
          value, "ProofError"),
-        ("float mask", replace(proof, default_mask=float(mask)), value, "TypeError"),
-        ("bool mask", replace(proof, default_mask=True), value, "IndexError"),
-        ("negative mask", replace(proof, default_mask=mask - (1 << depth)), value,
+        ("float mask", edit(("default_mask",), "retype"), value, "TypeError"),
+        ("bool mask", swap(("default_mask",), True), value, "IndexError"),
+        ("negative mask", edit(("default_mask",), ("edge", {"by": 1 << depth})), value,
          True),
-        ("mask wider than depth", replace(proof, default_mask=mask | 1 << 200),
-         value, True),
-        ("non-bytes sibling", replace(proof, siblings=(7,) + siblings[1:]), value,
-         "TypeError"),
-        ("bytearray sibling",
-         replace(proof, siblings=(bytearray(siblings[0]),) + siblings[1:]), value,
-         True),
-        ("short sibling", replace(proof, siblings=(siblings[0][:31],) + siblings[1:]),
-         value, False),
-        ("siblings not a sequence", replace(proof, siblings=7), value, "TypeError"),
+        ("mask wider than depth", swap(("default_mask",), mask | 1 << 200), value, True),
+        ("non-bytes sibling", swap(("siblings", 0), 7), value, "TypeError"),
+        ("bytearray sibling", edit(("siblings", 0), "bytes"), value, True),
+        ("short sibling", edit(("siblings", 0), "resize"), value, False),
+        ("siblings not a sequence", swap(("siblings",), 7), value, "TypeError"),
         ("non-bytes value", proof, 7, "TypeError"),
-        ("non-bytes key", replace(proof, key=7), value, False),
-        ("31-byte key", replace(proof, key=proof.key[:31]), value, "StateError"),
-        ("depth 300", replace(proof, depth=300), value, "ValueError"),
-        ("depth 0", replace(proof, depth=0), value, "ProofError"),
-        ("negative depth", replace(proof, depth=-1), value, "ProofError"),
-        ("float depth", replace(proof, depth=float(depth)), value, "TypeError"),
+        ("non-bytes key", swap(("key",), 7), value, False),
+        ("31-byte key", edit(("key",), "resize"), value, "StateError"),
+        ("depth 300", swap(("depth",), 300), value, "ValueError"),
+        ("depth 0", swap(("depth",), 0), value, "ProofError"),
+        ("negative depth", swap(("depth",), -1), value, "ProofError"),
+        ("float depth", edit(("depth",), "retype"), value, "TypeError"),
     ]
 
 

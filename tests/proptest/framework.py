@@ -1,8 +1,8 @@
 """A tiny dependency-free property-testing harness.
 
-Unlike ``tests/property/`` (which uses Hypothesis), this framework is
-pure ``random.Random`` so it can run anywhere the library runs and its
-failures replay *exactly* from a printed seed:
+The suite's one property layer: pure ``random.Random``, so it runs
+anywhere the library runs and its failures replay *exactly* from a
+printed seed:
 
 * :func:`run_cases` runs a property against ``REPRO_PROPTEST_CASES``
   independently seeded RNGs (default :data:`DEFAULT_CASES`); on the
@@ -12,7 +12,8 @@ failures replay *exactly* from a printed seed:
   — deterministic shrink-by-replay: rerun the printed command, drop
   into a debugger, bisect the property body, all on one fixed input.
 * :func:`mutate_one_byte` is the shared single-byte-mutation generator
-  the forgery properties build on.
+  the forgery properties build on, :func:`blob` the random-bytes one;
+  structural edits are ``tests/proptest/mutate.py``'s rule table.
 
 All randomness flows through the per-case ``random.Random(case_seed)``
 — properties must not consult any other entropy source, or replay
@@ -91,3 +92,8 @@ def mutate_one_byte(data: bytes, rng: random.Random) -> bytes:
     mutated = bytearray(data)
     mutated[position] ^= flip
     return bytes(mutated)
+
+
+def blob(rng: random.Random, low: int = 0, high: int = 16) -> bytes:
+    """Random bytes, ``low`` to ``high`` of them."""
+    return rng.randbytes(rng.randint(low, high))

@@ -17,12 +17,12 @@ Seeds and replay: see tests/proptest/framework.py.
 
 from __future__ import annotations
 
-import copy
 import json
 
 from repro.errors import WireError
 from repro.net import wire
 from repro.query import AggregateQuery, HistoryQuery, KeywordQuery, ValueRangeQuery
+from tests.proptest import mutate
 from tests.proptest.framework import run_cases
 from tests.query import test_malformed_tree_proofs as malformed
 
@@ -51,29 +51,12 @@ def _request(rng, height):
     )
 
 
-def _nodes(node, path=()):
-    """Every ``(path, node)`` of a decoded-JSON tree, root first."""
-    yield path, node
-    if isinstance(node, list):
-        for index, item in enumerate(node):
-            yield from _nodes(item, (*path, index))
-    elif isinstance(node, dict):
-        for key, value in node.items():
-            yield from _nodes(value, (*path, key))
-
-
-def _put(tree, path, value):
-    *parents, last = path
-    for step in parents:
-        tree = tree[step]
-    tree[last] = value
-
-
 def _edit(rng, tree, donor):
-    """One random in-place edit of ``tree`` (never of its root), drawn
-    half the time from the upper-level proofs and two times in five from
-    the tagged arrays, so the default 25 cases reach "retag a path"."""
-    sites = [(path, node) for path, node in _nodes(tree) if path]
+    """``tree`` after one random edit (never of its root) from the shared
+    rule table, drawn half the time from the upper-level proofs and two
+    times in five from the tagged arrays, so the default 25 cases reach
+    "retag a path"."""
+    sites = [(path, node) for path, node in mutate.sites(tree) if path]
     for chance, wanted in (
         (0.5, lambda path, node: {"upper_proof", "dictionary_proofs"} & set(path)),
         (0.4, lambda path, node: isinstance(node, dict) and {"!t", "!l"} & set(node)),
@@ -83,23 +66,20 @@ def _edit(rng, tree, donor):
             sites = narrowed
     path, node = rng.choice(sites)
     if isinstance(node, dict) and ("!t" in node or "!l" in node):
-        old = "!t" if "!t" in node else "!l"
-        node[{"!t": "!l", "!l": "!t"}[old]] = node.pop(old)
+        spec = "retag"
     elif isinstance(node, list) and node and rng.random() < 0.7:
-        if rng.random() < 0.5:
-            node.pop(rng.randrange(len(node)))
-        else:
-            node.insert(rng.randrange(len(node) + 1), copy.deepcopy(rng.choice(node)))
+        spec = (rng.choice(("shorter", "longer")), {"at": (rng.randrange(len(node)),)})
     elif isinstance(node, bool) or node is None:
-        _put(tree, path, rng.choice((None, True, False, 0)))
+        spec = ("palette", {"values": (None, True, False, 0)})
     elif isinstance(node, (int, float)):
-        _put(tree, path, rng.choice((node + 1, node - 1, 0, float(node), None)))
+        spec = ("palette", {"values": (node + 1, node - 1, 0, float(node), None)})
     elif isinstance(node, str) and path[-1] == "!b":
         flipped = ("0" if node[:1] != "0" else "1") + node[1:]
-        _put(tree, path, rng.choice((flipped, node[2:], node + "00")))
+        spec = ("palette", {"values": (flipped, node[2:], node + "00")})
     else:
-        grafts = [found for where, found in _nodes(donor) if where[-1:] == path[-1:]]
-        _put(tree, path, copy.deepcopy(rng.choice(grafts)) if grafts else None)
+        grafts = [found for where, found in mutate.sites(donor) if where[-1:] == path[-1:]]
+        spec = ("palette", {"values": grafts or [None]})
+    return mutate.put(tree, path, rng.choice(mutate.edits(node, spec))[1])
 
 
 _NOTHING = {
@@ -133,7 +113,7 @@ def test_an_answer_whose_claims_differ_from_the_oracles_never_verifies(world, cl
             if rng.random() < 0.5:
                 _claim_nothing(tree)
             for _ in range(rng.choice((0, 1, 1, 2, 3))):
-                _edit(rng, tree, donor)
+                tree = _edit(rng, tree, donor)
             try:
                 mutant = wire.decode(json.dumps(tree).encode())
                 said = malformed.claims(mutant.payload)

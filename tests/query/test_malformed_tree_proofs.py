@@ -13,7 +13,6 @@ same holds for every one-edit structural mutant, built through the wire
 codec and by editing the decoded objects.
 """
 
-import copy
 import dataclasses
 import json
 
@@ -30,7 +29,7 @@ from repro.core import (
     connect,
 )
 from repro.crypto import generate_keypair
-from repro.errors import CertificateError, ProofError, QueryError, ReproError, WireError
+from repro.errors import CertificateError, ProofError, QueryError, WireError
 from repro.merkle import aggtree, mbtree
 from repro.net import HealthPolicy, MessageBus, QueryGateway, wire
 from repro.query import verifier
@@ -55,6 +54,7 @@ from repro.query.provider import QueryServiceProvider
 from repro.sgx.attestation import AttestationService
 from tests.conftest import fresh_vm
 from tests.merkle.test_mpt_engine import says_absent
+from tests.proptest import mutate
 
 BAD_INTEGERS = [-1, 2**64, 2**127, 1.5, "7", None, True]
 BAD_IDS = ["-1", "2^64", "2^127", "1.5", "'7'", "None", "True"]
@@ -64,38 +64,24 @@ _TREE_MODULES = {mbtree.__name__, aggtree.__name__}
 _REQUEST_BOUND = {"lo", "hi"}
 
 
-def _integer_sites(obj, in_tree=False, label=""):
+def _integer_sites(obj):
     """``(label, path)`` of every integer a B+-tree proof node carries
     under ``obj``; the label names the kind of field, not the instance."""
-    if dataclasses.is_dataclass(obj):
+    for path, node in mutate.sites(obj):
+        if type(node) is not int:
+            continue
+        chain = [mutate.get(obj, path[:k]) for k in range(len(path))]
+        owners = [k for k, held in enumerate(chain) if dataclasses.is_dataclass(held)]
         # An answer's claimed result is an Aggregate too; only the ones a
         # proof node carries are proof fields.
-        in_tree = in_tree or (
-            type(obj).__module__ in _TREE_MODULES
-            and not isinstance(obj, aggtree.Aggregate)
-        )
-        for field in dataclasses.fields(obj):
-            if in_tree and field.name in _REQUEST_BOUND:
-                continue
-            name = f"{type(obj).__name__}.{field.name}"
-            for found, path in _integer_sites(getattr(obj, field.name), in_tree, name):
-                yield found, (field.name, *path)
-    elif isinstance(obj, tuple):
-        for index, item in enumerate(obj):
-            direct = f"{label}[{index}]" if type(item) is int else label
-            for found, path in _integer_sites(item, in_tree, direct):
-                yield found, (index, *path)
-    elif in_tree and type(obj) is int:
-        yield label, ()
-
-
-def _replace_at(obj, path, value):
-    if not path:
-        return value
-    head, *rest = path
-    if isinstance(obj, tuple):
-        return obj[:head] + (_replace_at(obj[head], rest, value),) + obj[head + 1 :]
-    return dataclasses.replace(obj, **{head: _replace_at(getattr(obj, head), rest, value)})
+        tree = [
+            k for k in owners
+            if type(chain[k]).__module__ in _TREE_MODULES
+            and not isinstance(chain[k], aggtree.Aggregate)
+        ]
+        if tree and not any(path[k] in _REQUEST_BOUND for k in owners if k >= tree[0]):
+            index = f"[{path[-1]}]" if owners[-1] < len(path) - 1 else ""
+            yield f"{type(chain[owners[-1]]).__name__}.{path[owners[-1]]}{index}", path
 
 
 def mutants(obj, bad):
@@ -103,7 +89,7 @@ def mutants(obj, bad):
     first = {}
     for label, path in _integer_sites(obj):
         first.setdefault(label, path)
-    return {label: _replace_at(obj, path, bad) for label, path in first.items()}
+    return {label: mutate.put(obj, path, bad, checked=True) for label, path in first.items()}
 
 
 # -- a certified world whose trees are deep enough to have stubs -------------
@@ -298,73 +284,41 @@ def test_query_fails_over_past_a_replica_serving_a_malformed_proof(
 # -- structure: arity and shape are the prover's choice too --------------------
 
 
-def _json_lists(node, path=()):
-    """The path of every JSON array inside an encoded wire object."""
-    if isinstance(node, list):
-        yield path
-        for index, item in enumerate(node):
-            yield from _json_lists(item, (*path, index))
-    elif isinstance(node, dict):
-        for key, value in node.items():
-            yield from _json_lists(value, (*path, key))
+def _decoded(raw, plan):
+    """``(path, label) -> decoded mutant`` of a wire tree's edits the
+    codec accepts — they are what reaches ``verify``."""
+    found = {}
+    for path, label, mutated in mutate.mutants(raw, plan):
+        try:
+            found[(label, *path)] = wire.decode(json.dumps(mutated).encode())
+        except WireError:
+            pass
+    return found
 
 
 def wire_mutants(answer):
     """``answer`` as a peer could re-encode it: each JSON array in turn
-    one element shorter, and one element longer.  Only mutants the codec
-    itself accepts are returned — they are what reaches ``verify``."""
-    raw = json.loads(wire.encode(answer))
-    found = {}
-    for path in _json_lists(raw):
-        for edit in ("shorter", "longer"):
-            mutated = copy.deepcopy(raw)
-            array = mutated
-            for step in path:
-                array = array[step]
-            if edit == "longer":
-                array.append(copy.deepcopy(array[-1]) if array else 0)
-            elif array:
-                array.pop()
-            else:
-                continue
-            try:
-                found[(edit, *path)] = wire.decode(json.dumps(mutated).encode())
-            except WireError:
-                pass
-    return found
-
-
-def _tuple_sites(obj, path=()):
-    """The path of every tuple under a (nested) dataclass or tuple."""
-    if dataclasses.is_dataclass(obj):
-        for field in dataclasses.fields(obj):
-            yield from _tuple_sites(getattr(obj, field.name), (*path, field.name))
-    elif isinstance(obj, tuple):
-        yield path
-        for index, item in enumerate(obj):
-            yield from _tuple_sites(item, (*path, index))
+    one element shorter, and one element longer."""
+    return _decoded(
+        json.loads(wire.encode(answer)),
+        lambda path, node: (("shorter", {"at": (-1,)}), "longer") if type(node) is list else (),
+    )
 
 
 def object_mutants(answer):
     """``answer`` with each tuple in turn replaced by an int, by
     ``None``, by itself one element shorter / longer, and by tuples whose
-    items do not sort or unpack."""
-    found = {}
-    for path in _tuple_sites(answer):
-        original = answer
-        for step in path:
-            original = original[step] if isinstance(step, int) else getattr(original, step)
-        shapes = {
-            "int": 7, "none": None, "shorter": original[:-1],
-            "longer": original + (original[-1:] or (0,)),
-            "unsortable": original + (None,), "mixed": (None, "x"),
-        }
-        for shape, value in shapes.items():
-            try:
-                found[(shape, *path)] = _replace_at(answer, path, value)
-            except (TypeError, ValueError, ReproError):
-                pass  # the class refuses it: on the wire that is a WireError
-    return found
+    items do not sort or unpack — each one the class itself accepts."""
+    shapes = (
+        ("palette", {"values": (7, None, (None, "x"))}),
+        ("shorter", {"at": (-1,)}), "longer", ("longer", {"extra": None}),
+    )
+    return {
+        (label, *path): mutant
+        for path, label, mutant in mutate.mutants(
+            answer, lambda path, node: shapes if type(node) is tuple else (), checked=True
+        )
+    }
 
 
 @pytest.mark.parametrize("build", [wire_mutants, object_mutants])
@@ -483,20 +437,10 @@ def claims(payload):
 def retag_mutants(answer):
     """``answer`` as a peer could re-encode it: each tagged JSON array in
     turn with its ``!t`` turned ``!l`` (or back)."""
-    raw = json.loads(wire.encode(answer))
-    found = {}
-    for path in _json_lists(raw):
-        *parents, tag = path
-        other = {"!t": "!l", "!l": "!t"}.get(tag)
-        if other is None:
-            continue
-        mutated = copy.deepcopy(raw)
-        holder = mutated
-        for step in parents:
-            holder = holder[step]
-        holder[other] = holder.pop(tag)
-        found[path] = wire.decode(json.dumps(mutated).encode())
-    return found
+    return _decoded(
+        json.loads(wire.encode(answer)),
+        lambda path, node: ("retag",) if type(node) is dict and set(node) in ({"!t"}, {"!l"}) else (),
+    )
 
 
 @pytest.mark.parametrize("family", sorted(EXPECTED_SITES))

@@ -23,6 +23,7 @@ from repro.net import wire
 from repro.net.bus import MessageBus
 from repro.net.rpc import RpcClient
 from repro.query import QueryAnswer, QueryService
+from tests.proptest import mutate
 from tests.query.test_query_api import api_world, requests_answers  # noqa: F401
 
 PALETTE = [None, True, 1.5, 2e6, "1", b"x", ["a"], ("a",), {"a": 1}, 1 << 70, -1, 0, "", ()]
@@ -39,19 +40,17 @@ PARENT_HONEST_CALL = "TypeError: unsupported operand type(s) for <<: 'float' and
 STILL_VALID = {("KeywordQuery", "keywords", "['a']"), ("KeywordQuery", "keywords", "('a',)")}
 
 
+def _mistyped(path, node):
+    if len(path) == 1:  # a field of the request itself
+        yield "palette", {
+            "values": [v for v in PALETTE if type(node) is tuple or type(v) is not type(node)]
+        }
+
+
 def _mutants(requests):
     for request in requests.values():
-        names = [field.name for field in dataclasses.fields(request)]
-        for name in names:
-            honest = getattr(request, name)
-            for value in PALETTE:
-                if type(honest) is not tuple and type(value) is type(honest):
-                    continue
-                mutant = object.__new__(type(request))
-                for other in names:
-                    object.__setattr__(mutant, other, getattr(request, other))
-                object.__setattr__(mutant, name, value)
-                yield (type(request).__name__, name, repr(value)), mutant
+        for (name,), label, mutant in mutate.mutants(request, _mistyped):
+            yield (type(request).__name__, name, label.partition(":")[2]), mutant
 
 
 def test_every_mistyped_request_is_dropped_and_the_honest_call_answered(
