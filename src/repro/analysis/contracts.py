@@ -370,8 +370,8 @@ class TaxonomyChecker(Checker):
 
 # -- BND01 --------------------------------------------------------------------
 
-#: Long-lived network/client modules whose classes hold per-peer or
-#: per-request state for the lifetime of the process.
+#: Long-lived modules whose classes hold per-peer, per-request or
+#: per-block state for the lifetime of the process.
 BOUNDED_SCOPES = frozenset(
     {
         "repro.net.rpc",
@@ -382,6 +382,11 @@ BOUNDED_SCOPES = frozenset(
         "repro.query.answercache",
         "repro.core.certificate",
         "repro.core.superlight",
+        "repro.core.issuer",
+        "repro.core.recovery",
+        "repro.chain.node",
+        "repro.storage",
+        "repro.query.provider",
     }
 )
 

@@ -1,4 +1,4 @@
-"""Full node: validates and stores the complete chain.
+"""Full node: validates each block against its tip and the global state.
 
 On each incoming block a full node re-checks everything §2.1 lists:
 header linkage, the consensus proof, the transaction root, every
@@ -22,7 +22,8 @@ from repro.merkle.partial import PartialSMT
 
 
 class FullNode:
-    """Holds the full chain and the materialized global state."""
+    """Holds the chain tip and the materialized global state; the chain
+    itself is the miner's, or the issuer's archive."""
 
     def __init__(
         self,
@@ -33,14 +34,10 @@ class FullNode:
     ) -> None:
         if genesis.header.height != 0:
             raise BlockValidationError("genesis block must have height 0")
-        self.blocks: list[Block] = [genesis]
+        self.tip = genesis
         self.state = genesis_state
         self.executor = TransactionExecutor(vm)
         self.pow = pow_engine
-
-    @property
-    def tip(self) -> Block:
-        return self.blocks[-1]
 
     @property
     def height(self) -> int:
@@ -90,7 +87,7 @@ class FullNode:
         """Commit a block :meth:`validate_block` accepted.  Nodes never
         reorg: a competing branch is only ever refused (DESIGN.md §8)."""
         self.state.apply_writes(write_set)
-        self.blocks.append(block)
+        self.tip = block
 
     def append_block(self, block: Block) -> ExecutionResult:
         """Validate then commit ``block``."""

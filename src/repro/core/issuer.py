@@ -21,8 +21,11 @@ indexes it certifies and drives either certification scheme:
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable
+from itertools import islice
+from typing import Callable, Iterator
 
 from repro import obs
 from repro.chain.block import Block, BlockHeader
@@ -58,6 +61,13 @@ def make_maintained_index(spec: AuthenticatedIndexSpec):
     return family.index(spec)
 
 
+def unhook(source: object, hook: Callable) -> None:
+    """Remove ``hook`` from ``source.on_certified`` (a subscriber's
+    detach; a hook that is not there is a no-op)."""
+    if hook in getattr(source, "on_certified", ()):
+        source.on_certified.remove(hook)
+
+
 @dataclass(slots=True)
 class CertifiedBlock:
     """Everything the CI broadcasts for one block."""
@@ -75,6 +85,66 @@ class CertifiedBlock:
     def header(self) -> BlockHeader:
         """So a client can adopt a certified block like any tip bundle."""
         return self.block.header
+
+
+#: Certified blocks an archive-backed issuer keeps in memory: the
+#: deepest read the deployment makes short of a whole-chain walk is the
+#: hub's catch-up (``SubscriptionHub.history_limit``, 64); IssuerService
+#: and the sim invariants' per-block reads stay near the tip.
+HISTORY_WINDOW = 64
+
+
+class CertifiedHistory(Sequence):
+    """Every block an issuer certified, in height order (index = height - 1).
+
+    With an ``archive`` attached (a :class:`~repro.storage.ChainArchive`
+    journaling each entry as it is appended) only the newest
+    :data:`HISTORY_WINDOW` entries stay in memory and older ones are read
+    back from it: every field the WAL stores, byte-identical, but not
+    ``augmented_certificates``, which it does not store (a recovered
+    issuer never had them).  Without an archive every entry stays.
+    Length, indexing, slicing (positive steps) and iteration cover the
+    whole chain either way.
+    """
+
+    def __init__(self) -> None:
+        self.archive = None
+        self._recent: deque[CertifiedBlock] = deque()
+        #: How many of the oldest entries are read back, not held.
+        self.dropped = 0
+
+    def __len__(self) -> int:
+        return self.dropped + len(self._recent)
+
+    def append(self, certified: CertifiedBlock) -> None:
+        self._recent.append(certified)
+        while self.archive is not None and len(self._recent) > HISTORY_WINDOW:
+            self._recent.popleft()
+            self.dropped += 1
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            start, stop, step = index.indices(len(self))
+            return list(islice(self._from(start), 0, max(0, stop - start), step))
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("certified history index out of range")
+        if index >= self.dropped:
+            return self._recent[index - self.dropped]
+        return next(self._from(index))
+
+    def __iter__(self) -> Iterator[CertifiedBlock]:
+        return self._from(0)
+
+    def _from(self, index: int) -> Iterator[CertifiedBlock]:
+        """Entries from ``index`` on: dropped ones in one archive pass,
+        then the window as it stood when the walk began."""
+        dropped, recent = self.dropped, list(self._recent)
+        if index < dropped:
+            archived = self.archive.entries_from(index + 1)
+            yield from islice(archived, dropped - index)
+        yield from recent[max(0, index - dropped):]
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,7 +221,7 @@ class CertificateIssuer:
         }
         self._aug_certs: dict[str, Certificate | None] = {name: None for name in specs}
         self.latest_certificate: Certificate | None = None
-        self.certified: list[CertifiedBlock] = []
+        self.certified = CertifiedHistory()
         #: Fired with each CertifiedBlock right after it is committed.
         #: The subscription hub (repro.net.pubsub) attaches here; the
         #: hook also fires through DurableIssuer's delegation.
@@ -395,7 +465,7 @@ class IssuerService:
     def _certified_at(self, height: object) -> CertifiedBlock | None:
         """The certified block at a wire-supplied ``height``, if any.
         Heights are consecutive from 1 on every construction path, so it
-        is a list read — once ``height`` is known to be an in-range int."""
+        is a history read — once ``height`` is known to be an in-range int."""
         certified = self.issuer.certified
         if type(height) is int and 1 <= height <= len(certified):
             return certified[height - 1]

@@ -13,12 +13,12 @@ the point of a long-lived service.  This module adds:
   certification lands in the :class:`~repro.storage.ChainArchive` WAL
   before the call returns, and a checkpoint is re-sealed every
   ``checkpoint_interval`` certified blocks.
-* :func:`recover_issuer` — the restore path: unseal the newest
-  checkpoint, verify it against the WAL prefix (state root, index
-  roots, per-block certificates re-checked in untrusted code), then
-  replay only the WAL records *past* the checkpoint through the
-  enclave.  Per-restart enclave work is O(gap), independent of chain
-  length.
+* :func:`recover_issuer` — the restore path, one streamed pass over
+  the WAL: unseal the newest checkpoint, verify the WAL prefix against
+  it (state root, index roots, per-block certificates re-checked in
+  untrusted code), then replay only the records *past* the checkpoint
+  through the enclave.  Per-restart enclave work is O(gap), and the
+  memory held is the issuer's window, not the chain.
 
 Recovery invariants (enforced here; the sim's ``wal-consistent``
 invariant checks them across every ``crash`` event):
@@ -33,7 +33,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from itertools import islice
+from typing import TYPE_CHECKING, Iterator
 
 from repro import obs
 from repro.chain.block import Block
@@ -52,7 +53,7 @@ from repro.sgx.costs import SGXCostModel
 from repro.sgx.platform import SGXPlatform
 
 if TYPE_CHECKING:  # annotations only: repro.storage itself imports repro.core
-    from repro.storage import ArchiveEntry, ChainArchive
+    from repro.storage import ChainArchive
 
 
 def _encode_cert(cert: Certificate | None) -> str | None:
@@ -173,6 +174,9 @@ class DurableIssuer:
     ) -> None:
         self.issuer = issuer
         self.archive = archive
+        # The archive journals every certified block, so the issuer's
+        # history keeps only its window in memory.
+        issuer.certified.archive = archive
         self.checkpoint_interval = checkpoint_interval
         self._last_checkpoint_height = 0
         self.last_recovery: RecoveryReport | None = None
@@ -220,13 +224,7 @@ class DurableIssuer:
         # block is re-submitted after recovery and re-certifies to
         # byte-identical certificates, so nothing is ever lost or forked.
         crashpoint("durable.append.pre_wal")
-        self.archive.append_record(
-            certified.block,
-            certified.certificate,
-            index_certificates=certified.index_certificates,
-            index_roots=certified.index_roots,
-            write_set=certified.write_set,
-        )
+        self.archive.append_record(certified)
         if (
             self.checkpoint_interval > 0
             and self.issuer.node.height - self._last_checkpoint_height
@@ -260,7 +258,7 @@ class DurableIssuer:
 
 
 def _verify_archived_entry(
-    issuer: CertificateIssuer, entry: ArchiveEntry
+    issuer: CertificateIssuer, entry: CertifiedBlock
 ) -> None:
     """Cheap untrusted re-verification of one archived certified block.
 
@@ -334,7 +332,7 @@ def recover_issuer(
     untrusted code against the checkpoint's sealed roots.  Every
     replayed certificate must match the archived bytes exactly.
     """
-    contents = archive.load()
+    contents = archive.stream()
     issuer = CertificateIssuer(
         genesis,
         genesis_state,
@@ -346,46 +344,36 @@ def recover_issuer(
         cost_model=cost_model,
         sealed_key=contents.sealed_key,
     )
-    report = RecoveryReport(torn_bytes_dropped=contents.torn_bytes_dropped)
+    durable = DurableIssuer(
+        issuer, archive, checkpoint_interval=checkpoint_interval
+    )
+    report = RecoveryReport()
+    entries = contents.entries
 
     checkpoint = archive.read_checkpoint()
-    start = 0
     if checkpoint is not None:
         height, sealed = checkpoint
-        if height > len(contents.entries):
-            # The block record is fsynced before the checkpoint renames,
-            # so a checkpoint ahead of the WAL cannot happen by crashing.
-            raise ArchiveCorruptionError(
-                f"checkpoint at height {height} is ahead of the WAL "
-                f"({len(contents.entries)} blocks)"
-            )
         payload = issuer.enclave.ecall(
             "unseal_checkpoint", sealed, payload_bytes=len(sealed)
         )
         snapshot = IssuerCheckpoint.from_bytes(payload)
-        _apply_checkpoint(issuer, snapshot, contents.entries, height)
+        _apply_checkpoint(issuer, snapshot, islice(entries, height), height)
         report.checkpoint_height = height
         report.checkpoint_used = True
         report.verified_blocks = height
-        start = height
 
     # O(gap) tail replay through the enclave, byte-compared to the WAL.
-    for entry in contents.entries[start:]:
+    for entry in entries:
         certified = issuer.process_block(entry.block)
         _compare_replayed(certified, entry)
         report.replayed_blocks += 1
+    report.torn_bytes_dropped = contents.torn_bytes_dropped
 
     if obs.enabled():
         obs.inc("recovery.restarts")
         obs.inc("recovery.replayed_blocks", report.replayed_blocks)
-        obs.set_gauge(
-            "recovery.checkpoint_age_blocks",
-            len(contents.entries) - report.checkpoint_height,
-        )
+        obs.set_gauge("recovery.checkpoint_age_blocks", report.replayed_blocks)
 
-    durable = DurableIssuer(
-        issuer, archive, checkpoint_interval=checkpoint_interval
-    )
     durable._last_checkpoint_height = report.checkpoint_height
     durable.last_recovery = report
     return durable
@@ -394,7 +382,7 @@ def recover_issuer(
 def _apply_checkpoint(
     issuer: CertificateIssuer,
     snapshot: IssuerCheckpoint,
-    entries: list[ArchiveEntry],
+    prefix: Iterator[CertifiedBlock],
     height: int,
 ) -> None:
     """Fast-forward a fresh issuer to the checkpoint, verifying as we go."""
@@ -428,25 +416,24 @@ def _apply_checkpoint(
             "checkpoint state cells do not hash to the checkpoint state root"
         )
 
-    # Rebuild the untrusted chain + indexes from the WAL prefix, with
-    # cheap (non-enclave) verification per block.
+    # Walk the WAL prefix once, with cheap (non-enclave) verification
+    # per block, rebuilding the indexes; the history keeps its window.
     if set(index_roots) != set(issuer.indexes):
         raise ArchiveCorruptionError(
             "checkpoint index set does not match this issuer's index specs"
         )
-    for entry in entries[:height]:
+    for entry in prefix:
         _verify_archived_entry(issuer, entry)
         for index in issuer.indexes.values():
             index.ingest_block(entry.block, entry.write_set)
-        issuer.node.blocks.append(entry.block)
-        issuer.certified.append(
-            CertifiedBlock(
-                block=entry.block,
-                certificate=entry.certificate,
-                index_certificates=dict(entry.index_certificates),
-                index_roots=dict(entry.index_roots),
-                write_set=dict(entry.write_set),
-            )
+        issuer.node.tip = entry.block
+        issuer.certified.append(entry)
+    if issuer.node.height != height:
+        # The block record is fsynced before the checkpoint renames,
+        # so a checkpoint ahead of the WAL cannot happen by crashing.
+        raise ArchiveCorruptionError(
+            f"checkpoint at height {height} is ahead of the WAL "
+            f"({issuer.node.height} blocks)"
         )
     if snapshot.tip_hash != issuer.node.tip.header.header_hash().hex():
         raise ArchiveCorruptionError(
@@ -467,7 +454,7 @@ def _apply_checkpoint(
     issuer.latest_certificate = _decode_cert(snapshot.latest_certificate)
 
 
-def _compare_replayed(certified: CertifiedBlock, entry: ArchiveEntry) -> None:
+def _compare_replayed(certified: CertifiedBlock, entry: CertifiedBlock) -> None:
     """A replayed certificate must be byte-identical to the archived one."""
     height = entry.block.header.height
     archived = entry.certificate

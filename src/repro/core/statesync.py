@@ -78,7 +78,7 @@ def bootstrap_full_node(
     if snapshot.height != tip_block.header.height:
         raise StateError("snapshot height does not match the certified tip")
     node = FullNode.__new__(FullNode)
-    node.blocks = [tip_block]
+    node.tip = tip_block
     node.state = state
     from repro.chain.executor import TransactionExecutor
 

@@ -36,7 +36,7 @@ from repro.chain.block import BlockHeader
 from repro.core.certificate import Certificate, VerifiedMemo, verify_certificate
 from repro.core.digest import block_digest, index_digest
 from repro.core.enclave_program import DCertEnclaveProgram
-from repro.core.issuer import CertifiedTip
+from repro.core.issuer import CertifiedTip, unhook
 from repro.crypto import PublicKey
 from repro.crypto.hashing import Digest
 from repro.errors import (
@@ -276,9 +276,7 @@ class SuperlightClient:
     def unsubscribe(self) -> None:
         """Detach from every subscribed issuer (idempotent)."""
         for source, hook in self._subscriptions:
-            hooks = getattr(source, "on_certified", [])
-            if hook in hooks:
-                hooks.remove(hook)
+            unhook(source, hook)
         self._subscriptions.clear()
 
     # -- query verification ------------------------------------------------------

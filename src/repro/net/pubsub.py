@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 from repro import obs
 from repro.chain.block import BlockHeader
 from repro.core.certificate import Certificate
+from repro.core.issuer import unhook
 from repro.crypto.hashing import Digest
 from repro.errors import ConfigError, ReproError, ServiceUnavailableError, WireError
 from repro.fault.crashpoints import crashpoint
@@ -241,17 +242,21 @@ class SubscriptionHub:
         into the catch-up history (nothing is pushed — subscribers pull
         it via ``sync_range``).
         """
-        certified = list(getattr(issuer, "certified", ()))
-        if len(certified) > self.seq:
-            if announce_existing:
-                for entry in certified[self.seq:]:
-                    if entry.certificate is None:
-                        self.seq += 1  # keep seq == certified count
-                        continue
-                    self.seq += 1
-                    self._retain(self._announce(entry, self.seq))
-            else:
-                self.seq = len(certified)
+        certified = getattr(issuer, "certified", ())
+        if announce_existing:
+            # The catch-up history keeps the newest history_limit
+            # announcements, so read back from the tip only until that
+            # many are found (a block without a hierarchical certificate
+            # takes a height, not an announcement).
+            found: list[tuple[int, object]] = []
+            for seq in range(len(certified), self.seq, -1):
+                if len(found) == self.history_limit:
+                    break
+                if (entry := certified[seq - 1]).certificate is not None:
+                    found.append((seq, entry))
+            for seq, entry in reversed(found):
+                self._retain(self._announce(entry, seq))
+        self.seq = max(self.seq, len(certified))  # announced or not
         hooks = getattr(issuer, "on_certified", None)
         if hooks is None:
             raise ConfigError(
@@ -263,20 +268,15 @@ class SubscriptionHub:
     def detach(self) -> None:
         """Stop publishing for every attached issuer."""
         for issuer, hook in self._attached:
-            hooks = getattr(issuer, "on_certified", [])
-            if hook in hooks:
-                hooks.remove(hook)
+            unhook(issuer, hook)
         self._attached.clear()
 
     def _announce(self, certified: object, seq: int) -> TipAnnouncement:
         """Build the announcement for a CertifiedBlock or CertifiedTip."""
-        header = getattr(certified, "header", None)
-        if header is None:
-            header = certified.block.header
         return TipAnnouncement(
             seq=seq,
             published_at_ms=self.bus.clock_ms,
-            header=header,
+            header=certified.header,
             certificate=certified.certificate,
             index_certificates=dict(certified.index_certificates),
             index_roots=dict(certified.index_roots),

@@ -51,11 +51,13 @@ class QueryServiceProvider:
         #: invariant compares this against the serving tier's handler
         #: invocations to prove shed requests did zero provider work.
         self.executes = 0
-        self.baselines: dict[str, LineageChainIndex] = {}
-        if with_lineagechain_baseline:
-            for spec in index_specs:
-                if isinstance(self.indexes[spec.name], TwoLevelHistoryIndex):
-                    self.baselines[spec.name] = LineageChainIndex(spec)
+        #: Fixed at construction: one per two-level history index.
+        self.baselines = {
+            spec.name: LineageChainIndex(spec)
+            for spec in index_specs
+            if with_lineagechain_baseline
+            and isinstance(self.indexes[spec.name], TwoLevelHistoryIndex)
+        }
 
     def ingest_block(self, block: Block) -> None:
         """Validate ``block``, update every index, and commit it."""

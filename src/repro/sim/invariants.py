@@ -52,9 +52,12 @@ from .world import KIND_GATEWAY, SimWorld
 PAPER_STORAGE_BUDGET_BYTES = int(2.97 * 1024)
 
 
-def certificate_bytes(issuer) -> dict[int, tuple[bytes, tuple[bytes, ...]]]:
-    """Per-height (block cert bytes, sorted index cert bytes) — the
-    byte-identity fingerprint ``wal-consistent`` compares."""
+def certificate_bytes(
+    issuer, start: int = 0
+) -> dict[int, tuple[bytes, tuple[bytes, ...]]]:
+    """Per-height (block cert bytes, sorted index cert bytes) from the
+    ``start``-th certified block on — the byte-identity fingerprint
+    ``wal-consistent`` compares."""
     return {
         certified.block.header.height: (
             certified.certificate.encode()
@@ -65,7 +68,7 @@ def certificate_bytes(issuer) -> dict[int, tuple[bytes, tuple[bytes, ...]]]:
                 for name in sorted(certified.index_certificates)
             ),
         )
-        for certified in issuer.certified
+        for certified in issuer.certified[start:]
     }
 
 
@@ -243,8 +246,14 @@ class InvariantSuite:
             assert pk_enc == self._pk_enc, (
                 "pk_enc changed across a restart (the sealed key was lost)"
             )
-        current = certificate_bytes(world.issuer)
-        for height, fingerprint in current.items():
+        # A restarted issuer is read whole (archived heights from the
+        # WAL); the same issuer again, every height it still holds in
+        # memory (an in-place edit shows while the entry is held) and any
+        # it added since.  finish() reads the whole chain again.
+        start = 0
+        if issuer_id == self._issuer_seen:
+            start = min(self._certified_seen, world.issuer.certified.dropped)
+        for height, fingerprint in certificate_bytes(world.issuer, start).items():
             seen = self._cert_fps.get(height)
             if seen is None:
                 self._cert_fps[height] = fingerprint

@@ -252,8 +252,7 @@ class SimWorld:
         return self.service.issuer
 
     def certified_height(self) -> int:
-        certified = self.issuer.certified
-        return certified[-1].block.header.height if certified else 0
+        return len(self.issuer.certified)  # heights are consecutive from 1
 
     def pending_blocks(self) -> list:
         """Mined blocks not yet certified (certify_range is idempotent,

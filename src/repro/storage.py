@@ -33,12 +33,16 @@ import json
 import os
 import tempfile
 import zlib
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
+from itertools import count
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from repro import obs
-from repro.chain.block import Block, decode_block, encode_block
+from repro.chain.block import decode_block, encode_block
 from repro.core.certificate import Certificate
+from repro.core.issuer import CertifiedBlock
 from repro.errors import ArchiveCorruptionError, ArchiveFormatError, ReproError
 from repro.fault.crashpoints import crash_now, crashpoint, torn_prefix
 
@@ -83,12 +87,29 @@ class WriteAheadLog:
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
+        #: Byte offset of each record this log wrote or read, in order
+        #: (8 B per record): a read from record ``n`` seeks straight to it.
+        self.offsets = array("Q")
+        self._end = len(self.MAGIC)  # where the last indexed record ends
 
     def create(self, first_payloads: tuple[bytes, ...] = ()) -> None:
         """(Re)create the log atomically, optionally pre-seeded with
         records — the archive head lands durably or not at all."""
         data = self.MAGIC + b"".join(_frame(p) for p in first_payloads)
         _atomic_write(self.path, data)
+        del self.offsets[:]
+        self._end = len(self.MAGIC)
+        for payload in first_payloads:
+            self._index(len(self.offsets), self._end, len(payload))
+
+    def _index(self, position: int, offset: int, length: int) -> None:
+        """Note that record ``position`` is framed at ``offset``; an
+        entry the file no longer matches is dropped with all after it."""
+        if position < len(self.offsets) and self.offsets[position] == offset:
+            return
+        del self.offsets[position:]
+        self.offsets.append(offset)
+        self._end = offset + _FRAME_HEADER_BYTES + length
 
     def append(self, payload: bytes) -> None:
         """Durably append one framed record (the fsync boundary).
@@ -101,6 +122,7 @@ class WriteAheadLog:
         crashpoint("wal.append.pre_write")
         torn = torn_prefix("wal.append.torn_write", len(data))
         with self.path.open("ab") as handle:
+            offset = handle.seek(0, os.SEEK_END)
             if torn is not None:
                 handle.write(data[:torn])
                 handle.flush()
@@ -109,84 +131,80 @@ class WriteAheadLog:
             handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
+        if offset == self._end:  # the index covers every earlier record
+            self._index(len(self.offsets), offset, len(payload))
         if obs.enabled():
             obs.inc("storage.wal_appends")
             obs.inc("storage.wal_bytes_written", len(data))
         crashpoint("wal.append.post_fsync")
 
-    def read(self, *, repair: bool = True) -> tuple[list[bytes], int]:
-        """Read every record payload; returns ``(payloads, torn_bytes)``.
+    def records(self, *, repair: bool = True, start: int = 0) -> Iterator[bytes]:
+        """Yield the record payloads from the ``start``-th on, in order, a
+        frame at a time; the generator returns the torn byte count.  A
+        record :attr:`offsets` holds is sought, not read up to.
 
         An incomplete final frame is a torn tail: with ``repair`` the
-        file is truncated back to the last complete record (and the
-        dropped byte count returned); without it the torn bytes are
-        only skipped.  A complete frame whose CRC does not match raises
-        :class:`ArchiveCorruptionError` — that is corruption or
-        tampering, not a crash artifact, and must not be silently
-        dropped.
+        file is truncated back to the last complete record when the pass
+        reaches it; without it the torn bytes are only skipped.  A
+        complete frame whose CRC does not match raises
+        :class:`ArchiveCorruptionError` — corruption or tampering, not a
+        crash artifact, and never silently dropped.
         """
         try:
-            data = self.path.read_bytes()
+            handle = self.path.open("rb")
         except FileNotFoundError as exc:
             raise ArchiveFormatError(f"no archive at {self.path}") from exc
-        if not data.startswith(self.MAGIC):
-            raise ArchiveFormatError(
-                f"{self.path} is not a DCert WAL (bad magic)"
-            )
-        payloads: list[bytes] = []
-        offset = len(self.MAGIC)
-        while offset < len(data):
-            remaining = len(data) - offset
-            if remaining < _FRAME_HEADER_BYTES:
-                break  # torn: not even a whole frame header
-            length = int.from_bytes(data[offset : offset + 4], "big")
-            crc = int.from_bytes(data[offset + 4 : offset + 8], "big")
-            if length > _MAX_RECORD_BYTES:
-                raise ArchiveCorruptionError(
-                    f"record at byte {offset} claims {length} bytes "
-                    f"(corrupted length field)"
+        with handle:
+            if handle.read(len(self.MAGIC)) != self.MAGIC:
+                raise ArchiveFormatError(
+                    f"{self.path} is not a DCert WAL (bad magic)"
                 )
-            if remaining - _FRAME_HEADER_BYTES < length:
-                break  # torn: payload incomplete
-            payload = data[
-                offset + _FRAME_HEADER_BYTES : offset + _FRAME_HEADER_BYTES + length
-            ]
-            if zlib.crc32(payload) != crc:
-                raise ArchiveCorruptionError(
-                    f"CRC mismatch in record {len(payloads)} "
-                    f"at byte {offset} of {self.path}"
-                )
-            payloads.append(payload)
-            offset += _FRAME_HEADER_BYTES + length
-        torn_bytes = len(data) - offset
+            position = min(start, max(len(self.offsets) - 1, 0))
+            offset = self.offsets[position] if self.offsets else len(self.MAGIC)
+            handle.seek(offset)
+            while True:
+                header = handle.read(_FRAME_HEADER_BYTES)
+                if len(header) < _FRAME_HEADER_BYTES:
+                    break  # the end, or torn: not even a whole frame header
+                length = int.from_bytes(header[:4], "big")
+                if length > _MAX_RECORD_BYTES:
+                    raise ArchiveCorruptionError(
+                        f"record at byte {offset} claims {length} bytes "
+                        f"(corrupted length field)"
+                    )
+                payload = handle.read(length)
+                if len(payload) < length:
+                    break  # torn: payload incomplete
+                if zlib.crc32(payload) != int.from_bytes(header[4:], "big"):
+                    raise ArchiveCorruptionError(
+                        f"CRC mismatch in record {position} "
+                        f"at byte {offset} of {self.path}"
+                    )
+                self._index(position, offset, length)
+                if position >= start:
+                    yield payload
+                position += 1
+                offset += _FRAME_HEADER_BYTES + length
+            torn_bytes = handle.seek(0, os.SEEK_END) - offset
         if torn_bytes and repair:
-            with self.path.open("rb+") as handle:
-                handle.truncate(offset)
-                handle.flush()
-                os.fsync(handle.fileno())
+            with self.path.open("rb+") as repaired:
+                repaired.truncate(offset)
+                repaired.flush()
+                os.fsync(repaired.fileno())
             obs.inc("storage.torn_tail_truncations")
             obs.inc("storage.torn_tail_bytes_dropped", torn_bytes)
-        return payloads, torn_bytes
-
-
-@dataclass(slots=True)
-class ArchiveEntry:
-    """One certified block as persisted: everything recovery needs to
-    rebuild the CI's untrusted state without re-executing the block."""
-
-    block: Block
-    certificate: Certificate | None
-    index_certificates: dict[str, Certificate] = field(default_factory=dict)
-    index_roots: dict[str, bytes] = field(default_factory=dict)
-    write_set: dict[bytes, bytes | None] = field(default_factory=dict)
+        return torn_bytes
 
 
 @dataclass(slots=True)
 class ArchiveContents:
-    """Everything :meth:`ChainArchive.load` recovered from disk."""
+    """One :meth:`ChainArchive.stream` pass: the head record's sealed
+    key, then the certified blocks in height order (a list after
+    :meth:`ChainArchive.load`); ``torn_bytes_dropped`` is set when the
+    pass reaches the end of the WAL."""
 
     sealed_key: bytes
-    entries: list[ArchiveEntry]
+    entries: Iterable[CertifiedBlock]
     torn_bytes_dropped: int = 0
 
 
@@ -219,34 +237,26 @@ class ChainArchive:
         head = {"kind": "head", "format": 2, "sealed_key": sealed_key.hex()}
         self.wal.create((self._dump(head),))
 
-    def append_record(
-        self,
-        block: Block,
-        certificate: Certificate | None,
-        *,
-        index_certificates: dict[str, Certificate],
-        index_roots: dict[str, bytes],
-        write_set: dict[bytes, bytes | None],
-    ) -> None:
+    def append_record(self, certified: CertifiedBlock) -> None:
         """Durably append one fully-described certified block."""
         record = {
             "kind": "block",
-            "block": encode_block(block).decode("utf-8"),
+            "block": encode_block(certified.block).decode("utf-8"),
             "certificate": (
-                certificate.encode().decode("utf-8")
-                if certificate is not None
+                certified.certificate.encode().decode("utf-8")
+                if certified.certificate is not None
                 else None
             ),
             "index_certificates": {
                 name: cert.encode().decode("utf-8")
-                for name, cert in index_certificates.items()
+                for name, cert in certified.index_certificates.items()
             },
             "index_roots": {
-                name: root.hex() for name, root in index_roots.items()
+                name: root.hex() for name, root in certified.index_roots.items()
             },
             "write_set": {
                 key.hex(): (value.hex() if value is not None else None)
-                for key, value in write_set.items()
+                for key, value in certified.write_set.items()
             },
         }
         self.wal.append(self._dump(record))
@@ -273,20 +283,17 @@ class ChainArchive:
         tampering or media corruption — surfaced as
         :class:`ArchiveCorruptionError`, never silently ignored.
         """
-        sidecar = WriteAheadLog(self.checkpoint_path)
         try:
-            payloads, torn = sidecar.read(repair=False)
-        except ArchiveFormatError as exc:
-            if self.checkpoint_path.exists():
-                raise ArchiveCorruptionError(
-                    f"checkpoint sidecar {self.checkpoint_path} is malformed"
-                ) from exc
+            data = self.checkpoint_path.read_bytes()
+        except FileNotFoundError:
             return None
-        if torn or len(payloads) != 1:
+        # The sidecar is the magic and exactly one intact frame.
+        payload = data[len(WriteAheadLog.MAGIC) + _FRAME_HEADER_BYTES :]
+        if data != WriteAheadLog.MAGIC + _frame(payload):
             raise ArchiveCorruptionError(
                 f"checkpoint sidecar {self.checkpoint_path} is malformed"
             )
-        record = self._parse(payloads[0])
+        record = self._parse(payload)
         if record.get("kind") != "checkpoint":
             raise ArchiveCorruptionError("checkpoint sidecar has wrong record kind")
         try:
@@ -296,60 +303,49 @@ class ChainArchive:
                 f"checkpoint sidecar fields malformed: {exc}"
             ) from exc
 
-    def load(self) -> ArchiveContents:
-        """Read and structurally validate the whole archive.
+    def stream(self) -> ArchiveContents:
+        """One forward pass over the archive, a record at a time.
 
         Enforces the record-stream contract — head record first,
         exactly once; block records at consecutive heights from 1 —
-        and repairs a torn tail by truncation.  Raises typed
-        :class:`~repro.errors.StorageError` subclasses on violations
-        (never a bare ``JSONDecodeError``).
+        as it goes, and truncates a torn tail when the pass reaches it.
+        Raises typed :class:`~repro.errors.StorageError` subclasses on
+        violations (never a bare ``JSONDecodeError``).
         """
-        payloads, torn_bytes = self.wal.read(repair=True)
-        if not payloads:
-            raise ArchiveFormatError("archive has no head record")
-        sealed_key: bytes | None = None
-        entries: list[ArchiveEntry] = []
-        for position, payload in enumerate(payloads):
-            record = self._parse(payload)
-            kind = record.get("kind")
-            if kind == "head":
-                if position != 0:
-                    raise ArchiveFormatError(
-                        "head record must be first"
-                        if sealed_key is None
-                        else "duplicate head record"
-                    )
+        records = self.wal.records()
+        head = self._parse(next(records, b"{}"))  # an empty WAL: no kind
+        if head.get("kind") != "head":
+            raise ArchiveFormatError("archive has no head record first")
+        try:
+            sealed_key = bytes.fromhex(head["sealed_key"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ArchiveCorruptionError(f"head record malformed: {exc}") from exc
+
+        def entries() -> Iterator[CertifiedBlock]:
+            for height in count(1):
                 try:
-                    sealed_key = bytes.fromhex(record["sealed_key"])
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise ArchiveCorruptionError(
-                        f"head record malformed: {exc}"
-                    ) from exc
-            elif kind == "block":
-                if sealed_key is None:
-                    raise ArchiveFormatError(
-                        "archive does not start with its head record"
-                    )
-                entry = self._decode_block_record(record)
-                expected = len(entries) + 1
-                if entry.block.header.height != expected:
-                    raise ArchiveFormatError(
-                        f"block record at height {entry.block.header.height} "
-                        f"where {expected} was expected"
-                    )
-                entries.append(entry)
-            else:
-                raise ArchiveFormatError(
-                    f"unknown archive record kind {kind!r}"
-                )
-        if sealed_key is None:
-            raise ArchiveFormatError("archive has no head record")
-        return ArchiveContents(
-            sealed_key=sealed_key,
-            entries=entries,
-            torn_bytes_dropped=torn_bytes,
-        )
+                    payload = next(records)
+                except StopIteration as done:
+                    contents.torn_bytes_dropped = done.value
+                    return
+                yield self._decode_record(self._parse(payload), height)
+
+        contents = ArchiveContents(sealed_key, entries())
+        return contents
+
+    def entries_from(self, height: int) -> Iterator[CertifiedBlock]:
+        """The certified blocks from ``height`` on, read (without
+        repair) from the WAL frame indexed for that height."""
+        records = self.wal.records(repair=False, start=height)
+        for height, payload in enumerate(records, height):
+            yield self._decode_record(self._parse(payload), height)
+
+    def load(self) -> ArchiveContents:
+        """Read and structurally validate the whole archive: one
+        :meth:`stream` pass, its entries kept as a list."""
+        contents = self.stream()
+        contents.entries = list(contents.entries)
+        return contents
 
     # -- internals ----------------------------------------------------------
 
@@ -370,12 +366,18 @@ class ChainArchive:
         return record
 
     @staticmethod
-    def _decode_block_record(record: dict) -> ArchiveEntry:
+    def _decode_record(record: dict, height: int) -> CertifiedBlock:
+        """The certified block a record past the head holds, at ``height``."""
+        kind = record.get("kind")
+        if kind == "head":
+            raise ArchiveFormatError("duplicate head record")
+        if kind != "block":
+            raise ArchiveFormatError(f"unknown archive record kind {kind!r}")
         # A CRC-valid record is still untrusted bytes: whatever a
         # mistyped field makes the decoders raise -- their own taxonomy
         # errors included -- is archive corruption.
         try:
-            return ArchiveEntry(
+            entry = CertifiedBlock(
                 block=decode_block(record["block"].encode("utf-8")),
                 certificate=(
                     Certificate.decode(record["certificate"].encode("utf-8"))
@@ -401,3 +403,9 @@ class ChainArchive:
             raise ArchiveCorruptionError(
                 f"block record malformed: {exc}"
             ) from exc
+        if entry.block.header.height != height:
+            raise ArchiveFormatError(
+                f"block record at height {entry.block.header.height} "
+                f"where {height} was expected"
+            )
+        return entry

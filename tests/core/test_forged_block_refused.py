@@ -73,7 +73,7 @@ from repro.chain.node import FullNode
 from repro.chain.transaction import Transaction
 from repro.core import recovery
 from repro.core.enclave_program import DCertEnclaveProgram
-from repro.core.issuer import CertificateIssuer, IssuerService
+from repro.core.issuer import CertificateIssuer, CertifiedBlock, IssuerService
 from repro.core.recovery import DurableIssuer, recover_issuer
 from repro.crypto import Signature, generate_keypair, sign
 from repro.errors import BlockValidationError, CertificateError
@@ -284,9 +284,7 @@ class World:
         the issuer ``recover_issuer`` builds becomes ``self.issuer`` —
         before the refused replay it was where the old one still is."""
         self.archive.path.write_bytes(self.wal_bytes)
-        self.archive.append_record(
-            block, None, index_certificates={}, index_roots={}, write_set={}
-        )
+        self.archive.append_record(CertifiedBlock(block=block, certificate=None))
         self.tampered_wal_size = self.archive.path.stat().st_size
         launched = []
 

@@ -157,9 +157,9 @@ def test_certify_range_writes_one_block_record_per_block(tmp_path):
     for block in blocks:
         direct.process_block(block)
 
-    payloads, torn = served.archive.wal.read(repair=False)
-    assert torn == 0
-    kinds = [json.loads(payload)["kind"] for payload in payloads]
+    assert served.archive.load().torn_bytes_dropped == 0
+    records = served.archive.wal.records(repair=False)
+    kinds = [json.loads(payload)["kind"] for payload in records]
     assert kinds == ["head"] + ["block"] * len(blocks)
     assert served.archive.path.read_bytes() == direct.archive.path.read_bytes()
     assert (

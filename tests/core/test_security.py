@@ -199,8 +199,7 @@ def test_sp_cannot_serve_stale_index_root(certified_setup, client):
     for block in certified_setup["chain"].blocks[1:-2]:
         result = node.validate_block(block)
         stale.ingest_block(block, result.write_set)
-        node.state.apply_writes(result.write_set)
-        node.blocks.append(block)
+        node.commit(block, result.write_set)
     answer = stale.query_history("k1", 1, 10)
     assert not verify_history(client, "history", answer)
 

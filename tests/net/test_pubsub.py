@@ -351,6 +351,23 @@ def test_hub_restart_resumes_the_sequence(chain):
     assert hub2.subscribers["c1"].acked_seq == 3
 
 
+
+def test_attach_history_counts_announcements_not_heights(chain):
+    # Blocks certified under the augmented scheme alone take a height but
+    # no announcement; a hub attached afterwards still retains the
+    # newest history_limit announcements, found below them.
+    w = World(chain, clients=())
+    for block in chain.blocks[1:5]:
+        w.issuer.process_block(block, schemes=("hierarchical", "augmented"))
+    for block in chain.blocks[5:9]:
+        w.issuer.process_block(block, schemes=("augmented",))
+    hub2 = SubscriptionHub(w.bus, "hub2", history_limit=3)
+    hub2.attach(w.issuer, announce_existing=True)
+    assert hub2.seq == 8
+    reply = hub2._sync_range(1)
+    assert [a.seq for a in reply.announcements] == [2, 3, 4]
+
+
 # -- construction ------------------------------------------------------------
 
 

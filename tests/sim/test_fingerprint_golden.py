@@ -15,6 +15,7 @@ import signal
 
 import pytest
 
+from repro.core import issuer
 from repro.sim import run_sim
 
 pytestmark = pytest.mark.sim
@@ -34,6 +35,18 @@ TERMINATION_BOUND_S = 60
 
 @pytest.mark.parametrize("profile", sorted(GOLDEN))
 def test_golden_fingerprint(profile):
+    result = run_sim(2026, 120, profile=profile)
+    assert result.ok, result.violation
+    assert result.fingerprint == GOLDEN[profile]
+
+
+@pytest.mark.parametrize("profile", sorted(GOLDEN))
+def test_golden_fingerprint_with_a_one_block_history_window(profile, monkeypatch):
+    """The issuer's history window is memory, not behaviour: with every
+    certified block but the newest read back from the WAL (hub remounts,
+    ``certify_range`` resubmissions, restarts, every invariant) the run
+    is the same run."""
+    monkeypatch.setattr(issuer, "HISTORY_WINDOW", 1)
     result = run_sim(2026, 120, profile=profile)
     assert result.ok, result.violation
     assert result.fingerprint == GOLDEN[profile]

@@ -135,6 +135,22 @@ def test_wal_consistency_rejects_reissued_bytes(world, suite):
     assert _violation(suite).name == "wal-consistent"
 
 
+
+def test_wal_consistency_rejects_an_edited_entry_the_issuer_holds(world, suite):
+    """Between restarts every height the issuer holds in memory is
+    re-checked, not only the heights issued since the last check."""
+    held = world.issuer.certified
+    first, second = held[0], held[1]
+    saved = first.certificate
+    first.certificate = second.certificate
+    suite._certified_seen -= 1  # as if a block was issued since
+    try:
+        violation = _violation(suite)
+        assert violation.name == "wal-consistent"
+        assert "height 1" in violation.detail
+    finally:
+        first.certificate = saved
+
 def test_wal_consistency_rejects_a_new_signing_key(world, suite):
     """A restarted issuer that signs under a different ``pk_enc`` (its
     sealed key was not the one recovered) violates wal-consistent."""

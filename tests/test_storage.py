@@ -6,7 +6,7 @@ import pytest
 
 from repro.chain.block import decode_block, encode_block
 from repro.chain.genesis import make_genesis
-from repro.core.issuer import CertificateIssuer
+from repro.core.issuer import CertificateIssuer, CertifiedBlock
 from repro.errors import (
     ArchiveCorruptionError,
     ArchiveFormatError,
@@ -22,7 +22,7 @@ from tests.conftest import fresh_vm
 
 def read_payloads(path):
     """Every framed payload, without repairing the file."""
-    return WriteAheadLog(path).read(repair=False)[0]
+    return list(WriteAheadLog(path).records(repair=False))
 
 
 def write_payloads(path, payloads):
@@ -67,9 +67,9 @@ def archived_world(kv_chain, tmp_path):
     archive.initialize(issuer.seal_signing_key())
     for block in kv_chain.blocks[1:6]:
         certified = issuer.process_block(block)
+        # The compat form: no index data and no write set persisted.
         archive.append_record(
-            block, certified.certificate,
-            index_certificates={}, index_roots={}, write_set={},
+            CertifiedBlock(block=block, certificate=certified.certificate)
         )
     return {
         "issuer": issuer,
@@ -138,6 +138,116 @@ def test_tampered_block_rejected_on_restore(archived_world, kv_chain):
         )
 
 
+@pytest.fixture()
+def checkpointed_world(kv_chain, tmp_path):
+    """A durable issuer with an index: six blocks archived, a sealed
+    checkpoint at height 4, so recovery walks blocks 1-4 outside the
+    enclave (the prefix) and replays 5-6 through it."""
+    from repro.core.recovery import DurableIssuer
+    from repro.query.indexes import AccountHistoryIndexSpec
+
+    specs = [AccountHistoryIndexSpec(name="history")]
+    ias = AttestationService(seed=b"prefix-ias")
+    platform = SGXPlatform(seed=b"prefix-platform")
+    genesis, state = make_genesis()
+    durable = DurableIssuer.create(
+        ChainArchive(tmp_path / "prefix.wal"), genesis, state, fresh_vm(),
+        kv_chain.pow, index_specs=specs, platform=platform, ias=ias,
+        key_seed=b"prefix-key", checkpoint_interval=4,
+    )
+    for block in kv_chain.blocks[1:7]:
+        durable.process_block(block)
+    assert durable.archive.read_checkpoint()[0] == 4
+
+    def recover():
+        genesis2, state2 = make_genesis()
+        return recover_issuer(
+            durable.archive, genesis2, state2, fresh_vm(), kv_chain.pow,
+            index_specs=specs, platform=platform, ias=ias,
+        )
+
+    assert recover().last_recovery.verified_blocks == 4  # untampered: fine
+    return durable.archive.path, recover
+
+
+def _swap_certificate_field(field, source_position=3):
+    """Replace one field of record 2's block certificate (height 2, in
+    the checkpointed prefix) with the same field of another record's."""
+    def tamper(record, donor):
+        cert = json.loads(record["certificate"])
+        cert[field] = json.loads(donor["certificate"])[field]
+        record["certificate"] = json.dumps(cert, sort_keys=True)
+    return tamper
+
+
+def _swap_index_signature(record, donor):
+    name = "history"
+    cert = json.loads(record["index_certificates"][name])
+    cert["sig"] = json.loads(donor["index_certificates"][name])["sig"]
+    record["index_certificates"][name] = json.dumps(cert, sort_keys=True)
+
+
+def _other_height_certificate(record, donor):
+    record["certificate"] = donor["certificate"]
+
+
+@pytest.mark.parametrize(
+    "tamper, refusal",
+    [
+        (_swap_certificate_field("sig"), "invalid signature"),
+        (_swap_certificate_field("dig"), "different digest"),
+        (_other_height_certificate, "different digest"),
+        (_swap_index_signature, "invalid signature"),
+    ],
+    ids=["block-sig", "block-dig", "other-height", "index-sig"],
+)
+def test_tampered_prefix_certificate_rejected_on_restore(
+    checkpointed_world, tamper, refusal
+):
+    """A certificate archived *before* the checkpoint is never replayed
+    through the enclave, so the prefix walk itself must refuse it."""
+    path, recover = checkpointed_world
+    donor = json.loads(read_payloads(path)[3])
+    edit_record(path, 2, lambda record: tamper(record, donor))
+    with pytest.raises(ArchiveCorruptionError, match=refusal):
+        recover()
+
+
+def _edit_header(field, value):
+    def tamper(record):
+        block = json.loads(record["block"])
+        header = json.loads(block["header"])
+        header[field] = value(header[field])
+        block["header"] = json.dumps(header, sort_keys=True)
+        record["block"] = json.dumps(block, sort_keys=True)
+    return tamper
+
+
+def _drop_transaction(record):
+    block = json.loads(record["block"])
+    block["txs"] = block["txs"][:-1]
+    record["block"] = json.dumps(block, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "position, tamper, refusal",
+    [
+        (2, _edit_header("ts", lambda ts: ts + 1), "different digest"),
+        (4, _edit_header("ts", lambda ts: ts + 1), "different digest"),
+        (3, _edit_header("prev", lambda _: "00" * 32), "does not chain"),
+        (2, _drop_transaction, "tx-root"),
+    ],
+    ids=["header", "header-at-checkpoint", "linkage", "body"],
+)
+def test_tampered_prefix_block_rejected_on_restore(
+    checkpointed_world, position, tamper, refusal
+):
+    path, recover = checkpointed_world
+    edit_record(path, position, tamper)
+    with pytest.raises(ArchiveCorruptionError, match=refusal):
+        recover()
+
+
 def test_restore_on_wrong_platform_fails(archived_world, kv_chain):
     from repro.errors import EnclaveError
 
@@ -166,14 +276,7 @@ def indexed_world(kv_chain, tmp_path):
     archive = ChainArchive(tmp_path / "idx.wal")
     archive.initialize(issuer.seal_signing_key())
     for block in kv_chain.blocks[1:5]:
-        certified = issuer.process_block(block)
-        archive.append_record(
-            block,
-            certified.certificate,
-            index_certificates=certified.index_certificates,
-            index_roots=certified.index_roots,
-            write_set=certified.write_set,
-        )
+        archive.append_record(issuer.process_block(block))
     return {
         "issuer": issuer, "archive": archive, "specs": specs,
         "ias": ias, "platform": platform,
