@@ -5,15 +5,16 @@ The paper's deployment model (Fig. 2) assumes superlight clients reach
 tamper with traffic.  This example wires a Certificate Issuer and two
 SPs onto the simulated bus, then turns the screws:
 
-* Act 1 — the client bootstraps over RPC and queries while 30% of all
-  messages to/from SP1 are dropped: timeouts and bounded-backoff
-  retries cover the loss.
-* Act 2 — a tampering middlebox corrupts SP1's first response: the
+* Act 1 — the client bootstraps over RPC and queries through a
+  gateway while 30% of all messages to/from SP1 are dropped: timeouts
+  and failover cover the loss.
+* Act 2 — a tampering middlebox forges SP1's first query answer: the
   client detects the forgery against its certified index root, counts
-  an integrity failure, and fails over to SP2 for a verified answer.
-* Act 3 — both SPs go dark: after bounded retries against every
-  endpoint the client raises ServiceUnavailableError instead of
-  hanging (or worse, trusting anything).
+  an integrity failure, and the gateway strikes SP1 and fails over to
+  SP2 for a verified answer.
+* Act 3 — both SPs go dark: after a bounded number of dispatches the
+  client raises ServiceUnavailableError instead of hanging (or worse,
+  trusting anything).
 
 Run with:  python examples/faulty_network.py
 """
@@ -21,6 +22,7 @@ Run with:  python examples/faulty_network.py
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from repro.chain import ChainBuilder
 from repro.chain.genesis import make_genesis
@@ -40,10 +42,12 @@ from repro.net import (
     FaultInjector,
     LinkFaults,
     MessageBus,
+    QueryGateway,
     RetryPolicy,
     RpcResponse,
+    wire,
 )
-from repro.query import HistoryQuery, QueryService, QueryServiceProvider
+from repro.query import HistoryQuery, QueryAnswer, QueryService, QueryServiceProvider
 from repro.query.indexes import AccountHistoryIndexSpec
 from repro.sgx.attestation import AttestationService
 
@@ -55,17 +59,25 @@ def fresh_vm() -> VM:
     return vm
 
 
-class CorruptOnce:
-    """A middlebox that tampers with exactly one RPC response."""
+class ForgeOnce:
+    """A middlebox that drops one version from exactly one query answer:
+    a forgery that decodes fine and only root verification can catch."""
 
     def __init__(self) -> None:
         self.fired = False
 
     def __call__(self, message: object, rng: random.Random) -> object:
-        if self.fired or not isinstance(message, RpcResponse):
+        if self.fired or not isinstance(message, RpcResponse) or not message.ok:
+            return message
+        answer = wire.decode(message.payload)
+        if not isinstance(answer, QueryAnswer) or not answer.payload.versions:
             return message
         self.fired = True
-        return message.corrupted(rng)
+        forged = replace(
+            answer,
+            payload=replace(answer.payload, versions=answer.payload.versions[:-1]),
+        )
+        return replace(message, payload=wire.encode(forged))
 
 
 def main() -> None:
@@ -102,13 +114,13 @@ def main() -> None:
 
     bus = MessageBus(default_latency_ms=20.0)
     injector = FaultInjector(seed=11)
-    corrupt_once = CorruptOnce()
-    # Act 1+2 faults: lossy link to SP1, plus a one-shot tamperer on
-    # SP1's responses.
-    injector.set_link("client", "sp1", LinkFaults(drop_rate=0.3))
+    forge_once = ForgeOnce()
+    # Act 1+2 faults: lossy link between the gateway and SP1, plus a
+    # one-shot forger on SP1's answers.
+    injector.set_link("gateway", "sp1", LinkFaults(drop_rate=0.3))
     injector.set_link(
-        "sp1", "client",
-        LinkFaults(drop_rate=0.3, corrupt_rate=1.0, corrupter=corrupt_once),
+        "sp1", "gateway",
+        LinkFaults(drop_rate=0.3, corrupt_rate=1.0, corrupter=forge_once),
     )
     bus.install_faults(injector)
     IssuerService(bus, "ci", issuer)
@@ -122,9 +134,11 @@ def main() -> None:
     client = connect(ClientConfig(
         measurement=measurement, ias_public_key=ias.public_key,
         bus=bus, name="client",
-        issuers=("ci",), providers=("sp1", "sp2"),
-        policy=RetryPolicy(timeout_ms=150.0, max_attempts=3),
-        integrity_retries=1,
+        issuers=("ci",),
+        gateway=QueryGateway(
+            bus, "gateway", ["sp1", "sp2"],
+            policy=RetryPolicy(timeout_ms=150.0, max_attempts=3),
+        ),
     ))
 
     print("\nAct 1: bootstrap over RPC (30% loss on the SP1 links)...")
@@ -139,24 +153,24 @@ def main() -> None:
     )
     answer = client.query(request)
     assert client.client.verify_answer(request, answer)
-    assert corrupt_once.fired, "the tamperer should have struck"
+    assert forge_once.fired, "the tamperer should have struck"
     assert client.integrity_failures >= 1, "tampering must be *detected*"
     print(f"  verified answer: {len(answer.payload.versions)} versions of "
           f"acct1, proof {answer.proof_size_bytes():,} bytes")
     print(f"  integrity failures detected: {client.integrity_failures}, "
-          f"failovers: {client.failovers}, rpc timeouts: {client.rpc.timeouts}")
+          f"gateway failovers: {client.gateway.failovers}, "
+          f"gateway timeouts: {client.gateway.rpc.timeouts}")
 
     print("\nAct 3: both SPs go dark mid-session...")
-    injector.set_link("client", "sp1", LinkFaults(drop_rate=1.0))
-    injector.set_link("sp1", "client", LinkFaults(drop_rate=1.0))
-    injector.set_link("client", "sp2", LinkFaults(drop_rate=1.0))
-    injector.set_link("sp2", "client", LinkFaults(drop_rate=1.0))
+    for sp in ("sp1", "sp2"):
+        injector.set_link("gateway", sp, LinkFaults(drop_rate=1.0))
+        injector.set_link(sp, "gateway", LinkFaults(drop_rate=1.0))
     # The answer that just verified is cached under (request, certified
     # root), so repeating the query is served locally — zero round trips
     # even with every SP unreachable.
-    calls_before = client.rpc.calls
+    calls_before = client.gateway.rpc.calls
     cached = client.query(request)
-    assert cached == answer and client.rpc.calls == calls_before
+    assert cached == answer and client.gateway.rpc.calls == calls_before
     print("  warm cache hit: the verified answer is served locally, 0 RPCs")
     # A query the cache has never verified must fail — with bounded work.
     fresh = HistoryQuery(index="history", account="acct1", t_from=1, t_to=1)
@@ -165,7 +179,7 @@ def main() -> None:
         client.query(fresh)
         raise AssertionError("query should not succeed with every SP dark")
     except ServiceUnavailableError as exc:
-        print(f"  bounded failure after retrying every endpoint: {exc}")
+        print(f"  bounded failure after retrying every replica: {exc}")
         print(f"  gave up after {bus.clock_ms - before_ms:.0f} virtual ms")
 
     print("\nFault injector summary:")

@@ -219,8 +219,8 @@ def cmd_demo_network(args: argparse.Namespace) -> int:
         answer = run.query(0, _history(client))
         print(f"Verified query over RPC: {len(answer.payload.versions)} "
               f"versions of acct1, proof {answer.proof_size_bytes():,} bytes.")
-        print(f"  retries/timeouts: {client.rpc.timeouts}, "
-              f"failovers: {client.failovers}, "
+        print(f"  retries/timeouts: {client.gateway.rpc.timeouts}, "
+              f"failovers: {client.gateway.failovers}, "
               f"integrity failures: {client.integrity_failures}")
 
         print("The miner mines one more block and the CI certifies it...")
@@ -246,7 +246,7 @@ def cmd_demo_fleet(args: argparse.Namespace) -> int:
     def story(run: _Narration) -> int:
         world = run.world
         entry = world.fleet[0]
-        client, gateway, bus = entry.client, entry.gateway, world.bus
+        client, gateway, bus = entry.client, entry.client.gateway, world.bus
         height = client.latest_header.height
         print(f"Remote client adopted the certified tip at height {height}; "
               f"gateway fronts {args.replicas} replicas (round-robin, "
@@ -321,7 +321,7 @@ def cmd_demo_overload(args: argparse.Namespace) -> int:
     def story(run: _Narration) -> int:
         world = run.world
         entry = world.fleet[0]
-        client, gateway, bus = entry.client, entry.gateway, world.bus
+        client, gateway, bus = entry.client, entry.client.gateway, world.bus
         replicas = world.replicas.values()
         print(f"Fleet of {args.replicas} replicas "
               f"({args.service_ms:.0f} ms service time) behind a gateway "
@@ -573,7 +573,7 @@ def _components(world: SimWorld) -> dict:
         client = entry.client
         stats = components[entry.name] = {
             name: getattr(client, name)
-            for name in ("failovers", "integrity_failures", "push_adopted",
+            for name in ("integrity_failures", "push_adopted",
                          "push_rejected", "push_duplicates", "push_gaps",
                          "push_resyncs")
         }
@@ -584,14 +584,14 @@ def _components(world: SimWorld) -> dict:
             stats["cache_hits"] = client.cache.hits
             stats["cache_misses"] = client.cache.misses
             stats["cache_entries"] = len(client.cache)
-        if entry.gateway is not None:
-            stats["gateway"] = {
-                "dispatches": entry.gateway.rpc.calls,
-                "timeouts": entry.gateway.rpc.timeouts,
-                "failovers": entry.gateway.failovers,
-                "switches_verified": entry.gateway.switches,
-                "healthy_replicas": sorted(entry.gateway.healthy_replicas()),
-            }
+        gateway = client.gateway
+        stats["gateway"] = {
+            "dispatches": gateway.rpc.calls,
+            "timeouts": gateway.rpc.timeouts,
+            "failovers": gateway.failovers,
+            "switches_verified": gateway.switches,
+            "healthy_replicas": sorted(gateway.healthy_replicas()),
+        }
     return components
 
 

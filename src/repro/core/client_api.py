@@ -26,7 +26,7 @@ Construction goes through one factory::
     ))
 
 :func:`connect` builds every client shape uniformly — local
-(``bus=None``), remote single-provider, remote gateway-fronted, and
+(``bus=None``), remote tip-only, remote gateway-fronted, and
 subscribing — and is the only way to build a remote one:
 :class:`~repro.core.superlight.RemoteSuperlightClient` takes a
 :class:`ClientConfig` and nothing else.
@@ -103,9 +103,9 @@ class ClientConfig:
     client needs.  ``bus=None`` selects the in-process
     :class:`~repro.core.superlight.SuperlightClient`; with a bus the
     factory builds a :class:`~repro.core.superlight
-    .RemoteSuperlightClient` whose query transport is the ``providers``
-    list, a ``gateway``, or neither (a tip-only client).  ``hub`` names
-    a :class:`~repro.net.pubsub.SubscriptionHub` endpoint for push
+    .RemoteSuperlightClient` that queries through its ``gateway`` (one
+    replica is a fleet of one; none makes a tip-only client).  ``hub``
+    names a :class:`~repro.net.pubsub.SubscriptionHub` endpoint for push
     sync; ``issuer`` is a local in-process issuer the local client can
     subscribe to directly.
     """
@@ -116,11 +116,9 @@ class ClientConfig:
     bus: object | None = None
     name: str = "client"
     issuers: tuple[str, ...] = ()
-    providers: tuple[str, ...] = ()
     gateway: object | None = None
     hub: str | None = None
     policy: object | None = None
-    integrity_retries: int = 2
     cache_capacity: int = 128
     # -- overload resilience (remote modes) --
     #: Serve a previously-verified answer flagged ``stale=True`` when
@@ -137,14 +135,8 @@ class ClientConfig:
     def validate(self) -> None:
         if self.bus is not None and not self.issuers:
             raise ConfigError("a remote client needs at least one issuer")
-        if self.providers and self.gateway is not None:
-            raise ConfigError(
-                "pass providers or a gateway, not both"
-            )
-        if self.bus is None and (self.providers or self.gateway or self.hub):
-            raise ConfigError(
-                "providers/gateway/hub are remote-mode settings; pass a bus"
-            )
+        if self.bus is None and (self.gateway or self.hub):
+            raise ConfigError("gateway/hub are remote-mode settings; pass a bus")
         if self.issuer is not None and (
             self.bus is not None or self.gateway is not None
         ):
@@ -162,7 +154,7 @@ def connect(config: ClientConfig) -> LightClient:
     """Build (and optionally bootstrap + subscribe) a light client.
 
     The canonical entry point: every client shape — local, remote
-    single-provider, remote gateway-fronted, subscribing — comes out of
+    tip-only, remote gateway-fronted, subscribing — comes out of
     this one factory, already wired per ``config``.
     """
     from repro.core.superlight import RemoteSuperlightClient, SuperlightClient

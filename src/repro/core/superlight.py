@@ -41,6 +41,7 @@ from repro.crypto import PublicKey
 from repro.crypto.hashing import Digest
 from repro.errors import (
     CertificateError,
+    ConfigError,
     DeadlineExceededError,
     NetworkError,
     OverloadedError,
@@ -396,30 +397,28 @@ class RemoteSuperlightClient:
     """A superlight client that lives entirely on the network (Fig. 2).
 
     Wraps a :class:`SuperlightClient` behind an RPC client: it
-    bootstraps and syncs certified tips from one or more
+    bootstraps and syncs certified tips from
     :class:`repro.core.issuer.IssuerService` endpoints and runs typed
-    queries against one or more :class:`repro.query.provider.QueryService`
-    endpoints, degrading gracefully:
+    queries through a :class:`repro.net.gateway.QueryGateway` fronting
+    a fleet of :class:`repro.query.provider.QueryService` replicas (one
+    replica is a fleet of one; no gateway makes a tip-only client).
 
-    * per-call timeouts with bounded exponential-backoff retries come
-      from the RPC layer (:class:`repro.net.rpc.RetryPolicy`);
-    * every response is re-verified against the certified roots — a
-      corrupted or forged response is *detected and retried*, never
-      silently accepted;
-    * on repeated timeouts or integrity failures the client fails over
-      to the next endpoint, and raises
-      :class:`~repro.errors.ServiceUnavailableError` only once every
-      endpoint is exhausted (bounded work, no hanging).
+    * Per-call timeouts with bounded exponential-backoff retries come
+      from the RPC layer (:class:`repro.net.rpc.RetryPolicy`).
+    * Every tip and every answer is verified before it is used — a
+      corrupted or forged one is counted in ``integrity_failures`` and
+      never accepted.  Issuers are tried in order, once each; the
+      gateway owns replica health, failover, hedging and strikes, with
+      the client's root re-verification wired in as its
+      ``verify_switch`` hook.
+    * When nothing yields a verifiable reply the client raises
+      :class:`~repro.errors.ServiceUnavailableError` in bounded time.
 
-    Built from a :class:`~repro.core.client_api.ClientConfig` (normally
-    via :func:`~repro.core.client_api.connect`).  Queries can be served
-    two ways: a plain ``providers`` list tried in order, or a
-    :class:`repro.net.gateway.QueryGateway` fronting a replica fleet.
-    With a gateway the client wires its root re-verification in as the
-    gateway's ``verify_switch`` hook, gets the pipelined
-    :meth:`query_many` path, and keeps a :class:`repro.query
-    .answercache.VerifiedAnswerCache` of answers that already verified
-    at the current certified roots (a warm hit costs zero round trips).
+    Answers that already verified at the current certified roots are
+    kept in a :class:`repro.query.answercache.VerifiedAnswerCache` (a
+    warm hit costs zero round trips).  Built from a
+    :class:`~repro.core.client_api.ClientConfig` (normally via
+    :func:`~repro.core.client_api.connect`).
     """
 
     def __init__(self, config) -> None:
@@ -433,7 +432,6 @@ class RemoteSuperlightClient:
         self.rpc = RpcClient(config.bus, config.name, config.policy or RetryPolicy())
         self._wire = wire  # repro.net imports this package: bound late
         self.issuers = list(config.issuers)
-        self.providers = list(config.providers)
         self.gateway = config.gateway
         # -- overload resilience: stale degradation --
         self.degrade_to_stale = config.degrade_to_stale
@@ -445,8 +443,6 @@ class RemoteSuperlightClient:
             if config.cache_capacity
             else None
         )
-        self.integrity_retries = config.integrity_retries
-        self.failovers = 0
         self.integrity_failures = 0
         # -- push stream state (see subscribe()) --
         self.hub = config.hub
@@ -459,50 +455,6 @@ class RemoteSuperlightClient:
         self.push_gaps = 0
         self.push_resyncs = 0
 
-    # -- endpoint failover ----------------------------------------------------
-
-    def _call_with_failover(
-        self, endpoints, method, payload, accept, *, deadline_ms: float = 0.0
-    ):
-        """Call ``method`` (argument already encoded: ``payload``) on each
-        endpoint until one returns a reply ``accept(endpoint, reply)`` takes.
-
-        Per endpoint, an unacceptable reply is retried up to
-        ``integrity_retries`` times (the fault may be transient line
-        corruption) before failing over; a shed, timeout or outage
-        fails over at once.  ``accept`` counts
-        its own integrity failures and raises
-        :class:`~repro.errors.ResponseIntegrityError`.  Raises
-        :class:`~repro.errors.ServiceUnavailableError` once every
-        endpoint is exhausted (bounded work, no hanging).
-        """
-        last_error: Exception | None = None
-        for endpoint in endpoints:
-            for _attempt in range(self.integrity_retries):
-                try:
-                    reply = self.rpc.call(
-                        endpoint, method, payload=payload, deadline_ms=deadline_ms
-                    )
-                except ResponseIntegrityError as exc:
-                    self.integrity_failures += 1
-                    last_error = exc
-                    continue
-                except NetworkError as exc:
-                    if deadline_ms and isinstance(exc, DeadlineExceededError):
-                        raise  # our budget is gone everywhere at once
-                    last_error = exc
-                    break  # shed, down or unreachable: fail over
-                try:
-                    accept(endpoint, reply)
-                except ResponseIntegrityError as exc:
-                    last_error = exc
-                    continue
-                return reply
-            self.failovers += 1
-        raise ServiceUnavailableError(
-            f"no endpoint returned a verifiable reply to {method!r}"
-        ) from last_error
-
     # -- certificate sync ---------------------------------------------------
 
     def bootstrap(self) -> None:
@@ -510,31 +462,33 @@ class RemoteSuperlightClient:
         self.sync()
 
     def sync(self):
-        """Pull the latest certified tip, trying issuers in order.
+        """Pull the latest certified tip, trying each issuer once, in order.
 
-        Returns the adopted :class:`repro.core.issuer.CertifiedTip`.
-        A tip that fails certificate verification counts as an
-        integrity failure (tampered in flight, or a lying CI) and
-        triggers failover, exactly like a timeout.
+        Returns the adopted :class:`repro.core.issuer.CertifiedTip`.  A
+        reply that does not decode or a tip that fails verification
+        (tampered in flight, or a lying CI) counts as an integrity
+        failure and, like a network error, moves on to the next issuer;
+        after the last one, :class:`~repro.errors.ServiceUnavailableError`
+        (the caller's next ``sync`` is the retry).
         """
-        tip = self._call_with_failover(
-            self.issuers, "latest_tip", self._wire.encode(None), self._adopt_polled
-        )
-        self._roots_advanced()
-        return tip
-
-    def _adopt_polled(self, issuer_name: str, tip) -> None:
-        try:
-            if not isinstance(tip, CertifiedTip):
-                raise CertificateError(
-                    f"issuer returned {type(tip).__name__}, not a certified tip"
-                )
-            self.client.adopt(tip)
-        except CertificateError as exc:
-            self.integrity_failures += 1
-            raise ResponseIntegrityError(
-                f"certified tip from {issuer_name!r} failed verification: {exc}"
-            ) from exc
+        last_error: Exception | None = None
+        for issuer in self.issuers:
+            try:
+                tip = self.rpc.call(issuer, "latest_tip")
+                if not isinstance(tip, CertifiedTip):
+                    raise CertificateError(f"{type(tip).__name__} is not a tip")
+                self.client.adopt(tip)
+            except (CertificateError, ResponseIntegrityError) as exc:
+                self.integrity_failures += 1
+                last_error = exc
+            except NetworkError as exc:
+                last_error = exc
+            else:
+                self._roots_advanced()
+                return tip
+        raise ServiceUnavailableError(
+            "no issuer returned a verifiable certified tip"
+        ) from last_error
 
     def _roots_advanced(self) -> None:
         """Housekeeping after adopting a certified tip: sweep cache
@@ -724,44 +678,20 @@ class RemoteSuperlightClient:
     # -- queries ------------------------------------------------------------
 
     def query(self, request, *, deadline_ms: float = 0.0):
-        """Run one typed query, verifying the answer before returning.
-
-        A warm answer-cache hit (same canonical request, same certified
-        root) returns immediately with zero RPC round trips.  Otherwise
-        the request goes to the gateway (a :meth:`query_many` of one:
-        health-aware failover across the fleet, an unverifiable answer
-        striking the replica that gave it) or down the provider list,
-        where per endpoint an unverifiable answer is retried
-        ``integrity_retries`` times (the fault may be transient line
-        corruption) before failing over.  Raises
-        :class:`~repro.errors.ServiceUnavailableError` when no endpoint
-        yields a verifiable answer.
+        """Run one typed query, verifying the answer before returning:
+        a :meth:`query_many` of one.
 
         ``deadline_ms`` (absolute virtual-clock) is propagated down the
         transport, shrinking hop by hop, so replicas refuse work this
         call can no longer use.  When the whole tier sheds — every
-        endpoint overloaded, unavailable, or out of budget — a client
+        replica overloaded, unavailable, or out of budget — a client
         configured with ``degrade_to_stale=True`` serves the last
         *verified* answer for this request as an explicitly-flagged
         :class:`~repro.query.answercache.StaleAnswer` instead of
         raising; correctness is never sacrificed, only freshness.
         """
         try:
-            if self.gateway is not None:
-                return self.query_many([request], deadline_ms=deadline_ms)[0]
-            payload = self._wire.encode(request)
-            cached = self._cache_get(request, payload)
-            if cached is not None:
-                return cached
-            return self._call_with_failover(
-                self.providers,
-                "execute",
-                payload,
-                lambda provider, answer: self._admit(
-                    request, payload, answer, repr(provider)
-                ),
-                deadline_ms=deadline_ms,
-            )
+            return self.query_many([request], deadline_ms=deadline_ms)[0]
         except (
             OverloadedError,
             ServiceUnavailableError,
@@ -787,16 +717,17 @@ class RemoteSuperlightClient:
     def query_many(self, requests, *, deadline_ms: float = 0.0):
         """Run a batch of typed queries, pipelined across the fleet.
 
-        Requires a gateway (the provider-list transport has no
-        pipelined path).  Cache hits are answered locally; the misses
-        are dispatched concurrently, so a fleet of N busy replicas
-        drains them ~N× faster than one.  Every answer is verified
-        before it is returned or cached; an unverifiable one strikes
-        the replica that gave it and the request is re-dispatched
-        inside the gateway's per-item budget.
+        Cache hits (same canonical request, same certified root) are
+        answered locally with zero round trips; the misses are
+        dispatched concurrently through the gateway, so a fleet of N
+        busy replicas drains them ~N× faster than one.  Every answer is
+        verified before it is returned or cached; an unverifiable one
+        strikes the replica that gave it and the request is
+        re-dispatched inside the gateway's per-item budget.  A client
+        without a gateway is tip-only: :class:`~repro.errors.ConfigError`.
         """
         if self.gateway is None:
-            return [self.query(request) for request in requests]
+            raise ConfigError("a tip-only client has no gateway to query through")
         requests = list(requests)
         payloads = [self._wire.encode(request) for request in requests]
         results = [self._cache_get(r, p) for r, p in zip(requests, payloads)]
@@ -809,7 +740,7 @@ class RemoteSuperlightClient:
                 [requests[position] for position in misses],
                 deadline_ms=deadline_ms,
                 accept=lambda miss, answer: self._admit(
-                    requests[misses[miss]], payloads[misses[miss]], answer, "the fleet"
+                    requests[misses[miss]], payloads[misses[miss]], answer
                 ),
                 payloads=[payloads[position] for position in misses],
             )
@@ -819,7 +750,7 @@ class RemoteSuperlightClient:
 
     # -- the verified-answer cache ------------------------------------------
 
-    def _admit(self, request, payload: bytes, answer, source: str):
+    def _admit(self, request, payload: bytes, answer):
         """The one gate between the wire and the caller: ``answer`` is
         returned (and cached) only if it verifies against the certified
         index roots; otherwise it is counted and raised as a
@@ -832,7 +763,7 @@ class RemoteSuperlightClient:
         ):
             self.integrity_failures += 1
             raise ResponseIntegrityError(
-                f"answer from {source} to {type(request).__name__} failed "
+                f"answer to {type(request).__name__} failed "
                 "verification against the certified index roots"
             )
         if self.cache is not None:

@@ -46,7 +46,7 @@ from repro.core.recovery import recover_issuer
 from repro.core.superlight import SuperlightClient
 from repro.net.wire import encode
 
-from .world import KIND_GATEWAY, SimWorld
+from .world import SimWorld
 
 #: The paper's client state budget (Table 4): ~2.97 KB.
 PAPER_STORAGE_BUDGET_BYTES = int(2.97 * 1024)
@@ -218,8 +218,6 @@ class InvariantSuite:
 
     def _check_cache(self) -> None:
         for entry in self.world.fleet:
-            if entry.kind != KIND_GATEWAY:
-                continue
             cache = getattr(entry.client, "cache", None)
             if cache is None:
                 continue
@@ -314,8 +312,7 @@ class InvariantSuite:
         books = [("miner", self.world.miner), ("loadgen", self.world.load)]
         for entry in self.world.fleet:
             books.append((entry.name, entry.client.rpc))
-            if entry.gateway is not None:
-                books.append((f"{entry.name}.gateway", entry.gateway.rpc))
+            books.append((f"{entry.name}.gateway", entry.client.gateway.rpc))
         for name, rpc in books:
             held = len(rpc._responses)
             assert held <= rpc.RESPONSES_LIMIT, (

@@ -364,13 +364,16 @@ def _ev_partition(world: SimWorld, p: dict) -> str:
 
 
 def _fault_link(world: SimWorld, p: dict, drop: float) -> str:
+    """Fault the links between ``peer`` and a client's two endpoints:
+    its own (tips, the hub stream) and its gateway's (queries)."""
     entry = world.pick(p["slot"])
     peers = ("ci",) + world.replica_names
     peer = peers[p["peer"] % len(peers)]
     faults = LinkFaults(drop_rate=drop)
-    world.injector.set_link(entry.name, peer, faults)
-    world.injector.set_link(peer, entry.name, faults)
-    world.faulted_links.add((entry.name, peer))
+    for endpoint in (entry.name, entry.client.gateway.rpc.name):
+        world.injector.set_link(endpoint, peer, faults)
+        world.injector.set_link(peer, endpoint, faults)
+        world.faulted_links.add((endpoint, peer))
     return f"{entry.name}<->{peer} drop={drop}"
 
 

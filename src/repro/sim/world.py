@@ -8,7 +8,8 @@ fronted by an :class:`~repro.core.issuer.IssuerService` under a
 :class:`~repro.net.pubsub.SubscriptionHub` embedded on the same
 endpoint, N busy-worker :class:`~repro.query.provider.QueryService`
 replicas over a shared provider, and a mixed fleet of
-polling / gateway-cached / push-subscribed remote clients.
+polling / stale-degrading / push-subscribed remote clients, each
+querying the replicas through its own gateway.
 
 Everything is derived from fixed seeds: the same
 :class:`SimConfig` builds byte-identical worlds, and the event log
@@ -58,8 +59,8 @@ from repro.sgx.platform import SGXPlatform
 from repro.storage import ChainArchive
 
 #: Client kinds in the mixed fleet.
-KIND_POLL = "poll"      # sync + query straight at the replicas
-KIND_GATEWAY = "gw"     # query through an owned QueryGateway + answer cache
+KIND_POLL = "poll"      # polls the issuer for tips
+KIND_GATEWAY = "gw"     # also degrades to stale and serves query_many
 KIND_PUSH = "push"      # subscribed to the hub, heartbeat-driven
 
 
@@ -92,7 +93,6 @@ class SimClient:
     name: str
     kind: str
     client: object
-    gateway: QueryGateway | None = None
     subscribed: bool = False
 
 
@@ -314,30 +314,24 @@ class SimWorld:
             timeout_ms=300.0, max_attempts=3, backoff_base_ms=25.0,
             jitter=0.1,
         )
-        gateway = None
-        kwargs = dict(
+        gateway = QueryGateway(
+            self.bus, f"gwy{self.spawned}", list(self.replica_names),
+            balancer="round-robin", seed=self.spawned,
+            policy=RetryPolicy(
+                timeout_ms=400.0, max_attempts=2, jitter=0.1
+            ),
+            health=HealthPolicy(failure_threshold=2, probe_base_ms=200.0),
+            breaker=CircuitBreakerPolicy(),
+            hedge=HedgePolicy(),
+        )
+        client = connect(ClientConfig(
             measurement=self.measurement,
             ias_public_key=self.ias.public_key,
             bus=self.bus, name=name, issuers=("ci",), policy=policy,
-        )
-        if kind == KIND_GATEWAY:
-            gateway = QueryGateway(
-                self.bus, f"gwy{self.spawned}", list(self.replica_names),
-                balancer="round-robin", seed=self.spawned,
-                policy=RetryPolicy(
-                    timeout_ms=400.0, max_attempts=2, jitter=0.1
-                ),
-                health=HealthPolicy(failure_threshold=2, probe_base_ms=200.0),
-                breaker=CircuitBreakerPolicy(),
-                hedge=HedgePolicy(),
-            )
-            kwargs.update(gateway=gateway, degrade_to_stale=True)
-        else:
-            kwargs.update(providers=self.replica_names)
-        if kind == KIND_PUSH:
-            kwargs.update(hub="ci")
-        client = connect(ClientConfig(**kwargs))
-        entry = SimClient(name=name, kind=kind, client=client, gateway=gateway)
+            hub="ci" if kind == KIND_PUSH else None,
+            gateway=gateway, degrade_to_stale=kind == KIND_GATEWAY,
+        ))
+        entry = SimClient(name=name, kind=kind, client=client)
         try:
             client.bootstrap()
         except ReproError:

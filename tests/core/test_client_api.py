@@ -13,9 +13,10 @@ from repro.core.superlight import (
     SuperlightClient,
     compute_expected_measurement,
 )
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.crypto import generate_keypair
 from repro.net.bus import MessageBus
+from repro.net.gateway import QueryGateway
 from repro.query.api import (
     AggregateQuery,
     HistoryQuery,
@@ -109,7 +110,7 @@ def test_remote_client_conforms(certified_setup):
         measurement=certified_setup["issuer"].measurement,
         ias_public_key=certified_setup["ias"].public_key,
         bus=bus, name="client",
-        issuers=("ci",), providers=("sp",),
+        issuers=("ci",), gateway=QueryGateway(bus, "gw", ["sp"]),
     ))
     assert isinstance(remote, LightClient)
 
@@ -131,7 +132,7 @@ def test_both_flavors_usable_through_the_protocol(certified_setup, local_client)
         measurement=certified_setup["issuer"].measurement,
         ias_public_key=certified_setup["ias"].public_key,
         bus=bus, name="client",
-        issuers=("ci",), providers=("sp",),
+        issuers=("ci",), gateway=QueryGateway(bus, "gw", ["sp"]),
     ))
     assert storage_of(local_client) == 0
     assert storage_of(remote) == 0
@@ -176,35 +177,41 @@ def test_connect_local_mode(certified_setup):
 
 
 def test_connect_remote_providers(certified_setup):
+    """One service provider is a fleet of one behind a gateway."""
+    bus = MessageBus()
     client = connect(ClientConfig(
         **_anchors(certified_setup),
-        bus=MessageBus(), issuers=("ci",), providers=("sp1", "sp2"),
+        bus=bus, issuers=("ci",), gateway=QueryGateway(bus, "gw", ["sp"]),
     ))
     assert isinstance(client, RemoteSuperlightClient)
-    assert client.providers == ["sp1", "sp2"] and client.gateway is None
+    assert list(client.gateway.replicas) == ["sp"]
 
 
 def test_connect_remote_gateway(certified_setup):
-    from repro.net.gateway import QueryGateway
-
     bus = MessageBus()
     gateway = QueryGateway(bus, "gw", ["sp1", "sp2"])
     client = connect(ClientConfig(
         **_anchors(certified_setup), bus=bus, issuers=("ci",), gateway=gateway,
     ))
     assert isinstance(client, RemoteSuperlightClient)
-    assert client.gateway is gateway and client.providers == []
+    assert client.gateway is gateway
     # The gateway's switch-verification hook is wired to the client.
     assert gateway.verify_switch is not None
 
 
 def test_connect_remote_tip_only(certified_setup):
-    """No providers, no gateway: a certificate-sync-only client."""
+    """No gateway: a certificate-sync-only client, whose queries are
+    refused with one typed error before anything is sent."""
     client = connect(ClientConfig(
         **_anchors(certified_setup), bus=MessageBus(), issuers=("ci",),
     ))
     assert isinstance(client, RemoteSuperlightClient)
-    assert client.providers == [] and client.gateway is None
+    assert client.gateway is None
+    request = HistoryQuery(index="history", account="a", t_from=1, t_to=1)
+    for ask in (lambda: client.query(request), lambda: client.query_many([request])):
+        with pytest.raises(ConfigError, match="tip-only"):
+            ask()
+    assert client.rpc.calls == 0
 
 
 def test_connect_emits_no_deprecation_warning(certified_setup):
@@ -213,18 +220,17 @@ def test_connect_emits_no_deprecation_warning(certified_setup):
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         connect(ClientConfig(
-            **_anchors(certified_setup),
-            bus=MessageBus(), issuers=("ci",), providers=("sp",),
+            **_anchors(certified_setup), bus=MessageBus(), issuers=("ci",),
         ))
 
 
 @pytest.mark.parametrize("overrides", [
     # A remote client with no issuer endpoints cannot sync certificates.
     dict(bus=MessageBus()),
-    # Providers and a gateway are competing query transports.
-    dict(bus=MessageBus(), issuers=("ci",), providers=("sp",), gateway=object()),
+    # A remote client that also names a local in-process issuer.
+    dict(bus=MessageBus(), issuers=("ci",), issuer=object()),
     # Remote-mode settings without a bus are a mis-wiring, not local mode.
-    dict(providers=("sp",)),
+    dict(gateway=object()),
     dict(hub="hub"),
     # subscribe=True needs a push source: a hub (remote) or issuer (local).
     dict(bus=MessageBus(), issuers=("ci",), subscribe=True),
@@ -246,7 +252,7 @@ def test_config_validate_rejects_miswirings(certified_setup, overrides):
     (dict(bus=MessageBus(), issuers=("ci",), subscribe=True), "hub"),
     # Remote-mode settings with no service transport (no bus) point at
     # the missing bus, not at local mode.
-    (dict(providers=("sp",)), "bus"),
+    (dict(gateway=object(), hub="hub"), "bus"),
     (dict(gateway=object()), "bus"),
     (dict(hub="hub"), "bus"),
 ])

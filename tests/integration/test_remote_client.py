@@ -1,12 +1,12 @@
 """End-to-end: a remote superlight client over a faulty network.
 
 The acceptance scenario for the RPC layer: bootstrap and certified
-queries against two Service Providers while the link to SP1 drops 30%
-of messages and a tampering middlebox forges one response.  The forgery
-must be *detected* (root verification), never silently accepted; the
-client fails over and still returns a verified answer.  With every
-provider dark, the client must fail in bounded time with
-ServiceUnavailableError.
+queries through a gateway fronting two Service Providers while the
+link to SP1 drops 30% of messages and a tampering middlebox forges one
+response.  The forgery must be *detected* (root verification), never
+silently accepted; the gateway fails over and the client still returns
+a verified answer.  With every provider dark, the client must fail in
+bounded time with ServiceUnavailableError.
 """
 
 import random
@@ -19,6 +19,7 @@ from repro.chain.genesis import make_genesis
 from repro.chain.transaction import sign_transaction
 from repro.core import (
     CertificateIssuer,
+    CertifiedTip,
     IssuerService,
     ClientConfig,
     compute_expected_measurement,
@@ -28,8 +29,10 @@ from repro.crypto import generate_keypair
 from repro.errors import ServiceUnavailableError
 from repro.net import (
     FaultInjector,
+    HealthPolicy,
     LinkFaults,
     MessageBus,
+    QueryGateway,
     RetryPolicy,
     RpcResponse,
 )
@@ -107,22 +110,30 @@ def world():
     }
 
 
-def make_network(world, *, injector=None, providers=("sp1", "sp2"),
-                 integrity_retries=2):
+#: The gateway's endpoint: the client's queries leave from here.
+GATEWAY = "gateway"
+
+
+def make_network(world, *, injector=None, issuers=("ci",)):
     bus = MessageBus(default_latency_ms=20.0)
     if injector is not None:
         bus.install_faults(injector)
-    IssuerService(bus, "ci", world["issuer"])
-    for name in providers:
+    for name in issuers:
+        IssuerService(bus, name, world["issuer"])
+    for name in ("sp1", "sp2"):
         QueryService(bus, name, world["provider"])
     client = connect(ClientConfig(
         measurement=world["measurement"],
         ias_public_key=world["ias"].public_key,
         bus=bus, name="client",
-        issuers=("ci",), providers=tuple(providers),
+        issuers=tuple(issuers),
         policy=RetryPolicy(timeout_ms=150.0, max_attempts=3,
                            backoff_base_ms=20.0),
-        integrity_retries=integrity_retries,
+        gateway=QueryGateway(
+            bus, GATEWAY, ["sp1", "sp2"],
+            policy=RetryPolicy(timeout_ms=150.0, max_attempts=2,
+                               backoff_base_ms=20.0),
+        ),
     ))
     return bus, client
 
@@ -153,12 +164,12 @@ class ForgeOneAnswer:
 def test_acceptance_lossy_link_plus_forged_response(world):
     injector = FaultInjector(seed=9)
     forge = ForgeOneAnswer()
-    injector.set_link("client", "sp1", LinkFaults(drop_rate=0.3))
+    injector.set_link(GATEWAY, "sp1", LinkFaults(drop_rate=0.3))
     injector.set_link(
-        "sp1", "client",
+        "sp1", GATEWAY,
         LinkFaults(drop_rate=0.3, corrupt_rate=1.0, corrupter=forge),
     )
-    bus, client = make_network(world, injector=injector, integrity_retries=1)
+    bus, client = make_network(world, injector=injector)
 
     client.bootstrap()
     height = world["builder"].height
@@ -170,12 +181,21 @@ def test_acceptance_lossy_link_plus_forged_response(world):
         index="history", account="acct1", t_from=1, t_to=height
     )
     answer = client.query(request)
+    assert len(answer.payload.versions) == 6
+    assert client.client.verify_answer(request, answer)
+    # A lost sp1 reply fails over before the forger sees it: distinct
+    # requests (never a cache hit), a probe interval apart so an ejected
+    # sp1 is probed again, until the forged answer lands.
+    for t_from in range(2, height):
+        if forge.fired:
+            break
+        bus.run_for(HealthPolicy().probe_max_ms)
+        later = replace(request, t_from=t_from)
+        assert client.client.verify_answer(later, client.query(later))
     # The forgery struck and was *detected*, not silently accepted:
     assert forge.fired
     assert client.integrity_failures >= 1
-    assert client.failovers >= 1  # SP2 served the good answer
-    assert len(answer.payload.versions) == 6
-    assert client.client.verify_answer(request, answer)
+    assert client.gateway.failovers >= 1  # SP2 served the good answer
 
 
 def test_all_four_query_types_round_trip_over_rpc(world):
@@ -200,8 +220,8 @@ def test_all_four_query_types_round_trip_over_rpc(world):
 def test_permanent_provider_outage_fails_bounded(world):
     injector = FaultInjector(seed=10)
     for sp in ("sp1", "sp2"):
-        injector.set_link("client", sp, LinkFaults(drop_rate=1.0))
-        injector.set_link(sp, "client", LinkFaults(drop_rate=1.0))
+        injector.set_link(GATEWAY, sp, LinkFaults(drop_rate=1.0))
+        injector.set_link(sp, GATEWAY, LinkFaults(drop_rate=1.0))
     bus, client = make_network(world, injector=injector)
     client.bootstrap()  # the issuer link is clean
 
@@ -209,8 +229,11 @@ def test_permanent_provider_outage_fails_bounded(world):
     request = HistoryQuery(index="history", account="acct1", t_from=1, t_to=2)
     with pytest.raises(ServiceUnavailableError):
         client.query(request)
-    # Bounded: 2 providers x 3 attempts x 150ms (+ backoff), not forever.
-    assert client.rpc.timeouts == 6
+    # Bounded: the gateway's 4 dispatches (2 replicas x 2 strikes to
+    # ejection), each a switch verification of 2 attempts x 150 ms
+    # (+ backoff), not forever.
+    assert client.gateway.rpc.timeouts == 8
+    assert [s.failures for s in client.gateway.replicas.values()] == [2, 2]
     assert bus.clock_ms - before_ms < 2_000.0
 
 
@@ -232,9 +255,9 @@ def test_relentless_forgery_on_every_provider_is_never_accepted(world):
     injector = FaultInjector(seed=12)
     for sp in ("sp1", "sp2"):
         injector.set_link(
-            sp, "client", LinkFaults(corrupt_rate=1.0, corrupter=ForgeAlways())
+            sp, GATEWAY, LinkFaults(corrupt_rate=1.0, corrupter=ForgeAlways())
         )
-    bus, client = make_network(world, injector=injector, integrity_retries=2)
+    bus, client = make_network(world, injector=injector)
     client.bootstrap()
     request = HistoryQuery(
         index="history", account="acct1", t_from=1, t_to=world["builder"].height
@@ -242,3 +265,80 @@ def test_relentless_forgery_on_every_provider_is_never_accepted(world):
     with pytest.raises(ServiceUnavailableError):
         client.query(request)
     assert client.integrity_failures >= 4  # every forgery was detected
+
+
+# -- transient corruption ----------------------------------------------------
+
+
+class ForgeOneTip:
+    """A middlebox that swaps one index root in exactly one certified
+    tip: it decodes fine and only certificate verification catches it."""
+
+    def __init__(self) -> None:
+        self.fired = False
+
+    def __call__(self, message: object, rng: random.Random) -> object:
+        if self.fired or not isinstance(message, RpcResponse) or not message.ok:
+            return message
+        tip = wire.decode(message.payload)
+        if not isinstance(tip, CertifiedTip):
+            return message
+        self.fired = True
+        roots = {name: bytes(32) for name in tip.index_roots}
+        return replace(message, payload=wire.encode(replace(tip, index_roots=roots)))
+
+
+def test_a_transiently_corrupted_answer_is_one_strike_not_an_ejection(world):
+    """sp1 forges only its first answer: the gateway fails over, the
+    client is answered, and sp1 keeps its place in the rotation."""
+    injector = FaultInjector(seed=13)
+    forge = ForgeOneAnswer()
+    injector.set_link("sp1", GATEWAY, LinkFaults(corrupt_rate=1.0, corrupter=forge))
+    bus, client = make_network(world, injector=injector)
+    client.bootstrap()
+    request = HistoryQuery(
+        index="history", account="acct1", t_from=1, t_to=world["builder"].height
+    )
+    assert client.query(request) == world["provider"].execute(request)
+    assert forge.fired
+    assert client.integrity_failures == 1
+    sp1 = client.gateway.replicas["sp1"]
+    assert client.gateway.failovers == 1
+    assert (sp1.failures, sp1.healthy) == (1, True)  # failure_threshold is 2
+    later = replace(request, t_from=2)
+    assert client.query(later) == world["provider"].execute(later)
+    assert client.integrity_failures == 1
+
+
+def test_a_transiently_corrupted_tip_moves_on_to_the_next_issuer(world):
+    injector = FaultInjector(seed=14)
+    forge = ForgeOneTip()
+    injector.set_link("ci1", "client", LinkFaults(corrupt_rate=1.0, corrupter=forge))
+    injector.set_link("ci2", "client", LinkFaults())  # counted, not faulted
+    bus, client = make_network(world, injector=injector, issuers=("ci1", "ci2"))
+    tip = client.sync()
+    assert forge.fired
+    assert tip.header == client.latest_header
+    assert client.latest_header.height == world["builder"].height
+    assert client.integrity_failures == 1
+    # One call per issuer: ci1 is not asked again, ci2 served the tip.
+    replies = injector.summary()
+    assert replies["ci1->client"]["delivered"] == replies["ci2->client"]["delivered"] == 1
+
+
+def test_a_single_issuers_corrupted_tip_fails_that_sync_only(world):
+    """With nowhere else to go the sync raises; the client's state is
+    untouched, and its next sync (the retry) adopts."""
+    injector = FaultInjector(seed=15)
+    forge = ForgeOneTip()
+    injector.set_link("ci", "client", LinkFaults(corrupt_rate=1.0, corrupter=forge))
+    bus, client = make_network(world, injector=injector)
+    before = client.client.to_json()
+    with pytest.raises(ServiceUnavailableError):
+        client.sync()
+    assert forge.fired
+    assert client.integrity_failures == 1
+    assert client.client.to_json() == before
+    client.sync()
+    assert client.latest_header.height == world["builder"].height
+    assert client.integrity_failures == 1

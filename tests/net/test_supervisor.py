@@ -23,7 +23,13 @@ from repro.core import (
 from repro.core.recovery import DurableIssuer, recover_issuer
 from repro.crypto import generate_keypair
 from repro.fault.crashpoints import crash_armed
-from repro.net import MessageBus, RestartPolicy, RetryPolicy, ServiceSupervisor
+from repro.net import (
+    MessageBus,
+    QueryGateway,
+    RestartPolicy,
+    RetryPolicy,
+    ServiceSupervisor,
+)
 from repro.net.rpc import RpcClient
 from repro.query import HistoryQuery, QueryService
 from repro.query.indexes import AccountHistoryIndexSpec
@@ -118,7 +124,7 @@ def make_network(world):
         measurement=world["measurement"],
         ias_public_key=world["ias"].public_key,
         bus=bus, name="client",
-        issuers=("ci",), providers=("sp",),
+        issuers=("ci",), gateway=QueryGateway(bus, "gw", ["sp"]),
         policy=RetryPolicy(
             timeout_ms=150.0, max_attempts=4, backoff_base_ms=20.0
         ),

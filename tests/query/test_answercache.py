@@ -216,23 +216,13 @@ def test_each_cache_method_builds_its_key_once(encoded):
     assert encoded == [req(0)]
 
 
-@pytest.mark.parametrize("transport", ["gateway", "providers"])
-def test_one_query_encodes_its_request_once(fleet, certified_setup, encoded, transport):
+def test_one_query_encodes_its_request_once(fleet, encoded):
     """A miss is one encode on the client (the bytes that key the cache
     lookup, ride in the RPC and key the admission) and one on the server
     (the answer); a warm hit is the one lookup key.  Parent: 3 + 1 and 2."""
     client = fleet["client"]
-    if transport == "providers":
-        client = connect(ClientConfig(
-            measurement=client.config.measurement,
-            ias_public_key=certified_setup["ias"].public_key,
-            bus=client.rpc.bus, name="direct",
-            issuers=("ci",), providers=("sp1", "sp2"),
-        ))
-        client.bootstrap()
-        del encoded[:]
     request = HistoryQuery(
-        index="history", account=f"once-{transport}", t_from=1, t_to=10
+        index="history", account="once-gateway", t_from=1, t_to=10
     )
     cold = client.query(request)
     assert encoded == [request, cold]

@@ -23,9 +23,16 @@ pytestmark = pytest.mark.sim
 #: ``mixed`` re-pinned once at PR 21 (was dedb163e…e0d8975): the crash
 #: list names the surviving path's crashpoints; a certified block is one
 #: WAL record.  ``overload`` draws no crash event and did not move.
+#: Both re-pinned once more (were 777aada1…318ed7 and 0eb84da8…4929e1)
+#: when the provider list went: pollers and push clients query through
+#: a gateway, and link faults also cut a client's gateway endpoint, so
+#: virtual timestamps move.  ``overload``'s outcome lines are unchanged;
+#: ``mixed`` differs in three ``heal`` counts (each fault now names two
+#: links) and one ``overload`` event whose client's faulted link now
+#: reaches its gateway's traffic.
 GOLDEN = {
-    "mixed": "777aada1031bb90754ffcb9c749f4d928ba743feb9cad5cef18e427026318ed7",
-    "overload": "0eb84da81dae2687c674a760e4be358dd4b26d575c5e7a414b3af929be4929e1",
+    "mixed": "af928d677a9d230dacf106181e30e75f672a61c214a153572eb05275634c3206",
+    "overload": "70075f0cfa666851a6e468aa9489cc7c93138cba75e493de6b1351fa2d302414",
 }
 
 #: Generous: the slowest of these takes ~6 s; the old livelock never

@@ -1,0 +1,43 @@
+"""Link faults reach every endpoint a client talks through.
+
+A sim client reaches the issuer and the hub from its own endpoint and
+the replicas from its gateway's.  A ``partition`` or ``lossy_link``
+event must fault both, or a client "cut off" from every replica would
+still be answered through its gateway; ``heal`` must undo both.
+"""
+
+import pytest
+
+from repro.sim import InvariantSuite, SimConfig, SimEvent, SimWorld, apply_event
+from repro.sim.world import KIND_GATEWAY, KIND_POLL, KIND_PUSH
+
+pytestmark = pytest.mark.sim
+
+CONFIG = SimConfig(premine=3, replicas=2, pollers=1, gateway_clients=1,
+                   subscribers=1)
+
+
+@pytest.mark.parametrize("kind", [KIND_POLL, KIND_GATEWAY, KIND_PUSH])
+def test_a_client_partitioned_from_every_replica_is_not_answered(tmp_path, kind):
+    world = SimWorld.build(CONFIG, tmp_path)
+    suite = InvariantSuite(world)
+    slot = next(i for i, entry in enumerate(world.fleet) if entry.kind == kind)
+    entry = world.fleet[slot]
+    gateway = entry.client.gateway
+    query = {"slot": slot, "account": 1, "family": "history", "f1": 0.0, "f2": 1.0}
+    assert " ans:" in apply_event(world, SimEvent("query", query))
+
+    for peer in range(1, 1 + len(world.replicas)):  # peer 0 is the issuer
+        apply_event(world, SimEvent("partition", {"slot": slot, "peer": peer}))
+    # A request never answered before: no cached or stale answer to serve.
+    unseen = {**query, "account": 2}
+    outcome = apply_event(world, SimEvent("query", unseen))
+    assert outcome == f"{entry.name} fail:ServiceUnavailableError"
+    assert gateway.failovers >= 1
+    assert not gateway.healthy_replicas()
+    suite.check(0)
+
+    assert apply_event(world, SimEvent("heal", {})) == f"links={2 * len(world.replicas)}"
+    world.bus.run_for(1_000.0)  # let the ejected replicas' probes come due
+    assert " ans:" in apply_event(world, SimEvent("query", unseen))
+    suite.check(1)

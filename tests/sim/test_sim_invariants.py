@@ -18,7 +18,7 @@ from repro.sim import (
     SimConfig,
     SimWorld,
 )
-from repro.sim.world import KIND_GATEWAY
+from repro.sim.world import KIND_GATEWAY, KIND_POLL, KIND_PUSH
 
 pytestmark = pytest.mark.sim
 
@@ -108,6 +108,20 @@ def test_cache_coherence_rejects_stale_roots(world, suite):
     cache._entries[(b"bogus-request", b"stale-root")] = None
     try:
         assert _violation(suite).name == "cache-coherence"
+    finally:
+        del cache._entries[(b"bogus-request", b"stale-root")]
+
+
+@pytest.mark.parametrize("kind", [KIND_POLL, KIND_PUSH])
+def test_cache_coherence_covers_every_client_kind(world, suite, kind):
+    """Pollers and push clients hold a verified-answer cache too."""
+    entry = next(c for c in world.fleet if c.kind == kind)
+    cache = entry.client.cache
+    cache._entries[(b"bogus-request", b"stale-root")] = None
+    try:
+        violation = _violation(suite)
+        assert violation.name == "cache-coherence"
+        assert entry.name in violation.detail
     finally:
         del cache._entries[(b"bogus-request", b"stale-root")]
 
