@@ -101,9 +101,9 @@ lint:
 # and randomness hygiene (DET01/DET02), verification-before-adoption
 # (VER01), error-taxonomy registration (ERR01), bounded client/network
 # state (BND01), wire-message round-trip coverage (WIRE01), metric
-# naming (OBS01), crash-catalog sync (CAT01).  Fails on any finding
-# not in analysis-baseline.json (kept empty) and on stale baseline
-# entries.  See docs/analysis.md.
+# naming (OBS01), crash-catalog sync (CAT01).  Fails on any finding;
+# a justified inline `# repro: allow[RULE] reason` comment is the only
+# way to accept one.  See docs/analysis.md.
 analyze:
 	PYTHONPATH=src $(PYTHON) -m repro.analysis
 

@@ -109,7 +109,7 @@ def _make_fleet(world, replicas: int, queries: int):
         bus=bus, name="client",
         issuers=("ci",), gateway=gateway,
     ))
-    client.bootstrap()
+    client.sync()
     return bus, client, gateway
 
 

@@ -186,7 +186,7 @@ def test_reconnecting_subscriber_ends_byte_identical_to_fresh_poller():
             measurement=measurement, ias_public_key=ias.public_key,
             bus=bus, name="fresh-poller", issuers=("ci",), bootstrap=True,
         ))
-    assert client.client.to_json() == poller.client.to_json(), (
+    assert client.to_json() == poller.to_json(), (
         "resync converged to different bytes than a fresh poll"
     )
     bench_record("push_reconnect", {

@@ -142,7 +142,7 @@ def main() -> None:
     ))
 
     print("\nAct 1: bootstrap over RPC (30% loss on the SP1 links)...")
-    client.bootstrap()
+    client.sync()
     assert client.latest_header is not None
     print(f"  adopted certified tip at height {client.latest_header.height}, "
           f"storing {client.storage_bytes():,} bytes")
@@ -152,7 +152,7 @@ def main() -> None:
         index="history", account="acct1", t_from=1, t_to=builder.height
     )
     answer = client.query(request)
-    assert client.client.verify_answer(request, answer)
+    assert client.verify_answer(request, answer)
     assert forge_once.fired, "the tamperer should have struck"
     assert client.integrity_failures >= 1, "tampering must be *detected*"
     print(f"  verified answer: {len(answer.payload.versions)} versions of "

@@ -22,8 +22,8 @@ SUP01     ``# repro: allow[...]`` suppressions without justification
 ========  ===========================================================
 
 Run it with ``python -m repro.analysis`` (or ``repro analyze``); see
-``docs/analysis.md`` for the rule catalog, baseline workflow, and the
-inline-suppression contract.
+``docs/analysis.md`` for the rule catalog and the inline-suppression
+contract.
 """
 
 from repro.analysis.findings import (

@@ -1,10 +1,11 @@
 """Findings, suppressions, and their stable identities.
 
 A :class:`Finding` is one rule violation at one source location.  Its
-:meth:`Finding.fingerprint` deliberately ignores the line number: the
-baseline (see :mod:`repro.analysis.baseline`) matches findings by
-``(rule, path, message)`` so an unrelated edit that shifts code down a
-few lines does not churn the baseline file.
+:meth:`Finding.fingerprint` deliberately ignores the line number, so
+two runs' ``--json`` findings compare by ``(rule, path, message)`` even
+when an unrelated edit shifts code down a few lines.  There is no
+baseline of accepted findings: a justified inline suppression is the
+only way to accept one.
 
 Inline suppressions are trailing (or immediately-preceding) comments::
 
@@ -42,7 +43,7 @@ class Finding:
     hint: str = ""
 
     def fingerprint(self) -> str:
-        """Stable identity for baseline matching (line-number free)."""
+        """Stable identity across runs (line-number free)."""
         digest = hashlib.sha256(
             f"{self.rule}|{self.path}|{self.message}".encode("utf-8")
         )

@@ -1,11 +1,12 @@
-"""The analysis runner: discover, parse, check, baseline, report.
+"""The analysis runner: discover, parse, check, report.
 
 ``python -m repro.analysis`` (or ``repro analyze``) walks ``src/`` and
 ``tests/`` — skipping ``fixtures/`` directories, which hold the
 deliberately-violating snippets the analyzer's own tests assert on —
-runs every registered checker, applies inline suppressions and the
-checked-in baseline, and exits non-zero when anything new (or any
-stale baseline entry, or any unjustified suppression) remains.
+runs every registered checker, applies inline suppressions, and exits
+non-zero when any finding (an unjustified suppression included)
+remains.  An inline ``# repro: allow[RULE] reason`` comment is the only
+way to accept a finding.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import sys
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.analysis import baseline as baseline_mod
 from repro.analysis.context import Checker, ModuleContext, Project
 from repro.analysis.contracts import (
     AdoptionChecker,
@@ -137,22 +137,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="repository root the paths are relative to (default: .)",
     )
     parser.add_argument(
-        "--baseline",
-        default=baseline_mod.DEFAULT_BASELINE,
-        help="baseline file of accepted findings (default: "
-        f"{baseline_mod.DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="report every finding, ignoring the baseline",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
-    )
-    parser.add_argument(
         "--json", action="store_true", help="emit findings as JSON"
     )
     parser.add_argument(
@@ -184,46 +168,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         wanted = set(args.rule)
         findings = [f for f in findings if f.rule in wanted]
 
-    baseline_path = root / args.baseline
-    if args.update_baseline:
-        baseline_mod.save(baseline_path, findings)
-        print(
-            f"analysis: baseline rewritten with {len(findings)} "
-            f"finding(s) at {baseline_path}"
-        )
-        return 0
-
-    entries = [] if args.no_baseline else baseline_mod.load(baseline_path)
-    split = baseline_mod.diff(findings, entries)
-
     if args.json:
         print(
             json.dumps(
-                {
-                    "new": [f.as_dict() for f in split.new],
-                    "accepted": [f.as_dict() for f in split.accepted],
-                    "stale_baseline": split.stale,
-                },
+                {"findings": [f.as_dict() for f in findings]},
                 indent=2,
                 sort_keys=True,
             )
         )
     else:
-        for finding in split.new:
+        for finding in findings:
             print(finding.render())
-        for entry in split.stale:
-            print(
-                f"{entry.get('path')}: stale baseline entry "
-                f"{entry.get('rule')} ({entry.get('message')}) — the "
-                "finding no longer exists; remove it from the baseline"
-            )
-        checked = len(split.new) + len(split.accepted)
-        print(
-            f"analysis: {checked} finding(s) — {len(split.new)} new, "
-            f"{len(split.accepted)} baselined, {len(split.stale)} stale "
-            "baseline entr(ies)"
-        )
-    return 1 if split.new or split.stale else 0
+        print(f"analysis: {len(findings)} finding(s)")
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

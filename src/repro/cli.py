@@ -469,12 +469,12 @@ def cmd_demo_crash(args: argparse.Namespace) -> int:
 
         request = _history(client)
         answer = run.query(0, request)
-        ok = client.client.verify_answer(request, answer)
+        ok = client.verify_answer(request, answer)
         print(f"\nClient synced to height {client.latest_header.height} and "
               f"verified a history query ({len(answer.payload.versions)} "
               f"versions of acct1): {ok}")
         print(f"  attestation reports verified in total: "
-              f"{len(client.client._verified_reports)} (no re-attestation)")
+              f"{len(client._verified_reports)} (no re-attestation)")
         return 0 if (fired and ok and same_key and not supervisor.gave_up) else 1
 
     print(f"Mining {args.blocks} blocks; durably certifying the first "
@@ -580,10 +580,9 @@ def _components(world: SimWorld) -> dict:
         stats["rpc_calls"] = client.rpc.calls
         stats["rpc_timeouts"] = client.rpc.timeouts
         stats["storage_bytes"] = client.storage_bytes()
-        if client.cache is not None:
-            stats["cache_hits"] = client.cache.hits
-            stats["cache_misses"] = client.cache.misses
-            stats["cache_entries"] = len(client.cache)
+        stats["cache_hits"] = client.cache.hits
+        stats["cache_misses"] = client.cache.misses
+        stats["cache_entries"] = len(client.cache)
         gateway = client.gateway
         stats["gateway"] = {
             "dispatches": gateway.rpc.calls,
@@ -691,8 +690,8 @@ def _ranged(kind, low, high=math.inf):
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] == "analyze":
-        # The analyzer owns its argument surface (--json, --baseline,
-        # --rule ...); hand everything after the subcommand straight to
+        # The analyzer owns its argument surface (--json, --rule,
+        # --root ...); hand everything after the subcommand straight to
         # it rather than mirroring each flag here.
         from repro.analysis import main as analysis_main
 

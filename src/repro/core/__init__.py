@@ -11,18 +11,15 @@
   (Alg. 4) and hierarchical (Alg. 5) entry points.
 * :mod:`issuer` — the CI's outside-enclave side: ``gen_cert`` (Alg. 1),
   the index-certification drivers, and the networked ``IssuerService``.
-* :mod:`superlight` — the superlight client: ``validate_chain``
-  (Alg. 3) and verifiable-query result checking, locally
-  (``SuperlightClient``) or over RPC with failover
-  (``RemoteSuperlightClient``).
-* :mod:`client_api` — the :class:`LightClient` protocol both client
-  flavors implement (one verification + streaming surface, two
-  transports), plus :class:`ClientConfig` and the :func:`connect`
+* :mod:`superlight` — the superlight client (``SuperlightClient``):
+  ``validate_chain`` (Alg. 3) and verifiable-query result checking,
+  in-process or over RPC.
+* :mod:`client_api` — :class:`ClientConfig` and the :func:`connect`
   factory — the canonical way to build any client shape.
 """
 
 from repro.core.certificate import Certificate
-from repro.core.client_api import ClientConfig, LightClient, connect
+from repro.core.client_api import ClientConfig, connect
 from repro.core.digest import block_digest, index_digest
 from repro.core.enclave_program import DCertEnclaveProgram
 from repro.core.issuer import CertificateIssuer, CertifiedTip, IssuerService
@@ -33,11 +30,7 @@ from repro.core.recovery import (
     recover_issuer,
 )
 from repro.core.statesync import StateSnapshot, bootstrap_full_node, export_snapshot
-from repro.core.superlight import (
-    RemoteSuperlightClient,
-    SuperlightClient,
-    compute_expected_measurement,
-)
+from repro.core.superlight import SuperlightClient, compute_expected_measurement
 from repro.core.updateproof import UpdateProof
 
 __all__ = [
@@ -49,9 +42,7 @@ __all__ = [
     "DurableIssuer",
     "IssuerCheckpoint",
     "IssuerService",
-    "LightClient",
     "RecoveryReport",
-    "RemoteSuperlightClient",
     "StateSnapshot",
     "SuperlightClient",
     "UpdateProof",

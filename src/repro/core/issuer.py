@@ -61,13 +61,6 @@ def make_maintained_index(spec: AuthenticatedIndexSpec):
     return family.index(spec)
 
 
-def unhook(source: object, hook: Callable) -> None:
-    """Remove ``hook`` from ``source.on_certified`` (a subscriber's
-    detach; a hook that is not there is a no-op)."""
-    if hook in getattr(source, "on_certified", ()):
-        source.on_certified.remove(hook)
-
-
 @dataclass(slots=True)
 class CertifiedBlock:
     """Everything the CI broadcasts for one block."""
@@ -226,6 +219,12 @@ class CertificateIssuer:
         #: The subscription hub (repro.net.pubsub) attaches here; the
         #: hook also fires through DurableIssuer's delegation.
         self.on_certified: list[Callable[[CertifiedBlock], object]] = []
+
+    def unhook(self, hook: Callable) -> None:
+        """Remove ``hook`` from :attr:`on_certified` (a subscriber's
+        detach; a hook that is not there is a no-op)."""
+        if hook in self.on_certified:
+            self.on_certified.remove(hook)
 
     # -- Alg. 1: gen_cert ------------------------------------------------------
 

@@ -10,17 +10,15 @@ The same client verifies query results: it tracks the latest certified
 root of each authenticated index (via index certificates) and checks
 the SP's proofs against those roots.
 
-The module is a pure core plus two shells.  The core is
+The module is a pure core plus one shell.  The core is
 :class:`ClientState` (what a client holds) and :func:`adopt_bundle`
 (the only function that builds a new one): it verifies *every*
 certificate in a tip bundle and only then returns the next state — no
-I/O, no clock, no metrics.  :class:`SuperlightClient` is the local
-shell around it (report memo, ``on_tip`` callbacks, metrics, the wallet
-file); :class:`RemoteSuperlightClient` is the network shell (polling,
-the push stream, verified queries).  Every way a tip can reach a client
-— ``validate_chain``, ``validate_index_certificate``, a local issuer
-subscription, ``sync``, a pushed announcement, ``resync``, a restored
-wallet — is one :meth:`SuperlightClient.adopt` call on that core.
+I/O, no clock, no metrics.  :class:`SuperlightClient` is the shell
+around it.  Every way a tip can reach a client — ``validate_chain``,
+``validate_index_certificate``, ``sync``, a pushed announcement,
+``resync``, a restored wallet — is one :meth:`SuperlightClient.adopt`
+call on that core.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from repro.chain.block import BlockHeader
 from repro.core.certificate import Certificate, VerifiedMemo, verify_certificate
 from repro.core.digest import block_digest, index_digest
 from repro.core.enclave_program import DCertEnclaveProgram
-from repro.core.issuer import CertifiedTip, unhook
+from repro.core.issuer import CertifiedTip
 from repro.crypto import PublicKey
 from repro.crypto.hashing import Digest
 from repro.errors import (
@@ -139,7 +137,7 @@ def adopt_bundle(
         raise CertificateError("malformed tip bundle") from exc
 
 
-# -- the local shell -----------------------------------------------------------
+# -- the client ----------------------------------------------------------------
 
 
 class SuperlightClient:
@@ -148,6 +146,19 @@ class SuperlightClient:
     A thin shell over :func:`adopt_bundle`: it holds the current
     :class:`ClientState` and adds what the pure core must not have — the
     verified-report memo, ``on_tip`` callbacks, metrics, the wallet file.
+
+    Given a :class:`~repro.core.client_api.ClientConfig` with a bus
+    (normally via :func:`~repro.core.client_api.connect`) it also lives
+    on the network (Fig. 2): it syncs certified tips from
+    :class:`repro.core.issuer.IssuerService` endpoints, tried in order,
+    once each; follows a :class:`repro.net.pubsub.SubscriptionHub`
+    stream; and queries through a :class:`repro.net.gateway.QueryGateway`
+    (one replica is a fleet of one; no gateway makes a tip-only
+    client), which owns replica health, failover, hedging and strikes.
+    Every tip and answer is verified before it is used — a forged one
+    is counted in ``integrity_failures`` and never accepted — and
+    answers verified at the current roots are kept in a
+    :class:`repro.query.answercache.VerifiedAnswerCache`.
     """
 
     #: Cap on memoised verified attestation reports.  One entry per
@@ -157,21 +168,57 @@ class SuperlightClient:
     #: reports — exactly when an unbounded memo would be a memory hole.
     VERIFIED_REPORTS_LIMIT = 64
 
+    #: Until connected there is no issuer to poll, gateway to query
+    #: through or hub to follow: sync/query/subscribe refuse, typed.
+    issuers: tuple[str, ...] = ()
+    gateway = None
+    hub = None
+
     def __init__(
         self,
         expected_measurement: Digest,
         ias_public_key: PublicKey,
+        config=None,
     ) -> None:
         self.expected_measurement = expected_measurement
         self.ias_public_key = ias_public_key
         self.state = ClientState()
         # Bounds itself: see VERIFIED_REPORTS_LIMIT.
         self._verified_reports = VerifiedMemo(self.VERIFIED_REPORTS_LIMIT)
-        # Streaming surface: tip-adoption callbacks and the issuer
-        # hooks a direct subscription installed (see subscribe()).
         # repro: allow[BND01] one entry per application on_tip registration
         self._tip_callbacks: list = []
-        self._subscriptions: list[tuple[object, object]] = []
+        if config is not None:
+            self._connect(config)
+
+    def _connect(self, config) -> None:
+        """The transport: RPC client, issuers, gateway, answer cache and
+        push-stream state."""
+        from repro.net import wire
+        from repro.net.rpc import RpcClient
+        from repro.query.answercache import VerifiedAnswerCache
+
+        config.validate()
+        self.rpc = RpcClient(config.bus, config.name, config.policy)
+        self._wire = wire  # repro.net imports this package: bound late
+        self.issuers = list(config.issuers)
+        self.gateway = config.gateway
+        # -- overload resilience: stale degradation --
+        self.degrade_to_stale = config.degrade_to_stale
+        self.stale_served = 0
+        if self.gateway is not None and self.gateway.verify_switch is None:
+            self.gateway.verify_switch = self._verify_replica_roots
+        self.cache = VerifiedAnswerCache(config.cache_capacity)
+        self.integrity_failures = 0
+        # -- push stream state (see subscribe()) --
+        self.hub = config.hub
+        self.subscribed = False
+        self._sub_seq = 0  # highest announcement seq verified-or-skipped
+        self._needs_resync = False
+        self.push_adopted = 0
+        self.push_rejected = 0
+        self.push_duplicates = 0
+        self.push_gaps = 0
+        self.push_resyncs = 0
 
     @property
     def latest_header(self) -> BlockHeader | None:
@@ -244,41 +291,12 @@ class SuperlightClient:
         self.adopt(CertifiedTip(header, None, {name: cert}, {name: index_root}))
         return self.state is not before
 
-    # -- the streaming surface (LightClient protocol) -------------------------
-
     def on_tip(self, callback):
         """Register ``callback(header, certificate)`` to fire on every
-        adopted tip.  Returns the callback (decorator-friendly)."""
+        adopted tip — pushed, polled or validated directly.  Returns
+        the callback (decorator-friendly)."""
         self._tip_callbacks.append(callback)
         return callback
-
-    def subscribe(self, source=None) -> None:
-        """Attach directly to a local issuer: every block it certifies
-        from now on is validated and (if it wins chain selection)
-        adopted, exactly as the remote push path does over the wire.
-
-        ``source`` is a :class:`~repro.core.issuer.CertificateIssuer`
-        (or anything else exposing an ``on_certified`` hook list).
-        """
-        if source is None:
-            raise CertificateError(
-                "a local client subscribes directly to an issuer; pass it "
-                "as source="
-            )
-        hooks = getattr(source, "on_certified", None)
-        if hooks is None:
-            raise CertificateError(
-                f"{type(source).__name__} has no on_certified hook"
-            )
-        hook = self.adopt  # a CertifiedBlock is a tip bundle
-        hooks.append(hook)
-        self._subscriptions.append((source, hook))
-
-    def unsubscribe(self) -> None:
-        """Detach from every subscribed issuer (idempotent)."""
-        for source, hook in self._subscriptions:
-            unhook(source, hook)
-        self._subscriptions.clear()
 
     # -- query verification ------------------------------------------------------
 
@@ -389,77 +407,7 @@ class SuperlightClient:
             total += cert.size_bytes() + len(root) + 8  # root + its height
         return total
 
-
-# -- the network shell ---------------------------------------------------------
-
-
-class RemoteSuperlightClient:
-    """A superlight client that lives entirely on the network (Fig. 2).
-
-    Wraps a :class:`SuperlightClient` behind an RPC client: it
-    bootstraps and syncs certified tips from
-    :class:`repro.core.issuer.IssuerService` endpoints and runs typed
-    queries through a :class:`repro.net.gateway.QueryGateway` fronting
-    a fleet of :class:`repro.query.provider.QueryService` replicas (one
-    replica is a fleet of one; no gateway makes a tip-only client).
-
-    * Per-call timeouts with bounded exponential-backoff retries come
-      from the RPC layer (:class:`repro.net.rpc.RetryPolicy`).
-    * Every tip and every answer is verified before it is used — a
-      corrupted or forged one is counted in ``integrity_failures`` and
-      never accepted.  Issuers are tried in order, once each; the
-      gateway owns replica health, failover, hedging and strikes, with
-      the client's root re-verification wired in as its
-      ``verify_switch`` hook.
-    * When nothing yields a verifiable reply the client raises
-      :class:`~repro.errors.ServiceUnavailableError` in bounded time.
-
-    Answers that already verified at the current certified roots are
-    kept in a :class:`repro.query.answercache.VerifiedAnswerCache` (a
-    warm hit costs zero round trips).  Built from a
-    :class:`~repro.core.client_api.ClientConfig` (normally via
-    :func:`~repro.core.client_api.connect`).
-    """
-
-    def __init__(self, config) -> None:
-        from repro.net import wire
-        from repro.net.rpc import RetryPolicy, RpcClient
-        from repro.query.answercache import VerifiedAnswerCache
-
-        config.validate()
-        self.config = config
-        self.client = SuperlightClient(config.measurement, config.ias_public_key)
-        self.rpc = RpcClient(config.bus, config.name, config.policy or RetryPolicy())
-        self._wire = wire  # repro.net imports this package: bound late
-        self.issuers = list(config.issuers)
-        self.gateway = config.gateway
-        # -- overload resilience: stale degradation --
-        self.degrade_to_stale = config.degrade_to_stale
-        self.stale_served = 0
-        if self.gateway is not None and self.gateway.verify_switch is None:
-            self.gateway.verify_switch = self._verify_replica_roots
-        self.cache = (
-            VerifiedAnswerCache(config.cache_capacity)
-            if config.cache_capacity
-            else None
-        )
-        self.integrity_failures = 0
-        # -- push stream state (see subscribe()) --
-        self.hub = config.hub
-        self.subscribed = False
-        self._sub_seq = 0  # highest announcement seq verified-or-skipped
-        self._needs_resync = False
-        self.push_adopted = 0
-        self.push_rejected = 0
-        self.push_duplicates = 0
-        self.push_gaps = 0
-        self.push_resyncs = 0
-
-    # -- certificate sync ---------------------------------------------------
-
-    def bootstrap(self) -> None:
-        """Fetch and adopt a first certified tip (Alg. 3 over RPC)."""
-        self.sync()
+    # -- certificate sync (connected) ------------------------------------------
 
     def sync(self):
         """Pull the latest certified tip, trying each issuer once, in order.
@@ -477,7 +425,7 @@ class RemoteSuperlightClient:
                 tip = self.rpc.call(issuer, "latest_tip")
                 if not isinstance(tip, CertifiedTip):
                     raise CertificateError(f"{type(tip).__name__} is not a tip")
-                self.client.adopt(tip)
+                self.adopt(tip)
             except (CertificateError, ResponseIntegrityError) as exc:
                 self.integrity_failures += 1
                 last_error = exc
@@ -494,23 +442,17 @@ class RemoteSuperlightClient:
         """Housekeeping after adopting a certified tip: sweep cache
         entries verified under superseded roots, and make the gateway
         re-verify replicas against the new roots on the next switch."""
-        if self.cache is not None:
-            self.cache.retain_roots(
-                root for _height, root, _cert in self.client.state.indexes.values()
-            )
+        self.cache.retain_roots(
+            root for _height, root, _cert in self.state.indexes.values()
+        )
         if self.gateway is not None:
             self.gateway.reset_verified()
 
     # -- push sync (the hub stream) -----------------------------------------
 
-    def on_tip(self, callback):
-        """Register ``callback(header, certificate)`` for every adopted
-        tip — pushed or polled.  Returns the callback."""
-        return self.client.on_tip(callback)
-
-    def subscribe(self, source=None) -> None:
+    def subscribe(self, hub: str | None = None) -> None:
         """Subscribe to the configured :class:`~repro.net.pubsub
-        .SubscriptionHub` (or to the endpoint named by ``source``).
+        .SubscriptionHub` (or to the endpoint named ``hub``).
 
         From here on, every block the issuer certifies is *pushed* to
         this client; each announcement is verified with the standard
@@ -525,11 +467,11 @@ class RemoteSuperlightClient:
         """
         from repro.net.pubsub import SubscriptionHub, push_topic
 
-        hub = source if isinstance(source, str) else self.hub
+        hub = hub or self.hub
         if hub is None:
             raise ServiceUnavailableError(
                 "no hub configured: set ClientConfig.hub or pass the "
-                "endpoint name as source="
+                "endpoint name as hub="
             )
         self.hub = hub
         self.rpc.node.on(push_topic(self.rpc.name), self._on_push)
@@ -654,13 +596,13 @@ class RemoteSuperlightClient:
 
     def _adopt_pushed(self, announcement) -> bool:
         """Adopt one stream announcement exactly as a polled tip (the
-        same :meth:`SuperlightClient.adopt`: everything verified before
-        anything moves), plus the push-side housekeeping.  Returns
-        False for a replayed/older tip — verified but not adopted;
-        raises CertificateError on a forgery."""
-        before = self.client.state
-        tip_advanced = self.client.adopt(announcement)
-        if self.client.state is not before:
+        same :meth:`adopt`: everything verified before anything moves),
+        plus the push-side housekeeping.  Returns False for a
+        replayed/older tip — verified but not adopted; raises
+        CertificateError on a forgery."""
+        before = self.state
+        tip_advanced = self.adopt(announcement)
+        if self.state is not before:
             # Index roots can move even when the tip did not (a
             # same-height replay carrying certificates we lacked).
             self._roots_advanced()
@@ -697,22 +639,12 @@ class RemoteSuperlightClient:
             ServiceUnavailableError,
             DeadlineExceededError,
         ):
-            stale = self._stale_answer(request)
+            stale = self.cache.get_stale(request) if self.degrade_to_stale else None
             if stale is None:
                 raise
+            self.stale_served += 1
+            obs.inc("resilience.stale_served")
             return stale
-
-    def _stale_answer(self, request):
-        """The graceful-degradation fallback (None when not enabled or
-        nothing verified is on hand)."""
-        if not self.degrade_to_stale or self.cache is None:
-            return None
-        stale = self.cache.get_stale(request)
-        if stale is None:
-            return None
-        self.stale_served += 1
-        obs.inc("resilience.stale_served")
-        return stale
 
     def query_many(self, requests, *, deadline_ms: float = 0.0):
         """Run a batch of typed queries, pipelined across the fleet.
@@ -759,22 +691,21 @@ class RemoteSuperlightClient:
 
         if not (
             isinstance(answer, QueryAnswer)
-            and self.client.verify_answer(request, answer)
+            and self.verify_answer(request, answer)
         ):
             self.integrity_failures += 1
             raise ResponseIntegrityError(
                 f"answer to {type(request).__name__} failed "
                 "verification against the certified index roots"
             )
-        if self.cache is not None:
-            # Verification passed, so the index's certified entry exists.
-            height, root, _cert = self.client.state.indexes[request.index]
-            self.cache.put(payload, root, answer, height=height)
+        # Verification passed, so the index's certified entry exists.
+        height, root, _cert = self.state.indexes[request.index]
+        self.cache.put(payload, root, answer, height=height)
         return answer
 
     def _cache_get(self, request, payload: bytes):
-        held = self.client.state.indexes.get(getattr(request, "index", None))
-        if self.cache is None or held is None:
+        held = self.state.indexes.get(getattr(request, "index", None))
+        if held is None:
             return None
         return self.cache.get(payload, held[1])
 
@@ -786,31 +717,13 @@ class RemoteSuperlightClient:
         client's certified ones.  (Answers are verified individually
         anyway; this catches a stale or lying replica *before* queries
         are routed at it.)"""
-        for name, (_height, certified, _cert) in self.client.state.indexes.items():
+        for name, (_height, certified, _cert) in self.state.indexes.items():
             served = self.gateway.call_on(replica, "index_root", name)
             if served != certified:
                 raise ResponseIntegrityError(
                     f"replica {replica!r} serves index {name!r} at a root "
                     "that does not match the certified one"
                 )
-
-    # -- delegation (the LightClient surface) -------------------------------
-
-    @property
-    def latest_header(self) -> BlockHeader | None:
-        return self.client.latest_header
-
-    def validate_chain(self, header: BlockHeader, cert: Certificate) -> bool:
-        return self.client.validate_chain(header, cert)
-
-    def verify_answer(self, request, answer) -> bool:
-        return self.client.verify_answer(request, answer)
-
-    def certified_index_root(self, name: str) -> Digest:
-        return self.client.certified_index_root(name)
-
-    def storage_bytes(self) -> int:
-        return self.client.storage_bytes()
 
 
 def compute_expected_measurement(

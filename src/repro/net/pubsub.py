@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 from repro import obs
 from repro.chain.block import BlockHeader
 from repro.core.certificate import Certificate
-from repro.core.issuer import unhook
 from repro.crypto.hashing import Digest
 from repro.errors import ConfigError, ReproError, ServiceUnavailableError, WireError
 from repro.fault.crashpoints import crashpoint
@@ -268,7 +267,7 @@ class SubscriptionHub:
     def detach(self) -> None:
         """Stop publishing for every attached issuer."""
         for issuer, hook in self._attached:
-            unhook(issuer, hook)
+            issuer.unhook(hook)
         self._attached.clear()
 
     def _announce(self, certified: object, seq: int) -> TipAnnouncement:

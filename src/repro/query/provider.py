@@ -117,10 +117,9 @@ class QueryServiceProvider:
 class QueryService:
     """The SP's networked face: serves :meth:`execute` over RPC.
 
-    Register under a service name on the bus; superlight clients reach
-    it through :class:`repro.core.superlight.RemoteSuperlightClient`,
-    either directly or via a :class:`repro.net.gateway.QueryGateway`
-    fronting a fleet of these.  ``service_time_ms`` charges the
+    Register under a service name on the bus; a connected
+    :class:`repro.core.superlight.SuperlightClient` reaches it through
+    a :class:`repro.net.gateway.QueryGateway` fronting a fleet of these.  ``service_time_ms`` charges the
     ``execute`` path through the :class:`~repro.net.rpc.RpcServer`
     busy-worker model so replica count shows up in fleet throughput
     (root lookups stay free); the ``query.execute.*``

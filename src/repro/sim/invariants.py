@@ -151,8 +151,7 @@ class InvariantSuite:
         """Monotone heights; tip *changes* queue for cold verification
         by the no-unverified-adoption checker that runs right after."""
         for entry in self.world.fleet:
-            inner = entry.client.client
-            header = inner.latest_header
+            header = entry.client.latest_header
             if header is None:
                 assert entry.name not in self._tips, (
                     f"{entry.name} lost its adopted tip"
@@ -167,7 +166,7 @@ class InvariantSuite:
                 )
             if previous != current:
                 self._pending_adoptions.append(
-                    (entry.name, header, inner.latest_certificate)
+                    (entry.name, header, entry.client.latest_certificate)
                 )
                 self._tips[entry.name] = current
 
@@ -218,12 +217,9 @@ class InvariantSuite:
 
     def _check_cache(self) -> None:
         for entry in self.world.fleet:
-            cache = getattr(entry.client, "cache", None)
-            if cache is None:
-                continue
-            held = entry.client.client.state.indexes.values()
+            held = entry.client.state.indexes.values()
             roots = {root for _height, root, _cert in held}
-            for (_request_bytes, root) in cache._entries:
+            for (_request_bytes, root) in entry.client.cache._entries:
                 assert root in roots, (
                     f"{entry.name} caches an answer under a root it no "
                     "longer holds certified"
@@ -337,7 +333,7 @@ def _canary_height_cap(suite: InvariantSuite):
 
     def check() -> None:
         for entry in suite.world.fleet:
-            header = entry.client.client.latest_header
+            header = entry.client.latest_header
             height = header.height if header is not None else 0
             assert height <= cap, (
                 f"canary: {entry.name} passed the height cap "

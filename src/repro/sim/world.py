@@ -333,7 +333,7 @@ class SimWorld:
         ))
         entry = SimClient(name=name, kind=kind, client=client)
         try:
-            client.bootstrap()
+            client.sync()
         except ReproError:
             pass  # degraded world; a later sync event adopts the tip
         if kind == KIND_PUSH:

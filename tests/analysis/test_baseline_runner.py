@@ -1,10 +1,10 @@
-"""Baseline diff semantics and the ``python -m repro.analysis`` CLI."""
+"""The ``python -m repro.analysis`` CLI: every finding fails the run
+(there is no baseline file), and findings keep a line-free identity."""
 
 import json
 
 import pytest
 
-from repro.analysis import baseline
 from repro.analysis.findings import Finding
 from repro.analysis.runner import main
 
@@ -13,38 +13,16 @@ def finding(rule="DET01", path="src/repro/x.py", message="m", line=3):
     return Finding(rule=rule, path=path, line=line, message=message)
 
 
-# -- diff semantics -----------------------------------------------------------
-
-
-def test_diff_splits_new_accepted_and_stale():
-    known = finding(message="accepted")
-    fresh = finding(message="fresh")
-    entries = [
-        {"fingerprint": known.fingerprint(), "rule": known.rule},
-        {"fingerprint": "0" * 16, "rule": "BND01", "message": "gone"},
-    ]
-    split = baseline.diff([known, fresh], entries)
-    assert split.accepted == [known]
-    assert split.new == [fresh]
-    assert [e["message"] for e in split.stale] == ["gone"]
+# -- finding identity ---------------------------------------------------------
 
 
 def test_fingerprint_ignores_line_numbers():
-    # Shifting code may not churn the baseline...
+    # Shifting code may not change a finding's identity...
     assert finding(line=3).fingerprint() == finding(line=99).fingerprint()
     # ...but a changed message (or path, or rule) is a new finding.
     assert (
         finding(message="a").fingerprint() != finding(message="b").fingerprint()
     )
-
-
-def test_save_load_round_trip(tmp_path):
-    path = tmp_path / "analysis-baseline.json"
-    baseline.save(path, [finding()])
-    entries = baseline.load(path)
-    assert len(entries) == 1
-    assert entries[0]["fingerprint"] == finding().fingerprint()
-    assert baseline.load(tmp_path / "absent.json") == []
 
 
 # -- CLI behaviour ------------------------------------------------------------
@@ -62,29 +40,21 @@ def test_cli_fails_on_new_findings(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "DET01" in out
-    assert "1 new" in out
-
-
-def test_cli_update_baseline_then_clean_then_stale(tmp_path, capsys):
-    write_violation(tmp_path)
-    assert main(["--root", str(tmp_path), "--update-baseline", "src"]) == 0
-
-    # Baselined: the same finding no longer fails the run.
-    assert main(["--root", str(tmp_path), "src"]) == 0
-    assert "1 baselined" in capsys.readouterr().out
-
-    # Fixing the violation strands the baseline entry: stale, loud.
-    (tmp_path / "src" / "repro" / "net" / "example.py").write_text(
-        "x = 1\n", encoding="utf-8"
-    )
-    assert main(["--root", str(tmp_path), "src"]) == 1
-    assert "stale baseline entry" in capsys.readouterr().out
+    assert "1 finding(s)" in out
 
 
 def test_cli_no_baseline_ignores_the_file(tmp_path, capsys):
+    """A leftover ``analysis-baseline.json`` that lists the finding
+    accepts nothing: the finding still fails the run."""
     write_violation(tmp_path)
-    assert main(["--root", str(tmp_path), "--update-baseline", "src"]) == 0
-    assert main(["--root", str(tmp_path), "--no-baseline", "src"]) == 1
+    (tmp_path / "analysis-baseline.json").write_text(
+        json.dumps({"findings": [
+            {"fingerprint": f.fingerprint(), "rule": f.rule, "path": f.path}
+            for f in (finding(path="src/repro/net/example.py"),)
+        ]}),
+        encoding="utf-8",
+    )
+    assert main(["--root", str(tmp_path), "src"]) == 1
     assert "DET01" in capsys.readouterr().out
 
 
@@ -93,9 +63,8 @@ def test_cli_json_output(tmp_path, capsys):
     code = main(["--root", str(tmp_path), "--json", "src"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 1
-    assert [f["rule"] for f in payload["new"]] == ["DET01"]
-    assert payload["new"][0]["line"] == 3
-    assert payload["stale_baseline"] == []
+    assert [f["rule"] for f in payload["findings"]] == ["DET01"]
+    assert payload["findings"][0]["line"] == 3
 
 
 def test_cli_rule_filter(tmp_path, capsys):

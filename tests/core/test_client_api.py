@@ -1,19 +1,18 @@
-"""The unified LightClient surface: protocol conformance, the
-connect() factory, the streaming surface, and the storage budget."""
+"""The one light client's surface: the connect() factory, config
+validation, answer verification, and the storage budget."""
 
 import pytest
 
 from repro.chain import ChainBuilder
 from repro.chain.genesis import make_genesis
 from repro.chain.transaction import sign_transaction
-from repro.core.client_api import ClientConfig, LightClient, connect
+from repro.core.client_api import ClientConfig, connect
 from repro.core.superlight import (
     ClientState,
-    RemoteSuperlightClient,
     SuperlightClient,
     compute_expected_measurement,
 )
-from repro.errors import ConfigError, ReproError
+from repro.errors import ConfigError, ReproError, ServiceUnavailableError
 from repro.crypto import generate_keypair
 from repro.net.bus import MessageBus
 from repro.net.gateway import QueryGateway
@@ -97,70 +96,6 @@ def four_family_world():
     return provider, client, builder.height
 
 
-# -- protocol conformance ----------------------------------------------------
-
-
-def test_superlight_client_conforms(local_client):
-    assert isinstance(local_client, LightClient)
-
-
-def test_remote_client_conforms(certified_setup):
-    bus = MessageBus()
-    remote = connect(ClientConfig(
-        measurement=certified_setup["issuer"].measurement,
-        ias_public_key=certified_setup["ias"].public_key,
-        bus=bus, name="client",
-        issuers=("ci",), gateway=QueryGateway(bus, "gw", ["sp"]),
-    ))
-    assert isinstance(remote, LightClient)
-
-
-def test_arbitrary_object_does_not_conform():
-    class NotAClient:
-        def storage_bytes(self) -> int:
-            return 0
-
-    assert not isinstance(NotAClient(), LightClient)
-
-
-def test_both_flavors_usable_through_the_protocol(certified_setup, local_client):
-    def storage_of(client: LightClient) -> int:
-        return client.storage_bytes()
-
-    bus = MessageBus()
-    remote = connect(ClientConfig(
-        measurement=certified_setup["issuer"].measurement,
-        ias_public_key=certified_setup["ias"].public_key,
-        bus=bus, name="client",
-        issuers=("ci",), gateway=QueryGateway(bus, "gw", ["sp"]),
-    ))
-    assert storage_of(local_client) == 0
-    assert storage_of(remote) == 0
-
-
-def test_object_missing_streaming_surface_does_not_conform():
-    """The protocol now covers staying at the tip: a poll-only client
-    shape (everything but subscribe/unsubscribe/on_tip) is not a
-    LightClient."""
-
-    class PollOnly:
-        latest_header = None
-
-        def validate_chain(self, header, cert):
-            return False
-
-        def verify_answer(self, request, answer):
-            return False
-
-        def certified_index_root(self, name):
-            raise KeyError(name)
-
-        def storage_bytes(self):
-            return 0
-
-    assert not isinstance(PollOnly(), LightClient)
-
-
 # -- the connect() factory ---------------------------------------------------
 
 
@@ -174,6 +109,16 @@ def _anchors(certified_setup):
 def test_connect_local_mode(certified_setup):
     client = connect(ClientConfig(**_anchors(certified_setup)))
     assert isinstance(client, SuperlightClient)
+    # In-process: no transport is built, and the network half refuses
+    # typed instead of reaching for it.
+    assert not hasattr(client, "rpc") and not hasattr(client, "cache")
+    request = HistoryQuery(index="history", account="a", t_from=1, t_to=1)
+    with pytest.raises(ConfigError, match="tip-only"):
+        client.query(request)
+    with pytest.raises(ServiceUnavailableError):
+        client.sync()
+    with pytest.raises(ServiceUnavailableError, match="no hub"):
+        client.subscribe()
 
 
 def test_connect_remote_providers(certified_setup):
@@ -183,7 +128,7 @@ def test_connect_remote_providers(certified_setup):
         **_anchors(certified_setup),
         bus=bus, issuers=("ci",), gateway=QueryGateway(bus, "gw", ["sp"]),
     ))
-    assert isinstance(client, RemoteSuperlightClient)
+    assert isinstance(client, SuperlightClient)
     assert list(client.gateway.replicas) == ["sp"]
 
 
@@ -193,7 +138,7 @@ def test_connect_remote_gateway(certified_setup):
     client = connect(ClientConfig(
         **_anchors(certified_setup), bus=bus, issuers=("ci",), gateway=gateway,
     ))
-    assert isinstance(client, RemoteSuperlightClient)
+    assert isinstance(client, SuperlightClient)
     assert client.gateway is gateway
     # The gateway's switch-verification hook is wired to the client.
     assert gateway.verify_switch is not None
@@ -205,7 +150,7 @@ def test_connect_remote_tip_only(certified_setup):
     client = connect(ClientConfig(
         **_anchors(certified_setup), bus=MessageBus(), issuers=("ci",),
     ))
-    assert isinstance(client, RemoteSuperlightClient)
+    assert isinstance(client, SuperlightClient)
     assert client.gateway is None
     request = HistoryQuery(index="history", account="a", t_from=1, t_to=1)
     for ask in (lambda: client.query(request), lambda: client.query_many([request])):
@@ -227,12 +172,12 @@ def test_connect_emits_no_deprecation_warning(certified_setup):
 @pytest.mark.parametrize("overrides", [
     # A remote client with no issuer endpoints cannot sync certificates.
     dict(bus=MessageBus()),
-    # A remote client that also names a local in-process issuer.
-    dict(bus=MessageBus(), issuers=("ci",), issuer=object()),
+    # A client with no room for one verified answer cannot degrade.
+    dict(bus=MessageBus(), issuers=("ci",), cache_capacity=0),
     # Remote-mode settings without a bus are a mis-wiring, not local mode.
     dict(gateway=object()),
     dict(hub="hub"),
-    # subscribe=True needs a push source: a hub (remote) or issuer (local).
+    # subscribe=True needs a push source: a hub endpoint.
     dict(bus=MessageBus(), issuers=("ci",), subscribe=True),
     dict(subscribe=True),
 ])
@@ -243,11 +188,12 @@ def test_config_validate_rejects_miswirings(certified_setup, overrides):
 
 
 @pytest.mark.parametrize("overrides,match", [
-    # A remote client (bus/gateway transport) combined with a local
-    # in-process issuer= is two shapes at once.
-    (dict(bus=MessageBus(), issuers=("ci",), issuer=object()), "local-mode"),
-    (dict(bus=MessageBus(), issuers=("ci",), gateway=object(),
-          issuer=object()), "local-mode"),
+    # The answer cache always exists, so its capacity is at least one:
+    # zero would silently disable stale degradation, and a negative
+    # capacity is refused here, typed, not inside the cache.
+    (dict(bus=MessageBus(), issuers=("ci",), degrade_to_stale=True,
+          cache_capacity=0), "cache_capacity"),
+    (dict(cache_capacity=-1), "cache_capacity"),
     # Subscribing remotely without a hub endpoint: the error names it.
     (dict(bus=MessageBus(), issuers=("ci",), subscribe=True), "hub"),
     # Remote-mode settings with no service transport (no bus) point at
@@ -262,73 +208,6 @@ def test_config_validate_names_the_miswiring(certified_setup, overrides,
     config = ClientConfig(**_anchors(certified_setup), **overrides)
     with pytest.raises(ReproError, match=match):
         config.validate()
-
-
-def test_connect_rejects_issuer_with_remote_transport(certified_setup):
-    """connect() refuses to build a client that is simultaneously local
-    (issuer=) and remote (bus/gateway) — nothing half-constructed."""
-    with pytest.raises(ReproError, match="issuer"):
-        connect(ClientConfig(
-            **_anchors(certified_setup),
-            bus=MessageBus(), issuers=("ci",),
-            issuer=certified_setup["issuer"],
-        ))
-
-
-# -- local push subscription (direct issuer callback) ------------------------
-
-
-def _subscription_world():
-    """A tiny fresh chain + issuer a local client can subscribe to."""
-    from repro.core.issuer import CertificateIssuer
-
-    user = generate_keypair(b"client-api-sub")
-    builder = ChainBuilder(difficulty_bits=4, network="client-api-sub")
-    for nonce in range(4):
-        builder.add_block([
-            sign_transaction(
-                user.private, nonce, "kvstore", "put", (f"k{nonce}", f"v{nonce}")
-            )
-        ])
-    genesis, state = make_genesis(network="client-api-sub")
-    ias = AttestationService(seed=b"client-api-sub-ias")
-    issuer = CertificateIssuer(
-        genesis, state, fresh_vm(), builder.pow,
-        index_specs=[], ias=ias, key_seed=b"client-api-sub-enclave",
-    )
-    return builder, issuer, ias
-
-
-def test_local_client_subscribes_directly_to_issuer():
-    builder, issuer, ias = _subscription_world()
-    client = connect(ClientConfig(
-        measurement=issuer.measurement, ias_public_key=ias.public_key,
-        issuer=issuer, subscribe=True,
-    ))
-    seen = []
-    client.on_tip(lambda header, cert: seen.append(header.height))
-    for block in builder.blocks[1:3]:
-        issuer.process_block(block)
-    assert client.latest_header is not None
-    assert client.latest_header.height == 2
-    assert seen == [1, 2]
-    # Unsubscribing stops the feed: later certifications leave the tip.
-    client.unsubscribe()
-    for block in builder.blocks[3:]:
-        issuer.process_block(block)
-    assert client.latest_header.height == 2 and seen == [1, 2]
-    assert issuer.certified[-1].block.header.height == builder.height
-
-
-def test_local_subscribe_requires_an_issuer_source():
-    from repro.errors import CertificateError
-
-    builder, issuer, ias = _subscription_world()
-    client = SuperlightClient(issuer.measurement, ias.public_key)
-    with pytest.raises(CertificateError):
-        client.subscribe()
-    with pytest.raises(CertificateError):
-        client.subscribe(source=object())
 
 
 # -- the unified verification surface ---------------------------------------

@@ -272,8 +272,8 @@ def test_polling_an_unchanged_tip_verifies_nothing(certified_setup, monkeypatch)
     )
     first = remote.sync()
     assert len(verified) == 1 + 3  # the report, then tip + two index certificates
-    state, wallet = remote.client.state, remote.client.to_json()
+    state, wallet = remote.state, remote.to_json()
     del verified[:]
     assert remote.sync() == first
     assert verified == []
-    assert remote.client.state is state and remote.client.to_json() == wallet
+    assert remote.state is state and remote.to_json() == wallet

@@ -92,7 +92,7 @@ def _assert_recovered(world, outcome, twin, point):
     for entry in world.fleet:
         assert entry.client.latest_header.height == tip, entry.name
         assert entry.client.push_rejected == 0, entry.name
-        held = entry.client.client.state.indexes
+        held = entry.client.state.indexes
         assert {name: h for name, (h, _root, _cert) in held.items()} == {
             "history": tip, "keyword": tip,
         }, entry.name

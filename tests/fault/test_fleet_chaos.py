@@ -100,7 +100,7 @@ def make_fleet(fleet_world, *, injector=None, seed=0):
         bus=bus, name="client",
         issuers=("ci",), gateway=gateway,
     ))
-    client.bootstrap()
+    client.sync()
     return bus, client, gateway, services, supervisors
 
 
@@ -127,7 +127,7 @@ def test_crash_sweep_client_always_gets_verified_answer(fleet_world):
                         except ReproError:
                             continue  # typed failure: acceptable
                         assert isinstance(answer, QueryAnswer)
-                        assert client.client.verify_answer(request, answer)
+                        assert client.verify_answer(request, answer)
                 if schedule.fired:
                     fired += 1
                     crashed = [
@@ -170,7 +170,7 @@ def test_dropped_links_sweep(fleet_world):
         )
         for request in REQUESTS:
             answer = client.query(request)
-            assert client.client.verify_answer(request, answer)
+            assert client.verify_answer(request, answer)
 
 
 def test_forged_fleet_answers_detected_never_accepted(fleet_world):
@@ -212,7 +212,7 @@ def test_forged_fleet_answers_detected_never_accepted(fleet_world):
             answer = client.query(request)
         except ReproError:
             continue  # typed failure: acceptable, never a silent forgery
-        assert client.client.verify_answer(request, answer)
+        assert client.verify_answer(request, answer)
         served += 1
     assert served >= 2
     if forge.struck:

@@ -171,7 +171,7 @@ def test_acceptance_lossy_link_plus_forged_response(world):
     )
     bus, client = make_network(world, injector=injector)
 
-    client.bootstrap()
+    client.sync()
     height = world["builder"].height
     assert client.latest_header is not None
     assert client.latest_header.height == height
@@ -182,7 +182,7 @@ def test_acceptance_lossy_link_plus_forged_response(world):
     )
     answer = client.query(request)
     assert len(answer.payload.versions) == 6
-    assert client.client.verify_answer(request, answer)
+    assert client.verify_answer(request, answer)
     # A lost sp1 reply fails over before the forger sees it: distinct
     # requests (never a cache hit), a probe interval apart so an ejected
     # sp1 is probed again, until the forged answer lands.
@@ -191,7 +191,7 @@ def test_acceptance_lossy_link_plus_forged_response(world):
             break
         bus.run_for(HealthPolicy().probe_max_ms)
         later = replace(request, t_from=t_from)
-        assert client.client.verify_answer(later, client.query(later))
+        assert client.verify_answer(later, client.query(later))
     # The forgery struck and was *detected*, not silently accepted:
     assert forge.fired
     assert client.integrity_failures >= 1
@@ -200,7 +200,7 @@ def test_acceptance_lossy_link_plus_forged_response(world):
 
 def test_all_four_query_types_round_trip_over_rpc(world):
     bus, client = make_network(world)
-    client.bootstrap()
+    client.sync()
     height = world["builder"].height
     provider = world["provider"]
 
@@ -212,7 +212,7 @@ def test_all_four_query_types_round_trip_over_rpc(world):
     ]
     for request in requests:
         answer = client.query(request)
-        assert client.client.verify_answer(request, answer)
+        assert client.verify_answer(request, answer)
         # The wire round trip is lossless: identical to a local execute.
         assert answer == provider.execute(request)
 
@@ -223,7 +223,7 @@ def test_permanent_provider_outage_fails_bounded(world):
         injector.set_link(GATEWAY, sp, LinkFaults(drop_rate=1.0))
         injector.set_link(sp, GATEWAY, LinkFaults(drop_rate=1.0))
     bus, client = make_network(world, injector=injector)
-    client.bootstrap()  # the issuer link is clean
+    client.sync()  # the issuer link is clean
 
     before_ms = bus.clock_ms
     request = HistoryQuery(index="history", account="acct1", t_from=1, t_to=2)
@@ -242,7 +242,7 @@ def test_permanent_issuer_outage_fails_bounded(world):
     injector.set_link("client", "ci", LinkFaults(drop_rate=1.0))
     bus, client = make_network(world, injector=injector)
     with pytest.raises(ServiceUnavailableError):
-        client.bootstrap()
+        client.sync()
     assert client.latest_header is None
 
 
@@ -258,7 +258,7 @@ def test_relentless_forgery_on_every_provider_is_never_accepted(world):
             sp, GATEWAY, LinkFaults(corrupt_rate=1.0, corrupter=ForgeAlways())
         )
     bus, client = make_network(world, injector=injector)
-    client.bootstrap()
+    client.sync()
     request = HistoryQuery(
         index="history", account="acct1", t_from=1, t_to=world["builder"].height
     )
@@ -295,7 +295,7 @@ def test_a_transiently_corrupted_answer_is_one_strike_not_an_ejection(world):
     forge = ForgeOneAnswer()
     injector.set_link("sp1", GATEWAY, LinkFaults(corrupt_rate=1.0, corrupter=forge))
     bus, client = make_network(world, injector=injector)
-    client.bootstrap()
+    client.sync()
     request = HistoryQuery(
         index="history", account="acct1", t_from=1, t_to=world["builder"].height
     )
@@ -333,12 +333,12 @@ def test_a_single_issuers_corrupted_tip_fails_that_sync_only(world):
     forge = ForgeOneTip()
     injector.set_link("ci", "client", LinkFaults(corrupt_rate=1.0, corrupter=forge))
     bus, client = make_network(world, injector=injector)
-    before = client.client.to_json()
+    before = client.to_json()
     with pytest.raises(ServiceUnavailableError):
         client.sync()
     assert forge.fired
     assert client.integrity_failures == 1
-    assert client.client.to_json() == before
+    assert client.to_json() == before
     client.sync()
     assert client.latest_header.height == world["builder"].height
     assert client.integrity_failures == 1

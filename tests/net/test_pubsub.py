@@ -95,7 +95,7 @@ def test_push_delivers_and_client_adopts(chain):
     assert client.latest_header is not None
     assert client.latest_header.height == 3
     assert client.push_adopted == 3
-    assert client.client.certified_index_root("history") is not None
+    assert client.certified_index_root("history") is not None
     state = w.hub.subscribers["c1"]
     assert state.acked_seq == 3 and not state.inflight and not state.outbox
 
@@ -344,7 +344,7 @@ def test_hub_restart_resumes_the_sequence(chain):
     assert [a.seq for a in reply.announcements] == [1, 2]
     # The client re-subscribes to the new endpoint and the stream
     # continues seamlessly.
-    client.subscribe(source="hub2")
+    client.subscribe(hub="hub2")
     w.certify(1)
     w.bus.run_until_idle()
     assert client.latest_header.height == 3

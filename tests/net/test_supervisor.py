@@ -165,9 +165,9 @@ def test_crash_mid_certify_range_supervised_restart(
 ):
     world["durable"].process_block(world["chain"].blocks[5])
     bus, service, supervisor, client = make_network(world)
-    client.bootstrap()
+    client.sync()
     assert client.latest_header.height == 5
-    assert len(client.client._verified_reports) == 1
+    assert len(client._verified_reports) == 1
     pk_before = service.issuer.pk_enc.to_bytes()
 
     # A miner submits the last three blocks; the issuer dies mid-call.
@@ -201,8 +201,8 @@ def test_crash_mid_certify_range_supervised_restart(
     assert client.latest_header.height == 8
     request = HistoryQuery(index="history", account="acct1", t_from=1, t_to=8)
     answer = client.query(request)
-    assert client.client.verify_answer(request, answer)
-    assert len(client.client._verified_reports) == 1  # no re-attestation
+    assert client.verify_answer(request, answer)
+    assert len(client._verified_reports) == 1  # no re-attestation
 
 
 def test_certify_range_idempotent_across_crash(world):

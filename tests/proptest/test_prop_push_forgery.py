@@ -18,7 +18,7 @@ assert the client never ends up in a state the forger controls:
   byte-identical to before.
 
 The same forged bundles are then served over the polled path (a lying
-issuer's ``latest_tip``) and handed to a local issuer subscription:
+issuer's ``latest_tip``) and handed to an in-process client's ``adopt``:
 every path adopts through the one ``SuperlightClient.adopt``, so a
 forgery anywhere in the bundle leaves ``to_json()`` byte-identical on
 all of them — never a header at N with index roots at N-1.
@@ -39,7 +39,6 @@ import random
 import pytest
 
 from dataclasses import replace
-from types import SimpleNamespace
 
 from repro.core import Certificate, CertifiedTip, ClientConfig, IssuerService, connect
 from repro.core.certificate import CERT_SIG_DOMAIN, VerifiedMemo
@@ -109,7 +108,7 @@ def _make_probe(world, rng, prefix, issuers=("ci",)):
         issuers=issuers,
         hub="ci",
     ))
-    probe.client.adopt(issuer.certified[-2])
+    probe.adopt(issuer.certified[-2])
     probe.subscribed = True
     probe._sub_seq = world["seq"] - 1
     return probe
@@ -147,7 +146,7 @@ def test_mutated_announcements_never_move_a_tip_unverified(world):
     def prop(rng):
         mutated = mutate_one_byte(payload, rng)
         probe = _make_probe(world, rng, "tipprobe")
-        before_state = probe.client.to_json()
+        before_state = probe.to_json()
         pinned_before = set(ecdsa._pinned)
         probe._on_push(PushEnvelope(payload=mutated))
 
@@ -161,15 +160,15 @@ def test_mutated_announcements_never_move_a_tip_unverified(world):
             "a mutated announcement installed a forged tip"
         )
         if probe.latest_header == genuine.header:
-            assert probe.client.latest_certificate == genuine.certificate
+            assert probe.latest_certificate == genuine.certificate
         # Index roots are always enclave-certified ones.
-        for _height, root, _cert in probe.client.state.indexes.values():
+        for _height, root, _cert in probe.state.indexes.values():
             assert root in world["certified_roots"], (
                 "a mutated announcement installed an uncertified index root"
             )
         # Rejections are atomic and counted.
         if probe.push_rejected:
-            assert probe.client.to_json() == before_state, (
+            assert probe.to_json() == before_state, (
                 "a rejected announcement left client state behind"
             )
             assert probe._sub_seq == world["seq"] - 1
@@ -232,9 +231,9 @@ def test_a_memo_holding_the_genuine_signatures_admits_no_mutation_of_them(world)
         except Exception:
             candidate = None
         probe = _make_probe(world, rng, "memoprobe")
-        memo = probe.client._verified_reports
+        memo = probe._verified_reports
         adopt_bundle(
-            probe.client.expected_measurement, probe.client.ias_public_key,
+            probe.expected_measurement, probe.ias_public_key,
             ClientState(), genuine, memo,
         )
         reports, signatures = set(memo), set(memo.signatures)
@@ -253,8 +252,8 @@ def test_a_memo_holding_the_genuine_signatures_admits_no_mutation_of_them(world)
 
 
 def test_forged_bundles_are_rejected_atomically_on_polled_and_local_paths(world):
-    """The same forged bundles, arriving by poll and by local issuer
-    subscription: rejected as a whole, nothing half-adopted.  (Before
+    """The same forged bundles, arriving by poll and handed in-process
+    to ``adopt``: rejected as a whole, nothing half-adopted.  (Before
     adoption went through one verify-everything-then-adopt core, these
     two paths moved the tip and only then checked index certificates.)
     """
@@ -288,27 +287,25 @@ def test_forged_bundles_are_rejected_atomically_on_polled_and_local_paths(world)
         # Polled: a lying issuer, the only one, serves the forged tip.
         poller = _make_probe(world, rng, "pollprobe", issuers=("liar",))
         world["liar_tip"].append(forged)
-        before = poller.client.to_json()
+        before = poller.to_json()
         with pytest.raises(ServiceUnavailableError):
             poller.sync()
         world["liar_tip"].clear()
-        assert poller.client.to_json() == before, (
+        assert poller.to_json() == before, (
             "a rejected polled tip left client state behind"
         )
         assert poller.integrity_failures == 1
 
-        # Local: the issuer hook a subscribed in-process client installs.
-        source = SimpleNamespace(on_certified=[])
+        # Local: an in-process client handed the bundle directly (what an
+        # issuer's on_certified hook does with client.adopt).
         local = connect(ClientConfig(
             measurement=world["issuer"].measurement,
             ias_public_key=world["setup"]["ias"].public_key,
-            issuer=source, subscribe=True,
         ))
         local.adopt(prev)
         before = local.to_json()
-        (hook,) = source.on_certified
         with pytest.raises(CertificateError):
-            hook(forged)
+            local.adopt(forged)
         assert local.to_json() == before, (
             "a rejected local bundle left client state behind"
         )
@@ -420,8 +417,8 @@ def test_a_pushed_field_of_the_wrong_type_is_a_rejected_forgery(world):
             decodes = False
         probe = _make_probe(world, rng, "typeprobe")
         probe.rpc.bus.run_until_idle()
-        memo = probe.client._verified_reports
-        before, reports, acks = probe.client.to_json(), set(memo), hub_node.delivered_count
+        memo = probe._verified_reports
+        before, reports, acks = probe.to_json(), set(memo), hub_node.delivered_count
         probe._on_push(PushEnvelope(payload=payload))  # never raises
         probe.rpc.bus.run_until_idle()
         assert set(memo) == reports
@@ -432,7 +429,7 @@ def test_a_pushed_field_of_the_wrong_type_is_a_rejected_forgery(world):
         else:
             reached_the_check += decodes
             assert probe.push_rejected == probe.integrity_failures == 1, field
-            assert probe.client.to_json() == before, field
+            assert probe.to_json() == before, field
             assert probe._sub_seq == world["seq"] - 1
             assert hub_node.delivered_count == acks, "a malformed push was acked"
         # The genuine announcement, retransmitted, is still adopted.
@@ -480,9 +477,9 @@ def test_a_polled_field_of_the_wrong_type_fails_over_like_a_forgery(world):
             **anchors, bus=world["bus"], name=f"typeboot-{served}", issuers=("liar",)
         ))
         with pytest.raises(ServiceUnavailableError):
-            fresh.bootstrap()
+            fresh.sync()
         assert fresh.latest_header is None
-        assert fresh.client.to_json() == empty_wallet
+        assert fresh.to_json() == empty_wallet
         world["liar_tip"].clear()
     assert served >= 90
 

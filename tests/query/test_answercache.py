@@ -167,7 +167,7 @@ def fleet(certified_setup):
         bus=bus, name="client",
         issuers=("ci",), gateway=gateway,
     ))
-    client.bootstrap()
+    client.sync()
     return {"client": client, "provider": provider, "gateway": gateway}
 
 
@@ -272,7 +272,7 @@ def test_client_degrades_to_stale_when_the_tier_is_unreachable(certified_setup):
         issuers=("ci",), gateway=gateway,
         degrade_to_stale=True,
     ))
-    client.bootstrap()
+    client.sync()
     request = req(0)
     fresh = client.query(request)
     assert isinstance(fresh, QueryAnswer)

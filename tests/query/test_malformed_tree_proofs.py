@@ -169,7 +169,7 @@ def make_client(world, providers):
         measurement=world["measurement"], ias_public_key=world["ias"].public_key,
         bus=bus, name="client", issuers=("ci",), gateway=gateway,
     ))
-    client.bootstrap()
+    client.sync()
     return client
 
 

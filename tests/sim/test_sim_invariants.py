@@ -68,14 +68,14 @@ def test_unverified_adoption_rejected(world, suite):
     """A tip change whose certificate fails cold re-verification (here:
     a certificate for a *different* header) is an unverified adoption."""
     entry = world.fleet[0]
-    inner = entry.client.client
+    client = entry.client
     original = suite._tips.pop(entry.name)  # force re-verification
-    saved_state = inner.state
-    inner.state = replace(saved_state, header=world.builder.blocks[1].header)
+    saved_state = client.state
+    client.state = replace(saved_state, header=world.builder.blocks[1].header)
     try:
         assert _violation(suite).name == "no-unverified-adoption"
     finally:
-        inner.state = saved_state
+        client.state = saved_state
         suite._tips[entry.name] = original
 
 
@@ -137,7 +137,7 @@ def test_cache_coherence_passes_a_gateway_client_that_holds_no_root(world, suite
         world.service.server.paused = False
     try:
         assert entry.client.cache is not None
-        assert not entry.client.client.state.indexes
+        assert not entry.client.state.indexes
         suite.check(1)
     finally:
         world.fleet.remove(entry)

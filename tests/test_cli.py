@@ -188,11 +188,11 @@ def test_analyze_subcommand_delegates_to_the_linter(tmp_path, capsys):
     target.write_text("import time\n\nx = time.time()\n", encoding="utf-8")
     assert main(["analyze", "--root", str(tmp_path), "src"]) == 1
     out = capsys.readouterr().out
-    assert "DET01" in out and "1 new" in out
+    assert "DET01" in out and "1 finding(s)" in out
 
     assert main(["analyze", "--root", str(tmp_path), "--json", "src"]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["new"][0]["rule"] == "DET01"
+    assert payload["findings"][0]["rule"] == "DET01"
 
 
 # Each of these raised a traceback, exited 1, or was silently accepted
