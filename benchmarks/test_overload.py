@@ -239,7 +239,7 @@ def _run_slow_replica_pass(hedge: HedgePolicy | None) -> tuple:
     }
     gateway = QueryGateway(
         bus, "gw", names,
-        balancer="round-robin", seed=11,
+        seed=11,
         policy=RetryPolicy(timeout_ms=2_000.0, max_attempts=1),
         health=HealthPolicy(failure_threshold=4),
         hedge=hedge,

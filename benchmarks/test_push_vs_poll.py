@@ -10,8 +10,9 @@ claim is that push delivers every new tip to every subscribed client
 with **>= 5x fewer round trips** than per-block polling.
 
 The second benchmark is the recovery half: a subscriber that loses its
-link for the whole stream, reconnects, and resyncs must end up
-byte-identical (``to_json``) to a client that freshly polled the tip.
+link for the whole stream and reconnects must reach the tip with one
+heartbeat (its reply carries the newest tip) and end up byte-identical
+(``to_json``) to a client that freshly polled the tip.
 
 ``REPRO_PUSH_CLIENTS`` sizes the fleet (default 64; `make push-smoke`
 runs 8), ``REPRO_PUSH_BLOCKS`` the stream length (default 12).
@@ -82,7 +83,7 @@ def _fresh_tier(chain, *, clients: int, subscribe: bool):
     injector = FaultInjector(seed=5)
     bus.install_faults(injector)
     service = IssuerService(bus, "ci", issuer)
-    hub = SubscriptionHub.embedded(service, history_limit=256)
+    hub = SubscriptionHub.embedded(service)
     hub.attach(issuer)
     measurement = compute_expected_measurement(
         genesis.header.header_hash(), ias.public_key, fresh_vm(),
@@ -173,13 +174,14 @@ def test_reconnecting_subscriber_ends_byte_identical_to_fresh_poller():
         assert client.latest_header.height == 1
         assert client.rpc.calls == calls_while_dark  # no polling fallback
 
-        # Reconnect: one heartbeat discovers the distance and resyncs.
+        # Reconnect: one heartbeat, one round trip, reaches the tip.
         injector.set_link("ci", "c0", LinkFaults())
         injector.set_link("c0", "ci", LinkFaults())
         client.heartbeat()
-        bus.run_until_idle()
+        assert client.rpc.calls == calls_while_dark + 1
         assert client.latest_header.height == blocks + 1
-        assert client.push_resyncs >= 1
+        assert client.push_resyncs == 1
+        bus.run_until_idle()
 
         # The recovered state is byte-identical to a fresh poller's.
         poller = connect(ClientConfig(
@@ -187,7 +189,7 @@ def test_reconnecting_subscriber_ends_byte_identical_to_fresh_poller():
             bus=bus, name="fresh-poller", issuers=("ci",), bootstrap=True,
         ))
     assert client.to_json() == poller.to_json(), (
-        "resync converged to different bytes than a fresh poll"
+        "the heartbeat converged to different bytes than a fresh poll"
     )
     bench_record("push_reconnect", {
         "blocks_missed": blocks,

@@ -14,8 +14,7 @@ from __future__ import annotations
 from repro.bench import BenchParams, WorkloadGenerator
 from repro.chain import ChainBuilder
 from repro.chain.genesis import make_genesis
-from repro.chain.vm import VM
-from repro.contracts import BLOCKBENCH
+from repro.contracts import fresh_vm
 from repro.core import (
     CertificateIssuer,
     SuperlightClient,
@@ -30,13 +29,6 @@ from repro.net import (
 from repro.query import HistoryQuery
 from repro.query.indexes import AccountHistoryIndexSpec
 from repro.sgx.attestation import AttestationService
-
-
-def fresh_vm() -> VM:
-    vm = VM()
-    for factory in BLOCKBENCH.values():
-        vm.deploy(factory())
-    return vm
 
 
 def main() -> None:

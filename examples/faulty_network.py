@@ -27,8 +27,7 @@ from dataclasses import replace
 from repro.chain import ChainBuilder
 from repro.chain.genesis import make_genesis
 from repro.chain.transaction import sign_transaction
-from repro.chain.vm import VM
-from repro.contracts import BLOCKBENCH
+from repro.contracts import fresh_vm
 from repro.core import (
     CertificateIssuer,
     ClientConfig,
@@ -50,13 +49,6 @@ from repro.net import (
 from repro.query import HistoryQuery, QueryAnswer, QueryService, QueryServiceProvider
 from repro.query.indexes import AccountHistoryIndexSpec
 from repro.sgx.attestation import AttestationService
-
-
-def fresh_vm() -> VM:
-    vm = VM()
-    for factory in BLOCKBENCH.values():
-        vm.deploy(factory())
-    return vm
 
 
 class ForgeOnce:

@@ -15,8 +15,7 @@ from dataclasses import replace
 from repro.chain import ChainBuilder
 from repro.chain.genesis import make_genesis
 from repro.chain.transaction import sign_transaction
-from repro.chain.vm import VM
-from repro.contracts import BLOCKBENCH
+from repro.contracts import fresh_vm
 from repro.core import (
     CertificateIssuer,
     SuperlightClient,
@@ -26,13 +25,6 @@ from repro.crypto import generate_keypair
 from repro.query.api import KeywordQuery, QueryAnswer
 from repro.query.indexes import KeywordIndexSpec
 from repro.sgx.attestation import AttestationService
-
-
-def fresh_vm() -> VM:
-    vm = VM()
-    for factory in BLOCKBENCH.values():
-        vm.deploy(factory())
-    return vm
 
 
 DOCUMENTS = [

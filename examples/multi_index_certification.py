@@ -24,18 +24,10 @@ import time
 from repro.bench import BenchParams, WorkloadGenerator
 from repro.chain import ChainBuilder
 from repro.chain.genesis import make_genesis
-from repro.chain.vm import VM
-from repro.contracts import BLOCKBENCH
+from repro.contracts import fresh_vm
 from repro.core import CertificateIssuer
 from repro.query.indexes import AccountHistoryIndexSpec, KeywordIndexSpec
 from repro.sgx.attestation import AttestationService
-
-
-def fresh_vm() -> VM:
-    vm = VM()
-    for factory in BLOCKBENCH.values():
-        vm.deploy(factory())
-    return vm
 
 
 def make_specs(count: int) -> list:

@@ -558,7 +558,7 @@ def _components(world: SimWorld) -> dict:
             "published": world.hub.published,
             "subscribers": len(world.hub.subscribers),
             "reaped": world.hub.reaped,
-            "resyncs": world.hub.resyncs,
+            "retransmits": world.hub.retransmits,
             "latest_seq": world.hub.seq,
         },
         "replicas": {
@@ -574,8 +574,7 @@ def _components(world: SimWorld) -> dict:
         stats = components[entry.name] = {
             name: getattr(client, name)
             for name in ("integrity_failures", "push_adopted",
-                         "push_rejected", "push_duplicates", "push_gaps",
-                         "push_resyncs")
+                         "push_rejected", "push_duplicates", "push_resyncs")
         }
         stats["rpc_calls"] = client.rpc.calls
         stats["rpc_timeouts"] = client.rpc.timeouts

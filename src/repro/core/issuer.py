@@ -80,10 +80,10 @@ class CertifiedBlock:
         return self.block.header
 
 
-#: Certified blocks an archive-backed issuer keeps in memory: the
-#: deepest read the deployment makes short of a whole-chain walk is the
-#: hub's catch-up (``SubscriptionHub.history_limit``, 64); IssuerService
-#: and the sim invariants' per-block reads stay near the tip.
+#: Certified blocks an archive-backed issuer keeps in memory.  Sized for
+#: the hub's catch-up history, which is gone (a remounted hub reads one
+#: height); IssuerService and the sim invariants' per-block reads stay
+#: within 4 of the tip.  Resizing it is a memory claim of its own.
 HISTORY_WINDOW = 64
 
 

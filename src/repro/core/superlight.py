@@ -16,9 +16,9 @@ The module is a pure core plus one shell.  The core is
 certificate in a tip bundle and only then returns the next state — no
 I/O, no clock, no metrics.  :class:`SuperlightClient` is the shell
 around it.  Every way a tip can reach a client — ``validate_chain``,
-``validate_index_certificate``, ``sync``, a pushed announcement,
-``resync``, a restored wallet — is one :meth:`SuperlightClient.adopt`
-call on that core.
+``validate_index_certificate``, ``sync``, a pushed announcement or
+one in a hub's reply, a restored wallet — is one
+:meth:`SuperlightClient.adopt` call on that core.
 """
 
 from __future__ import annotations
@@ -212,13 +212,11 @@ class SuperlightClient:
         # -- push stream state (see subscribe()) --
         self.hub = config.hub
         self.subscribed = False
-        self._sub_seq = 0  # highest announcement seq verified-or-skipped
-        self._needs_resync = False
+        self._sub_seq = 0  # seq of the newest announcement verified
         self.push_adopted = 0
         self.push_rejected = 0
         self.push_duplicates = 0
-        self.push_gaps = 0
-        self.push_resyncs = 0
+        self.push_resyncs = 0  # tips adopted from a subscribe/heartbeat reply
 
     @property
     def latest_header(self) -> BlockHeader | None:
@@ -454,16 +452,14 @@ class SuperlightClient:
         """Subscribe to the configured :class:`~repro.net.pubsub
         .SubscriptionHub` (or to the endpoint named ``hub``).
 
-        From here on, every block the issuer certifies is *pushed* to
-        this client; each announcement is verified with the standard
+        From here on the newest certified tip is *pushed* to this
+        client; each announcement is verified with the standard
         certificate check before the tip advances (a forged or replayed
         announcement is discarded and counted, exactly like a bad
         polled tip), and adopting one invalidates the verified-answer
-        cache the same way a polled sync does.  Announcements are
-        sequence-numbered: a gap (lost pushes, hub restart, our own
-        downtime) or a hub :class:`~repro.net.messages.LagNotice` marks
-        the stream for :meth:`resync`, which runs on the next
-        :meth:`heartbeat` (push handlers never issue blocking RPC).
+        cache the same way a polled sync does.  The request carries the
+        newest sequence number this client holds, so one that subscribes
+        behind the tip gets the tip in the reply.
         """
         from repro.net.pubsub import SubscriptionHub, push_topic
 
@@ -475,10 +471,8 @@ class SuperlightClient:
             )
         self.hub = hub
         self.rpc.node.on(push_topic(self.rpc.name), self._on_push)
-        reply = self.rpc.call(hub, SubscriptionHub.SUBSCRIBE, self.rpc.name)
-        self._sub_seq = reply.latest_seq
+        self._stream_call(SubscriptionHub.SUBSCRIBE)
         self.subscribed = True
-        self._needs_resync = False
         obs.inc("client.push_subscribes")
 
     def unsubscribe(self) -> None:
@@ -491,90 +485,69 @@ class SuperlightClient:
         self.rpc.call(self.hub, SubscriptionHub.UNSUBSCRIBE, self.rpc.name)
 
     def heartbeat(self):
-        """The periodic stream pump: resync if flagged, renew the lease.
+        """The periodic stream pump: renew the lease and catch up.
 
-        Returns the hub's :class:`~repro.net.pubsub.HeartbeatReply`.
-        Also the recovery path: if the hub no longer knows us (it
-        restarted, or our lease expired), re-subscribe and catch up; if
-        it reports announcements beyond what we have seen and nothing
-        arrives (every in-window push lost), the hub retransmits the
-        unacked window in response to our acked sequence number.
+        Returns the hub's :class:`~repro.net.pubsub.StreamReply`.  It
+        carries the newest tip whenever this client is behind it (a lost
+        push, a dead link, our own downtime); the tip is adopted exactly
+        like a push.  A hub that no longer knows us (it restarted, or
+        our lease expired) answers ``subscribed=False``: subscribe again.
         """
         from repro.net.pubsub import SubscriptionHub
 
         if not self.subscribed:
             raise ServiceUnavailableError("not subscribed; call subscribe()")
-        if self._needs_resync:
-            self.resync()
-        reply = self.rpc.call(
-            self.hub, SubscriptionHub.HEARTBEAT, (self.rpc.name, self._sub_seq)
-        )
+        reply = self._stream_call(SubscriptionHub.HEARTBEAT)
         if not reply.subscribed:
-            # Reaped (or the hub restarted): re-subscribe, then catch up
-            # from where we *actually* are — subscribe() positions the
-            # stream at the hub's tip, which would skip everything
-            # missed while we were away.
-            seen = self._sub_seq
             self.subscribe()
-            self._sub_seq = min(seen, self._sub_seq)
-            self.resync()
-        elif reply.lagged or reply.latest_seq > self._sub_seq:
-            # Lagged, or announcements exist that never reached us.
-            # Retransmits may already be in flight after this
-            # heartbeat; resync() resolves either way with one pull.
-            self.resync()
         return reply
 
-    def resync(self):
-        """Catch up over the pull path: fetch every retained
-        announcement past our sequence number, verify and adopt each,
-        and clear the lag/gap flag.  Returns the number adopted."""
-        from repro.net.pubsub import SubscriptionHub
+    def _stream_call(self, method: str):
+        """Tell the hub where we are; adopt the tip its reply carries.
 
-        reply = self.rpc.call(
-            self.hub, SubscriptionHub.SYNC_RANGE, (self.rpc.name, self._sub_seq + 1)
-        )
-        adopted = 0
-        for announcement in reply.announcements:
-            if self._adopt_pushed(announcement):
-                adopted += 1
-        self._sub_seq = max(self._sub_seq, reply.latest_seq)
-        self._needs_resync = False
-        self.push_resyncs += 1
-        obs.inc("client.push_resyncs")
-        return adopted
+        The hub is untrusted: a reply that is not a ``StreamReply`` is a
+        :class:`~repro.errors.ResponseIntegrityError`, and a tip that
+        fails verification is counted and moves nothing."""
+        from repro.net.pubsub import StreamReply
+
+        reply = self.rpc.call(self.hub, method, (self.rpc.name, self._sub_seq))
+        if not isinstance(reply, StreamReply):
+            raise ResponseIntegrityError(
+                f"{method} answered {type(reply).__name__}, not a stream reply"
+            )
+        # We cannot be past the hub's newest position (a corrupted push's
+        # seq, or a hub restarted elsewhere): its numbering is the stream's.
+        self._sub_seq = min(self._sub_seq, reply.latest_seq)
+        tip = reply.tip
+        if tip is not None and tip.seq > self._sub_seq:
+            try:
+                adopted = self._adopt_pushed(tip)
+            except CertificateError:
+                self._reject_push()
+                return reply
+            self._sub_seq = tip.seq
+            if adopted:
+                self.push_resyncs += 1
+                obs.inc("client.push_resyncs")
+        return reply
 
     def _on_push(self, message) -> None:
         """Bus handler for hub pushes — local verification only."""
-        from repro.net.messages import LagNotice, PushEnvelope
+        from repro.net.messages import PushEnvelope
         from repro.net.pubsub import TipAnnouncement
 
-        if isinstance(message, LagNotice):
-            self.push_gaps += 1
-            self._needs_resync = True
-            obs.inc("client.push_lag_notices")
-            return
         if not isinstance(message, PushEnvelope):
             return
         try:
             announcement = self._wire.decode(message.payload)
             if not isinstance(announcement, TipAnnouncement):
                 raise CertificateError("push payload is not a tip announcement")
-            if self._sub_seq < announcement.seq <= self._sub_seq + 1:
+            if announcement.seq > self._sub_seq:
                 self._adopt_pushed(announcement)
         except ReproError:
-            # Corrupted or forged in flight.  Don't ack — the hub
-            # retransmits the genuine announcement on our next
-            # heartbeat.
-            self.push_rejected += 1
-            self.integrity_failures += 1
-            obs.inc("client.push_rejected")
-            return
-        if announcement.seq > self._sub_seq + 1:
-            # Gap: something between was lost or dropped-oldest.
-            self.push_gaps += 1
-            self._needs_resync = True
-            obs.inc("client.push_gaps")
+            # Corrupted or forged in flight.  Don't ack — the reply to
+            # our next heartbeat carries the genuine tip.
+            self._reject_push()
             return
         if announcement.seq <= self._sub_seq:
             self.push_duplicates += 1
@@ -582,6 +555,11 @@ class SuperlightClient:
         else:
             self._sub_seq = announcement.seq
         self._ack()
+
+    def _reject_push(self) -> None:
+        self.push_rejected += 1
+        self.integrity_failures += 1
+        obs.inc("client.push_rejected")
 
     def _ack(self) -> None:
         from repro.net.messages import StreamAck

@@ -16,13 +16,13 @@ deterministically and without sockets:
 * :mod:`faults` — per-link drop/delay/duplicate/corrupt injection with
   a seeded RNG, for failure-path tests and demos.
 * :mod:`messages` — broadcast message types (blocks, certificates) and
-  the push-stream frames (envelopes, lag notices, acks).
+  the push-stream frames (envelopes, acks).
 * :mod:`pubsub` — the certificate subscription hub: push-based tip
-  propagation with windowed backpressure, bounded outboxes, lag
-  markers, sequence-numbered announcements, catch-up pulls, and
+  propagation that holds only the newest announcement, one unacked
+  push per subscriber, catch-up in the subscribe/heartbeat reply, and
   lease-based subscriber reaping.
 * :mod:`gateway` — load-balanced routing over a fleet of QueryService
-  replicas: balancing policies, per-replica health with probe-based
+  replicas: round-robin dispatch, per-replica health with probe-based
   recovery, failover with switch re-verification.
 * :mod:`supervisor` — crash detection + bounded-backoff restart for any
   RPC-fronted service (issuer or query replica).
@@ -36,21 +36,16 @@ from repro.net.bus import MessageBus, NetworkNode
 from repro.net.faults import FaultInjector, LinkFaults
 from repro.net.gateway import (
     HealthPolicy,
-    LeastOutstanding,
     QueryGateway,
     ReplicaState,
-    RoundRobin,
-    SeededRandom,
-    make_balancer,
 )
 from repro.net.messages import (
     BlockAnnouncement,
     CertificateAnnouncement,
-    LagNotice,
     PushEnvelope,
     StreamAck,
 )
-from repro.net.pubsub import SubscriptionHub, TipAnnouncement
+from repro.net.pubsub import StreamReply, SubscriptionHub, TipAnnouncement
 from repro.net.resilience import (
     AdmissionPolicy,
     CircuitBreaker,
@@ -74,8 +69,6 @@ __all__ = [
     "HealthPolicy",
     "HedgePolicy",
     "LatencyTracker",
-    "LagNotice",
-    "LeastOutstanding",
     "LinkFaults",
     "MessageBus",
     "NetworkNode",
@@ -84,18 +77,16 @@ __all__ = [
     "ReplicaState",
     "RestartPolicy",
     "RetryPolicy",
-    "RoundRobin",
     "RpcClient",
     "RpcRequest",
     "RpcResponse",
     "RpcServer",
-    "SeededRandom",
     "ServiceSupervisor",
     "StreamAck",
+    "StreamReply",
     "SubscriptionHub",
     "TipAnnouncement",
     "clamp_retry_after",
-    "make_balancer",
     "sanitize_deadline",
     "shrink_deadline",
 ]

@@ -6,9 +6,8 @@ to be trusted, so the only questions a serving tier has to answer are
 *which replica* (load balancing) and *is it alive* (health).  This
 module supplies both on the deterministic virtual-clock bus:
 
-* **Balancing policies** — :class:`RoundRobin`, :class:`LeastOutstanding`
-  and :class:`SeededRandom`, behind one ``pick(candidates)`` interface
-  (:func:`make_balancer` resolves a policy by name for CLI/config use).
+* **Balancing** — round robin over the eligible replicas, in a stable
+  order.
 * **Health tracking** — :class:`ReplicaState` counts consecutive
   failures; past :class:`HealthPolicy.failure_threshold` the replica
   leaves the rotation and is re-admitted only through bounded-backoff
@@ -42,7 +41,6 @@ N replicas complete in ~M/N service times, which is the scaling curve
 from __future__ import annotations
 
 import math
-import random
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -173,63 +171,6 @@ class _Flight:
     is_hedge: bool
 
 
-# -- balancing policies -------------------------------------------------------
-
-
-class RoundRobin:
-    """Cycle through candidates in a stable order."""
-
-    name = "round-robin"
-
-    def __init__(self) -> None:
-        self._turn = 0
-
-    def pick(self, candidates: Sequence[ReplicaState]) -> ReplicaState:
-        choice = candidates[self._turn % len(candidates)]
-        self._turn += 1
-        return choice
-
-
-class LeastOutstanding:
-    """Prefer the replica with the fewest requests in flight."""
-
-    name = "least-outstanding"
-
-    def pick(self, candidates: Sequence[ReplicaState]) -> ReplicaState:
-        return min(candidates, key=lambda state: state.outstanding)
-
-
-class SeededRandom:
-    """Uniform random choice from a deterministic seeded stream."""
-
-    name = "seeded-random"
-
-    def __init__(self, seed: int = 0) -> None:
-        self._rng = random.Random(seed)
-
-    def pick(self, candidates: Sequence[ReplicaState]) -> ReplicaState:
-        return self._rng.choice(list(candidates))
-
-
-BALANCERS = {
-    RoundRobin.name: RoundRobin,
-    LeastOutstanding.name: LeastOutstanding,
-    SeededRandom.name: SeededRandom,
-}
-
-
-def make_balancer(policy: str, *, seed: int = 0):
-    """Resolve a balancing policy by name (CLI/config entry point)."""
-    try:
-        cls = BALANCERS[policy]
-    except KeyError:
-        known = ", ".join(sorted(BALANCERS))
-        raise ValueError(
-            f"unknown balancing policy {policy!r} (known: {known})"
-        ) from None
-    return cls(seed) if cls is SeededRandom else cls()
-
-
 # -- the gateway --------------------------------------------------------------
 
 
@@ -250,7 +191,6 @@ class QueryGateway:
         name: str,
         replicas: Sequence[str],
         *,
-        balancer: str | object = "round-robin",
         seed: int = 0,
         policy: RetryPolicy | None = None,
         health: HealthPolicy | None = None,
@@ -287,11 +227,8 @@ class QueryGateway:
             )
             for replica in replicas
         }
-        self.balancer = (
-            make_balancer(balancer, seed=seed)
-            if isinstance(balancer, str)
-            else balancer
-        )
+        #: Round-robin position: dispatch ``n`` goes to candidate ``n % len``.
+        self._turn = 0
         #: The replica the previous successful call used; a change
         #: triggers ``verify_switch``.
         self.current: str | None = None
@@ -455,8 +392,8 @@ class QueryGateway:
         """Call ``method`` once per argument, concurrently across the
         fleet; results come back in argument order.
 
-        Each item is dispatched — one send, to the balancer's pick among
-        the eligible replicas, timed out at ``policy.timeout_ms`` — until
+        Each item is dispatched — one send, to the eligible replicas in
+        round-robin turn, timed out at ``policy.timeout_ms`` — until
         a replica answers it or its ``max(3, 2 × replicas)`` dispatches
         are spent (:class:`ServiceUnavailableError`).  A dispatch that
         outlives the replica's observed latency quantile is hedged once
@@ -532,7 +469,8 @@ class QueryGateway:
                         waiting.append(item)
                         continue
                     dispatches[item] += 1
-                    state = self.balancer.pick(candidates)
+                    state = candidates[self._turn % len(candidates)]
+                    self._turn += 1
                     if not self._ensure_verified(state):
                         last_error = ResponseIntegrityError(
                             f"replica {state.name!r} failed switch verification"

@@ -58,15 +58,6 @@ class PushEnvelope:
 
 
 @dataclass(frozen=True, slots=True)
-class LagNotice:
-    """Hub→subscriber: your outbox overflowed and announcements were
-    dropped oldest-first; pull ``hub.sync_range`` before resuming."""
-
-    latest_seq: int
-    dropped: int
-
-
-@dataclass(frozen=True, slots=True)
 class StreamAck:
     """Subscriber→hub: cumulative ack up to ``seq`` (also renews the
     subscriber's lease)."""

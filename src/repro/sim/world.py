@@ -285,10 +285,10 @@ class SimWorld:
 
     def _remount_hub(self, issuer) -> SubscriptionHub:
         """A replacement hub process on the same endpoint; the stream
-        position is recovered from the issuer's certified count."""
+        position and tip are recovered from the issuer's certified blocks."""
         self.hub.detach()
         hub = SubscriptionHub(server=self.service.server)
-        hub.attach(issuer, announce_existing=True)
+        hub.attach(issuer)
         self.remounts += 1
         return hub
 
@@ -316,7 +316,7 @@ class SimWorld:
         )
         gateway = QueryGateway(
             self.bus, f"gwy{self.spawned}", list(self.replica_names),
-            balancer="round-robin", seed=self.spawned,
+            seed=self.spawned,
             policy=RetryPolicy(
                 timeout_ms=400.0, max_attempts=2, jitter=0.1
             ),

@@ -7,8 +7,7 @@ from repro.chain.builder import ChainBuilder
 from repro.chain.genesis import make_genesis
 from repro.chain.node import FullNode
 from repro.chain.transaction import sign_transaction
-from repro.chain.vm import VM
-from repro.contracts import BLOCKBENCH
+from repro.contracts import fresh_vm
 from repro.crypto import generate_keypair
 from repro.errors import BlockValidationError
 
@@ -16,13 +15,6 @@ from repro.errors import BlockValidationError
 @pytest.fixture(scope="module")
 def keypair():
     return generate_keypair(b"node-tests")
-
-
-def fresh_vm():
-    vm = VM()
-    for factory in BLOCKBENCH.values():
-        vm.deploy(factory())
-    return vm
 
 
 def fresh_node(pow_engine):

@@ -15,7 +15,7 @@ from repro.chain.builder import ChainBuilder
 from repro.chain.genesis import make_genesis
 from repro.chain.transaction import Transaction, sign_transaction
 from repro.chain.vm import VM
-from repro.contracts import BLOCKBENCH
+from repro.contracts import fresh_vm
 from repro.crypto import KeyPair, ecdsa, generate_keypair
 from repro.sgx.attestation import AttestationService
 from repro.sgx.costs import cost_model_disabled
@@ -76,13 +76,6 @@ def user_keypair() -> KeyPair:
 @pytest.fixture(scope="session")
 def second_keypair() -> KeyPair:
     return generate_keypair(b"test-user-2")
-
-
-def fresh_vm() -> VM:
-    vm = VM()
-    for factory in BLOCKBENCH.values():
-        vm.deploy(factory())
-    return vm
 
 
 @pytest.fixture()

@@ -61,7 +61,7 @@ def _drive(tmp_path, config, crash=None):
         for slot in range(config.subscribers)
     ]
     # Polling and gateway clients sync; subscribers must reach the tip
-    # through the hub alone (push, or heartbeat + resync).
+    # through the hub alone (a push, or the tip in a heartbeat reply).
     events += [
         SimEvent("sync", {"slot": slot})
         for slot in range(config.pollers + config.gateway_clients)

@@ -90,7 +90,7 @@ def make_fleet(fleet_world, *, injector=None, seed=0):
         )
     gateway = QueryGateway(
         bus, "gw", REPLICAS,
-        balancer="seeded-random", seed=seed,
+        seed=seed,
         policy=RetryPolicy(timeout_ms=120.0, max_attempts=1),
         health=HealthPolicy(failure_threshold=1, probe_base_ms=150.0),
     )

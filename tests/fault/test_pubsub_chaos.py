@@ -1,9 +1,9 @@
-"""Chaos for the push tier: lossy links and lag.
+"""Chaos for the push tier: lossy links and a burst behind dead links.
 
 Hub crashes at the ``pubsub.*`` crashpoints, the partial fan-out
 included, are cases of the crash sweep (tests/fault/test_chaos_sweep.py):
 the supervisor restarts the issuer, remounts a hub on the same
-endpoint, and every subscriber converges through heartbeat + resync.
+endpoint, and every subscriber converges through one heartbeat.
 
 The invariant throughout: chaos may delay tips, it must never forge
 them — a client only ever adopts announcements that pass the standard
@@ -44,7 +44,7 @@ def chain(user_keypair):
     return builder
 
 
-def build_world(chain, **hub_kwargs):
+def build_world(chain):
     bus = MessageBus(default_latency_ms=5.0)
     injector = FaultInjector(seed=23)
     bus.install_faults(injector)
@@ -56,7 +56,7 @@ def build_world(chain, **hub_kwargs):
         index_specs=[spec], ias=ias, key_seed=b"pubsub-chaos-enclave",
     )
     service = IssuerService(bus, "ci", issuer)
-    hub = SubscriptionHub.embedded(service, **hub_kwargs)
+    hub = SubscriptionHub.embedded(service)
     hub.attach(issuer)
     measurement = compute_expected_measurement(
         genesis.header.header_hash(), ias.public_key, fresh_vm(),
@@ -110,30 +110,33 @@ def test_lossy_links_never_forge_only_delay(chain):
     for client in clients:
         assert client.latest_header.height == 7
         assert client.push_rejected == 0
-        # Loss shows up as retransmits/resyncs, never as forged tips.
+        # Loss shows up as replies carrying the tip, never as forged tips.
         assert client.push_adopted + client.push_resyncs > 0
     summary = injector.summary()
     assert any(counts.get("dropped", 0) for counts in summary.values())
 
 
 def test_burst_lags_every_subscriber_then_one_heartbeat_recovers(chain):
-    """A tiny outbox against a burst: the hub drops oldest, marks the
-    subscribers lagged, and one heartbeat round later everyone is back
-    at the tip with lag state cleared."""
-    bus, injector, issuer, service, hub, clients = build_world(
-        chain, window=1, outbox_limit=2
-    )
+    """A burst certified while every push is lost: each subscriber is
+    left behind with one unacked push and the hub holds one
+    announcement, not a backlog; one heartbeat round later everyone is
+    at the tip, each through one reply."""
+    bus, injector, issuer, service, hub, clients = build_world(chain)
+    for name in CLIENTS:
+        injector.set_link("ci", name, LinkFaults(drop_rate=1.0))
     # The burst: publish 6 blocks before any delivery happens.
     for block in chain.blocks[1:7]:
         issuer.process_block(block)
     for client in clients:
-        state = hub.subscribers[client.rpc.name]
-        assert state.lagged and state.dropped_oldest >= 1
+        assert hub.subscribers[client.rpc.name].inflight == 1
+    assert hub.tip.seq == 6
     bus.run_until_idle()
-    assert all(c._needs_resync for c in clients)
+    assert all(c.latest_header is None for c in clients)
+    for name in CLIENTS:
+        injector.set_link("ci", name, LinkFaults())
     converge(bus, clients)
     for client in clients:
         assert client.latest_header.height == 6
-        assert client.push_resyncs >= 1
-        assert not hub.subscribers[client.rpc.name].lagged
-    assert hub.resyncs >= len(clients)
+        assert client.push_resyncs == 1 and client.push_rejected == 0
+        assert hub.subscribers[client.rpc.name].inflight == 0
+    assert hub.retransmits == len(clients)

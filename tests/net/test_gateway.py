@@ -22,12 +22,8 @@ from repro.net.bus import MessageBus
 from repro.net.faults import FaultInjector, LinkFaults, flip_hex_digit
 from repro.net.gateway import (
     HealthPolicy,
-    LeastOutstanding,
     QueryGateway,
     ReplicaState,
-    RoundRobin,
-    SeededRandom,
-    make_balancer,
 )
 from repro.net.resilience import (
     AdmissionPolicy,
@@ -71,48 +67,15 @@ def make_gateway(bus, replicas, **kwargs):
     return QueryGateway(bus, "gw", replicas, **kwargs)
 
 
-# -- balancing policies ------------------------------------------------------
+# -- balancing ---------------------------------------------------------------
 
 
 def test_round_robin_distributes_evenly(bus):
     servers = make_fleet(bus, 3)
-    gateway = make_gateway(bus, list(servers), balancer="round-robin")
+    gateway = make_gateway(bus, list(servers))
     for _ in range(9):
         gateway.call("echo", "x")
     assert [s.requests_served for s in servers.values()] == [3, 3, 3]
-
-
-def test_seeded_random_is_deterministic():
-    first = MessageBus(default_latency_ms=5.0)
-    second = MessageBus(default_latency_ms=5.0)
-    sequences = []
-    for bus in (first, second):
-        make_fleet(bus, 3)
-        gateway = make_gateway(
-            bus, ["sp1", "sp2", "sp3"], balancer="seeded-random", seed=7
-        )
-        sequences.append(
-            [gateway.call("echo", i)["replica"] for i in range(8)]
-        )
-    assert sequences[0] == sequences[1]
-    assert len(set(sequences[0])) > 1  # actually spreads load
-
-
-def test_least_outstanding_prefers_idle_replica():
-    balancer = LeastOutstanding()
-    idle = ReplicaState("idle")
-    busy = ReplicaState("busy")
-    busy.track(1, 0.0)
-    busy.track(2, 0.0)
-    assert balancer.pick([busy, idle]) is idle
-
-
-def test_make_balancer_resolves_names():
-    assert isinstance(make_balancer("round-robin"), RoundRobin)
-    assert isinstance(make_balancer("least-outstanding"), LeastOutstanding)
-    assert isinstance(make_balancer("seeded-random", seed=3), SeededRandom)
-    with pytest.raises(ValueError, match="unknown balancing policy"):
-        make_balancer("nope")
 
 
 # -- health and failover -----------------------------------------------------
@@ -532,7 +495,7 @@ def _faulty_world(seed):
     )
     servers["sp3"]._service_times["echo"] = 90.0
     gateway = make_gateway(
-        bus, list(servers), balancer="seeded-random", seed=seed,
+        bus, list(servers), seed=seed,
         breaker=CircuitBreakerPolicy(failure_trip=2),
         hedge=HedgePolicy(min_samples=3),
     )

@@ -1,10 +1,15 @@
-"""The subscription hub: windowed delivery, backpressure, catch-up.
+"""The subscription hub: a latest-tip stream.
 
-Unit tests for :mod:`repro.net.pubsub` mechanics — the ack window,
-drop-oldest overflow with LagNotice, heartbeat retransmission, lease
-reaping, sequence continuity across a hub restart — plus the client
-side of each flow (gap detection, deferred resync, re-subscribe).
+Unit tests for :mod:`repro.net.pubsub` around four properties — a burst
+of publishes leaves each subscriber one push in flight and the hub one
+announcement, and everyone ends at the tip; a lost push or an expired
+lease is healed by one heartbeat; a remounted hub resumes the sequence;
+an augmented-only block takes a sequence number but is not pushed —
+plus the client side of each flow and the untrusted hub's replies.
 """
+
+import dataclasses
+from collections import deque
 
 import pytest
 
@@ -17,12 +22,12 @@ from repro.core import (
     compute_expected_measurement,
     connect,
 )
-from repro.crypto import generate_keypair
-from repro.errors import ReproError
+from repro.errors import ReproError, ResponseIntegrityError
 from repro.net import FaultInjector, LinkFaults, MessageBus
 from repro.net.gateway import QueryGateway
 from repro.net import pubsub
 from repro.net.pubsub import SubscriptionHub, TipAnnouncement
+from repro.net.rpc import RpcServer
 from repro.query.indexes import AccountHistoryIndexSpec
 from repro.sgx.attestation import AttestationService
 from tests.conftest import fresh_vm, make_kv_tx
@@ -30,10 +35,10 @@ from tests.conftest import fresh_vm, make_kv_tx
 
 @pytest.fixture(scope="module")
 def chain(user_keypair):
-    """An 8-block KVStore chain the per-test issuers re-certify."""
+    """A 12-block KVStore chain the per-test issuers re-certify."""
     builder = ChainBuilder(difficulty_bits=4, network="pubsub")
     nonce = 0
-    for _ in range(8):
+    for _ in range(12):
         builder.add_block([
             make_kv_tx(user_keypair, nonce, f"k{nonce % 3}", f"v{nonce}")
         ])
@@ -44,7 +49,7 @@ def chain(user_keypair):
 class World:
     """A fresh issuer + hub + N subscribed clients over one bus."""
 
-    def __init__(self, chain, *, clients=("c1",), subscribe=True, **hub_kwargs):
+    def __init__(self, chain, *, clients=("c1",), subscribe=True):
         self.chain = chain
         self.bus = MessageBus(default_latency_ms=5.0)
         self.injector = FaultInjector(seed=77)
@@ -57,21 +62,21 @@ class World:
             index_specs=[spec], ias=self.ias, key_seed=b"pubsub-enclave",
         )
         self.service = IssuerService(self.bus, "ci", self.issuer)
-        self.hub = SubscriptionHub.embedded(self.service, **hub_kwargs)
+        self.hub = SubscriptionHub.embedded(self.service)
         self.hub.attach(self.issuer)
         self.measurement = compute_expected_measurement(
             genesis.header.header_hash(), self.ias.public_key, fresh_vm(),
             chain.pow.difficulty_bits, {spec.name: spec},
         )
-        self.clients = {
-            name: connect(ClientConfig(
-                measurement=self.measurement,
-                ias_public_key=self.ias.public_key,
-                bus=self.bus, name=name, issuers=("ci",), hub="ci",
-                subscribe=subscribe,
-            ))
-            for name in clients
-        }
+        self.clients = {name: self.connect(name, subscribe) for name in clients}
+
+    def connect(self, name, subscribe=True):
+        return connect(ClientConfig(
+            measurement=self.measurement,
+            ias_public_key=self.ias.public_key,
+            bus=self.bus, name=name, issuers=("ci",), hub="ci",
+            subscribe=subscribe,
+        ))
 
     def certify(self, count, *, start=None):
         """Feed the next ``count`` chain blocks through the issuer."""
@@ -84,20 +89,41 @@ def world(chain, **kwargs):
     return World(chain, **kwargs)
 
 
+def lying_hub(w, answer):
+    """A hub endpoint that answers subscribe / heartbeat with ``answer(argument)``."""
+    liar = RpcServer(w.bus, "liar")
+    for method in (SubscriptionHub.SUBSCRIBE, SubscriptionHub.HEARTBEAT):
+        liar.register(method, answer)
+    return liar
+
+
+def unchecked(obj, **changes):
+    """A copy of a frozen dataclass with fields replaced, past its own
+    checks — what a lying peer can put on the wire."""
+    forged = object.__new__(type(obj))
+    for field in dataclasses.fields(obj):
+        object.__setattr__(forged, field.name, changes.get(field.name, getattr(obj, field.name)))
+    return forged
+
+
 # -- the happy path ----------------------------------------------------------
 
 
 def test_push_delivers_and_client_adopts(chain):
     w = world(chain)
     client = w.clients["c1"]
-    w.certify(3, start=1)
+    w.certify(1, start=1)
+    w.bus.run_until_idle()
+    w.certify(2)
     w.bus.run_until_idle()
     assert client.latest_header is not None
     assert client.latest_header.height == 3
+    # Block 3 was certified while the push of block 2 was unacked: it
+    # went out on that ack, one push per ack.
     assert client.push_adopted == 3
     assert client.certified_index_root("history") is not None
     state = w.hub.subscribers["c1"]
-    assert state.acked_seq == 3 and not state.inflight and not state.outbox
+    assert state.acked_seq == 3 and state.inflight == 0
 
 
 def test_replayed_tip_carrying_new_index_roots_runs_root_housekeeping(chain):
@@ -122,18 +148,16 @@ def test_replayed_tip_carrying_new_index_roots_runs_root_housekeeping(chain):
 def test_subscribe_positions_a_new_subscriber_at_the_tip(chain):
     w = world(chain, clients=(), subscribe=False)
     w.certify(4, start=1)
-    late = connect(ClientConfig(
-        measurement=w.measurement, ias_public_key=w.ias.public_key,
-        bus=w.bus, name="late", issuers=("ci",), hub="ci", subscribe=True,
-    ))
-    # Subscribing does not replay the past: the stream starts at seq 4.
-    assert late._sub_seq == 4
+    late = w.connect("late")
+    # The subscribe reply carried the newest tip: one round trip, no push.
+    assert late._sub_seq == 4 and late.latest_header.height == 4
+    assert late.push_resyncs == 1 and late.rpc.calls == 1
     w.bus.run_until_idle()
-    assert late.push_adopted == 0 and late.latest_header is None
-    # ...but the next certified block is pushed.
+    assert late.push_duplicates == 0 and w.hub.subscribers["late"].inflight == 0
+    # ...and the next certified block is pushed.
     w.certify(1)
     w.bus.run_until_idle()
-    assert late.push_adopted == 1 and late.latest_header.height == 5
+    assert late.latest_header.height == 5 and late.push_resyncs == 1
 
 
 def test_every_subscriber_of_a_fanout_converges(chain):
@@ -142,14 +166,15 @@ def test_every_subscriber_of_a_fanout_converges(chain):
     w.bus.run_until_idle()
     for client in w.clients.values():
         assert client.latest_header.height == 5
-        assert client.push_adopted == 5
+        # Seq 1 was pushed at once; 2-4 were superseded before its ack.
+        assert client.push_adopted == 2
     assert w.hub.published == 5
 
 
 def test_a_publish_encodes_the_announcement_once_for_all_subscribers(chain, monkeypatch):
     """Eight subscribers, one ``wire.encode`` of the announcement per
-    publish (it was one per subscriber), the same bytes to each; a
-    retransmit of an older announcement re-encodes it and still lands."""
+    publish, the same bytes to each; a subscriber whose push was lost
+    gets the tip in its heartbeat reply, not in a re-encoded push."""
     names = tuple(f"c{i}" for i in range(8))
     w = world(chain, clients=names)
     encoded, pushed = [], {name: [] for name in names}
@@ -174,76 +199,55 @@ def test_a_publish_encodes_the_announcement_once_for_all_subscribers(chain, monk
     w.injector.set_link("ci", "c0", LinkFaults(drop_rate=1.0))
     w.certify(2)
     w.bus.run_until_idle()
+    # Seq 3 went out on the acks of seq 2: encoded once, for seven.
     assert encoded == [1, 2, 3]
     assert all(len(got) == 3 for name, got in pushed.items() if name != "c0")
     assert len({tuple(got) for name, got in pushed.items() if name != "c0"}) == 1
-    assert pushed["c1"][2] == encode(w.hub._history[3])
-    # c0 lost seq 2 and 3; the heartbeat has the hub send both again.
+    assert pushed["c1"][2] == encode(w.hub.tip)
+    # c0 lost seq 2, so seq 3 was never pushed to it; one heartbeat heals.
     w.injector.set_link("ci", "c0", LinkFaults())
     w.clients["c0"].heartbeat()
     w.bus.run_until_idle()
-    assert w.hub.subscribers["c0"].retransmits == 2
-    assert pushed["c0"] == pushed["c1"]
+    assert encoded == [1, 2, 3]
+    assert w.hub.retransmits == 1
+    assert len(pushed["c0"]) == 1
     assert all(c.latest_header.height == 3 for c in w.clients.values())
 
 
-# -- windowing and backpressure ----------------------------------------------
+# -- one push in flight, one announcement held -------------------------------
 
 
 def test_ack_window_bounds_inflight_pushes(chain):
-    w = world(chain, window=2, outbox_limit=8)
-    # Publish 5 announcements before the bus delivers anything: only
-    # the window may be in flight, the rest queue in the outbox.
-    w.certify(5, start=1)
-    state = w.hub.subscribers["c1"]
-    assert len(state.inflight) == 2
-    assert list(state.outbox) == [3, 4, 5]
-    # Acks drain the queue window-by-window to full delivery.
+    """Ten publishes to a stalled subscriber (nothing delivered yet):
+    one push in flight, no container per subscriber, one announcement in
+    the hub; after the drain every subscriber is at the tip."""
+    w = world(chain, clients=("a", "b"))
+    w.certify(10, start=1)
+    for state in w.hub.subscribers.values():
+        assert state.inflight == 1 and state.acked_seq == 0
+        assert not hasattr(state, "__dict__")
+        assert not any(
+            isinstance(getattr(state, name), (list, tuple, dict, set, deque))
+            for name in type(state).__slots__
+        )
+    held = [v for v in vars(w.hub).values() if isinstance(v, TipAnnouncement)]
+    assert [a.seq for a in held] == [10]
+    for value in vars(w.hub).values():
+        if isinstance(value, (list, tuple, dict, set, deque)):
+            members = value.values() if isinstance(value, dict) else value
+            assert not any(isinstance(m, TipAnnouncement) for m in members)
     w.bus.run_until_idle()
-    assert not state.inflight and not state.outbox
-    assert w.clients["c1"].latest_header.height == 5
-    assert state.delivered == 5
-
-
-def test_outbox_overflow_drops_oldest_and_marks_lagged(chain):
-    w = world(chain, window=1, outbox_limit=2)
-    client = w.clients["c1"]
-    w.certify(5, start=1)  # 1 in flight, 2 queued, then overflow
-    state = w.hub.subscribers["c1"]
-    assert state.lagged
-    assert state.dropped_oldest >= 1
-    w.certify(1)  # published while lagged: skipped, not queued
-    assert state.skipped_while_lagged >= 1
-    w.bus.run_until_idle()
-    # The client saw the LagNotice (or the seq gap) and deferred the
-    # pull — push handlers never issue blocking RPC.
-    assert client._needs_resync
-    assert client.latest_header.height < 6
-    client.heartbeat()
-    w.bus.run_until_idle()
-    assert client.latest_header.height == 6
-    assert client.push_resyncs >= 1
-    assert w.hub.resyncs >= 1
-    assert not w.hub.subscribers["c1"].lagged
-
-
-def test_sync_range_serves_bounded_history(chain):
-    w = world(chain, clients=(), history_limit=3)
-    w.certify(7, start=1)
-    reply = w.hub._sync_range(1)
-    assert reply.latest_seq == 7
-    assert reply.oldest_retained == 5  # 7 - history_limit + 1
-    assert [a.seq for a in reply.announcements] == [5, 6, 7]
-    # A truncated range still fully syncs a superlight client: the
-    # newest announcement is self-sufficient.
-    assert reply.announcements[-1].header.height == 7
+    for name, client in w.clients.items():
+        assert client.latest_header.height == 10
+        assert client.push_adopted == 2  # seq 1, then seq 10 on its ack
+        assert w.hub.subscribers[name].acked_seq == 10
 
 
 # -- loss recovery -----------------------------------------------------------
 
 
 def test_heartbeat_retransmits_lost_inflight_pushes(chain):
-    w = world(chain, window=4)
+    w = world(chain)
     client = w.clients["c1"]
     # Every push to the client vanishes in flight.
     w.injector.set_link("ci", "c1", LinkFaults(drop_rate=1.0))
@@ -251,19 +255,26 @@ def test_heartbeat_retransmits_lost_inflight_pushes(chain):
     w.bus.run_until_idle()
     assert client.latest_header is None
     state = w.hub.subscribers["c1"]
-    assert state.inflight == {1, 2}
-    # The link heals; the heartbeat reports acked_seq=0, the hub
-    # requeues the lost window and the stream catches the client up.
+    assert state.inflight == 1  # seq 2 waits for an ack that never comes
+    # The link heals; one heartbeat (one RPC) reports acked_seq=0 and
+    # its reply carries the newest tip.
     w.injector.set_link("ci", "c1", LinkFaults())
-    client.heartbeat()
+    calls = client.rpc.calls
+    reply = client.heartbeat()
+    assert client.rpc.calls == calls + 1
+    assert reply.tip.seq == 2 and reply.subscribed
+    assert client.latest_header.height == 2 and client.push_resyncs == 1
+    assert w.hub.retransmits == 1
+    assert state.acked_seq == 2 and state.inflight == 0
+    # The stream resumes at once.
+    w.certify(1)
     w.bus.run_until_idle()
-    assert state.retransmits == 2
-    assert client.latest_header.height == 2
-    assert w.hub.subscribers["c1"].acked_seq == 2
+    assert client.latest_header.height == 3
 
 
-def test_lease_expiry_reaps_silent_subscribers(chain):
-    w = world(chain, lease_ms=500.0)
+def test_lease_expiry_reaps_silent_subscribers(chain, monkeypatch):
+    monkeypatch.setattr(SubscriptionHub, "LEASE_MS", 500.0)
+    w = world(chain)
     client = w.clients["c1"]
     w.certify(1, start=1)
     w.bus.run_until_idle()
@@ -275,28 +286,114 @@ def test_lease_expiry_reaps_silent_subscribers(chain):
     assert w.hub.reaped == 1
     w.bus.run_until_idle()
     assert client.latest_header.height == 1  # nothing was pushed
-    # Its next heartbeat discovers the eviction and recovers fully.
+    # Its next heartbeat's reply carries the tip and says it was reaped;
+    # the client adopts the tip and subscribes again.
     reply = client.heartbeat()
-    w.bus.run_until_idle()
-    assert reply.subscribed is False
-    assert "c1" in w.hub.subscribers
+    assert reply.subscribed is False and reply.tip.seq == 2
     assert client.latest_header.height == 2
+    assert "c1" in w.hub.subscribers
+    w.certify(1)
+    w.bus.run_until_idle()
+    assert client.latest_header.height == 3
 
 
 def test_departed_subscriber_is_reaped_on_send_failure(chain):
     w = world(chain, clients=())
-    w.hub._subscribe("ghost")  # never joined the bus
+    w.hub._subscribe(("ghost", 0))  # never joined the bus
     assert "ghost" in w.hub.subscribers
     w.certify(1, start=1)
     assert "ghost" not in w.hub.subscribers
     assert w.hub.reaped == 1
 
 
+def test_gap_defers_resync_to_the_next_heartbeat(chain):
+    """A block certified while the push before it is lost is not pushed
+    (that push is still unacked); the next heartbeat brings the newest."""
+    w = world(chain)
+    client = w.clients["c1"]
+    w.certify(1, start=1)
+    w.bus.run_until_idle()
+    w.injector.set_link("ci", "c1", LinkFaults(drop_rate=1.0))
+    w.certify(1)
+    w.bus.run_until_idle()
+    w.injector.set_link("ci", "c1", LinkFaults())
+    w.certify(1)
+    w.bus.run_until_idle()
+    assert client.latest_header.height == 1
+    client.heartbeat()
+    assert client.latest_header.height == 3
+    assert client._sub_seq == w.hub.seq == 3
+
+
+def test_resubscribing_behind_the_tip_catches_up_on_next_heartbeat(chain):
+    w = world(chain)
+    client = w.clients["c1"]
+    w.certify(2, start=1)
+    w.bus.run_until_idle()
+    client.unsubscribe()
+    w.certify(2)
+    w.bus.run_until_idle()
+    assert client.latest_header.height == 2
+    client.subscribe()
+    client.heartbeat()
+    w.bus.run_until_idle()
+    assert client.latest_header.height == 4
+    assert client._sub_seq == w.hub.seq == 4
+
+
+def test_a_subscriber_past_the_stream_is_brought_back_by_one_heartbeat(chain):
+    """A seq is not certified: a corrupted push can carry a genuine tip
+    under a seq the hub never reached.  The hub's numbering wins, so
+    the stream does not stall behind it."""
+    w = world(chain)
+    client = w.clients["c1"]
+    w.certify(1, start=1)
+    w.bus.run_until_idle()
+    client._sub_seq = 99
+    client.heartbeat()
+    assert client._sub_seq == 1 and w.hub.subscribers["c1"].acked_seq == 1
+    w.certify(1)
+    w.bus.run_until_idle()
+    assert client.latest_header.height == 2
+
+
+# -- the hub is untrusted ----------------------------------------------------
+
+
+def test_a_heartbeat_reply_that_is_not_a_stream_reply_is_an_integrity_error(chain):
+    w = world(chain)
+    client = w.clients["c1"]
+    w.certify(1, start=1)
+    w.bus.run_until_idle()
+    lying_hub(w, lambda _argument: "all good")
+    client.hub = "liar"
+    before = client.to_json()
+    with pytest.raises(ResponseIntegrityError):
+        client.heartbeat()
+    assert client.to_json() == before and client._sub_seq == 1
+
+
+def test_a_heartbeat_reply_with_a_non_int_latest_seq_is_an_integrity_error(chain):
+    w = world(chain)
+    client = w.clients["c1"]
+    w.certify(2, start=1)
+    w.bus.run_until_idle()
+    lying_hub(w, lambda argument: unchecked(w.hub._heartbeat(argument), latest_seq="7"))
+    client.hub = "liar"
+    before = client.to_json()
+    with pytest.raises(ResponseIntegrityError):
+        client.heartbeat()
+    assert client.to_json() == before and client._sub_seq == 2
+
+
 # -- stream semantics --------------------------------------------------------
 
 
 def test_augmented_only_blocks_consume_a_seq_without_a_push(chain):
-    w = world(chain, clients=())
+    w = world(chain)
+    client = w.clients["c1"]
+    w.certify(1, start=1)
+    w.bus.run_until_idle()
 
     class AugmentedOnly:
         certificate = None
@@ -304,29 +401,11 @@ def test_augmented_only_blocks_consume_a_seq_without_a_push(chain):
     before = w.hub.seq
     assert w.hub.publish(AugmentedOnly()) is None
     assert w.hub.seq == before + 1
-    assert w.hub.published == 0
-
-
-def test_gap_defers_resync_to_the_next_heartbeat(chain):
-    w = world(chain)
-    client = w.clients["c1"]
-    w.certify(1, start=1)
-    w.bus.run_until_idle()
-    # The push for seq 2 is lost in flight; seq 3 then arrives as a
-    # gap from the client's view.
-    w.injector.set_link("ci", "c1", LinkFaults(drop_rate=1.0))
-    w.certify(1)
-    w.bus.run_until_idle()
-    w.injector.set_link("ci", "c1", LinkFaults())
-    w.certify(1)
-    w.bus.run_until_idle()
-    assert client.push_gaps >= 1
-    assert client._needs_resync
-    assert client.latest_header.height == 1
-    client.heartbeat()
-    w.bus.run_until_idle()
-    assert client.latest_header.height == 3
-    assert client._sub_seq == w.hub.seq == 3
+    assert w.hub.published == 1 and w.hub.tip.seq == before
+    assert w.hub.subscribers["c1"].inflight == 0
+    # The client holds the newest announcement; a heartbeat brings nothing.
+    assert client.heartbeat().tip is None
+    assert client._sub_seq == before
 
 
 def test_hub_restart_resumes_the_sequence(chain):
@@ -336,36 +415,20 @@ def test_hub_restart_resumes_the_sequence(chain):
     w.bus.run_until_idle()
     w.hub.detach()
     # A replacement hub on a fresh endpoint resumes where the issuer
-    # is, instead of rewinding the stream to seq 0.
+    # is, instead of rewinding the stream to seq 0; its tip is the
+    # issuer's newest certified block.
     hub2 = SubscriptionHub(w.bus, "hub2")
-    hub2.attach(w.issuer, announce_existing=True)
+    hub2.attach(w.issuer)
     assert hub2.seq == 2
-    reply = hub2._sync_range(1)
-    assert [a.seq for a in reply.announcements] == [1, 2]
+    assert hub2.tip.seq == 2 and hub2.tip.header == w.issuer.certified[-1].header
     # The client re-subscribes to the new endpoint and the stream
     # continues seamlessly.
     client.subscribe(hub="hub2")
+    assert client.push_resyncs == 0 and client._sub_seq == 2
     w.certify(1)
     w.bus.run_until_idle()
     assert client.latest_header.height == 3
     assert hub2.subscribers["c1"].acked_seq == 3
-
-
-
-def test_attach_history_counts_announcements_not_heights(chain):
-    # Blocks certified under the augmented scheme alone take a height but
-    # no announcement; a hub attached afterwards still retains the
-    # newest history_limit announcements, found below them.
-    w = World(chain, clients=())
-    for block in chain.blocks[1:5]:
-        w.issuer.process_block(block, schemes=("hierarchical", "augmented"))
-    for block in chain.blocks[5:9]:
-        w.issuer.process_block(block, schemes=("augmented",))
-    hub2 = SubscriptionHub(w.bus, "hub2", history_limit=3)
-    hub2.attach(w.issuer, announce_existing=True)
-    assert hub2.seq == 8
-    reply = hub2._sync_range(1)
-    assert [a.seq for a in reply.announcements] == [2, 3, 4]
 
 
 # -- construction ------------------------------------------------------------
@@ -377,8 +440,6 @@ def test_constructor_takes_exactly_one_transport(chain):
         SubscriptionHub()
     with pytest.raises(ValueError):
         SubscriptionHub(bus, server=IssuerService(bus, "x", object()).server)
-    with pytest.raises(ValueError):
-        SubscriptionHub(bus, outbox_limit=0)
 
 
 def test_embedded_beside_a_gateway_gets_a_sibling_endpoint():

@@ -465,7 +465,7 @@ def _gateway_fleet(bus, *, service_ms=10.0, admission=None, hedge=None,
         providers[name] = server
     gateway = QueryGateway(
         bus, "gw", list(providers),
-        balancer="round-robin", seed=3,
+        seed=3,
         policy=RetryPolicy(timeout_ms=1_000.0, max_attempts=1),
         health=HealthPolicy(failure_threshold=100),
         breaker=breaker, hedge=hedge,

@@ -10,13 +10,8 @@ import pytest
 from repro.crypto import generate_keypair
 from repro.errors import WireError
 from repro.net import wire
-from repro.net.messages import LagNotice, StreamAck
-from repro.net.pubsub import (
-    HeartbeatReply,
-    SubscribeReply,
-    SyncReply,
-    TipAnnouncement,
-)
+from repro.net.messages import PushEnvelope, StreamAck
+from repro.net.pubsub import StreamReply, TipAnnouncement
 from repro.query.api import (
     AggregateQuery,
     HistoryQuery,
@@ -401,11 +396,11 @@ def test_unknown_structural_field_rejected():
     "message",
     [
         StreamAck(subscriber="client-3", seq=41),
-        SubscribeReply(latest_seq=7, lease_ms=30_000.0),
-        HeartbeatReply(latest_seq=9, subscribed=True, lagged=False),
-        HeartbeatReply(latest_seq=0, subscribed=False, lagged=True),
-        LagNotice(latest_seq=12, dropped=4),
-        SyncReply(announcements=(), latest_seq=3, oldest_retained=1),
+        StreamAck(subscriber="client-3", seq=0),
+        StreamReply(latest_seq=7, subscribed=True),
+        StreamReply(latest_seq=0, subscribed=False),
+        StreamReply(latest_seq=12, subscribed=False, tip=None),
+        PushEnvelope(payload=b'{"seq":1}'),
     ],
 )
 def test_push_stream_messages_round_trip(message):
@@ -414,12 +409,28 @@ def test_push_stream_messages_round_trip(message):
     assert type(decoded) is type(message)
 
 
-def test_sync_reply_with_announcement_round_trips(certified_setup):
+def test_stream_reply_with_announcement_round_trips(certified_setup):
     certified = certified_setup["issuer"].certified[-1]
-    announcement = _announcement(certified, 5)
-    reply = SyncReply(
-        announcements=(announcement,), latest_seq=5, oldest_retained=2
+    reply = StreamReply(
+        latest_seq=6, subscribed=True, tip=_announcement(certified, 5)
     )
     decoded = wire.decode(wire.encode(reply))
     assert decoded == reply
-    assert decoded.announcements[0].certificate == certified.certificate
+    assert decoded.tip.certificate == certified.certificate
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("latest_seq", "7"), ("latest_seq", 7.0), ("latest_seq", True),
+     ("subscribed", 1), ("subscribed", None), ("tip", "tip"), ("tip", 5)],
+)
+def test_a_mistyped_stream_reply_field_fails_decode(field, value):
+    """The client branches on these before anything is verified, so a
+    mistyped field is refused where the bytes are read."""
+    with pytest.raises(WireError):
+        StreamReply(**{"latest_seq": 3, "subscribed": True, field: value})
+    forged = object.__new__(StreamReply)  # what a lying hub can encode
+    for name, honest in (("latest_seq", 3), ("subscribed", True), ("tip", None)):
+        object.__setattr__(forged, name, value if name == field else honest)
+    with pytest.raises(WireError):
+        wire.decode(wire.encode(forged))

@@ -17,6 +17,10 @@ assert the client never ends up in a state the forger controls:
   in ``push_rejected``, not acked, and the client state is
   byte-identical to before.
 
+The same holds for the tip a hub's :class:`~repro.net.pubsub.StreamReply`
+carries (a lying hub answering ``heartbeat``): one mutation plan, two
+ways in.
+
 The same forged bundles are then served over the polled path (a lying
 issuer's ``latest_tip``) and handed to an in-process client's ``adopt``:
 every path adopts through the one ``SuperlightClient.adopt``, so a
@@ -44,10 +48,15 @@ from repro.core import Certificate, CertifiedTip, ClientConfig, IssuerService, c
 from repro.core.certificate import CERT_SIG_DOMAIN, VerifiedMemo
 from repro.core.superlight import ClientState, adopt_bundle
 from repro.crypto import ecdsa, generate_keypair, sign
-from repro.errors import CertificateError, ServiceUnavailableError, WireError
+from repro.errors import (
+    CertificateError,
+    ResponseIntegrityError,
+    ServiceUnavailableError,
+    WireError,
+)
 from repro.net.bus import MessageBus
 from repro.net.messages import PushEnvelope
-from repro.net.pubsub import SubscriptionHub, TipAnnouncement
+from repro.net.pubsub import StreamReply, SubscriptionHub, TipAnnouncement
 from repro.net.rpc import RpcServer
 from repro.net import wire
 from tests.proptest import mutate
@@ -65,6 +74,11 @@ def world(certified_setup):
     # A lying issuer endpoint: serves whatever tip the case planted.
     liar_tip = []
     RpcServer(bus, "liar").register("latest_tip", lambda _arg: liar_tip[-1])
+    # A lying hub endpoint: answers the stream with the planted reply.
+    liar_reply = []
+    liar_hub = RpcServer(bus, "liarhub")
+    for method in (SubscriptionHub.SUBSCRIBE, SubscriptionHub.HEARTBEAT):
+        liar_hub.register(method, lambda _arg: liar_reply[-1])
     # The probe sits at the second-to-last certified block (seq N-1);
     # the genuine announcement under test carries the last one (seq N).
     seq = len(issuer.certified)
@@ -86,11 +100,15 @@ def world(certified_setup):
         "bus": bus,
         "hub": hub,
         "liar_tip": liar_tip,
+        "liar_reply": liar_reply,
         "issuer": issuer,
         "setup": certified_setup,
         "seq": seq,
         "announcement": announcement,
         "payload": wire.encode(announcement),
+        "reply_payload": wire.encode(
+            StreamReply(latest_seq=seq, subscribed=True, tip=announcement)
+        ),
         "certified_roots": certified_roots,
     }
 
@@ -172,9 +190,58 @@ def test_mutated_announcements_never_move_a_tip_unverified(world):
                 "a rejected announcement left client state behind"
             )
             assert probe._sub_seq == world["seq"] - 1
-        # Whatever happened, the stream either did not move or moved to
-        # exactly the genuine position — never past it.
-        assert probe._sub_seq in (world["seq"] - 1, world["seq"])
+        # The stream position moves only with the genuine tip (its seq is
+        # not certified: a flip there still carries the enclave's tip).
+        if probe._sub_seq != world["seq"] - 1:
+            assert probe.latest_header == genuine.header
+
+    run_cases(prop)
+
+
+def _heartbeat_with(probe, world, reply):
+    """``probe.heartbeat()`` against a hub that answers ``reply``."""
+    world["liar_reply"].append(reply)
+    probe.hub = "liarhub"
+    try:
+        return probe.heartbeat()
+    finally:
+        world["liar_reply"].clear()
+
+
+def test_mutated_stream_replies_never_move_a_tip_unverified(world):
+    """The announcement inside a heartbeat reply, under the same
+    single-byte mutations: what does not decode is a
+    ``ResponseIntegrityError`` before anything is read, what is not a
+    ``StreamReply`` too, and a tip is adopted only if it verifies —
+    otherwise counted, with the state byte-identical."""
+    genuine = world["announcement"]
+    prev_header = world["issuer"].certified[-2].block.header
+
+    def prop(rng):
+        mutated = mutate_one_byte(world["reply_payload"], rng)
+        try:
+            reply = wire.decode(mutated)
+        except WireError:
+            return  # RpcClient.resolve: a ResponseIntegrityError, see test_rpc
+        probe = _make_probe(world, rng, "replyprobe")
+        before_state = probe.to_json()
+        if not isinstance(reply, StreamReply):
+            with pytest.raises(ResponseIntegrityError):
+                _heartbeat_with(probe, world, reply)
+            assert probe.to_json() == before_state
+            return
+        _heartbeat_with(probe, world, reply)
+        assert probe.latest_header in (prev_header, genuine.header)
+        if probe.latest_header == genuine.header:
+            assert probe.latest_certificate == genuine.certificate
+        for _height, root, _cert in probe.state.indexes.values():
+            assert root in world["certified_roots"]
+        assert probe.push_rejected == probe.integrity_failures <= 1
+        if probe.push_rejected:
+            assert probe.to_json() == before_state
+            assert probe._sub_seq <= world["seq"] - 1
+        if probe._sub_seq > world["seq"] - 1:
+            assert probe.latest_header == genuine.header
 
     run_cases(prop)
 
@@ -385,7 +452,9 @@ def _wrong_type_mutants(payload):
     """``(field, payload)`` for every one-leaf edit of ``payload`` that
     puts a value of another type where ``bytes`` or a number was."""
     for path, _label, tree in mutate.mutants(json.loads(payload), _wrong_types):
-        field = next(step for step in path if step not in ("!f", "!d", "!t"))
+        steps = [step for step in path if step not in ("!f", "!d", "!t")]
+        # In a StreamReply, the field of the announcement it carries.
+        field = steps[1] if steps[0] == "tip" else steps[0]
         yield field, json.dumps(tree, sort_keys=True, separators=(",", ":")).encode()
 
 
@@ -425,7 +494,7 @@ def test_a_pushed_field_of_the_wrong_type_is_a_rejected_forgery(world):
         assert set(memo.signatures) <= _genuine_signatures(world)
         if decodes and field in _UNSIGNED_FIELDS:
             # e.g. an integer timestamp: the certified tip is intact.
-            assert probe.push_rejected + probe.push_adopted + probe.push_gaps == 1
+            assert probe.push_rejected + probe.push_adopted == 1
         else:
             reached_the_check += decodes
             assert probe.push_rejected == probe.integrity_failures == 1, field
@@ -439,6 +508,40 @@ def test_a_pushed_field_of_the_wrong_type_is_a_rejected_forgery(world):
     # The codec does not do this test's work, and does its own: a
     # mistyped signature scalar is a WireError (Signature.__post_init__;
     # 150 would reach the check without it).
+    assert reached_the_check == 90
+
+
+def test_a_replied_field_of_the_wrong_type_is_a_rejected_forgery(world):
+    """The same palette on a heartbeat reply: a mistyped ``latest_seq``
+    (or announcement ``seq``) does not decode, and any other field of
+    the announcement it carries is answered exactly as when pushed —
+    counted, nothing moved — and the genuine reply is adopted after."""
+    genuine = world["announcement"]
+    genuine_reply = wire.decode(world["reply_payload"])
+    rng = random.Random(18)
+    reached_the_check = 0
+    for field, payload in _wrong_type_mutants(world["reply_payload"]):
+        try:
+            reply = wire.decode(payload)
+        except WireError:
+            continue  # RpcClient.resolve: a ResponseIntegrityError
+        assert field not in ("latest_seq", "seq"), field
+        probe = _make_probe(world, rng, "typereply")
+        memo = probe._verified_reports
+        before, reports = probe.to_json(), set(memo)
+        _heartbeat_with(probe, world, reply)  # never raises
+        assert set(memo) == reports
+        assert set(memo.signatures) <= _genuine_signatures(world)
+        if field in _UNSIGNED_FIELDS:
+            assert probe.push_rejected + probe.push_adopted == 1
+        else:
+            reached_the_check += 1
+            assert probe.push_rejected == probe.integrity_failures == 1, field
+            assert probe.to_json() == before, field
+            assert probe._sub_seq == world["seq"] - 1
+        _heartbeat_with(probe, world, genuine_reply)
+        assert probe.latest_header == genuine.header, field
+        assert probe._sub_seq == world["seq"]
     assert reached_the_check == 90
 
 

@@ -155,14 +155,14 @@ def world():
 def make_client(world, providers):
     """A bootstrapped remote client over a clean bus; ``providers`` maps
     service names to the provider each replica serves from, fronted by a
-    gateway that prefers the first idle replica and ejects one on its
-    first strike."""
+    gateway that dispatches round robin from the first replica and
+    ejects one on its first strike."""
     bus = MessageBus(default_latency_ms=20.0)
     IssuerService(bus, "ci", world["issuer"])
     for name, provider in providers.items():
         QueryService(bus, name, provider)
     gateway = QueryGateway(
-        bus, "gw", list(providers), balancer="least-outstanding",
+        bus, "gw", list(providers),
         health=HealthPolicy(failure_threshold=1, probe_base_ms=5_000.0),
     )
     client = connect(ClientConfig(
@@ -249,9 +249,10 @@ def test_apply_insert_rejects_malformed_integers(module, tree, value, expected, 
 def test_query_fails_over_past_a_replica_serving_a_malformed_proof(
     world, family, label, bad
 ):
-    """Liars ahead of the one honest replica: each lie costs one
-    integrity failure and a strike that ejects the replica that gave it,
-    and the query still returns the verified answer."""
+    """Liars ahead of the one honest replica in round-robin turn (liar1,
+    then the second of the two left): each lie costs one integrity
+    failure and a strike that ejects the replica that gave it, and the
+    query still returns the verified answer."""
 
     class LyingProvider:
         def execute(self, request):
@@ -263,12 +264,12 @@ def test_query_fails_over_past_a_replica_serving_a_malformed_proof(
     request = world["requests"][family]
     fronted = make_client(
         world,
-        {"liar1": LyingProvider(), "liar2": LyingProvider(), "honest": world["provider"]},
+        {"liar1": LyingProvider(), "honest": world["provider"], "liar2": LyingProvider()},
     )
     assert fronted.query(request) == world["provider"].execute(request)
     assert fronted.integrity_failures == 2
     assert fronted.gateway.healthy_replicas() == ["honest"]
-    assert [s.failures for s in fronted.gateway.replicas.values()] == [1, 1, 0]
+    assert [s.failures for s in fronted.gateway.replicas.values()] == [1, 0, 1]
     assert fronted.gateway.failovers == 2
 
 
