@@ -35,7 +35,7 @@ from repro.core import (
     connect,
 )
 from repro.core.issuer import IssuerService
-from repro.net import HealthPolicy, MessageBus, QueryGateway, RetryPolicy
+from repro.net import MessageBus, QueryGateway
 from repro.query import HistoryQuery, QueryService
 from repro.query.indexes import AccountHistoryIndexSpec
 from repro.query.provider import QueryServiceProvider
@@ -59,9 +59,9 @@ def _build_world():
     builder = ChainBuilder(difficulty_bits=4, network=_NETWORK)
     genesis, state = make_genesis(network=_NETWORK)
     ias = AttestationService(seed=b"fleet-bench-ias")
-    # One index keeps the per-replica switch verification (an
-    # index_root round trip per certified index) from dominating the
-    # small smoke-tier batches.
+    # One index: the batches query only the history family (a switch
+    # verification is one index_roots round trip per replica whatever
+    # the index count).
     specs = [AccountHistoryIndexSpec(name="history")]
     issuer = CertificateIssuer(
         genesis, state, fresh_vm(), builder.pow,
@@ -98,11 +98,7 @@ def _make_fleet(world, replicas: int, queries: int):
         QueryService(bus, name, provider, service_time_ms=_SERVICE_MS)
     gateway = QueryGateway(
         bus, "gw", names,
-        policy=RetryPolicy(
-            timeout_ms=_SERVICE_MS * (queries + 4) + 1_000.0,
-            max_attempts=1,
-        ),
-        health=HealthPolicy(failure_threshold=2),
+        timeout_ms=_SERVICE_MS * (queries + 4) + 1_000.0,
     )
     client = connect(ClientConfig(
         measurement=measurement, ias_public_key=ias.public_key,

@@ -41,7 +41,7 @@ from repro.chain.transaction import sign_transaction
 from repro.crypto import generate_keypair
 from repro.net import (
     AdmissionPolicy,
-    HealthPolicy,
+    CircuitBreakerPolicy,
     HedgePolicy,
     MessageBus,
     QueryGateway,
@@ -239,9 +239,8 @@ def _run_slow_replica_pass(hedge: HedgePolicy | None) -> tuple:
     }
     gateway = QueryGateway(
         bus, "gw", names,
-        seed=11,
-        policy=RetryPolicy(timeout_ms=2_000.0, max_attempts=1),
-        health=HealthPolicy(failure_threshold=4),
+        timeout_ms=2_000.0,
+        breaker=CircuitBreakerPolicy(failure_trip=4),
         hedge=hedge,
     )
     warmup = _requests(20)

@@ -42,7 +42,6 @@ from repro.net import (
     LinkFaults,
     MessageBus,
     QueryGateway,
-    RetryPolicy,
     RpcResponse,
     wire,
 )
@@ -129,7 +128,7 @@ def main() -> None:
         issuers=("ci",),
         gateway=QueryGateway(
             bus, "gateway", ["sp1", "sp2"],
-            policy=RetryPolicy(timeout_ms=150.0, max_attempts=3),
+            timeout_ms=150.0,
         ),
     ))
 

@@ -31,6 +31,11 @@
 # became a latest-tip stream: a push client's heartbeat is one RPC (no
 # catch-up pull after it) and its subscribe reply carries the tip, so
 # virtual timestamps move.  The other six did not move.
+# sim_fingerprint moved once more (was 9b1aa7fe…b4661a) when gateway
+# health became one always-on breaker per replica and a replica switch
+# one `index_roots` request: a due probe is one dispatch, the reopen time
+# carries seeded jitter and a verification is one attempt, so virtual
+# timestamps move.  The other six did not move.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -46,7 +51,7 @@ RECORDED = {
     "certify-stream certificate_sha256":
         "9fe0870b0d264b85f33ab8e0f87711ca7e115e714cdc48ad464557cd1ee2c1b6",
     "sim-mixed sim_fingerprint":
-        "9b1aa7fe3841cf0f15f0321f142ee7012e6936530a7dc06a9cc39fa87fb4661a",
+        "19530cb5b66b41c0e1259818d51e1d9193c47c89fcce69c5f8a96fa67870b27e",
     "certify-stream client_storage_bytes": 2436,
     "tip-follow client_storage_bytes": 2435,
     "query-cold client_storage_bytes": 3898,

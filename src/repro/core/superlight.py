@@ -694,10 +694,13 @@ class SuperlightClient:
         replica, check that the index roots it serves match the
         client's certified ones.  (Answers are verified individually
         anyway; this catches a stale or lying replica *before* queries
-        are routed at it.)"""
+        are routed at it.)  One ``index_roots`` request covers every
+        certified index, sent once at the gateway's dispatch timeout."""
+        if not self.state.indexes:
+            return
+        served = self.gateway.rpc.call(replica, "index_roots")
         for name, (_height, certified, _cert) in self.state.indexes.items():
-            served = self.gateway.call_on(replica, "index_root", name)
-            if served != certified:
+            if not isinstance(served, dict) or served.get(name) != certified:
                 raise ResponseIntegrityError(
                     f"replica {replica!r} serves index {name!r} at a root "
                     "that does not match the certified one"

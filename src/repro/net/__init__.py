@@ -22,8 +22,8 @@ deterministically and without sockets:
   push per subscriber, catch-up in the subscribe/heartbeat reply, and
   lease-based subscriber reaping.
 * :mod:`gateway` — load-balanced routing over a fleet of QueryService
-  replicas: round-robin dispatch, per-replica health with probe-based
-  recovery, failover with switch re-verification.
+  replicas: round-robin dispatch, one circuit breaker per replica (its
+  whole health), failover with switch re-verification.
 * :mod:`supervisor` — crash detection + bounded-backoff restart for any
   RPC-fronted service (issuer or query replica).
 * :mod:`resilience` — the overload-protection primitives: deadline
@@ -34,11 +34,7 @@ deterministically and without sockets:
 
 from repro.net.bus import MessageBus, NetworkNode
 from repro.net.faults import FaultInjector, LinkFaults
-from repro.net.gateway import (
-    HealthPolicy,
-    QueryGateway,
-    ReplicaState,
-)
+from repro.net.gateway import QueryGateway, ReplicaState
 from repro.net.messages import (
     BlockAnnouncement,
     CertificateAnnouncement,
@@ -66,7 +62,6 @@ __all__ = [
     "CircuitBreaker",
     "CircuitBreakerPolicy",
     "FaultInjector",
-    "HealthPolicy",
     "HedgePolicy",
     "LatencyTracker",
     "LinkFaults",

@@ -8,21 +8,21 @@ module supplies both on the deterministic virtual-clock bus:
 
 * **Balancing** — round robin over the eligible replicas, in a stable
   order.
-* **Health tracking** — :class:`ReplicaState` counts consecutive
-  failures; past :class:`HealthPolicy.failure_threshold` the replica
-  leaves the rotation and is re-admitted only through bounded-backoff
-  *probes*: a due probe routes one real request at the suspect, success
-  restores it, failure pushes the next probe further out.  This is
-  driven purely by observed RPC behaviour, so anything the fault layer
-  does (drops, delays, a supervisor pausing a crashed endpoint) shows
-  up as failures and anything a supervisor restores shows up as a probe
-  success.
+* **Health** — each :class:`ReplicaState` has one
+  :class:`~repro.net.resilience.CircuitBreaker`, always on: closed is
+  in rotation; liveness strikes or overload sheds open it until a
+  backed-off reopen time; then one real request is the half-open probe,
+  whose success closes it and whose failure reopens it with the window
+  doubled.  This is driven purely by observed RPC behaviour, so
+  anything the fault layer does (drops, delays, a supervisor pausing a
+  crashed endpoint) shows up as failures and anything a supervisor
+  restores shows up as a probe success.
 * **Failover with re-verification** — when a call lands on a different
   replica than the previous one, the gateway first invokes the caller's
   ``verify_switch`` hook (the superlight client re-checks the new
   replica's index roots against its certified ones).  A replica that
-  fails verification is treated exactly like a dead one: marked
-  unhealthy and routed around.
+  fails verification is treated exactly like a dead one: struck and
+  routed around.
 
 Per-replica bookkeeping is bounded: the in-flight map is capped at
 :data:`OUTSTANDING_LIMIT` entries (oldest evicted), the same discipline
@@ -74,44 +74,18 @@ OUTSTANDING_LIMIT = 256
 HOP_MARGIN_MS = 10.0
 
 
-@dataclass(frozen=True, slots=True)
-class HealthPolicy:
-    """When a replica leaves the rotation and how probing re-admits it."""
-
-    #: Consecutive failures that eject a replica from the rotation.
-    failure_threshold: int = 2
-    #: Backoff schedule between probes of an unhealthy replica.
-    probe_base_ms: float = 200.0
-    probe_factor: float = 2.0
-    probe_max_ms: float = 5_000.0
-
-    def probe_delay_ms(self, attempt: int) -> float:
-        """Delay before the ``attempt``-th probe (0-based)."""
-        return min(
-            self.probe_base_ms * self.probe_factor**attempt,
-            self.probe_max_ms,
-        )
-
-
 class ReplicaState:
     """Everything the gateway knows about one replica endpoint."""
 
     def __init__(
         self,
         name: str,
+        breaker: CircuitBreaker,
         *,
         outstanding_limit: int = OUTSTANDING_LIMIT,
-        breaker: CircuitBreaker | None = None,
     ) -> None:
         self.name = name
-        self.healthy = True
-        self.consecutive_failures = 0
-        self.probe_attempt = 0
-        self.next_probe_ms = 0.0
-        #: Optional per-endpoint circuit breaker.  Health answers "is
-        #: it alive"; the breaker answers "should it get traffic now" —
-        #: in particular it absorbs OVERLOADED backpressure, which is
-        #: not a liveness failure and must not eject the replica.
+        #: The replica's one state machine: closed is "in rotation".
         self.breaker = breaker
         #: request_id -> dispatch virtual time; bounded like
         #: ``NetworkNode.received`` so chaos runs cannot grow memory.
@@ -138,22 +112,12 @@ class ReplicaState:
     def settle(self, request_id: int) -> None:
         self.inflight.pop(request_id, None)
 
-    def eligible_at_ms(self) -> float | None:
-        """Earliest virtual time this replica may take a dispatch: in
-        rotation (or its probe due) *and* not breaker-blocked.  ``None``
-        when waiting cannot help (see ``CircuitBreaker.permits_at_ms``).
-        The one rule both :meth:`eligible` and the gateway's wait for
-        the next dispatch window use, so they can never disagree."""
-        at_ms = 0.0 if self.healthy else self.next_probe_ms
-        if self.breaker is not None:
-            breaker_at_ms = self.breaker.permits_at_ms()
-            if breaker_at_ms is None:
-                return None
-            at_ms = max(at_ms, breaker_at_ms)
-        return at_ms
+    @property
+    def closed(self) -> bool:
+        return self.breaker.state == CircuitBreaker.CLOSED
 
     def eligible(self, now_ms: float) -> bool:
-        at_ms = self.eligible_at_ms()
+        at_ms = self.breaker.permits_at_ms()
         return at_ms is not None and now_ms >= at_ms
 
 
@@ -177,12 +141,15 @@ class _Flight:
 class QueryGateway:
     """Routes calls across a replica fleet with health-aware failover.
 
+    ``timeout_ms`` bounds every dispatch, and the switch verification's
+    one request (``rpc.call`` sends once: no retry).
+
     ``verify_switch(replica_name)`` — optional hook invoked before the
     first call to a replica the gateway was not previously using; it
     should raise (typically :class:`ResponseIntegrityError`) if the new
-    replica cannot be verified, in which case the gateway marks it
-    unhealthy and fails over again.  The superlight client uses this to
-    re-check index roots against its certified ones on every switch.
+    replica cannot be verified, in which case the gateway strikes it
+    and fails over again.  The superlight client uses this to re-check
+    index roots against its certified ones on every switch.
     """
 
     def __init__(
@@ -191,9 +158,7 @@ class QueryGateway:
         name: str,
         replicas: Sequence[str],
         *,
-        seed: int = 0,
-        policy: RetryPolicy | None = None,
-        health: HealthPolicy | None = None,
+        timeout_ms: float = 250.0,
         verify_switch: Callable[[str], None] | None = None,
         breaker: CircuitBreakerPolicy | None = None,
         hedge: HedgePolicy | None = None,
@@ -202,28 +167,16 @@ class QueryGateway:
             raise ValueError("a gateway needs at least one replica")
         self.bus = bus
         self.rpc = RpcClient(
-            bus,
-            name,
-            policy
-            or RetryPolicy(
-                timeout_ms=250.0, max_attempts=1, backoff_base_ms=25.0
-            ),
-            seed=seed,
+            bus, name, RetryPolicy(timeout_ms=timeout_ms, max_attempts=1)
         )
-        self.health = health or HealthPolicy()
         self.verify_switch = verify_switch
         #: None disables hedging.
         self.hedge = hedge
-        # A breaker policy arms one breaker per replica, each with its
-        # own seeded jitter stream; None disables them.
+        # One breaker per replica (``None``: the default policy), each
+        # with its own seeded jitter stream.
         self.replicas: dict[str, ReplicaState] = {
             replica: ReplicaState(
-                replica,
-                breaker=(
-                    CircuitBreaker(breaker, seed=f"{name}:{replica}")
-                    if breaker is not None
-                    else None
-                ),
+                replica, CircuitBreaker(breaker, seed=f"{name}:{replica}")
             )
             for replica in replicas
         }
@@ -243,65 +196,35 @@ class QueryGateway:
     # -- health bookkeeping --------------------------------------------------
 
     def healthy_replicas(self) -> list[str]:
-        return [s.name for s in self.replicas.values() if s.healthy]
+        """The replicas in rotation: breaker closed."""
+        return [s.name for s in self.replicas.values() if s.closed]
 
     def breaker_trips(self) -> int:
         """Total breaker open-transitions across the fleet (for the
         demo/metrics surface)."""
-        return sum(
-            s.breaker.trips for s in self.replicas.values() if s.breaker
-        )
+        return sum(s.breaker.trips for s in self.replicas.values())
 
     def _mark_success(self, state: ReplicaState, latency_ms: float) -> None:
         state.answered += 1
         state.latency.observe(latency_ms)
-        state.consecutive_failures = 0
-        if state.breaker is not None:
-            state.breaker.record_success()
-        if not state.healthy:
-            state.healthy = True
-            state.probe_attempt = 0
-            obs.inc("gateway.replica_restored")
-        obs.set_gauge("gateway.replicas_healthy", len(self.healthy_replicas()))
+        state.breaker.record_success()
 
     def _mark_failure(
         self, state: ReplicaState, *, overload: OverloadedError | None = None
     ) -> None:
         state.failures += 1
-        if state.breaker is not None:
-            was_open = state.breaker.state == CircuitBreaker.OPEN
-            # The breaker clamps the (untrusted) hint itself.
-            state.breaker.record_failure(
-                self.bus.clock_ms,
-                overload=overload is not None,
-                retry_after_ms=overload.retry_after_ms if overload else 0.0,
-            )
-            if not was_open and state.breaker.state == CircuitBreaker.OPEN:
-                obs.inc("resilience.breaker.trips")
-            if overload is not None:
-                # Saturation, not death: the breaker owns backpressure;
-                # the liveness ejection counter is left alone so an
-                # overloaded replica is not misdiagnosed as dead.
-                state.overloads += 1
-                obs.inc("resilience.gateway.overloads")
-                return
-        state.consecutive_failures += 1
-        if state.healthy:
-            if state.consecutive_failures >= self.health.failure_threshold:
-                state.healthy = False
-                state.probe_attempt = 0
-                state.next_probe_ms = (
-                    self.bus.clock_ms + self.health.probe_delay_ms(0)
-                )
-                obs.inc("gateway.replica_ejected")
-        else:
-            # A failed probe: push the next one further out.
-            state.probe_attempt += 1
-            state.next_probe_ms = self.bus.clock_ms + self.health.probe_delay_ms(
-                state.probe_attempt
-            )
-            obs.inc("gateway.probe_failures")
-        obs.set_gauge("gateway.replicas_healthy", len(self.healthy_replicas()))
+        was_open = state.breaker.state == CircuitBreaker.OPEN
+        # The breaker clamps the (untrusted) hint itself.
+        state.breaker.record_failure(
+            self.bus.clock_ms,
+            overload=overload is not None,
+            retry_after_ms=overload.retry_after_ms if overload else 0.0,
+        )
+        if not was_open and state.breaker.state == CircuitBreaker.OPEN:
+            obs.inc("resilience.breaker.trips")
+        if overload is not None:
+            state.overloads += 1
+            obs.inc("resilience.gateway.overloads")
 
     def _strike(self, state: ReplicaState, exc: ReproError) -> bool:
         """The one verdict on a failed dispatch to ``state``.
@@ -310,9 +233,11 @@ class QueryGateway:
         the replica — sheds as backpressure, the rest as liveness
         strikes — and returns True: another replica may still answer.
         A terminal one (bad query, spent deadline) is the same on every
-        replica, so nothing is marked and the caller re-raises.
+        replica, so nothing is marked and the caller re-raises; a
+        half-open probe that drew it goes back to open, as if abandoned.
         """
         if not exc.retryable:
+            state.breaker.abandon_probe()
             return False
         self._mark_failure(
             state, overload=exc if isinstance(exc, OverloadedError) else None
@@ -322,14 +247,13 @@ class QueryGateway:
     def _abandon(self, state: ReplicaState, request_id: int) -> None:
         """Give up on an in-flight request without a verdict (a hedge
         loser, a request the caller's deadline cut short, or a batch
-        that raised with requests outstanding): no health or breaker
-        strike, but the books are settled — the in-flight slot is freed
-        and a half-open probe nobody will answer for goes back to open
-        instead of wedging the breaker."""
+        that raised with requests outstanding): no strike, but the books
+        are settled — the in-flight slot is freed and a half-open probe
+        nobody will answer for goes back to open instead of wedging the
+        breaker."""
         state.settle(request_id)
         self.rpc.abandon(request_id)
-        if state.breaker is not None:
-            state.breaker.abandon_probe()
+        state.breaker.abandon_probe()
 
     def _candidates(self) -> list[ReplicaState]:
         now = self.bus.clock_ms
@@ -345,7 +269,7 @@ class QueryGateway:
         """Run ``verify_switch`` if this replica needs (re-)verification.
 
         Returns True when the replica is safe to use.  A verification
-        failure marks it unhealthy, exactly like a transport failure —
+        failure strikes it, exactly like a transport failure —
         an unverifiable replica and a dead one get the same treatment.
         """
         if self.verify_switch is None:
@@ -364,11 +288,6 @@ class QueryGateway:
         return True
 
     # -- dispatch ------------------------------------------------------------
-
-    def call_on(self, replica: str, method: str, argument: object = None):
-        """One direct call to a named replica — no failover, no switch
-        hook.  The switch-verification callback itself uses this."""
-        return self.rpc.call(replica, method, argument)
 
     def call(
         self,
@@ -393,11 +312,11 @@ class QueryGateway:
         fleet; results come back in argument order.
 
         Each item is dispatched — one send, to the eligible replicas in
-        round-robin turn, timed out at ``policy.timeout_ms`` — until
+        round-robin turn, timed out at ``timeout_ms`` — until
         a replica answers it or its ``max(3, 2 × replicas)`` dispatches
         are spent (:class:`ServiceUnavailableError`).  A dispatch that
         outlives the replica's observed latency quantile is hedged once
-        (:class:`HedgePolicy`), to a healthy, verified replica not
+        (:class:`HedgePolicy`), to a closed, verified replica not
         already carrying the item; the loser is abandoned, not struck.
         An item is encoded once (``payloads``: by the caller, already),
         and a hedge or re-dispatch re-sends those bytes.
@@ -434,8 +353,7 @@ class QueryGateway:
         def send(item: int, state: ReplicaState, *, is_hedge: bool) -> None:
             check_deadline()  # switch verification may have spent it
             now = self.bus.clock_ms
-            if state.breaker is not None:
-                state.breaker.on_dispatch(now)  # spends a half-open probe
+            state.breaker.on_dispatch(now)  # may be the half-open probe
             request_id = self.rpc.begin(
                 state.name, method, payload=payloads[item], deadline_ms=downstream
             )
@@ -477,8 +395,6 @@ class QueryGateway:
                         )
                         waiting.append(item)
                         continue
-                    if not state.healthy:
-                        obs.inc("gateway.probes")
                     send(item, state, is_hedge=False)
                 todo = waiting
                 # Hedge, once and never with a probe, every dispatch that
@@ -492,7 +408,7 @@ class QueryGateway:
                     }
                     for other in self._candidates():
                         if (
-                            other.healthy
+                            other.closed
                             and other not in carrying
                             and self._ensure_verified(other)
                         ):
@@ -508,7 +424,7 @@ class QueryGateway:
                     due += [
                         at_ms
                         for s in self.replicas.values()
-                        if (at_ms := s.eligible_at_ms()) is not None
+                        if (at_ms := s.breaker.permits_at_ms()) is not None
                     ]
                 if not due:
                     raise ServiceUnavailableError(

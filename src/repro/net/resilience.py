@@ -22,10 +22,10 @@ RPC/gateway/client stacks compose into an end-to-end protection layer:
   shed with a typed :class:`~repro.errors.OverloadedError` carrying a
   ``retry_after_ms`` hint, which clients honor (clamped — a forged hint
   can only delay a retry, never stall a client forever).
-* **Circuit breakers** (:class:`CircuitBreaker`) — closed → open →
-  half-open per endpoint with a seeded-jitter reopen schedule and a
-  bounded probe trickle, so a saturated or dead endpoint stops
-  receiving traffic *before* failure-threshold ejection kicks in.
+* **Circuit breakers** (:class:`CircuitBreaker`) — the gateway's one
+  per-replica state machine, closed → open → half-open, with a
+  seeded-jitter, backed-off reopen schedule and one probe dispatch per
+  half-open window: liveness strikes and overload sheds each trip it.
 * **Latency tracking** (:class:`LatencyTracker`) — a bounded sample
   window per replica with quantiles; drives the gateway's hedge delay.
 * **Hedging policy** (:class:`HedgePolicy`) — when a dispatch is slower
@@ -143,17 +143,16 @@ class AdmissionPolicy:
 class CircuitBreakerPolicy:
     """When a per-endpoint breaker trips and how it re-closes."""
 
-    #: Consecutive transport failures that open the breaker.
-    failure_trip: int = 5
-    #: Consecutive OVERLOADED sheds that open it (saturation signals
-    #: trip faster than plain failures — the endpoint *told* us to stop).
+    #: Consecutive liveness strikes (timeouts, integrity and transport
+    #: failures) that open the breaker.
+    failure_trip: int = 2
+    #: Consecutive OVERLOADED sheds that open it; a shed is saturation,
+    #: not death, so it never counts as a liveness strike.
     overload_trip: int = 2
     #: Open-interval schedule: base × factor^reopens, capped.
-    open_base_ms: float = 250.0
+    open_base_ms: float = 200.0
     open_factor: float = 2.0
-    open_max_ms: float = 10_000.0
-    #: Requests let through while half-open (the probe trickle).
-    half_open_probes: int = 1
+    open_max_ms: float = 5_000.0
     #: Seeded multiplicative jitter on the open interval (0..1), so a
     #: fleet of breakers tripped by one event does not re-probe in
     #: lockstep.
@@ -163,16 +162,18 @@ class CircuitBreakerPolicy:
 class CircuitBreaker:
     """One endpoint's closed → open → half-open state machine.
 
+    Closed is "in rotation".  ``failure_trip`` consecutive liveness
+    strikes, or ``overload_trip`` consecutive sheds, open it until a
+    backed-off reopen time; the first dispatch after that is the one
+    half-open probe.  The probe's success closes the breaker, its
+    failure reopens it with the window doubled.  A shed
+    (:class:`~repro.errors.OverloadedError`) is an endpoint that is
+    alive but asking for backpressure: it feeds its own streak, never
+    the liveness one.
+
     Deterministic: reopen jitter comes from a breaker-local
     ``random.Random`` seeded from the breaker's name, so the same
     virtual-time failure sequence always yields the same transitions.
-
-    The split of duties against gateway health tracking: health answers
-    *is the endpoint alive* (timeouts, integrity failures eject it);
-    the breaker answers *should we send it traffic right now* — it also
-    reacts to :class:`~repro.errors.OverloadedError`, where the endpoint
-    is demonstrably alive but asking for backpressure, which must *not*
-    count as a liveness strike.
     """
 
     CLOSED = "closed"
@@ -189,7 +190,6 @@ class CircuitBreaker:
         self._overload_streak = 0
         self._reopens = 0  # consecutive open periods without a success
         self._reopen_at_ms = 0.0
-        self._probes_left = 0
         self.trips = 0
         self.closes = 0
 
@@ -202,22 +202,20 @@ class CircuitBreaker:
         """Earliest virtual time a dispatch may be routed here (pure).
 
         ``None`` means no amount of waiting helps: the breaker is
-        half-open with every probe outstanding, and only a probe's
+        half-open with its probe outstanding, and only the probe's
         verdict (or :meth:`abandon_probe`) moves it.
         """
         if self.state == self.OPEN:
             return self._reopen_at_ms
-        if self.state == self.HALF_OPEN and self._probes_left <= 0:
+        if self.state == self.HALF_OPEN:
             return None
         return 0.0
 
     def on_dispatch(self, now_ms: float) -> None:
-        """Account for one routed request (spends a half-open probe)."""
+        """Account for one routed request: the first one after the
+        reopen time is the half-open probe."""
         if self.state == self.OPEN and now_ms >= self._reopen_at_ms:
             self.state = self.HALF_OPEN
-            self._probes_left = self.policy.half_open_probes
-        if self.state == self.HALF_OPEN:
-            self._probes_left -= 1
 
     def abandon_probe(self) -> None:
         """A half-open probe was given up without a verdict (a hedge

@@ -71,6 +71,9 @@ class QueryServiceProvider:
     def index_root(self, name: str) -> bytes:
         return self._index(name).root
 
+    def index_roots(self) -> dict[str, bytes]:
+        return {name: index.root for name, index in self.indexes.items()}
+
     # -- query processing (unified typed API) ------------------------------
 
     def execute(self, request: QueryRequest) -> QueryAnswer:
@@ -150,7 +153,7 @@ class QueryService:
         self.server.register(
             "execute", self._execute, service_time_ms=service_time_ms
         )
-        self.server.register("index_root", self._index_root)
+        self.server.register("index_roots", self._index_roots)
 
     def _execute(self, request: object) -> QueryAnswer:
         from repro.fault.crashpoints import crashpoint
@@ -164,7 +167,7 @@ class QueryService:
         crashpoint("query.execute.post")
         return answer
 
-    def _index_root(self, name: object) -> bytes:
-        if not isinstance(name, str):
-            raise QueryError("index_root takes the index name")
-        return self.provider.index_root(name)
+    def _index_roots(self, argument: object) -> dict[str, bytes]:
+        if argument is not None:
+            raise QueryError("index_roots takes no argument")
+        return self.provider.index_roots()

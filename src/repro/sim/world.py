@@ -40,9 +40,7 @@ from repro.crypto import generate_keypair
 from repro.errors import ReproError
 from repro.net import (
     AdmissionPolicy,
-    CircuitBreakerPolicy,
     FaultInjector,
-    HealthPolicy,
     HedgePolicy,
     MessageBus,
     QueryGateway,
@@ -316,12 +314,7 @@ class SimWorld:
         )
         gateway = QueryGateway(
             self.bus, f"gwy{self.spawned}", list(self.replica_names),
-            seed=self.spawned,
-            policy=RetryPolicy(
-                timeout_ms=400.0, max_attempts=2, jitter=0.1
-            ),
-            health=HealthPolicy(failure_threshold=2, probe_base_ms=200.0),
-            breaker=CircuitBreakerPolicy(),
+            timeout_ms=400.0,
             hedge=HedgePolicy(),
         )
         client = connect(ClientConfig(

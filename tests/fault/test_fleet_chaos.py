@@ -27,12 +27,11 @@ from repro.core import (
 from repro.errors import ReproError
 from repro.fault.crashpoints import crash_armed
 from repro.net import (
+    CircuitBreakerPolicy,
     FaultInjector,
-    HealthPolicy,
     LinkFaults,
     MessageBus,
     QueryGateway,
-    RetryPolicy,
     RpcResponse,
     ServiceSupervisor,
     wire,
@@ -90,9 +89,8 @@ def make_fleet(fleet_world, *, injector=None, seed=0):
         )
     gateway = QueryGateway(
         bus, "gw", REPLICAS,
-        seed=seed,
-        policy=RetryPolicy(timeout_ms=120.0, max_attempts=1),
-        health=HealthPolicy(failure_threshold=1, probe_base_ms=150.0),
+        timeout_ms=120.0,
+        breaker=CircuitBreakerPolicy(failure_trip=1, open_base_ms=150.0),
     )
     client = connect(ClientConfig(
         measurement=fleet_world["measurement"],
@@ -146,7 +144,7 @@ def test_crashed_replica_is_restarted_and_probed_back(fleet_world):
     crashed_name = next(
         name for name, sup in supervisors.items() if sup.crashes == 1
     )
-    assert not gateway.replicas[crashed_name].healthy
+    assert not gateway.replicas[crashed_name].closed
     # Supervisor restores the endpoint; the gateway probe readmits it.
     bus.run_for(600.0)
     for i in range(12):
@@ -154,7 +152,7 @@ def test_crashed_replica_is_restarted_and_probed_back(fleet_world):
             HistoryQuery(index="history", account=f"k{i % 4}", t_from=1, t_to=i + 1)
         )
     assert supervisors[crashed_name].restarts == 1
-    assert gateway.replicas[crashed_name].healthy
+    assert gateway.replicas[crashed_name].closed
 
 
 def test_dropped_links_sweep(fleet_world):

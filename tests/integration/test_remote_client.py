@@ -28,8 +28,8 @@ from repro.core import (
 from repro.crypto import generate_keypair
 from repro.errors import ServiceUnavailableError
 from repro.net import (
+    CircuitBreakerPolicy,
     FaultInjector,
-    HealthPolicy,
     LinkFaults,
     MessageBus,
     QueryGateway,
@@ -131,8 +131,7 @@ def make_network(world, *, injector=None, issuers=("ci",)):
                            backoff_base_ms=20.0),
         gateway=QueryGateway(
             bus, GATEWAY, ["sp1", "sp2"],
-            policy=RetryPolicy(timeout_ms=150.0, max_attempts=2,
-                               backoff_base_ms=20.0),
+            timeout_ms=150.0,
         ),
     ))
     return bus, client
@@ -186,10 +185,11 @@ def test_acceptance_lossy_link_plus_forged_response(world):
     # A lost sp1 reply fails over before the forger sees it: distinct
     # requests (never a cache hit), a probe interval apart so an ejected
     # sp1 is probed again, until the forged answer lands.
+    breaker = CircuitBreakerPolicy()
     for t_from in range(2, height):
         if forge.fired:
             break
-        bus.run_for(HealthPolicy().probe_max_ms)
+        bus.run_for(breaker.open_max_ms * (1.0 + breaker.jitter))
         later = replace(request, t_from=t_from)
         assert client.verify_answer(later, client.query(later))
     # The forgery struck and was *detected*, not silently accepted:
@@ -230,9 +230,9 @@ def test_permanent_provider_outage_fails_bounded(world):
     with pytest.raises(ServiceUnavailableError):
         client.query(request)
     # Bounded: the gateway's 4 dispatches (2 replicas x 2 strikes to
-    # ejection), each a switch verification of 2 attempts x 150 ms
-    # (+ backoff), not forever.
-    assert client.gateway.rpc.timeouts == 8
+    # ejection), each a switch verification of one 150 ms request, not
+    # forever.
+    assert client.gateway.rpc.timeouts == 4
     assert [s.failures for s in client.gateway.replicas.values()] == [2, 2]
     assert bus.clock_ms - before_ms < 2_000.0
 
@@ -304,7 +304,7 @@ def test_a_transiently_corrupted_answer_is_one_strike_not_an_ejection(world):
     assert client.integrity_failures == 1
     sp1 = client.gateway.replicas["sp1"]
     assert client.gateway.failovers == 1
-    assert (sp1.failures, sp1.healthy) == (1, True)  # failure_threshold is 2
+    assert (sp1.failures, sp1.closed) == (1, True)  # failure_trip is 2
     later = replace(request, t_from=2)
     assert client.query(later) == world["provider"].execute(later)
     assert client.integrity_failures == 1

@@ -1,5 +1,5 @@
-"""The query gateway: balancing, health, failover, and the one flight
-engine behind ``call`` and ``call_many``.
+"""The query gateway: balancing, health (one breaker per replica),
+failover, and the one flight engine behind ``call`` and ``call_many``.
 
 These tests exercise the gateway against plain RpcServers (any method
 registry works — the gateway is method-agnostic); the full
@@ -20,13 +20,10 @@ from repro.errors import (
 )
 from repro.net.bus import MessageBus
 from repro.net.faults import FaultInjector, LinkFaults, flip_hex_digit
-from repro.net.gateway import (
-    HealthPolicy,
-    QueryGateway,
-    ReplicaState,
-)
+from repro.net.gateway import QueryGateway, ReplicaState
 from repro.net.resilience import (
     AdmissionPolicy,
+    CircuitBreaker,
     CircuitBreakerPolicy,
     HedgePolicy,
 )
@@ -58,11 +55,9 @@ def make_fleet(bus, count, *, service_time_ms=0.0, admission=None):
 
 
 def make_gateway(bus, replicas, **kwargs):
+    kwargs.setdefault("timeout_ms", 100.0)
     kwargs.setdefault(
-        "policy", RetryPolicy(timeout_ms=100.0, max_attempts=1)
-    )
-    kwargs.setdefault(
-        "health", HealthPolicy(failure_threshold=2, probe_base_ms=100.0)
+        "breaker", CircuitBreakerPolicy(open_base_ms=100.0, jitter=0.0)
     )
     return QueryGateway(bus, "gw", replicas, **kwargs)
 
@@ -110,7 +105,9 @@ def test_probe_restores_recovered_replica(bus):
     gateway = make_gateway(
         bus,
         ["sp1", "sp2"],
-        health=HealthPolicy(failure_threshold=1, probe_base_ms=50.0),
+        breaker=CircuitBreakerPolicy(
+            failure_trip=1, open_base_ms=50.0, jitter=0.0
+        ),
     )
     gateway.call("echo", 1)  # sp1 times out once -> ejected
     assert gateway.healthy_replicas() == ["sp2"]
@@ -128,18 +125,38 @@ def test_probe_backoff_grows_while_replica_stays_dead(bus):
     gateway = make_gateway(
         bus,
         ["sp1", "sp2"],
-        health=HealthPolicy(
-            failure_threshold=1, probe_base_ms=50.0, probe_factor=2.0
+        breaker=CircuitBreakerPolicy(
+            failure_trip=1, open_base_ms=50.0, jitter=0.0
         ),
     )
     gateway.call("echo", 1)
     state = gateway.replicas["sp1"]
-    assert not state.healthy
-    first_probe = state.next_probe_ms
+    assert not state.closed
+    first_probe = state.breaker.reopen_at_ms
     bus.run_for(60.0)
     gateway.call("echo", 2)  # the due probe fails again
-    assert state.next_probe_ms > first_probe
-    assert state.probe_attempt >= 1
+    assert state.breaker.reopen_at_ms > first_probe
+    assert state.breaker.trips >= 2
+
+
+def test_an_ejected_replica_is_probed_by_one_dispatch(bus):
+    """A due probe is one dispatch, not a share of every batch: while
+    it is out, the rest of the batch goes to the replicas in rotation,
+    so a dead replica costs one timeout per probe window."""
+    servers = make_fleet(bus, 2)
+    servers["sp1"].paused = True
+    gateway = make_gateway(bus, ["sp1", "sp2"])
+    for i in range(2):
+        gateway.call("echo", i)  # two liveness strikes eject sp1
+    assert gateway.healthy_replicas() == ["sp2"]
+    state = gateway.replicas["sp1"]
+    bus.run_for(state.breaker.reopen_at_ms - bus.clock_ms)  # probe due
+    dispatched, timeouts = state.dispatched, gateway.rpc.timeouts
+    results = gateway.call_many("echo", list(range(8)))
+    assert [r["arg"] for r in results] == list(range(8))
+    assert {r["replica"] for r in results} == {"sp2"}
+    assert state.dispatched - dispatched == 1
+    assert gateway.rpc.timeouts - timeouts == 1
 
 
 def test_terminal_error_is_not_failed_over(bus):
@@ -213,14 +230,14 @@ def test_unverifiable_replica_is_routed_around(bus):
     gateway = make_gateway(bus, ["sp1", "sp2"], verify_switch=reject_sp1)
     results = {gateway.call("echo", i)["replica"] for i in range(4)}
     assert results == {"sp2"}
-    assert not gateway.replicas["sp1"].healthy
+    assert not gateway.replicas["sp1"].closed
 
 
 # -- bounded bookkeeping -----------------------------------------------------
 
 
 def test_inflight_bookkeeping_is_bounded():
-    state = ReplicaState("sp", outstanding_limit=16)
+    state = ReplicaState("sp", CircuitBreaker(), outstanding_limit=16)
     for request_id in range(1000):
         state.track(request_id, float(request_id))
     assert state.outstanding == 16
@@ -236,7 +253,7 @@ def test_call_many_keeps_the_fleet_busy(bus):
     servers = make_fleet(bus, 2, service_time_ms=40.0)
     gateway = make_gateway(
         bus, ["sp1", "sp2"],
-        policy=RetryPolicy(timeout_ms=500.0, max_attempts=1),
+        timeout_ms=500.0,
     )
     results = gateway.call_many("echo", list(range(8)))
     assert [r["arg"] for r in results] == list(range(8))
@@ -290,7 +307,7 @@ def test_spent_deadline_sends_nothing_and_strikes_nobody(bus):
     assert gateway.rpc.calls == 0
     assert bus.clock_ms == 100.0
     for state in gateway.replicas.values():
-        assert state.healthy and state.failures == 0
+        assert state.closed and state.failures == 0
 
 
 def test_deadline_expiring_in_flight_abandons_without_a_strike(bus):
@@ -306,7 +323,7 @@ def test_deadline_expiring_in_flight_abandons_without_a_strike(bus):
     assert bus.clock_ms == deadline
     assert gateway.rpc.calls == 2 and gateway.rpc.timeouts == 0
     for state in gateway.replicas.values():
-        assert state.healthy and state.failures == 0
+        assert state.closed and state.failures == 0
         assert state.outstanding == 0
         assert state.breaker.trips == 0
 
@@ -335,14 +352,11 @@ def test_latency_window_takes_one_sample_per_successful_dispatch(bus):
 
 @pytest.mark.parametrize("warm", [False, True])
 def test_a_dispatch_is_one_send_warm_or_cold(bus, warm):
-    """The gateway's own ``max_attempts`` is not a per-dispatch resend
-    count: a replica that times out was sent to exactly once, whether
-    its latency window can already drive a hedge or not."""
+    """A replica that times out was sent to exactly once, whether its
+    latency window can already drive a hedge or not."""
     servers = make_fleet(bus, 2)
     gateway = make_gateway(
-        bus, ["sp1", "sp2"],
-        policy=RetryPolicy(timeout_ms=100.0, max_attempts=3),
-        hedge=HedgePolicy(min_samples=2),
+        bus, ["sp1", "sp2"], hedge=HedgePolicy(min_samples=2)
     )
     if warm:
         for i in range(4):
@@ -357,7 +371,7 @@ def test_batches_hedge_too(bus):
     servers = make_fleet(bus, 2, service_time_ms=10.0)
     gateway = make_gateway(
         bus, ["sp1", "sp2"],
-        policy=RetryPolicy(timeout_ms=1_000.0, max_attempts=1),
+        timeout_ms=1_000.0,
         hedge=HedgePolicy(min_samples=2),
     )
     gateway.call_many("echo", list(range(4)))  # warms both windows
@@ -406,7 +420,7 @@ def test_every_flight_of_an_item_carries_the_one_encoding(bus, monkeypatch, enco
     servers = make_fleet(bus, 2, service_time_ms=10.0)
     gateway = make_gateway(
         bus, ["sp1", "sp2"],
-        policy=RetryPolicy(timeout_ms=1_000.0, max_attempts=1),
+        timeout_ms=1_000.0,
         hedge=HedgePolicy(min_samples=2),
     )
     gateway.call_many("echo", list(range(4)))  # warms both windows
@@ -495,7 +509,7 @@ def _faulty_world(seed):
     )
     servers["sp3"]._service_times["echo"] = 90.0
     gateway = make_gateway(
-        bus, list(servers), seed=seed,
+        bus, list(servers),
         breaker=CircuitBreakerPolicy(failure_trip=2),
         hedge=HedgePolicy(min_samples=3),
     )
@@ -516,7 +530,7 @@ def test_call_and_one_item_call_many_are_the_same_path(seed):
         books = {
             name: (
                 s.dispatched, s.answered, s.failures, s.overloads,
-                s.healthy, s.breaker.state, s.breaker.trips, len(s.latency),
+                s.breaker.state, s.breaker.trips, len(s.latency),
             )
             for name, s in gateway.replicas.items()
         }

@@ -26,7 +26,7 @@ from repro.errors import (
 )
 from repro.net import wire
 from repro.net.bus import MessageBus, NetworkNode
-from repro.net.gateway import HealthPolicy, QueryGateway
+from repro.net.gateway import QueryGateway
 from repro.net.resilience import (
     NO_DEADLINE,
     RETRY_AFTER_CAP_MS,
@@ -465,10 +465,7 @@ def _gateway_fleet(bus, *, service_ms=10.0, admission=None, hedge=None,
         providers[name] = server
     gateway = QueryGateway(
         bus, "gw", list(providers),
-        seed=3,
-        policy=RetryPolicy(timeout_ms=1_000.0, max_attempts=1),
-        health=HealthPolicy(failure_threshold=100),
-        breaker=breaker, hedge=hedge,
+        timeout_ms=1_000.0, breaker=breaker, hedge=hedge,
     )
     return gateway, providers
 
@@ -490,7 +487,8 @@ def test_breaker_steers_traffic_off_a_saturated_replica(bus):
     assert gateway.breaker_trips() == 1
     state = gateway.replicas["sp1"]
     assert state.breaker.state == CircuitBreaker.OPEN
-    assert state.healthy  # backpressure, not a liveness strike
+    # Backpressure, not a liveness strike: every failure was a shed.
+    assert state.overloads >= 1 and state.failures == state.overloads
 
 
 def test_hedged_dispatch_races_a_slow_primary(bus):
@@ -520,17 +518,15 @@ def _trip(breaker, now_ms):
 
 
 def test_wait_for_probe_window_honours_health_and_breaker_together(bus):
-    """Every replica ejected with its probe *due* but its breaker still
-    open: the wait must run to the breaker's reopen time (the same
-    rule ``eligible`` applies), not return at once and spin."""
+    """Every replica's breaker open: the wait must run to the earliest
+    reopen time (the same rule ``eligible`` applies), not return at
+    once and spin."""
     gateway, _ = _gateway_fleet(
         bus, breaker=CircuitBreakerPolicy(jitter=0.0)
     )
     for state in gateway.replicas.values():
-        state.healthy = False
-        state.next_probe_ms = 0.0
         _trip(state.breaker, bus.clock_ms)
-        assert state.eligible_at_ms() == state.breaker.reopen_at_ms
+        assert state.breaker.permits_at_ms() == state.breaker.reopen_at_ms
         assert not state.eligible(bus.clock_ms)
     reopen_at = min(s.breaker.reopen_at_ms for s in gateway.replicas.values())
     assert sorted(gateway.call_many("work", [1, 2])) == ["sp1:done", "sp2:done"]
@@ -564,6 +560,33 @@ def test_batch_raising_mid_flight_settles_what_it_abandons(bus):
     assert slow.eligible(bus.clock_ms)
     providers["sp1"].register("work", lambda _argument: "sp1:done")
     assert gateway.call_many("work", ["c", "d"]) == ["sp1:done", "sp2:done"]
+
+
+def test_a_terminal_answer_to_a_probe_does_not_wedge_the_breaker(bus):
+    """A half-open probe answered with a terminal error (a bad query is
+    bad everywhere) gets no verdict: the breaker goes back to open and
+    the next dispatch probes again, instead of staying half-open with
+    its one probe spent and the replica out of reach for good."""
+    from repro.errors import QueryError
+
+    _, providers = _gateway_fleet(bus)
+    gateway = QueryGateway(
+        bus, "gw1", ["sp1"], breaker=CircuitBreakerPolicy(jitter=0.0)
+    )
+
+    def refuse(_argument):
+        raise QueryError("malformed query")
+
+    providers["sp1"].register("refuse", refuse)
+    state = gateway.replicas["sp1"]
+    _trip(state.breaker, bus.clock_ms)
+    bus.run_for(state.breaker.reopen_at_ms - bus.clock_ms)  # probe due
+    with pytest.raises(QueryError):
+        gateway.call("refuse", "a")
+    assert state.breaker.state == CircuitBreaker.OPEN
+    assert state.eligible(bus.clock_ms)
+    assert gateway.call("work", "b") == "sp1:done"
+    assert state.closed
 
 
 def test_half_open_breaker_with_its_probe_out_is_not_waited_on(bus):

@@ -12,10 +12,8 @@ from repro.core import (
     compute_expected_measurement,
 )
 from repro.net import (
-    HealthPolicy,
     MessageBus,
     QueryGateway,
-    RetryPolicy,
     wire,
 )
 from repro.query import HistoryQuery, QueryAnswer, QueryService
@@ -151,8 +149,7 @@ def fleet(certified_setup):
         QueryService(bus, name, provider)
     gateway = QueryGateway(
         bus, "gw", ["sp1", "sp2"],
-        policy=RetryPolicy(timeout_ms=120.0, max_attempts=1),
-        health=HealthPolicy(failure_threshold=2),
+        timeout_ms=120.0,
     )
     measurement = compute_expected_measurement(
         certified_setup["genesis"].header.header_hash(),
@@ -255,8 +252,7 @@ def test_client_degrades_to_stale_when_the_tier_is_unreachable(certified_setup):
     QueryService(bus, "sp1", provider)
     gateway = QueryGateway(
         bus, "gw", ["sp1"],
-        policy=RetryPolicy(timeout_ms=120.0, max_attempts=1),
-        health=HealthPolicy(failure_threshold=2),
+        timeout_ms=120.0,
     )
     measurement = compute_expected_measurement(
         certified_setup["genesis"].header.header_hash(),

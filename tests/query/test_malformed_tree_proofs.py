@@ -31,7 +31,7 @@ from repro.core import (
 from repro.crypto import generate_keypair
 from repro.errors import CertificateError, ProofError, QueryError, WireError
 from repro.merkle import aggtree, mbtree
-from repro.net import HealthPolicy, MessageBus, QueryGateway, wire
+from repro.net import CircuitBreakerPolicy, MessageBus, QueryGateway, wire
 from repro.query import verifier
 from repro.query import (
     AggregateQuery,
@@ -163,7 +163,7 @@ def make_client(world, providers):
         QueryService(bus, name, provider)
     gateway = QueryGateway(
         bus, "gw", list(providers),
-        health=HealthPolicy(failure_threshold=1, probe_base_ms=5_000.0),
+        breaker=CircuitBreakerPolicy(failure_trip=1, open_base_ms=5_000.0),
     )
     client = connect(ClientConfig(
         measurement=world["measurement"], ias_public_key=world["ias"].public_key,
@@ -258,8 +258,8 @@ def test_query_fails_over_past_a_replica_serving_a_malformed_proof(
         def execute(self, request):
             return mutants(world["provider"].execute(request), bad)[label]
 
-        def index_root(self, name):
-            return world["provider"].index_root(name)
+        def index_roots(self):
+            return world["provider"].index_roots()
 
     request = world["requests"][family]
     fronted = make_client(
@@ -371,8 +371,8 @@ def test_query_fails_over_past_a_replica_serving_a_malformed_structure(world, fa
         def execute(self, request):
             return lie
 
-        def index_root(self, name):
-            return world["provider"].index_root(name)
+        def index_roots(self):
+            return world["provider"].index_roots()
 
     fronted = make_client(world, {"liar": LyingProvider(), "honest": world["provider"]})
     assert fronted.query(request) == honest, label
@@ -502,8 +502,8 @@ def test_query_fails_over_past_a_replica_serving_a_forged_absence(world, family)
         def execute(self, request):
             return lie
 
-        def index_root(self, name):
-            return world["provider"].index_root(name)
+        def index_roots(self):
+            return world["provider"].index_roots()
 
     fronted = make_client(world, {"liar": LyingProvider(), "honest": world["provider"]})
     assert fronted.query(request) == honest

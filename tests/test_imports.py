@@ -54,7 +54,7 @@ ORPHANS = {
     "repro.analysis.__main__": "entry point (make analyze)",
     "repro.baselines.flyclient": "Fig. 7 baseline (PR 15 audit)",
     "repro.baselines.nipopow": "Fig. 7 baseline (PR 15 audit)",
-    "repro.bench.harness": "imported by benchmarks/ (ROADMAP item 8(d) decides it)",
+    "repro.bench.harness": "imported by benchmarks/ (ROADMAP item 1(b) decides it)",
     "repro.chain.lightclient": "the traditional light client DCert is measured against (Fig. 7)",
     "repro.contracts.cpuheavy": "Blockbench contract, deployed by name",
     "repro.contracts.donothing": "Blockbench contract, deployed by name",
