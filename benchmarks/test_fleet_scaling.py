@@ -59,9 +59,7 @@ def _build_world():
     builder = ChainBuilder(difficulty_bits=4, network=_NETWORK)
     genesis, state = make_genesis(network=_NETWORK)
     ias = AttestationService(seed=b"fleet-bench-ias")
-    # One index: the batches query only the history family (a switch
-    # verification is one index_roots round trip per replica whatever
-    # the index count).
+    # One index: the batches query only the history family.
     specs = [AccountHistoryIndexSpec(name="history")]
     issuer = CertificateIssuer(
         genesis, state, fresh_vm(), builder.pow,

@@ -12,7 +12,7 @@ failures with file:line findings and fix hints:
 ========  ===========================================================
 DET01     wall-clock calls outside :mod:`repro.obs.wallclock`
 DET02     unseeded randomness outside ``repro/crypto/``
-VER01     trusted-state writes not dominated by verification
+VER01     client state outside adopt_bundle; unverified cache admits
 ERR01     error taxonomy registration + typed raise sites
 BND01     growable containers on long-lived classes without eviction
 WIRE01    wire-message dataclasses without frozen/round-trip contracts

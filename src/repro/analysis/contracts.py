@@ -6,13 +6,12 @@
   ``ClientState``.  Any other write to that state — anything but
   ``self.state = adopt_bundle(...)`` or the empty declaration in
   ``__init__`` — and any ``ClientState(...)`` built outside the core is
-  a finding, verified or not.  The remaining trusted writes (the
-  gateway's current replica) and every verified-answer-cache admit must
-  be **dominated by a verification call** in the same function body.
-  The dominance check is the cheap approximation — "some ``verify*``/
-  ``validate*``/``_ensure_verified`` call appears earlier in this
+  a finding, verified or not.  Every verified-answer-cache admit in
+  that module must be **dominated by a verification call** in the same
+  function body.  The dominance check is the cheap approximation —
+  "some ``verify*``/``validate*`` call appears earlier in this
   function" — which catches the realistic failure (a new code path that
-  adopts first and verifies never) while staying a pure AST pass.  The
+  admits first and verifies never) while staying a pure AST pass.  The
   rare verified-elsewhere site carries a justified inline suppression,
   which doubles as documentation.
 
@@ -50,31 +49,17 @@ from repro.analysis.findings import Finding
 
 # -- VER01 --------------------------------------------------------------------
 
-#: module -> trusted-state attribute names whose writes need a
-#: dominating verification call (cache admits are checked everywhere
-#: in these modules).
-TRUST_SCOPES: dict[str, frozenset[str]] = {
-    "repro.core.superlight": frozenset(),
-    "repro.net.gateway": frozenset({"current", "_tip"}),
-}
-
-#: In the superlight client module, the one function that may build a
-#: ``ClientState`` or produce the value written to a ``.state``: the
-#: pure core, which verifies the whole bundle first.
+#: The one module VER01 scopes: the superlight client.  In it, the one
+#: function that may build a ``ClientState`` or produce the value
+#: written to a ``.state`` is the pure core, which verifies the whole
+#: bundle first.
 CLIENT_MODULE = "repro.core.superlight"
 ADOPTION_CORE = "adopt_bundle"
-
-#: Call names (last dotted segment) that count as verification.
-_VERIFIER_EXACT = frozenset({"_ensure_verified"})
 
 
 def _is_verifier(name: str) -> bool:
     last = name.rsplit(".", 1)[-1]
-    return (
-        last.startswith("verify")
-        or last.startswith("validate")
-        or last in _VERIFIER_EXACT
-    )
+    return last.startswith("verify") or last.startswith("validate")
 
 
 def _is_cache_admit(name: str) -> bool:
@@ -89,17 +74,13 @@ class AdoptionChecker(Checker):
     title = "trusted-state write not dominated by verification"
 
     def check_module(self, ctx: ModuleContext) -> Iterable[Finding]:
-        trusted = TRUST_SCOPES.get(ctx.module)
-        if trusted is None:
+        if ctx.module != CLIENT_MODULE:
             return
         owner = enclosing_functions(ctx.tree)
-        if ctx.module == CLIENT_MODULE:
-            yield from self._outside_core(ctx, owner)
+        yield from self._outside_core(ctx, owner)
         verifier_lines = self._verifier_lines_by_function(ctx.tree, owner)
-        for node, description in self._trusted_writes(ctx.tree, trusted):
+        for node, name in self._cache_admits(ctx.tree):
             function = owner.get(node)
-            if function is not None and function.name == "__init__":
-                continue  # declaring empty state is not adoption
             dominated = any(
                 line <= node.lineno
                 for line in verifier_lines.get(function, ())
@@ -110,14 +91,14 @@ class AdoptionChecker(Checker):
                     path=ctx.relpath,
                     line=node.lineno,
                     message=(
-                        f"{description} without a dominating "
-                        "verification call in this function"
+                        f"verified-answer cache admit {name}(...) without "
+                        "a dominating verification call in this function"
                     ),
                     hint=(
-                        "call verify_*/validate_*/_ensure_verified on "
-                        "the material before adopting it, or add a "
-                        "justified allow[VER01] if verification "
-                        "provably happened on every path here"
+                        "call verify_*/validate_* on the answer before "
+                        "admitting it, or add a justified allow[VER01] "
+                        "if verification provably happened on every "
+                        "path here"
                     ),
                 )
 
@@ -136,10 +117,7 @@ class AdoptionChecker(Checker):
                 # Declaring the empty state in __init__ is not adoption.
                 breach = (
                     function != "__init__"
-                    and any(
-                        _trusted_attr(target, frozenset({"state"}))
-                        for target in _write_targets(node)
-                    )
+                    and any(_writes_state(t) for t in _write_targets(node))
                     and _callee(node.value) != ADOPTION_CORE
                 )
             if breach:
@@ -169,18 +147,13 @@ class AdoptionChecker(Checker):
         return lines
 
     @staticmethod
-    def _trusted_writes(tree, trusted):
-        """(node, description) for every write to a trusted attribute
-        and every cache admit."""
+    def _cache_admits(tree):
+        """(node, callee name) for every cache admit."""
         for node in ast.walk(tree):
-            for target in _write_targets(node):
-                attr = _trusted_attr(target, trusted)
-                if attr is not None:
-                    yield node, f"write to trusted state .{attr}"
             if isinstance(node, ast.Call):
                 name = dotted_name(node.func)
                 if _is_cache_admit(name):
-                    yield node, f"verified-answer cache admit {name}(...)"
+                    yield node, name
 
 
 def _callee(node: ast.AST) -> str | None:
@@ -200,16 +173,12 @@ def _write_targets(node: ast.AST) -> list[ast.expr]:
     return node.targets if isinstance(node, ast.Assign) else [node.target]
 
 
-def _trusted_attr(target: ast.AST, trusted: frozenset[str]) -> str | None:
-    """The trusted attribute a write targets, if any.
-
-    Covers ``obj.attr = ...`` and ``obj.attr[key] = ...``.
-    """
+def _writes_state(target: ast.AST) -> bool:
+    """Whether a write targets client state: ``obj.state = ...`` or
+    ``obj.state[key] = ...``."""
     if isinstance(target, ast.Subscript):
         target = target.value
-    if isinstance(target, ast.Attribute) and target.attr in trusted:
-        return target.attr
-    return None
+    return isinstance(target, ast.Attribute) and target.attr == "state"
 
 
 # -- ERR01 --------------------------------------------------------------------

@@ -205,8 +205,6 @@ class SuperlightClient:
         # -- overload resilience: stale degradation --
         self.degrade_to_stale = config.degrade_to_stale
         self.stale_served = 0
-        if self.gateway is not None and self.gateway.verify_switch is None:
-            self.gateway.verify_switch = self._verify_replica_roots
         self.cache = VerifiedAnswerCache(config.cache_capacity)
         self.integrity_failures = 0
         # -- push stream state (see subscribe()) --
@@ -438,13 +436,10 @@ class SuperlightClient:
 
     def _roots_advanced(self) -> None:
         """Housekeeping after adopting a certified tip: sweep cache
-        entries verified under superseded roots, and make the gateway
-        re-verify replicas against the new roots on the next switch."""
+        entries verified under superseded roots."""
         self.cache.retain_roots(
             root for _height, root, _cert in self.state.indexes.values()
         )
-        if self.gateway is not None:
-            self.gateway.reset_verified()
 
     # -- push sync (the hub stream) -----------------------------------------
 
@@ -686,25 +681,6 @@ class SuperlightClient:
         if held is None:
             return None
         return self.cache.get(payload, held[1])
-
-    # -- replica switch verification ----------------------------------------
-
-    def _verify_replica_roots(self, replica: str) -> None:
-        """The gateway's ``verify_switch`` hook: before trusting a new
-        replica, check that the index roots it serves match the
-        client's certified ones.  (Answers are verified individually
-        anyway; this catches a stale or lying replica *before* queries
-        are routed at it.)  One ``index_roots`` request covers every
-        certified index, sent once at the gateway's dispatch timeout."""
-        if not self.state.indexes:
-            return
-        served = self.gateway.rpc.call(replica, "index_roots")
-        for name, (_height, certified, _cert) in self.state.indexes.items():
-            if not isinstance(served, dict) or served.get(name) != certified:
-                raise ResponseIntegrityError(
-                    f"replica {replica!r} serves index {name!r} at a root "
-                    "that does not match the certified one"
-                )
 
 
 def compute_expected_measurement(

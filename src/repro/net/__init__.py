@@ -23,7 +23,7 @@ deterministically and without sockets:
   lease-based subscriber reaping.
 * :mod:`gateway` — load-balanced routing over a fleet of QueryService
   replicas: round-robin dispatch, one circuit breaker per replica (its
-  whole health), failover with switch re-verification.
+  whole health), failover that trusts answers, not replicas.
 * :mod:`supervisor` — crash detection + bounded-backoff restart for any
   RPC-fronted service (issuer or query replica).
 * :mod:`resilience` — the overload-protection primitives: deadline

@@ -17,12 +17,11 @@ module supplies both on the deterministic virtual-clock bus:
   anything the fault layer does (drops, delays, a supervisor pausing a
   crashed endpoint) shows up as failures and anything a supervisor
   restores shows up as a probe success.
-* **Failover with re-verification** — when a call lands on a different
-  replica than the previous one, the gateway first invokes the caller's
-  ``verify_switch`` hook (the superlight client re-checks the new
-  replica's index roots against its certified ones).  A replica that
-  fails verification is treated exactly like a dead one: struck and
-  routed around.
+* **Failover** — a failed dispatch is re-sent to another replica.  The
+  gateway trusts no replica: the caller's ``accept`` verifies each
+  answer, and a rejected answer strikes its replica exactly like a
+  timeout, so a stale or lying replica is opened after
+  ``failure_trip`` rejected answers.
 
 Per-replica bookkeeping is bounded: the in-flight map is capped at
 :data:`OUTSTANDING_LIMIT` entries (oldest evicted), the same discipline
@@ -50,7 +49,6 @@ from repro.errors import (
     DeadlineExceededError,
     OverloadedError,
     ReproError,
-    ResponseIntegrityError,
     RpcTimeoutError,
     ServiceUnavailableError,
 )
@@ -141,15 +139,9 @@ class _Flight:
 class QueryGateway:
     """Routes calls across a replica fleet with health-aware failover.
 
-    ``timeout_ms`` bounds every dispatch, and the switch verification's
-    one request (``rpc.call`` sends once: no retry).
-
-    ``verify_switch(replica_name)`` — optional hook invoked before the
-    first call to a replica the gateway was not previously using; it
-    should raise (typically :class:`ResponseIntegrityError`) if the new
-    replica cannot be verified, in which case the gateway strikes it
-    and fails over again.  The superlight client uses this to re-check
-    index roots against its certified ones on every switch.
+    ``timeout_ms`` bounds every dispatch.  Which replica answered is
+    never trusted: the answer is, once ``call_many``'s ``accept`` has
+    verified it.
     """
 
     def __init__(
@@ -159,7 +151,6 @@ class QueryGateway:
         replicas: Sequence[str],
         *,
         timeout_ms: float = 250.0,
-        verify_switch: Callable[[str], None] | None = None,
         breaker: CircuitBreakerPolicy | None = None,
         hedge: HedgePolicy | None = None,
     ) -> None:
@@ -169,7 +160,6 @@ class QueryGateway:
         self.rpc = RpcClient(
             bus, name, RetryPolicy(timeout_ms=timeout_ms, max_attempts=1)
         )
-        self.verify_switch = verify_switch
         #: None disables hedging.
         self.hedge = hedge
         # One breaker per replica (``None``: the default policy), each
@@ -182,14 +172,7 @@ class QueryGateway:
         }
         #: Round-robin position: dispatch ``n`` goes to candidate ``n % len``.
         self._turn = 0
-        #: The replica the previous successful call used; a change
-        #: triggers ``verify_switch``.
-        self.current: str | None = None
-        #: Replicas verified by ``verify_switch`` since the last
-        #: :meth:`reset_verified` (certified roots advanced).
-        self._verified: set[str] = set()
         self.failovers = 0
-        self.switches = 0
         self.hedges = 0
         self.hedge_wins = 0
 
@@ -259,34 +242,6 @@ class QueryGateway:
         now = self.bus.clock_ms
         return [s for s in self.replicas.values() if s.eligible(now)]
 
-    # -- switch verification -------------------------------------------------
-
-    def reset_verified(self) -> None:
-        """Forget switch verifications (call when certified roots move)."""
-        self._verified.clear()
-
-    def _ensure_verified(self, state: ReplicaState) -> bool:
-        """Run ``verify_switch`` if this replica needs (re-)verification.
-
-        Returns True when the replica is safe to use.  A verification
-        failure strikes it, exactly like a transport failure —
-        an unverifiable replica and a dead one get the same treatment.
-        """
-        if self.verify_switch is None:
-            return True
-        if state.name == self.current or state.name in self._verified:
-            return True
-        try:
-            self.verify_switch(state.name)
-        except ReproError:
-            obs.inc("gateway.switch_verify_failures")
-            self._mark_failure(state)
-            return False
-        self._verified.add(state.name)
-        self.switches += 1
-        obs.inc("gateway.switches_verified")
-        return True
-
     # -- dispatch ------------------------------------------------------------
 
     def call(
@@ -316,8 +271,8 @@ class QueryGateway:
         a replica answers it or its ``max(3, 2 × replicas)`` dispatches
         are spent (:class:`ServiceUnavailableError`).  A dispatch that
         outlives the replica's observed latency quantile is hedged once
-        (:class:`HedgePolicy`), to a closed, verified replica not
-        already carrying the item; the loser is abandoned, not struck.
+        (:class:`HedgePolicy`), to a closed replica not already carrying
+        the item; the loser is abandoned, not struck.
         An item is encoded once (``payloads``: by the caller, already),
         and a hedge or re-dispatch re-sends those bytes.
 
@@ -351,7 +306,6 @@ class QueryGateway:
                 ) from last_error
 
         def send(item: int, state: ReplicaState, *, is_hedge: bool) -> None:
-            check_deadline()  # switch verification may have spent it
             now = self.bus.clock_ms
             state.breaker.on_dispatch(now)  # may be the half-open probe
             request_id = self.rpc.begin(
@@ -389,12 +343,6 @@ class QueryGateway:
                     dispatches[item] += 1
                     state = candidates[self._turn % len(candidates)]
                     self._turn += 1
-                    if not self._ensure_verified(state):
-                        last_error = ResponseIntegrityError(
-                            f"replica {state.name!r} failed switch verification"
-                        )
-                        waiting.append(item)
-                        continue
                     send(item, state, is_hedge=False)
                 todo = waiting
                 # Hedge, once and never with a probe, every dispatch that
@@ -407,11 +355,7 @@ class QueryGateway:
                         f.state for f in flights.values() if f.item == flight.item
                     }
                     for other in self._candidates():
-                        if (
-                            other.closed
-                            and other not in carrying
-                            and self._ensure_verified(other)
-                        ):
+                        if other.closed and other not in carrying:
                             self.hedges += 1
                             obs.inc("resilience.hedges")
                             send(flight.item, other, is_hedge=True)
@@ -471,7 +415,6 @@ class QueryGateway:
                             todo.append(flight.item)
                         continue
                     self._mark_success(flight.state, now - flight.sent_ms)
-                    self.current = flight.state.name
                     if flight.is_hedge:
                         self.hedge_wins += 1
                         obs.inc("resilience.hedge_wins")

@@ -71,9 +71,6 @@ class QueryServiceProvider:
     def index_root(self, name: str) -> bytes:
         return self._index(name).root
 
-    def index_roots(self) -> dict[str, bytes]:
-        return {name: index.root for name, index in self.indexes.items()}
-
     # -- query processing (unified typed API) ------------------------------
 
     def execute(self, request: QueryRequest) -> QueryAnswer:
@@ -124,8 +121,8 @@ class QueryService:
     :class:`repro.core.superlight.SuperlightClient` reaches it through
     a :class:`repro.net.gateway.QueryGateway` fronting a fleet of these.  ``service_time_ms`` charges the
     ``execute`` path through the :class:`~repro.net.rpc.RpcServer`
-    busy-worker model so replica count shows up in fleet throughput
-    (root lookups stay free); the ``query.execute.*``
+    busy-worker model so replica count shows up in fleet throughput;
+    the ``query.execute.*``
     crashpoints let ``tests/fault/test_fleet_chaos.py`` kill a replica
     mid-query (a :class:`~repro.net.supervisor.ServiceSupervisor`
     restarts it).
@@ -147,13 +144,9 @@ class QueryService:
         # shedding on the busy worker: excess queries are refused with
         # OVERLOADED + retry_after before they ever reach the provider.
         self.server = RpcServer(bus, name, admission=admission)
-        # Only query execution occupies the modeled worker; root
-        # lookups (used by gateway switch verification) are answered
-        # immediately, like any metadata read.
         self.server.register(
             "execute", self._execute, service_time_ms=service_time_ms
         )
-        self.server.register("index_roots", self._index_roots)
 
     def _execute(self, request: object) -> QueryAnswer:
         from repro.fault.crashpoints import crashpoint
@@ -166,8 +159,3 @@ class QueryService:
         answer = self.provider.execute(request)
         crashpoint("query.execute.post")
         return answer
-
-    def _index_roots(self, argument: object) -> dict[str, bytes]:
-        if argument is not None:
-            raise QueryError("index_roots takes no argument")
-        return self.provider.index_roots()

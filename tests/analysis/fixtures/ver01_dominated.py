@@ -1,6 +1,6 @@
 """VER01 fixture: writes dominated by a verification call.  Enough for
-the gateway's replica switch; not for the superlight client, whose
-state has one producer (the adoption core), verified or not."""
+a verified-answer cache admit; not for the superlight client's state,
+which has one producer (the adoption core), verified or not."""
 
 
 class ClientState:
@@ -9,9 +9,9 @@ class ClientState:
 
 
 class Shell:
-    def switch(self, replica) -> None:
-        self._ensure_verified(replica)
-        self.current = replica
+    def admit(self, payload, answer) -> None:
+        self.verify_answer(answer)
+        self.cache.put(payload, answer)
 
     def adopt(self, header, cert) -> None:
         self.verify_certificate(cert)

@@ -7,3 +7,6 @@ class SuperlightClient:
 
     def adopt(self, header) -> None:
         self.state = header
+
+    def admit(self, payload, answer) -> None:
+        self.cache.put(payload, answer)

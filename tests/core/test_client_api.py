@@ -140,8 +140,6 @@ def test_connect_remote_gateway(certified_setup):
     ))
     assert isinstance(client, SuperlightClient)
     assert client.gateway is gateway
-    # The gateway's switch-verification hook is wired to the client.
-    assert gateway.verify_switch is not None
 
 
 def test_connect_remote_tip_only(certified_setup):

@@ -105,6 +105,7 @@ def world():
         "builder": builder,
         "issuer": issuer,
         "provider": provider,
+        "specs": specs,
         "measurement": measurement,
         "ias": ias,
     }
@@ -114,14 +115,17 @@ def world():
 GATEWAY = "gateway"
 
 
-def make_network(world, *, injector=None, issuers=("ci",)):
+def make_network(world, *, injector=None, issuers=("ci",), providers=None):
+    """A client behind a gateway over ``providers`` (replica name ->
+    the provider it serves from; default: two honest replicas)."""
     bus = MessageBus(default_latency_ms=20.0)
     if injector is not None:
         bus.install_faults(injector)
     for name in issuers:
         IssuerService(bus, name, world["issuer"])
-    for name in ("sp1", "sp2"):
-        QueryService(bus, name, world["provider"])
+    providers = providers or {"sp1": world["provider"], "sp2": world["provider"]}
+    for name, provider in providers.items():
+        QueryService(bus, name, provider)
     client = connect(ClientConfig(
         measurement=world["measurement"],
         ias_public_key=world["ias"].public_key,
@@ -130,7 +134,7 @@ def make_network(world, *, injector=None, issuers=("ci",)):
         policy=RetryPolicy(timeout_ms=150.0, max_attempts=3,
                            backoff_base_ms=20.0),
         gateway=QueryGateway(
-            bus, GATEWAY, ["sp1", "sp2"],
+            bus, GATEWAY, list(providers),
             timeout_ms=150.0,
         ),
     ))
@@ -230,11 +234,46 @@ def test_permanent_provider_outage_fails_bounded(world):
     with pytest.raises(ServiceUnavailableError):
         client.query(request)
     # Bounded: the gateway's 4 dispatches (2 replicas x 2 strikes to
-    # ejection), each a switch verification of one 150 ms request, not
-    # forever.
+    # ejection), each one 150 ms request, not forever.
     assert client.gateway.rpc.timeouts == 4
     assert [s.failures for s in client.gateway.replicas.values()] == [2, 2]
     assert bus.clock_ms - before_ms < 2_000.0
+
+
+def test_a_stale_replica_is_opened_after_failure_trip_rejected_answers(world):
+    """A replica one block behind answers under roots the client no
+    longer holds: each answer fails verification and strikes it, and
+    ``failure_trip`` of them open its breaker.  Every query is answered
+    by the honest replica, and nothing the stale one said is cached."""
+    builder = world["builder"]
+    stale = QueryServiceProvider(
+        *make_genesis(network="remote"), fresh_vm(), builder.pow, world["specs"]
+    )
+    for block in builder.blocks[1:-1]:
+        stale.ingest_block(block)
+    honest = world["provider"]
+    bus, client = make_network(
+        world, providers={"stale": stale, "honest": honest}
+    )
+    client.sync()
+    requests = [
+        HistoryQuery(index="history", account="acct1", t_from=t_from,
+                     t_to=builder.height - 1)
+        for t_from in range(1, 5)
+    ]
+    for request in requests:
+        assert client.query(request) == honest.execute(request)
+    failure_trip = CircuitBreakerPolicy().failure_trip
+    replica = client.gateway.replicas["stale"]
+    assert (replica.failures, replica.closed) == (failure_trip, False)
+    assert client.integrity_failures == failure_trip
+    assert client.gateway.replicas["honest"].answered == len(requests)
+    # The cache holds the honest answers and nothing else.
+    assert len(client.cache) == len(requests)
+    for request in requests:
+        assert client.query(request) == honest.execute(request)
+    assert client.cache.hits == len(requests)
+    assert client.integrity_failures == failure_trip
 
 
 def test_permanent_issuer_outage_fails_bounded(world):

@@ -200,37 +200,63 @@ def test_all_replicas_dead_raises_bounded(bus):
     assert bus.clock_ms - before < 3_000.0  # bounded, not forever
 
 
-# -- switch verification -----------------------------------------------------
-
-
-def test_verify_switch_runs_once_per_replica(bus):
-    make_fleet(bus, 2)
-    verified = []
-    gateway = make_gateway(
-        bus, ["sp1", "sp2"], verify_switch=verified.append
-    )
-    for i in range(6):
-        gateway.call("echo", i)
-    assert sorted(set(verified)) == ["sp1", "sp2"]
-    assert len(verified) == 2  # cached until reset_verified()
-    gateway.reset_verified()
-    gateway.call("echo", "again")
-    assert len(verified) == 3
+# -- trust answers, not replicas ---------------------------------------------
 
 
 def test_unverifiable_replica_is_routed_around(bus):
-    from repro.errors import ResponseIntegrityError
-
     make_fleet(bus, 2)
 
-    def reject_sp1(replica):
-        if replica == "sp1":
+    def reject_sp1(position, result):
+        if result["replica"] == "sp1":
             raise ResponseIntegrityError("stale roots")
 
-    gateway = make_gateway(bus, ["sp1", "sp2"], verify_switch=reject_sp1)
-    results = {gateway.call("echo", i)["replica"] for i in range(4)}
+    gateway = make_gateway(bus, ["sp1", "sp2"])
+    results = {
+        gateway.call_many("echo", [i], accept=reject_sp1)[0]["replica"]
+        for i in range(4)
+    }
     assert results == {"sp2"}
     assert not gateway.replicas["sp1"].closed
+
+
+def test_a_due_probe_cannot_hold_a_batch_past_its_deadline(bus):
+    """A batch whose deadline is shorter than one dispatch timeout meets
+    a dead replica's due probe: the probe is one dispatch like any
+    other, hedged to the live replica, and the batch is answered inside
+    its deadline.  Nothing is asked of a replica before a dispatch: a
+    root lookup hung on the gateway the way a client once installed its
+    replica-switch check (``verify_switch``) is never run."""
+    servers = make_fleet(bus, 2)
+    gateway = make_gateway(
+        bus, ["sp1", "sp2"], timeout_ms=400.0, hedge=HedgePolicy(min_samples=2)
+    )
+    gateway.call_many("echo", list(range(4)))  # warms both latency windows
+
+    def unavailable(argument):
+        raise ServiceUnavailableError("restarting")
+
+    servers["sp1"].register("echo", unavailable)
+    for i in range(4):
+        gateway.call("echo", i)  # two prompt refusals eject sp1
+    state = gateway.replicas["sp1"]
+    assert not state.closed
+    servers["sp1"].paused = True  # and now it is dead
+    bus.run_for(state.breaker.reopen_at_ms - bus.clock_ms)  # probe due
+    looked_up = []
+
+    def verify_switch(replica):
+        looked_up.append(replica)
+        gateway.rpc.call(replica, "index_roots")
+
+    gateway.verify_switch = verify_switch
+    dispatched = state.dispatched
+    deadline = bus.clock_ms + 150.0
+    results = gateway.call_many("echo", ["a", "b"], deadline_ms=deadline)
+    assert bus.clock_ms <= deadline
+    assert [r["arg"] for r in results] == ["a", "b"]
+    assert {r["replica"] for r in results} == {"sp2"}
+    assert state.dispatched - dispatched == 1  # the probe went out
+    assert looked_up == []
 
 
 # -- bounded bookkeeping -----------------------------------------------------

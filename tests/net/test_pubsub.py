@@ -129,8 +129,7 @@ def test_push_delivers_and_client_adopts(chain):
 def test_replayed_tip_carrying_new_index_roots_runs_root_housekeeping(chain):
     """A pushed bundle whose tip the client already holds (adopted
     tip-only via validate_chain) still installs its index roots — so
-    the cache sweep / gateway re-verification must run even though the
-    tip did not advance."""
+    the cache sweep must run even though the tip did not advance."""
     w = world(chain)
     client = w.clients["c1"]
     w.certify(1, start=1)

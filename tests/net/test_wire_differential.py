@@ -103,11 +103,16 @@ ALIAS = "a class path other than the one encode writes"
 #: ``{name: root}`` object, replaces the ``index_root`` reply (one bytes
 #: leaf) as a message kind, and its mutants bring 12 refusals where the
 #: old kind's brought 3.  No other kind moved, and no new class.
+#: Re-recorded once more (was 1135 / 233 / 1993 / 604 / 233) when replica
+#: switch verification went: the ``index_roots`` reply kind (a top-level
+#: ``{name: root}`` object) leaves the corpus, 29 kinds -> 28, and with it
+#: its 12 refusals (surplus key -3, string body -6, object body -3).  No
+#: other kind moved, and no new class.
 PINNED_REFUSALS = {
-    SURPLUS_KEY: 1135,
+    SURPLUS_KEY: 1132,
     FREIGHT: 233,
-    STRING_BODY: 1993,
-    OBJECT_BODY: 604,
+    STRING_BODY: 1987,
+    OBJECT_BODY: 601,
     ALIAS: 233,
 }
 

@@ -258,9 +258,6 @@ def test_query_fails_over_past_a_replica_serving_a_malformed_proof(
         def execute(self, request):
             return mutants(world["provider"].execute(request), bad)[label]
 
-        def index_roots(self):
-            return world["provider"].index_roots()
-
     request = world["requests"][family]
     fronted = make_client(
         world,
@@ -370,9 +367,6 @@ def test_query_fails_over_past_a_replica_serving_a_malformed_structure(world, fa
     class LyingProvider:
         def execute(self, request):
             return lie
-
-        def index_roots(self):
-            return world["provider"].index_roots()
 
     fronted = make_client(world, {"liar": LyingProvider(), "honest": world["provider"]})
     assert fronted.query(request) == honest, label
@@ -501,9 +495,6 @@ def test_query_fails_over_past_a_replica_serving_a_forged_absence(world, family)
     class LyingProvider:
         def execute(self, request):
             return lie
-
-        def index_roots(self):
-            return world["provider"].index_roots()
 
     fronted = make_client(world, {"liar": LyingProvider(), "honest": world["provider"]})
     assert fronted.query(request) == honest

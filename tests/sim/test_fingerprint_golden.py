@@ -43,9 +43,14 @@ pytestmark = pytest.mark.sim
 #: timestamps move.  Each profile has one differing outcome line, event
 #: 95 (mixed) / 2 (overload): an ``overload`` batch that missed its
 #: deadline is now answered.
+#: Both re-pinned once more (were fe45ece9…8cee94 and 2169dbc7…9af0)
+#: when replica switch verification went: the gateway sends no
+#: ``index_roots`` request before dispatching to a replica (every answer
+#: is verified instead), so virtual timestamps move.  Neither profile's
+#: outcome lines moved.
 GOLDEN = {
-    "mixed": "fe45ece9f1d048f183256c7493dedb24c13394403b126e65bd537f11708cee94",
-    "overload": "2169dbc78f5431bbfac4c06b51b15b8e0d038ace5f434db41c408608b6ec9af0",
+    "mixed": "fb5e5fd31dab94cc646bebacc6136fcb98e499a139087ba085989ec901ca73e6",
+    "overload": "a21b3992d6574cb647bc81a7d75f6e4eb86d21779718486e06f2eaecfe1f9ab9",
 }
 
 #: Generous: the slowest of these takes ~6 s; the old livelock never
