@@ -45,7 +45,6 @@ from repro.net import (
     HedgePolicy,
     MessageBus,
     QueryGateway,
-    RetryPolicy,
 )
 from repro.net.rpc import RpcClient
 from repro.query import HistoryQuery, QueryService
@@ -115,10 +114,7 @@ def test_admission_control_protects_goodput_at_5x_load():
             )
             for name in names
         }
-        load = RpcClient(
-            bus, "load",
-            policy=RetryPolicy(timeout_ms=10_000.0, max_attempts=1),
-        )
+        load = RpcClient(bus, "load", timeout_ms=10_000.0)
         requests = _requests(16)
 
         capacity_qps = _REPLICAS * 1000.0 / _SERVICE_MS

@@ -15,8 +15,9 @@ Commands:
   superlight client adopts the certified tip and verifies a query
   answered from the issuer's own index.
 * ``demo-network`` — a push-subscribed remote client over two replicas:
-  a ``lossy_link`` event on its link to sp1, a verified query with
-  retries, then ``mine`` + ``certify`` events whose tip arrives pushed.
+  a ``lossy_link`` event on its link to sp1, a handful of verified
+  queries across it (drops show as timeouts and failovers), then
+  ``mine`` + ``certify`` events whose tip arrives pushed.
 * ``demo-fleet`` — a gateway client over N replicas: a ``query_many``
   batch, its warm repeat from the verified-answer cache, a
   ``pause_replica`` event with failover, and ``resume_replicas`` with
@@ -53,7 +54,7 @@ from repro.core import SuperlightClient
 from repro.errors import CertificateError, DeadlineExceededError
 from repro.net.gateway import HOP_MARGIN_MS
 from repro.obs import wallclock
-from repro.query import HistoryQuery, QueryAnswer, StaleAnswer
+from repro.query import HistoryQuery, KeywordQuery, QueryAnswer, StaleAnswer
 from repro.sim import (
     SIM_CRASH_POINTS,
     InvariantSuite,
@@ -220,7 +221,18 @@ def cmd_demo_network(args: argparse.Namespace) -> int:
         answer = run.query(0, _history(client))
         print(f"Verified query over RPC: {len(answer.payload.versions)} "
               f"versions of acct1, proof {answer.proof_size_bytes():,} bytes.")
-        print(f"  retries/timeouts: {client.gateway.rpc.timeouts}, "
+        # Round robin sends about half of these across the faulted link.
+        height = client.latest_header.height
+        handful = [
+            HistoryQuery(index="history", account=f"acct{i}", t_from=1,
+                         t_to=height)
+            for i in (0, 2, 3)
+        ] + [KeywordQuery(index="keyword", keywords=(f"acct{i}",))
+             for i in range(4)]
+        for request in handful:
+            run.query(0, request)
+        print(f"  {len(handful)} more verified queries; "
+              f"timeouts: {client.gateway.rpc.timeouts}, "
               f"failovers: {client.gateway.failovers}, "
               f"integrity failures: {client.integrity_failures}")
 

@@ -54,7 +54,6 @@ class ClientConfig:
     issuers: tuple[str, ...] = ()
     gateway: object | None = None
     hub: str | None = None
-    policy: object | None = None
     cache_capacity: int = 128
     # -- overload resilience (remote modes) --
     #: Serve a previously-verified answer flagged ``stale=True`` when

@@ -479,7 +479,7 @@ class IssuerService:
     def _certify_range(self, blocks: object) -> tuple[CertifiedTip, ...]:
         """Certify a run of consecutive blocks, idempotently.
 
-        A client retrying after an issuer crash + restore may resend
+        A caller calling again after an issuer crash + restore may resend
         blocks the issuer already certified (the certificates were
         durable but the response was lost).  Heights at or below the
         tip whose header hash matches the certified block are answered

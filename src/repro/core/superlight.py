@@ -198,7 +198,7 @@ class SuperlightClient:
         from repro.query.answercache import VerifiedAnswerCache
 
         config.validate()
-        self.rpc = RpcClient(config.bus, config.name, config.policy)
+        self.rpc = RpcClient(config.bus, config.name)
         self._wire = wire  # repro.net imports this package: bound late
         self.issuers = list(config.issuers)
         self.gateway = config.gateway

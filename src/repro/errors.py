@@ -10,7 +10,7 @@ Every class additionally carries a **stable wire code** (``code``) and a
 **retryability flag** (``retryable``).  The RPC layer puts the code in
 :class:`repro.net.rpc.RpcResponse` so a remote failure crosses the
 network as a typed member of this taxonomy rather than a stringly-typed
-payload, and the gateway/retry machinery uses ``retryable`` to separate
+payload, and the gateway's failover uses ``retryable`` to separate
 transport faults worth another attempt (timeouts, unreachable or
 overloaded endpoints) from terminal failures that no amount of retrying
 fixes (a query against a missing index, a certificate that does not
@@ -157,13 +157,14 @@ class WireError(NetworkError):
 
 
 class RpcTimeoutError(NetworkError):
-    """An RPC call got no response within its deadline (after retries)."""
+    """An RPC call got no response within its timeout."""
 
     code = "net.timeout"
 
 
 class ServiceUnavailableError(NetworkError):
-    """Every candidate service endpoint failed within bounded retries."""
+    """Every candidate service endpoint failed within a bounded number
+    of dispatches."""
 
     code = "net.unavailable"
 
@@ -192,19 +193,19 @@ class RemoteCallError(NetworkError):
 class OverloadedError(NetworkError):
     """The endpoint is alive but shed this request under load.
 
-    Retryable, but only *with backoff*: the server attaches a
-    ``retry_after_ms`` hint (how long until its admission queue should
-    drain back under the shed threshold) and clients wait at least that
-    long — clamped, since the hint crosses the wire from an untrusted
-    endpoint — before the next attempt.  Immediate retries are exactly
-    the amplification that turns a load spike into a metastable
-    failure."""
+    Retryable, but not at the same endpoint right away: the server
+    attaches a ``retry_after_ms`` hint (how long until its admission
+    queue should drain back under the shed threshold) and the gateway
+    fails over and keeps the replica's breaker open at least that long
+    — clamped, since the hint crosses the wire from an untrusted
+    endpoint.  Immediate re-sends are exactly the amplification that
+    turns a load spike into a metastable failure."""
 
     code = "net.overloaded"
 
     def __init__(self, message: str = "", *, retry_after_ms: float = 0.0) -> None:
         super().__init__(message)
-        #: Server-suggested backoff before retrying.  Advisory and
+        #: Server-suggested quiet period for this endpoint.  Advisory and
         #: untrusted: consumers clamp it (see
         #: :func:`repro.net.resilience.clamp_retry_after`).
         self.retry_after_ms = retry_after_ms
@@ -216,7 +217,7 @@ class DeadlineExceededError(NetworkError):
     Not retryable, despite being transport-class: the time budget is a
     property of the *call*, not the endpoint — re-sending the same
     expired deadline deterministically fails again, and minting a fresh
-    deadline is the caller's decision, not the retry loop's."""
+    deadline is the caller's decision."""
 
     code = "net.deadline"
     retryable = False

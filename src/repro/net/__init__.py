@@ -9,8 +9,8 @@ deterministically and without sockets:
 * :mod:`bus` — the virtual-clock message bus: pub/sub broadcast,
   unicast :meth:`~repro.net.bus.MessageBus.send`, scheduled callbacks,
   and bounded draining (``run_for``/``step``).
-* :mod:`rpc` — request/response RPC with per-call timeouts and bounded
-  exponential-backoff retries.
+* :mod:`rpc` — request/response RPC: one send and one timeout per
+  call.
 * :mod:`wire` — the dataclass ⇄ bytes codec RPC payloads cross the
   simulated network as.
 * :mod:`faults` — per-link drop/delay/duplicate/corrupt injection with
@@ -52,8 +52,8 @@ from repro.net.resilience import (
     sanitize_deadline,
     shrink_deadline,
 )
-from repro.net.rpc import RetryPolicy, RpcClient, RpcRequest, RpcResponse, RpcServer
-from repro.net.supervisor import RestartPolicy, ServiceSupervisor
+from repro.net.rpc import RpcClient, RpcRequest, RpcResponse, RpcServer
+from repro.net.supervisor import ServiceSupervisor
 
 __all__ = [
     "AdmissionPolicy",
@@ -70,8 +70,6 @@ __all__ = [
     "PushEnvelope",
     "QueryGateway",
     "ReplicaState",
-    "RestartPolicy",
-    "RetryPolicy",
     "RpcClient",
     "RpcRequest",
     "RpcResponse",

@@ -12,7 +12,7 @@ layer needs (see :mod:`repro.net.rpc`):
 * :meth:`MessageBus.send` — point-to-point delivery to a named node,
   independent of topic subscriptions;
 * :meth:`MessageBus.schedule` — a callback at a virtual-clock deadline
-  (timeouts, retry backoff);
+  (timeouts, restart delays);
 * :meth:`MessageBus.step` / :meth:`MessageBus.run_for` — bounded
   draining, so a caller can wait *up to* a deadline instead of draining
   the world;

@@ -63,7 +63,7 @@ from repro.net.resilience import (
     sanitize_deadline,
     shrink_deadline,
 )
-from repro.net.rpc import RetryPolicy, RpcClient
+from repro.net.rpc import RpcClient
 
 #: Cap on a replica's in-flight map (oldest evicted).
 OUTSTANDING_LIMIT = 256
@@ -157,9 +157,7 @@ class QueryGateway:
         if not replicas:
             raise ValueError("a gateway needs at least one replica")
         self.bus = bus
-        self.rpc = RpcClient(
-            bus, name, RetryPolicy(timeout_ms=timeout_ms, max_attempts=1)
-        )
+        self.rpc = RpcClient(bus, name, timeout_ms=timeout_ms)
         #: None disables hedging.
         self.hedge = hedge
         # One breaker per replica (``None``: the default policy), each
@@ -270,9 +268,10 @@ class QueryGateway:
         round-robin turn, timed out at ``timeout_ms`` — until
         a replica answers it or its ``max(3, 2 × replicas)`` dispatches
         are spent (:class:`ServiceUnavailableError`).  A dispatch that
-        outlives the replica's observed latency quantile is hedged once
-        (:class:`HedgePolicy`), to a closed replica not already carrying
-        the item; the loser is abandoned, not struck.
+        outlives the replica's observed latency quantile — or is a
+        half-open probe — is hedged once (:class:`HedgePolicy`), to a
+        closed replica not already carrying the item; the loser is
+        abandoned, not struck.
         An item is encoded once (``payloads``: by the caller, already),
         and a hedge or re-dispatch re-sends those bytes.
 
@@ -312,14 +311,17 @@ class QueryGateway:
                 state.name, method, payload=payloads[item], deadline_ms=downstream
             )
             state.track(request_id, now)
+            # A half-open probe is hedged at once: the replica may still
+            # be dead, and its item must not wait out the probe's timeout.
             delay = None if is_hedge or self.hedge is None else (
-                self.hedge.delay_ms(state.latency)
+                0.0 if state.breaker.state == CircuitBreaker.HALF_OPEN
+                else self.hedge.delay_ms(state.latency)
             )
             flights[request_id] = _Flight(
                 item=item,
                 state=state,
                 sent_ms=now,
-                expires_ms=min(now + self.rpc.policy.timeout_ms, deadline),
+                expires_ms=min(now + self.rpc.timeout_ms, deadline),
                 hedge_ms=math.inf if delay is None else now + delay,
                 is_hedge=is_hedge,
             )
@@ -411,7 +413,11 @@ class QueryGateway:
                         last_error = exc
                         self.failovers += 1
                         obs.inc("gateway.failovers")
-                        if not rest:
+                        # Re-dispatch unless a replica in rotation still
+                        # carries the item: a probe alone may be dead.
+                        if flight.item not in todo and not any(
+                            f.state.closed for _, f in rest
+                        ):
                             todo.append(flight.item)
                         continue
                     self._mark_success(flight.state, now - flight.sent_ms)
@@ -421,6 +427,8 @@ class QueryGateway:
                     for rid, loser in rest:
                         del flights[rid]
                         self._abandon(loser.state, rid)
+                    if flight.item in todo:  # a probe beat its re-dispatch
+                        todo.remove(flight.item)
                     results[flight.item] = result
                     unanswered -= 1
         finally:

@@ -4,9 +4,9 @@ circuit breakers, latency tracking, and hedging policy.
 DCert's economics invite a small certified serving tier to absorb
 traffic from a huge fleet of superlight clients — which makes the tier's
 *overload* behaviour part of the system's correctness story.  Without
-backpressure, a demand spike turns static timeouts and synchronized
-exponential retries into a retry storm that amplifies load on the
-busy-worker replicas: the classic metastable failure mode.  This module
+backpressure, a demand spike turns every caller's timeout-and-resend
+into a retry storm that amplifies load on the busy-worker replicas:
+the classic metastable failure mode.  This module
 collects the deterministic (virtual-clock, seeded) building blocks the
 RPC/gateway/client stacks compose into an end-to-end protection layer:
 
@@ -20,8 +20,9 @@ RPC/gateway/client stacks compose into an end-to-end protection layer:
   queue-*delay* threshold (not queue length alone) at the busy-worker
   server: when the predicted wait exceeds the target, the request is
   shed with a typed :class:`~repro.errors.OverloadedError` carrying a
-  ``retry_after_ms`` hint, which clients honor (clamped — a forged hint
-  can only delay a retry, never stall a client forever).
+  ``retry_after_ms`` hint, which the gateway's breakers honor (clamped —
+  a forged hint can only hold one replica out of rotation for a
+  bounded time, never stall a client).
 * **Circuit breakers** (:class:`CircuitBreaker`) — the gateway's one
   per-replica state machine, closed → open → half-open, with a
   seeded-jitter, backed-off reopen schedule and one probe dispatch per
@@ -50,8 +51,8 @@ NO_DEADLINE = 0.0
 
 #: Client-side ceiling on any remote ``retry_after_ms`` hint.  The hint
 #: crosses the wire from an *untrusted* endpoint: honoring it verbatim
-#: would let a forged response park a client indefinitely.  Clamped, the
-#: worst a forgery can do is delay one retry by this much.
+#: would let a forged response park a replica's breaker indefinitely.
+#: Clamped, the worst a forgery can do is hold it open this long.
 RETRY_AFTER_CAP_MS = 10_000.0
 
 

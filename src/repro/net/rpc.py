@@ -9,18 +9,18 @@ bus gives us natively.  This module layers that contract on top:
   :class:`RpcRequest` envelopes, dispatches to registered handlers,
   and replies with :class:`RpcResponse` envelopes.  A request whose
   payload fails to decode is *dropped* (like a checksum-failed packet):
-  the caller's timeout-and-retry path handles it.
-* :class:`RpcClient` — sends a request, drains the bus up to a
-  virtual-clock deadline, and retries with bounded exponential backoff
-  (:class:`RetryPolicy`).  Exhausted retries raise
-  :class:`repro.errors.RpcTimeoutError`; a response that cannot be
-  decoded raises :class:`repro.errors.ResponseIntegrityError`.
+  the caller times out.
+* :class:`RpcClient` — sends a request once and drains the bus until
+  it answers or ``timeout_ms`` passes (:class:`repro.errors.RpcTimeoutError`);
+  a response that cannot be decoded raises
+  :class:`repro.errors.ResponseIntegrityError`.  There is no retry
+  loop: a caller's next call (a client's next ``sync``, the gateway's
+  next dispatch) is its retry.
 
 Payloads cross the wire as bytes (:mod:`repro.net.wire`), so a
 :class:`repro.net.faults.FaultInjector` can corrupt them exactly as a
-real network would.  Delivery is at-least-once: retries and duplicated
-packets may re-execute a handler, so handlers must be read-only or
-idempotent (every service in this library serves reads).
+real network would.  Duplicated packets and repeated calls may
+re-execute a handler, so handlers must be read-only or idempotent.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ class RpcResponse:
     """The reply envelope; ``payload`` encodes the result or the error
     message.  A failure reply carries the *typed* error code from the
     :mod:`repro.errors` taxonomy in ``code`` (empty on success), so
-    callers — retry loops, the query gateway — can classify the failure
+    callers — the query gateway above all — can classify the failure
     (retryable transport fault vs terminal verification error) without
     parsing strings out of the payload.
 
@@ -94,7 +94,8 @@ class RpcResponse:
     the server's estimate of when its admission queue will have drained
     back under the shed threshold.  Advisory and untrusted — clients
     clamp it (:func:`repro.net.resilience.clamp_retry_after`), so a
-    forged hint can delay one retry but never stall a caller."""
+    forged hint can hold one replica's breaker open for at most the
+    cap and never stall a caller."""
 
     request_id: int
     sender: str
@@ -107,45 +108,13 @@ class RpcResponse:
         return replace(self, payload=flip_hex_digit(self.payload, rng))
 
 
-@dataclass(frozen=True, slots=True)
-class RetryPolicy:
-    """Per-call timeout and bounded exponential backoff schedule.
-
-    ``jitter`` spreads each backoff uniformly over ``±jitter`` of its
-    nominal value (from the client's *seeded* stream, so runs stay
-    deterministic).  A fleet whose clients share one pure-exponential
-    schedule retries in lockstep — every wave of retries lands on the
-    servers at the same virtual instant, which is how a load spike
-    becomes a standing one; jitter desynchronizes the waves.  The
-    default is 0 for bit-compatibility with existing schedules; fleet
-    construction paths opt in.
-    """
-
-    timeout_ms: float = 500.0
-    max_attempts: int = 4
-    backoff_base_ms: float = 50.0
-    backoff_factor: float = 2.0
-    backoff_max_ms: float = 1_000.0
-    jitter: float = 0.0
-
-    def backoff_ms(self, attempt: int, rng: random.Random | None = None) -> float:
-        """Backoff to wait after the ``attempt``-th failure (0-based)."""
-        nominal = min(
-            self.backoff_base_ms * self.backoff_factor**attempt,
-            self.backoff_max_ms,
-        )
-        if self.jitter and rng is not None:
-            nominal *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
-        return max(0.0, nominal)
-
-
 Handler = Callable[[object], object]
 
 
 class DropRequest(Exception):
     """Raised by a handler (or a supervising wrapper) to drop the
     request silently — no reply at all, as if the host were dead.  The
-    client's timeout-and-retry path takes over."""
+    caller times out."""
 
 
 class RpcServer:
@@ -235,7 +204,7 @@ class RpcServer:
             argument = wire.decode(message.payload)
         except ReproError:
             # A corrupted request is indistinguishable from line noise;
-            # drop it and let the client's retry path recover.
+            # drop it and let the caller time out.
             self.requests_dropped += 1
             obs.inc("rpc.server.dropped")
             return
@@ -380,20 +349,14 @@ class RpcServer:
 
 
 class RpcClient:
-    """Blocking (virtual-time) calls with timeout, retry, and backoff.
+    """Blocking (virtual-time) calls: one send, one wait, one verdict.
 
     The client also carries the caller-side half of the overload story:
 
-    * a **seeded jitter stream** for :class:`RetryPolicy.jitter`, keyed
-      by the client's name — deterministic, but distinct per client, so
-      a fleet's backoffs desynchronize instead of stampeding;
     * **deadline propagation** — ``call``/``begin`` accept an absolute
-      ``deadline_ms``; a call whose budget is spent raises
-      :class:`~repro.errors.DeadlineExceededError` locally without
-      sending anything (zero downstream work);
-    * **retry-after honoring** — an ``OVERLOADED`` refusal's (clamped)
-      ``retry_after_ms`` hint extends the backoff before the next
-      attempt;
+      ``deadline_ms`` that rides in the request; a call whose budget is
+      spent raises :class:`~repro.errors.DeadlineExceededError` locally
+      without sending anything (zero downstream work);
     * **bounded response bookkeeping** — ``_responses`` is swept on
       abandon and capped, so late replies to abandoned requests can
       never grow memory (asserted as a sim invariant).
@@ -404,16 +367,12 @@ class RpcClient:
     ABANDONED_LIMIT = 1024
 
     def __init__(
-        self,
-        bus: MessageBus,
-        name: str,
-        policy: RetryPolicy | None = None,
-        *,
-        seed: int = 0,
+        self, bus: MessageBus, name: str, *, timeout_ms: float = 500.0
     ) -> None:
         self.bus = bus
         self.name = name
-        self.policy = policy or RetryPolicy()
+        #: How long :meth:`call` waits for its one answer.
+        self.timeout_ms = timeout_ms
         self.node = bus.join(NetworkNode(name, record_limit=0))
         self.node.on(rpc_topic(name), self._on_response)
         self._next_id = 1
@@ -422,20 +381,13 @@ class RpcClient:
         #: Request ids abandoned while still pending: a late reply to
         #: one of these is dropped (and counted) instead of retained.
         self._abandoned: "OrderedDict[int, None]" = OrderedDict()
-        #: Deterministic per-client stream for backoff jitter: seeded
-        #: by name, so each client walks its own schedule and the same
-        #: run replays bit-identically.
-        self._rng = random.Random(f"rpc-client:{name}:{seed}")
-        #: Logical calls made (one per :meth:`call`, however many
-        #: attempts it took) plus one per :meth:`begin`.  The verified
-        #: answer cache's "zero round trips on a warm hit" claim is
-        #: asserted against this counter.
+        #: Requests sent (one per :meth:`call` or :meth:`begin`).  The
+        #: verified answer cache's "zero round trips on a warm hit"
+        #: claim is asserted against this counter.
         self.calls = 0
         self.timeouts = 0
         self.duplicates_ignored = 0
         self.late_after_abandon = 0
-        self.retry_after_waits = 0
-        self.deadline_gaveups = 0
 
     def _on_response(self, message: object) -> None:
         if not isinstance(message, RpcResponse):
@@ -468,23 +420,13 @@ class RpcClient:
         Pair with :meth:`wait` (drive the bus until it answers),
         :meth:`take` (pop the raw response, or :meth:`expire` the
         request if there is none) and :meth:`resolve` (decode it or
-        raise the mapped error).  The caller owns timeout and retry
-        policy, and passes the ``payload`` it holds in place of an
-        ``argument`` it already encoded.
+        raise the mapped error).  The caller owns the timeout, and
+        passes the ``payload`` it holds in place of an ``argument`` it
+        already encoded.
         """
         self.calls += 1
         obs.inc("rpc.client.calls")
         payload = payload or wire.encode(argument)
-        return self._send(target, method, payload, deadline_ms=deadline_ms)
-
-    def _send(
-        self,
-        target: str,
-        method: str,
-        payload: bytes,
-        *,
-        deadline_ms: float = NO_DEADLINE,
-    ) -> int:
         obs.inc("rpc.client.bytes_sent", len(payload))
         request_id = self._next_id
         self._next_id += 1
@@ -561,7 +503,7 @@ class RpcClient:
         error = error_for_code(response.code)(f"{response.sender}: {decoded}")
         if isinstance(error, OverloadedError):
             # The hint is untrusted wire data: clamp before anything
-            # downstream (backoff, breakers) can honor it.
+            # downstream (the gateway's breakers) can honor it.
             error.retry_after_ms = clamp_retry_after(response.retry_after_ms)
         raise error
 
@@ -571,21 +513,18 @@ class RpcClient:
         method: str,
         argument: object = None,
         *,
-        policy: RetryPolicy | None = None,
         payload: bytes | None = None,
         deadline_ms: float = NO_DEADLINE,
     ) -> object:
-        """Call ``method`` on ``target``; returns the decoded result.
+        """Call ``method`` on ``target`` once; returns the decoded result.
 
-        Drives the bus (delivering everyone's traffic along the way)
-        until the matching response arrives or the attempt's deadline
-        passes, retrying per the policy.  ``deadline_ms`` is an
-        absolute virtual-clock budget for the *whole* call: it rides in
-        the request (so the server can refuse doomed work), bounds each
-        attempt, and once spent no further attempt is even sent.
-        Raises
+        Sends one request and drives the bus (delivering everyone's
+        traffic along the way) until it answers, ``timeout_ms`` passes
+        or ``deadline_ms`` — the caller's absolute virtual-clock budget,
+        which also rides in the request so the server can refuse doomed
+        work — does.  A spent budget sends nothing.  Raises
 
-        * :class:`RpcTimeoutError` — no response after every attempt;
+        * :class:`RpcTimeoutError` — no response within ``timeout_ms``;
         * :class:`DeadlineExceededError` — the deadline budget ran out
           (locally or refused by the server);
         * :class:`ResponseIntegrityError` — a response arrived but its
@@ -593,69 +532,28 @@ class RpcClient:
         * the mapped library error — the server reported a failure
           (e.g. a :class:`repro.errors.QueryError` re-raised locally).
         """
-        policy = policy or self.policy
-        call_deadline = sanitize_deadline(deadline_ms)
-        payload = payload or wire.encode(argument)
-        self.calls += 1
-        obs.inc("rpc.client.calls")
+        deadline = sanitize_deadline(deadline_ms)
         started = self.bus.clock_ms
-        last_remote: ReproError | None = None
-        for attempt in range(policy.max_attempts):
-            if call_deadline and self.bus.clock_ms >= call_deadline:
-                break
-            if attempt:
-                obs.inc("rpc.client.retries")
-            request_id = self._send(
-                target, method, payload, deadline_ms=call_deadline
+        if not deadline or started < deadline:
+            request_id = self.begin(
+                target, method, argument, payload=payload, deadline_ms=deadline
             )
-            horizon = self.bus.clock_ms + policy.timeout_ms
-            if call_deadline:
-                horizon = min(horizon, call_deadline)
-            self.wait((request_id,), horizon)
+            horizon = started + self.timeout_ms
+            self.wait((request_id,), min(horizon, deadline or horizon))
             response = self.take(request_id)
-            final = attempt + 1 == policy.max_attempts
-            if response is None:
-                self.expire(request_id)
-                if not final:
-                    self.bus.run_for(policy.backoff_ms(attempt, self._rng))
-                continue
-            if obs.enabled():
-                obs.observe(
-                    f"rpc.client.call_ms.{method}", self.bus.clock_ms - started
-                )
-            try:
+            if response is not None:
+                if obs.enabled():
+                    obs.observe(
+                        f"rpc.client.call_ms.{method}",
+                        self.bus.clock_ms - started,
+                    )
                 return self.resolve(response, target=target, method=method)
-            except ReproError as error:
-                # The code tells us whether another attempt can help: a
-                # transient transport-class report (service restarting,
-                # overloaded) is worth the backoff; a semantic failure
-                # (bad query, failed verification) or a reply corrupted
-                # in flight never is.
-                if response.ok or not error.retryable or final:
-                    raise
-                last_remote = error
-            obs.inc("rpc.client.remote_retries")
-            wait_ms = policy.backoff_ms(attempt, self._rng)
-            if (
-                isinstance(last_remote, OverloadedError)
-                and last_remote.retry_after_ms > 0.0
-            ):
-                # Honor server backpressure (clamped by resolve()):
-                # never retry an overloaded endpoint sooner than it
-                # asked us to.
-                self.retry_after_waits += 1
-                obs.inc("resilience.client.retry_after_waits")
-                wait_ms = max(wait_ms, last_remote.retry_after_ms)
-            self.bus.run_for(wait_ms)
-        if call_deadline and self.bus.clock_ms >= call_deadline:
-            self.deadline_gaveups += 1
-            obs.inc("resilience.client.deadline_gaveups")
+            self.expire(request_id)
+        if deadline and self.bus.clock_ms >= deadline:
             raise DeadlineExceededError(
                 f"deadline for {method!r} on {target!r} expired"
-            ) from last_remote
-        if last_remote is not None:
-            raise last_remote
+            )
         raise RpcTimeoutError(
-            f"no response from {target!r} to {method!r} after "
-            f"{policy.max_attempts} attempts ({policy.timeout_ms:.0f} ms each)"
+            f"no response from {target!r} to {method!r} in "
+            f"{self.timeout_ms:.0f} ms"
         )

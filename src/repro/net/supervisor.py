@@ -3,8 +3,8 @@
 A production CI or SP is a process under a supervisor (systemd, k8s,
 ...): it crashes, the supervisor restarts it, and — because the signing
 key is sealed and the archive is durable — it comes back as the *same*
-endpoint, so clients keep their verified attestation and simply retry
-in-flight calls.  :class:`ServiceSupervisor` models that loop on the
+endpoint, so clients keep their verified attestation and simply call
+again.  :class:`ServiceSupervisor` models that loop on the
 virtual-clock bus for any RPC-fronted service:
 
 * every RPC handler of the supervised service is wrapped: a
@@ -12,16 +12,17 @@ virtual-clock bus for any RPC-fronted service:
   marks the process dead — the in-flight request is dropped with no
   reply (a dead host does not send error responses) and the endpoint is
   paused so subsequent requests vanish the same way;
-* restart attempts are scheduled on the bus with bounded exponential
-  backoff (:class:`RestartPolicy`); each attempt calls the supplied
-  ``restore`` callable (typically
+* restart attempts are scheduled on the bus, at most
+  :attr:`ServiceSupervisor.RESTART_ATTEMPTS` of them, the delay
+  doubling from :attr:`ServiceSupervisor.RESTART_DELAY_MS`; each
+  attempt calls the supplied ``restore`` callable (typically
   :func:`repro.core.recovery.recover_issuer` over the CI's archive, or
   a provider re-sync for an SP replica);
 * on success the restored backing object is swapped into the service
-  and the endpoint unpaused, mid-conversation — clients that were
-  retrying against the dead endpoint complete against the restarted
-  one, and a :class:`~repro.net.gateway.QueryGateway` that health-routed
-  around the dead replica probes it back into rotation.
+  and the endpoint unpaused, mid-conversation — a client whose call
+  timed out against the dead endpoint calls the restarted one next, and
+  a :class:`~repro.net.gateway.QueryGateway` that health-routed around
+  the dead replica probes it back into rotation.
 
 The bus does not allow a name to be re-joined, which is exactly the
 semantics we want anyway: the *endpoint* (address) survives, the
@@ -30,29 +31,11 @@ process behind it is replaced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from repro import obs
 from repro.fault.crashpoints import SimulatedCrash
 from repro.net.rpc import DropRequest
-
-
-@dataclass(frozen=True, slots=True)
-class RestartPolicy:
-    """Bounded exponential backoff between restart attempts."""
-
-    max_attempts: int = 5
-    backoff_base_ms: float = 100.0
-    backoff_factor: float = 2.0
-    backoff_max_ms: float = 2_000.0
-
-    def backoff_ms(self, attempt: int) -> float:
-        """Delay before the ``attempt``-th restart try (0-based)."""
-        return min(
-            self.backoff_base_ms * self.backoff_factor**attempt,
-            self.backoff_max_ms,
-        )
 
 
 class ServiceSupervisor:
@@ -65,16 +48,14 @@ class ServiceSupervisor:
     shape).
     """
 
-    def __init__(
-        self,
-        service,
-        restore: Callable[[], object],
-        *,
-        policy: RestartPolicy | None = None,
-    ) -> None:
+    #: Restart tries before giving up, and the delay before the first
+    #: (each later one doubles it).
+    RESTART_ATTEMPTS = 5
+    RESTART_DELAY_MS = 40.0
+
+    def __init__(self, service, restore: Callable[[], object]) -> None:
         self.service = service
         self.restore = restore
-        self.policy = policy or RestartPolicy()
         self.target_attr = (
             "issuer" if hasattr(service, "issuer") else "provider"
         )
@@ -101,7 +82,7 @@ class ServiceSupervisor:
             except SimulatedCrash as crash:
                 self._on_crash(crash)
                 # A dying process sends nothing; the client times out
-                # and retries, by which time we may be back.
+                # and calls again, by which time we may be back.
                 raise DropRequest() from None
 
         return guarded
@@ -118,7 +99,8 @@ class ServiceSupervisor:
 
     def _schedule_attempt(self, attempt: int) -> None:
         self.service.server.bus.schedule(
-            self.policy.backoff_ms(attempt), lambda: self._try_restart(attempt)
+            self.RESTART_DELAY_MS * 2**attempt,
+            lambda: self._try_restart(attempt),
         )
 
     def _try_restart(self, attempt: int) -> None:
@@ -129,7 +111,7 @@ class ServiceSupervisor:
         except Exception:
             self.failed_attempts += 1
             obs.inc("supervisor.restart_failures")
-            if attempt + 1 >= self.policy.max_attempts:
+            if attempt + 1 >= self.RESTART_ATTEMPTS:
                 self.gave_up = True
                 obs.inc("supervisor.gave_up")
             else:

@@ -43,7 +43,8 @@ class QueryRequest:
     """Base class: every query names the authenticated index it targets.
     Request leaves are typed here, once, where a request is built — for
     a peer's that is inside ``wire.decode`` (a ``WireError``: a dropped
-    packet and the sender's ordinary retry), never the provider."""
+    packet, a timeout and the gateway's ordinary re-dispatch), never the
+    provider."""
 
     index: str
 

@@ -44,8 +44,6 @@ from repro.net import (
     HedgePolicy,
     MessageBus,
     QueryGateway,
-    RestartPolicy,
-    RetryPolicy,
     ServiceSupervisor,
     SubscriptionHub,
 )
@@ -185,19 +183,11 @@ class SimWorld:
             genesis.header.header_hash(), ias.public_key, fresh_vm(),
             builder.pow.difficulty_bits, {spec.name: spec for spec in specs},
         )
-        miner = RpcClient(
-            bus, "miner",
-            policy=RetryPolicy(
-                timeout_ms=400.0, max_attempts=6, backoff_base_ms=30.0
-            ),
-        )
+        miner = RpcClient(bus, "miner", timeout_ms=400.0)
         # A fire-and-forget flood source for the ``burst`` overload
         # event: it begin()s without waiting, so replica queues actually
         # build up and admission control has something to shed.
-        load = RpcClient(
-            bus, "loadgen",
-            policy=RetryPolicy(timeout_ms=400.0, max_attempts=1),
-        )
+        load = RpcClient(bus, "loadgen", timeout_ms=400.0)
 
         world = cls(
             config=config, builder=builder, bus=bus, injector=injector,
@@ -221,10 +211,7 @@ class SimWorld:
             world.recoveries += 1
             return restored
 
-        world.supervisor = ServiceSupervisor(
-            service, restore,
-            policy=RestartPolicy(max_attempts=5, backoff_base_ms=40.0),
-        )
+        world.supervisor = ServiceSupervisor(service, restore)
 
         # Premine + certify the opening stretch, then boot the fleet
         # against a healthy, fully-synced deployment.
@@ -305,13 +292,6 @@ class SimWorld:
         best-effort (the deployment may be degraded mid-run)."""
         self.spawned += 1
         name = f"{kind}{self.spawned}"
-        # Jittered backoff desynchronizes the fleet's retry waves; each
-        # client's RNG is seeded from its (unique) name, so the jitter
-        # is deterministic per run.
-        policy = RetryPolicy(
-            timeout_ms=300.0, max_attempts=3, backoff_base_ms=25.0,
-            jitter=0.1,
-        )
         gateway = QueryGateway(
             self.bus, f"gwy{self.spawned}", list(self.replica_names),
             timeout_ms=400.0,
@@ -320,7 +300,7 @@ class SimWorld:
         client = connect(ClientConfig(
             measurement=self.measurement,
             ias_public_key=self.ias.public_key,
-            bus=self.bus, name=name, issuers=("ci",), policy=policy,
+            bus=self.bus, name=name, issuers=("ci",),
             hub="ci" if kind == KIND_PUSH else None,
             gateway=gateway, degrade_to_stale=kind == KIND_GATEWAY,
         ))

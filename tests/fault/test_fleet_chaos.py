@@ -8,7 +8,7 @@ stale or unverified answer, never an unbounded hang.
 
 Crashed replicas are supervised (ServiceSupervisor): the crash pauses
 the endpoint (requests vanish like against a dead host), the supervisor
-restores it after bounded backoff, and the gateway's probe path brings
+restores it after a doubling delay, and the gateway's probe path brings
 it back into rotation — composing PR 4's crash-restart loop with this
 PR's health-aware routing.
 """
@@ -36,7 +36,6 @@ from repro.net import (
     ServiceSupervisor,
     wire,
 )
-from repro.net.supervisor import RestartPolicy
 from repro.query import HistoryQuery, KeywordQuery, QueryAnswer, QueryService
 from repro.query.provider import QueryServiceProvider
 from repro.chain.genesis import make_genesis
@@ -85,7 +84,6 @@ def make_fleet(fleet_world, *, injector=None, seed=0):
         supervisors[name] = ServiceSupervisor(
             service,
             lambda: provider,  # a read-only SP restarts with state intact
-            policy=RestartPolicy(backoff_base_ms=80.0, backoff_max_ms=400.0),
         )
     gateway = QueryGateway(
         bus, "gw", REPLICAS,

@@ -33,7 +33,6 @@ from repro.net import (
     LinkFaults,
     MessageBus,
     QueryGateway,
-    RetryPolicy,
     RpcResponse,
 )
 from repro.net import wire
@@ -131,8 +130,6 @@ def make_network(world, *, injector=None, issuers=("ci",), providers=None):
         ias_public_key=world["ias"].public_key,
         bus=bus, name="client",
         issuers=tuple(issuers),
-        policy=RetryPolicy(timeout_ms=150.0, max_attempts=3,
-                           backoff_base_ms=20.0),
         gateway=QueryGateway(
             bus, GATEWAY, list(providers),
             timeout_ms=150.0,

@@ -28,7 +28,7 @@ from repro.net.resilience import (
     HedgePolicy,
 )
 from repro.net import wire
-from repro.net.rpc import RetryPolicy, RpcClient, RpcRequest, RpcServer
+from repro.net.rpc import RpcClient, RpcRequest, RpcServer
 from repro.query import ValueRangeQuery
 
 
@@ -259,6 +259,90 @@ def test_a_due_probe_cannot_hold_a_batch_past_its_deadline(bus):
     assert looked_up == []
 
 
+def test_a_probe_to_a_dead_replica_does_not_fail_a_short_batch(bus):
+    """The dead replica has fewer latency samples than the hedge needs
+    (``HedgePolicy.min_samples``): its due probe is hedged at once all
+    the same, so a batch whose deadline is shorter than one timeout is
+    answered — and so is the next one, whose probe is due again."""
+    servers = make_fleet(bus, 2)
+    gateway = make_gateway(
+        bus, ["sp1", "sp2"], timeout_ms=400.0, hedge=HedgePolicy()
+    )
+    servers["sp1"].paused = True
+    for i in range(2):
+        gateway.call("echo", i)  # two liveness strikes eject sp1
+    state = gateway.replicas["sp1"]
+    assert not state.closed and len(state.latency) < HedgePolicy().min_samples
+    bus.run_for(state.breaker.reopen_at_ms - bus.clock_ms)  # probe due
+    for batch in (["a", "b", "c"], ["d", "e", "f"]):
+        dispatched = state.dispatched
+        deadline = bus.clock_ms + 150.0
+        results = gateway.call_many("echo", batch, deadline_ms=deadline)
+        assert bus.clock_ms <= deadline
+        assert [r["arg"] for r in results] == batch
+        assert {r["replica"] for r in results} == {"sp2"}
+        assert state.dispatched - dispatched == 1  # the probe went out
+
+
+def test_a_probe_s_item_is_re_dispatched_when_its_hedge_fails(bus):
+    """The live replica refuses the probe's hedge: a dead replica's
+    probe, still in the air, does not count as carrying the item, so
+    the item is dispatched again inside the batch's deadline."""
+    servers = make_fleet(bus, 2)
+    gateway = make_gateway(
+        bus, ["sp1", "sp2"], timeout_ms=400.0, hedge=HedgePolicy(),
+        breaker=CircuitBreakerPolicy(
+            failure_trip=3, open_base_ms=100.0, jitter=0.0
+        ),
+    )
+    servers["sp1"].paused = True
+    for i in range(3):
+        gateway.call("echo", i)  # three liveness strikes eject sp1
+    state = gateway.replicas["sp1"]
+    bus.run_for(state.breaker.reopen_at_ms - bus.clock_ms)  # probe due
+    refusals = []
+
+    def refuse_twice(argument):
+        if len(refusals) < 2:
+            refusals.append(argument)
+            raise ServiceUnavailableError("restarting")
+        return {"replica": "sp2", "arg": argument}
+
+    servers["sp2"].register("echo", refuse_twice)
+    deadline = bus.clock_ms + 150.0
+    results = gateway.call_many("echo", ["a", "b"], deadline_ms=deadline)
+    assert bus.clock_ms <= deadline
+    assert [r["arg"] for r in results] == ["a", "b"]
+    assert sorted(refusals) == ["a", "b"]  # one item's hedge among them
+
+
+def test_a_probe_that_answers_first_settles_its_waiting_item(bus):
+    """A probe's hedge is refused and the item waits to go out again
+    (no replica is eligible); then the slow probe answers it.  The
+    item is answered once: its waiting re-dispatch is dropped, and the
+    other item still gets its own answer."""
+    servers = make_fleet(bus, 2)
+    gateway = make_gateway(
+        bus, ["sp1", "sp2"], timeout_ms=400.0, hedge=HedgePolicy()
+    )
+    servers["sp1"].paused = True
+    for i in range(2):
+        gateway.call("echo", i)  # two liveness strikes eject sp1
+    state = gateway.replicas["sp1"]
+    bus.run_for(state.breaker.reopen_at_ms - bus.clock_ms)  # probe due
+    servers["sp1"].paused = False  # back, but slow
+    bus.set_latency("gw", "sp1", 60.0)
+    bus.set_latency("sp1", "gw", 60.0)
+
+    def refuse(argument):
+        raise ServiceUnavailableError("restarting")
+
+    servers["sp2"].register("echo", refuse)  # two refusals open sp2
+    results = gateway.call_many("echo", ["a", "b"])
+    assert [r["arg"] for r in results] == ["a", "b"]
+    assert {r["replica"] for r in results} == {"sp1"}
+
+
 # -- bounded bookkeeping -----------------------------------------------------
 
 
@@ -367,7 +451,7 @@ def test_latency_window_takes_one_sample_per_successful_dispatch(bus):
     # latency samples of the replica that refused.
     with pytest.raises(DeadlineExceededError):
         gateway.call("echo", "doomed", deadline_ms=bus.clock_ms + 15.0)
-    flood = RpcClient(bus, "flood", RetryPolicy(max_attempts=1))
+    flood = RpcClient(bus, "flood")
     for i in range(4):
         flood.begin("sp2", "echo", i)
     assert gateway.call("echo", "shed-by-sp2")["replica"] == "sp1"

@@ -5,9 +5,9 @@ per-hop shrinking, retry-after clamping, the CoDel-style admission
 hint, the circuit-breaker state machine, the latency window, and the
 hedge policy — plus the end-to-end behaviours the
 stacks compose them into: servers refusing doomed or excess work with
-zero provider effort, clients honoring (clamped) backpressure and
-desynchronizing their retries, and the bounded response bookkeeping
-that keeps an abandoning caller's memory flat.
+zero provider effort, clients raising (clamped) backpressure at once
+instead of waiting on it, and the bounded response bookkeeping that
+keeps an abandoning caller's memory flat.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from repro.net.resilience import (
     sanitize_deadline,
     shrink_deadline,
 )
-from repro.net.rpc import RetryPolicy, RpcClient, RpcResponse, RpcServer, rpc_topic
+from repro.net.rpc import RpcClient, RpcResponse, RpcServer, rpc_topic
 
 
 @pytest.fixture()
@@ -228,36 +228,6 @@ def test_hedge_policy_delay_is_gated_and_clamped():
     assert policy.delay_ms(slow) == 50.0  # capped
 
 
-# -- jittered backoff (retry-storm desync regression) -------------------------
-
-
-def test_jittered_backoff_desynchronizes_a_fleet():
-    """Two clients sharing one jittered policy must walk *different*
-    backoff schedules (per-name seeded streams), while the same client
-    name replays the identical schedule run over run — the regression
-    guard against synchronized retry waves."""
-    policy = RetryPolicy(backoff_base_ms=100.0, jitter=0.2)
-
-    def schedule(name: str) -> list[float]:
-        client = RpcClient(MessageBus(), name)
-        return [policy.backoff_ms(a, client._rng) for a in range(4)]
-
-    first, second = schedule("c1"), schedule("c2")
-    assert first != second
-    assert schedule("c1") == first  # deterministic replay
-    for waves in (first, second):
-        for attempt, wave in enumerate(waves):
-            nominal = min(100.0 * 2.0**attempt, policy.backoff_max_ms)
-            assert 0.8 * nominal <= wave <= 1.2 * nominal
-
-
-def test_unjittered_backoff_stays_bit_compatible():
-    policy = RetryPolicy(backoff_base_ms=50.0)
-    client = RpcClient(MessageBus(), "c1")
-    assert policy.backoff_ms(0, client._rng) == 50.0
-    assert policy.backoff_ms(1, client._rng) == 100.0
-
-
 # -- server-side deadline refusal and admission shedding ----------------------
 
 
@@ -272,7 +242,7 @@ def _busy_server(bus, *, service_ms=50.0, admission=None):
 
 def test_server_refuses_doomed_work_at_admission(bus):
     server, served = _busy_server(bus, service_ms=50.0)
-    client = RpcClient(bus, "client", RetryPolicy(max_attempts=1))
+    client = RpcClient(bus, "client")
     # 30 ms of budget cannot cover a 50 ms service time.
     with pytest.raises(DeadlineExceededError, match="would complete"):
         client.call("server", "work", deadline_ms=bus.clock_ms + 30.0)
@@ -286,14 +256,14 @@ def test_expired_deadline_never_even_dispatches(bus):
     bus.run_for(100.0)
     with pytest.raises(DeadlineExceededError, match="expired"):
         client.call("server", "work", deadline_ms=50.0)
-    assert client.deadline_gaveups == 1
+    assert client.calls == 0  # nothing was sent
     assert server.invocations == {} and served == []
 
 
 def test_admission_sheds_on_standing_queue_delay(bus):
     admission = AdmissionPolicy(shed_delay_ms=60.0, queue_limit=100)
     server, served = _busy_server(bus, service_ms=50.0, admission=admission)
-    flood = RpcClient(bus, "flood", RetryPolicy(max_attempts=1))
+    flood = RpcClient(bus, "flood")
     ids = [flood.begin("server", "work", i) for i in range(5)]
     bus.run_until_idle()
     # Arrivals at one instant: #1 starts now, #2 waits 50 ms (admitted,
@@ -310,7 +280,7 @@ def test_admission_sheds_on_standing_queue_delay(bus):
 def test_admission_queue_limit_is_a_hard_cap(bus):
     admission = AdmissionPolicy(shed_delay_ms=10_000.0, queue_limit=2)
     server, _ = _busy_server(bus, service_ms=10.0, admission=admission)
-    flood = RpcClient(bus, "flood", RetryPolicy(max_attempts=1))
+    flood = RpcClient(bus, "flood")
     for i in range(6):
         flood.begin("server", "work", i)
     bus.run_until_idle()
@@ -318,33 +288,30 @@ def test_admission_queue_limit_is_a_hard_cap(bus):
     assert server.max_queue_delay_ms <= 2 * 10.0
 
 
-def test_client_honors_clamped_retry_after_hint(bus):
-    """An OVERLOADED refusal's hint stretches the backoff: the retry
-    waits at least the server's drain estimate, and the wait is counted
-    for observability."""
+def test_shed_is_raised_at_once_with_its_clamped_hint(bus):
+    """An OVERLOADED refusal is the call's verdict: raised on arrival,
+    with the server's drain estimate on it for a breaker to honor — the
+    client itself waits on nothing."""
     admission = AdmissionPolicy(
         shed_delay_ms=5.0, retry_after_min_ms=200.0, retry_after_cap_ms=200.0
     )
-    server, served = _busy_server(bus, service_ms=50.0, admission=admission)
-    flood = RpcClient(bus, "flood", RetryPolicy(max_attempts=1))
+    server, _ = _busy_server(bus, service_ms=50.0, admission=admission)
+    flood = RpcClient(bus, "flood")
     for i in range(3):
         flood.begin("server", "work", i)
-    client = RpcClient(
-        bus, "client",
-        RetryPolicy(timeout_ms=500.0, max_attempts=2, backoff_base_ms=1.0),
-    )
+    client = RpcClient(bus, "client")
     started = bus.clock_ms
-    assert client.call("server", "work") == "done"
-    assert client.retry_after_waits == 1
-    # First attempt shed instantly; the retry waited out the 200 ms
-    # hint (not the 1 ms nominal backoff) before succeeding.
-    assert bus.clock_ms - started >= 200.0
+    with pytest.raises(OverloadedError) as excinfo:
+        client.call("server", "work")
+    assert excinfo.value.retry_after_ms == 200.0
+    assert bus.clock_ms - started == pytest.approx(2 * 5.0)  # one round trip
+    assert client.calls == 1 and server.requests_shed >= 1
 
 
 def test_forged_retry_after_cannot_stall_the_client(bus):
     """The hint crosses the wire from an untrusted endpoint: an
-    astronomically large value delays one retry by the clamp cap, not
-    forever."""
+    astronomically large value is clamped to the cap, and the call that
+    drew it returns after its one round trip."""
     node = bus.join(NetworkNode("evil", record_limit=0))
 
     def shed_with_forged_hint(message):
@@ -358,15 +325,13 @@ def test_forged_retry_after_cannot_stall_the_client(bus):
         )
 
     node.on(rpc_topic("evil"), shed_with_forged_hint)
-    client = RpcClient(
-        bus, "client",
-        RetryPolicy(timeout_ms=100.0, max_attempts=2, backoff_base_ms=1.0),
-    )
+    client = RpcClient(bus, "client", timeout_ms=100.0)
     started = bus.clock_ms
-    with pytest.raises(OverloadedError):
+    with pytest.raises(OverloadedError) as excinfo:
         client.call("evil", "work")
     waited = bus.clock_ms - started
-    assert waited <= RETRY_AFTER_CAP_MS + 2 * 100.0
+    assert waited <= 100.0
+    assert excinfo.value.retry_after_ms == RETRY_AFTER_CAP_MS
 
 
 # -- bounded response bookkeeping ---------------------------------------------
@@ -476,7 +441,7 @@ def test_breaker_steers_traffic_off_a_saturated_replica(bus):
         bus, service_ms=50.0, admission=admission,
         breaker=CircuitBreakerPolicy(overload_trip=1, jitter=0.0),
     )
-    flood = RpcClient(bus, "flood", RetryPolicy(max_attempts=1))
+    flood = RpcClient(bus, "flood")
     for i in range(8):
         flood.begin("sp1", "work", i)
     # Round-robin would alternate sp1/sp2; the first shed from sp1

@@ -1,18 +1,21 @@
-"""Request/response RPC: timeouts, retries, backoff, corruption."""
+"""Request/response RPC: one send per call, timeouts, typed errors,
+corruption."""
 
 from dataclasses import replace
 
 import pytest
 
 from repro.errors import (
+    DeadlineExceededError,
     QueryError,
     RemoteCallError,
     ResponseIntegrityError,
     RpcTimeoutError,
+    ServiceUnavailableError,
 )
 from repro.net.bus import MessageBus, NetworkNode
 from repro.net.faults import FaultInjector, LinkFaults
-from repro.net.rpc import RetryPolicy, RpcClient, RpcServer, rpc_topic
+from repro.net.rpc import RpcClient, RpcRequest, RpcServer, rpc_topic
 
 
 @pytest.fixture()
@@ -33,10 +36,7 @@ def echo_server(bus):
 
 @pytest.fixture()
 def client(bus):
-    return RpcClient(
-        bus, "client",
-        RetryPolicy(timeout_ms=100.0, max_attempts=3, backoff_base_ms=10.0),
-    )
+    return RpcClient(bus, "client", timeout_ms=100.0)
 
 
 def test_happy_path_round_trip(bus, echo_server, client):
@@ -97,10 +97,9 @@ def test_unknown_wire_code_degrades_to_remote_call_error(bus, client):
 
 def test_retryable_remote_error_is_retried(bus, client):
     """A transport-class failure reported by the server (e.g. service
-    restarting) is retried with backoff instead of raised on first
-    sight — unlike terminal errors such as QueryError."""
-    from repro.errors import ServiceUnavailableError
-
+    restarting) is raised typed and retryable on first sight — a call
+    is one attempt — and the caller's next call, its retry, is
+    answered."""
     attempts = []
 
     def flaky(argument):
@@ -111,13 +110,15 @@ def test_retryable_remote_error_is_retried(bus, client):
 
     server = RpcServer(bus, "server")
     server.register("flaky", flaky)
+    with pytest.raises(ServiceUnavailableError, match="warming up") as excinfo:
+        client.call("server", "flaky")
+    assert excinfo.value.retryable
+    assert len(attempts) == 1
     assert client.call("server", "flaky") == "ready"
     assert len(attempts) == 2
 
 
 def test_retryable_remote_error_raised_when_attempts_exhaust(bus, client):
-    from repro.errors import ServiceUnavailableError
-
     def always_down(argument):
         raise ServiceUnavailableError("still warming up")
 
@@ -139,7 +140,7 @@ def test_service_time_models_a_busy_worker(bus):
     back-to-back requests complete ~service_time apart, not together."""
     server = RpcServer(bus, "server", service_time_ms=40.0)
     server.register("echo", lambda argument: argument)
-    client = RpcClient(bus, "client", RetryPolicy(timeout_ms=500.0))
+    client = RpcClient(bus, "client", timeout_ms=500.0)
     first = client.begin("server", "echo", 1)
     second = client.begin("server", "echo", 2)
     bus.run_until_idle()
@@ -149,25 +150,47 @@ def test_service_time_models_a_busy_worker(bus):
     assert server.busy_until_ms == pytest.approx(90.0)
 
 
+def test_a_call_to_a_silent_endpoint_sends_once_and_times_out(bus):
+    """One call is one request: a silent endpoint sees exactly one, and
+    the call raises after the default ``timeout_ms`` (500 ms), or at
+    the caller's deadline when that comes first."""
+    received = []
+    silent = bus.join(NetworkNode("server"))  # joined but never answers
+    silent.on(rpc_topic("server"), received.append)
+    client = RpcClient(bus, "client")
+    before = bus.clock_ms
+    with pytest.raises(RpcTimeoutError) as excinfo:
+        client.call("server", "echo", 1)
+    assert [type(r) for r in received] == [RpcRequest]
+    assert bus.clock_ms - before == pytest.approx(500.0)
+    assert "in 500 ms" in str(excinfo.value)
+    assert client.calls == client.timeouts == 1
+    deadline = bus.clock_ms + 120.0
+    with pytest.raises(DeadlineExceededError, match="expired"):
+        client.call("server", "echo", 2, deadline_ms=deadline)
+    assert bus.clock_ms == pytest.approx(deadline)
+    assert len(received) == 2 and received[1].deadline_ms == deadline
+
+
 def test_permanent_failure_times_out_after_bounded_attempts(bus, client):
     bus.join(NetworkNode("server"))  # joined but serves nothing
     before = bus.clock_ms
-    with pytest.raises(RpcTimeoutError, match="3 attempts"):
+    with pytest.raises(RpcTimeoutError, match="in 100 ms"):
         client.call("server", "echo", 1)
-    assert client.timeouts == 3
-    # 3 timeouts of 100ms plus two backoff sleeps of 10ms and 20ms.
-    assert bus.clock_ms - before == pytest.approx(330.0)
+    assert client.timeouts == 1
+    # One attempt: one 100 ms timeout.
+    assert bus.clock_ms - before == pytest.approx(100.0)
 
 
 def test_retry_then_succeed_after_outage_heals(bus, echo_server, client):
     injector = FaultInjector(seed=1)
     injector.set_link("client", "server", LinkFaults(drop_rate=1.0))
     bus.install_faults(injector)
-    # The link heals while the client is mid-backoff (virtual time 150ms
-    # falls inside the first backoff window after the 100ms timeout).
-    bus.schedule(105.0, lambda: injector.clear_link("client", "server"))
-    result = client.call("server", "echo", "eventually")
-    assert result == "eventually"
+    bus.schedule(50.0, lambda: injector.clear_link("client", "server"))
+    with pytest.raises(RpcTimeoutError):
+        client.call("server", "echo", "lost")
+    # The link healed while the first call waited: the next one lands.
+    assert client.call("server", "echo", "eventually") == "eventually"
     assert client.timeouts == 1
     assert echo_server.requests_served == 1
 
@@ -198,7 +221,7 @@ def test_corrupted_request_is_dropped_by_server(bus, echo_server, client):
     bus.install_faults(injector)
     with pytest.raises(RpcTimeoutError):
         client.call("server", "echo", 1)
-    assert echo_server.requests_dropped == 3
+    assert echo_server.requests_dropped == 1
     assert echo_server.requests_served == 0
 
 
@@ -213,21 +236,22 @@ def test_duplicated_responses_are_ignored(bus, echo_server, client):
 
 def test_late_response_from_timed_out_attempt_is_ignored(bus, echo_server, client):
     injector = FaultInjector(seed=5)
-    # Only the *first* response is delayed beyond the 100ms attempt
+    # Only the *first* response is delayed beyond the 100ms call
     # timeout: the link heals right after it is enqueued.
     injector.set_link("server", "client", LinkFaults(extra_delay_ms=150.0))
     bus.schedule(15.0, lambda: injector.clear_link("server", "client"))
     bus.install_faults(injector)
-    result = client.call("server", "echo", "slow")
-    assert result == "slow"
+    with pytest.raises(RpcTimeoutError):
+        client.call("server", "echo", "slow")
+    assert client.call("server", "echo", "fast") == "fast"
     assert client.timeouts == 1
     bus.run_until_idle()  # the stale first reply finally lands
-    assert client.duplicates_ignored == 1
+    assert client.duplicates_ignored == client.late_after_abandon == 1
 
 
 def test_concurrent_clients_share_the_bus(bus, echo_server):
-    first = RpcClient(bus, "c1", RetryPolicy(timeout_ms=100.0))
-    second = RpcClient(bus, "c2", RetryPolicy(timeout_ms=100.0))
+    first = RpcClient(bus, "c1", timeout_ms=100.0)
+    second = RpcClient(bus, "c2", timeout_ms=100.0)
     assert first.call("server", "echo", "one") == "one"
     assert second.call("server", "echo", "two") == "two"
     assert echo_server.requests_served == 2
@@ -235,12 +259,3 @@ def test_concurrent_clients_share_the_bus(bus, echo_server):
 
 def test_rpc_topic_namespacing():
     assert rpc_topic("sp1") == "rpc:sp1"
-
-
-def test_per_call_policy_override(bus, echo_server, client):
-    bus.set_latency("client", "server", 500.0)
-    with pytest.raises(RpcTimeoutError, match="1 attempts"):
-        client.call(
-            "server", "echo", 1,
-            policy=RetryPolicy(timeout_ms=50.0, max_attempts=1),
-        )

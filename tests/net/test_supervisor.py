@@ -2,11 +2,11 @@
 
 The acceptance scenario: an issuer dies mid-``certify_range`` (crash
 injected at each crashpoint of the one certification path), the
-supervisor restores
-it from the durable archive with bounded backoff, and the same remote
-client — which never saw anything but timeouts — completes its calls
-against the restarted issuer *without re-attestation* (sealed key keeps
-``pk_enc`` stable, cached attestation report stays valid).
+caller's one call times out, the supervisor restores the issuer from
+the durable archive, and the next call — and the same remote client's
+next sync and query — complete against the restarted issuer *without
+re-attestation* (sealed key keeps ``pk_enc`` stable, cached attestation
+report stays valid).
 """
 
 import pytest
@@ -23,13 +23,8 @@ from repro.core import (
 from repro.core.recovery import DurableIssuer, recover_issuer
 from repro.crypto import generate_keypair
 from repro.fault.crashpoints import crash_armed
-from repro.net import (
-    MessageBus,
-    QueryGateway,
-    RestartPolicy,
-    RetryPolicy,
-    ServiceSupervisor,
-)
+from repro.errors import RpcTimeoutError
+from repro.net import MessageBus, QueryGateway, ServiceSupervisor
 from repro.net.rpc import RpcClient
 from repro.query import HistoryQuery, QueryService
 from repro.query.indexes import AccountHistoryIndexSpec
@@ -115,21 +110,29 @@ def world(chain, tmp_path):
 def make_network(world):
     bus = MessageBus(default_latency_ms=10.0)
     service = IssuerService(bus, "ci", world["durable"])
-    supervisor = ServiceSupervisor(
-        service, world["restore"],
-        policy=RestartPolicy(max_attempts=3, backoff_base_ms=40.0),
-    )
+    supervisor = ServiceSupervisor(service, world["restore"])
     QueryService(bus, "sp", world["provider"])
     client = connect(ClientConfig(
         measurement=world["measurement"],
         ias_public_key=world["ias"].public_key,
         bus=bus, name="client",
         issuers=("ci",), gateway=QueryGateway(bus, "gw", ["sp"]),
-        policy=RetryPolicy(
-            timeout_ms=150.0, max_attempts=4, backoff_base_ms=20.0
-        ),
     ))
     return bus, service, supervisor, client
+
+
+def certify_through_a_crash(bus, supervisor, miner, point, hit, blocks):
+    """``certify_range`` with ``point`` armed: a crash costs the one call
+    (it times out); once the supervisor has restored the issuer, the
+    next call answers."""
+    with crash_armed(point, hit=hit) as schedule:
+        try:
+            return schedule, miner.call("ci", "certify_range", blocks)
+        except RpcTimeoutError:
+            assert schedule.fired
+    bus.run_until_idle()
+    assert supervisor.restarts == 1
+    return schedule, miner.call("ci", "certify_range", blocks)
 
 
 @pytest.fixture(scope="module")
@@ -171,18 +174,14 @@ def test_crash_mid_certify_range_supervised_restart(
     pk_before = service.issuer.pk_enc.to_bytes()
 
     # A miner submits the last three blocks; the issuer dies mid-call.
-    miner = RpcClient(
-        bus, "miner",
-        policy=RetryPolicy(timeout_ms=200.0, max_attempts=5,
-                           backoff_base_ms=30.0),
+    miner = RpcClient(bus, "miner", timeout_ms=200.0)
+    schedule, tips = certify_through_a_crash(
+        bus, supervisor, miner, point, hit, tuple(world["chain"].blocks[6:])
     )
-    blocks = world["chain"].blocks[6:]
-    with crash_armed(point, hit=hit) as schedule:
-        tips = miner.call("ci", "certify_range", tuple(blocks))
     assert schedule.fired == ((point, hit) not in UNREACHED)
     assert supervisor.crashes == supervisor.restarts == int(schedule.fired)
     assert supervisor.gave_up is False
-    # The retried call completed against the *restored* issuer, with the
+    # The next call completed against the *restored* issuer, with the
     # certificates an issuer that never crashed produces.
     assert [tip.header.height for tip in tips] == [6, 7, 8]
     assert (service.issuer is not world["durable"]) == schedule.fired
@@ -207,18 +206,16 @@ def test_crash_mid_certify_range_supervised_restart(
 
 def test_certify_range_idempotent_across_crash(world):
     """Certificates that were durable before the crash are answered from
-    the archive on retry — byte-identical, not re-issued diverging."""
+    the archive on the next call — byte-identical, not re-issued
+    diverging."""
     bus, service, supervisor, client = make_network(world)
-    blocks = world["chain"].blocks[5:]
-    miner = RpcClient(
-        bus, "miner",
-        policy=RetryPolicy(timeout_ms=200.0, max_attempts=5,
-                           backoff_base_ms=30.0),
-    )
+    miner = RpcClient(bus, "miner", timeout_ms=200.0)
     # Crash *after* the WAL append of the first new block: height 5 is
-    # durable, the response is lost, the retry re-sends 5..8.
-    with crash_armed("wal.append.post_fsync", hit=2) as schedule:
-        tips = miner.call("ci", "certify_range", tuple(blocks))
+    # durable, the response is lost, the next call re-sends 5..8.
+    schedule, tips = certify_through_a_crash(
+        bus, supervisor, miner, "wal.append.post_fsync", 2,
+        tuple(world["chain"].blocks[5:]),
+    )
     assert schedule.fired
     assert [tip.header.height for tip in tips] == [5, 6, 7, 8]
     # The archive holds exactly one certificate per height, and the
@@ -236,7 +233,10 @@ def test_certify_range_idempotent_across_crash(world):
         )
 
 
-def test_supervisor_gives_up_after_bounded_attempts(world, tmp_path):
+def test_supervisor_gives_up_after_bounded_attempts(
+    world, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(ServiceSupervisor, "RESTART_ATTEMPTS", 3)
     bus, service, supervisor, client = make_network(world)
 
     calls = []
@@ -246,17 +246,11 @@ def test_supervisor_gives_up_after_bounded_attempts(world, tmp_path):
         raise RuntimeError("archive volume offline")
 
     supervisor.restore = failing_restore
-    miner = RpcClient(
-        bus, "miner",
-        policy=RetryPolicy(timeout_ms=150.0, max_attempts=2,
-                           backoff_base_ms=20.0),
-    )
-    from repro.errors import RpcTimeoutError
-
+    miner = RpcClient(bus, "miner", timeout_ms=150.0)
     with crash_armed("issuer.process_block.pre"):
         with pytest.raises(RpcTimeoutError):
             miner.call("ci", "certify_range", tuple(world["chain"].blocks[5:]))
     bus.run_for(5_000.0)  # let every scheduled restart attempt fire
     assert supervisor.gave_up
-    assert len(calls) == 3  # RestartPolicy(max_attempts=3)
+    assert len(calls) == 3  # RESTART_ATTEMPTS, patched to 3
     assert service.server.paused  # endpoint stays dark

@@ -8,7 +8,7 @@ from repro.core.issuer import CertificateIssuer
 from repro.core.superlight import SuperlightClient
 from repro.net.bus import MessageBus
 from repro.net.faults import FaultInjector, LinkFaults
-from repro.net.rpc import RetryPolicy, RpcClient, RpcServer
+from repro.net.rpc import RpcClient, RpcServer
 from repro.query.api import HistoryQuery
 from repro.query.indexes import AccountHistoryIndexSpec
 from repro.query.provider import QueryServiceProvider
@@ -80,9 +80,7 @@ def test_rpc_and_bus_metrics():
     bus = MessageBus(default_latency_ms=10.0)
     server = RpcServer(bus, "server")
     server.register("echo", lambda argument: argument)
-    client = RpcClient(
-        bus, "caller", RetryPolicy(timeout_ms=100.0, max_attempts=2)
-    )
+    client = RpcClient(bus, "caller", timeout_ms=100.0)
     with obs.observability():
         obs.set_virtual_clock(lambda: bus.clock_ms)
         assert client.call("server", "echo", "hello") == "hello"
@@ -107,18 +105,15 @@ def test_fault_and_retry_metrics():
     bus.install_faults(injector)
     server = RpcServer(bus, "server")
     server.register("echo", lambda argument: argument)
-    client = RpcClient(
-        bus, "caller", RetryPolicy(timeout_ms=20.0, max_attempts=2)
-    )
+    client = RpcClient(bus, "caller", timeout_ms=20.0)
     from repro.errors import RpcTimeoutError
 
     with obs.observability():
         with pytest.raises(RpcTimeoutError):
             client.call("server", "echo", "lost")
     counters = obs.snapshot()["counters"]
-    assert counters["net.faults.dropped"] == 2
-    assert counters["rpc.client.timeouts"] == 2
-    assert counters["rpc.client.retries"] == 1
+    assert counters["net.faults.dropped"] == 1
+    assert counters["rpc.client.timeouts"] == 1
 
 
 def test_query_provider_metrics(kv_chain):

@@ -10,8 +10,9 @@ powers a forger gains from them:
 * a forged **deadline** can make a server refuse work (its purpose),
   but never crashes the server, never produces a wrong reply, and
   refused requests do zero handler work;
-* a forged **retry_after** hint can delay one retry by at most the
-  clamp cap, never stall a client or park a circuit breaker forever;
+* a forged **retry_after** hint is clamped: it never stalls a client
+  (a call is one attempt and waits on no hint) and holds a circuit
+  breaker open for at most the cap;
 * a **single-byte mutation** of a wire-encoded response envelope —
   which can land in ``ok``, ``code``, or ``retry_after_ms`` just as
   well as in the payload — leaves the calling client in a bounded
@@ -36,7 +37,6 @@ from repro.net.resilience import (
     sanitize_deadline,
 )
 from repro.net.rpc import (
-    RetryPolicy,
     RpcClient,
     RpcRequest,
     RpcResponse,
@@ -90,12 +90,11 @@ def test_forged_deadline_only_refuses_never_wrong_answer():
         server.register(
             "echo", lambda argument: served.append(argument) or argument
         )
-        client = RpcClient(bus, "client", RetryPolicy(max_attempts=1))
+        client = RpcClient(bus, "client")
         bus.run_for(rng.uniform(0.0, 500.0))  # the clock an expiry races
         argument = rng.randrange(1_000_000)
-        request_id = client._send(
-            "server", "echo", wire.encode(argument),
-            deadline_ms=_hostile_number(rng),
+        request_id = client.begin(
+            "server", "echo", argument, deadline_ms=_hostile_number(rng)
         )
         bus.run_until_idle()
         response = client.take(request_id)
@@ -113,8 +112,8 @@ def test_forged_deadline_only_refuses_never_wrong_answer():
 
 def test_forged_retry_after_delays_one_retry_at_most_the_cap():
     """An adversarial endpoint sheds every call with a hostile hint;
-    the caller's total virtual-time spend stays bounded by the clamp
-    cap plus its own per-attempt budget — no forged value stalls it."""
+    the caller's virtual-time spend stays within its one attempt's
+    budget — no forged value stalls it."""
 
     def prop(rng):
         bus = MessageBus(default_latency_ms=5.0)
@@ -134,11 +133,7 @@ def test_forged_retry_after_delays_one_retry_at_most_the_cap():
             )
 
         bus._nodes["evil"].on(rpc_topic("evil"), shed)
-        attempts = rng.randint(1, 3)
-        policy = RetryPolicy(
-            timeout_ms=50.0, max_attempts=attempts, backoff_base_ms=1.0
-        )
-        client = RpcClient(bus, "client", policy)
+        client = RpcClient(bus, "client", timeout_ms=50.0)
         started = bus.clock_ms
         try:
             client.call("evil", "work")
@@ -146,7 +141,7 @@ def test_forged_retry_after_delays_one_retry_at_most_the_cap():
         except ReproError:
             pass
         elapsed = bus.clock_ms - started
-        budget = attempts * (50.0 + 2 * 5.0) + (attempts - 1) * RETRY_AFTER_CAP_MS
+        budget = 50.0 + 2 * 5.0
         assert elapsed <= budget, (
             f"forged retry_after {hint!r} stalled the client {elapsed:.0f} ms"
         )
@@ -209,17 +204,14 @@ def test_response_envelope_single_byte_mutations_stay_bounded():
             )
 
         bus._nodes["server"].on(rpc_topic("server"), reply)
-        policy = RetryPolicy(
-            timeout_ms=50.0, max_attempts=2, backoff_base_ms=1.0
-        )
-        client = RpcClient(bus, "client", policy)
+        client = RpcClient(bus, "client", timeout_ms=50.0)
         started = bus.clock_ms
         try:
             client.call("server", "work")
         except ReproError:
             pass  # typed taxonomy error: the safe outcome
         elapsed = bus.clock_ms - started
-        budget = 2 * (50.0 + 2 * 5.0) + RETRY_AFTER_CAP_MS
+        budget = 50.0 + 2 * 5.0
         assert elapsed <= budget, (
             f"mutated envelope stalled the client {elapsed:.0f} ms"
         )

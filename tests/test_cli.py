@@ -1,5 +1,6 @@
 """The CLI: info, selftest, demos (incl. demo-overload), sim, metrics."""
 
+import ast
 import json
 from pathlib import Path
 
@@ -33,6 +34,20 @@ def test_demo_network(capsys):
     assert "Verified query over RPC" in out
     # The finale: the last block arrives over the push stream, not RPC.
     assert "pushed tip at height 3 adopted with 0 client RPC" in out
+
+
+def test_demo_network_shows_the_lossy_link_dropping(capsys):
+    """At the default flags the queries that cross the 30 %-drop link to
+    sp1 lose packets, and the printed link counts say so."""
+    assert main(["demo-network"]) == 0
+    out = capsys.readouterr().out
+    dropped = [
+        ast.literal_eval(line.split(": ", 1)[1])["dropped"]
+        for line in out.splitlines()
+        if line.lstrip().startswith(("gwy1->sp1:", "sp1->gwy1:"))
+    ]
+    assert len(dropped) == 2 and sum(dropped) > 0
+    assert "timeouts: " in out and "retries" not in out
 
 
 def test_demo_crash(capsys):
