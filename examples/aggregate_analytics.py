@@ -66,7 +66,7 @@ def main() -> None:
     client = SuperlightClient(measurement, ias.public_key)
     # One call verifies the block certificate and the index certificate
     # together, then adopts both.
-    client.adopt(issuer.certified[-1])
+    client.adopt(issuer.certified[-1].tip)
 
     # Analytics through the typed API: alice's balance statistics over
     # the whole year.

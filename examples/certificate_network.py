@@ -1,10 +1,9 @@
 """A multi-node DCert deployment over the simulated network (Fig. 2).
 
 Topology: one miner publishes blocks; a Certificate Issuer (full node +
-enclave) certifies each block and broadcasts the certificate; a Service
-Provider (full node + indexes) ingests blocks; three superlight clients
-subscribe only to certificates and track the chain tip — including a
-fork, which chain selection resolves.
+enclave) certifies each block and broadcasts its certified tip; a
+Service Provider (full node + indexes) ingests blocks; three superlight
+clients subscribe only to certificates and track the chain tip.
 
 Run with:  python examples/certificate_network.py
 """
@@ -12,7 +11,7 @@ Run with:  python examples/certificate_network.py
 from __future__ import annotations
 
 from repro.bench import BenchParams, WorkloadGenerator
-from repro.chain import ChainBuilder
+from repro.chain import Block, ChainBuilder
 from repro.chain.genesis import make_genesis
 from repro.contracts import fresh_vm
 from repro.core import (
@@ -20,12 +19,7 @@ from repro.core import (
     SuperlightClient,
     compute_expected_measurement,
 )
-from repro.net import (
-    BlockAnnouncement,
-    CertificateAnnouncement,
-    MessageBus,
-    NetworkNode,
-)
+from repro.net import MessageBus, NetworkNode
 from repro.query import HistoryQuery
 from repro.query.indexes import AccountHistoryIndexSpec
 from repro.sgx.attestation import AttestationService
@@ -63,27 +57,18 @@ def main() -> None:
         for i in range(3)
     ]
 
-    # Wire up behaviour: the CI certifies blocks and re-broadcasts certs;
-    # the SP ingests blocks; clients validate certificates.
-    def ci_handles_block(message: BlockAnnouncement) -> None:
-        certified = issuer.process_block(message.block)
-        bus.publish(
-            "ci",
-            "certificates",
-            CertificateAnnouncement(
-                header=message.block.header,
-                certificate=certified.certificate,
-                index_certificates=certified.index_certificates,
-                index_roots=certified.index_roots,
-            ),
-        )
+    # Wire up behaviour: the CI certifies blocks and broadcasts each
+    # certified tip; the SP ingests blocks; clients validate tips.
+    def ci_handles_block(block: Block) -> None:
+        certified = issuer.process_block(block)
+        bus.publish("ci", "certificates", certified.tip)
 
     ci_node.on("blocks", ci_handles_block)
-    sp_node.on("blocks", lambda message: provider.ingest_block(message.block))
+    sp_node.on("blocks", provider.ingest_block)
 
-    # A CertificateAnnouncement is a tip bundle (header, certificate,
-    # index roots + certificates): adopt() verifies all of it, then
-    # moves the client.
+    # A CertifiedTip carries the header, its certificate and the index
+    # roots + certificates: adopt() verifies all of it, then moves the
+    # client.
     for node, client in clients:
         node.on("certificates", client.adopt)
         bus.subscribe(node.name, "certificates")
@@ -94,7 +79,7 @@ def main() -> None:
     print("Mining and broadcasting 10 blocks...")
     for _ in range(10):
         block, _ = builder.add_block(generator.block_txs("KV", 4))
-        bus.publish("miner", "blocks", BlockAnnouncement(block))
+        bus.publish("miner", "blocks", block)
     delivered = bus.run_until_idle()
     print(f"  delivered {delivered} messages "
           f"(virtual network time: {bus.clock_ms:.0f} ms)")

@@ -68,7 +68,7 @@ def main() -> None:
         builder.pow.difficulty_bits, {spec.name: spec},
     )
     client = SuperlightClient(measurement, ias.public_key)
-    client.adopt(issuer.certified[-1])
+    client.adopt(issuer.certified[-1].tip)
     print("Superlight client validated the chain and the index certificate.")
 
     # Query through the typed API: history of acct2 between blocks 10

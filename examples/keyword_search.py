@@ -67,7 +67,7 @@ def main() -> None:
     client = SuperlightClient(measurement, ias.public_key)
     # One call verifies the block certificate and the index certificate
     # together, then adopts both.
-    client.adopt(issuer.certified[-1])
+    client.adopt(issuer.certified[-1].tip)
 
     request = KeywordQuery(index="keyword", keywords=("stock", "bank"))
     answer = issuer.indexes["keyword"].query_conjunctive(["stock", "bank"])

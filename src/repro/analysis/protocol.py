@@ -38,7 +38,7 @@ from repro.analysis.findings import Finding
 # -- WIRE01 -------------------------------------------------------------------
 
 #: Modules whose module-level dataclasses are wire messages.
-WIRE_MESSAGE_MODULES = frozenset({"repro.net.messages", "repro.net.pubsub"})
+WIRE_MESSAGE_MODULES = frozenset({"repro.net.pubsub"})
 
 
 class WireMessageChecker(Checker):

@@ -155,7 +155,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
               f"({world.issuer.enclave.ledger.ecalls} ecalls)")
         client = SuperlightClient(world.measurement, world.ias.public_key)
         clock = wallclock.now_s()
-        client.adopt(world.issuer.certified[-1])
+        client.adopt(world.issuer.certified[-1].tip)
         print(f"Superlight client validated a {world.builder.height}-block "
               f"chain in {wallclock.elapsed_ms(clock):.1f} ms, "
               f"storing {client.storage_bytes()} bytes.")
@@ -177,13 +177,13 @@ def cmd_selftest(_: argparse.Namespace) -> int:
     def story(run: _Narration) -> int:
         world = run.world
         client = SuperlightClient(world.measurement, world.ias.public_key)
-        tip = world.issuer.certified[-1]
+        tip = world.issuer.certified[-1].tip
         checks = 0
         assert client.adopt(tip)
         checks += 1
         try:
             client.validate_chain(
-                tip.block.header, replace(tip.certificate, dig=bytes(32))
+                tip.header, replace(tip.certificate, dig=bytes(32))
             )
             print("FAIL: forged certificate accepted", file=sys.stderr)
             return 1

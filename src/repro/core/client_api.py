@@ -19,7 +19,8 @@ Construction goes through one factory::
 :func:`connect` builds every client shape uniformly — local
 (``bus=None``), remote tip-only, remote gateway-fronted, and
 subscribing.  An in-process caller that wants every tip its own issuer
-certifies registers ``issuer.on_certified.append(client.adopt)``.
+certifies registers
+``issuer.on_certified.append(lambda certified: client.adopt(certified.tip))``.
 """
 
 from __future__ import annotations

@@ -75,9 +75,15 @@ class CertifiedBlock:
     write_set: dict[bytes, bytes | None] = field(default_factory=dict)
 
     @property
-    def header(self) -> BlockHeader:
-        """So a client can adopt a certified block like any tip bundle."""
-        return self.block.header
+    def tip(self) -> "CertifiedTip":
+        """This block as a client takes it: header, certificates and
+        roots, without the body."""
+        return CertifiedTip(
+            header=self.block.header,
+            certificate=self.certificate,
+            index_certificates=dict(self.index_certificates),
+            index_roots=dict(self.index_roots),
+        )
 
 
 #: Certified blocks an archive-backed issuer keeps in memory.  Sized for
@@ -142,13 +148,15 @@ class CertifiedHistory(Sequence):
 
 @dataclass(frozen=True, slots=True)
 class CertifiedTip:
-    """What a remote client needs from the CI's latest certified block.
+    """The one certified-tip type: what a client needs from a certified
+    block (:attr:`CertifiedBlock.tip` builds it).
 
     Unlike :class:`CertifiedBlock` it omits the block body — a
     superlight client only ever stores the header — so this is the
-    constant-size object :class:`IssuerService` serves over RPC, and the
-    bundle shape ``SuperlightClient.adopt`` takes (``certificate=None``
-    for a bundle of index certificates only; never sent on the wire).
+    constant-size object :class:`IssuerService` serves over RPC, the tip
+    a :class:`~repro.net.pubsub.TipAnnouncement` pushes, and the only
+    input ``SuperlightClient.adopt`` takes (``certificate=None`` for a
+    bundle of index certificates only; never sent on the wire).
     """
 
     header: BlockHeader
@@ -449,12 +457,7 @@ class IssuerService:
                 "no hierarchical block certificate for this block "
                 "(augmented-only issuer)"
             )
-        return CertifiedTip(
-            header=certified.block.header,
-            certificate=certified.certificate,
-            index_certificates=dict(certified.index_certificates),
-            index_roots=dict(certified.index_roots),
-        )
+        return certified.tip
 
     def _latest_tip(self, _argument: object) -> CertifiedTip:
         if not self.issuer.certified:

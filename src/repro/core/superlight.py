@@ -79,19 +79,17 @@ def adopt_bundle(
     measurement: Digest,
     ias_public_key: PublicKey,
     state: ClientState,
-    bundle,
+    bundle: CertifiedTip,
     verified: VerifiedMemo,
 ) -> ClientState:
     """Verify a tip bundle in full against the trust anchors (the
     enclave program's measurement, re-derived from published source, and
     the IAS signing key), then return the state that adopts it.
 
-    ``bundle`` is anything carrying ``header``, ``certificate``,
-    ``index_roots`` and ``index_certificates`` — a
-    :class:`~repro.core.issuer.CertifiedBlock`, a
-    :class:`~repro.core.issuer.CertifiedTip` or a
-    :class:`~repro.net.pubsub.TipAnnouncement`; ``certificate=None``
-    means it carries index certificates only.
+    ``bundle`` is a :class:`~repro.core.issuer.CertifiedTip` (a
+    certified block's ``.tip``, a polled tip, or a pushed
+    announcement's ``.tip``); ``certificate=None`` means it carries
+    index certificates only.
 
     The one place a client's tip/index-root state is built.  Every
     certificate in the bundle is verified exactly once — the block
@@ -226,14 +224,13 @@ class SuperlightClient:
 
     # -- Alg. 3 ---------------------------------------------------------------
 
-    def adopt(self, bundle) -> bool:
+    def adopt(self, bundle: CertifiedTip) -> bool:
         """Verify a tip bundle and adopt whatever of it advances this
         client — the single way a tip or index root gets in.
 
-        ``bundle`` is a ``CertifiedBlock``, ``CertifiedTip`` or
-        ``TipAnnouncement`` (see :func:`adopt_bundle`).
-        Returns True when the tip advanced, False when the bundle
-        verified but its tip lost chain selection; raises
+        ``bundle`` is a :class:`~repro.core.issuer.CertifiedTip` (see
+        :func:`adopt_bundle`).  Returns True when the tip advanced, False
+        when the bundle verified but its tip lost chain selection; raises
         :class:`CertificateError` — with no state moved — when any
         certificate in it is invalid.
         """
@@ -528,8 +525,7 @@ class SuperlightClient:
 
     def _on_push(self, message) -> None:
         """Bus handler for hub pushes — local verification only."""
-        from repro.net.messages import PushEnvelope
-        from repro.net.pubsub import TipAnnouncement
+        from repro.net.pubsub import PushEnvelope, TipAnnouncement
 
         if not isinstance(message, PushEnvelope):
             return
@@ -557,8 +553,7 @@ class SuperlightClient:
         obs.inc("client.push_rejected")
 
     def _ack(self) -> None:
-        from repro.net.messages import StreamAck
-        from repro.net.pubsub import ack_topic
+        from repro.net.pubsub import StreamAck, ack_topic
 
         self.rpc.bus.send(
             self.rpc.name,
@@ -574,7 +569,7 @@ class SuperlightClient:
         replayed/older tip — verified but not adopted; raises
         CertificateError on a forgery."""
         before = self.state
-        tip_advanced = self.adopt(announcement)
+        tip_advanced = self.adopt(announcement.tip)
         if self.state is not before:
             # Index roots can move even when the tip did not (a
             # same-height replay carrying certificates we lacked).

@@ -15,11 +15,10 @@ deterministically and without sockets:
   simulated network as.
 * :mod:`faults` — per-link drop/delay/duplicate/corrupt injection with
   a seeded RNG, for failure-path tests and demos.
-* :mod:`messages` — broadcast message types (blocks, certificates) and
-  the push-stream frames (envelopes, acks).
-* :mod:`pubsub` — the certificate subscription hub: push-based tip
-  propagation that holds only the newest announcement, one unacked
-  push per subscriber, catch-up in the subscribe/heartbeat reply, and
+* :mod:`pubsub` — the certificate subscription hub and its frames
+  (announcements, envelopes, acks, replies): push-based tip propagation
+  that holds only the newest announcement, one unacked push per
+  subscriber, catch-up in the subscribe/heartbeat reply, and
   lease-based subscriber reaping.
 * :mod:`gateway` — load-balanced routing over a fleet of QueryService
   replicas: round-robin dispatch, one circuit breaker per replica (its
@@ -35,13 +34,13 @@ deterministically and without sockets:
 from repro.net.bus import MessageBus, NetworkNode
 from repro.net.faults import FaultInjector, LinkFaults
 from repro.net.gateway import QueryGateway, ReplicaState
-from repro.net.messages import (
-    BlockAnnouncement,
-    CertificateAnnouncement,
+from repro.net.pubsub import (
     PushEnvelope,
     StreamAck,
+    StreamReply,
+    SubscriptionHub,
+    TipAnnouncement,
 )
-from repro.net.pubsub import StreamReply, SubscriptionHub, TipAnnouncement
 from repro.net.resilience import (
     AdmissionPolicy,
     CircuitBreaker,
@@ -57,8 +56,6 @@ from repro.net.supervisor import ServiceSupervisor
 
 __all__ = [
     "AdmissionPolicy",
-    "BlockAnnouncement",
-    "CertificateAnnouncement",
     "CircuitBreaker",
     "CircuitBreakerPolicy",
     "FaultInjector",

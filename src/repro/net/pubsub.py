@@ -19,9 +19,8 @@ tip is self-sufficient and the stream carries nothing else:
   the newest, and per subscriber two sequence numbers and a lease.
 * **Latest-tip delivery** — a publish pushes the newest tip to every
   subscriber with no unacked push; a subscriber with one in flight gets
-  whatever is newest when it acks (:class:`~repro.net.messages
-  .StreamAck`), so tips certified in between are superseded, never
-  queued.
+  whatever is newest when it acks (:class:`StreamAck`), so tips
+  certified in between are superseded, never queued.
 * **Catch-up in the reply** — ``hub.subscribe`` and ``hub.heartbeat``
   both take ``(subscriber, acked_seq)`` and answer one
   :class:`StreamReply` that carries the newest tip whenever
@@ -38,18 +37,19 @@ discarded and counted on the client, never adopted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import random
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 from repro import obs
-from repro.chain.block import BlockHeader
-from repro.core.certificate import Certificate
-from repro.crypto.hashing import Digest
 from repro.errors import ConfigError, ReproError, ServiceUnavailableError, WireError
 from repro.fault.crashpoints import crashpoint
 from repro.net import wire
 from repro.net.bus import MessageBus
-from repro.net.messages import PushEnvelope, StreamAck
 from repro.net.rpc import RpcServer
+
+if TYPE_CHECKING:
+    from repro.core.issuer import CertifiedTip
 
 
 def push_topic(subscriber: str) -> str:
@@ -66,24 +66,28 @@ def ack_topic(hub: str) -> str:
 class TipAnnouncement:
     """One certified tip on the push stream.
 
-    Exactly what a polled ``latest_tip`` returns — header, block
-    certificate, index certificates and roots — plus the stream
-    position (``seq``, dense per hub) and the virtual-clock publish
-    time (for the fanout-latency histogram).  Self-verifying: the
-    subscriber runs the standard certificate checks before adopting.
+    ``tip`` is exactly what a polled ``latest_tip`` returns; around it
+    the stream position (``seq``, dense per hub) and the virtual-clock
+    publish time (for the fanout-latency histogram).  Self-verifying:
+    the subscriber runs the standard certificate checks on ``tip``
+    before adopting it.
     """
 
     seq: int
     published_at_ms: float
-    header: BlockHeader
-    certificate: Certificate
-    index_certificates: dict[str, Certificate] = field(default_factory=dict)
-    index_roots: dict[str, Digest] = field(default_factory=dict)
+    tip: CertifiedTip
 
     def __post_init__(self) -> None:
-        # No certificate covers these two, and the subscriber does sums on them.
-        if type(self.seq) is not int or type(self.published_at_ms) not in (int, float):
-            raise WireError("tip announcement seq / timestamp is not a number")
+        from repro.core.issuer import CertifiedTip
+
+        # No certificate covers the first two, and the subscriber does
+        # sums on them; the tip is adopted as a CertifiedTip or not at all.
+        if (
+            type(self.seq) is not int
+            or type(self.published_at_ms) not in (int, float)
+            or type(self.tip) is not CertifiedTip
+        ):
+            raise WireError("tip announcement fields are not typed")
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,6 +109,34 @@ class StreamReply:
             or not (self.tip is None or type(self.tip) is TipAnnouncement)
         ):
             raise WireError("stream reply fields are not typed")
+
+
+@dataclass(frozen=True, slots=True)
+class PushEnvelope:
+    """One hub→subscriber push: a canonically wire-encoded
+    :class:`TipAnnouncement`.
+
+    The announcement crosses as *bytes* (like an RPC payload) so the
+    fault layer can corrupt it exactly as a real network would — the
+    subscriber must treat an undecodable or unverifiable envelope as a
+    forgery, never as a tip.
+    """
+
+    payload: bytes
+
+    def corrupted(self, rng: random.Random) -> "PushEnvelope":
+        from repro.net.faults import flip_hex_digit
+
+        return replace(self, payload=flip_hex_digit(self.payload, rng))
+
+
+@dataclass(frozen=True, slots=True)
+class StreamAck:
+    """Subscriber→hub: cumulative ack up to ``seq`` (also renews the
+    subscriber's lease)."""
+
+    subscriber: str
+    seq: int
 
 
 class SubscriberState:
@@ -225,15 +257,8 @@ class SubscriptionHub:
         self._attached.clear()
 
     def _set_tip(self, certified: object) -> None:
-        """Make a CertifiedBlock or CertifiedTip the announcement at ``seq``."""
-        self.tip = TipAnnouncement(
-            seq=self.seq,
-            published_at_ms=self.bus.clock_ms,
-            header=certified.header,
-            certificate=certified.certificate,
-            index_certificates=dict(certified.index_certificates),
-            index_roots=dict(certified.index_roots),
-        )
+        """Make a CertifiedBlock the announcement at ``seq``."""
+        self.tip = TipAnnouncement(self.seq, self.bus.clock_ms, certified.tip)
         self._envelope = None
 
     # -- publishing ----------------------------------------------------------
@@ -241,11 +266,11 @@ class SubscriptionHub:
     def publish(self, certified: object) -> TipAnnouncement | None:
         """Announce one newly certified block to every live subscriber.
 
-        Accepts a :class:`~repro.core.issuer.CertifiedBlock` or
-        :class:`~repro.core.issuer.CertifiedTip`.  An augmented-only
-        block (no hierarchical certificate) still consumes a sequence
-        number — the stream position mirrors the issuer's certified
-        count — but nothing is pushed for it.
+        ``certified`` is a :class:`~repro.core.issuer.CertifiedBlock`
+        (what the issuer's ``on_certified`` hook passes).  An
+        augmented-only block (no hierarchical certificate) still consumes
+        a sequence number — the stream position mirrors the issuer's
+        certified count — but nothing is pushed for it.
         """
         crashpoint("pubsub.publish.pre")
         self.seq += 1

@@ -306,7 +306,7 @@ def _ev_sync(world: SimWorld, p: dict) -> str:
 
 def _ev_heartbeat(world: SimWorld, p: dict) -> str:
     entry = world.pick(p["slot"], kind=KIND_PUSH)
-    if entry is None or not entry.subscribed:
+    if entry is None or not entry.client.subscribed:
         return "noop"
     try:
         entry.client.heartbeat()
@@ -329,12 +329,10 @@ def _ev_toggle_sub(world: SimWorld, p: dict) -> str:
     if entry is None:
         return "noop"
     try:
-        if entry.subscribed:
+        if entry.client.subscribed:
             entry.client.unsubscribe()
-            entry.subscribed = False
             return f"{entry.name} off"
         entry.client.subscribe()
-        entry.subscribed = True
         return f"{entry.name} on"
     except ReproError as exc:
         return f"{entry.name} fail:{type(exc).__name__}"

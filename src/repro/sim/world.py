@@ -89,7 +89,6 @@ class SimClient:
     name: str
     kind: str
     client: object
-    subscribed: bool = False
 
 
 @dataclass
@@ -312,9 +311,8 @@ class SimWorld:
         if kind == KIND_PUSH:
             try:
                 client.subscribe()
-                entry.subscribed = True
             except ReproError:
-                entry.subscribed = False
+                pass  # not subscribed; a later toggle_sub subscribes it
         self.fleet.append(entry)
         return entry
 
@@ -323,7 +321,7 @@ class SimWorld:
         fresh state) — the fleet size stays constant."""
         index = slot % len(self.fleet)
         old = self.fleet.pop(index)
-        if old.kind == KIND_PUSH and old.subscribed:
+        if old.kind == KIND_PUSH and old.client.subscribed:
             try:
                 old.client.unsubscribe()
             except ReproError:

@@ -159,21 +159,21 @@ def test_bnd01_only_fires_in_bounded_scopes(analyze_files):
 
 def test_wire01_catches_mutable_and_untested_messages(analyze_files):
     findings = analyze_files(
-        {"src/repro/net/messages.py": "wire01_violation.py"}
+        {"src/repro/net/pubsub.py": "wire01_violation.py"}
     )
     assert hits(findings, "WIRE01") == [
-        ("src/repro/net/messages.py", 7),  # MutableMessage: not frozen
-        ("src/repro/net/messages.py", 7),  # MutableMessage: no test ref
-        ("src/repro/net/messages.py", 12),  # UntestedMessage: no test ref
+        ("src/repro/net/pubsub.py", 7),  # MutableMessage: not frozen
+        ("src/repro/net/pubsub.py", 7),  # MutableMessage: no test ref
+        ("src/repro/net/pubsub.py", 12),  # UntestedMessage: no test ref
     ]
 
 
 def test_wire01_frozen_and_referenced_is_clean(analyze_files):
     findings = analyze_files(
         {
-            "src/repro/net/messages.py": "wire01_clean.py",
+            "src/repro/net/pubsub.py": "wire01_clean.py",
             "tests/net/test_roundtrip.py": (
-                "from repro.net.messages import TestedMessage\n\n\n"
+                "from repro.net.pubsub import TestedMessage\n\n\n"
                 "def test_round_trip():\n"
                 "    assert TestedMessage(seq=1).seq == 1\n"
             ),

@@ -242,7 +242,7 @@ def test_one_changed_field_misses_the_memo_in_adopt(
     certified_setup, peer, counts, pinned_cache, field
 ):
     issuer = certified_setup["issuer"]
-    tip = issuer.certified[-1]
+    tip = issuer.certified[-1].tip
     client = SuperlightClient(issuer.measurement, certified_setup["ias"].public_key)
     assert client.adopt(tip)
     assert len(client._verified_reports.signatures) == 1 + len(tip.index_certificates)

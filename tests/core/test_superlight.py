@@ -172,7 +172,7 @@ def test_wallet_roundtrip(client, certified_setup):
 def test_wallet_tamper_rejected(client, certified_setup):
     import json
 
-    client.adopt(certified_setup["issuer"].certified[-1])
+    client.adopt(certified_setup["issuer"].certified[-1].tip)
     height = client.latest_header.height
 
     def bump_header(wallet):
@@ -242,7 +242,7 @@ def test_verified_report_cache_is_bounded(client, certified_setup):
 
 
 def test_wallet_and_storage_do_not_depend_on_the_memo(client, certified_setup):
-    client.adopt(certified_setup["issuer"].certified[-1])
+    client.adopt(certified_setup["issuer"].certified[-1].tip)
     memo = client._verified_reports
     assert len(memo) == 1 and len(memo.signatures) == 3  # tip + two indexes
     wallet, stored = client.to_json(), client.storage_bytes()

@@ -86,7 +86,7 @@ def test_certificates_survive_serialization_roundtrip(world):
 
 
 def test_full_broadcast_over_message_bus(world):
-    from repro.net import CertificateAnnouncement, MessageBus, NetworkNode
+    from repro.net import MessageBus, NetworkNode
 
     bus = MessageBus()
     bus.join(NetworkNode("ci"))
@@ -94,20 +94,9 @@ def test_full_broadcast_over_message_bus(world):
     fresh_client = SuperlightClient(
         world["issuer"].measurement, world["ias"].public_key
     )
-    listener.on(
-        "certificates",
-        lambda message: fresh_client.validate_chain(
-            message.header, message.certificate
-        ),
-    )
+    listener.on("certificates", fresh_client.adopt)
     bus.subscribe("client", "certificates")
     for certified in world["issuer"].certified:
-        bus.publish(
-            "ci",
-            "certificates",
-            CertificateAnnouncement(
-                header=certified.block.header, certificate=certified.certificate
-            ),
-        )
+        bus.publish("ci", "certificates", certified.tip)
     bus.run_until_idle()
     assert fresh_client.latest_header.height == world["chain"].height

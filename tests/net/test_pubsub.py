@@ -25,7 +25,7 @@ from repro.core import (
 from repro.errors import ReproError, ResponseIntegrityError
 from repro.net import FaultInjector, LinkFaults, MessageBus
 from repro.net.gateway import QueryGateway
-from repro.net import pubsub
+from repro.net import pubsub, wire
 from repro.net.pubsub import SubscriptionHub, TipAnnouncement
 from repro.net.rpc import RpcServer
 from repro.query.indexes import AccountHistoryIndexSpec
@@ -124,6 +124,18 @@ def test_push_delivers_and_client_adopts(chain):
     assert client.certified_index_root("history") is not None
     state = w.hub.subscribers["c1"]
     assert state.acked_seq == 3 and state.inflight == 0
+
+
+def test_push_and_poll_carry_the_same_tip(chain):
+    """One tip type on both paths: what a push announces at a certified
+    height is, byte for byte, what ``latest_tip`` answers for it."""
+    w = world(chain)
+    client = w.clients["c1"]
+    w.certify(3, start=1)
+    w.bus.run_until_idle()
+    polled = client.rpc.call("ci", "latest_tip")
+    assert polled.header.height == w.hub.tip.seq == 3
+    assert wire.encode(w.hub.tip.tip) == wire.encode(polled)
 
 
 def test_replayed_tip_carrying_new_index_roots_runs_root_housekeeping(chain):
@@ -419,7 +431,7 @@ def test_hub_restart_resumes_the_sequence(chain):
     hub2 = SubscriptionHub(w.bus, "hub2")
     hub2.attach(w.issuer)
     assert hub2.seq == 2
-    assert hub2.tip.seq == 2 and hub2.tip.header == w.issuer.certified[-1].header
+    assert hub2.tip.seq == 2 and hub2.tip.tip == w.issuer.certified[-1].tip
     # The client re-subscribes to the new endpoint and the stream
     # continues seamlessly.
     client.subscribe(hub="hub2")

@@ -10,8 +10,7 @@ import pytest
 from repro.crypto import generate_keypair
 from repro.errors import WireError
 from repro.net import wire
-from repro.net.messages import PushEnvelope, StreamAck
-from repro.net.pubsub import StreamReply, TipAnnouncement
+from repro.net.pubsub import PushEnvelope, StreamAck, StreamReply, TipAnnouncement
 from repro.query.api import (
     AggregateQuery,
     HistoryQuery,
@@ -204,14 +203,7 @@ def test_refusals_match_the_reference_and_leave_the_table_alone(value):
 
 
 def _announcement(certified, seq):
-    return TipAnnouncement(
-        seq=seq,
-        published_at_ms=25.0 * seq,
-        header=certified.block.header,
-        certificate=certified.certificate,
-        index_certificates=certified.index_certificates,
-        index_roots=certified.index_roots,
-    )
+    return TipAnnouncement(seq=seq, published_at_ms=25.0 * seq, tip=certified.tip)
 
 
 def test_a_warm_class_is_encoded_without_planning(fresh_emitters, certified_setup):
@@ -416,21 +408,52 @@ def test_stream_reply_with_announcement_round_trips(certified_setup):
     )
     decoded = wire.decode(wire.encode(reply))
     assert decoded == reply
-    assert decoded.tip.certificate == certified.certificate
+    assert decoded.tip.tip.certificate == certified.certificate
+
+
+#: Stands for the setup's newest CertifiedBlock: every CertifiedTip field
+#: and more, of another type.
+_CERTIFIED_BLOCK = object()
+
+
+def _refused_where_read(cls, honest, field, value, certified_setup):
+    """``cls`` refuses ``value`` in ``field`` when built, and when
+    decoded from what a lying hub can encode."""
+    if value is _CERTIFIED_BLOCK:
+        value = certified_setup["issuer"].certified[-1]
+    with pytest.raises(WireError):
+        cls(**{**honest, field: value})
+    forged = object.__new__(cls)
+    for name, good in honest.items():
+        object.__setattr__(forged, name, value if name == field else good)
+    with pytest.raises(WireError):
+        wire.decode(wire.encode(forged))
 
 
 @pytest.mark.parametrize(
     "field, value",
     [("latest_seq", "7"), ("latest_seq", 7.0), ("latest_seq", True),
-     ("subscribed", 1), ("subscribed", None), ("tip", "tip"), ("tip", 5)],
+     ("subscribed", 1), ("subscribed", None), ("tip", "tip"), ("tip", 5),
+     pytest.param("tip", _CERTIFIED_BLOCK, id="tip-CertifiedBlock")],
 )
-def test_a_mistyped_stream_reply_field_fails_decode(field, value):
+def test_a_mistyped_stream_reply_field_fails_decode(field, value, certified_setup):
     """The client branches on these before anything is verified, so a
     mistyped field is refused where the bytes are read."""
-    with pytest.raises(WireError):
-        StreamReply(**{"latest_seq": 3, "subscribed": True, field: value})
-    forged = object.__new__(StreamReply)  # what a lying hub can encode
-    for name, honest in (("latest_seq", 3), ("subscribed", True), ("tip", None)):
-        object.__setattr__(forged, name, value if name == field else honest)
-    with pytest.raises(WireError):
-        wire.decode(wire.encode(forged))
+    honest = {"latest_seq": 3, "subscribed": True, "tip": None}
+    _refused_where_read(StreamReply, honest, field, value, certified_setup)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("seq", "7"), ("seq", 7.0), ("seq", True),
+     ("published_at_ms", "1"), ("published_at_ms", None),
+     ("tip", "tip"), ("tip", 5),
+     pytest.param("tip", _CERTIFIED_BLOCK, id="tip-CertifiedBlock")],
+)
+def test_a_mistyped_tip_announcement_field_fails_decode(field, value, certified_setup):
+    """The subscriber compares ``seq``, subtracts ``published_at_ms`` and
+    adopts ``tip`` only as a CertifiedTip: any other type is refused
+    where the bytes are read."""
+    tip = certified_setup["issuer"].certified[-1].tip
+    honest = {"seq": 3, "published_at_ms": 1.0, "tip": tip}
+    _refused_where_read(TipAnnouncement, honest, field, value, certified_setup)

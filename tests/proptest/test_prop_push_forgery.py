@@ -1,7 +1,7 @@
 """Forged push announcements: single-byte mutations never move a tip.
 
 The push stream's security argument is that the hub is untrusted
-plumbing: a :class:`~repro.net.messages.PushEnvelope` carries the
+plumbing: a :class:`~repro.net.pubsub.PushEnvelope` carries the
 canonical wire encoding of a :class:`~repro.net.pubsub.TipAnnouncement`
 and the subscriber re-verifies every certificate inside before any
 client state moves.  These properties deliver single-byte mutations of
@@ -55,8 +55,7 @@ from repro.errors import (
     WireError,
 )
 from repro.net.bus import MessageBus
-from repro.net.messages import PushEnvelope
-from repro.net.pubsub import StreamReply, SubscriptionHub, TipAnnouncement
+from repro.net.pubsub import PushEnvelope, StreamReply, SubscriptionHub, TipAnnouncement
 from repro.net.rpc import RpcServer
 from repro.net import wire
 from tests.proptest import mutate
@@ -82,14 +81,8 @@ def world(certified_setup):
     # The probe sits at the second-to-last certified block (seq N-1);
     # the genuine announcement under test carries the last one (seq N).
     seq = len(issuer.certified)
-    tip = issuer.certified[-1]
     announcement = TipAnnouncement(
-        seq=seq,
-        published_at_ms=0.0,
-        header=tip.block.header,
-        certificate=tip.certificate,
-        index_certificates=dict(tip.index_certificates),
-        index_roots=dict(tip.index_roots),
+        seq=seq, published_at_ms=0.0, tip=issuer.certified[-1].tip
     )
     certified_roots = {
         root
@@ -126,7 +119,7 @@ def _make_probe(world, rng, prefix, issuers=("ci",)):
         issuers=issuers,
         hub="ci",
     ))
-    probe.adopt(issuer.certified[-2])
+    probe.adopt(issuer.certified[-2].tip)
     probe.subscribed = True
     probe._sub_seq = world["seq"] - 1
     return probe
@@ -157,7 +150,7 @@ def _forges_certified_material(candidate, genuine) -> bool:
 
 
 def test_mutated_announcements_never_move_a_tip_unverified(world):
-    genuine = world["announcement"]
+    genuine = world["announcement"].tip
     payload = world["payload"]
     prev_header = world["issuer"].certified[-2].block.header
 
@@ -214,7 +207,7 @@ def test_mutated_stream_replies_never_move_a_tip_unverified(world):
     ``ResponseIntegrityError`` before anything is read, what is not a
     ``StreamReply`` too, and a tip is adopted only if it verifies —
     otherwise counted, with the state byte-identical."""
-    genuine = world["announcement"]
+    genuine = world["announcement"].tip
     prev_header = world["issuer"].certified[-2].block.header
 
     def prop(rng):
@@ -262,7 +255,7 @@ def test_mutations_of_certified_material_are_rejected_and_counted(world):
         interesting = (
             isinstance(candidate, TipAnnouncement)
             and candidate.seq == genuine.seq
-            and _forges_certified_material(candidate, genuine)
+            and _forges_certified_material(candidate.tip, genuine.tip)
         )
         probe = _make_probe(world, rng, "certprobe")
         # Drain leftovers from earlier cases so the ack count is ours.
@@ -274,7 +267,7 @@ def test_mutations_of_certified_material_are_rejected_and_counted(world):
             return
         assert probe.push_rejected == 1, "forged certified material accepted"
         assert probe.push_adopted == 0
-        assert probe.latest_header.height == genuine.header.height - 1
+        assert probe.latest_header.height == genuine.tip.header.height - 1
         # No ack went out: the hub will retransmit the genuine one.
         probe.rpc.bus.run_until_idle()
         assert hub_node.delivered_count == acks_before
@@ -301,19 +294,19 @@ def test_a_memo_holding_the_genuine_signatures_admits_no_mutation_of_them(world)
         memo = probe._verified_reports
         adopt_bundle(
             probe.expected_measurement, probe.ias_public_key,
-            ClientState(), genuine, memo,
+            ClientState(), genuine.tip, memo,
         )
         reports, signatures = set(memo), set(memo.signatures)
-        assert len(signatures) >= 1 + len(genuine.index_certificates)
+        assert len(signatures) >= 1 + len(genuine.tip.index_certificates)
         probe._on_push(PushEnvelope(payload=mutated))
         assert set(memo) == reports and set(memo.signatures) == signatures
         if (
             isinstance(candidate, TipAnnouncement)
             and candidate.seq == genuine.seq
-            and _forges_certified_material(candidate, genuine)
+            and _forges_certified_material(candidate.tip, genuine.tip)
         ):
             assert probe.push_rejected == 1, "forged material rode the memo"
-            assert probe.latest_header.height == genuine.header.height - 1
+            assert probe.latest_header.height == genuine.tip.header.height - 1
 
     run_cases(prop)
 
@@ -324,11 +317,11 @@ def test_forged_bundles_are_rejected_atomically_on_polled_and_local_paths(world)
     adoption went through one verify-everything-then-adopt core, these
     two paths moved the tip and only then checked index certificates.)
     """
-    genuine = world["announcement"]
+    genuine = world["announcement"].tip
     payload = world["payload"]
-    prev = world["issuer"].certified[-2]
+    prev = world["issuer"].certified[-2].tip
 
-    def forged_announcement(rng):
+    def forged_tip(rng):
         # Most single-byte flips no longer decode; draw until one does
         # *and* tampers with enclave-signed material.
         for _ in range(256):
@@ -336,20 +329,14 @@ def test_forged_bundles_are_rejected_atomically_on_polled_and_local_paths(world)
                 candidate = wire.decode(mutate_one_byte(payload, rng))
                 if isinstance(
                     candidate, TipAnnouncement
-                ) and _forges_certified_material(candidate, genuine):
-                    return candidate
+                ) and _forges_certified_material(candidate.tip, genuine):
+                    return candidate.tip
             except Exception:
                 continue  # undecodable, or decoded into unusable fields
         raise AssertionError("no decodable forgery in 256 draws")
 
     def prop(rng):
-        candidate = forged_announcement(rng)
-        forged = CertifiedTip(
-            header=candidate.header,
-            certificate=candidate.certificate,
-            index_certificates=dict(candidate.index_certificates),
-            index_roots=dict(candidate.index_roots),
-        )
+        forged = forged_tip(rng)
 
         # Polled: a lying issuer, the only one, serves the forged tip.
         poller = _make_probe(world, rng, "pollprobe", issuers=("liar",))
@@ -364,7 +351,7 @@ def test_forged_bundles_are_rejected_atomically_on_polled_and_local_paths(world)
         assert poller.integrity_failures == 1
 
         # Local: an in-process client handed the bundle directly (what an
-        # issuer's on_certified hook does with client.adopt).
+        # issuer's on_certified hook does with client.adopt(certified.tip)).
         local = connect(ClientConfig(
             measurement=world["issuer"].measurement,
             ias_public_key=world["setup"]["ias"].public_key,
@@ -376,7 +363,7 @@ def test_forged_bundles_are_rejected_atomically_on_polled_and_local_paths(world)
         assert local.to_json() == before, (
             "a rejected local bundle left client state behind"
         )
-        assert local.latest_header == prev.block.header
+        assert local.latest_header == prev.header
 
     run_cases(prop)
 
@@ -404,7 +391,7 @@ def test_a_pk_enc_without_a_verified_report_is_never_pinned(world):
     client = connect(ClientConfig(
         measurement=issuer.measurement, ias_public_key=setup["ias"].public_key,
     ))
-    client.adopt(issuer.certified[-2])
+    client.adopt(issuer.certified[-2].tip)
     assert genuine.pk_enc.point in ecdsa._pinned
     pinned_before = list(ecdsa._pinned)
     state_before, bytes_before = client.to_json(), client.storage_bytes()
@@ -453,8 +440,10 @@ def _wrong_type_mutants(payload):
     puts a value of another type where ``bytes`` or a number was."""
     for path, _label, tree in mutate.mutants(json.loads(payload), _wrong_types):
         steps = [step for step in path if step not in ("!f", "!d", "!t")]
-        # In a StreamReply, the field of the announcement it carries.
-        field = steps[1] if steps[0] == "tip" else steps[0]
+        # The outermost field that is not a "tip": in a TipAnnouncement,
+        # the field of its CertifiedTip; in a StreamReply, of the
+        # announcement it carries (and of that announcement's tip).
+        field = next(step for step in steps if step != "tip")
         yield field, json.dumps(tree, sort_keys=True, separators=(",", ":")).encode()
 
 
@@ -474,7 +463,7 @@ def test_a_pushed_field_of_the_wrong_type_is_a_rejected_forgery(world):
     exactly as for a forged value of the right type — counted, not
     acked, nothing moved — instead of raising ``TypeError`` into the bus
     loop every node on that bus shares."""
-    genuine = world["announcement"]
+    genuine = world["announcement"].tip
     rng = random.Random(18)
     hub_node = world["hub"].server.node
     reached_the_check = 0
@@ -516,7 +505,7 @@ def test_a_replied_field_of_the_wrong_type_is_a_rejected_forgery(world):
     (or announcement ``seq``) does not decode, and any other field of
     the announcement it carries is answered exactly as when pushed —
     counted, nothing moved — and the genuine reply is adopted after."""
-    genuine = world["announcement"]
+    genuine = world["announcement"].tip
     genuine_reply = wire.decode(world["reply_payload"])
     rng = random.Random(18)
     reached_the_check = 0
@@ -549,7 +538,7 @@ def test_a_polled_field_of_the_wrong_type_fails_over_like_a_forgery(world):
     """The same malformed bundles as a lying issuer's ``latest_tip``:
     ``sync`` fails over to the honest issuer, a ``bootstrap`` with
     nowhere else to go ends in the taxonomy, nothing is half-adopted."""
-    genuine = world["announcement"]
+    genuine = world["announcement"].tip
     rng = random.Random(18)
     anchors = {
         "measurement": world["issuer"].measurement,
@@ -565,12 +554,7 @@ def test_a_polled_field_of_the_wrong_type_fails_over_like_a_forgery(world):
         except WireError:
             continue
         served += 1
-        world["liar_tip"].append(CertifiedTip(
-            header=candidate.header,
-            certificate=candidate.certificate,
-            index_certificates=candidate.index_certificates,
-            index_roots=candidate.index_roots,
-        ))
+        world["liar_tip"].append(candidate.tip)
         poller = _make_probe(world, rng, "typepoll", issuers=("liar", "ci"))
         tip = poller.sync()
         assert tip.header == poller.latest_header == genuine.header, field
@@ -591,10 +575,12 @@ def test_adopt_bundle_reports_a_malformed_bundle_as_a_certificate_error(world):
     """The boundary itself, on decoded objects: the error is the typed
     one with the fixed message, and the caller's state object and memo
     are what a forged digest leaves behind."""
-    genuine = world["announcement"]
+    genuine = world["announcement"].tip
     issuer = world["issuer"]
     anchors = (issuer.measurement, world["setup"]["ias"].public_key)
-    held = adopt_bundle(*anchors, ClientState(), issuer.certified[-2], VerifiedMemo(4))
+    held = adopt_bundle(
+        *anchors, ClientState(), issuer.certified[-2].tip, VerifiedMemo(4)
+    )
     after_forgery = VerifiedMemo(4)
     with pytest.raises(CertificateError, match="does not match"):
         wrong_roots = {name: bytes(32) for name in genuine.index_roots}

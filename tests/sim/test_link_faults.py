@@ -3,7 +3,9 @@
 A sim client reaches the issuer and the hub from its own endpoint and
 the replicas from its gateway's.  A ``partition`` or ``lossy_link``
 event must fault both, or a client "cut off" from every replica would
-still be answered through its gateway; ``heal`` must undo both.
+still be answered through its gateway; ``heal`` must undo both.  A
+fault that loses a push client's unsubscribe leaves it unsubscribed:
+the sim reads that from the client, not from a copy of its own.
 """
 
 import pytest
@@ -41,3 +43,24 @@ def test_a_client_partitioned_from_every_replica_is_not_answered(tmp_path, kind)
     world.bus.run_for(1_000.0)  # let the ejected replicas' probes come due
     assert " ans:" in apply_event(world, SimEvent("query", unseen))
     suite.check(1)
+
+
+def test_a_lost_unsubscribe_leaves_the_client_unsubscribed(tmp_path):
+    """The client owns its subscription: an unsubscribe whose one call
+    is lost still leaves it unsubscribed, so the sim skips its
+    heartbeats instead of failing them, and the next toggle subscribes."""
+    world = SimWorld.build(CONFIG, tmp_path)
+    slot = next(i for i, entry in enumerate(world.fleet) if entry.kind == KIND_PUSH)
+    entry = world.fleet[slot]
+    assert entry.client.subscribed
+    push = {"slot": 0}  # the only push client
+    apply_event(world, SimEvent("partition", {"slot": slot, "peer": 0}))  # ci
+    assert apply_event(world, SimEvent("toggle_sub", push)) == (
+        f"{entry.name} fail:RpcTimeoutError"
+    )
+    assert not entry.client.subscribed
+    assert apply_event(world, SimEvent("heartbeat", push)) == "noop"
+    apply_event(world, SimEvent("heal", {}))
+    assert apply_event(world, SimEvent("heartbeat", push)) == "noop"
+    assert apply_event(world, SimEvent("toggle_sub", push)) == f"{entry.name} on"
+    assert apply_event(world, SimEvent("heartbeat", push)).startswith(f"{entry.name} h")
