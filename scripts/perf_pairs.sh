@@ -2,7 +2,7 @@
 # The alternating-pairs campaign a performance change reports against the
 # repo benchmark (benchmarks/perf/README.md):
 #
-#   bash scripts/perf_pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD [PAIRS=10] [SEED=7]
+#   bash scripts/perf_pairs.sh [--json FILE] PARENT_DIR CHANGE_DIR WORKLOAD [PAIRS=10] [SEED=7]
 #
 # PARENT_DIR and CHANGE_DIR are two checkouts (the parent from
 # `git clone` or `git worktree add`).  Each pair runs
@@ -16,12 +16,21 @@
 # them won, medians further apart than the parent's quartile distance) and the
 # BENCHMARK.json bound verdict (ok / regressed / unresolved).  Raw result
 # lines are kept in OUT (default: a fresh temp dir) as parent.jsonl and
-# change.jsonl.  Exits non-zero when a metric regressed or an operation
-# failed.  Run nothing else on the machine meanwhile.
+# change.jsonl.  With --json FILE the raw runs and the per-metric summary
+# also go into FILE (docs/pairs/PAIRS_<n>.json's shape: one entry per
+# workload under "workloads", "W@seedS" for a seed other than 7, so one
+# FILE collects a whole campaign; a workload run again replaces its
+# entry).  Exits non-zero when a metric regressed or an operation failed.
+# Run nothing else on the machine meanwhile.
 set -euo pipefail
 
+json=
+if [ "${1:-}" = "--json" ]; then
+    json=${2:?--json takes a file}
+    shift 2
+fi
 if [ "$#" -lt 3 ]; then
-    sed -n '2,20p' "$0" >&2
+    sed -n '2,24p' "$0" >&2
     exit 2
 fi
 parent=$(cd "$1" && pwd)
@@ -48,19 +57,24 @@ for pair in $(seq 1 "$pairs"); do
     echo "pair $pair/$pairs done" >&2
 done
 
-"${PYTHON:-python3}" - "$change/BENCHMARK.json" "$out" "$workload" "$seed" <<'EOF'
+parent_rev=$(git -C "$parent" rev-parse --short HEAD 2>/dev/null || echo unknown)
+"${PYTHON:-python3}" - "$change/BENCHMARK.json" "$out" "$workload" "$seed" \
+    "$json" "$parent_rev" <<'EOF'
 import json
+import os
+import platform
 import statistics
 import sys
 
 spec = json.load(open(sys.argv[1]))
-out, workload, seed = sys.argv[2:5]
+out, workload, seed, json_file, parent_rev = sys.argv[2:7]
 runs = {
     side: [json.loads(line) for line in open(f"{out}/{side}.jsonl")]
     for side in ("parent", "change")
 }
 print(f"{workload}, seed {seed}, {len(runs['parent'])} alternating pairs ({out})")
 status = 0
+summary = {}
 for side, records in runs.items():
     failed = sum(r["failed"] for r in records)
     attempted = sum(r["attempted"] for r in records)
@@ -103,11 +117,35 @@ for entry in spec["end_to_end"]:
           f"  = {100 * (b2 - a2) / a2 if a2 else 0.0:+.1f} % of the parent's")
     print(f"  change wins {wins}, loses {losses} of {len(a)} pairs;"
           f" claimable gain: {'yes' if gain else 'no'}; bound: {verdict}")
+    summary[name] = {
+        "unit": entry["unit"], "better": entry["better"], "bound": entry["bound"],
+        "parent_median": a2, "parent_quartiles": [a1, a3],
+        "change_median": b2, "change_quartiles": [b1, b3],
+        "change_vs_parent_pct": 100 * (b2 - a2) / a2 if a2 else 0.0,
+        "wins": wins, "losses": losses, "pairs": len(a),
+        "claimable_gain": gain, "bound_verdict": verdict,
+    }
 # The run is time-bounded: read peak_rss_mb against the work each run did.
 print("operations attempted per run")
 for side, records in runs.items():
     counts = [r["attempted"] for r in records]
     print(f"  {side} " + " ".join(str(n) for n in counts)
           + f"  (median {statistics.median(counts):g})")
+if json_file:
+    campaign = {
+        "command": "bash scripts/perf_pairs.sh PARENT CHANGE WORKLOAD PAIRS SEED"
+        "  (run.py --workload W --seed S --seconds 12 --trace 0, alternating)",
+        "host": f"{os.cpu_count()}-core host, Python {platform.python_version()}",
+        "parent": parent_rev,
+        "workloads": {},
+    }
+    if os.path.exists(json_file):
+        campaign = json.load(open(json_file))
+    key = workload if seed == "7" else f"{workload}@seed{seed}"
+    campaign["workloads"][key] = {**runs, "seed": int(seed), "summary": summary}
+    with open(json_file, "w") as handle:
+        json.dump(campaign, handle, indent=1)
+        handle.write("\n")
+    print(f"wrote {workload} to {json_file}")
 sys.exit(status)
 EOF

@@ -76,8 +76,8 @@ class _Narration:
         self.steps = 0
 
     def check(self) -> None:
-        # The checkers' fresh verifiers and oracle executions are not the
-        # deployment's work: keep them out of the metrics registry.
+        # The checkers' oracle executions are not the deployment's
+        # work: keep them out of the metrics registry.
         with obs.observability(False):
             self.suite.check(self.steps)
         self.steps += 1

@@ -468,7 +468,7 @@ class SuperlightClient:
         obs.inc("client.push_subscribes")
 
     def unsubscribe(self) -> None:
-        """Leave the hub stream (idempotent)."""
+        """Leave the hub stream (idempotent); later pushes are ignored."""
         from repro.net.pubsub import SubscriptionHub
 
         if not self.subscribed:
@@ -524,10 +524,12 @@ class SuperlightClient:
         return reply
 
     def _on_push(self, message) -> None:
-        """Bus handler for hub pushes — local verification only."""
-        from repro.net.pubsub import PushEnvelope, TipAnnouncement
+        """Bus handler for hub pushes — local verification only.  Once
+        we unsubscribed, even if the hub never heard, nothing is adopted
+        or acked: the lease we stopped renewing lets the hub reap us."""
+        from repro.net.pubsub import PushEnvelope, StreamAck, TipAnnouncement, ack_topic
 
-        if not isinstance(message, PushEnvelope):
+        if not self.subscribed or not isinstance(message, PushEnvelope):
             return
         try:
             announcement = self._wire.decode(message.payload)
@@ -545,22 +547,13 @@ class SuperlightClient:
             obs.inc("client.push_duplicates")
         else:
             self._sub_seq = announcement.seq
-        self._ack()
+        ack = StreamAck(subscriber=self.rpc.name, seq=self._sub_seq)
+        self.rpc.bus.send(self.rpc.name, self.hub, ack_topic(self.hub), ack)
 
     def _reject_push(self) -> None:
         self.push_rejected += 1
         self.integrity_failures += 1
         obs.inc("client.push_rejected")
-
-    def _ack(self) -> None:
-        from repro.net.pubsub import StreamAck, ack_topic
-
-        self.rpc.bus.send(
-            self.rpc.name,
-            self.hub,
-            ack_topic(self.hub),
-            StreamAck(subscriber=self.rpc.name, seq=self._sub_seq),
-        )
 
     def _adopt_pushed(self, announcement) -> bool:
         """Adopt one stream announcement exactly as a polled tip (the

@@ -271,7 +271,7 @@ class QueryGateway:
         outlives the replica's observed latency quantile — or is a
         half-open probe — is hedged once (:class:`HedgePolicy`), to a
         closed replica not already carrying the item; the loser is
-        abandoned, not struck.
+        abandoned, not struck, unless it is a probe: that one failed.
         An item is encoded once (``payloads``: by the caller, already),
         and a hedge or re-dispatch re-sends those bytes.
 
@@ -426,6 +426,8 @@ class QueryGateway:
                         obs.inc("resilience.hedge_wins")
                     for rid, loser in rest:
                         del flights[rid]
+                        if loser.state.breaker.state == CircuitBreaker.HALF_OPEN:
+                            self._mark_failure(loser.state)  # a beaten probe
                         self._abandon(loser.state, rid)
                     if flight.item in todo:  # a probe beat its re-dispatch
                         todo.remove(flight.item)

@@ -219,11 +219,11 @@ class CircuitBreaker:
             self.state = self.HALF_OPEN
 
     def abandon_probe(self) -> None:
-        """A half-open probe was given up without a verdict (a hedge
-        loser, a batch that raised mid-flight): back to open with the
-        reopen time already reached, so the next dispatch probes again
-        instead of the breaker waiting forever on an answer nobody
-        is listening for."""
+        """A half-open probe was given up without a verdict (a terminal
+        answer, a batch that raised mid-flight; one its hedge beat has
+        failed): back to open with the reopen time already reached, so
+        the next dispatch probes again instead of the breaker waiting
+        forever on an answer nobody is listening for."""
         if self.state == self.HALF_OPEN:
             self.state = self.OPEN
 

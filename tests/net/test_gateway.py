@@ -263,7 +263,8 @@ def test_a_probe_to_a_dead_replica_does_not_fail_a_short_batch(bus):
     """The dead replica has fewer latency samples than the hedge needs
     (``HedgePolicy.min_samples``): its due probe is hedged at once all
     the same, so a batch whose deadline is shorter than one timeout is
-    answered — and so is the next one, whose probe is due again."""
+    answered.  The probe its hedge beat has failed: the open window
+    doubles, so the next short batch sends the dead replica nothing."""
     servers = make_fleet(bus, 2)
     gateway = make_gateway(
         bus, ["sp1", "sp2"], timeout_ms=400.0, hedge=HedgePolicy()
@@ -274,14 +275,52 @@ def test_a_probe_to_a_dead_replica_does_not_fail_a_short_batch(bus):
     state = gateway.replicas["sp1"]
     assert not state.closed and len(state.latency) < HedgePolicy().min_samples
     bus.run_for(state.breaker.reopen_at_ms - bus.clock_ms)  # probe due
+    dispatched, trips = state.dispatched, state.breaker.trips
     for batch in (["a", "b", "c"], ["d", "e", "f"]):
-        dispatched = state.dispatched
         deadline = bus.clock_ms + 150.0
         results = gateway.call_many("echo", batch, deadline_ms=deadline)
         assert bus.clock_ms <= deadline
         assert [r["arg"] for r in results] == batch
         assert {r["replica"] for r in results} == {"sp2"}
-        assert state.dispatched - dispatched == 1  # the probe went out
+    assert state.dispatched - dispatched == 1  # one probe, not one a batch
+    assert state.breaker.trips == trips + 1  # the lost probe reopened it
+    open_base_ms = state.breaker.policy.open_base_ms
+    assert state.breaker.reopen_at_ms - bus.clock_ms > open_base_ms
+
+
+def test_a_recovered_replica_whose_probe_lost_its_hedge_race_returns(bus):
+    """sp1 comes back slow, so its first probe loses to the hedge and
+    fails.  With its link fast again, the probe due after the backed-off
+    window answers first: sp1 is back in rotation within that window."""
+    servers = make_fleet(bus, 2)
+    gateway = make_gateway(
+        bus, ["sp1", "sp2"], timeout_ms=400.0, hedge=HedgePolicy()
+    )
+    servers["sp1"].paused = True
+    for i in range(2):
+        gateway.call("echo", i)  # two liveness strikes eject sp1
+    state = gateway.replicas["sp1"]
+    bus.run_for(state.breaker.reopen_at_ms - bus.clock_ms)  # probe due
+    servers["sp1"].paused = False  # back, but slow
+    bus.set_latency("gw", "sp1", 60.0)
+    bus.set_latency("sp1", "gw", 60.0)
+    results = gateway.call_many("echo", ["a", "b"])
+    assert {r["replica"] for r in results} == {"sp2"}
+    assert state.breaker.state == CircuitBreaker.OPEN  # the probe lost
+    policy = state.breaker.policy
+    window_ms = state.breaker.reopen_at_ms - bus.clock_ms
+    assert window_ms <= policy.open_max_ms * (1.0 + policy.jitter)
+    # The next probe is due at the reopen time; its answer is one round
+    # trip later.
+    returned_by = max(state.breaker.reopen_at_ms, bus.clock_ms) + 2 * 5.0
+    bus.set_latency("gw", "sp1", 5.0)
+    bus.set_latency("sp1", "gw", 5.0)
+    while not state.closed and bus.clock_ms <= returned_by:
+        gateway.call("echo", "x")
+        bus.run_for(10.0)
+    assert state.closed
+    assert bus.clock_ms <= returned_by + 10.0
+    assert gateway.healthy_replicas() == ["sp1", "sp2"]
 
 
 def test_a_probe_s_item_is_re_dispatched_when_its_hedge_fails(bus):

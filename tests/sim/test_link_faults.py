@@ -5,11 +5,13 @@ the replicas from its gateway's.  A ``partition`` or ``lossy_link``
 event must fault both, or a client "cut off" from every replica would
 still be answered through its gateway; ``heal`` must undo both.  A
 fault that loses a push client's unsubscribe leaves it unsubscribed:
-the sim reads that from the client, not from a copy of its own.
+the sim reads that from the client, not from a copy of its own, and
+the client takes no more pushes.
 """
 
 import pytest
 
+from repro.net.pubsub import SubscriptionHub
 from repro.sim import InvariantSuite, SimConfig, SimEvent, SimWorld, apply_event
 from repro.sim.world import KIND_GATEWAY, KIND_POLL, KIND_PUSH
 
@@ -64,3 +66,31 @@ def test_a_lost_unsubscribe_leaves_the_client_unsubscribed(tmp_path):
     assert apply_event(world, SimEvent("heartbeat", push)) == "noop"
     assert apply_event(world, SimEvent("toggle_sub", push)) == f"{entry.name} on"
     assert apply_event(world, SimEvent("heartbeat", push)).startswith(f"{entry.name} h")
+
+
+def test_after_a_lost_unsubscribe_no_push_is_adopted_and_the_hub_reaps(tmp_path):
+    """After ``unsubscribe()`` a push is neither adopted nor acked,
+    whatever became of the call: nothing renews the client's lease, so
+    the hub reaps it instead of pushing to it for as long as it lives."""
+    world = SimWorld.build(CONFIG, tmp_path)
+    suite = InvariantSuite(world)
+    slot = next(i for i, entry in enumerate(world.fleet) if entry.kind == KIND_PUSH)
+    entry = world.fleet[slot]
+    push = {"slot": 0}  # the only push client
+    apply_event(world, SimEvent("partition", {"slot": slot, "peer": 0}))  # ci
+    assert apply_event(world, SimEvent("toggle_sub", push)) == (
+        f"{entry.name} fail:RpcTimeoutError"
+    )
+    apply_event(world, SimEvent("heal", {}))
+    assert entry.name in world.hub.subscribers  # the hub never heard
+    adopted = entry.client.push_adopted
+    start = world.bus.clock_ms
+    for index in range(4):  # four certified blocks, 18 s apart
+        apply_event(world, SimEvent("drain", {"ms": 18_000.0}))
+        apply_event(world, SimEvent("mine", {"txs": 1}))
+        assert apply_event(world, SimEvent("certify", {"upto": 1})).startswith("ok:")
+        suite.check(index)
+    reaped_by = start + 2.4 * SubscriptionHub.LEASE_MS
+    world.bus.run_for(max(0.0, reaped_by - world.bus.clock_ms))
+    assert entry.name not in world.hub.subscribers
+    assert entry.client.push_adopted == adopted

@@ -79,6 +79,76 @@ def test_unverified_adoption_rejected(world, suite):
         suite._tips[entry.name] = original
 
 
+def test_a_shared_tip_costs_the_adoption_check_one_verify(world, monkeypatch):
+    """Every fleet client holds the same certified tip: the adoption
+    check verifies its certificate signature once and its attestation
+    report at most once, not once per client."""
+    import repro.core.certificate as certificate
+    from repro.sgx.attestation import AttestationReport
+
+    tips = {
+        (entry.client.latest_header.header_hash(),
+         entry.client.latest_certificate.encode())
+        for entry in world.fleet
+    }
+    assert len(world.fleet) >= 3 and len(tips) == 1
+    counts = {"sig": 0, "report": 0}
+    real_verify, real_report = certificate.verify, AttestationReport.verify
+
+    def counting_verify(*args):
+        counts["sig"] += 1
+        return real_verify(*args)
+
+    def counting_report(report, key):
+        counts["report"] += 1
+        return real_report(report, key)
+
+    monkeypatch.setattr(certificate, "verify", counting_verify)
+    monkeypatch.setattr(AttestationReport, "verify", counting_report)
+    suite = InvariantSuite(world)
+    suite.check(0)  # every client's tip is new to this suite
+    assert counts["sig"] == 1
+    assert counts["report"] <= 1
+    assert len(suite._verified.signatures) == 1
+
+
+def test_a_tampered_signature_misses_the_adoption_memo(world, suite):
+    """The genuine (header, certificate) pair is memoised by the primed
+    suite; a certificate for the same header whose signature differs
+    in one bit is verified, fails, and is an unverified adoption."""
+    entry = world.fleet[0]
+    client = entry.client
+    original = suite._tips.pop(entry.name)  # force re-verification
+    saved_state = client.state
+    cert = saved_state.certificate
+    forged = replace(cert, sig=replace(cert.sig, s=cert.sig.s ^ 1))
+    client.state = replace(saved_state, certificate=forged)
+    try:
+        violation = _violation(suite)
+        assert violation.name == "no-unverified-adoption"
+        assert "signature invalid" in violation.detail
+    finally:
+        client.state = saved_state
+        suite._tips[entry.name] = original
+
+
+def test_new_trust_anchors_start_a_new_adoption_memo(world, suite):
+    """A memo vouches only for the anchors it was filled under: once the
+    expected measurement changes, the memoised report is checked again
+    and the tip, from an enclave of the old measurement, is refused."""
+    entry = world.fleet[0]
+    original = suite._tips.pop(entry.name)  # force re-verification
+    measurement = world.measurement
+    world.measurement = bytes(32)
+    try:
+        violation = _violation(suite)
+        assert violation.name == "no-unverified-adoption"
+        assert "unexpected enclave program" in violation.detail
+    finally:
+        world.measurement = measurement
+        suite._tips[entry.name] = original
+
+
 def test_storage_budget_enforced(world, suite):
     entry = world.fleet[0]
     entry.client.storage_bytes = (
