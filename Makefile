@@ -85,7 +85,7 @@ push-smoke:
 
 # Overload-resilience benchmark (benchmarks/test_overload.py): goodput
 # under an open-loop 5x offered load with admission control + deadline
-# propagation, and the un-hedged vs hedged slow-replica tail.
+# propagation, and the hedged slow-replica tail.
 # REPRO_OVERLOAD_ARRIVALS=n sizes the arrival process (default 600).
 overload-bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_overload.py -q -s

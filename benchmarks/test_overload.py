@@ -12,19 +12,20 @@ Two scenarios on the virtual clock:
   threshold by more than one service quantum, and shed/refused requests
   cost the provider zero query executions.
 * **Hedged requests vs a slow replica** — after per-endpoint latency
-  trackers warm up, one replica turns 20x slower.  Un-hedged
-  round-robin eats the slow replica's full service time on every other
-  query; with hedging the gateway fires a second attempt at the
-  observed p90 and takes whichever answer lands first, collapsing the
-  tail.
+  trackers warm up, one replica turns 20x slower.  Round robin sends
+  every other query to it, and a gateway that waited would eat its
+  full service time on each; the gateway (it always hedges) fires a
+  second attempt at the observed p90 and takes whichever answer lands
+  first, collapsing the tail.
 
 Reproduced claims:
 
 * goodput at 5x offered load >= 80% of single-replica capacity x
   replica count, with bounded admitted queue delay;
 * shed and deadline-refused requests do zero provider work;
-* hedging cuts the slow-replica p99 by >= 2x (recorded either way via
-  ``bench_record`` for the un-hedged/hedged comparison).
+* hedging keeps the p99 at or under half of one dispatch to the slow
+  replica (its injected service time plus a round trip; recorded via
+  ``bench_record``).
 
 ``REPRO_OVERLOAD_ARRIVALS`` overrides the arrival count (default 600).
 """
@@ -39,13 +40,7 @@ from repro.chain.builder import ChainBuilder
 from repro.chain.genesis import make_genesis
 from repro.chain.transaction import sign_transaction
 from repro.crypto import generate_keypair
-from repro.net import (
-    AdmissionPolicy,
-    CircuitBreakerPolicy,
-    HedgePolicy,
-    MessageBus,
-    QueryGateway,
-)
+from repro.net import AdmissionPolicy, MessageBus, QueryGateway
 from repro.net.rpc import RpcClient
 from repro.query import HistoryQuery, QueryService
 from repro.query.indexes import AccountHistoryIndexSpec
@@ -223,27 +218,28 @@ def _tail(samples: list[float], quantile: float) -> float:
     return ordered[index]
 
 
-def _run_slow_replica_pass(hedge: HedgePolicy | None) -> tuple:
+#: The degraded replica's service time (20x the healthy 10 ms), and the
+#: link latency each way.
+_SLOW_SERVICE_MS = 200.0
+_LINK_MS = 1.0
+
+
+def _run_slow_replica_pass() -> tuple:
     """Warm both replicas' latency trackers, slow one 20x, then measure
     per-query gateway latency over a round-robin sequence."""
     provider = _build_provider()
-    bus = MessageBus(default_latency_ms=1.0)
+    bus = MessageBus(default_latency_ms=_LINK_MS)
     names = [f"sp{i + 1}" for i in range(_REPLICAS)]
     services = {
         name: QueryService(bus, name, provider, service_time_ms=10.0)
         for name in names
     }
-    gateway = QueryGateway(
-        bus, "gw", names,
-        timeout_ms=2_000.0,
-        breaker=CircuitBreakerPolicy(failure_trip=4),
-        hedge=hedge,
-    )
+    gateway = QueryGateway(bus, "gw", names, timeout_ms=2_000.0)
     warmup = _requests(20)
     for request in warmup:
         gateway.call("execute", request)
     # One replica degrades 20x (GC pause, cold cache, noisy neighbor).
-    services[names[-1]].server._service_times["execute"] = 200.0
+    services[names[-1]].server._service_times["execute"] = _SLOW_SERVICE_MS
     samples: list[float] = []
     for request in _requests(40):
         started = bus.clock_ms
@@ -254,12 +250,13 @@ def _run_slow_replica_pass(hedge: HedgePolicy | None) -> tuple:
 
 def test_hedged_requests_cut_the_slow_replica_tail():
     with cost_model_disabled():
-        unhedged, _ = _run_slow_replica_pass(None)
-        hedged, gateway = _run_slow_replica_pass(HedgePolicy())
+        hedged, gateway = _run_slow_replica_pass()
+    # What a query routed to the slow replica costs when it is waited
+    # out: the reference the hedged tail is held against.
+    slow_dispatch_ms = _SLOW_SERVICE_MS + 2 * _LINK_MS
 
     rows = [
-        ["un-hedged", round(_tail(unhedged, 0.5), 1),
-         round(_tail(unhedged, 0.99), 1), round(max(unhedged), 1), 0, 0],
+        ["slow dispatch", "", round(slow_dispatch_ms, 1), "", "", ""],
         ["hedged", round(_tail(hedged, 0.5), 1),
          round(_tail(hedged, 0.99), 1), round(max(hedged), 1),
          gateway.hedges, gateway.hedge_wins],
@@ -272,11 +269,7 @@ def test_hedged_requests_cut_the_slow_replica_tail():
     bench_record(
         "overload_hedging",
         {
-            "unhedged": {
-                "p50_ms": _tail(unhedged, 0.5),
-                "p99_ms": _tail(unhedged, 0.99),
-                "max_ms": max(unhedged),
-            },
+            "slow_dispatch_ms": slow_dispatch_ms,
             "hedged": {
                 "p50_ms": _tail(hedged, 0.5),
                 "p99_ms": _tail(hedged, 0.99),
@@ -288,11 +281,11 @@ def test_hedged_requests_cut_the_slow_replica_tail():
     )
 
     assert gateway.hedges > 0 and gateway.hedge_wins > 0, (
-        "the hedged pass never hedged — tracker warmup or the hedge "
-        "policy is broken"
+        "the gateway never hedged — tracker warmup or the hedge delay "
+        "is broken"
     )
     # Reproduced claim: hedging collapses the slow-replica tail.
-    assert _tail(hedged, 0.99) <= _tail(unhedged, 0.99) / 2.0, (
+    assert _tail(hedged, 0.99) <= slow_dispatch_ms / 2.0, (
         f"hedged p99 {_tail(hedged, 0.99):.1f} ms is not at least 2x "
-        f"better than un-hedged {_tail(unhedged, 0.99):.1f} ms"
+        f"better than one {slow_dispatch_ms:.1f} ms slow-replica dispatch"
     )

@@ -403,15 +403,22 @@ class SuperlightClient:
     # -- certificate sync (connected) ------------------------------------------
 
     def sync(self):
-        """Pull the latest certified tip, trying each issuer once, in order.
+        """Pull the latest certified tip from every issuer, once each.
 
-        Returns the adopted :class:`repro.core.issuer.CertifiedTip`.  A
-        reply that does not decode or a tip that fails verification
-        (tampered in flight, or a lying CI) counts as an integrity
-        failure and, like a network error, moves on to the next issuer;
-        after the last one, :class:`~repro.errors.ServiceUnavailableError`
-        (the caller's next ``sync`` is the retry).
+        Every tip that verifies is adopted, so chain selection picks
+        among them: an issuer that lags (recovering after a crash) or
+        sits on a shorter branch cannot hold the client back while
+        another is ahead.  Returns the tip the client holds: the polled
+        tip whose header it holds or, when it already held a newer one
+        than any issuer served, that header and certificate.  A reply
+        that does not decode or a tip that fails verification (tampered
+        in flight, or a lying CI) counts as an integrity failure; when
+        no issuer served a tip that verified,
+        :class:`~repro.errors.ServiceUnavailableError` (the caller's
+        next ``sync`` is the retry).
         """
+        held: CertifiedTip | None = None
+        verified = False
         last_error: Exception | None = None
         for issuer in self.issuers:
             try:
@@ -425,11 +432,15 @@ class SuperlightClient:
             except NetworkError as exc:
                 last_error = exc
             else:
-                self._roots_advanced()
-                return tip
-        raise ServiceUnavailableError(
-            "no issuer returned a verifiable certified tip"
-        ) from last_error
+                verified = True
+                if tip.header == self.state.header:
+                    held = tip
+        if not verified:
+            raise ServiceUnavailableError(
+                "no issuer returned a verifiable certified tip"
+            ) from last_error
+        self._roots_advanced()
+        return held or CertifiedTip(self.state.header, self.state.certificate, {}, {})
 
     def _roots_advanced(self) -> None:
         """Housekeeping after adopting a certified tip: sweep cache

@@ -22,13 +22,12 @@ deterministically and without sockets:
   lease-based subscriber reaping.
 * :mod:`gateway` — load-balanced routing over a fleet of QueryService
   replicas: round-robin dispatch, one circuit breaker per replica (its
-  whole health), failover that trusts answers, not replicas.
+  whole health), hedging, failover that trusts answers, not replicas.
 * :mod:`supervisor` — crash detection + bounded-backoff restart for any
   RPC-fronted service (issuer or query replica).
 * :mod:`resilience` — the overload-protection primitives: deadline
-  propagation, CoDel-style admission control, circuit breakers,
-  per-endpoint latency tracking, and hedged-request policy (see
-  docs/overload.md).
+  propagation, CoDel-style admission control, circuit breakers and
+  per-endpoint latency tracking (see docs/overload.md).
 """
 
 from repro.net.bus import MessageBus, NetworkNode
@@ -44,8 +43,6 @@ from repro.net.pubsub import (
 from repro.net.resilience import (
     AdmissionPolicy,
     CircuitBreaker,
-    CircuitBreakerPolicy,
-    HedgePolicy,
     LatencyTracker,
     clamp_retry_after,
     sanitize_deadline,
@@ -57,9 +54,7 @@ from repro.net.supervisor import ServiceSupervisor
 __all__ = [
     "AdmissionPolicy",
     "CircuitBreaker",
-    "CircuitBreakerPolicy",
     "FaultInjector",
-    "HedgePolicy",
     "LatencyTracker",
     "LinkFaults",
     "MessageBus",

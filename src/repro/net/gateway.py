@@ -21,8 +21,16 @@ module supplies both on the deterministic virtual-clock bus:
   gateway trusts no replica: the caller's ``accept`` verifies each
   answer, and a rejected answer strikes its replica exactly like a
   timeout, so a stale or lying replica is opened after
-  ``failure_trip`` rejected answers.
+  :attr:`~repro.net.resilience.CircuitBreaker.FAILURE_TRIP` rejected
+  answers.
+* **Hedging** — always on: a dispatch outstanding past its replica's
+  observed latency quantile (:func:`hedge_delay_ms`), and every
+  half-open probe at once, is raced by one more dispatch to a closed
+  replica; the first answer wins.
 
+The gateway has one setting, ``timeout_ms``; the breaker and hedge
+values are constants (here and on
+:class:`~repro.net.resilience.CircuitBreaker`), not options.
 Per-replica bookkeeping is bounded: the in-flight map is capped at
 :data:`OUTSTANDING_LIMIT` entries (oldest evicted), the same discipline
 as ``NetworkNode.received``, and the latency window is a fixed-size
@@ -57,8 +65,6 @@ from repro.net.bus import MessageBus
 from repro.net.resilience import (
     NO_DEADLINE,
     CircuitBreaker,
-    CircuitBreakerPolicy,
-    HedgePolicy,
     LatencyTracker,
     sanitize_deadline,
     shrink_deadline,
@@ -70,25 +76,36 @@ OUTSTANDING_LIMIT = 256
 #: Budget surrendered per hop when propagating a deadline, so the
 #: replica's reply can still travel back before *our* caller's deadline.
 HOP_MARGIN_MS = 10.0
+#: A dispatch is hedged once it has been outstanding longer than this
+#: quantile of its replica's latency window, clamped to the floor and
+#: cap; with fewer samples than the minimum there is no basis for a
+#: delay, and only a half-open probe is hedged.
+HEDGE_QUANTILE = 0.9
+HEDGE_MIN_SAMPLES = 8
+HEDGE_FLOOR_MS = 5.0
+HEDGE_CAP_MS = 500.0
+
+
+def hedge_delay_ms(latency: LatencyTracker) -> float | None:
+    """Virtual ms a dispatch to a replica with this latency window waits
+    before it is hedged, or None (too few samples: never)."""
+    if len(latency) < HEDGE_MIN_SAMPLES:
+        return None
+    observed = latency.quantile(HEDGE_QUANTILE)
+    return min(max(observed, HEDGE_FLOOR_MS), HEDGE_CAP_MS)
 
 
 class ReplicaState:
-    """Everything the gateway knows about one replica endpoint."""
+    """Everything the gateway knows about one replica endpoint;
+    ``seed`` seeds its breaker's jitter stream."""
 
-    def __init__(
-        self,
-        name: str,
-        breaker: CircuitBreaker,
-        *,
-        outstanding_limit: int = OUTSTANDING_LIMIT,
-    ) -> None:
+    def __init__(self, name: str, seed: str) -> None:
         self.name = name
         #: The replica's one state machine: closed is "in rotation".
-        self.breaker = breaker
+        self.breaker = CircuitBreaker(seed)
         #: request_id -> dispatch virtual time; bounded like
         #: ``NetworkNode.received`` so chaos runs cannot grow memory.
         self.inflight: OrderedDict[int, float] = OrderedDict()
-        self.outstanding_limit = outstanding_limit
         #: Virtual ms from send to answer, one sample per successful
         #: dispatch; the hedge delay is a quantile of this window.
         self.latency = LatencyTracker()
@@ -104,7 +121,7 @@ class ReplicaState:
     def track(self, request_id: int, now_ms: float) -> None:
         self.dispatched += 1
         self.inflight[request_id] = now_ms
-        while len(self.inflight) > self.outstanding_limit:
+        while len(self.inflight) > OUTSTANDING_LIMIT:
             self.inflight.popitem(last=False)
 
     def settle(self, request_id: int) -> None:
@@ -130,7 +147,7 @@ class _Flight:
     sent_ms: float
     expires_ms: float
     hedge_ms: float
-    is_hedge: bool
+    hedging: bool
 
 
 # -- the gateway --------------------------------------------------------------
@@ -151,21 +168,14 @@ class QueryGateway:
         replicas: Sequence[str],
         *,
         timeout_ms: float = 250.0,
-        breaker: CircuitBreakerPolicy | None = None,
-        hedge: HedgePolicy | None = None,
     ) -> None:
         if not replicas:
             raise ValueError("a gateway needs at least one replica")
         self.bus = bus
         self.rpc = RpcClient(bus, name, timeout_ms=timeout_ms)
-        #: None disables hedging.
-        self.hedge = hedge
-        # One breaker per replica (``None``: the default policy), each
-        # with its own seeded jitter stream.
+        # One breaker per replica, each with its own seeded jitter stream.
         self.replicas: dict[str, ReplicaState] = {
-            replica: ReplicaState(
-                replica, CircuitBreaker(breaker, seed=f"{name}:{replica}")
-            )
+            replica: ReplicaState(replica, f"{name}:{replica}")
             for replica in replicas
         }
         #: Round-robin position: dispatch ``n`` goes to candidate ``n % len``.
@@ -269,7 +279,7 @@ class QueryGateway:
         a replica answers it or its ``max(3, 2 × replicas)`` dispatches
         are spent (:class:`ServiceUnavailableError`).  A dispatch that
         outlives the replica's observed latency quantile — or is a
-        half-open probe — is hedged once (:class:`HedgePolicy`), to a
+        half-open probe — is hedged once (:func:`hedge_delay_ms`), to a
         closed replica not already carrying the item; the loser is
         abandoned, not struck, unless it is a probe: that one failed.
         An item is encoded once (``payloads``: by the caller, already),
@@ -304,7 +314,7 @@ class QueryGateway:
                     f"{len(arguments)} unanswered"
                 ) from last_error
 
-        def send(item: int, state: ReplicaState, *, is_hedge: bool) -> None:
+        def send(item: int, state: ReplicaState, *, hedging: bool) -> None:
             now = self.bus.clock_ms
             state.breaker.on_dispatch(now)  # may be the half-open probe
             request_id = self.rpc.begin(
@@ -313,9 +323,9 @@ class QueryGateway:
             state.track(request_id, now)
             # A half-open probe is hedged at once: the replica may still
             # be dead, and its item must not wait out the probe's timeout.
-            delay = None if is_hedge or self.hedge is None else (
+            delay = None if hedging else (
                 0.0 if state.breaker.state == CircuitBreaker.HALF_OPEN
-                else self.hedge.delay_ms(state.latency)
+                else hedge_delay_ms(state.latency)
             )
             flights[request_id] = _Flight(
                 item=item,
@@ -323,7 +333,7 @@ class QueryGateway:
                 sent_ms=now,
                 expires_ms=min(now + self.rpc.timeout_ms, deadline),
                 hedge_ms=math.inf if delay is None else now + delay,
-                is_hedge=is_hedge,
+                hedging=hedging,
             )
 
         try:
@@ -345,7 +355,7 @@ class QueryGateway:
                     dispatches[item] += 1
                     state = candidates[self._turn % len(candidates)]
                     self._turn += 1
-                    send(item, state, is_hedge=False)
+                    send(item, state, hedging=False)
                 todo = waiting
                 # Hedge, once and never with a probe, every dispatch that
                 # has outlived its delay.
@@ -360,7 +370,7 @@ class QueryGateway:
                         if other.closed and other not in carrying:
                             self.hedges += 1
                             obs.inc("resilience.hedges")
-                            send(flight.item, other, is_hedge=True)
+                            send(flight.item, other, hedging=True)
                             break
                 # Drive the bus to whatever can happen next: an answer,
                 # a timeout, a hedge coming due or, with items waiting, a
@@ -421,7 +431,7 @@ class QueryGateway:
                             todo.append(flight.item)
                         continue
                     self._mark_success(flight.state, now - flight.sent_ms)
-                    if flight.is_hedge:
+                    if flight.hedging:
                         self.hedge_wins += 1
                         obs.inc("resilience.hedge_wins")
                     for rid, loser in rest:

@@ -1,5 +1,5 @@
 """Overload-resilience primitives: deadlines, admission control,
-circuit breakers, latency tracking, and hedging policy.
+circuit breakers, and latency tracking.
 
 DCert's economics invite a small certified serving tier to absorb
 traffic from a huge fleet of superlight clients — which makes the tier's
@@ -27,14 +27,13 @@ RPC/gateway/client stacks compose into an end-to-end protection layer:
   per-replica state machine, closed → open → half-open, with a
   seeded-jitter, backed-off reopen schedule and one probe dispatch per
   half-open window: liveness strikes and overload sheds each trip it.
+  Its trip counts and reopen schedule are class constants, not options.
 * **Latency tracking** (:class:`LatencyTracker`) — a bounded sample
-  window per replica with quantiles; drives the gateway's hedge delay.
-* **Hedging policy** (:class:`HedgePolicy`) — when a dispatch is slower
-  than the observed p90, the gateway issues one hedged attempt at a
-  *different* replica and abandons the loser.
+  window per replica with quantiles; the gateway's hedge delay is a
+  quantile of it (:func:`repro.net.gateway.hedge_delay_ms`).
 
 Everything here is wall-clock-free and seeded: the same virtual-time
-schedule produces byte-identical shed/trip/hedge decisions, which is
+schedule produces byte-identical shed/trip decisions, which is
 what lets ``repro.sim`` fingerprint overload scenarios.
 """
 
@@ -140,31 +139,11 @@ class AdmissionPolicy:
 # -- circuit breakers ----------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class CircuitBreakerPolicy:
-    """When a per-endpoint breaker trips and how it re-closes."""
-
-    #: Consecutive liveness strikes (timeouts, integrity and transport
-    #: failures) that open the breaker.
-    failure_trip: int = 2
-    #: Consecutive OVERLOADED sheds that open it; a shed is saturation,
-    #: not death, so it never counts as a liveness strike.
-    overload_trip: int = 2
-    #: Open-interval schedule: base × factor^reopens, capped.
-    open_base_ms: float = 200.0
-    open_factor: float = 2.0
-    open_max_ms: float = 5_000.0
-    #: Seeded multiplicative jitter on the open interval (0..1), so a
-    #: fleet of breakers tripped by one event does not re-probe in
-    #: lockstep.
-    jitter: float = 0.2
-
-
 class CircuitBreaker:
     """One endpoint's closed → open → half-open state machine.
 
-    Closed is "in rotation".  ``failure_trip`` consecutive liveness
-    strikes, or ``overload_trip`` consecutive sheds, open it until a
+    Closed is "in rotation".  :attr:`FAILURE_TRIP` consecutive liveness
+    strikes, or :attr:`OVERLOAD_TRIP` consecutive sheds, open it until a
     backed-off reopen time; the first dispatch after that is the one
     half-open probe.  The probe's success closes the breaker, its
     failure reopens it with the window doubled.  A shed
@@ -181,10 +160,21 @@ class CircuitBreaker:
     OPEN = "open"
     HALF_OPEN = "half-open"
 
-    def __init__(
-        self, policy: CircuitBreakerPolicy | None = None, *, seed: str = ""
-    ) -> None:
-        self.policy = policy or CircuitBreakerPolicy()
+    #: Consecutive liveness strikes (timeouts, integrity and transport
+    #: failures) that open the breaker.
+    FAILURE_TRIP = 2
+    #: Consecutive OVERLOADED sheds that open it; a shed is saturation,
+    #: not death, so it never counts as a liveness strike.
+    OVERLOAD_TRIP = 2
+    #: Open-interval schedule: base × factor^reopens, capped.
+    OPEN_BASE_MS = 200.0
+    OPEN_FACTOR = 2.0
+    OPEN_MAX_MS = 5_000.0
+    #: Seeded multiplicative jitter on the open interval, so a fleet of
+    #: breakers tripped by one event does not re-probe in lockstep.
+    JITTER = 0.2
+
+    def __init__(self, seed: str) -> None:
         self.state = self.CLOSED
         self._rng = random.Random(f"breaker:{seed}")
         self._failure_streak = 0
@@ -252,18 +242,16 @@ class CircuitBreaker:
         else:
             self._failure_streak += 1
         if (
-            self._overload_streak >= self.policy.overload_trip
-            or self._failure_streak >= self.policy.failure_trip
+            self._overload_streak >= self.OVERLOAD_TRIP
+            or self._failure_streak >= self.FAILURE_TRIP
         ):
             self._open(now_ms, retry_after_ms)
 
     def _open(self, now_ms: float, retry_after_ms: float) -> None:
         interval = min(
-            self.policy.open_base_ms * self.policy.open_factor**self._reopens,
-            self.policy.open_max_ms,
+            self.OPEN_BASE_MS * self.OPEN_FACTOR**self._reopens, self.OPEN_MAX_MS
         )
-        if self.policy.jitter:
-            interval *= 1.0 + self.policy.jitter * self._rng.random()
+        interval *= 1.0 + self.JITTER * self._rng.random()
         # An explicit retry-after hint from the endpoint (untrusted,
         # so clamped) can only *extend* the quiet period, never shorten it.
         interval = max(interval, clamp_retry_after(retry_after_ms))
@@ -288,8 +276,11 @@ class LatencyTracker:
     ``obs.Histogram``.
     """
 
-    def __init__(self, window: int = 64) -> None:
-        self._samples: deque[float] = deque(maxlen=window)
+    #: Samples kept (the oldest falls out).
+    WINDOW = 64
+
+    def __init__(self) -> None:
+        self._samples: deque[float] = deque(maxlen=self.WINDOW)
 
     def __len__(self) -> int:
         return len(self._samples)
@@ -303,33 +294,3 @@ class LatencyTracker:
             return None
         ordered = sorted(self._samples)
         return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
-
-
-# -- hedging -------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class HedgePolicy:
-    """When the gateway issues a second, hedged dispatch.
-
-    The hedge fires once a dispatch has been outstanding longer than
-    the observed ``quantile`` of that endpoint's latency — i.e. only
-    for the slow tail — and goes to a *different* replica.  The first
-    answer wins; the loser is abandoned.  Until ``min_samples``
-    observations exist the gateway does not hedge (no basis for a
-    delay), so cold starts behave exactly like an unhedged gateway.
-    """
-
-    quantile: float = 0.9
-    min_samples: int = 8
-    delay_floor_ms: float = 5.0
-    delay_cap_ms: float = 500.0
-
-    def delay_ms(self, tracker: LatencyTracker) -> float | None:
-        """Virtual ms to wait before hedging, or None (don't hedge)."""
-        if len(tracker) < self.min_samples:
-            return None
-        observed = tracker.quantile(self.quantile)
-        if observed is None:
-            return None
-        return min(max(observed, self.delay_floor_ms), self.delay_cap_ms)

@@ -41,7 +41,6 @@ from repro.errors import ReproError
 from repro.net import (
     AdmissionPolicy,
     FaultInjector,
-    HedgePolicy,
     MessageBus,
     QueryGateway,
     ServiceSupervisor,
@@ -294,7 +293,6 @@ class SimWorld:
         gateway = QueryGateway(
             self.bus, f"gwy{self.spawned}", list(self.replica_names),
             timeout_ms=400.0,
-            hedge=HedgePolicy(),
         )
         client = connect(ClientConfig(
             measurement=self.measurement,

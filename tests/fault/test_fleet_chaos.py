@@ -27,7 +27,6 @@ from repro.core import (
 from repro.errors import ReproError
 from repro.fault.crashpoints import crash_armed
 from repro.net import (
-    CircuitBreakerPolicy,
     FaultInjector,
     LinkFaults,
     MessageBus,
@@ -88,7 +87,6 @@ def make_fleet(fleet_world, *, injector=None, seed=0):
     gateway = QueryGateway(
         bus, "gw", REPLICAS,
         timeout_ms=120.0,
-        breaker=CircuitBreakerPolicy(failure_trip=1, open_base_ms=150.0),
     )
     client = connect(ClientConfig(
         measurement=fleet_world["measurement"],
@@ -133,7 +131,10 @@ def test_crash_sweep_client_always_gets_verified_answer(fleet_world):
     assert fired >= 8, "the sweep must actually exercise crashes"
 
 
-def test_crashed_replica_is_restarted_and_probed_back(fleet_world):
+def test_crashed_replica_is_restarted_and_probed_back(fleet_world, monkeypatch):
+    # The crashed replica stays down long enough to draw its second
+    # liveness strike (CircuitBreaker.FAILURE_TRIP) and leave rotation.
+    monkeypatch.setattr(ServiceSupervisor, "RESTART_DELAY_MS", 400.0)
     bus, client, gateway, services, supervisors = make_fleet(fleet_world)
     with crash_armed("query.execute.pre", hit=1) as schedule:
         answer = client.query(REQUESTS[0])
@@ -142,7 +143,14 @@ def test_crashed_replica_is_restarted_and_probed_back(fleet_world):
     crashed_name = next(
         name for name, sup in supervisors.items() if sup.crashes == 1
     )
-    assert not gateway.replicas[crashed_name].closed
+    state = gateway.replicas[crashed_name]
+    assert state.failures == 1
+    for request in REQUESTS[1:]:
+        if not state.closed:
+            break
+        assert isinstance(client.query(request), QueryAnswer)
+    assert not state.closed and state.failures == 2
+    assert supervisors[crashed_name].restarts == 0  # still down
     # Supervisor restores the endpoint; the gateway probe readmits it.
     bus.run_for(600.0)
     for i in range(12):

@@ -28,12 +28,13 @@ from repro.core import (
 from repro.crypto import generate_keypair
 from repro.errors import ServiceUnavailableError
 from repro.net import (
-    CircuitBreakerPolicy,
+    CircuitBreaker,
     FaultInjector,
     LinkFaults,
     MessageBus,
     QueryGateway,
     RpcResponse,
+    RpcServer,
 )
 from repro.net import wire
 from repro.query import (
@@ -186,11 +187,10 @@ def test_acceptance_lossy_link_plus_forged_response(world):
     # A lost sp1 reply fails over before the forger sees it: distinct
     # requests (never a cache hit), a probe interval apart so an ejected
     # sp1 is probed again, until the forged answer lands.
-    breaker = CircuitBreakerPolicy()
     for t_from in range(2, height):
         if forge.fired:
             break
-        bus.run_for(breaker.open_max_ms * (1.0 + breaker.jitter))
+        bus.run_for(CircuitBreaker.OPEN_MAX_MS * (1.0 + CircuitBreaker.JITTER))
         later = replace(request, t_from=t_from)
         assert client.verify_answer(later, client.query(later))
     # The forgery struck and was *detected*, not silently accepted:
@@ -260,7 +260,7 @@ def test_a_stale_replica_is_opened_after_failure_trip_rejected_answers(world):
     ]
     for request in requests:
         assert client.query(request) == honest.execute(request)
-    failure_trip = CircuitBreakerPolicy().failure_trip
+    failure_trip = CircuitBreaker.FAILURE_TRIP
     replica = client.gateway.replicas["stale"]
     assert (replica.failures, replica.closed) == (failure_trip, False)
     assert client.integrity_failures == failure_trip
@@ -360,6 +360,41 @@ def test_a_transiently_corrupted_tip_moves_on_to_the_next_issuer(world):
     # One call per issuer: ci1 is not asked again, ci2 served the tip.
     replies = injector.summary()
     assert replies["ci1->client"]["delivered"] == replies["ci2->client"]["delivered"] == 1
+
+
+def test_sync_asks_every_issuer_and_holds_the_newest_tip(world):
+    """The first issuer lags (it serves a tip two blocks old, as one
+    recovering after a crash would): a sync asks both issuers, once
+    each, and the client reaches the second's tip.  The tip returned is
+    the one the client holds, also when it already held a newer tip
+    than any issuer served."""
+    height = world["builder"].height
+    newest = world["issuer"].certified[-1].tip
+    behind = world["issuer"].certified[-3].tip
+    assert (behind.header.height, newest.header.height) == (height - 2, height)
+    bus = MessageBus(default_latency_ms=20.0)
+    RpcServer(bus, "lagging").register("latest_tip", lambda _argument: behind)
+    IssuerService(bus, "ci", world["issuer"])
+
+    def polling(name, issuers):
+        return connect(ClientConfig(
+            measurement=world["measurement"],
+            ias_public_key=world["ias"].public_key,
+            bus=bus, name=name, issuers=issuers,
+        ))
+
+    orders = {"lag-first": ("lagging", "ci"), "lag-last": ("ci", "lagging")}
+    for name, issuers in orders.items():
+        client = polling(name, issuers)
+        tip = client.sync()
+        assert client.latest_header == newest.header, name
+        assert tip == newest, name
+        assert client.integrity_failures == 0
+    ahead = polling("ahead", ("lagging",))
+    assert ahead.adopt(newest)
+    tip = ahead.sync()
+    assert ahead.latest_header == newest.header
+    assert (tip.header, tip.certificate) == (newest.header, newest.certificate)
 
 
 def test_a_single_issuers_corrupted_tip_fails_that_sync_only(world):

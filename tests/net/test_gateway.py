@@ -20,13 +20,13 @@ from repro.errors import (
 )
 from repro.net.bus import MessageBus
 from repro.net.faults import FaultInjector, LinkFaults, flip_hex_digit
-from repro.net.gateway import QueryGateway, ReplicaState
-from repro.net.resilience import (
-    AdmissionPolicy,
-    CircuitBreaker,
-    CircuitBreakerPolicy,
-    HedgePolicy,
+from repro.net.gateway import (
+    HEDGE_MIN_SAMPLES,
+    OUTSTANDING_LIMIT,
+    QueryGateway,
+    ReplicaState,
 )
+from repro.net.resilience import AdmissionPolicy, CircuitBreaker
 from repro.net import wire
 from repro.net.rpc import RpcClient, RpcRequest, RpcServer
 from repro.query import ValueRangeQuery
@@ -54,12 +54,8 @@ def make_fleet(bus, count, *, service_time_ms=0.0, admission=None):
     return servers
 
 
-def make_gateway(bus, replicas, **kwargs):
-    kwargs.setdefault("timeout_ms", 100.0)
-    kwargs.setdefault(
-        "breaker", CircuitBreakerPolicy(open_base_ms=100.0, jitter=0.0)
-    )
-    return QueryGateway(bus, "gw", replicas, **kwargs)
+def make_gateway(bus, replicas, *, timeout_ms=100.0):
+    return QueryGateway(bus, "gw", replicas, timeout_ms=timeout_ms)
 
 
 # -- balancing ---------------------------------------------------------------
@@ -102,17 +98,13 @@ def test_dead_replica_leaves_rotation_after_threshold(bus):
 def test_probe_restores_recovered_replica(bus):
     servers = make_fleet(bus, 2)
     servers["sp1"].paused = True
-    gateway = make_gateway(
-        bus,
-        ["sp1", "sp2"],
-        breaker=CircuitBreakerPolicy(
-            failure_trip=1, open_base_ms=50.0, jitter=0.0
-        ),
-    )
-    gateway.call("echo", 1)  # sp1 times out once -> ejected
+    gateway = make_gateway(bus, ["sp1", "sp2"])
+    for i in range(2):
+        gateway.call("echo", i)  # two liveness strikes eject sp1
     assert gateway.healthy_replicas() == ["sp2"]
     servers["sp1"].paused = False  # the replica comes back
-    bus.run_for(60.0)  # the probe window opens
+    state = gateway.replicas["sp1"]
+    bus.run_for(state.breaker.reopen_at_ms - bus.clock_ms)  # the probe window opens
     for i in range(4):
         gateway.call("echo", i)
     assert sorted(gateway.healthy_replicas()) == ["sp1", "sp2"]
@@ -122,18 +114,13 @@ def test_probe_restores_recovered_replica(bus):
 def test_probe_backoff_grows_while_replica_stays_dead(bus):
     servers = make_fleet(bus, 2)
     servers["sp1"].paused = True
-    gateway = make_gateway(
-        bus,
-        ["sp1", "sp2"],
-        breaker=CircuitBreakerPolicy(
-            failure_trip=1, open_base_ms=50.0, jitter=0.0
-        ),
-    )
-    gateway.call("echo", 1)
+    gateway = make_gateway(bus, ["sp1", "sp2"])
+    for i in range(2):
+        gateway.call("echo", i)
     state = gateway.replicas["sp1"]
     assert not state.closed
     first_probe = state.breaker.reopen_at_ms
-    bus.run_for(60.0)
+    bus.run_for(first_probe - bus.clock_ms)
     gateway.call("echo", 2)  # the due probe fails again
     assert state.breaker.reopen_at_ms > first_probe
     assert state.breaker.trips >= 2
@@ -141,8 +128,9 @@ def test_probe_backoff_grows_while_replica_stays_dead(bus):
 
 def test_an_ejected_replica_is_probed_by_one_dispatch(bus):
     """A due probe is one dispatch, not a share of every batch: while
-    it is out, the rest of the batch goes to the replicas in rotation,
-    so a dead replica costs one timeout per probe window."""
+    it is out, the rest of the batch goes to the replicas in rotation.
+    The probe is hedged at once and its hedge wins, so the dead replica
+    costs the batch no timeout, and the lost probe reopens it."""
     servers = make_fleet(bus, 2)
     servers["sp1"].paused = True
     gateway = make_gateway(bus, ["sp1", "sp2"])
@@ -151,12 +139,14 @@ def test_an_ejected_replica_is_probed_by_one_dispatch(bus):
     assert gateway.healthy_replicas() == ["sp2"]
     state = gateway.replicas["sp1"]
     bus.run_for(state.breaker.reopen_at_ms - bus.clock_ms)  # probe due
-    dispatched, timeouts = state.dispatched, gateway.rpc.timeouts
+    dispatched, trips = state.dispatched, state.breaker.trips
+    timeouts = gateway.rpc.timeouts
     results = gateway.call_many("echo", list(range(8)))
     assert [r["arg"] for r in results] == list(range(8))
     assert {r["replica"] for r in results} == {"sp2"}
     assert state.dispatched - dispatched == 1
-    assert gateway.rpc.timeouts - timeouts == 1
+    assert state.breaker.trips == trips + 1
+    assert gateway.rpc.timeouts == timeouts
 
 
 def test_terminal_error_is_not_failed_over(bus):
@@ -227,10 +217,9 @@ def test_a_due_probe_cannot_hold_a_batch_past_its_deadline(bus):
     root lookup hung on the gateway the way a client once installed its
     replica-switch check (``verify_switch``) is never run."""
     servers = make_fleet(bus, 2)
-    gateway = make_gateway(
-        bus, ["sp1", "sp2"], timeout_ms=400.0, hedge=HedgePolicy(min_samples=2)
-    )
-    gateway.call_many("echo", list(range(4)))  # warms both latency windows
+    gateway = make_gateway(bus, ["sp1", "sp2"], timeout_ms=400.0)
+    for _ in range(4):  # warms both latency windows
+        gateway.call_many("echo", list(range(4)))
 
     def unavailable(argument):
         raise ServiceUnavailableError("restarting")
@@ -261,19 +250,17 @@ def test_a_due_probe_cannot_hold_a_batch_past_its_deadline(bus):
 
 def test_a_probe_to_a_dead_replica_does_not_fail_a_short_batch(bus):
     """The dead replica has fewer latency samples than the hedge needs
-    (``HedgePolicy.min_samples``): its due probe is hedged at once all
+    (``HEDGE_MIN_SAMPLES``): its due probe is hedged at once all
     the same, so a batch whose deadline is shorter than one timeout is
     answered.  The probe its hedge beat has failed: the open window
     doubles, so the next short batch sends the dead replica nothing."""
     servers = make_fleet(bus, 2)
-    gateway = make_gateway(
-        bus, ["sp1", "sp2"], timeout_ms=400.0, hedge=HedgePolicy()
-    )
+    gateway = make_gateway(bus, ["sp1", "sp2"], timeout_ms=400.0)
     servers["sp1"].paused = True
     for i in range(2):
         gateway.call("echo", i)  # two liveness strikes eject sp1
     state = gateway.replicas["sp1"]
-    assert not state.closed and len(state.latency) < HedgePolicy().min_samples
+    assert not state.closed and len(state.latency) < HEDGE_MIN_SAMPLES
     bus.run_for(state.breaker.reopen_at_ms - bus.clock_ms)  # probe due
     dispatched, trips = state.dispatched, state.breaker.trips
     for batch in (["a", "b", "c"], ["d", "e", "f"]):
@@ -284,8 +271,37 @@ def test_a_probe_to_a_dead_replica_does_not_fail_a_short_batch(bus):
         assert {r["replica"] for r in results} == {"sp2"}
     assert state.dispatched - dispatched == 1  # one probe, not one a batch
     assert state.breaker.trips == trips + 1  # the lost probe reopened it
-    open_base_ms = state.breaker.policy.open_base_ms
-    assert state.breaker.reopen_at_ms - bus.clock_ms > open_base_ms
+    assert state.breaker.reopen_at_ms - bus.clock_ms > CircuitBreaker.OPEN_BASE_MS
+
+
+def test_a_default_gateway_answers_short_batches_past_a_dead_replica_s_probe(bus):
+    """A gateway built with no settings, as every client builds one,
+    with sp1 dead and its probe due: four batches of three whose
+    deadline is shorter than one dispatch timeout are all answered.
+    The probe is hedged at once, so sp1 gets one probe for the four
+    batches, and the probe its hedge beat reopens sp1 with its open
+    window doubled."""
+    servers = make_fleet(bus, 2)
+    gateway = QueryGateway(bus, "gw", ["sp1", "sp2"])
+    assert gateway.rpc.timeout_ms > 150.0
+    servers["sp1"].paused = True
+    for i in range(2):
+        gateway.call("echo", i)  # two liveness strikes eject sp1
+    state = gateway.replicas["sp1"]
+    bus.run_for(state.breaker.reopen_at_ms - bus.clock_ms)  # probe due
+    probe_due, dispatched = bus.clock_ms, state.dispatched
+    trips = state.breaker.trips
+    for batch in range(4):
+        items = [f"{batch}{letter}" for letter in "abc"]
+        deadline = bus.clock_ms + 150.0
+        results = gateway.call_many("echo", items, deadline_ms=deadline)
+        assert bus.clock_ms <= deadline
+        assert [r["arg"] for r in results] == items
+        assert {r["replica"] for r in results} == {"sp2"}
+    assert state.dispatched - dispatched == 1  # one probe for four batches
+    assert state.breaker.trips == trips + 1
+    doubled = CircuitBreaker.OPEN_BASE_MS * CircuitBreaker.OPEN_FACTOR
+    assert state.breaker.reopen_at_ms - probe_due >= doubled
 
 
 def test_a_recovered_replica_whose_probe_lost_its_hedge_race_returns(bus):
@@ -293,9 +309,7 @@ def test_a_recovered_replica_whose_probe_lost_its_hedge_race_returns(bus):
     fails.  With its link fast again, the probe due after the backed-off
     window answers first: sp1 is back in rotation within that window."""
     servers = make_fleet(bus, 2)
-    gateway = make_gateway(
-        bus, ["sp1", "sp2"], timeout_ms=400.0, hedge=HedgePolicy()
-    )
+    gateway = make_gateway(bus, ["sp1", "sp2"], timeout_ms=400.0)
     servers["sp1"].paused = True
     for i in range(2):
         gateway.call("echo", i)  # two liveness strikes eject sp1
@@ -307,19 +321,17 @@ def test_a_recovered_replica_whose_probe_lost_its_hedge_race_returns(bus):
     results = gateway.call_many("echo", ["a", "b"])
     assert {r["replica"] for r in results} == {"sp2"}
     assert state.breaker.state == CircuitBreaker.OPEN  # the probe lost
-    policy = state.breaker.policy
     window_ms = state.breaker.reopen_at_ms - bus.clock_ms
-    assert window_ms <= policy.open_max_ms * (1.0 + policy.jitter)
+    assert window_ms <= CircuitBreaker.OPEN_MAX_MS * (1.0 + CircuitBreaker.JITTER)
     # The next probe is due at the reopen time; its answer is one round
     # trip later.
     returned_by = max(state.breaker.reopen_at_ms, bus.clock_ms) + 2 * 5.0
     bus.set_latency("gw", "sp1", 5.0)
     bus.set_latency("sp1", "gw", 5.0)
-    while not state.closed and bus.clock_ms <= returned_by:
-        gateway.call("echo", "x")
-        bus.run_for(10.0)
+    bus.run_for(state.breaker.reopen_at_ms - bus.clock_ms)
+    gateway.call_many("echo", ["x", "y"])  # one of the two is the probe
     assert state.closed
-    assert bus.clock_ms <= returned_by + 10.0
+    assert bus.clock_ms <= returned_by
     assert gateway.healthy_replicas() == ["sp1", "sp2"]
 
 
@@ -328,15 +340,10 @@ def test_a_probe_s_item_is_re_dispatched_when_its_hedge_fails(bus):
     probe, still in the air, does not count as carrying the item, so
     the item is dispatched again inside the batch's deadline."""
     servers = make_fleet(bus, 2)
-    gateway = make_gateway(
-        bus, ["sp1", "sp2"], timeout_ms=400.0, hedge=HedgePolicy(),
-        breaker=CircuitBreakerPolicy(
-            failure_trip=3, open_base_ms=100.0, jitter=0.0
-        ),
-    )
+    gateway = make_gateway(bus, ["sp1", "sp2"], timeout_ms=400.0)
     servers["sp1"].paused = True
-    for i in range(3):
-        gateway.call("echo", i)  # three liveness strikes eject sp1
+    for i in range(2):
+        gateway.call("echo", i)  # two liveness strikes eject sp1
     state = gateway.replicas["sp1"]
     bus.run_for(state.breaker.reopen_at_ms - bus.clock_ms)  # probe due
     refusals = []
@@ -361,9 +368,7 @@ def test_a_probe_that_answers_first_settles_its_waiting_item(bus):
     item is answered once: its waiting re-dispatch is dropped, and the
     other item still gets its own answer."""
     servers = make_fleet(bus, 2)
-    gateway = make_gateway(
-        bus, ["sp1", "sp2"], timeout_ms=400.0, hedge=HedgePolicy()
-    )
+    gateway = make_gateway(bus, ["sp1", "sp2"], timeout_ms=400.0)
     servers["sp1"].paused = True
     for i in range(2):
         gateway.call("echo", i)  # two liveness strikes eject sp1
@@ -386,10 +391,10 @@ def test_a_probe_that_answers_first_settles_its_waiting_item(bus):
 
 
 def test_inflight_bookkeeping_is_bounded():
-    state = ReplicaState("sp", CircuitBreaker(), outstanding_limit=16)
+    state = ReplicaState("sp", "gw:sp")
     for request_id in range(1000):
         state.track(request_id, float(request_id))
-    assert state.outstanding == 16
+    assert state.outstanding == OUTSTANDING_LIMIT == 256
     # Oldest entries were evicted; newest retained.
     assert 999 in state.inflight and 0 not in state.inflight
     assert state.dispatched == 1000
@@ -463,9 +468,7 @@ def test_deadline_expiring_in_flight_abandons_without_a_strike(bus):
     servers = make_fleet(bus, 2)
     for server in servers.values():
         server.paused = True  # requests vanish: nothing ever answers
-    gateway = make_gateway(
-        bus, list(servers), breaker=CircuitBreakerPolicy(failure_trip=1)
-    )
+    gateway = make_gateway(bus, list(servers))
     deadline = bus.clock_ms + 40.0  # well inside the 100 ms timeout
     with pytest.raises(DeadlineExceededError):
         gateway.call_many("echo", ["a", "b"], deadline_ms=deadline)
@@ -504,11 +507,9 @@ def test_a_dispatch_is_one_send_warm_or_cold(bus, warm):
     """A replica that times out was sent to exactly once, whether its
     latency window can already drive a hedge or not."""
     servers = make_fleet(bus, 2)
-    gateway = make_gateway(
-        bus, ["sp1", "sp2"], hedge=HedgePolicy(min_samples=2)
-    )
+    gateway = make_gateway(bus, ["sp1", "sp2"])
     if warm:
-        for i in range(4):
+        for i in range(2 * HEDGE_MIN_SAMPLES):
             gateway.call("echo", i)
     servers["sp1"].paused = True
     assert gateway.call("echo", "x")["replica"] == "sp2"
@@ -518,12 +519,9 @@ def test_a_dispatch_is_one_send_warm_or_cold(bus, warm):
 
 def test_batches_hedge_too(bus):
     servers = make_fleet(bus, 2, service_time_ms=10.0)
-    gateway = make_gateway(
-        bus, ["sp1", "sp2"],
-        timeout_ms=1_000.0,
-        hedge=HedgePolicy(min_samples=2),
-    )
-    gateway.call_many("echo", list(range(4)))  # warms both windows
+    gateway = make_gateway(bus, ["sp1", "sp2"], timeout_ms=1_000.0)
+    for _ in range(4):  # warms both windows
+        gateway.call_many("echo", list(range(4)))
     servers["sp1"]._service_times["echo"] = 500.0
     started = bus.clock_ms
     results = gateway.call_many("echo", ["a", "b"])
@@ -567,12 +565,9 @@ def test_every_flight_of_an_item_carries_the_one_encoding(bus, monkeypatch, enco
     carried -- the same object -- and a caller that already holds an
     item's encoding hands it in: ``call_many`` then encodes nothing."""
     servers = make_fleet(bus, 2, service_time_ms=10.0)
-    gateway = make_gateway(
-        bus, ["sp1", "sp2"],
-        timeout_ms=1_000.0,
-        hedge=HedgePolicy(min_samples=2),
-    )
-    gateway.call_many("echo", list(range(4)))  # warms both windows
+    gateway = make_gateway(bus, ["sp1", "sp2"], timeout_ms=1_000.0)
+    for _ in range(4):  # warms both windows
+        gateway.call_many("echo", list(range(4)))
     sent, send = [], bus.send
     monkeypatch.setattr(
         bus, "send", lambda *route: sent.append(route[-1]) or send(*route)
@@ -657,11 +652,7 @@ def _faulty_world(seed):
         admission=AdmissionPolicy(shed_delay_ms=15.0, queue_limit=2),
     )
     servers["sp3"]._service_times["echo"] = 90.0
-    gateway = make_gateway(
-        bus, list(servers),
-        breaker=CircuitBreakerPolicy(failure_trip=2),
-        hedge=HedgePolicy(min_samples=3),
-    )
+    gateway = make_gateway(bus, list(servers))
     return bus, gateway
 
 

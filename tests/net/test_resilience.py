@@ -3,7 +3,7 @@
 Unit coverage for :mod:`repro.net.resilience` — deadline sanitizing and
 per-hop shrinking, retry-after clamping, the CoDel-style admission
 hint, the circuit-breaker state machine, the latency window, and the
-hedge policy — plus the end-to-end behaviours the
+gateway's hedge delay — plus the end-to-end behaviours the
 stacks compose them into: servers refusing doomed or excess work with
 zero provider effort, clients raising (clamped) backpressure at once
 instead of waiting on it, and the bounded response bookkeeping that
@@ -26,14 +26,12 @@ from repro.errors import (
 )
 from repro.net import wire
 from repro.net.bus import MessageBus, NetworkNode
-from repro.net.gateway import QueryGateway
+from repro.net.gateway import QueryGateway, hedge_delay_ms
 from repro.net.resilience import (
     NO_DEADLINE,
     RETRY_AFTER_CAP_MS,
     AdmissionPolicy,
     CircuitBreaker,
-    CircuitBreakerPolicy,
-    HedgePolicy,
     LatencyTracker,
     clamp_retry_after,
     remaining_ms,
@@ -109,19 +107,17 @@ def test_admission_hint_is_floored_and_capped():
 
 
 def test_breaker_trips_after_failure_streak_and_recloses():
-    policy = CircuitBreakerPolicy(
-        failure_trip=3, open_base_ms=100.0, jitter=0.0
-    )
-    breaker = CircuitBreaker(policy, seed="sp1")
-    for _ in range(2):
+    breaker = CircuitBreaker("sp1")
+    for _ in range(CircuitBreaker.FAILURE_TRIP - 1):
         breaker.record_failure(0.0)
     assert breaker.state == CircuitBreaker.CLOSED
     breaker.record_failure(0.0)
     assert breaker.state == CircuitBreaker.OPEN
     assert breaker.trips == 1
-    # Blocked until the reopen time, then a half-open probe is allowed.
-    assert breaker.permits_at_ms() == 100.0
-    breaker.on_dispatch(100.0)
+    # Blocked until the reopen time (OPEN_BASE_MS and this seed's
+    # jitter draw), then a half-open probe is allowed.
+    assert breaker.permits_at_ms() == 212.1378420933778
+    breaker.on_dispatch(212.1378420933778)
     assert breaker.state == CircuitBreaker.HALF_OPEN
     assert breaker.permits_at_ms() is None  # probe budget spent
     breaker.record_success()
@@ -129,9 +125,11 @@ def test_breaker_trips_after_failure_streak_and_recloses():
     assert breaker.closes == 1
 
 
-def test_overload_sheds_trip_the_breaker_faster_than_failures():
-    policy = CircuitBreakerPolicy(failure_trip=5, overload_trip=2, jitter=0.0)
-    breaker = CircuitBreaker(policy, seed="sp1")
+def test_overload_sheds_trip_the_breaker_on_their_own_streak():
+    breaker = CircuitBreaker("sp1")
+    # A liveness strike does not count towards the shed streak.
+    for _ in range(CircuitBreaker.FAILURE_TRIP - 1):
+        breaker.record_failure(0.0)
     breaker.record_failure(0.0, overload=True)
     assert breaker.state == CircuitBreaker.CLOSED
     breaker.record_failure(0.0, overload=True)
@@ -139,54 +137,50 @@ def test_overload_sheds_trip_the_breaker_faster_than_failures():
 
 
 def test_failed_probe_reopens_with_a_longer_window():
-    policy = CircuitBreakerPolicy(
-        failure_trip=1, open_base_ms=100.0, open_factor=2.0, jitter=0.0
-    )
-    breaker = CircuitBreaker(policy, seed="sp1")
-    breaker.record_failure(0.0)
+    breaker = CircuitBreaker("sp1")
+    for _ in range(CircuitBreaker.FAILURE_TRIP):
+        breaker.record_failure(0.0)
     first_reopen = breaker.reopen_at_ms
-    assert first_reopen == 100.0
+    assert first_reopen == 212.1378420933778  # 200 ms x this seed's jitter
     breaker.on_dispatch(first_reopen)
     assert breaker.state == CircuitBreaker.HALF_OPEN
     breaker.record_failure(first_reopen)
     assert breaker.state == CircuitBreaker.OPEN
-    # The second open interval doubled.
-    assert breaker.reopen_at_ms == first_reopen + 200.0
+    # The second open interval doubled: 400 ms x the next draw.
+    assert breaker.reopen_at_ms == 675.1076791656701
 
 
 def test_success_resets_the_failure_streak():
-    policy = CircuitBreakerPolicy(failure_trip=2, jitter=0.0)
-    breaker = CircuitBreaker(policy, seed="sp1")
-    breaker.record_failure(0.0)
+    breaker = CircuitBreaker("sp1")
+    for _ in range(CircuitBreaker.FAILURE_TRIP - 1):
+        breaker.record_failure(0.0)
     breaker.record_success()
     breaker.record_failure(0.0)
     assert breaker.state == CircuitBreaker.CLOSED
 
 
 def test_retry_after_hint_extends_the_quiet_period_never_shortens():
-    policy = CircuitBreakerPolicy(
-        failure_trip=1, open_base_ms=100.0, jitter=0.0
-    )
-    long_hint = CircuitBreaker(policy, seed="sp1")
-    long_hint.record_failure(0.0, retry_after_ms=500.0)
-    assert long_hint.reopen_at_ms == 500.0
-    short_hint = CircuitBreaker(policy, seed="sp1")
-    short_hint.record_failure(0.0, retry_after_ms=10.0)
-    assert short_hint.reopen_at_ms == 100.0
+    def tripped(retry_after_ms):
+        breaker = CircuitBreaker("sp1")
+        for _ in range(CircuitBreaker.FAILURE_TRIP - 1):
+            breaker.record_failure(0.0)
+        breaker.record_failure(0.0, retry_after_ms=retry_after_ms)
+        return breaker
+
+    assert tripped(500.0).reopen_at_ms == 500.0
+    assert tripped(10.0).reopen_at_ms == 212.1378420933778
     # A forged astronomic hint is clamped before it can park the
     # breaker forever.
-    forged = CircuitBreaker(policy, seed="sp1")
-    forged.record_failure(0.0, retry_after_ms=10**12)
-    assert forged.reopen_at_ms == RETRY_AFTER_CAP_MS
+    assert tripped(10**12).reopen_at_ms == RETRY_AFTER_CAP_MS
 
 
 def test_breaker_reopen_jitter_is_seeded_and_desynchronized():
-    policy = CircuitBreakerPolicy(failure_trip=1, jitter=0.5)
-    first = CircuitBreaker(policy, seed="sp1")
-    replay = CircuitBreaker(policy, seed="sp1")
-    other = CircuitBreaker(policy, seed="sp2")
+    first = CircuitBreaker("sp1")
+    replay = CircuitBreaker("sp1")
+    other = CircuitBreaker("sp2")
     for breaker in (first, replay, other):
-        breaker.record_failure(0.0)
+        for _ in range(CircuitBreaker.FAILURE_TRIP):
+            breaker.record_failure(0.0)
     # Same seed replays bit-identically; different endpoints land on
     # different reopen instants (no lockstep re-probe stampede).
     assert first.reopen_at_ms == replay.reopen_at_ms
@@ -197,35 +191,34 @@ def test_breaker_reopen_jitter_is_seeded_and_desynchronized():
 
 
 def test_latency_tracker_window_and_quantiles():
-    tracker = LatencyTracker(window=4)
-    for sample in [10.0, 20.0, 30.0, 40.0]:
-        tracker.observe(sample)
-    assert len(tracker) == 4
-    assert tracker.quantile(0.0) == 10.0
-    assert tracker.quantile(0.9) == 40.0
-    tracker.observe(50.0)  # the window is bounded: the oldest falls out
-    assert len(tracker) == 4
-    assert tracker.quantile(0.0) == 20.0
+    tracker = LatencyTracker()
+    for sample in range(1, LatencyTracker.WINDOW + 1):
+        tracker.observe(float(sample))
+    assert len(tracker) == LatencyTracker.WINDOW == 64
+    assert tracker.quantile(0.0) == 1.0
+    assert tracker.quantile(0.9) == 58.0
+    tracker.observe(65.0)  # the window is bounded: the oldest falls out
+    assert len(tracker) == 64
+    assert tracker.quantile(0.0) == 2.0
     assert LatencyTracker().quantile(0.5) is None
 
 
-def test_hedge_policy_delay_is_gated_and_clamped():
-    policy = HedgePolicy(min_samples=4, delay_floor_ms=5.0, delay_cap_ms=50.0)
+def test_hedge_delay_is_gated_and_clamped():
     tracker = LatencyTracker()
-    assert policy.delay_ms(tracker) is None  # nothing observed yet
-    for _ in range(3):
+    assert hedge_delay_ms(tracker) is None  # nothing observed yet
+    for _ in range(7):
         tracker.observe(20.0)
-    assert policy.delay_ms(tracker) is None  # too few samples
+    assert hedge_delay_ms(tracker) is None  # too few samples
     tracker.observe(20.0)
-    assert policy.delay_ms(tracker) == 20.0
+    assert hedge_delay_ms(tracker) == 20.0
     fast = LatencyTracker()
-    for _ in range(4):
+    for _ in range(8):
         fast.observe(1.0)
-    assert policy.delay_ms(fast) == 5.0  # floored
+    assert hedge_delay_ms(fast) == 5.0  # floored
     slow = LatencyTracker()
-    for _ in range(4):
-        slow.observe(500.0)
-    assert policy.delay_ms(slow) == 50.0  # capped
+    for _ in range(8):
+        slow.observe(5_000.0)
+    assert hedge_delay_ms(slow) == 500.0  # capped
 
 
 # -- server-side deadline refusal and admission shedding ----------------------
@@ -419,8 +412,7 @@ def test_overloaded_is_a_network_error_with_a_hint():
 # -- gateway integration: breakers and hedging --------------------------------
 
 
-def _gateway_fleet(bus, *, service_ms=10.0, admission=None, hedge=None,
-                   breaker=None):
+def _gateway_fleet(bus, *, service_ms=10.0, admission=None):
     providers = {}
     for name in ("sp1", "sp2"):
         server = RpcServer(
@@ -430,7 +422,7 @@ def _gateway_fleet(bus, *, service_ms=10.0, admission=None, hedge=None,
         providers[name] = server
     gateway = QueryGateway(
         bus, "gw", list(providers),
-        timeout_ms=1_000.0, breaker=breaker, hedge=hedge,
+        timeout_ms=1_000.0,
     )
     return gateway, providers
 
@@ -439,15 +431,17 @@ def test_breaker_steers_traffic_off_a_saturated_replica(bus):
     admission = AdmissionPolicy(shed_delay_ms=5.0, queue_limit=1)
     gateway, providers = _gateway_fleet(
         bus, service_ms=50.0, admission=admission,
-        breaker=CircuitBreakerPolicy(overload_trip=1, jitter=0.0),
     )
     flood = RpcClient(bus, "flood")
-    for i in range(8):
-        flood.begin("sp1", "work", i)
-    # Round-robin would alternate sp1/sp2; the first shed from sp1
-    # trips its breaker (overload_trip=1) and everything after lands
-    # on sp2 without waiting out the saturation.
-    results = [gateway.call("work", i) for i in range(4)]
+    results = []
+    # Round-robin would alternate sp1/sp2; sp1 is kept saturated, so
+    # its sheds fail over to sp2, OVERLOAD_TRIP of them trip its
+    # breaker, and everything after lands on sp2 without waiting out
+    # the saturation.
+    for i in range(4):
+        for j in range(8):
+            flood.begin("sp1", "work", j)
+        results.append(gateway.call("work", i))
     assert all(result == "sp2:done" for result in results)
     assert gateway.breaker_trips() == 1
     state = gateway.replicas["sp1"]
@@ -457,11 +451,8 @@ def test_breaker_steers_traffic_off_a_saturated_replica(bus):
 
 
 def test_hedged_dispatch_races_a_slow_primary(bus):
-    gateway, providers = _gateway_fleet(
-        bus, service_ms=10.0,
-        hedge=HedgePolicy(min_samples=4, delay_floor_ms=5.0),
-    )
-    for i in range(8):  # warm both trackers (round-robin: 4 each)
+    gateway, providers = _gateway_fleet(bus, service_ms=10.0)
+    for i in range(16):  # warm both trackers (round-robin: 8 each)
         gateway.call("work", i)
     providers["sp1"].server_time = None  # keep linters quiet
     providers["sp1"]._service_times["work"] = 500.0
@@ -477,7 +468,7 @@ def test_hedged_dispatch_races_a_slow_primary(bus):
 
 
 def _trip(breaker, now_ms):
-    for _ in range(breaker.policy.failure_trip):
+    for _ in range(CircuitBreaker.FAILURE_TRIP):
         breaker.record_failure(now_ms)
     assert breaker.state == CircuitBreaker.OPEN
 
@@ -486,9 +477,7 @@ def test_wait_for_probe_window_honours_health_and_breaker_together(bus):
     """Every replica's breaker open: the wait must run to the earliest
     reopen time (the same rule ``eligible`` applies), not return at
     once and spin."""
-    gateway, _ = _gateway_fleet(
-        bus, breaker=CircuitBreakerPolicy(jitter=0.0)
-    )
+    gateway, _ = _gateway_fleet(bus)
     for state in gateway.replicas.values():
         _trip(state.breaker, bus.clock_ms)
         assert state.breaker.permits_at_ms() == state.breaker.reopen_at_ms
@@ -506,9 +495,7 @@ def test_batch_raising_mid_flight_settles_what_it_abandons(bus):
     not half-open-with-no-probes forever."""
     from repro.errors import QueryError
 
-    gateway, providers = _gateway_fleet(
-        bus, breaker=CircuitBreakerPolicy(jitter=0.0)
-    )
+    gateway, providers = _gateway_fleet(bus)
 
     def refuse(_argument):
         raise QueryError("malformed query")
@@ -524,7 +511,10 @@ def test_batch_raising_mid_flight_settles_what_it_abandons(bus):
     assert slow.breaker.state == CircuitBreaker.OPEN
     assert slow.eligible(bus.clock_ms)
     providers["sp1"].register("work", lambda _argument: "sp1:done")
-    assert gateway.call_many("work", ["c", "d"]) == ["sp1:done", "sp2:done"]
+    dispatched = slow.dispatched
+    # The due re-probe goes out and, still slow, is beaten by its hedge.
+    assert gateway.call_many("work", ["c", "d"]) == ["sp1:done", "sp1:done"]
+    assert slow.dispatched - dispatched == 1
 
 
 def test_a_terminal_answer_to_a_probe_does_not_wedge_the_breaker(bus):
@@ -535,9 +525,7 @@ def test_a_terminal_answer_to_a_probe_does_not_wedge_the_breaker(bus):
     from repro.errors import QueryError
 
     _, providers = _gateway_fleet(bus)
-    gateway = QueryGateway(
-        bus, "gw1", ["sp1"], breaker=CircuitBreakerPolicy(jitter=0.0)
-    )
+    gateway = QueryGateway(bus, "gw1", ["sp1"])
 
     def refuse(_argument):
         raise QueryError("malformed query")
@@ -555,7 +543,7 @@ def test_a_terminal_answer_to_a_probe_does_not_wedge_the_breaker(bus):
 
 
 def test_half_open_breaker_with_its_probe_out_is_not_waited_on(bus):
-    breaker = CircuitBreaker(CircuitBreakerPolicy(jitter=0.0))
+    breaker = CircuitBreaker("sp1")
     _trip(breaker, 0.0)
     breaker.on_dispatch(breaker.reopen_at_ms)  # spends the one probe
     assert breaker.state == CircuitBreaker.HALF_OPEN

@@ -32,7 +32,6 @@ from repro.net.bus import MessageBus, NetworkNode
 from repro.net.resilience import (
     RETRY_AFTER_CAP_MS,
     CircuitBreaker,
-    CircuitBreakerPolicy,
     clamp_retry_after,
     sanitize_deadline,
 )
@@ -151,13 +150,15 @@ def test_forged_retry_after_delays_one_retry_at_most_the_cap():
 
 def test_forged_retry_after_cannot_park_a_breaker():
     def prop(rng):
-        policy = CircuitBreakerPolicy(failure_trip=1)
-        breaker = CircuitBreaker(policy, seed=str(rng.random()))
+        breaker = CircuitBreaker(str(rng.random()))
         now = rng.uniform(0.0, 1e6)
+        for _ in range(CircuitBreaker.FAILURE_TRIP - 1):
+            breaker.record_failure(now)
         breaker.record_failure(now, retry_after_ms=_hostile_number(rng))
         assert breaker.state == CircuitBreaker.OPEN
         ceiling = max(
-            policy.open_max_ms * (1.0 + policy.jitter), RETRY_AFTER_CAP_MS
+            CircuitBreaker.OPEN_MAX_MS * (1.0 + CircuitBreaker.JITTER),
+            RETRY_AFTER_CAP_MS,
         )
         assert now < breaker.reopen_at_ms <= now + ceiling
 

@@ -31,7 +31,7 @@ from repro.core import (
 from repro.crypto import generate_keypair
 from repro.errors import CertificateError, ProofError, QueryError, WireError
 from repro.merkle import aggtree, mbtree
-from repro.net import CircuitBreakerPolicy, MessageBus, QueryGateway, wire
+from repro.net import CircuitBreaker, MessageBus, QueryGateway, wire
 from repro.query import verifier
 from repro.query import (
     AggregateQuery,
@@ -155,16 +155,12 @@ def world():
 def make_client(world, providers):
     """A bootstrapped remote client over a clean bus; ``providers`` maps
     service names to the provider each replica serves from, fronted by a
-    gateway that dispatches round robin from the first replica and
-    ejects one on its first strike."""
+    gateway that dispatches round robin from the first replica."""
     bus = MessageBus(default_latency_ms=20.0)
     IssuerService(bus, "ci", world["issuer"])
     for name, provider in providers.items():
         QueryService(bus, name, provider)
-    gateway = QueryGateway(
-        bus, "gw", list(providers),
-        breaker=CircuitBreakerPolicy(failure_trip=1, open_base_ms=5_000.0),
-    )
+    gateway = QueryGateway(bus, "gw", list(providers))
     client = connect(ClientConfig(
         measurement=world["measurement"], ias_public_key=world["ias"].public_key,
         bus=bus, name="client", issuers=("ci",), gateway=gateway,
@@ -249,10 +245,11 @@ def test_apply_insert_rejects_malformed_integers(module, tree, value, expected, 
 def test_query_fails_over_past_a_replica_serving_a_malformed_proof(
     world, family, label, bad
 ):
-    """Liars ahead of the one honest replica in round-robin turn (liar1,
-    then the second of the two left): each lie costs one integrity
-    failure and a strike that ejects the replica that gave it, and the
-    query still returns the verified answer."""
+    """Liars beside the one honest replica in round-robin turn: each lie
+    costs one integrity failure and a strike on the replica that gave
+    it, ``FAILURE_TRIP`` strikes eject it, and every query still returns
+    the verified answer.  Three queries (the answer cache cleared before
+    each) bring the turn round to each liar twice."""
 
     class LyingProvider:
         def execute(self, request):
@@ -263,11 +260,15 @@ def test_query_fails_over_past_a_replica_serving_a_malformed_proof(
         world,
         {"liar1": LyingProvider(), "honest": world["provider"], "liar2": LyingProvider()},
     )
-    assert fronted.query(request) == world["provider"].execute(request)
-    assert fronted.integrity_failures == 2
+    expected = world["provider"].execute(request)
+    for _ in range(3):
+        fronted.cache.clear()
+        assert fronted.query(request) == expected
+    trip = CircuitBreaker.FAILURE_TRIP
+    assert fronted.integrity_failures == 2 * trip
     assert fronted.gateway.healthy_replicas() == ["honest"]
-    assert [s.failures for s in fronted.gateway.replicas.values()] == [1, 0, 1]
-    assert fronted.gateway.failovers == 2
+    assert [s.failures for s in fronted.gateway.replicas.values()] == [trip, 0, trip]
+    assert fronted.gateway.failovers == 2 * trip
 
 
 # -- structure: arity and shape are the prover's choice too --------------------
@@ -369,8 +370,11 @@ def test_query_fails_over_past_a_replica_serving_a_malformed_structure(world, fa
             return lie
 
     fronted = make_client(world, {"liar": LyingProvider(), "honest": world["provider"]})
-    assert fronted.query(request) == honest, label
-    assert fronted.integrity_failures == 1
+    trip = CircuitBreaker.FAILURE_TRIP
+    for _ in range(trip):  # round robin turns to the liar once a query
+        fronted.cache.clear()
+        assert fronted.query(request) == honest, label
+    assert fronted.integrity_failures == trip
     assert fronted.gateway.healthy_replicas() == ["honest"]
 
 
@@ -497,10 +501,13 @@ def test_query_fails_over_past_a_replica_serving_a_forged_absence(world, family)
             return lie
 
     fronted = make_client(world, {"liar": LyingProvider(), "honest": world["provider"]})
-    assert fronted.query(request) == honest
-    assert fronted.integrity_failures == 1
+    trip = CircuitBreaker.FAILURE_TRIP
+    for _ in range(trip):  # round robin turns to the liar once a query
+        fronted.cache.clear()
+        assert fronted.query(request) == honest
+    assert fronted.integrity_failures == trip
     assert fronted.gateway.healthy_replicas() == ["honest"]
-    assert [s.failures for s in fronted.gateway.replicas.values()] == [1, 0]
+    assert [s.failures for s in fronted.gateway.replicas.values()] == [trip, 0]
     assert len(fronted.cache) == 1
     assert fronted.query(request) == honest  # a hit on the honest answer
-    assert (fronted.cache.hits, fronted.integrity_failures) == (1, 1)
+    assert (fronted.cache.hits, fronted.integrity_failures) == (1, trip)
