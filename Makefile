@@ -114,7 +114,7 @@ loc:
 	bash scripts/loc.sh
 
 selftest:
-	PYTHONPATH=src $(PYTHON) -m repro selftest
+	PYTHONPATH=src $(PYTHON) -m repro demo selftest
 
 metrics:
 	PYTHONPATH=src $(PYTHON) -m repro metrics

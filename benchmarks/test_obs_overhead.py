@@ -2,7 +2,7 @@
 
 The instrumentation contract (see ``docs/observability.md``) is that
 every hook costs one global bool test while the switch is off.  This
-benchmark compares the end-to-end ``selftest`` flow as shipped
+benchmark compares the end-to-end ``selftest`` scenario row as shipped
 (instrumented, observability disabled) against the same flow with the
 recording helpers stripped to bare no-ops — the closest available
 stand-in for an uninstrumented build — and asserts the shipped version
@@ -29,7 +29,7 @@ MAX_OVERHEAD = 1.05
 def _selftest_seconds() -> float:
     started = time.perf_counter()
     with redirect_stdout(io.StringIO()):
-        assert main(["selftest"]) == 0
+        assert main(["demo", "selftest"]) == 0
     return time.perf_counter() - started
 
 

@@ -9,10 +9,9 @@
 # Both event mixes are exercised: the default "mixed" profile and the
 # saturation-heavy "overload" profile (bursts, deadline-bounded
 # batches, slow replicas) — jittered backoff, hedging, and breaker
-# timing must all come from seeded streams, never wall time.  The CLI
-# demos narrate sim worlds too, so demo-network, demo-fleet,
-# demo-overload and demo-crash must print byte-identical stdout across
-# two runs (demo and metrics print wall-clock timings: excluded).
+# timing must all come from seeded streams, never wall time.  Every row
+# of repro.sim.SCENARIOS (`repro demo <row>`) is played by the same loop
+# and must print byte-identical stdout across two runs too.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -61,7 +60,8 @@ for profile in mixed overload; do
         --profile "$profile" --verbose
     grep "event-log fingerprint:" "$workdir/first.log"
 done
-for demo in demo-network demo-fleet demo-overload demo-crash; do
-    twice "demo determinism: $demo" "$PYTHON" -m repro "$demo"
+rows=$(PYTHONPATH=src "$PYTHON" -c 'from repro.sim import SCENARIOS; print(*SCENARIOS)')
+for row in $rows; do
+    twice "scenario determinism: $row" "$PYTHON" -m repro demo "$row"
 done
-echo "deterministic: every pair of runs byte-identical (both profiles, four demos)"
+echo "deterministic: every pair of runs byte-identical (both profiles; rows: $rows)"

@@ -15,7 +15,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-MAX_SRC_LINES=17420
+MAX_SRC_LINES=17138
 MAX_SUPPRESSIONS=8
 
 src_lines=$(find src -name '*.py' -print0 | xargs -0 cat | wc -l)

@@ -4,7 +4,9 @@ One seeded schedule drives the entire stack — chain, durable issuer,
 WAL + checkpoints, supervisor, gateway-fronted replica fleet,
 subscription hub, and a mixed client fleet — on the virtual-clock bus,
 with global invariants checked after every event and a shrink-to-prefix
-replay on any violation.  See ``docs/testing.md`` for the knobs.
+replay on any violation.  :data:`SCENARIOS` are scripted runs of the
+same loop: the stories ``repro demo`` tells.  See ``docs/testing.md``
+for the knobs.
 """
 
 from .invariants import (
@@ -20,11 +22,13 @@ from .schedule import (
     SimEvent,
     apply_event,
 )
+from .scenarios import SCENARIOS, Scenario
 from .shrink import (
     DEFAULT_EVENTS,
     DEFAULT_SEED,
     SimResult,
     knobs_from_env,
+    play,
     replay_command,
     run_and_shrink,
     run_sim,
@@ -39,6 +43,8 @@ __all__ = [
     "InvariantSuite",
     "InvariantViolation",
     "PAPER_STORAGE_BUDGET_BYTES",
+    "SCENARIOS",
+    "Scenario",
     "ScenarioSchedule",
     "SimClient",
     "SimConfig",
@@ -49,6 +55,7 @@ __all__ = [
     "WEIGHT_PROFILES",
     "apply_event",
     "knobs_from_env",
+    "play",
     "replay_command",
     "run_and_shrink",
     "run_sim",

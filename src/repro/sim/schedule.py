@@ -251,9 +251,12 @@ def _ev_query(world: SimWorld, p: dict) -> str:
         entry.client.sync()
     except ReproError as exc:
         return f"{entry.name} sync-fail:{type(exc).__name__}"
-    request = _build_request(world, entry, p)
+    return _ask(world, entry, _build_request(world, entry, p))
+
+
+def _ask(world: SimWorld, entry, request, deadline_ms: float = 0.0) -> str:
     try:
-        answer = entry.client.query(request)
+        answer = entry.client.query(request, deadline_ms=deadline_ms)
     except ReproError as exc:
         return f"{entry.name} fail:{type(exc).__name__}"
     if isinstance(answer, StaleAnswer):
@@ -469,6 +472,33 @@ def _ev_burst(world: SimWorld, p: dict) -> str:
     return f"{name} n={p['count']} shed={shed}"
 
 
+def _ev_flood(world: SimWorld, p: dict) -> str:
+    """Scripted only (in neither weight table, so no drawn schedule
+    holds one): ``count`` fire-and-forget requests queue at every
+    replica, and while they are queued a gateway client asks for
+    ``acct<account>``'s history up to ``t_to`` within ``budget`` ms."""
+    entry = world.pick(p["slot"], kind=KIND_GATEWAY)
+    if entry is None:
+        return "noop"
+    request = HistoryQuery(
+        index="history",
+        account=f"acct{p['account'] % world.config.accounts}",
+        t_from=1, t_to=p["t_to"],
+    )
+    servers = [replica.server for replica in world.replicas.values()]
+    shed_before = sum(server.requests_shed for server in servers)
+    pending = [
+        world.load.begin(name, "execute", request)
+        for name in world.replica_names for _ in range(p["count"])
+    ]
+    outcome = _ask(world, entry, request, world.bus.clock_ms + p["budget"])
+    world.bus.run_until_idle()
+    for request_id in pending:
+        world.load.abandon(request_id)
+    shed = sum(server.requests_shed for server in servers) - shed_before
+    return f"{outcome} shed={shed}"
+
+
 def _ev_slow_replica(world: SimWorld, p: dict) -> str:
     name = world.replica_names[p["idx"] % len(world.replica_names)]
     world.slow_replica(name, float(p["factor"]))
@@ -495,4 +525,5 @@ _HANDLERS = {
     "overload": _ev_overload,
     "burst": _ev_burst,
     "slow_replica": _ev_slow_replica,
+    "flood": _ev_flood,
 }

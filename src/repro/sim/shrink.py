@@ -1,9 +1,11 @@
 """The simulation runner: execute, fingerprint, shrink, replay.
 
-:func:`run_sim` drives one seeded schedule through a fresh
-:class:`~repro.sim.world.SimWorld`, checking the
-:class:`~repro.sim.invariants.InvariantSuite` after every event, and
-returns a :class:`SimResult` whose fingerprint is a SHA-256 over the
+:func:`play` is the one event loop: it drives a list of events (a
+seeded schedule, or a scripted row of :data:`repro.sim.SCENARIOS`)
+through a fresh :class:`~repro.sim.world.SimWorld`, checking the
+:class:`~repro.sim.invariants.InvariantSuite` after every event.
+:func:`run_sim` plays one seeded schedule and returns a
+:class:`SimResult` whose fingerprint is a SHA-256 over the
 deterministic event log — same seed, byte-identical fingerprint.
 
 On a violation, :func:`run_and_shrink` bisects the *smallest failing
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,7 +39,7 @@ from repro import obs
 from repro.sgx.costs import cost_model_disabled
 
 from .invariants import InvariantSuite, InvariantViolation
-from .schedule import ScenarioSchedule, apply_event
+from .schedule import ScenarioSchedule, SimEvent, apply_event
 from .world import SimConfig, SimWorld
 
 DEFAULT_SEED = 2026
@@ -61,6 +64,41 @@ class SimResult:
         return self.violation is None
 
 
+def play(
+    config: SimConfig,
+    events: Sequence[SimEvent],
+    canary: str | None = None,
+    report: Callable[[SimWorld], dict] | None = None,
+) -> tuple[SimWorld, InvariantViolation | None, dict]:
+    """The one event loop, for a seeded schedule and a scripted scenario
+    alike: build the world, apply and log each event and check every
+    invariant after it, then the end-of-run WAL recovery.  The checkers'
+    oracle work is not the deployment's, so it is kept out of the
+    metrics registry, and so is ``report(world)``, read after a clean
+    run.  Never raises on a violation: it is returned."""
+    with tempfile.TemporaryDirectory(prefix="repro-sim-") as tmp, \
+            cost_model_disabled():
+        world = SimWorld.build(config, Path(tmp))
+        obs.set_virtual_clock(lambda: world.bus.clock_ms)
+        suite = InvariantSuite(world, canary=canary)
+        try:
+            for index, event in enumerate(events):
+                outcome = apply_event(world, event)
+                world.log(
+                    f"{index:04d} t={world.bus.clock_ms:.1f} "
+                    f"{event.describe()} -> {outcome}"
+                )
+                with obs.observability(False):
+                    suite.check(index)
+            with obs.observability(False):
+                suite.finish(len(events))
+                return world, None, report(world) if report else {}
+        except InvariantViolation as exc:
+            return world, exc, {}
+        finally:
+            obs.set_virtual_clock(None)
+
+
 def run_sim(
     seed: int,
     events: int,
@@ -68,41 +106,20 @@ def run_sim(
     canary: str | None = None,
     profile: str = "mixed",
 ) -> SimResult:
-    """One full deterministic run; never raises on a violation — the
-    outcome (including the violation) is the result."""
-    config = config or SimConfig()
-    violation: InvariantViolation | None = None
-    applied = 0
-    with tempfile.TemporaryDirectory(prefix="repro-sim-") as tmp:
-        with cost_model_disabled():
-            with obs.observability():
-                obs.registry().reset()
-                world = SimWorld.build(config, Path(tmp))
-                obs.set_virtual_clock(lambda: world.bus.clock_ms)
-                try:
-                    schedule = ScenarioSchedule.generate(
-                        seed, events, profile=profile
-                    )
-                    suite = InvariantSuite(world, canary=canary)
-                    try:
-                        for index, event in enumerate(schedule.events):
-                            outcome = apply_event(world, event)
-                            world.log(
-                                f"{index:04d} t={world.bus.clock_ms:.1f} "
-                                f"{event.describe()} -> {outcome}"
-                            )
-                            applied = index + 1
-                            suite.check(index)
-                        suite.finish(events)
-                    except InvariantViolation as exc:
-                        violation = exc
-                finally:
-                    obs.set_virtual_clock(None)
-                return SimResult(
-                    seed=seed, events=events, events_applied=applied,
-                    fingerprint=world.fingerprint(), violation=violation,
-                    log=tuple(world.events), canary=canary, profile=profile,
-                )
+    """One full deterministic run of a seeded schedule, observability on;
+    never raises on a violation — the outcome (including the violation)
+    is the result."""
+    schedule = ScenarioSchedule.generate(seed, events, profile=profile)
+    with obs.observability():
+        obs.registry().reset()
+        world, violation, _ = play(
+            config or SimConfig(), schedule.events, canary
+        )
+    return SimResult(
+        seed=seed, events=events, events_applied=len(world.events),
+        fingerprint=world.fingerprint(), violation=violation,
+        log=tuple(world.events), canary=canary, profile=profile,
+    )
 
 
 def replay_command(

@@ -1,9 +1,10 @@
 """``IssuerService``: the certified chain over RPC.
 
 ``certify_range`` is how a deployment certifies blocks (the sim's
-``certify`` / ``crash`` events, ``demo-crash``, the supervisor): a loop
-of ``process_block`` with an idempotent contract, so what the benchmark
-measures (``certify-stream``) is what the deployment runs.
+``certify`` / ``crash`` events, the ``crash`` scenario row, the
+supervisor): a loop of ``process_block`` with an idempotent contract, so
+what the benchmark measures (``certify-stream``) is what the deployment
+runs.
 """
 
 from __future__ import annotations

@@ -1,0 +1,17 @@
+"""The scripted rows of ``repro.sim.SCENARIOS`` against the drawn mixes."""
+
+from repro.sim import SCENARIOS, WEIGHT_PROFILES
+from repro.sim.schedule import _HANDLERS
+
+
+def test_the_scripted_only_kind_is_never_drawn():
+    """A row may use one kind no profile weighs (``flood``), so adding
+    it changed no seeded schedule; every other kind a row plays is one
+    the seeded runs draw too."""
+    drawn = {kind for table in WEIGHT_PROFILES.values() for kind, _ in table}
+    scripted = {
+        event.kind for row in SCENARIOS.values() for event in row.script()[1]
+    }
+    assert scripted <= set(_HANDLERS)
+    assert set(_HANDLERS) - drawn == {"flood"}
+    assert "flood" in scripted

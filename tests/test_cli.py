@@ -1,12 +1,12 @@
-"""The CLI: info, selftest, demos (incl. demo-overload), sim, metrics."""
+"""The CLI: info, the scenario rows (demo / metrics), sim, analyze."""
 
-import ast
 import json
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.sim import SCENARIOS
 
 
 def test_info(capsys):
@@ -15,105 +15,129 @@ def test_info(capsys):
     assert "repro.core" in out and "DCert" in out
 
 
+def _report(out: str) -> dict:
+    """The ``  key: value`` lines a row prints after its events."""
+    return dict(
+        line.strip().split(": ", 1)
+        for line in out.splitlines() if line.startswith("  ")
+    )
+
+
 def test_selftest(capsys):
-    assert main(["selftest"]) == 0
-    assert "selftest ok" in capsys.readouterr().out
+    assert main(["demo", "selftest"]) == 0
+    report = _report(capsys.readouterr().out)
+    assert report["answer_verified"] == "True"
+    assert report["forged_certificate_rejected"] == "True"
+    assert report["tampered_answer_rejected"] == "True"
 
 
 def test_demo(capsys):
+    """With no row named, ``demo`` plays selftest."""
     assert main(["demo", "--blocks", "3"]) == 0
     out = capsys.readouterr().out
-    assert "Superlight client validated" in out
-    assert "verified=True" in out
+    assert out.startswith("selftest: ")
+    assert "0000 t=" in out and " ans:" in out
+    report = _report(out)
+    assert report["tip_height"] == "3" and report["answer_verified"] == "True"
 
 
 def test_demo_network(capsys):
-    assert main(["demo-network", "--blocks", "3"]) == 0
+    assert main(["demo", "network", "--blocks", "3"]) == 0
     out = capsys.readouterr().out
-    assert "adopted certified tip at height 2" in out
-    assert "Verified query over RPC" in out
-    # The finale: the last block arrives over the push stream, not RPC.
-    assert "pushed tip at height 3 adopted with 0 client RPC" in out
+    assert "query(" in out and "push1 ans:" in out
+    # The finale: the last block arrives over the push stream; no sync
+    # event follows the certify.
+    events = [line for line in out.splitlines() if line[:4].isdigit()]
+    assert events[-1].endswith("certify(upto=1) -> ok:h3")
+    report = _report(out)
+    assert report["tip_height"] == "3" and report["push_adopted"] == "1"
 
 
 def test_demo_network_shows_the_lossy_link_dropping(capsys):
-    """At the default flags the queries that cross the 30 %-drop link to
-    sp1 lose packets, and the printed link counts say so."""
-    assert main(["demo-network"]) == 0
+    """At the default knobs the queries that cross the 30 %-drop link to
+    sp1 lose packets, and the report says so."""
+    assert main(["demo", "network"]) == 0
     out = capsys.readouterr().out
-    dropped = [
-        ast.literal_eval(line.split(": ", 1)[1])["dropped"]
-        for line in out.splitlines()
-        if line.lstrip().startswith(("gwy1->sp1:", "sp1->gwy1:"))
-    ]
-    assert len(dropped) == 2 and sum(dropped) > 0
-    assert "timeouts: " in out and "retries" not in out
+    report = _report(out)
+    assert int(report["dropped"]) > 0
+    assert "timeouts" in report and "retries" not in out
 
 
 def test_demo_crash(capsys):
-    assert main(["demo-crash", "--blocks", "6"]) == 0
-    out = capsys.readouterr().out
-    assert "crash fired: True" in out
-    assert "supervisor restarts: 1" in out
-    assert "pk_enc stable across restart (sealed key): True" in out
-    assert "(no re-attestation)" in out
+    assert main(["demo", "crash", "--blocks", "6"]) == 0
+    report = _report(capsys.readouterr().out)
+    assert report["crash_fired"] == "True"
+    assert report["supervisor_restarts"] == "1"
+    assert report["tip_height"] == "6"
+    assert report["attestation_reports_verified"] == "1"
 
 
 def test_demo_overload(capsys):
-    assert main(["demo-overload"]) == 0
+    assert main(["demo", "overload"]) == 0
     out = capsys.readouterr().out
-    # [1] deadline propagation refuses doomed work at the replica.
-    assert "provider executions: 0 (doomed work costs zero)" in out
-    assert "deadline refusals: 1" in out
-    # [3] admission control sheds and the client degrades gracefully.
-    assert "shed" in out and "OVERLOADED" in out
-    assert "served the last verified answer flagged stale=True" in out
-    # [4] the gateway hedges around the slow replica.
-    assert "won by the fast replica" in out
-    assert "Totals" in out
+    lines = out.splitlines()
+    # The doomed deadline is refused up front (shed-zero-work holds
+    # after it: no provider execution for a refused request).
+    assert lines[1].startswith("0000 ")
+    assert lines[1].endswith("-> gw1 fail:DeadlineExceededError")
+    # The flood is shed and the client degrades to its last verified answer.
+    assert any("flood(" in line and " stale:h" in line for line in lines)
+    report = _report(out)
+    assert int(report["deadline_refused"]) >= 1
+    assert int(report["shed"]) > 0 and report["stale_served"] == "1"
+    # The gateway hedges around the slow replica.
+    assert int(report["hedge_wins"]) > 0
 
 
 def test_demo_crash_rejects_unknown_point(capsys):
-    assert main(["demo-crash", "--point", "not.a.point"]) == 2
-    assert "unknown crashpoint" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exited:
+        main(["demo", "crash", "--point", "not.a.point"])
+    assert exited.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_demo_crash_at_a_hub_point(capsys):
-    assert main(["demo-crash", "--point", "pubsub.publish.pre"]) == 0
-    out = capsys.readouterr().out
-    assert "crash fired: True" in out
-    assert "pk_enc stable across restart (sealed key): True" in out
-    assert "(no re-attestation)" in out
+    assert main(["demo", "crash", "--point", "pubsub.publish.pre"]) == 0
+    report = _report(capsys.readouterr().out)
+    assert report["crash_fired"] == "True"
+    assert report["attestation_reports_verified"] == "1"
 
 
 def test_demo_crash_rejects_a_point_certification_never_reaches(capsys):
-    assert main(["demo-crash", "--point", "query.execute.pre"]) == 2
+    with pytest.raises(SystemExit) as exited:
+        main(["demo", "crash", "--point", "query.execute.pre"])
+    assert exited.value.code == 2
     err = capsys.readouterr().err
-    assert "unknown crashpoint" in err and "pubsub.publish.pre" in err
+    assert "invalid choice" in err and "pubsub.publish.pre" in err
 
 
 def test_demo_crash_fails_when_the_point_never_fires(capsys):
-    assert main(["demo-crash", "--hit", "99"]) == 1
-    assert "crash fired: False" in capsys.readouterr().out
+    assert main(["demo", "crash", "--hit", "99"]) == 1
+    assert _report(capsys.readouterr().out)["crash_fired"] == "False"
+
+
+def test_a_row_refuses_a_knob_it_does_not_take(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["demo", "selftest", "--drop", "0.5"])
+    assert exited.value.code == 2
+    assert "the selftest row takes no --drop" in capsys.readouterr().err
 
 
 def test_metrics_text(capsys):
     assert main(["metrics", "--blocks", "3"]) == 0
     out = capsys.readouterr().out
-    assert "== Counters ==" in out
-    assert "sgx.ecalls" in out
-    assert "rpc.client.calls" in out
-    assert "== Histograms ==" in out
-    assert "query.proof_bytes" in out
+    assert "counter sgx.ecalls " in out
+    assert "counter rpc.client.calls " in out
+    assert "histogram query.proof_bytes count=" in out
+    assert "0000 t=" not in out
 
 
 def test_metrics_json(capsys):
     assert main(["metrics", "--blocks", "3", "--json"]) == 0
     snapshot = json.loads(capsys.readouterr().out)
     assert snapshot["counters"]["sgx.ecalls"] > 0
-    # The newest mined block is held back for the push demo (--all),
-    # so a 3-block world certifies 2 here.
-    assert snapshot["counters"]["issuer.certs_issued"] == 2
+    # The selftest row certifies its whole 3-block chain.
+    assert snapshot["counters"]["issuer.certs_issued"] == 3
     assert snapshot["histograms"]["query.proof_bytes"]["count"] >= 1
     assert any(
         name.startswith("rpc.client.call_ms.")
@@ -167,21 +191,16 @@ def test_sim_canary_violation_prints_replay(capsys):
 
 
 def test_sim_rejects_unknown_canary(capsys):
-    assert main(["sim", "--canary", "not.a.canary"]) == 2
-    assert "unknown canary" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exited:
+        main(["sim", "--canary", "not.a.canary"])
+    assert exited.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_sim_verbose_prints_event_log(capsys):
     assert main(["sim", "--events", "10", "--verbose"]) == 0
     out = capsys.readouterr().out
     assert "0000 t=" in out
-
-
-def test_demo_sim(capsys):
-    assert main(["demo-sim", "--events", "20"]) == 0
-    out = capsys.readouterr().out
-    assert "byte-identical: True" in out
-    assert "event-log fingerprint:" in out
 
 
 def test_sim_leaves_observability_disabled():
@@ -213,17 +232,18 @@ def test_analyze_subcommand_delegates_to_the_linter(tmp_path, capsys):
 # Each of these raised a traceback, exited 1, or was silently accepted
 # before the flags were range-checked; now argparse refuses it (exit 2).
 OUT_OF_RANGE = [
-    ["demo-fleet", "--queries", "0"],
-    ["demo-fleet", "--replicas", "0"],
-    ["demo-fleet", "--replicas", "1"],
+    ["demo", "fleet", "--replicas", "0"],
+    ["demo", "fleet", "--replicas", "1"],
     ["demo", "--blocks", "0"],
-    ["demo-crash", "--blocks", "1"],
-    ["demo-crash", "--hit", "0"],
-    ["demo-network", "--blocks", "1"],
+    ["demo", "crash", "--blocks", "1"],
+    ["demo", "crash", "--hit", "0"],
+    ["demo", "network", "--blocks", "1"],
     ["metrics", "--blocks", "1"],
-    ["demo-overload", "--replicas", "1"],
-    ["demo-network", "--drop", "1.5"],
-    ["demo-network", "--drop", "-1"],
+    ["demo", "overload", "--replicas", "1"],
+    ["demo", "network", "--drop", "1.5"],
+    ["demo", "network", "--drop", "-1"],
+    ["sim", "--events", "0"],
+    ["sim", "--events", "-3"],
 ]
 
 
@@ -244,20 +264,16 @@ def test_info_lists_every_subpackage(capsys):
         assert f"  repro.{init.parent.name} " in out
 
 
-# Every demo at its defaults, and each invocation README.md quotes.
-DOCUMENTED = [
+# Every row at its defaults, and each invocation README.md and docs/ quote.
+DOCUMENTED = [["demo", name] for name in SCENARIOS] + [
     ["demo"],
-    ["demo-network"],
-    ["demo-fleet"],
-    ["demo-overload"],
-    ["demo-crash"],
-    ["selftest"],
     ["metrics"],
-    ["demo-fleet", "--replicas", "4"],
-    ["metrics", "--replicas", "3"],
-    ["metrics", "--all"],
-    ["demo-network", "--drop", "0.3"],
-    ["demo-crash", "--point", "wal.append.torn_write", "--hit", "2"],
+    ["metrics", "--json"],
+    ["metrics", "network"],
+    ["demo", "fleet", "--replicas", "4"],
+    ["metrics", "fleet", "--replicas", "3"],
+    ["demo", "network", "--drop", "0.3"],
+    ["demo", "crash", "--point", "wal.append.torn_write", "--hit", "2"],
 ]
 
 
@@ -266,16 +282,11 @@ def test_documented_invocations_run(argv):
     assert main(argv) == 0
 
 
-# Every command that builds a deployment runs under the sim's invariant
-# suite: a violation, after any step or at the end-of-run recovery,
-# exits 1 with the invariant's message instead of a traceback.
-NARRATED = [
+# Every row runs under the sim's invariant suite, in both views: a
+# violation, after any event or at the end-of-run recovery, exits 1 with
+# the invariant's message instead of a traceback.
+NARRATED = [["demo", name, "--blocks", "3"] for name in SCENARIOS] + [
     ["demo", "--blocks", "3"],
-    ["selftest"],
-    ["demo-network", "--blocks", "3"],
-    ["demo-fleet", "--blocks", "3"],
-    ["demo-overload", "--blocks", "3"],
-    ["demo-crash", "--blocks", "4"],
     ["metrics", "--blocks", "3", "--json"],
 ]
 
