@@ -10,6 +10,15 @@ is within 5% of it.
 
 Runs are interleaved and summarized by their minimum, which is the
 standard way to damp scheduler noise out of a wall-clock comparison.
+One play of the row takes about 0.15 s on a 2-core host; on a shared
+one most plays run more than 5 % slower than that, so the bound holds
+only when both sides get plays at the host's floor.  Many short rounds
+(one play a side each) give both sides more chances than a few long
+ones.  Measured on a shared 2-core host: as a test, 3 rounds passed 8
+of 20 runs, 7 rounds of 4 plays 15 of 20, 40 rounds 16 and 18 of 20;
+an A/A control (both sides instrumented, 200 recorded pairs) breaks the
+bound over 40-round windows about as often, so what is left is host
+noise.  One untimed warm-up play (imports, the ECDSA tables) goes first.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from repro import obs
 from repro.cli import main
 from repro.obs.tracing import _NULL_SPAN
 
-ROUNDS = 3
+ROUNDS = 40
 MAX_OVERHEAD = 1.05
 
 
@@ -38,6 +47,7 @@ def test_disabled_observability_overhead_under_5_percent(monkeypatch):
         return None
 
     assert not obs.enabled()
+    _selftest_seconds()  # warm-up, not timed
     instrumented: list[float] = []
     stripped: list[float] = []
     for _ in range(ROUNDS):

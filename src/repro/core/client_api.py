@@ -43,8 +43,8 @@ class ClientConfig:
     ``measurement`` and ``ias_public_key`` are the trust anchors every
     client needs.  ``bus=None`` builds an in-process client; with a bus
     the client queries through its ``gateway`` (one replica is a fleet
-    of one; none makes a tip-only client).  ``hub`` names a
-    :class:`~repro.net.pubsub.SubscriptionHub` endpoint for push sync.
+    of one; with none it keeps the tip only: no index root).  ``hub``
+    names a :class:`~repro.net.pubsub.SubscriptionHub` for push sync.
     """
 
     measurement: Digest

@@ -151,8 +151,8 @@ class SuperlightClient:
     :class:`repro.core.issuer.IssuerService` endpoints, tried in order,
     once each; follows a :class:`repro.net.pubsub.SubscriptionHub`
     stream; and queries through a :class:`repro.net.gateway.QueryGateway`
-    (one replica is a fleet of one; no gateway makes a tip-only
-    client), which owns replica health, failover, hedging and strikes.
+    (one replica is a fleet of one; with none it keeps the tip only),
+    which owns replica health, failover, hedging and strikes.
     Every tip and answer is verified before it is used — a forged one
     is counted in ``integrity_failures`` and never accepted — and
     answers verified at the current roots are kept in a
@@ -171,6 +171,8 @@ class SuperlightClient:
     issuers: tuple[str, ...] = ()
     gateway = None
     hub = None
+    #: Connected without a gateway: keeps (and verifies) the tip only.
+    tip_only = False
 
     def __init__(
         self,
@@ -200,6 +202,7 @@ class SuperlightClient:
         self._wire = wire  # repro.net imports this package: bound late
         self.issuers = list(config.issuers)
         self.gateway = config.gateway
+        self.tip_only = self.gateway is None
         # -- overload resilience: stale degradation --
         self.degrade_to_stale = config.degrade_to_stale
         self.stale_served = 0
@@ -232,29 +235,26 @@ class SuperlightClient:
         :func:`adopt_bundle`).  Returns True when the tip advanced, False
         when the bundle verified but its tip lost chain selection; raises
         :class:`CertificateError` — with no state moved — when any
-        certificate in it is invalid.
+        certificate it keeps (a tip-only client: the tip's) is invalid.
         """
+        if self.tip_only:
+            bundle = CertifiedTip(bundle.header, bundle.certificate, {}, {})
         before = self.state
-        # The chain-validation span times Alg. 3 proper; an index-only
-        # bundle (validate_index_certificate) is not a chain validation.
-        span = (
-            obs.trace_span("client.validate_chain")
-            if bundle.certificate is not None
-            else nullcontext()
-        )
-        with span:
-            self.state = adopt_bundle(
-                self.expected_measurement,
-                self.ias_public_key,
-                before,
-                bundle,
-                self._verified_reports,
-            )
+        # Span and counters are Alg. 3's: an index-only bundle is not one.
+        chain = bundle.certificate is not None
+        with obs.trace_span("client.validate_chain") if chain else nullcontext():
+            try:
+                self.state = adopt_bundle(
+                    self.expected_measurement, self.ias_public_key, before,
+                    bundle, self._verified_reports,
+                )
+            except CertificateError:
+                if chain:
+                    obs.inc("client.chain_validations_rejected")
+                raise
         after = self.state
         # adopt_bundle installs the bundle's header only when it wins.
         tip_advanced = after.header is not before.header
-        if bundle.certificate is not None and not tip_advanced:
-            obs.inc("client.chain_validations_rejected")
         if after is not before and obs.enabled():
             if tip_advanced:
                 obs.inc("client.chain_validations")
@@ -268,18 +268,17 @@ class SuperlightClient:
         return tip_advanced
 
     def validate_chain(self, header: BlockHeader, cert: Certificate) -> bool:
-        """Validate a candidate tip; adopt it if it wins chain selection.
-
-        Returns True when the candidate was adopted, False when it lost
-        chain selection; raises :class:`CertificateError` when the
-        certificate itself is invalid.
-        """
+        """Validate a candidate tip; adopt it if it wins chain selection
+        (:meth:`adopt` of a bare tip: same return, same error)."""
         return self.adopt(CertifiedTip(header, cert, {}, {}))
 
     def validate_index_certificate(
         self, name: str, header: BlockHeader, index_root: Digest, cert: Certificate
     ) -> bool:
-        """Adopt a certified index root if its block is the newest seen."""
+        """Adopt a certified index root if its block is the newest seen
+        (a tip-only client keeps none: :class:`ConfigError`)."""
+        if self.tip_only:
+            raise ConfigError("a tip-only client keeps no index roots")
         before = self.state
         self.adopt(CertifiedTip(header, None, {name: cert}, {name: index_root}))
         return self.state is not before
@@ -410,10 +409,10 @@ class SuperlightClient:
         sits on a shorter branch cannot hold the client back while
         another is ahead.  Returns the tip the client holds: the polled
         tip whose header it holds or, when it already held a newer one
-        than any issuer served, that header and certificate.  A reply
-        that does not decode or a tip that fails verification (tampered
-        in flight, or a lying CI) counts as an integrity failure; when
-        no issuer served a tip that verified,
+        than any issuer served or keeps the tip only, that header and
+        certificate.  A reply that does not decode or a tip that fails
+        verification (tampered in flight, or a lying CI) counts as an
+        integrity failure; when no issuer served a tip that verified,
         :class:`~repro.errors.ServiceUnavailableError` (the caller's
         next ``sync`` is the retry).
         """
@@ -433,7 +432,7 @@ class SuperlightClient:
                 last_error = exc
             else:
                 verified = True
-                if tip.header == self.state.header:
+                if tip.header == self.state.header and not self.tip_only:
                     held = tip
         if not verified:
             raise ServiceUnavailableError(

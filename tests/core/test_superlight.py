@@ -1,12 +1,17 @@
 """The superlight client: Alg. 3, chain selection, constant costs."""
 
+import json
+
 import pytest
 
-from repro.core import ClientConfig, IssuerService, connect
+from repro import obs
+from repro.core import CertifiedTip, ClientConfig, IssuerService, connect
 from repro.core.superlight import SuperlightClient, compute_expected_measurement
 from repro.crypto import ecdsa
-from repro.errors import CertificateError
+from repro.errors import CertificateError, ConfigError, ServiceUnavailableError
 from repro.net import MessageBus
+from repro.net.gateway import QueryGateway
+from repro.net.rpc import RpcServer
 from tests.conftest import fresh_vm
 
 
@@ -254,22 +259,35 @@ def test_wallet_and_storage_do_not_depend_on_the_memo(client, certified_setup):
     assert restored.to_json() == wallet and restored.storage_bytes() == stored
 
 
-def test_polling_an_unchanged_tip_verifies_nothing(certified_setup, monkeypatch):
-    """A light client polls more often than blocks arrive: the tip it
-    already holds costs three lookups, and nothing moves."""
-    bus = MessageBus()
-    IssuerService(bus, "ci", certified_setup["issuer"])
-    remote = connect(ClientConfig(
+def _poller(certified_setup, bus, *, gateway: bool, name="poller"):
+    """A connected poller of the ``ci`` issuer; with a gateway (to a
+    replica no test calls) it keeps index roots, without one it is
+    tip-only."""
+    return connect(ClientConfig(
         measurement=certified_setup["issuer"].measurement,
         ias_public_key=certified_setup["ias"].public_key,
-        bus=bus, name="poller", issuers=("ci",),
+        bus=bus, name=name, issuers=("ci",),
+        gateway=QueryGateway(bus, f"{name}-gw", ["sp"]) if gateway else None,
     ))
+
+
+def _count_verifies(monkeypatch):
     verified = []
     verify_digest = ecdsa.verify_digest
     monkeypatch.setattr(
         ecdsa, "verify_digest",
         lambda *args: verified.append(args) or verify_digest(*args),
     )
+    return verified
+
+
+def test_polling_an_unchanged_tip_verifies_nothing(certified_setup, monkeypatch):
+    """A light client polls more often than blocks arrive: the tip it
+    already holds costs three lookups, and nothing moves."""
+    bus = MessageBus()
+    IssuerService(bus, "ci", certified_setup["issuer"])
+    remote = _poller(certified_setup, bus, gateway=True)
+    verified = _count_verifies(monkeypatch)
     first = remote.sync()
     assert len(verified) == 1 + 3  # the report, then tip + two index certificates
     state, wallet = remote.state, remote.to_json()
@@ -277,3 +295,76 @@ def test_polling_an_unchanged_tip_verifies_nothing(certified_setup, monkeypatch)
     assert remote.sync() == first
     assert verified == []
     assert remote.state is state and remote.to_json() == wallet
+
+
+def test_a_tip_only_poller_verifies_and_keeps_the_tip_only(certified_setup, monkeypatch):
+    """Without a gateway a client can run no query, so the index parts
+    of a tip are neither verified nor stored: one signature check per
+    new tip (after the report), and a wallet of one header and one
+    certificate that round-trips with no index entries."""
+    bus = MessageBus()
+    IssuerService(bus, "ci", certified_setup["issuer"])
+    remote = _poller(certified_setup, bus, gateway=False)
+    assert remote.tip_only
+    verified = _count_verifies(monkeypatch)
+    first = remote.sync()
+    assert len(verified) == 1 + 1  # the report, then the tip's certificate
+    assert dict(remote.state.indexes) == {}
+    with pytest.raises(CertificateError, match="no certified root"):
+        remote.certified_index_root("history")
+    header, certificate = remote.latest_header, remote.latest_certificate
+    assert header == first.header and certificate == first.certificate
+    assert remote.storage_bytes() == header.size_bytes() + certificate.size_bytes()
+    del verified[:]
+    assert remote.sync() == first
+    assert verified == []
+    wallet = remote.to_json()
+    stored = json.loads(wallet)
+    assert stored["index_roots"] == {} and stored["index_certificates"] == {}
+    restored = SuperlightClient.from_json(wallet)
+    assert restored.to_json() == wallet
+    assert restored.storage_bytes() == remote.storage_bytes()
+
+
+def test_a_tip_only_client_refuses_index_certificates(certified_setup):
+    """``validate_index_certificate`` on a tip-only client is the same
+    typed refusal as ``query``; nothing is verified or moved."""
+    bus = MessageBus()
+    IssuerService(bus, "ci", certified_setup["issuer"])
+    remote = _poller(certified_setup, bus, gateway=False)
+    remote.sync()
+    state = remote.state
+    tip = certified_setup["issuer"].certified[-1]
+    with pytest.raises(ConfigError, match="keeps no index roots"):
+        remote.validate_index_certificate(
+            "history", tip.block.header,
+            tip.index_roots["history"], tip.index_certificates["history"],
+        )
+    assert remote.state is state
+
+
+def test_only_a_forged_tip_counts_as_a_rejected_validation(certified_setup):
+    """``client.chain_validations_rejected`` counts certificates that
+    failed verification, not polls of a tip the client already holds."""
+    bus = MessageBus()
+    IssuerService(bus, "ci", certified_setup["issuer"])
+    certified = certified_setup["issuer"].certified
+    RpcServer(bus, "liar").register(
+        "latest_tip",
+        lambda _arg: CertifiedTip(
+            certified[-1].block.header, certified[-2].certificate, {}, {}
+        ),
+    )
+    for gateway in (True, False):
+        remote = _poller(certified_setup, bus, gateway=gateway, name=f"poller-{gateway}")
+        with obs.observability() as registry:
+            registry.reset()
+            remote.sync()
+            remote.sync()
+            remote.sync()
+            assert registry.counters.get("client.chain_validations_rejected", 0) == 0
+            remote.issuers = ["liar"]
+            with pytest.raises(ServiceUnavailableError):
+                remote.sync()
+            assert registry.counters["client.chain_validations_rejected"] == 1
+        assert remote.integrity_failures == 1

@@ -367,7 +367,9 @@ def test_sync_asks_every_issuer_and_holds_the_newest_tip(world):
     recovering after a crash would): a sync asks both issuers, once
     each, and the client reaches the second's tip.  The tip returned is
     the one the client holds, also when it already held a newer tip
-    than any issuer served."""
+    than any issuer served.  The clients have gateways, so they hold
+    index roots; a tip-only client holds, and returns, the header and
+    certificate only."""
     height = world["builder"].height
     newest = world["issuer"].certified[-1].tip
     behind = world["issuer"].certified[-3].tip
@@ -376,11 +378,12 @@ def test_sync_asks_every_issuer_and_holds_the_newest_tip(world):
     RpcServer(bus, "lagging").register("latest_tip", lambda _argument: behind)
     IssuerService(bus, "ci", world["issuer"])
 
-    def polling(name, issuers):
+    def polling(name, issuers, gateway=True):
         return connect(ClientConfig(
             measurement=world["measurement"],
             ias_public_key=world["ias"].public_key,
             bus=bus, name=name, issuers=issuers,
+            gateway=QueryGateway(bus, f"{name}-gw", ["sp"]) if gateway else None,
         ))
 
     orders = {"lag-first": ("lagging", "ci"), "lag-last": ("ci", "lagging")}
@@ -395,6 +398,8 @@ def test_sync_asks_every_issuer_and_holds_the_newest_tip(world):
     tip = ahead.sync()
     assert ahead.latest_header == newest.header
     assert (tip.header, tip.certificate) == (newest.header, newest.certificate)
+    tip_only = polling("tip-only", ("lagging", "ci"), gateway=False)
+    assert tip_only.sync() == CertifiedTip(newest.header, newest.certificate, {}, {})
 
 
 def test_a_single_issuers_corrupted_tip_fails_that_sync_only(world):

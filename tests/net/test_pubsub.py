@@ -22,6 +22,7 @@ from repro.core import (
     compute_expected_measurement,
     connect,
 )
+from repro.crypto import ecdsa
 from repro.errors import ReproError, ResponseIntegrityError
 from repro.net import FaultInjector, LinkFaults, MessageBus
 from repro.net.gateway import QueryGateway
@@ -70,11 +71,14 @@ class World:
         )
         self.clients = {name: self.connect(name, subscribe) for name in clients}
 
-    def connect(self, name, subscribe=True):
+    def connect(self, name, subscribe=True, *, keeps_roots=False):
+        """A subscriber; tip-only unless ``keeps_roots`` gives it a
+        gateway (to a replica no test calls), and with it index roots."""
+        gateway = QueryGateway(self.bus, f"{name}-gw", ["sp"]) if keeps_roots else None
         return connect(ClientConfig(
             measurement=self.measurement,
             ias_public_key=self.ias.public_key,
-            bus=self.bus, name=name, issuers=("ci",), hub="ci",
+            bus=self.bus, name=name, issuers=("ci",), gateway=gateway, hub="ci",
             subscribe=subscribe,
         ))
 
@@ -110,8 +114,8 @@ def unchecked(obj, **changes):
 
 
 def test_push_delivers_and_client_adopts(chain):
-    w = world(chain)
-    client = w.clients["c1"]
+    w = world(chain, clients=())
+    client = w.connect("c1", keeps_roots=True)
     w.certify(1, start=1)
     w.bus.run_until_idle()
     w.certify(2)
@@ -142,8 +146,8 @@ def test_replayed_tip_carrying_new_index_roots_runs_root_housekeeping(chain):
     """A pushed bundle whose tip the client already holds (adopted
     tip-only via validate_chain) still installs its index roots — so
     the cache sweep must run even though the tip did not advance."""
-    w = world(chain)
-    client = w.clients["c1"]
+    w = world(chain, clients=())
+    client = w.connect("c1", keeps_roots=True)
     w.certify(1, start=1)
     tip = w.issuer.certified[-1]
     assert client.validate_chain(tip.block.header, tip.certificate)
@@ -154,6 +158,38 @@ def test_replayed_tip_carrying_new_index_roots_runs_root_housekeeping(chain):
     assert client.push_adopted == 0  # verified, but the tip did not move
     assert client.certified_index_root("history") == tip.index_roots["history"]
     assert swept == [True]
+
+
+@pytest.mark.parametrize("keeps_roots", [False, True])
+def test_a_push_to_a_warm_subscriber_checks_one_signature_per_certificate_kept(
+    chain, monkeypatch, keeps_roots
+):
+    """Once the enclave's report is memoised, a pushed tip costs a
+    tip-only subscriber one signature check (its block certificate) and
+    leaves it one header and one certificate; a subscriber with a
+    gateway checks and keeps the index certificate too."""
+    w = world(chain, clients=())
+    client = w.connect("c1", keeps_roots=keeps_roots)
+    w.certify(1, start=1)
+    w.bus.run_until_idle()  # the first push verifies the report
+    w.certify(1)  # the issuer's own checks run before the spy is in
+    verified = []
+    verify_digest = ecdsa.verify_digest
+    monkeypatch.setattr(
+        ecdsa, "verify_digest",
+        lambda *args: verified.append(args) or verify_digest(*args),
+    )
+    w.bus.run_until_idle()
+    assert client.push_adopted == 2 and client.latest_header.height == 2
+    tip = w.issuer.certified[-1]
+    header_and_certificate = tip.block.header.size_bytes() + tip.certificate.size_bytes()
+    if keeps_roots:
+        assert len(verified) == 1 + 1
+        assert client.storage_bytes() > header_and_certificate
+    else:
+        assert len(verified) == 1
+        assert not client.state.indexes
+        assert client.storage_bytes() == header_and_certificate
 
 
 def test_subscribe_positions_a_new_subscriber_at_the_tip(chain):

@@ -32,6 +32,12 @@ verification table only once an IAS-signed report for the expected
 program vouches for it, so the table cache holds the same keys after
 any forged bundle as before.
 
+The probes above have a gateway, so they keep (and verify) every index
+root of a tip.  A connected client without one is tip-only: it keeps
+the header and block certificate alone.  The last two properties give
+it the same forgeries: a forged index part never reaches its state and
+costs it nothing, a forged block certificate is rejected and counted.
+
 Seeds and replay: see tests/proptest/framework.py.
 """
 
@@ -39,6 +45,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -55,6 +62,7 @@ from repro.errors import (
     WireError,
 )
 from repro.net.bus import MessageBus
+from repro.net.gateway import QueryGateway
 from repro.net.pubsub import PushEnvelope, StreamReply, SubscriptionHub, TipAnnouncement
 from repro.net.rpc import RpcServer
 from repro.net import wire
@@ -106,23 +114,33 @@ def world(certified_setup):
     }
 
 
-def _make_probe(world, rng, prefix, issuers=("ci",)):
+def _make_probe(world, rng, prefix, issuers=("ci",), *, tip_only=False):
     """A fresh subscribed-at-seq-N-1 client (never reused across cases:
-    a rejected forgery must not poison later cases' state)."""
+    a rejected forgery must not poison later cases' state).  It has a
+    gateway, so it keeps (and verifies) every index root of a tip,
+    unless ``tip_only``: then it keeps the header and certificate only."""
     setup = world["setup"]
     issuer = world["issuer"]
+    name = f"{prefix}-{rng.randrange(1 << 48):012x}"
     probe = connect(ClientConfig(
         measurement=issuer.measurement,
         ias_public_key=setup["ias"].public_key,
         bus=world["bus"],
-        name=f"{prefix}-{rng.randrange(1 << 48):012x}",
+        name=name,
         issuers=issuers,
+        gateway=None if tip_only else _gateway(world, name),
         hub="ci",
     ))
     probe.adopt(issuer.certified[-2].tip)
     probe.subscribed = True
     probe._sub_seq = world["seq"] - 1
     return probe
+
+
+def _gateway(world, name):
+    """A gateway to a replica no case calls: what makes a connected
+    client keep index roots."""
+    return QueryGateway(world["bus"], f"{name}-gw", ["sp"])
 
 
 def _forges_certified_material(candidate, genuine) -> bool:
@@ -561,7 +579,8 @@ def test_a_polled_field_of_the_wrong_type_fails_over_like_a_forgery(world):
         # The liar cost one integrity failure; the honest issuer served.
         assert poller.integrity_failures == 1
         fresh = connect(ClientConfig(
-            **anchors, bus=world["bus"], name=f"typeboot-{served}", issuers=("liar",)
+            **anchors, bus=world["bus"], name=f"typeboot-{served}", issuers=("liar",),
+            gateway=_gateway(world, f"typeboot-{served}"),
         ))
         with pytest.raises(ServiceUnavailableError):
             fresh.sync()
@@ -604,3 +623,128 @@ def test_adopt_bundle_reports_a_malformed_bundle_as_a_certificate_error(world):
             adopt_bundle(*anchors, held, bundle, memo)
         assert set(memo) <= set(after_forgery)
         assert set(memo.signatures) <= set(after_forgery.signatures)
+
+
+# -- a tip-only client ----------------------------------------------------------
+
+
+def _deliver(world, probe, path, tip):
+    """Hand ``tip`` to ``probe`` as ``path`` does: pushed by the hub,
+    carried in a hub's heartbeat reply, or served by a lying issuer's
+    ``latest_tip`` (the probe's only issuer; returns what ``sync`` did)."""
+    announcement = TipAnnouncement(seq=world["seq"], published_at_ms=0.0, tip=tip)
+    if path == "push":
+        probe._on_push(PushEnvelope(payload=wire.encode(announcement)))
+    elif path == "reply":
+        _heartbeat_with(probe, world, StreamReply(
+            latest_seq=world["seq"], subscribed=True, tip=announcement,
+        ))
+    else:
+        world["liar_tip"].append(tip)
+        try:
+            return probe.sync()
+        except ServiceUnavailableError:
+            pass
+        finally:
+            world["liar_tip"].clear()
+
+
+@pytest.mark.parametrize("path", ["push", "reply", "poll"])
+def test_a_tip_only_client_reads_only_the_block_certificate(world, path):
+    """A client without a gateway keeps the header and block certificate
+    of a tip, nothing else.  A forged index part never reaches its state
+    (its index map stays empty) and the tip moves on the genuine block
+    certificate; the same bundle is rejected whole, and counted, by a
+    client that keeps index roots.  A forged block certificate is
+    rejected and counted by both, with their state byte-identical."""
+    genuine = world["announcement"].tip
+    older = world["issuer"].certified[-2].tip
+    forged_parts = {
+        "index roots": replace(
+            genuine, index_roots={name: bytes(32) for name in genuine.index_roots}
+        ),
+        "index certificates": replace(
+            genuine, index_certificates=older.index_certificates
+        ),
+        "block certificate": replace(genuine, certificate=older.certificate),
+    }
+    rng = random.Random(43)
+    for part, bundle in forged_parts.items():
+        tip_only = _make_probe(world, rng, f"tiponly-{path}", ("liar",), tip_only=True)
+        keeper = _make_probe(world, rng, f"keeper-{path}", ("liar",))
+        assert tip_only.tip_only and not keeper.tip_only
+        rejected_by = [keeper] if part.startswith("index") else [keeper, tip_only]
+        for probe in (tip_only, keeper):
+            before = probe.to_json()
+            synced = _deliver(world, probe, path, bundle)
+            if probe in rejected_by:
+                assert probe.integrity_failures == 1, (part, path)
+                assert probe.push_rejected == (path != "poll"), (part, path)
+                assert probe.to_json() == before, (part, path)
+            else:
+                assert probe.integrity_failures == probe.push_rejected == 0
+                assert probe.latest_header == genuine.header, (part, path)
+                assert probe.latest_certificate == genuine.certificate
+                # What sync returns is what it verified: no index part.
+                if path == "poll":
+                    assert synced == CertifiedTip(
+                        genuine.header, genuine.certificate, {}, {}
+                    ), part
+        assert not tip_only.state.indexes, (part, path)
+
+
+def test_a_mutated_tip_moves_a_tip_only_client_only_on_its_block_certificate(world):
+    """Mutants of a genuine announcement that still decode — one-byte
+    flips drawn until one does, and every one-leaf edit to a value of
+    another type — pushed, replied and polled to tip-only clients: the
+    index map stays empty, a mutant whose header and block certificate
+    are the genuine ones is adopted (whatever its index parts say), and
+    any other is rejected and counted with the state byte-identical."""
+    genuine = world["announcement"].tip
+    rng = random.Random(43)
+
+    def deliver_everywhere(candidate):
+        adopted = (
+            candidate.tip.header == genuine.header
+            and candidate.tip.certificate == genuine.certificate
+        )
+        for path in ("push", "reply", "poll"):
+            probe = _make_probe(world, rng, "lean" + path, ("liar",), tip_only=True)
+            before = probe.to_json()
+            _deliver(world, probe, path, candidate.tip)
+            assert not probe.state.indexes, path
+            if adopted:
+                assert probe.latest_header == genuine.header, path
+                assert probe.integrity_failures == 0, path
+            else:
+                assert probe.integrity_failures == 1, path
+                assert probe.to_json() == before, path
+        return adopted
+
+    def decodable_flip(flip_rng):
+        for _ in range(256):
+            try:
+                candidate = wire.decode(mutate_one_byte(world["payload"], flip_rng))
+            except WireError:
+                continue
+            if isinstance(candidate, TipAnnouncement):
+                return candidate
+        raise AssertionError("no decodable mutant in 256 draws")
+
+    run_cases(lambda flip_rng: deliver_everywhere(decodable_flip(flip_rng)))
+    tally = Counter()
+    for field, payload in _wrong_type_mutants(world["payload"]):
+        if field in _UNSIGNED_FIELDS:
+            continue
+        try:
+            candidate = wire.decode(payload)
+        except WireError:
+            continue
+        tally[field, deliver_everywhere(candidate)] += 1
+    # The 90 mistyped leaves that reach an index-keeping client's check
+    # (see the pushed case above): the 40 in index parts are adopted
+    # around, the 50 in the header and block certificate rejected.
+    assert tally == {
+        ("index_certificates", True): 30, ("index_roots", True): 10,
+        ("header", False): 35, ("certificate", False): 15,
+    }
