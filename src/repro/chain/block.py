@@ -124,7 +124,7 @@ def encode_block(block: Block) -> bytes:
     ).encode("utf-8")
 
 
-def decode_block(data: bytes) -> Block:
+def decode_block(data: bytes, keys: dict | None = None) -> Block:
     """Parse :func:`encode_block` output; raises on malformed input."""
     import json
 
@@ -134,7 +134,7 @@ def decode_block(data: bytes) -> Block:
         raw = json.loads(data.decode("utf-8"))
         header = BlockHeader.decode(raw["header"].encode("utf-8"))
         transactions = tuple(
-            Transaction.decode(tx.encode("utf-8")) for tx in raw["txs"]
+            Transaction.decode(tx.encode("utf-8"), keys) for tx in raw["txs"]
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise BlockValidationError(f"malformed block encoding: {exc}") from exc

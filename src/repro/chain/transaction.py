@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from repro.crypto import PublicKey, Signature, sign, verify
 from repro.crypto.hashing import Digest, hash_concat
-from repro.crypto.keys import PrivateKey
+from repro.crypto.keys import PrivateKey, decode_public_key
 from repro.errors import TransactionError
 
 _SIG_DOMAIN = "repro-tx"
@@ -61,11 +61,11 @@ class Transaction:
         return body.encode("utf-8")
 
     @classmethod
-    def decode(cls, data: bytes) -> "Transaction":
+    def decode(cls, data: bytes, keys: dict | None = None) -> "Transaction":
         try:
             raw = json.loads(data.decode("utf-8"))
             return cls(
-                sender=PublicKey.from_bytes(bytes.fromhex(raw["sender"])),
+                sender=decode_public_key(bytes.fromhex(raw["sender"]), keys),
                 nonce=int(raw["nonce"]),
                 contract=raw["contract"],
                 method=raw["method"],

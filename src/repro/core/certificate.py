@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from repro.chain.block import EncodedSize
 from repro.crypto import PublicKey, Signature, pin_verification_key, verify
 from repro.crypto.hashing import Digest
+from repro.crypto.keys import decode_public_key
 from repro.errors import CertificateError
 from repro.sgx.attestation import AttestationReport
 
@@ -51,16 +52,16 @@ class Certificate(EncodedSize):
         ).encode("utf-8")
 
     @classmethod
-    def decode(cls, data: bytes) -> "Certificate":
+    def decode(cls, data: bytes, keys: dict | None = None) -> "Certificate":
         try:
             raw = json.loads(data.decode("utf-8"))
             rep = raw["rep"]
             return cls(
-                pk_enc=PublicKey.from_bytes(bytes.fromhex(raw["pk_enc"])),
+                pk_enc=decode_public_key(bytes.fromhex(raw["pk_enc"]), keys),
                 report=AttestationReport(
                     measurement=bytes.fromhex(rep["measurement"]),
                     report_data=bytes.fromhex(rep["report_data"]),
-                    ias_key=PublicKey.from_bytes(bytes.fromhex(rep["ias_key"])),
+                    ias_key=decode_public_key(bytes.fromhex(rep["ias_key"]), keys),
                     signature=Signature.from_bytes(bytes.fromhex(rep["sig"])),
                 ),
                 dig=bytes.fromhex(raw["dig"]),

@@ -42,7 +42,7 @@ from repro.chain.consensus import ProofOfWork
 from repro.chain.state import StateStore
 from repro.chain.vm import VM
 from repro.core.certificate import CERT_SIG_DOMAIN, Certificate
-from repro.core.digest import block_digest
+from repro.core.digest import block_digest, index_digest
 from repro.core.issuer import CertificateIssuer, CertifiedBlock
 from repro.crypto import verify
 from repro.errors import ArchiveCorruptionError
@@ -263,13 +263,16 @@ def _verify_archived_entry(
     """Cheap untrusted re-verification of one archived certified block.
 
     Used on the checkpoint fast path, where the block is *not* replayed
-    through the enclave: check chain linkage, the transaction root, and
-    that each archived certificate really is this enclave's signature
-    over this block's digest.  (State correctness is covered by the
+    through the enclave, after the indexes ingested it: check chain
+    linkage, the transaction root, that the archived index roots are the
+    rebuilt ones, and that each archived certificate really is this
+    enclave's signature over this block's digest (an index one's binds
+    the rebuilt root).  (State correctness is covered by the
     checkpoint's verified SMT root.)
     """
     block = entry.block
     prev = issuer.node.tip
+    roots = {name: index.root for name, index in issuer.indexes.items()}
     if block.header.height != prev.header.height + 1:
         raise ArchiveCorruptionError(
             f"archived block {block.header.height} does not extend "
@@ -283,10 +286,15 @@ def _verify_archived_entry(
         raise ArchiveCorruptionError(
             f"archived block {block.header.height} fails its tx-root check"
         )
+    if entry.index_roots != roots:
+        raise ArchiveCorruptionError(
+            f"archived index roots at height {block.header.height} "
+            f"do not match the rebuilt indexes"
+        )
     for label, cert, dig in (
         ("block", entry.certificate, block_digest(block.header)),
         *(
-            (f"index {name!r}", cert, None)
+            (f"index {name!r}", cert, index_digest(block.header, roots.get(name, b"")))
             for name, cert in entry.index_certificates.items()
         ),
     ):
@@ -297,7 +305,7 @@ def _verify_archived_entry(
                 f"archived {label} certificate at height "
                 f"{block.header.height} was issued under a different pk_enc"
             )
-        if dig is not None and cert.dig != dig:
+        if cert.dig != dig:
             raise ArchiveCorruptionError(
                 f"archived {label} certificate at height "
                 f"{block.header.height} covers a different digest"
@@ -423,9 +431,9 @@ def _apply_checkpoint(
             "checkpoint index set does not match this issuer's index specs"
         )
     for entry in prefix:
-        _verify_archived_entry(issuer, entry)
         for index in issuer.indexes.values():
-            index.ingest_block(entry.block, entry.write_set)
+            index.ingest_block(entry.block, entry.write_set, prove=False)
+        _verify_archived_entry(issuer, entry)
         issuer.node.tip = entry.block
         issuer.certified.append(entry)
     if issuer.node.height != height:
@@ -468,8 +476,11 @@ def _compare_replayed(certified: CertifiedBlock, entry: CertifiedBlock) -> None:
             f"archived certificate at height {height} does not match "
             f"its replay — the archive was tampered with"
         )
-    # The compat append() form persists no index data, so only compare
-    # the index certificates the archive actually recorded.
+    if entry.index_roots != certified.index_roots:
+        raise ArchiveCorruptionError(
+            f"archived index roots at height {height} do not match their "
+            f"replay — the archive was tampered with"
+        )
     for name, cert in entry.index_certificates.items():
         if name not in certified.index_certificates:
             raise ArchiveCorruptionError(

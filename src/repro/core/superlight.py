@@ -627,10 +627,11 @@ class SuperlightClient:
         verified before it is returned or cached; an unverifiable one
         strikes the replica that gave it and the request is
         re-dispatched inside the gateway's per-item budget.  A client
-        without a gateway is tip-only: :class:`~repro.errors.ConfigError`.
+        without a gateway (in-process, or connected and tip-only) cannot
+        query: :class:`~repro.errors.ConfigError`.
         """
         if self.gateway is None:
-            raise ConfigError("a tip-only client has no gateway to query through")
+            raise ConfigError("a client without a gateway cannot query")
         requests = list(requests)
         payloads = [self._wire.encode(request) for request in requests]
         results = [self._cache_get(r, p) for r, p in zip(requests, payloads)]

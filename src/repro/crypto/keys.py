@@ -61,6 +61,16 @@ class PublicKey:
         return hashlib.sha256(self.to_bytes()).digest()[:8]
 
 
+def decode_public_key(data: bytes, keys: dict[bytes, PublicKey] | None) -> PublicKey:
+    """:meth:`PublicKey.from_bytes` through ``keys``, the map one pass
+    owns of what it decoded so far (never a process-wide one), if any."""
+    if keys is None:
+        return PublicKey.from_bytes(data)
+    if data not in keys:
+        keys[data] = PublicKey.from_bytes(data)
+    return keys[data]
+
+
 @dataclass(frozen=True, slots=True)
 class PrivateKey:
     """A secp256k1 private scalar.  Never serialized by the library."""

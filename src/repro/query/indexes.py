@@ -223,9 +223,11 @@ class _PerAccountTrees:
         return self._upper.root
 
     def ingest_block(
-        self, block: Block, write_set: dict[bytes, bytes | None]
-    ) -> tuple[tuple, "TwoLevelUpdateProof | AggregateUpdateProof"]:
-        """Apply the block's writes; return them plus the update proof.
+        self, block: Block, write_set: dict[bytes, bytes | None], *, prove: bool = True
+    ) -> tuple[tuple, "TwoLevelUpdateProof | AggregateUpdateProof | None"]:
+        """Apply the block's writes; return them plus the update proof
+        (``None`` unless ``prove``: only a caller that ships the proof
+        into an ecall needs one, and the writes are the same).
 
         Proof steps are generated sequentially against the evolving
         structures, matching how the enclave replays them.
@@ -238,12 +240,12 @@ class _PerAccountTrees:
             if lower is None:
                 lower = self.tree_class(fanout=self.spec.fanout)
                 self._lower[write.account] = lower
-            insert_proof = lower.prove_insert(write.timestamp)
-            mpt_proof = self._upper.prove(trie_key)
+            if prove:
+                steps.append((lower.prove_insert(write.timestamp),
+                              self._upper.prove(trie_key)))
             lower.insert(write.timestamp, write.value)
             self._upper.insert(trie_key, lower.root)
-            steps.append((insert_proof, mpt_proof))
-        return writes, self.update_proof_class(steps=tuple(steps))
+        return writes, self.update_proof_class(steps=tuple(steps)) if prove else None
 
     def _lookup(self, account: str):
         """``(upper-level proof, the account's tree or None)``."""
@@ -401,8 +403,8 @@ class MaintainedKeywordIndex:
         return self._dictionary.root
 
     def ingest_block(
-        self, block: Block, write_set: dict[bytes, bytes | None]
-    ) -> tuple[tuple[KeywordWrite, ...], KeywordUpdateProof]:
+        self, block: Block, write_set: dict[bytes, bytes | None], *, prove: bool = True
+    ) -> tuple[tuple[KeywordWrite, ...], KeywordUpdateProof | None]:
         writes = self.spec.write_data(block, write_set)
         steps: list[tuple[str, MBInsertProof, MPTProof]] = []
         for write in writes:
@@ -411,12 +413,12 @@ class MaintainedKeywordIndex:
                 if tree is None:
                     tree = MerkleBTree(fanout=self.spec.fanout)
                     self._postings[keyword] = tree
-                mb_proof = tree.prove_insert(write.seq)
-                mpt_proof = self._dictionary.prove(keyword.encode("utf-8"))
+                if prove:
+                    steps.append((keyword, tree.prove_insert(write.seq),
+                                  self._dictionary.prove(keyword.encode("utf-8"))))
                 tree.insert(write.seq, write.seq.to_bytes(8, "big"))
                 self._dictionary.insert(keyword.encode("utf-8"), tree.root)
-                steps.append((keyword, mb_proof, mpt_proof))
-        return writes, KeywordUpdateProof(steps=tuple(steps))
+        return writes, KeywordUpdateProof(steps=tuple(steps)) if prove else None
 
     def query_conjunctive(self, keywords: list[str]) -> "KeywordAnswer":
         """All tx seqs containing every keyword, with proofs."""
@@ -885,15 +887,15 @@ class ValueRangeIndex:
         return combined_range_root(self._directory.root, self._tree.root)
 
     def ingest_block(
-        self, block: Block, write_set: dict[bytes, bytes | None]
-    ) -> tuple[tuple[ValueRangeWrite, ...], ValueRangeUpdateProof]:
+        self, block: Block, write_set: dict[bytes, bytes | None], *, prove: bool = True
+    ) -> tuple[tuple[ValueRangeWrite, ...], ValueRangeUpdateProof | None]:
         writes = self.spec.write_data(block, write_set)
         pre_directory_root = self._directory.root
         pre_tree_root = self._tree.root
         steps = []
         for write in writes:
             account_key = write.account.encode("utf-8")
-            counter_proof = self._directory.prove(_SLOT_COUNTER_KEY)
+            counter_proof = self._directory.prove(_SLOT_COUNTER_KEY) if prove else None
             existing = self._directory.get(account_key)
             tomb_proof = None
             if existing is None:
@@ -904,19 +906,19 @@ class ValueRangeIndex:
                 )
             else:
                 slot, old_live_key = _parse_directory_entry(existing)
-                tomb_proof = self._tree.prove_insert(old_live_key)
+                tomb_proof = self._tree.prove_insert(old_live_key) if prove else None
                 self._tree.insert(old_live_key, _TOMBSTONE)
             new_key = _range_key(write.value, slot)
-            live_proof = self._tree.prove_insert(new_key)
+            live_proof = self._tree.prove_insert(new_key) if prove else None
             self._tree.insert(new_key, account_key)
-            dir_proof = self._directory.prove(account_key)
+            dir_proof = self._directory.prove(account_key) if prove else None
             self._directory.insert(account_key, _directory_entry(slot, new_key))
             steps.append((counter_proof, tomb_proof, live_proof, dir_proof))
         return writes, ValueRangeUpdateProof(
             pre_directory_root=pre_directory_root,
             pre_tree_root=pre_tree_root,
             steps=tuple(steps),
-        )
+        ) if prove else None
 
     def query_range(self, lo: int, hi: int) -> "ValueRangeAnswer":
         """All accounts whose *current* value lies in ``[lo, hi]``."""

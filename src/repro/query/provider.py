@@ -60,10 +60,12 @@ class QueryServiceProvider:
         }
 
     def ingest_block(self, block: Block) -> None:
-        """Validate ``block``, update every index, and commit it."""
+        """Validate ``block``, update every index, and commit it.  The
+        indexes advance without update proofs: only the CI's enclave reads
+        one, and the CI builds its own."""
         result = self.node.validate_block(block)
         for index in self.indexes.values():
-            index.ingest_block(block, result.write_set)
+            index.ingest_block(block, result.write_set, prove=False)
         for baseline in self.baselines.values():
             baseline.ingest_block(block, result.write_set)
         self.node.commit(block, result.write_set)

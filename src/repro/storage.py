@@ -310,7 +310,8 @@ class ChainArchive:
         exactly once; block records at consecutive heights from 1 —
         as it goes, and truncates a torn tail when the pass reaches it.
         Raises typed :class:`~repro.errors.StorageError` subclasses on
-        violations (never a bare ``JSONDecodeError``).
+        violations (never a bare ``JSONDecodeError``).  The pass
+        decompresses each distinct public key once.
         """
         records = self.wal.records()
         head = self._parse(next(records, b"{}"))  # an empty WAL: no kind
@@ -322,13 +323,14 @@ class ChainArchive:
             raise ArchiveCorruptionError(f"head record malformed: {exc}") from exc
 
         def entries() -> Iterator[CertifiedBlock]:
+            keys: dict = {}
             for height in count(1):
                 try:
                     payload = next(records)
                 except StopIteration as done:
                     contents.torn_bytes_dropped = done.value
                     return
-                yield self._decode_record(self._parse(payload), height)
+                yield self._decode_record(self._parse(payload), height, keys)
 
         contents = ArchiveContents(sealed_key, entries())
         return contents
@@ -337,8 +339,9 @@ class ChainArchive:
         """The certified blocks from ``height`` on, read (without
         repair) from the WAL frame indexed for that height."""
         records = self.wal.records(repair=False, start=height)
+        keys: dict = {}
         for height, payload in enumerate(records, height):
-            yield self._decode_record(self._parse(payload), height)
+            yield self._decode_record(self._parse(payload), height, keys)
 
     def load(self) -> ArchiveContents:
         """Read and structurally validate the whole archive: one
@@ -366,7 +369,7 @@ class ChainArchive:
         return record
 
     @staticmethod
-    def _decode_record(record: dict, height: int) -> CertifiedBlock:
+    def _decode_record(record: dict, height: int, keys: dict) -> CertifiedBlock:
         """The certified block a record past the head holds, at ``height``."""
         kind = record.get("kind")
         if kind == "head":
@@ -378,14 +381,14 @@ class ChainArchive:
         # errors included -- is archive corruption.
         try:
             entry = CertifiedBlock(
-                block=decode_block(record["block"].encode("utf-8")),
+                block=decode_block(record["block"].encode("utf-8"), keys),
                 certificate=(
-                    Certificate.decode(record["certificate"].encode("utf-8"))
+                    Certificate.decode(record["certificate"].encode("utf-8"), keys)
                     if record.get("certificate") is not None
                     else None
                 ),
                 index_certificates={
-                    name: Certificate.decode(cert.encode("utf-8"))
+                    name: Certificate.decode(cert.encode("utf-8"), keys)
                     for name, cert in record.get("index_certificates", {}).items()
                 },
                 index_roots={

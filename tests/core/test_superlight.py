@@ -12,6 +12,7 @@ from repro.errors import CertificateError, ConfigError, ServiceUnavailableError
 from repro.net import MessageBus
 from repro.net.gateway import QueryGateway
 from repro.net.rpc import RpcServer
+from repro.query.api import HistoryQuery
 from tests.conftest import fresh_vm
 
 
@@ -341,6 +342,25 @@ def test_a_tip_only_client_refuses_index_certificates(certified_setup):
             tip.index_roots["history"], tip.index_certificates["history"],
         )
     assert remote.state is state
+
+
+@pytest.mark.parametrize("kind", ["in-process", "tip-only"])
+def test_a_client_without_a_gateway_refuses_queries_for_that_reason(
+    client, certified_setup, kind
+):
+    """Both kinds of client without a gateway refuse a query with the
+    reason true of both; only the connected one is tip-only."""
+    if kind == "tip-only":
+        bus = MessageBus()
+        IssuerService(bus, "ci", certified_setup["issuer"])
+        client = _poller(certified_setup, bus, gateway=False)
+        client.sync()
+    assert client.tip_only is (kind == "tip-only")
+    request = HistoryQuery(index="history", account="k1", t_from=1, t_to=10)
+    for run in (client.query, lambda r: client.query_many([r])):
+        with pytest.raises(ConfigError) as refused:
+            run(request)
+        assert str(refused.value) == "a client without a gateway cannot query"
 
 
 def test_only_a_forged_tip_counts_as_a_rejected_validation(certified_setup):

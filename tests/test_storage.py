@@ -191,6 +191,14 @@ def _other_height_certificate(record, donor):
     record["certificate"] = donor["certificate"]
 
 
+def _other_height_index_part(field):
+    """Record 2's ``history`` entry of ``field`` replaced by record 3's:
+    genuine, signed bytes, bound to another height."""
+    def tamper(record, donor):
+        record[field]["history"] = donor[field]["history"]
+    return tamper
+
+
 @pytest.mark.parametrize(
     "tamper, refusal",
     [
@@ -198,8 +206,13 @@ def _other_height_certificate(record, donor):
         (_swap_certificate_field("dig"), "different digest"),
         (_other_height_certificate, "different digest"),
         (_swap_index_signature, "invalid signature"),
+        (_other_height_index_part("index_certificates"), "different digest"),
+        (_other_height_index_part("index_roots"), "rebuilt indexes"),
     ],
-    ids=["block-sig", "block-dig", "other-height", "index-sig"],
+    ids=[
+        "block-sig", "block-dig", "other-height", "index-sig",
+        "index-other-height", "index-root",
+    ],
 )
 def test_tampered_prefix_certificate_rejected_on_restore(
     checkpointed_world, tamper, refusal
@@ -210,6 +223,18 @@ def test_tampered_prefix_certificate_rejected_on_restore(
     donor = json.loads(read_payloads(path)[3])
     edit_record(path, 2, lambda record: tamper(record, donor))
     with pytest.raises(ArchiveCorruptionError, match=refusal):
+        recover()
+
+
+def test_tampered_tail_index_root_rejected_on_restore(checkpointed_world):
+    """Past the checkpoint the enclave re-derives every index root; an
+    archived root that differs from its replay is refused like a
+    certificate that does."""
+    path, recover = checkpointed_world
+    donor = json.loads(read_payloads(path)[6])
+    tamper = _other_height_index_part("index_roots")
+    edit_record(path, 5, lambda record: tamper(record, donor))
+    with pytest.raises(ArchiveCorruptionError, match="do not match their replay"):
         recover()
 
 
@@ -281,6 +306,48 @@ def indexed_world(kv_chain, tmp_path):
         "issuer": issuer, "archive": archive, "specs": specs,
         "ias": ias, "platform": platform,
     }
+
+
+def test_an_archive_pass_decodes_each_distinct_key_once(indexed_world, monkeypatch):
+    """``pk_enc``, the IAS key and the senders recur in every record; a
+    pass (``stream`` / ``load``, ``entries_from``) decompresses each
+    distinct one once through a map it owns, so the next pass starts
+    empty, and no module keeps decoded keys."""
+    import repro.chain.block
+    import repro.chain.transaction
+    import repro.core.certificate
+    import repro.crypto.keys
+    import repro.storage
+    from repro.crypto import PublicKey
+
+    archive = indexed_world["archive"]
+    distinct = set()
+    records = [json.loads(payload) for payload in read_payloads(archive.path)[1:]]
+    for record in records:
+        for raw in (record["certificate"], *record["index_certificates"].values()):
+            cert = json.loads(raw)
+            distinct |= {cert["pk_enc"], cert["rep"]["ias_key"]}
+        for tx in json.loads(record["block"])["txs"]:
+            distinct.add(json.loads(tx)["sender"])
+    decoded = []
+    from_bytes = PublicKey.from_bytes.__func__
+    monkeypatch.setattr(PublicKey, "from_bytes", classmethod(
+        lambda cls, data: decoded.append(data.hex()) or from_bytes(cls, data)
+    ))
+    passes = [lambda: archive.load().entries, lambda: list(archive.entries_from(1))]
+    for run in passes * 2:
+        decoded.clear()
+        entries = run()
+        assert len(entries) == len(records) == 4
+        assert sorted(decoded) == sorted(distinct)
+    assert len(distinct) == 3  # pk_enc, the IAS key, kv_chain's one sender
+    for module in (repro.chain.block, repro.chain.transaction, repro.core.certificate,
+                   repro.crypto.keys, repro.storage):
+        for value in vars(module).values():
+            assert not (
+                isinstance(value, dict)
+                and any(isinstance(item, PublicKey) for item in value.values())
+            ), module.__name__
 
 
 def test_restore_with_index_specs(indexed_world, kv_chain):
