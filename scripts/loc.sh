@@ -14,10 +14,13 @@
 # (The certification ecalls' malformed-argument clause: +14, 18371 -> 18385.)
 # (Proof-free index ingest, the per-pass public-key map and the recovery
 # prefix's index-root binding: +30, 17137 -> 17167.)
+# (The tip-only form on the wire — the hub's push and reply per subscriber
+# kind, the stream call's `tip_only` and `latest_tip`'s argument, each
+# checked at the boundary: +28, 17167 -> 17195.)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-MAX_SRC_LINES=17167
+MAX_SRC_LINES=17195
 MAX_SUPPRESSIONS=8
 
 src_lines=$(find src -name '*.py' -print0 | xargs -0 cat | wc -l)

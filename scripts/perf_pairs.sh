@@ -10,8 +10,12 @@
 #   python3 benchmarks/perf/run.py --workload W --seed S --seconds 12 --trace 0
 #
 # once in each, from that checkout's own files, alternating which side
-# goes first.  Per end-to-end metric it prints every run, each side's
-# median and quartiles, how many pairs the change won (ties count for
+# goes first.  Every run starts from the same bytecode state: an empty
+# cache of its own (PYTHONPYCACHEPREFIX under OUT, emptied first), so a
+# checkout that holds `__pycache__` from earlier runs does not import
+# from bytecode while the other compiles from source, which would bias
+# peak_rss_mb toward it.  Per end-to-end metric it prints every run, each
+# side's median and quartiles, how many pairs the change won (ties count for
 # neither), whether that is a claimable gain (ten pairs or more, >= 9/10 of
 # them won, medians further apart than the parent's quartile distance) and the
 # BENCHMARK.json bound verdict (ok / regressed / unresolved).  Raw result
@@ -30,7 +34,7 @@ if [ "${1:-}" = "--json" ]; then
     shift 2
 fi
 if [ "$#" -lt 3 ]; then
-    sed -n '2,24p' "$0" >&2
+    sed -n '2,28p' "$0" >&2
     exit 2
 fi
 parent=$(cd "$1" && pwd)
@@ -44,8 +48,10 @@ mkdir -p "$out"
 : > "$out/change.jsonl"
 
 run_side() {  # side dir
-    (cd "$2" && "${PYTHON:-python3}" benchmarks/perf/run.py --workload "$workload" \
-        --seed "$seed" --seconds 12 --trace 0 | tail -n 1) >> "$out/$1.jsonl"
+    rm -rf "$out/pycache-$1"
+    (cd "$2" && PYTHONPYCACHEPREFIX="$out/pycache-$1" "${PYTHON:-python3}" \
+        benchmarks/perf/run.py --workload "$workload" --seed "$seed" \
+        --seconds 12 --trace 0 | tail -n 1) >> "$out/$1.jsonl"
 }
 
 for pair in $(seq 1 "$pairs"); do

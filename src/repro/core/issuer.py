@@ -164,6 +164,10 @@ class CertifiedTip:
     index_certificates: dict[str, Certificate]
     index_roots: dict[str, Digest]
 
+    def without_indexes(self) -> "CertifiedTip":
+        """The tip-only form: all a client without a gateway is sent."""
+        return CertifiedTip(self.header, self.certificate, {}, {})
+
 
 @dataclass(frozen=True, slots=True)
 class AttestationEvidence:
@@ -426,8 +430,9 @@ class IssuerService:
 
     Methods:
 
-    * ``latest_tip`` — the newest :class:`CertifiedTip` (header,
-      block certificate, index certificates and roots);
+    * ``latest_tip`` — the newest :class:`CertifiedTip` (header, block
+      certificate, index certificates and roots); with ``True`` for its
+      one argument (else ``None`` or ``False``), its tip-only form;
     * ``tip_at`` — the certified tip at a given height, for clients
       catching up or auditing;
     * ``evidence`` — the CI's :class:`AttestationEvidence`;
@@ -459,10 +464,13 @@ class IssuerService:
             )
         return certified.tip
 
-    def _latest_tip(self, _argument: object) -> CertifiedTip:
+    def _latest_tip(self, tip_only: object) -> CertifiedTip:
+        if tip_only is not None and type(tip_only) is not bool:
+            raise ServiceUnavailableError("latest_tip takes tip_only: None or a bool")
         if not self.issuer.certified:
             raise ServiceUnavailableError("issuer has not certified any block")
-        return self._certified_tip(self.issuer.certified[-1])
+        tip = self._certified_tip(self.issuer.certified[-1])
+        return tip.without_indexes() if tip_only else tip
 
     def _certified_at(self, height: object) -> CertifiedBlock | None:
         """The certified block at a wire-supplied ``height``, if any.

@@ -238,7 +238,7 @@ class SuperlightClient:
         certificate it keeps (a tip-only client: the tip's) is invalid.
         """
         if self.tip_only:
-            bundle = CertifiedTip(bundle.header, bundle.certificate, {}, {})
+            bundle = bundle.without_indexes()
         before = self.state
         # Span and counters are Alg. 3's: an index-only bundle is not one.
         chain = bundle.certificate is not None
@@ -407,7 +407,9 @@ class SuperlightClient:
         Every tip that verifies is adopted, so chain selection picks
         among them: an issuer that lags (recovering after a crash) or
         sits on a shorter branch cannot hold the client back while
-        another is ahead.  Returns the tip the client holds: the polled
+        another is ahead.  A tip-only client is sent the tip-only form
+        (``latest_tip(tip_only=True)``), all it verifies and keeps.
+        Returns the tip the client holds: the polled
         tip whose header it holds or, when it already held a newer one
         than any issuer served or keeps the tip only, that header and
         certificate.  A reply that does not decode or a tip that fails
@@ -421,7 +423,7 @@ class SuperlightClient:
         last_error: Exception | None = None
         for issuer in self.issuers:
             try:
-                tip = self.rpc.call(issuer, "latest_tip")
+                tip = self.rpc.call(issuer, "latest_tip", self.tip_only)
                 if not isinstance(tip, CertifiedTip):
                     raise CertificateError(f"{type(tip).__name__} is not a tip")
                 self.adopt(tip)
@@ -512,7 +514,8 @@ class SuperlightClient:
         fails verification is counted and moves nothing."""
         from repro.net.pubsub import StreamReply
 
-        reply = self.rpc.call(self.hub, method, (self.rpc.name, self._sub_seq))
+        position = (self.rpc.name, self._sub_seq, self.tip_only)
+        reply = self.rpc.call(self.hub, method, position)
         if not isinstance(reply, StreamReply):
             raise ResponseIntegrityError(
                 f"{method} answered {type(reply).__name__}, not a stream reply"

@@ -16,16 +16,19 @@ tip is self-sufficient and the stream carries nothing else:
   the issuer endpoint or a server co-located with a
   :class:`~repro.net.gateway.QueryGateway`) that issuers notify on
   each newly certified block.  It holds one :class:`TipAnnouncement`,
-  the newest, and per subscriber two sequence numbers and a lease.
+  the newest, and per subscriber two sequence numbers, its kind and a
+  lease.  A tip-only subscriber (no gateway) is sent the tip's header
+  and block certificate only, one with a gateway the whole tip; each
+  form's push is encoded once per tip, when first offered.
 * **Latest-tip delivery** — a publish pushes the newest tip to every
   subscriber with no unacked push; a subscriber with one in flight gets
   whatever is newest when it acks (:class:`StreamAck`), so tips
   certified in between are superseded, never queued.
 * **Catch-up in the reply** — ``hub.subscribe`` and ``hub.heartbeat``
-  both take ``(subscriber, acked_seq)`` and answer one
-  :class:`StreamReply` that carries the newest tip whenever
-  ``acked_seq`` is behind it: a lost push, a reaped lease, a dead link
-  or a re-subscribe heals in one round trip.
+  both take ``(subscriber, acked_seq, tip_only)`` and answer one
+  :class:`StreamReply` that carries the newest tip, in the caller's
+  form, whenever ``acked_seq`` is behind it: a lost push, a reaped
+  lease, a dead link or a re-subscribe heals in one round trip.
 * **Leases** — every ack/heartbeat renews a virtual-clock lease; a
   subscriber that goes silent past :attr:`SubscriptionHub.LEASE_MS` is
   reaped, so dead clients cost nothing.
@@ -66,11 +69,12 @@ def ack_topic(hub: str) -> str:
 class TipAnnouncement:
     """One certified tip on the push stream.
 
-    ``tip`` is exactly what a polled ``latest_tip`` returns; around it
-    the stream position (``seq``, dense per hub) and the virtual-clock
-    publish time (for the fanout-latency histogram).  Self-verifying:
-    the subscriber runs the standard certificate checks on ``tip``
-    before adopting it.
+    ``tip`` is exactly what a polled ``latest_tip`` of the subscriber's
+    kind returns (a tip-only subscriber: header and block certificate);
+    around it the stream position (``seq``, dense per hub) and the
+    virtual-clock publish time (for the fanout-latency histogram).
+    Self-verifying: the subscriber runs the standard certificate checks
+    on ``tip`` before adopting it.
     """
 
     seq: int
@@ -141,12 +145,15 @@ class StreamAck:
 
 class SubscriberState:
     """Everything the hub tracks for one subscriber: two sequence
-    numbers and a lease (all set by the subscribe reply)."""
+    numbers, which form of the tip it is sent and a lease (all set by
+    the subscribe reply)."""
 
-    __slots__ = ("name", "acked_seq", "inflight", "lease_expires_ms")
+    __slots__ = ("name", "tip_only", "acked_seq", "inflight", "lease_expires_ms")
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, tip_only: bool) -> None:
         self.name = name
+        #: No gateway: sent the header and block certificate only.
+        self.tip_only = tip_only
         #: Highest sequence number the subscriber holds (acked, or sent
         #: in a reply).
         self.acked_seq = 0
@@ -190,9 +197,9 @@ class SubscriptionHub:
         self.bus = self.server.bus
         self.name = self.server.name
         self.seq = 0
-        #: The newest announcement, and its push (encoded on first send).
+        #: The newest announcement, and its push per form (encoded on first send).
         self.tip: TipAnnouncement | None = None
-        self._envelope: PushEnvelope | None = None
+        self._envelopes: dict[bool, PushEnvelope] = {}
         self.subscribers: dict[str, SubscriberState] = {}
         self._attached: list[tuple[object, object]] = []
         self.published = 0
@@ -259,7 +266,12 @@ class SubscriptionHub:
     def _set_tip(self, certified: object) -> None:
         """Make a CertifiedBlock the announcement at ``seq``."""
         self.tip = TipAnnouncement(self.seq, self.bus.clock_ms, certified.tip)
-        self._envelope = None
+        self._envelopes.clear()
+
+    def _form(self, tip_only: bool) -> TipAnnouncement:
+        """The newest announcement as a subscriber of this kind is sent it."""
+        tip = self.tip
+        return replace(tip, tip=tip.tip.without_indexes()) if tip_only else tip
 
     # -- publishing ----------------------------------------------------------
 
@@ -296,12 +308,12 @@ class SubscriptionHub:
         if tip is None or state.inflight or state.acked_seq >= tip.seq:
             return
         crashpoint("pubsub.deliver.pre")
-        if self._envelope is None:
-            self._envelope = PushEnvelope(payload=wire.encode(tip))
+        envelope = self._envelopes.get(state.tip_only)
+        if envelope is None:
+            envelope = PushEnvelope(payload=wire.encode(self._form(state.tip_only)))
+            self._envelopes[state.tip_only] = envelope
         try:
-            self.bus.send(
-                self.name, state.name, push_topic(state.name), self._envelope
-            )
+            self.bus.send(self.name, state.name, push_topic(state.name), envelope)
         except ReproError:
             # The subscriber never joined (or left) the bus: reap it.
             self.subscribers.pop(state.name, None)
@@ -344,11 +356,11 @@ class SubscriptionHub:
     # -- RPC handlers --------------------------------------------------------
 
     def _subscribe(self, argument: object) -> StreamReply:
-        name, acked_seq = self._stream_argument(argument, "subscribe")
-        self.subscribers[name] = SubscriberState(name)
+        name, acked_seq, tip_only = self._stream_argument(argument, "subscribe")
+        self.subscribers[name] = SubscriberState(name, tip_only)
         obs.inc("pubsub.subscribes")
         obs.set_gauge("pubsub.subscribers", len(self.subscribers))
-        return self._reply(name, acked_seq)
+        return self._reply(name, acked_seq, tip_only)
 
     def _unsubscribe(self, subscriber: object) -> bool:
         removed = self.subscribers.pop(subscriber, None) is not None
@@ -364,21 +376,25 @@ class SubscriptionHub:
         return reply
 
     @staticmethod
-    def _stream_argument(argument: object, method: str) -> tuple[str, int]:
+    def _stream_argument(argument: object, method: str) -> tuple[str, int, bool]:
         if (
             not isinstance(argument, tuple)
-            or len(argument) != 2
+            or len(argument) != 3
             or not isinstance(argument[0], str)
             or not argument[0]
             or type(argument[1]) is not int
+            or type(argument[2]) is not bool
         ):
-            raise ServiceUnavailableError(f"{method} takes (subscriber, acked_seq)")
+            raise ServiceUnavailableError(
+                f"{method} takes (subscriber, acked_seq, tip_only)"
+            )
         return argument
 
-    def _reply(self, name: str, acked_seq: int) -> StreamReply:
-        """Where the stream is, plus the newest tip if ``acked_seq`` is
-        behind it.  The subscriber states its own position, so any push
-        in flight to it is settled: the reply carries what it lacks."""
+    def _reply(self, name: str, acked_seq: int, tip_only: bool) -> StreamReply:
+        """Where the stream is, plus the newest tip in the caller's form
+        if ``acked_seq`` is behind it.  The subscriber states its own
+        position, so any push in flight to it is settled: the reply
+        carries what it lacks."""
         acked_seq = min(acked_seq, self.seq)  # nobody is past the stream
         tip = self.tip if self.tip is not None and acked_seq < self.tip.seq else None
         state = self.subscribers.get(name)
@@ -386,4 +402,5 @@ class SubscriptionHub:
             state.acked_seq = acked_seq if tip is None else tip.seq
             state.inflight = 0
             self._renew(state)
+        tip = None if tip is None else self._form(tip_only)
         return StreamReply(latest_seq=self.seq, subscribed=state is not None, tip=tip)

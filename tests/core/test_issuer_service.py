@@ -16,11 +16,11 @@ import pytest
 from repro.chain.builder import ChainBuilder
 from repro.chain.genesis import make_genesis
 from repro.chain.transaction import sign_transaction
-from repro.core.issuer import CertificateIssuer, IssuerService
+from repro.core.issuer import CertificateIssuer, CertifiedTip, IssuerService
 from repro.core.recovery import DurableIssuer
 from repro.crypto import generate_keypair
 from repro.errors import CertificateError, ServiceUnavailableError
-from repro.net import MessageBus, RpcClient
+from repro.net import MessageBus, RpcClient, wire
 from repro.query.indexes import AccountHistoryIndexSpec
 from repro.sgx.attestation import AttestationService
 from repro.sgx.platform import SGXPlatform
@@ -130,6 +130,37 @@ def test_tip_at_refuses_heights_that_are_not_certified_integers(rpc_world):
     for height in (True, 1.0, "3", 0, -1, tip + 1, None):
         with pytest.raises(ServiceUnavailableError):
             client.call("ci", "tip_at", height)
+
+
+# -- latest_tip in two forms -------------------------------------------------
+
+
+def test_latest_tip_serves_the_form_asked_for(rpc_world):
+    """No argument, or ``False``: the whole tip, every index part of it.
+    ``True``: the tip-only form, header and block certificate only."""
+    builder, issuer, _, client = rpc_world
+    client.call("ci", "certify_range", list(builder.blocks[1:4]))
+    whole = issuer.certified[-1].tip
+    assert set(whole.index_certificates) == set(whole.index_roots) == {"history"}
+    assert wire.encode(client.call("ci", "latest_tip")) == wire.encode(whole)
+    assert wire.encode(client.call("ci", "latest_tip", False)) == wire.encode(whole)
+    lean = client.call("ci", "latest_tip", True)
+    assert lean == CertifiedTip(whole.header, whole.certificate, {}, {})
+    assert len(wire.encode(lean)) < len(wire.encode(whole))
+
+
+def test_latest_tip_refuses_a_kind_that_is_not_none_or_a_bool(rpc_world):
+    """``tip_only`` comes off the wire: ``1 == True`` and ``0 == False``
+    are refused like any other value that is not ``None`` or a ``bool``,
+    typed, before and after the first certified block."""
+    builder, _, _, client = rpc_world
+    arguments = (1, 0, 1.0, "x", "true", (True,), [False], {"tip_only": True})
+    for certified in (False, True):
+        if certified:
+            client.call("ci", "certify_range", list(builder.blocks[1:3]))
+        for argument in arguments:
+            with pytest.raises(ServiceUnavailableError, match="tip_only"):
+                client.call("ci", "latest_tip", argument)
 
 
 # -- the deployed path writes what process_block writes ------------------------

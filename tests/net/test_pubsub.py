@@ -23,12 +23,12 @@ from repro.core import (
     connect,
 )
 from repro.crypto import ecdsa
-from repro.errors import ReproError, ResponseIntegrityError
+from repro.errors import ReproError, ResponseIntegrityError, ServiceUnavailableError
 from repro.net import FaultInjector, LinkFaults, MessageBus
 from repro.net.gateway import QueryGateway
 from repro.net import pubsub, wire
 from repro.net.pubsub import SubscriptionHub, TipAnnouncement
-from repro.net.rpc import RpcServer
+from repro.net.rpc import RpcClient, RpcServer
 from repro.query.indexes import AccountHistoryIndexSpec
 from repro.sgx.attestation import AttestationService
 from tests.conftest import fresh_vm, make_kv_tx
@@ -101,6 +101,24 @@ def lying_hub(w, answer):
     return liar
 
 
+def capture_pushes(client):
+    """The payload of every push that reaches ``client``, in order;
+    each is still handed to the client."""
+    payloads = []
+    client.rpc.node.on(
+        pubsub.push_topic(client.rpc.name),
+        lambda message, on_push=client._on_push: (
+            payloads.append(message.payload), on_push(message)
+        ),
+    )
+    return payloads
+
+
+def tip_only_form(announcement):
+    """``announcement`` as a subscriber without a gateway is sent it."""
+    return dataclasses.replace(announcement, tip=announcement.tip.without_indexes())
+
+
 def unchecked(obj, **changes):
     """A copy of a frozen dataclass with fields replaced, past its own
     checks — what a lying peer can put on the wire."""
@@ -131,15 +149,53 @@ def test_push_delivers_and_client_adopts(chain):
 
 
 def test_push_and_poll_carry_the_same_tip(chain):
-    """One tip type on both paths: what a push announces at a certified
-    height is, byte for byte, what ``latest_tip`` answers for it."""
-    w = world(chain)
-    client = w.clients["c1"]
+    """One tip type on both paths, for both kinds of client: what a push
+    announces at a certified height is, byte for byte, what
+    ``latest_tip`` answers a client of the same kind for it; the whole
+    form is what ``latest_tip`` answers with no argument."""
+    w = world(chain, clients=())
+    clients = [w.connect("c1"), w.connect("g1", keeps_roots=True)]
+    pushed = [capture_pushes(client) for client in clients]
     w.certify(3, start=1)
     w.bus.run_until_idle()
-    polled = client.rpc.call("ci", "latest_tip")
-    assert polled.header.height == w.hub.tip.seq == 3
-    assert wire.encode(w.hub.tip.tip) == wire.encode(polled)
+    whole = clients[0].rpc.call("ci", "latest_tip")
+    assert wire.encode(w.hub.tip.tip) == wire.encode(whole)
+    for client, payloads in zip(clients, pushed):
+        announcement = wire.decode(payloads[-1])
+        polled = client.rpc.call("ci", "latest_tip", client.tip_only)
+        assert polled.header.height == announcement.seq == w.hub.tip.seq == 3
+        assert wire.encode(announcement.tip) == wire.encode(polled)
+        assert (polled == whole) is not client.tip_only
+
+
+@pytest.mark.parametrize("keeps_roots", [False, True], ids=["tip-only", "gateway"])
+def test_each_kind_is_sent_its_form_by_push_reply_and_poll(chain, keeps_roots):
+    """A tip-only subscriber's push, its stream reply and the tip its
+    ``sync`` is served carry no index part; a gateway subscriber's carry
+    every index the issuer certifies."""
+    w = world(chain, clients=())
+    client = w.connect("c1", keeps_roots=keeps_roots)
+    pushed = capture_pushes(client)
+    w.certify(1, start=1)
+    w.bus.run_until_idle()
+    w.injector.set_link("ci", "c1", LinkFaults(drop_rate=1.0))  # seq 2 is lost
+    w.certify(1)
+    w.bus.run_until_idle()
+    w.injector.set_link("ci", "c1", LinkFaults())
+    replied = client.heartbeat().tip
+    served = []
+    adopt = client.adopt
+    client.adopt = lambda tip: (served.append(tip), adopt(tip))[1]
+    client.sync()
+    (polled,) = served
+    assert client.tip_only is not keeps_roots
+    indexes = set(w.issuer.certified[-1].index_roots) if keeps_roots else set()
+    assert indexes or not keeps_roots
+    sent = (wire.decode(pushed[0]).tip, replied.tip, polled)
+    assert [tip.header.height for tip in sent] == [1, 2, 2]
+    for tip in sent:
+        assert set(tip.index_certificates) == set(tip.index_roots) == indexes
+    assert client.latest_header.height == 2 and client.push_resyncs == 1
 
 
 def test_replayed_tip_carrying_new_index_roots_runs_root_housekeeping(chain):
@@ -250,7 +306,8 @@ def test_a_publish_encodes_the_announcement_once_for_all_subscribers(chain, monk
     assert encoded == [1, 2, 3]
     assert all(len(got) == 3 for name, got in pushed.items() if name != "c0")
     assert len({tuple(got) for name, got in pushed.items() if name != "c0"}) == 1
-    assert pushed["c1"][2] == encode(w.hub.tip)
+    # Every subscriber here is tip-only: the push is the tip-only form.
+    assert pushed["c1"][2] == encode(tip_only_form(w.hub.tip))
     # c0 lost seq 2, so seq 3 was never pushed to it; one heartbeat heals.
     w.injector.set_link("ci", "c0", LinkFaults())
     w.clients["c0"].heartbeat()
@@ -259,6 +316,84 @@ def test_a_publish_encodes_the_announcement_once_for_all_subscribers(chain, monk
     assert w.hub.retransmits == 1
     assert len(pushed["c0"]) == 1
     assert all(c.latest_header.height == 3 for c in w.clients.values())
+
+
+def test_each_form_is_encoded_once_per_tip_and_only_when_offered(chain, monkeypatch):
+    """Two tip-only subscribers and two with gateways: a publish offered
+    to both kinds encodes each form once.  A form no subscriber of its
+    kind was offered is never encoded, and a stream reply encodes no
+    push."""
+    w = world(chain, clients=())
+    lean = {name: w.connect(name) for name in ("t0", "t1")}
+    full = {name: w.connect(name, keeps_roots=True) for name in ("g0", "g1")}
+    encoded = []
+    encode = pubsub.wire.encode
+
+    def counting_encode(obj):
+        if isinstance(obj, TipAnnouncement):
+            encoded.append((obj.seq, "whole" if obj.tip.index_roots else "tip-only"))
+        return encode(obj)
+
+    monkeypatch.setattr(pubsub.wire, "encode", counting_encode)
+    w.certify(1, start=1)
+    assert encoded == [(1, "tip-only"), (1, "whole")]
+    w.bus.run_until_idle()
+    # The gateway subscribers lose seq 2, so seq 3 is offered to neither.
+    for name in full:
+        w.injector.set_link("ci", name, LinkFaults(drop_rate=1.0))
+    w.certify(1)
+    w.bus.run_until_idle()
+    w.certify(1)
+    w.bus.run_until_idle()
+    assert encoded[2:] == [(2, "tip-only"), (2, "whole"), (3, "tip-only")]
+    # Their heartbeat replies carry seq 3 whole, in the reply.
+    for name, client in full.items():
+        w.injector.set_link("ci", name, LinkFaults())
+        assert client.heartbeat().tip.seq == 3
+    assert len(encoded) == 5
+    # With no tip-only subscriber left, the tip-only form is not encoded.
+    for client in lean.values():
+        client.unsubscribe()
+    w.certify(1)
+    w.bus.run_until_idle()
+    assert encoded[5:] == [(4, "whole")]
+    assert all(c.latest_header.height == 4 for c in full.values())
+    assert all(c.latest_header.height == 3 for c in lean.values())
+
+
+# -- the stream call's argument ----------------------------------------------
+
+
+@pytest.mark.parametrize("method", [SubscriptionHub.SUBSCRIBE, SubscriptionHub.HEARTBEAT])
+def test_a_stream_call_without_a_bool_kind_is_refused_typed(chain, monkeypatch, method):
+    """``(subscriber, acked_seq, tip_only)`` or nothing: a 2-tuple, or a
+    kind that is not a ``bool``, is a typed refusal that creates no
+    subscriber, moves no state and sends no push."""
+    w = world(chain)
+    w.certify(2, start=1)
+    w.bus.run_until_idle()
+    caller = RpcClient(w.bus, "mallory")
+    states = {
+        name: [getattr(state, slot) for slot in type(state).__slots__]
+        for name, state in w.hub.subscribers.items()
+    }
+    topics = []
+    send = w.bus.send
+    monkeypatch.setattr(
+        w.bus, "send",
+        lambda sender, target, topic, message: (
+            topics.append(topic), send(sender, target, topic, message)
+        )[1],
+    )
+    for name in ("c1", "mallory"):
+        for argument in ((name, 0), (name, 0, 1), (name, 0, None), (name, 0, "x")):
+            with pytest.raises(ServiceUnavailableError, match="tip_only"):
+                caller.call("ci", method, argument)
+    assert not any(topic.startswith("push:") for topic in topics)
+    assert {
+        name: [getattr(state, slot) for slot in type(state).__slots__]
+        for name, state in w.hub.subscribers.items()
+    } == states
 
 
 # -- one push in flight, one announcement held -------------------------------
@@ -346,7 +481,7 @@ def test_lease_expiry_reaps_silent_subscribers(chain, monkeypatch):
 
 def test_departed_subscriber_is_reaped_on_send_failure(chain):
     w = world(chain, clients=())
-    w.hub._subscribe(("ghost", 0))  # never joined the bus
+    w.hub._subscribe(("ghost", 0, True))  # never joined the bus
     assert "ghost" in w.hub.subscribers
     w.certify(1, start=1)
     assert "ghost" not in w.hub.subscribers

@@ -125,12 +125,22 @@ ALIAS = "a class path other than the one encode writes"
 #: kind's representative changed: the keyword proof of absence now
 #: answers "worda" where it answered "wor80", 12,307 -> 14,791 bytes
 #: (+2 / +2 / +64 / +4 / +33).  No other kind moved, and no new class.
+#: Re-recorded once more (was 1186 / 242 / 2089 / 614 / 242) when a client
+#: without a gateway came to be sent the tip-only form: the tip world's
+#: subscribers, poller and cold clients are such clients, so the shortest
+#: push and the shortest ``latest_tip`` reply are now tip-only (4,550 ->
+#: 1,838 and 4,462 -> 1,750 bytes), without the index certificates and
+#: roots whose mutants each kind brought (-12 / -12 / -20 / -4 / -8 each:
+#: freight / alias / string body / object body / surplus key).  The
+#: ``null`` ``latest_tip`` request leaves the corpus (no refusals) and the
+#: shortest tuple is a 3-tuple stream request (same refusals).  No other
+#: kind moved, and no new class.
 PINNED_REFUSALS = {
-    SURPLUS_KEY: 1186,
-    FREIGHT: 242,
-    STRING_BODY: 2089,
-    OBJECT_BODY: 614,
-    ALIAS: 242,
+    SURPLUS_KEY: 1170,
+    FREIGHT: 218,
+    STRING_BODY: 2049,
+    OBJECT_BODY: 606,
+    ALIAS: 218,
 }
 
 

@@ -97,6 +97,8 @@ def world(certified_setup):
         for certified in issuer.certified
         for root in certified.index_roots.values()
     }
+    # What the hub sends a subscriber without a gateway.
+    tip_only = replace(announcement, tip=announcement.tip.without_indexes())
     return {
         "bus": bus,
         "hub": hub,
@@ -109,6 +111,10 @@ def world(certified_setup):
         "payload": wire.encode(announcement),
         "reply_payload": wire.encode(
             StreamReply(latest_seq=seq, subscribed=True, tip=announcement)
+        ),
+        "tip_only_payload": wire.encode(tip_only),
+        "tip_only_reply_payload": wire.encode(
+            StreamReply(latest_seq=seq, subscribed=True, tip=tip_only)
         ),
         "certified_roots": certified_roots,
     }
@@ -167,14 +173,39 @@ def _forges_certified_material(candidate, genuine) -> bool:
     )
 
 
+#: The two forms of a pushed tip, each to the kind of client the hub sends
+#: it to: ``(payload key, reply payload key, tip_only)``.
+_FORMS = {
+    "whole": ("payload", "reply_payload", False),
+    "tip-only": ("tip_only_payload", "tip_only_reply_payload", True),
+}
+
+
+def test_the_tip_only_push_at_two_indexes_is_under_two_kilobytes(world):
+    """Header, block certificate and stream position only: the index
+    parts the whole form carries are neither sent, verified nor kept."""
+    assert len(world["announcement"].tip.index_roots) == 2
+    assert len(world["tip_only_payload"]) <= 2_000 < len(world["payload"])
+
+
 def test_mutated_announcements_never_move_a_tip_unverified(world):
+    _mutated_announcements_never_move_a_tip_unverified(world, "whole")
+
+
+def test_mutated_tip_only_announcements_never_move_a_tip_unverified(world):
+    """The same property over the form a client without a gateway is sent."""
+    _mutated_announcements_never_move_a_tip_unverified(world, "tip-only")
+
+
+def _mutated_announcements_never_move_a_tip_unverified(world, form):
     genuine = world["announcement"].tip
-    payload = world["payload"]
+    payload_key, _reply_key, tip_only = _FORMS[form]
+    payload = world[payload_key]
     prev_header = world["issuer"].certified[-2].block.header
 
     def prop(rng):
         mutated = mutate_one_byte(payload, rng)
-        probe = _make_probe(world, rng, "tipprobe")
+        probe = _make_probe(world, rng, f"tipprobe-{form}", tip_only=tip_only)
         before_state = probe.to_json()
         pinned_before = set(ecdsa._pinned)
         probe._on_push(PushEnvelope(payload=mutated))
@@ -225,16 +256,26 @@ def test_mutated_stream_replies_never_move_a_tip_unverified(world):
     ``ResponseIntegrityError`` before anything is read, what is not a
     ``StreamReply`` too, and a tip is adopted only if it verifies —
     otherwise counted, with the state byte-identical."""
+    _mutated_stream_replies_never_move_a_tip_unverified(world, "whole")
+
+
+def test_mutated_tip_only_stream_replies_never_move_a_tip_unverified(world):
+    """The same property over a reply carrying the tip-only form."""
+    _mutated_stream_replies_never_move_a_tip_unverified(world, "tip-only")
+
+
+def _mutated_stream_replies_never_move_a_tip_unverified(world, form):
     genuine = world["announcement"].tip
+    _payload_key, reply_key, tip_only = _FORMS[form]
     prev_header = world["issuer"].certified[-2].block.header
 
     def prop(rng):
-        mutated = mutate_one_byte(world["reply_payload"], rng)
+        mutated = mutate_one_byte(world[reply_key], rng)
         try:
             reply = wire.decode(mutated)
         except WireError:
             return  # RpcClient.resolve: a ResponseIntegrityError, see test_rpc
-        probe = _make_probe(world, rng, "replyprobe")
+        probe = _make_probe(world, rng, f"replyprobe-{form}", tip_only=tip_only)
         before_state = probe.to_json()
         if not isinstance(reply, StreamReply):
             with pytest.raises(ResponseIntegrityError):
@@ -748,3 +789,31 @@ def test_a_mutated_tip_moves_a_tip_only_client_only_on_its_block_certificate(wor
         ("index_certificates", True): 30, ("index_roots", True): 10,
         ("header", False): 35, ("certificate", False): 15,
     }
+
+
+@pytest.mark.parametrize("path", ["push", "reply", "poll"])
+def test_a_gateway_client_sent_the_tip_only_form_keeps_its_index_roots(world, path):
+    """A lying hub (or issuer) sends a client with a gateway the tip-only
+    form.  Its tip moves on the verified block certificate alone; its
+    index roots stay exactly the ones it held, and its answer cache keeps
+    nothing under a root it does not hold."""
+    genuine = world["announcement"].tip
+    older = world["issuer"].certified[-2].tip
+    probe = _make_probe(world, random.Random(45), f"keeper-lean-{path}", ("liar",))
+    held = dict(probe.state.indexes)
+    assert {name: entry[1] for name, entry in held.items()} == older.index_roots
+    for root in (*older.index_roots.values(), *genuine.index_roots.values()):
+        probe.cache.put(b"request", root, "an answer verified at this root")
+    _deliver(world, probe, path, genuine.without_indexes())
+    assert probe.integrity_failures == probe.push_rejected == 0
+    assert probe.latest_header == genuine.header
+    assert probe.latest_certificate == genuine.certificate
+    assert dict(probe.state.indexes) == held
+    cached = {root for _request, root in probe.cache._entries}
+    assert cached == set(older.index_roots.values())
+    # A forged block certificate in the same form moves nothing.
+    forged = replace(genuine.without_indexes(), certificate=older.certificate)
+    rival = _make_probe(world, random.Random(46), f"keeper-forged-{path}", ("liar",))
+    before = rival.to_json()
+    _deliver(world, rival, path, forged)
+    assert rival.integrity_failures == 1 and rival.to_json() == before
