@@ -20,7 +20,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-MAX_SRC_LINES=17195
+MAX_SRC_LINES=17190
 MAX_SUPPRESSIONS=8
 
 src_lines=$(find src -name '*.py' -print0 | xargs -0 cat | wc -l)

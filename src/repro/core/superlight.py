@@ -623,33 +623,32 @@ class SuperlightClient:
     def query_many(self, requests, *, deadline_ms: float = 0.0):
         """Run a batch of typed queries, pipelined across the fleet.
 
-        Cache hits (same canonical request, same certified root) are
-        answered locally with zero round trips; the misses are
-        dispatched concurrently through the gateway, so a fleet of N
-        busy replicas drains them ~N× faster than one.  Every answer is
-        verified before it is returned or cached; an unverifiable one
-        strikes the replica that gave it and the request is
-        re-dispatched inside the gateway's per-item budget.  A client
-        without a gateway (in-process, or connected and tip-only) cannot
-        query: :class:`~repro.errors.ConfigError`.
+        Cache hits (an equal typed request, the same certified root)
+        are answered locally with zero round trips and nothing encoded;
+        the misses are encoded once and dispatched concurrently through
+        the gateway, so a fleet of N busy replicas drains them ~N×
+        faster than one.  Every answer is verified before it is
+        returned or cached; an unverifiable one strikes the replica
+        that gave it and the request is re-dispatched inside the
+        gateway's per-item budget.  A client without a gateway
+        (in-process, or connected and tip-only) cannot query:
+        :class:`~repro.errors.ConfigError`.
         """
         if self.gateway is None:
             raise ConfigError("a client without a gateway cannot query")
         requests = list(requests)
-        payloads = [self._wire.encode(request) for request in requests]
-        results = [self._cache_get(r, p) for r, p in zip(requests, payloads)]
+        results = [self._cache_get(request) for request in requests]
         misses = [
             position for position, hit in enumerate(results) if hit is None
         ]
         if misses:
+            asked = [requests[position] for position in misses]
             answers = self.gateway.call_many(
                 "execute",
-                [requests[position] for position in misses],
+                asked,
                 deadline_ms=deadline_ms,
-                accept=lambda miss, answer: self._admit(
-                    requests[misses[miss]], payloads[misses[miss]], answer
-                ),
-                payloads=[payloads[position] for position in misses],
+                accept=lambda miss, answer: self._admit(asked[miss], answer),
+                payloads=[self._wire.encode(request) for request in asked],
             )
             for position, answer in zip(misses, answers):
                 results[position] = answer
@@ -657,7 +656,7 @@ class SuperlightClient:
 
     # -- the verified-answer cache ------------------------------------------
 
-    def _admit(self, request, payload: bytes, answer):
+    def _admit(self, request, answer):
         """The one gate between the wire and the caller: ``answer`` is
         returned (and cached) only if it verifies against the certified
         index roots; otherwise it is counted and raised as a
@@ -675,14 +674,14 @@ class SuperlightClient:
             )
         # Verification passed, so the index's certified entry exists.
         height, root, _cert = self.state.indexes[request.index]
-        self.cache.put(payload, root, answer, height=height)
+        self.cache.put(request, root, answer, height=height)
         return answer
 
-    def _cache_get(self, request, payload: bytes):
+    def _cache_get(self, request):
         held = self.state.indexes.get(getattr(request, "index", None))
         if held is None:
             return None
-        return self.cache.get(payload, held[1])
+        return self.cache.get(request, held[1])
 
 
 def compute_expected_measurement(

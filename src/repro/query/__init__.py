@@ -18,7 +18,7 @@ query answers against those certified roots.
 * :mod:`lineagechain` — the LineageChain baseline (skip-list lower
   level), used by the Fig. 11 comparison.
 * :mod:`answercache` — the client-side LRU cache of *verified* answers,
-  keyed by canonical request + certified root.
+  keyed by the typed request + certified root.
 """
 
 from repro.query.answercache import StaleAnswer, VerifiedAnswerCache

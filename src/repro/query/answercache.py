@@ -3,9 +3,11 @@
 Certificates change what a cache has to fear.  An ordinary response
 cache must trust whoever filled it; here an entry is admitted only
 *after* :meth:`~repro.core.superlight.SuperlightClient.verify_answer`
-succeeded, and it is keyed by the canonical wire encoding of the typed
-request **plus the certified index root the verification ran against**.
-That second key component is the invalidation story: when the client
+succeeded, and it is keyed by the typed request **plus the certified
+index root the verification ran against**.  Request leaves are
+exact-typed and equality compares the class, so two requests are equal
+(and hash alike) exactly when their wire encodings are: a lookup encodes
+nothing.  The root is the invalidation story: when the client
 adopts a new certified tip the roots move, lookups start using the new
 root, and every old entry silently stops matching — a cached answer can
 never be served against a root it was not verified under.  Entries
@@ -25,13 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro import obs
-from repro.net import wire
 from repro.query.api import QueryAnswer, QueryRequest
-
-
-def _canonical(request: QueryRequest | bytes) -> bytes:
-    """The request's wire encoding, given as is by a caller that holds it."""
-    return request if isinstance(request, bytes) else wire.encode(request)
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,15 +56,15 @@ class VerifiedAnswerCache:
         if capacity < 1:
             raise ValueError("cache capacity must be positive")
         self.capacity = capacity
-        #: (canonical request bytes, certified root) -> verified answer.
-        self._entries: OrderedDict[tuple[bytes, bytes], QueryAnswer] = OrderedDict()
-        #: Sidecar for graceful degradation, keyed by request bytes
+        #: (typed request, certified root) -> verified answer.
+        self._entries: OrderedDict[tuple, QueryAnswer] = OrderedDict()
+        #: Sidecar for graceful degradation, keyed by the request
         #: alone: the most recent verified answer for each request,
         #: *kept* when roots advance (that is its whole point) and
         #: served only as an explicitly-flagged :class:`StaleAnswer`.
         #: Strictly separate from ``_entries`` so the fresh path can
         #: never accidentally serve under a superseded root.
-        self._stale: OrderedDict[bytes, StaleAnswer] = OrderedDict()
+        self._stale: OrderedDict[QueryRequest, StaleAnswer] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -79,9 +75,9 @@ class VerifiedAnswerCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, request: QueryRequest | bytes, root: bytes) -> QueryAnswer | None:
+    def get(self, request: QueryRequest, root: bytes) -> QueryAnswer | None:
         """The cached verified answer for ``request`` at ``root``, if any."""
-        key = (_canonical(request), bytes(root))
+        key = (request, bytes(root))
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
@@ -94,7 +90,7 @@ class VerifiedAnswerCache:
 
     def put(
         self,
-        request: QueryRequest | bytes,
+        request: QueryRequest,
         root: bytes,
         answer: QueryAnswer,
         *,
@@ -104,36 +100,34 @@ class VerifiedAnswerCache:
         that passed ``verify_answer`` against exactly ``root``;
         ``height`` records what chain height that root was certified
         at, so a degraded (stale) serve can report its age."""
-        key = (_canonical(request), bytes(root))
+        key = (request, bytes(root))
         self._entries[key] = answer
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.evictions += 1
             obs.inc("cache.answer.evictions")
-        stale_key = key[0]
-        self._stale[stale_key] = StaleAnswer(
+        self._stale[request] = StaleAnswer(
             answer=answer, root=bytes(root), height=height
         )
-        self._stale.move_to_end(stale_key)
+        self._stale.move_to_end(request)
         while len(self._stale) > self.capacity:
             self._stale.popitem(last=False)
         obs.set_gauge("cache.answer.entries", len(self._entries))
 
-    def get_stale(self, request: QueryRequest | bytes) -> StaleAnswer | None:
+    def get_stale(self, request: QueryRequest) -> StaleAnswer | None:
         """The last verified answer for ``request`` under *any* root.
 
         The degraded path: only consulted when the serving tier is
         shedding and the caller opted into stale answers.  Never
         consulted by :meth:`get`, which remains root-exact.
         """
-        key = _canonical(request)
-        entry = self._stale.get(key)
+        entry = self._stale.get(request)
         if entry is None:
             self.stale_misses += 1
             obs.inc("cache.answer.stale_misses")
             return None
-        self._stale.move_to_end(key)
+        self._stale.move_to_end(request)
         self.stale_hits += 1
         obs.inc("cache.answer.stale_hits")
         return entry

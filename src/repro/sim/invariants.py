@@ -210,9 +210,9 @@ class InvariantSuite:
             )
 
     def _check_answers(self) -> None:
-        for request, answer in self.world.drain_answers():
+        for request, encoded in self.world.drain_answers():
             honest = self.world.oracle.execute(request)
-            assert encode(answer) == encode(honest), (
+            assert encoded == encode(honest), (
                 f"verified answer for {request!r} differs from honest "
                 "local execution"
             )
@@ -221,7 +221,7 @@ class InvariantSuite:
         for entry in self.world.fleet:
             held = entry.client.state.indexes.values()
             roots = {root for _height, root, _cert in held}
-            for (_request_bytes, root) in entry.client.cache._entries:
+            for (_request, root) in entry.client.cache._entries:
                 assert root in roots, (
                     f"{entry.name} caches an answer under a root it no "
                     "longer holds certified"

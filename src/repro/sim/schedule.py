@@ -265,8 +265,9 @@ def _ask(world: SimWorld, entry, request, deadline_ms: float = 0.0) -> str:
         # oracle executes at the *current* tip, and staleness is the
         # whole point of the fallback.
         return f"{entry.name} stale:h{answer.height}"
-    world.record_answer(request, answer)
-    return f"{entry.name} ans:{_digest(encode(answer))}"
+    encoded = encode(answer)
+    world.record_answer(request, encoded)
+    return f"{entry.name} ans:{_digest(encoded)}"
 
 
 def _ev_query_many(world: SimWorld, p: dict) -> str:
@@ -291,10 +292,10 @@ def _ev_query_many(world: SimWorld, p: dict) -> str:
         answers = entry.client.query_many(requests)
     except ReproError as exc:
         return f"{entry.name} fail:{type(exc).__name__}"
-    for request, answer in zip(requests, answers):
-        world.record_answer(request, answer)
-    joined = b"".join(encode(answer) for answer in answers)
-    return f"{entry.name} x{len(answers)}:{_digest(joined)}"
+    encoded = [encode(answer) for answer in answers]
+    for request, data in zip(requests, encoded):
+        world.record_answer(request, data)
+    return f"{entry.name} x{len(answers)}:{_digest(b''.join(encoded))}"
 
 
 def _ev_sync(world: SimWorld, p: dict) -> str:
@@ -443,10 +444,10 @@ def _ev_overload(world: SimWorld, p: dict) -> str:
         answers = entry.client.query_many(requests, deadline_ms=deadline)
     except ReproError as exc:
         return f"{entry.name} fail:{type(exc).__name__}"
-    for request, answer in zip(requests, answers):
-        world.record_answer(request, answer)
-    joined = b"".join(encode(answer) for answer in answers)
-    return f"{entry.name} x{len(answers)}:{_digest(joined)}"
+    encoded = [encode(answer) for answer in answers]
+    for request, data in zip(requests, encoded):
+        world.record_answer(request, data)
+    return f"{entry.name} x{len(answers)}:{_digest(b''.join(encoded))}"
 
 
 def _ev_burst(world: SimWorld, p: dict) -> str:

@@ -114,7 +114,7 @@ class SimWorld:
     user: object
     fleet: list[SimClient] = field(default_factory=list)
     events: list[str] = field(default_factory=list)
-    answers: list[tuple[object, object]] = field(default_factory=list)
+    answers: list[tuple[object, bytes]] = field(default_factory=list)
     faulted_links: set[tuple[str, str]] = field(default_factory=set)
     paused_replicas: set[str] = field(default_factory=set)
     slowed_replicas: dict[str, float] = field(default_factory=dict)
@@ -359,10 +359,11 @@ class SimWorld:
     def log(self, line: str) -> None:
         self.events.append(line)
 
-    def record_answer(self, request, answer) -> None:
-        self.answers.append((request, answer))
+    def record_answer(self, request, encoded: bytes) -> None:
+        """A verified answer to ``request``, as the event log digested it."""
+        self.answers.append((request, encoded))
 
-    def drain_answers(self) -> list[tuple[object, object]]:
+    def drain_answers(self) -> list[tuple[object, bytes]]:
         drained, self.answers = self.answers, []
         return drained
 

@@ -16,7 +16,13 @@ from repro.net import (
     QueryGateway,
     wire,
 )
-from repro.query import HistoryQuery, QueryAnswer, QueryService
+from repro.query import (
+    AggregateQuery,
+    HistoryQuery,
+    KeywordQuery,
+    QueryAnswer,
+    QueryService,
+)
 from repro.query.answercache import VerifiedAnswerCache
 from repro.query.provider import QueryServiceProvider
 from tests.conftest import fresh_vm
@@ -191,32 +197,32 @@ def test_warm_hits_do_zero_rpc_round_trips(fleet):
     assert client.rpc.calls + fleet["gateway"].rpc.calls == calls_before
 
 
-# -- a request is encoded once ------------------------------------------------
+# -- a request is encoded only when it leaves the client ----------------------
 
 
-def test_each_cache_method_builds_its_key_once(encoded):
+def test_the_cache_never_encodes(encoded):
+    """The key is the typed request itself.  Parent: one encode per
+    ``put`` / ``get`` / ``get_stale``, five here."""
     cache = VerifiedAnswerCache(capacity=4)
     cache.put(req(0), ROOT, ans(0))
-    assert encoded == [req(0)]
-    assert cache.get(req(0), ROOT) == ans(0)  # a hit: parent 2
+    assert cache.get(req(0), ROOT) == ans(0)
     assert cache.get(req(1), ROOT) is None
-    assert cache.get_stale(req(0)).answer == ans(0)  # parent 2
+    assert cache.get_stale(req(0)).answer == ans(0)
     assert cache.get_stale(req(1)) is None
-    assert encoded == [req(0), req(0), req(1), req(0), req(1)]
-    # A caller that holds the bytes hands them over: no encode at all.
-    key = wire.encode(req(0))
-    del encoded[:]
-    assert cache.get(key, ROOT) == ans(0)
-    assert cache.get_stale(key).answer == ans(0)
-    cache.put(key, OTHER, ans(0))
-    assert cache.get(req(0), OTHER) == ans(0)
+    assert encoded == []
+    # Any hashable key works, opaquely: bytes are not a request's bytes.
+    cache.put(b"opaque", OTHER, ans(1))
+    assert cache.get(b"opaque", OTHER) == ans(1)
+    assert cache.get_stale(b"opaque").answer == ans(1)
+    assert cache.get(req(0), OTHER) is None
+    assert cache.get(wire.encode(req(0)), ROOT) is None
     assert encoded == [req(0)]
 
 
 def test_one_query_encodes_its_request_once(fleet, encoded):
-    """A miss is one encode on the client (the bytes that key the cache
-    lookup, ride in the RPC and key the admission) and one on the server
-    (the answer); a warm hit is the one lookup key.  Parent: 3 + 1 and 2."""
+    """A miss is one encode on the client (the bytes that ride in the
+    RPC) and one on the server (the answer); a warm hit encodes nothing.
+    Parent: 2 + 1 and 1."""
     client = fleet["client"]
     request = HistoryQuery(
         index="history", account="once-gateway", t_from=1, t_to=10
@@ -224,7 +230,48 @@ def test_one_query_encodes_its_request_once(fleet, encoded):
     cold = client.query(request)
     assert encoded == [request, cold]
     assert client.query(request) == cold
-    assert encoded == [request, cold, request]
+    assert encoded == [request, cold]
+
+
+def test_a_batch_encodes_its_misses_only(fleet, encoded):
+    client = fleet["client"]
+    warm = HistoryQuery(index="history", account="batch-warm", t_from=1, t_to=10)
+    cold = HistoryQuery(index="history", account="batch-cold", t_from=1, t_to=10)
+    client.query(warm)
+    del encoded[:]
+    answers = client.query_many([warm, cold, warm])
+    assert [answer.request for answer in answers] == [warm, cold, warm]
+    assert encoded == [cold, answers[1]]
+
+
+# -- what counts as the same request ------------------------------------------
+
+
+def test_two_families_with_identical_fields_are_two_entries():
+    """Equal fields hash alike across classes; equality tells them apart."""
+    history = HistoryQuery(index="i", account="a", t_from=1, t_to=2)
+    aggregate = AggregateQuery(index="i", account="a", t_from=1, t_to=2)
+    assert hash(history) == hash(aggregate) and history != aggregate
+    cache = VerifiedAnswerCache(capacity=4)
+    cache.put(history, ROOT, "history answer")
+    assert cache.get(aggregate, ROOT) is None
+    cache.put(aggregate, ROOT, "aggregate answer")
+    assert len(cache) == 2
+    assert cache.get(history, ROOT) == "history answer"
+    assert cache.get(aggregate, ROOT) == "aggregate answer"
+    assert cache.get_stale(history).answer == "history answer"
+
+
+def test_a_keyword_list_and_tuple_are_one_entry():
+    """A list is stored as a tuple, so both spellings encode alike."""
+    listed = KeywordQuery(index="kw", keywords=["x", "y"])
+    tupled = KeywordQuery(index="kw", keywords=("x", "y"))
+    assert wire.encode(listed) == wire.encode(tupled)
+    cache = VerifiedAnswerCache(capacity=4)
+    cache.put(listed, ROOT, "answer")
+    assert cache.get(tupled, ROOT) == "answer"
+    cache.put(tupled, ROOT, "answer")
+    assert len(cache) == 1 and len(cache._stale) == 1
 
 
 # -- graceful degradation through the client ---------------------------------

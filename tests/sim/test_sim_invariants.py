@@ -163,11 +163,12 @@ def test_storage_budget_enforced(world, suite):
 def test_oracle_identity_rejects_wrong_answer(world, suite):
     """An answer recorded against the wrong request (byte-different
     from honest local execution) trips the oracle check."""
+    from repro.net.wire import encode
     from repro.query import HistoryQuery
 
     ask = HistoryQuery(index="history", account="acct0", t_from=1, t_to=2)
     other = HistoryQuery(index="history", account="acct1", t_from=1, t_to=2)
-    world.record_answer(ask, world.oracle.execute(other))
+    world.record_answer(ask, encode(world.oracle.execute(other)))
     assert _violation(suite).name == "oracle-identity"
     assert not world.answers  # the checker drains even on failure
 
