@@ -17,10 +17,13 @@
 # (The tip-only form on the wire — the hub's push and reply per subscriber
 # kind, the stream call's `tip_only` and `latest_tip`'s argument, each
 # checked at the boundary: +28, 17167 -> 17195.)
+# (The client state's one persisted encoding, each enclave identity stored
+# once, and the sealing keystream's once-keyed HMAC states: +29 of an
+# allowed +40, 17190 -> 17219.)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-MAX_SRC_LINES=17190
+MAX_SRC_LINES=17219
 MAX_SUPPRESSIONS=8
 
 src_lines=$(find src -name '*.py' -print0 | xargs -0 cat | wc -l)

@@ -30,12 +30,12 @@ from types import MappingProxyType
 from typing import Mapping
 
 from repro import obs
-from repro.chain.block import BlockHeader
+from repro.chain.block import BlockHeader, EncodedSize
 from repro.core.certificate import Certificate, VerifiedMemo, verify_certificate
 from repro.core.digest import block_digest, index_digest
 from repro.core.enclave_program import DCertEnclaveProgram
 from repro.core.issuer import CertifiedTip
-from repro.crypto import PublicKey
+from repro.crypto import PublicKey, Signature
 from repro.crypto.hashing import Digest
 from repro.errors import (
     CertificateError,
@@ -53,10 +53,14 @@ from repro.sgx.enclave import measure_program
 
 
 @dataclass(frozen=True, slots=True)
-class ClientState:
+class ClientState(EncodedSize):
     """Everything a superlight client holds (and persists): the adopted
     tip, and per index the ``(height, root, certificate)`` it was last
     certified at.  Immutable; :func:`adopt_bundle` builds the next one.
+
+    :meth:`encode` is what the wallet stores and ``size_bytes()`` is its
+    length, encoded at most once per state (a state, like a header,
+    never changes once built).
     """
 
     header: BlockHeader | None = None
@@ -64,6 +68,63 @@ class ClientState:
     indexes: Mapping[str, tuple[int, Digest, Certificate]] = field(
         default_factory=dict
     )
+
+    def encode(self) -> bytes:
+        """The persisted state: the tip's header and certificate as each
+        encodes alone, then one ``[name, height, root, held]`` entry per
+        index.  The enclave identity (``pk_enc`` and its report) is
+        written once, in the tip's certificate: an index certificate from
+        that identity is ``held`` as its signature alone, its digest
+        being ``index_digest(header, root)``.  One from another identity
+        (a second issuer, a re-attested enclave) is ``held`` whole.
+        """
+        tip = self.certificate
+        parts = [] if tip is None else [self.header.encode(), tip.encode()]
+        for name in sorted(self.indexes):
+            height, root, cert = self.indexes[name]
+            shared = tip is not None and (
+                (cert.pk_enc, cert.report) == (tip.pk_enc, tip.report)
+            )
+            held = cert.sig.to_bytes().hex() if shared else cert.encode().decode()
+            parts.append(json.dumps(
+                [name, height, root.hex(), held], separators=(",", ":")
+            ).encode())
+        return b"".join(parts)
+
+
+def _stored_tip(stored: bytes) -> CertifiedTip | None:
+    """The bundle a :meth:`ClientState.encode` re-verifies as: its tip,
+    and every index entry bound to that tip's header (a certificate
+    signs ``index_digest(header, root)``, which needs that header).  An
+    entry held at an earlier height cannot be re-checked against
+    anything stored, so it is left out and re-fetched on the next sync.
+    ``None`` when no tip is stored; :class:`CertificateError` when the
+    bytes are not such an encoding.  Nothing here is verified.
+    """
+    try:
+        text, decoder = stored.decode(), json.JSONDecoder()
+        parts, at = [], 0
+        while at < len(text):
+            value, end = decoder.raw_decode(text, at)
+            parts.append((value, text[at:end].encode()))
+            at = end
+        if not parts or not isinstance(parts[0][0], dict):
+            return None
+        header = BlockHeader.decode(parts[0][1])
+        tip = Certificate.decode(parts[1][1])
+        roots, certs = {}, {}
+        for (name, height, root_hex, held), _text in parts[2:]:
+            if height != header.height:
+                continue
+            roots[name] = root = bytes.fromhex(root_hex)
+            certs[name] = (
+                Certificate.decode(held.encode()) if held.startswith("{")
+                else Certificate(tip.pk_enc, tip.report, index_digest(header, root),
+                                 Signature.from_bytes(bytes.fromhex(held)))
+            )
+        return CertifiedTip(header, tip, certs, roots)
+    except (ReproError, ValueError, TypeError, LookupError, AttributeError) as exc:
+        raise CertificateError(f"malformed stored client state: {exc}") from exc
 
 
 def wins_chain_selection(held: BlockHeader | None, header: BlockHeader) -> bool:
@@ -312,35 +373,15 @@ class SuperlightClient:
     # -- persistence ---------------------------------------------------------------
 
     def to_json(self) -> str:
-        """Serialize the client's durable state (a "wallet file").
-
-        Exactly what Fig. 7a counts: the latest header + certificate,
-        plus the certified index roots and the index certificates
-        vouching for them — all constant-size per index.
-        """
-        state = self.state
+        """Serialize the client's durable state (a "wallet file"): the
+        trust anchors and :meth:`ClientState.encode` — exactly what
+        Fig. 7a counts, the latest header + certificate, plus per index
+        its certified root and what it takes to re-check it."""
         return json.dumps(
             {
                 "measurement": self.expected_measurement.hex(),
                 "ias_key": self.ias_public_key.to_bytes().hex(),
-                "header": (
-                    state.header.encode().decode("utf-8")
-                    if state.header is not None
-                    else None
-                ),
-                "certificate": (
-                    state.certificate.encode().decode("utf-8")
-                    if state.certificate is not None
-                    else None
-                ),
-                "index_roots": {
-                    name: [height, root.hex()]
-                    for name, (height, root, _cert) in state.indexes.items()
-                },
-                "index_certificates": {
-                    name: cert.encode().decode("utf-8")
-                    for name, (_height, _root, cert) in state.indexes.items()
-                },
+                "state": self.state.encode().decode(),
             },
             sort_keys=True,
         )
@@ -348,56 +389,30 @@ class SuperlightClient:
     @classmethod
     def from_json(cls, data: str) -> "SuperlightClient":
         """Restore a client by re-adopting the stored bundle, so a
-        tampered wallet file cannot smuggle in a bad tip or index root.
-
-        Only what verifies *in full* comes back: the tip, and every
-        index entry bound to the stored tip header (its certificate
-        signs ``index_digest(header, root)``, which needs that header).
-        An entry adopted at an earlier height — or stored without its
-        certificate — cannot be re-checked against anything the wallet
-        holds, so it is dropped and re-fetched on the next sync.
+        tampered wallet file cannot smuggle in a bad tip or index root:
+        every certificate is verified again, and a tampered enclave
+        identity fails every certificate that shares it.  Only what
+        verifies *in full* comes back: the tip, and each index entry
+        bound to its header; an older entry is re-fetched on the next
+        sync.
         """
         raw = json.loads(data)
         client = cls(
             bytes.fromhex(raw["measurement"]),
             PublicKey.from_bytes(bytes.fromhex(raw["ias_key"])),
         )
-        if raw["header"] is None or raw["certificate"] is None:
-            return client
-        header = BlockHeader.decode(raw["header"].encode("utf-8"))
-        stored_certs = raw.get("index_certificates", {})
-        bound = {
-            name: bytes.fromhex(root_hex)
-            for name, (height, root_hex) in raw.get("index_roots", {}).items()
-            if int(height) == header.height and name in stored_certs
-        }
-        client.adopt(
-            CertifiedTip(
-                header,
-                Certificate.decode(raw["certificate"].encode("utf-8")),
-                {
-                    name: Certificate.decode(stored_certs[name].encode("utf-8"))
-                    for name in bound
-                },
-                bound,
-            )
-        )
+        bundle = _stored_tip(raw["state"].encode())
+        if bundle is not None:
+            client.adopt(bundle)
         return client
 
     # -- bookkeeping ---------------------------------------------------------------
 
     def storage_bytes(self) -> int:
-        """Bytes the client persists: one header + one certificate, plus
-        each held index certificate and its (height, root) bookkeeping."""
-        state = self.state
-        total = 0
-        if state.header is not None:
-            total += state.header.size_bytes()
-        if state.certificate is not None:
-            total += state.certificate.size_bytes()
-        for _height, root, cert in state.indexes.values():
-            total += cert.size_bytes() + len(root) + 8  # root + its height
-        return total
+        """Bytes the client persists: the length of its state's encoding
+        (one header + one certificate, plus per held index its entry),
+        encoded once per adopted state."""
+        return self.state.size_bytes()
 
     # -- certificate sync (connected) ------------------------------------------
 

@@ -33,13 +33,27 @@ def _sealing_key(platform: SGXPlatform, measurement: Digest) -> bytes:
 
 
 def _xor_keystream(key: bytes, nonce: bytes, data: bytes) -> bytes:
-    """``data`` XOR the HMAC-SHA256 counter keystream of (key, nonce):
-    one HMAC per 32 bytes, joined once, XORed as one big integer."""
+    """``data`` XOR the HMAC-SHA256 counter keystream of (key, nonce).
+
+    HMAC's keyed inner and outer hash states are built once and copied
+    per 32-byte block, so a block costs two SHA-256 compressions, not the
+    four of a fresh ``hmac.new``; the bytes are the same (sealed blobs
+    are a format).  ``key`` is a 32-byte digest, so it is HMAC's padded
+    key as it stands.
+    """
+    padded = key.ljust(hashlib.sha256().block_size, b"\0")
+    inner = hashlib.sha256(bytes(byte ^ 0x36 for byte in padded) + nonce)
+    outer = hashlib.sha256(bytes(byte ^ 0x5C for byte in padded))
+
+    def block(counter: int) -> bytes:
+        keyed = inner.copy()
+        keyed.update(counter.to_bytes(8, "big"))
+        mac = outer.copy()
+        mac.update(keyed.digest())
+        return mac.digest()
+
     blocks = -(-len(data) // _MAC_SIZE)
-    stream = b"".join(
-        hmac.new(key, nonce + counter.to_bytes(8, "big"), hashlib.sha256).digest()
-        for counter in range(blocks)
-    )[: len(data)]
+    stream = b"".join(map(block, range(blocks)))[: len(data)]
     mixed = int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
     return mixed.to_bytes(len(data), "big")
 

@@ -251,8 +251,11 @@ def test_storage_counts_index_certificates(local_client, certified_setup):
         "history", tip.block.header, tip.index_roots["history"], cert
     )
     grown = local_client.storage_bytes()
-    # One index certificate plus its (height, root) bookkeeping.
-    assert grown == base + cert.size_bytes() + 32 + 8
+    # One entry, ["history",<height>,"<root>","<sig>"]: the certificate's
+    # enclave identity is the tip's, stored once, and its digest is
+    # H(header || root); a 32-byte root and a 64-byte signature in hex.
+    height = len(str(tip.block.header.height))
+    assert grown == base + len('["history",,"",""]') + height + 64 + 128
 
 
 def test_full_client_state_within_paper_budget(local_client, certified_setup):

@@ -175,47 +175,68 @@ def test_wallet_roundtrip(client, certified_setup):
     assert restored.storage_bytes() == client.storage_bytes()
 
 
-def test_wallet_tamper_rejected(client, certified_setup):
-    import json
+def _state_parts(wallet: dict) -> list:
+    """A wallet's stored state, split into its JSON values: the header,
+    the certificate, then one ``[name, height, root, held]`` per index."""
+    text, decoder, parts, at = wallet["state"], json.JSONDecoder(), [], 0
+    while at < len(text):
+        value, at = decoder.raw_decode(text, at)
+        parts.append(value)
+    return parts
 
+
+def _with_state_parts(wallet: dict, parts: list) -> dict:
+    header, certificate, *entries = parts
+    wallet["state"] = "".join([
+        json.dumps(header, sort_keys=True),
+        json.dumps(certificate, sort_keys=True),
+        *(json.dumps(entry, separators=(",", ":")) for entry in entries),
+    ])
+    return wallet
+
+
+def test_wallet_tamper_rejected(client, certified_setup):
     client.adopt(certified_setup["issuer"].certified[-1].tip)
     height = client.latest_header.height
 
-    def bump_header(wallet):
-        header = json.loads(wallet["header"])
-        header["height"] += 100
-        wallet["header"] = json.dumps(header, sort_keys=True)
+    def history(parts):
+        return next(entry for entry in parts[2:] if entry[0] == "history")
 
-    def forge_root_at_tip(wallet):
-        wallet["index_roots"]["history"] = [height, "ee" * 32]
+    def bump_header(parts):
+        parts[0]["height"] += 100
 
-    def forge_root_below_tip(wallet):
+    def forge_root_at_tip(parts):
+        history(parts)[2] = "ee" * 32
+
+    def forge_root_below_tip(parts):
         # No stored header to bind it to: must not ride in on the
         # certificate's own digest.
-        wallet["index_roots"]["history"] = [height - 1, "ee" * 32]
+        history(parts)[1:3] = [height - 1, "ee" * 32]
 
-    def forge_root_and_drop_its_certificate(wallet):
-        wallet["index_roots"]["history"] = [height, "ee" * 32]
-        del wallet["index_certificates"]["history"]
+    def drop_the_certificate_of_a_root(parts):
+        del history(parts)[3]
 
     def restore(tamper):
         wallet = json.loads(client.to_json())
-        tamper(wallet)
-        return SuperlightClient.from_json(json.dumps(wallet))
+        parts = _state_parts(wallet)
+        tamper(parts)
+        return SuperlightClient.from_json(json.dumps(_with_state_parts(wallet, parts)))
 
-    # A forged tip header, or a forged root bound to the stored tip:
-    # the restore itself is refused.
-    for tamper in (bump_header, forge_root_at_tip):
+    # A forged tip header, a forged root bound to the stored tip, or a
+    # root stored without what signs it: the restore itself is refused.
+    for tamper in (bump_header, forge_root_at_tip, drop_the_certificate_of_a_root):
         with pytest.raises(CertificateError):
             restore(tamper)
     # An entry the wallet holds nothing to re-check against: the restore
     # keeps the genuine tip and drops the entry (re-fetched on the next
     # sync) — never served.
-    for tamper in (forge_root_below_tip, forge_root_and_drop_its_certificate):
-        restored = restore(tamper)
-        assert restored.latest_header == client.latest_header
-        with pytest.raises(CertificateError):
-            restored.certified_index_root("history")
+    restored = restore(forge_root_below_tip)
+    assert restored.latest_header == client.latest_header
+    with pytest.raises(CertificateError):
+        restored.certified_index_root("history")
+    assert restored.certified_index_root("keyword") == client.certified_index_root(
+        "keyword"
+    )
 
 
 def test_empty_wallet_roundtrip(certified_setup):
@@ -321,7 +342,7 @@ def test_a_tip_only_poller_verifies_and_keeps_the_tip_only(certified_setup, monk
     assert verified == []
     wallet = remote.to_json()
     stored = json.loads(wallet)
-    assert stored["index_roots"] == {} and stored["index_certificates"] == {}
+    assert stored["state"].encode() == header.encode() + certificate.encode()
     restored = SuperlightClient.from_json(wallet)
     assert restored.to_json() == wallet
     assert restored.storage_bytes() == remote.storage_bytes()

@@ -277,7 +277,7 @@ def test_finish_cold_recovers_byte_identical(world):
 
 def test_canary_checker_trips_in_a_healthy_world(world):
     """Canaries are wrong on purpose: 'low-storage' (1 KB budget) fails
-    against any bootstrapped client (~3 KB)."""
+    against a bootstrapped two-index client (~1.4 KB)."""
     suite = InvariantSuite(world, canary="low-storage")
     violation = _violation(suite, index=0)
     assert violation.name == "low-storage"
