@@ -14,11 +14,13 @@ test:
 proptest:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/proptest -q
 
-# Crash-injection sweep (tests/fault): one scripted repro.sim crash
-# event per certification-path crashpoint, recovered from the WAL +
-# sealed checkpoint, every sim invariant checked, certificates
-# byte-identical to a no-crash twin.  One case: pytest -k <point>;
-# random crash interleavings are `make sim` (REPRO_SIM_SEED).
+# Scripted repro.sim fault events (tests/fault): one crash per
+# certification-path crashpoint, recovered from the WAL + sealed
+# checkpoint with certificates byte-identical to a no-crash twin;
+# replica crashes at query.execute.*, lossy and dead links and lying
+# replicas, each healed by a quiesce under the liveness invariants.
+# Every sim invariant is checked after every event.  One case:
+# pytest -k <point>; random interleavings are `make sim` (REPRO_SIM_SEED).
 chaos:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/fault -q
 

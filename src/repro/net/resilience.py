@@ -43,6 +43,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
+from typing import ClassVar
 
 #: Sentinel for "no deadline" on the wire (absence must survive the
 #: canonical encoding, so it is a value, not None).
@@ -123,17 +124,15 @@ class AdmissionPolicy:
     #: Hard cap on admitted-but-unfinished requests.
     queue_limit: int = 64
     #: Bounds on the ``retry_after_ms`` hint attached to a shed.
-    retry_after_min_ms: float = 5.0
-    retry_after_cap_ms: float = 2_000.0
+    HINT_MIN_MS: ClassVar[float] = 5.0
+    HINT_CAP_MS: ClassVar[float] = 2_000.0
 
     def retry_after_hint(self, queue_delay_ms: float, service_ms: float) -> float:
         """How long a shed caller should back off before retrying:
         roughly the time for the standing queue to drain back under the
         shed threshold, floored and capped."""
         excess = queue_delay_ms - self.shed_delay_ms + service_ms
-        return min(
-            max(excess, self.retry_after_min_ms), self.retry_after_cap_ms
-        )
+        return min(max(excess, self.HINT_MIN_MS), self.HINT_CAP_MS)
 
 
 # -- circuit breakers ----------------------------------------------------------

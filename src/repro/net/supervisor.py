@@ -65,6 +65,8 @@ class ServiceSupervisor:
                 f"{self.target_attr!r} to supervise"
             )
         self.crashes = 0
+        #: Crashes per crashpoint name.
+        self.crashes_at: dict[str, int] = {}
         self.restarts = 0
         self.failed_attempts = 0
         self.gave_up = False
@@ -89,6 +91,7 @@ class ServiceSupervisor:
 
     def _on_crash(self, crash: SimulatedCrash) -> None:
         self.crashes += 1
+        self.crashes_at[crash.point] = self.crashes_at.get(crash.point, 0) + 1
         self.last_crash = crash
         self.service.server.paused = True
         obs.inc("supervisor.crashes")

@@ -125,7 +125,7 @@ class QueryService:
     ``execute`` path through the :class:`~repro.net.rpc.RpcServer`
     busy-worker model so replica count shows up in fleet throughput;
     the ``query.execute.*``
-    crashpoints let ``tests/fault/test_fleet_chaos.py`` kill a replica
+    crashpoints let the sim's scripted ``crash`` event kill a replica
     mid-query (a :class:`~repro.net.supervisor.ServiceSupervisor`
     restarts it).
     """

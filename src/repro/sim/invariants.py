@@ -26,11 +26,20 @@ faults, not just inside one subsystem:
   deadline by more than one service quantum (a replica that cannot
   finish in budget must refuse at admission, not serve late);
 * **shed-zero-work** — shed and deadline-refused requests do zero
-  provider work: typed queries the provider actually executed equals
-  exactly the queries the serving tier admitted;
+  provider work: typed queries the provider actually executed, plus
+  replica crashes at ``query.execute.pre``, equals exactly the queries
+  the serving tier admitted;
 * **client-rpc-bounded** — every RPC client's response and abandoned-id
   books stay within their hard caps (no unbounded growth under floods,
   timeouts, or churn).
+
+After a ``quiesce`` event, and only then, the liveness invariants run
+too: **liveness-supervisors** (the issuer and every replica up, no
+supervisor gave up), **liveness-stream** (every subscribed client on
+the hub, nothing in flight, ``acked_seq`` at its ``seq``),
+**liveness-tips** (every client at the certified tip) and, last since a
+client behind the tier strikes every replica, **liveness-breakers**
+(every gateway breaker closed).
 
 A violation raises :class:`InvariantViolation` carrying the event index
 so the runner can shrink to the smallest failing prefix and print a
@@ -101,6 +110,7 @@ class InvariantSuite:
         self._certified_seen = -1
         self._pending_adoptions: list[tuple[str, object, object]] = []
         self._anchors = None  # the trust anchors self._verified is under
+        self._quiesces = 0
         self.checkers = [
             ("tip-monotonic", self._check_tips),
             ("no-unverified-adoption", self._check_adoptions),
@@ -116,13 +126,24 @@ class InvariantSuite:
         ]
         if canary is not None:
             self.checkers.append((canary, CANARIES[canary][1](self)))
+        self.liveness = [
+            ("liveness-supervisors", self._check_supervisors),
+            ("liveness-stream", self._check_stream),
+            ("liveness-tips", self._check_caught_up),
+            ("liveness-breakers", self._check_breakers),
+        ]
 
     # -- driver --------------------------------------------------------------
 
     def check(self, event_index: int) -> None:
         """Run every checker; wrap the first failure with its name and
-        the 0-based index of the event that exposed it."""
-        for name, checker in self.checkers:
+        the 0-based index of the event that exposed it.  After a
+        ``quiesce`` event the liveness checkers run as well."""
+        checkers = self.checkers
+        if self.world.quiesces != self._quiesces:
+            self._quiesces = self.world.quiesces
+            checkers = checkers + self.liveness
+        for name, checker in checkers:
             try:
                 checker()
             except AssertionError as exc:
@@ -290,17 +311,21 @@ class InvariantSuite:
             )
 
     def _check_shedding(self) -> None:
-        """Shed and deadline-refused requests must cost the provider
-        nothing: the provider's typed-query executions track the
-        serving tier's admitted ``execute`` invocations exactly."""
+        """Shed and deadline-refused requests cost the provider nothing:
+        its executions, plus admitted requests whose replica died at
+        ``query.execute.pre``, equal the admitted invocations exactly."""
         admitted = sum(
             replica.server.invocations.get("execute", 0)
             for replica in self.world.replicas.values()
         )
         executed = self.world.provider.executes
-        assert executed == admitted, (
-            f"provider executed {executed} queries but the serving tier "
-            f"admitted {admitted} — refused requests did provider work"
+        if executed == admitted:  # no crash to count: the common case
+            return
+        crashed = sum(supervisor.crashes_at.get("query.execute.pre", 0)
+                      for supervisor in self.world.replica_supervisors.values())
+        assert executed + crashed == admitted, (
+            f"provider executed {executed} queries ({crashed} crashed before "
+            f"it) but the tier admitted {admitted} — refused requests did work"
         )
 
     def _check_rpc_bounds(self) -> None:
@@ -322,6 +347,44 @@ class InvariantSuite:
                 f"{name} tracks {abandoned} abandoned ids "
                 f"(cap {rpc.ABANDONED_LIMIT})"
             )
+
+    # -- liveness, after a quiesce ------------------------------------------
+
+    def _check_supervisors(self) -> None:
+        world = self.world
+        for name, supervisor in [("ci", world.supervisor),
+                                 *world.replica_supervisors.items()]:
+            assert not (supervisor.gave_up or supervisor.service.server.paused), (
+                f"{name} is down ({supervisor.restarts} restarts, gave up: "
+                f"{supervisor.gave_up})"
+            )
+
+    def _check_stream(self) -> None:
+        # An unsubscribe whose call was lost leaves the client on the hub
+        # until its lease ends: only subscribed clients are held to it.
+        hub = self.world.hub
+        for entry in self.world.fleet:
+            if not entry.client.subscribed:
+                continue
+            state = hub.subscribers.get(entry.client.rpc.name)
+            assert state is not None, f"{entry.name} is not on the hub"
+            assert state.inflight == 0 and state.acked_seq == hub.seq, (
+                f"{entry.name} has push {state.inflight} in flight and "
+                f"acked {state.acked_seq} of the hub's {hub.seq}"
+            )
+
+    def _check_caught_up(self) -> None:
+        tip = self.world.certified_height()
+        for entry in self.world.fleet:
+            header = entry.client.latest_header
+            height = 0 if header is None else header.height
+            assert height == tip, f"{entry.name} is at h{height}, not h{tip}"
+
+    def _check_breakers(self) -> None:
+        for entry in self.world.fleet:
+            replicas = entry.client.gateway.replicas.values()
+            opened = [state.name for state in replicas if not state.closed]
+            assert not opened, f"{entry.name}'s gateway still shuns {opened}"
 
 
 # -- canaries ----------------------------------------------------------------

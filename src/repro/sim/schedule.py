@@ -10,18 +10,21 @@ byte-identical event log.
 Fault events reuse the existing catalogs — crashpoint injection
 (:mod:`repro.fault.crashpoints`, including torn WAL writes), seeded
 lossy/partitioned links (:mod:`repro.net.faults`), replica pauses that
-drive gateway ejection, hub remounts, and client churn.
+drive gateway ejection, hub remounts, and client churn.  ``flood``,
+``lying_replica`` and ``quiesce`` (heal all, then check liveness; every
+seeded run ends with one) are scripted only, in neither weight table.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 from repro.errors import ConfigError, ReproError
 from repro.fault.crashpoints import crash_armed
-from repro.net import LinkFaults
+from repro.net import CircuitBreaker, LinkFaults, ServiceSupervisor
 from repro.net.wire import encode
 from repro.query import HistoryQuery, KeywordQuery, StaleAnswer
 
@@ -244,13 +247,24 @@ def _build_request(world: SimWorld, entry, p: dict):
     )
 
 
-def _ev_query(world: SimWorld, p: dict) -> str:
-    entry = world.pick(p["slot"])
+def _synced(world: SimWorld, slot: int, kind: str | None = None):
+    """The client at ``slot`` (of ``kind``), synced, with the serving
+    tier at the certified tip: ``(entry, "")``, or ``(None, outcome)``."""
+    entry = world.pick(slot, kind=kind)
+    if entry is None:
+        return None, "noop"
     world.sync_serving_tier()
     try:
         entry.client.sync()
     except ReproError as exc:
-        return f"{entry.name} sync-fail:{type(exc).__name__}"
+        return None, f"{entry.name} sync-fail:{type(exc).__name__}"
+    return entry, ""
+
+
+def _ev_query(world: SimWorld, p: dict) -> str:
+    entry, failed = _synced(world, p["slot"])
+    if entry is None:
+        return failed
     return _ask(world, entry, _build_request(world, entry, p))
 
 
@@ -271,25 +285,27 @@ def _ask(world: SimWorld, entry, request, deadline_ms: float = 0.0) -> str:
 
 
 def _ev_query_many(world: SimWorld, p: dict) -> str:
-    entry = world.pick(p["slot"], kind=KIND_GATEWAY)
+    return _batch(world, p, p["account"])
+
+
+def _batch(world: SimWorld, p: dict, first: int, budget: float = 0.0) -> str:
+    """A gateway client asks ``count`` whole-chain histories, from
+    ``acct<first>`` on, in one batch (within ``budget`` ms, if any)."""
+    entry, failed = _synced(world, p["slot"], KIND_GATEWAY)
     if entry is None:
-        return "noop"
-    world.sync_serving_tier()
-    try:
-        entry.client.sync()
-    except ReproError as exc:
-        return f"{entry.name} sync-fail:{type(exc).__name__}"
+        return failed
     height = entry.client.latest_header.height
     requests = [
         HistoryQuery(
             index="history",
-            account=f"acct{(p['account'] + i) % world.config.accounts}",
+            account=f"acct{(first + i) % world.config.accounts}",
             t_from=1, t_to=height,
         )
         for i in range(p["count"])
     ]
+    deadline = world.bus.clock_ms + budget if budget else 0.0
     try:
-        answers = entry.client.query_many(requests)
+        answers = entry.client.query_many(requests, deadline_ms=deadline)
     except ReproError as exc:
         return f"{entry.name} fail:{type(exc).__name__}"
     encoded = [encode(answer) for answer in answers]
@@ -348,10 +364,19 @@ def _ev_churn(world: SimWorld, p: dict) -> str:
 
 
 def _ev_crash(world: SimWorld, p: dict) -> str:
+    armed = crash_armed(p["point"], hit=p["hit"], seed=p["cseed"])
+    if p["point"].startswith("query."):
+        # Scripted only (no query point is in SIM_CRASH_POINTS): a
+        # replica dies under a gateway client's batch of ``upto``
+        # queries, and its supervisor restarts it.
+        with armed as schedule:
+            outcome = _batch(world, {"slot": 0, "count": p["upto"]}, 0)
+        fired = "fired" if schedule.fired else "unreached"
+        return f"{p['point']}:{p['hit']} {fired} {outcome}"
     if not world.pending_blocks():
         world.mine_block(1)
     blocks = tuple(world.pending_blocks()[:p["upto"]])
-    with crash_armed(p["point"], hit=p["hit"], seed=p["cseed"]) as schedule:
+    with armed as schedule:
         outcome = _certify(world, blocks)
     if schedule.fired and outcome.startswith("fail:"):
         # The miner's one call died with the issuer.  Once the
@@ -412,6 +437,62 @@ def _ev_resume_replicas(world: SimWorld, _p: dict) -> str:
     return f"replicas={resumed} slowed={restored}"
 
 
+def _lie(mode: str, honest, request):
+    answer = honest(request)
+    if mode == "malformed":
+        return answer.request  # not a QueryAnswer
+    versions = getattr(answer.payload, "versions", ())
+    if not versions:  # "forged" cuts a history's last version
+        return answer
+    return replace(answer, payload=replace(answer.payload, versions=versions[:-1]))
+
+
+def _ev_lying_replica(world: SimWorld, p: dict) -> str:
+    """Scripted only: replica ``idx`` lies in its answers until the next
+    ``quiesce`` — ``forged`` drops a history's last version (a truncated
+    payload), ``malformed`` answers with something not a ``QueryAnswer``."""
+    name = world.replica_names[p["idx"] % len(world.replica_names)]
+    methods = world.replicas[name].server._methods
+    honest = world.liars.setdefault(name, methods["execute"])
+    methods["execute"] = partial(_lie, p["mode"], honest)
+    return f"{name} {p['mode']}"
+
+
+def _ev_quiesce(world: SimWorld, p: dict) -> str:
+    """Scripted only: heal every link, resume and re-speed every replica,
+    end every lie, wait out the longest breaker window and restart
+    schedule, then a heartbeat (subscribed) or sync per client and
+    distinct, uncached probes through its gateway.  Liveness is checked
+    after it."""
+    healed = _ev_heal(world, p)
+    resumed = _ev_resume_replicas(world, p)
+    for name, honest in sorted(world.liars.items()):
+        world.replicas[name].server._methods["execute"] = honest
+    lies, world.liars = len(world.liars), {}
+    restarts = 2**ServiceSupervisor.RESTART_ATTEMPTS - 1
+    world.bus.run_for(
+        CircuitBreaker.OPEN_MAX_MS * (1 + CircuitBreaker.JITTER)
+        + ServiceSupervisor.RESTART_DELAY_MS * restarts
+    )
+    followed = probed = 0
+    for entry in world.fleet:
+        client = entry.client
+        try:
+            client.heartbeat() if client.subscribed else client.sync()
+            followed += 1
+        except ReproError:
+            pass  # the liveness invariants name what stayed behind
+        # One probe per replica, one at a time: successive round-robin
+        # turns over an unchanged candidate list reach every replica (in
+        # one batch a probe would leave the list and shift the turns).
+        for i in range(len(world.replicas)):
+            keyword = f"probe{world.quiesces}.{i}"
+            probe = KeywordQuery(index="keyword", keywords=(keyword,))
+            probed += " ans:" in _ask(world, entry, probe)
+    world.quiesces += 1
+    return f"{healed} {resumed} lies={lies} followed={followed} probed={probed}"
+
+
 def _ev_hub_remount(world: SimWorld, _p: dict) -> str:
     hub = world.remount_hub()
     return f"seq={hub.seq}"
@@ -422,32 +503,7 @@ def _ev_overload(world: SimWorld, p: dict) -> str:
     resilience stack at once — deadline propagation (budget shrinks per
     hop, doomed work refused), shedding with failover, hedging, and —
     when the tier saturates entirely — graceful stale degradation."""
-    entry = world.pick(p["slot"], kind=KIND_GATEWAY)
-    if entry is None:
-        return "noop"
-    world.sync_serving_tier()
-    try:
-        entry.client.sync()
-    except ReproError as exc:
-        return f"{entry.name} sync-fail:{type(exc).__name__}"
-    height = entry.client.latest_header.height
-    requests = [
-        HistoryQuery(
-            index="history",
-            account=f"acct{(p['slot'] + i) % world.config.accounts}",
-            t_from=1, t_to=height,
-        )
-        for i in range(p["count"])
-    ]
-    deadline = world.bus.clock_ms + p["budget"]
-    try:
-        answers = entry.client.query_many(requests, deadline_ms=deadline)
-    except ReproError as exc:
-        return f"{entry.name} fail:{type(exc).__name__}"
-    encoded = [encode(answer) for answer in answers]
-    for request, data in zip(requests, encoded):
-        world.record_answer(request, data)
-    return f"{entry.name} x{len(answers)}:{_digest(b''.join(encoded))}"
+    return _batch(world, p, p["slot"], p["budget"])
 
 
 def _ev_burst(world: SimWorld, p: dict) -> str:
@@ -527,4 +583,6 @@ _HANDLERS = {
     "burst": _ev_burst,
     "slow_replica": _ev_slow_replica,
     "flood": _ev_flood,
+    "lying_replica": _ev_lying_replica,
+    "quiesce": _ev_quiesce,
 }

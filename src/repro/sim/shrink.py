@@ -106,17 +106,20 @@ def run_sim(
     canary: str | None = None,
     profile: str = "mixed",
 ) -> SimResult:
-    """One full deterministic run of a seeded schedule, observability on;
+    """One full deterministic run of a seeded schedule, observability on,
+    closed by one ``quiesce`` (so the liveness invariants are checked);
     never raises on a violation — the outcome (including the violation)
     is the result."""
     schedule = ScenarioSchedule.generate(seed, events, profile=profile)
     with obs.observability():
         obs.registry().reset()
         world, violation, _ = play(
-            config or SimConfig(), schedule.events, canary
+            config or SimConfig(),
+            schedule.events + (SimEvent("quiesce", {}),), canary,
         )
     return SimResult(
-        seed=seed, events=events, events_applied=len(world.events),
+        # The closing quiesce is not one of the schedule's events.
+        seed=seed, events=events, events_applied=min(len(world.events), events),
         fingerprint=world.fingerprint(), violation=violation,
         log=tuple(world.events), canary=canary, profile=profile,
     )

@@ -7,7 +7,8 @@ fronted by an :class:`~repro.core.issuer.IssuerService` under a
 :class:`~repro.net.supervisor.ServiceSupervisor`, a
 :class:`~repro.net.pubsub.SubscriptionHub` embedded on the same
 endpoint, N busy-worker :class:`~repro.query.provider.QueryService`
-replicas over a shared provider, and a mixed fleet of
+replicas over a shared provider, each under its own supervisor, and a
+mixed fleet of
 polling / stale-degrading / push-subscribed remote clients, each
 querying the replicas through its own gateway.
 
@@ -101,6 +102,7 @@ class SimWorld:
     archive: ChainArchive
     service: IssuerService
     supervisor: ServiceSupervisor
+    replica_supervisors: dict[str, ServiceSupervisor]
     hub: SubscriptionHub
     provider: QueryServiceProvider
     oracle: QueryServiceProvider
@@ -118,10 +120,13 @@ class SimWorld:
     faulted_links: set[tuple[str, str]] = field(default_factory=set)
     paused_replicas: set[str] = field(default_factory=set)
     slowed_replicas: dict[str, float] = field(default_factory=dict)
+    #: Lying replica -> its honest ``execute`` handler (until ``quiesce``).
+    liars: dict[str, object] = field(default_factory=dict)
     nonce: int = 0
     spawned: int = 0
     recoveries: int = 0
     remounts: int = 0
+    quiesces: int = 0
 
     # -- construction --------------------------------------------------------
 
@@ -176,6 +181,11 @@ class SimWorld:
             )
             for name in replica_names
         }
+        # A read-only SP restarts over the same (shared) provider.
+        replica_supervisors = {
+            name: ServiceSupervisor(service, lambda: provider)
+            for name, service in replicas.items()
+        }
 
         measurement = compute_expected_measurement(
             genesis.header.header_hash(), ias.public_key, fresh_vm(),
@@ -191,7 +201,8 @@ class SimWorld:
             config=config, builder=builder, bus=bus, injector=injector,
             archive=archive, service=service,
             supervisor=None,  # set below; restore() closes over the world
-            hub=hub, provider=provider, oracle=oracle, replicas=replicas,
+            replica_supervisors=replica_supervisors, hub=hub,
+            provider=provider, oracle=oracle, replicas=replicas,
             measurement=measurement, ias=ias, platform=platform,
             specs=specs, miner=miner, load=load, user=user,
         )

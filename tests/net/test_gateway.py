@@ -3,8 +3,8 @@ failover, and the one flight engine behind ``call`` and ``call_many``.
 
 These tests exercise the gateway against plain RpcServers (any method
 registry works — the gateway is method-agnostic); the full
-QueryService + supervisor composition lives in
-tests/fault/test_fleet_chaos.py.
+QueryService + supervisor composition is the sim's (every replica is
+supervised; tests/fault/test_fault_events.py).
 """
 
 import json

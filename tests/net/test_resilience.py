@@ -92,13 +92,13 @@ def test_clamp_retry_after_caps_hostile_hints():
 
 
 def test_admission_hint_is_floored_and_capped():
-    policy = AdmissionPolicy(
-        shed_delay_ms=50.0, retry_after_min_ms=5.0, retry_after_cap_ms=100.0
-    )
+    policy = AdmissionPolicy(shed_delay_ms=50.0)
+    assert (AdmissionPolicy.HINT_MIN_MS,
+            AdmissionPolicy.HINT_CAP_MS) == (5.0, 2_000.0)
     # Barely over the threshold: floored.
     assert policy.retry_after_hint(51.0, 1.0) == 5.0
     # Deep standing queue: capped.
-    assert policy.retry_after_hint(10_000.0, 20.0) == 100.0
+    assert policy.retry_after_hint(10_000.0, 20.0) == 2_000.0
     # In between: the drain-back estimate itself.
     assert policy.retry_after_hint(80.0, 20.0) == 50.0
 
@@ -267,7 +267,7 @@ def test_admission_sheds_on_standing_queue_delay(bus):
     assert len(shed) == 3
     for response in shed:
         assert response.code == "net.overloaded"
-        assert response.retry_after_ms >= admission.retry_after_min_ms
+        assert response.retry_after_ms >= AdmissionPolicy.HINT_MIN_MS
 
 
 def test_admission_queue_limit_is_a_hard_cap(bus):
@@ -285,10 +285,9 @@ def test_shed_is_raised_at_once_with_its_clamped_hint(bus):
     """An OVERLOADED refusal is the call's verdict: raised on arrival,
     with the server's drain estimate on it for a breaker to honor — the
     client itself waits on nothing."""
-    admission = AdmissionPolicy(
-        shed_delay_ms=5.0, retry_after_min_ms=200.0, retry_after_cap_ms=200.0
-    )
-    server, _ = _busy_server(bus, service_ms=50.0, admission=admission)
+    admission = AdmissionPolicy(shed_delay_ms=5.0)
+    # The drain estimate, ~2.5 s of standing queue, is capped.
+    server, _ = _busy_server(bus, service_ms=2_500.0, admission=admission)
     flood = RpcClient(bus, "flood")
     for i in range(3):
         flood.begin("server", "work", i)
@@ -296,7 +295,7 @@ def test_shed_is_raised_at_once_with_its_clamped_hint(bus):
     started = bus.clock_ms
     with pytest.raises(OverloadedError) as excinfo:
         client.call("server", "work")
-    assert excinfo.value.retry_after_ms == 200.0
+    assert excinfo.value.retry_after_ms == AdmissionPolicy.HINT_CAP_MS
     assert bus.clock_ms - started == pytest.approx(2 * 5.0)  # one round trip
     assert client.calls == 1 and server.requests_shed >= 1
 

@@ -11,12 +11,16 @@ from dataclasses import replace
 import pytest
 
 from repro import obs
+from repro.core.superlight import SuperlightClient
+from repro.net import CircuitBreaker, SubscriptionHub
 from repro.sim import (
     PAPER_STORAGE_BUDGET_BYTES,
     InvariantSuite,
     InvariantViolation,
     SimConfig,
+    SimEvent,
     SimWorld,
+    apply_event,
 )
 from repro.sim.world import KIND_GATEWAY, KIND_POLL, KIND_PUSH
 
@@ -281,3 +285,102 @@ def test_canary_checker_trips_in_a_healthy_world(world):
     suite = InvariantSuite(world, canary="low-storage")
     violation = _violation(suite, index=0)
     assert violation.name == "low-storage"
+
+
+
+# -- liveness: checked after a quiesce, and only then ---------------------------
+
+
+def _trip(world):
+    breaker = world.fleet[1].client.gateway.replicas["sp1"].breaker
+    for _ in range(CircuitBreaker.FAILURE_TRIP):
+        breaker.record_failure(world.bus.clock_ms)
+
+
+def _play(tmp_path, events, prepare=_trip):
+    """``events`` on a fresh world (gw2's breaker for sp1 open), checked."""
+    world = SimWorld.build(CONFIG, tmp_path)
+    prepare(world)
+    suite = InvariantSuite(world)
+    for index, kind_params in enumerate(events):
+        apply_event(world, SimEvent(*kind_params))
+        suite.check(index)
+    return world, suite
+
+
+DEGRADE = [("partition", {"slot": 0, "peer": 0}), ("pause_replica", {"idx": 0}),
+           ("mine", {"txs": 1}), ("certify", {"upto": 1})]
+QUIESCE = ("quiesce", {})
+
+
+def test_liveness_is_checked_after_a_quiesce_only(tmp_path):
+    """``sim-mixed`` never heals its world: a partitioned client, a
+    paused replica and an open breaker pass ``check`` and ``finish``,
+    and after one ``quiesce`` every liveness invariant holds."""
+    world, suite = _play(tmp_path, DEGRADE)
+    suite.finish(len(DEGRADE))
+    for unlive in (suite._check_caught_up, suite._check_breakers):
+        with pytest.raises(AssertionError):
+            unlive()
+    apply_event(world, SimEvent(*QUIESCE))
+    suite.check(len(DEGRADE))
+    assert world.quiesces == 1
+
+
+def _liveness_violation(tmp_path, events, prepare=_trip):
+    with pytest.raises(InvariantViolation) as info:
+        _play(tmp_path, [*events, QUIESCE], prepare)
+    return info.value.name
+
+
+def _lost_disk():
+    raise OSError("the replica's disk is gone")
+
+
+def test_liveness_supervisors_names_a_replica_that_never_came_back(tmp_path):
+    def unrecoverable(world):
+        for supervisor in world.replica_supervisors.values():
+            supervisor.restore = _lost_disk
+
+    crash = ("crash", {"point": "query.execute.pre", "hit": 1, "cseed": 0,
+                       "upto": 2})
+    name = _liveness_violation(tmp_path, [crash], unrecoverable)
+    assert name == "liveness-supervisors"
+
+
+def test_liveness_stream_names_a_subscriber_a_tipless_reply_left(
+    tmp_path, monkeypatch
+):
+    reply = SubscriptionHub._reply
+
+    def tipless(hub, name, acked_seq, tip_only):
+        tip, hub.tip = hub.tip, None
+        try:
+            return reply(hub, name, acked_seq, tip_only)
+        finally:
+            hub.tip = tip
+
+    monkeypatch.setattr(SubscriptionHub, "_reply", tipless)
+    events = [("partition", {"slot": 2, "peer": 0}), *DEGRADE[2:]]
+    assert _liveness_violation(tmp_path, events) == "liveness-stream"
+
+
+def test_liveness_tips_names_a_client_left_behind(tmp_path, monkeypatch):
+    def stuck(world):
+        monkeypatch.setattr(SuperlightClient, "sync", lambda client: None)
+
+    name = _liveness_violation(tmp_path, DEGRADE[2:], stuck)
+    assert name == "liveness-tips"
+
+
+def test_liveness_breakers_names_a_breaker_its_probe_left_open(
+    tmp_path, monkeypatch
+):
+    closes = CircuitBreaker.record_success
+
+    def never_from_half_open(breaker):
+        if breaker.state != CircuitBreaker.HALF_OPEN:
+            closes(breaker)
+
+    monkeypatch.setattr(CircuitBreaker, "record_success", never_from_half_open)
+    assert _liveness_violation(tmp_path, []) == "liveness-breakers"
