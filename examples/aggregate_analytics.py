@@ -12,7 +12,6 @@ Run with:  python examples/aggregate_analytics.py
 
 from __future__ import annotations
 
-from dataclasses import replace
 
 from repro.chain import ChainBuilder
 from repro.chain.genesis import make_genesis
@@ -27,6 +26,7 @@ from repro.crypto import generate_keypair
 from repro.query import AggregateQuery, QueryAnswer
 from repro.query.indexes import BalanceAggregateIndexSpec
 from repro.sgx.attestation import AttestationService
+from repro.sim import forge_answer
 
 
 def main() -> None:
@@ -99,14 +99,11 @@ def main() -> None:
           f"avg {quarterly.payload.average:.1f}")
     assert client.verify_answer(q1_request, quarterly)
 
-    # A lying analytics provider inflates the average: caught.
-    forged = replace(
-        answer,
-        payload=replace(answer.payload,
-                        aggregate=replace(agg, total=agg.total + 10_000)),
-    )
-    assert not client.verify_answer(request, forged)
-    print("\nA provider inflating the SUM by 10,000 is rejected.")
+    # A lying analytics provider inflates a value the proof opens: caught.
+    forged = forge_answer(quarterly, "alter")
+    assert forged.payload.aggregate.total == q.total + 1
+    assert not client.verify_answer(q1_request, forged)
+    print("\nA provider inflating one summed value is rejected.")
 
 
 if __name__ == "__main__":

@@ -48,6 +48,7 @@ from repro.net import (
 from repro.query import HistoryQuery, QueryAnswer, QueryService, QueryServiceProvider
 from repro.query.indexes import AccountHistoryIndexSpec
 from repro.sgx.attestation import AttestationService
+from repro.sim import forge_answer
 
 
 class ForgeOnce:
@@ -64,10 +65,7 @@ class ForgeOnce:
         if not isinstance(answer, QueryAnswer) or not answer.payload.versions:
             return message
         self.fired = True
-        forged = replace(
-            answer,
-            payload=replace(answer.payload, versions=answer.payload.versions[:-1]),
-        )
+        forged = forge_answer(answer, "drop")  # a version left out of the proof
         return replace(message, payload=wire.encode(forged))
 
 

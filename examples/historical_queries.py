@@ -29,6 +29,7 @@ from repro.crypto import generate_keypair
 from repro.query import HistoryQuery, QueryAnswer
 from repro.query.indexes import AccountHistoryIndexSpec
 from repro.sgx.attestation import AttestationService
+from repro.sim import forge_answer
 
 
 def main() -> None:
@@ -87,17 +88,15 @@ def main() -> None:
     assert client.verify_answer(request, answer)
     print("  -> verified against the certified index root")
 
-    # A malicious SP drops the middle version...
-    versions = answer.payload.versions
-    tampered = replace(answer, payload=replace(answer.payload,
-                                               versions=versions[:-1]))
+    # The versions are read from the range proof, so a malicious SP
+    # edits the proof: it withholds a version (ships only its digest)...
+    tampered = forge_answer(answer, "withhold")
+    assert tampered.payload.versions == answer.payload.versions[1:]
     assert not client.verify_answer(request, tampered)
-    print("A tampered answer (dropped version) is rejected.")
+    print("A tampered answer (withheld version) is rejected.")
 
     # ...or forges a value.
-    forged_versions = ((versions[0][0], b"forged"),) + versions[1:]
-    forged = replace(answer, payload=replace(answer.payload,
-                                             versions=forged_versions))
+    forged = forge_answer(answer, "alter")
     assert not client.verify_answer(request, forged)
     print("A forged answer (altered value) is rejected.")
 

@@ -10,7 +10,6 @@ Run with:  python examples/keyword_search.py
 
 from __future__ import annotations
 
-from dataclasses import replace
 
 from repro.chain import ChainBuilder
 from repro.chain.genesis import make_genesis
@@ -25,6 +24,7 @@ from repro.crypto import generate_keypair
 from repro.query.api import KeywordQuery, QueryAnswer
 from repro.query.indexes import KeywordIndexSpec
 from repro.sgx.attestation import AttestationService
+from repro.sim import forge_answer
 
 
 DOCUMENTS = [
@@ -81,14 +81,14 @@ def main() -> None:
     print("  -> verified against the certified index root")
 
     # Completeness: withholding a matching transaction is detected.
-    withheld = replace(answer, results=answer.results[:-1])
+    withheld = forge_answer(answer, "withhold", key=answer.results[-1])
     assert not client.verify_answer(
         request, QueryAnswer(request=request, payload=withheld)
     )
     print("An incomplete answer (withheld match) is rejected.")
 
-    # Soundness: injecting a non-matching transaction is detected.
-    injected = replace(answer, results=answer.results + ((5 << 20) | 0,))
+    # Soundness: injecting a transaction is detected.
+    injected = forge_answer(answer, "inject")
     assert not client.verify_answer(
         request, QueryAnswer(request=request, payload=injected)
     )

@@ -45,6 +45,12 @@
 # index certificate that shares the tip certificate's identity is stored
 # as its signature beside its root, 210-214 B an index instead of 731.
 # certificate_sha256 and sim_fingerprint did not move.
+# sim_fingerprint moved once more (was 66a54962…a47e1f82) when an answer's
+# claims came to be read from its proofs: the sim's log digests each
+# encoded answer, and every answer with results no longer restates them
+# beside its proofs.  Outcome kinds and virtual timestamps are unchanged
+# (round robin over the fleet's fixed order alone leaves the value as it
+# was).  The other six did not move.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -60,7 +66,7 @@ RECORDED = {
     "certify-stream certificate_sha256":
         "9fe0870b0d264b85f33ab8e0f87711ca7e115e714cdc48ad464557cd1ee2c1b6",
     "sim-mixed sim_fingerprint":
-        "66a54962da485690567906e6f0e6698c61ee7dc33105678ca10294d5a47e1f82",
+        "a3226877a21adf5bf8d66b7f841f5374f7abb844eff3492240cd04a74840e2b8",
     "certify-stream client_storage_bytes": 1398,
     "tip-follow client_storage_bytes": 1395,
     "query-cold client_storage_bytes": 1822,

@@ -33,12 +33,7 @@ The conjunctive-keyword index (a dictionary MPT over posting MB-trees)
 is :class:`repro.query.indexes.MaintainedKeywordIndex`.
 """
 
-from repro.merkle.aggtree import (
-    Aggregate,
-    AggregateMBTree,
-    AggRangeProof,
-    verify_aggregate,
-)
+from repro.merkle.aggtree import Aggregate, AggregateMBTree, AggRangeProof
 from repro.merkle.mbtree import MBRangeProof, MerkleBTree, verify_range
 from repro.merkle.mht import MembershipProof, MerkleTree, verify_membership
 from repro.merkle.mmr import MerkleMountainRange, MMRProof, verify_mmr
@@ -68,7 +63,6 @@ __all__ = [
     "SMTProof",
     "SkipRangeProof",
     "SparseMerkleTree",
-    "verify_aggregate",
     "verify_membership",
     "verify_mmr",
     "verify_mpt",

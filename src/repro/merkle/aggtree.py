@@ -197,78 +197,68 @@ class AggregateMBTree(bptree.BPlusTree):
     scheme = SCHEME
 
     def aggregate_query(self, lo: int, hi: int) -> tuple[Aggregate | None, AggRangeProof]:
-        """The aggregate of all keys in ``[lo, hi]``, plus its proof.
-
-        Returns ``None`` as the aggregate when the window is empty.
-        """
+        """The aggregate of all keys in ``[lo, hi]`` (``None`` when the
+        window is empty), plus its proof."""
         if lo > hi:
             raise ProofError("empty range: lo > hi")
-        if self._root is None:
-            return None, AggRangeProof(lo=lo, hi=hi, root_opening=None)
-        collected: list[Aggregate] = []
-        opening = self._open(self._root, lo, hi, collected)
-        return _merge_many(collected), AggRangeProof(lo=lo, hi=hi, root_opening=opening)
+        opening = self._open(self._root, lo, hi) if self._root is not None else None
+        proof = AggRangeProof(lo=lo, hi=hi, root_opening=opening)
+        return read_aggregate(proof), proof
 
-    def _open(
-        self, node: bptree._Node, lo: int, hi: int, collected: list[Aggregate]
-    ) -> _AggProofNode:
+    def _open(self, node: bptree._Node, lo: int, hi: int) -> _AggProofNode:
         if node.leaf:
-            in_range = [value for key, value in node.items if lo <= key <= hi]
-            if in_range:
-                collected.append(SCHEME.annotate_leaf(in_range))
             return AggLeafOpening(entries=tuple(node.items))
         children: list[_AggProofNode] = []
         for child in node.items:
             summary = self.summary(child)
             covered = lo <= summary.min_key and summary.max_key <= hi
             if covered or summary.max_key < lo or summary.min_key > hi:
-                if covered:  # the stub's aggregate is the whole contribution
-                    collected.append(summary.annotation)
-                children.append(SCHEME.to_stub(summary))
+                children.append(SCHEME.to_stub(summary))  # carries its aggregate
             else:
-                children.append(self._open(child, lo, hi, collected))
+                children.append(self._open(child, lo, hi))
         return AggInternalOpening(children=tuple(children))
 
 
-def _verify_node(
-    node: _AggProofNode, lo: int, hi: int, collected: list[Aggregate]
-) -> bptree.Summary:
-    """Recompute a proof node's summary, collecting in-range
-    contributions and raising on inconsistency."""
+def _verify_node(node: _AggProofNode, lo: int, hi: int) -> bptree.Summary:
+    """Recompute a proof node's summary, raising on inconsistency."""
     if isinstance(node, AggStub):
         summary = bptree.stub_summary(SCHEME, node)
-        if lo <= summary.min_key and summary.max_key <= hi:
-            collected.append(summary.annotation)
-        elif not (summary.max_key < lo or summary.min_key > hi):
+        covered = lo <= summary.min_key and summary.max_key <= hi
+        if not covered and not (summary.max_key < lo or summary.min_key > hi):
             raise ProofError("partially overlapping subtree left unopened")
         return summary
     if isinstance(node, AggLeafOpening):
-        summary = bptree.leaf_summary(SCHEME, node.entries)
-        in_range = [value for key, value in node.entries if lo <= key <= hi]
-        if in_range:
-            collected.append(SCHEME.annotate_leaf(in_range))
-        return summary
+        return bptree.leaf_summary(SCHEME, node.entries)
     if not isinstance(node, AggInternalOpening):
         raise ProofError("unknown aggregate-proof node")
     return bptree.internal_summary(
-        SCHEME, [_verify_node(child, lo, hi, collected) for child in node.children]
+        SCHEME, [_verify_node(child, lo, hi) for child in node.children]
     )
 
 
-def verify_aggregate(
-    root: Digest, result: Aggregate | None, proof: AggRangeProof
-) -> bool:
-    """Verify that ``result`` is the exact aggregate of ``[lo, hi]``."""
-    if proof.root_opening is None:
-        return root == EMPTY_ROOT and result is None
-    if isinstance(proof.root_opening, AggStub):
-        return False  # nothing above the root vouches for a claimed summary
+def read_aggregate(proof: AggRangeProof) -> Aggregate | None:
+    """The aggregate ``proof`` opens (each covered stub's and in-range
+    leaf value's; ``None``: none), read without hashing."""
     collected: list[Aggregate] = []
-    try:
-        summary = _verify_node(proof.root_opening, proof.lo, proof.hi, collected)
-    except ProofError:
-        return False
-    return summary.digest == root and _merge_many(collected) == result
+    pending = [proof.root_opening] if proof.root_opening is not None else []
+    while pending:
+        node = pending.pop()
+        if isinstance(node, AggStub):
+            if proof.lo <= node.min_key and node.max_key <= proof.hi:
+                collected.append(node.aggregate)
+        elif isinstance(node, AggLeafOpening):
+            collected += [Aggregate.of_value(value) for key, value in node.entries
+                          if proof.lo <= key <= proof.hi]
+        elif isinstance(node, AggInternalOpening):
+            pending += node.children
+        else:
+            raise ProofError("unknown aggregate-proof node")
+    return _merge_many(collected)
+
+
+def open_aggregate(root: Digest, proof: AggRangeProof) -> Aggregate | None:
+    """Verify, then read: the exact aggregate of the proof's window."""
+    return bptree.open_proof(SCHEME, root, proof, _verify_node, read_aggregate)
 
 
 def apply_insert(old_root: Digest, key: int, value: int, proof: AggInsertProof) -> Digest:

@@ -140,6 +140,19 @@ def stub_summary(scheme: Scheme, stub: object) -> Summary:
     return _summary(scheme, min_key, max_key, annotation, check_digest(stub.digest))
 
 
+def open_proof(scheme: Scheme, root: Digest, proof, verify_node, read):
+    """Verify, then read: ``read(proof)`` once the range proof opens to
+    ``root`` by ``verify_node``'s summaries, or :class:`ProofError`."""
+    if proof.root_opening is None:
+        if root != scheme.empty_root:
+            raise ProofError("an empty-tree proof under a non-empty root")
+    elif isinstance(proof.root_opening, scheme.stub):
+        raise ProofError("a root stub vouches for its own summary")
+    elif verify_node(proof.root_opening, proof.lo, proof.hi).digest != root:
+        raise ProofError("range proof does not open to the root")
+    return read(proof)
+
+
 def _descend_choice(mins: list[int], key: int) -> int:
     """The child an insert or lookup of ``key`` descends into: the last
     one whose (increasing) minimum is not beyond ``key``, else the first."""

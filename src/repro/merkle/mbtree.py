@@ -15,7 +15,8 @@ shipping their payloads.
 
 The tree itself — nodes, insert + split, insert proofs and their replay
 — is :mod:`repro.merkle.bptree` run on :data:`SCHEME`; this module adds
-the range-query side and the proof types.
+the proof types and the range-query side, whose proofs carry the results
+(:func:`read_range` reads them, :func:`open_range` verifies first).
 """
 
 from __future__ import annotations
@@ -185,11 +186,9 @@ class MerkleBTree(bptree.BPlusTree):
         return InternalOpening(children=tuple(children))
 
 
-def _verify_node(
-    node: _ProofNode, lo: int, hi: int, collected: list[tuple[int, bytes]]
-) -> bptree.Summary:
-    """Recompute a proof node's summary, collecting in-range results and
-    raising on any completeness violation."""
+def _verify_node(node: _ProofNode, lo: int, hi: int) -> bptree.Summary:
+    """Recompute a proof node's summary, raising on any completeness
+    violation (an overlapping stub, an in-range entry without its value)."""
     if isinstance(node, SubtreeStub):
         summary = bptree.stub_summary(SCHEME, node)
         if not (summary.max_key < lo or summary.min_key > hi):
@@ -203,7 +202,6 @@ def _verify_node(
             if lo <= key <= hi:
                 if value is None:
                     raise ProofError("in-range entry withheld from results")
-                collected.append((key, value))
                 committed.append((key, _commit(value)))
             else:
                 committed.append((key, value_digest))
@@ -211,25 +209,40 @@ def _verify_node(
     if not isinstance(node, InternalOpening):
         raise ProofError("unknown range-proof node")
     return bptree.internal_summary(
-        SCHEME, [_verify_node(child, lo, hi, collected) for child in node.children]
+        SCHEME, [_verify_node(child, lo, hi) for child in node.children]
     )
+
+
+def read_range(proof: MBRangeProof) -> tuple[tuple[int, bytes], ...]:
+    """The in-range ``(key, value)`` entries ``proof`` opens, in order,
+    read without hashing (a digest-only entry is no result)."""
+    found: list[tuple[int, bytes]] = []
+    pending = [proof.root_opening] if proof.root_opening is not None else []
+    while pending:
+        node = pending.pop()
+        if isinstance(node, LeafOpening):
+            found += [(key, value) for key, value, _ in node.entries
+                      if value is not None and proof.lo <= key <= proof.hi]
+        elif isinstance(node, InternalOpening):
+            pending += reversed(node.children)
+        elif not isinstance(node, SubtreeStub):
+            raise ProofError("unknown range-proof node")
+    return tuple(found)
+
+
+def open_range(root: Digest, proof: MBRangeProof) -> tuple[tuple[int, bytes], ...]:
+    """Verify, then read: the *complete, correct* entries of the range."""
+    return bptree.open_proof(SCHEME, root, proof, _verify_node, read_range)
 
 
 def verify_range(
     root: Digest, results: list[tuple[int, bytes]], proof: MBRangeProof
 ) -> bool:
-    """Verify that ``results`` is the *complete, correct* answer for the
-    proof's range under ``root``."""
-    if proof.root_opening is None:
-        return root == EMPTY_ROOT and not results
-    if isinstance(proof.root_opening, SubtreeStub):
-        return False  # nothing above the root vouches for a claimed key range
-    collected: list[tuple[int, bytes]] = []
+    """Whether ``results`` is what :func:`open_range` opens ``proof`` to."""
     try:
-        summary = _verify_node(proof.root_opening, proof.lo, proof.hi, collected)
+        return open_range(root, proof) == tuple(sorted(results))
     except ProofError:
         return False
-    return summary.digest == root and collected == sorted(results)
 
 
 def apply_insert(

@@ -178,7 +178,7 @@ class QueryGateway:
             replica: ReplicaState(replica, f"{name}:{replica}")
             for replica in replicas
         }
-        #: Round-robin position: dispatch ``n`` goes to candidate ``n % len``.
+        #: Round-robin position in the fleet's fixed order (``_next_turn``).
         self._turn = 0
         self.failovers = 0
         self.hedges = 0
@@ -246,9 +246,16 @@ class QueryGateway:
         self.rpc.abandon(request_id)
         state.breaker.abandon_probe()
 
-    def _candidates(self) -> list[ReplicaState]:
-        now = self.bus.clock_ms
-        return [s for s in self.replicas.values() if s.eligible(now)]
+    def _next_turn(self) -> ReplicaState | None:
+        """The first eligible replica from the turn on, in the fleet's fixed
+        order: one leaving rotation mid-batch shifts no other's turn."""
+        order = list(self.replicas.values())
+        for step in range(len(order)):
+            state = order[(self._turn + step) % len(order)]
+            if state.eligible(self.bus.clock_ms):
+                self._turn += step + 1
+                return state
+        return None
 
     # -- dispatch ------------------------------------------------------------
 
@@ -348,13 +355,11 @@ class QueryGateway:
                             f"within {budget} dispatches"
                             + (f" (last: {last_error})" if last_error else "")
                         )
-                    candidates = self._candidates()
-                    if not candidates:
+                    state = self._next_turn()
+                    if state is None:
                         waiting.append(item)
                         continue
                     dispatches[item] += 1
-                    state = candidates[self._turn % len(candidates)]
-                    self._turn += 1
                     send(item, state, hedging=False)
                 todo = waiting
                 # Hedge, once and never with a probe, every dispatch that
@@ -366,7 +371,7 @@ class QueryGateway:
                     carrying = {
                         f.state for f in flights.values() if f.item == flight.item
                     }
-                    for other in self._candidates():
+                    for other in self.replicas.values():
                         if other.closed and other not in carrying:
                             self.hedges += 1
                             obs.inc("resilience.hedges")

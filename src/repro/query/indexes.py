@@ -13,7 +13,9 @@ measurement) and provides
 
 The *maintained* index is the SP's materialized copy: it ingests blocks,
 produces the update proofs the CI ships into the enclave, and serves
-queries (see :mod:`repro.query.provider`).
+queries (see :mod:`repro.query.provider`).  An answer carries each fact
+once: what it claims is a read-only property read from its proofs without
+hashing, never a field beside them, so its verifier compares no copy.
 
 Two index families are implemented, matching the paper's case study
 (Fig. 5): the two-level historical account index (MPT upper level,
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import partial
 
 from repro.chain.block import Block
 from repro.chain.state import state_key
@@ -62,6 +65,30 @@ def _numeric_field_writes(
             if raw is not None:
                 found.append((account, int.from_bytes(raw, "big", signed=True)))
     return found
+
+
+#: What tripping over a prover-chosen structure (arity, node types) raises.
+MALFORMED = (TypeError, ValueError, AttributeError, LookupError, ArithmeticError)
+
+
+def _claim(read):
+    """A read-only claim of an answer, read from its proofs; a malformed
+    structure is a :class:`ProofError` here, where the answer is owned."""
+    def reader(self):
+        try:
+            return read(self)
+        except MALFORMED as exc:
+            raise ProofError(f"malformed {type(self).__name__}: {exc!r}") from None
+    return property(reader, doc=read.__doc__)
+
+
+def _opens(open_proof, root: Digest, proof) -> bool:
+    """Whether ``open_proof(root, proof)`` verifies, not raising ProofError."""
+    try:
+        open_proof(root, proof)
+    except ProofError:
+        return False
+    return True
 
 
 def _replay_two_level(
@@ -247,9 +274,16 @@ class _PerAccountTrees:
             self._upper.insert(trie_key, lower.root)
         return writes, self.update_proof_class(steps=tuple(steps)) if prove else None
 
-    def _lookup(self, account: str):
-        """``(upper-level proof, the account's tree or None)``."""
-        return self._upper.prove(_account_trie_key(account)), self._lower.get(account)
+    def _answer(self, answer_class: type, account: str, t_from: int, t_to: int, prove):
+        """``answer_class`` for the window: the upper-level proof, and for an
+        account with a tree its root and ``prove(tree)``'s window proof."""
+        lower = self._lower.get(account)
+        return answer_class(
+            account=account, t_from=t_from, t_to=t_to,
+            lower_root=None if lower is None else lower.root,
+            upper_proof=self._upper.prove(_account_trie_key(account)),
+            range_proof=None if lower is None else prove(lower)[1],
+        )
 
 
 class TwoLevelHistoryIndex(_PerAccountTrees):
@@ -262,38 +296,40 @@ class TwoLevelHistoryIndex(_PerAccountTrees):
         self, account: str, t_from: int, t_to: int
     ) -> "HistoryAnswer":
         """Versions of ``account`` in the window, with proofs."""
-        upper_proof, lower = self._lookup(account)
-        versions, range_proof = (
-            lower.range_query(t_from, t_to) if lower is not None else ((), None)
-        )
-        return HistoryAnswer(
-            account=account,
-            t_from=t_from,
-            t_to=t_to,
-            versions=tuple(versions),
-            lower_root=lower.root if lower is not None else None,
-            upper_proof=upper_proof,
-            range_proof=range_proof,
+        return self._answer(
+            HistoryAnswer, account, t_from, t_to,
+            lambda tree: tree.range_query(t_from, t_to),
         )
 
 
 @dataclass(frozen=True, slots=True)
-class HistoryAnswer:
-    """SP's answer to a historical account query, with proofs."""
+class _WindowAnswer:
+    """An answer about one account's window: the upper proof binds its lower
+    root (``None``: no such account), the range proof opens the window."""
 
     account: str
     t_from: int
     t_to: int
-    versions: tuple[tuple[int, bytes], ...]
-    lower_root: Digest | None  # None: account has no history
+    lower_root: Digest | None
     upper_proof: MPTProof
-    range_proof: "mbtree.MBRangeProof | None"
+    range_proof: "mbtree.MBRangeProof | aggtree.AggRangeProof | None"
 
     def proof_size_bytes(self) -> int:
         total = self.upper_proof.size_bytes()
         if self.range_proof is not None:
             total += self.range_proof.size_bytes()
         return total
+
+
+@dataclass(frozen=True, slots=True)
+class HistoryAnswer(_WindowAnswer):
+    """SP's answer to a historical account query, with proofs."""
+
+    @_claim
+    def versions(self) -> tuple[tuple[int, bytes], ...]:
+        """``(timestamp, value)`` of each version the range proof opens."""
+        proof = self.range_proof
+        return () if proof is None else mbtree.read_range(proof)
 
 
 @dataclass(frozen=True, slots=True)
@@ -434,86 +470,79 @@ class MaintainedKeywordIndex:
                 (keyword, roots[keyword], self._dictionary.prove(keyword.encode("utf-8")))
             )
         pivot = min(unique, key=lambda k: len(self._postings.get(k, ())))
-        if roots[pivot] is None:
-            return KeywordAnswer(
-                keywords=tuple(unique),
-                pivot=pivot,
-                results=(),
-                dictionary_proofs=tuple(dictionary_proofs),
-                pivot_proof=None,
-                point_proofs=(),
-            )
-        pivot_entries, pivot_proof = self._postings[pivot].range_query(0, MAX_KEY)
-        point_proofs = []
-        results = []
-        for seq, _ in pivot_entries:
-            in_all = True
-            for keyword in unique:
-                if keyword == pivot:
-                    continue
-                entries, point = self._postings[keyword].range_query(seq, seq)
-                present = bool(entries)
-                point_proofs.append((seq, keyword, present, point))
-                in_all = in_all and present
-            if in_all:
-                results.append(seq)
+        pivot_entries, pivot_proof = (
+            self._postings[pivot].range_query(0, MAX_KEY)
+            if roots[pivot] is not None else ((), None)
+        )
         return KeywordAnswer(
             keywords=tuple(unique),
             pivot=pivot,
-            results=tuple(results),
             dictionary_proofs=tuple(dictionary_proofs),
-            pivot_proof=(tuple(seq for seq, _ in pivot_entries), pivot_proof),
-            point_proofs=tuple(point_proofs),
+            pivot_proof=pivot_proof,
+            point_proofs=tuple(
+                (seq, keyword, self._postings[keyword].range_query(seq, seq)[1])
+                for seq, _ in pivot_entries for keyword in unique if keyword != pivot
+            ),
         )
 
 
 @dataclass(frozen=True, slots=True)
 class KeywordAnswer:
-    """SP's answer to a conjunctive keyword query, with proofs."""
+    """SP's answer to a conjunctive keyword query: the pivot's posting
+    proof and, per posting and other keyword, a point proof."""
 
     keywords: tuple[str, ...]
     pivot: str
-    results: tuple[int, ...]
     dictionary_proofs: tuple[tuple[str, Digest | None, MPTProof], ...]
-    pivot_proof: tuple[tuple[int, ...], "mbtree.MBRangeProof"] | None
-    point_proofs: tuple[tuple[int, str, bool, "mbtree.MBRangeProof"], ...]
+    pivot_proof: "mbtree.MBRangeProof | None"
+    point_proofs: tuple[tuple[int, str, "mbtree.MBRangeProof"], ...]
+
+    @_claim
+    def results(self) -> tuple[int, ...]:
+        """Each pivot posting every other keyword's point proof opens."""
+        read = mbtree.read_range
+        opened = {(seq, k) for seq, k, proof in self.point_proofs if read(proof)}
+        others = [k for k in self.keywords if k != self.pivot]
+        postings = () if self.pivot_proof is None else read(self.pivot_proof)
+        return tuple(
+            seq for seq, _ in postings if all((seq, k) in opened for k in others)
+        )
 
     def proof_size_bytes(self) -> int:
+        """The modeled size, as before: 8 B a posting, 1 B a presence."""
         total = sum(
             len(k) + 32 + proof.size_bytes() for k, _, proof in self.dictionary_proofs
         )
         if self.pivot_proof is not None:
-            postings, proof = self.pivot_proof
-            total += 8 * len(postings) + proof.size_bytes()
-        for _, keyword, _, proof in self.point_proofs:
+            total += 8 * len(mbtree.read_range(self.pivot_proof))
+            total += self.pivot_proof.size_bytes()
+        for _, keyword, proof in self.point_proofs:
             total += 8 + len(keyword) + 1 + proof.size_bytes()
         return total
 
 
-def _verify_per_account(
-    index_root: Digest, answer, window_proof, claims_nothing: bool, verify_lower, claimed
-) -> bool:
+def _verify_per_account(index_root: Digest, answer, window_proof, verify_lower) -> bool:
     """The upper-level check every per-account answer shares: the MPT
     proof binds ``lower_root`` (``None``: no such account, which must
-    then claim nothing) to the account under ``index_root``, and the
-    lower proof speaks for exactly the requested window."""
+    then carry no lower proof) to the account under ``index_root``, and
+    the lower proof speaks for exactly the requested window and passes
+    ``verify_lower(lower_root, window_proof)``."""
     trie_key = _account_trie_key(answer.account)
     if not mpt.verify_mpt(index_root, trie_key, answer.lower_root, answer.upper_proof):
         return False
     if answer.lower_root is None:
-        return claims_nothing and window_proof is None
+        return window_proof is None
     if window_proof is None:
         return False
     if (window_proof.lo, window_proof.hi) != (answer.t_from, answer.t_to):
         return False
-    return verify_lower(answer.lower_root, claimed, window_proof)
+    return verify_lower(answer.lower_root, window_proof)
 
 
 def verify_history_versions(index_root: Digest, answer: HistoryAnswer) -> bool:
     """Client check of a :class:`HistoryAnswer` against a certified root."""
     return _verify_per_account(
-        index_root, answer, answer.range_proof, not answer.versions,
-        mbtree.verify_range, list(answer.versions),
+        index_root, answer, answer.range_proof, partial(_opens, mbtree.open_range)
     )
 
 
@@ -528,44 +557,25 @@ def verify_keyword_results(index_root: Digest, answer: KeywordAnswer) -> bool:
         roots[keyword] = posting_root
     if set(roots) != set(answer.keywords) or answer.pivot not in roots:
         return False
-    pivot_root = roots[answer.pivot]
-    if pivot_root is None:
-        return not answer.results and answer.pivot_proof is None
-    if answer.pivot_proof is None:
+    pivot_proof = answer.pivot_proof
+    if roots[answer.pivot] is None:
+        return pivot_proof is None and not answer.point_proofs
+    if pivot_proof is None or (pivot_proof.lo, pivot_proof.hi) != (0, MAX_KEY):
         return False
-    postings, pivot_proof = answer.pivot_proof
-    entries = [(seq, seq.to_bytes(8, "big")) for seq in postings]
-    if (pivot_proof.lo, pivot_proof.hi) != (0, MAX_KEY):
-        return False
-    if not mbtree.verify_range(pivot_root, entries, pivot_proof):
-        return False
-    point: dict[tuple[int, str], tuple[bool, object]] = {}
-    for seq, keyword, present, proof in answer.point_proofs:
-        if (seq, keyword) in point:
-            return False
-        point[(seq, keyword)] = (present, proof)
-    others = [k for k in answer.keywords if k != answer.pivot]
-    expected = []
-    for seq in postings:
-        in_all = True
-        for keyword in others:
-            if (seq, keyword) not in point:
-                return False
-            present, proof = point[(seq, keyword)]
-            posting_root = roots[keyword]
-            if posting_root is None:
+    proven = set()
+    try:
+        postings = mbtree.open_range(roots[answer.pivot], pivot_proof)
+        for seq, keyword, proof in answer.point_proofs:
+            if (seq, keyword) in proven or roots.get(keyword) is None:
                 return False
             if (proof.lo, proof.hi) != (seq, seq):
                 return False
-            claimed = [(seq, seq.to_bytes(8, "big"))] if present else []
-            if not mbtree.verify_range(posting_root, claimed, proof):
-                return False
-            in_all = in_all and present
-        if in_all:
-            expected.append(seq)
-    if len(point) != len(postings) * len(others):
+            mbtree.open_range(roots[keyword], proof)
+            proven.add((seq, keyword))
+    except ProofError:
         return False
-    return tuple(expected) == answer.results
+    others = [k for k in answer.keywords if k != answer.pivot]
+    return proven == {(seq, keyword) for seq, _ in postings for keyword in others}
 
 
 # -- aggregate queries (the §5.1 "aggregations" extension) --------------------
@@ -655,29 +665,22 @@ class AggregateHistoryIndex(_PerAccountTrees):
         self, account: str, t_from: int, t_to: int
     ) -> "AggregateAnswer":
         """The (count, sum, min, max) of an account's values in a window."""
-        upper_proof, lower = self._lookup(account)
-        aggregate, range_proof = (
-            lower.aggregate_query(t_from, t_to) if lower is not None else (None, None)
-        )
-        return AggregateAnswer(
-            account=account, t_from=t_from, t_to=t_to,
-            aggregate=aggregate,
-            lower_root=lower.root if lower is not None else None,
-            upper_proof=upper_proof, range_proof=range_proof,
+        return self._answer(
+            AggregateAnswer, account, t_from, t_to,
+            lambda tree: tree.aggregate_query(t_from, t_to),
         )
 
 
 @dataclass(frozen=True, slots=True)
-class AggregateAnswer:
+class AggregateAnswer(_WindowAnswer):
     """SP's answer to an aggregate query, with proofs."""
 
-    account: str
-    t_from: int
-    t_to: int
-    aggregate: "aggtree.Aggregate | None"
-    lower_root: Digest | None
-    upper_proof: MPTProof
-    range_proof: "aggtree.AggRangeProof | None"
+    @_claim
+    def aggregate(self) -> "aggtree.Aggregate | None":
+        """The window's (count, sum, min, max) the range proof opens
+        (``None``: no value in the window)."""
+        proof = self.range_proof
+        return None if proof is None else aggtree.read_aggregate(proof)
 
     @property
     def average(self) -> float | None:
@@ -685,18 +688,11 @@ class AggregateAnswer:
             return None
         return self.aggregate.total / self.aggregate.count
 
-    def proof_size_bytes(self) -> int:
-        total = self.upper_proof.size_bytes()
-        if self.range_proof is not None:
-            total += self.range_proof.size_bytes()
-        return total
-
 
 def verify_aggregate_answer(index_root: Digest, answer: AggregateAnswer) -> bool:
     """Client check of an :class:`AggregateAnswer` against a certified root."""
     return _verify_per_account(
-        index_root, answer, answer.range_proof, answer.aggregate is None,
-        aggtree.verify_aggregate, answer.aggregate,
+        index_root, answer, answer.range_proof, partial(_opens, aggtree.open_aggregate)
     )
 
 
@@ -924,20 +920,12 @@ class ValueRangeIndex:
         """All accounts whose *current* value lies in ``[lo, hi]``."""
         lo_key = _range_key(lo, 0)
         hi_key = _range_key(hi, (1 << _SLOT_BITS) - 1)
-        entries, proof = self._tree.range_query(lo_key, hi_key)
-        matches = tuple(
-            (_decode_range_key(key)[0], value.decode("utf-8"))
-            for key, value in entries
-            if value != _TOMBSTONE
-        )
         return ValueRangeAnswer(
             lo=lo,
             hi=hi,
-            matches=matches,
-            entries=tuple(entries),
             directory_root=self._directory.root,
             tree_root=self._tree.root,
-            range_proof=proof,
+            range_proof=self._tree.range_query(lo_key, hi_key)[1],
         )
 
 
@@ -947,11 +935,23 @@ class ValueRangeAnswer:
 
     lo: int
     hi: int
-    matches: tuple[tuple[int, str], ...]  # (value, account), live only
-    entries: tuple[tuple[int, bytes], ...]  # raw tree entries incl. tombstones
     directory_root: Digest
     tree_root: Digest
     range_proof: "mbtree.MBRangeProof"
+
+    @_claim
+    def entries(self) -> tuple[tuple[int, bytes], ...]:
+        """The raw tree entries the range proof opens, tombstones included."""
+        return mbtree.read_range(self.range_proof)
+
+    @_claim
+    def matches(self) -> tuple[tuple[int, str], ...]:
+        """``(value, account)`` of each live entry."""
+        return tuple(
+            (_decode_range_key(key)[0], value.decode("utf-8"))
+            for key, value in self.entries
+            if value != _TOMBSTONE
+        )
 
     def proof_size_bytes(self) -> int:
         return 64 + self.range_proof.size_bytes()
@@ -965,13 +965,4 @@ def verify_value_range_answer(index_root: Digest, answer: ValueRangeAnswer) -> b
     hi_key = _range_key(answer.hi, (1 << _SLOT_BITS) - 1)
     if (answer.range_proof.lo, answer.range_proof.hi) != (lo_key, hi_key):
         return False
-    if not mbtree.verify_range(
-        answer.tree_root, list(answer.entries), answer.range_proof
-    ):
-        return False
-    expected = tuple(
-        (_decode_range_key(key)[0], value.decode("utf-8"))
-        for key, value in answer.entries
-        if value != _TOMBSTONE
-    )
-    return expected == answer.matches
+    return _opens(mbtree.open_range, answer.tree_root, answer.range_proof)

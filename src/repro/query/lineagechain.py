@@ -95,6 +95,6 @@ class LineageChainIndex:
 def verify_lineage_answer(index_root: Digest, answer: LineageAnswer) -> bool:
     """Client check of a baseline answer against the index root."""
     return _verify_per_account(
-        index_root, answer, answer.window_proof, not answer.versions,
-        skiplist.verify_window, list(answer.versions),
-    )
+        index_root, answer, answer.window_proof,
+        lambda root, proof: skiplist.verify_window(root, list(answer.versions), proof),
+    ) and (answer.lower_root is not None or not answer.versions)

@@ -27,6 +27,7 @@ from repro.crypto.hashing import Digest
 from repro.errors import QueryError
 from repro.query.api import FAMILY_OF_REQUEST, QueryAnswer, QueryRequest
 from repro.query.indexes import (
+    MALFORMED,
     verify_aggregate_answer,
     verify_history_versions,
     verify_keyword_results,
@@ -69,10 +70,9 @@ def verify(
             and family.claimed(payload) == family.asked(request)
             and family.verify(root, payload)
         )
-    except (TypeError, ValueError, AttributeError, LookupError, ArithmeticError):
-        # The prover chose the payload's *structure* too: a tuple of the
-        # wrong arity, an int where a proof node belongs, unsortable
-        # entries.  Tripping over it is a proof failure, not a crash.
+    except MALFORMED:
+        # The prover chose the payload's *structure* too: tripping over
+        # it is a proof failure, not a crash.
         return False
 
 

@@ -21,6 +21,7 @@ from .schedule import (
     ScenarioSchedule,
     SimEvent,
     apply_event,
+    forge_answer,
 )
 from .scenarios import SCENARIOS, Scenario
 from .shrink import (
@@ -54,6 +55,7 @@ __all__ = [
     "SIM_CRASH_POINTS",
     "WEIGHT_PROFILES",
     "apply_event",
+    "forge_answer",
     "knobs_from_env",
     "play",
     "replay_command",

@@ -23,7 +23,7 @@ from repro.net.gateway import HOP_MARGIN_MS
 from repro.query import HistoryQuery
 
 from .invariants import InvariantViolation
-from .schedule import SimEvent
+from .schedule import SimEvent, forge_answer
 from .shrink import play
 from .world import SimConfig, SimWorld
 
@@ -85,8 +85,7 @@ def _selftest_report(world: SimWorld) -> dict:
     request = HistoryQuery(index="history", account="acct1", t_from=1,
                            t_to=tip.header.height)
     answer = world.oracle.execute(request)
-    tampered = replace(answer, payload=replace(
-        answer.payload, versions=answer.payload.versions[:-1]))
+    tampered = forge_answer(answer, "withhold")
     try:
         client.validate_chain(tip.header, replace(tip.certificate,
                                                   dig=bytes(32)))

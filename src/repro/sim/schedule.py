@@ -26,7 +26,7 @@ from repro.errors import ConfigError, ReproError
 from repro.fault.crashpoints import crash_armed
 from repro.net import CircuitBreaker, LinkFaults, ServiceSupervisor
 from repro.net.wire import encode
-from repro.query import HistoryQuery, KeywordQuery, StaleAnswer
+from repro.query import HistoryQuery, KeywordQuery, QueryAnswer, StaleAnswer
 
 from .world import KIND_GATEWAY, KIND_PUSH, SimWorld
 
@@ -437,20 +437,52 @@ def _ev_resume_replicas(world: SimWorld, _p: dict) -> str:
     return f"replicas={resumed} slowed={restored}"
 
 
+def forge_answer(answer, how: str, *, key: int | None = None):
+    """``answer`` (or its payload) forged in its range (or pivot) proof at
+    the first in-range entry or ``key``: ``withhold`` ships its digest
+    only, ``drop`` leaves it out, ``inject`` adds one, ``alter`` changes
+    its value.  It still decodes, claims otherwise, and never verifies."""
+    if isinstance(answer, QueryAnswer):
+        return replace(answer, payload=forge_answer(answer.payload, how, key=key))
+    field = "range_proof" if hasattr(answer, "range_proof") else "pivot_proof"
+    proof = getattr(answer, field)
+
+    def forged(node):  # ``node`` with its first chosen entry forged, or None
+        entries = getattr(node, "entries", ())
+        for at, (k, value, *rest) in enumerate(entries):
+            if (proof.lo <= k <= proof.hi) if key is None else k == key:
+                other = (k, value + 1 if type(value) is int else value + b"\x01", *rest)
+                digest = how == "withhold" and hashlib.sha256(value).digest()
+                new = {"withhold": [(k, None, digest)], "drop": [],
+                       "inject": [entries[at], other], "alter": [other]}[how]
+                return replace(node, entries=(*entries[:at], *new, *entries[at + 1:]))
+        children = getattr(node, "children", ())
+        for at, child in enumerate(children):
+            if (inner := forged(child)) is not None:
+                children = (*children[:at], inner, *children[at + 1:])
+                return replace(node, children=children)
+        return None
+
+    opening = forged(proof.root_opening)
+    if opening is None:
+        raise ValueError(f"the answer opens no entry to {how}")
+    return replace(answer, **{field: replace(proof, root_opening=opening)})
+
+
 def _lie(mode: str, honest, request):
     answer = honest(request)
     if mode == "malformed":
         return answer.request  # not a QueryAnswer
-    versions = getattr(answer.payload, "versions", ())
-    if not versions:  # "forged" cuts a history's last version
+    if not getattr(answer.payload, "versions", ()):  # "forged" drops a version
         return answer
-    return replace(answer, payload=replace(answer.payload, versions=versions[:-1]))
+    return forge_answer(answer, "drop")
 
 
 def _ev_lying_replica(world: SimWorld, p: dict) -> str:
     """Scripted only: replica ``idx`` lies in its answers until the next
-    ``quiesce`` — ``forged`` drops a history's last version (a truncated
-    payload), ``malformed`` answers with something not a ``QueryAnswer``."""
+    ``quiesce`` — ``forged`` drops a history's first version from its
+    range proof (:func:`forge_answer`), ``malformed`` answers with
+    something not a ``QueryAnswer``."""
     name = world.replica_names[p["idx"] % len(world.replica_names)]
     methods = world.replicas[name].server._methods
     honest = world.liars.setdefault(name, methods["execute"])

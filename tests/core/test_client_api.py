@@ -31,6 +31,7 @@ from repro.query.indexes import (
 )
 from repro.query.provider import QueryServiceProvider
 from repro.sgx.attestation import AttestationService
+from repro.sim import forge_answer
 from tests.conftest import fresh_vm
 
 #: The paper's constant client state: ~2.97 KB.
@@ -225,12 +226,11 @@ def test_verify_answer_covers_all_four_families(four_family_world):
 
 
 def test_verify_answer_rejects_tampered_answers(four_family_world):
-    from dataclasses import replace
-
     provider, client, height = four_family_world
     request = HistoryQuery(index="history", account="k1", t_from=1, t_to=height)
     answer = provider.execute(request)
-    tampered = replace(answer.payload, versions=answer.payload.versions[:-1])
+    tampered = forge_answer(answer.payload, "drop")
+    assert tampered.versions == answer.payload.versions[1:]
     assert not client.verify_answer(
         request, QueryAnswer(request=request, payload=tampered)
     )

@@ -21,6 +21,7 @@ from repro.query.api import HistoryQuery, KeywordQuery, QueryAnswer
 from repro.errors import CertificateError
 from repro.sgx.attestation import AttestationService, sign_quote
 from repro.sgx.platform import SGXPlatform
+from repro.sim import forge_answer
 
 
 @pytest.fixture()
@@ -163,15 +164,17 @@ def test_sp_cannot_drop_history_versions(certified_setup, client):
     answer = certified_setup["issuer"].indexes["history"].query_history("k1", 1, 10)
     assert verify_history(client, "history", answer)
     assert len(answer.versions) >= 2
-    assert not verify_history(
-        client, "history", replace(answer, versions=answer.versions[1:])
-    )
+    dropped = forge_answer(answer, "drop")
+    assert dropped.versions == answer.versions[1:]
+    assert not verify_history(client, "history", dropped)
 
 
 def test_sp_cannot_alter_history_values(certified_setup, client):
     answer = certified_setup["issuer"].indexes["history"].query_history("k1", 1, 10)
-    forged = ((answer.versions[0][0], b"evil"),) + answer.versions[1:]
-    assert not verify_history(client, "history", replace(answer, versions=forged))
+    forged = forge_answer(answer, "alter")
+    assert forged.versions[1:] == answer.versions[1:]
+    assert forged.versions[0] != answer.versions[0]
+    assert not verify_history(client, "history", forged)
 
 
 def test_sp_cannot_shrink_the_window(certified_setup, client):
@@ -208,12 +211,13 @@ def test_sp_cannot_withhold_keyword_matches(certified_setup, client):
     answer = certified_setup["issuer"].indexes["keyword"].query_conjunctive(["v1"])
     assert verify_keyword(client, "keyword", answer)
     assert len(answer.results) >= 1
-    assert not verify_keyword(
-        client, "keyword", replace(answer, results=answer.results[:-1])
-    )
+    withheld = forge_answer(answer, "withhold", key=answer.results[-1])
+    assert withheld.results == answer.results[:-1]
+    assert not verify_keyword(client, "keyword", withheld)
 
 
 def test_sp_cannot_inject_keyword_matches(certified_setup, client):
     answer = certified_setup["issuer"].indexes["keyword"].query_conjunctive(["v1"])
-    padded = replace(answer, results=answer.results + ((999 << 20),))
+    padded = forge_answer(answer, "inject")
+    assert len(padded.results) == len(answer.results) + 1
     assert not verify_keyword(client, "keyword", padded)

@@ -53,6 +53,7 @@ from repro.query.indexes import (
 )
 from repro.query.provider import QueryServiceProvider
 from repro.sgx.attestation import AttestationService
+from repro.sim import forge_answer
 from tests.conftest import fresh_vm
 
 
@@ -152,14 +153,10 @@ class ForgeOneAnswer:
         answer = wire.decode(message.payload)
         if not isinstance(answer, QueryAnswer):
             return message  # a bootstrap reply; wait for a query answer
-        versions = getattr(answer.payload, "versions", ())
-        if not versions:
+        if not getattr(answer.payload, "versions", ()):
             return message
         self.fired = True
-        forged = replace(
-            answer, payload=replace(answer.payload, versions=versions[:-1])
-        )
-        return replace(message, payload=wire.encode(forged))
+        return replace(message, payload=wire.encode(forge_answer(answer, "drop")))
 
 
 def test_acceptance_lossy_link_plus_forged_response(world):

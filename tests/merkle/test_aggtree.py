@@ -1,5 +1,6 @@
 """Aggregate-authenticated MB-tree."""
 
+import dataclasses
 import random
 
 import pytest
@@ -9,7 +10,10 @@ from repro.merkle.aggtree import (
     Aggregate,
     AggregateMBTree,
     EMPTY_ROOT,
-    verify_aggregate,
+    AggInternalOpening,
+    AggStub,
+    open_aggregate,
+    read_aggregate,
 )
 
 
@@ -36,7 +40,7 @@ def test_empty_tree():
     assert tree.root == EMPTY_ROOT
     result, proof = tree.aggregate_query(0, 100)
     assert result is None
-    assert verify_aggregate(tree.root, None, proof)
+    assert open_aggregate(tree.root, proof) is None
 
 
 def test_aggregate_merge_identity():
@@ -50,7 +54,7 @@ def test_aggregate_query_matches_ground_truth(tree, window):
     lo, hi = window
     result, proof = tree.aggregate_query(lo, hi)
     assert result == expected_aggregate(tree, lo, hi)
-    assert verify_aggregate(tree.root, result, proof)
+    assert open_aggregate(tree.root, proof) == result
 
 
 def test_empty_window(tree):
@@ -58,33 +62,51 @@ def test_empty_window(tree):
     gap = next((a + 1, b - 1) for a, b in zip(keys, keys[1:]) if b - a > 2)
     result, proof = tree.aggregate_query(*gap)
     assert result is None
-    assert verify_aggregate(tree.root, None, proof)
+    assert open_aggregate(tree.root, proof) is None
+
+
+def _with_covered_stub(proof, forge):
+    """``proof`` with the first stub its window covers re-summarised by
+    ``forge(aggregate)``: a claim the prover made inside the proof."""
+    def walk(node):
+        if isinstance(node, AggStub):
+            covered = proof.lo <= node.min_key and node.max_key <= proof.hi
+            return dataclasses.replace(node, aggregate=forge(node.aggregate)) if covered else None
+        for at, child in enumerate(getattr(node, "children", ())):
+            if (forged := walk(child)) is not None:
+                children = (*node.children[:at], forged, *node.children[at + 1:])
+                return AggInternalOpening(children=children)
+        return None
+
+    return dataclasses.replace(proof, root_opening=walk(proof.root_opening))
+
+
+def _read_but_rejected(tree, forge):
+    """The aggregate is read from the proof, so a forger edits a stub's
+    summary there: the reader returns the forged figure, which no longer
+    opens under the root."""
+    result, proof = tree.aggregate_query(2000, 4000)
+    forged = _with_covered_stub(proof, forge)
+    assert read_aggregate(proof) == result
+    assert read_aggregate(forged) != result
+    with pytest.raises(ProofError):
+        open_aggregate(tree.root, forged)
 
 
 def test_forged_aggregate_rejected(tree):
-    result, proof = tree.aggregate_query(2000, 4000)
-    assert result is not None
-    forged = Aggregate(
-        count=result.count, total=result.total + 1,
-        minimum=result.minimum, maximum=result.maximum,
-    )
-    assert not verify_aggregate(tree.root, forged, proof)
+    _read_but_rejected(tree, lambda a: dataclasses.replace(a, total=a.total + 1))
 
 
 def test_forged_count_rejected(tree):
-    result, proof = tree.aggregate_query(2000, 4000)
-    forged = Aggregate(
-        count=result.count - 1, total=result.total,
-        minimum=result.minimum, maximum=result.maximum,
-    )
-    assert not verify_aggregate(tree.root, forged, proof)
+    _read_but_rejected(tree, lambda a: dataclasses.replace(a, count=a.count - 1))
 
 
 def test_wrong_root_rejected(tree):
-    result, proof = tree.aggregate_query(2000, 4000)
+    _, proof = tree.aggregate_query(2000, 4000)
     other = AggregateMBTree(fanout=8)
     other.insert(1, 1)
-    assert not verify_aggregate(other.root, result, proof)
+    with pytest.raises(ProofError):
+        open_aggregate(other.root, proof)
 
 
 def test_proof_size_flat_in_window_width(tree):
@@ -101,7 +123,7 @@ def test_overwrite_updates_aggregate(tree):
     tree.insert(key, 1000)
     after, proof = tree.aggregate_query(key, key)
     assert after == Aggregate(count=1, total=1000, minimum=1000, maximum=1000)
-    assert verify_aggregate(tree.root, after, proof)
+    assert open_aggregate(tree.root, proof) == after
     assert before != after
 
 
@@ -115,7 +137,7 @@ def test_single_entry_tree():
     tree.insert(7, -5)
     result, proof = tree.aggregate_query(0, 100)
     assert result == Aggregate(count=1, total=-5, minimum=-5, maximum=-5)
-    assert verify_aggregate(tree.root, result, proof)
+    assert open_aggregate(tree.root, proof) == result
 
 
 def test_query_and_insert_work_is_bounded_by_fanout_times_depth(monkeypatch):
@@ -144,4 +166,4 @@ def test_query_and_insert_work_is_bounded_by_fanout_times_depth(monkeypatch):
     # Only the touched path: one leaf and one node per level above it.
     assert merges_during(lambda: tree.root) <= 16 * 4
     result, proof = tree.aggregate_query(100, 5000)
-    assert result.count == 3997 and verify_aggregate(tree.root, result, proof)
+    assert result.count == 3997 and open_aggregate(tree.root, proof) == result

@@ -63,7 +63,7 @@ def _mb_query(tree, lo, hi):
 
 def _agg_query(tree, lo, hi):
     result, proof = tree.aggregate_query(lo, hi)
-    assert aggtree.verify_aggregate(tree.root, result, proof)
+    assert aggtree.open_aggregate(tree.root, proof) == result
     return result, proof
 
 

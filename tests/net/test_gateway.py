@@ -69,6 +69,39 @@ def test_round_robin_distributes_evenly(bus):
     assert [s.requests_served for s in servers.values()] == [3, 3, 3]
 
 
+def test_batches_of_one_rotate_in_fleet_order(bus):
+    servers = make_fleet(bus, 3)
+    gateway = make_gateway(bus, list(servers))
+    served = [gateway.call("echo", i)["replica"] for i in range(7)]
+    assert served == ["sp1", "sp2", "sp3", "sp1", "sp2", "sp3", "sp1"]
+
+
+@pytest.mark.parametrize("turn", [0, 1, 2])
+@pytest.mark.parametrize("due", ["sp1", "sp2", "sp3"])
+def test_a_batch_dispatches_once_to_each_replica_when_one_is_due(bus, due, turn):
+    """The turn walks the fleet's fixed order: the due replica becoming
+    the half-open probe mid-batch shifts no other replica's turn, so a
+    3-item batch over 3 replicas reaches each once, beside the probe's
+    hedge.  (Indexing a list of the replicas eligible per item skipped
+    one: sp1, sp2 the probe, sp1 again.)"""
+    make_fleet(bus, 3)
+    gateway = make_gateway(bus, ["sp1", "sp2", "sp3"])
+    for i in range(turn):
+        gateway.call("echo", i)
+    state = gateway.replicas[due]
+    for _ in range(CircuitBreaker.FAILURE_TRIP):
+        state.breaker.record_failure(bus.clock_ms)
+    assert due not in gateway.healthy_replicas()
+    bus.run_for(state.breaker.reopen_at_ms - bus.clock_ms)  # probe due
+    before = {name: s.dispatched for name, s in gateway.replicas.items()}
+    hedges = gateway.hedges  # the probe's own hedge, sent at once
+    assert [r["arg"] for r in gateway.call_many("echo", ["a", "b", "c"])] == ["a", "b", "c"]
+    sent = {name: s.dispatched - before[name] for name, s in gateway.replicas.items()}
+    assert sent[due] == 1 and min(sent.values()) == 1
+    assert sum(sent.values()) == 3 + gateway.hedges - hedges
+    assert gateway.healthy_replicas() == ["sp1", "sp2", "sp3"]
+
+
 # -- health and failover -----------------------------------------------------
 
 

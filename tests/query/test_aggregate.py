@@ -13,6 +13,7 @@ from repro.merkle.aggtree import Aggregate
 from repro.query.api import AggregateQuery, QueryAnswer
 from repro.query.indexes import BalanceAggregateIndexSpec
 from repro.sgx.attestation import AttestationService
+from repro.sim import forge_answer
 from tests.conftest import fresh_vm
 
 
@@ -114,10 +115,8 @@ def test_unknown_account(world):
 
 def test_forged_total_rejected(world):
     answer = world["issuer"].indexes["balances"].query_aggregate("alice", 1, 7)
-    forged = replace(
-        answer,
-        aggregate=replace(answer.aggregate, total=answer.aggregate.total + 1),
-    )
+    forged = forge_answer(answer, "alter")
+    assert forged.aggregate.total == answer.aggregate.total + 1
     assert not verify_agg(world["client"], "balances", forged)
 
 

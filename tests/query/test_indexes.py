@@ -8,6 +8,7 @@ from repro.chain.builder import ChainBuilder
 from repro.chain.transaction import sign_transaction
 from repro.crypto import generate_keypair
 from repro.errors import ProofError, QueryError
+from repro.sim import forge_answer
 from repro.query.indexes import (
     AccountHistoryIndexSpec,
     KeywordIndexSpec,
@@ -198,13 +199,15 @@ def test_absent_keyword_gives_empty_result(corpus_index):
 
 def test_verify_rejects_dropped_result(corpus_index):
     answer = corpus_index.query_conjunctive(["stock", "bank"])
-    dropped = replace(answer, results=answer.results[:-1])
+    dropped = forge_answer(answer, "withhold", key=answer.results[-1])
+    assert dropped.results == answer.results[:-1]
     assert not verify_keyword_results(corpus_index.root, dropped)
 
 
 def test_verify_rejects_injected_result(corpus_index):
     answer = corpus_index.query_conjunctive(["stock", "bank"])
-    injected = replace(answer, results=answer.results + (4 << 20,))
+    injected = forge_answer(answer, "inject", key=answer.results[0])
+    assert len(injected.results) == len(answer.results) + 1
     assert not verify_keyword_results(corpus_index.root, injected)
 
 

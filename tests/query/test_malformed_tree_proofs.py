@@ -31,6 +31,7 @@ from repro.core import (
 from repro.crypto import generate_keypair
 from repro.errors import CertificateError, ProofError, QueryError, WireError
 from repro.merkle import aggtree, mbtree
+from repro.merkle.mpt import MPTProof
 from repro.net import CircuitBreaker, MessageBus, QueryGateway, wire
 from repro.query import verifier
 from repro.query import (
@@ -141,7 +142,7 @@ def world():
     )
     height = builder.height
     requests = {
-        "history": HistoryQuery(index="history", account="acct1", t_from=6, t_to=7),
+        "history": HistoryQuery(index="history", account="acct1", t_from=5, t_to=8),
         "keyword": KeywordQuery(index="keyword", keywords=("acct1", "v3")),
         "aggregate": AggregateQuery(index="aggregate", account="a1", t_from=3, t_to=height - 2),
         "range": ValueRangeQuery(index="range", lo=200, hi=320),
@@ -391,7 +392,8 @@ def test_root_stub_cannot_vouch_for_its_own_summary():
     claimed = aggtree.AggRangeProof(
         lo=100, hi=200, root_opening=aggtree.AggStub(100, 200, invented, series.root)
     )
-    assert not aggtree.verify_aggregate(series.root, invented, claimed)
+    with pytest.raises(ProofError):
+        aggtree.open_aggregate(series.root, claimed)
 
 
 # -- forged absence: the upper level (an MPT) of every per-key index -----------
@@ -416,6 +418,54 @@ def claims(payload):
         "ValueRangeAnswer": ("matches",),
     }[type(payload).__name__]
     return tuple(freeze(getattr(payload, name)) for name in fields)
+
+
+_PROOF_TYPES = (mbtree.MBRangeProof, aggtree.AggRangeProof, MPTProof)
+
+
+def _opened(proof):
+    """The ``(key, value)`` entries an MB-tree range proof opens."""
+    return tuple(
+        (key, value) for _, node in mutate.sites(proof)
+        if isinstance(node, mbtree.LeafOpening)
+        for key, value, _ in node.entries if value is not None
+    )
+
+
+def _outside_proofs(payload):
+    """Every node ``payload`` carries outside its proof objects."""
+    return [
+        node for path, node in mutate.sites(payload)
+        if not any(
+            isinstance(mutate.get(payload, path[:k]), _PROOF_TYPES)
+            for k in range(len(path) + 1)
+        )
+    ]
+
+
+@pytest.mark.parametrize("family", sorted(EXPECTED_SITES))
+def test_an_answer_carries_each_fact_once(world, family):
+    """The claims are read from the proofs, never shipped beside them:
+    each value a proof opens occurs in the encoding once per opening, and
+    nothing outside the proofs is what the verifier recomputes from them
+    (a claim, the opened entries or postings, a presence flag)."""
+    payload = world["provider"].execute(world["requests"][family]).payload
+    said = claims(payload)
+    assert all(said)  # at least one result
+    proofs = [node for _, node in mutate.sites(payload) if type(node) is mbtree.MBRangeProof]
+    opened = [value for proof in proofs for _, value in _opened(proof)]
+    assert opened or family == "aggregate"
+    tree = json.loads(wire.encode(payload))
+    encoded = [node["!b"] for _, node in mutate.sites(tree) if type(node) is dict and "!b" in node]
+    for value in set(opened):
+        assert encoded.count(value.hex()) == opened.count(value), value
+    recomputed = list(said)
+    for entries in map(_opened, proofs):
+        recomputed += [entries, tuple(key for key, _ in entries)]
+    outside = _outside_proofs(payload)
+    assert not any(type(node) is bool for node in outside)
+    for fact in recomputed:
+        assert not fact or fact not in outside, fact
 
 
 def retag_mutants(answer):
@@ -447,17 +497,16 @@ def forged_absences(world):
         request = world["requests"][family]
         honest = world["provider"].execute(request)
         assert honest.payload.lower_root is not None
-        nothing = {"history": {"versions": ()}, "aggregate": {"aggregate": None}}[family]
         forged[family] = request, replace(honest, payload=replace(
             honest.payload, lower_root=None, range_proof=None,
-            upper_proof=says_absent(honest.payload.upper_proof), **nothing,
+            upper_proof=says_absent(honest.payload.upper_proof),
         ))
     request = KeywordQuery(index="keyword", keywords=("acct1",))
     honest = world["provider"].execute(request)
     assert honest.payload.results
     ((keyword, _root, proof),) = honest.payload.dictionary_proofs
     forged["keyword"] = request, replace(honest, payload=replace(
-        honest.payload, results=(), pivot_proof=None, point_proofs=(),
+        honest.payload, pivot_proof=None, point_proofs=(),
         dictionary_proofs=((keyword, None, says_absent(proof)),),
     ))
     return forged

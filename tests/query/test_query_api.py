@@ -25,6 +25,7 @@ from repro.query.indexes import (
     ValueRangeIndexSpec,
 )
 from repro.query.provider import QueryServiceProvider
+from repro.sim import forge_answer
 from tests.conftest import fresh_vm
 
 
@@ -131,10 +132,8 @@ def test_verify_rejects_tampered_payload(requests_answers, api_world):
     provider, _ = api_world
     requests, answers = requests_answers
     answer = answers["history"]
-    tampered = replace(
-        answer,
-        payload=replace(answer.payload, versions=answer.payload.versions[:-1]),
-    )
+    tampered = forge_answer(answer, "drop")
+    assert tampered.payload.versions == answer.payload.versions[1:]
     assert not verify(requests["history"], tampered, provider.index_root)
 
 

@@ -16,6 +16,7 @@ from repro.query.indexes import (
     verify_value_range_answer,
 )
 from repro.sgx.attestation import AttestationService
+from repro.sim import forge_answer
 from tests.conftest import fresh_vm
 
 
@@ -104,7 +105,9 @@ def test_equal_values_both_reported(world):
 def test_withheld_match_rejected(world):
     answer = world["issuer"].indexes["range"].query_range(100, 400)
     assert len(answer.matches) >= 2
-    withheld = replace(answer, matches=answer.matches[:-1])
+    live = [key for key, value in answer.entries if value != b"\x00"]
+    withheld = forge_answer(answer, "withhold", key=live[-1])
+    assert withheld.matches == answer.matches[:-1]
     assert not verify_range(world["client"], "range", withheld)
 
 
@@ -115,9 +118,9 @@ def test_resurrected_tombstone_rejected(world):
     # alice's stale 100-entry is among the raw entries as a tombstone.
     stale = [key for key, value in answer.entries if value == b"\x00"]
     assert stale, "expected a tombstoned entry in this window"
-    resurrected = replace(
-        answer, matches=answer.matches + ((100, "alice"),)
-    )
+    resurrected = forge_answer(answer, "alter", key=stale[0])
+    (revived,) = set(resurrected.matches) - set(answer.matches)
+    assert revived[0] == 100
     assert not verify_range(world["client"], "range", resurrected)
 
 
