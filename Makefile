@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: test bench lint analyze loc selftest check metrics proptest chaos fleet-bench fleet-smoke push-bench push-smoke overload-bench overload-smoke sim sim-smoke determinism perf-smoke obs-overhead
+.PHONY: test bench lint analyze loc selftest check metrics proptest chaos sim sim-smoke determinism perf-smoke obs-overhead
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -45,7 +45,7 @@ sim-smoke:
 determinism:
 	bash scripts/check_determinism.sh
 
-check: lint analyze loc test chaos sim-smoke determinism fleet-smoke push-smoke overload-smoke perf-smoke
+check: lint analyze loc test chaos sim-smoke determinism perf-smoke
 
 # The repo benchmark (BENCHMARK.json, benchmarks/perf) at a tenth of its
 # fixed round counts: every workload end to end in ~11 s.  Exits
@@ -68,40 +68,6 @@ obs-overhead:
 
 bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# Fleet-scaling benchmark (benchmarks/test_fleet_scaling.py): modeled
-# query throughput vs replica count, plus the warm verified-answer
-# cache doing zero round trips.  REPRO_FLEET_QUERIES=n sizes the query
-# batch (default 24); REPRO_BENCH_OUT=dir persists records as JSON.
-fleet-bench:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_fleet_scaling.py -q -s
-
-# The same sweep at a tiny batch size, as a smoke tier for `make check`.
-fleet-smoke:
-	REPRO_FLEET_QUERIES=8 PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_fleet_scaling.py -q
-
-# Push-vs-poll benchmark (benchmarks/test_push_vs_poll.py): total RPC
-# round trips to keep a client fleet at the certified tip, streamed vs
-# polled, plus the disconnect/resync byte-identity check.
-# REPRO_PUSH_CLIENTS=n sizes the fleet (default 64) and
-# REPRO_PUSH_BLOCKS=n the stream length (default 12).
-push-bench:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_push_vs_poll.py -q -s
-
-# The same run with a small fleet, as a smoke tier for `make check`.
-push-smoke:
-	REPRO_PUSH_CLIENTS=8 PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_push_vs_poll.py -q
-
-# Overload-resilience benchmark (benchmarks/test_overload.py): goodput
-# under an open-loop 5x offered load with admission control + deadline
-# propagation, and the hedged slow-replica tail.
-# REPRO_OVERLOAD_ARRIVALS=n sizes the arrival process (default 600).
-overload-bench:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_overload.py -q -s
-
-# The same scenarios with a short arrival process, for `make check`.
-overload-smoke:
-	REPRO_OVERLOAD_ARRIVALS=200 PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_overload.py -q
 
 lint:
 	bash scripts/lint.sh

@@ -196,14 +196,13 @@ class AggregateMBTree(bptree.BPlusTree):
 
     scheme = SCHEME
 
-    def aggregate_query(self, lo: int, hi: int) -> tuple[Aggregate | None, AggRangeProof]:
-        """The aggregate of all keys in ``[lo, hi]`` (``None`` when the
-        window is empty), plus its proof."""
+    def aggregate_query(self, lo: int, hi: int) -> AggRangeProof:
+        """The proof of the aggregate of all keys in ``[lo, hi]``; the
+        aggregate itself is :func:`read_aggregate` of it."""
         if lo > hi:
             raise ProofError("empty range: lo > hi")
         opening = self._open(self._root, lo, hi) if self._root is not None else None
-        proof = AggRangeProof(lo=lo, hi=hi, root_opening=opening)
-        return read_aggregate(proof), proof
+        return AggRangeProof(lo=lo, hi=hi, root_opening=opening)
 
     def _open(self, node: bptree._Node, lo: int, hi: int) -> _AggProofNode:
         if node.leaf:

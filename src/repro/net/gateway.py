@@ -41,8 +41,8 @@ There is one way to have a request in the air:
 batch, keeps every eligible replica's pipe full and applies one rule
 set per dispatch (:meth:`QueryGateway.call` is a batch of one).  With
 the :class:`~repro.net.rpc.RpcServer` busy-worker model, M queries over
-N replicas complete in ~M/N service times, which is the scaling curve
-``benchmarks/test_fleet_scaling.py`` measures.
+N replicas complete in ~M/N service times: the scaling claim of
+``tests/sim/test_modeled_claims.py``, timed by ``gateway.batch_ms``.
 """
 
 from __future__ import annotations
@@ -303,6 +303,7 @@ class QueryGateway:
         re-dispatched inside its budget.  A terminal error (a bad query
         is bad on every replica) is raised unchanged at once.
         """
+        started = self.bus.clock_ms
         deadline = sanitize_deadline(deadline_ms) or math.inf
         downstream = shrink_deadline(deadline, HOP_MARGIN_MS)
         budget = max(3, 2 * len(self.replicas))
@@ -453,4 +454,6 @@ class QueryGateway:
             # everything still in the air.
             for request_id, flight in flights.items():
                 self._abandon(flight.state, request_id)
+        if obs.enabled():
+            obs.observe("gateway.batch_ms", self.bus.clock_ms - started)
         return results

@@ -276,13 +276,13 @@ class _PerAccountTrees:
 
     def _answer(self, answer_class: type, account: str, t_from: int, t_to: int, prove):
         """``answer_class`` for the window: the upper-level proof, and for an
-        account with a tree its root and ``prove(tree)``'s window proof."""
+        account with a tree its root and ``prove(tree)``, the window proof."""
         lower = self._lower.get(account)
         return answer_class(
             account=account, t_from=t_from, t_to=t_to,
             lower_root=None if lower is None else lower.root,
             upper_proof=self._upper.prove(_account_trie_key(account)),
-            range_proof=None if lower is None else prove(lower)[1],
+            range_proof=None if lower is None else prove(lower),
         )
 
 
@@ -298,7 +298,7 @@ class TwoLevelHistoryIndex(_PerAccountTrees):
         """Versions of ``account`` in the window, with proofs."""
         return self._answer(
             HistoryAnswer, account, t_from, t_to,
-            lambda tree: tree.range_query(t_from, t_to),
+            lambda tree: tree.range_query(t_from, t_to)[1],
         )
 
 

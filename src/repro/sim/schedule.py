@@ -515,8 +515,8 @@ def _ev_quiesce(world: SimWorld, p: dict) -> str:
         except ReproError:
             pass  # the liveness invariants name what stayed behind
         # One probe per replica, one at a time: successive round-robin
-        # turns over an unchanged candidate list reach every replica (in
-        # one batch a probe would leave the list and shift the turns).
+        # turns reach every replica, and a probe that goes unanswered
+        # fails only itself (a batch raises for all of its items).
         for i in range(len(world.replicas)):
             keyword = f"probe{world.quiesces}.{i}"
             probe = KeywordQuery(index="keyword", keywords=(keyword,))
@@ -542,7 +542,9 @@ def _ev_burst(world: SimWorld, p: dict) -> str:
     """An open-loop flood straight at one replica: the load generator
     begin()s without waiting for responses, so the busy worker's queue
     delay climbs until admission control sheds.  Every request is then
-    abandoned; late responses exercise the client's bounded sweep."""
+    abandoned; late responses exercise the client's bounded sweep.
+    Scripted bursts may pace arrivals ``gap_ms`` apart, each with a
+    ``budget`` ms deadline; a drawn one fires all at once, unbounded."""
     name = world.replica_names[p["idx"] % len(world.replica_names)]
     server = world.replicas[name].server
     request = HistoryQuery(
@@ -551,9 +553,16 @@ def _ev_burst(world: SimWorld, p: dict) -> str:
         t_from=1, t_to=max(1, world.provider.node.height),
     )
     shed_before = server.requests_shed
-    pending = [
-        world.load.begin(name, "execute", request) for _ in range(p["count"])
-    ]
+    gap, budget = p.get("gap_ms", 0.0), p.get("budget", 0.0)
+    pending = []
+
+    def arrive() -> None:
+        deadline = world.bus.clock_ms + budget if budget else 0.0
+        pending.append(world.load.begin(name, "execute", request,
+                                        deadline_ms=deadline))
+
+    for i in range(p["count"]):
+        world.bus.schedule(i * gap, arrive) if gap else arrive()
     world.bus.run_until_idle()
     for request_id in pending:
         world.load.abandon(request_id)

@@ -3,6 +3,7 @@
 included); a closing ``quiesce`` adds the liveness invariants."""
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -105,20 +106,30 @@ def test_lossy_subscriber_links_converge_and_forge_nothing():
 
 def test_a_burst_behind_dead_links_recovers_through_one_reply_each():
     """Every push of a six-block burst is lost: each subscriber holds
-    the burst's first push unacked and the hub one tip, not a backlog;
-    after ``quiesce`` each caught up through one heartbeat reply."""
+    the burst's first push unacked and the hub one tip, not a backlog,
+    and polls nothing meanwhile; after ``quiesce`` each caught up
+    through one heartbeat reply, to the bytes a poller outside the
+    partition holds."""
+    config = replace(STREAM, pollers=1)  # fleet slot 0; subscribers 1-3
     events = [SimEvent("partition", {"slot": slot, "peer": 0})
-              for slot in range(3)]
+              for slot in range(1, 4)]
+    dark, _ = _play(config, events)
     events += [SimEvent("mine", {"txs": 1})] * 6
     events.append(SimEvent("certify", {"upto": 6}))
-    world, _ = _play(STREAM, events)
+    world, _ = _play(config, events)
     assert world.hub.tip.seq == STREAM.premine + 6
     for state in world.hub.subscribers.values():
         assert state.inflight == STREAM.premine + 1
-    heights = {entry.client.latest_header.height for entry in world.fleet}
+    subscribers = world.fleet[1:]
+    heights = {entry.client.latest_header.height for entry in subscribers}
     assert heights == {STREAM.premine}
-    world, _ = _play(STREAM, events + [QUIESCE])
-    for entry in world.fleet:
+    calls = [entry.client.rpc.calls for entry in subscribers]
+    assert calls == [entry.client.rpc.calls for entry in dark.fleet[1:]]
+    world, _ = _play(config, events + [QUIESCE])
+    poller = world.fleet[0].client
+    for entry, before in zip(world.fleet[1:], calls):
         client = entry.client
         assert (client.push_resyncs, client.push_rejected) == (1, 0)
-    assert world.hub.retransmits == len(world.fleet)
+        assert client.rpc.calls == before + 1
+        assert client.state.encode() == poller.state.encode()
+    assert world.hub.retransmits == len(world.fleet) - 1

@@ -38,8 +38,8 @@ def expected_aggregate(tree, lo, hi):
 def test_empty_tree():
     tree = AggregateMBTree()
     assert tree.root == EMPTY_ROOT
-    result, proof = tree.aggregate_query(0, 100)
-    assert result is None
+    proof = tree.aggregate_query(0, 100)
+    assert read_aggregate(proof) is None
     assert open_aggregate(tree.root, proof) is None
 
 
@@ -52,16 +52,15 @@ def test_aggregate_merge_identity():
 @pytest.mark.parametrize("window", [(0, 9999), (2000, 4000), (5000, 5050), (9990, 9999)])
 def test_aggregate_query_matches_ground_truth(tree, window):
     lo, hi = window
-    result, proof = tree.aggregate_query(lo, hi)
-    assert result == expected_aggregate(tree, lo, hi)
-    assert open_aggregate(tree.root, proof) == result
+    proof = tree.aggregate_query(lo, hi)
+    assert open_aggregate(tree.root, proof) == expected_aggregate(tree, lo, hi)
 
 
 def test_empty_window(tree):
     keys = sorted(k for k in range(10_000) if tree.get(k) is not None)
     gap = next((a + 1, b - 1) for a, b in zip(keys, keys[1:]) if b - a > 2)
-    result, proof = tree.aggregate_query(*gap)
-    assert result is None
+    proof = tree.aggregate_query(*gap)
+    assert read_aggregate(proof) is None
     assert open_aggregate(tree.root, proof) is None
 
 
@@ -85,9 +84,9 @@ def _read_but_rejected(tree, forge):
     """The aggregate is read from the proof, so a forger edits a stub's
     summary there: the reader returns the forged figure, which no longer
     opens under the root."""
-    result, proof = tree.aggregate_query(2000, 4000)
+    proof = tree.aggregate_query(2000, 4000)
+    result = open_aggregate(tree.root, proof)
     forged = _with_covered_stub(proof, forge)
-    assert read_aggregate(proof) == result
     assert read_aggregate(forged) != result
     with pytest.raises(ProofError):
         open_aggregate(tree.root, forged)
@@ -102,7 +101,7 @@ def test_forged_count_rejected(tree):
 
 
 def test_wrong_root_rejected(tree):
-    _, proof = tree.aggregate_query(2000, 4000)
+    proof = tree.aggregate_query(2000, 4000)
     other = AggregateMBTree(fanout=8)
     other.insert(1, 1)
     with pytest.raises(ProofError):
@@ -112,18 +111,17 @@ def test_wrong_root_rejected(tree):
 def test_proof_size_flat_in_window_width(tree):
     """The aggregation win: a 100-key window and a 6000-key window cost
     about the same proof bytes (only boundary paths are opened)."""
-    _, narrow = tree.aggregate_query(5000, 5100)
-    _, wide = tree.aggregate_query(2000, 8000)
+    narrow = tree.aggregate_query(5000, 5100)
+    wide = tree.aggregate_query(2000, 8000)
     assert wide.size_bytes() < narrow.size_bytes() * 3
 
 
 def test_overwrite_updates_aggregate(tree):
     key = next(k for k in range(10_000) if tree.get(k) is not None)
-    before, _ = tree.aggregate_query(key, key)
+    before = read_aggregate(tree.aggregate_query(key, key))
     tree.insert(key, 1000)
-    after, proof = tree.aggregate_query(key, key)
+    after = open_aggregate(tree.root, tree.aggregate_query(key, key))
     assert after == Aggregate(count=1, total=1000, minimum=1000, maximum=1000)
-    assert open_aggregate(tree.root, proof) == after
     assert before != after
 
 
@@ -135,9 +133,9 @@ def test_inverted_range_raises(tree):
 def test_single_entry_tree():
     tree = AggregateMBTree()
     tree.insert(7, -5)
-    result, proof = tree.aggregate_query(0, 100)
-    assert result == Aggregate(count=1, total=-5, minimum=-5, maximum=-5)
-    assert open_aggregate(tree.root, proof) == result
+    proof = tree.aggregate_query(0, 100)
+    assert read_aggregate(proof) == Aggregate(count=1, total=-5, minimum=-5, maximum=-5)
+    assert open_aggregate(tree.root, proof) == read_aggregate(proof)
 
 
 def test_query_and_insert_work_is_bounded_by_fanout_times_depth(monkeypatch):
@@ -165,5 +163,4 @@ def test_query_and_insert_work_is_bounded_by_fanout_times_depth(monkeypatch):
     tree.insert(5000, 7)
     # Only the touched path: one leaf and one node per level above it.
     assert merges_during(lambda: tree.root) <= 16 * 4
-    result, proof = tree.aggregate_query(100, 5000)
-    assert result.count == 3997 and open_aggregate(tree.root, proof) == result
+    assert open_aggregate(tree.root, tree.aggregate_query(100, 5000)).count == 3997

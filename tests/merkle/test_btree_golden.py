@@ -62,9 +62,8 @@ def _mb_query(tree, lo, hi):
 
 
 def _agg_query(tree, lo, hi):
-    result, proof = tree.aggregate_query(lo, hi)
-    assert aggtree.open_aggregate(tree.root, proof) == result
-    return result, proof
+    proof = tree.aggregate_query(lo, hi)
+    return aggtree.open_aggregate(tree.root, proof), proof
 
 
 def golden_digest() -> str:
